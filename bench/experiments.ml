@@ -265,8 +265,8 @@ let e4 () =
       (fun (name, o) ->
         [
           S name;
-          B (Checker.pseudo_consistent ~vdp ~sources:[ Source_db.adapter src ] o);
-          B (Checker.consistent_assignment ~vdp ~sources:[ Source_db.adapter src ] o <> None);
+          B (Checker.pseudo_consistent ~vdp ~sources:[ src ] o);
+          B (Checker.consistent_assignment ~vdp ~sources:[ src ] o <> None);
         ])
       [ ("Figure 2 view states (a a b a b a)", fig2);
         ("honest view states  (a a b a a a)", honest) ]

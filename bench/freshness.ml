@@ -55,7 +55,7 @@ let run_maintenance ~selfmaint =
   let annotation =
     if selfmaint then
       Adapt.Selfmaint.target vdp base ~announces:(fun s ->
-          Adapter.announces (Scenario.source env s))
+          Source_db.announces (Adapter.db (Scenario.source env s)))
     else base
   in
   let med =
@@ -122,7 +122,9 @@ let run_slo ~label ~max_staleness ~outage =
   Engine.spawn env.Scenario.engine (fun () -> Mediator.initialize med);
   Engine.run env.Scenario.engine ~until:1.0;
   if outage then
-    Adapter.set_outages (Scenario.source env "db1") [ (1.0, 10_000.0) ];
+    Source_db.set_outages
+      (Adapter.db (Scenario.source env "db1"))
+      [ (1.0, 10_000.0) ];
   let rng = Datagen.state (seed * 29 + 5) in
   List.iter
     (fun (src_name, rel) ->

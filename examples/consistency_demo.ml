@@ -83,9 +83,9 @@ let () =
       v_letters
   in
   Printf.printf "\npseudo-consistent (per-pair vectors exist):   %b\n"
-    (Checker.pseudo_consistent ~vdp ~sources:[ Source_db.adapter src ] observations);
+    (Checker.pseudo_consistent ~vdp ~sources:[ src ] observations);
   Printf.printf "consistent (a single monotone reflect exists): %b\n"
-    (Checker.consistent_assignment ~vdp ~sources:[ Source_db.adapter src ] observations <> None);
+    (Checker.consistent_assignment ~vdp ~sources:[ src ] observations <> None);
   print_endline
     "=> pseudo-consistency does not imply consistency (Remark 3.1).";
 
@@ -103,7 +103,7 @@ let () =
         })
       [ 0; 0; 1; 0; 0; 0 ]
   in
-  (match Checker.consistent_assignment ~vdp ~sources:[ Source_db.adapter src ] honest with
+  (match Checker.consistent_assignment ~vdp ~sources:[ src ] honest with
   | Some witness ->
     Printf.printf "\nan honest view admits the monotone reflect: %s\n"
       (String.concat " "

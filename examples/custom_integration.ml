@@ -115,7 +115,7 @@ let () =
        ]
        ~size:60);
   let med =
-    Mediator.create ~engine ~vdp ~annotation ~sources:[ Source_db.adapter ops_db; Source_db.adapter fleet_db ] ()
+    Mediator.create ~engine ~vdp ~annotation ~sources:[ ops_db; fleet_db ] ()
   in
   Mediator.connect med ();
   Mediator.enable_source_filtering med;
@@ -171,7 +171,7 @@ let () =
   section "Consistency";
   let report =
     Correctness.Checker.check ~vdp
-      ~sources:[ Source_db.adapter ops_db; Source_db.adapter fleet_db ]
+      ~sources:[ ops_db; fleet_db ]
       ~events:(Mediator.events med) ()
   in
   Printf.printf "checked %d queries: %s\n"

@@ -36,7 +36,7 @@ let () =
   run_in env (fun () -> Mediator.initialize med);
   let db1 = Scenario.source env "db1" in
   let db2 = Scenario.source env "db2" in
-  let polls_db1_before = Adapter.polls_served db1 in
+  let polls_db1_before = Source_db.polls_served (Adapter.db db1) in
 
   (* frequent R updates *)
   let rng = Datagen.state 11 in
@@ -52,7 +52,7 @@ let () =
   Printf.printf
     "25 R updates processed; extra polls of db1: %d (rule #1 needs only ΔR' \
      and the materialized S')\n"
-    (Adapter.polls_served db1 - polls_db1_before);
+    (Source_db.polls_served (Adapter.db db1) - polls_db1_before);
 
   (* one rare S update *)
   let s_tuple =
@@ -64,7 +64,7 @@ let () =
   Printf.printf
     "1 S update processed; polls of db1 now: %d (rule #2 reads the virtual \
      R', compensated by ECA)\n"
-    (Adapter.polls_served db1 - polls_db1_before);
+    (Source_db.polls_served (Adapter.db db1) - polls_db1_before);
 
   section "Example 2.3: hybrid export relation";
   let env = Scenario.make_fig1 ~seed:3 () in
@@ -76,7 +76,8 @@ let () =
   run_in env (fun () -> Mediator.initialize med);
   let db1 = Scenario.source env "db1" in
   let db2 = Scenario.source env "db2" in
-  let p1 = Adapter.polls_served db1 and p2 = Adapter.polls_served db2 in
+  let p1 = Source_db.polls_served (Adapter.db db1)
+  and p2 = Source_db.polls_served (Adapter.db db2) in
 
   run_in env (fun () ->
       let fast = Mediator.query med ~node:"T" ~attrs:[ "r1"; "s1" ] () in
@@ -84,8 +85,8 @@ let () =
         "π(r1,s1) T: %d tuples — answered from the store (polls: db1 +%d, db2 \
          +%d)\n"
         (Bag.cardinal fast.Qp.tuples)
-        (Adapter.polls_served db1 - p1)
-        (Adapter.polls_served db2 - p2));
+        (Source_db.polls_served (Adapter.db db1) - p1)
+        (Source_db.polls_served (Adapter.db db2) - p2));
 
   run_in env (fun () ->
       let cond = Predicate.(lt (attr "r3") (int 100)) in
@@ -94,8 +95,8 @@ let () =
         "π(r3,s1) σ(r3<100) T: %d tuples — key-based construction through r1 \
          (polls: db1 +%d, db2 +%d; key-based uses: %d)\n"
         (Bag.cardinal slow.Qp.tuples)
-        (Adapter.polls_served db1 - p1)
-        (Adapter.polls_served db2 - p2)
+        (Source_db.polls_served (Adapter.db db1) - p1)
+        (Source_db.polls_served (Adapter.db db2) - p2)
         (Obs.Metrics.value (Mediator.stats med).Med.key_based_constructions));
 
   section "Consistency";

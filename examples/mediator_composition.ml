@@ -1,5 +1,5 @@
-(* Mediators compose: a mediator's exports can themselves be served
-   through the source-adapter contract (Med_source), so a parent
+(* Mediators compose: a mediator's exports can themselves be mirrored
+   into a source database (Med_source), so a parent
    mediator integrates them exactly like any other source — the
    paper's composability claim made executable.
 
@@ -57,7 +57,7 @@ let make_child ~engine ~region ~relation ~export ~rows =
   let med =
     Mediator.create ~engine ~vdp
       ~annotation:(Annotation.fully_materialized vdp)
-      ~sources:[ Source_db.adapter db ] ()
+      ~sources:[ db ] ()
   in
   Mediator.connect med ();
   (db, med)
@@ -90,14 +90,15 @@ let () =
   section "Tier 2: wrap each child as a source";
   let ms_east = Med_source.create ~name:"medEast" child_east in
   let ms_west = Med_source.create ~name:"medWest" child_west in
-  let src_east = Med_source.adapter ms_east in
-  let src_west = Med_source.adapter ms_west in
+  let src_east = Adapter.mirror (Med_source.source_db ms_east) in
+  let src_west = Adapter.mirror (Med_source.source_db ms_west) in
   List.iter
     (fun a ->
+      let db = Adapter.db a in
       Printf.printf "%-8s kind=%-8s relations=[%s] version=%d\n"
         (Adapter.name a) (Adapter.kind a)
-        (String.concat ", " (Adapter.relation_names a))
-        (Adapter.version a))
+        (String.concat ", " (Source_db.relation_names db))
+        (Source_db.version db))
     [ src_east; src_west ];
 
   let b =
@@ -111,7 +112,7 @@ let () =
   in
   Builder.add_export b ~name:"AllBig" (Parser.expr "BigEast union BigWest");
   let vdp = Builder.build b in
-  let env = { Scenario.engine; sources = [ src_east; src_west ]; vdp } in
+  let env = Scenario.make_env ~engine ~vdp [ src_east; src_west ] in
   let parent =
     Scenario.mediator env ~annotation:(Annotation.fully_materialized vdp) ()
   in
@@ -157,9 +158,10 @@ let () =
   Scenario.run_to_quiescence env parent;
   let after = show () in
   assert (Bag.cardinal after = 3);
+  let mirrored = Med_source.source_db in
   Printf.printf "mirrored versions now: %s=v%d, %s=v%d\n"
-    (Adapter.name src_east) (Adapter.version src_east)
-    (Adapter.name src_west) (Adapter.version src_west);
+    (Med_source.name ms_east) (Source_db.version (mirrored ms_east))
+    (Med_source.name ms_west) (Source_db.version (mirrored ms_west));
 
   section "Consistency audit over the mirrored histories";
   let report =

@@ -66,7 +66,7 @@ let () =
   insert_r 1002 4 200;
   (* filtered out by r4 = 100: never leaves the leaf-parent *)
   Printf.printf "committed 2 transactions at db1 (versions now %d)\n"
-    (Adapter.version db1);
+    (Source_db.version (Adapter.db db1));
 
   section "Incremental propagation";
   Scenario.run_to_quiescence env med;

@@ -93,7 +93,7 @@ let tick t =
     let base = if advisor_ok then advisor_target else t.med.Med.ann in
     let target, aux =
       if t.config.self_maintain then begin
-        let announces s = Adapter.announces (Med.source t.med s) in
+        let announces s = Source_db.announces (Med.source t.med s) in
         let ext = Selfmaint.target vdp base ~announces in
         (ext, Selfmaint.added vdp ~base ~ext)
       end

@@ -34,7 +34,7 @@ type report = {
 val analyze :
   Graph.t -> Annotation.t -> announces:(string -> bool) -> report list
 (** One report per materialized node of [ann]. [announces] says
-    whether a source pushes update announcements ([Adapter.announces]). *)
+    whether a source pushes update announcements ([Source_db.announces]). *)
 
 val target :
   Graph.t -> Annotation.t -> announces:(string -> bool) -> Annotation.t

@@ -13,14 +13,14 @@ type stats = {
 type t = {
   engine : Engine.t;
   vdp : Graph.t;
-  source_tbl : (string, Adapter.t) Hashtbl.t;
+  source_tbl : (string, Source_db.t) Hashtbl.t;
   stats : stats;
   mutable connected : bool;
 }
 
 let create ~engine ~vdp ~sources () =
   let source_tbl = Hashtbl.create 8 in
-  List.iter (fun s -> Hashtbl.replace source_tbl (Adapter.name s) s) sources;
+  List.iter (fun s -> Hashtbl.replace source_tbl (Source_db.name s) s) sources;
   {
     engine;
     vdp;
@@ -39,8 +39,8 @@ let connect t ?(delays = fun _ -> (0.05, 0.01)) () =
   in
   Hashtbl.iter
     (fun _ src ->
-      let comm_delay, q_proc_delay = delays (Adapter.name src) in
-      Adapter.connect src ~comm_delay ~q_proc_delay handler)
+      let comm_delay, q_proc_delay = delays (Source_db.name src) in
+      Source_db.connect src ~comm_delay ~q_proc_delay handler)
     t.source_tbl;
   t.connected <- true
 
@@ -94,7 +94,11 @@ let query t ~node ?attrs ?(cond = Predicate.True) () =
   Hashtbl.iter
     (fun src_name queries ->
       let src = Hashtbl.find t.source_tbl src_name in
-      let answer = Adapter.poll src queries in
+      let answer =
+        match Source_db.try_poll src queries with
+        | Ok answer -> answer
+        | Error e -> Source_db.err "%s" (Source_db.poll_error_to_string e)
+      in
       t.stats.sq_polls <- t.stats.sq_polls + 1;
       List.iter
         (fun (label, bag) ->

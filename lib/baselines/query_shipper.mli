@@ -22,7 +22,7 @@ open Sources
 type t
 
 val create :
-  engine:Engine.t -> vdp:Graph.t -> sources:Adapter.t list -> unit -> t
+  engine:Engine.t -> vdp:Graph.t -> sources:Source_db.t list -> unit -> t
 (** The VDP is used only as a carrier of the view definitions
     ([Graph.expanded_def]) and the leaf-to-source mapping. *)
 
@@ -31,7 +31,9 @@ val connect : t -> ?delays:(string -> float * float) -> unit -> unit
 
 val query :
   t -> node:string -> ?attrs:string list -> ?cond:Predicate.t -> unit -> Bag.t
-(** Decompose, fetch, evaluate. Must run inside a simulation process. *)
+(** Decompose, fetch, evaluate. Must run inside a simulation process.
+    The baseline has no fault handling: a failed fetch raises
+    {!Sources.Source_db.Source_error}. *)
 
 type stats = {
   mutable sq_queries : int;

@@ -219,8 +219,12 @@ let reference_answer env name =
   let leaf_env leaf =
     match Graph.node_opt vdp leaf with
     | Some { Graph.kind = Graph.Leaf { source }; _ } ->
-      let src = Scenario.source env source in
-      Some (Adapter.current src leaf)
+      let src =
+        List.find
+          (fun s -> String.equal (Source_db.name s) source)
+          env.Scenario.sources
+      in
+      Some (Source_db.current src leaf)
     | Some _ | None -> None
   in
   Eval.eval ~env:leaf_env (Graph.expanded_def vdp name)
@@ -323,7 +327,7 @@ let run_one ?max_batch ?(tag = "") sc profile seed =
   let sum f =
     List.fold_left
       (fun acc s ->
-        match Adapter.channel s with Some c -> acc + f c | None -> acc)
+        match Source_db.channel s with Some c -> acc + f c | None -> acc)
       0 env.Scenario.sources
   in
   let s = Mediator.stats med in
@@ -396,9 +400,8 @@ let fed_reference fed name =
     let leaf_env leaf =
       match Graph.node_opt vdp leaf with
       | Some { Graph.kind = Graph.Leaf { source }; _ } ->
-        (match List.assoc_opt source sh.Fed.Coordinator.sh_sources with
-        | Some src -> Some (Adapter.current src leaf)
-        | None -> None)
+        Some
+          (Source_db.current (Med.source sh.Fed.Coordinator.sh_med source) leaf)
       | Some _ | None -> None
     in
     Eval.eval ~env:leaf_env (Graph.expanded_def vdp name)

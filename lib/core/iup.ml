@@ -299,7 +299,7 @@ let run (t : Med.t) =
         if t.Med.config.Med.Config.release_history then
           List.iter
             (fun s ->
-              Adapter.release (Med.source t s)
+              Source_db.release (Med.source t s)
                 ~upto:(Med.reflected_version t s).Med.r_version)
             (Graph.sources t.Med.vdp);
         (* mediator-as-source: surface the export relations' deltas to

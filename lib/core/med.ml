@@ -57,8 +57,6 @@ end
 
 type config = Config.t
 
-let default_config = Config.default
-
 type queue_entry = {
   q_source : string;
   q_version : int;
@@ -286,7 +284,7 @@ type t = {
   mutex : Engine.Mutex.t;
   config : config;
   trace : Obs.Trace.t;
-  source_tbl : (string, Adapter.t) Hashtbl.t;
+  source_tbl : (string, Source_db.t) Hashtbl.t;
   mutable queue : queue_entry list;
   mutable reflected : (string * reflected) list;
   mutable pending : Multi_delta.t;
@@ -314,7 +312,7 @@ exception Med_error of shape_error
 type poll_exhausted = {
   pe_source : string;
   pe_attempts : int;
-  pe_error : Adapter.poll_error;
+  pe_error : Source_db.poll_error;
 }
 
 exception Poll_failed of poll_exhausted
@@ -342,7 +340,7 @@ let () =
       Some
         (Printf.sprintf "Poll_failed: source %S after %d attempt(s): %s"
            pe_source pe_attempts
-           (Adapter.poll_error_to_string pe_error))
+           (Source_db.poll_error_to_string pe_error))
     | _ -> None)
 
 let mat_attrs t node = Annotation.materialized_attrs t.ann node
@@ -572,7 +570,7 @@ let install_joinopt_hooks t =
 
 let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
   let source_tbl = Hashtbl.create 8 in
-  List.iter (fun s -> Hashtbl.replace source_tbl (Adapter.name s) s) sources;
+  List.iter (fun s -> Hashtbl.replace source_tbl (Source_db.name s) s) sources;
   (* every VDP source must be present and agree on leaf schemas *)
   List.iter
     (fun src_name ->
@@ -583,8 +581,8 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
           (fun leaf ->
             let declared = (Graph.node vdp leaf).Graph.schema in
             let actual =
-              try Adapter.schema src leaf
-              with Adapter.Adapter_error msg -> err "%s" msg
+              try Source_db.schema src leaf
+              with Source_db.Source_error msg -> err "%s" msg
             in
             if not (Schema.equal declared actual) then
               err "leaf %S: VDP schema %s disagrees with source schema %s"
@@ -937,7 +935,7 @@ let freshness_bound t ~node =
         if contributor_kind t k = Materialized_contributor then acc
         else
           let db = source t k in
-          acc +. Adapter.q_proc_delay db +. Adapter.comm_delay db)
+          acc +. Source_db.q_proc_delay db +. Source_db.comm_delay db)
       0.0 node_sources
   in
   List.map
@@ -946,7 +944,7 @@ let freshness_bound t ~node =
       match contributor_kind t s with
       | Materialized_contributor | Hybrid_contributor ->
         ( s,
-          Adapter.ann_delay db +. Adapter.comm_delay db
+          Source_db.ann_delay db +. Source_db.comm_delay db
           +. t.config.flush_interval
           +. mean t.stats.update_tx_time +. polling_term )
       | Virtual_contributor ->
@@ -958,7 +956,7 @@ let freshness_bound t ~node =
    starting from [config.poll_backoff]. Exhaustion raises {!Poll_failed}
    so the caller can degrade or defer instead of crashing the process. *)
 let poll_with_retry t src queries =
-  let src_name = Adapter.name src in
+  let src_name = Source_db.name src in
   let budget = max 1 t.config.poll_retries in
   Obs.Trace.with_span t.trace "poll" ~attrs:[ ("source", src_name) ]
     (fun poll_sp ->
@@ -969,13 +967,13 @@ let poll_with_retry t src queries =
             ~attrs:[ ("n", string_of_int n) ]
             (fun sp ->
               let r =
-                Adapter.try_poll src ?timeout:t.config.poll_timeout queries
+                Source_db.try_poll src ?timeout:t.config.poll_timeout queries
               in
               (match r with
               | Ok _ -> Obs.Trace.set_attr sp "result" "ok"
               | Error e ->
                 Obs.Trace.set_attr sp "result"
-                  (Adapter.poll_error_to_string e));
+                  (Source_db.poll_error_to_string e));
               r)
         in
         match outcome with
@@ -991,7 +989,7 @@ let poll_with_retry t src queries =
             Obs.Metrics.observe t.stats.poll_rtt (Engine.now t.engine -. t0);
             Log.warn (fun m ->
                 m "poll of %s failed after %d attempt(s): %s" src_name n
-                  (Adapter.poll_error_to_string e));
+                  (Source_db.poll_error_to_string e));
             raise
               (Poll_failed
                  { pe_source = src_name; pe_attempts = n; pe_error = e })
@@ -1004,7 +1002,7 @@ let poll_with_retry t src queries =
             Log.debug (fun m ->
                 m "poll of %s failed (%s); attempt %d/%d, backoff %g"
                   src_name
-                  (Adapter.poll_error_to_string e)
+                  (Source_db.poll_error_to_string e)
                   n budget backoff);
             Engine.sleep t.engine backoff;
             attempt (n + 1) (backoff *. 2.0)

@@ -57,7 +57,7 @@ module Config : sig
             it nothing later would reveal the gap. *)
     release_history : bool;
         (** after each update transaction, advance every source's
-            release watermark ({!Sources.Adapter.release}) to the reflected
+            release watermark ({!Sources.Source_db.release}) to the reflected
             version so snapshot history stays bounded. Incompatible
             with running a {!Correctness.Checker} afterwards, which
             replays history. *)
@@ -113,9 +113,6 @@ module Config : sig
 end
 
 type config = Config.t
-
-val default_config : config
-  [@@ocaml.deprecated "Use Med.Config.default (or Med.Config.make ())."]
 
 type queue_entry = {
   q_source : string;
@@ -342,7 +339,7 @@ type t = {
   trace : Obs.Trace.t;
       (** per-transaction span trees on the simulated clock; every
           processor opens spans here (see docs/OBSERVABILITY.md) *)
-  source_tbl : (string, Adapter.t) Hashtbl.t;
+  source_tbl : (string, Source_db.t) Hashtbl.t;
   mutable queue : queue_entry list;  (** arrival order *)
   mutable reflected : (string * reflected) list;
   mutable pending : Multi_delta.t;
@@ -393,7 +390,7 @@ exception Med_error of shape_error
 type poll_exhausted = {
   pe_source : string;
   pe_attempts : int;
-  pe_error : Adapter.poll_error;  (** the last attempt's failure *)
+  pe_error : Source_db.poll_error;  (** the last attempt's failure *)
 }
 
 exception Poll_failed of poll_exhausted
@@ -417,19 +414,19 @@ val create :
   vdp:Graph.t ->
   annotation:Annotation.t ->
   ?config:config ->
-  sources:Adapter.t list ->
+  sources:Source_db.t list ->
   unit ->
   t
 (** Builds the local store: one table per node with at least one
     materialized attribute, holding the projection of the node's
     relation onto its materialized attributes. Sources are
-    {!Sources.Adapter} values — wrap a relational database with
-    {!Source_db.adapter}, a triple store with {!Triple_store.adapter},
-    or another mediator with {!Med_source.adapter}.
-    @raise Mediator_error when a VDP source has no matching adapter,
+    {!Sources.Source_db} values: a relational database, a triple
+    store's export ([Triple_store.source_db]), or another mediator's
+    export mirror ([Med_source.source_db]).
+    @raise Mediator_error when a VDP source has no matching database,
     or a leaf's schema disagrees with the source's. *)
 
-val source : t -> string -> Adapter.t
+val source : t -> string -> Source_db.t
 
 val subscribe_exports : t -> (export_event -> unit) -> unit
 (** Register a consumer of the export change stream ({!export_event}).
@@ -548,8 +545,8 @@ val freshness_bound : t -> node:string -> (string * float) list
     that never announces. *)
 
 val poll_with_retry :
-  t -> Adapter.t -> (string * Expr.t) list -> Message.answer
-(** {!Adapter.try_poll} under the config's timeout, retried up to
+  t -> Source_db.t -> (string * Expr.t) list -> Message.answer
+(** {!Source_db.try_poll} under the config's timeout, retried up to
     [poll_retries] attempts with exponential backoff from
     [poll_backoff]. Must run in a process. @raise Poll_failed when the
     budget is exhausted. *)

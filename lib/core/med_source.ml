@@ -25,19 +25,22 @@ let drift t =
     Multi_delta.empty
     (Med.export_schemas t.ms_child)
 
-let sync t =
-  let delta = drift t in
+let commit_nonempty t delta =
   if not (Multi_delta.is_empty delta) then Source_db.commit t.ms_db delta
 
 let create ?name (child : Med.t) =
   let exports = Med.export_schemas child in
+  if not child.Med.initialized then
+    Med.err
+      "mediator-as-source: initialize the child before wrapping it (its \
+       initialization snapshot publishes no export event)";
   (match exports with
-  | [] -> Adapter.err "mediator-as-source: the child exports no relations"
+  | [] -> Med.err "mediator-as-source: the child exports no relations"
   | _ -> ());
   List.iter
     (fun (node, schema) ->
       if not (Med.is_covered child ~node ~attrs:(Schema.attrs schema)) then
-        Adapter.err
+        Med.err
           "mediator-as-source: export %S is not fully materialized (a \
            virtual export has no store contents to mirror)"
           node)
@@ -50,51 +53,24 @@ let create ?name (child : Med.t) =
       ~relations:exports ~announce:Source_db.Immediate ()
   in
   let t = { ms_name; ms_child = child; ms_db } in
-  (* seed the mirror's version-0 state if the child already holds
-     data; later drift (e.g. a child initialized after wrapping) is
-     repaired by the poll-time sync *)
-  if child.Med.initialized then
-    List.iter
-      (fun (node, _) ->
-        match Med.store_env child node with
-        | Some bag -> Source_db.load ms_db node bag
-        | None -> ())
-      exports;
+  (* the mirror's version 0 is the child's current export state; from
+     here on every export event keeps it exact *)
+  List.iter
+    (fun (node, _) ->
+      match Med.store_env child node with
+      | Some bag -> Source_db.load ms_db node bag
+      | None -> ())
+    exports;
   Med.subscribe_exports child (function
     | Med.Export_delta { ee_deltas; _ } ->
       (* one child update transaction = one mirror version; commit is
          non-blocking, as export subscribers must be *)
-      let delta =
-        List.fold_left
-          (fun acc (node, d) -> Multi_delta.add acc node d)
-          Multi_delta.empty ee_deltas
-      in
-      if not (Multi_delta.is_empty delta) then Source_db.commit ms_db delta
-    | Med.Export_snapshot _ -> sync t);
+      commit_nonempty t
+        (List.fold_left
+           (fun acc (node, d) -> Multi_delta.add acc node d)
+           Multi_delta.empty ee_deltas)
+    | Med.Export_snapshot _ ->
+      (* the child rebuilt its store: one computed delta brings the
+         mirror to the rebuilt state *)
+      commit_nonempty t (drift t));
   t
-
-let adapter t =
-  let a = Source_db.adapter t.ms_db in
-  {
-    a with
-    Adapter.a_kind = "mediator";
-    a_try_poll =
-      (fun ?timeout queries ->
-        (* a poll must answer from the child's current export state,
-           even across windows no export event covers (the child's
-           initialization in particular publishes none) *)
-        sync t;
-        a.Adapter.a_try_poll ?timeout queries);
-    a_commit =
-      (fun _ ->
-        Adapter.err
-          "mediator-backed source %s is read-only: commit at the child \
-           mediator's own sources"
-          t.ms_name);
-    a_load =
-      (fun _ _ ->
-        Adapter.err
-          "mediator-backed source %s is read-only: load the child \
-           mediator's own sources"
-          t.ms_name);
-  }

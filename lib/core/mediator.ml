@@ -23,7 +23,7 @@ let connect (t : Med.t) () =
   List.iter
     (fun src_name ->
       let d = t.Med.config.Med.Config.delays src_name in
-      Adapter.connect (Med.source t src_name) ~comm_delay:d.Med.comm_delay
+      Source_db.connect (Med.source t src_name) ~comm_delay:d.Med.comm_delay
         ~q_proc_delay:d.Med.q_proc_delay handler)
     (Graph.sources t.Med.vdp);
   Iup.start_flusher t;
@@ -51,7 +51,7 @@ let connect (t : Med.t) () =
             | Med.Virtual_contributor -> (
               let src = Med.source t src_name in
               match
-                Adapter.try_poll src
+                Source_db.try_poll src
                   ?timeout:t.Med.config.Med.Config.poll_timeout []
               with
               | Ok a ->
@@ -64,7 +64,7 @@ let connect (t : Med.t) () =
             | Med.Materialized_contributor | Med.Hybrid_contributor -> (
               let src = Med.source t src_name in
               match
-                Adapter.try_poll src
+                Source_db.try_poll src
                   ?timeout:t.Med.config.Med.Config.poll_timeout []
               with
               | Ok a ->
@@ -173,7 +173,7 @@ let enable_source_filtering (t : Med.t) =
         let cond =
           Predicate.simplify (Predicate.disj (List.map snd per_lp))
         in
-        Adapter.set_filter src ~relation:leaf ~attrs ~cond)
+        Source_db.set_filter src ~relation:leaf ~attrs ~cond)
     (Graph.leaves t.Med.vdp)
 
 let query = Qp.query
@@ -183,9 +183,6 @@ let subscribe_exports = Med.subscribe_exports
 let export_schemas = Med.export_schemas
 let process_updates = Iup.update_transaction
 let dirty_sources = Med.dirty_sources
-
-let commit_at_source (t : Med.t) ~source delta =
-  Adapter.commit (Med.source t source) delta
 
 let vdp (t : Med.t) = t.Med.vdp
 let annotation (t : Med.t) = t.Med.ann

@@ -9,10 +9,10 @@
     simulation: updates committed at the sources flow in through the
     update queue and the IUP; queries are served by the QP.
 
-    Sources are {!Sources.Adapter} values: wrap a relational
-    {!Sources.Source_db} with [Source_db.adapter], a triple store with
-    [Triple_store.adapter], or another mediator's exports with
-    {!Med_source.adapter} (mediators compose). Per-source connection
+    Sources are {!Sources.Source_db} values: a relational database
+    itself, a triple store's export ([Triple_store.source_db]), or
+    another mediator's export mirror ([Med_source.source_db];
+    mediators compose). Per-source connection
     delays live in {!Med.Config.t} ([delays]), one config surface for
     [create] and [connect]:
 
@@ -22,7 +22,7 @@
         Mediator.create ~engine ~vdp
           ~annotation:(Vdp.Annotation.fully_materialized vdp)
           ~config:(Med.Config.make ~delays:(fun _ -> Med.default_delays) ())
-          ~sources:[ Source_db.adapter db1; Source_db.adapter db2 ] ()
+          ~sources:[ db1; db2 ] ()
       in
       Mediator.connect med ();
       Engine.spawn engine (fun () ->
@@ -32,7 +32,6 @@
     ]} *)
 
 open Relalg
-open Delta
 open Vdp
 open Sim
 open Sources
@@ -44,7 +43,7 @@ val create :
   vdp:Graph.t ->
   annotation:Annotation.t ->
   ?config:Med.config ->
-  sources:Adapter.t list ->
+  sources:Source_db.t list ->
   unit ->
   t
 (** See {!Med.create}. *)
@@ -106,10 +105,6 @@ val enable_source_filtering : t -> unit
 val process_updates : t -> bool
 (** Run an update transaction now (see {!Iup}); [false] if the queue
     was empty. *)
-
-val commit_at_source : t -> source:string -> Multi_delta.t -> unit
-(** Convenience: commit a transaction at a source database (goes
-    through the source, not around it). *)
 
 (** {1 Mediator as source}
 

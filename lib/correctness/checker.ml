@@ -68,14 +68,14 @@ let theorem_7_2_bound ~vdp ~contributor profile src =
 
 let source_table sources =
   let tbl = Hashtbl.create 8 in
-  List.iter (fun s -> Hashtbl.replace tbl (Adapter.name s) s) sources;
+  List.iter (fun s -> Hashtbl.replace tbl (Source_db.name s) s) sources;
   tbl
 
 let version_at src time =
   List.fold_left
     (fun acc (t, v, _) -> if t <= time && v > acc then v else acc)
     0
-    (Adapter.history src)
+    (Source_db.history src)
 
 (* environment mapping leaf relations to their state under a version
    assignment *)
@@ -88,13 +88,13 @@ let env_of_assignment ~vdp ~src_tbl assignment leaf =
       let version =
         match List.assoc_opt source assignment with
         | Some v -> v
-        | None -> Adapter.version src
+        | None -> Source_db.version src
       in
-      List.assoc_opt leaf (Adapter.state_at_version src version))
+      List.assoc_opt leaf (Source_db.state_at_version src version))
   | Some _ | None -> None
 
 let staleness src version time =
-  match Adapter.next_commit_time_after src version with
+  match Source_db.next_commit_time_after src version with
   | Some next when next <= time -> time -. next
   | Some _ | None -> 0.0
 
@@ -104,7 +104,7 @@ let check ~vdp ~sources ~events () =
   let src_tbl = source_table sources in
   let violations = ref [] in
   let max_stale : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun s -> Hashtbl.replace max_stale (Adapter.name s) 0.0) sources;
+  List.iter (fun s -> Hashtbl.replace max_stale (Source_db.name s) 0.0) sources;
   let violate time kind detail =
     violations := { v_time = time; v_kind = kind; v_detail = detail } :: !violations
   in
@@ -217,7 +217,7 @@ let check ~vdp ~sources ~events () =
         List.iter
           (fun (src_name, v) ->
             let src = Hashtbl.find src_tbl src_name in
-            let ct = Adapter.commit_time_of_version src v in
+            let ct = Source_db.commit_time_of_version src v in
             if ct > time +. 1e-9 then
               violate time `Chronology
                 (Printf.sprintf
@@ -314,7 +314,7 @@ let valid_vectors ~vdp ~src_tbl ~chronology obs =
             (fun (t, v, _) ->
               if (not chronology) || t <= obs.o_time +. 1e-9 then Some v
               else None)
-            (Adapter.history src)
+            (Source_db.history src)
         in
         (name, versions) :: acc)
       src_tbl []

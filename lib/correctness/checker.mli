@@ -73,7 +73,7 @@ val bound_violations : report -> violation list
 
 val check :
   vdp:Graph.t ->
-  sources:Adapter.t list ->
+  sources:Source_db.t list ->
   events:Med.event list ->
   unit ->
   report
@@ -122,11 +122,11 @@ val theorem_7_2_bound :
 type observation = { o_time : float; o_export : string; o_state : Bag.t }
 
 val pseudo_consistent :
-  vdp:Graph.t -> sources:Adapter.t list -> observation list -> bool
+  vdp:Graph.t -> sources:Source_db.t list -> observation list -> bool
 
 val consistent_assignment :
   vdp:Graph.t ->
-  sources:Adapter.t list ->
+  sources:Source_db.t list ->
   observation list ->
   (float * (string * int) list) list option
 (** A witness monotone, chronological, valid reflect assignment — or

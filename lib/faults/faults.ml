@@ -8,7 +8,7 @@ type profile = {
   p_jitter : float;
   p_reorder : bool;
   p_outage : (float * float) list;
-  p_outage_mode : Adapter.outage_mode;
+  p_outage_mode : Source_db.outage_mode;
 }
 
 let none =
@@ -19,7 +19,7 @@ let none =
     p_jitter = 0.0;
     p_reorder = false;
     p_outage = [];
-    p_outage_mode = Adapter.Refuse;
+    p_outage_mode = Source_db.Refuse;
   }
 
 (* Delay jitter only: stresses timing assumptions (flush ticks racing
@@ -43,7 +43,7 @@ let outage =
     none with
     p_name = "outage";
     p_outage = [ (0.0, 0.45); (0.6, 0.9) ];
-    p_outage_mode = Adapter.Refuse;
+    p_outage_mode = Source_db.Refuse;
   }
 
 (* Like [outage] but the request silently vanishes: only per-poll
@@ -53,7 +53,7 @@ let blackhole =
     none with
     p_name = "blackhole";
     p_outage = [ (0.1, 0.55) ];
-    p_outage_mode = Adapter.Black_hole;
+    p_outage_mode = Source_db.Black_hole;
   }
 
 (* Jitter with the FIFO clamp off: answers can overtake announcements
@@ -71,7 +71,7 @@ let chaos =
     p_dup = 0.12;
     p_jitter = 0.6;
     p_outage = [ (0.3, 0.55) ];
-    p_outage_mode = Adapter.Refuse;
+    p_outage_mode = Source_db.Refuse;
   }
 
 let all = [ none; jitter; drop; dup; outage; blackhole; reorder; chaos ]
@@ -86,7 +86,7 @@ let by_name n = List.find_opt (fun p -> String.equal p.p_name n) all
    source never shift the random sequence of another, so shrinking a
    failing matrix entry keeps its behaviour. *)
 let rng_for ~seed src =
-  Random.State.make [| 0x5eed; seed; Hashtbl.hash (Adapter.name src) |]
+  Random.State.make [| 0x5eed; seed; Hashtbl.hash (Source_db.name src) |]
 
 let policy_of ~engine ~rng ~window:(w_start, w_stop) p =
   let decide () =
@@ -116,10 +116,10 @@ let apply ~engine ~seed ~window p sources =
   List.iter
     (fun src ->
       let rng = rng_for ~seed src in
-      Adapter.set_channel_policy src
+      Source_db.set_channel_policy src
         (Some (policy_of ~engine ~rng ~window p));
       if p.p_outage <> [] then
-        Adapter.set_outages src ~mode:p.p_outage_mode
+        Source_db.set_outages src ~mode:p.p_outage_mode
           (List.map
              (fun (a, b) -> (w_start +. (a *. span), w_start +. (b *. span)))
              p.p_outage))
@@ -128,6 +128,6 @@ let apply ~engine ~seed ~window p sources =
 let clear sources =
   List.iter
     (fun src ->
-      Adapter.set_channel_policy src None;
-      Adapter.set_outages src [])
+      Source_db.set_channel_policy src None;
+      Source_db.set_outages src [])
     sources

@@ -3,7 +3,7 @@
     A {!profile} bundles the fault knobs of the source→mediator
     channels ({!Sim.Channel.policy}: drop, duplicate, delay jitter,
     optional reordering) with source outage windows
-    ({!Sources.Adapter.set_outages}). {!apply} installs a profile on
+    ({!Sources.Source_db.set_outages}). {!apply} installs a profile on
     a set of sources for a window of simulated time, seeding one
     independent RNG per (seed, source) — two runs with the same seed,
     profile, and workload replay the exact same fault sequence, so a
@@ -27,7 +27,7 @@ type profile = {
   p_reorder : bool;  (** disable the FIFO clamp (paper relaxation) *)
   p_outage : (float * float) list;
       (** outage windows as fractions of the fault window *)
-  p_outage_mode : Adapter.outage_mode;
+  p_outage_mode : Source_db.outage_mode;
 }
 
 (** {1 Named profiles} *)
@@ -67,7 +67,7 @@ val apply :
   seed:int ->
   window:float * float ->
   profile ->
-  Adapter.t list ->
+  Source_db.t list ->
   unit
 (** Install the profile's channel policy on every source (sources must
     be connected) and schedule its outage windows, all scaled into
@@ -75,5 +75,5 @@ val apply :
     initialize cleanly, suffer faults, heal, and be checked for
     convergence. *)
 
-val clear : Adapter.t list -> unit
+val clear : Source_db.t list -> unit
 (** Remove policies and outage windows. *)

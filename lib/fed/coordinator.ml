@@ -96,7 +96,8 @@ let create ~engine ~vdp ~key ~shards ~make_sources
   let mk_shard i =
     let sources = make_sources ~shard:i in
     let med =
-      Mediator.create ~engine ~vdp ~annotation ~config ~sources ()
+      Mediator.create ~engine ~vdp ~annotation ~config
+        ~sources:(List.map Adapter.db sources) ()
     in
     Mediator.connect med ();
     (* mediator-as-source: each shard's export change stream drives the
@@ -333,7 +334,9 @@ let query t ~node ?attrs ?(cond = Predicate.True) () =
 (* --- failure injection ------------------------------------------------ *)
 
 let set_links sh up =
-  List.iter (fun (_, s) -> Adapter.set_link_up s up) sh.sh_sources
+  List.iter
+    (fun (_, s) -> Source_db.set_link_up (Adapter.db s) up)
+    sh.sh_sources
 
 let kill t i =
   let sh = t.f_shards.(i) in

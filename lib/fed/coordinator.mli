@@ -57,6 +57,8 @@ val create :
 (** Build the federation: [make_sources ~shard:i] must create shard
     [i]'s own source adapters carrying the {e same logical names} the
     VDP references (each shard holds its partition of every relation).
+    The shard's mediator is handed each adapter's database; routed
+    loads and commits go through the adapters.
     All shards share the VDP structure and annotation
     (default: fully materialized) and are connected immediately
     with the per-source delays of [config.delays].

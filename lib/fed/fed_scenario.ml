@@ -34,11 +34,11 @@ let fed_vdp () =
 
 let make_sources ~engine ?(announce = Source_db.Immediate) () =
   [
-    Source_db.adapter
+    Adapter.relational
       (Source_db.create ~engine ~name:"dbItems"
          ~relations:[ ("Items", schema_items) ]
          ~announce ());
-    Source_db.adapter
+    Adapter.relational
       (Source_db.create ~engine ~name:"dbTags"
          ~relations:[ ("Tags", schema_tags) ]
          ~announce ());
@@ -47,14 +47,14 @@ let make_sources ~engine ?(announce = Source_db.Immediate) () =
 (* Heterogeneous variant: the item catalog lives in a triple store
    (native entity/attribute/value mutations rendered as the same
    relational export), the tag registry stays relational — one shard,
-   two storage families, one adapter contract. *)
+   two storage families behind one source type. *)
 let make_triple_sources ~engine ?(announce = Source_db.Immediate) () =
   [
-    Triple_store.adapter
+    Adapter.triple
       (Triple_store.create ~engine ~name:"dbItems"
          ~relations:[ ("Items", schema_items) ]
          ~announce ());
-    Source_db.adapter
+    Adapter.relational
       (Source_db.create ~engine ~name:"dbTags"
          ~relations:[ ("Tags", schema_tags) ]
          ~announce ());

@@ -34,7 +34,7 @@ val make_triple_sources :
 (** Heterogeneous variant of {!make_sources}: [dbItems] is a
     {!Sources.Triple_store} serving the same relational export,
     [dbTags] stays a {!Sources.Source_db} — a shard mixing storage
-    families behind one adapter contract. Behaviourally identical to
+    families behind one source type. Behaviourally identical to
     {!make_sources} (same version cadence, same announced deltas). *)
 
 val base_bags : seed:int -> keys:int -> groups:int -> Bag.t * Bag.t

@@ -23,7 +23,7 @@ let of_fed fed =
     s_quiesce = (fun () -> Coordinator.run_to_quiescence fed);
   }
 
-let of_mediator ~engine ~config med =
+let of_mediator ~engine ~config ~sources med =
   let quiesce () =
     let slice = 2.0 *. config.Med.Config.flush_interval in
     let rec go rounds stable last_msgs =
@@ -48,8 +48,11 @@ let of_mediator ~engine ~config med =
         | Some acc -> acc := Multi_delta.add !acc rel d
         | None -> Hashtbl.add by_source src (ref (Multi_delta.singleton rel d)))
       (Multi_delta.bindings md);
+    let adapter src =
+      List.find (fun a -> String.equal (Sources.Adapter.name a) src) sources
+    in
     Hashtbl.iter
-      (fun src md -> Mediator.commit_at_source med ~source:src !md)
+      (fun src md -> Sources.Adapter.commit (adapter src) !md)
       by_source
   in
   {

@@ -19,9 +19,15 @@ type sys = {
 
 val of_fed : Coordinator.t -> sys
 
-val of_mediator : engine:Engine.t -> config:Med.config -> Mediator.t -> sys
-(** Wraps [commit_at_source] (grouping delta bindings by owning
-    source, as the coordinator does) and a local quiescence loop. *)
+val of_mediator :
+  engine:Engine.t ->
+  config:Med.config ->
+  sources:Sources.Adapter.t list ->
+  Mediator.t ->
+  sys
+(** Commits through the [sources] adapters (grouping delta bindings by
+    owning source, as the coordinator does) and quiesces with a local
+    loop. *)
 
 type spec = {
   w_seed : int;

@@ -6,18 +6,14 @@ exception Source_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Source_error s)) fmt
 
-type announce_mode = Adapter.announce_mode =
-  | Immediate
-  | Periodic of float
-  | Never
+type announce_mode = Immediate | Periodic of float | Never
+type outage_mode = Refuse | Black_hole
 
-type outage_mode = Adapter.outage_mode = Refuse | Black_hole
-
-type poll_error = Adapter.poll_error =
+type poll_error =
   | Unavailable of { u_source : string; u_until : float option }
   | Timed_out of { t_source : string; t_timeout : float }
 
-type retention = Adapter.retention = Keep_all | Keep_last of int
+type retention = Keep_all | Keep_last of int
 
 type link = {
   channel : Message.t Channel.t;
@@ -311,25 +307,14 @@ let try_poll t ?timeout queries =
             Error (Timed_out { t_source = t.name; t_timeout = tmo }))
     end
 
-let poll t queries =
-  match try_poll t queries with
-  | Ok a -> a
-  | Error (Unavailable { u_source; u_until }) ->
-    err "source %s unavailable%s" u_source
-      (match u_until with
-      | Some u -> Printf.sprintf " (outage until %g)" u
-      | None -> "")
-  | Error (Timed_out { t_source; t_timeout }) ->
-    err "source %s: poll timed out after %g" t_source t_timeout
-
 let poll_error_to_string = function
   | Unavailable { u_source; u_until } ->
     Printf.sprintf "source %s unavailable%s" u_source
       (match u_until with
-      | Some u -> Printf.sprintf " (outage until %g)" u
+      | Some u -> Printf.sprintf " (until %g)" u
       | None -> "")
   | Timed_out { t_source; t_timeout } ->
-    Printf.sprintf "source %s: poll timed out after %g" t_source t_timeout
+    Printf.sprintf "poll of %s timed out after %g" t_source t_timeout
 
 let history t = List.rev t.history
 
@@ -369,48 +354,3 @@ let set_channel_policy t policy =
 
 let set_link_up t up = with_channel t (fun ch -> Channel.set_link ch ~up)
 let in_flight t = match t.link with None -> 0 | Some l -> Channel.in_flight l.channel
-
-(* --- the relational adapter ------------------------------------------- *)
-
-let adapter t =
-  {
-    Adapter.a_kind = "relational";
-    a_name = t.name;
-    a_engine = t.engine;
-    a_relation_names = (fun () -> relation_names t);
-    a_schema =
-      (fun rel ->
-        try schema t rel
-        with Source_error msg -> raise (Adapter.Adapter_error msg));
-    a_announce_mode = (fun () -> t.announce);
-    a_ann_delay = (fun () -> ann_delay t);
-    a_comm_delay = (fun () -> comm_delay t);
-    a_q_proc_delay = (fun () -> q_proc_delay t);
-    a_connect =
-      (fun ~comm_delay ~q_proc_delay handler ->
-        connect t ~comm_delay ~q_proc_delay handler);
-    a_load = (fun rel bag -> load t rel bag);
-    a_set_filter =
-      (fun ~relation ~attrs ~cond -> set_filter t ~relation ~attrs ~cond);
-    a_commit = (fun md -> commit t md);
-    a_current = (fun rel -> current t rel);
-    a_version = (fun () -> version t);
-    a_flush_announcements = (fun () -> flush_announcements t);
-    a_try_poll = (fun ?timeout queries -> try_poll t ?timeout queries);
-    a_set_outages = (fun ?mode windows -> set_outages t ?mode windows);
-    a_is_down = (fun () -> is_down t);
-    a_set_channel_policy = (fun policy -> set_channel_policy t policy);
-    a_set_link_up = (fun up -> set_link_up t up);
-    a_channel = (fun () -> channel t);
-    a_in_flight = (fun () -> in_flight t);
-    a_history = (fun () -> history t);
-    a_set_retention = (fun r -> set_retention t r);
-    a_release = (fun ~upto -> release t ~upto);
-    a_history_length = (fun () -> history_length t);
-    a_state_at_version = (fun v -> state_at_version t v);
-    a_commit_time_of_version = (fun v -> commit_time_of_version t v);
-    a_next_commit_time_after = (fun v -> next_commit_time_after t v);
-    a_announcements_sent = (fun () -> announcements_sent t);
-    a_polls_served = (fun () -> polls_served t);
-    a_poll_failures = (fun () -> poll_failures t);
-  }

@@ -10,7 +10,7 @@
        a pending net delta which is flushed onto the FIFO channel —
        immediately, or periodically (the paper's [ann_delay]);}
     {- {b query answering} (for hybrid- and virtual-contributors):
-       [poll] evaluates a batch of algebra queries against one state
+       {!try_poll} evaluates a batch of algebra queries against one state
        of the source (a single source transaction, Sec. 6.3) and
        returns the answer through the same FIFO channel, after
        flushing pending announcements so the answer never reflects
@@ -19,7 +19,14 @@
     Every commit produces a new {e version}; the full version history
     (with state snapshots — persistent bags make this cheap) is kept
     so the correctness checker of Sec. 3 can evaluate what the view
-    {e should} have reflected. *)
+    {e should} have reflected.
+
+    This is the only source type the mediator, the checker and the
+    fault injectors see. Other storage families sit behind one: a
+    {!Triple_store} keeps its entities aligned with an embedded
+    database, and a mediator's exports are mirrored into one
+    ([Squirrel.Med_source]). They differ only in how writes arrive,
+    which {!Adapter} dispatches. *)
 
 open Relalg
 open Delta
@@ -27,34 +34,36 @@ open Sim
 
 type t
 
-(** The announce/outage/poll-error/retention vocabulary is owned by
-    {!Adapter}; the equations below keep [Source_db.Immediate]-style
-    constructors and pattern matches working unchanged. *)
-
-type announce_mode = Adapter.announce_mode =
+type announce_mode =
   | Immediate  (** flush the net delta at every commit *)
   | Periodic of float  (** flush every [ann_delay] time units *)
   | Never  (** virtual contributor: never announces *)
 
 (** What a poll experiences while the source is inside an outage
     window. *)
-type outage_mode = Adapter.outage_mode =
+type outage_mode =
   | Refuse  (** a fast failure: a refusal travels straight back *)
   | Black_hole
       (** the request vanishes; the poller only learns via its
           timeout (polling without one is an error — it would
           deadlock the simulation) *)
 
-type poll_error = Adapter.poll_error =
+type poll_error =
   | Unavailable of { u_source : string; u_until : float option }
   | Timed_out of { t_source : string; t_timeout : float }
 
 (** History snapshot retention. *)
-type retention = Adapter.retention =
+type retention =
   | Keep_all
   | Keep_last of int  (** keep at most the last [n] versions *)
 
 exception Source_error of string
+(** Raised by operations a source cannot honour: an unknown relation
+    or version, a [load] after the first commit, a write against a
+    read-only mirror, a mutation a triple store cannot render. *)
+
+val err : ('a, Format.formatter, unit, 'b) format4 -> 'a
+(** Raise {!Source_error} with a formatted message. *)
 
 val create :
   engine:Engine.t ->
@@ -124,19 +133,16 @@ val flush_announcements : t -> unit
 (** Send the pending net delta now (no-op when nothing is pending or
     the mode is [Never]). *)
 
-val poll : t -> (string * Expr.t) list -> Message.answer
-(** Evaluate labelled queries against a single state of the source and
-    wait for the answer to travel back. Must be called from a
-    simulation process. Pending announcements are flushed first so the
-    FIFO guarantees the ECA precondition (see {!Message}).
-    @raise Source_error if the source is inside an outage window. *)
-
 val try_poll :
   t ->
   ?timeout:float ->
   (string * Expr.t) list ->
   (Message.answer, poll_error) result
-(** Like {!poll} but failures are values: [Unavailable] when the
+(** Evaluate labelled queries against a single state of the source and
+    wait for the answer to travel back. Must be called from a
+    simulation process. Pending announcements are flushed first so the
+    FIFO guarantees the ECA precondition (see {!Message}).
+    Failures are values: [Unavailable] when the
     source is down ({!set_outages}), [Timed_out] when no answer
     arrived within [timeout] of the call — whether because the source
     was slow, a [Black_hole] outage ate the request, or the answer
@@ -144,6 +150,8 @@ val try_poll :
     is unbounded (and a [Black_hole] outage is an error). *)
 
 val poll_error_to_string : poll_error -> string
+(** The wording the mediator records in a failed poll's trace
+    attribute [result]. *)
 
 (** {1 Fault injection} *)
 
@@ -210,11 +218,3 @@ val polls_served : t -> int
 
 val poll_failures : t -> int
 (** Polls that ended in [Unavailable] or [Timed_out]. *)
-
-(** {1 Adapter} *)
-
-val adapter : t -> Adapter.t
-(** View this relational database through the mediator-facing
-    {!Adapter} contract ([a_kind = "relational"]). The adapter shares
-    state with [t]: commits through either surface are visible through
-    both. *)

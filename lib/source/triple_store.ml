@@ -28,15 +28,11 @@ let entity_count t = Hashtbl.length t.entities
 let index_of t relation =
   match Hashtbl.find_opt t.index relation with
   | Some idx -> idx
-  | None -> Adapter.err "triple store %s has no relation %S" (name t) relation
-
-let schema_of t relation =
-  try Source_db.schema t.db relation
-  with Source_db.Source_error msg -> raise (Adapter.Adapter_error msg)
+  | None -> Source_db.err "triple store %s has no relation %S" (name t) relation
 
 (* Assert/retract against the NATIVE state only (no export commit):
    the building blocks shared by the native mutations and the
-   adapter's relational [a_commit]. *)
+   relational [commit]. *)
 let assert_entity t ~relation tuple =
   let id = t.next_id in
   t.next_id <- id + 1;
@@ -52,15 +48,12 @@ let retract_tuple t ~relation tuple =
   | Some (id :: rest) ->
     Hashtbl.remove t.entities id;
     if rest = [] then Tuple.Tbl.remove idx tuple
-    else Tuple.Tbl.replace idx tuple rest;
-    id
-  | Some [] | None ->
-    Adapter.err "triple store %s: no entity renders %s in %S" (name t)
-      (Tuple.to_string tuple) relation
+    else Tuple.Tbl.replace idx tuple rest
+  | Some [] | None -> assert false (* [validate] counted the stack *)
 
 let check_tuple t ~relation tuple =
-  if not (Tuple.matches_schema tuple (schema_of t relation)) then
-    Adapter.err
+  if not (Tuple.matches_schema tuple (Source_db.schema t.db relation)) then
+    Source_db.err
       "triple store %s: properties %s do not render into %S's export schema"
       (name t) (Tuple.to_string tuple) relation
 
@@ -70,13 +63,14 @@ let put t ~relation props =
   let tuple = Tuple.of_list props in
   check_tuple t ~relation tuple;
   let id = assert_entity t ~relation tuple in
-  let d = Rel_delta.insert (Rel_delta.empty (schema_of t relation)) tuple in
+  let schema = Source_db.schema t.db relation in
+  let d = Rel_delta.insert (Rel_delta.empty schema) tuple in
   Source_db.commit t.db (Multi_delta.singleton relation d);
   id
 
 let delete t id =
   match Hashtbl.find_opt t.entities id with
-  | None -> Adapter.err "triple store %s: no entity %d" (name t) id
+  | None -> Source_db.err "triple store %s: no entity %d" (name t) id
   | Some (relation, tuple) ->
     Hashtbl.remove t.entities id;
     let idx = index_of t relation in
@@ -86,7 +80,8 @@ let delete t id =
       | [] -> Tuple.Tbl.remove idx tuple
       | rest -> Tuple.Tbl.replace idx tuple rest)
     | None -> ());
-    let d = Rel_delta.delete (Rel_delta.empty (schema_of t relation)) tuple in
+    let schema = Source_db.schema t.db relation in
+    let d = Rel_delta.delete (Rel_delta.empty schema) tuple in
     Source_db.commit t.db (Multi_delta.singleton relation d)
 
 let get t id =
@@ -105,46 +100,55 @@ let triples t =
 
 (* --- the relational face ---------------------------------------------- *)
 
-(* A relational delta arriving through the adapter becomes native
-   asserts/retracts first, then ONE export commit of the whole
-   multi-relation delta — the same version cadence a relational twin
-   shows for the same transaction, which the differential test and
-   reflect-vector comparisons rely on. *)
-let apply_relational t md =
+(* Every tuple must render into its relation's schema, and every
+   retraction must find enough live entities rendering its tuple. A
+   delta that fails either check changes nothing, native or exported. *)
+let validate t md =
   List.iter
     (fun (relation, d) ->
-      ignore (index_of t relation);
+      let idx = index_of t relation in
       Rel_delta.fold
         (fun tuple mult () ->
           check_tuple t ~relation tuple;
+          let live =
+            List.length
+              (Option.value ~default:[] (Tuple.Tbl.find_opt idx tuple))
+          in
+          if mult < 0 && live < -mult then
+            Source_db.err "triple store %s: no entity renders %s in %S"
+              (name t) (Tuple.to_string tuple) relation)
+        d ())
+    (Multi_delta.bindings md)
+
+(* A relational delta becomes native asserts/retracts first, then ONE
+   export commit of the whole multi-relation delta — the same version
+   cadence a relational twin shows for the same transaction, which the
+   differential test and reflect-vector comparisons rely on. *)
+let commit t md =
+  validate t md;
+  List.iter
+    (fun (relation, d) ->
+      Rel_delta.fold
+        (fun tuple mult () ->
           if mult > 0 then
             for _ = 1 to mult do
               ignore (assert_entity t ~relation tuple)
             done
           else
             for _ = 1 to -mult do
-              ignore (retract_tuple t ~relation tuple)
+              retract_tuple t ~relation tuple
             done)
         d ())
     (Multi_delta.bindings md);
   Source_db.commit t.db md
 
-let load_relation t relation bag =
-  ignore (index_of t relation);
-  Bag.fold
-    (fun tuple mult () ->
-      check_tuple t ~relation tuple;
+(* every check precedes the first native change *)
+let load t relation bag =
+  Bag.iter (fun tuple _ -> check_tuple t ~relation tuple) bag;
+  Source_db.load t.db relation bag;
+  Bag.iter
+    (fun tuple mult ->
       for _ = 1 to mult do
         ignore (assert_entity t ~relation tuple)
       done)
-    bag ();
-  Source_db.load t.db relation bag
-
-let adapter t =
-  let a = Source_db.adapter t.db in
-  {
-    a with
-    Adapter.a_kind = "triple";
-    a_commit = (fun md -> apply_relational t md);
-    a_load = (fun rel bag -> load_relation t rel bag);
-  }
+    bag

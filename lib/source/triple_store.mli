@@ -1,5 +1,5 @@
-(** A triple (entity–attribute–value) store behind the relational
-    adapter contract.
+(** A triple (entity–attribute–value) store serving a relational
+    export.
 
     The native data model is not relational: the store holds
     {e entities}, each a bag of [(entity, attribute, value)] triples,
@@ -17,15 +17,13 @@
     announcement channels, outage windows and retention — so a triple
     store participates in announcement-based view maintenance, VAP
     polling and the Sec. 3 correctness checker without the mediator
-    knowing its shape. Conversely a relational [commit] arriving
-    through the adapter (e.g. from the workload driver) is translated
-    back into entity asserts/retracts, keeping both views of the data
-    aligned.
-
-    Obtain the mediator-facing view with {!adapter}
-    ([a_kind = "triple"]). *)
+    knowing its shape: the mediator is handed {!source_db}.
+    Conversely a relational {!commit} (e.g. from the workload driver
+    through {!Adapter.commit}) is translated back into entity
+    asserts/retracts, keeping both views of the data aligned. *)
 
 open Relalg
+open Delta
 open Sim
 
 type t
@@ -34,7 +32,7 @@ val create :
   engine:Engine.t ->
   name:string ->
   relations:(string * Schema.t) list ->
-  announce:Adapter.announce_mode ->
+  announce:Source_db.announce_mode ->
   unit ->
   t
 (** An empty store whose relational export has the given schemas. *)
@@ -45,11 +43,11 @@ val put : t -> relation:string -> (string * Value.t) list -> int
     bind exactly the relation's schema (export rendering is total).
     Commits one version of the relational export: a single-tuple
     insertion delta.
-    @raise Adapter.Adapter_error on schema mismatch. *)
+    @raise Source_db.Source_error on schema mismatch. *)
 
 val delete : t -> int -> unit
 (** Retract an entity by id; commits the matching single-tuple
-    deletion delta. @raise Adapter.Adapter_error if the id is unknown
+    deletion delta. @raise Source_db.Source_error if the id is unknown
     (already retracted, or never asserted). *)
 
 val get : t -> int -> (string * (string * Value.t) list) option
@@ -64,14 +62,22 @@ val entity_count : t -> int
 
 val name : t -> string
 val source_db : t -> Source_db.t
-(** The embedded relational export — useful for tests asserting that
-    the façade and the native state agree; treat as read-only (commit
-    through {!adapter} or the native mutations instead, or the native
-    mirror desynchronizes). *)
+(** The embedded relational export: what the mediator polls and the
+    checker replays. Treat it as read-only: write through {!commit},
+    {!load} or the native mutations, or the native state
+    desynchronizes. *)
 
-val adapter : t -> Adapter.t
-(** The mediator-facing contract. [a_commit] translates relational
-    deltas into native asserts/retracts (retracting, per tuple, the
-    most recently asserted matching entity) before committing them to
-    the export, so reflect vectors and version cadence are identical
-    to a relational twin fed the same deltas. *)
+val commit : t -> Multi_delta.t -> unit
+(** Apply a relational delta as native asserts/retracts (retracting,
+    per tuple, the most recently asserted matching entity), then commit
+    it to the export as one version, so reflect vectors and version
+    cadence are identical to a relational twin fed the same deltas.
+    The whole delta is validated first: on an unknown relation, a
+    tuple that does not render into its schema, or a retraction no
+    entity renders, nothing changes.
+    @raise Source_db.Source_error on an invalid delta. *)
+
+val load : t -> string -> Bag.t -> unit
+(** Set a relation's initial contents: one entity per tuple copy.
+    @raise Source_db.Source_error after the first commit or on a tuple
+    that does not render into the schema. *)

@@ -37,7 +37,7 @@ let single_delete src relation tuple =
     (Rel_delta.delete (Rel_delta.empty schema) tuple)
 
 let update_process ?(start = 0.0) ~rng ~src load =
-  let engine = Adapter.engine src in
+  let engine = Source_db.engine (Adapter.db src) in
   let schema = Adapter.schema src load.u_relation in
   let next_key = ref 1_000_000 in
   let one_commit () =

@@ -8,12 +8,16 @@ type backend = [ `Relational | `Triple ]
 
 type env = {
   engine : Engine.t;
-  sources : Adapter.t list;
+  adapters : Adapter.t list;
+  sources : Source_db.t list;
   vdp : Graph.t;
 }
 
+let make_env ~engine ~vdp adapters =
+  { engine; adapters; sources = List.map Adapter.db adapters; vdp }
+
 let source env name =
-  List.find (fun s -> String.equal (Adapter.name s) name) env.sources
+  List.find (fun a -> String.equal (Adapter.name a) name) env.adapters
 
 (* One constructor seam for every environment below: the same scenario
    can be built over relational databases or triple stores, which is
@@ -21,10 +25,10 @@ let source env name =
 let mk_source ~backend ~engine ~name ~relations ~announce () =
   match backend with
   | `Relational ->
-    Source_db.adapter (Source_db.create ~engine ~name ~relations ~announce ())
+    Adapter.relational
+      (Source_db.create ~engine ~name ~relations ~announce ())
   | `Triple ->
-    Triple_store.adapter
-      (Triple_store.create ~engine ~name ~relations ~announce ())
+    Adapter.triple (Triple_store.create ~engine ~name ~relations ~announce ())
 
 (* --- Figure 1 --------------------------------------------------------- *)
 
@@ -100,7 +104,7 @@ let make_fig1 ?(seed = 42) ?(r_size = 60) ?(s_size = default_s_size)
   in
   Adapter.load db1 "R" (Datagen.bag rng schema_r (r_specs s_size) ~size:r_size);
   Adapter.load db2 "S" (Datagen.bag rng schema_s s_specs ~size:s_size);
-  { engine; sources = [ db1; db2 ]; vdp = fig1_vdp () }
+  make_env ~engine ~vdp:(fig1_vdp ()) [ db1; db2 ]
 
 let ann_ex21 vdp = Annotation.fully_materialized vdp
 
@@ -206,7 +210,7 @@ let make_ex51 ?(seed = 7) ?(size = default_ex51_size)
   let dbb = mk "dbB" "B" schema_b in
   let dbc = mk "dbC" "C" schema_c in
   let dbd = mk "dbD" "D" schema_d in
-  { engine; sources = [ dba; dbb; dbc; dbd ]; vdp = ex51_vdp () }
+  make_env ~engine ~vdp:(ex51_vdp ()) [ dba; dbb; dbc; dbd ]
 
 let ann_ex51 vdp =
   Annotation.of_list vdp
@@ -266,7 +270,7 @@ let run_to_quiescence env med =
              nq_queue = Mediator.queue_length med;
              nq_in_flight =
                List.map
-                 (fun s -> (Adapter.name s, Adapter.in_flight s))
+                 (fun s -> (Source_db.name s, Source_db.in_flight s))
                  env.sources;
              nq_pending_events = Engine.pending env.engine;
            });
@@ -366,7 +370,7 @@ let make_retail ?(seed = 99) ?(orders = 40) ?(customers = retail_customers)
   Adapter.load west "OrdersW" (order_bag ~base:100000 "OrdersW");
   Adapter.load cust_db "Cust"
     (Datagen.bag rng schema_cust (retail_update_specs "Cust") ~size:customers);
-  { engine; sources = [ east; west; cust_db ]; vdp = retail_vdp () }
+  make_env ~engine ~vdp:(retail_vdp ()) [ east; west; cust_db ]
 
 let schema_orders_west =
   Schema.make ~key:[ "wid" ]
@@ -440,7 +444,7 @@ let make_federated ?(seed = 71) ?(orders = 25)
   in
   load east "OrdersE" schema_orders 0;
   load west "OrdersW" schema_orders_west 100000;
-  { engine; sources = [ east; west ]; vdp = federated_vdp () }
+  make_env ~engine ~vdp:(federated_vdp ()) [ east; west ]
 
 let ann_retail_hybrid vdp =
   Annotation.of_list vdp

@@ -17,17 +17,24 @@ open Squirrel
 type backend = [ `Relational | `Triple ]
 (** Storage family behind every source of an environment: plain
     {!Sources.Source_db} databases, or {!Sources.Triple_store}s whose
-    relational export renders the same data — the seam the adapter
+    relational export renders the same data — the seam the backend
     differential tests diff across. *)
 
 type env = {
   engine : Engine.t;
-  sources : Adapter.t list;
+  adapters : Adapter.t list;
+      (** the workload's write front ends, one per source *)
+  sources : Source_db.t list;
+      (** [List.map Adapter.db adapters]: what the mediator, the
+          checker and the fault injectors are handed *)
   vdp : Graph.t;
 }
 
+val make_env : engine:Engine.t -> vdp:Graph.t -> Adapter.t list -> env
+
 val source : env -> string -> Adapter.t
-(** @raise Not_found on unknown name. *)
+(** The write front end of the named source.
+    @raise Not_found on unknown name. *)
 
 val mk_source :
   backend:backend ->
@@ -38,8 +45,8 @@ val mk_source :
   unit ->
   Adapter.t
 (** The one constructor seam behind every environment here (and behind
-    {!Scn}): a fresh adapter over a relational database or a triple
-    store serving the given relational export. *)
+    {!Scn}): a fresh relational database or triple store serving the
+    given relational export. *)
 
 (** {1 Figure 1 environment} *)
 

@@ -65,7 +65,7 @@ let compile ?(engine = Engine.create ()) (decl : Parser.scenario_decl) =
         sd.Parser.sd_relations)
     decl.Parser.sc_sources;
   (* sources, by declared backend *)
-  let sources =
+  let adapters =
     List.map
       (fun sd ->
         Scenario.mk_source ~backend:(backend_of sd) ~engine
@@ -74,7 +74,7 @@ let compile ?(engine = Engine.create ()) (decl : Parser.scenario_decl) =
       decl.Parser.sc_sources
   in
   let adapter_of name =
-    List.find (fun a -> String.equal (Adapter.name a) name) sources
+    List.find (fun a -> String.equal (Adapter.name a) name) adapters
   in
   (* initial loads (version-0 state, before any commit) *)
   List.iter
@@ -150,7 +150,7 @@ let compile ?(engine = Engine.create ()) (decl : Parser.scenario_decl) =
           Adapter.commit src md))
     decl.Parser.sc_events;
   {
-    c_env = { Scenario.engine; sources; vdp };
+    c_env = Scenario.make_env ~engine ~vdp adapters;
     c_annotation;
     c_exports = List.map fst decl.Parser.sc_views;
     c_decl = decl;

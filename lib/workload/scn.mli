@@ -7,7 +7,7 @@
     in the textual algebra, annotation hints, initial loads, and timed
     update events. {!of_file} turns it into the same {!Scenario.env}
     the programmatic constructors produce — sources are instantiated
-    through the {!Sources.Adapter} layer ([backend relational] /
+    by {!Scenario.mk_source} ([backend relational] /
     [backend triple]), the views go through {!Vdp.Builder}, and
     [annotate auto] runs {!Vdp.Advisor} over a uniform profile, so a
     file plus [squirrel scenario] is a complete end-to-end run with no
@@ -22,7 +22,7 @@ exception Scenario_error of string
     relation across sources, builder rejection. *)
 
 type compiled = {
-  c_env : Scenario.env;  (** engine, adapter-backed sources, VDP *)
+  c_env : Scenario.env;  (** engine, sources, VDP *)
   c_annotation : Annotation.t;
       (** hints applied over fully-materialized (or advisor) base *)
   c_exports : string list;  (** the declared views, in file order *)

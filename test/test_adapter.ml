@@ -1,10 +1,11 @@
-(* Adapter-conformance suite: one set of contract checks run against
-   every backend family — the relational Source_db, the Triple_store
-   (native put/delete mutations mapped into signed-bag deltas), and a
-   mediator wrapped as a source (Med_source over a child's
-   materialized export). Plus the heterogeneity differential: the same
-   fig1 workload over relational and triple backends must produce
-   bag-identical answers with identical reflect vectors. *)
+(* Backend-conformance suite: one set of source-contract checks run
+   against the database of every backend family — the relational
+   Source_db, the Triple_store (native put/delete mutations mapped into
+   signed-bag deltas), and a mediator mirrored as a source (Med_source
+   over a child's materialized export). Plus the heterogeneity
+   differential: the same fig1 workload over relational and triple
+   backends must produce bag-identical answers with identical reflect
+   vectors. *)
 
 open Relalg
 open Delta
@@ -19,7 +20,7 @@ open Tutil
 (* Each backend exposes the same logical relation (schema_s, exported
    as [i_relation]) and a way to insert/delete the tuple keyed by [k]
    through its own mutation path. [i_quiesce] drives the engine far
-   enough for the mutation to be visible through the adapter. *)
+   enough for the mutation to be visible in the adapter's database. *)
 type inst = {
   i_adapter : Adapter.t;
   i_relation : string;
@@ -33,7 +34,7 @@ let k_tuple k = s_tuple k (k * 10) (k mod 100)
 (* attach a mediator end so polls can travel: answers are filled into
    their ivars, announcements are dropped *)
 let connect engine a =
-  Adapter.connect a ~comm_delay:0.01 ~q_proc_delay:0.01 (function
+  Source_db.connect (Adapter.db a) ~comm_delay:0.01 ~q_proc_delay:0.01 (function
     | Message.Update _ -> ()
     | Message.Answer (iv, ans) -> Engine.Ivar.fill engine iv ans)
 
@@ -42,7 +43,7 @@ let relational_inst engine =
     Source_db.create ~engine ~name:"db" ~relations:[ ("S", schema_s) ]
       ~announce:Source_db.Immediate ()
   in
-  let a = Source_db.adapter db in
+  let a = Adapter.relational db in
   let delta f k =
     Multi_delta.singleton "S" (f (Rel_delta.empty schema_s) (k_tuple k))
   in
@@ -58,10 +59,10 @@ let relational_inst engine =
 let triple_inst engine =
   let ts =
     Triple_store.create ~engine ~name:"db" ~relations:[ ("S", schema_s) ]
-      ~announce:Adapter.Immediate ()
+      ~announce:Source_db.Immediate ()
   in
   let ids = Hashtbl.create 8 in
-  let a = Triple_store.adapter ts in
+  let a = Adapter.triple ts in
   connect engine a;
   {
     i_adapter = a;
@@ -75,8 +76,8 @@ let triple_inst engine =
   }
 
 (* child mediator over one relational source, exporting S identically;
-   mutations are commits at the child's own source, surfaced through
-   the wrapper after the child's update transaction runs *)
+   mutations are commits at the child's own source, surfaced in the
+   mirror after the child's update transaction runs *)
 let mediator_inst engine =
   let db =
     Source_db.create ~engine ~name:"dbS" ~relations:[ ("S", schema_s) ]
@@ -93,7 +94,7 @@ let mediator_inst engine =
   let child =
     Mediator.create ~engine ~vdp
       ~annotation:(Vdp.Annotation.fully_materialized vdp)
-      ~sources:[ Source_db.adapter db ] ()
+      ~sources:[ db ] ()
   in
   Mediator.connect child ();
   Engine.spawn engine (fun () -> Mediator.initialize child);
@@ -103,8 +104,8 @@ let mediator_inst engine =
   let delta f k =
     Multi_delta.singleton "S" (f (Rel_delta.empty schema_s) (k_tuple k))
   in
-  let src = Source_db.adapter db in
-  let a = Med_source.adapter ms in
+  let src = Adapter.relational db in
+  let a = Adapter.mirror (Med_source.source_db ms) in
   connect engine a;
   {
     i_adapter = a;
@@ -132,125 +133,131 @@ let backends =
 let test_identity mk () =
   let engine = Engine.create () in
   let i = mk engine in
-  let a = i.i_adapter in
-  Alcotest.(check bool) "kind nonempty" true (Adapter.kind a <> "");
+  let a = Adapter.db i.i_adapter in
+  Alcotest.(check bool) "kind nonempty" true (Adapter.kind i.i_adapter <> "");
   Alcotest.(check bool)
     "relation listed" true
-    (List.mem i.i_relation (Adapter.relation_names a));
+    (List.mem i.i_relation (Source_db.relation_names a));
   Alcotest.(check bool)
     "schema matches" true
-    (Schema.equal (Adapter.schema a i.i_relation) schema_s);
-  Alcotest.(check bool) "announces" true (Adapter.announces a)
+    (Schema.equal (Source_db.schema a i.i_relation) schema_s);
+  Alcotest.(check bool) "announces" true (Source_db.announces a)
 
 (* one quiesced mutation round, one version; current state tracks the
    mutations exactly *)
 let test_version_cadence mk () =
   let engine = Engine.create () in
   let i = mk engine in
-  let a = i.i_adapter in
-  let v0 = Adapter.version a in
+  let a = Adapter.db i.i_adapter in
+  let v0 = Source_db.version a in
   i.i_insert 1;
   i.i_quiesce ();
-  Alcotest.(check int) "one version per insert" (v0 + 1) (Adapter.version a);
+  Alcotest.(check int) "one version per insert" (v0 + 1) (Source_db.version a);
   i.i_insert 2;
   i.i_quiesce ();
   i.i_delete 1;
   i.i_quiesce ();
-  Alcotest.(check int) "three versions" (v0 + 3) (Adapter.version a);
+  Alcotest.(check int) "three versions" (v0 + 3) (Source_db.version a);
   check_bag "current reflects all mutations"
     (Bag.of_tuples schema_s [ k_tuple 2 ])
-    (Adapter.current a i.i_relation)
+    (Source_db.current a i.i_relation)
 
 let test_history mk () =
   let engine = Engine.create () in
   let i = mk engine in
-  let a = i.i_adapter in
-  let v0 = Adapter.version a in
+  let a = Adapter.db i.i_adapter in
+  let v0 = Source_db.version a in
   i.i_insert 1;
   i.i_quiesce ();
   i.i_insert 2;
   i.i_quiesce ();
-  let vn = Adapter.version a in
+  let vn = Source_db.version a in
   Alcotest.(check int)
     "history spans v0..vn"
     (vn - v0 + 1)
-    (List.length (Adapter.history a));
+    (List.length (Source_db.history a));
   check_bag "mid-history state"
     (Bag.of_tuples schema_s [ k_tuple 1 ])
-    (List.assoc i.i_relation (Adapter.state_at_version a (v0 + 1)));
-  let t1 = Adapter.commit_time_of_version a (v0 + 1) in
-  let t2 = Adapter.commit_time_of_version a (v0 + 2) in
+    (List.assoc i.i_relation (Source_db.state_at_version a (v0 + 1)));
+  let t1 = Source_db.commit_time_of_version a (v0 + 1) in
+  let t2 = Source_db.commit_time_of_version a (v0 + 2) in
   Alcotest.(check bool) "commit times monotone" true (t1 <= t2);
   Alcotest.(check (option (float 1e-9)))
     "next commit after v0+1" (Some t2)
-    (Adapter.next_commit_time_after a (v0 + 1));
+    (Source_db.next_commit_time_after a (v0 + 1));
   Alcotest.(check (option (float 1e-9)))
     "nothing after the last version" None
-    (Adapter.next_commit_time_after a vn)
+    (Source_db.next_commit_time_after a vn)
 
 (* a poll answers from the current state and stamps the version it
    reflects *)
 let test_poll mk () =
   let engine = Engine.create () in
   let i = mk engine in
-  let a = i.i_adapter in
+  let a = Adapter.db i.i_adapter in
   i.i_insert 1;
   i.i_insert 2;
   i.i_quiesce ();
   let result = ref None in
   Engine.spawn engine (fun () ->
-      result := Some (Adapter.try_poll a [ ("q", Expr.base i.i_relation) ]));
+      result := Some (Source_db.try_poll a [ ("q", Expr.base i.i_relation) ]));
   Engine.run engine ~until:(Engine.now engine +. 30.0);
   match !result with
   | Some (Ok ans) ->
     Alcotest.(check string)
-      "answer names the source" (Adapter.name a) ans.Message.answer_source;
+      "answer names the source" (Source_db.name a) ans.Message.answer_source;
     Alcotest.(check int)
-      "answer reflects the current version" (Adapter.version a)
+      "answer reflects the current version" (Source_db.version a)
       ans.Message.answer_version;
     check_bag "answer is the current state"
-      (Adapter.current a i.i_relation)
+      (Source_db.current a i.i_relation)
       (List.assoc "q" ans.Message.results)
-  | Some (Error e) -> Alcotest.fail (Adapter.poll_error_to_string e)
+  | Some (Error e) -> Alcotest.fail (Source_db.poll_error_to_string e)
   | None -> Alcotest.fail "poll did not complete"
 
 let test_outage_refusal mk () =
   let engine = Engine.create () in
   let i = mk engine in
-  let a = i.i_adapter in
+  let a = Adapter.db i.i_adapter in
   let now = Engine.now engine in
-  Adapter.set_outages a [ (now +. 1.0, now +. 3.0) ];
+  Source_db.set_outages a [ (now +. 1.0, now +. 3.0) ];
   let result = ref None in
   Engine.schedule engine ~delay:2.0 (fun () ->
       Engine.spawn engine (fun () ->
-          result := Some (Adapter.try_poll a [ ("q", Expr.base i.i_relation) ])));
+          result :=
+            Some (Source_db.try_poll a [ ("q", Expr.base i.i_relation) ])));
   Engine.run engine ~until:(now +. 30.0);
   match !result with
-  | Some (Error (Adapter.Unavailable { u_until = Some t; u_source })) ->
-    Alcotest.(check string) "refusal names the source" (Adapter.name a) u_source;
+  | Some (Error (Source_db.Unavailable { u_until = Some t; u_source })) ->
+    Alcotest.(check string)
+      "refusal names the source" (Source_db.name a) u_source;
     Alcotest.(check (float 1e-9)) "refusal carries the window end"
       (now +. 3.0) t
   | Some (Error e) ->
-    Alcotest.fail ("expected Unavailable, got " ^ Adapter.poll_error_to_string e)
+    Alcotest.fail
+      ("expected Unavailable, got " ^ Source_db.poll_error_to_string e)
   | Some (Ok _) -> Alcotest.fail "expected a refusal inside the outage window"
   | None -> Alcotest.fail "poll did not complete"
 
 let test_outage_black_hole mk () =
   let engine = Engine.create () in
   let i = mk engine in
-  let a = i.i_adapter in
+  let a = Adapter.db i.i_adapter in
   let now = Engine.now engine in
-  Adapter.set_outages a ~mode:Adapter.Black_hole [ (now, now +. 60.0) ];
+  Source_db.set_outages a ~mode:Source_db.Black_hole [ (now, now +. 60.0) ];
   let result = ref None in
   Engine.spawn engine (fun () ->
       result :=
-        Some (Adapter.try_poll a ~timeout:2.0 [ ("q", Expr.base i.i_relation) ]));
+        Some
+          (Source_db.try_poll a ~timeout:2.0
+             [ ("q", Expr.base i.i_relation) ]));
   Engine.run engine ~until:(now +. 30.0);
   match !result with
-  | Some (Error (Adapter.Timed_out { t_timeout; _ })) ->
+  | Some (Error (Source_db.Timed_out { t_timeout; _ })) ->
     Alcotest.(check (float 1e-9)) "timeout echoed" 2.0 t_timeout
   | Some (Error e) ->
-    Alcotest.fail ("expected Timed_out, got " ^ Adapter.poll_error_to_string e)
+    Alcotest.fail
+      ("expected Timed_out, got " ^ Source_db.poll_error_to_string e)
   | Some (Ok _) -> Alcotest.fail "expected a timeout through the black hole"
   | None -> Alcotest.fail "poll did not complete"
 
@@ -264,12 +271,86 @@ let test_mediator_read_only () =
   in
   (try
      Adapter.commit i.i_adapter delta;
-     Alcotest.fail "expected Adapter_error on upstream commit"
-   with Adapter.Adapter_error _ -> ());
+     Alcotest.fail "expected Source_error on upstream commit"
+   with Source_db.Source_error _ -> ());
   try
     Adapter.load i.i_adapter "E" (Bag.empty schema_s);
-    Alcotest.fail "expected Adapter_error on upstream load"
-  with Adapter.Adapter_error _ -> ()
+    Alcotest.fail "expected Source_error on upstream load"
+  with Source_db.Source_error _ -> ()
+
+(* a triple store validates a whole relational delta before its first
+   native change: a two-relation delta whose second part is invalid
+   leaves entities, triples and the export version untouched *)
+let test_triple_invalid_delta_atomic () =
+  let engine = Engine.create () in
+  let ts =
+    Triple_store.create ~engine ~name:"db"
+      ~relations:[ ("R", schema_r); ("S", schema_s) ]
+      ~announce:Source_db.Immediate ()
+  in
+  ignore (Triple_store.put ts ~relation:"S" (Tuple.to_list (k_tuple 1)));
+  let valid_r =
+    Rel_delta.insert (Rel_delta.empty schema_r) (r_tuple 1 2 3 100)
+  in
+  let invalid_second_parts =
+    [
+      ( "retract no entity renders",
+        "S",
+        Rel_delta.delete (Rel_delta.empty schema_s) (k_tuple 2) );
+      ( "tuple outside the schema",
+        "S",
+        Rel_delta.insert (Rel_delta.empty schema_s) (r_tuple 5 6 7 8) );
+      ( "unknown relation",
+        "Z",
+        Rel_delta.insert (Rel_delta.empty schema_s) (k_tuple 3) );
+    ]
+  in
+  List.iter
+    (fun (what, rel, d) ->
+      let db = Triple_store.source_db ts in
+      let entities = Triple_store.entity_count ts in
+      let triples = Triple_store.triples ts in
+      let version = Source_db.version db in
+      let delta = Multi_delta.add (Multi_delta.singleton "R" valid_r) rel d in
+      (try
+         Triple_store.commit ts delta;
+         Alcotest.fail (what ^ ": expected Source_error")
+       with Source_db.Source_error _ -> ());
+      Alcotest.(check int) (what ^ ": entities") entities
+        (Triple_store.entity_count ts);
+      Alcotest.(check bool) (what ^ ": triples") true
+        (triples = Triple_store.triples ts);
+      Alcotest.(check int) (what ^ ": export version") version
+        (Source_db.version db);
+      check_bag (what ^ ": export R") (Bag.empty schema_r)
+        (Source_db.current db "R"))
+    invalid_second_parts
+
+(* the mirror's version 0 is the child's export state, so the child
+   must be initialized before it is wrapped *)
+let test_mirror_needs_initialized_child () =
+  let engine = Engine.create () in
+  let db =
+    Source_db.create ~engine ~name:"dbS" ~relations:[ ("S", schema_s) ]
+      ~announce:Source_db.Immediate ()
+  in
+  let b =
+    Vdp.Builder.create
+      ~source_of:(function "S" -> Some "dbS" | _ -> None)
+      ~schema_of:(function "S" -> Some schema_s | _ -> None)
+      ()
+  in
+  Vdp.Builder.add_export b ~name:"E" (Expr.base "S");
+  let vdp = Vdp.Builder.build b in
+  let child =
+    Mediator.create ~engine ~vdp
+      ~annotation:(Vdp.Annotation.fully_materialized vdp)
+      ~sources:[ db ] ()
+  in
+  try
+    ignore (Med_source.create child);
+    Alcotest.fail "expected Mediator_error on an uninitialized child"
+  with Med.Mediator_error _ -> ()
 
 (* --- heterogeneity differential ---------------------------------------- *)
 
@@ -354,6 +435,16 @@ let () =
       ( "read-only upstream",
         [ Alcotest.test_case "mediator-backed" `Quick test_mediator_read_only ]
       );
+      ( "triple store",
+        [
+          Alcotest.test_case "invalid delta changes nothing" `Quick
+            test_triple_invalid_delta_atomic;
+        ] );
+      ( "mirror",
+        [
+          Alcotest.test_case "uninitialized child rejected" `Quick
+            test_mirror_needs_initialized_child;
+        ] );
       ( "heterogeneity differential",
         [ Alcotest.test_case "fig1 relational vs triple" `Quick test_differential ]
       );

@@ -151,7 +151,7 @@ let test_warehouse_runs_correctly () =
   Tutil.check_bag "warehouse maintains T" (recompute env "T") answer;
   Alcotest.(check bool)
     "maintenance required polling (aux virtual)" true
-    (Adapter.polls_served (Scenario.source env "db2") > 1)
+    (Source_db.polls_served (Adapter.db (Scenario.source env "db2")) > 1)
 
 let test_virtual_annotation_runs_correctly () =
   let env = Scenario.make_fig1 () in

@@ -69,10 +69,10 @@ let test_fig2_pseudo_but_not_consistent () =
   Engine.run engine;
   Alcotest.(check bool)
     "Figure 2 scenario is pseudo-consistent" true
-    (Checker.pseudo_consistent ~vdp ~sources:[ Source_db.adapter src ] fig2_observations);
+    (Checker.pseudo_consistent ~vdp ~sources:[ src ] fig2_observations);
   Alcotest.(check bool)
     "but admits no monotone reflect (Remark 3.1)" true
-    (Checker.consistent_assignment ~vdp ~sources:[ Source_db.adapter src ] fig2_observations
+    (Checker.consistent_assignment ~vdp ~sources:[ src ] fig2_observations
     = None)
 
 let test_fig2_well_behaved_sequence_is_consistent () =
@@ -91,7 +91,7 @@ let test_fig2_well_behaved_sequence_is_consistent () =
         })
       [ 0; 0; 1; 0; 0; 0 ]
   in
-  match Checker.consistent_assignment ~vdp ~sources:[ Source_db.adapter src ] good with
+  match Checker.consistent_assignment ~vdp ~sources:[ src ] good with
   | Some witness ->
     Alcotest.(check int) "witness covers all observations" 6 (List.length witness)
   | None -> Alcotest.fail "expected a monotone witness"
@@ -127,14 +127,14 @@ let test_checker_accepts_honest_log () =
       query_event ~time:6.5 ~answer:(v_state 0) ~version:5 ();
     ]
   in
-  let report = Checker.check ~vdp ~sources:[ Source_db.adapter src ] ~events () in
+  let report = Checker.check ~vdp ~sources:[ src ] ~events () in
   Alcotest.(check bool) "consistent" true (Checker.consistent report);
   Alcotest.(check int) "checked" 3 report.Checker.checked_queries
 
 let test_checker_detects_validity_violation () =
   let vdp, src = synthetic_setup () in
   let events = [ query_event ~time:2.5 ~answer:(v_state 0) ~version:1 () ] in
-  let report = Checker.check ~vdp ~sources:[ Source_db.adapter src ] ~events () in
+  let report = Checker.check ~vdp ~sources:[ src ] ~events () in
   Alcotest.(check bool) "inconsistent" false (Checker.consistent report);
   match report.Checker.violations with
   | [ { Checker.v_kind = `Validity; _ } ] -> ()
@@ -144,7 +144,7 @@ let test_checker_detects_chronology_violation () =
   let vdp, src = synthetic_setup () in
   (* version 3 was committed at time 4.0, after the claimed query time *)
   let events = [ query_event ~time:3.5 ~answer:(v_state 0) ~version:3 () ] in
-  let report = Checker.check ~vdp ~sources:[ Source_db.adapter src ] ~events () in
+  let report = Checker.check ~vdp ~sources:[ src ] ~events () in
   Alcotest.(check bool)
     "chronology violated" true
     (List.exists
@@ -159,7 +159,7 @@ let test_checker_detects_order_violation () =
       query_event ~time:6.5 ~answer:(v_state 1) ~version:1 () (* backwards *);
     ]
   in
-  let report = Checker.check ~vdp ~sources:[ Source_db.adapter src ] ~events () in
+  let report = Checker.check ~vdp ~sources:[ src ] ~events () in
   Alcotest.(check bool)
     "order violated" true
     (List.exists (fun v -> v.Checker.v_kind = `Order) report.Checker.violations)
@@ -169,7 +169,7 @@ let test_checker_staleness_measured () =
   (* at time 6.5 reflecting version 2: version 3 arrived at 4.0, so
      the view is 2.5 stale *)
   let events = [ query_event ~time:6.5 ~answer:(v_state 0) ~version:2 () ] in
-  let report = Checker.check ~vdp ~sources:[ Source_db.adapter src ] ~events () in
+  let report = Checker.check ~vdp ~sources:[ src ] ~events () in
   Alcotest.(check bool) "valid" true (Checker.consistent report);
   (match report.Checker.max_staleness with
   | [ ("db", s) ] -> Alcotest.(check (float 1e-6)) "staleness" 2.5 s
@@ -277,7 +277,7 @@ let test_monotone_drop_readd () =
       query_event ~time:6.5 ~answer:(v_state 1) ~version:1 () (* backwards *);
     ]
   in
-  let report = Checker.check ~vdp ~sources:[ Source_db.adapter src ] ~events () in
+  let report = Checker.check ~vdp ~sources:[ src ] ~events () in
   Alcotest.(check bool)
     "backwards move across an omission detected" true
     (List.exists (fun v -> v.Checker.v_kind = `Order) report.Checker.violations)
@@ -292,7 +292,7 @@ let test_checker_detects_bound_violation () =
         ~bound:[ ("db", 1.0) ] ();
     ]
   in
-  let report = Checker.check ~vdp ~sources:[ Source_db.adapter src ] ~events () in
+  let report = Checker.check ~vdp ~sources:[ src ] ~events () in
   Alcotest.(check int)
     "one bound violation" 1
     (List.length (Checker.bound_violations report));
@@ -305,7 +305,7 @@ let test_checker_detects_bound_violation () =
         ~bound:[ ("db", 3.0) ] ();
     ]
   in
-  let report = Checker.check ~vdp ~sources:[ Source_db.adapter src ] ~events:honest () in
+  let report = Checker.check ~vdp ~sources:[ src ] ~events:honest () in
   Alcotest.(check int)
     "honest bound accepted" 0
     (List.length (Checker.bound_violations report))

@@ -64,9 +64,9 @@ let test_gap_triggers_resync_and_converges () =
   let at d f = Engine.schedule env.Scenario.engine ~delay:d f in
   at 1.0 (fun () -> commit_r env 1);
   (* this commit's announcement dies on the wire *)
-  at 2.0 (fun () -> Adapter.set_link_up db1 false);
+  at 2.0 (fun () -> Source_db.set_link_up (Adapter.db db1) false);
   at 2.1 (fun () -> commit_r env 2);
-  at 3.0 (fun () -> Adapter.set_link_up db1 true);
+  at 3.0 (fun () -> Source_db.set_link_up (Adapter.db db1) true);
   (* the next announcement's prev_version exposes the loss *)
   at 3.1 (fun () -> commit_r env 3);
   Engine.run env.Scenario.engine ~until:(Engine.now env.Scenario.engine +. 5.0);
@@ -89,7 +89,7 @@ let test_outage_degrades_to_stale_answer () =
   (* r3 is virtual on T and lives in db1: the query below must poll it,
      and the outage outlasts every retry *)
   let now = Engine.now env.Scenario.engine in
-  Adapter.set_outages db1 [ (now, now +. 1000.0) ];
+  Source_db.set_outages (Adapter.db db1) [ (now, now +. 1000.0) ];
   let rich =
     in_process env (fun () ->
         Mediator.query med ~node:"T" ~attrs:[ "r1"; "r3" ] ())
@@ -117,7 +117,8 @@ let test_retry_survives_transient_blackhole () =
   (* the first attempt times out inside the window (0.5 > 0.3); the
      backoff pushes the retry past it *)
   let now = Engine.now env.Scenario.engine in
-  Adapter.set_outages db1 ~mode:Source_db.Black_hole [ (now, now +. 0.3) ];
+  Source_db.set_outages (Adapter.db db1) ~mode:Source_db.Black_hole
+    [ (now, now +. 0.3) ];
   let rich =
     in_process env (fun () ->
         Mediator.query med ~node:"T" ~attrs:[ "r1"; "r3" ] ())

@@ -193,7 +193,9 @@ let run_single spec =
   let med =
     Mediator.create ~engine ~vdp
       ~annotation:(Annotation.fully_materialized vdp)
-      ~config:diff_config ~sources ()
+      ~config:diff_config
+      ~sources:(List.map Adapter.db sources)
+      ()
   in
   Mediator.connect med ();
   let items, tags =
@@ -204,7 +206,7 @@ let run_single spec =
   Engine.spawn engine (fun () -> Mediator.initialize med);
   Engine.run engine ~until:1.0;
   Fed_workload.run ~engine ~spec
-    (Fed_workload.of_mediator ~engine ~config:diff_config med)
+    (Fed_workload.of_mediator ~engine ~config:diff_config ~sources med)
 
 let make_fed ?(config = diff_config) ~shards spec =
   let engine = Engine.create () in
@@ -280,7 +282,9 @@ let test_export_stream () =
   let med =
     Mediator.create ~engine ~vdp
       ~annotation:(Annotation.fully_materialized vdp)
-      ~config:diff_config ~sources ()
+      ~config:diff_config
+      ~sources:(List.map Adapter.db sources)
+      ()
   in
   Mediator.connect med ();
   let items, tags = Fed_scenario.base_bags ~seed:1 ~keys:50 ~groups:4 in
@@ -314,7 +318,7 @@ let test_export_stream () =
              (Delta.Rel_delta.empty Fed_scenario.schema_items)
              old_item)
           new_item));
-  let sys = Fed_workload.of_mediator ~engine ~config:diff_config med in
+  let sys = Fed_workload.of_mediator ~engine ~config:diff_config ~sources med in
   sys.Fed_workload.s_quiesce ();
   (match !deltas with
   | [ (nodes, reflect) ] ->

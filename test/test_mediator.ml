@@ -154,14 +154,14 @@ let test_ex22_r_updates_no_polls () =
      without touching any source *)
   let env, med = setup_fig1 Scenario.ann_ex22 in
   let db1 = Scenario.source env "db1" in
-  let polls0 = Adapter.polls_served db1 in
+  let polls0 = Source_db.polls_served (Adapter.db db1) in
   for i = 0 to 10 do
     commit_fresh_r env ~r1:(8000 + i) ~r2:(i mod 40) ~r3:i ~r4:100
   done;
   Scenario.run_to_quiescence env med;
   Alcotest.(check int)
     "R updates processed without polling db1" polls0
-    (Adapter.polls_served db1);
+    (Source_db.polls_served (Adapter.db db1));
   let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
   Tutil.check_bag "T maintained" (recompute env "T") answer;
   ignore (check_consistent env med)
@@ -172,12 +172,12 @@ let test_ex22_s_update_polls_r () =
      expense of sending queries to relation R") *)
   let env, med = setup_fig1 Scenario.ann_ex22 in
   let db1 = Scenario.source env "db1" in
-  let polls0 = Adapter.polls_served db1 in
+  let polls0 = Source_db.polls_served (Adapter.db db1) in
   commit_fresh_s env ~s1:6100 ~s2:3 ~s3:5;
   Scenario.run_to_quiescence env med;
   Alcotest.(check bool)
     "db1 polled to process the S update" true
-    (Adapter.polls_served db1 > polls0);
+    (Source_db.polls_served (Adapter.db db1) > polls0);
   let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
   Tutil.check_bag "T maintained" (recompute env "T") answer;
   ignore (check_consistent env med)
@@ -230,7 +230,8 @@ let test_ex23_virtual_attr_key_based () =
   let env, med = setup_fig1 Scenario.ann_ex23 in
   let db1 = Scenario.source env "db1" in
   let db2 = Scenario.source env "db2" in
-  let p1 = Adapter.polls_served db1 and p2 = Adapter.polls_served db2 in
+  let p1 = Source_db.polls_served (Adapter.db db1)
+  and p2 = Source_db.polls_served (Adapter.db db2) in
   let cond = Predicate.(lt (attr "r3") (int 100)) in
   let answer =
     in_process env (fun () ->
@@ -242,17 +243,19 @@ let test_ex23_virtual_attr_key_based () =
   Alcotest.(check bool)
     "used key-based construction" true
     ((Obs.Metrics.value (Mediator.stats med).Med.key_based_constructions) > 0);
-  Alcotest.(check bool) "db1 polled" true (Adapter.polls_served db1 > p1);
+  Alcotest.(check bool)
+    "db1 polled" true
+    (Source_db.polls_served (Adapter.db db1) > p1);
   Alcotest.(check int)
     "db2 NOT polled (S' not needed)" p2
-    (Adapter.polls_served db2);
+    (Source_db.polls_served (Adapter.db db2));
   ignore (check_consistent env med)
 
 let test_ex23_key_based_disabled_polls_both () =
   let config = Med.Config.make ~key_based_enabled:false () in
   let env, med = setup_fig1 ~config Scenario.ann_ex23 in
   let db2 = Scenario.source env "db2" in
-  let p2 = Adapter.polls_served db2 in
+  let p2 = Source_db.polls_served (Adapter.db db2) in
   let answer =
     in_process env (fun () ->
         (Mediator.query med ~node:"T" ~attrs:[ "r3"; "s1" ] ()).Qp.tuples)
@@ -262,7 +265,7 @@ let test_ex23_key_based_disabled_polls_both () =
     answer;
   Alcotest.(check bool)
     "general construction polls db2 too" true
-    (Adapter.polls_served db2 > p2)
+    (Source_db.polls_served (Adapter.db db2) > p2)
 
 let test_ex23_maintenance_with_updates () =
   let env, med = setup_fig1 Scenario.ann_ex23 in
@@ -410,7 +413,7 @@ let test_query_many_single_transaction () =
      at most once, both answers from one view state *)
   let env, med = setup_ex51 () in
   let polls_before =
-    List.map (fun s -> (Adapter.name s, Adapter.polls_served s))
+    List.map (fun s -> (Source_db.name s, Source_db.polls_served s))
       env.Scenario.sources
   in
   let answers =
@@ -424,12 +427,12 @@ let test_query_many_single_transaction () =
     answers;
   List.iter
     (fun src ->
-      let name = Adapter.name src in
+      let name = Source_db.name src in
       let before = List.assoc name polls_before in
       Alcotest.(check bool)
         (name ^ " polled at most once")
         true
-        (Adapter.polls_served src - before <= 1))
+        (Source_db.polls_served src - before <= 1))
     env.Scenario.sources;
   (* both logged query transactions share one reflect vector *)
   (match
@@ -499,7 +502,7 @@ let make_single_source_env () =
     Builder.add_export b ~name:"T" Tutil.t_def;
     Builder.build b
   in
-  { Scenario.engine; sources = [ Source_db.adapter db ]; vdp }
+  Scenario.make_env ~engine ~vdp [ Adapter.relational db ]
 
 let test_multi_relation_atomic_commit () =
   let env = make_single_source_env () in
@@ -964,7 +967,9 @@ let test_slo_refusal_source_down () =
   slo_churn env;
   Scenario.run_to_quiescence env med;
   let t_q = Engine.now env.Scenario.engine in
-  Adapter.set_outages (Scenario.source env "db1") [ (t_q, t_q +. 1000.0) ];
+  Source_db.set_outages
+    (Adapter.db (Scenario.source env "db1"))
+    [ (t_q, t_q +. 1000.0) ];
   Engine.run env.Scenario.engine ~until:(t_q +. 30.0);
   let r =
     in_process env (fun () ->

@@ -188,9 +188,9 @@ let test_deferral_and_resync_spans () =
   at 1.0 (fun () -> commit_r 1);
   (* this announcement dies on the wire; the next commit's
      prev_version exposes the loss *)
-  at 2.0 (fun () -> Adapter.set_link_up db1 false);
+  at 2.0 (fun () -> Source_db.set_link_up (Adapter.db db1) false);
   at 2.1 (fun () -> commit_r 2);
-  at 3.0 (fun () -> Adapter.set_link_up db1 true);
+  at 3.0 (fun () -> Source_db.set_link_up (Adapter.db db1) true);
   at 3.1 (fun () -> commit_r 3);
   Engine.run env.Scenario.engine ~until:(Engine.now env.Scenario.engine +. 5.0);
   Scenario.run_to_quiescence env med;

@@ -522,9 +522,9 @@ let test_resync_flushes_cache () =
   at 1.0 (fun () -> commit_r env 1);
   (* this commit's announcement dies on the wire; the next one's
      prev_version exposes the loss and forces a resync *)
-  at 2.0 (fun () -> Adapter.set_link_up db1 false);
+  at 2.0 (fun () -> Source_db.set_link_up (Adapter.db db1) false);
   at 2.1 (fun () -> commit_r env 2);
-  at 3.0 (fun () -> Adapter.set_link_up db1 true);
+  at 3.0 (fun () -> Source_db.set_link_up (Adapter.db db1) true);
   at 3.1 (fun () -> commit_r env 3);
   Engine.run env.Scenario.engine ~until:(Engine.now env.Scenario.engine +. 5.0);
   Scenario.run_to_quiescence env med;

@@ -11,6 +11,12 @@ open Tutil
 let mk_source ?(announce = Source_db.Immediate) engine =
   Source_db.create ~engine ~name:"db" ~relations:[ ("S", schema_s) ] ~announce ()
 
+(* a poll expected to succeed; must run in a simulation process *)
+let poll src queries =
+  match Source_db.try_poll src queries with
+  | Ok answer -> answer
+  | Error e -> Alcotest.fail (Source_db.poll_error_to_string e)
+
 let delta_ins tuple =
   Multi_delta.singleton "S" (Rel_delta.insert (Rel_delta.empty schema_s) tuple)
 
@@ -138,7 +144,7 @@ let test_poll_single_state () =
   Engine.spawn engine (fun () ->
       answer :=
         Some
-          (Source_db.poll src
+          (poll src
              [
                ("all", Expr.base "S");
                ("low", Expr.select cond_s3 (Expr.base "S"));
@@ -165,7 +171,7 @@ let test_poll_flushes_pending_first () =
       Engine.Ivar.fill engine iv a);
   Source_db.commit src (delta_ins (s_tuple 1 2 3));
   Engine.spawn engine (fun () ->
-      ignore (Source_db.poll src [ ("all", Expr.base "S") ]));
+      ignore (poll src [ ("all", Expr.base "S") ]));
   Engine.run engine ~until:100.0;
   (match List.rev !arrivals with
   | [ `Update 1; `Answer 1 ] -> ()
@@ -187,7 +193,7 @@ let test_poll_answer_ordered_after_updates () =
   Engine.schedule engine ~delay:0.2 (fun () ->
       Source_db.commit src (delta_ins (s_tuple 9 9 9)));
   Engine.spawn engine (fun () ->
-      let a = Source_db.poll src [ ("all", Expr.base "S") ] in
+      let a = poll src [ ("all", Expr.base "S") ] in
       Alcotest.(check int) "answer reflects the racing commit" 1
         a.Message.answer_version);
   Engine.run engine ~until:100.0;
@@ -210,7 +216,7 @@ let test_poll_atomic_version_stamp () =
       Source_db.commit src (delta_ins (s_tuple 7 7 7)));
   let got = ref None in
   Engine.spawn engine (fun () ->
-      got := Some (Source_db.poll src [ ("all", Expr.base "S") ]));
+      got := Some (poll src [ ("all", Expr.base "S") ]));
   Engine.run engine ~until:10.0;
   match !got with
   | Some a ->
