@@ -128,29 +128,42 @@ let run (t : Med.t) =
             relevant
         in
         let changed name = Hashtbl.mem affected name in
-        let requests =
+        (* the processed nodes' value reads of non-leaf children, as
+           requests, each narrowed to the rows the fired rule can join
+           with the leaf-parent deltas *)
+        let reads =
           List.concat_map
             (fun node ->
-              let needs =
-                Inc_eval.value_bases ~changed (Graph.def t.Med.vdp node)
-              in
               let b_of = Derived_from.needed_attrs_of_children t.Med.vdp node in
               List.filter_map
-                (fun child ->
+                (fun (child, cond) ->
                   match List.assoc_opt child b_of with
-                  | None -> None
-                  | Some b ->
-                    if Graph.is_leaf t.Med.vdp child then None
-                    else if Med.is_covered t ~node:child ~attrs:b then None
-                    else
-                      Some
-                        {
-                          Vap.r_node = child;
-                          r_attrs = b;
-                          r_cond = Predicate.True;
-                        })
-                needs)
+                  | Some b when not (Graph.is_leaf t.Med.vdp child) ->
+                    Some { Vap.r_node = child; r_attrs = b; r_cond = cond }
+                  | _ -> None)
+                (Inc_eval.value_restrictions
+                   ~schema:(Graph.schema_env t.Med.vdp) ~changed
+                   ~known:(fun n -> List.assoc_opt n lp_deltas)
+                   (Graph.def t.Med.vdp node)))
             process
+        in
+        (* a temp shadows its table for the whole kernel pass, so once
+           a node gets one (requested, or added by the VAP closure),
+           every read of it joins its request — a reader the store
+           covers included — and no reader sees rows restricted for
+           another *)
+        let rec settle requests =
+          let temps = List.map (fun r -> r.Vap.r_node) (Vap.closure t requests) in
+          let grown = List.filter (fun r -> List.mem r.Vap.r_node temps) reads in
+          if List.length grown = List.length requests then requests
+          else settle grown
+        in
+        let requests =
+          settle
+            (List.filter
+               (fun r ->
+                 not (Med.is_covered t ~node:r.Vap.r_node ~attrs:r.Vap.r_attrs))
+               reads)
         in
         Obs.Trace.set_attri det_sp "affected" (Hashtbl.length affected);
         Obs.Trace.set_attri det_sp "requests" (List.length requests);

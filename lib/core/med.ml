@@ -460,8 +460,9 @@ let source_closure t src =
 (* Compile every definition-shaped expression the processors will run
    repeatedly: the raw definition (resync/initialization rebuilds) and
    the full-width restricted definition (the IUP's kernel pass), each
-   as a value plan and as a delta plan. Per-request VAP restrictions
-   compile on first use through the same memo. *)
+   as a value plan and as a delta plan. A per-request VAP restriction
+   is a top-level select/project chain, compiled per call over the
+   memoized plan below it. *)
 let warm_plans t =
   (* annotation changes re-shape stored tables and indexes, moving the
      statistics under every cached physical join decision *)

@@ -18,9 +18,18 @@
        (update-queue entries plus, during an update transaction, the
        delta being processed).}}
 
-    The returned temporaries are full substitutes for their nodes'
-    relations restricted to the requested attributes, all consistent
-    with [ref'(t_u)] — the reflected source versions. *)
+    A request restricts rows as well as attributes: the temporary is
+    [π_attrs σ_cond node]. The condition is pushed through
+    [derived_from] to the children, selects the polled rows at the
+    source, and filters the ECA compensation, so compensating a
+    restricted answer touches only unseen atoms satisfying [cond]. The
+    IUP's update-time requests carry the delta-keyed restrictions of
+    {!Delta.Inc_eval.value_restrictions}; query requests carry the
+    query's condition.
+
+    The returned temporaries are substitutes for their nodes'
+    relations restricted to the requested attributes and rows, all
+    consistent with [ref'(t_u)] — the reflected source versions. *)
 
 open Relalg
 

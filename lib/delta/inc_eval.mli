@@ -73,3 +73,23 @@ val value_bases : changed:(string -> bool) -> Expr.t -> string list
     either side changes; union reads no values at all. The IUP's
     preparation phase uses this to request exactly the temporary
     relations the propagation rules will touch (Sec. 6.4 phase (a)). *)
+
+val value_restrictions :
+  schema:(string -> Schema.t) ->
+  changed:(string -> bool) ->
+  known:(string -> Rel_delta.t option) ->
+  Expr.t ->
+  (string * Predicate.t) list
+(** {!value_bases}, each paired with a restriction on the rows the
+    rules can read, sorted by base name. A base X read by a join is
+    restricted when the join's other operand holds exactly one changed
+    base occurrence D whose delta [known] already gives, and an equi
+    pair (x, d) of the join — explicit or a shared natural-join
+    column, followed through select, project, rename and join — leads
+    x to X and d to D: the restriction is [x ∈ keys], the sorted
+    distinct d-values over ΔD's inserts and deletes, as an [Or]-chain
+    of [x = v]. Every other read (difference operands, non-equi joins,
+    two changed bases, a D whose delta is only known later, a Null
+    key) is [True]; a base read several times gets the disjunction.
+    [schema] gives each base's schema. The IUP narrows its
+    update-time VAP requests with these (Sec. 6.4 phase (a)). *)

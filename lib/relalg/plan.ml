@@ -668,7 +668,7 @@ let cache : (Expr.t, t) Hashtbl.t = Hashtbl.create 64
 let cache_cap = 4096
 let compiled = ref 0
 
-let of_expr expr =
+let cached expr =
   match Hashtbl.find_opt cache expr with
   | Some p -> p
   | None ->
@@ -676,6 +676,19 @@ let of_expr expr =
     incr compiled;
     if Hashtbl.length cache < cache_cap then Hashtbl.replace cache expr p;
     p
+
+(* A top-level select/project/rename chain is compiled per call over
+   the memoized plan of its input. It carries the per-request condition
+   and attributes (VAP polls, query conditions), which rarely repeat:
+   memoized, they would fill the cache with one-shot entries that all
+   hash alike ([Hashtbl.hash] stops a few words into a long
+   disjunction). Compiling the chain costs a few closures. *)
+let of_expr expr =
+  match expr with
+  | Expr.Select _ | Expr.Project _ | Expr.Rename _ ->
+    let steps, sub = peel [] expr in
+    { expr; prog = Fused (Array.of_list steps, (cached sub).prog) }
+  | _ -> cached expr
 
 let compiled_plans () = !compiled
 

@@ -25,7 +25,9 @@ type t
 (** A compiled plan. *)
 
 val of_expr : Expr.t -> t
-(** Compile (or fetch from the global compile-once memo). *)
+(** Compile (or fetch from the global compile-once memo). A top-level
+    select/project/rename chain is not memoized: it is compiled afresh
+    on each call over the memoized plan of its input. *)
 
 val expr : t -> Expr.t
 (** The source expression of a plan. *)
@@ -38,7 +40,10 @@ val eval : env:(string -> Bag.t option) -> Expr.t -> Bag.t
 (** [run (of_expr e) ~env]. *)
 
 val compiled_plans : unit -> int
-(** Number of distinct expressions compiled so far (process-wide). *)
+(** Number of expressions compiled through the memo so far
+    (process-wide). The top-level select/project/rename chains that
+    {!of_expr} compiles per call are not counted; the input below such
+    a chain is, once. *)
 
 (** {1 Operation accounting}
 

@@ -444,6 +444,116 @@ let prop_inc_random_exprs =
         (fun n -> List.assoc_opt n bags)
         deltas)
 
+(* Example 2.2's rule #2: an S update reads R only on the join key *)
+let test_value_restrictions_fig1 () =
+  let schema = function "R" -> schema_r | _ -> schema_s in
+  let ds =
+    Rel_delta.delete
+      (Rel_delta.insert (Rel_delta.empty schema_s) (s_tuple 20 1 2))
+      (s_tuple 10 55 20)
+  in
+  let restrictions ?(changed = [ "S" ]) ?(known = [ ("S", ds) ]) expr =
+    Inc_eval.value_restrictions ~schema
+      ~changed:(fun n -> List.mem n changed)
+      ~known:(fun n -> List.assoc_opt n known)
+      expr
+  in
+  let check what expected got =
+    Alcotest.(check (list (pair string string)))
+      what
+      (List.map (fun (n, c) -> (n, Predicate.to_string c)) expected)
+      (List.map (fun (n, c) -> (n, Predicate.to_string c)) got)
+  in
+  let keys =
+    Predicate.(Or (eq (attr "r2") (int 10), eq (attr "r2") (int 20)))
+  in
+  check "R read on the keys of ΔS" [ ("R", keys) ] (restrictions t_def);
+  check "ΔS not yet known" [ ("R", Predicate.True) ]
+    (restrictions ~known:[] t_def);
+  (* both sides changed: each old value meets the other's delta *)
+  let dr = Rel_delta.insert (Rel_delta.empty schema_r) (r_tuple 5 30 1 100) in
+  check "both sides changed"
+    [ ("R", keys); ("S", Predicate.(eq (attr "s1") (int 30))) ]
+    (restrictions ~changed:[ "R"; "S" ] ~known:[ ("R", dr); ("S", ds) ] t_def);
+  let s_keys =
+    Predicate.(Or (eq (attr "s1") (int 10), eq (attr "s1") (int 20)))
+  in
+  check "two changed occurrences on the other side"
+    [ ("R", Predicate.True); ("S", s_keys) ]
+    (restrictions
+       Expr.(
+         join ~on:(Predicate.eq_attrs "r2" "s1") (base "R")
+           (join (base "S") (project [ "s1" ] (base "S")))));
+  let theta =
+    Expr.(join ~on:Predicate.(lt (attr "r2") (attr "s1")) (base "R") (base "S"))
+  in
+  check "non-equi join" [ ("R", Predicate.True) ] (restrictions theta);
+  let with_null =
+    Rel_delta.insert ds
+      (Tuple.of_list
+         [ ("s1", Value.Null); ("s2", Value.Int 0); ("s3", Value.Int 0) ])
+  in
+  check "a Null key" [ ("R", Predicate.True) ]
+    (restrictions ~known:[ ("S", with_null) ] t_def);
+  (* a base read twice gets the disjunction of its reads *)
+  let twice =
+    Expr.(
+      union
+        (project [ "r1" ] (join ~on:(Predicate.eq_attrs "r2" "s1") (base "R") (base "S")))
+        (project [ "r1" ] (join ~on:(Predicate.eq_attrs "r3" "s1") (base "R") (base "S"))))
+  in
+  check "two reads of R"
+    [
+      ( "R",
+        Predicate.Or
+          (keys, Predicate.(Or (eq (attr "r3") (int 10), eq (attr "r3") (int 20))))
+      );
+    ]
+    (restrictions twice)
+
+(* bases over {0,1}³, so natural joins on x, y, z match often and the
+   deletions of a delta meet rows of the other bases *)
+let tight_env_gen =
+  let open QCheck2.Gen in
+  let v = int_range 0 1 >|= fun i -> Value.Int i in
+  let tuple =
+    map3 (fun x y z -> Tuple.of_list [ ("x", x); ("y", y); ("z", z) ]) v v v
+  in
+  let bag = list_size (int_range 0 8) tuple >|= Bag.of_tuples xyz_schema in
+  triple bag bag bag >>= fun (a, b, c) ->
+  let d_for bag = delta_gen_for xyz_schema bag in
+  triple (d_for a) (d_for b) (d_for c) >|= fun (da, db, dc) ->
+  ([ ("A", a); ("B", b); ("C", c) ], [ ("A", da); ("B", db); ("C", dc) ])
+
+(* restricting every read base to its condition leaves the delta of a
+   random expression unchanged (joins here are natural on x, y, z) *)
+let prop_restricted_reads =
+  qtest ~count:1000 "restricted value reads: same delta"
+    QCheck2.Gen.(triple (gen_expr 3) tight_env_gen (triple bool bool bool))
+    (fun ((expr, _attrs), (bags, deltas), (ca, cb, cc)) ->
+      let deltas =
+        List.filter
+          (fun (n, _) -> match n with "A" -> ca | "B" -> cb | _ -> cc)
+          deltas
+      in
+      let env n = List.assoc_opt n bags in
+      let delta n = List.assoc_opt n deltas in
+      let restrictions =
+        Inc_eval.value_restrictions
+          ~schema:(fun _ -> xyz_schema)
+          ~changed:(fun n -> List.mem_assoc n deltas)
+          ~known:delta expr
+      in
+      let narrowed n =
+        match (env n, List.assoc_opt n restrictions) with
+        | Some b, Some c -> Some (Bag.select c b)
+        | b, None -> b
+        | None, Some _ -> None
+      in
+      Rel_delta.equal
+        (Inc_eval.delta_of_expr ~env ~deltas:delta expr)
+        (Inc_eval.delta_of_expr ~env:narrowed ~deltas:delta expr))
+
 let () =
   Alcotest.run "delta"
     [
@@ -480,6 +590,7 @@ let () =
           Alcotest.test_case "difference: diff2 rule" `Quick test_inc_diff_rule2;
           Alcotest.test_case "difference: multiplicity boundary" `Quick test_inc_diff_multiplicity_boundary;
           Alcotest.test_case "union" `Quick test_inc_union;
+          Alcotest.test_case "value restrictions" `Quick test_value_restrictions_fig1;
         ] );
       ( "incremental properties",
         [
@@ -488,5 +599,6 @@ let () =
           prop_inc_union;
           prop_inc_nested;
           prop_inc_random_exprs;
+          prop_restricted_reads;
         ] );
     ]

@@ -207,6 +207,123 @@ let test_eca_ablation_breaks_consistency () =
     (Bag.equal (recompute env "T") answer);
   ignore (check_consistent ~expect:false env med)
 
+(* An S′ update reads only the R′ rows its join rule can match: the
+   update-time poll of db1 is restricted to r2 ∈ {s1 of ΔS′}. *)
+
+let setup_fig1_sized ?config () =
+  let env = Scenario.make_fig1 ~r_size:400 () in
+  let med =
+    Scenario.mediator env ~annotation:(Scenario.ann_ex22 env.Scenario.vdp)
+      ?config ()
+  in
+  in_process env (fun () -> Mediator.initialize med);
+  (env, med)
+
+(* |σ_{r2=k} R′| at db1's current state *)
+let r'_rows_at env k =
+  Bag.cardinal
+    (Bag.select
+       Predicate.(conj [ eq (attr "r4") (int 100); eq (attr "r2") (int k) ])
+       (Adapter.current (Scenario.source env "db1") "R"))
+
+(* an S tuple passing σ_{s3<50} whose key joins the most R′ rows *)
+let busiest_s env =
+  let s = Adapter.current (Scenario.source env "db2") "S" in
+  let key t = match Tuple.get t "s1" with Value.Int k -> k | _ -> -1 in
+  Bag.fold
+    (fun t _ best ->
+      let n = r'_rows_at env (key t) in
+      match best with
+      | Some (_, m) when m >= n -> best
+      | _ -> Some (t, n))
+    (Bag.select Predicate.(lt (attr "s3") (int 50)) s)
+    None
+  |> Option.get
+
+let poll_counts med =
+  let s = Mediator.stats med in
+  (Obs.Metrics.value s.Med.polls, Obs.Metrics.value s.Med.polled_tuples)
+
+let check_one_restricted_poll med ~before ~rows what =
+  let polls0, tuples0 = before and polls1, tuples1 = poll_counts med in
+  Alcotest.(check int) (what ^ ": one poll of db1") 1 (polls1 - polls0);
+  Alcotest.(check int)
+    (what ^ ": ships |σ_{r2=k} R′| tuples") rows (tuples1 - tuples0)
+
+let test_ex22_s_update_polls_joining_rows () =
+  let env, med = setup_fig1_sized () in
+  let db2 = Scenario.source env "db2" in
+  let victim, rows = busiest_s env in
+  let k = match Tuple.get victim "s1" with Value.Int k -> k | _ -> -1 in
+  Alcotest.(check bool) "the key joins several R′ rows" true (rows >= 2);
+  let before = poll_counts med in
+  Adapter.commit db2 (Driver.single_delete db2 "S" victim);
+  Scenario.run_to_quiescence env med;
+  check_one_restricted_poll med ~before ~rows "S′ delete";
+  let before = poll_counts med in
+  commit_fresh_s env ~s1:k ~s2:1 ~s3:2;
+  Scenario.run_to_quiescence env med;
+  check_one_restricted_poll med ~before ~rows "S′ insert";
+  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "T maintained" (recompute env "T") answer;
+  ignore (check_consistent env med)
+
+(* The restricted poll answers from db1's current state while an R
+   update touching the restricted key and another key waits in the
+   queue: Eager Compensation rolls back only its atoms on that key. *)
+let test_ex22_restricted_poll_eca () =
+  let config = Med.Config.make ~max_batch:1 ~flush_interval:5.0 () in
+  let env, med = setup_fig1_sized ~config () in
+  let db1 = Scenario.source env "db1" and db2 = Scenario.source env "db2" in
+  let victim, _ = busiest_s env in
+  let k = match Tuple.get victim "s1" with Value.Int k -> k | _ -> -1 in
+  let old_r =
+    Bag.fold
+      (fun t _ acc ->
+        if
+          Tuple.get t "r2" = Value.Int k && Tuple.get t "r4" = Value.Int 100
+        then Some t
+        else acc)
+      (Adapter.current db1 "R") None
+    |> Option.get
+  in
+  let r_tuple r1 r2 =
+    Tuple.of_list
+      [
+        ("r1", Value.Int r1);
+        ("r2", Value.Int r2);
+        ("r3", Value.Int 7);
+        ("r4", Value.Int 100);
+      ]
+  in
+  (* the S′ delete is queued first; the R update follows it into the
+     queue before the next flush, so the S batch polls past it *)
+  Adapter.commit db2 (Driver.single_delete db2 "S" victim);
+  Engine.run env.Scenario.engine ~until:(Engine.now env.Scenario.engine +. 0.5);
+  Alcotest.(check int) "S′ delete queued" 1 (Mediator.queue_length med);
+  Adapter.commit db1
+    (List.fold_left Delta.Multi_delta.smash Delta.Multi_delta.empty
+       [
+         Driver.single_insert db1 "R" (r_tuple 9100 k);
+         Driver.single_insert db1 "R" (r_tuple 9101 (k + 1));
+         Driver.single_delete db1 "R" old_r;
+       ]);
+  Engine.run env.Scenario.engine ~until:(Engine.now env.Scenario.engine +. 0.5);
+  Alcotest.(check int) "R update queued behind it" 2 (Mediator.queue_length med);
+  let before = poll_counts med in
+  let rows = r'_rows_at env k in
+  Scenario.run_to_quiescence env med;
+  check_one_restricted_poll med ~before ~rows "S′ delete past a queued R update";
+  let unseen =
+    List.filter_map
+      (fun sp -> Obs.Trace.attr sp "unseen_atoms")
+      (Obs.Trace.find (Mediator.trace med) ~name:"eca")
+  in
+  Alcotest.(check (list string)) "ECA saw the queued R update" [ "3" ] unseen;
+  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "T = recompute" (recompute env "T") answer;
+  ignore (check_consistent env med)
+
 (* --- Example 2.3: hybrid export, key-based construction ---------------- *)
 
 let test_ex23_materialized_query_from_store () =
@@ -1050,6 +1167,8 @@ let () =
           Alcotest.test_case "S update polls R" `Quick test_ex22_s_update_polls_r;
           Alcotest.test_case "ECA: same-batch cross term" `Quick test_eca_compensation_same_batch;
           Alcotest.test_case "ECA ablation breaks consistency" `Quick test_eca_ablation_breaks_consistency;
+          Alcotest.test_case "S′ update polls only joining R′ rows" `Quick test_ex22_s_update_polls_joining_rows;
+          Alcotest.test_case "restricted poll: ECA on a queued R update" `Quick test_ex22_restricted_poll_eca;
         ] );
       ( "example 2.3 (hybrid view)",
         [
