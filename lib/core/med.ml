@@ -956,7 +956,7 @@ let freshness_bound t ~node =
    is the total attempt budget; each failed attempt doubles the wait,
    starting from [config.poll_backoff]. Exhaustion raises {!Poll_failed}
    so the caller can degrade or defer instead of crashing the process. *)
-let poll_with_retry t src queries =
+let poll_with_retry t src ?keys queries =
   let src_name = Source_db.name src in
   let budget = max 1 t.config.poll_retries in
   Obs.Trace.with_span t.trace "poll" ~attrs:[ ("source", src_name) ]
@@ -968,7 +968,7 @@ let poll_with_retry t src queries =
             ~attrs:[ ("n", string_of_int n) ]
             (fun sp ->
               let r =
-                Source_db.try_poll src ?timeout:t.config.poll_timeout queries
+                Source_db.try_poll src ?timeout:t.config.poll_timeout ?keys queries
               in
               (match r with
               | Ok _ -> Obs.Trace.set_attr sp "result" "ok"

@@ -545,11 +545,15 @@ val freshness_bound : t -> node:string -> (string * float) list
     that never announces. *)
 
 val poll_with_retry :
-  t -> Source_db.t -> (string * Expr.t) list -> Message.answer
+  t ->
+  Source_db.t ->
+  ?keys:(string * Source_db.key) list ->
+  (string * Expr.t) list ->
+  Message.answer
 (** {!Source_db.try_poll} under the config's timeout, retried up to
     [poll_retries] attempts with exponential backoff from
-    [poll_backoff]. Must run in a process. @raise Poll_failed when the
-    budget is exhausted. *)
+    [poll_backoff]; [keys] is passed through. Must run in a process.
+    @raise Poll_failed when the budget is exhausted. *)
 
 (** {1 Derived topology and compiled plans} *)
 

@@ -22,6 +22,42 @@ let rec disjuncts = function
   | Predicate.Or (a, b) -> disjuncts a @ disjuncts b
   | p -> [ p ]
 
+(* a conjunct [a = v1 ∨ … ∨ a = vn] of [cond] over one attribute and
+   constants (either operand order), as [(a, [v1; …; vn])] *)
+let key_sets cond =
+  let eq_const = function
+    | Predicate.Cmp (Predicate.Eq, Predicate.Attr a, Predicate.Const v)
+    | Predicate.Cmp (Predicate.Eq, Predicate.Const v, Predicate.Attr a) ->
+      Some (a, v)
+    | _ -> None
+  in
+  List.filter_map
+    (fun conjunct ->
+      match List.map eq_const (disjuncts conjunct) with
+      | Some (a, _) :: _ as eqs
+        when List.for_all
+               (function Some (b, _) -> String.equal a b | None -> false)
+               eqs ->
+        Some (a, List.filter_map (Option.map snd) eqs)
+      | _ -> None)
+    (Predicate.conjuncts cond)
+
+(* The key a leaf-parent poll names: a key-set conjunct of the
+   request's condition, its attribute mapped through the definition's
+   renames to a column of the leaf relation. Only the request's own
+   condition is looked at, never a selection inside the definition
+   (such as a constant filter the whole relation passes in halves). *)
+let poll_key (t : Med.t) r ~leaf =
+  let def = Graph.def t.Med.vdp r.r_node in
+  List.find_map
+    (fun (a, vs) ->
+      match Inc_eval.origins ~schema:(Graph.schema_env t.Med.vdp) def a with
+      | [ (base, col) ] when String.equal base leaf ->
+        Some
+          { Source_db.k_relation = leaf; k_column = col; k_values = vs }
+      | _ -> None)
+    (key_sets r.r_cond)
+
 let merge_into table r =
   let r = normalize r in
   match Hashtbl.find_opt table r.r_node with
@@ -157,7 +193,13 @@ let build_inner (t : Med.t) requests =
       Med.Log.debug (fun m ->
           m "VAP polls %s for %s" src_name
             (String.concat ", " (List.map fst queries)));
-      let answer = Med.poll_with_retry t src queries in
+      let keys =
+        List.filter_map
+          (fun (r, leaf) ->
+            Option.map (fun k -> (r.r_node, k)) (poll_key t r ~leaf))
+          pairs
+      in
+      let answer = Med.poll_with_retry t src ~keys queries in
       Obs.Metrics.incr t.Med.stats.Med.polls;
       Obs.Metrics.add t.Med.stats.Med.polled_tuples
         (List.fold_left

@@ -74,6 +74,14 @@ val value_bases : changed:(string -> bool) -> Expr.t -> string list
     preparation phase uses this to request exactly the temporary
     relations the propagation rules will touch (Sec. 6.4 phase (a)). *)
 
+val origins :
+  schema:(string -> Schema.t) -> Expr.t -> string -> (string * string) list
+(** [origins ~schema e a]: the [(base, column)] pairs whose value
+    output column [a] of [e] copies, followed through select, project
+    and rename and into each join side carrying [a] (a shared
+    natural-join column holds one value on both sides); [[]] through a
+    union or difference. [schema] gives each base's schema. *)
+
 val value_restrictions :
   schema:(string -> Schema.t) ->
   changed:(string -> bool) ->

@@ -81,7 +81,9 @@ let filter pred b =
   iter (fun t m -> if pred t then badd ~check:false bu t m) b;
   seal bu
 
-let select p b = filter (Predicate.eval p) b
+(* bags are persistent, so an unfiltered selection can share its input *)
+let select p b =
+  match p with Predicate.True -> b | p -> filter (Predicate.compile p) b
 
 let map_tuples schema f b =
   let bu = builder schema in

@@ -57,6 +57,8 @@ val support : t -> Tuple.t list
 (** {1 Algebra operations} *)
 
 val select : Predicate.t -> t -> t
+(** [select True b] is [b] itself; any other condition is compiled
+    once ({!Predicate.compile}) and tested per distinct tuple. *)
 
 val project : string list -> t -> t
 (** Bag projection: multiplicities of coinciding images add up. *)

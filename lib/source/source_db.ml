@@ -1,5 +1,6 @@
 open Relalg
 open Delta
+open Storage
 open Sim
 
 exception Source_error of string
@@ -15,6 +16,8 @@ type poll_error =
 
 type retention = Keep_all | Keep_last of int
 
+type key = { k_relation : string; k_column : string; k_values : Value.t list }
+
 type link = {
   channel : Message.t Channel.t;
   q_proc_delay : float;
@@ -26,6 +29,8 @@ type t = {
   name : string;
   schemas : (string * Schema.t) list;
   mutable tables : (string * Bag.t) list;
+  mutable indexes : ((string * string) * Hash_index.t) list;
+      (* (relation, column) -> index of the current bag, for keyed polls *)
   mutable version : int;
   mutable history : (float * int * (string * Bag.t) list) list; (* newest first *)
   announce : announce_mode;
@@ -51,6 +56,7 @@ let create ~engine ~name ~relations ~announce () =
     name;
     schemas = relations;
     tables;
+    indexes = [];
     version = 0;
     history = [ (Engine.now engine, 0, tables) ];
     announce;
@@ -178,6 +184,7 @@ let load t rel bag =
   if t.version <> 0 then err "source %s: load after first commit" t.name;
   ignore (schema t rel);
   t.tables <- (rel, bag) :: List.remove_assoc rel t.tables;
+  t.indexes <- List.filter (fun ((r, _), _) -> r <> rel) t.indexes;
   (* version 0 snapshot reflects the loads *)
   t.history <- [ (Engine.now t.engine, 0, t.tables) ]
 
@@ -194,6 +201,19 @@ let commit t delta =
         | Some d -> (rel, Rel_delta.apply bag d)
         | None -> (rel, bag))
       t.tables;
+  (* Hash_index.remove is monus like Bag.remove, so replaying the
+     signed atoms leaves every count equal to the new multiplicity *)
+  List.iter
+    (fun ((rel, _), ix) ->
+      match Multi_delta.find delta rel with
+      | Some d ->
+        Rel_delta.fold
+          (fun tuple m () ->
+            if m > 0 then Hash_index.add ix tuple m
+            else Hash_index.remove ix tuple (-m))
+          d ()
+      | None -> ())
+    t.indexes;
   t.version <- t.version + 1;
   let now = Engine.now t.engine in
   t.history <- (now, t.version, t.tables) :: t.history;
@@ -238,7 +258,37 @@ let down_until t =
       else acc)
     None t.outages
 
-let try_poll t ?timeout queries =
+(* the index on [rel].[col], built from the current bag the first time
+   a poll names it and maintained by [commit] from then on *)
+let index_on t rel col =
+  match List.assoc_opt (rel, col) t.indexes with
+  | Some ix -> ix
+  | None ->
+    if not (Schema.mem (schema t rel) col) then
+      err "keyed poll: %S has no attribute %S" rel col;
+    let ix = Hash_index.of_bag [ col ] (current t rel) in
+    t.indexes <- ((rel, col), ix) :: t.indexes;
+    ix
+
+(* the rows of the keyed relation whose column equals a key value: the
+   union of the probed buckets. A comparison never matches Null, so it
+   is not probed, and values equal under Value.equal (Int 1, Float 1.)
+   name one bucket, probed once. *)
+let probed t k =
+  let ix = index_on t k.k_relation k.k_column in
+  let bu = Bag.builder (schema t k.k_relation) in
+  List.iter
+    (function
+      | Value.Null -> ()
+      | v ->
+        Eval.charge_tuple_ops 1;
+        Hash_index.probe1 ix v (Bag.badd ~check:false bu))
+    (List.sort_uniq Value.compare k.k_values);
+  Bag.seal bu
+
+let indexed t = List.sort compare (List.map fst t.indexes)
+
+let try_poll t ?timeout ?(keys = []) queries =
   match t.link with
   | None -> err "source %s: poll before connect" t.name
   | Some link ->
@@ -276,9 +326,19 @@ let try_poll t ?timeout queries =
       flush_announcements t;
       t.polls <- t.polls + 1;
       let env rel = List.assoc_opt rel t.tables in
-      let results =
-        List.map (fun (label, expr) -> (label, Eval.eval ~env expr)) queries
+      let eval (label, expr) =
+        let env =
+          match List.assoc_opt label keys with
+          | None -> env
+          | Some k ->
+            (* the key set is a conjunct of [expr], so the rows outside
+               the probed buckets contribute nothing to the answer *)
+            let rows = probed t k in
+            fun rel -> if String.equal rel k.k_relation then Some rows else env rel
+        in
+        (label, Eval.eval ~env expr)
       in
+      let results = List.map eval queries in
       let answer =
         {
           Message.answer_source = t.name;

@@ -57,6 +57,10 @@ type retention =
   | Keep_all
   | Keep_last of int  (** keep at most the last [n] versions *)
 
+(** A poll's key: the query needs only the rows of [k_relation] whose
+    [k_column] equals one of [k_values] (see {!try_poll}). *)
+type key = { k_relation : string; k_column : string; k_values : Value.t list }
+
 exception Source_error of string
 (** Raised by operations a source cannot honour: an unknown relation
     or version, a [load] after the first commit, a write against a
@@ -106,8 +110,9 @@ val q_proc_delay : t -> float
     unconnected). *)
 
 val load : t -> string -> Bag.t -> unit
-(** Set a relation's initial (version 0) contents. Only before the
-    first commit. @raise Source_error otherwise. *)
+(** Set a relation's initial (version 0) contents, dropping any
+    keyed-poll index on it. Only before the first commit.
+    @raise Source_error otherwise. *)
 
 val set_filter :
   t -> relation:string -> attrs:string list -> cond:Predicate.t -> unit
@@ -118,12 +123,14 @@ val set_filter :
     over this relation — {!Squirrel.Mediator} computes this from the
     VDP). Commits whose announcement filters to nothing still produce
     a version heartbeat so the mediator's reflect bookkeeping stays
-    exact. Polling is unaffected (polls see full relations).
+    exact. Polling is unaffected: polls read full relations, through an
+    index when the poll names a key.
     @raise Source_error on unknown relations/attributes. *)
 
 val commit : t -> Multi_delta.t -> unit
-(** Apply a transaction atomically: bump the version, snapshot, and
-    stage the delta for announcement.
+(** Apply a transaction atomically: bump the version, snapshot, bring
+    the keyed-poll indexes in step, and stage the delta for
+    announcement.
     @raise Source_error on a delta mentioning unknown relations. *)
 
 val current : t -> string -> Bag.t
@@ -136,6 +143,7 @@ val flush_announcements : t -> unit
 val try_poll :
   t ->
   ?timeout:float ->
+  ?keys:(string * key) list ->
   (string * Expr.t) list ->
   (Message.answer, poll_error) result
 (** Evaluate labelled queries against a single state of the source and
@@ -147,7 +155,24 @@ val try_poll :
     arrived within [timeout] of the call — whether because the source
     was slow, a [Black_hole] outage ate the request, or the answer
     message was lost on a faulty channel. With no [timeout] the wait
-    is unbounded (and a [Black_hole] outage is an error). *)
+    is unbounded (and a [Black_hole] outage is an error).
+
+    [keys] (default none) names, per query label, a key the query
+    selects on: every row the query reads from [k_relation] must pass
+    [k_column = v] for some [v] in [k_values]. The source then
+    evaluates the same query over the union of the matching buckets of
+    a hash index on [(k_relation, k_column)] instead of over the whole
+    relation, so the answer is identical and the cost follows the
+    probed rows. [Null] values never match and are not probed. The
+    index is built from the current relation the first time a poll
+    names it, maintained by {!commit} and dropped by {!load}; history
+    snapshots are never indexed.
+    @raise Source_error when the key names an unknown relation or
+    column. *)
+
+val indexed : t -> (string * string) list
+(** The [(relation, column)] pairs keyed polls have indexed so far,
+    sorted. *)
 
 val poll_error_to_string : poll_error -> string
 (** The wording the mediator records in a failed poll's trace

@@ -1,0 +1,56 @@
+(** Mutable hash indexes over bags of tuples.
+
+    An index maps the values of its attributes to the tuples carrying
+    them, each with its multiplicity. Keys compare with {!Value.equal}
+    and hash with {!Value.hash}, so [Int 1] and [Float 1.] share a
+    bucket, and [Null] is keyed like any other value (callers that
+    follow predicate semantics, where [Null] never matches, skip it).
+    Maintenance is O(1) per atom. A key held by one distinct tuple (the
+    common case for keys and near-keys) costs three words; a second
+    distinct tuple promotes its cell to a tuple -> multiplicity table.
+    Single-attribute indexes skip the key-list allocation.
+
+    The stored tables of the mediator ({!Table}) and the keyed polls of
+    a source database ([Sources.Source_db]) both index through this
+    module. *)
+
+open Relalg
+
+type t
+
+val create : string list -> t
+(** An empty index on the given attributes, in order. *)
+
+val of_bag : string list -> Bag.t -> t
+(** An index holding every tuple of the bag, its buckets sized for the
+    bag up front. *)
+
+val on : t -> string list
+val is_single : t -> bool
+(** One indexed attribute: {!probe1} applies. *)
+
+val add : t -> Tuple.t -> int -> unit
+(** [add ix tuple mult] raises the tuple's count by [mult > 0]. *)
+
+val remove : t -> Tuple.t -> int -> unit
+(** [remove ix tuple mult] lowers the tuple's count by [mult],
+    dropping it at zero (monus: an absent tuple is a no-op). *)
+
+val reset : t -> unit
+(** Empty the index. *)
+
+val probe : t -> Value.t list -> (Tuple.t -> int -> unit) -> unit
+(** [probe ix values f] calls [f tuple mult] for every indexed tuple
+    whose indexed attributes equal [values].
+    @raise Invalid_argument when a single-attribute index is given
+    other than one value. *)
+
+val probe1 : t -> Value.t -> (Tuple.t -> int -> unit) -> unit
+(** {!probe} on a single-attribute index, without the key list.
+    @raise Invalid_argument on a multi-attribute index. *)
+
+val distinct : t -> int
+(** Distinct key values present. *)
+
+val max_chain : t -> int
+(** Distinct tuples under the most crowded key. O(distinct keys). *)

@@ -5,50 +5,12 @@ exception Table_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Table_error s)) fmt
 
-(* Key hash tables use Value's own equality/hash so that Int 1 and
-   Float 1. land in the same bucket, as they compare equal. *)
-module Key_table = Hashtbl.Make (struct
-  type t = Value.t list
-
-  let equal = List.equal Value.equal
-  let hash key = List.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 key
-end)
-
-module VKey_table = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
-(* An index cell holds the tuples sharing one key value. Unique and
-   near-unique keys (the common case) stay in the compact [One]
-   representation — three words instead of a hash table per key — and
-   promote to a mutable tuple -> multiplicity table only when a second
-   distinct tuple arrives. Single-attribute indexes (keys, join
-   attributes) additionally skip the key-list allocation via a
-   Value-keyed table. *)
-type cell = One of one | Many of int Tuple.Tbl.t
-and one = { mutable ot : Tuple.t; mutable om : int }
-
-type entries =
-  | Single of { key1 : Tuple.t -> Value.t; stbl : cell VKey_table.t }
-  | Multi of { key : Tuple.t -> Value.t list; mtbl : cell Key_table.t }
-
-type index = { on : string list; entries : entries }
-
 type t = {
   name : string;
   schema : Schema.t;
   mutable bag : Bag.t;
-  indexes : index list;
+  indexes : Hash_index.t list;
 }
-
-let make_index on =
-  match on with
-  | [ a ] ->
-    { on; entries = Single { key1 = Tuple.keyer1 a; stbl = VKey_table.create 64 } }
-  | _ -> { on; entries = Multi { key = Tuple.keyer on; mtbl = Key_table.create 64 } }
 
 let create ?(indexes = []) ~name schema =
   let key = Schema.key schema in
@@ -64,97 +26,31 @@ let create ?(indexes = []) ~name schema =
             err "index on unknown attribute %S of table %s" a name)
         spec)
     index_specs;
-  { name; schema; bag = Bag.empty schema; indexes = List.map make_index index_specs }
+  {
+    name;
+    schema;
+    bag = Bag.empty schema;
+    indexes = List.map Hash_index.create index_specs;
+  }
 
 let name t = t.name
 let schema t = t.schema
 
-let tbl_add tb tuple mult =
-  let old = match Tuple.Tbl.find tb tuple with m -> m | exception Not_found -> 0 in
-  Tuple.Tbl.replace tb tuple (old + mult)
-
-let tbl_remove tb tuple mult =
-  match Tuple.Tbl.find tb tuple with
-  | exception Not_found -> ()
-  | m ->
-    if m > mult then Tuple.Tbl.replace tb tuple (m - mult)
-    else Tuple.Tbl.remove tb tuple
-
-let promote o tuple mult =
-  let tb = Tuple.Tbl.create 8 in
-  Tuple.Tbl.replace tb o.ot o.om;
-  Tuple.Tbl.replace tb tuple mult;
-  Many tb
-
-let cell_iter f = function
-  | One o -> f o.ot o.om
-  | Many tb -> Tuple.Tbl.iter f tb
-
-(* [One] counts update in place; new keys go through [add] (the miss
-   just told us the key is absent, so no bucket walk to replace) *)
-let index_add ix tuple mult =
-  match ix.entries with
-  | Single { key1; stbl } -> (
-    let k = key1 tuple in
-    match VKey_table.find stbl k with
-    | exception Not_found ->
-      VKey_table.add stbl k (One { ot = tuple; om = mult })
-    | One o ->
-      if Tuple.equal o.ot tuple then o.om <- o.om + mult
-      else VKey_table.replace stbl k (promote o tuple mult)
-    | Many tb -> tbl_add tb tuple mult)
-  | Multi { key; mtbl } -> (
-    let k = key tuple in
-    match Key_table.find mtbl k with
-    | exception Not_found -> Key_table.add mtbl k (One { ot = tuple; om = mult })
-    | One o ->
-      if Tuple.equal o.ot tuple then o.om <- o.om + mult
-      else Key_table.replace mtbl k (promote o tuple mult)
-    | Many tb -> tbl_add tb tuple mult)
-
-let index_remove ix tuple mult =
-  match ix.entries with
-  | Single { key1; stbl } -> (
-    let k = key1 tuple in
-    match VKey_table.find stbl k with
-    | exception Not_found -> ()
-    | One o ->
-      if Tuple.equal o.ot tuple then
-        if o.om > mult then o.om <- o.om - mult else VKey_table.remove stbl k
-    | Many tb ->
-      tbl_remove tb tuple mult;
-      if Tuple.Tbl.length tb = 0 then VKey_table.remove stbl k)
-  | Multi { key; mtbl } -> (
-    let k = key tuple in
-    match Key_table.find mtbl k with
-    | exception Not_found -> ()
-    | One o ->
-      if Tuple.equal o.ot tuple then
-        if o.om > mult then o.om <- o.om - mult else Key_table.remove mtbl k
-    | Many tb ->
-      tbl_remove tb tuple mult;
-      if Tuple.Tbl.length tb = 0 then Key_table.remove mtbl k)
-
 let insert ?(mult = 1) t tuple =
   t.bag <- Bag.add ~mult t.bag tuple;
-  List.iter (fun ix -> index_add ix tuple mult) t.indexes
+  List.iter (fun ix -> Hash_index.add ix tuple mult) t.indexes
 
 let delete ?(mult = 1) t tuple =
   let present = Bag.mult t.bag tuple in
   if present > 0 then begin
     let removed = min mult present in
     t.bag <- Bag.remove ~mult:removed t.bag tuple;
-    List.iter (fun ix -> index_remove ix tuple removed) t.indexes
+    List.iter (fun ix -> Hash_index.remove ix tuple removed) t.indexes
   end
 
 let clear t =
   t.bag <- Bag.empty t.schema;
-  List.iter
-    (fun ix ->
-      match ix.entries with
-      | Single { stbl; _ } -> VKey_table.reset stbl
-      | Multi { mtbl; _ } -> Key_table.reset mtbl)
-    t.indexes
+  List.iter Hash_index.reset t.indexes
 
 let load t bag =
   clear t;
@@ -173,39 +69,33 @@ let support_cardinal t = Bag.support_cardinal t.bag
 let mem t tuple = Bag.mem t.bag tuple
 let mult t tuple = Bag.mult t.bag tuple
 
-let has_index_on t attrs = List.exists (fun ix -> ix.on = attrs) t.indexes
+let has_index_on t attrs =
+  List.exists (fun ix -> Hash_index.on ix = attrs) t.indexes
 
-let find_index t attrs = List.find_opt (fun ix -> ix.on = attrs) t.indexes
+let find_index t attrs =
+  List.find_opt (fun ix -> Hash_index.on ix = attrs) t.indexes
 
-let cell_of_index ix values =
-  match ix.entries, values with
-  | Single { stbl; _ }, [ v ] -> VKey_table.find_opt stbl v
-  | Single _, _ ->
+let probe_index ix values f =
+  match Hash_index.probe ix values f with
+  | () -> ()
+  | exception Invalid_argument _ ->
     err "index probe: single-attribute index given %d values"
       (List.length values)
-  | Multi { mtbl; _ }, _ -> Key_table.find_opt mtbl values
 
 let probe t attrs values f =
   match find_index t attrs with
   | None ->
     err "probe: no index on (%s) of table %s" (String.concat ", " attrs) t.name
-  | Some ix -> (
+  | Some ix ->
     Eval.charge_tuple_ops 1;
-    match cell_of_index ix values with
-    | None -> ()
-    | Some cell -> cell_iter f cell)
+    probe_index ix values f
 
 let probe1 t attr value f =
   match find_index t [ attr ] with
   | None -> err "probe1: no index on %s of table %s" attr t.name
-  | Some ix -> (
+  | Some ix ->
     Eval.charge_tuple_ops 1;
-    match ix.entries with
-    | Single { stbl; _ } -> (
-      match VKey_table.find_opt stbl value with
-      | None -> ()
-      | Some cell -> cell_iter f cell)
-    | Multi _ -> assert false)
+    Hash_index.probe1 ix value f
 
 let lookup t attrs values =
   if List.length attrs <> List.length values then
@@ -217,14 +107,11 @@ let lookup t attrs values =
         err "lookup: unknown attribute %S of table %s" a t.name)
     attrs;
   match find_index t attrs with
-  | Some ix -> (
+  | Some ix ->
     Eval.charge_tuple_ops 1;
-    match cell_of_index ix values with
-    | None -> Bag.empty t.schema
-    | Some cell ->
-      let acc = ref (Bag.empty t.schema) in
-      cell_iter (fun tuple m -> acc := Bag.add ~mult:m !acc tuple) cell;
-      !acc)
+    let acc = ref (Bag.empty t.schema) in
+    probe_index ix values (fun tuple m -> acc := Bag.add ~mult:m !acc tuple);
+    !acc
   | None ->
     Eval.charge_tuple_ops (Bag.support_cardinal t.bag);
     let pred =
@@ -265,8 +152,7 @@ let delta_join ?(on = Predicate.True) ?filter d t =
              else Rel_delta.delete ~mult:(-m) !out merged)
         end
     in
-    (match ix.entries with
-    | Single _ ->
+    (if Hash_index.is_single ix then
       let key1 =
         match left_keys with [ a ] -> Tuple.keyer1 a | _ -> assert false
       in
@@ -275,7 +161,7 @@ let delta_join ?(on = Predicate.True) ?filter d t =
         (fun ta ma () ->
           probe1 t attr (key1 ta) (fun tb mb -> combine ta ma tb mb))
         d ()
-    | Multi _ ->
+    else
       let keyer = Tuple.keyer left_keys in
       Rel_delta.fold
         (fun ta ma () ->
@@ -287,17 +173,11 @@ type index_stats = { ix_on : string list; ix_distinct : int; ix_max_chain : int 
 type stats = { st_rows : int; st_support : int; st_indexes : index_stats list }
 
 let index_stats ix =
-  let chain = function One _ -> 1 | Many tb -> Tuple.Tbl.length tb in
-  let distinct, max_chain =
-    match ix.entries with
-    | Single { stbl; _ } ->
-      ( VKey_table.length stbl,
-        VKey_table.fold (fun _ c m -> max m (chain c)) stbl 0 )
-    | Multi { mtbl; _ } ->
-      ( Key_table.length mtbl,
-        Key_table.fold (fun _ c m -> max m (chain c)) mtbl 0 )
-  in
-  { ix_on = ix.on; ix_distinct = distinct; ix_max_chain = max_chain }
+  {
+    ix_on = Hash_index.on ix;
+    ix_distinct = Hash_index.distinct ix;
+    ix_max_chain = Hash_index.max_chain ix;
+  }
 
 let stats t =
   {

@@ -18,14 +18,15 @@ open Tutil
 (* --- the parametric fixture ------------------------------------------- *)
 
 (* Each backend exposes the same logical relation (schema_s, exported
-   as [i_relation]) and a way to insert/delete the tuple keyed by [k]
-   through its own mutation path. [i_quiesce] drives the engine far
-   enough for the mutation to be visible in the adapter's database. *)
+   as [i_relation]), loaded with [init] at version 0, and a way to
+   insert/delete one copy of a tuple through its own mutation path.
+   [i_quiesce] drives the engine far enough for the mutation to be
+   visible in the adapter's database. *)
 type inst = {
   i_adapter : Adapter.t;
   i_relation : string;
-  i_insert : int -> unit;
-  i_delete : int -> unit;
+  i_insert : Tuple.t -> unit;
+  i_delete : Tuple.t -> unit;
   i_quiesce : unit -> unit;
 }
 
@@ -38,51 +39,63 @@ let connect engine a =
     | Message.Update _ -> ()
     | Message.Answer (iv, ans) -> Engine.Ivar.fill engine iv ans)
 
-let relational_inst engine =
+let one f tuple = Multi_delta.singleton "S" (f (Rel_delta.empty schema_s) tuple)
+
+let relational_inst init engine =
   let db =
     Source_db.create ~engine ~name:"db" ~relations:[ ("S", schema_s) ]
       ~announce:Source_db.Immediate ()
   in
   let a = Adapter.relational db in
-  let delta f k =
-    Multi_delta.singleton "S" (f (Rel_delta.empty schema_s) (k_tuple k))
-  in
+  Option.iter (Adapter.load a "S") init;
   connect engine a;
   {
     i_adapter = a;
     i_relation = "S";
-    i_insert = (fun k -> Adapter.commit a (delta Rel_delta.insert k));
-    i_delete = (fun k -> Adapter.commit a (delta Rel_delta.delete k));
+    i_insert = (fun tuple -> Adapter.commit a (one Rel_delta.insert tuple));
+    i_delete = (fun tuple -> Adapter.commit a (one Rel_delta.delete tuple));
     i_quiesce = (fun () -> Engine.run engine);
   }
 
-let triple_inst engine =
+let triple_inst init engine =
   let ts =
     Triple_store.create ~engine ~name:"db" ~relations:[ ("S", schema_s) ]
       ~announce:Source_db.Immediate ()
   in
-  let ids = Hashtbl.create 8 in
+  (* live entity ids per inserted tuple; a delete retracts the newest,
+     or (for a loaded tuple) goes through the relational face *)
+  let ids = Tuple.Tbl.create 8 in
   let a = Adapter.triple ts in
+  Option.iter (Adapter.load a "S") init;
   connect engine a;
   {
     i_adapter = a;
     i_relation = "S";
     i_insert =
-      (fun k ->
-        let id = Triple_store.put ts ~relation:"S" (Tuple.to_list (k_tuple k)) in
-        Hashtbl.replace ids k id);
-    i_delete = (fun k -> Triple_store.delete ts (Hashtbl.find ids k));
+      (fun tuple ->
+        let id = Triple_store.put ts ~relation:"S" (Tuple.to_list tuple) in
+        Tuple.Tbl.replace ids tuple
+          (id :: Option.value ~default:[] (Tuple.Tbl.find_opt ids tuple)));
+    i_delete =
+      (fun tuple ->
+        match Tuple.Tbl.find_opt ids tuple with
+        | Some (id :: rest) ->
+          Tuple.Tbl.replace ids tuple rest;
+          Triple_store.delete ts id
+        | Some [] | None -> Adapter.commit a (one Rel_delta.delete tuple));
     i_quiesce = (fun () -> Engine.run engine);
   }
 
 (* child mediator over one relational source, exporting S identically;
    mutations are commits at the child's own source, surfaced in the
    mirror after the child's update transaction runs *)
-let mediator_inst engine =
+let mediator_inst init engine =
   let db =
     Source_db.create ~engine ~name:"dbS" ~relations:[ ("S", schema_s) ]
       ~announce:Source_db.Immediate ()
   in
+  let src = Adapter.relational db in
+  Option.iter (Adapter.load src "S") init;
   let b =
     Vdp.Builder.create
       ~source_of:(function "S" -> Some "dbS" | _ -> None)
@@ -101,22 +114,18 @@ let mediator_inst engine =
   Engine.run engine ~until:1.0;
   let ms = Med_source.create child in
   let quiesce () = Engine.run engine ~until:(Engine.now engine +. 5.0) in
-  let delta f k =
-    Multi_delta.singleton "S" (f (Rel_delta.empty schema_s) (k_tuple k))
-  in
-  let src = Adapter.relational db in
   let a = Adapter.mirror (Med_source.source_db ms) in
   connect engine a;
   {
     i_adapter = a;
     i_relation = "E";
     i_insert =
-      (fun k ->
-        Adapter.commit src (delta Rel_delta.insert k);
+      (fun tuple ->
+        Adapter.commit src (one Rel_delta.insert tuple);
         quiesce ());
     i_delete =
-      (fun k ->
-        Adapter.commit src (delta Rel_delta.delete k);
+      (fun tuple ->
+        Adapter.commit src (one Rel_delta.delete tuple);
         quiesce ());
     i_quiesce = quiesce;
   }
@@ -132,7 +141,7 @@ let backends =
 
 let test_identity mk () =
   let engine = Engine.create () in
-  let i = mk engine in
+  let i = mk None engine in
   let a = Adapter.db i.i_adapter in
   Alcotest.(check bool) "kind nonempty" true (Adapter.kind i.i_adapter <> "");
   Alcotest.(check bool)
@@ -147,15 +156,15 @@ let test_identity mk () =
    mutations exactly *)
 let test_version_cadence mk () =
   let engine = Engine.create () in
-  let i = mk engine in
+  let i = mk None engine in
   let a = Adapter.db i.i_adapter in
   let v0 = Source_db.version a in
-  i.i_insert 1;
+  i.i_insert (k_tuple 1);
   i.i_quiesce ();
   Alcotest.(check int) "one version per insert" (v0 + 1) (Source_db.version a);
-  i.i_insert 2;
+  i.i_insert (k_tuple 2);
   i.i_quiesce ();
-  i.i_delete 1;
+  i.i_delete (k_tuple 1);
   i.i_quiesce ();
   Alcotest.(check int) "three versions" (v0 + 3) (Source_db.version a);
   check_bag "current reflects all mutations"
@@ -164,12 +173,12 @@ let test_version_cadence mk () =
 
 let test_history mk () =
   let engine = Engine.create () in
-  let i = mk engine in
+  let i = mk None engine in
   let a = Adapter.db i.i_adapter in
   let v0 = Source_db.version a in
-  i.i_insert 1;
+  i.i_insert (k_tuple 1);
   i.i_quiesce ();
-  i.i_insert 2;
+  i.i_insert (k_tuple 2);
   i.i_quiesce ();
   let vn = Source_db.version a in
   Alcotest.(check int)
@@ -193,10 +202,10 @@ let test_history mk () =
    reflects *)
 let test_poll mk () =
   let engine = Engine.create () in
-  let i = mk engine in
+  let i = mk None engine in
   let a = Adapter.db i.i_adapter in
-  i.i_insert 1;
-  i.i_insert 2;
+  i.i_insert (k_tuple 1);
+  i.i_insert (k_tuple 2);
   i.i_quiesce ();
   let result = ref None in
   Engine.spawn engine (fun () ->
@@ -217,7 +226,7 @@ let test_poll mk () =
 
 let test_outage_refusal mk () =
   let engine = Engine.create () in
-  let i = mk engine in
+  let i = mk None engine in
   let a = Adapter.db i.i_adapter in
   let now = Engine.now engine in
   Source_db.set_outages a [ (now +. 1.0, now +. 3.0) ];
@@ -241,7 +250,7 @@ let test_outage_refusal mk () =
 
 let test_outage_black_hole mk () =
   let engine = Engine.create () in
-  let i = mk engine in
+  let i = mk None engine in
   let a = Adapter.db i.i_adapter in
   let now = Engine.now engine in
   Source_db.set_outages a ~mode:Source_db.Black_hole [ (now, now +. 60.0) ];
@@ -261,10 +270,127 @@ let test_outage_black_hole mk () =
   | Some (Ok _) -> Alcotest.fail "expected a timeout through the black hole"
   | None -> Alcotest.fail "poll did not complete"
 
+(* --- keyed polls ---------------------------------------------------------- *)
+
+(* the answers of [queries], polled in one source transaction *)
+let poll_results engine a ?keys queries =
+  let result = ref None in
+  Engine.spawn engine (fun () ->
+      result := Some (Source_db.try_poll a ?keys queries));
+  Engine.run engine ~until:(Engine.now engine +. 30.0);
+  match !result with
+  | Some (Ok ans) -> ans.Message.results
+  | Some (Error e) -> Alcotest.fail (Source_db.poll_error_to_string e)
+  | None -> Alcotest.fail "poll did not complete"
+
+let s_row s1 s2 =
+  Tuple.of_list [ ("s1", v_int s1); ("s2", s2); ("s3", v_int (s1 mod 3)) ]
+
+(* the key column s2 holds Null and repeated values; Float 10. equals
+   Int 10 under Value.equal, a Null key matches nothing, 999 has no
+   rows *)
+let s2_values = Value.[ Null; Int 0; Int 10; Int 20; Int 30 ]
+
+let key_sets =
+  Value.
+    [
+      [ Int 10 ];
+      [ Float 10. ];
+      [ Null ];
+      [ Int 999 ];
+      [ Int 0; Int 20 ];
+      [ Int 10; Float 10.; Null; Int 30 ];
+    ]
+
+let in_keys attr ks =
+  Predicate.disj
+    (List.map (fun v -> Predicate.eq (Predicate.attr attr) (Predicate.Const v)) ks)
+
+(* per key set, the same query asked unkeyed and keyed: a plain
+   selection, and one through a rename and a projection (the key still
+   names the base column) *)
+let keyed_queries rel =
+  List.concat
+    (List.mapi
+       (fun i ks ->
+         let plain = Expr.select (in_keys "s2" ks) (Expr.base rel) in
+         let renamed =
+           Expr.project [ "t2"; "s3" ]
+             (Expr.select (in_keys "t2" ks)
+                (Expr.rename [ ("s2", "t2") ] (Expr.base rel)))
+         in
+         let key =
+           { Source_db.k_relation = rel; k_column = "s2"; k_values = ks }
+         in
+         [
+           (Printf.sprintf "plain%d" i, plain, key);
+           (Printf.sprintf "renamed%d" i, renamed, key);
+         ])
+       key_sets)
+
+(* Over a random insert/delete stream, a keyed poll answers exactly what
+   the unkeyed poll of the same query answers, at every version from
+   the load on: multiplicities above one, partial deletes, Null in the
+   key column, Int/Float keys, keys without rows, multi-key sets. The
+   index is built by the first keyed poll (version 0) and must follow
+   every later commit. *)
+let test_keyed_poll mk () =
+  let engine = Engine.create () in
+  let init =
+    Bag.add ~mult:2
+      (Bag.of_tuples schema_s [ s_row 1 (v_int 10); s_row 2 Value.Null ])
+      (s_row 3 (v_int 10))
+  in
+  let i = mk (Some init) engine in
+  let a = Adapter.db i.i_adapter in
+  let qs = keyed_queries i.i_relation in
+  let unkeyed = List.map (fun (l, e, _) -> ("u_" ^ l, e)) qs in
+  let keyed = List.map (fun (l, e, _) -> ("k_" ^ l, e)) qs in
+  let keys = List.map (fun (l, _, k) -> ("k_" ^ l, k)) qs in
+  (* the keyed answers at the current version, each checked against
+     its unkeyed twin *)
+  let check_version () =
+    let res = poll_results engine a ~keys (unkeyed @ keyed) in
+    List.iter
+      (fun (l, _, _) ->
+        check_bag
+          (Printf.sprintf "%s at v%d" l (Source_db.version a))
+          (List.assoc ("u_" ^ l) res)
+          (List.assoc ("k_" ^ l) res))
+      qs;
+    res
+  in
+  let rows_keyed_10 res = Bag.cardinal (List.assoc "k_plain0" res) in
+  Alcotest.(check (list (pair string string)))
+    "no index before a keyed poll" [] (Source_db.indexed a);
+  Alcotest.(check int) "v0: three rows keyed 10" 3 (rows_keyed_10 (check_version ()));
+  Alcotest.(check (list (pair string string)))
+    "one index, on the named column"
+    [ (i.i_relation, "s2") ]
+    (Source_db.indexed a);
+  (* a partial delete: one of the two copies *)
+  i.i_delete (s_row 3 (v_int 10));
+  i.i_quiesce ();
+  Alcotest.(check int)
+    "partial delete: two rows keyed 10" 2
+    (rows_keyed_10 (check_version ()));
+  let rng = Random.State.make [| 15 |] in
+  for _ = 1 to 30 do
+    let present = Bag.support (Source_db.current a i.i_relation) in
+    (if present = [] || Random.State.int rng 5 < 3 then
+       i.i_insert
+         (s_row (1 + Random.State.int rng 4)
+            (List.nth s2_values (Random.State.int rng (List.length s2_values))))
+     else
+       i.i_delete (List.nth present (Random.State.int rng (List.length present))));
+    i.i_quiesce ();
+    ignore (check_version ())
+  done
+
 (* the mediator-backed source is read-only upstream *)
 let test_mediator_read_only () =
   let engine = Engine.create () in
-  let i = mediator_inst engine in
+  let i = mediator_inst None engine in
   let delta =
     Multi_delta.singleton "E"
       (Rel_delta.insert (Rel_delta.empty schema_s) (k_tuple 9))
@@ -430,6 +556,7 @@ let () =
       ("versions", conformance "version cadence" test_version_cadence);
       ("history", conformance "history" test_history);
       ("poll", conformance "poll" test_poll);
+      ("keyed poll", conformance "keyed = unkeyed" test_keyed_poll);
       ("outage refusal", conformance "refusal" test_outage_refusal);
       ("outage black hole", conformance "black hole" test_outage_black_hole);
       ( "read-only upstream",

@@ -250,22 +250,67 @@ let check_one_restricted_poll med ~before ~rows what =
   Alcotest.(check int)
     (what ^ ": ships |σ_{r2=k} R′| tuples") rows (tuples1 - tuples0)
 
+(* the tuple ops of the vap spans recorded since [before] of them *)
+let new_vap_ops med ~before =
+  List.filteri (fun i _ -> i >= before) (Obs.Trace.find (Mediator.trace med) ~name:"vap")
+  |> List.map (fun sp -> sp.Obs.Trace.ops)
+
+let indexed env src = Source_db.indexed (Adapter.db (Scenario.source env src))
+
+(* The restricted poll names its key r2 ∈ {k}, so db1 probes an index
+   on R.r2 instead of scanning R: the vap span costs the probed rows
+   plus one op per key, not |R|. *)
 let test_ex22_s_update_polls_joining_rows () =
   let env, med = setup_fig1_sized () in
   let db2 = Scenario.source env "db2" in
   let victim, rows = busiest_s env in
   let k = match Tuple.get victim "s1" with Value.Int k -> k | _ -> -1 in
+  let r = Adapter.current (Scenario.source env "db1") "R" in
+  let r_rows = Bag.cardinal (Bag.select Predicate.(eq (attr "r2") (int k)) r) in
+  let r_size = Bag.cardinal r in
   Alcotest.(check bool) "the key joins several R′ rows" true (rows >= 2);
+  (* the compiled chain π σ_key (π σ_{r4=100} R) charges one op per
+     step a row enters (at most four), plus one per key probed; a scan
+     would charge every row of R at least once *)
+  let check_probed what ~before =
+    match new_vap_ops med ~before with
+    | [ ops ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: vap ops %d ≤ 4·|σ_{r2=k} R| + |keys| = %d" what ops
+           ((4 * r_rows) + 1))
+        true
+        (ops <= (4 * r_rows) + 1 && ops < r_size)
+    | l -> Alcotest.failf "%s: %d vap spans" what (List.length l)
+  in
   let before = poll_counts med in
+  let vaps = List.length (Obs.Trace.find (Mediator.trace med) ~name:"vap") in
   Adapter.commit db2 (Driver.single_delete db2 "S" victim);
   Scenario.run_to_quiescence env med;
   check_one_restricted_poll med ~before ~rows "S′ delete";
+  check_probed "S′ delete" ~before:vaps;
+  Alcotest.(check (list (pair string string)))
+    "db1 indexed R.r2" [ ("R", "r2") ] (indexed env "db1");
   let before = poll_counts med in
+  let vaps = List.length (Obs.Trace.find (Mediator.trace med) ~name:"vap") in
   commit_fresh_s env ~s1:k ~s2:1 ~s3:2;
   Scenario.run_to_quiescence env med;
   check_one_restricted_poll med ~before ~rows "S′ insert";
+  check_probed "S′ insert" ~before:vaps;
   let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
   Tutil.check_bag "T maintained" (recompute env "T") answer;
+  ignore (check_consistent env med)
+
+(* initialization and an unconditioned query on the hybrid T of
+   Example 2.3 poll unrestricted: they name no key, so the sources
+   build no index *)
+let test_unrestricted_polls_build_no_index () =
+  let env, med = setup_fig1 Scenario.ann_ex23 in
+  let polls0, _ = poll_counts med in
+  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "T = recompute" (recompute env "T") answer;
+  Alcotest.(check bool) "the query polled" true (fst (poll_counts med) > polls0);
+  Alcotest.(check (list (pair string string))) "no index at db1" [] (indexed env "db1");
+  Alcotest.(check (list (pair string string))) "no index at db2" [] (indexed env "db2");
   ignore (check_consistent env med)
 
 (* The restricted poll answers from db1's current state while an R
@@ -1176,6 +1221,7 @@ let () =
           Alcotest.test_case "key-based construction" `Quick test_ex23_virtual_attr_key_based;
           Alcotest.test_case "general construction fallback" `Quick test_ex23_key_based_disabled_polls_both;
           Alcotest.test_case "maintenance under updates" `Quick test_ex23_maintenance_with_updates;
+          Alcotest.test_case "unrestricted polls build no index" `Quick test_unrestricted_polls_build_no_index;
         ] );
       ( "example 5.1 (difference + non-equi join)",
         [

@@ -471,6 +471,69 @@ let prop_set_diff_set_semantics =
       Bag.is_set d
       && List.for_all (fun t -> not (Bag.mem b t)) (Bag.support d))
 
+(* Bag.select against the predicate interpreter over a schema mixing
+   Int, Float and string columns, Null in each: compiled selection must
+   keep exactly the tuples [Predicate.eval] keeps *)
+let schema_x =
+  Schema.make [ ("a", Value.TInt); ("b", Value.TFloat); ("c", Value.TStr) ]
+
+let x_values = function
+  | "a" -> Value.[ Null; Int 0; Int 1; Int 2 ]
+  | "b" -> Value.[ Null; Float 0.; Float 1.; Float 1.5 ]
+  | _ -> Value.[ Null; Str ""; Str "x"; Str "y" ]
+
+let x_bag_gen =
+  let open QCheck2.Gen in
+  let column a = oneofl (x_values a) in
+  let tuple =
+    map3
+      (fun a b c -> Tuple.of_list [ ("a", a); ("b", b); ("c", c) ])
+      (column "a") (column "b") (column "c")
+  in
+  list_size (int_range 0 12) tuple >|= Bag.of_tuples schema_x
+
+let pred_gen =
+  let open QCheck2.Gen in
+  let term =
+    oneof
+      [
+        oneofl (List.map Predicate.attr [ "a"; "b"; "c" ]);
+        map
+          (fun v -> Predicate.Const v)
+          (oneofl (x_values "a" @ x_values "b" @ x_values "c"));
+      ]
+  in
+  let atom =
+    oneof
+      [
+        map3
+          (fun c l r -> Predicate.Cmp (c, l, r))
+          (oneofl Predicate.[ Eq; Ne; Lt; Le; Gt; Ge ])
+          term term;
+        oneofl Predicate.[ True; False ];
+      ]
+  in
+  int_range 0 3
+  >>= fix (fun self n ->
+          if n = 0 then atom
+          else
+            oneof
+              [
+                atom;
+                map2 (fun p q -> Predicate.And (p, q)) (self (n - 1)) (self (n - 1));
+                map2 (fun p q -> Predicate.Or (p, q)) (self (n - 1)) (self (n - 1));
+                map (fun p -> Predicate.Not p) (self (n - 1));
+              ])
+
+let prop_select_matches_eval =
+  qtest ~count:500 "select = filter by Predicate.eval"
+    QCheck2.Gen.(pair pred_gen x_bag_gen)
+    (fun (p, b) -> Bag.equal (Bag.select p b) (Bag.filter (Predicate.eval p) b))
+
+let prop_select_true_shares =
+  qtest "select True returns its input" x_bag_gen (fun b ->
+      Bag.select Predicate.True b == b)
+
 let () =
   Alcotest.run "relalg"
     [
@@ -543,5 +606,7 @@ let () =
           prop_select_partition;
           prop_join_commutes;
           prop_set_diff_set_semantics;
+          prop_select_matches_eval;
+          prop_select_true_shares;
         ] );
     ]

@@ -157,6 +157,42 @@ let test_poll_single_state () =
     Alcotest.(check int) "low" 1 (Bag.cardinal (List.assoc "low" a.Message.results))
   | None -> Alcotest.fail "no answer"
 
+(* a keyed poll's index is built from the relation it first reads, so
+   a reload (still version 0) must drop it; an unkeyed poll builds
+   none, and a key on an unknown column is refused *)
+let test_keyed_poll_after_reload () =
+  let engine = Engine.create () in
+  let src = mk_source engine in
+  Source_db.load src "S" (Bag.of_tuples schema_s [ s_tuple 1 2 3 ]);
+  let _ = collect_updates engine src in
+  let keyed column v =
+    let q = Expr.select Predicate.(eq (attr "s2") (int v)) (Expr.base "S") in
+    let key =
+      { Source_db.k_relation = "S"; k_column = column; k_values = [ Value.Int v ] }
+    in
+    match Source_db.try_poll src ~keys:[ ("q", key) ] [ ("q", q) ] with
+    | Ok a -> Bag.cardinal (List.assoc "q" a.Message.results)
+    | Error e -> Alcotest.fail (Source_db.poll_error_to_string e)
+  in
+  let counts = ref [] and refused = ref false in
+  Engine.spawn engine (fun () ->
+      ignore (poll src [ ("all", Expr.base "S") ]);
+      counts := [ List.length (Source_db.indexed src) ];
+      counts := keyed "s2" 2 :: !counts;
+      Source_db.load src "S" (Bag.of_tuples schema_s [ s_tuple 4 2 6; s_tuple 5 2 6 ]);
+      counts := List.length (Source_db.indexed src) :: !counts;
+      counts := keyed "s2" 2 :: !counts;
+      refused :=
+        try
+          ignore (keyed "zz" 2);
+          false
+        with Source_db.Source_error _ -> true);
+  Engine.run engine;
+  Alcotest.(check (list int))
+    "no index unkeyed; 1 row; index dropped; 2 rows" [ 0; 1; 0; 2 ]
+    (List.rev !counts);
+  Alcotest.(check bool) "unknown key column refused" true !refused
+
 let test_poll_flushes_pending_first () =
   (* the ECA precondition: with Periodic announcements, a poll must
      push the staged net delta onto the channel before answering, and
@@ -373,6 +409,7 @@ let () =
       ( "polling",
         [
           Alcotest.test_case "single-state batch" `Quick test_poll_single_state;
+          Alcotest.test_case "keyed poll after reload" `Quick test_keyed_poll_after_reload;
           Alcotest.test_case "flush before answer" `Quick test_poll_flushes_pending_first;
           Alcotest.test_case "ordered after racing updates" `Quick test_poll_answer_ordered_after_updates;
           Alcotest.test_case "atomic version stamp (regression)" `Quick test_poll_atomic_version_stamp;
