@@ -62,13 +62,10 @@ let ops_total r = r.a_ops_update + r.a_ops_query + r.a_ops_migrate
 let run_variant ~label ~adaptive ~annotation_of () =
   let env = Scenario.make_fig1 ~seed ~r_size:150 ~s_size:60 () in
   let med =
-    Scenario.mediator env
+    Scenario.start env
       ~annotation:(annotation_of env.Scenario.vdp)
       ~config:(Med.Config.make ~op_time:0.0 ())
-      ()
   in
-  Engine.spawn env.Scenario.engine (fun () -> Mediator.initialize med);
-  Engine.run env.Scenario.engine ~until:1.0;
   let policy =
     if adaptive then begin
       let p = Adapt.Policy.create ~config:policy_config med in

@@ -26,13 +26,10 @@ let e1 () =
       (fun size ->
         let env = Scenario.make_fig1 ~seed:1 ~r_size:size ~s_size:(size / 2) () in
         let med =
-          Scenario.mediator env
+          Scenario.start env
             ~annotation:(Scenario.ann_ex21 env.Scenario.vdp)
             ~config:(Med.Config.make ~op_time:0.0 ())
-            ()
         in
-        Engine.spawn env.Scenario.engine (fun () -> Mediator.initialize med);
-        Engine.run env.Scenario.engine ~until:1.0;
         (* recompute cost: one evaluation of the expanded view *)
         Eval.reset_tuple_ops ();
         let t_value = Harness.recompute env "T" in
@@ -78,11 +75,7 @@ let e1 () =
 
 let e2_run ~annotation_of ~r_updates ~s_updates =
   let env = Scenario.make_fig1 ~seed:3 () in
-  let med =
-    Scenario.mediator env ~annotation:(annotation_of env.Scenario.vdp) ()
-  in
-  Engine.spawn env.Scenario.engine (fun () -> Mediator.initialize med);
-  Engine.run env.Scenario.engine ~until:1.0;
+  let med = Scenario.start env ~annotation:(annotation_of env.Scenario.vdp) in
   let polls0 = (Obs.Metrics.value (Mediator.stats med).Med.polls) in
   let tuples0 = (Obs.Metrics.value (Mediator.stats med).Med.polled_tuples) in
   let rng = Datagen.state 4 in
@@ -154,11 +147,8 @@ let e3_query ~key_based ~attrs ~cond =
   let env = Scenario.make_fig1 ~seed:5 () in
   let config = Med.Config.make ~key_based_enabled:key_based ~op_time:0.0 () in
   let med =
-    Scenario.mediator env ~annotation:(Scenario.ann_ex23 env.Scenario.vdp)
-      ~config ()
+    Scenario.start env ~annotation:(Scenario.ann_ex23 env.Scenario.vdp) ~config
   in
-  Engine.spawn env.Scenario.engine (fun () -> Mediator.initialize med);
-  Engine.run env.Scenario.engine ~until:1.0;
   let polls0 = (Obs.Metrics.value (Mediator.stats med).Med.polls) in
   let tuples0 = (Obs.Metrics.value (Mediator.stats med).Med.polled_tuples) in
   let answer = ref None in
@@ -286,8 +276,8 @@ let e5 () =
   section "E5  Example 5.1 / Figure 4: hybrid vs the two extremes";
   let load =
     {
-      Harness.default_load with
-      Harness.l_updates_per_rel = 8;
+      Scenario.default_load with
+      Scenario.l_updates_per_rel = 8;
       l_queries = 12;
     }
   in
@@ -346,8 +336,8 @@ let e6 () =
   in
   let load =
     {
-      Harness.default_load with
-      Harness.l_updates_per_rel = 12;
+      Scenario.default_load with
+      Scenario.l_updates_per_rel = 12;
       l_queries = 8;
       l_update_interval = 0.21;
       l_query_interval = 0.47;
@@ -401,7 +391,7 @@ let e6 () =
                 let o =
                   Harness.run_squirrel ~config ~seed ~extra
                     ~make_env:(fun seed -> Scenario.make_fig1 ~seed ())
-                    ~rels:Harness.fig1_rels ~specs:Scenario.fig1_update_specs
+                    ~updates:Harness.fig1_sc.Scenario.sc_updates
                     ~annotation_of:ann ~query_sets ~query_node:"T" ~load ()
                 in
                 if o.Harness.r_consistent then incr consistent_runs;
@@ -452,8 +442,8 @@ let e7 () =
         let config = Med.Config.make ~flush_interval:flush ~op_time:0.0 () in
         let load =
           {
-            Harness.default_load with
-            Harness.l_updates_per_rel = 15;
+            Scenario.default_load with
+            Scenario.l_updates_per_rel = 15;
             l_update_interval = 0.3;
             l_queries = 15;
             l_query_interval = 0.33;
@@ -461,7 +451,7 @@ let e7 () =
         in
         let o =
           Harness.run_squirrel ~config ~seed:7 ~make_env
-            ~rels:Harness.fig1_rels ~specs:Scenario.fig1_update_specs
+            ~updates:Harness.fig1_sc.Scenario.sc_updates
             ~annotation_of:Scenario.ann_ex21
             ~query_sets:[ ([ "r1"; "s1" ], Predicate.True) ]
             ~query_node:"T" ~load ()
@@ -530,8 +520,8 @@ let e8 () =
       (fun (mix_name, updates, queries) ->
         let load =
           {
-            Harness.default_load with
-            Harness.l_updates_per_rel = updates;
+            Scenario.default_load with
+            Scenario.l_updates_per_rel = updates;
             l_queries = queries;
           }
         in
@@ -544,7 +534,7 @@ let e8 () =
                 | `Shipper ->
                   Harness.run_shipper
                     ~make_env:(fun seed -> Scenario.make_fig1 ~seed ())
-                    ~rels:Harness.fig1_rels ~specs:Scenario.fig1_update_specs
+                    ~updates:Harness.fig1_sc.Scenario.sc_updates
                     ~query_attrs:[ "r1"; "s1" ] ~query_node:"T" ~load ()
               in
               (name, Harness.total_cost o))
@@ -609,7 +599,11 @@ let e9 () =
     ]
   in
   let load =
-    { Harness.default_load with Harness.l_updates_per_rel = 8; l_queries = 10 }
+    {
+      Scenario.default_load with
+      Scenario.l_updates_per_rel = 8;
+      l_queries = 10;
+    }
   in
   let rows =
     List.map

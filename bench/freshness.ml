@@ -59,12 +59,9 @@ let run_maintenance ~selfmaint =
     else base
   in
   let med =
-    Scenario.mediator env ~annotation
+    Scenario.start env ~annotation
       ~config:(Med.Config.make ~op_time:1e-4 ~delays ())
-      ()
   in
-  Engine.spawn env.Scenario.engine (fun () -> Mediator.initialize med);
-  Engine.run env.Scenario.engine ~until:1.0;
   let s = Mediator.stats med in
   (* steady state starts here: initialization polls are excluded *)
   let polls0 = Obs.Metrics.value s.Med.polls in
@@ -114,13 +111,10 @@ let run_slo ~label ~max_staleness ~outage =
     Scenario.make_fig1 ~seed:(seed + 14) ~announce:(Source_db.Periodic 4.0) ()
   in
   let med =
-    Scenario.mediator env
+    Scenario.start env
       ~annotation:(Scenario.ann_ex21 env.Scenario.vdp)
       ~config:(Med.Config.make ~op_time:0.0 ~delays ())
-      ()
   in
-  Engine.spawn env.Scenario.engine (fun () -> Mediator.initialize med);
-  Engine.run env.Scenario.engine ~until:1.0;
   if outage then
     Source_db.set_outages
       (Adapter.db (Scenario.source env "db1"))

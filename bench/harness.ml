@@ -10,23 +10,6 @@ open Squirrel
 open Correctness
 open Workload
 
-type load = {
-  l_updates_per_rel : int;
-  l_update_interval : float;
-  l_queries : int;
-  l_query_interval : float;
-  l_delete_fraction : float;
-}
-
-let default_load =
-  {
-    l_updates_per_rel = 10;
-    l_update_interval = 0.3;
-    l_queries = 10;
-    l_query_interval = 0.5;
-    l_delete_fraction = 0.25;
-  }
-
 type outcome = {
   r_polls : int;
   r_polled_tuples : int;
@@ -45,48 +28,19 @@ type outcome = {
   r_max_staleness : (string * float) list;
 }
 
-let spawn_updates env ~rng ~load ~rels ~specs =
-  List.iter
-    (fun (src_name, rel) ->
-      if load.l_updates_per_rel > 0 then
-        Driver.update_process ~rng ~src:(Scenario.source env src_name)
-          {
-            Driver.u_relation = rel;
-            u_interval = load.l_update_interval;
-            u_count = load.l_updates_per_rel;
-            u_delete_fraction = load.l_delete_fraction;
-            u_specs = specs rel;
-          })
-    rels
-
 (* run a Squirrel mediator under the load and report *)
 let run_squirrel ?(config = Med.Config.default) ?(seed = 42) ?extra ~make_env
-    ~rels ~specs ~annotation_of ~query_sets ~query_node ~load () =
+    ~updates ~annotation_of ~query_sets ~query_node ~load () =
   let env = make_env seed in
   let med =
-    Scenario.mediator env ~annotation:(annotation_of env.Scenario.vdp) ~config
-      ()
+    Scenario.start ~config env ~annotation:(annotation_of env.Scenario.vdp)
   in
-  Engine.spawn env.Scenario.engine (fun () -> Mediator.initialize med);
-  Engine.run env.Scenario.engine ~until:1.0;
   let init_stats = Mediator.stats med in
   let polls0 = Obs.Metrics.value init_stats.Med.polls in
   let polled0 = Obs.Metrics.value init_stats.Med.polled_tuples in
-  let rng = Datagen.state (seed * 17 + 3) in
-  spawn_updates env ~rng ~load ~rels ~specs;
-  (match extra with Some f -> f env | None -> ());
-  let _records =
-    if load.l_queries > 0 then
-      Driver.query_process ~rng ~med
-        {
-          Driver.q_node = query_node;
-          q_interval = load.l_query_interval;
-          q_count = load.l_queries;
-          q_attr_sets = query_sets;
-        }
-    else ref []
-  in
-  Scenario.run_to_quiescence env med;
+  Scenario.run_load ?extra
+    ~rng:(Datagen.state (seed * 17 + 3))
+    env med ~updates ~queries:(query_node, query_sets) load;
   let s = Mediator.stats med in
   let report =
     Checker.check ~vdp:env.Scenario.vdp ~sources:env.Scenario.sources
@@ -112,7 +66,7 @@ let run_squirrel ?(config = Med.Config.default) ?(seed = 42) ?extra ~make_env
   }
 
 (* run the pure query-shipping baseline under the same load *)
-let run_shipper ?(seed = 42) ~make_env ~rels ~specs ~query_attrs ~query_node
+let run_shipper ?(seed = 42) ~make_env ~updates ~query_attrs ~query_node
     ~load () =
   let env = make_env seed in
   let shipper =
@@ -120,18 +74,18 @@ let run_shipper ?(seed = 42) ~make_env ~rels ~specs ~query_attrs ~query_node
       ~vdp:env.Scenario.vdp ~sources:env.Scenario.sources ()
   in
   Baselines.Query_shipper.connect shipper ();
-  let rng = Datagen.state (seed * 17 + 3) in
-  spawn_updates env ~rng ~load ~rels ~specs;
+  Scenario.spawn_updates env ~rng:(Datagen.state (seed * 17 + 3)) updates load;
   Engine.spawn env.Scenario.engine (fun () ->
-      for _ = 1 to load.l_queries do
-        Engine.sleep env.Scenario.engine load.l_query_interval;
+      for _ = 1 to load.Scenario.l_queries do
+        Engine.sleep env.Scenario.engine load.Scenario.l_query_interval;
         ignore
           (Baselines.Query_shipper.query shipper ~node:query_node
              ~attrs:query_attrs ())
       done);
   let horizon =
-    (load.l_update_interval *. float_of_int load.l_updates_per_rel)
-    +. (load.l_query_interval *. float_of_int load.l_queries)
+    (load.Scenario.l_update_interval
+    *. float_of_int load.Scenario.l_updates_per_rel)
+    +. (load.Scenario.l_query_interval *. float_of_int load.Scenario.l_queries)
     +. 20.0
   in
   Engine.run env.Scenario.engine ~until:horizon;
@@ -164,23 +118,24 @@ let total_cost o =
   +. (5.0 *. float_of_int o.r_polled_tuples)
   +. (50.0 *. float_of_int o.r_messages)
 
-let fig1_rels = [ ("db1", "R"); ("db2", "S") ]
-let ex51_rels = [ ("dbA", "A"); ("dbB", "B"); ("dbC", "C"); ("dbD", "D") ]
+let entry name = Option.get (Scenario.find name)
+let fig1_sc = entry "fig1"
+let ex51_sc = entry "ex51"
 
-let fig1 ~annotation_of ?config ?seed ?(load = default_load)
+let fig1 ~annotation_of ?config ?seed ?(load = Scenario.default_load)
     ?(query_sets = [ ([ "r1"; "s1" ], Predicate.True) ]) () =
   run_squirrel ?config ?seed
-    ~make_env:(fun seed -> Scenario.make_fig1 ~seed ())
-    ~rels:fig1_rels ~specs:Scenario.fig1_update_specs ~annotation_of
-    ~query_sets ~query_node:"T" ~load ()
+    ~make_env:(fun seed -> fig1_sc.Scenario.sc_make ~seed)
+    ~updates:fig1_sc.Scenario.sc_updates ~annotation_of ~query_sets
+    ~query_node:"T" ~load ()
 
-let ex51 ~annotation_of ?config ?seed ?(load = default_load)
+let ex51 ~annotation_of ?config ?seed ?(load = Scenario.default_load)
     ?(query_sets = [ ([ "a1"; "b1" ], Predicate.True) ]) ?(query_node = "G") ()
     =
   run_squirrel ?config ?seed
-    ~make_env:(fun seed -> Scenario.make_ex51 ~seed ())
-    ~rels:ex51_rels ~specs:Scenario.ex51_update_specs ~annotation_of
-    ~query_sets ~query_node ~load ()
+    ~make_env:(fun seed -> ex51_sc.Scenario.sc_make ~seed)
+    ~updates:ex51_sc.Scenario.sc_updates ~annotation_of ~query_sets
+    ~query_node ~load ()
 
 let recompute env node =
   let env_fn leaf =

@@ -2,140 +2,86 @@
 
    Subcommands:
      describe   print the generated mediator (VDP, annotation,
-                rulebase, contributor kinds) for a named scenario
+                rulebase, contributor kinds) for a named scenario, or
+                with --dot the annotated VDP as Graphviz
      advise     run the Sec. 5.3 annotation advisor with given rates
-     simulate   run a scenario under load and print stats + the
-                consistency/freshness report
+     run        run a scenario under the standard load, check it
+                (exit 1 if INCONSISTENT), and print the reports
+                --report names, in this order: profile, metrics,
+                trace, stats (the default), freshness
+     query      pose one parsed query, optionally after some updates
      adapt      run a scenario under the adaptive annotation policy;
                 print migrations and the final annotation
-     profile    run a scenario under load and print the measured
-                workload profile
+     chaos      run one chaos-matrix cell (scenario, fault profile,
+                seed)
      federation run the sharded federation under a mixed workload and
                 print topology, routing counters, and a sample
                 scatter-gather answer's merged guarantee
      scenario   load a declarative .scn file (sources, views, hints,
                 loads, timed updates), run it, print every export and
                 the consistency verdict
-     scenarios  list available scenarios
+     scenarios  list the scenario catalogue: annotations (default
+                marked) and main query
 
    Examples:
-     squirrel describe fig1 --annotation ex23
+     squirrel describe fig1 --annotation ex23 --dot
      squirrel advise ex51 --hot-source dbB
-     squirrel simulate fig1 --annotation ex22 --updates 50 --queries 20
-     squirrel adapt fig1 --updates 400 --queries 60 --dot
-     squirrel profile retail --annotation hybrid *)
+     squirrel run fig1 --annotation ex22 --updates 50 --queries 20
+     squirrel run retail --report profile,metrics
+     squirrel run fig1 -a ex23 --report trace --jsonl trace.jsonl
+     squirrel adapt fig1 --updates 400 --queries 60 --dot *)
 
 open Cmdliner
 open Sim
 open Squirrel
 open Workload
 
-(* --- scenario registry ------------------------------------------------- *)
-
-type scenario_spec = {
-  sc_name : string;
-  sc_doc : string;
-  sc_make : int -> Scenario.env;
-  sc_annotations : (string * (Vdp.Graph.t -> Vdp.Annotation.t)) list;
-  sc_update_rels : (string * string) list; (* source, relation *)
-  sc_specs : string -> Datagen.column_spec list;
-  sc_query_node : string;
-}
-
-let scenarios =
-  [
-    {
-      sc_name = "fig1";
-      sc_doc = "Figure 1: T over R and S (Examples 2.1-2.3)";
-      sc_make = (fun seed -> Scenario.make_fig1 ~seed ());
-      sc_annotations =
-        [
-          ("ex21", Scenario.ann_ex21);
-          ("ex22", Scenario.ann_ex22);
-          ("ex23", Scenario.ann_ex23);
-          ("virtual", Baselines.Annotations.virtual_all);
-          ("warehouse", Baselines.Annotations.warehouse);
-        ];
-      sc_update_rels = [ ("db1", "R"); ("db2", "S") ];
-      sc_specs = Scenario.fig1_update_specs;
-      sc_query_node = "T";
-    };
-    {
-      sc_name = "retail";
-      sc_doc = "Retail: union of regional orders joined with customers";
-      sc_make = (fun seed -> Scenario.make_retail ~seed ());
-      sc_annotations =
-        [
-          ("hybrid", Scenario.ann_retail_hybrid);
-          ("materialized", Baselines.Annotations.materialize_all);
-          ("virtual", Baselines.Annotations.virtual_all);
-          ("warehouse", Baselines.Annotations.warehouse);
-        ];
-      sc_update_rels =
-        [ ("dbEast", "OrdersE"); ("dbWest", "OrdersW"); ("dbCust", "Cust") ];
-      sc_specs = Scenario.retail_update_specs;
-      sc_query_node = "Premium";
-    };
-    {
-      sc_name = "federated";
-      sc_doc = "Federated retail: west region aligned by attribute renaming";
-      sc_make = (fun seed -> Scenario.make_federated ~seed ());
-      sc_annotations =
-        [
-          ("materialized", Baselines.Annotations.materialize_all);
-          ("virtual", Baselines.Annotations.virtual_all);
-          ("warehouse", Baselines.Annotations.warehouse);
-        ];
-      sc_update_rels = [ ("dbEast", "OrdersE"); ("dbWest", "OrdersW") ];
-      sc_specs = Scenario.federated_update_specs;
-      sc_query_node = "AllOrders";
-    };
-    {
-      sc_name = "ex51";
-      sc_doc = "Example 5.1 / Figure 4: exports E and G over A,B,C,D";
-      sc_make = (fun seed -> Scenario.make_ex51 ~seed ());
-      sc_annotations =
-        [
-          ("paper", Scenario.ann_ex51);
-          ("materialized", Baselines.Annotations.materialize_all);
-          ("virtual", Baselines.Annotations.virtual_all);
-          ("warehouse", Baselines.Annotations.warehouse);
-        ];
-      sc_update_rels =
-        [ ("dbA", "A"); ("dbB", "B"); ("dbC", "C"); ("dbD", "D") ];
-      sc_specs = Scenario.ex51_update_specs;
-      sc_query_node = "G";
-    };
-  ]
+(* --- arguments ---------------------------------------------------------- *)
 
 let find_scenario name =
-  match List.find_opt (fun s -> String.equal s.sc_name name) scenarios with
-  | Some s -> Ok s
+  match Scenario.find name with
+  | Some sc -> Ok sc
   | None ->
     Error
       (`Msg
          (Printf.sprintf "unknown scenario %S (try: %s)" name
-            (String.concat ", " (List.map (fun s -> s.sc_name) scenarios))))
+            (String.concat ", "
+               (List.map (fun sc -> sc.Scenario.sc_name) Scenario.catalogue))))
 
-let find_annotation spec name =
-  match List.assoc_opt name spec.sc_annotations with
-  | Some a -> Ok a
-  | None ->
-    Error
-      (`Msg
-         (Printf.sprintf "unknown annotation %S for %s (try: %s)" name
-            spec.sc_name
-            (String.concat ", " (List.map fst spec.sc_annotations))))
-
-(* --- arguments ---------------------------------------------------------- *)
+(* no --annotation picks the scenario's default, its first *)
+let find_annotation sc = function
+  | None -> Ok (snd (List.hd sc.Scenario.sc_annotations))
+  | Some name -> (
+    match Scenario.annotation sc name with
+    | Some a -> Ok a
+    | None ->
+      Error
+        (`Msg
+           (Printf.sprintf "unknown annotation %S for %s (try: %s)" name
+              sc.Scenario.sc_name
+              (String.concat ", " (List.map fst sc.Scenario.sc_annotations)))))
 
 let scenario_arg =
   let doc = "Scenario to operate on (see $(b,scenarios))." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc)
+  let scenario =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc)
+  in
+  Term.(term_result (const find_scenario $ scenario))
 
-let annotation_arg default =
-  let doc = "Annotation variant." in
-  Arg.(value & opt string default & info [ "annotation"; "a" ] ~docv:"NAME" ~doc)
+(* the scenario together with its chosen annotation *)
+let scenario_ann_arg =
+  let doc = "Annotation variant (default: the scenario's first)." in
+  let annotation =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "annotation"; "a" ] ~docv:"NAME" ~doc)
+  in
+  Term.(
+    term_result
+      (const (fun sc ann ->
+           Result.map (fun a -> (sc, a)) (find_annotation sc ann))
+      $ scenario_arg $ annotation))
 
 let seed_arg =
   let doc = "PRNG seed (runs are fully deterministic per seed)." in
@@ -147,6 +93,12 @@ let max_batch_arg =
      (1 = paper-faithful one transaction per pass)."
   in
   Arg.(value & opt int 64 & info [ "max-batch" ] ~docv:"N" ~doc)
+
+let updates_arg ~default ~doc =
+  Arg.(value & opt int default & info [ "updates"; "u" ] ~docv:"N" ~doc)
+
+let queries_arg ~default ~doc =
+  Arg.(value & opt int default & info [ "queries"; "q" ] ~docv:"N" ~doc)
 
 let setup_verbose verbose =
   if verbose then begin
@@ -160,69 +112,76 @@ let verbose_arg =
     & info [ "verbose"; "v" ]
         ~doc:"Trace mediator internals (transactions, rules, polling, ECA).")
 
+let check env med =
+  Correctness.Checker.check ~vdp:env.Scenario.vdp
+    ~sources:env.Scenario.sources ~events:(Mediator.events med) ()
+
+let print_correctness report =
+  let open Correctness.Checker in
+  Printf.printf "-- correctness --\n";
+  Printf.printf "queries checked   %d\n" report.checked_queries;
+  Printf.printf "verdict           %s\n"
+    (if consistent report then "CONSISTENT" else "INCONSISTENT");
+  List.iter
+    (fun v -> Printf.printf "violation: %s\n" v.v_detail)
+    report.violations
+
+(* an INCONSISTENT verdict fails the command with exit code 1 *)
+let exit_if_inconsistent what report =
+  if not (Correctness.Checker.consistent report) then begin
+    Printf.eprintf "squirrel: %s was inconsistent\n" what;
+    exit 1
+  end
+
 (* --- describe ----------------------------------------------------------- *)
 
 let describe_cmd =
-  let run scenario annotation seed =
-    match find_scenario scenario with
-    | Error e -> Error e
-    | Ok spec -> (
-      match find_annotation spec annotation with
-      | Error e -> Error e
-      | Ok ann_of ->
-        let env = spec.sc_make seed in
-        let med =
-          Scenario.mediator env ~annotation:(ann_of env.Scenario.vdp) ()
-        in
-        print_endline (Mediator.describe med);
-        Ok ())
+  let run (sc, ann_of) seed dot =
+    let env = sc.Scenario.sc_make ~seed in
+    let annotation = ann_of env.Scenario.vdp in
+    if dot then print_string (Vdp.Dot.render ~annotation env.Scenario.vdp)
+    else
+      print_endline (Mediator.describe (Scenario.mediator env ~annotation ()))
   in
-  let term =
-    Term.(
-      term_result
-        (const run $ scenario_arg
-        $ annotation_arg "ex21"
-        $ seed_arg))
+  let dot =
+    Arg.(
+      value & flag
+      & info [ "dot" ]
+          ~doc:
+            "Emit the annotated VDP as Graphviz (the paper's Figures 1/4) \
+             instead.")
   in
   Cmd.v
     (Cmd.info "describe" ~doc:"Print the generated mediator specification")
-    term
+    Term.(const run $ scenario_ann_arg $ seed_arg $ dot)
 
 (* --- advise ------------------------------------------------------------- *)
 
 let advise_cmd =
-  let run scenario hot_source hot_rate access_threshold seed =
-    match find_scenario scenario with
-    | Error e -> Error e
-    | Ok spec ->
-      let env = spec.sc_make seed in
-      let profile =
-        {
-          (Vdp.Cost.uniform_profile ()) with
-          Vdp.Cost.update_rate =
-            (fun rel ->
-              (* rate keyed by leaf relation; mark the hot source's
-                 relations *)
-              let hot =
-                List.exists
-                  (fun (src, r) ->
-                    String.equal src hot_source && String.equal r rel)
-                  spec.sc_update_rels
-              in
-              if hot then hot_rate else 1.0);
-        }
-      in
-      let config =
-        { Vdp.Advisor.default_config with access_threshold }
-      in
-      let ann, reasons =
-        Vdp.Advisor.advise ~config env.Scenario.vdp profile
-      in
-      print_endline "-- advisor reasoning --";
-      List.iter (fun r -> Printf.printf "  %s\n" r) reasons;
-      print_endline "-- advised annotation --";
-      print_endline (Vdp.Annotation.to_string ann);
-      Ok ()
+  let run sc hot_source hot_rate access_threshold seed =
+    let env = sc.Scenario.sc_make ~seed in
+    let profile =
+      {
+        (Vdp.Cost.uniform_profile ()) with
+        Vdp.Cost.update_rate =
+          (fun rel ->
+            (* rate keyed by leaf relation; mark the hot source's
+               relations *)
+            let hot =
+              List.exists
+                (fun (src, r, _) ->
+                  String.equal src hot_source && String.equal r rel)
+                sc.Scenario.sc_updates
+            in
+            if hot then hot_rate else 1.0);
+      }
+    in
+    let config = { Vdp.Advisor.default_config with access_threshold } in
+    let ann, reasons = Vdp.Advisor.advise ~config env.Scenario.vdp profile in
+    print_endline "-- advisor reasoning --";
+    List.iter (fun r -> Printf.printf "  %s\n" r) reasons;
+    print_endline "-- advised annotation --";
+    print_endline (Vdp.Annotation.to_string ann)
   in
   let hot_source =
     Arg.(
@@ -241,100 +200,191 @@ let advise_cmd =
       & info [ "access-threshold" ] ~docv:"F"
           ~doc:"Materialize export attributes accessed at least this often.")
   in
-  let term =
-    Term.(
-      term_result
-        (const run $ scenario_arg $ hot_source $ hot_rate $ access_threshold
-       $ seed_arg))
-  in
   Cmd.v
     (Cmd.info "advise" ~doc:"Run the Sec. 5.3 annotation advisor")
-    term
+    Term.(
+      const run $ scenario_arg $ hot_source $ hot_rate $ access_threshold
+      $ seed_arg)
 
-(* --- simulate ------------------------------------------------------------ *)
+(* --- run ---------------------------------------------------------------- *)
 
-let simulate_cmd =
-  let run scenario annotation updates queries seed eca verbose =
+(* The catalogue scenario under the standard load: its update relations
+   at the default rates, its main query, quiesced. *)
+let run_standard (sc, ann_of) ?config ~updates ~queries seed =
+  let env = sc.Scenario.sc_make ~seed in
+  let med = Scenario.start ?config env ~annotation:(ann_of env.Scenario.vdp) in
+  let node, attrs = sc.Scenario.sc_query in
+  Scenario.run_load
+    ~rng:(Datagen.state (seed * 31))
+    env med ~updates:sc.Scenario.sc_updates
+    ~queries:(node, [ (attrs, Relalg.Predicate.True) ])
+    {
+      Scenario.default_load with
+      Scenario.l_updates_per_rel = updates;
+      l_queries = queries;
+    };
+  (env, med)
+
+let print_stats med report =
+  let s = Mediator.stats med in
+  let v = Obs.Metrics.value in
+  Printf.printf "-- stats --\n";
+  Printf.printf "update txs        %d\n" (v s.Med.update_txs);
+  Printf.printf "query txs         %d\n" (v s.Med.query_txs);
+  Printf.printf "  from store      %d\n" (v s.Med.queries_from_store);
+  Printf.printf "  key-based       %d\n" (v s.Med.key_based_constructions);
+  Printf.printf "polls             %d\n" (v s.Med.polls);
+  Printf.printf "tuples polled     %d\n" (v s.Med.polled_tuples);
+  Printf.printf "atoms propagated  %d\n" (v s.Med.propagated_atoms);
+  Printf.printf "temp relations    %d\n" (v s.Med.temps_built);
+  Printf.printf "ops (update)      %d\n" (v s.Med.ops_update);
+  Printf.printf "ops (query)       %d\n" (v s.Med.ops_query);
+  Printf.printf "store bytes       %d\n" (Mediator.store_bytes med);
+  print_correctness report;
+  List.iter
+    (fun (src, st) -> Printf.printf "staleness %-6s  %.3f\n" src st)
+    report.Correctness.Checker.max_staleness
+
+let print_profile med ~max_batch =
+  print_string (Adapt.Monitor.render_cumulative med);
+  let s = Mediator.stats med in
+  let v = Obs.Metrics.value in
+  Printf.printf
+    "\n\
+     answer cache: %d hits, %d misses, %d invalidations\n\
+     compiled plans: %d value, %d delta\n"
+    (v s.Med.cache_hits) (v s.Med.cache_misses)
+    (v s.Med.cache_invalidations)
+    (Relalg.Plan.compiled_plans ())
+    (Delta.Delta_plan.compiled_plans ());
+  Printf.printf
+    "\n\
+     -- batching (max_batch %d) --\n\
+     %d batches over %d update txs (mean %.2f tx/batch), %d annihilated +/- \
+     pairs\n"
+    max_batch (v s.Med.batches) (v s.Med.coalesced_txs)
+    (Adapt.Monitor.mean_batch med)
+    (v s.Med.annihilated_pairs);
+  let store = med.Med.store in
+  let table_names = List.sort compare (Storage.Store.table_names store) in
+  if table_names <> [] then begin
+    Printf.printf "\n-- table statistics --\n";
+    List.iter
+      (fun n ->
+        match Storage.Store.table_opt store n with
+        | Some tb ->
+          Format.printf "%-14s %a@." n Storage.Table.pp_stats
+            (Storage.Table.stats tb)
+        | None -> ())
+      table_names
+  end;
+  Printf.printf "\n-- metrics registry --\n";
+  print_string
+    (Obs.Metrics.render (Obs.Metrics.snapshot (Mediator.metrics med)))
+
+let print_metrics med ~json =
+  let snap = Obs.Metrics.snapshot (Mediator.metrics med) in
+  if json then print_endline (Obs.Metrics.to_json snap)
+  else print_string (Obs.Metrics.render snap)
+
+let print_trace med ~jsonl =
+  let trace = Mediator.trace med in
+  match jsonl with
+  | "" -> print_string (Obs.Trace.render trace)
+  | "-" -> print_string (Obs.Trace.to_jsonl trace)
+  | file ->
+    let oc = open_out file in
+    output_string oc (Obs.Trace.to_jsonl trace);
+    close_out oc;
+    Printf.printf "wrote %d spans (%d roots, %d dropped) to %s\n"
+      (Obs.Trace.spans_recorded trace)
+      (List.length (Obs.Trace.roots trace))
+      (Obs.Trace.dropped_roots trace)
+      file
+
+let bound_list b =
+  String.concat "  " (List.map (fun (s, f) -> Printf.sprintf "%s:%.3f" s f) b)
+
+(* Each derived node's analytic Theorem 7.2 bound, then one sample
+   query on the main export, optionally under a freshness SLO. *)
+let print_freshness env med ~node ~max_staleness =
+  Printf.printf
+    "-- analytic Theorem 7.2 bounds (f-bar per contributing source, measured \
+     delays) --\n";
+  List.iter
+    (fun (n : Vdp.Graph.node) ->
+      Printf.printf "  %-12s %s\n" n.Vdp.Graph.name
+        (bound_list (Mediator.freshness_bound med ~node:n.Vdp.Graph.name)))
+    (Vdp.Graph.non_leaves env.Scenario.vdp);
+  Printf.printf "\n-- sample query on %s%s --\n" node
+    (match max_staleness with
+    | Some s -> Printf.sprintf " (max_staleness %.3f)" s
+    | None -> " (no SLO)");
+  let cell = ref None in
+  Engine.spawn env.Scenario.engine (fun () ->
+      cell :=
+        Some
+          (match Mediator.query med ~node ?max_staleness () with
+          | a -> Ok a
+          | exception Qp.Slo_unsatisfiable m -> Error m));
+  let rec drive n =
+    match !cell with
+    | Some v -> Ok v
+    | None when n > 1000 -> Error (`Msg "query did not complete")
+    | None ->
+      Engine.run env.Scenario.engine
+        ~until:(Engine.now env.Scenario.engine +. 1.0);
+      drive (n + 1)
+  in
+  match drive 0 with
+  | Error e -> Error e
+  | Ok (Ok a) ->
+    Printf.printf "  answer: %d tuples, %s\n"
+      (Relalg.Bag.cardinal a.Qp.tuples)
+      (match a.Qp.quality with
+      | Qp.Fresh -> "fresh"
+      | Qp.Stale ms ->
+        Printf.sprintf "stale (%s)"
+          (String.concat ", " (List.map (fun m -> m.Med.st_source) ms)));
+    Printf.printf "  online bound: %s\n" (bound_list a.Qp.bound);
+    let s = Mediator.stats med in
+    Printf.printf "  slo polls: %d, slo refusals: %d\n"
+      (Obs.Metrics.value s.Med.slo_polls)
+      (Obs.Metrics.value s.Med.slo_refusals);
+    Ok ()
+  | Ok (Error m) ->
+    Printf.printf "  REFUSED: no strategy meets max_staleness %.3f on %s\n"
+      m.Qp.sm_slo m.Qp.sm_node;
+    Printf.printf "  best bound: %s\n" (bound_list m.Qp.sm_bound);
+    Ok ()
+
+let run_cmd =
+  let run ((sc, _) as scenario) updates queries seed eca max_batch reports
+      json jsonl max_staleness verbose =
     setup_verbose verbose;
-    match find_scenario scenario with
-    | Error e -> Error e
-    | Ok spec -> (
-      match find_annotation spec annotation with
-      | Error e -> Error e
-      | Ok ann_of ->
-        let env = spec.sc_make seed in
-        let config = Med.Config.make ~eca_enabled:eca () in
-        let med =
-          Scenario.mediator env ~annotation:(ann_of env.Scenario.vdp) ~config ()
-        in
-        Engine.spawn env.Scenario.engine (fun () -> Mediator.initialize med);
-        Engine.run env.Scenario.engine ~until:1.0;
-        let rng = Datagen.state (seed * 31) in
-        List.iter
-          (fun (src_name, rel) ->
-            Driver.update_process ~rng ~src:(Scenario.source env src_name)
-              {
-                Driver.u_relation = rel;
-                u_interval = 0.3;
-                u_count = updates;
-                u_delete_fraction = 0.25;
-                u_specs = spec.sc_specs rel;
-              })
-          spec.sc_update_rels;
-        let node = spec.sc_query_node in
-        let schema = (Vdp.Graph.node env.Scenario.vdp node).Vdp.Graph.schema in
-        let _ =
-          Driver.query_process ~rng ~med
-            {
-              Driver.q_node = node;
-              q_interval = 0.5;
-              q_count = queries;
-              q_attr_sets = [ (Relalg.Schema.attrs schema, Relalg.Predicate.True) ];
-            }
-        in
-        Scenario.run_to_quiescence env med;
-        let s = Mediator.stats med in
-        let v = Obs.Metrics.value in
-        Printf.printf "-- stats --\n";
-        Printf.printf "update txs        %d\n" (v s.Med.update_txs);
-        Printf.printf "query txs         %d\n" (v s.Med.query_txs);
-        Printf.printf "  from store      %d\n" (v s.Med.queries_from_store);
-        Printf.printf "  key-based       %d\n" (v s.Med.key_based_constructions);
-        Printf.printf "polls             %d\n" (v s.Med.polls);
-        Printf.printf "tuples polled     %d\n" (v s.Med.polled_tuples);
-        Printf.printf "atoms propagated  %d\n" (v s.Med.propagated_atoms);
-        Printf.printf "temp relations    %d\n" (v s.Med.temps_built);
-        Printf.printf "ops (update)      %d\n" (v s.Med.ops_update);
-        Printf.printf "ops (query)       %d\n" (v s.Med.ops_query);
-        Printf.printf "store bytes       %d\n" (Mediator.store_bytes med);
-        let report =
-          Correctness.Checker.check ~vdp:env.Scenario.vdp
-            ~sources:env.Scenario.sources ~events:(Mediator.events med) ()
-        in
-        Printf.printf "-- correctness --\n";
-        Printf.printf "queries checked   %d\n"
-          report.Correctness.Checker.checked_queries;
-        Printf.printf "verdict           %s\n"
-          (if Correctness.Checker.consistent report then "CONSISTENT"
-           else "INCONSISTENT");
-        List.iter
-          (fun v ->
-            Printf.printf "violation: %s\n" v.Correctness.Checker.v_detail)
-          report.Correctness.Checker.violations;
-        List.iter
-          (fun (src, st) -> Printf.printf "staleness %-6s  %.3f\n" src st)
-          report.Correctness.Checker.max_staleness;
-        Ok ())
-  in
-  let updates =
-    Arg.(
-      value & opt int 20
-      & info [ "updates"; "u" ] ~docv:"N" ~doc:"Commits per source relation.")
-  in
-  let queries =
-    Arg.(
-      value & opt int 10
-      & info [ "queries"; "q" ] ~docv:"N" ~doc:"Queries against the main export.")
+    let env, med =
+      run_standard scenario
+        ~config:(Med.Config.make ~eca_enabled:eca ~max_batch ())
+        ~updates ~queries seed
+    in
+    let wants r = List.mem r reports in
+    (* A fixed order. The checker's recompute feeds the process-global
+       join chooser, whose decisions land in this mediator's trace and
+       metrics, so the observability reports print before it runs;
+       freshness comes last, as its sample query changes the mediator's
+       state. *)
+    if wants `Profile then print_profile med ~max_batch;
+    if wants `Metrics then print_metrics med ~json;
+    if wants `Trace then print_trace med ~jsonl;
+    let report = check env med in
+    if wants `Stats then print_stats med report;
+    let fresh =
+      if wants `Freshness then
+        print_freshness env med ~node:(fst sc.Scenario.sc_query) ~max_staleness
+      else Ok ()
+    in
+    exit_if_inconsistent "run" report;
+    fresh
   in
   let eca =
     Arg.(
@@ -342,78 +392,104 @@ let simulate_cmd =
       & info [ "eca" ] ~docv:"BOOL"
           ~doc:"Enable Eager Compensation (disable to reproduce the anomaly).")
   in
-  let term =
-    Term.(
-      term_result
-        (const run $ scenario_arg
-        $ annotation_arg "ex21"
-        $ updates $ queries $ seed_arg $ eca $ verbose_arg))
+  let reports =
+    Arg.(
+      value
+      & opt
+          (list
+             (enum
+                [
+                  ("stats", `Stats);
+                  ("profile", `Profile);
+                  ("metrics", `Metrics);
+                  ("trace", `Trace);
+                  ("freshness", `Freshness);
+                ]))
+          [ `Stats ]
+      & info [ "report" ] ~docv:"LIST"
+          ~doc:
+            "Comma-separated reports to print, always in this order: \
+             $(b,profile) (the measured workload profile: update and query \
+             rates, attribute access, cache, batching, table statistics), \
+             $(b,metrics) (the metrics registry), $(b,trace) (the \
+             transaction span tree), $(b,stats) (counters and the \
+             consistency verdict), $(b,freshness) (each derived node's \
+             Theorem 7.2 bound, then one sample query).")
+  in
+  let json =
+    Arg.(
+      value & flag
+      & info [ "json" ] ~doc:"Emit the metrics report as JSON.")
+  in
+  let jsonl =
+    Arg.(
+      value & opt string ""
+      & info [ "jsonl" ] ~docv:"FILE"
+          ~doc:
+            "Export the trace report as JSON lines (one span per line) to \
+             $(docv) instead of rendering the span tree; use - for stdout.")
+  in
+  let max_staleness =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "max-staleness"; "s" ] ~docv:"SECONDS"
+          ~doc:
+            "Freshness SLO for the freshness report's sample query: the \
+             answer's per-source staleness bound must not exceed $(docv); \
+             the QP escalates to forced source polls if needed and refuses \
+             when even that cannot satisfy it.")
   in
   Cmd.v
-    (Cmd.info "simulate"
-       ~doc:"Run a scenario under load; print stats and correctness report")
-    term
+    (Cmd.info "run"
+       ~doc:
+         "Run a scenario under the standard load (commits on each update \
+          relation, queries on the main export), check the run for \
+          consistency, and print the chosen reports; exits 1 on an \
+          INCONSISTENT verdict")
+    Term.(
+      term_result
+        (const run $ scenario_ann_arg
+        $ updates_arg ~default:20 ~doc:"Commits per source relation."
+        $ queries_arg ~default:10 ~doc:"Queries against the main export."
+        $ seed_arg $ eca $ max_batch_arg $ reports $ json $ jsonl
+        $ max_staleness $ verbose_arg))
 
 (* --- query ---------------------------------------------------------------- *)
 
 let query_cmd =
-  let run scenario annotation node attrs where updates seed verbose =
+  let run scenario node attrs where updates seed verbose =
     setup_verbose verbose;
-    match find_scenario scenario with
-    | Error e -> Error e
-    | Ok spec -> (
-      match find_annotation spec annotation with
-      | Error e -> Error e
-      | Ok ann_of -> (
-        try
-          let cond =
-            match where with
-            | "" -> Relalg.Predicate.True
-            | src -> Relalg.Parser.predicate src
-          in
-          let attrs =
-            match attrs with "" -> None | src -> Some (Relalg.Parser.attrs src)
-          in
-          let env = spec.sc_make seed in
-          let med =
-            Scenario.mediator env ~annotation:(ann_of env.Scenario.vdp) ()
-          in
-          Engine.spawn env.Scenario.engine (fun () -> Mediator.initialize med);
-          Engine.run env.Scenario.engine ~until:1.0;
-          if updates > 0 then begin
-            let rng = Datagen.state (seed * 31) in
-            List.iter
-              (fun (src_name, rel) ->
-                Driver.update_process ~rng ~src:(Scenario.source env src_name)
-                  {
-                    Driver.u_relation = rel;
-                    u_interval = 0.3;
-                    u_count = updates;
-                    u_delete_fraction = 0.25;
-                    u_specs = spec.sc_specs rel;
-                  })
-              spec.sc_update_rels;
-            Scenario.run_to_quiescence env med
-          end;
-          let answer = ref None in
-          Engine.spawn env.Scenario.engine (fun () ->
-              answer := Some (Mediator.query med ~node ?attrs ~cond ()));
-          Engine.run env.Scenario.engine
-            ~until:(Engine.now env.Scenario.engine +. 60.0);
-          match !answer with
-          | Some ans ->
-            let bag = ans.Qp.tuples in
-            Format.printf "%a@." Relalg.Bag.pp bag;
-            Printf.printf "(%d tuples; polls %d, key-based %d, from store %d)\n"
-              (Relalg.Bag.cardinal bag)
-              (Obs.Metrics.value (Mediator.stats med).Med.polls)
-              (Obs.Metrics.value (Mediator.stats med).Med.key_based_constructions)
-              (Obs.Metrics.value (Mediator.stats med).Med.queries_from_store);
-            Ok ()
-          | None -> Error (`Msg "query did not complete")
-        with
-        | Relalg.Parser.Parse_error msg -> Error (`Msg msg)
-        | Med.Mediator_error msg -> Error (`Msg msg)))
+    try
+      let cond =
+        match where with
+        | "" -> Relalg.Predicate.True
+        | src -> Relalg.Parser.predicate src
+      in
+      let attrs =
+        match attrs with "" -> None | src -> Some (Relalg.Parser.attrs src)
+      in
+      let env, med = run_standard scenario ~updates ~queries:0 seed in
+      let answer = ref None in
+      Engine.spawn env.Scenario.engine (fun () ->
+          answer := Some (Mediator.query med ~node ?attrs ~cond ()));
+      Engine.run env.Scenario.engine
+        ~until:(Engine.now env.Scenario.engine +. 60.0);
+      match !answer with
+      | Some ans ->
+        let bag = ans.Qp.tuples in
+        let v = Obs.Metrics.value in
+        let s = Mediator.stats med in
+        Format.printf "%a@." Relalg.Bag.pp bag;
+        Printf.printf "(%d tuples; polls %d, key-based %d, from store %d)\n"
+          (Relalg.Bag.cardinal bag) (v s.Med.polls)
+          (v s.Med.key_based_constructions)
+          (v s.Med.queries_from_store);
+        Ok ()
+      | None -> Error (`Msg "query did not complete")
+    with
+    | Relalg.Parser.Parse_error msg -> Error (`Msg msg)
+    | Med.Mediator_error msg -> Error (`Msg msg)
   in
   let node =
     Arg.(
@@ -433,134 +509,89 @@ let query_cmd =
       & info [ "where" ] ~docv:"PRED"
           ~doc:"Selection condition, e.g. 'r3 < 100 and s1 = 7'.")
   in
-  let updates =
-    Arg.(
-      value & opt int 0
-      & info [ "updates"; "u" ] ~docv:"N"
-          ~doc:"Apply this many commits per relation before querying.")
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ scenario_arg
-        $ annotation_arg "ex21"
-        $ node $ attrs $ where $ updates $ seed_arg $ verbose_arg))
-  in
   Cmd.v
     (Cmd.info "query"
-       ~doc:"Pose one query (with parsed projection/condition) and print the              answer")
-    term
+       ~doc:"Pose one query (with parsed projection/condition) and print the \
+             answer")
+    Term.(
+      term_result
+        (const run $ scenario_ann_arg $ node $ attrs $ where
+        $ updates_arg ~default:0
+            ~doc:"Apply this many commits per relation before querying."
+        $ seed_arg $ verbose_arg))
 
 (* --- adapt ---------------------------------------------------------------- *)
 
 let adapt_cmd =
-  let run scenario annotation updates queries interval warmup cooldown min_gain
+  let run (sc, ann_of) updates queries interval warmup cooldown min_gain
       update_pressure dot seed verbose =
     setup_verbose verbose;
-    match find_scenario scenario with
-    | Error e -> Error e
-    | Ok spec -> (
-      match find_annotation spec annotation with
-      | Error e -> Error e
-      | Ok ann_of ->
-        let env = spec.sc_make seed in
-        let med =
-          Scenario.mediator env ~annotation:(ann_of env.Scenario.vdp) ()
-        in
-        Engine.spawn env.Scenario.engine (fun () -> Mediator.initialize med);
-        Engine.run env.Scenario.engine ~until:1.0;
-        let policy_config =
+    let env = sc.Scenario.sc_make ~seed in
+    let med = Scenario.start env ~annotation:(ann_of env.Scenario.vdp) in
+    let policy_config =
+      {
+        Adapt.Policy.default_config with
+        Adapt.Policy.interval;
+        warmup;
+        cooldown;
+        min_gain;
+        advisor =
           {
-            Adapt.Policy.default_config with
-            Adapt.Policy.interval;
-            warmup;
-            cooldown;
-            min_gain;
-            advisor =
-              {
-                Vdp.Advisor.default_config with
-                Vdp.Advisor.update_pressure_weight = update_pressure;
-              };
-          }
-        in
-        let policy = Adapt.Policy.create ~config:policy_config med in
-        Adapt.Policy.start policy;
-        (* phased load: update-heavy first, then query-heavy — the
-           workload shift the policy is meant to chase *)
-        let rng = Datagen.state (seed * 31) in
-        let u_interval = 0.1 and q_interval = 0.5 in
-        let phase2_start = (float_of_int updates *. u_interval) +. 5.0 in
-        List.iter
-          (fun (src_name, rel) ->
-            Driver.update_process ~rng ~src:(Scenario.source env src_name)
-              {
-                Driver.u_relation = rel;
-                u_interval;
-                u_count = updates;
-                u_delete_fraction = 0.5;
-                u_specs = spec.sc_specs rel;
-              })
-          spec.sc_update_rels;
-        let node = spec.sc_query_node in
-        let schema = (Vdp.Graph.node env.Scenario.vdp node).Vdp.Graph.schema in
-        let _ =
-          Driver.query_process ~start:phase2_start ~rng ~med
-            {
-              Driver.q_node = node;
-              q_interval;
-              q_count = queries;
-              q_attr_sets =
-                [ (Relalg.Schema.attrs schema, Relalg.Predicate.True) ];
-            }
-        in
-        let horizon =
-          phase2_start +. (float_of_int queries *. q_interval) +. 10.0
-        in
-        Engine.run env.Scenario.engine ~until:horizon;
-        Scenario.run_to_quiescence env med;
-        print_endline "-- migrations --";
-        (match Adapt.Policy.events policy with
-        | [] -> print_endline "  (none)"
-        | events ->
-          List.iter
-            (fun (ev : Adapt.Policy.event) ->
-              Printf.printf "  @%-8.1f %s (%d ops, predicted gain %.0f%%)\n"
-                ev.Adapt.Policy.e_time
-                (Adapt.Migrate.describe ev.Adapt.Policy.e_plan)
-                ev.Adapt.Policy.e_ops
-                (100.0 *. ev.Adapt.Policy.e_gain))
-            events);
-        print_endline "-- measured workload (smoothed) --";
-        print_string (Adapt.Monitor.render (Adapt.Policy.monitor policy));
-        print_endline "-- final annotation --";
-        print_endline (Vdp.Annotation.to_string (Mediator.annotation med));
-        let report =
-          Correctness.Checker.check ~vdp:env.Scenario.vdp
-            ~sources:env.Scenario.sources ~events:(Mediator.events med) ()
-        in
-        Printf.printf "-- correctness --\nmigrations %d, verdict %s\n"
-          (Obs.Metrics.value (Mediator.stats med).Med.migrations)
-          (if Correctness.Checker.consistent report then "CONSISTENT"
-           else "INCONSISTENT");
-        if dot then begin
-          print_endline "-- dot --";
-          print_string
-            (Vdp.Dot.render ~annotation:(Mediator.annotation med)
-               env.Scenario.vdp)
-        end;
-        Ok ())
-  in
-  let updates =
-    Arg.(
-      value & opt int 200
-      & info [ "updates"; "u" ] ~docv:"N"
-          ~doc:"Phase-1 commits per source relation.")
-  in
-  let queries =
-    Arg.(
-      value & opt int 40
-      & info [ "queries"; "q" ] ~docv:"N"
-          ~doc:"Phase-2 queries against the main export.")
+            Vdp.Advisor.default_config with
+            Vdp.Advisor.update_pressure_weight = update_pressure;
+          };
+      }
+    in
+    let policy = Adapt.Policy.create ~config:policy_config med in
+    Adapt.Policy.start policy;
+    (* phased load: update-heavy first, then query-heavy — the workload
+       shift the policy is meant to chase *)
+    let rng = Datagen.state (seed * 31) in
+    let node, attrs = sc.Scenario.sc_query in
+    let phase load =
+      Scenario.run_load ~rng env med ~updates:sc.Scenario.sc_updates
+        ~queries:(node, [ (attrs, Relalg.Predicate.True) ])
+        load
+    in
+    phase
+      {
+        Scenario.default_load with
+        Scenario.l_updates_per_rel = updates;
+        l_update_interval = 0.1;
+        l_delete_fraction = 0.5;
+        l_queries = 0;
+      };
+    phase
+      {
+        Scenario.default_load with
+        Scenario.l_updates_per_rel = 0;
+        l_queries = queries;
+      };
+    print_endline "-- migrations --";
+    (match Adapt.Policy.events policy with
+    | [] -> print_endline "  (none)"
+    | events ->
+      List.iter
+        (fun (ev : Adapt.Policy.event) ->
+          Printf.printf "  @%-8.1f %s (%d ops, predicted gain %.0f%%)\n"
+            ev.Adapt.Policy.e_time
+            (Adapt.Migrate.describe ev.Adapt.Policy.e_plan)
+            ev.Adapt.Policy.e_ops
+            (100.0 *. ev.Adapt.Policy.e_gain))
+        events);
+    print_endline "-- measured workload (smoothed) --";
+    print_string (Adapt.Monitor.render (Adapt.Policy.monitor policy));
+    print_endline "-- final annotation --";
+    print_endline (Vdp.Annotation.to_string (Mediator.annotation med));
+    Printf.printf "-- correctness --\nmigrations %d, verdict %s\n"
+      (Obs.Metrics.value (Mediator.stats med).Med.migrations)
+      (if Correctness.Checker.consistent (check env med) then "CONSISTENT"
+       else "INCONSISTENT");
+    if dot then begin
+      print_endline "-- dot --";
+      print_string
+        (Vdp.Dot.render ~annotation:(Mediator.annotation med) env.Scenario.vdp)
+    end
   in
   let interval =
     Arg.(
@@ -597,395 +628,17 @@ let adapt_cmd =
       & info [ "dot" ]
           ~doc:"Also emit the final annotation as Graphviz (m/v superscripts).")
   in
-  let term =
-    Term.(
-      term_result
-        (const run $ scenario_arg
-        $ annotation_arg "ex21"
-        $ updates $ queries $ interval $ warmup $ cooldown $ min_gain
-        $ update_pressure $ dot $ seed_arg $ verbose_arg))
-  in
   Cmd.v
     (Cmd.info "adapt"
        ~doc:
          "Run a scenario under the adaptive annotation policy; print the \
           migration log and the final (possibly migrated) annotation")
-    term
-
-(* --- profile ---------------------------------------------------------------- *)
-
-let profile_cmd =
-  let run scenario annotation updates queries max_batch seed verbose =
-    setup_verbose verbose;
-    match find_scenario scenario with
-    | Error e -> Error e
-    | Ok spec -> (
-      match find_annotation spec annotation with
-      | Error e -> Error e
-      | Ok ann_of ->
-        let env = spec.sc_make seed in
-        let med =
-          Scenario.mediator env ~annotation:(ann_of env.Scenario.vdp)
-            ~config:(Med.Config.make ~max_batch ())
-            ()
-        in
-        Engine.spawn env.Scenario.engine (fun () -> Mediator.initialize med);
-        Engine.run env.Scenario.engine ~until:1.0;
-        let rng = Datagen.state (seed * 31) in
-        List.iter
-          (fun (src_name, rel) ->
-            Driver.update_process ~rng ~src:(Scenario.source env src_name)
-              {
-                Driver.u_relation = rel;
-                u_interval = 0.3;
-                u_count = updates;
-                u_delete_fraction = 0.25;
-                u_specs = spec.sc_specs rel;
-              })
-          spec.sc_update_rels;
-        let node = spec.sc_query_node in
-        let schema = (Vdp.Graph.node env.Scenario.vdp node).Vdp.Graph.schema in
-        let _ =
-          Driver.query_process ~rng ~med
-            {
-              Driver.q_node = node;
-              q_interval = 0.5;
-              q_count = queries;
-              q_attr_sets =
-                [ (Relalg.Schema.attrs schema, Relalg.Predicate.True) ];
-            }
-        in
-        Scenario.run_to_quiescence env med;
-        print_string (Adapt.Monitor.render_cumulative med);
-        let s = Mediator.stats med in
-        let v = Obs.Metrics.value in
-        Printf.printf
-          "\n\
-           answer cache: %d hits, %d misses, %d invalidations\n\
-           compiled plans: %d value, %d delta\n"
-          (v s.Med.cache_hits) (v s.Med.cache_misses)
-          (v s.Med.cache_invalidations)
-          (Relalg.Plan.compiled_plans ())
-          (Delta.Delta_plan.compiled_plans ());
-        Printf.printf
-          "\n\
-           -- batching (max_batch %d) --\n\
-           %d batches over %d update txs (mean %.2f tx/batch), %d \
-           annihilated +/- pairs\n"
-          max_batch (v s.Med.batches) (v s.Med.coalesced_txs)
-          (Adapt.Monitor.mean_batch med)
-          (v s.Med.annihilated_pairs);
-        let store = med.Med.store in
-        let table_names =
-          List.sort compare (Storage.Store.table_names store)
-        in
-        if table_names <> [] then begin
-          Printf.printf "\n-- table statistics --\n";
-          List.iter
-            (fun n ->
-              match Storage.Store.table_opt store n with
-              | Some tb ->
-                Format.printf "%-14s %a@." n Storage.Table.pp_stats
-                  (Storage.Table.stats tb)
-              | None -> ())
-            table_names
-        end;
-        Printf.printf "\n-- metrics registry --\n";
-        print_string (Obs.Metrics.render (Obs.Metrics.snapshot (Mediator.metrics med)));
-        Ok ())
-  in
-  let updates =
-    Arg.(
-      value & opt int 20
-      & info [ "updates"; "u" ] ~docv:"N" ~doc:"Commits per source relation.")
-  in
-  let queries =
-    Arg.(
-      value & opt int 10
-      & info [ "queries"; "q" ] ~docv:"N" ~doc:"Queries against the main export.")
-  in
-  let term =
     Term.(
-      term_result
-        (const run $ scenario_arg
-        $ annotation_arg "ex21"
-        $ updates $ queries $ max_batch_arg $ seed_arg $ verbose_arg))
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run a scenario under load and print the measured workload profile \
-          (update rates, query rates, attribute access fractions)")
-    term
-
-(* --- trace / metrics -------------------------------------------------------- *)
-
-(* Shared driver for the observability commands: a scenario under the
-   standard update/query load, quiesced, with the mediator handed back
-   so the caller can export its trace or metrics registry. *)
-let run_observed spec ann_of ~updates ~queries ~max_batch ~seed =
-  let env = spec.sc_make seed in
-  let med =
-    Scenario.mediator env ~annotation:(ann_of env.Scenario.vdp)
-      ~config:(Med.Config.make ~max_batch ())
-      ()
-  in
-  Engine.spawn env.Scenario.engine (fun () -> Mediator.initialize med);
-  Engine.run env.Scenario.engine ~until:1.0;
-  let rng = Datagen.state (seed * 31) in
-  List.iter
-    (fun (src_name, rel) ->
-      Driver.update_process ~rng ~src:(Scenario.source env src_name)
-        {
-          Driver.u_relation = rel;
-          u_interval = 0.3;
-          u_count = updates;
-          u_delete_fraction = 0.25;
-          u_specs = spec.sc_specs rel;
-        })
-    spec.sc_update_rels;
-  let node = spec.sc_query_node in
-  let schema = (Vdp.Graph.node env.Scenario.vdp node).Vdp.Graph.schema in
-  let _ =
-    Driver.query_process ~rng ~med
-      {
-        Driver.q_node = node;
-        q_interval = 0.5;
-        q_count = queries;
-        q_attr_sets = [ (Relalg.Schema.attrs schema, Relalg.Predicate.True) ];
-      }
-  in
-  Scenario.run_to_quiescence env med;
-  (env, med)
-
-let updates_arg =
-  Arg.(
-    value & opt int 20
-    & info [ "updates"; "u" ] ~docv:"N" ~doc:"Commits per source relation.")
-
-let queries_arg =
-  Arg.(
-    value & opt int 10
-    & info [ "queries"; "q" ] ~docv:"N" ~doc:"Queries against the main export.")
-
-let trace_cmd =
-  let run scenario annotation updates queries max_batch seed jsonl verbose =
-    setup_verbose verbose;
-    match find_scenario scenario with
-    | Error e -> Error e
-    | Ok spec -> (
-      match find_annotation spec annotation with
-      | Error e -> Error e
-      | Ok ann_of ->
-        let _env, med =
-          run_observed spec ann_of ~updates ~queries ~max_batch ~seed
-        in
-        let trace = Mediator.trace med in
-        (match jsonl with
-        | "" -> print_string (Obs.Trace.render trace)
-        | "-" -> print_string (Obs.Trace.to_jsonl trace)
-        | file ->
-          let oc = open_out file in
-          output_string oc (Obs.Trace.to_jsonl trace);
-          close_out oc;
-          Printf.printf "wrote %d spans (%d roots, %d dropped) to %s\n"
-            (Obs.Trace.spans_recorded trace)
-            (List.length (Obs.Trace.roots trace))
-            (Obs.Trace.dropped_roots trace)
-            file);
-        Ok ())
-  in
-  let jsonl =
-    Arg.(
-      value & opt string ""
-      & info [ "jsonl" ] ~docv:"FILE"
-          ~doc:
-            "Export the trace as JSON lines (one span per line) to $(docv) \
-             instead of rendering the span tree; use - for stdout.")
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ scenario_arg
-        $ annotation_arg "ex21"
-        $ updates_arg $ queries_arg $ max_batch_arg $ seed_arg $ jsonl
-        $ verbose_arg))
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run a scenario under load and print its transaction trace (update, \
-          query, poll, and resync spans with simulated-time and op costs), or \
-          export it as JSONL")
-    term
-
-let metrics_cmd =
-  let run scenario annotation updates queries max_batch seed json verbose =
-    setup_verbose verbose;
-    match find_scenario scenario with
-    | Error e -> Error e
-    | Ok spec -> (
-      match find_annotation spec annotation with
-      | Error e -> Error e
-      | Ok ann_of ->
-        let _env, med =
-          run_observed spec ann_of ~updates ~queries ~max_batch ~seed
-        in
-        let snap = Obs.Metrics.snapshot (Mediator.metrics med) in
-        if json then print_endline (Obs.Metrics.to_json snap)
-        else print_string (Obs.Metrics.render snap);
-        Ok ())
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the metrics snapshot as JSON.")
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ scenario_arg
-        $ annotation_arg "ex21"
-        $ updates_arg $ queries_arg $ max_batch_arg $ seed_arg $ json
-        $ verbose_arg))
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Run a scenario under load and print the mediator's metrics registry \
-          (counters, gauges, latency histograms, workload families)")
-    term
-
-(* --- dot -------------------------------------------------------------------- *)
-
-let dot_cmd =
-  let run scenario annotation seed =
-    match find_scenario scenario with
-    | Error e -> Error e
-    | Ok spec -> (
-      match find_annotation spec annotation with
-      | Error e -> Error e
-      | Ok ann_of ->
-        let env = spec.sc_make seed in
-        let annotation = ann_of env.Scenario.vdp in
-        print_string (Vdp.Dot.render ~annotation env.Scenario.vdp);
-        Ok ())
-  in
-  let term =
-    Term.(
-      term_result (const run $ scenario_arg $ annotation_arg "ex21" $ seed_arg))
-  in
-  Cmd.v
-    (Cmd.info "dot"
-       ~doc:"Emit the annotated VDP as Graphviz (the paper's Figures 1/4)")
-    term
-
-(* --- freshness -------------------------------------------------------------- *)
-
-let freshness_cmd =
-  let run scenario annotation updates queries seed max_staleness verbose =
-    setup_verbose verbose;
-    match find_scenario scenario with
-    | Error e -> Error e
-    | Ok spec -> (
-      match find_annotation spec annotation with
-      | Error e -> Error e
-      | Ok ann_of ->
-        let env, med =
-          run_observed spec ann_of ~updates ~queries ~max_batch:64 ~seed
-        in
-        let vdp = env.Scenario.vdp in
-        Printf.printf
-          "-- analytic Theorem 7.2 bounds (f-bar per contributing source, \
-           measured delays) --\n";
-        List.iter
-          (fun (n : Vdp.Graph.node) ->
-            let fb = Mediator.freshness_bound med ~node:n.Vdp.Graph.name in
-            Printf.printf "  %-12s %s\n" n.Vdp.Graph.name
-              (String.concat "  "
-                 (List.map
-                    (fun (s, f) -> Printf.sprintf "%s:%.3f" s f)
-                    fb)))
-          (Vdp.Graph.non_leaves vdp);
-        let node = spec.sc_query_node in
-        Printf.printf "\n-- sample query on %s%s --\n" node
-          (match max_staleness with
-          | Some s -> Printf.sprintf " (max_staleness %.3f)" s
-          | None -> " (no SLO)");
-        let cell = ref None in
-        Engine.spawn env.Scenario.engine (fun () ->
-            cell :=
-              Some
-                (match Mediator.query med ~node ?max_staleness () with
-                | a -> Ok a
-                | exception Qp.Slo_unsatisfiable m -> Error m));
-        let rec drive n =
-          match !cell with
-          | Some v -> Ok v
-          | None when n > 1000 -> Error (`Msg "query did not complete")
-          | None ->
-            Engine.run env.Scenario.engine
-              ~until:(Engine.now env.Scenario.engine +. 1.0);
-            drive (n + 1)
-        in
-        (match drive 0 with
-        | Error e -> Error e
-        | Ok (Ok a) ->
-          Printf.printf "  answer: %d tuples, %s\n"
-            (Relalg.Bag.cardinal a.Qp.tuples)
-            (match a.Qp.quality with
-            | Qp.Fresh -> "fresh"
-            | Qp.Stale ms ->
-              Printf.sprintf "stale (%s)"
-                (String.concat ", "
-                   (List.map (fun m -> m.Med.st_source) ms)));
-          Printf.printf "  online bound: %s\n"
-            (String.concat "  "
-               (List.map
-                  (fun (s, b) -> Printf.sprintf "%s:%.3f" s b)
-                  a.Qp.bound));
-          let s = Mediator.stats med in
-          Printf.printf "  slo polls: %d, slo refusals: %d\n"
-            (Obs.Metrics.value s.Med.slo_polls)
-            (Obs.Metrics.value s.Med.slo_refusals);
-          Ok ()
-        | Ok (Error m) ->
-          Printf.printf
-            "  REFUSED: no strategy meets max_staleness %.3f on %s\n"
-            m.Qp.sm_slo m.Qp.sm_node;
-          Printf.printf "  best bound: %s\n"
-            (String.concat "  "
-               (List.map
-                  (fun (s, b) -> Printf.sprintf "%s:%.3f" s b)
-                  m.Qp.sm_bound));
-          Ok ()))
-  in
-  let max_staleness =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-staleness"; "s" ] ~docv:"SECONDS"
-          ~doc:
-            "Freshness SLO for the sample query: the answer's per-source \
-             staleness bound must not exceed $(docv); the QP escalates to \
-             forced source polls if needed and refuses when even that \
-             cannot satisfy it.")
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ scenario_arg
-        $ annotation_arg "ex23"
-        $ updates_arg $ queries_arg $ seed_arg $ max_staleness $ verbose_arg))
-  in
-  Cmd.v
-    (Cmd.info "freshness"
-       ~doc:
-         "Run a scenario under load, print each derived node's analytic \
-          Theorem 7.2 freshness bound (from measured delays), then issue one \
-          query — optionally under a max-staleness SLO — and show its online \
-          per-source bound or typed refusal")
-    term
+      const run $ scenario_ann_arg
+      $ updates_arg ~default:200 ~doc:"Phase-1 commits per source relation."
+      $ queries_arg ~default:40 ~doc:"Phase-2 queries against the main export."
+      $ interval $ warmup $ cooldown $ min_gain $ update_pressure $ dot
+      $ seed_arg $ verbose_arg)
 
 (* --- chaos ----------------------------------------------------------------- *)
 
@@ -1056,7 +709,12 @@ let chaos_cmd =
   let term =
     Term.(
       term_result
-        (const run $ scenario_arg $ profile $ max_batch_arg $ seed_arg
+        (const run
+        $ Arg.(
+            required & pos 0 (some string) None
+            & info [] ~docv:"SCENARIO"
+                ~doc:"Chaos scenario: fig1, ex51 or retail.")
+        $ profile $ max_batch_arg $ seed_arg
         $ verbose_arg))
   in
   Cmd.v
@@ -1208,9 +866,9 @@ let scenario_cmd =
     try
       let c = Scn.of_file file in
       let env = c.Scn.c_env in
-      let med = Scenario.mediator env ~annotation:c.Scn.c_annotation () in
+      let annotation = c.Scn.c_annotation in
       if describe then begin
-        print_endline (Mediator.describe med);
+        print_endline (Mediator.describe (Scenario.mediator env ~annotation ()));
         Ok ()
       end
       else begin
@@ -1221,8 +879,7 @@ let scenario_cmd =
               (String.concat ", "
                  (List.map fst sd.Relalg.Parser.sd_relations)))
           c.Scn.c_decl.Relalg.Parser.sc_sources;
-        Engine.spawn env.Scenario.engine (fun () -> Mediator.initialize med);
-        Engine.run env.Scenario.engine ~until:1.0;
+        let med = Scenario.start env ~annotation in
         (* the compiled [at] events are already on the engine's agenda;
            quiescing drives them and every announcement they trigger *)
         Scenario.run_to_quiescence env med;
@@ -1246,21 +903,10 @@ let scenario_cmd =
                 | Qp.Stale _ -> "stale");
               Format.printf "%a@." Relalg.Bag.pp ans.Qp.tuples)
             (List.rev !answers);
-          let report =
-            Correctness.Checker.check ~vdp:env.Scenario.vdp
-              ~sources:env.Scenario.sources ~events:(Mediator.events med) ()
-          in
-          Printf.printf "-- correctness --\n";
-          Printf.printf "queries checked   %d\n"
-            report.Correctness.Checker.checked_queries;
-          let ok = Correctness.Checker.consistent report in
-          Printf.printf "verdict           %s\n"
-            (if ok then "CONSISTENT" else "INCONSISTENT");
-          List.iter
-            (fun v ->
-              Printf.printf "violation: %s\n" v.Correctness.Checker.v_detail)
-            report.Correctness.Checker.violations;
-          if ok then Ok () else Error (`Msg "scenario run was inconsistent")
+          let report = check env med in
+          print_correctness report;
+          exit_if_inconsistent "scenario run" report;
+          Ok ()
         end
       end
     with
@@ -1296,15 +942,24 @@ let scenario_cmd =
 let scenarios_cmd =
   let run () =
     List.iter
-      (fun s ->
-        Printf.printf "%-8s %s\n         annotations: %s\n" s.sc_name s.sc_doc
-          (String.concat ", " (List.map fst s.sc_annotations)))
-      scenarios;
-    Ok ()
+      (fun sc ->
+        let node, attrs = sc.Scenario.sc_query in
+        Printf.printf
+          "%-9s %s\n          annotations: %s\n          main query:  %s [%s]\n"
+          sc.Scenario.sc_name sc.Scenario.sc_doc
+          (String.concat ", "
+             (List.mapi
+                (fun i (name, _) -> if i = 0 then name ^ " (default)" else name)
+                sc.Scenario.sc_annotations))
+          node (String.concat ", " attrs))
+      Scenario.catalogue
   in
   Cmd.v
-    (Cmd.info "scenarios" ~doc:"List available scenarios")
-    Term.(term_result (const run $ const ()))
+    (Cmd.info "scenarios"
+       ~doc:
+         "List the scenario catalogue: each scenario's annotations (the \
+          default marked) and its main query")
+    Term.(const run $ const ())
 
 let () =
   let info =
@@ -1313,10 +968,10 @@ let () =
         "Squirrel integration mediators: hybrid materialized/virtual data \
          integration (Hull & Zhou, SIGMOD 1996)"
   in
-  exit (Cmd.eval (Cmd.group info
-       [
-         describe_cmd; advise_cmd; simulate_cmd; query_cmd; adapt_cmd;
-         profile_cmd; trace_cmd; metrics_cmd; freshness_cmd; chaos_cmd;
-         federation_cmd; dot_cmd;
-         scenario_cmd; scenarios_cmd;
-       ]))
+  exit
+    (Cmd.eval
+       (Cmd.group info
+          [
+            describe_cmd; advise_cmd; run_cmd; query_cmd; adapt_cmd; chaos_cmd;
+            federation_cmd; scenario_cmd; scenarios_cmd;
+          ]))

@@ -30,66 +30,24 @@ let make_config ?max_batch () =
 
 let config = make_config ()
 
-type scenario = {
-  sc_name : string;
-  sc_make : seed:int -> Scenario.env;
-  sc_ann : Graph.t -> Annotation.t;
-  sc_updates : (string * string * Datagen.column_spec list) list;
-  sc_query_node : string;
-  sc_query_attrs : string list;
-}
+type scenario = { entry : Scenario.t; annotation : string }
 
+(* fig1 runs hybrid Ex. 2.3: T's virtual attributes force polls, so
+   outages degrade the answer to the materialized subset. ex51 is the
+   deep VDP. retail's Premium is fully materialized: answers stay
+   local, but gap repair in progress still marks them stale. *)
 let scenarios =
-  [
-    {
-      sc_name = "fig1";
-      sc_make = (fun ~seed -> Scenario.make_fig1 ~seed ());
-      sc_ann = Scenario.ann_ex23;
-      sc_updates =
-        [
-          ("db1", "R", Scenario.fig1_update_specs "R");
-          ("db2", "S", Scenario.fig1_update_specs "S");
-        ];
-      (* T is hybrid under Ex. 2.3: the virtual attributes force polls,
-         so outages degrade the answer to the materialized subset *)
-      sc_query_node = "T";
-      sc_query_attrs = [ "r1"; "r3"; "s1"; "s2" ];
-    };
-    {
-      sc_name = "ex51";
-      sc_make = (fun ~seed -> Scenario.make_ex51 ~seed ());
-      sc_ann = Scenario.ann_ex51;
-      sc_updates =
-        [
-          ("dbA", "A", Scenario.ex51_update_specs "A");
-          ("dbB", "B", Scenario.ex51_update_specs "B");
-          ("dbC", "C", Scenario.ex51_update_specs "C");
-          ("dbD", "D", Scenario.ex51_update_specs "D");
-        ];
-      sc_query_node = "E";
-      sc_query_attrs = [ "a1"; "a2"; "b1" ];
-    };
-    {
-      sc_name = "retail";
-      sc_make = (fun ~seed -> Scenario.make_retail ~seed ());
-      sc_ann = Scenario.ann_retail_hybrid;
-      sc_updates =
-        [
-          ("dbEast", "OrdersE", Scenario.retail_update_specs "OrdersE");
-          ("dbWest", "OrdersW", Scenario.retail_update_specs "OrdersW");
-          ("dbCust", "Cust", Scenario.retail_update_specs "Cust");
-        ];
-      (* Premium is fully materialized: answers stay local, but gap
-         repair in progress still marks them stale *)
-      sc_query_node = "Premium";
-      sc_query_attrs = [ "cust"; "region"; "amt" ];
-    };
-  ]
+  List.map
+    (fun (name, annotation) ->
+      { entry = Option.get (Scenario.find name); annotation })
+    [ ("fig1", "ex23"); ("ex51", "paper"); ("retail", "hybrid") ]
 
-let scenario_names = List.map (fun sc -> sc.sc_name) scenarios
+let scenario_names = List.map (fun sc -> sc.entry.Scenario.sc_name) scenarios
 
 let scenario_by_name name =
-  List.find_opt (fun sc -> String.equal sc.sc_name name) scenarios
+  List.find_opt
+    (fun sc -> String.equal sc.entry.Scenario.sc_name name)
+    scenarios
 
 type run = {
   c_scenario : string;
@@ -229,12 +187,12 @@ let reference_answer env name =
   in
   Eval.eval ~env:leaf_env (Graph.expanded_def vdp name)
 
-let run_one ?max_batch ?(tag = "") sc profile seed =
-  let env = sc.sc_make ~seed in
+let run_one ?max_batch ?(tag = "") { entry = sc; annotation } profile seed =
+  let env = sc.Scenario.sc_make ~seed in
   let engine = env.Scenario.engine in
+  let ann = Option.get (Scenario.annotation sc annotation) in
   let med =
-    Scenario.mediator env
-      ~annotation:(sc.sc_ann env.Scenario.vdp)
+    Scenario.mediator env ~annotation:(ann env.Scenario.vdp)
       ~config:(make_config ?max_batch ()) ()
   in
   Engine.spawn engine (fun () -> Mediator.initialize med);
@@ -252,7 +210,8 @@ let run_one ?max_batch ?(tag = "") sc profile seed =
           u_delete_fraction = 0.4;
           u_specs = specs;
         })
-    sc.sc_updates;
+    sc.Scenario.sc_updates;
+  let query_node, query_attrs = sc.Scenario.sc_query in
   let fresh = ref 0 and stale = ref 0 and refused = ref 0 in
   Engine.spawn engine (fun () ->
       Engine.sleep engine query_start;
@@ -260,8 +219,7 @@ let run_one ?max_batch ?(tag = "") sc profile seed =
         Engine.sleep engine query_interval;
         try
           match
-            (Mediator.query med ~node:sc.sc_query_node
-               ~attrs:sc.sc_query_attrs ())
+            (Mediator.query med ~node:query_node ~attrs:query_attrs ())
               .Qp.quality
           with
           | Qp.Fresh -> incr fresh
@@ -336,7 +294,7 @@ let run_one ?max_batch ?(tag = "") sc profile seed =
   let trace_ok, trace_problems = trace_invariants trace in
   let retry_spans, degraded_spans, resync_spans = span_coverage trace in
   {
-    c_scenario = sc.sc_name;
+    c_scenario = sc.Scenario.sc_name;
     c_profile = Faults.name profile ^ tag;
     c_seed = seed;
     c_quiesced = quiesced;

@@ -4,20 +4,12 @@
     by the e14 bench harness (the full matrix) and the CLI's [chaos]
     subcommand (one cell, for reproducing a failing seed). *)
 
-open Vdp
 open Workload
 
 (** {1 Scenarios} *)
 
-type scenario = {
-  sc_name : string;
-  sc_make : seed:int -> Scenario.env;
-  sc_ann : Graph.t -> Annotation.t;
-  sc_updates : (string * string * Datagen.column_spec list) list;
-      (** [(source, relation, column specs)] update streams *)
-  sc_query_node : string;
-  sc_query_attrs : string list;
-}
+type scenario = { entry : Scenario.t; annotation : string }
+(** A catalogue scenario under one of its named annotations. *)
 
 val scenarios : scenario list
 (** [fig1] (hybrid: polls exposed to outages), [ex51] (deep VDP),

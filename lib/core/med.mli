@@ -193,7 +193,7 @@ type event =
 type stats = {
   registry : Obs.Metrics.t;
       (** the registry every handle below lives in; snapshot it for
-          rendering ([squirrel profile] / [squirrel metrics]) *)
+          rendering ([squirrel run --report profile,metrics]) *)
   update_txs : Obs.Metrics.counter;
   query_txs : Obs.Metrics.counter;
   queries_from_store : Obs.Metrics.counter;

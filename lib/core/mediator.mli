@@ -134,8 +134,8 @@ val trace : t -> Obs.Trace.t
     or export with {!Obs.Trace.to_jsonl}. *)
 
 val metrics : t -> Obs.Metrics.t
-(** The registry behind {!stats} — snapshot it for [squirrel metrics]
-    or serialization. *)
+(** The registry behind {!stats} — snapshot it for
+    [squirrel run --report metrics] or serialization. *)
 
 val contributor_kind : t -> string -> Med.contributor_kind
 val reflected_version : t -> string -> int

@@ -75,8 +75,8 @@ type snapshot = {
 val snapshot : t -> snapshot
 
 val render : snapshot -> string
-(** Stable multi-line rendering (used by [squirrel profile] /
-    [squirrel metrics]). *)
+(** Stable multi-line rendering (used by [squirrel run --report
+    profile] / [--report metrics]). *)
 
 val to_json : snapshot -> string
 (** One self-contained JSON object. *)

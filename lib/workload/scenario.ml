@@ -454,3 +454,135 @@ let ann_retail_hybrid vdp =
           ("oid", Annotation.V); ("cust", Annotation.V); ("amt", Annotation.V);
         ] );
     ]
+
+(* --- the standard load run -------------------------------------------- *)
+
+type load = {
+  l_updates_per_rel : int;
+  l_update_interval : float;
+  l_queries : int;
+  l_query_interval : float;
+  l_delete_fraction : float;
+}
+
+let default_load =
+  {
+    l_updates_per_rel = 10;
+    l_update_interval = 0.3;
+    l_queries = 10;
+    l_query_interval = 0.5;
+    l_delete_fraction = 0.25;
+  }
+
+let start ?config env ~annotation =
+  let med = mediator env ~annotation ?config () in
+  Engine.spawn env.engine (fun () -> Mediator.initialize med);
+  Engine.run env.engine ~until:1.0;
+  med
+
+let spawn_updates env ~rng updates load =
+  if load.l_updates_per_rel > 0 then
+    List.iter
+      (fun (src_name, rel, specs) ->
+        Driver.update_process ~rng ~src:(source env src_name)
+          {
+            Driver.u_relation = rel;
+            u_interval = load.l_update_interval;
+            u_count = load.l_updates_per_rel;
+            u_delete_fraction = load.l_delete_fraction;
+            u_specs = specs;
+          })
+      updates
+
+let run_load ?extra ~rng env med ~updates ~queries:(node, attr_sets) load =
+  let t0 = Engine.now env.engine in
+  spawn_updates env ~rng updates load;
+  Option.iter (fun f -> f env) extra;
+  if load.l_queries > 0 then
+    ignore
+      (Driver.query_process ~rng ~med
+         {
+           Driver.q_node = node;
+           q_interval = load.l_query_interval;
+           q_count = load.l_queries;
+           q_attr_sets = attr_sets;
+         });
+  run_to_quiescence env med;
+  (* a query stream that outlasts the updates can leave the mediator
+     quiet before its last query is posted *)
+  let horizon =
+    t0 +. (float_of_int load.l_queries *. load.l_query_interval)
+  in
+  if Engine.now env.engine < horizon then begin
+    Engine.run env.engine ~until:horizon;
+    run_to_quiescence env med
+  end
+
+(* --- the catalogue ----------------------------------------------------- *)
+
+type t = {
+  sc_name : string;
+  sc_doc : string;
+  sc_make : seed:int -> env;
+  sc_annotations : (string * (Graph.t -> Annotation.t)) list;
+  sc_updates : (string * string * Datagen.column_spec list) list;
+  sc_query : string * string list;
+}
+
+let extremes =
+  [
+    ("materialized", Annotation.fully_materialized);
+    ("virtual", Annotation.fully_virtual);
+    ("warehouse", Baselines.Annotations.warehouse);
+  ]
+
+let updates_of specs rels =
+  List.map (fun (src, rel) -> (src, rel, specs rel)) rels
+
+let catalogue =
+  [
+    {
+      sc_name = "fig1";
+      sc_doc = "Figure 1: T over R and S (Examples 2.1-2.3)";
+      sc_make = (fun ~seed -> make_fig1 ~seed ());
+      (* Example 2.1 is already the fully materialized extreme *)
+      sc_annotations =
+        [ ("ex21", ann_ex21); ("ex22", ann_ex22); ("ex23", ann_ex23) ]
+        @ List.tl extremes;
+      sc_updates = updates_of fig1_update_specs [ ("db1", "R"); ("db2", "S") ];
+      sc_query = ("T", [ "r1"; "r3"; "s1"; "s2" ]);
+    };
+    {
+      sc_name = "retail";
+      sc_doc = "Retail: union of regional orders joined with customers";
+      sc_make = (fun ~seed -> make_retail ~seed ());
+      sc_annotations = ("hybrid", ann_retail_hybrid) :: extremes;
+      sc_updates =
+        updates_of retail_update_specs
+          [ ("dbEast", "OrdersE"); ("dbWest", "OrdersW"); ("dbCust", "Cust") ];
+      sc_query = ("Premium", [ "cust"; "region"; "amt" ]);
+    };
+    {
+      sc_name = "federated";
+      sc_doc = "Federated retail: west region aligned by attribute renaming";
+      sc_make = (fun ~seed -> make_federated ~seed ());
+      sc_annotations = extremes;
+      sc_updates =
+        updates_of federated_update_specs
+          [ ("dbEast", "OrdersE"); ("dbWest", "OrdersW") ];
+      sc_query = ("AllOrders", [ "oid"; "cust"; "amt" ]);
+    };
+    {
+      sc_name = "ex51";
+      sc_doc = "Example 5.1 / Figure 4: exports E and G over A,B,C,D";
+      sc_make = (fun ~seed -> make_ex51 ~seed ());
+      sc_annotations = ("paper", ann_ex51) :: extremes;
+      sc_updates =
+        updates_of ex51_update_specs
+          [ ("dbA", "A"); ("dbB", "B"); ("dbC", "C"); ("dbD", "D") ];
+      sc_query = ("E", [ "a1"; "a2"; "b1" ]);
+    };
+  ]
+
+let find name = List.find_opt (fun sc -> String.equal sc.sc_name name) catalogue
+let annotation sc name = List.assoc_opt name sc.sc_annotations

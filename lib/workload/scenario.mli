@@ -188,3 +188,73 @@ val make_federated :
   env
 
 val federated_update_specs : string -> Datagen.column_spec list
+
+(** {1 The standard load run}
+
+    Every caller that runs a named scenario under load (the CLI, the
+    experiment harness) goes through these: start a mediator, spawn
+    one update driver per relation and one query driver, quiesce. *)
+
+type load = {
+  l_updates_per_rel : int;  (** commits per update relation *)
+  l_update_interval : float;
+  l_queries : int;
+  l_query_interval : float;
+  l_delete_fraction : float;
+}
+
+val default_load : load
+(** 10 commits per relation every 0.3, 10 queries every 0.5, a quarter
+    of commits deletes. *)
+
+val start : ?config:Med.config -> env -> annotation:Annotation.t -> Mediator.t
+(** {!mediator}, then [Mediator.initialize] run to simulated time 1.0. *)
+
+val spawn_updates :
+  env ->
+  rng:Random.State.t ->
+  (string * string * Datagen.column_spec list) list ->
+  load ->
+  unit
+(** One {!Driver.update_process} per [(source, relation, specs)], or
+    none when [l_updates_per_rel] is 0. *)
+
+val run_load :
+  ?extra:(env -> unit) ->
+  rng:Random.State.t ->
+  env ->
+  Mediator.t ->
+  updates:(string * string * Datagen.column_spec list) list ->
+  queries:string * (string list * Relalg.Predicate.t) list ->
+  load ->
+  unit
+(** Spawn the update drivers, then [extra] (extra load the caller
+    schedules on the engine), then a query driver posing
+    [l_queries] queries against the node, each picking one
+    (projection, condition) of the list; drive to quiescence, and on
+    past the last query if the mediator went quiet before it. The
+    drivers share [rng], so each caller keeps its own seed
+    derivation. *)
+
+(** {1 The catalogue}
+
+    One entry per named scenario: what the CLI lists and runs, what
+    the chaos matrix and the experiment harness draw their scenarios
+    from. *)
+
+type t = {
+  sc_name : string;
+  sc_doc : string;
+  sc_make : seed:int -> env;
+  sc_annotations : (string * (Graph.t -> Annotation.t)) list;
+      (** named annotation variants; the first is the default *)
+  sc_updates : (string * string * Datagen.column_spec list) list;
+      (** [(source, relation, column specs)] the load updates *)
+  sc_query : string * string list;  (** the main query: export, attributes *)
+}
+
+val catalogue : t list
+(** [fig1], [retail], [federated], [ex51]. *)
+
+val find : string -> t option
+val annotation : t -> string -> (Graph.t -> Annotation.t) option

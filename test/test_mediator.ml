@@ -1192,6 +1192,75 @@ let test_runs_are_deterministic () =
   Alcotest.(check (list string))
     "identical transaction logs" (summarize (run ())) (summarize (run ()))
 
+(* every catalogue entry is runnable as listed: its default annotation
+   resolves, its update relations are leaves of the named sources, its
+   main query names an export carrying those attributes, and a short
+   standard load under the default annotation passes the checker *)
+let test_catalogue_entries () =
+  List.iter
+    (fun (sc : Scenario.t) ->
+      let name = sc.Scenario.sc_name in
+      let ann_names = List.map fst sc.Scenario.sc_annotations in
+      Alcotest.(check bool)
+        (name ^ ": annotation names distinct, at least one")
+        true
+        (ann_names <> []
+        && List.length (List.sort_uniq compare ann_names)
+           = List.length ann_names);
+      let default = List.hd ann_names in
+      let ann_of =
+        match Scenario.annotation sc default with
+        | Some a -> a
+        | None -> Alcotest.failf "%s: default %s does not resolve" name default
+      in
+      let env = sc.Scenario.sc_make ~seed:5 in
+      let vdp = env.Scenario.vdp in
+      List.iter
+        (fun (src, rel, _) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s is a leaf of %s" name rel src)
+            true
+            (List.mem rel (Graph.leaves_of_source vdp src)))
+        sc.Scenario.sc_updates;
+      let node, attrs = sc.Scenario.sc_query in
+      (match Graph.node_opt vdp node with
+      | Some n ->
+        Alcotest.(check bool) (name ^ ": main query node exported") true
+          n.Graph.export;
+        List.iter
+          (fun a ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s has %s" name node a)
+              true
+              (List.mem a (Schema.attrs n.Graph.schema)))
+          attrs
+      | None -> Alcotest.failf "%s: no node %s" name node);
+      let med = Scenario.start env ~annotation:(ann_of vdp) in
+      Scenario.run_load ~rng:(Workload.Datagen.state 5) env med
+        ~updates:sc.Scenario.sc_updates
+        ~queries:(node, [ (attrs, Predicate.True) ])
+        {
+          Scenario.default_load with
+          Scenario.l_updates_per_rel = 3;
+          l_queries = 2;
+        };
+      let report = check_consistent env med in
+      Alcotest.(check int) (name ^ ": both queries checked") 2
+        report.Checker.checked_queries)
+    Scenario.catalogue
+
+(* a query stream outlasting the updates must still be posted in full:
+   the mediator goes quiet long before the last query is due *)
+let test_standard_load_poses_every_query () =
+  let env = Scenario.make_fig1 () in
+  let med = Scenario.start env ~annotation:(Scenario.ann_ex21 env.Scenario.vdp) in
+  Scenario.run_load ~rng:(Workload.Datagen.state 1) env med ~updates:[]
+    ~queries:("T", [ ([ "r1"; "s1" ], Predicate.True) ])
+    { Scenario.default_load with Scenario.l_queries = 30 };
+  let report = check_consistent env med in
+  Alcotest.(check int) "all 30 queries posted" 30
+    report.Checker.checked_queries
+
 let () =
   Alcotest.run "mediator"
     [
@@ -1260,6 +1329,13 @@ let () =
         ] );
       ( "determinism",
         [ Alcotest.test_case "same seed, same log" `Quick test_runs_are_deterministic ] );
+      ( "scenario catalogue",
+        [
+          Alcotest.test_case "entries runnable as listed" `Quick
+            test_catalogue_entries;
+          Alcotest.test_case "standard load poses every query" `Quick
+            test_standard_load_poses_every_query;
+        ] );
       ( "theorems",
         [
           Alcotest.test_case "7.1: consistency (randomized)" `Slow test_theorem_7_1_randomized;
