@@ -172,12 +172,19 @@ let e3_query ~key_based ~attrs ~cond =
 let e3 () =
   section "E3  Example 2.3: hybrid query paths and key-based construction";
   let r3_cond = Predicate.(lt (attr "r3") (int 100)) in
+  (* a point condition on the materialized key r1: one row of T *)
+  let point =
+    match Bag.support (Harness.recompute (Scenario.make_fig1 ~seed:5 ()) "T") with
+    | t :: _ -> Predicate.(eq (attr "r1") (Const (Tuple.get t "r1")))
+    | [] -> Predicate.False
+  in
   let cases =
     [
       ("materialized attrs only", true, [ "r1"; "s1" ], Predicate.True);
       ("virtual r3, key-based", true, [ "r3"; "s1" ], r3_cond);
       ("virtual r3, general VAP", false, [ "r3"; "s1" ], r3_cond);
       ("virtual r3+s2, general VAP", true, [ "r3"; "s2" ], Predicate.True);
+      ("r3+s2 at one r1, semijoin", true, [ "r3"; "s2" ], point);
     ]
   in
   let rows =
@@ -195,8 +202,10 @@ let e3 () =
   note
     "Shape: materialized-attribute queries touch no source; the key-based \
      construction\npolls one source (R) where the general construction polls \
-     both; when the virtual\nattributes span both children (r3 and s2) only \
-     the general construction applies.\n"
+     both; when the virtual\nattributes span both children (r3 and s2) over \
+     all of T, both constructions poll both\nsources and the general one \
+     joins once less; at one r1 the key-based construction\nreads T's row by \
+     index and polls each source under its keys (a semijoin).\n"
 
 (* ====================================================================
    E4 — Figure 2 / Remark 3.1

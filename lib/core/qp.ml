@@ -71,6 +71,42 @@ let pre_repair (t : Med.t) =
 let base_stale (t : Med.t) =
   match Med.dirty_sources t with [] -> [] | dirty -> staleness_of t dirty
 
+(* [σ_cond table], reading only rows the condition can pass: with a
+   key-set conjunct on an indexed column, one probe per distinct
+   non-Null key and the whole condition on the probed rows; otherwise
+   (or when the keys outnumber the stored rows) a scan. One tuple op
+   per probe and per row read. *)
+let read_store table cond =
+  let probe =
+    List.find_map
+      (fun (a, vs) ->
+        if Table.has_index_on table [ a ] then
+          Some (a, Hash_index.probe_keys vs)
+        else None)
+      (Predicate.key_sets cond)
+  in
+  match probe with
+  | Some (a, keys)
+    when List.compare_length_with keys (Table.support_cardinal table) < 0 ->
+    let test = Predicate.compile cond in
+    let bu = Bag.builder (Table.schema table) in
+    let read = ref 0 in
+    List.iter
+      (fun v ->
+        Table.probe1 table a v (fun tuple m ->
+            incr read;
+            if test tuple then Bag.badd ~check:false bu tuple m))
+      keys;
+    Eval.charge_tuple_ops !read;
+    Bag.seal bu
+  | Some _ | None ->
+    Eval.charge_tuple_ops (Table.support_cardinal table);
+    Bag.select cond (Table.contents table)
+
+(* Example 2.3 generalized: every virtual attribute comes from a child
+   whose key [node] materializes, which then determines it (the FD
+   argument holds per child). Children in the order their attributes
+   are first needed. *)
 let key_based_plan (t : Med.t) ~node ~needed =
   if not t.Med.config.Med.Config.key_based_enabled then None
   else
@@ -82,17 +118,157 @@ let key_based_plan (t : Med.t) ~node ~needed =
       | Graph.Leaf _ -> None
       | Graph.Derived def when not (Expr.is_spj def) -> None
       | Graph.Derived _ ->
-        List.find_map
-          (fun child ->
-            let cs = (Graph.node t.Med.vdp child).Graph.schema in
-            let key = Schema.key cs in
-            if
-              key <> []
-              && List.for_all (fun k -> List.mem k mat) key
-              && List.for_all (fun a -> Schema.mem cs a) virtual_needed
-            then Some (child, key)
-            else None)
-          (Graph.children t.Med.vdp node)
+        let keyed =
+          List.filter_map
+            (fun child ->
+              let cs = (Graph.node t.Med.vdp child).Graph.schema in
+              let key = Schema.key cs in
+              if key <> [] && List.for_all (fun k -> List.mem k mat) key then
+                Some (child, cs, key)
+              else None)
+            (Graph.children t.Med.vdp node)
+        in
+        let rec pick chosen = function
+          | [] -> Some (List.rev chosen)
+          | a :: rest -> (
+            match List.find_opt (fun (_, cs, _) -> Schema.mem cs a) keyed with
+            | None -> None
+            | Some (child, _, key) ->
+              pick
+                (if List.mem_assoc child chosen then chosen
+                 else (child, key) :: chosen)
+                rest)
+        in
+        pick [] virtual_needed
+
+(* The semijoin restriction of a keyed child: per key column, the
+   values [own] holds. A Null key joins a Null child key but passes no
+   [=], so it leaves its column unrestricted. *)
+let semijoin_keys own key =
+  List.filter_map
+    (fun k ->
+      let get = Tuple.keyer1 k in
+      let seen = Value.Tbl.create 64 in
+      let has_null = ref false in
+      let vs = ref [] in
+      Bag.iter
+        (fun tuple _ ->
+          match get tuple with
+          | Value.Null -> has_null := true
+          | v ->
+            if not (Value.Tbl.mem seen v) then begin
+              Value.Tbl.replace seen v ();
+              vs := v :: !vs
+            end)
+        own;
+      if !has_null then None else Some (k, List.rev !vs))
+    key
+
+(* Children the general construction polls: those it reads at
+   attributes the store does not cover. *)
+let general_polls (t : Med.t) ~node ~needed ~cond =
+  List.length
+    (List.filter
+       (fun (child, b, _) ->
+         (not (Graph.is_leaf t.Med.vdp child))
+         && not (Med.is_covered t ~node:child ~attrs:b))
+       (Derived_from.derived_from t.Med.vdp ~node ~attrs:needed ~cond))
+
+(* Example 2.3 as a semijoin: the materialized part first, then from
+   each keyed child only the rows under the keys that part holds — a
+   probe of a stored child, a keyed poll of a virtual one, all in one
+   VAP run. Returns the joined rows and the VAP result, or [None] when
+   the general construction is cheaper: the materialized part is the
+   whole stored node, so its keys restrict nothing the join would not,
+   and the plan polls no fewer children. *)
+let key_based (t : Med.t) ~node ~needed ~cond children =
+  let mat = Med.mat_attrs t node in
+  let table =
+    match Med.node_table t node with
+    | Some table -> table
+    | None -> Med.err "key-based plan on unmaterialized node %S" node
+  in
+  let virtual_needed = List.filter (fun a -> not (List.mem a mat)) needed in
+  let reads =
+    List.map
+      (fun (child, key) ->
+        let cs = (Graph.node t.Med.vdp child).Graph.schema in
+        let c_needed =
+          dedup
+            (key
+            @ List.filter (Schema.mem cs) (virtual_needed @ Predicate.attrs cond))
+        in
+        ( child,
+          key,
+          cs,
+          c_needed,
+          Med.is_covered t ~node:child ~attrs:c_needed ))
+      children
+  in
+  let polls =
+    List.length (List.filter (fun (_, _, _, _, covered) -> not covered) reads)
+  in
+  let own_cond = Predicate.restrict_to cond mat in
+  (* the materialized part restricts the children only when a
+     condition on materialized attributes leaves some rows out; an
+     unconditioned one is the whole node, not worth reading unless the
+     plan polls fewer children anyway *)
+  let own_rows, restricted =
+    if own_cond = Predicate.True then (None, false)
+    else
+      let rows = read_store table own_cond in
+      (Some rows, Bag.support_cardinal rows < Table.support_cardinal table)
+  in
+  if
+    not
+      (restricted || polls = 0 || polls < general_polls t ~node ~needed ~cond)
+  then None
+  else
+    let own_rows =
+      match own_rows with
+      | Some rows -> rows
+      | None -> read_store table own_cond
+    in
+    let own =
+      Bag.project
+        (dedup
+           (List.concat_map snd children
+           @ List.filter (fun a -> List.mem a mat) needed))
+        own_rows
+    in
+    let parts =
+      List.map
+        (fun (child, key, cs, c_needed, covered) ->
+          let keys = if restricted then semijoin_keys own key else [] in
+          let c_cond =
+            Predicate.conj
+              (List.filter
+                 (fun p -> p <> Predicate.True)
+                 (Predicate.restrict_to cond (Schema.attrs cs)
+                 :: List.map (fun (k, vs) -> Predicate.one_of k vs) keys))
+          in
+          if List.exists (fun (_, vs) -> vs = []) keys then
+            `Rows (Bag.empty (Schema.project cs c_needed))
+          else if covered then
+            `Rows
+              (Bag.project c_needed
+                 (read_store (Option.get (Med.node_table t child)) c_cond))
+          else `Poll { Vap.r_node = child; r_attrs = c_needed; r_cond = c_cond })
+        reads
+    in
+    let requests =
+      List.filter_map (function `Poll r -> Some r | `Rows _ -> None) parts
+    in
+    let res =
+      if requests = [] then
+        { Vap.temps = []; polled_versions = []; polled_times = [] }
+      else Vap.build t ~kind:`Query requests
+    in
+    let rows = function
+      | `Rows b -> b
+      | `Poll r -> List.assoc r.Vap.r_node res.Vap.temps
+    in
+    Some (List.fold_left (fun acc part -> Bag.join acc (rows part)) own parts, res)
 
 (* SLO escalation: any announcing contributor whose reflected send
    time already lags beyond the requested bound gets an {e empty}
@@ -245,7 +421,7 @@ let query_many (t : Med.t) requests =
               match Med.node_table t node with
               | Some table when Med.is_covered t ~node ~attrs:needed ->
                 Obs.Metrics.incr t.Med.stats.Med.queries_from_store;
-                (node, Bag.project attrs (Bag.select cond (Table.contents table)))
+                (node, Bag.project attrs (read_store table cond))
               | Some table -> (
                 (* fresh data unreachable: degrade to the materialized
                    portion — only materialized attributes survive, and
@@ -257,9 +433,7 @@ let query_many (t : Med.t) requests =
                   if avail = [] then raise exn;
                   ( node,
                     Bag.project avail
-                      (Bag.select
-                         (Predicate.restrict_to cond mat)
-                         (Table.contents table)) )
+                      (read_store table (Predicate.restrict_to cond mat)) )
                 | None ->
                   Med.err "export %S not covered and no temporary built" node)
               | None -> (
@@ -460,8 +634,7 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
                 (Printexc.to_string exn));
           Obs.Trace.set_attr tx_sp "error" (Printexc.to_string exn);
           finish ~stale:(staleness_of t srcs) ~served:"degraded"
-            (Bag.project avail
-               (Bag.select (Predicate.restrict_to cond mat) (Table.contents table)))
+            (Bag.project avail (read_store table (Predicate.restrict_to cond mat)))
             []
         | None -> raise exn
       in
@@ -481,71 +654,13 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
       if Med.is_covered t ~node ~attrs:needed then begin
         let table = Option.get (Med.node_table t node) in
         Obs.Metrics.incr t.Med.stats.Med.queries_from_store;
-        Eval.charge_tuple_ops (Table.support_cardinal table);
         finish ~stale:(base_stale t) ~served:"store"
-          (Bag.project attrs (Bag.select cond (Table.contents table)))
+          (Bag.project attrs (read_store table cond))
           []
       end
       else
         with_degrade @@ fun () -> begin
-        (* how many children would the general construction touch at
-           virtual attributes? *)
-        let general_uncovered =
-          List.length
-            (List.filter
-               (fun (child, b, _) ->
-                 (not (Graph.is_leaf t.Med.vdp child))
-                 && not (Med.is_covered t ~node:child ~attrs:b))
-               (Derived_from.derived_from t.Med.vdp ~node ~attrs:needed ~cond))
-        in
-        match key_based_plan t ~node ~needed with
-        | Some (child, key) when general_uncovered > 1 || general_uncovered = 0
-          -> begin
-          (* Example 2.3: fetch virtual attributes through the
-             materialized key from a single child *)
-          let mat = Med.mat_attrs t node in
-          let virtual_needed =
-            List.filter (fun a -> not (List.mem a mat)) needed
-          in
-          let cs = (Graph.node t.Med.vdp child).Graph.schema in
-          let c_needed =
-            dedup
-              (key @ virtual_needed
-              @ List.filter (fun a -> Schema.mem cs a) (Predicate.attrs cond))
-          in
-          let c_cond = Predicate.restrict_to cond (Schema.attrs cs) in
-          let c_part, (polled, polled_times) =
-            if Med.is_covered t ~node:child ~attrs:c_needed then begin
-              let table = Option.get (Med.node_table t child) in
-              ( Bag.project c_needed (Bag.select c_cond (Table.contents table)),
-                ([], []) )
-            end
-            else begin
-              let res =
-                Vap.build t ~kind:`Query
-                  [ { Vap.r_node = child; r_attrs = c_needed; r_cond = c_cond } ]
-              in
-              ( List.assoc child res.Vap.temps,
-                (res.Vap.polled_versions, res.Vap.polled_times) )
-            end
-          in
-          let own_attrs =
-            dedup (key @ List.filter (fun a -> List.mem a mat) needed)
-          in
-          let own_cond = Predicate.restrict_to cond mat in
-          let own =
-            match Med.node_table t node with
-            | Some table ->
-              Bag.project own_attrs (Bag.select own_cond (Table.contents table))
-            | None -> Med.err "key-based plan on unmaterialized node %S" node
-          in
-          let joined = Bag.join own c_part in
-          Obs.Metrics.incr t.Med.stats.Med.key_based_constructions;
-          finish ~stale:(base_stale t) ~polled_times ~served:"key_based"
-            (Bag.project attrs (Bag.select cond joined))
-            polled
-        end
-        | Some _ | None ->
+        let general () =
           let res =
             Vap.build t ~kind:`Query
               [ { Vap.r_node = node; r_attrs = needed; r_cond = cond } ]
@@ -555,4 +670,16 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
             ~served:"vap"
             (Bag.project attrs (Bag.select cond temp))
             res.Vap.polled_versions
+        in
+        match
+          Option.bind (key_based_plan t ~node ~needed)
+            (key_based t ~node ~needed ~cond)
+        with
+        | Some (joined, res) ->
+          Obs.Metrics.incr t.Med.stats.Med.key_based_constructions;
+          finish ~stale:(base_stale t) ~polled_times:res.Vap.polled_times
+            ~served:"key_based"
+            (Bag.project attrs (Bag.select cond joined))
+            res.Vap.polled_versions
+        | None -> general ()
       end))

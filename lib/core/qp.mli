@@ -7,12 +7,21 @@
     {- answers from the local store alone when every attribute touched
        (projected or tested) is materialized;}
     {- otherwise tries the {e key-based construction} of Example 2.3:
-       if the virtual attributes are functionally determined by a
-       materialized key that is the key of a single child, the answer
-       is assembled by joining the export's materialized portion with
-       (a projection of) that one child — touching fewer relations
-       (and fewer sources) than the general construction;}
+       if every virtual attribute belongs to a child whose key is
+       materialized on the export (so that key determines it), the
+       answer is the export's materialized portion joined with
+       (projections of) those children. It is a semijoin: the
+       materialized portion is read first and, when a condition on
+       materialized attributes restricted it, each child is read only
+       under the keys it holds — a probe of a stored child, a keyed
+       poll of a virtual one. An unrestricted portion is the whole
+       node; the construction is then taken only when it polls fewer
+       children than the general one;}
     {- otherwise hands the VAP a request for a general temporary.}}
+
+    Store reads probe a table index when the condition has a key-set
+    conjunct ({!Relalg.Predicate.key_sets}) on an indexed column, so
+    a point query reads its answer's rows, not the relation.
 
     Every query is one serialized query transaction; the answer and
     the reflect vector (which source versions it corresponds to) are
@@ -114,7 +123,8 @@ val key_based_plan :
   Med.t ->
   node:string ->
   needed:string list ->
-  (string * string list) option
+  (string * string list) list option
 (** The key-based construction the QP would use for the given needed
-    attributes: [(child, key)] — exposed for tests and the E3
+    attributes: the [(child, key)] pairs it reads, each child's key
+    materialized on the node — exposed for tests and the E3
     experiment. *)

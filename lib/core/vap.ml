@@ -18,30 +18,6 @@ let normalize r =
   in
   { r with r_attrs = r.r_attrs @ extra }
 
-let rec disjuncts = function
-  | Predicate.Or (a, b) -> disjuncts a @ disjuncts b
-  | p -> [ p ]
-
-(* a conjunct [a = v1 ∨ … ∨ a = vn] of [cond] over one attribute and
-   constants (either operand order), as [(a, [v1; …; vn])] *)
-let key_sets cond =
-  let eq_const = function
-    | Predicate.Cmp (Predicate.Eq, Predicate.Attr a, Predicate.Const v)
-    | Predicate.Cmp (Predicate.Eq, Predicate.Const v, Predicate.Attr a) ->
-      Some (a, v)
-    | _ -> None
-  in
-  List.filter_map
-    (fun conjunct ->
-      match List.map eq_const (disjuncts conjunct) with
-      | Some (a, _) :: _ as eqs
-        when List.for_all
-               (function Some (b, _) -> String.equal a b | None -> false)
-               eqs ->
-        Some (a, List.filter_map (Option.map snd) eqs)
-      | _ -> None)
-    (Predicate.conjuncts cond)
-
 (* The key a leaf-parent poll names: a key-set conjunct of the
    request's condition, its attribute mapped through the definition's
    renames to a column of the leaf relation. Only the request's own
@@ -56,7 +32,9 @@ let poll_key (t : Med.t) r ~leaf =
         Some
           { Source_db.k_relation = leaf; k_column = col; k_values = vs }
       | _ -> None)
-    (key_sets r.r_cond)
+    (Predicate.key_sets r.r_cond)
+
+module Pset = Set.Make (Predicate)
 
 let merge_into table r =
   let r = normalize r in
@@ -69,11 +47,11 @@ let merge_into table r =
     (* idempotent disjunction — merging the same condition twice must
        not grow the predicate, or the closure fixpoint never settles *)
     let cond =
-      let have = disjuncts cond in
+      let have = Pset.of_list (Predicate.disjuncts cond) in
       if
         List.for_all
-          (fun d -> List.exists (Predicate.equal d) have)
-          (disjuncts r.r_cond)
+          (fun d -> Pset.mem d have)
+          (Predicate.disjuncts r.r_cond)
       then cond
       else Predicate.simplify (Predicate.Or (cond, r.r_cond))
     in

@@ -76,7 +76,11 @@ let filter test d =
   Counts.iter (fun t m -> if test t then Counts.Builder.add out t m) d.muls;
   { d with muls = Counts.Builder.seal out }
 
-let select p d = filter (Predicate.eval p) d
+(* an empty delta (the common unseen delta of ECA) skips compiling *)
+let select p d =
+  match p with
+  | Predicate.True -> d
+  | p -> if is_empty d then d else filter (Predicate.compile p) d
 
 let transform schema f d =
   let out = Counts.Builder.create ~size:(max 16 (Counts.size d.muls)) () in

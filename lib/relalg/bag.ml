@@ -157,13 +157,6 @@ module Key_table = Hashtbl.Make (struct
   let hash key = List.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 key
 end)
 
-module VKey_table = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
 (* Join-key planning: shared attribute names joined naturally, plus
    the equi-pairs of the theta condition that span the two sides. *)
 let join_keys sa sb on =
@@ -213,15 +206,15 @@ let join ?(on = Predicate.True) ?test a b =
     (* [add]/[find_all] multi-bindings: inserts never walk the bucket
        (replace-with-cons would walk it twice); presized past the
        resize point *)
-    let index = VKey_table.create (2 * max 16 (Counts.size b.tm)) in
+    let index = Value.Tbl.create (2 * max 16 (Counts.size b.tm)) in
     Counts.iter
-      (fun xb mb -> VKey_table.add index (key_of_b xb) (xb, mb))
+      (fun xb mb -> Value.Tbl.add index (key_of_b xb) (xb, mb))
       b.tm;
     Counts.iter
       (fun xa ma ->
         List.iter
           (fun (xb, mb) -> combine xa ma xb mb)
-          (VKey_table.find_all index (key_of_a xa)))
+          (Value.Tbl.find_all index (key_of_a xa)))
       a.tm
   | _ ->
     let key_of_b = Tuple.keyer right_keys

@@ -94,6 +94,53 @@ let rec compile_term = function
     let fa = compile_term a and fb = compile_term b in
     fun x -> Value.div (fa x) (fb x)
 
+(* The disjuncts of a left- or right-deep [Or] chain, in order, in one
+   pass (no list appends). *)
+let disjuncts p =
+  let rec go acc = function Or (a, b) -> go (go acc b) a | p -> p :: acc in
+  go [] p
+
+let rec conjuncts_acc acc = function
+  | And (a, b) -> conjuncts_acc (conjuncts_acc acc b) a
+  | True -> acc
+  | p -> p :: acc
+
+let conjuncts p = conjuncts_acc [] p
+
+let eq_const = function
+  | Cmp (Eq, Attr a, Const v) | Cmp (Eq, Const v, Attr a) -> Some (a, v)
+  | _ -> None
+
+(* disjuncts [a = v1; …; a = vn] over one attribute, as
+   [(a, [v1; …; vn])] *)
+let key_set_of = function
+  | [] -> None
+  | d :: ds -> (
+    match eq_const d with
+    | None -> None
+    | Some (a, v) ->
+      let rec rest acc = function
+        | [] -> Some (a, List.rev acc)
+        | d :: ds -> (
+          match eq_const d with
+          | Some (b, v) when String.equal a b -> rest (v :: acc) ds
+          | _ -> None)
+      in
+      rest [ v ] ds)
+
+let key_sets p =
+  List.filter_map (fun c -> key_set_of (disjuncts c)) (conjuncts p)
+
+let one_of a vs = disj (List.map (fun v -> Cmp (Eq, Attr a, Const v)) vs)
+
+(* A hash lookup agrees with [Eq] exactly when every constant hashes
+   like each value equal to it: integral numbers past 2^53 compare
+   equal to neighbours that hash apart. *)
+let hash_exact = function
+  | Value.Int i -> abs i < 1 lsl 53
+  | Value.Float f -> Float.abs f < 0x1p53 || not (Float.is_integer f)
+  | Value.Null | Value.Bool _ | Value.Str _ -> true
+
 let rec compile = function
   | True -> fun _ -> true
   | False -> fun _ -> false
@@ -103,9 +150,22 @@ let rec compile = function
   | And (a, b) ->
     let fa = compile a and fb = compile b in
     fun t -> fa t && fb t
-  | Or (a, b) ->
-    let fa = compile a and fb = compile b in
-    fun t -> fa t || fb t
+  | Or _ as p -> (
+    let ds = disjuncts p in
+    match key_set_of ds with
+    | Some (a, vs) when List.for_all hash_exact vs ->
+      (* a key set: one hash lookup per row instead of one comparison
+         per key; Null never matches, as under [eval_cmp], so it stays
+         out of the set *)
+      let set = Value.Tbl.create (List.length vs) in
+      List.iter
+        (function Value.Null -> () | v -> Value.Tbl.replace set v ())
+        vs;
+      let get = Tuple.keyer1 a in
+      fun t -> Value.Tbl.mem set (get t)
+    | _ ->
+      let fs = Array.of_list (List.map compile ds) in
+      fun t -> Array.exists (fun f -> f t) fs)
   | Not a ->
     let fa = compile a in
     fun t -> not (fa t)
@@ -127,11 +187,6 @@ let rec attr_set = function
 
 let attrs p = Sset.elements (attr_set p)
 let term_attrs t = Sset.elements (term_attr_set t)
-
-let rec conjuncts = function
-  | And (a, b) -> conjuncts a @ conjuncts b
-  | True -> []
-  | p -> [ p ]
 
 let equi_pairs p =
   List.filter_map

@@ -63,8 +63,9 @@ val compile_term : term -> Tuple.t -> Value.t
 val compile : t -> Tuple.t -> bool
 (** [compile p] is [eval p] with attribute slots memoized per
     descriptor; partial application pays the closure construction
-    once, each tuple test then performs no name lookups. Semantics
-    identical to {!eval}. *)
+    once, each tuple test then performs no name lookups. A key set
+    ([a = v1 ∨ … ∨ a = vn], see {!key_sets}) compiles to one hash
+    lookup per tuple. Semantics identical to {!eval}. *)
 
 val attrs : t -> string list
 (** Attribute names mentioned, sorted, without duplicates. This is the
@@ -77,7 +78,22 @@ val equi_pairs : t -> (string * string) list
     to pick hash-join keys. *)
 
 val conjuncts : t -> t list
-(** Flatten top-level [And]s. *)
+(** Flatten top-level [And]s, dropping [True]. Linear in the size of
+    the chain. *)
+
+val disjuncts : t -> t list
+(** Flatten top-level [Or]s. Linear in the size of the chain. *)
+
+val key_sets : t -> (string * Value.t list) list
+(** The conjuncts of the form [a = v1 ∨ … ∨ a = vn] — one attribute
+    compared with constants, in either operand order — as
+    [(a, [v1; …; vn])]. A row passing the condition has [a] equal to
+    some non-[Null] [vi]; that is what lets a store, a source or a
+    semijoin read only the rows under those keys. *)
+
+val one_of : string -> Value.t list -> t
+(** [one_of a vs] is the key set [a = v1 ∨ … ∨ a = vn]; [False] when
+    [vs] is empty. *)
 
 val simplify : t -> t
 (** Constant folding of [True]/[False] through connectives. *)

@@ -50,6 +50,13 @@ let hash = function
     else Hashtbl.hash (3, f)
   | Str s -> Hashtbl.hash s
 
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 let type_error op a b =
   raise
     (Type_error

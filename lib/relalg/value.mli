@@ -27,6 +27,11 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val hash : t -> int
+(** Compatible with {!equal} on numbers below 2{^53} in magnitude:
+    [Int 1] and [Float 1.] hash alike. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by {!equal}/{!hash}. *)
 
 exception Type_error of string
 (** Raised by arithmetic on non-numeric operands. *)

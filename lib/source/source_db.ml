@@ -264,8 +264,6 @@ let index_on t rel col =
   match List.assoc_opt (rel, col) t.indexes with
   | Some ix -> ix
   | None ->
-    if not (Schema.mem (schema t rel) col) then
-      err "keyed poll: %S has no attribute %S" rel col;
     let ix = Hash_index.of_bag [ col ] (current t rel) in
     t.indexes <- ((rel, col), ix) :: t.indexes;
     ix
@@ -273,18 +271,25 @@ let index_on t rel col =
 (* the rows of the keyed relation whose column equals a key value: the
    union of the probed buckets. A comparison never matches Null, so it
    is not probed, and values equal under Value.equal (Int 1, Float 1.)
-   name one bucket, probed once. *)
+   name one bucket, probed once. With at least as many keys as the
+   relation has distinct rows, probing costs more than reading the
+   relation, which the query then filters by the same keys. *)
 let probed t k =
-  let ix = index_on t k.k_relation k.k_column in
-  let bu = Bag.builder (schema t k.k_relation) in
-  List.iter
-    (function
-      | Value.Null -> ()
-      | v ->
+  if not (Schema.mem (schema t k.k_relation) k.k_column) then
+    err "keyed poll: %S has no attribute %S" k.k_relation k.k_column;
+  let keys = Hash_index.probe_keys k.k_values in
+  let rel = current t k.k_relation in
+  if List.compare_length_with keys (Bag.support_cardinal rel) >= 0 then rel
+  else begin
+    let ix = index_on t k.k_relation k.k_column in
+    let bu = Bag.builder (schema t k.k_relation) in
+    List.iter
+      (fun v ->
         Eval.charge_tuple_ops 1;
         Hash_index.probe1 ix v (Bag.badd ~check:false bu))
-    (List.sort_uniq Value.compare k.k_values);
-  Bag.seal bu
+      keys;
+    Bag.seal bu
+  end
 
 let indexed t = List.sort compare (List.map fst t.indexes)
 

@@ -163,10 +163,11 @@ val try_poll :
     evaluates the same query over the union of the matching buckets of
     a hash index on [(k_relation, k_column)] instead of over the whole
     relation, so the answer is identical and the cost follows the
-    probed rows. [Null] values never match and are not probed. The
-    index is built from the current relation the first time a poll
-    names it, maintained by {!commit} and dropped by {!load}; history
-    snapshots are never indexed.
+    probed rows. [Null] values never match and are not probed. A key
+    set at least as large as the relation's distinct rows reads the
+    relation instead. The index is built from the current relation the
+    first time a poll probes it, maintained by {!commit} and dropped
+    by {!load}; history snapshots are never indexed.
     @raise Source_error when the key names an unknown relation or
     column. *)
 

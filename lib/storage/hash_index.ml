@@ -9,13 +9,6 @@ module Key_table = Hashtbl.Make (struct
   let hash key = List.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 key
 end)
 
-module VKey_table = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
 (* An index cell holds the tuples sharing one key value. Unique and
    near-unique keys (the common case) stay in the compact [One]
    representation — three words instead of a hash table per key — and
@@ -27,7 +20,7 @@ type cell = One of one | Many of int Tuple.Tbl.t
 and one = { mutable ot : Tuple.t; mutable om : int }
 
 type entries =
-  | Single of { key1 : Tuple.t -> Value.t; stbl : cell VKey_table.t }
+  | Single of { key1 : Tuple.t -> Value.t; stbl : cell Value.Tbl.t }
   | Multi of { key : Tuple.t -> Value.t list; mtbl : cell Key_table.t }
 
 type t = { on : string list; entries : entries }
@@ -35,7 +28,7 @@ type t = { on : string list; entries : entries }
 let make ~size on =
   match on with
   | [ a ] ->
-    { on; entries = Single { key1 = Tuple.keyer1 a; stbl = VKey_table.create size } }
+    { on; entries = Single { key1 = Tuple.keyer1 a; stbl = Value.Tbl.create size } }
   | _ -> { on; entries = Multi { key = Tuple.keyer on; mtbl = Key_table.create size } }
 
 let create on = make ~size:64 on
@@ -69,12 +62,12 @@ let add ix tuple mult =
   match ix.entries with
   | Single { key1; stbl } -> (
     let k = key1 tuple in
-    match VKey_table.find stbl k with
+    match Value.Tbl.find stbl k with
     | exception Not_found ->
-      VKey_table.add stbl k (One { ot = tuple; om = mult })
+      Value.Tbl.add stbl k (One { ot = tuple; om = mult })
     | One o ->
       if Tuple.equal o.ot tuple then o.om <- o.om + mult
-      else VKey_table.replace stbl k (promote o tuple mult)
+      else Value.Tbl.replace stbl k (promote o tuple mult)
     | Many tb -> tbl_add tb tuple mult)
   | Multi { key; mtbl } -> (
     let k = key tuple in
@@ -89,14 +82,14 @@ let remove ix tuple mult =
   match ix.entries with
   | Single { key1; stbl } -> (
     let k = key1 tuple in
-    match VKey_table.find stbl k with
+    match Value.Tbl.find stbl k with
     | exception Not_found -> ()
     | One o ->
       if Tuple.equal o.ot tuple then
-        if o.om > mult then o.om <- o.om - mult else VKey_table.remove stbl k
+        if o.om > mult then o.om <- o.om - mult else Value.Tbl.remove stbl k
     | Many tb ->
       tbl_remove tb tuple mult;
-      if Tuple.Tbl.length tb = 0 then VKey_table.remove stbl k)
+      if Tuple.Tbl.length tb = 0 then Value.Tbl.remove stbl k)
   | Multi { key; mtbl } -> (
     let k = key tuple in
     match Key_table.find mtbl k with
@@ -110,7 +103,7 @@ let remove ix tuple mult =
 
 let reset ix =
   match ix.entries with
-  | Single { stbl; _ } -> VKey_table.reset stbl
+  | Single { stbl; _ } -> Value.Tbl.reset stbl
   | Multi { mtbl; _ } -> Key_table.reset mtbl
 
 (* a hash table grows past two entries per bucket, so half the distinct
@@ -123,7 +116,7 @@ let of_bag on bag =
 let probe ix values f =
   match ix.entries, values with
   | Single { stbl; _ }, [ v ] -> (
-    match VKey_table.find_opt stbl v with
+    match Value.Tbl.find_opt stbl v with
     | None -> ()
     | Some cell -> cell_iter f cell)
   | Single _, _ ->
@@ -138,7 +131,7 @@ let probe ix values f =
 let probe1 ix value f =
   match ix.entries with
   | Single { stbl; _ } -> (
-    match VKey_table.find_opt stbl value with
+    match Value.Tbl.find_opt stbl value with
     | None -> ()
     | Some cell -> cell_iter f cell)
   | Multi _ -> invalid_arg "Hash_index.probe1: multi-attribute index"
@@ -147,10 +140,14 @@ let chain = function One _ -> 1 | Many tb -> Tuple.Tbl.length tb
 
 let distinct ix =
   match ix.entries with
-  | Single { stbl; _ } -> VKey_table.length stbl
+  | Single { stbl; _ } -> Value.Tbl.length stbl
   | Multi { mtbl; _ } -> Key_table.length mtbl
 
 let max_chain ix =
   match ix.entries with
-  | Single { stbl; _ } -> VKey_table.fold (fun _ c m -> max m (chain c)) stbl 0
+  | Single { stbl; _ } -> Value.Tbl.fold (fun _ c m -> max m (chain c)) stbl 0
   | Multi { mtbl; _ } -> Key_table.fold (fun _ c m -> max m (chain c)) mtbl 0
+
+let probe_keys values =
+  List.sort_uniq Value.compare
+    (List.filter (function Value.Null -> false | _ -> true) values)

@@ -49,6 +49,10 @@ val probe1 : t -> Value.t -> (Tuple.t -> int -> unit) -> unit
 (** {!probe} on a single-attribute index, without the key list.
     @raise Invalid_argument on a multi-attribute index. *)
 
+val probe_keys : Value.t list -> Value.t list
+(** The values a key set needs probed: distinct under {!Value.equal},
+    without [Null], which no comparison matches. *)
+
 val distinct : t -> int
 (** Distinct key values present. *)
 

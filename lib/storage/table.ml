@@ -9,14 +9,21 @@ type t = {
   name : string;
   schema : Schema.t;
   mutable bag : Bag.t;
-  indexes : Hash_index.t list;
+  mutable indexes : Hash_index.t list;
 }
 
 let create ?(indexes = []) ~name schema =
   let key = Schema.key schema in
+  (* a composite key also gets one index per key attribute, so a
+     condition naming part of the key probes instead of scanning *)
   let index_specs =
-    let specs = if key <> [] then key :: indexes else indexes in
-    List.sort_uniq compare specs
+    let key_specs =
+      match key with
+      | [] -> []
+      | [ _ ] -> [ key ]
+      | _ -> key :: List.map (fun a -> [ a ]) key
+    in
+    List.sort_uniq compare (key_specs @ indexes)
   in
   List.iter
     (fun spec ->
@@ -52,9 +59,14 @@ let clear t =
   t.bag <- Bag.empty t.schema;
   List.iter Hash_index.reset t.indexes
 
+(* built in bulk: one sealed bag and presized indexes, not a
+   persistent add and an index update per tuple *)
 let load t bag =
-  clear t;
-  Bag.iter (fun tuple mult -> insert ~mult t tuple) bag
+  let bu = Bag.builder ~size:(max 16 (Bag.support_cardinal bag)) t.schema in
+  Bag.iter (fun tuple mult -> Bag.badd ~check:true bu tuple mult) bag;
+  t.bag <- Bag.seal bu;
+  t.indexes <-
+    List.map (fun ix -> Hash_index.of_bag (Hash_index.on ix) t.bag) t.indexes
 
 let contents t = t.bag
 

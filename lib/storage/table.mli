@@ -16,7 +16,8 @@ exception Table_error of string
 val create : ?indexes:string list list -> name:string -> Schema.t -> t
 (** [create ~indexes ~name schema] makes an empty table. Each element
     of [indexes] is an attribute list to maintain a hash index on; the
-    schema's key (if any) is always indexed. *)
+    schema's key (if any) is always indexed, and a composite key is
+    also indexed one attribute at a time. *)
 
 val name : t -> string
 val schema : t -> Schema.t

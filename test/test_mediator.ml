@@ -444,6 +444,199 @@ let test_ex23_maintenance_with_updates () =
     answer;
   ignore (check_consistent env med)
 
+(* π_{r3,s2} σ_{r1=k} T: the key-based construction reads T's one row
+   for k from the store, then both children under its keys — one
+   keyed poll per source, each shipping at most one tuple *)
+let test_ex23_point_query_keyed_polls () =
+  let env, med = setup_fig1 Scenario.ann_ex23 in
+  let k =
+    match Bag.support (recompute env "T") with
+    | t :: _ -> Tuple.get t "r1"
+    | [] -> Alcotest.fail "T is empty"
+  in
+  let cond = Predicate.(eq (attr "r1") (Const k)) in
+  let polls0, tuples0 = poll_counts med in
+  let kb0 = Obs.Metrics.value (Mediator.stats med).Med.key_based_constructions in
+  let answer =
+    in_process env (fun () ->
+        (Mediator.query med ~node:"T" ~attrs:[ "r3"; "s2" ] ~cond ()).Qp.tuples)
+  in
+  Tutil.check_bag "answer = recompute"
+    (Bag.project [ "r3"; "s2" ] (Bag.select cond (recompute env "T")))
+    answer;
+  let polls1, tuples1 = poll_counts med in
+  Alcotest.(check int)
+    "key-based" (kb0 + 1)
+    (Obs.Metrics.value (Mediator.stats med).Med.key_based_constructions);
+  Alcotest.(check int) "one poll per source" 2 (polls1 - polls0);
+  Alcotest.(check bool) "at most two tuples shipped" true (tuples1 - tuples0 <= 2);
+  Alcotest.(check (list (pair string string)))
+    "db1 probed on R.r1" [ ("R", "r1") ] (indexed env "db1");
+  Alcotest.(check (list (pair string string)))
+    "db2 probed on S.s1" [ ("S", "s1") ] (indexed env "db2");
+  ignore (check_consistent env med)
+
+(* --- answer-sized queries: probed = scanned = recompute, per rung ------- *)
+
+(* [cond] with its key sets out of sight of every probe: [not (not c)]
+   passes the rows [c] passes but is no key set *)
+let hide_keys cond =
+  Predicate.conj
+    (List.map
+       (fun c -> Predicate.Not (Predicate.Not c))
+       (Predicate.conjuncts cond))
+
+(* per round a fresh R and S row and the deletion of one of each;
+   returns the deleted keys. Driven by its own [rng], so twin
+   environments given equal seeds see equal streams. *)
+let churn env rng ~round =
+  let fresh = 1000 + (10 * round) in
+  commit_fresh_r env ~r1:fresh
+    ~r2:(Random.State.int rng 40)
+    ~r3:(Random.State.int rng 200)
+    ~r4:(100 + Random.State.int rng 2);
+  commit_fresh_s env ~s1:(Random.State.int rng 40 + 40) ~s2:(Random.State.int rng 100)
+    ~s3:(Random.State.int rng 100);
+  List.map
+    (fun (src, rel, key) ->
+      let db = Scenario.source env src in
+      let rows = Bag.support (Adapter.current db rel) in
+      let victim = List.nth rows (Random.State.int rng (List.length rows)) in
+      Adapter.commit db (Driver.single_delete db rel victim);
+      (key, Tuple.get victim key))
+    [ ("db1", "R", "r1"); ("db2", "S", "s1") ]
+
+(* a key set on [attr] of 0, 1 or several values: keys T holds (some
+   as equal Floats), deleted keys, an absent key, Null, duplicates *)
+let random_key_set rng ~t_rows ~deleted attr =
+  let pick = function
+    | [] -> Value.Int 0
+    | l -> List.nth l (Random.State.int rng (List.length l))
+  in
+  let present = List.map (fun t -> Tuple.get t attr) t_rows in
+  let gone = List.filter_map (fun (a, v) -> if a = attr then Some v else None) deleted in
+  let value () =
+    match Random.State.int rng 6 with
+    | 0 -> Value.Null
+    | 1 -> pick gone
+    | 2 -> Value.Int 9_999
+    | 3 -> (match pick present with Value.Int k -> Value.Float (float k) | v -> v)
+    | _ -> pick present
+  in
+  let n =
+    match Random.State.int rng 3 with 0 -> 0 | 1 -> 1 | _ -> 2 + Random.State.int rng 5
+  in
+  let vs = List.init n (fun _ -> value ()) in
+  Predicate.one_of attr (match vs with v :: _ when n > 1 -> v :: vs | _ -> vs)
+
+(* Twin Example 2.3 mediators over equal sources and updates: [a] runs
+   the full ladder, [b] has the key-based construction switched off,
+   so its queries on virtual attributes take the general VAP with
+   keyed polls. Every answer, asked as is and with its key sets
+   hidden, equals the recompute; the store rung and the key-based
+   construction with one and with two children all serve some. *)
+let test_probed_equals_scanned () =
+  let store = ref 0 and kb_one = ref 0 and kb_two = ref 0 and vap = ref 0 in
+  List.iter
+    (fun seed ->
+      let twin config =
+        let env = Scenario.make_fig1 ~seed () in
+        let med =
+          Scenario.mediator env
+            ~annotation:(Scenario.ann_ex23 env.Scenario.vdp) ?config ()
+        in
+        in_process env (fun () -> Mediator.initialize med);
+        (env, med)
+      in
+      let env_a, med_a = twin None in
+      let env_b, med_b =
+        twin (Some (Med.Config.make ~key_based_enabled:false ()))
+      in
+      let rng_a = Random.State.make [| seed |]
+      and rng_b = Random.State.make [| seed |]
+      and rng = Random.State.make [| seed + 1 |] in
+      (* an R row with a Null key joins T: its T row must survive the
+         semijoin, which cannot name a Null key *)
+      let s_key =
+        match Bag.support (recompute env_a "T") with
+        | t :: _ -> Tuple.get t "s1"
+        | [] -> Alcotest.fail "T is empty"
+      in
+      List.iter
+        (fun env ->
+          let db1 = Scenario.source env "db1" in
+          Adapter.commit db1
+            (Driver.single_insert db1 "R"
+               (Tuple.of_list
+                  Value.
+                    [
+                      ("r1", Null); ("r2", s_key); ("r3", Int 7); ("r4", Int 100);
+                    ])))
+        [ env_a; env_b ];
+      let deleted = ref [] in
+      for round = 0 to 3 do
+        deleted := churn env_a rng_a ~round @ !deleted;
+        ignore (churn env_b rng_b ~round);
+        Scenario.run_to_quiescence env_a med_a;
+        Scenario.run_to_quiescence env_b med_b;
+        let t = recompute env_a "T" in
+        List.iteri
+          (fun i attrs ->
+            let ks =
+              random_key_set rng ~t_rows:(Bag.support t) ~deleted:!deleted
+                (if Random.State.bool rng then "r1" else "s1")
+            in
+            let extra =
+              List.nth
+                Predicate.
+                  [
+                    True;
+                    lt (attr "r3") (int 100);
+                    lt (attr "s2") (int 50);
+                    lt (attr "s1") (int 20);
+                    gt (attr "r1") (int 30);
+                  ]
+                (Random.State.int rng 5)
+            in
+            let cond = Predicate.conj [ ks; extra ] in
+            let expected = Bag.project attrs (Bag.select cond t) in
+            let what = Printf.sprintf "seed %d round %d π(%s) σ(%s)" seed round
+                (String.concat "," attrs) (Predicate.to_string cond) in
+            let ask env med cond =
+              in_process env (fun () ->
+                  (Mediator.query med ~node:"T" ~attrs ~cond ()).Qp.tuples)
+            in
+            let count med f = Obs.Metrics.value (f (Mediator.stats med)) in
+            let store0 = count med_a (fun s -> s.Med.queries_from_store)
+            and kb0 = count med_a (fun s -> s.Med.key_based_constructions)
+            and polls0 = count med_b (fun s -> s.Med.polls) in
+            Tutil.check_bag (what ^ ": probed") expected (ask env_a med_a cond);
+            if count med_a (fun s -> s.Med.queries_from_store) > store0 then incr store;
+            if count med_a (fun s -> s.Med.key_based_constructions) > kb0 then
+              incr (if List.mem "s2" attrs then kb_two else kb_one);
+            Tutil.check_bag (what ^ ": scanned") expected
+              (ask env_a med_a (hide_keys cond));
+            Tutil.check_bag (what ^ ": general, keyed") expected (ask env_b med_b cond);
+            if count med_b (fun s -> s.Med.polls) > polls0 && i > 0 then incr vap;
+            Tutil.check_bag (what ^ ": general, unkeyed") expected
+              (ask env_b med_b (hide_keys cond)))
+          [ [ "r1"; "s1" ]; [ "r3"; "s1" ]; [ "r3"; "s2" ]; [ "r1"; "r3"; "s1"; "s2" ] ];
+        let cond = Predicate.one_of "s1" [ s_key ] in
+        Tutil.check_bag
+          (Printf.sprintf "seed %d round %d: the Null-keyed row" seed round)
+          (Bag.project [ "r1"; "r3"; "s1" ] (Bag.select cond t))
+          (in_process env_a (fun () ->
+               (Mediator.query med_a ~node:"T" ~attrs:[ "r1"; "r3"; "s1" ] ~cond ())
+                 .Qp.tuples))
+      done;
+      ignore (check_consistent env_a med_a);
+      ignore (check_consistent env_b med_b))
+    [ 3; 5; 8 ];
+  Alcotest.(check bool) "store rung served" true (!store > 0);
+  Alcotest.(check bool) "one-child key-based served" true (!kb_one > 0);
+  Alcotest.(check bool) "two-child key-based served" true (!kb_two > 0);
+  Alcotest.(check bool) "general VAP polled" true (!vap > 0)
+
 (* --- Example 5.1: two exports, difference, non-equi join --------------- *)
 
 let setup_ex51 () =
@@ -1291,6 +1484,8 @@ let () =
           Alcotest.test_case "general construction fallback" `Quick test_ex23_key_based_disabled_polls_both;
           Alcotest.test_case "maintenance under updates" `Quick test_ex23_maintenance_with_updates;
           Alcotest.test_case "unrestricted polls build no index" `Quick test_unrestricted_polls_build_no_index;
+          Alcotest.test_case "point query polls keyed" `Quick test_ex23_point_query_keyed_polls;
+          Alcotest.test_case "probed = scanned = recompute" `Quick test_probed_equals_scanned;
         ] );
       ( "example 5.1 (difference + non-equi join)",
         [

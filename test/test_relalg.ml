@@ -161,6 +161,38 @@ let test_predicate_simplify () =
     "not not stays" true
     Predicate.(equal (simplify (Not True)) False)
 
+(* key sets are found in either operand order and nesting, only over
+   one attribute and constants; a 100k-key chain flattens in one pass *)
+let test_predicate_key_sets () =
+  let open Predicate in
+  let ks = Alcotest.(list (pair string (list string))) in
+  let show l = List.map (fun (a, vs) -> (a, List.map Value.to_string vs)) l in
+  let cond =
+    conj
+      [
+        Or (eq (attr "r1") (int 1), Or (eq (int 2) (attr "r1"), eq (attr "r1") (int 1)));
+        one_of "s1" Value.[ Int 7 ];
+        Or (eq (attr "r1") (int 1), eq (attr "r2") (int 2));
+        Or (eq (attr "r1") (int 1), lt (attr "r1") (int 0));
+        eq (attr "r1") (attr "r2");
+      ]
+  in
+  Alcotest.check ks "two key sets"
+    [ ("r1", [ "1"; "2"; "1" ]); ("s1", [ "7" ]) ]
+    (show (key_sets cond));
+  Alcotest.(check bool) "one_of [] is False" true (one_of "r1" [] = False);
+  let n = 100_000 in
+  let big = one_of "r1" (List.init n (fun i -> Value.Int i)) in
+  (match key_sets (And (True, big)) with
+  | [ ("r1", vs) ] -> Alcotest.(check int) "all keys" n (List.length vs)
+  | _ -> Alcotest.fail "expected one key set");
+  Alcotest.(check int) "disjuncts" n (List.length (disjuncts big));
+  let f = compile big in
+  Alcotest.(check bool)
+    "hash lookup" true
+    (f (Tuple.of_list [ ("r1", Value.Float 99_999.) ])
+    && not (f (Tuple.of_list [ ("r1", Value.Int n) ])))
+
 (* --- Bag --- *)
 
 let test_bag_multiplicity () =
@@ -530,6 +562,56 @@ let prop_select_matches_eval =
     QCheck2.Gen.(pair pred_gen x_bag_gen)
     (fun (p, b) -> Bag.equal (Bag.select p b) (Bag.filter (Predicate.eval p) b))
 
+(* Key sets [x = v1 ∨ … ∨ x = vn] compile to one hash lookup per row;
+   the lookup must keep exactly the rows the interpreter keeps: Null
+   never matches, Int 1 = Float 1., and past 2^53 an Int equals a
+   Float it does not hash like. Chains nest either way, put the
+   constant on either side, and sometimes mix in a disjunct on another
+   attribute. *)
+let big = (1 lsl 53) + 1
+
+let k_values = function
+  | "a" -> Value.[ Null; Int 0; Int 1; Int 2; Int big ]
+  | _ -> Value.[ Null; Float 0.; Float 1.; Float 1.5; Float 0x1p53 ]
+
+let k_bag_gen =
+  let open QCheck2.Gen in
+  let tuple =
+    map3
+      (fun a b c -> Tuple.of_list [ ("a", a); ("b", b); ("c", c) ])
+      (oneofl (k_values "a"))
+      (oneofl (k_values "b"))
+      (oneofl (x_values "c"))
+  in
+  list_size (int_range 0 12) tuple >|= Bag.of_tuples schema_x
+
+let key_set_gen =
+  let open QCheck2.Gen in
+  let const = oneofl (k_values "a" @ k_values "b" @ Value.[ Str "x"; Int 3 ]) in
+  let eq x =
+    map2
+      (fun v flip ->
+        let a = Predicate.attr x and c = Predicate.Const v in
+        if flip then Predicate.eq c a else Predicate.eq a c)
+      const bool
+  in
+  let* x = oneofl [ "a"; "b" ] in
+  let* eqs = list_size (int_range 2 6) (eq x) in
+  let* stray = opt (eq (if x = "a" then "b" else "a")) in
+  let* left_deep = bool in
+  let ds = match stray with Some d -> eqs @ [ d ] | None -> eqs in
+  return
+    (if left_deep then Predicate.disj ds
+     else List.fold_right (fun d acc -> Predicate.Or (d, acc)) (List.tl ds) (List.hd ds))
+
+let prop_key_set_matches_eval =
+  qtest ~count:500 "compiled key set = Predicate.eval"
+    QCheck2.Gen.(pair key_set_gen k_bag_gen)
+    (fun (p, b) ->
+      let f = Predicate.compile p in
+      List.for_all (fun t -> f t = Predicate.eval p t) (Bag.support b)
+      && Bag.equal (Bag.select p b) (Bag.filter (Predicate.eval p) b))
+
 let prop_select_true_shares =
   qtest "select True returns its input" x_bag_gen (fun b ->
       Bag.select Predicate.True b == b)
@@ -563,6 +645,7 @@ let () =
           Alcotest.test_case "attrs" `Quick test_predicate_attrs;
           Alcotest.test_case "restrict_to" `Quick test_predicate_restrict;
           Alcotest.test_case "simplify" `Quick test_predicate_simplify;
+          Alcotest.test_case "key sets" `Quick test_predicate_key_sets;
         ] );
       ( "bag",
         [
@@ -607,6 +690,7 @@ let () =
           prop_join_commutes;
           prop_set_diff_set_semantics;
           prop_select_matches_eval;
+          prop_key_set_matches_eval;
           prop_select_true_shares;
         ] );
     ]
