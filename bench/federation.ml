@@ -73,7 +73,7 @@ let run_config ~keys ~txs ~queries shards =
       ~vdp:(Fed_scenario.fed_vdp ())
       ~key:Fed_scenario.partition_key ~shards
       ~make_sources:(fun ~shard:_ -> Fed_scenario.make_sources ~engine ())
-      ~config:bench_config ~answer_cache:false ()
+      ~config:bench_config ()
   in
   let spec = spec ~keys ~txs ~queries in
   let items, tags =

@@ -266,7 +266,7 @@ let physical_benchmarks () =
   in
   let table = per_size "table_apply_delta" (fun n ->
       (* key index plus a secondary join-key index, kept in sync *)
-      let tbl = Table.create ~indexes:[ [ "b" ] ] ~name:"bench" wide_schema in
+      let tbl = Table.create ~indexes:[ "b" ] ~name:"bench" wide_schema in
       Table.load tbl (wide_bag n);
       let d = wide_delta ~base:n (n / 2) in
       let inv = Rel_delta.inverse d in

@@ -232,9 +232,9 @@ let delta61_setup n =
   let c_rows = List.init n (fun i -> tup "cc" "cd" i (i mod 7)) in
   let b_bag = Bag.of_tuples b_schema b_rows in
   let c_bag = Bag.of_tuples c_schema c_rows in
-  let b_table = Table.create ~indexes:[ [ "bb" ] ] ~name:"B" b_schema in
+  let b_table = Table.create ~indexes:[ "bb" ] ~name:"B" b_schema in
   List.iter (Table.insert b_table) b_rows;
-  let c_table = Table.create ~indexes:[ [ "cc" ] ] ~name:"C" c_schema in
+  let c_table = Table.create ~indexes:[ "cc" ] ~name:"C" c_schema in
   List.iter (Table.insert c_table) c_rows;
   let env = function
     | "A" -> Some a_bag

@@ -784,8 +784,6 @@ let federation_cmd =
       Printf.printf
         "routing           %d scatter fan-outs, %d single-shard fast paths\n"
         (c "fed_fanouts") (c "fed_single_shard");
-      Printf.printf "answer cache      %d hits, %d misses\n"
-        (c "fed_cache_hits") (c "fed_cache_misses");
       Printf.printf "degraded answers  %d (shard resyncs %d)\n"
         (c "fed_degraded_answers") (c "fed_shard_resyncs");
       (* one more scatter query, spelled out: show the merged guarantee *)
@@ -854,8 +852,8 @@ let federation_cmd =
        ~doc:
          "Run the canonical federated scenario (Enriched/Hot hash-partitioned \
           by key) across N mediator shards under a small mixed workload, then \
-          print the shard topology, routing and cache counters, and the \
-          merged reflect vector of a sample scatter-gather query")
+          print the shard topology, routing and degradation counters, and \
+          the merged reflect vector of a sample scatter-gather query")
     term
 
 (* --- scenario (declarative file) ------------------------------------------- *)

@@ -6,9 +6,9 @@
     differences the cumulative counters against the previous snapshot
     and folds the window's rate into an EMA, so the profile tracks the
     {e recent} workload and forgets old phases (what the adaptive
-    {!Policy} wants). {!cumulative_profile} instead divides the
+    {!Policy} wants). The whole-run profile instead divides the
     all-time counters by the total elapsed time — a whole-run average
-    (what the CLI's [profile] subcommand reports). *)
+    (what the CLI's [profile] report shows). *)
 
 open Vdp
 open Squirrel
@@ -30,10 +30,6 @@ val profile : t -> Cost.profile
     rates, per-export query rates, per-attribute access fractions
     (attribute rate / node query rate), and live leaf-cardinality
     estimates. *)
-
-val cumulative_profile : ?default_cardinality:int -> Med.t -> Cost.profile
-(** Whole-run profile straight from the mediator's counters via
-    {!Cost.measured_profile}, over the window [now - 0]. *)
 
 val mean_batch : Med.t -> float
 (** Observed mean group-commit batch size from the mediator's

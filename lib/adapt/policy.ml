@@ -56,7 +56,6 @@ let create ?(config = default_config) med =
 
 let monitor t = t.mon
 let events t = List.rev t.log
-let aux_views t = t.aux
 
 let mem_aux aux node attr =
   match List.assoc_opt node aux with

@@ -59,10 +59,6 @@ type t
 val create : ?config:config -> Med.t -> t
 val monitor : t -> Monitor.t
 
-val aux_views : t -> (string * string list) list
-(** The auxiliary attributes currently materialized on selfmaint's
-    behalf (beyond the advisor's own target). *)
-
 val tick : t -> event option
 (** One observation + decision + (possibly) migration. Must run inside
     a simulation process. Exposed for tests and step-wise drivers;

@@ -345,20 +345,16 @@ let () =
 
 let mat_attrs t node = Annotation.materialized_attrs t.ann node
 
-(* Join-key index specs per node: wherever a definition joins a
+(* Join-key index columns per node: wherever a definition joins a
    stored child, IUP's ΔA ⋈ B_old propagation probes the sibling's
-   pre-update table on the join keys, so index them up front. Also
+   pre-update table on a join-key column, so index them up front. Also
    consulted by the live-migration executor when it (re)creates a
    node's table under a new annotation. *)
 let join_index_plan vdp =
-  let specs : (string, string list list) Hashtbl.t = Hashtbl.create 8 in
+  let specs : (string, string list) Hashtbl.t = Hashtbl.create 8 in
   let add name keys =
-    if keys <> [] then begin
-      let cur =
-        match Hashtbl.find_opt specs name with Some l -> l | None -> []
-      in
-      if not (List.mem keys cur) then Hashtbl.replace specs name (keys :: cur)
-    end
+    let cur = match Hashtbl.find_opt specs name with Some l -> l | None -> [] in
+    Hashtbl.replace specs name (List.sort_uniq String.compare (keys @ cur))
   in
   let schema_of e = Expr.schema_of (fun n -> (Graph.node vdp n).Graph.schema) e in
   let rec walk = function
@@ -381,9 +377,9 @@ let join_index_plan vdp =
       | Graph.Derived _ -> walk (Graph.def vdp node.Graph.name))
     (Graph.nodes vdp);
   fun name ~mat ->
-    (* only keys the materialized projection retains *)
+    (* only columns the materialized projection retains *)
     List.filter
-      (fun keys -> List.for_all (fun a -> List.mem a mat) keys)
+      (fun a -> List.mem a mat)
       (match Hashtbl.find_opt specs name with Some l -> l | None -> [])
 
 (* Annotation-dependent topology, computed once per annotation epoch
@@ -546,11 +542,8 @@ let install_joinopt_hooks t =
       | Some tb ->
         let s = Table.stats tb in
         let ds =
-          List.filter_map
-            (fun ix ->
-              match ix.Table.ix_on with
-              | [ a ] -> Some (a, ix.Table.ix_distinct, ix.Table.ix_max_chain)
-              | _ -> None)
+          List.map
+            (fun ix -> (ix.Table.ix_on, ix.Table.ix_distinct, ix.Table.ix_max_chain))
             s.Table.st_indexes
         in
         Some (s.Table.st_support, ds)
@@ -793,15 +786,6 @@ let enqueue t (u : Message.update) =
         ]
   end
 
-let take_queue t =
-  let entries = t.queue in
-  t.queue <- [];
-  Obs.Metrics.set t.stats.queue_depth 0.0;
-  (* guard against messages that predate the initialization snapshot *)
-  List.filter
-    (fun e -> e.q_version > (reflected_version t e.q_source).r_version)
-    entries
-
 (* Group-commit drain: take up to [config.max_batch] announcements off
    the head of the queue, in arrival order, provided each source's
    entries chain gaplessly — the first entry for a source must apply
@@ -809,8 +793,7 @@ let take_queue t =
    previous entry in the batch. A non-chaining entry ends the batch
    (it stays queued, together with everything behind it, for the next
    pass after the gap is repaired); entries the initialization or a
-   resync snapshot already covers are silently dropped, as in
-   {!take_queue}. *)
+   resync snapshot already covers are silently dropped. *)
 let take_batch t =
   let cap = t.config.Config.max_batch in
   let rec go taken n expected queue =

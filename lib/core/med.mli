@@ -20,9 +20,6 @@ type delays = { comm_delay : float; q_proc_delay : float }
     query-processing time, fixed when {!Mediator.connect} attaches the
     source. *)
 
-val default_delays : delays
-(** [{ comm_delay = 0.05; q_proc_delay = 0.01 }]. *)
-
 (** Mediator configuration. Build values with {!Config.make} — the
     smart constructor defaults every knob, so construction sites name
     only what they change and new knobs never break callers. *)
@@ -106,7 +103,7 @@ module Config : sig
       key-based construction on, no poll timeout, [poll_retries 3],
       [poll_backoff 0.25], no heartbeat, history retained, answer
       cache on, tracing on with capacity 4096, [max_batch 64],
-      [delays] constantly {!default_delays}.
+      [delays] constantly [{ comm_delay = 0.05; q_proc_delay = 0.01 }].
       @raise Invalid_argument when [max_batch < 1]. *)
 
   val default : t
@@ -479,11 +476,6 @@ val enqueue : t -> Message.update -> unit
     reveals a lost predecessor and marks the source dirty
     ([gaps_detected]) while still queueing the delta. *)
 
-val take_queue : t -> queue_entry list
-(** Drain the whole queue (minus entries a snapshot already covers),
-    regardless of [max_batch]. Prefer {!take_batch} — this survives
-    for the resync path and tests. *)
-
 val take_batch : t -> queue_entry list
 (** Take up to [config.max_batch] announcements off the head of the
     queue in arrival order, keeping each source's entries chaining
@@ -491,7 +483,8 @@ val take_batch : t -> queue_entry list
     reflected version, each later one on top of the previous batch
     member. A non-chaining entry ends the batch at the boundary (it
     stays queued with everything behind it); entries at or below the
-    reflected version are dropped as in {!take_queue}. *)
+    reflected version (already covered by the initialization or a
+    resync snapshot) are dropped. *)
 
 val unseen_delta : t -> source:string -> leaf:string -> Rel_delta.t
 (** The smash of all updates from [source] to [leaf] that the
@@ -567,10 +560,6 @@ val node_parents : t -> string -> string list
 
 val is_leaf_parent : t -> string -> bool
 
-val source_closure : t -> string -> string list
-(** Upward closure of the source's leaves: every node whose value can
-    depend on the source. The invalidation unit of the answer cache. *)
-
 val invalidate_derived : t -> unit
 (** Drop the derived-topology cache (a live migration changed the
     annotation); the next reader rebuilds it. *)
@@ -625,11 +614,8 @@ val observe_source_version : t -> string -> int -> unit
     invalidated — this is how answers cached against a virtual
     contributor notice versions whose announcements were dropped. *)
 
-val join_index_plan :
-  Graph.t -> string -> mat:string list -> string list list
-(** [join_index_plan vdp] precomputes the join-key probe sets of every
+val join_index_plan : Graph.t -> string -> mat:string list -> string list
+(** [join_index_plan vdp] precomputes the join-key columns of every
     definition; the returned function gives, for a node and the
-    attribute set its table will hold, the indexes the table should
-    carry. Shared by {!create} and the live-migration executor. *)
-
-val fresh_stats : unit -> stats
+    attribute set its table will hold, the columns the table should
+    index. Shared by {!create} and the live-migration executor. *)

@@ -177,7 +177,6 @@ let enable_source_filtering (t : Med.t) =
     (Graph.leaves t.Med.vdp)
 
 let query = Qp.query
-let query_many = Qp.query_many
 let freshness_bound = Med.freshness_bound
 let subscribe_exports = Med.subscribe_exports
 let export_schemas = Med.export_schemas

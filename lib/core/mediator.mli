@@ -21,7 +21,7 @@
       let med =
         Mediator.create ~engine ~vdp
           ~annotation:(Vdp.Annotation.fully_materialized vdp)
-          ~config:(Med.Config.make ~delays:(fun _ -> Med.default_delays) ())
+          ~config:(Med.Config.make ())
           ~sources:[ db1; db2 ] ()
       in
       Mediator.connect med ();
@@ -83,15 +83,6 @@ val freshness_bound : t -> node:string -> (string * float) list
     assembled from the delays the simulation models (announcement
     period, channel and processing delays, flush interval). See
     {!Med.freshness_bound}. *)
-
-val query_many :
-  t ->
-  (string * string list option * Predicate.t) list ->
-  (string * Bag.t) list
-(** One query transaction spanning several exports: all answers
-    correspond to a single view state (one reflect vector); each
-    source is polled at most once for the whole transaction. See
-    {!Qp.query_many}. *)
 
 val enable_source_filtering : t -> unit
 (** Install the Sec. 6.2 optimization of "filtering the incremental

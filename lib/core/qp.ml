@@ -80,7 +80,7 @@ let read_store table cond =
   let probe =
     List.find_map
       (fun (a, vs) ->
-        if Table.has_index_on table [ a ] then
+        if Table.has_index_on table a then
           Some (a, Hash_index.probe_keys vs)
         else None)
       (Predicate.key_sets cond)
@@ -93,7 +93,7 @@ let read_store table cond =
     let read = ref 0 in
     List.iter
       (fun v ->
-        Table.probe1 table a v (fun tuple m ->
+        Table.probe table a v (fun tuple m ->
             incr read;
             if test tuple then Bag.badd ~check:false bu tuple m))
       keys;
@@ -351,129 +351,6 @@ let validate_request (t : Med.t) node attrs cond =
         Med.err "export %S has no attribute %S" node a)
     (attrs @ Predicate.attrs cond);
   attrs
-
-let query_many (t : Med.t) requests =
-  let requests =
-    List.map
-      (fun (node, attrs, cond) -> (node, validate_request t node attrs cond, cond))
-      requests
-  in
-  Engine.Mutex.with_lock t.Med.engine t.Med.mutex (fun () ->
-      pre_repair t;
-      Obs.Trace.with_span t.Med.trace "query_tx"
-        ~attrs:
-          [
-            ("kind", "multi");
-            ("nodes", String.concat "," (List.map (fun (n, _, _) -> n) requests));
-          ]
-        (fun tx_sp ->
-      let tx_start = Engine.now t.Med.engine in
-      let ops_before = Eval.tuple_ops () in
-      List.iter
-        (fun (node, attrs, cond) ->
-          Med.record_access t ~node
-            ~attrs:(dedup (attrs @ Predicate.attrs cond)))
-        requests;
-      Med.Log.debug (fun m ->
-          m "multi-query tx @%g over %s"
-            (Engine.now t.Med.engine)
-            (String.concat ", " (List.map (fun (n, _, _) -> n) requests)));
-      (* split into store-covered requests and VAP requests; the VAP
-         gets the whole set at once, so phase 1 merges overlapping
-         needs and each source is polled at most once for the entire
-         transaction (Sec. 6.3's single-transaction packaging) *)
-      let vap_requests =
-        List.filter_map
-          (fun (node, attrs, cond) ->
-            let needed =
-              List.sort_uniq String.compare (attrs @ Predicate.attrs cond)
-            in
-            if Med.is_covered t ~node ~attrs:needed then None
-            else Some { Vap.r_node = node; r_attrs = needed; r_cond = cond })
-          requests
-      in
-      let empty_result =
-        { Vap.temps = []; polled_versions = []; polled_times = [] }
-      in
-      (* [failure] is set when fresh data could not be fetched: every
-         answer of the transaction is then served degraded from the
-         materialized store, stale-marked with the unreachable
-         sources *)
-      let vap_result, stale, failure =
-        if vap_requests = [] then (empty_result, base_stale t, None)
-        else
-          try (Vap.build t ~kind:`Query vap_requests, base_stale t, None)
-          with
-          | Med.Poll_failed pe as exn ->
-            ( empty_result,
-              staleness_of t (pe.pe_source :: Med.dirty_sources t),
-              Some exn )
-          | Med.Desync _ as exn ->
-            (empty_result, staleness_of t (Med.dirty_sources t), Some exn)
-      in
-      let answers =
-        List.map
-          (fun (node, attrs, cond) ->
-            match List.assoc_opt node vap_result.Vap.temps with
-            | Some temp -> (node, Bag.project attrs (Bag.select cond temp))
-            | None -> (
-              let needed = dedup (attrs @ Predicate.attrs cond) in
-              match Med.node_table t node with
-              | Some table when Med.is_covered t ~node ~attrs:needed ->
-                Obs.Metrics.incr t.Med.stats.Med.queries_from_store;
-                (node, Bag.project attrs (read_store table cond))
-              | Some table -> (
-                (* fresh data unreachable: degrade to the materialized
-                   portion — only materialized attributes survive, and
-                   only conditions over them apply *)
-                match failure with
-                | Some exn ->
-                  let mat = Med.mat_attrs t node in
-                  let avail = List.filter (fun a -> List.mem a mat) attrs in
-                  if avail = [] then raise exn;
-                  ( node,
-                    Bag.project avail
-                      (read_store table (Predicate.restrict_to cond mat)) )
-                | None ->
-                  Med.err "export %S not covered and no temporary built" node)
-              | None -> (
-                match failure with
-                | Some exn -> raise exn
-                | None ->
-                  Med.err "export %S neither materialized nor built" node)))
-          requests
-      in
-      (* one transaction: every answer shares one reflect vector and
-         one commit instant *)
-      let reflect = reflect_vector t ~polled:vap_result.Vap.polled_versions in
-      let bound =
-        Med.answer_bound t ~polled_times:vap_result.Vap.polled_times ~stale ()
-      in
-      let time = Engine.now t.Med.engine in
-      Obs.Metrics.incr t.Med.stats.Med.query_txs;
-      if stale <> [] then begin
-        Obs.Metrics.incr t.Med.stats.Med.degraded_answers;
-        Obs.Trace.set_attr tx_sp "degraded" "true"
-      end;
-      Med.charge_ops t `Query (Eval.tuple_ops () - ops_before);
-      Obs.Metrics.observe t.Med.stats.Med.query_tx_time
-        (Engine.now t.Med.engine -. tx_start);
-      List.iter2
-        (fun (node, attrs, cond) (_, answer) ->
-          Med.log_event t
-            (Med.Query_tx
-               {
-                 qt_time = time;
-                 qt_node = node;
-                 qt_attrs = attrs;
-                 qt_cond = cond;
-                 qt_answer = answer;
-                 qt_reflect = reflect;
-                 qt_stale = stale;
-                 qt_bound = bound;
-               }))
-        requests answers;
-      answers))
 
 let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
     =

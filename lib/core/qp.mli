@@ -106,19 +106,6 @@ val query :
     node has no materialized portion covering any requested
     attribute). *)
 
-val query_many :
-  Med.t ->
-  (string * string list option * Predicate.t) list ->
-  (string * Bag.t) list
-(** One query transaction over several exports at once: [(node,
-    attrs, cond)] triples ([None] = all attributes). The whole request
-    set goes through a single VAP run, so overlapping needs merge in
-    phase 1 and each source is polled at most once for the entire
-    transaction; all answers share a single reflect vector — they
-    correspond to {e one} state of the integrated view. Bypasses the
-    answer cache: per-request replay could not guarantee that shared
-    reflect vector. *)
-
 val key_based_plan :
   Med.t ->
   node:string ->

@@ -129,11 +129,6 @@ let rec delta_of_expr_interp ?indexed_join ~env ~deltas expr =
 let delta_of_expr ?indexed_join ~env ~deltas expr =
   Delta_plan.delta_of_expr ?indexed_join ~env ~deltas expr
 
-let eval_new ~env ~deltas expr =
-  let old_value = Eval.eval ~env expr in
-  let d = delta_of_expr ~env ~deltas expr in
-  if Rel_delta.is_empty d then old_value else Rel_delta.apply old_value d
-
 let rec affected ~changed = function
   | Expr.Base n -> changed n
   | Expr.Select (_, e) | Expr.Project (_, e) | Expr.Rename (_, e) ->

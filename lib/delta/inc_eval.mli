@@ -59,13 +59,6 @@ val delta_of_expr_interp :
     the differential-test oracle against which compiled delta plans
     are verified. Value-identical to {!delta_of_expr}. *)
 
-val eval_new :
-  env:(string -> Bag.t option) ->
-  deltas:(string -> Rel_delta.t option) ->
-  Expr.t ->
-  Bag.t
-(** Post-update value of the expression (pre-update value plus delta). *)
-
 val value_bases : changed:(string -> bool) -> Expr.t -> string list
 (** The base relations whose {e values} [delta_of_expr] will read,
     given which bases carry deltas: an unchanged join sibling of a

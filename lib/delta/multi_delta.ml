@@ -21,18 +21,8 @@ let smash a b = Smap.fold (fun name rd acc -> add acc name rd) b a
 
 let inverse t = Smap.map Rel_delta.inverse t
 
-let restrict t names = Smap.filter (fun name _ -> List.mem name names) t
-
 let atom_count t =
   Smap.fold (fun _ d acc -> acc + Rel_delta.atom_count d) t 0
-
-let apply_env env t =
-  Smap.fold
-    (fun name d acc ->
-      match env name with
-      | None -> acc
-      | Some bag -> (name, Rel_delta.apply bag d) :: acc)
-    t []
 
 let equal a b = Smap.equal Rel_delta.equal a b
 

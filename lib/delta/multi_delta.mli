@@ -5,8 +5,6 @@
     multi-relation deltas and the IUP smashes the whole queue into a
     single one before propagation. *)
 
-open Relalg
-
 type t
 
 val empty : t
@@ -24,16 +22,7 @@ val bindings : t -> (string * Rel_delta.t) list
 val smash : t -> t -> t
 val inverse : t -> t
 
-val restrict : t -> string list -> t
-(** Keep only the atoms of the listed relations. *)
-
 val atom_count : t -> int
-
-val apply_env :
-  (string -> Bag.t option) -> t -> (string * Bag.t) list
-(** Apply each per-relation delta to the corresponding bag from the
-    environment; relations absent from the environment are skipped.
-    Returns the updated (relation, bag) pairs. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -123,9 +123,6 @@ let split_join join_fn d =
 let join_bag ?on ?test d bag =
   split_join (fun side -> Bag.join ?on ?test side bag) d
 
-let bag_join ?on ?test bag d =
-  split_join (fun side -> Bag.join ?on ?test bag side) d
-
 (* Signed join of two deltas: multiplicities multiply, so the four
    insertion/deletion quadrants carry sign (+ - - +). Both operands
    are deltas, so the quadrant joins are delta-sized. *)

@@ -30,9 +30,6 @@ val insert : ?mult:int -> t -> Tuple.t -> t
 
 val delete : ?mult:int -> t -> Tuple.t -> t
 
-val of_bags : ins:Bag.t -> del:Bag.t -> t
-(** @raise Delta_error if the two bags' schemas differ. *)
-
 val of_diff : old_bag:Bag.t -> new_bag:Bag.t -> t
 (** The net delta turning [old_bag] into [new_bag]. *)
 
@@ -87,8 +84,6 @@ val join_bag : ?on:Predicate.t -> ?test:(Tuple.t -> bool) -> t -> Bag.t -> t
     SPJ propagation rules of Sec. 5.2. [test], when given, must be the
     compiled form of [on] and replaces interpretive residual
     evaluation (see {!Relalg.Bag.join}). *)
-
-val bag_join : ?on:Predicate.t -> ?test:(Tuple.t -> bool) -> Bag.t -> t -> t
 
 val join : ?on:Predicate.t -> ?test:(Tuple.t -> bool) -> t -> t -> t
 (** Signed join of two deltas (ΔA ⋈ ΔB): multiplicities multiply, so

@@ -30,31 +30,14 @@ type t = {
   f_degraded : Obs.Metrics.counter;
   f_routed_txs : Obs.Metrics.counter;
   f_routed_atoms : Obs.Metrics.counter;
-  f_cache_hits : Obs.Metrics.counter;
-  f_cache_misses : Obs.Metrics.counter;
   f_shard_resyncs : Obs.Metrics.counter;
-  f_cache : (string * string list * Predicate.t, Qp.answer) Hashtbl.t;
-  f_cache_enabled : bool;
 }
 
 let err fmt = Format.kasprintf failwith fmt
 
-let cache_flush t = Hashtbl.reset t.f_cache
-
-let cache_invalidate_nodes t nodes =
-  if Hashtbl.length t.f_cache > 0 && nodes <> [] then begin
-    let doomed =
-      Hashtbl.fold
-        (fun ((n, _, _) as key) _ acc ->
-          if List.exists (String.equal n) nodes then key :: acc else acc)
-        t.f_cache []
-    in
-    List.iter (Hashtbl.remove t.f_cache) doomed
-  end
-
 let create ~engine ~vdp ~key ~shards ~make_sources
     ?(annotation = Annotation.fully_materialized)
-    ?(config = Med.Config.default) ?(answer_cache = true) () =
+    ?(config = Med.Config.default) () =
   if shards <= 0 then err "Coordinator.create: shards must be positive";
   List.iter
     (fun (leaf : Graph.node) ->
@@ -85,11 +68,7 @@ let create ~engine ~vdp ~key ~shards ~make_sources
       f_degraded = c "fed_degraded_answers";
       f_routed_txs = c "fed_routed_txs";
       f_routed_atoms = c "fed_routed_atoms";
-      f_cache_hits = c "fed_cache_hits";
-      f_cache_misses = c "fed_cache_misses";
       f_shard_resyncs = c "fed_shard_resyncs";
-      f_cache = Hashtbl.create 32;
-      f_cache_enabled = answer_cache;
     }
   in
   let annotation = annotation vdp in
@@ -101,15 +80,13 @@ let create ~engine ~vdp ~key ~shards ~make_sources
     in
     Mediator.connect med ();
     (* mediator-as-source: each shard's export change stream drives the
-       coordinator's cache invalidation and resync bookkeeping *)
+       coordinator's resync bookkeeping *)
     Mediator.subscribe_exports med (function
-      | Med.Export_delta { ee_deltas; _ } ->
-        cache_invalidate_nodes t (List.map fst ee_deltas)
+      | Med.Export_delta _ -> ()
       | Med.Export_snapshot _ ->
         Obs.Metrics.incr t.f_shard_resyncs;
         Obs.Trace.root_event t.f_trace "shard_resync"
-          ~attrs:[ ("shard", string_of_int i) ];
-        cache_flush t);
+          ~attrs:[ ("shard", string_of_int i) ]);
     {
       sh_id = i;
       sh_sources =
@@ -151,12 +128,6 @@ let shard_source sh name =
   match List.assoc_opt name sh.sh_sources with
   | Some s -> s
   | None -> err "shard %d has no source %S" sh.sh_id name
-
-let alive t i = t.f_shards.(i).sh_alive
-
-let queue_depths t =
-  Array.to_list
-    (Array.map (fun sh -> Mediator.queue_length sh.sh_med) t.f_shards)
 
 let load t relation bag =
   let shards = Array.length t.f_shards in
@@ -243,93 +214,77 @@ let query t ~node ?attrs ?(cond = Predicate.True) () =
   let attrs, out_schema = validate t node attrs cond in
   Engine.Mutex.with_lock t.f_engine t.f_mutex (fun () ->
       Obs.Metrics.incr t.f_queries;
-      match
-        if t.f_cache_enabled then Hashtbl.find_opt t.f_cache (node, attrs, cond)
-        else None
-      with
-      | Some answer ->
-        Obs.Metrics.incr t.f_cache_hits;
-        Obs.Trace.root_event t.f_trace "fed_cache_hit" ~attrs:[ ("node", node) ];
-        answer
-      | None ->
-        if t.f_cache_enabled then Obs.Metrics.incr t.f_cache_misses;
-        Obs.Trace.with_span t.f_trace "fed_query_tx"
-          ~attrs:[ ("node", node) ]
-          (fun fed_sp ->
-            let shards = Array.length t.f_shards in
-            let target_ids =
-              match Partition.targets ~shards ~key:t.f_key cond with
-              | Partition.All_shards -> List.init shards Fun.id
-              | Partition.Some_shards ids -> ids
+      Obs.Trace.with_span t.f_trace "fed_query_tx" ~attrs:[ ("node", node) ]
+        (fun fed_sp ->
+          let shards = Array.length t.f_shards in
+          let target_ids =
+            match Partition.targets ~shards ~key:t.f_key cond with
+            | Partition.All_shards -> List.init shards Fun.id
+            | Partition.Some_shards ids -> ids
+          in
+          let alive, dead =
+            List.partition (fun i -> t.f_shards.(i).sh_alive) target_ids
+          in
+          Obs.Trace.set_attri fed_sp "targets" (List.length target_ids);
+          Obs.Trace.set_attri fed_sp "dead" (List.length dead);
+          let ask i () =
+            let sh = t.f_shards.(i) in
+            let sp =
+              Obs.Trace.fork_span t.f_trace ~parent:fed_sp "shard_query"
+                ~attrs:[ ("shard", string_of_int i) ]
             in
-            let alive, dead =
-              List.partition (fun i -> t.f_shards.(i).sh_alive) target_ids
-            in
-            Obs.Trace.set_attri fed_sp "targets" (List.length target_ids);
-            Obs.Trace.set_attri fed_sp "dead" (List.length dead);
-            let ask i () =
-              let sh = t.f_shards.(i) in
-              let sp =
-                Obs.Trace.fork_span t.f_trace ~parent:fed_sp "shard_query"
-                  ~attrs:[ ("shard", string_of_int i) ]
-              in
-              let a = Mediator.query sh.sh_med ~node ~attrs ~cond () in
-              Obs.Trace.set_attri sp "tuples" (Bag.cardinal a.Qp.tuples);
-              (match a.Qp.trace_id with
-              | Some id -> Obs.Trace.set_attri sp "shard_trace_id" id
-              | None -> ());
-              Obs.Trace.join_span t.f_trace sp;
-              a
-            in
-            let answers =
-              match alive with
-              | [] -> []
-              | [ i ] ->
-                Obs.Metrics.incr t.f_single_shard;
-                [ ask i () ]
-              | _ ->
-                Obs.Metrics.incr t.f_fanouts;
-                Engine.parallel t.f_engine (List.map ask alive)
-            in
-            let tuples =
-              List.fold_left
-                (fun acc (a : Qp.answer) -> Bag.union acc a.Qp.tuples)
-                (Bag.empty out_schema) answers
-            in
-            let dead_stale =
-              List.concat_map (fun i -> dead_markers t t.f_shards.(i)) dead
-            in
-            let quality =
-              Merge.merge_quality
-                ((if dead_stale = [] then Qp.Fresh else Qp.Stale dead_stale)
-                :: List.map (fun (a : Qp.answer) -> a.Qp.quality) answers)
-            in
-            let reflect =
-              Merge.merge_reflect
-                (List.map (fun (a : Qp.answer) -> a.Qp.reflect) answers)
-            in
-            let bound =
-              Merge.merge_bound ~stale:dead_stale
-                (List.map (fun (a : Qp.answer) -> a.Qp.bound) answers)
-            in
-            Obs.Trace.set_attri fed_sp "tuples" (Bag.cardinal tuples);
-            let answer =
-              {
-                Qp.tuples;
-                quality;
-                reflect;
-                bound;
-                trace_id = Obs.Trace.span_id fed_sp;
-              }
-            in
-            (match quality with
-            | Qp.Fresh ->
-              if t.f_cache_enabled && dead = [] then
-                Hashtbl.replace t.f_cache (node, attrs, cond) answer
-            | Qp.Stale _ ->
-              Obs.Metrics.incr t.f_degraded;
-              Obs.Trace.set_attr fed_sp "degraded" "true");
-            answer))
+            let a = Mediator.query sh.sh_med ~node ~attrs ~cond () in
+            Obs.Trace.set_attri sp "tuples" (Bag.cardinal a.Qp.tuples);
+            (match a.Qp.trace_id with
+            | Some id -> Obs.Trace.set_attri sp "shard_trace_id" id
+            | None -> ());
+            Obs.Trace.join_span t.f_trace sp;
+            a
+          in
+          let answers =
+            match alive with
+            | [] -> []
+            | [ i ] ->
+              Obs.Metrics.incr t.f_single_shard;
+              [ ask i () ]
+            | _ ->
+              Obs.Metrics.incr t.f_fanouts;
+              Engine.parallel t.f_engine (List.map ask alive)
+          in
+          let tuples =
+            List.fold_left
+              (fun acc (a : Qp.answer) -> Bag.union acc a.Qp.tuples)
+              (Bag.empty out_schema) answers
+          in
+          let dead_stale =
+            List.concat_map (fun i -> dead_markers t t.f_shards.(i)) dead
+          in
+          let quality =
+            Merge.merge_quality
+              ((if dead_stale = [] then Qp.Fresh else Qp.Stale dead_stale)
+              :: List.map (fun (a : Qp.answer) -> a.Qp.quality) answers)
+          in
+          let reflect =
+            Merge.merge_reflect
+              (List.map (fun (a : Qp.answer) -> a.Qp.reflect) answers)
+          in
+          let bound =
+            Merge.merge_bound ~stale:dead_stale
+              (List.map (fun (a : Qp.answer) -> a.Qp.bound) answers)
+          in
+          Obs.Trace.set_attri fed_sp "tuples" (Bag.cardinal tuples);
+          (match quality with
+          | Qp.Fresh -> ()
+          | Qp.Stale _ ->
+            Obs.Metrics.incr t.f_degraded;
+            Obs.Trace.set_attr fed_sp "degraded" "true");
+          {
+            Qp.tuples;
+            quality;
+            reflect;
+            bound;
+            trace_id = Obs.Trace.span_id fed_sp;
+          }))
 
 (* --- failure injection ------------------------------------------------ *)
 
@@ -343,7 +298,6 @@ let kill t i =
   if sh.sh_alive then begin
     sh.sh_alive <- false;
     set_links sh false;
-    cache_flush t;
     Obs.Trace.root_event t.f_trace "shard_down"
       ~attrs:[ ("shard", string_of_int i) ]
   end
@@ -353,7 +307,6 @@ let revive t i =
   if not sh.sh_alive then begin
     sh.sh_alive <- true;
     set_links sh true;
-    cache_flush t;
     Obs.Trace.root_event t.f_trace "shard_up"
       ~attrs:[ ("shard", string_of_int i) ]
   end
@@ -361,7 +314,6 @@ let revive t i =
 let partition_links t i up =
   let sh = t.f_shards.(i) in
   set_links sh up;
-  cache_flush t;
   Obs.Trace.root_event t.f_trace
     (if up then "shard_link_up" else "shard_link_down")
     ~attrs:[ ("shard", string_of_int i) ]

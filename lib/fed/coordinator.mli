@@ -51,7 +51,6 @@ val create :
   make_sources:(shard:int -> Adapter.t list) ->
   ?annotation:(Graph.t -> Annotation.t) ->
   ?config:Med.config ->
-  ?answer_cache:bool ->
   unit ->
   t
 (** Build the federation: [make_sources ~shard:i] must create shard
@@ -61,33 +60,27 @@ val create :
     loads and commits go through the adapters.
     All shards share the VDP structure and annotation
     (default: fully materialized) and are connected immediately
-    with the per-source delays of [config.delays].
-    [answer_cache] controls the {e federation-level} cache of merged
-    answers (invalidated through the shards' export change streams);
-    per-shard caches follow [config].
+    with the per-source delays of [config.delays]. Each shard's
+    answer cache follows [config]; merged answers are not cached, so
+    every federation query reflects what its shards serve now.
     @raise Failure when [shards <= 0] or a leaf schema lacks [key]. *)
 
 val shard_count : t -> int
 val shard : t -> int -> shard
 val mediator : t -> int -> Mediator.t
-val alive : t -> int -> bool
 val vdp : t -> Graph.t
 val partition_key : t -> string
 
 val trace : t -> Obs.Trace.t
 (** Federation-level spans: [fed_query_tx] (with per-shard
     [shard_query] children forked concurrently), [route_update],
-    [shard_down]/[shard_up]/[shard_link_*], [shard_resync],
-    [fed_cache_hit]. *)
+    [shard_down]/[shard_up]/[shard_link_*], [shard_resync]. *)
 
 val metrics : t -> Obs.Metrics.t
 (** Coordinator counters ([fed_queries], [fed_fanouts],
     [fed_single_shard], [fed_degraded_answers], [fed_routed_txs],
-    [fed_routed_atoms], [fed_cache_hits]/[_misses], [fed_shard_resyncs])
+    [fed_routed_atoms], [fed_shard_resyncs])
     and the [shard_queue_depth] gauge family. *)
-
-val queue_depths : t -> int list
-(** Update-queue depth per shard, in shard order. *)
 
 val load : t -> string -> Bag.t -> unit
 (** Split a relation's initial contents by key ownership and load each
@@ -119,11 +112,7 @@ val query :
     answered fresh {e and} no targeted shard was dead — a dead shard
     contributes [shardN:source] staleness markers instead of tuples
     (partial-answer policy); [trace_id] names the [fed_query_tx] span
-    covering the whole fan-out.
-
-    Fresh answers with no dead target are cached at the federation
-    level until a shard's export change stream invalidates the node or
-    any shard dies, revives, or resyncs. *)
+    covering the whole fan-out. *)
 
 val run_to_quiescence : t -> unit
 (** Advance the simulation in flush-interval slices until every

@@ -44,22 +44,6 @@ let make_sources ~engine ?(announce = Source_db.Immediate) () =
          ~announce ());
   ]
 
-(* Heterogeneous variant: the item catalog lives in a triple store
-   (native entity/attribute/value mutations rendered as the same
-   relational export), the tag registry stays relational — one shard,
-   two storage families behind one source type. *)
-let make_triple_sources ~engine ?(announce = Source_db.Immediate) () =
-  [
-    Adapter.triple
-      (Triple_store.create ~engine ~name:"dbItems"
-         ~relations:[ ("Items", schema_items) ]
-         ~announce ());
-    Adapter.relational
-      (Source_db.create ~engine ~name:"dbTags"
-         ~relations:[ ("Tags", schema_tags) ]
-         ~announce ());
-  ]
-
 (* Deterministic base state: key k carries a random group, amount and
    tag — one draw sequence, so every system built from the same seed
    loads identical relations regardless of shard count. *)

@@ -29,14 +29,6 @@ val make_sources :
     (default announce: [Immediate]) — call once per shard; every shard
     uses the same logical names. *)
 
-val make_triple_sources :
-  engine:Engine.t -> ?announce:Source_db.announce_mode -> unit -> Adapter.t list
-(** Heterogeneous variant of {!make_sources}: [dbItems] is a
-    {!Sources.Triple_store} serving the same relational export,
-    [dbTags] stays a {!Sources.Source_db} — a shard mixing storage
-    families behind one source type. Behaviourally identical to
-    {!make_sources} (same version cadence, same announced deltas). *)
-
 val base_bags : seed:int -> keys:int -> groups:int -> Bag.t * Bag.t
 (** [(items, tags)] for keys [0..keys-1]: group, amount and tag drawn
     from one deterministic sequence, so every system seeded alike

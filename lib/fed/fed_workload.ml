@@ -1,10 +1,9 @@
 open Relalg
 open Delta
 open Sim
-open Vdp
 open Squirrel
 
-(* A system under test: the N-shard federation and the plain single
+(* A system under test: the N-shard federation and a plain single
    mediator expose the same three operations, so one driver produces
    byte-identical workloads for the differential test and the scaling
    bench. *)
@@ -21,45 +20,6 @@ let of_fed fed =
     s_query =
       (fun ~node ?attrs ?cond () -> Coordinator.query fed ~node ?attrs ?cond ());
     s_quiesce = (fun () -> Coordinator.run_to_quiescence fed);
-  }
-
-let of_mediator ~engine ~config ~sources med =
-  let quiesce () =
-    let slice = 2.0 *. config.Med.Config.flush_interval in
-    let rec go rounds stable last_msgs =
-      if rounds > 100_000 then failwith "of_mediator: no quiescence";
-      Engine.run engine ~until:(Engine.now engine +. slice);
-      let msgs =
-        Obs.Metrics.value (Mediator.stats med).Med.messages_received
-      in
-      let quiet = Mediator.queue_length med = 0 && msgs = last_msgs in
-      if quiet && stable >= 2 then ()
-      else go (rounds + 1) (if quiet then stable + 1 else 0) msgs
-    in
-    go 0 0 (-1)
-  in
-  let commit md =
-    (* same source grouping the coordinator performs, minus the split *)
-    let by_source : (string, Multi_delta.t ref) Hashtbl.t = Hashtbl.create 4 in
-    List.iter
-      (fun (rel, d) ->
-        let src = Graph.source_of_leaf (Mediator.vdp med) rel in
-        match Hashtbl.find_opt by_source src with
-        | Some acc -> acc := Multi_delta.add !acc rel d
-        | None -> Hashtbl.add by_source src (ref (Multi_delta.singleton rel d)))
-      (Multi_delta.bindings md);
-    let adapter src =
-      List.find (fun a -> String.equal (Sources.Adapter.name a) src) sources
-    in
-    Hashtbl.iter
-      (fun src md -> Sources.Adapter.commit (adapter src) !md)
-      by_source
-  in
-  {
-    s_commit = commit;
-    s_query =
-      (fun ~node ?attrs ?cond () -> Mediator.query med ~node ?attrs ?cond ());
-    s_quiesce = quiesce;
   }
 
 (* --- workload specification ------------------------------------------- *)

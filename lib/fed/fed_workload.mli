@@ -1,8 +1,9 @@
 (** A deterministic mixed workload over the {!Fed_scenario} exports,
-    runnable against either an N-shard federation or a plain single
-    mediator through the {!sys} abstraction — the engine behind the
-    differential test (N-shard must equal 1-mediator answer for
-    answer) and bench e18 (same plan, bigger numbers). *)
+    runnable against any system offering the {!sys} operations — an
+    N-shard federation ({!of_fed}) or, in the tests, a plain single
+    mediator. It is the engine behind the differential test (N-shard
+    must equal 1-mediator answer for answer) and bench e18 (same plan,
+    bigger numbers). *)
 
 open Relalg
 open Delta
@@ -18,16 +19,6 @@ type sys = {
 (** What the driver needs from a system under test. *)
 
 val of_fed : Coordinator.t -> sys
-
-val of_mediator :
-  engine:Engine.t ->
-  config:Med.config ->
-  sources:Sources.Adapter.t list ->
-  Mediator.t ->
-  sys
-(** Commits through the [sources] adapters (grouping delta bindings by
-    owning source, as the coordinator does) and quiesces with a local
-    loop. *)
 
 type spec = {
   w_seed : int;
@@ -55,12 +46,6 @@ type query_kind =
   | Point of int  (** Enriched restricted to one key: single-shard *)
   | Group_scan of int  (** Enriched restricted to one group: scatter *)
   | Hot_scan  (** full Hot export: scatter *)
-
-val plan_updates : spec -> update_choice array
-val plan_queries : spec -> query_kind array
-
-val query_request : query_kind -> string * Predicate.t
-(** [(node, condition)] a kind translates to. *)
 
 type outcome = {
   o_answers : (query_kind * Qp.answer) array;  (** in plan order *)

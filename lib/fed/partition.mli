@@ -14,16 +14,8 @@ val owner : shards:int -> Value.t -> int
 (** Owning shard of a key value. @raise Invalid_argument when
     [shards <= 0]. *)
 
-val owner_of_tuple : shards:int -> key:string -> Tuple.t -> int
-(** @raise Not_found when the tuple lacks the key attribute. *)
-
 val split_bag : shards:int -> key:string -> Bag.t -> Bag.t array
 (** Partition a bag by key ownership; multiplicities preserved. *)
-
-val split_rel_delta :
-  shards:int -> key:string -> Rel_delta.t -> Rel_delta.t array
-(** Partition a signed delta; an update that keeps its key stays a
-    single-shard transaction. *)
 
 val split_delta :
   shards:int -> key:string -> Multi_delta.t -> Multi_delta.t array

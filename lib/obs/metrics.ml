@@ -52,7 +52,6 @@ let add c n = c.c <- c.c + n
 let value c = c.c
 
 let set g v = g.g <- v
-let gauge_value g = g.g
 
 let max_exp = 64
 
@@ -103,9 +102,6 @@ let histogram_buckets h =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map (fun (k, n) ->
          ((if k = min_int then 0.0 else pow h.base k), n))
-
-let bucket_boundary ?(base = 2.0) v =
-  if v <= 0.0 then 0.0 else pow base (exp_of base v)
 
 type snapshot = {
   counters : (string * int) list;

@@ -49,7 +49,6 @@ val add : counter -> int -> unit
 val value : counter -> int
 
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
 val histogram_count : histogram -> int
@@ -58,10 +57,6 @@ val histogram_sum : histogram -> float
 val histogram_buckets : histogram -> (float * int) list
 (** Non-empty buckets as [(upper_boundary, count)], boundaries
     ascending. *)
-
-val bucket_boundary : ?base:float -> float -> float
-(** The upper boundary of the bucket the value would land in — exposed
-    so tests can assert boundary exactness. *)
 
 type snapshot = {
   counters : (string * int) list;  (** sorted by name *)

@@ -10,7 +10,7 @@ type span = {
 }
 
 type t = {
-  mutable enabled : bool;
+  enabled : bool;
   now : unit -> float;
   ops_counter : unit -> int;
   ring : span option array;
@@ -39,7 +39,6 @@ let create ?(capacity = 4096) ?(enabled = true) ~now ?(ops_counter = fun () -> 0
   }
 
 let enabled t = t.enabled
-let set_enabled t b = t.enabled <- b
 
 let push_root t sp =
   let cap = Array.length t.ring in
@@ -125,14 +124,6 @@ let join_span t sp =
 let root_event t ?(attrs = []) name =
   if t.enabled then push_root t (fresh t ~parent:None name attrs)
 
-let root_span t ?(attrs = []) name =
-  if not t.enabled then None
-  else begin
-    let sp = fresh t ~parent:None name attrs in
-    push_root t sp;
-    Some sp.id
-  end
-
 let event t ?(attrs = []) name =
   if t.enabled then
     match t.stack with
@@ -147,9 +138,6 @@ let set_attr sp k v =
 let set_attri sp k v = set_attr sp k (string_of_int v)
 let attr sp k = List.assoc_opt k sp.attrs
 let span_id = function None -> None | Some sp -> Some sp.id
-
-let root_id t =
-  match List.rev t.stack with (root, _) :: _ -> Some root.id | [] -> None
 
 let roots t =
   let cap = Array.length t.ring in
@@ -185,11 +173,6 @@ let rec pp_span buf indent sp =
   pp_attrs buf sp.attrs;
   Buffer.add_char buf '\n';
   List.iter (pp_span buf (indent ^ "  ")) sp.children
-
-let render_span sp =
-  let buf = Buffer.create 256 in
-  pp_span buf "" sp;
-  Buffer.contents buf
 
 let render t =
   let buf = Buffer.create 1024 in

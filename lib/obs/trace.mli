@@ -42,7 +42,6 @@ val create :
     and cost one branch per [with_span]. *)
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val with_span :
   t -> ?attrs:(string * string) list -> string -> (span option -> 'a) -> 'a
@@ -74,11 +73,6 @@ val root_event : t -> ?attrs:(string * string) list -> string -> unit
     for asynchronous arrivals that do not belong to the transaction
     currently executing. *)
 
-val root_span : t -> ?attrs:(string * string) list -> string -> int option
-(** [root_event] returning the recorded span's id ([None] when
-    disabled) — the cheapest way to stamp a transaction that needs no
-    children, e.g. an answer served straight from the cache. *)
-
 val event : t -> ?attrs:(string * string) list -> string -> unit
 (** Instantaneous child span of the innermost open span (a root event
     if none is open). *)
@@ -89,10 +83,6 @@ val set_attr : span option -> string -> string -> unit
 val set_attri : span option -> string -> int -> unit
 val attr : span -> string -> string option
 val span_id : span option -> int option
-
-val root_id : t -> int option
-(** Id of the outermost open span — the trace id a transaction's
-    answer should carry. *)
 
 val roots : t -> span list
 (** Retained root spans in completion order (oldest first). *)
@@ -110,8 +100,6 @@ val duration : span -> float
 
 val render : t -> string
 (** Indented tree rendering of every retained root span. *)
-
-val render_span : span -> string
 
 val to_jsonl : t -> string
 (** One JSON object per span (preorder, oldest root first), newline

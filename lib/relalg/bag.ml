@@ -1,7 +1,7 @@
 (* Physical layer: a bag is a persistent tuple -> multiplicity hash
    map ({!Counts}) plus a schema and an incrementally maintained total
    multiplicity, so [add]/[remove]/[mult] and join probes are O(1)
-   (amortized) and [cardinal]/[support_cardinal]/[is_set] are O(1).
+   (amortized) and [cardinal]/[support_cardinal] are O(1).
    Algebra operators build their result in a private hash table and
    seal it, never paying the diff-chain machinery. *)
 
@@ -54,17 +54,6 @@ let of_tuples schema tuples =
   let bu = builder ~size:(max 16 (List.length tuples)) schema in
   List.iter (fun t -> badd ~check:true bu t 1) tuples;
   seal bu
-
-let of_rows schema rows =
-  let names = Schema.attrs schema in
-  let to_tuple row =
-    match List.combine names row with
-    | pairs -> Tuple.of_list pairs
-    | exception Invalid_argument _ ->
-      err "of_rows: row arity %d does not match schema arity %d"
-        (List.length row) (List.length names)
-  in
-  of_tuples schema (List.map to_tuple rows)
 
 let mult b tuple = Counts.get b.tm tuple
 let mem b tuple = mult b tuple > 0
@@ -128,23 +117,10 @@ let monus a b =
     b;
   { schema = a.schema; card = !card; tm = Counts.Builder.seal bb }
 
-let to_set b =
-  let bu = builder ~size:(max 16 (support_cardinal b)) b.schema in
-  iter (fun t _ -> badd ~check:false bu t 1) b;
-  seal bu
-
-let is_set b = b.card = Counts.size b.tm
-
 let set_diff a b =
   require_compatible "set_diff" a b;
   let bu = builder a.schema in
   iter (fun t _ -> if Counts.get b.tm t = 0 then badd ~check:false bu t 1) a;
-  seal bu
-
-let inter_set a b =
-  require_compatible "inter_set" a b;
-  let bu = builder a.schema in
-  iter (fun t _ -> if Counts.get b.tm t > 0 then badd ~check:false bu t 1) a;
   seal bu
 
 (* Hash tables keyed by join-key values, using Value's own
@@ -243,11 +219,6 @@ let equal a b =
   Schema.union_compatible a.schema b.schema
   && a.card = b.card
   && Counts.equal a.tm b.tm
-
-let equal_as_sets a b =
-  Schema.union_compatible a.schema b.schema
-  && Counts.size a.tm = Counts.size b.tm
-  && Counts.fold (fun t _ acc -> acc && Counts.get b.tm t > 0) a.tm true
 
 let pp fmt b =
   Format.fprintf fmt "@[<v>%a:@,%a@]" Schema.pp b.schema

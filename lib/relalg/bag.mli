@@ -14,7 +14,7 @@
     [add]/[remove] is O(1) and reading a superseded version reroots
     the table back through the recorded diffs (iterations pin the
     table, so any access pattern is safe). [cardinal],
-    [support_cardinal], [is_empty] and [is_set] are O(1). [to_list],
+    [support_cardinal] and [is_empty] are O(1). [to_list],
     [support] and [pp] are sorted by {!Tuple.compare}; [fold] and
     [iter] enumerate in unspecified (hash) order. *)
 
@@ -27,9 +27,6 @@ val schema : t -> Schema.t
 
 val of_tuples : Schema.t -> Tuple.t list -> t
 (** @raise Bag_error if a tuple does not match the schema. *)
-
-val of_rows : Schema.t -> Value.t list list -> t
-(** Rows given positionally in schema attribute order. *)
 
 val add : ?mult:int -> t -> Tuple.t -> t
 (** [add ~mult b t] inserts [mult] (default 1) copies.
@@ -72,9 +69,6 @@ val monus : t -> t -> t
 val set_diff : t -> t -> t
 (** Set difference of the set-images, result a set (multiplicities 1). *)
 
-val inter_set : t -> t -> t
-(** Set intersection of the set-images. *)
-
 val join_keys :
   Schema.t -> Schema.t -> Predicate.t -> string list * string list
 (** [join_keys sa sb on] is the pair of equi-join key attribute lists
@@ -96,15 +90,8 @@ val join : ?on:Predicate.t -> ?test:(Tuple.t -> bool) -> t -> t -> t
 val product : t -> t -> t
 (** Cartesian product. @raise Bag_error if attribute names overlap. *)
 
-val to_set : t -> t
-(** Duplicate elimination (all multiplicities become 1). *)
-
-val is_set : t -> bool
-
 val equal : t -> t -> bool
 (** Bag equality: same schema attributes and same multiplicity map. *)
-
-val equal_as_sets : t -> t -> bool
 
 val map_tuples : Schema.t -> (Tuple.t -> Tuple.t) -> t -> t
 (** Re-map every tuple (multiplicities of coinciding images add up). *)

@@ -61,6 +61,3 @@ let rec eval_interp ~env expr =
    memo keyed by the expression), fused stages, slot-compiled
    predicates — see {!Plan} *)
 let eval ~env expr = Plan.eval ~env expr
-
-let eval_assoc bindings expr =
-  eval ~env:(fun name -> List.assoc_opt name bindings) expr

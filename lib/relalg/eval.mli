@@ -23,9 +23,6 @@ val eval_interp : env:(string -> Bag.t option) -> Expr.t -> Bag.t
     differential-test oracle against which compiled plans are
     verified. Value-identical to {!eval}. *)
 
-val eval_assoc : (string * Bag.t) list -> Expr.t -> Bag.t
-(** [eval] with an association-list environment. *)
-
 val tuple_ops : unit -> int
 (** Number of elementary tuple operations performed by [eval] since
     the last [reset_tuple_ops]. The simulator's cost model charges

@@ -100,14 +100,6 @@ let rec contains_diff = function
   | Join (a, _, b) | Union (a, b) -> contains_diff a || contains_diff b
   | Diff _ -> true
 
-let rec contains_dup_eliminating = function
-  | Base _ -> false
-  | Select (_, e) | Rename (_, e) -> contains_dup_eliminating e
-  | Project _ -> true
-  | Join (a, _, b) | Union (a, b) ->
-    contains_dup_eliminating a || contains_dup_eliminating b
-  | Diff _ -> true
-
 let rec is_select_project_of name = function
   | Base n -> String.equal n name
   | Select (_, e) | Project (_, e) | Rename (_, e) ->

@@ -47,8 +47,6 @@ val schema_of : (string -> Schema.t) -> t -> Schema.t
     incompatible schemas, projection of unknown attributes). *)
 
 val contains_diff : t -> bool
-val contains_dup_eliminating : t -> bool
-
 val is_select_project_of : string -> t -> bool
 (** True when the expression is (a chain of) select/project/rename
     over a single occurrence of the given base — the only shape

@@ -19,11 +19,8 @@ type t =
 
 let attr name = Attr name
 let int i = Const (Value.Int i)
-let str s = Const (Value.Str s)
-let flt f = Const (Value.Float f)
 
 let eq a b = Cmp (Eq, a, b)
-let ne a b = Cmp (Ne, a, b)
 let lt a b = Cmp (Lt, a, b)
 let le a b = Cmp (Le, a, b)
 let gt a b = Cmp (Gt, a, b)
@@ -186,8 +183,6 @@ let rec attr_set = function
   | Not a -> attr_set a
 
 let attrs p = Sset.elements (attr_set p)
-let term_attrs t = Sset.elements (term_attr_set t)
-
 let equi_pairs p =
   List.filter_map
     (function Cmp (Eq, Attr a, Attr b) -> Some (a, b) | _ -> None)

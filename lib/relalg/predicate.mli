@@ -29,11 +29,8 @@ type t =
 
 val attr : string -> term
 val int : int -> term
-val str : string -> term
-val flt : float -> term
 
 val eq : term -> term -> t
-val ne : term -> term -> t
 val lt : term -> term -> t
 val le : term -> term -> t
 val gt : term -> term -> t
@@ -46,19 +43,9 @@ val eq_attrs : string -> string -> t
 
 (** {1 Evaluation and analysis} *)
 
-val eval_term : term -> Tuple.t -> Value.t
-(** @raise Not_found on a missing attribute.
-    @raise Value.Type_error on ill-typed arithmetic. *)
-
 val eval : t -> Tuple.t -> bool
 (** Evaluate against a tuple. Comparisons involving [Null] are [false]
     (so [Not] of such a comparison is [true]: two-valued collapse). *)
-
-val compile_term : term -> Tuple.t -> Value.t
-(** [compile_term t] is [eval_term t] as a closure tree with every
-    attribute access resolved through a per-descriptor slot memo
-    ({!Tuple.keyer1}): after the first tuple of a descriptor each
-    access is a plain array read. Same exceptions as {!eval_term}. *)
 
 val compile : t -> Tuple.t -> bool
 (** [compile p] is [eval p] with attribute slots memoized per
@@ -70,8 +57,6 @@ val compile : t -> Tuple.t -> bool
 val attrs : t -> string list
 (** Attribute names mentioned, sorted, without duplicates. This is the
     set [D] used by [derived_from] (Sec. 6.3). *)
-
-val term_attrs : term -> string list
 
 val equi_pairs : t -> (string * string) list
 (** Top-level conjunct equalities of the form [Attr a = Attr b]; used
@@ -106,6 +91,5 @@ val restrict_to : t -> string list -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-val pp_term : Format.formatter -> term -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

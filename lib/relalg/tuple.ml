@@ -261,9 +261,6 @@ let renamer mapping =
     in
     apply_plan plan t
 
-let agree_on a b names =
-  List.for_all (fun n -> Value.equal (get a n) (get b n)) names
-
 (* Merge plan for natural-join concatenation of two descriptors:
    target descriptor, per-slot source (left slot or right slot), and
    the shared slots whose values must agree. One-entry memo — a join

@@ -55,10 +55,6 @@ val keyer1 : string -> t -> Value.t
 (** Single-attribute [keyer] without the list allocation.
     @raise Not_found if the attribute is absent. *)
 
-val agree_on : t -> t -> string list -> bool
-(** [agree_on a b names] is true when [a] and [b] carry equal values for
-    every attribute in [names]. @raise Not_found if absent on either side. *)
-
 val concat : t -> t -> t option
 (** Merge of two tuples, as used by natural join: [None] when the tuples
     disagree on a shared attribute, otherwise the union of bindings. *)

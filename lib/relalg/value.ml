@@ -9,13 +9,6 @@ type ty = TBool | TInt | TFloat | TStr
 
 exception Type_error of string
 
-let ty_of = function
-  | Null -> None
-  | Bool _ -> Some TBool
-  | Int _ -> Some TInt
-  | Float _ -> Some TFloat
-  | Str _ -> Some TStr
-
 let tag = function
   | Null -> 0
   | Bool _ -> 1

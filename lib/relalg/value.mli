@@ -16,9 +16,6 @@ type t =
 (** Runtime types of values. *)
 type ty = TBool | TInt | TFloat | TStr
 
-val ty_of : t -> ty option
-(** [ty_of v] is the type of [v], or [None] for [Null]. *)
-
 val compare : t -> t -> int
 (** Total order used for deterministic relation storage. Values of
     distinct types are ordered by type tag; [Int] and [Float] compare
@@ -54,5 +51,4 @@ val le : t -> t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
-val ty_to_string : ty -> string
 val pp_ty : Format.formatter -> ty -> unit

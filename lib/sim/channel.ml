@@ -36,7 +36,6 @@ let create engine ~delay handler =
 
 let set_policy t policy = t.policy <- policy
 let set_link t ~up = t.up <- up
-let is_up t = t.up
 
 let deliver t ~reorder ~jitter msg =
   let jitter = Float.max 0.0 jitter in

@@ -54,8 +54,6 @@ val set_link : 'a t -> up:bool -> unit
 (** Take the link down (every send is dropped) or bring it back up.
     Messages already in flight still arrive. *)
 
-val is_up : 'a t -> bool
-
 val delay : 'a t -> float
 val sent_count : 'a t -> int
 val delivered_count : 'a t -> int

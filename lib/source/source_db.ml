@@ -14,8 +14,6 @@ type poll_error =
   | Unavailable of { u_source : string; u_until : float option }
   | Timed_out of { t_source : string; t_timeout : float }
 
-type retention = Keep_all | Keep_last of int
-
 type key = { k_relation : string; k_column : string; k_values : Value.t list }
 
 type link = {
@@ -40,12 +38,10 @@ type t = {
   mutable announced_version : int; (* last version covered by a message *)
   mutable filters : (string * (string list * Predicate.t)) list;
   mutable link : link option;
-  mutable announcements : int;
   mutable polls : int;
   mutable poll_failures : int;
   mutable outages : (float * float) list; (* [start, stop) windows *)
   mutable outage_mode : outage_mode;
-  mutable retention : retention;
   mutable released : int; (* lowest version any consumer may still need *)
 }
 
@@ -66,12 +62,10 @@ let create ~engine ~name ~relations ~announce () =
     announced_version = 0;
     filters = [];
     link = None;
-    announcements = 0;
     polls = 0;
     poll_failures = 0;
     outages = [];
     outage_mode = Refuse;
-    retention = Keep_all;
     released = 0;
   }
 
@@ -121,24 +115,12 @@ let filter_delta t rel d =
   | None -> d
   | Some (attrs, cond) -> Rel_delta.project attrs (Rel_delta.select cond d)
 
-(* history entries strictly below the floor can no longer be asked
-   for: drop them. The floor is the lowest version some consumer may
-   still poll or check against — the release watermark a mediator
-   advances as its reflected version moves, further bounded by a
-   [Keep_last] retention if one is set. *)
-let history_floor t =
-  match t.retention with
-  | Keep_all -> t.released
-  | Keep_last n -> max t.released (t.version - max 1 n + 1)
-
+(* history entries below the release watermark — the lowest version a
+   mediator whose reflected version has moved on may still poll or
+   check against — can no longer be asked for: drop them *)
 let prune_history t =
-  let floor = history_floor t in
-  if floor > 0 then
-    t.history <- List.filter (fun (_, v, _) -> v >= floor) t.history
-
-let set_retention t retention =
-  t.retention <- retention;
-  prune_history t
+  if t.released > 0 then
+    t.history <- List.filter (fun (_, v, _) -> v >= t.released) t.history
 
 let release t ~upto =
   if upto > t.released then begin
@@ -161,7 +143,6 @@ let flush_announcements t =
              send_time = Engine.now t.engine;
              delta = t.pending;
            });
-      t.announcements <- t.announcements + 1;
       t.announced_version <- t.pending_version;
       t.pending <- Multi_delta.empty
     end
@@ -264,7 +245,7 @@ let index_on t rel col =
   match List.assoc_opt (rel, col) t.indexes with
   | Some ix -> ix
   | None ->
-    let ix = Hash_index.of_bag [ col ] (current t rel) in
+    let ix = Hash_index.of_bag col (current t rel) in
     t.indexes <- ((rel, col), ix) :: t.indexes;
     ix
 
@@ -286,7 +267,7 @@ let probed t k =
     List.iter
       (fun v ->
         Eval.charge_tuple_ops 1;
-        Hash_index.probe1 ix v (Bag.badd ~check:false bu))
+        Hash_index.probe ix v (Bag.badd ~check:false bu))
       keys;
     Bag.seal bu
   end
@@ -402,10 +383,8 @@ let next_commit_time_after t v =
   in
   scan t.history
 
-let announcements_sent t = t.announcements
 let polls_served t = t.polls
 let poll_failures t = t.poll_failures
-let history_length t = List.length t.history
 
 let channel t = Option.map (fun l -> l.channel) t.link
 

@@ -52,11 +52,6 @@ type poll_error =
   | Unavailable of { u_source : string; u_until : float option }
   | Timed_out of { t_source : string; t_timeout : float }
 
-(** History snapshot retention. *)
-type retention =
-  | Keep_all
-  | Keep_last of int  (** keep at most the last [n] versions *)
-
 (** A poll's key: the query needs only the rows of [k_relation] whose
     [k_column] equals one of [k_values] (see {!try_poll}). *)
 type key = { k_relation : string; k_column : string; k_values : Value.t list }
@@ -136,10 +131,6 @@ val commit : t -> Multi_delta.t -> unit
 val current : t -> string -> Bag.t
 val version : t -> int
 
-val flush_announcements : t -> unit
-(** Send the pending net delta now (no-op when nothing is pending or
-    the mode is [Never]). *)
-
 val try_poll :
   t ->
   ?timeout:float ->
@@ -188,9 +179,6 @@ val set_outages : t -> ?mode:outage_mode -> (float * float) list -> unit
     the separation lets outage tests distinguish query-path from
     update-path failures. Default mode is [Refuse]. *)
 
-val is_down : t -> bool
-(** Inside an outage window right now. *)
-
 val set_channel_policy : t -> Sim.Channel.policy option -> unit
 (** Install a fault policy on the source→mediator channel.
     @raise Source_error before [connect]. *)
@@ -210,24 +198,14 @@ val in_flight : t -> int
 
 val history : t -> (float * int * (string * Bag.t) list) list
 (** Chronological [(commit_time, version, state)] list, starting with
-    version 0 at creation time. Bounded by the retention policy and
-    the release watermark (below). *)
-
-val set_retention : t -> retention -> unit
-(** Cap the snapshot history. Default [Keep_all] — required when a
-    {!Correctness.Checker} will replay the run, since it evaluates
-    view states at arbitrary past versions. Long-running deployments
-    without a checker should bound it: one full table snapshot per
-    commit otherwise grows without bound. *)
+    version 0 at creation time. Bounded below by the release
+    watermark. *)
 
 val release : t -> upto:int -> unit
 (** Advance the release watermark: versions below [upto] will never be
     asked for again (the caller — typically a mediator whose reflected
     version has passed them) and their snapshots are pruned. The
     watermark never retreats. *)
-
-val history_length : t -> int
-(** Number of retained snapshots (for retention regression tests). *)
 
 val state_at_version : t -> int -> (string * Bag.t) list
 (** @raise Source_error for an unknown (or pruned) version. *)
@@ -239,7 +217,6 @@ val next_commit_time_after : t -> int -> float option
 
 (** {1 Statistics} *)
 
-val announcements_sent : t -> int
 val polls_served : t -> int
 
 val poll_failures : t -> int

@@ -23,8 +23,6 @@ let create ~engine ~name ~relations ~announce () =
 
 let name t = Source_db.name t.db
 let source_db t = t.db
-let entity_count t = Hashtbl.length t.entities
-
 let index_of t relation =
   match Hashtbl.find_opt t.index relation with
   | Some idx -> idx
@@ -88,15 +86,6 @@ let get t id =
   Option.map
     (fun (relation, tuple) -> (relation, Tuple.to_list tuple))
     (Hashtbl.find_opt t.entities id)
-
-let triples t =
-  Hashtbl.fold
-    (fun id (relation, tuple) acc ->
-      (id, "rdf:type", Value.Str relation)
-      :: List.map (fun (a, v) -> (id, a, v)) (Tuple.to_list tuple)
-      @ acc)
-    t.entities []
-  |> List.sort compare
 
 (* --- the relational face ---------------------------------------------- *)
 

@@ -14,7 +14,7 @@
     every native mutation is translated into a signed-bag delta
     against the relational export and committed through an embedded
     {!Source_db}, which supplies versioning, history snapshots,
-    announcement channels, outage windows and retention — so a triple
+    announcement channels, outage windows and the release watermark — so a triple
     store participates in announcement-based view maintenance, VAP
     polling and the Sec. 3 correctness checker without the mediator
     knowing its shape: the mediator is handed {!source_db}.
@@ -52,13 +52,6 @@ val delete : t -> int -> unit
 
 val get : t -> int -> (string * (string * Value.t) list) option
 (** [(relation, properties)] of a live entity. *)
-
-val triples : t -> (int * string * Value.t) list
-(** The native contents, flattened to triples, ordered by entity id.
-    (The relation classification is itself a triple with attribute
-    ["rdf:type"].) *)
-
-val entity_count : t -> int
 
 val name : t -> string
 val source_db : t -> Source_db.t

@@ -1,6 +1,6 @@
 (** Mutable hash indexes over bags of tuples.
 
-    An index maps the values of its attributes to the tuples carrying
+    An index maps the values of one attribute to the tuples carrying
     them, each with its multiplicity. Keys compare with {!Value.equal}
     and hash with {!Value.hash}, so [Int 1] and [Float 1.] share a
     bucket, and [Null] is keyed like any other value (callers that
@@ -8,7 +8,6 @@
     Maintenance is O(1) per atom. A key held by one distinct tuple (the
     common case for keys and near-keys) costs three words; a second
     distinct tuple promotes its cell to a tuple -> multiplicity table.
-    Single-attribute indexes skip the key-list allocation.
 
     The stored tables of the mediator ({!Table}) and the keyed polls of
     a source database ([Sources.Source_db]) both index through this
@@ -18,16 +17,14 @@ open Relalg
 
 type t
 
-val create : string list -> t
-(** An empty index on the given attributes, in order. *)
+val create : string -> t
+(** An empty index on the given attribute. *)
 
-val of_bag : string list -> Bag.t -> t
+val of_bag : string -> Bag.t -> t
 (** An index holding every tuple of the bag, its buckets sized for the
     bag up front. *)
 
-val on : t -> string list
-val is_single : t -> bool
-(** One indexed attribute: {!probe1} applies. *)
+val on : t -> string
 
 val add : t -> Tuple.t -> int -> unit
 (** [add ix tuple mult] raises the tuple's count by [mult > 0]. *)
@@ -39,15 +36,9 @@ val remove : t -> Tuple.t -> int -> unit
 val reset : t -> unit
 (** Empty the index. *)
 
-val probe : t -> Value.t list -> (Tuple.t -> int -> unit) -> unit
-(** [probe ix values f] calls [f tuple mult] for every indexed tuple
-    whose indexed attributes equal [values].
-    @raise Invalid_argument when a single-attribute index is given
-    other than one value. *)
-
-val probe1 : t -> Value.t -> (Tuple.t -> int -> unit) -> unit
-(** {!probe} on a single-attribute index, without the key list.
-    @raise Invalid_argument on a multi-attribute index. *)
+val probe : t -> Value.t -> (Tuple.t -> int -> unit) -> unit
+(** [probe ix value f] calls [f tuple mult] for every indexed tuple
+    whose indexed attribute equals [value]. *)
 
 val probe_keys : Value.t list -> Value.t list
 (** The values a key set needs probed: distinct under {!Value.equal},

@@ -1,15 +1,10 @@
-open Delta
-
 exception Store_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Store_error s)) fmt
 
-type t = {
-  tables : (string, Table.t) Hashtbl.t;
-  deltas : (string, Rel_delta.t) Hashtbl.t;
-}
+type t = { tables : (string, Table.t) Hashtbl.t }
 
-let create () = { tables = Hashtbl.create 16; deltas = Hashtbl.create 16 }
+let create () = { tables = Hashtbl.create 16 }
 
 let create_table ?indexes t ~name schema =
   if Hashtbl.mem t.tables name then err "table %S already exists" name;
@@ -21,8 +16,7 @@ let table_opt t name = Hashtbl.find_opt t.tables name
 
 let drop_table t name =
   if not (Hashtbl.mem t.tables name) then err "no table %S to drop" name;
-  Hashtbl.remove t.tables name;
-  Hashtbl.remove t.deltas name
+  Hashtbl.remove t.tables name
 
 let table t name =
   match table_opt t name with
@@ -35,22 +29,6 @@ let table_names t =
   List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.tables [])
 
 let env t name = Option.map Table.contents (table_opt t name)
-
-let delta t name =
-  match Hashtbl.find_opt t.deltas name with
-  | Some d -> d
-  | None -> Rel_delta.empty (Table.schema (table t name))
-
-let add_delta t name d =
-  let current = delta t name in
-  Hashtbl.replace t.deltas name (Rel_delta.smash current d)
-
-let take_delta t name =
-  let d = delta t name in
-  Hashtbl.remove t.deltas name;
-  d
-
-let clear_deltas t = Hashtbl.reset t.deltas
 
 let total_bytes t =
   Hashtbl.fold (fun _ tbl acc -> acc + Table.bytes_estimate tbl) t.tables 0

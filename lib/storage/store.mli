@@ -1,10 +1,9 @@
 (** The local store of a Squirrel mediator (Sec. 4): a catalog of
-    tables holding the materialized portions of VDP nodes, plus the
-    per-node delta repositories ['ΔR'] used by the IUP during an
-    update transaction. *)
+    tables holding the materialized portions of VDP nodes. The IUP
+    keeps the per-node delta repositories ['ΔR'] of an update
+    transaction itself. *)
 
 open Relalg
-open Delta
 
 type t
 
@@ -13,15 +12,14 @@ exception Store_error of string
 val create : unit -> t
 
 val create_table :
-  ?indexes:string list list -> t -> name:string -> Schema.t -> Table.t
+  ?indexes:string list -> t -> name:string -> Schema.t -> Table.t
 (** @raise Store_error if the name is taken. *)
 
 val table : t -> string -> Table.t
 (** @raise Store_error if absent. *)
 
 val drop_table : t -> string -> unit
-(** Remove a table (and any pending ΔR repository for it) from the
-    catalog — the M→V side of a live re-annotation.
+(** Remove a table from the catalog — the M→V side of a live re-annotation.
     @raise Store_error if absent. *)
 
 val table_opt : t -> string -> Table.t option
@@ -30,23 +28,6 @@ val table_names : t -> string list
 
 val env : t -> string -> Bag.t option
 (** Environment view for {!Relalg.Eval}: current table contents. *)
-
-(** {1 Delta repositories}
-
-    During an IUP pass each node accumulates incoming contributions in
-    its ΔR repository before being processed. *)
-
-val delta : t -> string -> Rel_delta.t
-(** Current accumulated delta for a node (empty if none), with the
-    node's table schema. @raise Store_error if the table is absent. *)
-
-val add_delta : t -> string -> Rel_delta.t -> unit
-(** Smash a contribution onto the node's ΔR repository. *)
-
-val take_delta : t -> string -> Rel_delta.t
-(** Read and clear the node's ΔR repository. *)
-
-val clear_deltas : t -> unit
 
 val total_bytes : t -> int
 (** Space estimate across all tables (Sec. 5.3 space-vs-performance). *)

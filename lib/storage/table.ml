@@ -13,31 +13,19 @@ type t = {
 }
 
 let create ?(indexes = []) ~name schema =
-  let key = Schema.key schema in
-  (* a composite key also gets one index per key attribute, so a
-     condition naming part of the key probes instead of scanning *)
-  let index_specs =
-    let key_specs =
-      match key with
-      | [] -> []
-      | [ _ ] -> [ key ]
-      | _ -> key :: List.map (fun a -> [ a ]) key
-    in
-    List.sort_uniq compare (key_specs @ indexes)
-  in
+  (* every key attribute is indexed, so a condition naming part of a
+     composite key probes instead of scanning *)
+  let columns = List.sort_uniq String.compare (Schema.key schema @ indexes) in
   List.iter
-    (fun spec ->
-      List.iter
-        (fun a ->
-          if not (Schema.mem schema a) then
-            err "index on unknown attribute %S of table %s" a name)
-        spec)
-    index_specs;
+    (fun a ->
+      if not (Schema.mem schema a) then
+        err "index on unknown attribute %S of table %s" a name)
+    columns;
   {
     name;
     schema;
     bag = Bag.empty schema;
-    indexes = List.map Hash_index.create index_specs;
+    indexes = List.map Hash_index.create columns;
   }
 
 let name t = t.name
@@ -81,107 +69,59 @@ let support_cardinal t = Bag.support_cardinal t.bag
 let mem t tuple = Bag.mem t.bag tuple
 let mult t tuple = Bag.mult t.bag tuple
 
-let has_index_on t attrs =
-  List.exists (fun ix -> Hash_index.on ix = attrs) t.indexes
+let find_index t attr =
+  List.find_opt (fun ix -> Hash_index.on ix = attr) t.indexes
 
-let find_index t attrs =
-  List.find_opt (fun ix -> Hash_index.on ix = attrs) t.indexes
+let has_index_on t attr = Option.is_some (find_index t attr)
 
-let probe_index ix values f =
-  match Hash_index.probe ix values f with
-  | () -> ()
-  | exception Invalid_argument _ ->
-    err "index probe: single-attribute index given %d values"
-      (List.length values)
-
-let probe t attrs values f =
-  match find_index t attrs with
-  | None ->
-    err "probe: no index on (%s) of table %s" (String.concat ", " attrs) t.name
+let probe t attr value f =
+  match find_index t attr with
+  | None -> err "probe: no index on %s of table %s" attr t.name
   | Some ix ->
     Eval.charge_tuple_ops 1;
-    probe_index ix values f
-
-let probe1 t attr value f =
-  match find_index t [ attr ] with
-  | None -> err "probe1: no index on %s of table %s" attr t.name
-  | Some ix ->
-    Eval.charge_tuple_ops 1;
-    Hash_index.probe1 ix value f
-
-let lookup t attrs values =
-  if List.length attrs <> List.length values then
-    err "lookup: %d attributes but %d values" (List.length attrs)
-      (List.length values);
-  List.iter
-    (fun a ->
-      if not (Schema.mem t.schema a) then
-        err "lookup: unknown attribute %S of table %s" a t.name)
-    attrs;
-  match find_index t attrs with
-  | Some ix ->
-    Eval.charge_tuple_ops 1;
-    let acc = ref (Bag.empty t.schema) in
-    probe_index ix values (fun tuple m -> acc := Bag.add ~mult:m !acc tuple);
-    !acc
-  | None ->
-    Eval.charge_tuple_ops (Bag.support_cardinal t.bag);
-    let pred =
-      Predicate.conj
-        (List.map2
-           (fun a v -> Predicate.eq (Predicate.attr a) (Predicate.Const v))
-           attrs values)
-    in
-    Bag.select pred t.bag
+    Hash_index.probe ix value f
 
 (* [delta_join d t] = the signed join [d ⋈ contents t] computed by
-   probing [t]'s persistent join-key index: one probe per delta atom
-   instead of rebuilding a key table over the whole stored bag. [None]
-   when no index matches the join keys — the caller falls back to the
-   generic hash join. Sound during IUP propagation because table
-   mutations are deferred until after the kernel pass, so probes see
-   the pre-update state. *)
+   probing [t]'s persistent index on one join-key column: one probe per
+   delta atom instead of rebuilding a key table over the whole stored
+   bag. With several join keys, the merge ([Tuple.concat], which checks
+   shared attributes) and [on] drop the rows that disagree on the
+   others. [None] when no join-key column is indexed — the caller falls
+   back to the generic hash join. Sound during IUP propagation because
+   table mutations are deferred until after the kernel pass, so probes
+   see the pre-update state. *)
 let delta_join ?(on = Predicate.True) ?filter d t =
   let dschema = Rel_delta.schema d in
   let left_keys, right_keys = Bag.join_keys dschema t.schema on in
-  if right_keys = [] then None
-  else
-    match find_index t right_keys with
-    | None -> None
-  | Some ix ->
+  match
+    List.find_map
+      (fun (a, b) -> Option.map (fun ix -> (Tuple.keyer1 a, ix)) (find_index t b))
+      (List.combine left_keys right_keys)
+  with
+  | None -> None
+  | Some (key, ix) ->
     let out = ref (Rel_delta.empty (Schema.join dschema t.schema)) in
     let keep = match filter with Some f -> f | None -> fun _ -> true in
     let combine ta ma tb mb =
-      if not (keep tb) then ()
-      else
-      match Tuple.concat ta tb with
-      | None -> ()
-      | Some merged ->
-        if Predicate.eval on merged then begin
-          let m = ma * mb in
-          out :=
-            (if m > 0 then Rel_delta.insert ~mult:m !out merged
-             else Rel_delta.delete ~mult:(-m) !out merged)
-        end
+      if keep tb then
+        match Tuple.concat ta tb with
+        | None -> ()
+        | Some merged ->
+          if Predicate.eval on merged then begin
+            let m = ma * mb in
+            out :=
+              (if m > 0 then Rel_delta.insert ~mult:m !out merged
+               else Rel_delta.delete ~mult:(-m) !out merged)
+          end
     in
-    (if Hash_index.is_single ix then
-      let key1 =
-        match left_keys with [ a ] -> Tuple.keyer1 a | _ -> assert false
-      in
-      let attr = List.hd right_keys in
-      Rel_delta.fold
-        (fun ta ma () ->
-          probe1 t attr (key1 ta) (fun tb mb -> combine ta ma tb mb))
-        d ()
-    else
-      let keyer = Tuple.keyer left_keys in
-      Rel_delta.fold
-        (fun ta ma () ->
-          probe t right_keys (keyer ta) (fun tb mb -> combine ta ma tb mb))
-        d ());
+    Rel_delta.fold
+      (fun ta ma () ->
+        Eval.charge_tuple_ops 1;
+        Hash_index.probe ix (key ta) (fun tb mb -> combine ta ma tb mb))
+      d ();
     Some !out
 
-type index_stats = { ix_on : string list; ix_distinct : int; ix_max_chain : int }
+type index_stats = { ix_on : string; ix_distinct : int; ix_max_chain : int }
 type stats = { st_rows : int; st_support : int; st_indexes : index_stats list }
 
 let index_stats ix =
@@ -202,8 +142,8 @@ let pp_stats fmt s =
   Format.fprintf fmt "rows=%d support=%d" s.st_rows s.st_support;
   List.iter
     (fun ix ->
-      Format.fprintf fmt " idx(%s){distinct=%d max_chain=%d}"
-        (String.concat "," ix.ix_on) ix.ix_distinct ix.ix_max_chain)
+      Format.fprintf fmt " idx(%s){distinct=%d max_chain=%d}" ix.ix_on
+        ix.ix_distinct ix.ix_max_chain)
     s.st_indexes
 
 let bytes_estimate t =

@@ -13,11 +13,10 @@ type t
 
 exception Table_error of string
 
-val create : ?indexes:string list list -> name:string -> Schema.t -> t
-(** [create ~indexes ~name schema] makes an empty table. Each element
-    of [indexes] is an attribute list to maintain a hash index on; the
-    schema's key (if any) is always indexed, and a composite key is
-    also indexed one attribute at a time. *)
+val create : ?indexes:string list -> name:string -> Schema.t -> t
+(** [create ~indexes ~name schema] makes an empty table with a hash
+    index on each attribute of [indexes] and on each attribute of the
+    schema's key (if any). *)
 
 val name : t -> string
 val schema : t -> Schema.t
@@ -42,23 +41,14 @@ val support_cardinal : t -> int
 val mem : t -> Tuple.t -> bool
 val mult : t -> Tuple.t -> int
 
-val lookup : t -> string list -> Value.t list -> Bag.t
-(** [lookup t attrs values] returns all tuples with the given values
-    on [attrs], using a hash index when one exists on exactly those
-    attributes (in order), otherwise scanning.
-    @raise Table_error if an attribute is unknown. *)
+val has_index_on : t -> string -> bool
 
-val has_index_on : t -> string list -> bool
-
-val probe : t -> string list -> Value.t list -> (Tuple.t -> int -> unit) -> unit
-(** [probe t attrs values f] calls [f tuple mult] for every stored
-    tuple matching [values] on [attrs], through the hash index on
-    exactly those attributes — the O(1)-per-probe path used by
-    incremental join propagation.
-    @raise Table_error when no such index exists. *)
-
-val probe1 : t -> string -> Value.t -> (Tuple.t -> int -> unit) -> unit
-(** Single-attribute {!probe} without the key-list allocation. *)
+val probe : t -> string -> Value.t -> (Tuple.t -> int -> unit) -> unit
+(** [probe t attr value f] calls [f tuple mult] for every stored tuple
+    whose [attr] equals [value], through the hash index on [attr] —
+    the O(1)-per-probe path used by incremental join propagation and
+    keyed store reads.
+    @raise Table_error when [attr] is not indexed. *)
 
 val delta_join :
   ?on:Predicate.t ->
@@ -67,10 +57,10 @@ val delta_join :
   t ->
   Rel_delta.t option
 (** [delta_join d t]: the signed join [d ⋈ contents t], computed by
-    probing [t]'s persistent join-key index — one probe per delta atom
-    instead of a key table rebuilt over the whole stored bag. [None]
-    when no index matches the join keys of [on]; callers fall back to
-    the generic hash join. [filter] (default: keep all) screens stored
+    probing [t]'s persistent index on one join-key column — one probe
+    per delta atom instead of a key table rebuilt over the whole stored
+    bag. [None] when no join-key column of [on] is indexed; callers
+    fall back to the generic hash join. [filter] (default: keep all) screens stored
     tuples before they are combined — the push-down of a selection
     sitting over the table in the joined expression. *)
 
@@ -80,7 +70,7 @@ val delta_join :
     the mediator's stats hook) and the CLI profile report. *)
 
 type index_stats = {
-  ix_on : string list;  (** indexed attributes, in order *)
+  ix_on : string;  (** the indexed attribute *)
   ix_distinct : int;  (** distinct key values currently present *)
   ix_max_chain : int;  (** longest per-key chain (distinct tuples) *)
 }

@@ -70,22 +70,11 @@ let materialized_attrs t name = attrs_with t name M
 let virtual_attrs t name = attrs_with t name V
 
 let is_fully_materialized t name = virtual_attrs t name = []
-let is_fully_virtual t name = materialized_attrs t name = []
-
-let is_hybrid t name =
-  (not (is_fully_materialized t name)) && not (is_fully_virtual t name)
-
 let materialized_nodes t =
   List.filter_map
     (fun (name, _) ->
       if materialized_attrs t name <> [] then Some name else None)
     (Smap.bindings t)
-
-let has_fully_materialized_support t vdp name =
-  is_fully_materialized t name
-  && List.for_all
-       (fun d -> Graph.is_leaf vdp d || is_fully_materialized t d)
-       (Graph.descendants vdp name)
 
 let equal a b =
   Smap.equal

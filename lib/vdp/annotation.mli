@@ -33,18 +33,9 @@ val materialized_attrs : t -> string -> string list
 val virtual_attrs : t -> string -> string list
 
 val is_fully_materialized : t -> string -> bool
-val is_fully_virtual : t -> string -> bool
-val is_hybrid : t -> string -> bool
-
 val materialized_nodes : t -> string list
 (** Nodes with at least one materialized attribute (these have a table
     in the local store). *)
-
-val has_fully_materialized_support : t -> Graph.t -> string -> bool
-(** True when the node and all its non-leaf descendants are fully
-    materialized — the precondition for maintaining it by the IUP
-    Kernel Algorithm alone, without any polling (approach (1) of the
-    introduction). *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -89,43 +89,6 @@ let cardinality vdp profile =
   in
   fun name -> int_of_float (Float.max 1.0 (node_card name))
 
-let expr_eval_cost vdp profile e =
-  let env = Graph.schema_env vdp in
-  let card = cardinality vdp profile in
-  let rec expr_card = function
-    | Expr.Base n -> float_of_int (card n)
-    | Expr.Select (p, e) -> profile.selectivity p *. expr_card e
-    | Expr.Project (_, e) | Expr.Rename (_, e) -> expr_card e
-    | Expr.Join (a, p, b) ->
-      let ca = expr_card a and cb = expr_card b in
-      if has_equi_component env a p b then Float.max ca cb
-      else ca *. cb *. profile.selectivity p
-    | Expr.Union (a, b) -> expr_card a +. expr_card b
-    | Expr.Diff (a, _) -> expr_card a
-  in
-  let rec cost = function
-    | Expr.Base n -> float_of_int (card n)
-    | Expr.Select (p, e) -> cost e +. (profile.selectivity p *. expr_card e)
-    | Expr.Project (_, e) | Expr.Rename (_, e) -> cost e +. expr_card e
-    | Expr.Join (a, p, b) ->
-      let ca = expr_card a and cb = expr_card b in
-      let join_cost =
-        if has_equi_component env a p b then ca +. cb +. expr_card (Expr.Join (a, p, b))
-        else ca *. cb
-      in
-      cost a +. cost b +. join_cost
-    | Expr.Union (a, b) -> cost a +. cost b +. expr_card a +. expr_card b
-    | Expr.Diff (a, b) -> cost a +. cost b +. expr_card a +. expr_card b
-  in
-  cost e
-
-let eval_cost vdp profile name =
-  match (Graph.node vdp name).Graph.kind with
-  | Graph.Leaf _ ->
-    remote_latency
-    +. (remote_factor *. float_of_int (profile.leaf_cardinality name))
-  | Graph.Derived e -> expr_eval_cost vdp profile e
-
 let is_expensive_join vdp name =
   match (Graph.node vdp name).Graph.kind with
   | Graph.Leaf _ -> false

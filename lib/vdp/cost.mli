@@ -56,11 +56,6 @@ val measured_profile :
 val cardinality : Graph.t -> profile -> string -> int
 (** Estimated cardinality of any node. *)
 
-val eval_cost : Graph.t -> profile -> string -> float
-(** Estimated tuple operations to evaluate the node's definition from
-    its children's populations. Non-equi ("expensive") joins cost the
-    product of input cardinalities; equi joins are linear. *)
-
 val is_expensive_join : Graph.t -> string -> bool
 (** True when the node's definition contains a join with neither
     shared attributes nor equi pairs (Sec. 5.3's "no index can be

@@ -29,8 +29,6 @@ let node t name =
 
 let mem t name = Smap.mem name t.by_name
 let nodes t = List.map snd (Smap.bindings t.by_name)
-let node_names t = List.map fst (Smap.bindings t.by_name)
-
 let def t name =
   match (node t name).kind with
   | Derived e -> e
@@ -74,11 +72,6 @@ let source_of_leaf t name =
   match (node t name).kind with
   | Leaf { source } -> source
   | Derived _ -> err "node %S is not a leaf" name
-
-let is_set_node t name =
-  match (node t name).kind with
-  | Leaf _ -> false
-  | Derived e -> Expr.contains_diff e
 
 let topo_order t = t.order
 

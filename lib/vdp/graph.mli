@@ -51,8 +51,6 @@ val node : t -> string -> node
 val node_opt : t -> string -> node option
 val mem : t -> string -> bool
 val nodes : t -> node list
-val node_names : t -> string list
-
 val def : t -> string -> Expr.t
 (** Definition of a non-leaf node. @raise Vdp_error for a leaf. *)
 
@@ -72,10 +70,6 @@ val source_of_leaf : t -> string -> string
 (** Source database of a leaf. @raise Vdp_error for a non-leaf. *)
 
 val is_leaf : t -> string -> bool
-val is_set_node : t -> string -> bool
-(** True when the node's definition involves difference (its relation
-    is stored as a set). *)
-
 val topo_order : t -> string list
 (** Non-leaf node names, children before parents — the processing
     order of the IUP's upward traversal. *)

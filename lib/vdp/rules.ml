@@ -1,13 +1,4 @@
 open Relalg
-open Delta
-
-let fire_node vdp ~env ~node child_deltas =
-  let def = Graph.def vdp node in
-  let deltas name = List.assoc_opt name child_deltas in
-  Inc_eval.delta_of_expr ~env ~deltas def
-
-let fire_edge vdp ~env ~node ~child delta =
-  fire_node vdp ~env ~node [ (child, delta) ]
 
 let describe_edge vdp ~node ~child =
   let def = Graph.def vdp node in

@@ -1,5 +1,5 @@
-(** The VDP rulebase (Sec. 5.2): update-propagation rules attached to
-    VDP edges.
+(** Rendering of the VDP rulebase (Sec. 5.2): update-propagation rules
+    attached to VDP edges.
 
     Every edge [(v, c)] carries a rule that turns an incremental update
     [Δc] into a contribution to [Δv]. The rules are derived mechanically
@@ -16,36 +16,9 @@
 
     When several children of a node change in the same update
     transaction, firing per-edge rules naively double-counts or misses
-    the cross terms (Example 6.1); [fire_node] uses the telescoped
-    combination [ΔA ⋈ apply(B, ΔB) ⊎ A ⋈ ΔB], which is exact. *)
-
-open Relalg
-open Delta
-
-val fire_edge :
-  Graph.t ->
-  env:(string -> Bag.t option) ->
-  node:string ->
-  child:string ->
-  Rel_delta.t ->
-  Rel_delta.t
-(** The single-edge rule: the contribution to [Δnode] when only
-    [child] changed (other children at their [env] values). This is
-    rule #1/#2 of Example 2.1. *)
-
-val fire_node :
-  Graph.t ->
-  env:(string -> Bag.t option) ->
-  node:string ->
-  (string * Rel_delta.t) list ->
-  Rel_delta.t
-(** Fire all eligible in-edge rules of the node at once, with exact
-    handling of simultaneous child deltas; [env] must give the
-    {e pre-update} child populations. *)
-
-val describe_edge : Graph.t -> node:string -> child:string -> string
-(** Human-readable rendering of the rule for an edge, in the style of
-    Sec. 5.2 ("on Δ(R'), ΔT = ΔR' ⋈ S'"). *)
+    the cross terms (Example 6.1); the IUP fires a node's rules at once
+    through {!Delta.Inc_eval.delta_of_expr}, whose telescoped
+    combination [ΔA ⋈ apply(B, ΔB) ⊎ A ⋈ ΔB] is exact. *)
 
 val describe : Graph.t -> string
 (** The whole rulebase, one rule per line. *)

@@ -4,11 +4,6 @@ let state seed = Random.State.make [| seed; 0x5317; seed * 7919 |]
 
 type column_spec = { c_attr : string; c_min : int; c_max : int }
 
-let uniform_specs schema ~lo ~hi =
-  List.map
-    (fun (a, _) -> { c_attr = a; c_min = lo; c_max = hi })
-    (Schema.typed_attrs schema)
-
 let draw rng spec =
   Value.Int (spec.c_min + Random.State.int rng (spec.c_max - spec.c_min + 1))
 

@@ -14,8 +14,6 @@ type column_spec = {
   c_max : int;  (** inclusive; values drawn uniformly *)
 }
 
-val uniform_specs : Schema.t -> lo:int -> hi:int -> column_spec list
-
 val tuple : Random.State.t -> column_spec list -> Tuple.t
 
 val keyed_tuple :

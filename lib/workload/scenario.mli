@@ -174,11 +174,6 @@ val ann_retail_hybrid : Graph.t -> Annotation.t
     renaming through the whole stack: builder, IUP delta filtering,
     VAP polling, ECA, and source-side filtering. *)
 
-val schema_orders_west : Relalg.Schema.t
-
-val federated_vdp : unit -> Graph.t
-(** Single export [AllOrders = OrdersE ∪ ρ(OrdersW)]. *)
-
 val make_federated :
   ?seed:int ->
   ?orders:int ->

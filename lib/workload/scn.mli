@@ -37,10 +37,6 @@ val compile :
     Event times are absolute simulated times — leave the first second
     for mediator initialization. @raise Scenario_error. *)
 
-val of_string : ?engine:Engine.t -> string -> compiled
-(** Parse then {!compile}.
-    @raise Relalg.Parser.Parse_error @raise Scenario_error *)
-
 val of_file : ?engine:Engine.t -> string -> compiled
 (** Read, parse, compile; parse errors are rewrapped with the file
     name. @raise Scenario_error. *)

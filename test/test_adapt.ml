@@ -545,11 +545,18 @@ let policy_selfmaint_migrates () =
   let p = Adapt.Policy.create ~config med in
   (match in_process env (fun () -> Adapt.Policy.tick p) with
   | Some ev ->
-    Alcotest.(check bool) "aux promoted" true (ev.Adapt.Policy.e_aux <> [])
+    Alcotest.(check bool) "aux promoted" true (ev.Adapt.Policy.e_aux <> []);
+    List.iter
+      (fun (node, attrs) ->
+        let mat = Annotation.materialized_attrs (Mediator.annotation med) node in
+        Alcotest.(check bool)
+          ("aux views materialized on " ^ node)
+          true
+          (List.for_all (fun a -> List.mem a mat) attrs))
+      ev.Adapt.Policy.e_aux
   | None -> Alcotest.fail "selfmaint extension caused no migration");
   Alcotest.(check bool) "aux promotions counted" true
     (Obs.Metrics.value (Mediator.stats med).Med.aux_promotions >= 1);
-  Alcotest.(check bool) "aux views tracked" true (Adapt.Policy.aux_views p <> []);
   check_store env med ~what:"selfmaint migration";
   check_consistent env med ~what:"selfmaint migration"
 
@@ -639,8 +646,9 @@ let fuzz_once sc ~seed =
   check_store env med ~what:(Printf.sprintf "%s seed %d" sc.f_name seed);
   let answers =
     in_process env (fun () ->
-        Mediator.query_many med
-          (List.map (fun n -> (n, None, Predicate.True)) sc.f_exports))
+        List.map
+          (fun n -> (n, (Mediator.query med ~node:n ()).Qp.tuples))
+          sc.f_exports)
   in
   List.iter
     (fun (node, answer) ->

@@ -233,8 +233,9 @@ let run_once sc ~seed ~max_batch =
   Scenario.run_to_quiescence env med;
   let answers =
     in_process env (fun () ->
-        Mediator.query_many med
-          (List.map (fun n -> (n, None, Predicate.True)) sc.f_exports))
+        List.map
+          (fun n -> (n, (Mediator.query med ~node:n ()).Qp.tuples))
+          sc.f_exports)
   in
   (* each run must individually agree with direct recomputation over
      its sources' final states — so a differential mismatch below

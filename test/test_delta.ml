@@ -117,23 +117,13 @@ let test_multi_delta_basic () =
   let m = Multi_delta.add (Multi_delta.singleton "R" dr) "S" ds in
   Alcotest.(check (list string)) "relations" [ "R"; "S" ] (Multi_delta.relations m);
   Alcotest.(check int) "atoms" 2 (Multi_delta.atom_count m);
-  check_delta "find R" dr (Option.get (Multi_delta.find m "R"));
-  let restricted = Multi_delta.restrict m [ "S" ] in
-  Alcotest.(check (list string)) "restricted" [ "S" ] (Multi_delta.relations restricted)
+  check_delta "find R" dr (Option.get (Multi_delta.find m "R"))
 
 let test_multi_delta_smash_per_relation () =
   let d1 = Rel_delta.insert (Rel_delta.empty schema_s) (s_tuple 1 2 3) in
   let d2 = Rel_delta.delete (Rel_delta.empty schema_s) (s_tuple 1 2 3) in
   let m = Multi_delta.smash (Multi_delta.singleton "S" d1) (Multi_delta.singleton "S" d2) in
   Alcotest.(check bool) "cancelled" true (Multi_delta.is_empty m)
-
-let test_multi_delta_apply_env () =
-  let b = Bag.of_tuples schema_s [ s_tuple 1 2 3 ] in
-  let d = Rel_delta.insert (Rel_delta.empty schema_s) (s_tuple 4 5 6) in
-  let m = Multi_delta.singleton "S" d in
-  match Multi_delta.apply_env (function "S" -> Some b | _ -> None) m with
-  | [ ("S", b') ] -> Alcotest.(check int) "applied" 2 (Bag.cardinal b')
-  | _ -> Alcotest.fail "expected single updated relation"
 
 (* --- incremental evaluation --- *)
 
@@ -221,7 +211,7 @@ let test_inc_irrelevant_update () =
   Alcotest.(check bool) "filtered" true (Rel_delta.is_empty d)
 
 let diff_schema = Schema.make [ ("x", Value.TInt) ]
-let mk_x rows = Bag.of_rows diff_schema (List.map (fun i -> [ v_int i ]) rows)
+let mk_x rows = of_rows diff_schema (List.map (fun i -> [ v_int i ]) rows)
 let x_tuple i = Tuple.of_list [ ("x", v_int i) ]
 
 let test_inc_diff_corrected_rule () =
@@ -578,7 +568,6 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_multi_delta_basic;
           Alcotest.test_case "smash per relation" `Quick test_multi_delta_smash_per_relation;
-          Alcotest.test_case "apply_env" `Quick test_multi_delta_apply_env;
         ] );
       ( "incremental eval",
         [

@@ -1,8 +1,8 @@
 (* Federation layer: partition routing, shard-merge semilattice laws,
-   the export change stream, the federation answer cache, and the
-   differential guarantee — an N-shard federation answers exactly like
-   one mediator over the unpartitioned data, including under chaos
-   after reconvergence. *)
+   the export change stream, Sec. 3 order preservation across
+   successive federation queries, and the differential guarantee — an
+   N-shard federation answers exactly like one mediator over the
+   unpartitioned data, including under chaos after reconvergence. *)
 
 open Relalg
 open Sim
@@ -186,6 +186,37 @@ let small_spec =
     w_query_horizon = 4.0;
   }
 
+(* the single-mediator side of the differential: commits go to the
+   owning source (each relation has its own), quiescence is the
+   coordinator's loop over one mediator *)
+let single_sys ~engine ~sources med =
+  let quiesce () =
+    let slice = 2.0 *. diff_config.Med.Config.flush_interval in
+    let rec go rounds stable last_msgs =
+      if rounds > 100_000 then Alcotest.fail "single mediator: no quiescence";
+      Engine.run engine ~until:(Engine.now engine +. slice);
+      let msgs = Obs.Metrics.value (Mediator.stats med).Med.messages_received in
+      let quiet = Mediator.queue_length med = 0 && msgs = last_msgs in
+      if quiet && stable >= 2 then ()
+      else go (rounds + 1) (if quiet then stable + 1 else 0) msgs
+    in
+    go 0 0 (-1)
+  in
+  let commit md =
+    List.iter
+      (fun (rel, d) ->
+        let src = Graph.source_of_leaf (Mediator.vdp med) rel in
+        let adapter = List.find (fun a -> Adapter.name a = src) sources in
+        Adapter.commit adapter (Delta.Multi_delta.singleton rel d))
+      (Delta.Multi_delta.bindings md)
+  in
+  {
+    Fed_workload.s_commit = commit;
+    s_query =
+      (fun ~node ?attrs ?cond () -> Mediator.query med ~node ?attrs ?cond ());
+    s_quiesce = quiesce;
+  }
+
 let run_single spec =
   let engine = Engine.create () in
   let vdp = Fed_scenario.fed_vdp () in
@@ -205,8 +236,7 @@ let run_single spec =
   load_sources sources items tags;
   Engine.spawn engine (fun () -> Mediator.initialize med);
   Engine.run engine ~until:1.0;
-  Fed_workload.run ~engine ~spec
-    (Fed_workload.of_mediator ~engine ~config:diff_config ~sources med)
+  Fed_workload.run ~engine ~spec (single_sys ~engine ~sources med)
 
 let make_fed ?(config = diff_config) ~shards spec =
   let engine = Engine.create () in
@@ -318,7 +348,7 @@ let test_export_stream () =
              (Delta.Rel_delta.empty Fed_scenario.schema_items)
              old_item)
           new_item));
-  let sys = Fed_workload.of_mediator ~engine ~config:diff_config ~sources med in
+  let sys = single_sys ~engine ~sources med in
   sys.Fed_workload.s_quiesce ();
   (match !deltas with
   | [ (nodes, reflect) ] ->
@@ -333,51 +363,72 @@ let test_export_stream () =
       (List.length evs));
   Alcotest.(check int) "no snapshot in a clean run" 0 !snapshots
 
-(* --- federation answer cache ------------------------------------------ *)
+(* --- federation answers keep Sec. 3 order preservation ----------------- *)
 
-let test_fed_cache () =
-  let spec = { small_spec with Fed_workload.w_keys = 64; w_txs = 0 } in
-  let engine, fed = make_fed ~shards:2 spec in
-  let counter name = Obs.Metrics.counter (Coordinator.metrics fed) name in
-  let q () =
+(* [a] reflects at least what [b] does: a later version, or the
+   source's current state *)
+let reflects_at_least a b =
+  match (a, b) with
+  | Med.Current, _ -> true
+  | Med.Version _, Med.Current -> false
+  | Med.Version x, Med.Version y -> x >= y
+
+let test_fed_order_preservation () =
+  (* one shard, so the federation answer is the shard's answer: a later
+     Hot query must not reflect less than an earlier Enriched one, nor
+     claim a tighter freshness bound than the shard itself gives *)
+  let spec =
+    { small_spec with Fed_workload.w_seed = 1; w_keys = 64; w_txs = 0 }
+  in
+  let engine, fed = make_fed ~shards:1 spec in
+  let fed_query node =
+    in_process engine (fun () -> Coordinator.query fed ~node ())
+  in
+  let route d =
     in_process engine (fun () ->
-        (Coordinator.query fed ~node:"Hot" ()).Qp.tuples)
+        Coordinator.commit fed (Delta.Multi_delta.singleton "Items" d));
+    Coordinator.run_to_quiescence fed
   in
-  let a1 = q () in
-  let a2 = q () in
-  Tutil.check_bag "cache returns the same answer" a1 a2;
-  Alcotest.(check bool)
-    "second read hits the federation cache" true
-    (Obs.Metrics.value (counter "fed_cache_hits") >= 1);
-  (* a routed update through the coordinator invalidates the entry *)
-  let hot_item =
-    Tuple.of_list
-      [ ("k", Value.Int 0); ("grp", Value.Int 0); ("amt", Value.Int 99) ]
+  let items = Delta.Rel_delta.empty Fed_scenario.schema_items in
+  let item k amt =
+    Tuple.of_list [ ("k", Value.Int k); ("grp", Value.Int 0); ("amt", Value.Int amt) ]
   in
+  ignore (fed_query "Hot");
+  (* an item below the Hot threshold: dbItems moves on, Hot's contents
+     do not *)
+  route (Delta.Rel_delta.insert items (item 64 (Fed_scenario.hot_threshold - 1)));
+  let enriched = fed_query "Enriched" in
+  let own =
+    in_process engine (fun () ->
+        Mediator.query (Coordinator.mediator fed 0) ~node:"Hot" ())
+  in
+  let hot = fed_query "Hot" in
+  List.iter
+    (fun (src, e) ->
+      Alcotest.(check bool)
+        (src ^ ": Hot reflects at least what Enriched did")
+        true
+        (reflects_at_least (List.assoc src hot.Qp.reflect) e))
+    enriched.Qp.reflect;
+  List.iter
+    (fun (src, b) ->
+      Alcotest.(check bool)
+        (src ^ ": bound no tighter than the shard's own")
+        true
+        (List.assoc src hot.Qp.bound >= b))
+    own.Qp.bound;
+  (* a routed update that enters Hot is served *)
   let old_item =
     List.find
       (fun t -> Tuple.get t "k" = Value.Int 0)
       (Bag.support
-         (let items, _ = Fed_scenario.base_bags ~seed:spec.Fed_workload.w_seed ~keys:64 ~groups:8 in
-          items))
+         (fst (Fed_scenario.base_bags ~seed:1 ~keys:64 ~groups:8)))
   in
-  in_process engine (fun () ->
-      Coordinator.commit fed
-        (Delta.Multi_delta.singleton "Items"
-           (Delta.Rel_delta.insert
-              (Delta.Rel_delta.delete
-                 (Delta.Rel_delta.empty Fed_scenario.schema_items)
-                 old_item)
-              hot_item)));
-  Coordinator.run_to_quiescence fed;
-  let misses_before = Obs.Metrics.value (counter "fed_cache_misses") in
-  let a3 = q () in
-  Alcotest.(check bool)
-    "update invalidated the cached entry" true
-    (Obs.Metrics.value (counter "fed_cache_misses") > misses_before);
+  let hot_item = item 0 99 in
+  route (Delta.Rel_delta.insert (Delta.Rel_delta.delete items old_item) hot_item);
   Alcotest.(check bool)
     "the new hot tuple is served" true
-    (Bag.mult a3 hot_item >= 1)
+    (Bag.mult (fed_query "Hot").Qp.tuples hot_item >= 1)
 
 (* --- chaos cells ------------------------------------------------------- *)
 
@@ -415,7 +466,8 @@ let () =
           Alcotest.test_case "differential vs one mediator" `Quick
             test_differential;
           Alcotest.test_case "export change stream" `Quick test_export_stream;
-          Alcotest.test_case "federation answer cache" `Quick test_fed_cache;
+          Alcotest.test_case "order preservation across exports" `Quick
+            test_fed_order_preservation;
           Alcotest.test_case "chaos: shard kill" `Quick test_chaos_kill;
           Alcotest.test_case "chaos: network partition" `Quick
             test_chaos_partition;

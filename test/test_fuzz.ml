@@ -122,12 +122,12 @@ let fuzz_once ?(announce = Source_db.Immediate) sc ~seed ~filtering =
            }))
     sc.f_exports;
   Scenario.run_to_quiescence env med;
-  (* final answers vs ground truth, fetched in one multi-export
-     transaction *)
+  (* final answers vs ground truth, one query per export *)
   let answers =
     in_process env (fun () ->
-        Mediator.query_many med
-          (List.map (fun n -> (n, None, Predicate.True)) sc.f_exports))
+        List.map
+          (fun n -> (n, (Mediator.query med ~node:n ()).Qp.tuples))
+          sc.f_exports)
   in
   List.iter
     (fun (node, answer) ->
@@ -328,7 +328,7 @@ let diff_table_delta_join () =
   let sd = Schema.make [ ("k", Value.TInt); ("p", Value.TStr) ] in
   for seed = 1 to 60 do
     let rng = Random.State.make [| seed; 0xBAA |] in
-    let table = Storage.Table.create ~indexes:[ [ "k" ] ] ~name:"t" st in
+    let table = Storage.Table.create ~indexes:[ "k" ] ~name:"t" st in
     Storage.Table.load table (random_bag rng st);
     let d =
       let n = 1 + Random.State.int rng 8 in
@@ -352,6 +352,72 @@ let diff_table_delta_join () =
         Alcotest.failf "seed %d: delta_join diverges from join_bag" seed
   done
 
+let diff_table_delta_join_two_keys () =
+  (* a join on two key pairs probes one indexed key column; the merge
+     and [on] must drop the rows that disagree on the other pair,
+     including Null keys, which no equi pair matches *)
+  let key rng =
+    if Random.State.int rng 5 = 0 then Value.Null
+    else Value.Int (Random.State.int rng 3)
+  in
+  let tuple rng schema =
+    Tuple.of_list
+      (List.map
+         (fun (a, ty) ->
+           (a, if ty = Value.TInt then key rng else random_value rng ty))
+         (Schema.typed_attrs schema))
+  in
+  let gen rng schema n make =
+    let rec go acc i = if i = 0 then acc else go (make rng acc (tuple rng schema)) (i - 1) in
+    go n (Random.State.int rng 12)
+  in
+  let cases =
+    [
+      (* two equi pairs, the probed column first or second *)
+      ( Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("p", Value.TStr) ],
+        Schema.make [ ("x", Value.TInt); ("y", Value.TInt); ("q", Value.TStr) ],
+        Predicate.(conj [ eq_attrs "a" "x"; eq_attrs "b" "y" ]),
+        [ "x" ] );
+      ( Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("p", Value.TStr) ],
+        Schema.make [ ("x", Value.TInt); ("y", Value.TInt); ("q", Value.TStr) ],
+        Predicate.(conj [ eq_attrs "a" "x"; eq_attrs "b" "y" ]),
+        [ "y" ] );
+      (* a shared attribute and an equi pair, probing the equi column *)
+      ( Schema.make [ ("k", Value.TInt); ("b", Value.TInt); ("p", Value.TStr) ],
+        Schema.make [ ("k", Value.TInt); ("y", Value.TInt); ("q", Value.TStr) ],
+        Predicate.eq_attrs "b" "y",
+        [ "y" ] );
+    ]
+  in
+  List.iteri
+    (fun ci (sd, st, on, indexes) ->
+      let joined = ref 0 in
+      for seed = 1 to 80 do
+        let rng = Random.State.make [| seed; ci; 0xBAB |] in
+        let table = Storage.Table.create ~indexes ~name:"t" st in
+        Storage.Table.load table
+          (gen rng st (Bag.empty st) (fun rng b t ->
+               Bag.add ~mult:(1 + Random.State.int rng 3) b t));
+        let d =
+          gen rng sd (Delta.Rel_delta.empty sd) (fun rng d t ->
+              let mult = 1 + Random.State.int rng 2 in
+              if Random.State.bool rng then Delta.Rel_delta.insert ~mult d t
+              else Delta.Rel_delta.delete ~mult d t)
+        in
+        let generic =
+          Delta.Rel_delta.join_bag ~on d (Storage.Table.contents table)
+        in
+        if not (Delta.Rel_delta.is_empty generic) then incr joined;
+        match Storage.Table.delta_join ~on d table with
+        | None -> Alcotest.failf "case %d seed %d: no indexed key column" ci seed
+        | Some indexed ->
+          if not (Delta.Rel_delta.equal indexed generic) then
+            Alcotest.failf "case %d seed %d: delta_join diverges from join_bag"
+              ci seed
+      done;
+      if !joined < 20 then Alcotest.failf "case %d: only %d joins matched" ci !joined)
+    cases
+
 let physical_cases =
   [
     Alcotest.test_case "union/monus vs reference" `Quick diff_union_monus;
@@ -361,6 +427,8 @@ let physical_cases =
       diff_cross_type_equi_join;
     Alcotest.test_case "delta_join vs generic join" `Quick
       diff_table_delta_join;
+    Alcotest.test_case "two-key delta_join vs generic join" `Quick
+      diff_table_delta_join_two_keys;
   ]
 
 let () =

@@ -10,9 +10,17 @@ open Workload
 
 (* ---- metrics: exact histogram bucket boundaries ---------------------- *)
 
+(* the upper boundary of the one bucket a single observation fills *)
+let boundary ?base v =
+  let h = Obs.Metrics.histogram (Obs.Metrics.create ()) ?base "b" in
+  Obs.Metrics.observe h v;
+  match Obs.Metrics.histogram_buckets h with
+  | [ (b, 1) ] -> b
+  | _ -> Alcotest.fail "expected one bucket"
+
 let test_bucket_boundaries () =
   let chk msg expected v =
-    Alcotest.(check (float 0.0)) msg expected (Obs.Metrics.bucket_boundary v)
+    Alcotest.(check (float 0.0)) msg expected (boundary v)
   in
   (* base 2: the boundary is the smallest 2^k >= v, computed by exact
      repeated doubling/halving — never log/exp *)
@@ -29,10 +37,10 @@ let test_bucket_boundaries () =
   chk "negative lands in the zero bucket" 0.0 (-3.0);
   Alcotest.(check (float 0.0))
     "base 10: 7 rounds up to 10" 10.0
-    (Obs.Metrics.bucket_boundary ~base:10.0 7.0);
+    (boundary ~base:10.0 7.0);
   Alcotest.(check (float 0.0))
     "base 10: 100 is exact" 100.0
-    (Obs.Metrics.bucket_boundary ~base:10.0 100.0)
+    (boundary ~base:10.0 100.0)
 
 let test_histogram_observe () =
   let reg = Obs.Metrics.create () in

@@ -73,12 +73,12 @@ let test_predicate_connectives () =
   check_pred "true/false" "true and not false" Predicate.(And (True, Not False))
 
 let test_literals () =
-  check_pred "float" "x >= 2.5" Predicate.(ge (attr "x") (flt 2.5));
-  check_pred "string" "name = 'alice'" Predicate.(eq (attr "name") (str "alice"));
+  check_pred "float" "x >= 2.5" Predicate.(ge (attr "x") (Const (Value.Float 2.5)));
+  check_pred "string" "name = 'alice'" Predicate.(eq (attr "name") (Const (Value.Str "alice")));
   check_pred "negative" "x = -3"
     Predicate.(eq (attr "x") (Neg (Const (Value.Int 3))));
-  check_pred "not-equal spellings" "x <> 3" Predicate.(ne (attr "x") (int 3));
-  check_pred "!= alias" "x != 3" Predicate.(ne (attr "x") (int 3))
+  check_pred "not-equal spellings" "x <> 3" Predicate.(Cmp (Ne, attr "x", int 3));
+  check_pred "!= alias" "x != 3" Predicate.(Cmp (Ne, attr "x", int 3))
 
 let test_parenthesized_arith_comparison () =
   (* '(' opening an arithmetic term inside a comparison *)

@@ -87,8 +87,8 @@ let random_bases rng =
     [ "P"; "Q"; "N" ]
 
 let cmps =
-  [ Predicate.eq; Predicate.ne; Predicate.lt; Predicate.le; Predicate.gt;
-    Predicate.ge ]
+  [ Predicate.eq; (fun a b -> Predicate.Cmp (Predicate.Ne, a, b)); Predicate.lt;
+    Predicate.le; Predicate.gt; Predicate.ge ]
 
 let random_pred rng schema =
   let attrs = Schema.typed_attrs schema in
@@ -96,8 +96,7 @@ let random_pred rng schema =
   let const ty =
     match random_value rng ty with
     | Value.Int i -> Predicate.int i
-    | Value.Float f -> Predicate.flt f
-    | Value.Str s -> Predicate.str s
+    | (Value.Float _ | Value.Str _) as v -> Predicate.Const v
     | _ -> Predicate.int 0
   in
   let rec go depth =

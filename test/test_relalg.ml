@@ -216,21 +216,19 @@ let test_bag_select_project () =
     (Bag.mult proj (Tuple.of_list [ ("r2", v_int 10) ]))
 
 let test_bag_union_monus () =
-  let a = Bag.of_rows schema_s [ [ v_int 1; v_int 2; v_int 3 ] ] in
+  let a = of_rows schema_s [ [ v_int 1; v_int 2; v_int 3 ] ] in
   let b = Bag.union a a in
   Alcotest.(check int) "union doubles" 2 (Bag.mult b (s_tuple 1 2 3));
   let m = Bag.monus b a in
   Alcotest.(check int) "monus subtracts" 1 (Bag.mult m (s_tuple 1 2 3))
 
 let test_bag_set_ops () =
-  let a = Bag.of_rows schema_s [ [ v_int 1; v_int 2; v_int 3 ]; [ v_int 4; v_int 5; v_int 6 ] ] in
-  let b = Bag.of_rows schema_s [ [ v_int 1; v_int 2; v_int 3 ] ] in
+  let a = of_rows schema_s [ [ v_int 1; v_int 2; v_int 3 ]; [ v_int 4; v_int 5; v_int 6 ] ] in
+  let b = of_rows schema_s [ [ v_int 1; v_int 2; v_int 3 ] ] in
   let d = Bag.set_diff a b in
   Alcotest.(check int) "diff size" 1 (Bag.cardinal d);
   Alcotest.(check bool) "diff member" true (Bag.mem d (s_tuple 4 5 6));
-  let i = Bag.inter_set a b in
-  Alcotest.(check int) "inter size" 1 (Bag.cardinal i);
-  Alcotest.(check bool) "is_set" true (Bag.is_set d)
+  Alcotest.(check bool) "is a set" true (Bag.cardinal d = Bag.support_cardinal d)
 
 let test_bag_join_equi () =
   let joined =
@@ -248,8 +246,8 @@ let test_bag_join_natural () =
   (* shared attribute name joins naturally *)
   let sa = Schema.make [ ("x", Value.TInt); ("y", Value.TInt) ] in
   let sb = Schema.make [ ("y", Value.TInt); ("z", Value.TInt) ] in
-  let a = Bag.of_rows sa [ [ v_int 1; v_int 2 ]; [ v_int 3; v_int 4 ] ] in
-  let b = Bag.of_rows sb [ [ v_int 2; v_int 9 ] ] in
+  let a = of_rows sa [ [ v_int 1; v_int 2 ]; [ v_int 3; v_int 4 ] ] in
+  let b = of_rows sb [ [ v_int 2; v_int 9 ] ] in
   let j = Bag.join a b in
   Alcotest.(check int) "natural join" 1 (Bag.cardinal j);
   Alcotest.check tuple "joined tuple"
@@ -260,8 +258,8 @@ let test_bag_join_theta () =
   (* pure theta join without equalities: Example 5.1's a1^2 + a2 < b2^2 *)
   let sa = Schema.make [ ("a1", Value.TInt); ("a2", Value.TInt) ] in
   let sb = Schema.make [ ("b1", Value.TInt); ("b2", Value.TInt) ] in
-  let a = Bag.of_rows sa [ [ v_int 1; v_int 2 ]; [ v_int 5; v_int 0 ] ] in
-  let b = Bag.of_rows sb [ [ v_int 7; v_int 2 ] ] in
+  let a = of_rows sa [ [ v_int 1; v_int 2 ]; [ v_int 5; v_int 0 ] ] in
+  let b = of_rows sb [ [ v_int 7; v_int 2 ] ] in
   let cond =
     Predicate.(
       lt
@@ -310,7 +308,7 @@ let test_eval_example_2_1 () =
 
 let test_eval_union_diff () =
   let sch = Schema.make [ ("x", Value.TInt) ] in
-  let mk rows = Bag.of_rows sch (List.map (fun i -> [ v_int i ]) rows) in
+  let mk rows = of_rows sch (List.map (fun i -> [ v_int i ]) rows) in
   let env = function
     | "A" -> Some (mk [ 1; 2; 2 ])
     | "B" -> Some (mk [ 2; 3 ])
@@ -405,64 +403,6 @@ let test_rename_errors () =
     Alcotest.fail "expected Expr_error (collision)"
   with Expr.Expr_error _ -> ()
 
-let test_rename_fd () =
-  let fds =
-    Fd.derive
-      (function "S" -> Fd.of_key schema_s | _ -> Fd.make [])
-      Expr.(rename [ ("s1", "id") ] (base "S"))
-  in
-  Alcotest.(check bool) "key FD renamed" true (Fd.determines fds [ "id" ] "s2")
-
-(* --- Fd --- *)
-
-let test_fd_closure () =
-  let fds = Fd.of_key schema_r in
-  Alcotest.(check (list string))
-    "closure of key"
-    [ "r1"; "r2"; "r3"; "r4" ]
-    (Fd.closure fds [ "r1" ]);
-  Alcotest.(check bool) "determines" true (Fd.determines fds [ "r1" ] "r3");
-  Alcotest.(check bool) "no reverse" false (Fd.determines fds [ "r3" ] "r1")
-
-let test_fd_transitive () =
-  let fds =
-    Fd.make [ { lhs = [ "a" ]; rhs = [ "b" ] }; { lhs = [ "b" ]; rhs = [ "c" ] } ]
-  in
-  Alcotest.(check bool) "transitivity" true (Fd.determines fds [ "a" ] "c")
-
-let test_fd_derive_example_2_3 () =
-  (* T = pi(sigma R |X|_{r2=s1} sigma S): r1 (key of R) determines r3 in T *)
-  let env = function
-    | "R" -> Fd.of_key schema_r
-    | "S" -> Fd.of_key schema_s
-    | _ -> Fd.make []
-  in
-  let fds = Fd.derive env t_def in
-  Alcotest.(check bool)
-    "T : r1 -> r3 (inference of Example 2.3)" true
-    (Fd.determines fds [ "r1" ] "r3");
-  Alcotest.(check bool)
-    "T : s1 -> s2" true
-    (Fd.determines fds [ "s1" ] "s2");
-  (* r2 is projected away in T, so r2 -> s1 holds only pre-projection *)
-  Alcotest.(check bool)
-    "projection drops r2's FDs" false
-    (Fd.determines fds [ "r2" ] "s1");
-  let join_fds =
-    Fd.derive env
-      Expr.(join ~on:join_cond (select cond_r4 (base "R")) (select cond_s3 (base "S")))
-  in
-  Alcotest.(check bool)
-    "equi pair before projection: r2 -> s1" true
-    (Fd.determines join_fds [ "r2" ] "s1")
-
-let test_fd_union_kills () =
-  let env = fun _ -> Fd.of_key schema_s in
-  let fds = Fd.derive env Expr.(union (base "S") (base "S")) in
-  Alcotest.(check bool)
-    "no FDs through bag union" false
-    (Fd.determines fds [ "s1" ] "s2")
-
 (* --- qcheck properties --- *)
 
 let prop_project_preserves_cardinality =
@@ -500,7 +440,7 @@ let prop_set_diff_set_semantics =
     QCheck2.Gen.(pair (bag_gen schema_s) (bag_gen schema_s))
     (fun (a, b) ->
       let d = Bag.set_diff a b in
-      Bag.is_set d
+      Bag.cardinal d = Bag.support_cardinal d
       && List.for_all (fun t -> not (Bag.mem b t)) (Bag.support d))
 
 (* Bag.select against the predicate interpreter over a schema mixing
@@ -672,14 +612,6 @@ let () =
           Alcotest.test_case "eval" `Quick test_rename_eval;
           Alcotest.test_case "composes with select" `Quick test_rename_composes;
           Alcotest.test_case "errors" `Quick test_rename_errors;
-          Alcotest.test_case "FDs follow" `Quick test_rename_fd;
-        ] );
-      ( "fd",
-        [
-          Alcotest.test_case "closure" `Quick test_fd_closure;
-          Alcotest.test_case "transitivity" `Quick test_fd_transitive;
-          Alcotest.test_case "Example 2.3 inference" `Quick test_fd_derive_example_2_3;
-          Alcotest.test_case "union kills FDs" `Quick test_fd_union_kills;
         ] );
       ( "properties",
         [

@@ -277,7 +277,6 @@ let test_channel_link_down () =
   let ch = Channel.create engine ~delay:1.0 (fun m -> got := m :: !got) in
   Channel.send ch 1;
   Channel.set_link ch ~up:false;
-  Alcotest.(check bool) "link down" false (Channel.is_up ch);
   Channel.send ch 2;
   Channel.send ch 3;
   Channel.set_link ch ~up:true;

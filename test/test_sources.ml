@@ -315,34 +315,26 @@ let test_blackhole_times_out () =
 
 let test_retention_bounds_history () =
   (* regression: history used to grow by one full snapshot per commit
-     with no way to prune; both bounding mechanisms must cap it *)
+     with no way to prune; the release watermark must cap it *)
   let engine = Engine.create () in
   let src = mk_source engine in
-  Source_db.set_retention src (Source_db.Keep_last 5);
-  for i = 1 to 50 do
-    Source_db.commit src (delta_ins (s_tuple i i i))
-  done;
-  Engine.run engine;
-  Alcotest.(check int) "Keep_last caps" 5 (Source_db.history_length src);
-  Alcotest.(check int) "latest version intact" 50 (Source_db.version src);
-  (* retained tail still answers; pruned versions refuse *)
-  ignore (Source_db.state_at_version src 50);
-  (try
-     ignore (Source_db.state_at_version src 1);
-     Alcotest.fail "pruned version served"
-   with Source_db.Source_error _ -> ());
-  (* release watermark prunes independently of retention *)
-  let engine = Engine.create () in
-  let src = mk_source engine in
+  let retained () = List.length (Source_db.history src) in
   for i = 1 to 20 do
     Source_db.commit src (delta_ins (s_tuple i i i))
   done;
   Engine.run engine;
-  Alcotest.(check int) "Keep_all retains" 21 (Source_db.history_length src);
+  Alcotest.(check int) "unreleased history kept" 21 (retained ());
   Source_db.release src ~upto:18;
-  Alcotest.(check int) "watermark prunes" 3 (Source_db.history_length src);
+  Alcotest.(check int) "watermark prunes" 3 (retained ());
+  Alcotest.(check int) "latest version intact" 20 (Source_db.version src);
+  (* retained tail still answers; pruned versions refuse *)
+  ignore (Source_db.state_at_version src 18);
+  (try
+     ignore (Source_db.state_at_version src 1);
+     Alcotest.fail "pruned version served"
+   with Source_db.Source_error _ -> ());
   Source_db.release src ~upto:10;
-  Alcotest.(check int) "watermark never retreats" 3 (Source_db.history_length src)
+  Alcotest.(check int) "watermark never retreats" 3 (retained ())
 
 let test_filter_drops_irrelevant_atoms () =
   let engine = Engine.create () in

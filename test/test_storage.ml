@@ -1,10 +1,16 @@
-(* Tests for the mediator-local store: indexed tables and delta
-   repositories. *)
+(* Tests for the mediator-local store: indexed tables and the table
+   catalog. *)
 
 open Relalg
 open Delta
 open Storage
 open Tutil
+
+(* the stored tuples [Table.probe] finds under one value *)
+let probed t attr v =
+  let acc = ref (Bag.empty (Table.schema t)) in
+  Table.probe t attr v (fun tuple m -> acc := Bag.add ~mult:m !acc tuple);
+  !acc
 
 let test_table_basic () =
   let t = Table.create ~name:"S" schema_s in
@@ -23,32 +29,36 @@ let test_table_key_index () =
   for i = 0 to 9 do
     Table.insert t (s_tuple i (i * 10) (i * 3))
   done;
-  Alcotest.(check bool) "key indexed" true (Table.has_index_on t [ "s1" ]);
-  let hit = Table.lookup t [ "s1" ] [ Value.Int 4 ] in
-  Alcotest.(check int) "indexed lookup" 1 (Bag.cardinal hit);
+  Alcotest.(check bool) "key indexed" true (Table.has_index_on t "s1");
+  let hit = probed t "s1" (Value.Int 4) in
+  Alcotest.(check int) "indexed probe" 1 (Bag.cardinal hit);
   Alcotest.(check bool) "right tuple" true (Bag.mem hit (s_tuple 4 40 12));
-  let miss = Table.lookup t [ "s1" ] [ Value.Int 99 ] in
+  let miss = probed t "s1" (Value.Int 99) in
   Alcotest.(check int) "miss" 0 (Bag.cardinal miss)
 
 let test_table_secondary_index () =
-  let t = Table.create ~indexes:[ [ "s2" ] ] ~name:"S" schema_s in
+  let t = Table.create ~indexes:[ "s2" ] ~name:"S" schema_s in
   Table.insert t (s_tuple 1 7 0);
   Table.insert t (s_tuple 2 7 0);
   Table.insert t (s_tuple 3 8 0);
-  Alcotest.(check bool) "secondary index" true (Table.has_index_on t [ "s2" ]);
-  Alcotest.(check int)
-    "two matches" 2
-    (Bag.cardinal (Table.lookup t [ "s2" ] [ Value.Int 7 ]))
+  Alcotest.(check bool) "secondary index" true (Table.has_index_on t "s2");
+  Alcotest.(check int) "two matches" 2 (Bag.cardinal (probed t "s2" (Value.Int 7)))
 
-let test_table_scan_lookup () =
+let test_table_scan_fallback () =
   let t = Table.create ~name:"S" schema_s in
   Table.insert t (s_tuple 1 7 0);
   Table.insert t (s_tuple 2 7 0);
-  (* no index on s3: falls back to scanning *)
-  Alcotest.(check bool) "no index" false (Table.has_index_on t [ "s3" ]);
-  Alcotest.(check int)
-    "scan finds both" 2
-    (Bag.cardinal (Table.lookup t [ "s3" ] [ Value.Int 0 ]))
+  (* no index on s3: a probe is refused, and a join on s3 is left to
+     the caller's generic join over the scanned contents *)
+  Alcotest.(check bool) "no index" false (Table.has_index_on t "s3");
+  (try
+     Table.probe t "s3" (Value.Int 0) (fun _ _ -> ());
+     Alcotest.fail "expected Table_error"
+   with Table.Table_error _ -> ());
+  let d = Rel_delta.insert (Rel_delta.empty schema_r) (r_tuple 1 0 0 0) in
+  let on = Predicate.(eq (attr "r2") (attr "s3")) in
+  Alcotest.(check bool) "delta_join declines" true
+    (Option.is_none (Table.delta_join ~on d t))
 
 let test_table_index_maintained_through_deletes () =
   let t = Table.create ~name:"S" schema_s in
@@ -56,7 +66,7 @@ let test_table_index_maintained_through_deletes () =
   Table.delete t (s_tuple 1 2 3);
   Alcotest.(check int)
     "index entry removed" 0
-    (Bag.cardinal (Table.lookup t [ "s1" ] [ Value.Int 1 ]))
+    (Bag.cardinal (probed t "s1" (Value.Int 1)))
 
 let test_table_apply_delta_and_load () =
   let t = Table.create ~name:"S" schema_s in
@@ -72,7 +82,7 @@ let test_table_apply_delta_and_load () =
     (Table.contents t);
   Alcotest.(check int)
     "index consistent after load+delta" 1
-    (Bag.cardinal (Table.lookup t [ "s1" ] [ Value.Int 7 ]))
+    (Bag.cardinal (probed t "s1" (Value.Int 7)))
 
 let test_table_rejects_bad_tuple () =
   let t = Table.create ~name:"S" schema_s in
@@ -95,23 +105,6 @@ let test_store_catalog () =
     Alcotest.fail "expected Store_error"
   with Store.Store_error _ -> ()
 
-let test_store_delta_repositories () =
-  let store = Store.create () in
-  let _ = Store.create_table store ~name:"S" schema_s in
-  Alcotest.(check bool)
-    "initially empty" true
-    (Rel_delta.is_empty (Store.delta store "S"));
-  Store.add_delta store "S"
-    (Rel_delta.insert (Rel_delta.empty schema_s) (s_tuple 1 2 3));
-  Store.add_delta store "S"
-    (Rel_delta.insert (Rel_delta.empty schema_s) (s_tuple 4 5 6));
-  Alcotest.(check int) "smashed" 2 (Rel_delta.atom_count (Store.delta store "S"));
-  let taken = Store.take_delta store "S" in
-  Alcotest.(check int) "taken" 2 (Rel_delta.atom_count taken);
-  Alcotest.(check bool)
-    "cleared" true
-    (Rel_delta.is_empty (Store.delta store "S"))
-
 let test_store_env_and_bytes () =
   let store = Store.create () in
   let tbl = Store.create_table store ~name:"S" schema_s in
@@ -131,7 +124,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_table_basic;
           Alcotest.test_case "key index" `Quick test_table_key_index;
           Alcotest.test_case "secondary index" `Quick test_table_secondary_index;
-          Alcotest.test_case "scan fallback" `Quick test_table_scan_lookup;
+          Alcotest.test_case "scan fallback" `Quick test_table_scan_fallback;
           Alcotest.test_case "index through deletes" `Quick test_table_index_maintained_through_deletes;
           Alcotest.test_case "apply delta / load" `Quick test_table_apply_delta_and_load;
           Alcotest.test_case "rejects bad tuples" `Quick test_table_rejects_bad_tuple;
@@ -139,7 +132,6 @@ let () =
       ( "store",
         [
           Alcotest.test_case "catalog" `Quick test_store_catalog;
-          Alcotest.test_case "delta repositories" `Quick test_store_delta_repositories;
           Alcotest.test_case "env and bytes" `Quick test_store_env_and_bytes;
         ] );
     ]

@@ -54,7 +54,7 @@ let test_graph_structure () =
   Alcotest.(check (list string)) "sources" [ "db1"; "db2" ] (Graph.sources fig1);
   Alcotest.(check string) "source of R" "db1" (Graph.source_of_leaf fig1 "R");
   Alcotest.(check bool) "R is leaf" true (Graph.is_leaf fig1 "R");
-  Alcotest.(check bool) "T not set node" false (Graph.is_set_node fig1 "T");
+  Alcotest.(check bool) "T not set node" false (Expr.contains_diff (Graph.def fig1 "T"));
   Alcotest.(check (list string))
     "leaf parents"
     [ "R'"; "S'" ]
@@ -182,7 +182,7 @@ let test_builder_fig1_structure () =
   Alcotest.(check (list string))
     "nodes"
     [ "R"; "R'"; "S"; "S'"; "T" ]
-    (Graph.node_names vdp);
+    (List.sort compare (List.map (fun n -> n.Graph.name) (Graph.nodes vdp)));
   Alcotest.(check (list string)) "T children" [ "R'"; "S'" ] (Graph.children vdp "T")
 
 let test_builder_leaf_parent_projection () =
@@ -265,7 +265,7 @@ let test_builder_ex51 () =
   let vdp = build_ex51 () in
   Alcotest.(check (list string))
     "G children" [ "E"; "F" ] (Graph.children vdp "G");
-  Alcotest.(check bool) "G is set node" true (Graph.is_set_node vdp "G");
+  Alcotest.(check bool) "G is set node" true (Expr.contains_diff (Graph.def vdp "G"));
   Alcotest.(check bool) "E exported" true (Graph.node vdp "E").Graph.export;
   Alcotest.(check bool) "F not exported" false (Graph.node vdp "F").Graph.export;
   (* E is referenced by G, so E has a parent *)
@@ -364,6 +364,13 @@ let populated_fig1 () =
   in
   [ ("R'", r'); ("S'", s'); ("T", t) ]
 
+(* the rules of a Figure 1 node's in-edges fired for the given child
+   deltas, as the IUP fires them: one delta of the node's definition *)
+let fire_node ~env ~node deltas =
+  Inc_eval.delta_of_expr ~env
+    ~deltas:(fun n -> List.assoc_opt n deltas)
+    (Graph.def fig1 node)
+
 let test_rule_example_2_1 () =
   (* rule #1: on changes to R', dT = dR' |X| S' *)
   let populated = populated_fig1 () in
@@ -373,7 +380,7 @@ let test_rule_example_2_1 () =
       (Rel_delta.empty schema_r')
       (Tuple.of_list [ ("r1", v_int 50); ("r2", v_int 10); ("r3", v_int 1) ])
   in
-  let dt = Rules.fire_edge fig1 ~env ~node:"T" ~child:"R'" dr' in
+  let dt = fire_node ~env ~node:"T" [ ("R'", dr') ] in
   let expected_tuple =
     Tuple.of_list
       [ ("r1", v_int 50); ("r3", v_int 1); ("s1", v_int 10); ("s2", v_int 55) ]
@@ -400,7 +407,7 @@ let test_rule_fire_node_simultaneous () =
       (Rel_delta.empty schema_s')
       (Tuple.of_list [ ("s1", v_int 99); ("s2", v_int 2) ])
   in
-  let dt = Rules.fire_node fig1 ~env ~node:"T" [ ("R'", dr'); ("S'", ds') ] in
+  let dt = fire_node ~env ~node:"T" [ ("R'", dr'); ("S'", ds') ] in
   let new_env name =
     match name with
     | "R'" -> Some (Rel_delta.apply (List.assoc "R'" populated) dr')
@@ -434,7 +441,6 @@ let test_annotation_basics () =
     Annotation.of_list fig1
       [ ("T", [ ("r1", Annotation.M); ("r3", Annotation.V); ("s1", Annotation.M); ("s2", Annotation.V) ]) ]
   in
-  Alcotest.(check bool) "T hybrid" true (Annotation.is_hybrid ann "T");
   Alcotest.(check (list string))
     "materialized attrs" [ "r1"; "s1" ]
     (Annotation.materialized_attrs ann "T");
@@ -443,19 +449,6 @@ let test_annotation_basics () =
     (Annotation.virtual_attrs ann "T");
   (* unlisted nodes default to fully materialized *)
   Alcotest.(check bool) "R' fully mat" true (Annotation.is_fully_materialized ann "R'")
-
-let test_annotation_support () =
-  let full = Annotation.fully_materialized fig1 in
-  Alcotest.(check bool)
-    "full materialization has full support" true
-    (Annotation.has_fully_materialized_support full fig1 "T");
-  let ex22 =
-    Annotation.of_list fig1
-      [ ("R'", List.map (fun a -> (a, Annotation.V)) [ "r1"; "r2"; "r3" ]) ]
-  in
-  Alcotest.(check bool)
-    "virtual R' breaks T's materialized support (Example 2.2)" false
-    (Annotation.has_fully_materialized_support ex22 fig1 "T")
 
 let test_annotation_errors () =
   (try
@@ -480,7 +473,7 @@ let test_advisor_example_2_2 () =
     }
   in
   let ann, _why = Advisor.advise fig1 profile in
-  Alcotest.(check bool) "R' virtual" true (Annotation.is_fully_virtual ann "R'");
+  Alcotest.(check bool) "R' virtual" true (Annotation.materialized_attrs ann "R'" = []);
   Alcotest.(check bool) "S' materialized" true (Annotation.is_fully_materialized ann "S'");
   Alcotest.(check bool) "T materialized" true (Annotation.is_fully_materialized ann "T")
 
@@ -502,8 +495,8 @@ let test_advisor_example_5_1 () =
     }
   in
   let ann, _why = Advisor.advise vdp profile in
-  Alcotest.(check bool) "B' virtual" true (Annotation.is_fully_virtual ann "B'");
-  Alcotest.(check bool) "F virtual" true (Annotation.is_fully_virtual ann "F");
+  Alcotest.(check bool) "B' virtual" true (Annotation.materialized_attrs ann "B'" = []);
+  Alcotest.(check bool) "F virtual" true (Annotation.materialized_attrs ann "F" = []);
   Alcotest.(check bool) "A' materialized" true (Annotation.is_fully_materialized ann "A'");
   Alcotest.(check bool) "C' materialized" true (Annotation.is_fully_materialized ann "C'");
   Alcotest.(check (list string))
@@ -660,7 +653,6 @@ let () =
       ( "annotation",
         [
           Alcotest.test_case "basics" `Quick test_annotation_basics;
-          Alcotest.test_case "materialized support" `Quick test_annotation_support;
           Alcotest.test_case "errors" `Quick test_annotation_errors;
         ] );
       ( "advisor/cost",

@@ -22,6 +22,11 @@ let r_tuple r1 r2 r3 r4 =
   Tuple.of_list
     [ ("r1", v_int r1); ("r2", v_int r2); ("r3", v_int r3); ("r4", v_int r4) ]
 
+(* a bag from rows given positionally in schema attribute order *)
+let of_rows schema rows =
+  Bag.of_tuples schema
+    (List.map (fun row -> Tuple.of_list (List.combine (Schema.attrs schema) row)) rows)
+
 let s_tuple s1 s2 s3 =
   Tuple.of_list [ ("s1", v_int s1); ("s2", v_int s2); ("s3", v_int s3) ]
 
