@@ -250,9 +250,6 @@ let json path rows cw =
   p "}\n";
   close_out oc
 
-(* also rerun by E17 after the physical join chooser, to show the
-   compiled rows did not regress and where the n-ary delta rule moved
-   them *)
 let measure_rows () =
   List.map
     (fun (name, setup) ->

@@ -292,7 +292,7 @@ let delta61_rows sizes =
 
 (* ---- output ------------------------------------------------------- *)
 
-let json path shapes deltas e15 =
+let json path shapes deltas =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n  \"experiment\": \"e17 worst-case optimal joins\",\n";
@@ -318,15 +318,6 @@ let json path shapes deltas e15 =
         (r.d_interp_us /. r.d_compiled_us)
         (if i = List.length deltas - 1 then "" else ","))
     deltas;
-  p "  ],\n  \"e15_rerun\": [\n";
-  List.iteri
-    (fun i (name, i_ns, c_ns) ->
-      p
-        "    {\"name\": %S, \"interp_ns\": %.2f, \"compiled_ns\": %.2f, \
-         \"speedup\": %.2f}%s\n"
-        name i_ns c_ns (i_ns /. c_ns)
-        (if i = List.length e15 - 1 then "" else ","))
-    e15;
   p "  ]\n}\n";
   close_out oc
 
@@ -364,18 +355,5 @@ let run () =
            Tables.S (Printf.sprintf "%.2fx" (r.d_interp_us /. r.d_compiled_us));
          ])
        deltas);
-  Tables.note "rerunning the E15 interpreter-vs-compiled rows...\n";
-  let e15 = Compiled.measure_rows () in
-  Tables.print ~title:"E15 rows after the chooser (no-regression check)"
-    ~header:[ "operation"; "interp ns"; "compiled ns"; "speedup" ]
-    (List.map
-       (fun (name, i_ns, c_ns) ->
-         [
-           Tables.S name;
-           Tables.F i_ns;
-           Tables.F c_ns;
-           Tables.S (Printf.sprintf "%.2fx" (i_ns /. c_ns));
-         ])
-       e15);
-  json "BENCH_6.json" shapes deltas e15;
+  json "BENCH_6.json" shapes deltas;
   Tables.note "wrote BENCH_6.json\n"

@@ -205,7 +205,8 @@ let run (t : Med.t) =
           match Med.node_table t node with
           | Some table ->
             to_apply :=
-              (table, Rel_delta.project (Med.mat_attrs t node) d) :: !to_apply
+              (node, table, Rel_delta.project (Med.mat_attrs t node) d)
+              :: !to_apply
           | None -> ()
         in
         Obs.Trace.with_span t.Med.trace "kernel_pass" (fun kp_sp ->
@@ -265,10 +266,14 @@ let run (t : Med.t) =
         Obs.Trace.set_attri kp_sp "nodes" (Hashtbl.length deltas_tbl));
         Obs.Trace.with_span t.Med.trace "apply" (fun ap_sp ->
             Obs.Trace.set_attri ap_sp "tables" (List.length !to_apply);
-            List.iter (fun (table, d) -> Table.apply_delta table d) !to_apply);
+            List.iter
+              (fun (_, table, d) -> Table.apply_delta table d)
+              !to_apply);
         (* the tables behind any cached answer in the affected closure
-           just changed; answers cached since the announcements arrived
-           (computed from pre-update tables) must not be served again *)
+           just changed: scan-served store answers take the same deltas;
+           the rest, cached since the announcements arrived (computed
+           from pre-update tables), must not be served again *)
+        Med.cache_maintain t !to_apply;
         Med.cache_invalidate_nodes t
           (Hashtbl.fold (fun n () acc -> n :: acc) affected []);
         (* bookkeeping: advance ref' per source (Sec. 6.1) by one

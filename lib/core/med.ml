@@ -247,13 +247,19 @@ let bump tbl key n =
     ((match Hashtbl.find_opt tbl key with Some c -> c | None -> 0) + n)
 
 type cached_answer = {
-  ca_answer : Bag.t;
+  mutable ca_answer : Bag.t;
   ca_polled : (string * int) list;
   ca_polled_times : (string * float) list;
   ca_trace_id : int option;
       (** polled versions (and their poll state times — the freshness
           witnesses) of the VAP that produced the answer; replayed into
           the reflect vector and bound on every cache hit *)
+  ca_scan : (Tuple.t -> bool) option;
+      (** the compiled condition of an answer the store rung computed
+          by scanning the node's table; the IUP maintains such an
+          answer with the table's delta instead of dropping it *)
+  mutable ca_absorbed : int;
+      (** delta atoms maintained into the answer since its last hit *)
 }
 
 type export_event =
@@ -482,39 +488,87 @@ let warm_plans t =
    Keyed by (node, attrs, cond); holds only [Fresh] answers. Hits are
    served with a reflect vector recomputed at serve time from the
    entry's recorded polled versions, so reflect entries of sources the
-   answer does not depend on stay monotone. Invalidation: the upward
-   closure of an announcing source at {!enqueue}; the IUP's affected
-   closure after tables are updated; the closure of any source whose
-   polled version is observed to advance ({!observe_source_version} —
-   covers dropped announcements from virtual contributors); and a
-   wholesale flush on resync snapshots and live migrations. *)
+   answer does not depend on stay monotone. Two classes of entry:
+
+   - A scan-served store answer π_attrs σ_cond T (the store rung read
+     all of T's table) is maintained: after the IUP applies ΔT to the
+     table it applies π_attrs σ_cond ΔT to the answer
+     ({!cache_maintain}). No invalidation trigger drops it; it goes on
+     resync snapshots and live migrations, when a source its node can
+     see turns dirty ({!mark_dirty}), and once the delta atoms it
+     absorbed since its last hit reach its table's support — by then
+     maintaining it has cost one recompute.
+   - Every other answer is invalidated: the upward closure of an
+     announcing source at {!enqueue}; the IUP's affected closure after
+     tables are updated; the closure of any source whose polled
+     version is observed to advance ({!observe_source_version} —
+     covers dropped announcements from virtual contributors); and a
+     wholesale flush on resync snapshots and live migrations. *)
 
 let cache_lookup t ~node ~attrs ~cond =
   if not t.config.answer_cache_enabled then None
   else Hashtbl.find_opt t.answer_cache (node, attrs, cond)
 
 let cache_store t ~node ~attrs ~cond ~polled ?(polled_times = []) ?trace_id
-    answer =
-  if t.config.answer_cache_enabled then
+    ?(scanned = false) answer =
+  (* a [Fresh] answer was computed with no source dirty; one that turned
+     dirty since (an announcement arriving while the query charged its
+     ops) has already dropped its closure, so do not put it back *)
+  if t.config.answer_cache_enabled && t.dirty = [] then
     Hashtbl.replace t.answer_cache (node, attrs, cond)
       {
         ca_answer = answer;
         ca_polled = polled;
         ca_polled_times = polled_times;
         ca_trace_id = trace_id;
+        ca_scan = (if scanned then Some (Predicate.compile cond) else None);
+        ca_absorbed = 0;
       }
 
-let cache_invalidate_nodes t nodes =
-  if Hashtbl.length t.answer_cache > 0 && nodes <> [] then begin
-    let doomed =
-      Hashtbl.fold
-        (fun ((n, _, _) as key) _ acc ->
-          if List.exists (String.equal n) nodes then key :: acc else acc)
-        t.answer_cache []
-    in
-    List.iter (Hashtbl.remove t.answer_cache) doomed;
-    Obs.Metrics.add t.stats.cache_invalidations (List.length doomed)
+(* drop the entries [doomed] picks, counted as invalidations *)
+let cache_drop t doomed =
+  if Hashtbl.length t.answer_cache > 0 then begin
+    let n = ref 0 in
+    Hashtbl.filter_map_inplace
+      (fun key ca ->
+        if doomed key ca then begin
+          incr n;
+          None
+        end
+        else Some ca)
+      t.answer_cache;
+    Obs.Metrics.add t.stats.cache_invalidations !n
   end
+
+let on_nodes nodes (n, _, _) = List.exists (String.equal n) nodes
+
+let cache_invalidate_nodes t nodes =
+  if nodes <> [] then
+    cache_drop t (fun key ca -> Option.is_none ca.ca_scan && on_nodes nodes key)
+
+(* π_attrs σ_cond commutes with applying a delta, so a scan-served
+   answer on a staged node absorbs π_attrs σ_cond ΔT — one tuple op
+   per atom of ΔT — unless that brings its absorbed atoms up to the
+   table's support, which evicts it *)
+let cache_maintain t staged =
+  if staged <> [] then
+    cache_drop t (fun (n, attrs, _) ca ->
+        match
+          ( ca.ca_scan,
+            List.find_opt (fun (node, _, _) -> String.equal node n) staged )
+        with
+        | Some test, Some (_, table, d) ->
+          let atoms = Rel_delta.atom_count d in
+          ca.ca_absorbed <- ca.ca_absorbed + atoms;
+          if ca.ca_absorbed >= Table.support_cardinal table then true
+          else begin
+            Eval.charge_tuple_ops atoms;
+            ca.ca_answer <-
+              Rel_delta.apply ca.ca_answer
+                (Rel_delta.project attrs (Rel_delta.filter test d));
+            false
+          end
+        | _ -> false)
 
 let cache_flush t =
   Obs.Metrics.add t.stats.cache_invalidations (Hashtbl.length t.answer_cache);
@@ -706,7 +760,13 @@ let note_seen t src_name v =
     t.seen <- (src_name, v) :: List.remove_assoc src_name t.seen
 
 let mark_dirty t src_name =
-  if not (List.mem src_name t.dirty) then t.dirty <- src_name :: t.dirty
+  if not (List.mem src_name t.dirty) then begin
+    t.dirty <- src_name :: t.dirty;
+    (* an answer over the source's gap is not [Fresh]: drop every
+       cached answer the source can reach, maintained ones included *)
+    let closure = source_closure t src_name in
+    cache_drop t (fun key _ -> on_nodes closure key)
+  end
 
 let clear_dirty t = t.dirty <- []
 let dirty_sources t = t.dirty

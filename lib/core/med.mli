@@ -60,8 +60,9 @@ module Config : sig
             replays history. *)
     answer_cache_enabled : bool;
         (** cache query answers keyed by (node, attrs, cond) and serve
-            repeats of unchanged nodes without re-polling or re-reading
-            the store; delta arrivals invalidate the announcing
+            repeats without re-polling or re-reading the store; the IUP
+            maintains scan-served store answers with the table's delta,
+            and delta arrivals invalidate the others in the announcing
             source's upward closure. Also extends the anti-entropy
             heartbeat to virtual contributors so cached virtual answers
             notice silently dropped announcements. *)
@@ -246,7 +247,8 @@ type stats = {
   cache_misses : Obs.Metrics.counter;
       (** cache-enabled queries that had to compute their answer *)
   cache_invalidations : Obs.Metrics.counter;
-      (** cached answers dropped by deltas, resyncs, or migrations *)
+      (** cached answers dropped by deltas, dirty sources, resyncs,
+          migrations, or the maintained-entry eviction rule *)
   batches : Obs.Metrics.counter;
       (** group-commit batches applied — one temp-determination / VAP
           / kernel-pass / apply cycle each *)
@@ -285,7 +287,10 @@ type stats = {
 }
 
 type cached_answer = {
-  ca_answer : Bag.t;
+  mutable ca_answer : Bag.t;
+      (** the answer; for a maintained entry, brought up to date by
+          {!cache_maintain} after every delta its table absorbs (bags
+          are persistent, so answers already handed out stay valid) *)
   ca_polled : (string * int) list;
       (** polled versions of the VAP that produced the answer; replayed
           into the reflect vector on every cache hit *)
@@ -297,6 +302,15 @@ type cached_answer = {
       (** query_tx span that computed the answer — hits are stamped
           with this provenance id instead of recording a span of their
           own, keeping the hit path free of trace allocation *)
+  ca_scan : (Tuple.t -> bool) option;
+      (** [Some] (the condition, compiled once) when the store rung
+          computed the answer π_attrs σ_cond T by scanning T's table:
+          such an entry is maintained, not invalidated. [None] for
+          probe-served, key-based and VAP answers. *)
+  mutable ca_absorbed : int;
+      (** delta atoms a maintained entry absorbed since its last hit
+          (the query path resets it); at its table's
+          {!Storage.Table.support_cardinal} the entry is evicted *)
 }
 
 type export_event =
@@ -461,6 +475,10 @@ val note_seen : t -> string -> int -> unit
 (** Advance the seen version (never retreats). *)
 
 val mark_dirty : t -> string -> unit
+(** Record an announcement gap from the source. The first mark drops
+    every cached answer in the source's closure, maintained entries
+    included: an answer over the gap cannot be served [Fresh]. *)
+
 val clear_dirty : t -> unit
 val dirty_sources : t -> string list
 
@@ -573,12 +591,23 @@ val warm_plans : t -> unit
 (** {1 Query answer cache}
 
     Holds only [Fresh] answers, keyed by (node, attrs, cond). A hit is
-    served with a reflect vector recomputed at serve time from the
-    entry's recorded polled versions. Invalidated by the upward
-    closure of an announcing source ({!enqueue}), by the IUP's
-    affected closure after tables are updated, by any observed
-    per-source version advance ({!observe_source_version}), and
-    wholesale on resync snapshots and live migrations. *)
+    served with a reflect vector and bound recomputed at serve time
+    from the entry's recorded polled versions and the current
+    reflected versions. Two classes of entry:
+
+    - {e maintained}: a store answer π_attrs σ_cond T computed by a
+      scan of T's table ([ca_scan]). It is what a recompute would read
+      until the IUP changes the table, and the IUP then updates it with
+      the same delta ({!cache_maintain}). It is dropped on resync
+      snapshots and live migrations ({!cache_flush}), when a source in
+      its node's closure turns dirty ({!mark_dirty}), and once the
+      delta atoms absorbed since its last hit reach the table's
+      support cardinality.
+    - {e invalidated}: every other answer. Dropped by the upward
+      closure of an announcing source ({!enqueue}), by the IUP's
+      affected closure after tables are updated, by any observed
+      per-source version advance ({!observe_source_version}), and by
+      the flushes and dirty marks above. *)
 
 val cache_lookup :
   t ->
@@ -596,13 +625,26 @@ val cache_store :
   polled:(string * int) list ->
   ?polled_times:(string * float) list ->
   ?trace_id:int ->
+  ?scanned:bool ->
   Bag.t ->
   unit
-(** No-op when disabled by config. Only [Fresh] answers may be
-    stored. *)
+(** No-op when disabled by config or while a source is dirty (a gap
+    found after the answer was computed). Only [Fresh] answers may be
+    stored. [~scanned:true] (default [false]) marks a store answer
+    π_attrs σ_cond [node] read by a scan of the node's table: the entry
+    is maintained instead of invalidated. *)
 
 val cache_invalidate_nodes : t -> string list -> unit
-(** Drop every cached answer against one of the nodes. *)
+(** Drop every invalidated-class answer against one of the nodes;
+    maintained entries stay (see {!cache_maintain}). *)
+
+val cache_maintain : t -> (string * Table.t * Rel_delta.t) list -> unit
+(** [cache_maintain t staged], right after the IUP applied each
+    [(node, table, ΔT)] to its table ([ΔT] projected to the table's
+    attributes): every maintained entry on a staged node becomes
+    [apply answer (π_attrs σ_cond ΔT)], charged one tuple op per atom
+    of [ΔT], or is evicted when its absorbed atoms reach the table's
+    support cardinality. *)
 
 val cache_flush : t -> unit
 (** Drop everything (resync snapshot, live migration). *)

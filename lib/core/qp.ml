@@ -75,7 +75,9 @@ let base_stale (t : Med.t) =
    key-set conjunct on an indexed column, one probe per distinct
    non-Null key and the whole condition on the probed rows; otherwise
    (or when the keys outnumber the stored rows) a scan. One tuple op
-   per probe and per row read. *)
+   per probe and per row read. Also says whether it scanned: a
+   scanned answer costs the whole table to recompute, so the answer
+   cache maintains it instead. *)
 let read_store table cond =
   let probe =
     List.find_map
@@ -98,10 +100,10 @@ let read_store table cond =
             if test tuple then Bag.badd ~check:false bu tuple m))
       keys;
     Eval.charge_tuple_ops !read;
-    Bag.seal bu
+    (Bag.seal bu, false)
   | Some _ | None ->
     Eval.charge_tuple_ops (Table.support_cardinal table);
-    Bag.select cond (Table.contents table)
+    (Bag.select cond (Table.contents table), true)
 
 (* Example 2.3 generalized: every virtual attribute comes from a child
    whose key [node] materializes, which then determines it (the FD
@@ -216,7 +218,7 @@ let key_based (t : Med.t) ~node ~needed ~cond children =
   let own_rows, restricted =
     if own_cond = Predicate.True then (None, false)
     else
-      let rows = read_store table own_cond in
+      let rows = fst (read_store table own_cond) in
       (Some rows, Bag.support_cardinal rows < Table.support_cardinal table)
   in
   if
@@ -227,7 +229,7 @@ let key_based (t : Med.t) ~node ~needed ~cond children =
     let own_rows =
       match own_rows with
       | Some rows -> rows
-      | None -> read_store table own_cond
+      | None -> fst (read_store table own_cond)
     in
     let own =
       Bag.project
@@ -252,7 +254,8 @@ let key_based (t : Med.t) ~node ~needed ~cond children =
           else if covered then
             `Rows
               (Bag.project c_needed
-                 (read_store (Option.get (Med.node_table t child)) c_cond))
+                 (fst
+                    (read_store (Option.get (Med.node_table t child)) c_cond)))
           else `Poll { Vap.r_node = child; r_attrs = c_needed; r_cond = c_cond })
         reads
     in
@@ -381,9 +384,11 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
       let ops_before = Eval.tuple_ops () in
       let needed = dedup (attrs @ Predicate.attrs cond) in
       Med.record_access t ~node ~attrs:needed;
-      (* answer cache: a surviving entry means no delta arrived, no
-         table changed, and no newer source version was observed for
-         any node the answer can see — serve it as Fresh. The reflect
+      (* answer cache: a surviving entry is what recomputing would
+         give — a maintained store answer took every delta its table
+         did, and any other entry saw no delta, table change or newer
+         source version on a node it can see — serve it as Fresh. The
+         hit resets a maintained entry's absorbed-atom count. The reflect
          vector is recomputed at serve time from the entry's recorded
          polled versions: entries for sources the answer does not
          depend on stay monotone with the mediator's current state.
@@ -400,6 +405,7 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
                     ~polled_times:(with_prepoll ca.Med.ca_polled_times)
                     ())
           ->
+          ca.Med.ca_absorbed <- 0;
           Obs.Metrics.incr t.Med.stats.Med.cache_hits;
           Obs.Metrics.incr t.Med.stats.Med.query_txs;
           Med.charge_ops t `Query (Eval.tuple_ops () - ops_before);
@@ -448,7 +454,8 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
       Obs.Trace.with_span t.Med.trace "query_tx" ~attrs:[ ("node", node) ]
         (fun tx_sp ->
       let trace_id = Obs.Trace.span_id tx_sp in
-      let finish ?(stale = []) ?(polled_times = []) ~served answer polled =
+      let finish ?(stale = []) ?(polled_times = []) ?scanned ~served answer
+          polled =
         let polled_times = with_prepoll polled_times in
         let bound = Med.answer_bound t ~polled_times ~stale () in
         (* freshness SLO, step 2: the chosen strategy's answer must
@@ -487,7 +494,7 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
            worth replaying; degraded answers must be recomputed *)
         if stale = [] then
           Med.cache_store t ~node ~attrs ~cond ~polled ~polled_times
-            ?trace_id answer;
+            ?trace_id ?scanned answer;
         {
           tuples = answer;
           quality = (if stale = [] then Fresh else Stale stale);
@@ -511,7 +518,8 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
                 (Printexc.to_string exn));
           Obs.Trace.set_attr tx_sp "error" (Printexc.to_string exn);
           finish ~stale:(staleness_of t srcs) ~served:"degraded"
-            (Bag.project avail (read_store table (Predicate.restrict_to cond mat)))
+            (Bag.project avail
+               (fst (read_store table (Predicate.restrict_to cond mat))))
             []
         | None -> raise exn
       in
@@ -531,9 +539,9 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
       if Med.is_covered t ~node ~attrs:needed then begin
         let table = Option.get (Med.node_table t node) in
         Obs.Metrics.incr t.Med.stats.Med.queries_from_store;
-        finish ~stale:(base_stale t) ~served:"store"
-          (Bag.project attrs (read_store table cond))
-          []
+        let rows, scanned = read_store table cond in
+        finish ~stale:(base_stale t) ~scanned ~served:"store"
+          (Bag.project attrs rows) []
       end
       else
         with_degrade @@ fun () -> begin

@@ -1,7 +1,8 @@
 (* Differential fuzzing of the compiled operator plans (Plan,
    Delta_plan) against the interpretive oracles they replaced, plus
    answer-cache behavior: repeat queries hit without polling,
-   committed updates invalidate, resync and live migration flush
+   committed updates maintain scan-served store answers and
+   invalidate the rest, resync and live migration flush
    wholesale, and a full chaos run stays convergent and consistent
    with the cache enabled. *)
 
@@ -472,11 +473,65 @@ let test_repeat_query_hits_cache () =
     (Bag.project [ "r1"; "r3" ] (recompute env "T"))
     a2
 
-let test_update_invalidates_cached_answer () =
+(* an R row that lands in T: r4 = 100 and r2 naming an S row that
+   passes s3 < 50 *)
+let r_row_into_t env i =
+  let s1 =
+    match
+      Bag.fold
+        (fun tuple _ acc ->
+          match (Tuple.get tuple "s1", Tuple.get tuple "s3") with
+          | Value.Int s1, Value.Int s3 when s3 < 50 -> Some s1
+          | _ -> acc)
+        (Adapter.current (Scenario.source env "db2") "S")
+        None
+    with
+    | Some s1 -> s1
+    | None -> Alcotest.fail "no S row passes s3 < 50"
+  in
+  Tuple.of_list
+    [
+      ("r1", Value.Int (9000 + i));
+      ("r2", Value.Int s1);
+      ("r3", Value.Int i);
+      ("r4", Value.Int 100);
+    ]
+
+let commit_r_into_t env i =
+  let db1 = Scenario.source env "db1" in
+  Adapter.commit db1 (Driver.single_insert db1 "R" (r_row_into_t env i))
+
+(* π(r1,s1) T reads T's materialized attributes with no key set: the
+   store rung scans, and the IUP maintains the cached answer *)
+let test_scan_served_answer_maintained () =
   let env, med = setup () in
   let q () =
     in_process env (fun () ->
         (Mediator.query med ~node:"T" ~attrs:[ "r1"; "s1" ] ()).Qp.tuples)
+  in
+  let before = q () in
+  commit_r_into_t env 1;
+  Scenario.run_to_quiescence env med;
+  let s = Mediator.stats med in
+  let hits = Obs.Metrics.value s.Med.cache_hits in
+  let after = q () in
+  Alcotest.(check int) "the post-commit query hit" (hits + 1)
+    (Obs.Metrics.value s.Med.cache_hits);
+  Alcotest.(check int) "nothing was invalidated" 0
+    (Obs.Metrics.value s.Med.cache_invalidations);
+  Alcotest.(check bool) "the answer took the delta" false
+    (Bag.equal before after);
+  Tutil.check_bag "maintained answer equals recomputation"
+    (Bag.project [ "r1"; "s1" ] (recompute env "T"))
+    after
+
+(* π(r1,r3) T needs the virtual r3: a polled answer keeps the
+   invalidation protocol *)
+let test_polled_answer_invalidated () =
+  let env, med = setup () in
+  let q () =
+    in_process env (fun () ->
+        (Mediator.query med ~node:"T" ~attrs:[ "r1"; "r3" ] ()).Qp.tuples)
   in
   ignore (q () : Bag.t);
   commit_r env 1;
@@ -485,8 +540,63 @@ let test_update_invalidates_cached_answer () =
   Alcotest.(check bool) "the update invalidated" true
     ((Obs.Metrics.value s.Med.cache_invalidations) >= 1);
   Tutil.check_bag "post-update answer equals recomputation"
-    (Bag.project [ "r1"; "s1" ] (recompute env "T"))
+    (Bag.project [ "r1"; "r3" ] (recompute env "T"))
     (q ())
+
+(* the eviction rule: a maintained entry goes once the ΔT atoms it
+   absorbed since its last hit reach the support of T's table; a hit
+   starts the count again *)
+let test_maintained_entry_eviction () =
+  let env, med = setup () in
+  let key = ("T", [ "s1" ], Predicate.True) in
+  let q () =
+    ignore
+      (in_process env (fun () ->
+           Mediator.query med ~node:"T" ~attrs:[ "s1" ] ())
+        : Qp.answer)
+  in
+  let entry () = Hashtbl.find_opt med.Med.answer_cache key in
+  let support () =
+    Storage.Table.support_cardinal (Option.get (Med.node_table med "T"))
+  in
+  q ();
+  commit_r_into_t env 1;
+  Scenario.run_to_quiescence env med;
+  (match entry () with
+  | Some ca -> Alcotest.(check int) "one atom absorbed" 1 ca.Med.ca_absorbed
+  | None -> Alcotest.fail "entry dropped after one atom");
+  q ();
+  (match entry () with
+  | Some ca ->
+    Alcotest.(check int) "the hit reset the count" 0 ca.Med.ca_absorbed
+  | None -> Alcotest.fail "entry missing after a hit");
+  (* churn one row in and out of T: each commit is one ΔT atom, and
+     the support stays put while the absorbed count climbs *)
+  let rec churn i absorbed =
+    if i > 1000 then Alcotest.fail "the entry was never evicted";
+    let row = r_row_into_t env 0 in
+    let db1 = Scenario.source env "db1" in
+    Adapter.commit db1
+      ((if i mod 2 = 0 then Driver.single_insert else Driver.single_delete)
+         db1 "R" row);
+    Scenario.run_to_quiescence env med;
+    match entry () with
+    | Some ca ->
+      Alcotest.(check int) "one more atom absorbed" (absorbed + 1)
+        ca.Med.ca_absorbed;
+      Alcotest.(check bool) "kept only below the table's support" true
+        (ca.Med.ca_absorbed < support ());
+      churn (i + 1) ca.Med.ca_absorbed
+    | None ->
+      Alcotest.(check bool) "evicted when the absorbed atoms reach the support"
+        true
+        (absorbed + 1 >= support ())
+  in
+  churn 2 0;
+  q ();
+  match entry () with
+  | Some ca -> Alcotest.(check int) "recomputed afresh" 0 ca.Med.ca_absorbed
+  | None -> Alcotest.fail "the miss did not refill the cache"
 
 let test_migration_flushes_cache () =
   let env, med = setup () in
@@ -535,6 +645,198 @@ let test_resync_flushes_cache () =
     (Bag.project [ "r1"; "s1" ] (recompute env "T"))
     (q ())
 
+(* A query's store read charges its tuple ops as simulated time after
+   reading the table; an announcement revealing a gap can arrive in
+   that window. The answer it returns was read before the gap was
+   known, but caching it would serve it [Fresh] while the source is
+   dirty; with db1 refusing the resync, the next query must be
+   [Stale]. *)
+let test_dirty_mark_during_store_read () =
+  let env, med =
+    setup
+      ~config:
+        (Med.Config.make ~op_time:0.01 ~poll_timeout:0.5 ~poll_retries:2 ())
+      ()
+  in
+  let db1 = Scenario.source env "db1" in
+  let engine = env.Scenario.engine in
+  Source_db.set_link_up (Adapter.db db1) false;
+  commit_r env 1;
+  Source_db.set_link_up (Adapter.db db1) true;
+  let now = Engine.now engine in
+  Source_db.set_outages (Adapter.db db1) [ (now, now +. 10.0) ];
+  let first = ref None in
+  Engine.spawn engine (fun () ->
+      first :=
+        Some
+          (Mediator.query med ~node:"T" ~attrs:[ "r1"; "s1" ] ()).Qp.quality);
+  Engine.schedule engine ~delay:0.01 (fun () -> commit_r env 2);
+  Engine.run engine ~until:(now +. 0.5);
+  Alcotest.(check bool) "the first query read before the gap" true
+    (!first = Some Qp.Fresh);
+  Alcotest.(check bool) "the gap marked db1 dirty" true
+    (List.mem "db1" (Med.dirty_sources med));
+  let again =
+    in_process env (fun () ->
+        Mediator.query med ~node:"T" ~attrs:[ "r1"; "s1" ] ())
+  in
+  Alcotest.(check bool) "no Fresh hit while db1 is dirty" true
+    (again.Qp.quality <> Qp.Fresh)
+
+(* ---- maintained answers against an uncached twin ---------------------- *)
+
+(* Store-served shapes over T's r1/s1, which every fig1 annotation
+   materializes, so the store rung scans for each: the whole answer, a
+   collapsing projection (one s1 per joined R row), a range on a
+   materialized attribute, each queried every step, and a range
+   queried every 45 steps from step 5, which the eviction rule drops
+   between its queries. *)
+let twin_shapes =
+  [
+    (1, [ "r1"; "s1" ], Predicate.True);
+    (1, [ "s1" ], Predicate.True);
+    ( 1,
+      [ "r1"; "s1" ],
+      Predicate.(conj [ ge (attr "r1") (int 20); lt (attr "r1") (int 45) ]) );
+    (45, [ "r1" ], Predicate.(lt (attr "s1") (int 20)));
+  ]
+
+type twin_step = Commit | Gap | Migrate
+
+(* One twin: fig1 under [ann], driven by a seeded schedule of random
+   R/S inserts and deletes with the shapes queried between them; step
+   100 loses an announcement while db1 refuses polls (a gap, a dirty
+   source, [Stale] answers, then a resync), step 115 migrates to
+   [ann']. With [op_time] 0 a query takes no simulated time, so cache
+   hits cannot shift the schedule against the uncached twin. Returns
+   the answers in query order, the cache invalidations counted outside
+   the gap and migration steps (only evictions drop a maintained entry
+   there), and the stats. *)
+let twin_run ~ann ~ann' ~cache seed =
+  let env = Scenario.make_fig1 ~r_size:30 () in
+  let config =
+    Med.Config.make ~op_time:0.0 ~poll_timeout:0.5 ~poll_retries:2
+      ~poll_backoff:0.25 ~answer_cache_enabled:cache ()
+  in
+  let vdp = env.Scenario.vdp in
+  let med = Scenario.mediator env ~annotation:(ann vdp) ~config () in
+  in_process env (fun () -> Mediator.initialize med);
+  let rng = Random.State.make [| seed |] in
+  let db1 = Scenario.source env "db1" and db2 = Scenario.source env "db2" in
+  let s = Mediator.stats med in
+  let run_for dt =
+    Engine.run env.Scenario.engine ~until:(Engine.now env.Scenario.engine +. dt)
+  in
+  let fresh_r = ref 1000 in
+  let insert_r () =
+    incr fresh_r;
+    Adapter.commit db1
+      (Driver.single_insert db1 "R"
+         (Tuple.of_list
+            [
+              ("r1", Value.Int !fresh_r);
+              ("r2", Value.Int (Random.State.int rng 40));
+              ("r3", Value.Int (Random.State.int rng 200));
+              ( "r4",
+                Value.Int (if Random.State.int rng 4 = 0 then 200 else 100) );
+            ]))
+  in
+  let delete_any src rel =
+    match Bag.to_list (Adapter.current src rel) with
+    | [] -> ()
+    | rows ->
+      let row, _ = List.nth rows (Random.State.int rng (List.length rows)) in
+      Adapter.commit src (Driver.single_delete src rel row)
+  in
+  (* a keyed insert over an S key, present or not: T rows joining it
+     come and go together *)
+  let upsert_s () =
+    Adapter.commit db2
+      (Driver.single_insert db2 "S"
+         (Tuple.of_list
+            [
+              ("s1", Value.Int (Random.State.int rng 40));
+              ("s2", Value.Int (Random.State.int rng 100));
+              ("s3", Value.Int (Random.State.int rng 100));
+            ]))
+  in
+  let answers = ref [] in
+  let evictions = ref 0 in
+  for step = 1 to 140 do
+    let kind = match step with 100 -> Gap | 115 -> Migrate | _ -> Commit in
+    let inv0 = Obs.Metrics.value s.Med.cache_invalidations in
+    (match kind with
+    | Commit -> (
+      match Random.State.int rng 10 with
+      | 0 | 1 | 2 | 3 -> insert_r ()
+      | 4 | 5 -> delete_any db1 "R"
+      | 6 | 7 | 8 -> upsert_s ()
+      | _ -> delete_any db2 "S")
+    | Gap ->
+      Source_db.set_link_up (Adapter.db db1) false;
+      insert_r ();
+      Source_db.set_link_up (Adapter.db db1) true;
+      let now = Engine.now env.Scenario.engine in
+      Source_db.set_outages (Adapter.db db1) [ (now, now +. 3.0) ];
+      insert_r ()
+    | Migrate ->
+      ignore
+        (in_process env (fun () ->
+             Adapt.Migrate.apply med
+               (Adapt.Migrate.diff vdp ~old_ann:(Mediator.annotation med)
+                  ~new_ann:(ann' vdp)))
+          : int));
+    run_for (0.05 +. Random.State.float rng 0.9);
+    List.iteri
+      (fun i (every, attrs, cond) ->
+        if step mod every = 5 mod every then
+          let a =
+            in_process env (fun () ->
+                Mediator.query med ~node:"T" ~attrs ~cond ())
+          in
+          answers := ((step, i), a) :: !answers)
+      twin_shapes;
+    if kind = Commit then
+      evictions :=
+        !evictions + Obs.Metrics.value s.Med.cache_invalidations - inv0;
+    if kind = Gap then run_for 4.0
+  done;
+  Scenario.run_to_quiescence env med;
+  (List.rev !answers, !evictions, s)
+
+let test_maintained_vs_uncached_twin () =
+  List.iter
+    (fun (name, ann, ann', seed) ->
+      let cached, evictions, s = twin_run ~ann ~ann' ~cache:true seed in
+      let plain, _, _ = twin_run ~ann ~ann' ~cache:false seed in
+      Alcotest.(check int) (name ^ ": same number of answers")
+        (List.length plain) (List.length cached);
+      List.iter2
+        (fun ((step, shape), (c : Qp.answer)) (_, (p : Qp.answer)) ->
+          let what = Printf.sprintf "%s step %d shape %d" name step shape in
+          Tutil.check_bag (what ^ " tuples") p.Qp.tuples c.Qp.tuples;
+          let same field ok = Alcotest.(check bool) (what ^ " " ^ field) true ok in
+          same "quality" (c.Qp.quality = p.Qp.quality);
+          same "reflect" (c.Qp.reflect = p.Qp.reflect);
+          same "bound" (c.Qp.bound = p.Qp.bound))
+        cached plain;
+      let stale =
+        List.exists (fun (_, a) -> a.Qp.quality <> Qp.Fresh) cached
+      in
+      Alcotest.(check bool) (name ^ ": the gap served Stale answers") true
+        stale;
+      Alcotest.(check bool) (name ^ ": a resync ran") true
+        (Obs.Metrics.value s.Med.resyncs >= 1);
+      Alcotest.(check bool) (name ^ ": maintained answers were hit") true
+        (Obs.Metrics.value s.Med.cache_hits > 100);
+      Alcotest.(check bool) (name ^ ": the eviction rule dropped entries") true
+        (evictions >= 1))
+    [
+      ("ex21->ex22", Scenario.ann_ex21, Scenario.ann_ex22, 1);
+      ("ex22->ex23", Scenario.ann_ex22, Scenario.ann_ex23, 2);
+      ("ex23->ex21", Scenario.ann_ex23, Scenario.ann_ex21, 3);
+    ]
+
 (* end-to-end: randomized update/query load under the combined fault
    profile, answer cache on (the chaos runner's config inherits the
    default), must quiesce, converge, and pass the Sec. 3 checker *)
@@ -573,8 +875,16 @@ let () =
         [
           Alcotest.test_case "repeat query hits" `Quick
             test_repeat_query_hits_cache;
+          Alcotest.test_case "scan-served store answer is maintained" `Quick
+            test_scan_served_answer_maintained;
           Alcotest.test_case "update invalidates" `Quick
-            test_update_invalidates_cached_answer;
+            test_polled_answer_invalidated;
+          Alcotest.test_case "maintained entry eviction" `Quick
+            test_maintained_entry_eviction;
+          Alcotest.test_case "dirty mark during a store read" `Quick
+            test_dirty_mark_during_store_read;
+          Alcotest.test_case "maintained answers match an uncached twin" `Quick
+            test_maintained_vs_uncached_twin;
           Alcotest.test_case "migration flushes" `Quick
             test_migration_flushes_cache;
           Alcotest.test_case "resync flushes" `Quick test_resync_flushes_cache;
