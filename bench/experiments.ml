@@ -293,9 +293,9 @@ let e5 () =
   let annotations =
     [
       ("paper hybrid (Fig 4)", Scenario.ann_ex51);
-      ("fully materialized", Baselines.Annotations.materialize_all);
+      ("fully materialized", Annotation.fully_materialized);
       ("warehouse (exports only)", Baselines.Annotations.warehouse);
-      ("fully virtual", Baselines.Annotations.virtual_all);
+      ("fully virtual", Annotation.fully_virtual);
     ]
   in
   let rows =
@@ -518,7 +518,7 @@ let e8 () =
   in
   let approaches =
     [
-      ("materialized", `Squirrel Baselines.Annotations.materialize_all);
+      ("materialized", `Squirrel Annotation.fully_materialized);
       ("warehouse", `Squirrel Baselines.Annotations.warehouse);
       ("hybrid ex2.2", `Squirrel Scenario.ann_ex22);
       ("virtual", `Shipper);
@@ -600,11 +600,11 @@ let e9 () =
   let advised, _ = Advisor.advise vdp profile in
   let levels =
     [
-      ("fully virtual", Baselines.Annotations.virtual_all vdp);
+      ("fully virtual", Annotation.fully_virtual vdp);
       ("keys only", keys_only);
       ("paper hybrid (Fig 4)", Scenario.ann_ex51 vdp);
       ("warehouse", Baselines.Annotations.warehouse vdp);
-      ("fully materialized", Baselines.Annotations.materialize_all vdp);
+      ("fully materialized", Annotation.fully_materialized vdp);
     ]
   in
   let load =

@@ -100,18 +100,6 @@ let updates_arg ~default ~doc =
 let queries_arg ~default ~doc =
   Arg.(value & opt int default & info [ "queries"; "q" ] ~docv:"N" ~doc)
 
-let setup_verbose verbose =
-  if verbose then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.Src.set_level Med.log_src (Some Logs.Debug)
-  end
-
-let verbose_arg =
-  Arg.(
-    value & flag
-    & info [ "verbose"; "v" ]
-        ~doc:"Trace mediator internals (transactions, rules, polling, ECA).")
-
 let check env med =
   Correctness.Checker.check ~vdp:env.Scenario.vdp
     ~sources:env.Scenario.sources ~events:(Mediator.events med) ()
@@ -252,11 +240,15 @@ let print_profile med ~max_batch =
   Printf.printf
     "\n\
      answer cache: %d hits, %d misses, %d invalidations\n\
-     compiled plans: %d value, %d delta\n"
+     compiled plans: %d value, %d delta\n\
+     join runs: %d hash, %d leapfrog, %d nested loop\n"
     (v s.Med.cache_hits) (v s.Med.cache_misses)
     (v s.Med.cache_invalidations)
     (Relalg.Plan.compiled_plans ())
-    (Delta.Delta_plan.compiled_plans ());
+    (Delta.Delta_plan.compiled_plans ())
+    (Relalg.Plan.join_runs Relalg.Joinopt.Hash)
+    (Relalg.Plan.join_runs Relalg.Joinopt.Leapfrog)
+    (Relalg.Plan.join_runs Relalg.Joinopt.Nested_loop);
   Printf.printf
     "\n\
      -- batching (max_batch %d) --\n\
@@ -360,19 +352,15 @@ let print_freshness env med ~node ~max_staleness =
 
 let run_cmd =
   let run ((sc, _) as scenario) updates queries seed eca max_batch reports
-      json jsonl max_staleness verbose =
-    setup_verbose verbose;
+      json jsonl max_staleness =
     let env, med =
       run_standard scenario
         ~config:(Med.Config.make ~eca_enabled:eca ~max_batch ())
         ~updates ~queries seed
     in
     let wants r = List.mem r reports in
-    (* A fixed order. The checker's recompute feeds the process-global
-       join chooser, whose decisions land in this mediator's trace and
-       metrics, so the observability reports print before it runs;
-       freshness comes last, as its sample query changes the mediator's
-       state. *)
+    (* A fixed order; freshness comes last, as its sample query
+       changes the mediator's state. *)
     if wants `Profile then print_profile med ~max_batch;
     if wants `Metrics then print_metrics med ~json;
     if wants `Trace then print_trace med ~jsonl;
@@ -453,13 +441,12 @@ let run_cmd =
         $ updates_arg ~default:20 ~doc:"Commits per source relation."
         $ queries_arg ~default:10 ~doc:"Queries against the main export."
         $ seed_arg $ eca $ max_batch_arg $ reports $ json $ jsonl
-        $ max_staleness $ verbose_arg))
+        $ max_staleness))
 
 (* --- query ---------------------------------------------------------------- *)
 
 let query_cmd =
   let run scenario node attrs where updates seed verbose =
-    setup_verbose verbose;
     try
       let cond =
         match where with
@@ -485,6 +472,7 @@ let query_cmd =
           (Relalg.Bag.cardinal bag) (v s.Med.polls)
           (v s.Med.key_based_constructions)
           (v s.Med.queries_from_store);
+        if verbose then print_trace med ~jsonl:"";
         Ok ()
       | None -> Error (`Msg "query did not complete")
     with
@@ -509,6 +497,14 @@ let query_cmd =
       & info [ "where" ] ~docv:"PRED"
           ~doc:"Selection condition, e.g. 'r3 < 100 and s1 = 7'.")
   in
+  let verbose =
+    Arg.(
+      value & flag
+      & info [ "verbose"; "v" ]
+          ~doc:
+            "Also print the transaction span tree (updates, polls, the \
+             query's rungs).")
+  in
   Cmd.v
     (Cmd.info "query"
        ~doc:"Pose one query (with parsed projection/condition) and print the \
@@ -518,14 +514,13 @@ let query_cmd =
         (const run $ scenario_ann_arg $ node $ attrs $ where
         $ updates_arg ~default:0
             ~doc:"Apply this many commits per relation before querying."
-        $ seed_arg $ verbose_arg))
+        $ seed_arg $ verbose))
 
 (* --- adapt ---------------------------------------------------------------- *)
 
 let adapt_cmd =
   let run (sc, ann_of) updates queries interval warmup cooldown min_gain
-      update_pressure dot seed verbose =
-    setup_verbose verbose;
+      update_pressure dot seed =
     let env = sc.Scenario.sc_make ~seed in
     let med = Scenario.start env ~annotation:(ann_of env.Scenario.vdp) in
     let policy_config =
@@ -638,13 +633,12 @@ let adapt_cmd =
       $ updates_arg ~default:200 ~doc:"Phase-1 commits per source relation."
       $ queries_arg ~default:40 ~doc:"Phase-2 queries against the main export."
       $ interval $ warmup $ cooldown $ min_gain $ update_pressure $ dot
-      $ seed_arg $ verbose_arg)
+      $ seed_arg)
 
 (* --- chaos ----------------------------------------------------------------- *)
 
 let chaos_cmd =
-  let run scenario profile max_batch seed verbose =
-    setup_verbose verbose;
+  let run scenario profile max_batch seed =
     match Chaos_run.scenario_by_name scenario with
     | None ->
       Error
@@ -714,8 +708,7 @@ let chaos_cmd =
             required & pos 0 (some string) None
             & info [] ~docv:"SCENARIO"
                 ~doc:"Chaos scenario: fig1, ex51 or retail.")
-        $ profile $ max_batch_arg $ seed_arg
-        $ verbose_arg))
+        $ profile $ max_batch_arg $ seed_arg))
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -729,8 +722,7 @@ let chaos_cmd =
 (* --- federation ------------------------------------------------------------ *)
 
 let federation_cmd =
-  let run shards keys txs seed verbose =
-    setup_verbose verbose;
+  let run shards keys txs seed =
     if shards <= 0 then Error (`Msg "shards must be >= 1")
     else begin
       let engine = Engine.create () in
@@ -845,7 +837,7 @@ let federation_cmd =
   let term =
     Term.(
       term_result
-        (const run $ shards_arg $ keys_arg $ txs_arg $ seed_arg $ verbose_arg))
+        (const run $ shards_arg $ keys_arg $ txs_arg $ seed_arg))
   in
   Cmd.v
     (Cmd.info "federation"
@@ -859,8 +851,7 @@ let federation_cmd =
 (* --- scenario (declarative file) ------------------------------------------- *)
 
 let scenario_cmd =
-  let run file describe verbose =
-    setup_verbose verbose;
+  let run file describe =
     try
       let c = Scn.of_file file in
       let env = c.Scn.c_env in
@@ -925,7 +916,7 @@ let scenario_cmd =
             "Print the generated mediator specification instead of running \
              the scenario.")
   in
-  let term = Term.(term_result (const run $ file $ describe $ verbose_arg)) in
+  let term = Term.(term_result (const run $ file $ describe)) in
   Cmd.v
     (Cmd.info "scenario"
        ~doc:

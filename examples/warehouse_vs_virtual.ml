@@ -113,7 +113,7 @@ let print_table title outcomes =
 let () =
   let scenario ~updates ~queries =
     [
-      run_squirrel "materialized (Example 2.1)" Annotations.materialize_all
+      run_squirrel "materialized (Example 2.1)" Vdp.Annotation.fully_materialized
         ~updates ~queries;
       run_squirrel "warehouse (ZGHW95)" Annotations.warehouse ~updates ~queries;
       run_shipper ~updates ~queries;

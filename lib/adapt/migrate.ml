@@ -177,8 +177,4 @@ let apply (t : Med.t) plan =
       Obs.Metrics.incr t.Med.stats.Med.migrations;
       Obs.Trace.set_attri mig_sp "mig_ops" ops;
       Med.charge_ops t `Migrate ops;
-      Med.Log.info (fun m ->
-          m "migration @%g: %s (%d ops)"
-            (Engine.now t.Med.engine)
-            (describe plan) ops);
       ops))

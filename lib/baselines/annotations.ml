@@ -1,7 +1,5 @@
 open Vdp
 
-let virtual_all vdp = Annotation.fully_virtual vdp
-
 let warehouse vdp =
   let per_node =
     List.filter_map
@@ -18,5 +16,3 @@ let warehouse vdp =
       (Graph.nodes vdp)
   in
   Annotation.of_list vdp per_node
-
-let materialize_all vdp = Annotation.fully_materialized vdp

@@ -1,17 +1,14 @@
-(** The two classical approaches, expressed as Squirrel annotations.
+(** The [ZGHW95] warehouse, expressed as a Squirrel annotation.
 
     The paper's point is that the traditional virtual approach and the
     ZGHW95-style materialized warehouse are the two extreme points of
-    the annotation space; these helpers pin those points so that
-    experiments can run all three (virtual / warehouse / hybrid) on
-    the same VDP and machinery. *)
+    the annotation space. The virtual extreme is
+    {!Vdp.Annotation.fully_virtual}, the self-maintaining one
+    {!Vdp.Annotation.fully_materialized}; this module adds the
+    warehouse point so that experiments can run all of them on the
+    same VDP and machinery. *)
 
 open Vdp
-
-val virtual_all : Graph.t -> Annotation.t
-(** Everything virtual: queries always decompose down to the sources
-    (equivalent in behaviour to {!Query_shipper}, with the VDP's
-    structure reused for the decomposition). *)
 
 val warehouse : Graph.t -> Annotation.t
 (** The [ZGHW95] warehouse configuration: every export relation fully
@@ -19,7 +16,3 @@ val warehouse : Graph.t -> Annotation.t
     — so incremental maintenance polls the sources and relies on the
     Eager Compensation Algorithm, exactly the setting that paper
     studied for a single source and that Example 2.2 generalizes. *)
-
-val materialize_all : Graph.t -> Annotation.t
-(** Self-maintaining configuration: everything materialized, updates
-    never trigger polling (Example 2.1). *)

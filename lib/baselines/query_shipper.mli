@@ -9,7 +9,7 @@
     machinery — the whole mediator state is the view definitions.
 
     Squirrel subsumes this baseline (it is the fully-virtual
-    annotation; see {!Annotations.virtual_all}), but this independent
+    annotation; see {!Vdp.Annotation.fully_virtual}), but this independent
     implementation (a) serves as the E8 comparison point with exactly
     the cost profile the paper attributes to the virtual approach, and
     (b) acts as a differential-testing oracle for Squirrel's answers. *)

@@ -93,10 +93,6 @@ let run (t : Med.t) =
         Obs.Trace.set_attri tx_sp "atoms" coalesced_atoms;
         Obs.Trace.set_attri tx_sp "raw_atoms" raw_atoms;
         Obs.Trace.set_attri tx_sp "annihilated_pairs" annihilated;
-        Med.Log.debug (fun m ->
-            m "batch tx @%g: %d queue entries, %d atoms (%d before coalescing)"
-              (Engine.now t.Med.engine) (List.length entries)
-              coalesced_atoms raw_atoms);
         (* (2) IUP Preparation: filter through leaf-parents, close the
            affected set upward, and find the children whose values the
            fired rules will read — among those, the ones not covered by
@@ -170,11 +166,6 @@ let run (t : Med.t) =
         (lp_deltas, affected, process, requests))
         in
         (* (3) populate temporaries at the pre-update state *)
-        if requests <> [] then
-          Med.Log.debug (fun m ->
-              m "IUP preparation: temporaries needed for %s"
-                (String.concat ", "
-                   (List.map (fun r -> r.Vap.r_node) requests)));
         let vap_result =
           if requests = [] then
             { Vap.temps = []; polled_versions = []; polled_times = [] }
@@ -249,13 +240,11 @@ let run (t : Med.t) =
                     | None -> None)
                 in
                 let d =
-                  Inc_eval.delta_of_expr ~indexed_join ~env
+                  Delta_plan.delta_of_expr ~indexed_join ~env
                     ~deltas:child_delta def
                 in
                 Obs.Trace.set_attri d_sp "atoms" (Rel_delta.atom_count d);
                 if not (Rel_delta.is_empty d) then begin
-                  Med.Log.debug (fun m ->
-                      m "  Δ(%s): %d atoms" node (Rel_delta.atom_count d));
                   Hashtbl.replace deltas_tbl node d;
                   Obs.Metrics.add t.Med.stats.Med.propagated_atoms
                     (Rel_delta.atom_count d);
@@ -384,9 +373,6 @@ let run (t : Med.t) =
           Obs.Metrics.incr t.Med.stats.Med.update_deferrals;
           Obs.Trace.set_attr tx_sp "outcome" "deferred";
           Obs.Trace.set_attr tx_sp "error" (Printexc.to_string exn);
-          Med.Log.warn (fun m ->
-              m "batch tx deferred @%g: %s" (Engine.now t.Med.engine)
-                (Printexc.to_string exn));
           false)
 
 (* Empty the queue completely: one [run] per batch until a pass

@@ -146,7 +146,6 @@ type stats = {
   attr_accesses : (string * string, int) Hashtbl.t;
   leaf_update_atoms : (string, int) Hashtbl.t;
   leaf_card : (string, int) Hashtbl.t;
-  join_chosen : (string, int) Hashtbl.t;
 }
 
 let fresh_stats () =
@@ -156,7 +155,6 @@ let fresh_stats () =
   let attr_accesses = Hashtbl.create 16 in
   let leaf_update_atoms = Hashtbl.create 8 in
   let leaf_card = Hashtbl.create 8 in
-  let join_chosen = Hashtbl.create 4 in
   let sample tbl render () =
     Hashtbl.fold (fun k v acc -> (render k, v) :: acc) tbl []
   in
@@ -172,9 +170,6 @@ let fresh_stats () =
   Obs.Metrics.register_family m "leaf_card"
     ~help:"per-leaf cardinality estimate"
     (sample leaf_card Fun.id);
-  Obs.Metrics.register_family m "join_chosen"
-    ~help:"physical join executions per chosen operator"
-    (sample join_chosen Fun.id);
   {
     registry = m;
     update_txs = c "update_txs";
@@ -239,7 +234,6 @@ let fresh_stats () =
     attr_accesses;
     leaf_update_atoms;
     leaf_card;
-    join_chosen;
   }
 
 let bump tbl key n =
@@ -304,10 +298,6 @@ type t = {
   polled_hw : (string, int) Hashtbl.t;
   mutable export_subs : (export_event -> unit) list;
 }
-
-let log_src = Logs.Src.create "squirrel.mediator" ~doc:"Squirrel mediator internals"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
 
 exception Mediator_error of string
 
@@ -466,9 +456,6 @@ let source_closure t src =
    is a top-level select/project chain, compiled per call over the
    memoized plan below it. *)
 let warm_plans t =
-  (* annotation changes re-shape stored tables and indexes, moving the
-     statistics under every cached physical join decision *)
-  Joinopt.bump_epoch ();
   List.iter
     (fun node ->
       match node.Graph.kind with
@@ -584,38 +571,6 @@ let observe_source_version t src version =
       cache_invalidate_nodes t (source_closure t src)
   end
 
-(* Feed the physical join chooser: statistics from the stored tables
-   (leaf cardinality estimates as the fallback for unstored leaves),
-   decisions surfaced as trace events under the enclosing transaction
-   span and counted in the [join_chosen] family. The chooser side is
-   process-global; the most recently created mediator feeds it. *)
-let install_joinopt_hooks t =
-  Joinopt.stats :=
-    (fun name ->
-      match Store.table_opt t.store name with
-      | Some tb ->
-        let s = Table.stats tb in
-        let ds =
-          List.map
-            (fun ix -> (ix.Table.ix_on, ix.Table.ix_distinct, ix.Table.ix_max_chain))
-            s.Table.st_indexes
-        in
-        Some (s.Table.st_support, ds)
-      | None -> (
-        match Hashtbl.find_opt t.stats.leaf_card name with
-        | Some card -> Some (card, [])
-        | None -> None));
-  Joinopt.notify :=
-    (fun d ->
-      Obs.Trace.event t.trace "join"
-        ~attrs:
-          [
-            ("op", Joinopt.op_name d.Joinopt.op);
-            ("vars", String.concat "," d.Joinopt.var_order);
-            ("est_cost", Printf.sprintf "%.0f" d.Joinopt.est_cost);
-          ];
-      bump t.stats.join_chosen (Joinopt.op_name d.Joinopt.op) 1)
-
 let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
   let source_tbl = Hashtbl.create 8 in
   List.iter (fun s -> Hashtbl.replace source_tbl (Source_db.name s) s) sources;
@@ -694,7 +649,6 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
       export_subs = [];
     }
   in
-  install_joinopt_hooks t;
   warm_plans t;
   ignore (derived t : derived);
   t
@@ -804,9 +758,6 @@ let enqueue t (u : Message.update) =
           ("version", string_of_int u.Message.version);
           ("seen", string_of_int seen);
         ];
-      Log.warn (fun m ->
-          m "gap from %s: delta covers (%d, %d] but only v%d seen"
-            u.Message.source u.Message.prev_version u.Message.version seen);
       mark_dirty t u.Message.source
     end;
     note_seen t u.Message.source u.Message.version;
@@ -1031,23 +982,12 @@ let poll_with_retry t src ?keys queries =
             Obs.Trace.set_attri poll_sp "attempts" n;
             Obs.Trace.set_attr poll_sp "outcome" "exhausted";
             Obs.Metrics.observe t.stats.poll_rtt (Engine.now t.engine -. t0);
-            Log.warn (fun m ->
-                m "poll of %s failed after %d attempt(s): %s" src_name n
-                  (Source_db.poll_error_to_string e));
             raise
               (Poll_failed
                  { pe_source = src_name; pe_attempts = n; pe_error = e })
           end
           else begin
             Obs.Metrics.incr t.stats.poll_retries;
-            (* counted in attempts, like [pe_attempts] and the trace
-               span's "attempts" attr — not in retries, which would be
-               off by one against both *)
-            Log.debug (fun m ->
-                m "poll of %s failed (%s); attempt %d/%d, backoff %g"
-                  src_name
-                  (Source_db.poll_error_to_string e)
-                  n budget backoff);
             Engine.sleep t.engine backoff;
             attempt (n + 1) (backoff *. 2.0)
           end

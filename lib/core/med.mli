@@ -280,10 +280,6 @@ type stats = {
   leaf_card : (string, int) Hashtbl.t;
       (** per-leaf cardinality estimate: initialization snapshot size
           plus the net signed atom count of later announcements *)
-  join_chosen : (string, int) Hashtbl.t;
-      (** physical join executions per chosen operator
-          (nested_loop / hash / leapfrog), exposed as the
-          [join_chosen] family in the registry *)
 }
 
 type cached_answer = {
@@ -378,12 +374,6 @@ type t = {
   mutable export_subs : (export_event -> unit) list;
       (** mediator-as-source consumers, notified in subscription order *)
 }
-
-val log_src : Logs.src
-(** Attach a [Logs] reporter and set this source to [Debug] to trace
-    update/query transactions, rule firing, polling, and compensation. *)
-
-module Log : Logs.LOG
 
 exception Mediator_error of string
 

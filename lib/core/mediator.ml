@@ -79,10 +79,6 @@ let connect (t : Med.t) () =
                         string_of_int a.Message.answer_version );
                       ("seen", string_of_int (Med.seen_version t src_name));
                     ];
-                  Med.Log.warn (fun m ->
-                      m "version check: %s answers v%d but v%d seen" src_name
-                        a.Message.answer_version
-                        (Med.seen_version t src_name));
                   Med.mark_dirty t src_name
                 end
               | Error _ -> ()))

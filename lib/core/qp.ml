@@ -397,60 +397,75 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
          answer instead carries the id of the query_tx span that
          originally computed it, and the hit shows up in the
          cache_hits counter and the query_tx_time histogram. *)
-      let cached =
+      (* the one record of a served query, cache hit or computed:
+         count it, charge its ops (which advances the simulated clock
+         before the histogram reads it), time it, and log it with its
+         reflect vector and bound *)
+      let record ~stale ~bound ~polled ~trace_id answer =
+        Obs.Metrics.incr t.Med.stats.Med.query_txs;
+        if stale <> [] then Obs.Metrics.incr t.Med.stats.Med.degraded_answers;
+        Med.charge_ops t `Query (Eval.tuple_ops () - ops_before);
+        Obs.Metrics.observe t.Med.stats.Med.query_tx_time
+          (Engine.now t.Med.engine -. tx_start);
+        let reflect = reflect_vector t ~polled in
+        Med.log_event t
+          (Med.Query_tx
+             {
+               qt_time = Engine.now t.Med.engine;
+               qt_node = node;
+               qt_attrs = attrs;
+               qt_cond = cond;
+               qt_answer = answer;
+               qt_reflect = reflect;
+               qt_stale = stale;
+               qt_bound = bound;
+             });
+        {
+          tuples = answer;
+          quality = (if stale = [] then Fresh else Stale stale);
+          reflect;
+          bound;
+          trace_id;
+        }
+      in
+      (* answer cache: a surviving entry is what recomputing would
+         give — a maintained store answer took every delta its table
+         did, and any other entry saw no delta, table change or newer
+         source version on a node it can see — serve it as Fresh. The
+         hit resets a maintained entry's absorbed-atom count. The reflect
+         vector is recomputed at serve time from the entry's recorded
+         polled versions: entries for sources the answer does not
+         depend on stay monotone with the mediator's current state, and
+         the bound from the entry's recorded poll times and the current
+         reflected send times, exactly as for a computed answer (a hit
+         charges no ops, so the clock has not moved since).
+         A hit records no span of its own — the whole path is two hash
+         lookups, and trace allocation must not dominate it (e16); the
+         answer instead carries the id of the query_tx span that
+         originally computed it, and the hit shows up in the
+         cache_hits counter and the query_tx_time histogram. *)
+      let hit =
         match Med.cache_lookup t ~node ~attrs ~cond with
-        | Some ca
-          when slo_met
-                 (Med.answer_bound t
-                    ~polled_times:(with_prepoll ca.Med.ca_polled_times)
-                    ())
-          ->
-          ca.Med.ca_absorbed <- 0;
-          Obs.Metrics.incr t.Med.stats.Med.cache_hits;
-          Obs.Metrics.incr t.Med.stats.Med.query_txs;
-          Med.charge_ops t `Query (Eval.tuple_ops () - ops_before);
-          Obs.Metrics.observe t.Med.stats.Med.query_tx_time
-            (Engine.now t.Med.engine -. tx_start);
-          let trace_id = ca.Med.ca_trace_id in
-          let reflect = reflect_vector t ~polled:ca.Med.ca_polled in
-          (* the bound is recomputed at serve time: witnesses are the
-             entry's recorded poll times and the current reflected
-             send times, exactly as for a computed answer *)
+        | Some ca ->
           let bound =
             Med.answer_bound t
               ~polled_times:(with_prepoll ca.Med.ca_polled_times)
               ()
           in
-          Med.log_event t
-            (Med.Query_tx
-               {
-                 qt_time = Engine.now t.Med.engine;
-                 qt_node = node;
-                 qt_attrs = attrs;
-                 qt_cond = cond;
-                 qt_answer = ca.Med.ca_answer;
-                 qt_reflect = reflect;
-                 qt_stale = [];
-                 qt_bound = bound;
-               });
-          Some
-            {
-              tuples = ca.Med.ca_answer;
-              quality = Fresh;
-              reflect;
-              bound;
-              trace_id;
-            }
-        | Some _ | None ->
-          (* a surviving entry that cannot meet the SLO is bypassed,
-             not evicted: the computed answer below will overwrite it *)
-          if t.Med.config.Med.Config.answer_cache_enabled then
-            Obs.Metrics.incr t.Med.stats.Med.cache_misses;
-          None
+          if slo_met bound then Some (ca, bound) else None
+        | None -> None
       in
-      match cached with
-      | Some hit -> hit
+      match hit with
+      | Some (ca, bound) ->
+        ca.Med.ca_absorbed <- 0;
+        Obs.Metrics.incr t.Med.stats.Med.cache_hits;
+        record ~stale:[] ~bound ~polled:ca.Med.ca_polled
+          ~trace_id:ca.Med.ca_trace_id ca.Med.ca_answer
       | None ->
+      (* a surviving entry that cannot meet the SLO is bypassed, not
+         evicted: the computed answer below will overwrite it *)
+      if t.Med.config.Med.Config.answer_cache_enabled then
+        Obs.Metrics.incr t.Med.stats.Med.cache_misses;
       Obs.Trace.with_span t.Med.trace "query_tx" ~attrs:[ ("node", node) ]
         (fun tx_sp ->
       let trace_id = Obs.Trace.span_id tx_sp in
@@ -470,38 +485,15 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
             (Slo_unsatisfiable
                { sm_node = node; sm_slo = slo; sm_bound = bound })
         | Some _ | None -> ());
-        Obs.Metrics.incr t.Med.stats.Med.query_txs;
-        if stale <> [] then Obs.Metrics.incr t.Med.stats.Med.degraded_answers;
-        Med.charge_ops t `Query (Eval.tuple_ops () - ops_before);
         Obs.Trace.set_attr tx_sp "served"
           (if escalated then "slo_poll" else served);
-        Obs.Metrics.observe t.Med.stats.Med.query_tx_time
-          (Engine.now t.Med.engine -. tx_start);
-        let reflect = reflect_vector t ~polled in
-        Med.log_event t
-          (Med.Query_tx
-             {
-               qt_time = Engine.now t.Med.engine;
-               qt_node = node;
-               qt_attrs = attrs;
-               qt_cond = cond;
-               qt_answer = answer;
-               qt_reflect = reflect;
-               qt_stale = stale;
-               qt_bound = bound;
-             });
+        let a = record ~stale ~bound ~polled ~trace_id answer in
         (* only answers the checker may hold to full validity are
            worth replaying; degraded answers must be recomputed *)
         if stale = [] then
           Med.cache_store t ~node ~attrs ~cond ~polled ~polled_times
             ?trace_id ?scanned answer;
-        {
-          tuples = answer;
-          quality = (if stale = [] then Fresh else Stale stale);
-          reflect;
-          bound;
-          trace_id;
-        }
+        a
       in
       (* fresh data unreachable: serve what the store has — the
          materialized subset of the requested attributes, under the
@@ -512,10 +504,6 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
           let mat = Med.mat_attrs t node in
           let avail = List.filter (fun a -> List.mem a mat) attrs in
           if avail = [] then raise exn;
-          Med.Log.warn (fun m ->
-              m "degraded answer for %s @%g: %s" node
-                (Engine.now t.Med.engine)
-                (Printexc.to_string exn));
           Obs.Trace.set_attr tx_sp "error" (Printexc.to_string exn);
           finish ~stale:(staleness_of t srcs) ~served:"degraded"
             (Bag.project avail
@@ -530,12 +518,6 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
           degrade ~exn (pe.pe_source :: Med.dirty_sources t)
         | Med.Desync _ as exn -> degrade ~exn (Med.dirty_sources t)
       in
-      Med.Log.debug (fun m ->
-          m "query tx @%g: π(%s) σ(%s) %s"
-            (Engine.now t.Med.engine)
-            (String.concat "," attrs)
-            (Predicate.to_string cond)
-            node);
       if Med.is_covered t ~node ~attrs:needed then begin
         let table = Option.get (Med.node_table t node) in
         Obs.Metrics.incr t.Med.stats.Med.queries_from_store;

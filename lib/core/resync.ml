@@ -116,10 +116,6 @@ let resync_if_dirty (t : Med.t) =
   match Med.dirty_sources t with
   | [] -> ()
   | dirty ->
-    Med.Log.info (fun m ->
-        m "resync @%g: announcement gap(s) from %s"
-          (Engine.now t.Med.engine)
-          (String.concat ", " dirty));
     Obs.Metrics.incr t.Med.stats.Med.resyncs;
     Obs.Trace.with_span t.Med.trace "resync"
       ~attrs:[ ("sources", String.concat "," (List.sort String.compare dirty)) ]

@@ -168,9 +168,6 @@ let build_inner (t : Med.t) requests =
             (r.r_node, Expr.project r.r_attrs with_sel))
           pairs
       in
-      Med.Log.debug (fun m ->
-          m "VAP polls %s for %s" src_name
-            (String.concat ", " (List.map fst queries)));
       let keys =
         List.filter_map
           (fun (r, leaf) ->
@@ -240,9 +237,6 @@ let build_inner (t : Med.t) requests =
                   let unseen = Med.unseen_delta t ~source:src_name ~leaf in
                   Obs.Trace.set_attri sp "unseen_atoms"
                     (Rel_delta.atom_count unseen);
-                  Med.Log.debug (fun m ->
-                      m "ECA compensation for %s/%s: %d unseen atoms" src_name
-                        leaf (Rel_delta.atom_count unseen));
                   let comp = Rel_delta.inverse unseen in
                   let through_def =
                     filter_delta ~node:r.r_node

@@ -6,10 +6,9 @@ open Relalg
    select/project/rename chains fused into a single signed pass over
    the child delta ({!Rel_delta.transform}), join rules precompiled
    with their residual tests — and executed on every update
-   transaction. Rule structure mirrors {!Inc_eval.delta_of_expr_interp}
-   exactly (Example 6.1 three-part join, membership-candidate
-   difference); the interpreter stays as the differential-test
-   oracle. *)
+   transaction. Rule structure (Example 6.1 three-part join,
+   membership-candidate difference) matches the interpretive rule
+   engine the tests check the plans against. *)
 
 type step =
   | Filter of (Tuple.t -> bool)

@@ -1,6 +1,17 @@
-(** Compiled incremental propagation rules: the delta counterpart of
-    {!Relalg.Plan} (the default engine behind
-    {!Inc_eval.delta_of_expr}).
+(** Incremental (delta) evaluation of algebra expressions, compiled:
+    the delta counterpart of {!Relalg.Plan}.
+
+    Given the pre-update value of every base relation and a delta for
+    some of them, {!delta_of_expr} computes the net delta of the whole
+    expression. Join uses the telescoped rule of Example 6.1 —
+    [Δ(A ⋈ B) = ΔA ⋈ apply(B, ΔB)  ⊎  A ⋈ ΔB] — which accounts for the
+    [ΔA ⋈ ΔB] cross term when both children changed in the same update
+    transaction. Difference (set semantics) is maintained by the
+    membership-candidate method: only tuples whose set-membership in a
+    child changed can enter or leave the output, so the work is
+    proportional to the delta, not to the relations. This is the
+    generic engine behind the per-edge propagation rules of Sec. 5.2
+    (see {!Vdp.Rules} for the edge-rule view).
 
     Each definition/edge expression compiles once into a delta
     pipeline: predicates become closures over schema slot indices,
@@ -9,11 +20,11 @@
     residual tests into {!Rel_delta}'s signed joins. Rule structure —
     the Example 6.1 three-part join, the membership-candidate
     difference, the schema-from-child-deltas rule for no-op joins —
-    mirrors the interpretive oracle {!Inc_eval.delta_of_expr_interp}
-    exactly; plans must agree with it on values. Operation charging
-    matches the interpreter's per-rule delta supports, except that a
-    fused chain charges per atom streamed into each step (pre-merge
-    counts below duplicate-merging projections). *)
+    matches the interpretive rule engine the tests keep as their
+    oracle, and plans must agree with it on values. Operation charging
+    is the per-rule delta supports, except that a fused chain charges
+    per atom streamed into each step (pre-merge counts below
+    duplicate-merging projections). *)
 
 open Relalg
 
@@ -37,9 +48,7 @@ val run :
   deltas:(string -> Rel_delta.t option) ->
   t ->
   Rel_delta.t
-(** Execute the plan: same contract as {!Inc_eval.delta_of_expr}
-    ([env] = pre-update values, [deltas] = net changes, [indexed_join]
-    = persistent-index probe for [Δ ⋈ base] parts).
+(** Execute the plan: same contract as {!delta_of_expr}.
     @raise Eval.Unbound_relation if a needed base is missing. *)
 
 val delta_of_expr :
@@ -53,7 +62,19 @@ val delta_of_expr :
   deltas:(string -> Rel_delta.t option) ->
   Expr.t ->
   Rel_delta.t
-(** [run (of_expr e) ...]. *)
+(** [run (of_expr e) ...]. [env] gives the {e pre-update} value of
+    each base relation; [deltas] the net change of each (None =
+    unchanged). The result is the net delta of the expression,
+    satisfying [apply (eval env e) (delta_of_expr e) = eval env' e]
+    where [env'] is [env] with the deltas applied.
+
+    [indexed_join ~name ~on d] may compute [d ⋈ name] (on the
+    pre-update value of base [name]) through a persistent join-key
+    index instead of the generic hash join; returning [None] falls
+    back. The IUP passes a probe into the mediator's stored tables
+    here, so per-transaction [ΔA ⋈ B_old] joins skip rebuilding a key
+    table over [B_old] on every update transaction.
+    @raise Eval.Unbound_relation if a needed base is missing. *)
 
 val compiled_plans : unit -> int
 (** Number of distinct expressions compiled so far (process-wide). *)

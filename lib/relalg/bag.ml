@@ -74,11 +74,6 @@ let filter pred b =
 let select p b =
   match p with Predicate.True -> b | p -> filter (Predicate.compile p) b
 
-let map_tuples schema f b =
-  let bu = builder schema in
-  iter (fun t m -> badd ~check:true bu (f t) m) b;
-  seal bu
-
 let project names b =
   let schema = Schema.project b.schema names in
   let proj = Tuple.projector names in

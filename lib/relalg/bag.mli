@@ -93,9 +93,6 @@ val product : t -> t -> t
 val equal : t -> t -> bool
 (** Bag equality: same schema attributes and same multiplicity map. *)
 
-val map_tuples : Schema.t -> (Tuple.t -> Tuple.t) -> t -> t
-(** Re-map every tuple (multiplicities of coinciding images add up). *)
-
 val filter : (Tuple.t -> bool) -> t -> t
 
 (** {1 Builder}

@@ -1,8 +1,8 @@
 (** Direct (non-incremental) evaluation of algebra expressions.
 
     Used for populating VDP nodes from scratch, building VAP temporary
-    relations bottom-up, and as the re-computation oracle against which
-    the incremental machinery is verified. *)
+    relations bottom-up, and as the re-computation against which the
+    incremental machinery is verified. *)
 
 exception Unbound_relation of string
 
@@ -17,11 +17,6 @@ val eval : env:(string -> Bag.t option) -> Expr.t -> Bag.t
     streaming joins) and the compiled pipeline is reused on every
     subsequent evaluation of the same expression.
     @raise Unbound_relation when a base name is unresolved. *)
-
-val eval_interp : env:(string -> Bag.t option) -> Expr.t -> Bag.t
-(** The interpretive evaluator (walks the AST on every call): the
-    differential-test oracle against which compiled plans are
-    verified. Value-identical to {!eval}. *)
 
 val tuple_ops : unit -> int
 (** Number of elementary tuple operations performed by [eval] since

@@ -80,24 +80,9 @@ type input = {
   in_f2 : (string * float) list;
 }
 
-type decision = {
-  op : op;
-  order : int array;
-  var_order : string list;
-  est_cost : float;
-  est_hash : float;
-  est_leapfrog : float;
-  est_out : float;
-}
+type decision = { op : op; order : int array; var_order : string list }
 
 let force : op option ref = ref None
-let stats : (string -> (int * (string * int * int) list) option) ref =
-  ref (fun _ -> None)
-let notify : (decision -> unit) ref = ref (fun _ -> ())
-
-let epoch_counter = ref 0
-let epoch () = !epoch_counter
-let bump_epoch () = incr epoch_counter
 
 let distinct_of input v =
   match List.assoc_opt v input.in_distinct with
@@ -258,9 +243,6 @@ let leapfrog_cost inputs ~est_out =
     0.0 inputs
   +. est_out
 
-let nested_cost inputs =
-  Array.fold_left (fun c i -> c *. float_of_int (max 1 i.in_rows)) 1.0 inputs
-
 let choose inputs =
   let n = Array.length inputs in
   assert (n >= 2);
@@ -270,16 +252,14 @@ let choose inputs =
   let est_leapfrog =
     if usable then leapfrog_cost inputs ~est_out else infinity
   in
-  let var_order = order_vars inputs in
-  let mk op est_cost =
-    { op; order; var_order; est_cost; est_hash; est_leapfrog; est_out }
+  let op =
+    match !force with
+    | Some Leapfrog when usable -> Leapfrog
+    | Some Leapfrog -> Hash (* guard: no usable sorted trie *)
+    | Some op -> op
+    | None ->
+      if no_vars then Nested_loop
+      else if est_leapfrog < est_hash then Leapfrog
+      else Hash
   in
-  match !force with
-  | Some Leapfrog when usable -> mk Leapfrog est_leapfrog
-  | Some Leapfrog -> mk Hash est_hash (* guard: no usable sorted trie *)
-  | Some Hash -> mk Hash est_hash
-  | Some Nested_loop -> mk Nested_loop (nested_cost inputs)
-  | None ->
-    if no_vars then mk Nested_loop (nested_cost inputs)
-    else if est_leapfrog < est_hash then mk Leapfrog est_leapfrog
-    else mk Hash est_hash
+  { op; order; var_order = order_vars inputs }

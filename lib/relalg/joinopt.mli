@@ -9,11 +9,12 @@
     ordering, and the System-R style cost estimates from which
     {!choose} picks the physical operator and orders.
 
-    The chooser is deliberately decoupled from the storage and
-    observability layers (relalg sits below both): the mediator
-    installs {!stats} so stored-table statistics reach the cost model,
-    and {!notify} so each decision lands in the trace and the
-    [join_chosen] metric family. *)
+    The chooser reads only what the join group's inputs show at
+    execution ({!Plan} scans them for distinct counts and second
+    moments); it takes no statistics from the storage layer. On a
+    two-input group the estimates never favour leapfrog, so it runs
+    the hash join with the smaller input streamed first, whatever the
+    statistics say. {!Plan.join_runs} counts the operators run. *)
 
 type op = Nested_loop | Hash | Leapfrog
 
@@ -50,18 +51,14 @@ type input = {
           [in_rows] (every row distinct — the conservative bound) *)
   in_f2 : (string * float) list;
       (** per-variable second frequency moments (sum of squared chain
-          lengths), estimated from index max-chain statistics or a
-          capped scan; absent means uniform, [in_rows^2 / distinct] *)
+          lengths), estimated by a capped scan; absent means uniform,
+          [in_rows^2 / distinct] *)
 }
 
 type decision = {
   op : op;
   order : int array;  (** input order: stream/probe first, build rest *)
   var_order : string list;  (** global variable order for leapfrog *)
-  est_cost : float;  (** estimate of the chosen operator *)
-  est_hash : float;
-  est_leapfrog : float;  (** [infinity] when leapfrog is unusable *)
-  est_out : float;  (** estimated output cardinality *)
 }
 
 val order_vars : input array -> string list
@@ -80,23 +77,3 @@ val choose : input array -> decision
 val force : op option ref
 (** Test/bench override: when set, {!choose} returns the forced
     operator (subject to the leapfrog-usability guard). *)
-
-(** {1 Mediator hooks} *)
-
-val stats : (string -> (int * (string * int * int) list) option) ref
-(** [!stats name] returns [(rows, per-attribute (distinct count,
-    max chain length))] for a stored base relation, or [None] when
-    unknown. Installed by the mediator from its table statistics and
-    measured workload profile; defaults to knowing nothing. *)
-
-val notify : (decision -> unit) ref
-(** Called on every join-group execution with the decision taken;
-    installed by the mediator to emit a trace event and bump the
-    [join_chosen{op}] counter family. Defaults to a no-op. *)
-
-val epoch : unit -> int
-(** Decision epoch. Cached decisions are keyed by it; the mediator
-    bumps it when plans are re-warmed (annotation migrations), so
-    operator choices track annotation epochs. *)
-
-val bump_epoch : unit -> unit

@@ -14,14 +14,13 @@
    the conjunction of every join predicate (selections commute with
    inner joins, so where each conjunct is applied is a physical
    choice). At execution the group consults the cost-based chooser
-   ({!Joinopt}) — statistics come from the environment's bags, from
-   the mediator's stats hook for stored leaves, and from a capped
-   distinct-count scan otherwise — and runs as either a left-deep
-   streaming hash cascade, a worst-case optimal leapfrog triejoin
-   ({!Leapfrog}) over sorted tries, or a nested loop (pure theta
-   joins). Decisions are cached per group, keyed by the chooser epoch
-   and a shape signature, so repeat executions skip the statistics
-   pass until a migration bumps the epoch or the input shape moves.
+   ({!Joinopt}) — row counts come from the environment's bags,
+   distinct counts and second moments from a capped scan — and runs
+   as either a left-deep streaming hash cascade, a worst-case optimal
+   leapfrog triejoin ({!Leapfrog}) over sorted tries, or a nested loop
+   (pure theta joins). Decisions are cached per group, keyed by a
+   shape signature, so repeat executions skip the statistics pass
+   until the input shape moves.
 
    Schemas are resolved at execution time from the environment's bags,
    NOT at compile time from static declarations: the same node
@@ -32,13 +31,12 @@
    alone — and every stage re-derives its slot plans per descriptor
    through the one-entry memos of the physical layer.
 
-   The interpretive evaluator ({!Eval.eval_interp}) stays as the
-   differential-test oracle; plans must agree with it on values.
-   Operation charging mirrors the interpreter's per-operator input
-   cardinalities, with documented deviations: a fused stage charges
-   per tuple streamed into it, and a collapsed join group charges its
-   streamed input, build sides, intermediate results and output rather
-   than the sum over the original binary nodes. *)
+   The tests check plans against an interpretive evaluator, value for
+   value. Operation charging is the per-operator input cardinalities,
+   with two deviations: a fused stage charges per tuple streamed into
+   it, and a collapsed join group charges its streamed input, build
+   sides, intermediate results and output rather than the sum over the
+   original binary nodes. *)
 
 exception Unbound_relation of string
 
@@ -49,6 +47,18 @@ let ops_counter = ref 0
 let tuple_ops () = !ops_counter
 let reset_tuple_ops () = ops_counter := 0
 let charge_tuple_ops n = ops_counter := !ops_counter + n
+
+(* join-group executions per operator run, process-wide *)
+let hash_runs = ref 0
+let leapfrog_runs = ref 0
+let nested_runs = ref 0
+
+let runs_of = function
+  | Joinopt.Hash -> hash_runs
+  | Joinopt.Leapfrog -> leapfrog_runs
+  | Joinopt.Nested_loop -> nested_runs
+
+let join_runs op = !(runs_of op)
 
 type step =
   | Filter of (Tuple.t -> bool)
@@ -73,7 +83,6 @@ and njoin = {
 and conjunct = { c_attrs : string list; c_test : Tuple.t -> bool }
 
 and dec_entry = {
-  de_epoch : int;
   de_force : Joinopt.op option;
   de_sig : int;
   de_decision : Joinopt.decision;
@@ -321,27 +330,7 @@ let stats_of v attrs i classes =
         else None)
       classes
   in
-  let in_distinct, in_f2 =
-    match Option.bind v.v_name !Joinopt.stats with
-    | Some (_, ds) when ds <> [] ->
-      let rows = v_rows v in
-      let pick f =
-        List.filter_map
-          (fun (var, a) ->
-            match List.find_opt (fun (n, _, _) -> n = a) ds with
-            | Some (_, d, mc) -> Some (var, f d mc)
-            | None -> None)
-          my
-      in
-      ( pick (fun d _ -> min d (max 1 rows)),
-        (* two-bucket F2 from index stats: the longest chain squared
-           plus the remaining rows spread over the remaining keys *)
-        pick (fun d mc ->
-            let mc = float_of_int (max 1 (min mc rows)) in
-            let rest = float_of_int rows -. mc in
-            (mc *. mc) +. (rest *. rest /. float_of_int (max 1 (d - 1)))) )
-    | _ -> scan_distincts v my
-  in
+  let in_distinct, in_f2 = scan_distincts v my in
   {
     Joinopt.in_name = v.v_name;
     in_rows = v_rows v;
@@ -438,14 +427,14 @@ and exec_nary j ~env ~emit =
   in
   let classes = Joinopt.classes ~attrs:attr_lists ~equi in
   let decision = decide j views attr_lists classes in
-  !Joinopt.notify decision;
+  incr (runs_of decision.Joinopt.op);
   match decision.Joinopt.op with
   | Joinopt.Hash -> exec_cascade j views attr_lists classes decision ~emit
   | Joinopt.Leapfrog -> exec_leapfrog j views attr_lists classes decision ~emit
   | Joinopt.Nested_loop -> exec_nested j views ~emit
 
-(* chooser decision, cached per (epoch, force, shape signature): the
-   statistics pass runs once per epoch and shape, not per execution *)
+(* chooser decision, cached per (force, shape signature): the
+   statistics pass runs once per shape, not per execution *)
 and decide j views attr_lists classes =
   let n = Array.length views in
   let key =
@@ -458,8 +447,7 @@ and decide j views attr_lists classes =
   in
   match j.dec with
   | Some de
-    when de.de_epoch = Joinopt.epoch ()
-         && de.de_force = !Joinopt.force
+    when de.de_force = !Joinopt.force
          && de.de_sig = key
          && Array.length de.de_decision.Joinopt.order = n ->
     de.de_decision
@@ -469,7 +457,6 @@ and decide j views attr_lists classes =
     j.dec <-
       Some
         {
-          de_epoch = Joinopt.epoch ();
           de_force = !Joinopt.force;
           de_sig = key;
           de_decision = d;

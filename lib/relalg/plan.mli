@@ -11,11 +11,11 @@
     over full leaf relations, materialized projections, and VAP
     temporaries carrying only the requested attributes.
 
-    Value semantics are identical to the interpretive oracle
-    {!Eval.eval_interp}. Operation charging mirrors the interpreter's
-    per-operator input cardinalities, except that a fused stage
-    charges per tuple streamed into it (a duplicate-merging projection
-    below another stage charges the pre-merge count). *)
+    The tests check plans against an interpretive evaluator, value for
+    value. Operation charging is the per-operator input
+    cardinalities, except that a fused stage charges per tuple
+    streamed into it (a duplicate-merging projection below another
+    stage charges the pre-merge count). *)
 
 exception Unbound_relation of string
 (** Raised when the environment cannot resolve a base relation.
@@ -44,6 +44,10 @@ val compiled_plans : unit -> int
     (process-wide). The top-level select/project/rename chains that
     {!of_expr} compiles per call are not counted; the input below such
     a chain is, once. *)
+
+val join_runs : Joinopt.op -> int
+(** Number of join-group executions that ran the given operator
+    (process-wide). *)
 
 (** {1 Operation accounting}
 

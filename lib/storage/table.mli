@@ -66,8 +66,7 @@ val delta_join :
 
 (** {1 Statistics}
 
-    Table statistics feed the cost-based join chooser ({!Joinopt} via
-    the mediator's stats hook) and the CLI profile report. *)
+    Table statistics feed the CLI profile report. *)
 
 type index_stats = {
   ix_on : string;  (** the indexed attribute *)

@@ -1,0 +1,182 @@
+(* Interpretive oracles for the compiled evaluators: a value evaluator
+   and a delta rule engine that walk the expression AST on every call.
+   The differential tests check the compiled plans ({!Relalg.Plan},
+   {!Delta.Delta_plan}) against them, value for value; no program links
+   this library. *)
+
+open Relalg
+open Delta
+
+(* The interpretive evaluator: walks the AST on every call, resolving
+   operators as it goes. Value-identical to {!Eval.eval}. *)
+let rec eval_interp ~env expr =
+  match expr with
+  | Expr.Base name -> (
+    match env name with
+    | Some bag -> bag
+    | None -> raise (Eval.Unbound_relation name))
+  | Expr.Select (p, e) ->
+    let bag = eval_interp ~env e in
+    Eval.charge_tuple_ops (Bag.support_cardinal bag);
+    Bag.select p bag
+  | Expr.Project (names, e) ->
+    let bag = eval_interp ~env e in
+    Eval.charge_tuple_ops (Bag.support_cardinal bag);
+    Bag.project names bag
+  | Expr.Rename (mapping, e) ->
+    let bag = eval_interp ~env e in
+    Eval.charge_tuple_ops (Bag.support_cardinal bag);
+    let schema =
+      Expr.schema_of (fun _ -> Bag.schema bag) (Expr.Rename (mapping, Expr.Base "_"))
+    in
+    let rename = Tuple.renamer mapping in
+    let out = Bag.builder schema in
+    Bag.iter (fun t m -> Bag.badd ~check:true out (rename t) m) bag;
+    Bag.seal out
+  | Expr.Join (a, p, b) ->
+    let ba = eval_interp ~env a and bb = eval_interp ~env b in
+    let result = Bag.join ~on:p ba bb in
+    (* hash join: linear in inputs plus output; theta-only joins are
+       charged quadratically by [Bag.join] going through every pair,
+       approximated here by the product bound *)
+    let shared =
+      List.exists (fun n -> Schema.mem (Bag.schema bb) n)
+        (Schema.attrs (Bag.schema ba))
+    in
+    let cost =
+      if shared || Predicate.equi_pairs p <> [] then
+        Bag.support_cardinal ba + Bag.support_cardinal bb
+        + Bag.support_cardinal result
+      else Bag.support_cardinal ba * Bag.support_cardinal bb
+    in
+    Eval.charge_tuple_ops cost;
+    result
+  | Expr.Union (a, b) ->
+    let ba = eval_interp ~env a and bb = eval_interp ~env b in
+    Eval.charge_tuple_ops (Bag.support_cardinal ba + Bag.support_cardinal bb);
+    Bag.union ba bb
+  | Expr.Diff (a, b) ->
+    let ba = eval_interp ~env a and bb = eval_interp ~env b in
+    Eval.charge_tuple_ops (Bag.support_cardinal ba + Bag.support_cardinal bb);
+    Bag.set_diff ba bb
+
+(* pre-update value of a subexpression *)
+let eval_old ~env e = Eval.eval ~env e
+
+(* The interpretive rule engine: walks the expression on every
+   transaction. Value-identical to {!Delta_plan.delta_of_expr}. *)
+let rec delta_of_expr_interp ?indexed_join ~env ~deltas expr =
+  let delta_of_expr = delta_of_expr_interp ?indexed_join in
+  (* [d ⋈ base]: probe the base's persistent index when the caller
+     provides one, otherwise hash-join against its pre-update value *)
+  let join_side ~on d side =
+    let generic () = Rel_delta.join_bag ~on d (eval_old ~env side) in
+    match indexed_join, side with
+    | Some probe, Expr.Base name -> (
+      match probe ~name ~on ?filter:None d with
+      | Some part -> part
+      | None -> generic ())
+    | _ -> generic ()
+  in
+  match expr with
+  | Expr.Base name -> (
+    match deltas name with
+    | Some d -> d
+    | None -> (
+      match env name with
+      | Some bag -> Rel_delta.empty (Bag.schema bag)
+      | None -> raise (Eval.Unbound_relation name)))
+  | Expr.Select (p, e) ->
+    let d = delta_of_expr ~env ~deltas e in
+    Eval.charge_tuple_ops (Rel_delta.support_cardinal d);
+    Rel_delta.select p d
+  | Expr.Project (names, e) ->
+    let d = delta_of_expr ~env ~deltas e in
+    Eval.charge_tuple_ops (Rel_delta.support_cardinal d);
+    Rel_delta.project names d
+  | Expr.Rename (mapping, e) ->
+    let d = delta_of_expr ~env ~deltas e in
+    Eval.charge_tuple_ops (Rel_delta.support_cardinal d);
+    Rel_delta.rename mapping d
+  | Expr.Join (a, p, b) ->
+    let da = delta_of_expr ~env ~deltas a in
+    let db = delta_of_expr ~env ~deltas b in
+    (* evaluate only the sides a fired rule actually reads: when one
+       side is unchanged, the other side's old value suffices *)
+    (* schema from the (possibly empty) child deltas, NOT from env
+       values: a virtual child whose delta filtered out entirely has no
+       stored value and no temporary, so an env schema lookup here
+       would fail on a no-op delta *)
+    (* every branch normalizes to the canonical left-then-right
+       schema: the probe-the-other-side rules naturally build their
+       result in firing order, which must not leak into the output *)
+    let canonical =
+      Schema.join (Rel_delta.schema da) (Rel_delta.schema db)
+    in
+    let canon d = Rel_delta.transform canonical (fun t -> Some t) d in
+    if Rel_delta.is_empty da && Rel_delta.is_empty db then
+      Rel_delta.empty canonical
+    else if Rel_delta.is_empty db then begin
+      let part = join_side ~on:p da b in
+      Eval.charge_tuple_ops
+        (Rel_delta.support_cardinal da + Rel_delta.support_cardinal part);
+      canon part
+    end
+    else if Rel_delta.is_empty da then begin
+      (* the natural join is symmetric, so the delta may probe [a] *)
+      let part = join_side ~on:p db a in
+      Eval.charge_tuple_ops
+        (Rel_delta.support_cardinal db + Rel_delta.support_cardinal part);
+      canon part
+    end
+    else begin
+      (* Example 6.1, without materializing B_new:
+         Δ(A ⋈ B) = ΔA ⋈ B_old + ΔA ⋈ ΔB + A_old ⋈ ΔB. *)
+      let part1 = join_side ~on:p da b in
+      let part2 = join_side ~on:p db a in
+      let cross = Rel_delta.join ~on:p da db in
+      Eval.charge_tuple_ops
+        (Rel_delta.support_cardinal da + Rel_delta.support_cardinal db
+        + Rel_delta.support_cardinal part1
+        + Rel_delta.support_cardinal part2
+        + Rel_delta.support_cardinal cross);
+      canon (Rel_delta.smash (Rel_delta.smash part1 part2) cross)
+    end
+  | Expr.Union (a, b) ->
+    let da = delta_of_expr ~env ~deltas a in
+    let db = delta_of_expr ~env ~deltas b in
+    Eval.charge_tuple_ops
+      (Rel_delta.support_cardinal da + Rel_delta.support_cardinal db);
+    Rel_delta.smash da db
+  | Expr.Diff (a, b) ->
+    let da = delta_of_expr ~env ~deltas a in
+    let db = delta_of_expr ~env ~deltas b in
+    if Rel_delta.is_empty da && Rel_delta.is_empty db then
+      Rel_delta.empty (Rel_delta.schema da)
+    else begin
+      let old_a = eval_old ~env a and old_b = eval_old ~env b in
+      let schema = Bag.schema old_a in
+      (* Only tuples whose bag multiplicity changed in a child can
+         change set membership in the output, and post-state
+         membership is decidable from the old bag and the signed
+         delta — no new state is materialized. Deltas clamp at zero
+         on application, so membership after is [old + signed > 0]. *)
+      let mem_after bag d t = Bag.mult bag t + Rel_delta.signed_mult d t > 0 in
+      let candidates =
+        Rel_delta.fold
+          (fun t _ acc -> Tuple.Set.add t acc)
+          da
+          (Rel_delta.fold (fun t _ acc -> Tuple.Set.add t acc) db
+             Tuple.Set.empty)
+      in
+      Eval.charge_tuple_ops (Tuple.Set.cardinal candidates);
+      Tuple.Set.fold
+        (fun t acc ->
+          let before = Bag.mem old_a t && not (Bag.mem old_b t) in
+          let after = mem_after old_a da t && not (mem_after old_b db t) in
+          match before, after with
+          | false, true -> Rel_delta.insert acc t
+          | true, false -> Rel_delta.delete acc t
+          | true, true | false, false -> acc)
+        candidates (Rel_delta.empty schema)
+    end

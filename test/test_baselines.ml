@@ -157,7 +157,7 @@ let test_virtual_annotation_runs_correctly () =
   let env = Scenario.make_fig1 () in
   let med =
     Scenario.mediator env
-      ~annotation:(Annotations.virtual_all env.Scenario.vdp)
+      ~annotation:(Annotation.fully_virtual env.Scenario.vdp)
       ()
   in
   in_process env (fun () -> Mediator.initialize med);

@@ -186,7 +186,7 @@ let test_value_plans_agree () =
     let e, _ = random_expr rng bases (1 + Random.State.int rng 3) in
     Tutil.check_bag
       (Printf.sprintf "seed %d: %s" seed (Expr.to_string e))
-      (Eval.eval_interp ~env e) (Eval.eval ~env e)
+      (Oracle.eval_interp ~env e) (Eval.eval ~env e)
   done
 
 let test_delta_plans_agree () =
@@ -205,9 +205,9 @@ let test_delta_plans_agree () =
     let deltas name = List.assoc_opt name delta_list in
     let e, _ = random_expr rng bases (1 + Random.State.int rng 3) in
     let what = Printf.sprintf "seed %d: %s" seed (Expr.to_string e) in
-    let compiled = Inc_eval.delta_of_expr ~env ~deltas e in
+    let compiled = Delta_plan.delta_of_expr ~env ~deltas e in
     Alcotest.check Tutil.rel_delta what
-      (Inc_eval.delta_of_expr_interp ~env ~deltas e)
+      (Oracle.delta_of_expr_interp ~env ~deltas e)
       compiled;
     (* the apply contract against full recomputation: old value plus
        the compiled delta is the value over the updated bases *)
@@ -290,7 +290,7 @@ let test_njoin_strategies_agree () =
     in
     let name0, s0, _ = pick () in
     let e, _ = chain (1 + Random.State.int rng 3) (Expr.base name0, s0) in
-    let oracle = Eval.eval_interp ~env e in
+    let oracle = Oracle.eval_interp ~env e in
     List.iter
       (fun (label, op) ->
         with_force op (fun () ->
@@ -424,7 +424,50 @@ let test_leapfrog_guard () =
   let e = Expr.join (Expr.base "A") (Expr.base "B") in
   with_force (Some Joinopt.Leapfrog) (fun () ->
       Tutil.check_bag "cross product off the trie path"
-        (Eval.eval_interp ~env e) (Eval.eval ~env e))
+        (Oracle.eval_interp ~env e) (Eval.eval ~env e))
+
+(* a two-input join group runs the hash join whatever the statistics
+   say: leapfrog's sum of r(1 + log2 r) over the inputs never undercuts
+   hash's r1 + r2, and the two output estimates differ by less than a
+   row; so distinct counts and second moments cannot move the decision
+   or the probe order, which depends on row counts alone *)
+let prop_two_input_groups_hash =
+  let open QCheck2.Gen in
+  let input name vars =
+    let* rows = int_range 0 1_000_000 in
+    let* in_distinct =
+      flatten_l
+        (List.map (fun v -> map (fun d -> (v, d)) (int_range 0 2_000_000)) vars)
+    in
+    let* in_f2 =
+      flatten_l
+        (List.map (fun v -> map (fun f -> (v, f)) (float_range 0.0 1e13)) vars)
+    in
+    let* keep_d = bool and* keep_f2 = bool in
+    return
+      {
+        Joinopt.in_name = Some name;
+        in_rows = rows;
+        in_vars = vars;
+        in_distinct = (if keep_d then in_distinct else []);
+        in_f2 = (if keep_f2 then in_f2 else []);
+      }
+  in
+  (* both inputs carry the shared variable x, each maybe y and z too *)
+  let vars =
+    map2
+      (fun y z -> ("x" :: (if y then [ "y" ] else [])) @ if z then [ "z" ] else [])
+      bool bool
+  in
+  Tutil.qtest ~count:500 "two-input groups choose hash, statistics aside"
+    (let* va = vars and* vb = vars in
+     pair (input "A" va) (input "B" vb))
+    (fun (a, b) ->
+      with_force None (fun () ->
+          let plain i = { i with Joinopt.in_distinct = []; in_f2 = [] } in
+          let d = Joinopt.choose [| a; b |] in
+          let d0 = Joinopt.choose [| plain a; plain b |] in
+          d.Joinopt.op = Joinopt.Hash && d.Joinopt.order = d0.Joinopt.order))
 
 (* ---- the answer cache --------------------------------------------------- *)
 
@@ -870,6 +913,7 @@ let () =
           Alcotest.test_case "trie iterator seek" `Quick test_trie_iter_seek;
           Alcotest.test_case "variable ordering ties" `Quick test_order_vars;
           Alcotest.test_case "leapfrog guard" `Quick test_leapfrog_guard;
+          prop_two_input_groups_hash;
         ] );
       ( "answer-cache",
         [
