@@ -26,7 +26,6 @@ let experiments =
     ("e14", Chaos.run);
     ("e15", Compiled.run);
     ("e16", Obs_overhead.run);
-    ("e17", Wcoj.run);
     ("e18", Federation.run);
     ("e19", Freshness.run);
     ("e20", Batching.run);

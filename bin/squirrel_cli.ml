@@ -240,15 +240,11 @@ let print_profile med ~max_batch =
   Printf.printf
     "\n\
      answer cache: %d hits, %d misses, %d invalidations\n\
-     compiled plans: %d value, %d delta\n\
-     join runs: %d hash, %d leapfrog, %d nested loop\n"
+     compiled plans: %d value, %d delta\n"
     (v s.Med.cache_hits) (v s.Med.cache_misses)
     (v s.Med.cache_invalidations)
     (Relalg.Plan.compiled_plans ())
-    (Delta.Delta_plan.compiled_plans ())
-    (Relalg.Plan.join_runs Relalg.Joinopt.Hash)
-    (Relalg.Plan.join_runs Relalg.Joinopt.Leapfrog)
-    (Relalg.Plan.join_runs Relalg.Joinopt.Nested_loop);
+    (Delta.Delta_plan.compiled_plans ());
   Printf.printf
     "\n\
      -- batching (max_batch %d) --\n\

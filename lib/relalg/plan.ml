@@ -13,14 +13,11 @@
    Chains of joins collapse into a single n-ary join group carrying
    the conjunction of every join predicate (selections commute with
    inner joins, so where each conjunct is applied is a physical
-   choice). At execution the group consults the cost-based chooser
-   ({!Joinopt}) — row counts come from the environment's bags,
-   distinct counts and second moments from a capped scan — and runs
-   as either a left-deep streaming hash cascade, a worst-case optimal
-   leapfrog triejoin ({!Leapfrog}) over sorted tries, or a nested loop
-   (pure theta joins). Decisions are cached per group, keyed by a
-   shape signature, so repeat executions skip the statistics pass
-   until the input shape moves.
+   choice). A group whose inputs share no join variable (a cross
+   product or a pure theta join) runs as a nested loop; every other
+   group runs as a left-deep streaming hash cascade. The cascade
+   streams its smallest input through key tables built over the
+   others, ordered on each execution from the inputs' sizes alone.
 
    Schemas are resolved at execution time from the environment's bags,
    NOT at compile time from static declarations: the same node
@@ -48,18 +45,6 @@ let tuple_ops () = !ops_counter
 let reset_tuple_ops () = ops_counter := 0
 let charge_tuple_ops n = ops_counter := !ops_counter + n
 
-(* join-group executions per operator run, process-wide *)
-let hash_runs = ref 0
-let leapfrog_runs = ref 0
-let nested_runs = ref 0
-
-let runs_of = function
-  | Joinopt.Hash -> hash_runs
-  | Joinopt.Leapfrog -> leapfrog_runs
-  | Joinopt.Nested_loop -> nested_runs
-
-let join_runs op = !(runs_of op)
-
 type step =
   | Filter of (Tuple.t -> bool)
   | Gather of string list * (Tuple.t -> Tuple.t) (* projection *)
@@ -77,16 +62,9 @@ and njoin = {
   test : (Tuple.t -> bool) option; (* compiled [on]; None = True *)
   conjs : conjunct array; (* compiled conjuncts, conjunction order *)
   inputs : prog array; (* >= 2, original left-to-right order *)
-  mutable dec : dec_entry option; (* cached chooser decision *)
 }
 
 and conjunct = { c_attrs : string list; c_test : Tuple.t -> bool }
-
-and dec_entry = {
-  de_force : Joinopt.op option;
-  de_sig : int;
-  de_decision : Joinopt.decision;
-}
 
 type t = { expr : Expr.t; prog : prog }
 
@@ -133,7 +111,6 @@ let rec compile_prog expr =
                (fun p -> { c_attrs = Predicate.attrs p; c_test = Predicate.compile p })
                conj_list);
         inputs = Array.of_list (List.map compile_prog inputs);
-        dec = None;
       }
   | Expr.Union (a, b) -> Union (compile_prog a, compile_prog b)
   | Expr.Diff (a, b) -> Diff (compile_prog a, compile_prog b)
@@ -196,12 +173,12 @@ module Key_table = Hashtbl.Make (struct
   let hash key = List.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 key
 end)
 
-(* a join-group input at execution time. Materialization is lazy: a
-   consumer that streams an input exactly once (cascade build/probe,
-   trie load) never buffers it — only exact row counts (cost model on
-   a decision-cache miss) and repeated iteration (nested loop) force a
-   buffer. [v_sig_rows] is the cheap signature cardinality: exact for
-   a source leaf, the underlying leaf total for derived inputs. *)
+(* a join-group input at execution time. Materialization is lazy: the
+   cascade streams each input exactly once and never buffers it; only
+   the nested loop (exact row counts for its charge, repeated
+   iteration) forces a buffer. [v_sig_rows] is the cheap size that
+   orders the cascade: exact for a source leaf, the underlying leaf
+   total for a derived input. *)
 type view = {
   v_name : string option;
   v_schema : Schema.t;
@@ -226,12 +203,6 @@ let materialize v =
 
 let v_rows v = if v.v_rows >= 0 then v.v_rows else (ignore (materialize v); v.v_rows)
 
-(* one streaming pass, reusing a buffer when one already exists *)
-let stream_once v f =
-  match v.v_mat with
-  | Some l -> List.iter (fun (t, m) -> f t m) l
-  | None -> v.v_stream f
-
 (* repeatable iteration: source bags re-iterate in place, everything
    else buffers on first use *)
 let v_iter v f =
@@ -240,6 +211,90 @@ let v_iter v f =
   | None ->
     if v.v_name <> None then v.v_stream f
     else List.iter (fun (t, m) -> f t m) (materialize v)
+
+(* join variables: union-find over attribute names. Two attributes
+   fall in one class when they share a name across inputs (natural
+   join) or appear in an equi-pair of the join condition; only classes
+   spanning at least two inputs are kept, ordered by first member. *)
+type var_class = { vc_attrs : string list; vc_inputs : int list }
+
+let classes ~attrs ~equi =
+  let parent : (string, string) Hashtbl.t = Hashtbl.create 16 in
+  let rec find a =
+    match Hashtbl.find_opt parent a with
+    | None -> a
+    | Some p ->
+      let r = find p in
+      if r <> p then Hashtbl.replace parent a r;
+      r
+  in
+  List.iter
+    (fun (a, b) ->
+      let ra = find a and rb = find b in
+      if ra <> rb then Hashtbl.replace parent ra rb)
+    equi;
+  (* root -> (members, input indices) *)
+  let groups : (string, string list ref * int list ref) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  Array.iteri
+    (fun i attrs_i ->
+      List.iter
+        (fun a ->
+          let r = find a in
+          let members, inputs =
+            match Hashtbl.find_opt groups r with
+            | Some g -> g
+            | None ->
+              let g = (ref [], ref []) in
+              Hashtbl.add groups r g;
+              g
+          in
+          if not (List.mem a !members) then members := a :: !members;
+          if not (List.mem i !inputs) then inputs := i :: !inputs)
+        attrs_i)
+    attrs;
+  Hashtbl.fold
+    (fun _ (members, inputs) acc ->
+      let vc_inputs = List.sort_uniq compare !inputs in
+      if List.length vc_inputs >= 2 then
+        { vc_attrs = List.sort compare !members; vc_inputs } :: acc
+      else acc)
+    groups []
+  |> List.sort (fun a b -> compare a.vc_attrs b.vc_attrs)
+
+(* an input's representative attribute for a class *)
+let class_attr_in vc attrs = List.find_opt (fun a -> List.mem a attrs) vc.vc_attrs
+
+(* cascade order: the smallest input by [v_sig_rows] first (ties to the
+   leftmost), then at each step the smallest remaining input sharing a
+   join variable with the prefix, or the smallest remaining input when
+   none does *)
+let cascade_order views classes =
+  let n = Array.length views in
+  let used = Array.make n false in
+  let shares i =
+    List.exists
+      (fun vc ->
+        List.mem i vc.vc_inputs && List.exists (fun k -> used.(k)) vc.vc_inputs)
+      classes
+  in
+  let smallest ok =
+    let best = ref (-1) in
+    for i = 0 to n - 1 do
+      if
+        (not used.(i)) && ok i
+        && (!best < 0 || views.(i).v_sig_rows < views.(!best).v_sig_rows)
+      then best := i
+    done;
+    !best
+  in
+  Array.init n (fun _ ->
+      let i =
+        match smallest shares with -1 -> smallest (fun _ -> true) | i -> i
+      in
+      used.(i) <- true;
+      i)
 
 (* one cascade step: the key table built over a join input plus the
    probe keyer from the accumulated prefix and the conjuncts that
@@ -258,86 +313,6 @@ let passes checks t =
   let k = Array.length checks in
   let rec go i = i >= k || ((Array.unsafe_get checks i) t && go (i + 1)) in
   go 0
-
-let log2_bucket n =
-  let rec go n b = if n <= 1 then b else go (n lsr 1) (b + 1) in
-  go (max 1 n) 0
-
-let scan_cap = 2048
-
-(* capped distinct-count and frequency-moment scan for inputs without
-   stored statistics. Distinct counts extrapolate linearly to the full
-   row count; the second moment F2 uses the unbiased Bernoulli-sample
-   estimator sum(c^2 - (1-p)c)/p^2 (sample rate p), whose correction
-   term keeps near-unique keys from reading as phantom hubs *)
-let scan_distincts v my =
-  if my = [] then ([], [])
-  else begin
-    let cells =
-      List.map (fun (var, a) -> (var, Tuple.keyer1 a, VKey_table.create 64)) my
-    in
-    let seen = ref 0 in
-    (try
-       v_iter v (fun t _ ->
-           if !seen >= scan_cap then raise Exit;
-           incr seen;
-           List.iter
-             (fun (_, k, tbl) ->
-               let key = k t in
-               let c =
-                 match VKey_table.find_opt tbl key with
-                 | Some c -> c
-                 | None -> 0
-               in
-               VKey_table.replace tbl key (c + 1))
-             cells)
-     with Exit -> ());
-    let rows = v_rows v in
-    let per_cell f = List.map (fun (var, _, tbl) -> (var, f tbl)) cells in
-    let ds =
-      per_cell (fun tbl ->
-          let d = VKey_table.length tbl in
-          let d =
-            if rows > !seen && 2 * d > !seen then d * rows / max 1 !seen else d
-          in
-          max 1 d)
-    in
-    let f2s =
-      let p = float_of_int (max 1 !seen) /. float_of_int (max 1 rows) in
-      per_cell (fun tbl ->
-          let est =
-            VKey_table.fold
-              (fun _ c acc ->
-                let c = float_of_int c in
-                acc +. ((c *. c) -. ((1.0 -. p) *. c)))
-              tbl 0.0
-            /. (p *. p)
-          in
-          Float.max (float_of_int rows) est)
-    in
-    (ds, f2s)
-  end
-
-let stats_of v attrs i classes =
-  (* (variable name, this input's attribute) per class it belongs to *)
-  let my =
-    List.filter_map
-      (fun vc ->
-        if List.mem i vc.Joinopt.vc_inputs then
-          match Joinopt.class_attr_in vc attrs with
-          | Some a -> Some (List.hd vc.Joinopt.vc_attrs, a)
-          | None -> None
-        else None)
-      classes
-  in
-  let in_distinct, in_f2 = scan_distincts v my in
-  {
-    Joinopt.in_name = v.v_name;
-    in_rows = v_rows v;
-    in_vars = List.map fst my;
-    in_distinct;
-    in_f2;
-  }
 
 let rec stream prog ~env ~(emit : Tuple.t -> int -> unit) =
   match prog with
@@ -425,52 +400,18 @@ and exec_nary j ~env ~emit =
   let equi =
     List.filter (fun (a, b) -> present a && present b) (Predicate.equi_pairs j.on)
   in
-  let classes = Joinopt.classes ~attrs:attr_lists ~equi in
-  let decision = decide j views attr_lists classes in
-  incr (runs_of decision.Joinopt.op);
-  match decision.Joinopt.op with
-  | Joinopt.Hash -> exec_cascade j views attr_lists classes decision ~emit
-  | Joinopt.Leapfrog -> exec_leapfrog j views attr_lists classes decision ~emit
-  | Joinopt.Nested_loop -> exec_nested j views ~emit
+  let classes = classes ~attrs:attr_lists ~equi in
+  if classes = [] then exec_nested j views ~emit
+  else exec_cascade j views attr_lists classes ~emit
 
-(* chooser decision, cached per (force, shape signature): the
-   statistics pass runs once per shape, not per execution *)
-and decide j views attr_lists classes =
-  let n = Array.length views in
-  let key =
-    Hashtbl.hash
-      (Array.to_list
-         (Array.map
-            (fun v ->
-              (v.v_name, Schema.attrs v.v_schema, log2_bucket v.v_sig_rows))
-            views))
-  in
-  match j.dec with
-  | Some de
-    when de.de_force = !Joinopt.force
-         && de.de_sig = key
-         && Array.length de.de_decision.Joinopt.order = n ->
-    de.de_decision
-  | _ ->
-    let inputs = Array.mapi (fun i v -> stats_of v attr_lists.(i) i classes) views in
-    let d = Joinopt.choose inputs in
-    j.dec <-
-      Some
-        {
-          de_force = !Joinopt.force;
-          de_sig = key;
-          de_decision = d;
-        };
-    d
-
-(* left-deep streaming hash cascade in the chooser's input order: key
-   tables over every input but the first, the first streamed through
-   the probe chain. Each conjunct is applied at the first step whose
+(* left-deep streaming hash cascade in {!cascade_order}: key tables
+   over every input but the first, the first streamed through the
+   probe chain. Each conjunct is applied at the first step whose
    merged schema covers its attributes; conjuncts never covered are
    still evaluated on the output (raising exactly as the interpreter
    would on a dangling attribute). *)
-and exec_cascade j views attr_lists classes decision ~emit =
-  let order = decision.Joinopt.order in
+and exec_cascade j views attr_lists classes ~emit =
+  let order = cascade_order views classes in
   let n = Array.length order in
   let nconjs = Array.length j.conjs in
   let applied = Array.make nconjs false in
@@ -499,8 +440,8 @@ and exec_cascade j views attr_lists classes decision ~emit =
           List.filter_map
             (fun vc ->
               match
-                ( Joinopt.class_attr_in vc (Schema.attrs !merged),
-                  Joinopt.class_attr_in vc attr_lists.(i) )
+                ( class_attr_in vc (Schema.attrs !merged),
+                  class_attr_in vc attr_lists.(i) )
               with
               | Some la, Some ra -> Some (la, ra)
               | _ -> None)
@@ -513,14 +454,14 @@ and exec_cascade j views attr_lists classes decision ~emit =
         | [ (la, ra) ] ->
           let tbl = VKey_table.create 64 in
           let kb = Tuple.keyer1 ra in
-          stream_once views.(i) (fun t m ->
+          views.(i).v_stream (fun t m ->
               incr charged;
               VKey_table.add tbl (kb t) (t, m));
           C1 (tbl, Tuple.keyer1 la, checks)
         | _ ->
           let tbl = Key_table.create 64 in
           let kb = Tuple.keyer (List.map snd shared) in
-          stream_once views.(i) (fun t m ->
+          views.(i).v_stream (fun t m ->
               incr charged;
               Key_table.add tbl (kb t) (t, m));
           CN (tbl, Tuple.keyer (List.map fst shared), checks))
@@ -561,66 +502,13 @@ and exec_cascade j views attr_lists classes decision ~emit =
           (Key_table.find_all tbl (key t))
     end
   in
-  stream_once views.(first) (fun t m ->
+  views.(first).v_stream (fun t m ->
       incr charged;
       if passes first_checks t then go 0 t m);
   charge_tuple_ops !charged
 
-(* worst-case optimal leapfrog triejoin: one sorted trie per input
-   (keyed by its variables in the global order, filtered by its
-   single-input conjuncts), enumerated by {!Leapfrog.run}; the full
-   compiled predicate re-checks every output (cheap relative to the
-   output, and it preserves the interpreter's behavior on conjuncts
-   over attributes the runtime schemas do not carry) *)
-and exec_leapfrog j views attr_lists classes decision ~emit =
-  let cls_of_var v =
-    List.find (fun vc -> List.hd vc.Joinopt.vc_attrs = v) classes
-  in
-  let ordered = List.map cls_of_var decision.Joinopt.var_order in
-  let nvars = List.length ordered in
-  let n = Array.length views in
-  let charged = ref 0 in
-  let tries =
-    Array.init n (fun i ->
-        let attrs = attr_lists.(i) in
-        let keyers =
-          Array.of_list
-            (List.filter_map
-               (fun vc ->
-                 Option.map Tuple.keyer1 (Joinopt.class_attr_in vc attrs))
-               ordered)
-        in
-        let local_checks =
-          let out = ref [] in
-          for c = Array.length j.conjs - 1 downto 0 do
-            if List.for_all (fun a -> List.mem a attrs) j.conjs.(c).c_attrs
-            then out := j.conjs.(c).c_test :: !out
-          done;
-          Array.of_list !out
-        in
-        let entries = ref [] in
-        stream_once views.(i) (fun t m ->
-            incr charged;
-            if passes local_checks t then
-              entries := (Array.map (fun k -> k t) keyers, t, m) :: !entries);
-        Trie_iter.build ~depth:(Array.length keyers) !entries)
-  in
-  let participants =
-    Array.of_list
-      (List.map
-         (fun vc ->
-           Array.of_list
-             (List.map (fun i -> tries.(i)) vc.Joinopt.vc_inputs))
-         ordered)
-  in
-  let residual = match j.test with Some f -> f | None -> fun _ -> true in
-  Leapfrog.run ~nvars ~participants ~tries ~residual ~emit:(fun t m ->
-      incr charged;
-      emit t m);
-  charge_tuple_ops !charged
-
-(* pure theta join (or a forced override): product of the inputs with
-   the full residual; charges the product bound like the interpreter *)
+(* cross product or pure theta join: product of the inputs with the
+   full residual; charges the product bound like the interpreter *)
 and exec_nested j views ~emit =
   let n = Array.length views in
   let residual = match j.test with Some f -> f | None -> fun _ -> true in

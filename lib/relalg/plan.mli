@@ -4,12 +4,17 @@
     A compiled plan fuses unary select/project/rename chains into a
     single per-tuple pass (no intermediate bag per operator), compiles
     predicates to closures over schema slot indices, and streams join
-    and union outputs straight into the downstream stage. Plans are
-    {e schema-polymorphic}: keyed by the expression alone, with every
-    slot plan resolved at execution time per tuple descriptor through
-    the physical layer's one-entry memos — the same definition runs
-    over full leaf relations, materialized projections, and VAP
-    temporaries carrying only the requested attributes.
+    and union outputs straight into the downstream stage. A chain of
+    joins runs as one group: a left-deep hash cascade that streams its
+    smallest input through key tables over the others, or a nested
+    loop when the inputs share no join variable (a cross product or a
+    pure theta join).
+
+    Plans are {e schema-polymorphic}: keyed by the expression alone,
+    with every slot plan resolved at execution time per tuple
+    descriptor through the physical layer's one-entry memos — the same
+    definition runs over full leaf relations, materialized projections,
+    and VAP temporaries carrying only the requested attributes.
 
     The tests check plans against an interpretive evaluator, value for
     value. Operation charging is the per-operator input
@@ -44,10 +49,6 @@ val compiled_plans : unit -> int
     (process-wide). The top-level select/project/rename chains that
     {!of_expr} compiles per call are not counted; the input below such
     a chain is, once. *)
-
-val join_runs : Joinopt.op -> int
-(** Number of join-group executions that ran the given operator
-    (process-wide). *)
 
 (** {1 Operation accounting}
 

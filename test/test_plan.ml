@@ -247,17 +247,21 @@ let test_renamer () =
 
 (* ---- the physical join layer ------------------------------------------- *)
 
-let with_force op f =
-  let saved = !Joinopt.force in
-  Joinopt.force := op;
-  Fun.protect ~finally:(fun () -> Joinopt.force := saved) f
+let charged f =
+  let before = Eval.tuple_ops () in
+  let r = f () in
+  (r, Eval.tuple_ops () - before)
 
-(* differential fuzz of the n-ary join executors: leapfrog, the hash
-   cascade and the nested loop must agree bag-for-bag with the
-   interpretive oracle on random join chains — random schemas over a
-   shared typed pool (cross-type Int/Float keys included), skewed
-   multiplicities, an always-empty relation in the mix, and chains
-   long enough to exercise multi-variable orders *)
+(* differential fuzz of the n-ary join executor: join groups must agree
+   bag-for-bag with the interpretive oracle on random join chains — random schemas over a shared typed pool
+   (cross-type Int/Float keys included), skewed multiplicities, an
+   always-empty relation in the mix, and chains long enough to exercise
+   multi-step cascades. A two-input group's charge pins why the
+   cascade's input order moves no operation count: |A| + |B| + |out|
+   whichever input it streams, plus a derived input's own fused-stage
+   charges, counted once. (Every two-input chain these seeds generate
+   shares a join variable; the nested loop's charge is checked by
+   [test_cross_product].) *)
 let test_njoin_strategies_agree () =
   for seed = 0 to 149 do
     let rng = Random.State.make [| 0x1F40; seed |] in
@@ -290,184 +294,48 @@ let test_njoin_strategies_agree () =
     in
     let name0, s0, _ = pick () in
     let e, _ = chain (1 + Random.State.int rng 3) (Expr.base name0, s0) in
-    let oracle = Oracle.eval_interp ~env e in
-    List.iter
-      (fun (label, op) ->
-        with_force op (fun () ->
-            Tutil.check_bag
-              (Printf.sprintf "seed %d [%s]: %s" seed label (Expr.to_string e))
-              oracle (Eval.eval ~env e)))
-      [
-        ("auto", None);
-        ("hash", Some Joinopt.Hash);
-        ("leapfrog", Some Joinopt.Leapfrog);
-        ("nested_loop", Some Joinopt.Nested_loop);
-      ]
+    let label = Printf.sprintf "seed %d: %s" seed (Expr.to_string e) in
+    let out, ops = charged (fun () -> Eval.eval ~env e) in
+    Tutil.check_bag label (Oracle.eval_interp ~env e) out;
+    match e with
+    | Expr.Join (Expr.Join _, _, _) | Expr.Join (_, _, Expr.Join _) -> ()
+    | Expr.Join (ea, _, eb) ->
+      let (ba, ca), (bb, cb) =
+        (charged (fun () -> Eval.eval ~env ea), charged (fun () -> Eval.eval ~env eb))
+      in
+      Alcotest.(check int)
+        (label ^ ": two-input charge")
+        (ca + cb + Bag.support_cardinal ba + Bag.support_cardinal bb
+       + Bag.support_cardinal out)
+        ops
+    | _ -> ()
   done
 
-let test_trie_iter_seek () =
-  let v i = Value.Int i in
-  let tup x y = Tuple.of_list [ ("x", v x); ("y", v y) ] in
-  let entry x y m = ([| v x; v y |], tup x y, m) in
-  let tr =
-    Trie_iter.build ~depth:2
-      [ entry 4 5 1; entry 1 3 2; entry 1 1 1; entry 2 2 1; entry 4 1 3 ]
-  in
-  Alcotest.(check int) "length counts entries" 5 (Trie_iter.length tr);
-  Trie_iter.open_ tr;
-  Alcotest.(check bool) "first key" true (Value.equal (v 1) (Trie_iter.key tr));
-  Trie_iter.seek tr (v 1);
-  Alcotest.(check bool) "seek to current key does not move" true
-    (Value.equal (v 1) (Trie_iter.key tr));
-  Trie_iter.seek tr (v 3);
-  Alcotest.(check bool) "seek lands on the least key >= v" true
-    (Value.equal (v 4) (Trie_iter.key tr));
-  (* into the run under x = 4: y runs 1 then 5 *)
-  Trie_iter.open_ tr;
-  Alcotest.(check bool) "child level starts at the first y" true
-    (Value.equal (v 1) (Trie_iter.key tr));
-  let got = ref [] in
-  Trie_iter.iter_matches tr (fun t m -> got := (t, m) :: !got);
-  Alcotest.(check (list (pair Tutil.tuple int)))
-    "iter_matches yields the (4,1) run with its multiplicity"
-    [ (tup 4 1, 3) ] !got;
-  Trie_iter.next tr;
-  Alcotest.(check bool) "next hops the run" true
-    (Value.equal (v 5) (Trie_iter.key tr));
-  Trie_iter.next tr;
-  Alcotest.(check bool) "exhausts the child range" true (Trie_iter.at_end tr);
-  Trie_iter.up tr;
-  Trie_iter.seek tr (v 9);
-  Alcotest.(check bool) "seek past the last key ends" true (Trie_iter.at_end tr);
-  (* numeric cross-type: Int and Float keys compare equal and share runs *)
-  let trf =
-    Trie_iter.build ~depth:1
-      [
-        ([| Value.Int 2 |], Tuple.of_list [ ("x", Value.Int 2) ], 1);
-        ([| Value.Float 2.0 |], Tuple.of_list [ ("x", Value.Float 2.0) ], 1);
-      ]
-  in
-  Trie_iter.open_ trf;
-  let n = ref 0 in
-  Trie_iter.iter_matches trf (fun _ _ -> incr n);
-  Alcotest.(check int) "Int 2 and Float 2. share one run" 2 !n;
-  Trie_iter.next trf;
-  Alcotest.(check bool) "one distinct key in total" true (Trie_iter.at_end trf)
-
-let test_order_vars () =
-  let input name rows vars ds =
-    {
-      Joinopt.in_name = Some name;
-      in_rows = rows;
-      in_vars = vars;
-      in_distinct = ds;
-      in_f2 = [];
-    }
-  in
-  (* ascending minimum distinct count across containing inputs *)
-  Alcotest.(check (list string))
-    "most selective variable first" [ "v"; "u" ]
-    (Joinopt.order_vars
-       [|
-         input "A" 100 [ "u"; "v" ] [ ("u", 50); ("v", 2) ];
-         input "B" 100 [ "u"; "v" ] [ ("u", 10); ("v", 90) ];
-       |]);
-  (* distinct tie: the variable touching more inputs goes first *)
-  Alcotest.(check (list string))
-    "wider variable wins the tie" [ "u"; "v" ]
-    (Joinopt.order_vars
-       [|
-         input "A" 10 [ "u" ] [ ("u", 5) ];
-         input "B" 10 [ "u"; "v" ] [ ("u", 5); ("v", 5) ];
-         input "C" 10 [ "v" ] [ ("v", 5) ];
-         input "D" 10 [ "u" ] [ ("u", 5) ];
-       |]);
-  (* full tie: name order keeps the result deterministic *)
-  Alcotest.(check (list string))
-    "name breaks the full tie" [ "p"; "q" ]
-    (Joinopt.order_vars
-       [|
-         input "A" 10 [ "q"; "p" ] [ ("q", 3); ("p", 3) ];
-         input "B" 10 [ "q"; "p" ] [ ("q", 3); ("p", 3) ];
-       |])
-
-(* the chooser must never pick leapfrog when an input has no join
-   variable (no sorted trie can constrain it) — even when forced *)
-let test_leapfrog_guard () =
-  let mk name rows vars =
-    {
-      Joinopt.in_name = Some name;
-      in_rows = rows;
-      in_vars = vars;
-      in_distinct = [];
-      in_f2 = [];
-    }
-  in
-  with_force (Some Joinopt.Leapfrog) (fun () ->
-      let d =
-        Joinopt.choose [| mk "A" 10 [ "x" ]; mk "B" 10 [ "x" ]; mk "C" 10 [] |]
-      in
-      Alcotest.(check string)
-        "forced leapfrog degrades to hash on a var-less input" "hash"
-        (Joinopt.op_name d.Joinopt.op);
-      let d2 = Joinopt.choose [| mk "A" 10 [ "x" ]; mk "B" 10 [ "x" ] |] in
-      Alcotest.(check string)
-        "forced leapfrog honored when usable" "leapfrog"
-        (Joinopt.op_name d2.Joinopt.op));
-  (* end-to-end: a pure cross product under the force still agrees *)
+(* a group whose inputs share no join variable runs the nested loop,
+   charging |A|·|B|: a pure cross product, and a pure theta join whose
+   only condition compares attributes of different inputs *)
+let test_cross_product () =
   let sa = Schema.make [ ("a", Value.TInt) ]
   and sb = Schema.make [ ("b", Value.TInt) ] in
-  let ba = Bag.add (Bag.add (Bag.empty sa) (Tuple.of_list [ ("a", Value.Int 1) ]))
-      (Tuple.of_list [ ("a", Value.Int 2) ])
-  and bb = Bag.add (Bag.empty sb) (Tuple.of_list [ ("b", Value.Int 7) ]) in
+  let bag s attr vs =
+    List.fold_left
+      (fun acc i -> Bag.add acc (Tuple.of_list [ (attr, Value.Int i) ]))
+      (Bag.empty s) vs
+  in
+  let ba = bag sa "a" [ 1; 2; 5 ] and bb = bag sb "b" [ 2; 7 ] in
   let env = function "A" -> Some ba | "B" -> Some bb | _ -> None in
-  let e = Expr.join (Expr.base "A") (Expr.base "B") in
-  with_force (Some Joinopt.Leapfrog) (fun () ->
-      Tutil.check_bag "cross product off the trie path"
-        (Oracle.eval_interp ~env e) (Eval.eval ~env e))
-
-(* a two-input join group runs the hash join whatever the statistics
-   say: leapfrog's sum of r(1 + log2 r) over the inputs never undercuts
-   hash's r1 + r2, and the two output estimates differ by less than a
-   row; so distinct counts and second moments cannot move the decision
-   or the probe order, which depends on row counts alone *)
-let prop_two_input_groups_hash =
-  let open QCheck2.Gen in
-  let input name vars =
-    let* rows = int_range 0 1_000_000 in
-    let* in_distinct =
-      flatten_l
-        (List.map (fun v -> map (fun d -> (v, d)) (int_range 0 2_000_000)) vars)
-    in
-    let* in_f2 =
-      flatten_l
-        (List.map (fun v -> map (fun f -> (v, f)) (float_range 0.0 1e13)) vars)
-    in
-    let* keep_d = bool and* keep_f2 = bool in
-    return
-      {
-        Joinopt.in_name = Some name;
-        in_rows = rows;
-        in_vars = vars;
-        in_distinct = (if keep_d then in_distinct else []);
-        in_f2 = (if keep_f2 then in_f2 else []);
-      }
-  in
-  (* both inputs carry the shared variable x, each maybe y and z too *)
-  let vars =
-    map2
-      (fun y z -> ("x" :: (if y then [ "y" ] else [])) @ if z then [ "z" ] else [])
-      bool bool
-  in
-  Tutil.qtest ~count:500 "two-input groups choose hash, statistics aside"
-    (let* va = vars and* vb = vars in
-     pair (input "A" va) (input "B" vb))
-    (fun (a, b) ->
-      with_force None (fun () ->
-          let plain i = { i with Joinopt.in_distinct = []; in_f2 = [] } in
-          let d = Joinopt.choose [| a; b |] in
-          let d0 = Joinopt.choose [| plain a; plain b |] in
-          d.Joinopt.op = Joinopt.Hash && d.Joinopt.order = d0.Joinopt.order))
+  List.iter
+    (fun (label, e) ->
+      let out, ops = charged (fun () -> Eval.eval ~env e) in
+      Tutil.check_bag label (Oracle.eval_interp ~env e) out;
+      Alcotest.(check int) (label ^ ": charge") 6 ops)
+    [
+      ("cross product", Expr.join (Expr.base "A") (Expr.base "B"));
+      ( "theta join a < b",
+        Expr.join
+          ~on:(Predicate.lt (Predicate.attr "a") (Predicate.attr "b"))
+          (Expr.base "A") (Expr.base "B") );
+    ]
 
 (* ---- the answer cache --------------------------------------------------- *)
 
@@ -910,10 +778,8 @@ let () =
         [
           Alcotest.test_case "join strategies agree" `Quick
             test_njoin_strategies_agree;
-          Alcotest.test_case "trie iterator seek" `Quick test_trie_iter_seek;
-          Alcotest.test_case "variable ordering ties" `Quick test_order_vars;
-          Alcotest.test_case "leapfrog guard" `Quick test_leapfrog_guard;
-          prop_two_input_groups_hash;
+          Alcotest.test_case "cross product and θ-join" `Quick
+            test_cross_product;
         ] );
       ( "answer-cache",
         [
