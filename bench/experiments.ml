@@ -590,9 +590,8 @@ let e9 () =
   in
   let profile =
     {
-      (Cost.uniform_profile ()) with
-      Cost.update_rate = (function "B" -> 50.0 | _ -> 1.0);
-      Cost.attr_access =
+      Advisor.update_rate = (function "B" -> 50.0 | _ -> 1.0);
+      attr_access =
         (fun node attr ->
           match (node, attr) with "E", "a2" -> 0.01 | _ -> 0.9);
     }

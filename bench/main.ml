@@ -22,7 +22,6 @@ let experiments =
     ("e9", Experiments.e9);
     ("e10", Micro.run);
     ("e11", Experiments.e11);
-    ("e13", Adaptive.run);
     ("e14", Chaos.run);
     ("e15", Compiled.run);
     ("e16", Obs_overhead.run);

@@ -10,8 +10,6 @@
                 --report names, in this order: profile, metrics,
                 trace, stats (the default), freshness
      query      pose one parsed query, optionally after some updates
-     adapt      run a scenario under the adaptive annotation policy;
-                print migrations and the final annotation
      chaos      run one chaos-matrix cell (scenario, fault profile,
                 seed)
      federation run the sharded federation under a mixed workload and
@@ -28,8 +26,7 @@
      squirrel advise ex51 --hot-source dbB
      squirrel run fig1 --annotation ex22 --updates 50 --queries 20
      squirrel run retail --report profile,metrics
-     squirrel run fig1 -a ex23 --report trace --jsonl trace.jsonl
-     squirrel adapt fig1 --updates 400 --queries 60 --dot *)
+     squirrel run fig1 -a ex23 --report trace --jsonl trace.jsonl *)
 
 open Cmdliner
 open Sim
@@ -148,28 +145,38 @@ let describe_cmd =
 let advise_cmd =
   let run sc hot_source hot_rate access_threshold seed =
     let env = sc.Scenario.sc_make ~seed in
-    let profile =
-      {
-        (Vdp.Cost.uniform_profile ()) with
-        Vdp.Cost.update_rate =
-          (fun rel ->
-            (* rate keyed by leaf relation; mark the hot source's
-               relations *)
-            let hot =
-              List.exists
-                (fun (src, r, _) ->
-                  String.equal src hot_source && String.equal r rel)
-                sc.Scenario.sc_updates
-            in
-            if hot then hot_rate else 1.0);
-      }
-    in
-    let config = { Vdp.Advisor.default_config with access_threshold } in
-    let ann, reasons = Vdp.Advisor.advise ~config env.Scenario.vdp profile in
-    print_endline "-- advisor reasoning --";
-    List.iter (fun r -> Printf.printf "  %s\n" r) reasons;
-    print_endline "-- advised annotation --";
-    print_endline (Vdp.Annotation.to_string ann)
+    let sources = Vdp.Graph.sources env.Scenario.vdp in
+    if hot_source <> "" && not (List.mem hot_source sources) then
+      Error
+        (`Msg
+           (Printf.sprintf "unknown source %S for %s (try: %s)" hot_source
+              sc.Scenario.sc_name (String.concat ", " sources)))
+    else begin
+      let profile =
+        {
+          Vdp.Advisor.uniform_profile with
+          Vdp.Advisor.update_rate =
+            (fun rel ->
+              (* rate keyed by leaf relation; mark the hot source's
+                 relations *)
+              let hot =
+                List.exists
+                  (fun (src, r, _) ->
+                    String.equal src hot_source && String.equal r rel)
+                  sc.Scenario.sc_updates
+              in
+              if hot then hot_rate else 1.0);
+        }
+      in
+      let ann, reasons =
+        Vdp.Advisor.advise ~access_threshold env.Scenario.vdp profile
+      in
+      print_endline "-- advisor reasoning --";
+      List.iter (fun r -> Printf.printf "  %s\n" r) reasons;
+      print_endline "-- advised annotation --";
+      print_endline (Vdp.Annotation.to_string ann);
+      Ok ()
+    end
   in
   let hot_source =
     Arg.(
@@ -191,8 +198,9 @@ let advise_cmd =
   Cmd.v
     (Cmd.info "advise" ~doc:"Run the Sec. 5.3 annotation advisor")
     Term.(
-      const run $ scenario_arg $ hot_source $ hot_rate $ access_threshold
-      $ seed_arg)
+      term_result
+        (const run $ scenario_arg $ hot_source $ hot_rate $ access_threshold
+        $ seed_arg))
 
 (* --- run ---------------------------------------------------------------- *)
 
@@ -234,12 +242,10 @@ let print_stats med report =
     report.Correctness.Checker.max_staleness
 
 let print_profile med ~max_batch =
-  print_string (Adapt.Monitor.render_cumulative med);
   let s = Mediator.stats med in
   let v = Obs.Metrics.value in
   Printf.printf
-    "\n\
-     answer cache: %d hits, %d misses, %d invalidations\n\
+    "answer cache: %d hits, %d misses, %d invalidations\n\
      compiled plans: %d value, %d delta\n"
     (v s.Med.cache_hits) (v s.Med.cache_misses)
     (v s.Med.cache_invalidations)
@@ -251,7 +257,9 @@ let print_profile med ~max_batch =
      %d batches over %d update txs (mean %.2f tx/batch), %d annihilated +/- \
      pairs\n"
     max_batch (v s.Med.batches) (v s.Med.coalesced_txs)
-    (Adapt.Monitor.mean_batch med)
+    (match v s.Med.batches with
+    | 0 -> 1.0
+    | n -> float_of_int (v s.Med.coalesced_txs) /. float_of_int n)
     (v s.Med.annihilated_pairs);
   let store = med.Med.store in
   let table_names = List.sort compare (Storage.Store.table_names store) in
@@ -393,8 +401,7 @@ let run_cmd =
       & info [ "report" ] ~docv:"LIST"
           ~doc:
             "Comma-separated reports to print, always in this order: \
-             $(b,profile) (the measured workload profile: update and query \
-             rates, attribute access, cache, batching, table statistics), \
+             $(b,profile) (answer cache, batching, table statistics), \
              $(b,metrics) (the metrics registry), $(b,trace) (the \
              transaction span tree), $(b,stats) (counters and the \
              consistency verdict), $(b,freshness) (each derived node's \
@@ -511,125 +518,6 @@ let query_cmd =
         $ updates_arg ~default:0
             ~doc:"Apply this many commits per relation before querying."
         $ seed_arg $ verbose))
-
-(* --- adapt ---------------------------------------------------------------- *)
-
-let adapt_cmd =
-  let run (sc, ann_of) updates queries interval warmup cooldown min_gain
-      update_pressure dot seed =
-    let env = sc.Scenario.sc_make ~seed in
-    let med = Scenario.start env ~annotation:(ann_of env.Scenario.vdp) in
-    let policy_config =
-      {
-        Adapt.Policy.default_config with
-        Adapt.Policy.interval;
-        warmup;
-        cooldown;
-        min_gain;
-        advisor =
-          {
-            Vdp.Advisor.default_config with
-            Vdp.Advisor.update_pressure_weight = update_pressure;
-          };
-      }
-    in
-    let policy = Adapt.Policy.create ~config:policy_config med in
-    Adapt.Policy.start policy;
-    (* phased load: update-heavy first, then query-heavy — the workload
-       shift the policy is meant to chase *)
-    let rng = Datagen.state (seed * 31) in
-    let node, attrs = sc.Scenario.sc_query in
-    let phase load =
-      Scenario.run_load ~rng env med ~updates:sc.Scenario.sc_updates
-        ~queries:(node, [ (attrs, Relalg.Predicate.True) ])
-        load
-    in
-    phase
-      {
-        Scenario.default_load with
-        Scenario.l_updates_per_rel = updates;
-        l_update_interval = 0.1;
-        l_delete_fraction = 0.5;
-        l_queries = 0;
-      };
-    phase
-      {
-        Scenario.default_load with
-        Scenario.l_updates_per_rel = 0;
-        l_queries = queries;
-      };
-    print_endline "-- migrations --";
-    (match Adapt.Policy.events policy with
-    | [] -> print_endline "  (none)"
-    | events ->
-      List.iter
-        (fun (ev : Adapt.Policy.event) ->
-          Printf.printf "  @%-8.1f %s (%d ops, predicted gain %.0f%%)\n"
-            ev.Adapt.Policy.e_time
-            (Adapt.Migrate.describe ev.Adapt.Policy.e_plan)
-            ev.Adapt.Policy.e_ops
-            (100.0 *. ev.Adapt.Policy.e_gain))
-        events);
-    print_endline "-- measured workload (smoothed) --";
-    print_string (Adapt.Monitor.render (Adapt.Policy.monitor policy));
-    print_endline "-- final annotation --";
-    print_endline (Vdp.Annotation.to_string (Mediator.annotation med));
-    Printf.printf "-- correctness --\nmigrations %d, verdict %s\n"
-      (Obs.Metrics.value (Mediator.stats med).Med.migrations)
-      (if Correctness.Checker.consistent (check env med) then "CONSISTENT"
-       else "INCONSISTENT");
-    if dot then begin
-      print_endline "-- dot --";
-      print_string
-        (Vdp.Dot.render ~annotation:(Mediator.annotation med) env.Scenario.vdp)
-    end
-  in
-  let interval =
-    Arg.(
-      value & opt float 5.0
-      & info [ "interval" ] ~docv:"T" ~doc:"Policy tick period.")
-  in
-  let warmup =
-    Arg.(
-      value & opt float 10.0
-      & info [ "warmup" ] ~docv:"T" ~doc:"Earliest migration time.")
-  in
-  let cooldown =
-    Arg.(
-      value & opt float 10.0
-      & info [ "cooldown" ] ~docv:"T" ~doc:"Minimum time between migrations.")
-  in
-  let min_gain =
-    Arg.(
-      value & opt float 0.05
-      & info [ "min-gain" ] ~docv:"F"
-          ~doc:"Required relative predicted-cost improvement.")
-  in
-  let update_pressure =
-    Arg.(
-      value & opt float 1.0
-      & info [ "update-pressure" ] ~docv:"W"
-          ~doc:
-            "Advisor weight of measured update rates against query rates \
-             (0 disables demotion by update pressure).")
-  in
-  let dot =
-    Arg.(
-      value & flag
-      & info [ "dot" ]
-          ~doc:"Also emit the final annotation as Graphviz (m/v superscripts).")
-  in
-  Cmd.v
-    (Cmd.info "adapt"
-       ~doc:
-         "Run a scenario under the adaptive annotation policy; print the \
-          migration log and the final (possibly migrated) annotation")
-    Term.(
-      const run $ scenario_ann_arg
-      $ updates_arg ~default:200 ~doc:"Phase-1 commits per source relation."
-      $ queries_arg ~default:40 ~doc:"Phase-2 queries against the main export."
-      $ interval $ warmup $ cooldown $ min_gain $ update_pressure $ dot
-      $ seed_arg)
 
 (* --- chaos ----------------------------------------------------------------- *)
 
@@ -957,6 +845,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            describe_cmd; advise_cmd; run_cmd; query_cmd; adapt_cmd; chaos_cmd;
+            describe_cmd; advise_cmd; run_cmd; query_cmd; chaos_cmd;
             federation_cmd; scenario_cmd; scenarios_cmd;
           ]))

@@ -74,9 +74,8 @@ let () =
      mostly ask which vehicles are late (not capacity details) *)
   let profile =
     {
-      (Cost.uniform_profile ()) with
-      Cost.update_rate = (function "Shipments" -> 80.0 | _ -> 0.5);
-      Cost.attr_access =
+      Advisor.update_rate = (function "Shipments" -> 80.0 | _ -> 0.5);
+      attr_access =
         (fun _ attr -> if String.equal attr "depot" then 0.05 else 0.9);
     }
   in

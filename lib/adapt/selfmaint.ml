@@ -141,31 +141,3 @@ let target vdp ann ~announces =
             Annotation.with_node acc vdp node marks)
           acc r.sm_aux)
     ann (analyze vdp ann ~announces)
-
-(* attributes [ext] materializes beyond [base] — the auxiliary views a
-   selfmaint extension added, for the policy's bookkeeping *)
-let added vdp ~base ~ext =
-  List.filter_map
-    (fun (n : Graph.node) ->
-      match n.Graph.kind with
-      | Graph.Leaf _ -> None
-      | Graph.Derived _ ->
-        let before = Annotation.materialized_attrs base n.Graph.name in
-        let after = Annotation.materialized_attrs ext n.Graph.name in
-        (match List.filter (fun a -> not (List.mem a before)) after with
-        | [] -> None
-        | attrs -> Some (n.Graph.name, attrs)))
-    (Graph.non_leaves vdp)
-
-let describe r =
-  if r.sm_blocked <> [] then
-    Printf.sprintf "%s: blocked (%s)" r.sm_node
-      (String.concat "; " r.sm_blocked)
-  else if r.sm_self then Printf.sprintf "%s: self-maintaining" r.sm_node
-  else
-    Printf.sprintf "%s: needs aux %s" r.sm_node
-      (String.concat ", "
-         (List.map
-            (fun (n, attrs) ->
-              Printf.sprintf "%s{%s}" n (String.concat "," attrs))
-            r.sm_aux))

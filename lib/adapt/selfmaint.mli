@@ -11,10 +11,9 @@
     all covered is {e self-maintaining}: its steady-state update
     transactions touch no source.
 
-    The analysis is pure (graph + annotation in, report out); the
-    {!Policy} loop turns the proposals into live migrations through
-    the existing executor and tears them down statelessly by simply
-    recomputing the target each tick. *)
+    The analysis is pure (graph + annotation in, report out). It runs
+    at design time: a mediator created with the {!target} annotation
+    maintains its views without polling (bench e19). *)
 
 open Vdp
 
@@ -39,15 +38,5 @@ val analyze :
 val target :
   Graph.t -> Annotation.t -> announces:(string -> bool) -> Annotation.t
 (** [ann] extended with every unblocked report's auxiliary promotions:
-    the poll-free annotation the policy should migrate to. Blocked
-    nodes are left untouched. *)
-
-val added :
-  Graph.t ->
-  base:Annotation.t ->
-  ext:Annotation.t ->
-  (string * string list) list
-(** Attributes [ext] materializes beyond [base] — the auxiliary views
-    a {!target} extension added, for promotion/demotion accounting. *)
-
-val describe : report -> string
+    the poll-free annotation to create a mediator with. Blocked nodes
+    are left untouched. *)

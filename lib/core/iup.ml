@@ -6,8 +6,7 @@ open Sources
 open Storage
 
 (* nodes whose delta must be computed: materialized themselves, or
-   feeding a relevant parent — precomputed per annotation epoch in the
-   mediator's derived cache *)
+   feeding a relevant parent — precomputed by [Med.create] *)
 let relevant_nodes (t : Med.t) = Med.relevant_nodes t
 let is_leaf_parent (t : Med.t) node = Med.is_leaf_parent t node
 

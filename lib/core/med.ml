@@ -114,8 +114,6 @@ type stats = {
   key_based_constructions : Obs.Metrics.counter;
   ops_update : Obs.Metrics.counter;
   ops_query : Obs.Metrics.counter;
-  ops_migrate : Obs.Metrics.counter;
-  migrations : Obs.Metrics.counter;
   messages_received : Obs.Metrics.counter;
   atoms_received : Obs.Metrics.counter;
   poll_retries : Obs.Metrics.counter;
@@ -142,34 +140,11 @@ type stats = {
   query_tx_time : Obs.Metrics.histogram;
   poll_rtt : Obs.Metrics.histogram;
   queue_depth : Obs.Metrics.gauge;
-  node_accesses : (string, int) Hashtbl.t;
-  attr_accesses : (string * string, int) Hashtbl.t;
-  leaf_update_atoms : (string, int) Hashtbl.t;
-  leaf_card : (string, int) Hashtbl.t;
 }
 
 let fresh_stats () =
   let m = Obs.Metrics.create () in
   let c ?help name = Obs.Metrics.counter m ?help name in
-  let node_accesses = Hashtbl.create 8 in
-  let attr_accesses = Hashtbl.create 16 in
-  let leaf_update_atoms = Hashtbl.create 8 in
-  let leaf_card = Hashtbl.create 8 in
-  let sample tbl render () =
-    Hashtbl.fold (fun k v acc -> (render k, v) :: acc) tbl []
-  in
-  Obs.Metrics.register_family m "node_accesses"
-    ~help:"query requests per export node"
-    (sample node_accesses Fun.id);
-  Obs.Metrics.register_family m "attr_accesses"
-    ~help:"query requests touching (node, attr)"
-    (sample attr_accesses (fun (n, a) -> n ^ "." ^ a));
-  Obs.Metrics.register_family m "leaf_update_atoms"
-    ~help:"update atoms received per leaf"
-    (sample leaf_update_atoms Fun.id);
-  Obs.Metrics.register_family m "leaf_card"
-    ~help:"per-leaf cardinality estimate"
-    (sample leaf_card Fun.id);
   {
     registry = m;
     update_txs = c "update_txs";
@@ -182,8 +157,6 @@ let fresh_stats () =
     key_based_constructions = c "key_based_constructions";
     ops_update = c "ops_update";
     ops_query = c "ops_query";
-    ops_migrate = c "ops_migrate";
-    migrations = c "migrations";
     messages_received = c "messages_received";
     atoms_received = c "atoms_received";
     poll_retries = c "poll_retries";
@@ -230,15 +203,7 @@ let fresh_stats () =
       Obs.Metrics.histogram m "poll_rtt"
         ~help:"simulated seconds per poll incl. retries and backoff";
     queue_depth = Obs.Metrics.gauge m "queue_depth";
-    node_accesses;
-    attr_accesses;
-    leaf_update_atoms;
-    leaf_card;
   }
-
-let bump tbl key n =
-  Hashtbl.replace tbl key
-    ((match Hashtbl.find_opt tbl key with Some c -> c | None -> 0) + n)
 
 type cached_answer = {
   mutable ca_answer : Bag.t;
@@ -279,7 +244,7 @@ type derived = {
 type t = {
   engine : Engine.t;
   vdp : Graph.t;
-  mutable ann : Annotation.t;
+  ann : Annotation.t;
   store : Store.t;
   mutex : Engine.Mutex.t;
   config : config;
@@ -293,7 +258,7 @@ type t = {
   stats : stats;
   mutable log : event list;
   mutable initialized : bool;
-  mutable derived : derived option;
+  derived : derived;
   answer_cache : (string * string list * Predicate.t, cached_answer) Hashtbl.t;
   polled_hw : (string, int) Hashtbl.t;
   mutable export_subs : (export_event -> unit) list;
@@ -343,9 +308,7 @@ let mat_attrs t node = Annotation.materialized_attrs t.ann node
 
 (* Join-key index columns per node: wherever a definition joins a
    stored child, IUP's ΔA ⋈ B_old propagation probes the sibling's
-   pre-update table on a join-key column, so index them up front. Also
-   consulted by the live-migration executor when it (re)creates a
-   node's table under a new annotation. *)
+   pre-update table on a join-key column, so index them up front. *)
 let join_index_plan vdp =
   let specs : (string, string list) Hashtbl.t = Hashtbl.create 8 in
   let add name keys =
@@ -378,13 +341,11 @@ let join_index_plan vdp =
       (fun a -> List.mem a mat)
       (match Hashtbl.find_opt specs name with Some l -> l | None -> [])
 
-(* Annotation-dependent topology, computed once per annotation epoch
-   instead of on every update transaction: the IUP's relevant set and
+(* Annotation-dependent topology, computed once in {!create} instead
+   of on every update transaction: the IUP's relevant set and
    affected-closure parent walks, and the answer cache's per-source
-   invalidation closures. A live migration drops the cache
-   ({!invalidate_derived}); the next reader rebuilds lazily. *)
-let build_derived t =
-  let vdp = t.vdp in
+   invalidation closures. *)
+let build_derived vdp ann =
   let d_parents = Hashtbl.create 16 in
   List.iter
     (fun node ->
@@ -395,7 +356,7 @@ let build_derived t =
   let relevant = Hashtbl.create 16 in
   List.iter
     (fun node ->
-      let self = Annotation.materialized_attrs t.ann node <> [] in
+      let self = Annotation.materialized_attrs ann node <> [] in
       let feeds_relevant =
         List.exists (Hashtbl.mem relevant)
           (match Hashtbl.find_opt d_parents node with
@@ -426,26 +387,17 @@ let build_derived t =
     d_source_closure;
   }
 
-let derived t =
-  match t.derived with
-  | Some d -> d
-  | None ->
-    let d = build_derived t in
-    t.derived <- Some d;
-    d
-
-let invalidate_derived t = t.derived <- None
-let relevant_nodes t = (derived t).d_relevant
+let relevant_nodes t = t.derived.d_relevant
 
 let node_parents t node =
-  match Hashtbl.find_opt (derived t).d_parents node with
+  match Hashtbl.find_opt t.derived.d_parents node with
   | Some ps -> ps
   | None -> []
 
-let is_leaf_parent t node = Hashtbl.mem (derived t).d_leaf_parents node
+let is_leaf_parent t node = Hashtbl.mem t.derived.d_leaf_parents node
 
 let source_closure t src =
-  match Hashtbl.find_opt (derived t).d_source_closure src with
+  match Hashtbl.find_opt t.derived.d_source_closure src with
   | Some ns -> ns
   | None -> []
 
@@ -455,21 +407,21 @@ let source_closure t src =
    as a value plan and as a delta plan. A per-request VAP restriction
    is a top-level select/project chain, compiled per call over the
    memoized plan below it. *)
-let warm_plans t =
+let warm_plans vdp =
   List.iter
     (fun node ->
       match node.Graph.kind with
       | Graph.Leaf _ -> ()
       | Graph.Derived _ ->
         let name = node.Graph.name in
-        ignore (Plan.of_expr (Graph.def t.vdp name) : Plan.t);
+        ignore (Plan.of_expr (Graph.def vdp name) : Plan.t);
         let full =
-          Derived_from.restrict_def t.vdp ~node:name
+          Derived_from.restrict_def vdp ~node:name
             ~attrs:(Schema.attrs node.Graph.schema) ~cond:Predicate.True
         in
         ignore (Plan.of_expr full : Plan.t);
         ignore (Delta_plan.of_expr full : Delta_plan.t))
-    (Graph.nodes t.vdp)
+    (Graph.nodes vdp)
 
 (* ---- query answer cache ----
    Keyed by (node, attrs, cond); holds only [Fresh] answers. Hits are
@@ -481,8 +433,7 @@ let warm_plans t =
      all of T's table) is maintained: after the IUP applies ΔT to the
      table it applies π_attrs σ_cond ΔT to the answer
      ({!cache_maintain}). No invalidation trigger drops it; it goes on
-     resync snapshots and live migrations, when a source its node can
-     see turns dirty ({!mark_dirty}), and once the delta atoms it
+     resync snapshots, when a source its node can see turns dirty ({!mark_dirty}), and once the delta atoms it
      absorbed since its last hit reach its table's support — by then
      maintaining it has cost one recompute.
    - Every other answer is invalidated: the upward closure of an
@@ -490,7 +441,7 @@ let warm_plans t =
      tables are updated; the closure of any source whose polled
      version is observed to advance ({!observe_source_version} —
      covers dropped announcements from virtual contributors); and a
-     wholesale flush on resync snapshots and live migrations. *)
+     wholesale flush on resync snapshots. *)
 
 let cache_lookup t ~node ~attrs ~cond =
   if not t.config.answer_cache_enabled then None
@@ -643,14 +594,13 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
       stats = fresh_stats ();
       log = [];
       initialized = false;
-      derived = None;
+      derived = build_derived vdp annotation;
       answer_cache = Hashtbl.create 32;
       polled_hw = Hashtbl.create 8;
       export_subs = [];
     }
   in
-  warm_plans t;
-  ignore (derived t : derived);
+  warm_plans vdp;
   t
 
 let source t name =
@@ -765,15 +715,6 @@ let enqueue t (u : Message.update) =
        source; also advances the observed high-water mark so a later
        poll returning this same version does not re-invalidate *)
     observe_source_version t u.Message.source u.Message.version;
-    (* workload monitor: per-leaf update traffic and a running
-       cardinality estimate (initial snapshot size plus net atoms) *)
-    List.iter
-      (fun (leaf, d) ->
-        bump t.stats.leaf_update_atoms leaf (Rel_delta.atom_count d);
-        bump t.stats.leaf_card leaf
-          (Bag.cardinal (Rel_delta.insertions d)
-          - Bag.cardinal (Rel_delta.deletions d)))
-      (Multi_delta.bindings u.Message.delta);
     let entry =
       {
         q_source = u.Message.source;
@@ -859,16 +800,9 @@ let events t = List.rev t.log
 let charge_ops t kind ops =
   (match kind with
   | `Update -> Obs.Metrics.add t.stats.ops_update ops
-  | `Query -> Obs.Metrics.add t.stats.ops_query ops
-  | `Migrate -> Obs.Metrics.add t.stats.ops_migrate ops);
+  | `Query -> Obs.Metrics.add t.stats.ops_query ops);
   if t.config.op_time > 0.0 && ops > 0 then
     Engine.sleep t.engine (float_of_int ops *. t.config.op_time)
-
-let record_access t ~node ~attrs =
-  bump t.stats.node_accesses node 1;
-  List.iter (fun a -> bump t.stats.attr_accesses (node, a) 1) attrs
-
-let record_leaf_card t leaf n = Hashtbl.replace t.stats.leaf_card leaf n
 
 (* --- Theorem 7.2, online ----------------------------------------------
 

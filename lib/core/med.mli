@@ -203,10 +203,6 @@ type stats = {
   key_based_constructions : Obs.Metrics.counter;
   ops_update : Obs.Metrics.counter;
   ops_query : Obs.Metrics.counter;
-  ops_migrate : Obs.Metrics.counter;
-      (** tuple operations spent rebuilding tables during live
-          re-annotations (the {!Adapt} subsystem) *)
-  migrations : Obs.Metrics.counter;  (** live re-annotations applied *)
   messages_received : Obs.Metrics.counter;
   atoms_received : Obs.Metrics.counter;
       (** total update atoms arriving in announcements *)
@@ -225,11 +221,11 @@ type stats = {
       (** queries refused with {!Qp.Slo_unsatisfiable}: no strategy
           could meet the requested bound *)
   aux_promotions : Obs.Metrics.counter;
-      (** auxiliary-view attributes materialized by the
-          self-maintenance extension of the policy loop *)
+      (** auxiliary-view attributes materialized at run time; nothing
+          does so since the annotation is fixed at {!create}, so it
+          stays 0 *)
   aux_demotions : Obs.Metrics.counter;
-      (** auxiliary-view attributes dropped again when the underlying
-          advisor target no longer needs them *)
+      (** auxiliary-view attributes dropped at run time; stays 0 *)
   degraded_answers : Obs.Metrics.counter;
       (** queries served with [Stale] markers *)
   gaps_detected : Obs.Metrics.counter;
@@ -248,7 +244,7 @@ type stats = {
       (** cache-enabled queries that had to compute their answer *)
   cache_invalidations : Obs.Metrics.counter;
       (** cached answers dropped by deltas, dirty sources, resyncs,
-          migrations, or the maintained-entry eviction rule *)
+          or the maintained-entry eviction rule *)
   batches : Obs.Metrics.counter;
       (** group-commit batches applied — one temp-determination / VAP
           / kernel-pass / apply cycle each *)
@@ -269,17 +265,6 @@ type stats = {
       (** simulated seconds per poll, retries and backoff included *)
   queue_depth : Obs.Metrics.gauge;
       (** update-queue depth after the latest enqueue/flush *)
-  node_accesses : (string, int) Hashtbl.t;
-      (** workload monitor: query requests per node (exposed as the
-          [node_accesses] family in the registry) *)
-  attr_accesses : (string * string, int) Hashtbl.t;
-      (** workload monitor: query requests touching (node, attr) —
-          projection and condition attributes alike *)
-  leaf_update_atoms : (string, int) Hashtbl.t;
-      (** workload monitor: update atoms received per leaf *)
-  leaf_card : (string, int) Hashtbl.t;
-      (** per-leaf cardinality estimate: initialization snapshot size
-          plus the net signed atom count of later announcements *)
 }
 
 type cached_answer = {
@@ -328,18 +313,14 @@ type export_event =
     the change stream of the exports. *)
 
 type derived
-(** Annotation-dependent topology computed once per annotation epoch:
-    the IUP's relevant set, parent tables for affected-closure walks,
-    leaf-parent membership, and per-source invalidation closures.
-    Rebuilt lazily after {!invalidate_derived}. *)
+(** Annotation-dependent topology computed once by {!create}: the
+    IUP's relevant set, parent tables for affected-closure walks,
+    leaf-parent membership, and per-source invalidation closures. *)
 
 type t = {
   engine : Engine.t;
   vdp : Graph.t;
-  mutable ann : Annotation.t;
-      (** mutable so a live migration (Adapt.Migrate) can swap the
-          annotation of a running mediator; all processors read it
-          afresh on every transaction *)
+  ann : Annotation.t;  (** fixed for the mediator's lifetime *)
   store : Store.t;
   mutex : Engine.Mutex.t;
   config : config;
@@ -364,7 +345,7 @@ type t = {
   stats : stats;
   mutable log : event list;  (** newest first *)
   mutable initialized : bool;
-  mutable derived : derived option;  (** [None] = stale, rebuilt lazily *)
+  derived : derived;
   answer_cache : (string * string list * Predicate.t, cached_answer) Hashtbl.t;
       (** [Fresh] answers by (node, attrs, cond); see {!cache_lookup} *)
   polled_hw : (string, int) Hashtbl.t;
@@ -423,7 +404,9 @@ val create :
     relation onto its materialized attributes. Sources are
     {!Sources.Source_db} values: a relational database, a triple
     store's export ([Triple_store.source_db]), or another mediator's
-    export mirror ([Med_source.source_db]).
+    export mirror ([Med_source.source_db]). It also compiles every
+    definition's value and delta plans and builds the {!derived}
+    topology; the annotation is fixed from then on.
     @raise Mediator_error when a VDP source has no matching database,
     or a leaf's schema disagrees with the source's. *)
 
@@ -505,18 +488,10 @@ val log_event : t -> event -> unit
 val events : t -> event list
 (** Chronological. *)
 
-val charge_ops : t -> [ `Update | `Query | `Migrate ] -> int -> unit
+val charge_ops : t -> [ `Update | `Query ] -> int -> unit
 (** Account tuple operations to a transaction class and advance the
     simulated clock by [op_time] per operation (must run in a
     process). *)
-
-val record_access : t -> node:string -> attrs:string list -> unit
-(** Workload monitor feed (QP): one query request against [node]
-    touching [attrs]. *)
-
-val record_leaf_card : t -> string -> int -> unit
-(** Workload monitor feed: reset a leaf's cardinality estimate (the
-    initialization snapshot; announcements adjust it incrementally). *)
 
 (** {1 Theorem 7.2 online: freshness bounds} *)
 
@@ -556,27 +531,17 @@ val poll_with_retry :
     [poll_backoff]; [keys] is passed through. Must run in a process.
     @raise Poll_failed when the budget is exhausted. *)
 
-(** {1 Derived topology and compiled plans} *)
+(** {1 Derived topology} *)
 
 val relevant_nodes : t -> string list
 (** Nodes whose delta the IUP must compute — materialized themselves,
     or feeding a relevant parent — in topological order. Precomputed
-    per annotation epoch. *)
+    by {!create}. *)
 
 val node_parents : t -> string -> string list
 (** {!Graph.parents} through the derived cache (no graph walk). *)
 
 val is_leaf_parent : t -> string -> bool
-
-val invalidate_derived : t -> unit
-(** Drop the derived-topology cache (a live migration changed the
-    annotation); the next reader rebuilds it. *)
-
-val warm_plans : t -> unit
-(** Compile every definition-shaped expression the processors run
-    repeatedly — raw and full-width restricted definitions, as value
-    plans and delta plans. Called by {!create}; a live migration calls
-    it again after swapping the annotation. *)
 
 (** {1 Query answer cache}
 
@@ -589,7 +554,7 @@ val warm_plans : t -> unit
       scan of T's table ([ca_scan]). It is what a recompute would read
       until the IUP changes the table, and the IUP then updates it with
       the same delta ({!cache_maintain}). It is dropped on resync
-      snapshots and live migrations ({!cache_flush}), when a source in
+      snapshots ({!cache_flush}), when a source in
       its node's closure turns dirty ({!mark_dirty}), and once the
       delta atoms absorbed since its last hit reach the table's
       support cardinality.
@@ -637,7 +602,7 @@ val cache_maintain : t -> (string * Table.t * Rel_delta.t) list -> unit
     support cardinality. *)
 
 val cache_flush : t -> unit
-(** Drop everything (resync snapshot, live migration). *)
+(** Drop everything (resync snapshot). *)
 
 val observe_source_version : t -> string -> int -> unit
 (** Note that [src] was seen at [version] (an announcement arrived or
@@ -645,9 +610,3 @@ val observe_source_version : t -> string -> int -> unit
     high-water mark, cached answers in the source's closure are
     invalidated — this is how answers cached against a virtual
     contributor notice versions whose announcements were dropped. *)
-
-val join_index_plan : Graph.t -> string -> mat:string list -> string list
-(** [join_index_plan vdp] precomputes the join-key columns of every
-    definition; the returned function gives, for a node and the
-    attribute set its table will hold, the columns the table should
-    index. Shared by {!create} and the live-migration executor. *)

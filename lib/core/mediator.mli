@@ -120,7 +120,7 @@ val stats : t -> Med.stats
 
 val trace : t -> Obs.Trace.t
 (** The mediator's span recorder: every update/query transaction, poll
-    (with per-attempt children), migration, and resync appears here as
+    (with per-attempt children), and resync appears here as
     a span tree on the simulated clock. Render with {!Obs.Trace.render}
     or export with {!Obs.Trace.to_jsonl}. *)
 

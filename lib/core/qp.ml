@@ -383,7 +383,6 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
       in
       let ops_before = Eval.tuple_ops () in
       let needed = dedup (attrs @ Predicate.attrs cond) in
-      Med.record_access t ~node ~attrs:needed;
       (* answer cache: a surviving entry is what recomputing would
          give — a maintained store answer took every delta its table
          did, and any other entry saw no delta, table change or newer

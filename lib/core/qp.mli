@@ -90,7 +90,7 @@ val query :
     When the answer cache is enabled (config), a [Fresh] answer for
     the exact (node, attrs, cond) triple is stored after computation
     and replayed on repeats until some delta arrival, table update,
-    observed source-version advance, resync, or migration invalidates
+    observed source-version advance, or resync invalidates
     it; hits are logged as full query transactions with a reflect
     vector recomputed from the entry's recorded polled versions.
 

@@ -37,9 +37,7 @@ let snapshot ?(trigger = "init") (t : Med.t) =
   List.iter
     (fun (src_name, answer) ->
       List.iter
-        (fun (l, b) ->
-          Hashtbl.replace leaf_values l b;
-          Med.record_leaf_card t l (Bag.cardinal b))
+        (fun (l, b) -> Hashtbl.replace leaf_values l b)
         answer.Message.results;
       Med.observe_source_version t src_name answer.Message.answer_version;
       Med.set_reflected t src_name

@@ -72,7 +72,7 @@ let closure (t : Med.t) requests =
      evaluation, so the temp must also carry every attribute some
      OTHER parent of that node needs — even a parent the store alone
      would have covered, and even one discovered on a later pass
-     (multi-node migration plans over diamond-shaped VDPs hit both) *)
+     (multi-node requests over diamond-shaped VDPs hit both) *)
   let order = List.rev (Graph.topo_order t.Med.vdp) in
   let changed = ref true in
   while !changed do

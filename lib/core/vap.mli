@@ -42,9 +42,8 @@ type result = {
       (** versions served by virtual-contributor sources in this run —
           needed for the query transaction's reflect vector *)
   polled_times : (string * float) list;
-      (** state times of those answers — the migration executor
-          records them when a poll establishes a new reflected
-          version for a promoted source *)
+      (** state times of those answers — the freshness witnesses of
+          the answer's Theorem 7.2 bound ({!Med.answer_bound}) *)
 }
 
 val build : Med.t -> kind:[ `Query | `Update ] -> request list -> result

@@ -166,8 +166,7 @@ let check ~vdp ~sources ~events () =
             | Some _ | None -> ())
           ut_intervals;
         (* the reflect vector itself must be monotone over the APPLIED
-           chain (snapshot rebuilds and migrations advance it without
-           intervals), and it raises the high-water marks later queries
+           chain (snapshot rebuilds advance it without intervals), and it raises the high-water marks later queries
            are judged against.  It is NOT judged against query-raised
            marks: a query's virtual poll legitimately observes source
            versions whose announcements are still queued behind a

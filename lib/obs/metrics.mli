@@ -41,8 +41,8 @@ val histogram : t -> ?help:string -> ?base:float -> string -> histogram
 val register_family :
   t -> ?help:string -> string -> (unit -> (string * int) list) -> unit
 (** A family of labeled counters sampled at {!snapshot} time by
-    calling the thunk — used to expose the workload monitor's
-    hashtables without copying them on every increment. *)
+    calling the thunk — used to expose per-shard tables of the
+    federation coordinator without copying them on every increment. *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit

@@ -14,10 +14,6 @@ let create_table ?indexes t ~name schema =
 
 let table_opt t name = Hashtbl.find_opt t.tables name
 
-let drop_table t name =
-  if not (Hashtbl.mem t.tables name) then err "no table %S to drop" name;
-  Hashtbl.remove t.tables name
-
 let table t name =
   match table_opt t name with
   | Some tbl -> tbl

@@ -18,10 +18,6 @@ val create_table :
 val table : t -> string -> Table.t
 (** @raise Store_error if absent. *)
 
-val drop_table : t -> string -> unit
-(** Remove a table from the catalog — the M→V side of a live re-annotation.
-    @raise Store_error if absent. *)
-
 val table_opt : t -> string -> Table.t option
 val mem : t -> string -> bool
 val table_names : t -> string list

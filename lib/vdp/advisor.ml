@@ -1,21 +1,39 @@
 open Relalg
 
-type config = {
-  access_threshold : float;
-  demand_factor : float;
-  update_pressure_weight : float;
+type profile = {
+  update_rate : string -> float;
+  attr_access : string -> string -> float;
 }
 
-let default_config =
-  { access_threshold = 0.25; demand_factor = 1.0; update_pressure_weight = 0.0 }
+let uniform_profile =
+  { update_rate = (fun _ -> 1.0); attr_access = (fun _ _ -> 0.5) }
 
-let advise ?(config = default_config) vdp profile =
+let has_equi_component env a p b =
+  let sa = Expr.schema_of env a and sb = Expr.schema_of env b in
+  let shared = List.exists (fun n -> Schema.mem sb n) (Schema.attrs sa) in
+  shared || Predicate.equi_pairs p <> []
+
+let is_expensive_join vdp name =
+  match (Graph.node vdp name).Graph.kind with
+  | Graph.Leaf _ -> false
+  | Graph.Derived e ->
+    let env = Graph.schema_env vdp in
+    let rec scan = function
+      | Expr.Base _ -> false
+      | Expr.Select (_, e) | Expr.Project (_, e) | Expr.Rename (_, e) -> scan e
+      | Expr.Join (a, p, b) ->
+        (not (has_equi_component env a p b)) || scan a || scan b
+      | Expr.Union (a, b) | Expr.Diff (a, b) -> scan a || scan b
+    in
+    scan e
+
+let advise ?(access_threshold = 0.25) vdp profile =
   let explanations = ref [] in
   let explain fmt =
     Format.kasprintf (fun s -> explanations := s :: !explanations) fmt
   in
   let rec node_update_rate name =
-    if Graph.is_leaf vdp name then profile.Cost.update_rate name
+    if Graph.is_leaf vdp name then profile.update_rate name
     else
       List.fold_left
         (fun acc c -> acc +. node_update_rate c)
@@ -60,30 +78,15 @@ let advise ?(config = default_config) vdp profile =
     let key = Schema.key schema in
     if is_export name then begin
       let needed_by_parents = attrs_needed_by_parents name in
-      let expensive = Cost.is_expensive_join vdp name in
-      (* with update pressure enabled the access threshold is scaled
-         by how much maintenance traffic a materialized attribute
-         would ride on relative to the queries it serves: an attribute
-         earns materialization only when [freq * query_rate] beats the
-         threshold applied to [query_rate + w * upstream_update_rate] *)
-      let access_earns_mat freq =
-        if config.update_pressure_weight <= 0.0 then
-          freq >= config.access_threshold
-        else
-          let q = profile.Cost.query_rate name in
-          let u = node_update_rate name in
-          freq *. q
-          >= config.access_threshold
-             *. (q +. (config.update_pressure_weight *. u))
-      in
+      let expensive = is_expensive_join vdp name in
       let marks =
         List.map
           (fun a ->
-            let freq = profile.Cost.attr_access name a in
+            let freq = profile.attr_access name a in
             if List.mem a key && (expensive || needed_by_parents <> []) then
               (a, Annotation.M)
             else if List.mem a needed_by_parents then (a, Annotation.M)
-            else if access_earns_mat freq then (a, Annotation.M)
+            else if freq >= access_threshold then (a, Annotation.M)
             else (a, Annotation.V))
           attrs
       in
@@ -98,14 +101,13 @@ let advise ?(config = default_config) vdp profile =
            and propagation attributes materialized"
           name
           (String.concat "," virtuals)
-          config.access_threshold;
+          access_threshold;
       (name, marks)
     end
     else if is_leaf_parent name then begin
       let own = node_update_rate name in
       let demand = sibling_demand name in
-      if demand >= config.demand_factor *. own then (
-        (name, List.map (fun a -> (a, Annotation.M)) attrs))
+      if demand >= own then (name, List.map (fun a -> (a, Annotation.M)) attrs)
       else begin
         explain
           "leaf-parent %s: virtual (own update rate %.2f exceeds sibling \
@@ -116,7 +118,7 @@ let advise ?(config = default_config) vdp profile =
     end
     else begin
       (* intermediate node *)
-      if Cost.is_expensive_join vdp name then begin
+      if is_expensive_join vdp name then begin
         explain
           "intermediate %s: expensive join — materializing key attributes %s"
           name (String.concat "," key);

@@ -6,7 +6,7 @@
 
     {ol
     {- {b Leaf-parents} (auxiliary copies of remote data): materialize
-       a leaf-parent when the demand from its siblings' updates exceeds
+       a leaf-parent when the demand from its siblings' updates reaches
        its own maintenance traffic (Example 2.2: frequent updates to R
        with rare updates to S make R' virtual and S' materialized).}
     {- {b Expensive joins} (no usable equality): materialize at least
@@ -21,29 +21,29 @@
        query-access frequency passes a threshold; leave rarely
        accessed attributes virtual.}}
 
-    Every decision carries a human-readable justification. *)
+    The administrator runs it once, at design time: the annotation it
+    returns is the one a mediator is created with. Every decision
+    carries a human-readable justification. *)
 
-type config = {
-  access_threshold : float;
-      (** materialize an export attribute accessed by at least this
-          fraction of queries (default 0.25) *)
-  demand_factor : float;
-      (** materialize a leaf-parent when sibling demand >= factor *
-          own update rate (default 1.0) *)
-  update_pressure_weight : float;
-      (** 0.0 (the default) keeps the pure access-fraction rule for
-          export attributes. When positive, an export attribute is
-          materialized only if [freq * query_rate >= access_threshold
-          * (query_rate + weight * upstream_update_rate)] — under an
-          update-heavy, query-light workload this demotes rarely-read
-          attributes to virtual, and promotes them back when queries
-          dominate. Used by the adaptive policy with a measured
-          {!Cost.profile}. *)
+type profile = {
+  update_rate : string -> float;
+      (** update transactions per unit time, per leaf *)
+  attr_access : string -> string -> float;
+      (** fraction of queries on a node touching an attribute *)
 }
+(** The workload the advice is for. *)
 
-val default_config : config
+val uniform_profile : profile
+(** Every leaf updated once per unit time; every attribute touched by
+    half of the queries. *)
+
+val is_expensive_join : Graph.t -> string -> bool
+(** True when the node's definition contains a join with neither
+    shared attributes nor equi pairs (Sec. 5.3's "no index can be
+    used" case). *)
 
 val advise :
-  ?config:config -> Graph.t -> Cost.profile -> Annotation.t * string list
+  ?access_threshold:float -> Graph.t -> profile -> Annotation.t * string list
 (** The advised annotation plus one explanation line per non-default
-    decision. *)
+    decision. An export attribute accessed by at least
+    [access_threshold] (default 0.25) of queries is materialized. *)

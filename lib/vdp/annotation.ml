@@ -69,7 +69,6 @@ let attrs_with t name m =
 let materialized_attrs t name = attrs_with t name M
 let virtual_attrs t name = attrs_with t name V
 
-let is_fully_materialized t name = virtual_attrs t name = []
 let materialized_nodes t =
   List.filter_map
     (fun (name, _) ->

@@ -32,7 +32,6 @@ val materialized_attrs : t -> string -> string list
 
 val virtual_attrs : t -> string -> string list
 
-val is_fully_materialized : t -> string -> bool
 val materialized_nodes : t -> string list
 (** Nodes with at least one materialized attribute (these have a table
     in the local store). *)

@@ -113,7 +113,7 @@ let compile ?(engine = Engine.create ()) (decl : Parser.scenario_decl) =
      per-node hints override either way *)
   let base =
     if decl.Parser.sc_auto_annotate then
-      fst (Advisor.advise vdp (Cost.uniform_profile ()))
+      fst (Advisor.advise vdp Advisor.uniform_profile)
     else Annotation.fully_materialized vdp
   in
   let c_annotation =

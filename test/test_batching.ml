@@ -6,6 +6,8 @@
    [max_batch] 1 and 64 — and require identical final answers,
    identical reflect vectors, and a clean consistency checker on both
    logs (the batched one validating its advertised version intervals).
+   Each run's store must also equal one built from scratch under its
+   random annotation, table by table.
 
    The [Med.take_batch] unit tests pin the queue discipline itself:
    the cap, stale-entry dropping, per-source version chaining, and the
@@ -33,15 +35,6 @@ let in_process env f =
       go (n + 1)
   in
   go 0
-
-let recompute env node =
-  let env_fn leaf =
-    match Graph.node_opt env.Scenario.vdp leaf with
-    | Some { Graph.kind = Graph.Leaf { source }; _ } ->
-      Some (Adapter.current (Scenario.source env source) leaf)
-    | Some _ | None -> None
-  in
-  Eval.eval ~env:env_fn (Graph.expanded_def env.Scenario.vdp node)
 
 let random_annotation rng vdp =
   Annotation.of_list vdp
@@ -231,6 +224,8 @@ let run_once sc ~seed ~max_batch =
            }))
     sc.f_exports;
   Scenario.run_to_quiescence env med;
+  Tutil.check_store env med
+    ~what:(Printf.sprintf "%s seed %d (max_batch %d)" sc.f_name seed max_batch);
   let answers =
     in_process env (fun () ->
         List.map
@@ -242,7 +237,7 @@ let run_once sc ~seed ~max_batch =
      always names the guilty side first *)
   List.iter
     (fun (node, answer) ->
-      if not (Bag.equal answer (recompute env node)) then
+      if not (Bag.equal answer (Tutil.recompute env node)) then
         Alcotest.failf
           "%s seed %d (max_batch %d): final %s diverges from recompute"
           sc.f_name seed max_batch node)

@@ -1,7 +1,7 @@
 (* Focused tests for internals not fully covered by the end-to-end
    suites: the VAP's phase-1 closure and request merging (Sec. 6.3),
-   the QP's key-based plan selection, advisor configuration knobs, the
-   analytic cost model, and simulation-engine edge cases. *)
+   the QP's key-based plan selection, the advisor's access threshold
+   and leaf-parent demand rule, and simulation-engine edge cases. *)
 
 open Relalg
 open Vdp
@@ -141,28 +141,26 @@ let test_key_based_plan_respects_config () =
     "disabled by config" true
     (Qp.key_based_plan med ~node:"T" ~needed:[ "r3" ] = None)
 
-(* --- advisor configuration ------------------------------------------------ *)
+(* --- advisor rules -------------------------------------------------------- *)
 
 let test_advisor_access_threshold () =
   let vdp = Scenario.fig1_vdp () in
   let profile =
     {
-      (Cost.uniform_profile ()) with
-      Cost.attr_access =
+      Advisor.uniform_profile with
+      Advisor.attr_access =
         (fun _ attr -> if String.equal attr "r3" then 0.2 else 0.9);
     }
   in
   let ann_strict, _ =
-    Advisor.advise ~config:{ Advisor.default_config with access_threshold = 0.5 }
-      vdp profile
+    Advisor.advise ~access_threshold:0.5 vdp profile
   in
   (* 0.2 and 0.9... threshold 0.5: r3 virtual, others materialized *)
   Alcotest.(check (list string))
     "only r3 virtual at 0.5" [ "r3" ]
     (Annotation.virtual_attrs ann_strict "T");
   let ann_lax, _ =
-    Advisor.advise ~config:{ Advisor.default_config with access_threshold = 0.1 }
-      vdp profile
+    Advisor.advise ~access_threshold:0.1 vdp profile
   in
   Alcotest.(check (list string))
     "nothing virtual at 0.1" []
@@ -172,33 +170,26 @@ let test_advisor_demand_factor () =
   let vdp = Scenario.fig1_vdp () in
   let profile =
     {
-      (Cost.uniform_profile ()) with
-      Cost.update_rate = (function "R" -> 10.0 | _ -> 8.0);
-      Cost.attr_access = (fun _ _ -> 1.0);
+      Advisor.update_rate = (function "R" -> 10.0 | _ -> 8.0);
+      attr_access = (fun _ _ -> 1.0);
     }
   in
-  (* R' demand (8.0) < own rate (10.0): virtual at factor 1.0 *)
-  let ann1, _ = Advisor.advise vdp profile in
-  Alcotest.(check bool) "virtual at factor 1" true
-    (Annotation.materialized_attrs ann1 "R'" = []);
-  (* with factor 0.5, demand 8 >= 0.5 * 10: materialize *)
-  let ann2, _ =
-    Advisor.advise ~config:{ Advisor.default_config with demand_factor = 0.5 }
-      vdp profile
+  (* the factor is 1: a leaf-parent is materialized exactly when its
+     siblings' update demand reaches its own update rate. R' demand
+     (8.0) < own rate (10.0): virtual; S' demand (10.0) >= own (8.0):
+     materialized *)
+  let ann, _ = Advisor.advise vdp profile in
+  Alcotest.(check bool) "virtual below its own rate" true
+    (Annotation.materialized_attrs ann "R'" = []);
+  Alcotest.(check bool) "materialized above its own rate" true
+    (Annotation.virtual_attrs ann "S'" = []);
+  (* equal rates: demand reaches the own rate, so both materialize *)
+  let even, _ =
+    Advisor.advise vdp { profile with Advisor.update_rate = (fun _ -> 5.0) }
   in
-  Alcotest.(check bool) "materialized at factor 0.5" true
-    (Annotation.is_fully_materialized ann2 "R'")
-
-(* --- cost model ------------------------------------------------------------ *)
-
-let test_cost_cardinality_propagation () =
-  let vdp = Scenario.fig1_vdp () in
-  let profile = Cost.uniform_profile ~cardinality:1000 () in
-  let card = Cost.cardinality vdp profile in
-  Alcotest.(check int) "leaf" 1000 (card "R");
-  (* R' = select(eq) of R: default equality selectivity 0.1 *)
-  Alcotest.(check int) "selected leaf-parent" 100 (card "R'");
-  Alcotest.(check bool) "join bounded by inputs" true (card "T" <= 1000)
+  Alcotest.(check bool) "materialized at equal rates" true
+    (Annotation.virtual_attrs even "R'" = []
+    && Annotation.virtual_attrs even "S'" = [])
 
 (* --- engine edges ----------------------------------------------------------- *)
 
@@ -284,10 +275,6 @@ let () =
         [
           Alcotest.test_case "access threshold" `Quick test_advisor_access_threshold;
           Alcotest.test_case "demand factor" `Quick test_advisor_demand_factor;
-        ] );
-      ( "cost model",
-        [
-          Alcotest.test_case "cardinality propagation" `Quick test_cost_cardinality_propagation;
         ] );
       ( "engine edges",
         [

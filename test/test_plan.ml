@@ -2,9 +2,8 @@
    Delta_plan) against the interpretive oracles they replaced, plus
    answer-cache behavior: repeat queries hit without polling,
    committed updates maintain scan-served store answers and
-   invalidate the rest, resync and live migration flush
-   wholesale, and a full chaos run stays convergent and consistent
-   with the cache enabled. *)
+   invalidate the rest, a resync flushes wholesale, and a full chaos
+   run stays convergent and consistent with the cache enabled. *)
 
 open Relalg
 open Delta
@@ -509,27 +508,6 @@ let test_maintained_entry_eviction () =
   | Some ca -> Alcotest.(check int) "recomputed afresh" 0 ca.Med.ca_absorbed
   | None -> Alcotest.fail "the miss did not refill the cache"
 
-let test_migration_flushes_cache () =
-  let env, med = setup () in
-  let q () =
-    in_process env (fun () ->
-        (Mediator.query med ~node:"T" ~attrs:[ "r1"; "s1" ] ()).Qp.tuples)
-  in
-  ignore (q () : Bag.t);
-  let vdp = env.Scenario.vdp in
-  let plan =
-    Adapt.Migrate.diff vdp
-      ~old_ann:(Mediator.annotation med)
-      ~new_ann:(Scenario.ann_ex21 vdp)
-  in
-  ignore (in_process env (fun () -> Adapt.Migrate.apply med plan) : int);
-  let s = Mediator.stats med in
-  Alcotest.(check bool) "migration flushed the cache" true
-    ((Obs.Metrics.value s.Med.cache_invalidations) >= 1);
-  Tutil.check_bag "post-migration answer equals recomputation"
-    (Bag.project [ "r1"; "s1" ] (recompute env "T"))
-    (q ())
-
 let test_resync_flushes_cache () =
   let env, med = setup ~config:fault_config () in
   let db1 = Scenario.source env "db1" in
@@ -612,25 +590,25 @@ let twin_shapes =
     (45, [ "r1" ], Predicate.(lt (attr "s1") (int 20)));
   ]
 
-type twin_step = Commit | Gap | Migrate
+type twin_step = Commit | Gap
 
 (* One twin: fig1 under [ann], driven by a seeded schedule of random
    R/S inserts and deletes with the shapes queried between them; step
    100 loses an announcement while db1 refuses polls (a gap, a dirty
-   source, [Stale] answers, then a resync), step 115 migrates to
-   [ann']. With [op_time] 0 a query takes no simulated time, so cache
-   hits cannot shift the schedule against the uncached twin. Returns
-   the answers in query order, the cache invalidations counted outside
-   the gap and migration steps (only evictions drop a maintained entry
-   there), and the stats. *)
-let twin_run ~ann ~ann' ~cache seed =
+   source, [Stale] answers, then a resync). With [op_time] 0 a query
+   takes no simulated time, so cache hits cannot shift the schedule
+   against the uncached twin. Returns the answers in query order, the
+   cache invalidations counted outside the gap step (only evictions
+   drop a maintained entry there), and the stats. *)
+let twin_run ~ann ~cache seed =
   let env = Scenario.make_fig1 ~r_size:30 () in
   let config =
     Med.Config.make ~op_time:0.0 ~poll_timeout:0.5 ~poll_retries:2
       ~poll_backoff:0.25 ~answer_cache_enabled:cache ()
   in
-  let vdp = env.Scenario.vdp in
-  let med = Scenario.mediator env ~annotation:(ann vdp) ~config () in
+  let med =
+    Scenario.mediator env ~annotation:(ann env.Scenario.vdp) ~config ()
+  in
   in_process env (fun () -> Mediator.initialize med);
   let rng = Random.State.make [| seed |] in
   let db1 = Scenario.source env "db1" and db2 = Scenario.source env "db2" in
@@ -674,7 +652,7 @@ let twin_run ~ann ~ann' ~cache seed =
   let answers = ref [] in
   let evictions = ref 0 in
   for step = 1 to 140 do
-    let kind = match step with 100 -> Gap | 115 -> Migrate | _ -> Commit in
+    let kind = if step = 100 then Gap else Commit in
     let inv0 = Obs.Metrics.value s.Med.cache_invalidations in
     (match kind with
     | Commit -> (
@@ -689,14 +667,7 @@ let twin_run ~ann ~ann' ~cache seed =
       Source_db.set_link_up (Adapter.db db1) true;
       let now = Engine.now env.Scenario.engine in
       Source_db.set_outages (Adapter.db db1) [ (now, now +. 3.0) ];
-      insert_r ()
-    | Migrate ->
-      ignore
-        (in_process env (fun () ->
-             Adapt.Migrate.apply med
-               (Adapt.Migrate.diff vdp ~old_ann:(Mediator.annotation med)
-                  ~new_ann:(ann' vdp)))
-          : int));
+      insert_r ());
     run_for (0.05 +. Random.State.float rng 0.9);
     List.iteri
       (fun i (every, attrs, cond) ->
@@ -717,9 +688,9 @@ let twin_run ~ann ~ann' ~cache seed =
 
 let test_maintained_vs_uncached_twin () =
   List.iter
-    (fun (name, ann, ann', seed) ->
-      let cached, evictions, s = twin_run ~ann ~ann' ~cache:true seed in
-      let plain, _, _ = twin_run ~ann ~ann' ~cache:false seed in
+    (fun (name, ann, seed) ->
+      let cached, evictions, s = twin_run ~ann ~cache:true seed in
+      let plain, _, _ = twin_run ~ann ~cache:false seed in
       Alcotest.(check int) (name ^ ": same number of answers")
         (List.length plain) (List.length cached);
       List.iter2
@@ -743,9 +714,9 @@ let test_maintained_vs_uncached_twin () =
       Alcotest.(check bool) (name ^ ": the eviction rule dropped entries") true
         (evictions >= 1))
     [
-      ("ex21->ex22", Scenario.ann_ex21, Scenario.ann_ex22, 1);
-      ("ex22->ex23", Scenario.ann_ex22, Scenario.ann_ex23, 2);
-      ("ex23->ex21", Scenario.ann_ex23, Scenario.ann_ex21, 3);
+      ("ex21", Scenario.ann_ex21, 1);
+      ("ex22", Scenario.ann_ex22, 2);
+      ("ex23", Scenario.ann_ex23, 3);
     ]
 
 (* end-to-end: randomized update/query load under the combined fault
@@ -795,8 +766,6 @@ let () =
             test_dirty_mark_during_store_read;
           Alcotest.test_case "maintained answers match an uncached twin" `Quick
             test_maintained_vs_uncached_twin;
-          Alcotest.test_case "migration flushes" `Quick
-            test_migration_flushes_cache;
           Alcotest.test_case "resync flushes" `Quick test_resync_flushes_cache;
           Alcotest.test_case "chaos stays consistent" `Slow
             test_chaos_with_cache;

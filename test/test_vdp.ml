@@ -448,7 +448,7 @@ let test_annotation_basics () =
     "virtual attrs" [ "r3"; "s2" ]
     (Annotation.virtual_attrs ann "T");
   (* unlisted nodes default to fully materialized *)
-  Alcotest.(check bool) "R' fully mat" true (Annotation.is_fully_materialized ann "R'")
+  Alcotest.(check bool) "R' fully mat" true (Annotation.virtual_attrs ann "R'" = [])
 
 let test_annotation_errors () =
   (try
@@ -460,22 +460,21 @@ let test_annotation_errors () =
     Alcotest.fail "expected Annotation_error (leaf)"
   with Annotation.Annotation_error _ -> ()
 
-(* --- advisor / cost --------------------------------------------------- *)
+(* --- advisor ---------------------------------------------------------- *)
 
 let test_advisor_example_2_2 () =
   (* frequent updates to R, rare updates to S: R' goes virtual, S'
      stays materialized *)
   let profile =
     {
-      (Cost.uniform_profile ()) with
-      Cost.update_rate = (function "R" -> 100.0 | _ -> 0.1);
-      Cost.attr_access = (fun _ _ -> 1.0);
+      Advisor.update_rate = (function "R" -> 100.0 | _ -> 0.1);
+      attr_access = (fun _ _ -> 1.0);
     }
   in
   let ann, _why = Advisor.advise fig1 profile in
   Alcotest.(check bool) "R' virtual" true (Annotation.materialized_attrs ann "R'" = []);
-  Alcotest.(check bool) "S' materialized" true (Annotation.is_fully_materialized ann "S'");
-  Alcotest.(check bool) "T materialized" true (Annotation.is_fully_materialized ann "T")
+  Alcotest.(check bool) "S' materialized" true (Annotation.virtual_attrs ann "S'" = []);
+  Alcotest.(check bool) "T materialized" true (Annotation.virtual_attrs ann "T" = [])
 
 let test_advisor_example_5_1 () =
   (* B updates frequently; queries mostly touch a1,b1 of E. The paper's
@@ -484,9 +483,8 @@ let test_advisor_example_5_1 () =
   let vdp = build_ex51 () in
   let profile =
     {
-      (Cost.uniform_profile ()) with
-      Cost.update_rate = (function "B" -> 50.0 | _ -> 1.0);
-      Cost.attr_access =
+      Advisor.update_rate = (function "B" -> 50.0 | _ -> 1.0);
+      attr_access =
         (fun node attr ->
           match (node, attr) with
           | "E", "a2" -> 0.01 (* rarely accessed *)
@@ -497,45 +495,19 @@ let test_advisor_example_5_1 () =
   let ann, _why = Advisor.advise vdp profile in
   Alcotest.(check bool) "B' virtual" true (Annotation.materialized_attrs ann "B'" = []);
   Alcotest.(check bool) "F virtual" true (Annotation.materialized_attrs ann "F" = []);
-  Alcotest.(check bool) "A' materialized" true (Annotation.is_fully_materialized ann "A'");
-  Alcotest.(check bool) "C' materialized" true (Annotation.is_fully_materialized ann "C'");
+  Alcotest.(check bool) "A' materialized" true (Annotation.virtual_attrs ann "A'" = []);
+  Alcotest.(check bool) "C' materialized" true (Annotation.virtual_attrs ann "C'" = []);
   Alcotest.(check (list string))
     "E hybrid [a1^m, a2^v, b1^m]"
     [ "a1"; "b1" ]
     (Annotation.materialized_attrs ann "E");
-  Alcotest.(check bool) "G materialized" true (Annotation.is_fully_materialized ann "G")
+  Alcotest.(check bool) "G materialized" true (Annotation.virtual_attrs ann "G" = [])
 
 let test_cost_expensive_join () =
   let vdp = build_ex51 () in
-  Alcotest.(check bool) "E expensive" true (Cost.is_expensive_join vdp "E");
-  Alcotest.(check bool) "F cheap (equi)" false (Cost.is_expensive_join vdp "F");
-  Alcotest.(check bool) "T cheap" false (Cost.is_expensive_join fig1 "T")
-
-let test_cost_estimates_rank () =
-  (* with many queries and few updates, full materialization beats
-     fully virtual on total operating cost; space ranks the other way *)
-  let profile =
-    {
-      (Cost.uniform_profile ~cardinality:1000 ()) with
-      Cost.update_rate = (fun _ -> 0.01);
-      Cost.query_rate = (fun _ -> 100.0);
-    }
-  in
-  let mat = Cost.estimate fig1 (Annotation.fully_materialized fig1) profile in
-  let virt = Cost.estimate fig1 (Annotation.fully_virtual fig1) profile in
-  Alcotest.(check bool) "materialized cheaper to run" true (Cost.total mat < Cost.total virt);
-  Alcotest.(check bool) "virtual cheaper in space" true (virt.Cost.space_bytes < mat.Cost.space_bytes);
-  (* and the reverse ranking under update-heavy, query-light load *)
-  let profile' =
-    {
-      profile with
-      Cost.update_rate = (fun _ -> 1000.0);
-      Cost.query_rate = (fun _ -> 0.001);
-    }
-  in
-  let mat' = Cost.estimate fig1 (Annotation.fully_materialized fig1) profile' in
-  let virt' = Cost.estimate fig1 (Annotation.fully_virtual fig1) profile' in
-  Alcotest.(check bool) "virtual cheaper under churn" true (Cost.total virt' < Cost.total mat')
+  Alcotest.(check bool) "E expensive" true (Advisor.is_expensive_join vdp "E");
+  Alcotest.(check bool) "F cheap (equi)" false (Advisor.is_expensive_join vdp "F");
+  Alcotest.(check bool) "T cheap" false (Advisor.is_expensive_join fig1 "T")
 
 (* --- restrict_def ------------------------------------------------------ *)
 
@@ -660,6 +632,5 @@ let () =
           Alcotest.test_case "Example 2.2 rates" `Quick test_advisor_example_2_2;
           Alcotest.test_case "Example 5.1 annotation" `Quick test_advisor_example_5_1;
           Alcotest.test_case "expensive join detection" `Quick test_cost_expensive_join;
-          Alcotest.test_case "estimate ranking" `Quick test_cost_estimates_rank;
         ] );
     ]

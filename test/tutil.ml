@@ -1,5 +1,6 @@
 (* Shared helpers for the test suites: schemas and relations of the
-   paper's running examples, alcotest testables, qcheck generators. *)
+   paper's running examples, alcotest testables, qcheck generators,
+   and a check of a mediator's store against a from-scratch build. *)
 
 open Relalg
 open Delta
@@ -65,6 +66,41 @@ let tuple = Alcotest.testable Tuple.pp Tuple.equal
 
 let check_bag = Alcotest.check bag
 let check_delta = Alcotest.check rel_delta
+
+(* --- mediator store against a from-scratch build --- *)
+
+(* a node's extension recomputed from the sources' current states *)
+let recompute env node =
+  let vdp = env.Workload.Scenario.vdp in
+  let env_fn leaf =
+    match Vdp.Graph.node_opt vdp leaf with
+    | Some { Vdp.Graph.kind = Vdp.Graph.Leaf { source }; _ } ->
+      Some (Sources.Adapter.current (Workload.Scenario.source env source) leaf)
+    | Some _ | None -> None
+  in
+  Eval.eval ~env:env_fn (Vdp.Graph.expanded_def vdp node)
+
+(* the store must equal one built from scratch under the mediator's
+   annotation: every node with materialized attributes has a table
+   equal to the projection of its recomputed extension, every fully
+   virtual node has none *)
+let check_store env med ~what =
+  List.iter
+    (fun node ->
+      let name = node.Vdp.Graph.name in
+      let mat =
+        Vdp.Annotation.materialized_attrs (Squirrel.Mediator.annotation med) name
+      in
+      match (Storage.Store.table_opt med.Squirrel.Med.store name, mat) with
+      | None, [] -> ()
+      | None, _ :: _ -> Alcotest.failf "%s: %s has no table" what name
+      | Some _, [] -> Alcotest.failf "%s: %s has a stale table" what name
+      | Some tbl, _ :: _ ->
+        let expected = Bag.project mat (recompute env name) in
+        if not (Bag.equal (Storage.Table.contents tbl) expected) then
+          Alcotest.failf "%s: table %s diverges from a from-scratch build"
+            what name)
+    (Vdp.Graph.non_leaves env.Workload.Scenario.vdp)
 
 (* --- qcheck generators --- *)
 
