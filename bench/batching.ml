@@ -73,7 +73,7 @@ let measure env med ~cap ~drive =
   Engine.run engine ~until:1.0;
   let s = Mediator.stats med in
   (* steady state from here: initialization is excluded *)
-  let batches0 = Obs.Metrics.value s.Med.batches in
+  let batches0 = Obs.Metrics.value s.Med.update_txs in
   let txs0 = Obs.Metrics.value s.Med.coalesced_txs in
   let annihilated0 = Obs.Metrics.value s.Med.annihilated_pairs in
   let propagated0 = Obs.Metrics.value s.Med.propagated_atoms in
@@ -84,7 +84,7 @@ let measure env med ~cap ~drive =
     Checker.check ~vdp:env.Scenario.vdp ~sources:env.Scenario.sources
       ~events:(Mediator.events med) ()
   in
-  let batches = Obs.Metrics.value s.Med.batches - batches0 in
+  let batches = Obs.Metrics.value s.Med.update_txs - batches0 in
   let txs = Obs.Metrics.value s.Med.coalesced_txs - txs0 in
   let time = Obs.Metrics.histogram_sum s.Med.update_tx_time -. time0 in
   {

@@ -468,7 +468,7 @@ let e7 () =
         let vdp = Scenario.fig1_vdp () in
         let profile =
           {
-            Checker.ann_delay = (fun _ -> ann_delay);
+            Mediator.ann_delay = (fun _ -> ann_delay);
             comm_delay = (fun _ -> comm);
             q_proc_delay = (fun _ -> qproc);
             u_hold_delay = flush;
@@ -477,7 +477,7 @@ let e7 () =
           }
         in
         let bound =
-          Checker.theorem_7_2_bound ~vdp
+          Mediator.theorem_7_2_bound ~sources:(Graph.sources vdp)
             ~contributor:(fun _ -> Med.Materialized_contributor)
             profile
         in

@@ -256,8 +256,8 @@ let print_profile med ~max_batch =
      -- batching (max_batch %d) --\n\
      %d batches over %d update txs (mean %.2f tx/batch), %d annihilated +/- \
      pairs\n"
-    max_batch (v s.Med.batches) (v s.Med.coalesced_txs)
-    (match v s.Med.batches with
+    max_batch (v s.Med.update_txs) (v s.Med.coalesced_txs)
+    (match v s.Med.update_txs with
     | 0 -> 1.0
     | n -> float_of_int (v s.Med.coalesced_txs) /. float_of_int n)
     (v s.Med.annihilated_pairs);

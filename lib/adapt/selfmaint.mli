@@ -3,11 +3,12 @@
 
     The IUP polls during an update transaction exactly when a fired
     propagation rule reads the value of a child whose needed
-    attributes are not all materialized. This module replays that
-    request logic statically, under the worst case "every child
-    changed", and proposes the minimal {e auxiliary views} — extra
-    materialized attributes on already-relevant child nodes (plus
-    their keys) — that cover every such read. A node whose reads are
+    attributes are not all materialized. This module runs the IUP's
+    own derivation of those reads ({!Vdp.Derived_from.update_steps}
+    and {!Vdp.Derived_from.step_reads}) statically, under the worst
+    case "every child changed", and proposes the minimal {e auxiliary
+    views} — extra materialized attributes on already-relevant child
+    nodes (plus their keys) — that cover every such read. A node whose reads are
     all covered is {e self-maintaining}: its steady-state update
     transactions touch no source.
 

@@ -322,7 +322,7 @@ let run_one ?max_batch ?(tag = "") { entry = sc; annotation } profile seed =
     c_trace_ok = trace_ok;
     c_bound_violations = bound_violations;
     c_bounds_ok = bound_violations = 0;
-    c_batches = v s.Med.batches;
+    c_batches = v s.Med.update_txs;
     c_batched_txs = v s.Med.coalesced_txs;
     c_note = String.concat "; " (note @ diverged @ violations @ trace_problems);
   }

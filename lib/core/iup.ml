@@ -5,24 +5,12 @@ open Sim
 open Sources
 open Storage
 
-(* nodes whose delta must be computed: materialized themselves, or
-   feeding a relevant parent — precomputed by [Med.create] *)
-let relevant_nodes (t : Med.t) = Med.relevant_nodes t
-let is_leaf_parent (t : Med.t) node = Med.is_leaf_parent t node
-
 (* filter the leaf-level delta through a leaf-parent's definition *)
-let leaf_parent_delta (t : Med.t) node (delta : Multi_delta.t) =
-  let leaf =
-    match Graph.children t.Med.vdp node with
-    | [ l ] -> l
-    | ls ->
-      Med.shape_err ~node ~kind:"leaf-parent"
-        "expected exactly one child, found %d" (List.length ls)
-  in
+let leaf_parent_delta (t : Med.t) (node, leaf) (delta : Multi_delta.t) =
   match Multi_delta.find delta leaf with
   | None -> None
   | Some d ->
-    let filtered = Vap.filter_delta ~node (Graph.def t.Med.vdp node) d in
+    let filtered = Vap.filter_delta (Graph.def t.Med.vdp node) d in
     if Rel_delta.is_empty filtered then None else Some filtered
 
 (* The group-commit transaction body, caller-locked:
@@ -100,12 +88,9 @@ let run (t : Med.t) =
           Obs.Trace.with_span t.Med.trace "temp_determination" (fun det_sp ->
         let lp_deltas =
           List.filter_map
-            (fun n ->
-              let name = n.Graph.name in
-              match leaf_parent_delta t name delta with
-              | Some d -> Some (name, d)
-              | None -> None)
-            (Graph.leaf_parents t.Med.vdp)
+            (fun ((name, _) as lp) ->
+              Option.map (fun d -> (name, d)) (leaf_parent_delta t lp delta))
+            (Med.leaf_parents t)
         in
         (* affected set: upward closure of changed leaf-parents *)
         let affected = Hashtbl.create 16 in
@@ -116,30 +101,23 @@ let run (t : Med.t) =
           end
         in
         List.iter (fun (n, _) -> mark n) lp_deltas;
-        let relevant = relevant_nodes t in
+        let changed name = Hashtbl.mem affected name in
         let process =
           List.filter
-            (fun n -> Hashtbl.mem affected n && not (is_leaf_parent t n))
-            relevant
+            (fun step -> changed step.Derived_from.s_node)
+            (Med.update_steps t)
         in
-        let changed name = Hashtbl.mem affected name in
         (* the processed nodes' value reads of non-leaf children, as
            requests, each narrowed to the rows the fired rule can join
            with the leaf-parent deltas *)
         let reads =
           List.concat_map
-            (fun node ->
-              let b_of = Derived_from.needed_attrs_of_children t.Med.vdp node in
-              List.filter_map
-                (fun (child, cond) ->
-                  match List.assoc_opt child b_of with
-                  | Some b when not (Graph.is_leaf t.Med.vdp child) ->
-                    Some { Vap.r_node = child; r_attrs = b; r_cond = cond }
-                  | _ -> None)
-                (Inc_eval.value_restrictions
-                   ~schema:(Graph.schema_env t.Med.vdp) ~changed
-                   ~known:(fun n -> List.assoc_opt n lp_deltas)
-                   (Graph.def t.Med.vdp node)))
+            (fun step ->
+              List.map
+                (fun (child, b, cond) ->
+                  { Vap.r_node = child; r_attrs = b; r_cond = cond })
+                (Derived_from.step_reads t.Med.vdp step ~changed
+                   ~known:(fun n -> List.assoc_opt n lp_deltas)))
             process
         in
         (* a temp shadows its table for the whole kernel pass, so once
@@ -206,50 +184,43 @@ let run (t : Med.t) =
             stage n d)
           lp_deltas;
         List.iter
-          (fun node ->
-            if not (is_leaf_parent t node) then begin
-              let child_deltas =
-                List.filter_map
-                  (fun c ->
-                    match Hashtbl.find_opt deltas_tbl c with
-                    | Some d -> Some (c, d)
-                    | None -> None)
-                  (Graph.children t.Med.vdp node)
+          (fun { Derived_from.s_node = node; _ } ->
+            let child_deltas =
+              List.filter_map
+                (fun c ->
+                  match Hashtbl.find_opt deltas_tbl c with
+                  | Some d -> Some (c, d)
+                  | None -> None)
+                (Graph.children t.Med.vdp node)
+            in
+            if child_deltas <> [] then
+              Obs.Trace.with_span t.Med.trace "delta"
+                ~attrs:[ ("node", node) ]
+                (fun d_sp ->
+              (* an unchanged child contributes an empty delta over
+                 its DECLARED schema: falling through to the store's
+                 bag would narrow the schema to the materialized
+                 attributes and break the plan's projections when a
+                 batch touches only some of a union's branches *)
+              let child_delta c =
+                match List.assoc_opt c child_deltas with
+                | Some d -> Some d
+                | None -> (
+                  match Graph.node_opt t.Med.vdp c with
+                  | Some n -> Some (Rel_delta.empty n.Graph.schema)
+                  | None -> None)
               in
-              if child_deltas <> [] then
-                Obs.Trace.with_span t.Med.trace "delta"
-                  ~attrs:[ ("node", node) ]
-                  (fun d_sp ->
-                let schema = (Graph.node t.Med.vdp node).Graph.schema in
-                let def =
-                  Derived_from.restrict_def t.Med.vdp ~node
-                    ~attrs:(Schema.attrs schema) ~cond:Predicate.True
-                in
-                (* an unchanged child contributes an empty delta over
-                   its DECLARED schema: falling through to the store's
-                   bag would narrow the schema to the materialized
-                   attributes and break the plan's projections when a
-                   batch touches only some of a union's branches *)
-                let child_delta c =
-                  match List.assoc_opt c child_deltas with
-                  | Some d -> Some d
-                  | None -> (
-                    match Graph.node_opt t.Med.vdp c with
-                    | Some n -> Some (Rel_delta.empty n.Graph.schema)
-                    | None -> None)
-                in
-                let d =
-                  Delta_plan.delta_of_expr ~indexed_join ~env
-                    ~deltas:child_delta def
-                in
-                Obs.Trace.set_attri d_sp "atoms" (Rel_delta.atom_count d);
-                if not (Rel_delta.is_empty d) then begin
-                  Hashtbl.replace deltas_tbl node d;
-                  Obs.Metrics.add t.Med.stats.Med.propagated_atoms
-                    (Rel_delta.atom_count d);
-                  stage node d
-                end)
-            end)
+              let d =
+                Delta_plan.run ~indexed_join ~env ~deltas:child_delta
+                  (Med.node_plan t node).Med.np_delta
+              in
+              Obs.Trace.set_attri d_sp "atoms" (Rel_delta.atom_count d);
+              if not (Rel_delta.is_empty d) then begin
+                Hashtbl.replace deltas_tbl node d;
+                Obs.Metrics.add t.Med.stats.Med.propagated_atoms
+                  (Rel_delta.atom_count d);
+                stage node d
+              end))
           process;
         Obs.Trace.set_attri kp_sp "nodes" (Hashtbl.length deltas_tbl));
         Obs.Trace.with_span t.Med.trace "apply" (fun ap_sp ->
@@ -333,7 +304,6 @@ let run (t : Med.t) =
                })
         end;
         Obs.Metrics.incr t.Med.stats.Med.update_txs;
-        Obs.Metrics.incr t.Med.stats.Med.batches;
         Obs.Metrics.add t.Med.stats.Med.coalesced_txs (List.length entries);
         Obs.Metrics.add t.Med.stats.Med.annihilated_pairs annihilated;
         Obs.Metrics.observe t.Med.stats.Med.batch_size

@@ -50,6 +50,3 @@ val start_flusher : Med.t -> unit
 (** Spawn the periodic process that runs an update transaction every
     [flush_interval] (the paper's policy of how often the mediator
     empties its incremental update queue). *)
-
-val relevant_nodes : Med.t -> string list
-(** Nodes whose deltas the IUP must compute (exposed for tests). *)

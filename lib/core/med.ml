@@ -121,8 +121,6 @@ type stats = {
   self_maintained_txs : Obs.Metrics.counter;
   slo_polls : Obs.Metrics.counter;
   slo_refusals : Obs.Metrics.counter;
-  aux_promotions : Obs.Metrics.counter;
-  aux_demotions : Obs.Metrics.counter;
   degraded_answers : Obs.Metrics.counter;
   gaps_detected : Obs.Metrics.counter;
   dup_messages_dropped : Obs.Metrics.counter;
@@ -132,7 +130,6 @@ type stats = {
   cache_hits : Obs.Metrics.counter;
   cache_misses : Obs.Metrics.counter;
   cache_invalidations : Obs.Metrics.counter;
-  batches : Obs.Metrics.counter;
   coalesced_txs : Obs.Metrics.counter;
   annihilated_pairs : Obs.Metrics.counter;
   batch_size : Obs.Metrics.histogram;
@@ -168,11 +165,6 @@ let fresh_stats () =
       c "slo_polls" ~help:"forced polls issued to satisfy a freshness SLO";
     slo_refusals =
       c "slo_refusals" ~help:"queries refused: no strategy met max_staleness";
-    aux_promotions =
-      c "aux_promotions"
-        ~help:"auxiliary-view attributes materialized for self-maintenance";
-    aux_demotions =
-      c "aux_demotions" ~help:"auxiliary-view attributes dropped again";
     degraded_answers = c "degraded_answers";
     gaps_detected = c "gaps_detected";
     dup_messages_dropped = c "dup_messages_dropped";
@@ -182,8 +174,6 @@ let fresh_stats () =
     cache_hits = c "cache_hits";
     cache_misses = c "cache_misses";
     cache_invalidations = c "cache_invalidations";
-    batches =
-      c "batches" ~help:"group-commit batches applied (one kernel pass each)";
     coalesced_txs =
       c "coalesced_txs"
         ~help:"constituent update transactions folded into batches";
@@ -229,16 +219,22 @@ type export_event =
     }
   | Export_snapshot of { es_time : float }
 
+type node_plan = {
+  np_leaf : string option;
+  np_delta : Delta_plan.t;
+  np_keyed : (string * Schema.t * string list) list;
+}
+
 type derived = {
-  d_relevant : string list;
-      (** nodes whose delta the IUP must compute: materialized
-          themselves, or feeding a relevant parent (topological order) *)
+  d_steps : Derived_from.step list;
+  d_leaf_parents : (string * string) list;
   d_parents : (string, string list) Hashtbl.t;
-  d_leaf_parents : (string, unit) Hashtbl.t;
+  d_nodes : (string, node_plan) Hashtbl.t;
   d_source_closure : (string, string list) Hashtbl.t;
       (** source → upward closure of its leaves: every node whose value
           can depend on the source, the invalidation unit of the answer
           cache *)
+  d_kinds : (string, contributor_kind) Hashtbl.t;
 }
 
 type t = {
@@ -266,10 +262,6 @@ type t = {
 
 exception Mediator_error of string
 
-type shape_error = { se_node : string; se_kind : string; se_detail : string }
-
-exception Med_error of shape_error
-
 type poll_exhausted = {
   pe_source : string;
   pe_attempts : int;
@@ -286,17 +278,8 @@ exception Desync of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Mediator_error s)) fmt
 
-let shape_err ~node ~kind fmt =
-  Format.kasprintf
-    (fun s -> raise (Med_error { se_node = node; se_kind = kind; se_detail = s }))
-    fmt
-
 let () =
   Printexc.register_printer (function
-    | Med_error { se_node; se_kind; se_detail } ->
-      Some
-        (Printf.sprintf "Med_error: node %S, %s expression: %s" se_node se_kind
-           se_detail)
     | Poll_failed { pe_source; pe_attempts; pe_error } ->
       Some
         (Printf.sprintf "Poll_failed: source %S after %d attempt(s): %s"
@@ -341,35 +324,58 @@ let join_index_plan vdp =
       (fun a -> List.mem a mat)
       (match Hashtbl.find_opt specs name with Some l -> l | None -> [])
 
-(* Annotation-dependent topology, computed once in {!create} instead
-   of on every update transaction: the IUP's relevant set and
-   affected-closure parent walks, and the answer cache's per-source
-   invalidation closures. *)
+(* Every annotation-dependent fact the processors read, computed once
+   in {!create} (the annotation never changes afterwards). Per derived
+   node it also compiles the plans the processors run repeatedly: a
+   value plan of the definition (resync/initialization rebuilds), and
+   a value and a delta plan of the full-width restricted definition
+   (the IUP's kernel pass). A per-request VAP restriction is a
+   top-level select/project chain, compiled per call over the memoized
+   plan below it. *)
 let build_derived vdp ann =
   let d_parents = Hashtbl.create 16 in
+  let d_nodes = Hashtbl.create 16 in
   List.iter
     (fun node ->
       let name = node.Graph.name in
-      Hashtbl.replace d_parents name (Graph.parents vdp name))
+      Hashtbl.replace d_parents name (Graph.parents vdp name);
+      match node.Graph.kind with
+      | Graph.Leaf _ -> ()
+      | Graph.Derived def ->
+        ignore (Plan.of_expr def : Plan.t);
+        let full =
+          Derived_from.restrict_def vdp ~node:name
+            ~attrs:(Schema.attrs node.Graph.schema) ~cond:Predicate.True
+        in
+        ignore (Plan.of_expr full : Plan.t);
+        let children = Graph.children vdp name in
+        (* Example 2.3's key-based construction: the SPJ node's children
+           whose whole key the node materializes *)
+        let mat = Annotation.materialized_attrs ann name in
+        let keyed =
+          if not (Expr.is_spj def) then []
+          else
+            List.filter_map
+              (fun child ->
+                let cs = (Graph.node vdp child).Graph.schema in
+                let key = Schema.key cs in
+                if key <> [] && List.for_all (fun k -> List.mem k mat) key then
+                  Some (child, cs, key)
+                else None)
+              children
+        in
+        Hashtbl.replace d_nodes name
+          {
+            np_leaf =
+              (match children with
+              | [ leaf ] when Graph.is_leaf vdp leaf -> Some leaf
+              | _ -> None);
+            np_delta = Delta_plan.of_expr full;
+            np_keyed = keyed;
+          })
     (Graph.nodes vdp);
-  let topo = Graph.topo_order vdp in
-  let relevant = Hashtbl.create 16 in
-  List.iter
-    (fun node ->
-      let self = Annotation.materialized_attrs ann node <> [] in
-      let feeds_relevant =
-        List.exists (Hashtbl.mem relevant)
-          (match Hashtbl.find_opt d_parents node with
-          | Some ps -> ps
-          | None -> [])
-      in
-      if self || feeds_relevant then Hashtbl.replace relevant node ())
-    (List.rev topo);
-  let d_leaf_parents = Hashtbl.create 8 in
-  List.iter
-    (fun node -> Hashtbl.replace d_leaf_parents node.Graph.name ())
-    (Graph.leaf_parents vdp);
   let d_source_closure = Hashtbl.create 8 in
+  let d_kinds = Hashtbl.create 8 in
   List.iter
     (fun src ->
       let closure =
@@ -378,50 +384,55 @@ let build_derived vdp ann =
              (fun leaf -> Graph.ancestors vdp leaf)
              (Graph.leaves_of_source vdp src))
       in
-      Hashtbl.replace d_source_closure src closure)
+      Hashtbl.replace d_source_closure src closure;
+      (* the classification of Sec. 4: which portions the source feeds *)
+      let feeds marked = List.exists (fun n -> marked ann n <> []) closure in
+      Hashtbl.replace d_kinds src
+        (match
+           ( feeds Annotation.materialized_attrs,
+             feeds Annotation.virtual_attrs )
+         with
+        | true, true -> Hybrid_contributor
+        | true, false -> Materialized_contributor
+        | false, _ -> Virtual_contributor))
     (Graph.sources vdp);
   {
-    d_relevant = List.filter (Hashtbl.mem relevant) topo;
+    d_steps = Derived_from.update_steps vdp ann;
+    d_leaf_parents =
+      List.filter_map
+        (fun node ->
+          match Hashtbl.find_opt d_nodes node.Graph.name with
+          | Some { np_leaf = Some leaf; _ } -> Some (node.Graph.name, leaf)
+          | Some _ | None -> None)
+        (Graph.nodes vdp);
     d_parents;
-    d_leaf_parents;
+    d_nodes;
     d_source_closure;
+    d_kinds;
   }
 
-let relevant_nodes t = t.derived.d_relevant
+let update_steps t = t.derived.d_steps
+let leaf_parents t = t.derived.d_leaf_parents
 
 let node_parents t node =
   match Hashtbl.find_opt t.derived.d_parents node with
   | Some ps -> ps
   | None -> []
 
-let is_leaf_parent t node = Hashtbl.mem t.derived.d_leaf_parents node
+let node_plan t node =
+  match Hashtbl.find_opt t.derived.d_nodes node with
+  | Some p -> p
+  | None -> err "%S is not a derived node" node
 
 let source_closure t src =
   match Hashtbl.find_opt t.derived.d_source_closure src with
   | Some ns -> ns
   | None -> []
 
-(* Compile every definition-shaped expression the processors will run
-   repeatedly: the raw definition (resync/initialization rebuilds) and
-   the full-width restricted definition (the IUP's kernel pass), each
-   as a value plan and as a delta plan. A per-request VAP restriction
-   is a top-level select/project chain, compiled per call over the
-   memoized plan below it. *)
-let warm_plans vdp =
-  List.iter
-    (fun node ->
-      match node.Graph.kind with
-      | Graph.Leaf _ -> ()
-      | Graph.Derived _ ->
-        let name = node.Graph.name in
-        ignore (Plan.of_expr (Graph.def vdp name) : Plan.t);
-        let full =
-          Derived_from.restrict_def vdp ~node:name
-            ~attrs:(Schema.attrs node.Graph.schema) ~cond:Predicate.True
-        in
-        ignore (Plan.of_expr full : Plan.t);
-        ignore (Delta_plan.of_expr full : Delta_plan.t))
-    (Graph.nodes vdp)
+let contributor_kind t src =
+  match Hashtbl.find_opt t.derived.d_kinds src with
+  | Some k -> k
+  | None -> Virtual_contributor
 
 (* ---- query answer cache ----
    Keyed by (node, attrs, cond); holds only [Fresh] answers. Hits are
@@ -600,7 +611,6 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
       export_subs = [];
     }
   in
-  warm_plans vdp;
   t
 
 let source t name =
@@ -628,23 +638,6 @@ let is_covered t ~node ~attrs =
 let node_table t node = Store.table_opt t.store node
 
 let store_env t name = Option.map Table.contents (Store.table_opt t.store name)
-
-let contributor_kind t src_name =
-  let leaves = Graph.leaves_of_source t.vdp src_name in
-  let nodes =
-    List.sort_uniq String.compare
-      (List.concat_map (fun l -> Graph.ancestors t.vdp l) leaves)
-  in
-  let any_mat =
-    List.exists (fun n -> mat_attrs t n <> []) nodes
-  in
-  let any_virt =
-    List.exists (fun n -> Annotation.virtual_attrs t.ann n <> []) nodes
-  in
-  match (any_mat, any_virt) with
-  | true, true -> Hybrid_contributor
-  | true, false -> Materialized_contributor
-  | false, _ -> Virtual_contributor
 
 let reflected_version t src_name =
   match List.assoc_opt src_name t.reflected with
@@ -839,46 +832,6 @@ let answer_bound t ?(polled_times = []) ?(stale = []) () =
           | Materialized_contributor | Hybrid_contributor ->
             (src, Float.max 0.0 (now -. (reflected_version t src).r_send_time))))
     (Graph.sources t.vdp)
-
-(* The a-priori Theorem 7.2 vector f̄ for a node, assembled from the
-   delays the simulation actually models: announcement holding (the
-   period for [Periodic] sources, infinity for never-announcing ones),
-   channel and source query-processing delays fixed at [connect],
-   the mediator's flush interval, and observed mean transaction
-   processing times. Mirrors [Checker.theorem_7_2_bound]: the polling
-   term ranges over the node's non-materialized contributors only. *)
-let freshness_bound t ~node =
-  let node_sources =
-    List.sort_uniq String.compare
-      (List.map
-         (Graph.source_of_leaf t.vdp)
-         (List.filter (Graph.is_leaf t.vdp) (Graph.descendants t.vdp node)))
-  in
-  let mean h =
-    let n = Obs.Metrics.histogram_count h in
-    if n = 0 then 0.0 else Obs.Metrics.histogram_sum h /. float_of_int n
-  in
-  let polling_term =
-    List.fold_left
-      (fun acc k ->
-        if contributor_kind t k = Materialized_contributor then acc
-        else
-          let db = source t k in
-          acc +. Source_db.q_proc_delay db +. Source_db.comm_delay db)
-      0.0 node_sources
-  in
-  List.map
-    (fun s ->
-      let db = source t s in
-      match contributor_kind t s with
-      | Materialized_contributor | Hybrid_contributor ->
-        ( s,
-          Source_db.ann_delay db +. Source_db.comm_delay db
-          +. t.config.flush_interval
-          +. mean t.stats.update_tx_time +. polling_term )
-      | Virtual_contributor ->
-        (s, polling_term +. mean t.stats.query_tx_time))
-    node_sources
 
 (* Poll with bounded retry and exponential backoff. [config.poll_retries]
    is the total attempt budget; each failed attempt doubles the wait,

@@ -193,6 +193,8 @@ type stats = {
       (** the registry every handle below lives in; snapshot it for
           rendering ([squirrel run --report profile,metrics]) *)
   update_txs : Obs.Metrics.counter;
+      (** applied update transactions: group-commit batches, one
+          temp-determination / VAP / kernel-pass / apply cycle each *)
   query_txs : Obs.Metrics.counter;
   queries_from_store : Obs.Metrics.counter;
       (** answered without any polling *)
@@ -220,12 +222,6 @@ type stats = {
   slo_refusals : Obs.Metrics.counter;
       (** queries refused with {!Qp.Slo_unsatisfiable}: no strategy
           could meet the requested bound *)
-  aux_promotions : Obs.Metrics.counter;
-      (** auxiliary-view attributes materialized at run time; nothing
-          does so since the annotation is fixed at {!create}, so it
-          stays 0 *)
-  aux_demotions : Obs.Metrics.counter;
-      (** auxiliary-view attributes dropped at run time; stays 0 *)
   degraded_answers : Obs.Metrics.counter;
       (** queries served with [Stale] markers *)
   gaps_detected : Obs.Metrics.counter;
@@ -245,12 +241,9 @@ type stats = {
   cache_invalidations : Obs.Metrics.counter;
       (** cached answers dropped by deltas, dirty sources, resyncs,
           or the maintained-entry eviction rule *)
-  batches : Obs.Metrics.counter;
-      (** group-commit batches applied — one temp-determination / VAP
-          / kernel-pass / apply cycle each *)
   coalesced_txs : Obs.Metrics.counter;
       (** constituent update transactions folded into applied batches
-          (equal to [batches] when [max_batch] is 1) *)
+          (equal to [update_txs] when [max_batch] is 1) *)
   annihilated_pairs : Obs.Metrics.counter;
       (** +t/−t atom pairs that cancelled while smashing a batch's
           announcements into its coalesced super-delta *)
@@ -312,10 +305,30 @@ type export_event =
     another mediator, per the paper's composability claim — observes:
     the change stream of the exports. *)
 
+type node_plan = {
+  np_leaf : string option;
+      (** [Some leaf] for a leaf-parent: its single child, a leaf *)
+  np_delta : Delta_plan.t;
+      (** the compiled delta plan of the full-width restricted
+          definition ({!Vdp.Derived_from.restrict_def} at every
+          attribute, no condition) — what the IUP's kernel pass runs *)
+  np_keyed : (string * Schema.t * string list) list;
+      (** [(child, schema, key)] for every child whose whole key the
+          node materializes, in child order — the children Example
+          2.3's key-based plan may use; empty unless the definition is
+          SPJ *)
+}
+(** The static plan of one derived node under the mediator's
+    annotation. *)
+
 type derived
-(** Annotation-dependent topology computed once by {!create}: the
-    IUP's relevant set, parent tables for affected-closure walks,
-    leaf-parent membership, and per-source invalidation closures. *)
+(** Every annotation-dependent fact the processors read, computed once
+    by {!create} (the annotation never changes afterwards): the IUP's
+    update steps with their child reads ({!update_steps}), the
+    leaf-parents with their leaves, parent tables for affected-closure
+    walks, a {!node_plan} per derived node, the per-source
+    invalidation closures of the answer cache, and each source's
+    {!contributor_kind}. *)
 
 type t = {
   engine : Engine.t;
@@ -358,17 +371,6 @@ type t = {
 
 exception Mediator_error of string
 
-type shape_error = {
-  se_node : string;  (** the VDP node whose definition is malformed *)
-  se_kind : string;  (** the offending expression kind, e.g. ["Join"] *)
-  se_detail : string;
-}
-
-exception Med_error of shape_error
-(** A structural invariant of the VDP was violated (e.g. a leaf-parent
-    definition containing a join); carries enough context to name the
-    offending node instead of a bare assertion failure. *)
-
 type poll_exhausted = {
   pe_source : string;
   pe_attempts : int;
@@ -387,10 +389,6 @@ exception Desync of string
 
 val err : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-val shape_err :
-  node:string -> kind:string -> ('a, Format.formatter, unit, 'b) format4 -> 'a
-(** Raise {!Med_error} with formatted detail. *)
-
 val create :
   engine:Engine.t ->
   vdp:Graph.t ->
@@ -404,9 +402,9 @@ val create :
     relation onto its materialized attributes. Sources are
     {!Sources.Source_db} values: a relational database, a triple
     store's export ([Triple_store.source_db]), or another mediator's
-    export mirror ([Med_source.source_db]). It also compiles every
-    definition's value and delta plans and builds the {!derived}
-    topology; the annotation is fixed from then on.
+    export mirror ([Med_source.source_db]). It also builds the {!derived}
+    table, compiling every definition's value and delta plans; the
+    annotation is fixed from then on.
     @raise Mediator_error when a VDP source has no matching database,
     or a leaf's schema disagrees with the source's. *)
 
@@ -435,7 +433,9 @@ val store_env : t -> string -> Bag.t option
 
 val contributor_kind : t -> string -> contributor_kind
 (** Classification of Sec. 4, derived from the annotation: which
-    portions (materialized/virtual) the source's leaves feed. *)
+    portions (materialized/virtual) the source's leaves feed. A lookup
+    in the {!derived} table; a source the VDP lacks feeds nothing and
+    counts as virtual. *)
 
 val reflected_version : t -> string -> reflected
 
@@ -511,15 +511,6 @@ val answer_bound :
     contributors whose reflect entry is [Current]. The checker's
     measured staleness never exceeds this bound. *)
 
-val freshness_bound : t -> node:string -> (string * float) list
-(** The a-priori Theorem 7.2 vector f̄ for [node], from the delays the
-    simulation models: per announcing contributor,
-    [ann + comm + flush_interval + mean u_proc + polling_term]; per
-    virtual contributor, [polling_term + mean q_proc]; the polling
-    term sums [q_proc + comm] over the node's non-materialized
-    contributors. [infinity] marks a materialized node over a source
-    that never announces. *)
-
 val poll_with_retry :
   t ->
   Source_db.t ->
@@ -531,17 +522,21 @@ val poll_with_retry :
     [poll_backoff]; [keys] is passed through. Must run in a process.
     @raise Poll_failed when the budget is exhausted. *)
 
-(** {1 Derived topology} *)
+(** {1 The derived table} *)
 
-val relevant_nodes : t -> string list
-(** Nodes whose delta the IUP must compute — materialized themselves,
-    or feeding a relevant parent — in topological order. Precomputed
-    by {!create}. *)
+val update_steps : t -> Derived_from.step list
+(** {!Vdp.Derived_from.update_steps} under the mediator's annotation:
+    the non-leaf-parent nodes whose delta the IUP computes, in
+    topological order, with their child reads. *)
+
+val leaf_parents : t -> (string * string) list
+(** Every leaf-parent with its leaf, in {!Vdp.Graph.nodes} order. *)
 
 val node_parents : t -> string -> string list
-(** {!Graph.parents} through the derived cache (no graph walk). *)
+(** {!Graph.parents} through the derived table (no graph walk). *)
 
-val is_leaf_parent : t -> string -> bool
+val node_plan : t -> string -> node_plan
+(** @raise Mediator_error when the node is a leaf or unknown. *)
 
 (** {1 Query answer cache}
 

@@ -40,38 +40,26 @@ let connect (t : Med.t) () =
       if t.Med.initialized then
         List.iter
           (fun src_name ->
-            match Med.contributor_kind t src_name with
-            | Med.Virtual_contributor
-              when not t.Med.config.Med.Config.answer_cache_enabled ->
-              (* staleness of a purely virtual source is resolved by
-                 polling at query time — unless cached answers can be
-                 served without polling, in which case the heartbeat
-                 must observe version advances for them (below) *)
-              ()
-            | Med.Virtual_contributor -> (
-              let src = Med.source t src_name in
+            (* staleness of a purely virtual source is resolved by
+               polling at query time — unless cached answers can be
+               served without polling, in which case the heartbeat
+               must observe version advances for them *)
+            let announcing =
+              Med.contributor_kind t src_name <> Med.Virtual_contributor
+            in
+            if announcing || t.Med.config.Med.Config.answer_cache_enabled then
               match
-                Source_db.try_poll src
+                Source_db.try_poll (Med.source t src_name)
                   ?timeout:t.Med.config.Med.Config.poll_timeout []
               with
               | Ok a ->
                 Obs.Metrics.incr t.Med.stats.Med.version_checks;
-                (* no dirty marking: there is no ECA baseline to
-                   repair, only cached answers to invalidate *)
-                Med.observe_source_version t src_name
-                  a.Message.answer_version
-              | Error _ -> ())
-            | Med.Materialized_contributor | Med.Hybrid_contributor -> (
-              let src = Med.source t src_name in
-              match
-                Source_db.try_poll src
-                  ?timeout:t.Med.config.Med.Config.poll_timeout []
-              with
-              | Ok a ->
-                Obs.Metrics.incr t.Med.stats.Med.version_checks;
-                Med.observe_source_version t src_name
-                  a.Message.answer_version;
-                if a.Message.answer_version <> Med.seen_version t src_name
+                Med.observe_source_version t src_name a.Message.answer_version;
+                (* a virtual contributor has no ECA baseline to repair,
+                   only cached answers to invalidate (above) *)
+                if
+                  announcing
+                  && a.Message.answer_version <> Med.seen_version t src_name
                 then begin
                   Med.gap_event t ~source:src_name ~via:"heartbeat"
                     [
@@ -81,7 +69,7 @@ let connect (t : Med.t) () =
                     ];
                   Med.mark_dirty t src_name
                 end
-              | Error _ -> ()))
+              | Error _ -> ())
           (Graph.sources t.Med.vdp);
       checker ()
     in
@@ -173,7 +161,69 @@ let enable_source_filtering (t : Med.t) =
     (Graph.leaves t.Med.vdp)
 
 let query = Qp.query
-let freshness_bound = Med.freshness_bound
+
+(* Theorem 7.2's a-priori vector f̄. Only the sources in scope that the
+   VAP actually polls contribute to the polling term: a materialized
+   contributor is served from the store, so a query never waits on its
+   round-trip. *)
+type delay_profile = {
+  ann_delay : string -> float;
+  comm_delay : string -> float;
+  q_proc_delay : string -> float;
+  u_hold_delay : float;
+  u_proc_delay : float;
+  q_proc_delay_med : float;
+}
+
+let theorem_7_2_bound ~sources ~contributor profile src =
+  let polling_term =
+    List.fold_left
+      (fun acc k ->
+        if contributor k = Med.Materialized_contributor then acc
+        else acc +. profile.q_proc_delay k +. profile.comm_delay k)
+      0.0 sources
+  in
+  match contributor src with
+  | Med.Materialized_contributor | Med.Hybrid_contributor ->
+    profile.ann_delay src +. profile.comm_delay src +. profile.u_hold_delay
+    +. profile.u_proc_delay +. polling_term
+  | Med.Virtual_contributor -> polling_term +. profile.q_proc_delay_med
+
+(* f̄ for a node, over the node's sources and the delays the simulation
+   actually models: announcement holding (the period for [Periodic]
+   sources, infinity for never-announcing ones), channel and source
+   query-processing delays fixed at [connect], the mediator's flush
+   interval, and observed mean transaction processing times. *)
+let freshness_bound (t : Med.t) ~node =
+  let sources =
+    List.sort_uniq String.compare
+      (List.map
+         (Graph.source_of_leaf t.Med.vdp)
+         (List.filter (Graph.is_leaf t.Med.vdp)
+            (Graph.descendants t.Med.vdp node)))
+  in
+  let mean h =
+    let n = Obs.Metrics.histogram_count h in
+    if n = 0 then 0.0 else Obs.Metrics.histogram_sum h /. float_of_int n
+  in
+  let db = Med.source t in
+  let profile =
+    {
+      ann_delay = (fun s -> Source_db.ann_delay (db s));
+      comm_delay = (fun s -> Source_db.comm_delay (db s));
+      q_proc_delay = (fun s -> Source_db.q_proc_delay (db s));
+      u_hold_delay = t.Med.config.Med.Config.flush_interval;
+      u_proc_delay = mean t.Med.stats.Med.update_tx_time;
+      q_proc_delay_med = mean t.Med.stats.Med.query_tx_time;
+    }
+  in
+  List.map
+    (fun s ->
+      ( s,
+        theorem_7_2_bound ~sources ~contributor:(Med.contributor_kind t)
+          profile s ))
+    sources
+
 let subscribe_exports = Med.subscribe_exports
 let export_schemas = Med.export_schemas
 let process_updates = Iup.update_transaction

@@ -78,11 +78,40 @@ val query :
     must satisfy — by strategy choice or a forced poll — or refuse
     with {!Qp.Slo_unsatisfiable}. *)
 
+(** {1 Theorem 7.2's a-priori freshness bound} *)
+
+type delay_profile = {
+  ann_delay : string -> float;  (** per source *)
+  comm_delay : string -> float;
+  q_proc_delay : string -> float;
+  u_hold_delay : float;
+  u_proc_delay : float;
+  q_proc_delay_med : float;
+}
+
+val theorem_7_2_bound :
+  sources:string list ->
+  contributor:(string -> Med.contributor_kind) ->
+  delay_profile ->
+  string ->
+  float
+(** [f_i] per source, with [sources] the sources in scope: for
+    materialized- and hybrid-contributors,
+    [ann + comm + u_hold + u_proc + Σ_k (q_proc_k + comm_k)]; for
+    virtual contributors, [Σ_k (q_proc_k + comm_k) + q_proc_med] —
+    where [k] ranges over the {e polled} sources in scope only (those
+    whose contributor kind is not [Materialized_contributor]), since
+    the VAP never waits on a round-trip to a store-served source. A
+    whole run's vector takes [Graph.sources]; {!freshness_bound} a
+    node's sources. *)
+
 val freshness_bound : t -> node:string -> (string * float) list
-(** The a-priori Theorem 7.2 staleness-bound vector f̄ for a node,
-    assembled from the delays the simulation models (announcement
-    period, channel and processing delays, flush interval). See
-    {!Med.freshness_bound}. *)
+(** The vector f̄ for a node: {!theorem_7_2_bound} over the sources
+    below the node, from the delays the simulation models — per
+    source, its announcement holding ([infinity] for a source that
+    never announces), channel and query-processing delays; the flush
+    interval; and the observed mean update and query transaction
+    times. *)
 
 val enable_source_filtering : t -> unit
 (** Install the Sec. 6.2 optimization of "filtering the incremental

@@ -116,32 +116,19 @@ let key_based_plan (t : Med.t) ~node ~needed =
     let virtual_needed = List.filter (fun a -> not (List.mem a mat)) needed in
     if virtual_needed = [] then None
     else
-      match (Graph.node t.Med.vdp node).Graph.kind with
-      | Graph.Leaf _ -> None
-      | Graph.Derived def when not (Expr.is_spj def) -> None
-      | Graph.Derived _ ->
-        let keyed =
-          List.filter_map
-            (fun child ->
-              let cs = (Graph.node t.Med.vdp child).Graph.schema in
-              let key = Schema.key cs in
-              if key <> [] && List.for_all (fun k -> List.mem k mat) key then
-                Some (child, cs, key)
-              else None)
-            (Graph.children t.Med.vdp node)
-        in
-        let rec pick chosen = function
-          | [] -> Some (List.rev chosen)
-          | a :: rest -> (
-            match List.find_opt (fun (_, cs, _) -> Schema.mem cs a) keyed with
-            | None -> None
-            | Some (child, _, key) ->
-              pick
-                (if List.mem_assoc child chosen then chosen
-                 else (child, key) :: chosen)
-                rest)
-        in
-        pick [] virtual_needed
+      let keyed = (Med.node_plan t node).Med.np_keyed in
+      let rec pick chosen = function
+        | [] -> Some (List.rev chosen)
+        | a :: rest -> (
+          match List.find_opt (fun (_, cs, _) -> Schema.mem cs a) keyed with
+          | None -> None
+          | Some (child, _, key) ->
+            pick
+              (if List.mem_assoc child chosen then chosen
+               else (child, key) :: chosen)
+              rest)
+      in
+      pick [] virtual_needed
 
 (* The semijoin restriction of a keyed child: per key column, the
    values [own] holds. A Null key joins a Null child key but passes no
@@ -383,19 +370,6 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
       in
       let ops_before = Eval.tuple_ops () in
       let needed = dedup (attrs @ Predicate.attrs cond) in
-      (* answer cache: a surviving entry is what recomputing would
-         give — a maintained store answer took every delta its table
-         did, and any other entry saw no delta, table change or newer
-         source version on a node it can see — serve it as Fresh. The
-         hit resets a maintained entry's absorbed-atom count. The reflect
-         vector is recomputed at serve time from the entry's recorded
-         polled versions: entries for sources the answer does not
-         depend on stay monotone with the mediator's current state.
-         A hit records no span of its own — the whole path is two hash
-         lookups, and trace allocation must not dominate it (e16); the
-         answer instead carries the id of the query_tx span that
-         originally computed it, and the hit shows up in the
-         cache_hits counter and the query_tx_time histogram. *)
       (* the one record of a served query, cache hit or computed:
          count it, charge its ops (which advances the simulated clock
          before the histogram reads it), time it, and log it with its

@@ -105,22 +105,16 @@ let closure (t : Med.t) requests =
     order
 
 (* push a leaf-level delta through a leaf-parent's select/project
-   definition (deltas commute with select and project, Sec. 6.2) *)
-let rec filter_delta ~node expr d =
+   definition (deltas commute with select and project, Sec. 6.2);
+   [Graph.make] admits no other leaf-parent definition *)
+let rec filter_delta expr d =
   match expr with
   | Expr.Base _ -> d
-  | Expr.Select (p, e) -> Rel_delta.select p (filter_delta ~node e d)
-  | Expr.Project (a, e) -> Rel_delta.project a (filter_delta ~node e d)
-  | Expr.Rename (m, e) -> Rel_delta.rename m (filter_delta ~node e d)
-  | Expr.Join _ ->
-    Med.shape_err ~node ~kind:"Join"
-      "leaf-parent definitions must be select/project/rename chains"
-  | Expr.Union _ ->
-    Med.shape_err ~node ~kind:"Union"
-      "leaf-parent definitions must be select/project/rename chains"
-  | Expr.Diff _ ->
-    Med.shape_err ~node ~kind:"Diff"
-      "leaf-parent definitions must be select/project/rename chains"
+  | Expr.Select (p, e) -> Rel_delta.select p (filter_delta e d)
+  | Expr.Project (a, e) -> Rel_delta.project a (filter_delta e d)
+  | Expr.Rename (m, e) -> Rel_delta.rename m (filter_delta e d)
+  | Expr.Join _ | Expr.Union _ | Expr.Diff _ ->
+    invalid_arg "Vap.filter_delta: not a select/project/rename chain"
 
 let build_inner (t : Med.t) requests =
   let reqs =
@@ -130,24 +124,21 @@ let build_inner (t : Med.t) requests =
         Obs.Trace.set_attri sp "closed" (List.length reqs);
         reqs)
   in
-  let is_leaf_parent node =
-    List.exists (Graph.is_leaf t.Med.vdp) (Graph.children t.Med.vdp node)
+  let lp_reqs, inner_reqs =
+    List.partition_map
+      (fun r ->
+        match (Med.node_plan t r.r_node).Med.np_leaf with
+        | Some leaf -> Either.Left (r, leaf)
+        | None -> Either.Right r)
+      reqs
   in
-  let lp_reqs, inner_reqs = List.partition (fun r -> is_leaf_parent r.r_node) reqs in
   let temps : (string, Bag.t) Hashtbl.t = Hashtbl.create 8 in
   let polled_versions = ref [] in
   let polled_times = ref [] in
   (* group leaf-parent requests by source; one poll per source *)
   let by_source = Hashtbl.create 4 in
   List.iter
-    (fun r ->
-      let leaf =
-        match Graph.children t.Med.vdp r.r_node with
-        | [ l ] -> l
-        | ls ->
-          Med.shape_err ~node:r.r_node ~kind:"leaf-parent"
-            "expected exactly one child, found %d" (List.length ls)
-      in
+    (fun (r, leaf) ->
       let src = Graph.source_of_leaf t.Med.vdp leaf in
       let existing =
         Option.value ~default:[] (Hashtbl.find_opt by_source src)
@@ -239,9 +230,7 @@ let build_inner (t : Med.t) requests =
                     (Rel_delta.atom_count unseen);
                   let comp = Rel_delta.inverse unseen in
                   let through_def =
-                    filter_delta ~node:r.r_node
-                      (Graph.def t.Med.vdp r.r_node)
-                      comp
+                    filter_delta (Graph.def t.Med.vdp r.r_node) comp
                   in
                   let through_req =
                     Rel_delta.project r.r_attrs

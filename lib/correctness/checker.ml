@@ -33,37 +33,6 @@ let bound_violations r =
   List.filter (fun v -> match v.v_kind with `Bound _ -> true | _ -> false)
     r.violations
 
-type delay_profile = {
-  ann_delay : string -> float;
-  comm_delay : string -> float;
-  q_proc_delay : string -> float;
-  u_hold_delay : float;
-  u_proc_delay : float;
-  q_proc_delay_med : float;
-}
-
-let theorem_7_2_bound ~vdp ~contributor profile src =
-  (* Only sources the VAP actually polls contribute to the polling
-     term: materialized contributors are served from the store, so a
-     query never waits on their round-trip.  Summing over all of
-     [Graph.sources] (as a previous version did) inflates f̄ for every
-     mixed M/V scenario. *)
-  let polled =
-    List.filter
-      (fun k -> contributor k <> Med.Materialized_contributor)
-      (Graph.sources vdp)
-  in
-  let polling_term =
-    List.fold_left
-      (fun acc k -> acc +. profile.q_proc_delay k +. profile.comm_delay k)
-      0.0 polled
-  in
-  match contributor src with
-  | Med.Materialized_contributor | Med.Hybrid_contributor ->
-    profile.ann_delay src +. profile.comm_delay src +. profile.u_hold_delay
-    +. profile.u_proc_delay +. polling_term
-  | Med.Virtual_contributor -> polling_term +. profile.q_proc_delay_med
-
 (* --- history access --------------------------------------------------- *)
 
 let source_table sources =

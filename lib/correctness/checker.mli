@@ -85,31 +85,8 @@ val check :
 
 val check_freshness : report -> bound:(string -> float) -> violation list
 (** Compare observed staleness against a per-source bound (e.g. the
-    Theorem 7.2 vector): returns the freshness violations. *)
-
-(** {1 Theorem 7.2's freshness bound} *)
-
-type delay_profile = {
-  ann_delay : string -> float;  (** per source *)
-  comm_delay : string -> float;
-  q_proc_delay : string -> float;
-  u_hold_delay : float;
-  u_proc_delay : float;
-  q_proc_delay_med : float;
-}
-
-val theorem_7_2_bound :
-  vdp:Graph.t ->
-  contributor:(string -> Med.contributor_kind) ->
-  delay_profile ->
-  string ->
-  float
-(** [f_i] per source: for materialized- and hybrid-contributors,
-    [ann + comm + u_hold + u_proc + Σ_k (q_proc_k + comm_k)]; for
-    virtual contributors, [Σ_k (q_proc_k + comm_k) + q_proc_med] —
-    where [k] ranges over the {e polled} sources only (those whose
-    contributor kind is not [Materialized_contributor]), since the
-    VAP never waits on a round-trip to a store-served source. *)
+    Theorem 7.2 vector of {!Squirrel.Mediator.theorem_7_2_bound}):
+    returns the freshness violations. *)
 
 (** {1 Search-based checkers (Remark 3.1 / Figure 2)}
 

@@ -321,6 +321,3 @@ let of_expr expr =
     p
 
 let compiled_plans () = !compiled
-
-let delta_of_expr ?indexed_join ~env ~deltas expr =
-  run ?indexed_join ~env ~deltas (of_expr expr)

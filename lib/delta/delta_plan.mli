@@ -2,7 +2,7 @@
     the delta counterpart of {!Relalg.Plan}.
 
     Given the pre-update value of every base relation and a delta for
-    some of them, {!delta_of_expr} computes the net delta of the whole
+    some of them, a plan's {!run} computes the net delta of the whole
     expression. Join uses the telescoped rule of Example 6.1 —
     [Δ(A ⋈ B) = ΔA ⋈ apply(B, ΔB)  ⊎  A ⋈ ΔB] — which accounts for the
     [ΔA ⋈ ΔB] cross term when both children changed in the same update
@@ -48,25 +48,11 @@ val run :
   deltas:(string -> Rel_delta.t option) ->
   t ->
   Rel_delta.t
-(** Execute the plan: same contract as {!delta_of_expr}.
-    @raise Eval.Unbound_relation if a needed base is missing. *)
-
-val delta_of_expr :
-  ?indexed_join:
-    (name:string ->
-    on:Predicate.t ->
-    ?filter:(Tuple.t -> bool) ->
-    Rel_delta.t ->
-    Rel_delta.t option) ->
-  env:(string -> Bag.t option) ->
-  deltas:(string -> Rel_delta.t option) ->
-  Expr.t ->
-  Rel_delta.t
-(** [run (of_expr e) ...]. [env] gives the {e pre-update} value of
+(** Execute the plan of [e]. [env] gives the {e pre-update} value of
     each base relation; [deltas] the net change of each (None =
-    unchanged). The result is the net delta of the expression,
-    satisfying [apply (eval env e) (delta_of_expr e) = eval env' e]
-    where [env'] is [env] with the deltas applied.
+    unchanged). The result is the net delta of [e], satisfying
+    [apply (eval env e) (run (of_expr e)) = eval env' e] where [env']
+    is [env] with the deltas applied.
 
     [indexed_join ~name ~on d] may compute [d ⋈ name] (on the
     pre-update value of base [name]) through a persistent join-key

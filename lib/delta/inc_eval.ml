@@ -33,11 +33,6 @@ let reads ~changed ~join_read expr =
   in
   go expr
 
-let value_bases ~changed expr =
-  List.sort_uniq String.compare
-    (List.map fst
-       (reads ~changed ~join_read:(fun _ _ r -> unrestricted r) expr))
-
 (* the base columns that output column [a] of [e] copies, followed
    through select/project/rename and into each join side carrying it
    (a shared natural-join column holds one value on both sides) *)

@@ -1,19 +1,11 @@
 (** Static analysis of the incremental (delta) rules that
-    {!Delta_plan.delta_of_expr} runs: which base values the fired rules
-    read ({!value_bases}), which base columns an output column copies
-    ({!origins}), and the row restrictions those reads can carry
-    ({!value_restrictions}). The IUP's preparation phase asks these
-    before it requests temporaries (Sec. 6.4 phase (a)). *)
+    {!Delta_plan.run} runs: which base values the fired rules read and
+    the row restrictions those reads can carry
+    ({!value_restrictions}), and which base columns an output column
+    copies ({!origins}). The IUP's preparation phase asks these before
+    it requests temporaries (Sec. 6.4 phase (a)). *)
 
 open Relalg
-
-val value_bases : changed:(string -> bool) -> Expr.t -> string list
-(** The base relations whose {e values} {!Delta_plan.delta_of_expr}
-    will read, given which bases carry deltas: an unchanged join
-    sibling of a changed side is read; both difference operands are
-    read when either side changes; union reads no values at all. The IUP's
-    preparation phase uses this to request exactly the temporary
-    relations the propagation rules will touch (Sec. 6.4 phase (a)). *)
 
 val origins :
   schema:(string -> Schema.t) -> Expr.t -> string -> (string * string) list
@@ -29,7 +21,11 @@ val value_restrictions :
   known:(string -> Rel_delta.t option) ->
   Expr.t ->
   (string * Predicate.t) list
-(** {!value_bases}, each paired with a restriction on the rows the
+(** The base relations whose {e values} a delta plan of the
+    expression will read, given which bases carry deltas ([changed]) —
+    an unchanged join sibling of a changed side is read; both
+    difference operands are read when either side changes; union reads
+    no values at all — each paired with a restriction on the rows the
     rules can read, sorted by base name. A base X read by a join is
     restricted when the join's other operand holds exactly one changed
     base occurrence D whose delta [known] already gives, and an equi

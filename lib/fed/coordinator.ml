@@ -112,7 +112,7 @@ let create ~engine ~vdp ~key ~shards ~make_sources
         (Array.map
            (fun sh ->
              ( Printf.sprintf "shard%d" sh.sh_id,
-               Obs.Metrics.value (Mediator.stats sh.sh_med).Med.batches ))
+               Obs.Metrics.value (Mediator.stats sh.sh_med).Med.update_txs ))
            t.f_shards));
   t
 
@@ -320,30 +320,25 @@ let partition_links t i up =
 
 (* --- lifecycle -------------------------------------------------------- *)
 
-let messages_received t =
-  Array.fold_left
-    (fun acc sh ->
-      acc + Obs.Metrics.value (Mediator.stats sh.sh_med).Med.messages_received)
-    0 t.f_shards
-
-let quiesced t =
-  Array.for_all (fun sh -> Mediator.queue_length sh.sh_med = 0) t.f_shards
-
-exception No_quiescence of { nq_rounds : int; nq_time : float }
-
 let run_to_quiescence t =
-  let slice = 2.0 *. t.f_config.Med.Config.flush_interval in
-  let rec go rounds stable last_msgs =
-    if rounds > 100_000 then
-      raise
-        (No_quiescence { nq_rounds = rounds; nq_time = Engine.now t.f_engine });
-    Engine.run t.f_engine ~until:(Engine.now t.f_engine +. slice);
-    let msgs = messages_received t in
-    let quiet = quiesced t && msgs = last_msgs in
-    if quiet && stable >= 2 then ()
-    else go (rounds + 1) (if quiet then stable + 1 else 0) msgs
+  let total f =
+    Array.fold_left (fun acc sh -> acc + f sh.sh_med) 0 t.f_shards
   in
-  go 0 0 (-1)
+  Workload.Scenario.quiesce t.f_engine
+    ~flush_interval:t.f_config.Med.Config.flush_interval
+    ~queued:(fun () -> total Mediator.queue_length)
+    ~received:(fun () ->
+      total (fun med ->
+          Obs.Metrics.value (Mediator.stats med).Med.messages_received))
+    ~in_flight:(fun () ->
+      List.concat_map
+        (fun sh ->
+          List.map
+            (fun (name, a) ->
+              ( Printf.sprintf "shard%d:%s" sh.sh_id name,
+                Source_db.in_flight (Adapter.db a) ))
+            sh.sh_sources)
+        (Array.to_list t.f_shards))
 
 let describe t =
   let buf = Buffer.create 256 in
@@ -353,7 +348,7 @@ let describe t =
   Array.iter
     (fun sh ->
       let s = Mediator.stats sh.sh_med in
-      let batches = Obs.Metrics.value s.Med.batches in
+      let batches = Obs.Metrics.value s.Med.update_txs in
       let coalesced = Obs.Metrics.value s.Med.coalesced_txs in
       Printf.ksprintf (Buffer.add_string buf)
         "  shard%d [%s] sources=%s queue=%d update_txs=%d query_txs=%d \
@@ -362,7 +357,7 @@ let describe t =
         (if sh.sh_alive then "up" else "down")
         (String.concat "," (List.map fst sh.sh_sources))
         (Mediator.queue_length sh.sh_med)
-        (Obs.Metrics.value s.Med.update_txs)
+        batches
         (Obs.Metrics.value s.Med.query_txs)
         batches
         (if batches = 0 then 0.0

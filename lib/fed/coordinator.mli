@@ -115,11 +115,11 @@ val query :
     covering the whole fan-out. *)
 
 val run_to_quiescence : t -> unit
-(** Advance the simulation in flush-interval slices until every
-    shard's queue is empty and no messages arrived for two consecutive
-    slices. @raise No_quiescence after 100k slices. *)
-
-exception No_quiescence of { nq_rounds : int; nq_time : float }
+(** {!Workload.Scenario.quiesce} over every shard: advance the
+    simulation until every shard's queue is empty and no messages
+    arrived for two consecutive slices.
+    @raise Workload.Scenario.No_quiescence after 100k slices, naming
+    each shard's in-flight messages per source. *)
 
 (** {1 Failure injection} *)
 

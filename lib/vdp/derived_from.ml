@@ -118,3 +118,32 @@ let needed_attrs_of_children vdp node =
   List.map
     (fun (child, b, _) -> (child, b))
     (derived_from vdp ~node ~attrs:(Schema.attrs schema) ~cond:Predicate.True)
+
+type step = { s_node : string; s_reads : (string * string list) list }
+
+let update_steps vdp ann =
+  let relevant = Hashtbl.create 16 in
+  let rec mark name =
+    if not (Graph.is_leaf vdp name || Hashtbl.mem relevant name) then begin
+      Hashtbl.add relevant name ();
+      List.iter mark (Graph.children vdp name)
+    end
+  in
+  List.iter mark (Annotation.materialized_nodes ann);
+  List.filter_map
+    (fun node ->
+      if
+        Hashtbl.mem relevant node
+        && not (List.exists (Graph.is_leaf vdp) (Graph.children vdp node))
+      then Some { s_node = node; s_reads = needed_attrs_of_children vdp node }
+      else None)
+    (Graph.topo_order vdp)
+
+let step_reads vdp step ~changed ~known =
+  List.filter_map
+    (fun (child, cond) ->
+      Option.map
+        (fun b -> (child, b, cond))
+        (List.assoc_opt child step.s_reads))
+    (Delta.Inc_eval.value_restrictions ~schema:(Graph.schema_env vdp) ~changed
+       ~known (Graph.def vdp step.s_node))

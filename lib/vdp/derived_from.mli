@@ -46,3 +46,34 @@ val restrict_def :
     is decided on whole tuples). The result evaluates correctly over
     children restricted to their [derived_from] projections, and is
     semantically equivalent to [def node] over full children. *)
+
+(** {1 Update steps}
+
+    The static half of the IUP's preparation phase (Sec. 6.4 phase
+    (a)), shared by the IUP and the self-maintenance analysis. *)
+
+type step = {
+  s_node : string;
+  s_reads : (string * string list) list;
+      (** per child the node's definition reads, the attributes it
+          reads ({!needed_attrs_of_children}); every child is a
+          non-leaf, since the node is not a leaf-parent *)
+}
+
+val update_steps : Graph.t -> Annotation.t -> step list
+(** The nodes whose delta the IUP computes under the annotation — the
+    materialized nodes and every non-leaf node below one — except the
+    leaf-parents, whose delta is their leaf's filtered through the
+    definition. In topological order (children before parents). *)
+
+val step_reads :
+  Graph.t ->
+  step ->
+  changed:(string -> bool) ->
+  known:(string -> Delta.Rel_delta.t option) ->
+  (string * string list * Predicate.t) list
+(** The children whose values one propagation through the step reads,
+    given which children carry deltas ([changed]) and the deltas
+    already known ([known]): [(child, attrs, cond)] per child of
+    {!Delta.Inc_eval.value_restrictions} that [s_reads] lists, with its
+    attributes and row restriction, sorted by child name. *)

@@ -17,7 +17,7 @@
     When several children of a node change in the same update
     transaction, firing per-edge rules naively double-counts or misses
     the cross terms (Example 6.1); the IUP fires a node's rules at once
-    through {!Delta.Delta_plan.delta_of_expr}, whose telescoped
+    through {!Delta.Delta_plan.run}, whose telescoped
     combination [ΔA ⋈ apply(B, ΔB) ⊎ A ⋈ ΔB] is exact. *)
 
 val describe : Graph.t -> string

@@ -258,29 +258,35 @@ let () =
            nq_pending_events)
     | _ -> None)
 
-let run_to_quiescence env med =
-  let slice = 2.0 *. (med : Mediator.t).Med.config.Med.Config.flush_interval in
+let quiesce engine ~flush_interval ~queued ~received ~in_flight =
+  let slice = 2.0 *. flush_interval in
   let rec go rounds stable last_msgs =
     if rounds > 100_000 then
       raise
         (No_quiescence
            {
              nq_rounds = rounds;
-             nq_time = Engine.now env.engine;
-             nq_queue = Mediator.queue_length med;
-             nq_in_flight =
-               List.map
-                 (fun s -> (Source_db.name s, Source_db.in_flight s))
-                 env.sources;
-             nq_pending_events = Engine.pending env.engine;
+             nq_time = Engine.now engine;
+             nq_queue = queued ();
+             nq_in_flight = in_flight ();
+             nq_pending_events = Engine.pending engine;
            });
-    Engine.run env.engine ~until:(Engine.now env.engine +. slice);
-    let msgs = Obs.Metrics.value (Mediator.stats med).Med.messages_received in
-    let quiet = Mediator.queue_length med = 0 && msgs = last_msgs in
+    Engine.run engine ~until:(Engine.now engine +. slice);
+    let msgs = received () in
+    let quiet = queued () = 0 && msgs = last_msgs in
     if quiet && stable >= 2 then ()
     else go (rounds + 1) (if quiet then stable + 1 else 0) msgs
   in
   go 0 0 (-1)
+
+let run_to_quiescence env med =
+  quiesce env.engine
+    ~flush_interval:(med : Mediator.t).Med.config.Med.Config.flush_interval
+    ~queued:(fun () -> Mediator.queue_length med)
+    ~received:(fun () ->
+      Obs.Metrics.value (Mediator.stats med).Med.messages_received)
+    ~in_flight:(fun () ->
+      List.map (fun s -> (Source_db.name s, Source_db.in_flight s)) env.sources)
 
 (* --- Retail (union views) --------------------------------------------- *)
 

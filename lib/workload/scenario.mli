@@ -125,11 +125,24 @@ exception
     moving — a stuck queue, an undeliverable message, a runaway
     process — together with the seed that produced it. *)
 
+val quiesce :
+  Engine.t ->
+  flush_interval:float ->
+  queued:(unit -> int) ->
+  received:(unit -> int) ->
+  in_flight:(unit -> (string * int) list) ->
+  unit
+(** The one quiescence loop: advance the engine in slices of twice the
+    flush interval until [queued ()] (update-queue depth) is 0 and
+    [received ()] (announcements received) has not moved for two
+    consecutive slices. [in_flight] feeds the diagnostics only.
+    @raise No_quiescence after 100_000 slices without settling. *)
+
 val run_to_quiescence : env -> Mediator.t -> unit
-(** Drive the simulation until no load remains and the mediator has
-    caught up: runs the engine until only the periodic flusher keeps
-    it alive and the update queue is empty.
-    @raise No_quiescence after 100_000 rounds without settling. *)
+(** {!quiesce} over one mediator and the environment's sources: drive
+    the simulation until no load remains and the mediator has caught
+    up — only the periodic flusher keeps the engine alive and the
+    update queue is empty. *)
 
 (** {1 Retail environment (union views)}
 

@@ -64,7 +64,7 @@ let rec eval_interp ~env expr =
 let eval_old ~env e = Eval.eval ~env e
 
 (* The interpretive rule engine: walks the expression on every
-   transaction. Value-identical to {!Delta_plan.delta_of_expr}. *)
+   transaction. Value-identical to {!Delta_plan.run}. *)
 let rec delta_of_expr_interp ?indexed_join ~env ~deltas expr =
   let delta_of_expr = delta_of_expr_interp ?indexed_join in
   (* [d ⋈ base]: probe the base's persistent index when the caller

@@ -136,6 +136,41 @@ let selfmaint_zero_polls () =
   let _, _, baseline_polls = run Scenario.ann_ex23 in
   Alcotest.(check bool) "plain Ex. 2.3 does poll" true (baseline_polls >= 1)
 
+let selfmaint_catalogue_poll_free () =
+  (* the analysis and the IUP share one derivation of an update step's
+     reads, so on every catalogue scenario, under each of its
+     annotations extended by [target], the standard update load polls
+     no source once the mediator is initialized *)
+  List.iter
+    (fun sc ->
+      List.iter
+        (fun (name, ann_of) ->
+          let env = sc.Scenario.sc_make ~seed:3 in
+          let vdp = env.Scenario.vdp in
+          let annotation =
+            Adapt.Selfmaint.target vdp (ann_of vdp) ~announces:(fun s ->
+                Sources.Source_db.announces
+                  (Sources.Adapter.db (Scenario.source env s)))
+          in
+          let med = Scenario.start env ~annotation in
+          let s = Mediator.stats med in
+          let polls0 = Obs.Metrics.value s.Med.polls in
+          let node, attrs = sc.Scenario.sc_query in
+          Scenario.run_load ~rng:(Datagen.state 93) env med
+            ~updates:sc.Scenario.sc_updates
+            ~queries:(node, [ (attrs, Relalg.Predicate.True) ])
+            { Scenario.default_load with Scenario.l_queries = 0 };
+          let what = sc.Scenario.sc_name ^ "/" ^ name in
+          Alcotest.(check bool)
+            (what ^ ": update txs applied") true
+            (Obs.Metrics.value s.Med.update_txs >= 1);
+          Alcotest.(check int)
+            (what ^ ": update txs poll nothing")
+            polls0
+            (Obs.Metrics.value s.Med.polls))
+        sc.Scenario.sc_annotations)
+    Scenario.catalogue
+
 let () =
   Alcotest.run "adapt"
     [
@@ -145,5 +180,7 @@ let () =
             selfmaint_detector_ex23;
           Alcotest.test_case "steady state polls nothing" `Slow
             selfmaint_zero_polls;
+          Alcotest.test_case "catalogue polls nothing" `Slow
+            selfmaint_catalogue_poll_free;
         ] );
     ]

@@ -186,7 +186,7 @@ let test_theorem_bound_formula () =
   let vdp, _ = synthetic_setup () in
   let profile =
     {
-      Checker.ann_delay = (fun _ -> 1.0);
+      Mediator.ann_delay = (fun _ -> 1.0);
       comm_delay = (fun _ -> 0.5);
       q_proc_delay = (fun _ -> 0.25);
       u_hold_delay = 2.0;
@@ -197,7 +197,7 @@ let test_theorem_bound_formula () =
   (* a materialized contributor is never polled, so with every source
      materialized the polling term vanishes *)
   let f_mat =
-    Checker.theorem_7_2_bound ~vdp
+    Mediator.theorem_7_2_bound ~sources:(Graph.sources vdp)
       ~contributor:(fun _ -> Med.Materialized_contributor)
       profile "db"
   in
@@ -207,7 +207,7 @@ let test_theorem_bound_formula () =
     f_mat;
   (* one virtual source: polling term = 0.25 + 0.5 = 0.75 *)
   let f_virt =
-    Checker.theorem_7_2_bound ~vdp
+    Mediator.theorem_7_2_bound ~sources:(Graph.sources vdp)
       ~contributor:(fun _ -> Med.Virtual_contributor)
       profile "db"
   in
@@ -230,7 +230,7 @@ let test_theorem_bound_mixed () =
   let vdp = Builder.build b in
   let profile =
     {
-      Checker.ann_delay = (fun _ -> 1.0);
+      Mediator.ann_delay = (fun _ -> 1.0);
       comm_delay = (fun _ -> 0.5);
       q_proc_delay = (fun _ -> 0.25);
       u_hold_delay = 2.0;
@@ -242,13 +242,19 @@ let test_theorem_bound_mixed () =
     | "db" -> Med.Materialized_contributor
     | _ -> Med.Virtual_contributor
   in
-  let f_db = Checker.theorem_7_2_bound ~vdp ~contributor profile "db" in
+  let f_db =
+    Mediator.theorem_7_2_bound ~sources:(Graph.sources vdp) ~contributor
+      profile "db"
+  in
   (* announcement path for db + the one polled source's round-trip *)
   Alcotest.(check (float 1e-9))
     "materialized source, mixed polling term"
     (1.0 +. 0.5 +. 2.0 +. 0.125 +. (0.25 +. 0.5))
     f_db;
-  let f_db2 = Checker.theorem_7_2_bound ~vdp ~contributor profile "db2" in
+  let f_db2 =
+    Mediator.theorem_7_2_bound ~sources:(Graph.sources vdp) ~contributor
+      profile "db2"
+  in
   Alcotest.(check (float 1e-9))
     "virtual source, mixed polling term"
     (0.25 +. 0.5 +. 0.0625)

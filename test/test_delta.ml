@@ -137,7 +137,7 @@ let apply_multi env (m : (string * Rel_delta.t) list) name =
 let check_incremental expr env delta_list =
   let deltas name = List.assoc_opt name delta_list in
   let old_value = Eval.eval ~env expr in
-  let d = Delta_plan.delta_of_expr ~env ~deltas expr in
+  let d = Tutil.delta_of_expr ~env ~deltas expr in
   let incremental = Rel_delta.apply old_value d in
   let recomputed = Eval.eval ~env:(apply_multi env delta_list) expr in
   Bag.equal incremental recomputed
@@ -170,7 +170,7 @@ let test_inc_spj_both_children () =
     (check_incremental t_def env [ ("R", dr); ("S", ds) ]);
   (* and the new tuple really is the cross term *)
   let d =
-    Delta_plan.delta_of_expr ~env
+    Tutil.delta_of_expr ~env
       ~deltas:(function "R" -> Some dr | "S" -> Some ds | _ -> None)
       t_def
   in
@@ -188,7 +188,7 @@ let test_inc_deletion_propagates () =
     | _ -> None
   in
   let deltas = function "R" -> Some dr | _ -> None in
-  let d = Delta_plan.delta_of_expr ~env ~deltas t_def in
+  let d = Tutil.delta_of_expr ~env ~deltas t_def in
   let gone =
     Tuple.of_list
       [ ("r1", v_int 1); ("r3", v_int 7); ("s1", v_int 10); ("s2", v_int 55) ]
@@ -204,7 +204,7 @@ let test_inc_irrelevant_update () =
     | _ -> None
   in
   let d =
-    Delta_plan.delta_of_expr ~env
+    Tutil.delta_of_expr ~env
       ~deltas:(function "R" -> Some dr | _ -> None)
       t_def
   in
@@ -223,7 +223,7 @@ let test_inc_diff_corrected_rule () =
   (* delete 2 from A: 2 was not in T (blocked by B), so no change *)
   let d_del2 = Rel_delta.delete (Rel_delta.empty diff_schema) (x_tuple 2) in
   let d =
-    Delta_plan.delta_of_expr ~env
+    Tutil.delta_of_expr ~env
       ~deltas:(function "A" -> Some d_del2 | _ -> None)
       expr
   in
@@ -234,7 +234,7 @@ let test_inc_diff_corrected_rule () =
   (* delete 1 from A: 1 was in T, so it leaves *)
   let d_del1 = Rel_delta.delete (Rel_delta.empty diff_schema) (x_tuple 1) in
   let d =
-    Delta_plan.delta_of_expr ~env
+    Tutil.delta_of_expr ~env
       ~deltas:(function "A" -> Some d_del1 | _ -> None)
       expr
   in
@@ -248,14 +248,14 @@ let test_inc_diff_rule2 () =
   let expr = Expr.diff (Expr.base "A") (Expr.base "B") in
   let ins1 = Rel_delta.insert (Rel_delta.empty diff_schema) (x_tuple 1) in
   let d =
-    Delta_plan.delta_of_expr ~env
+    Tutil.delta_of_expr ~env
       ~deltas:(function "B" -> Some ins1 | _ -> None)
       expr
   in
   Alcotest.(check int) "insert into B hides 1" (-1) (Rel_delta.signed_mult d (x_tuple 1));
   let del2 = Rel_delta.delete (Rel_delta.empty diff_schema) (x_tuple 2) in
   let d =
-    Delta_plan.delta_of_expr ~env
+    Tutil.delta_of_expr ~env
       ~deltas:(function "B" -> Some del2 | _ -> None)
       expr
   in
@@ -269,7 +269,7 @@ let test_inc_diff_multiplicity_boundary () =
   let expr = Expr.diff (Expr.base "A") (Expr.base "B") in
   let del_one = Rel_delta.delete (Rel_delta.empty diff_schema) (x_tuple 1) in
   let d =
-    Delta_plan.delta_of_expr ~env
+    Tutil.delta_of_expr ~env
       ~deltas:(function "A" -> Some del_one | _ -> None)
       expr
   in
@@ -277,7 +277,7 @@ let test_inc_diff_multiplicity_boundary () =
     "mult 2 -> 1 keeps membership" true (Rel_delta.is_empty d);
   let del_two = Rel_delta.delete ~mult:2 (Rel_delta.empty diff_schema) (x_tuple 1) in
   let d =
-    Delta_plan.delta_of_expr ~env
+    Tutil.delta_of_expr ~env
       ~deltas:(function "A" -> Some del_two | _ -> None)
       expr
   in
@@ -289,7 +289,7 @@ let test_inc_union () =
   let expr = Expr.union (Expr.base "A") (Expr.base "B") in
   let ins = Rel_delta.insert (Rel_delta.empty diff_schema) (x_tuple 1) in
   let d =
-    Delta_plan.delta_of_expr ~env
+    Tutil.delta_of_expr ~env
       ~deltas:(function "A" -> Some ins | _ -> None)
       expr
   in
@@ -541,8 +541,8 @@ let prop_restricted_reads =
         | None, Some _ -> None
       in
       Rel_delta.equal
-        (Delta_plan.delta_of_expr ~env ~deltas:delta expr)
-        (Delta_plan.delta_of_expr ~env:narrowed ~deltas:delta expr))
+        (Tutil.delta_of_expr ~env ~deltas:delta expr)
+        (Tutil.delta_of_expr ~env:narrowed ~deltas:delta expr))
 
 let () =
   Alcotest.run "delta"

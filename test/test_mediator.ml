@@ -1125,7 +1125,7 @@ let test_theorem_7_2_staleness_bounded () =
   Alcotest.(check bool) "consistent" true (Checker.consistent report);
   let profile =
     {
-      Checker.ann_delay = (fun _ -> 0.0) (* Immediate announcements *);
+      Mediator.ann_delay = (fun _ -> 0.0) (* Immediate announcements *);
       comm_delay = (fun _ -> comm);
       q_proc_delay = (fun _ -> qproc);
       u_hold_delay = flush;
@@ -1134,7 +1134,8 @@ let test_theorem_7_2_staleness_bounded () =
     }
   in
   let bound =
-    Checker.theorem_7_2_bound ~vdp:env.Scenario.vdp
+    Mediator.theorem_7_2_bound
+      ~sources:(Graph.sources env.Scenario.vdp)
       ~contributor:(Mediator.contributor_kind med)
       profile
   in

@@ -204,7 +204,7 @@ let test_delta_plans_agree () =
     let deltas name = List.assoc_opt name delta_list in
     let e, _ = random_expr rng bases (1 + Random.State.int rng 3) in
     let what = Printf.sprintf "seed %d: %s" seed (Expr.to_string e) in
-    let compiled = Delta_plan.delta_of_expr ~env ~deltas e in
+    let compiled = Tutil.delta_of_expr ~env ~deltas e in
     Alcotest.check Tutil.rel_delta what
       (Oracle.delta_of_expr_interp ~env ~deltas e)
       compiled;

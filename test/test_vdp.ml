@@ -367,7 +367,7 @@ let populated_fig1 () =
 (* the rules of a Figure 1 node's in-edges fired for the given child
    deltas, as the IUP fires them: one delta of the node's definition *)
 let fire_node ~env ~node deltas =
-  Delta_plan.delta_of_expr ~env
+  Tutil.delta_of_expr ~env
     ~deltas:(fun n -> List.assoc_opt n deltas)
     (Graph.def fig1 node)
 

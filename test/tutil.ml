@@ -5,6 +5,10 @@
 open Relalg
 open Delta
 
+(* the net delta of an expression, through its compiled delta plan *)
+let delta_of_expr ~env ~deltas e =
+  Delta_plan.run ~env ~deltas (Delta_plan.of_expr e)
+
 let v_int i = Value.Int i
 let v_str s = Value.Str s
 
