@@ -235,6 +235,8 @@ type derived = {
           can depend on the source, the invalidation unit of the answer
           cache *)
   d_kinds : (string, contributor_kind) Hashtbl.t;
+  d_index_plan : (string * string) list;
+      (** the (leaf, column) pairs keyed polls can name *)
 }
 
 type t = {
@@ -324,6 +326,55 @@ let join_index_plan vdp =
       (fun a -> List.mem a mat)
       (match Hashtbl.find_opt specs name with Some l -> l | None -> [])
 
+let leaf_origins vdp node a =
+  let schema = Graph.schema_env vdp in
+  let rec go node a =
+    if Graph.is_leaf vdp node then [ (node, a) ]
+    else
+      List.concat_map (fun (b, c) -> go b c)
+        (Inc_eval.origins ~schema (Graph.def vdp node) a)
+  in
+  go node a
+
+(* The (leaf, column) pairs a keyed poll can name, at the sources the
+   mediator polls after initialization (virtual and hybrid
+   contributors): the leaf columns behind (1) the columns the update
+   steps' reads can be restricted on ([Derived_from.step_restrictable])
+   and, with the key-based construction on, (2) the keys of the keyed
+   children of a node with virtual attributes, by which it polls. Only
+   a derived child with virtual attributes is ever polled (a request
+   never names a leaf). *)
+let source_index_plan vdp ann ~key_based ~steps ~nodes ~kinds =
+  let polled =
+    List.concat_map (fun (child, a) ->
+        if Graph.is_leaf vdp child || Annotation.virtual_attrs ann child = []
+        then []
+        else leaf_origins vdp child a)
+  in
+  let restricted =
+    List.concat_map (fun st -> polled (Derived_from.step_restrictable vdp st)) steps
+  in
+  let keyed =
+    if not key_based then []
+    else
+      Hashtbl.fold
+        (fun node np acc ->
+          if Annotation.virtual_attrs ann node = [] then acc
+          else
+            polled
+              (List.concat_map
+                 (fun (child, _, key) -> List.map (fun k -> (child, k)) key)
+                 np.np_keyed)
+            @ acc)
+        nodes []
+  in
+  List.sort_uniq compare
+    (List.filter
+       (fun (leaf, _) ->
+         Hashtbl.find kinds (Graph.source_of_leaf vdp leaf)
+         <> Materialized_contributor)
+       (restricted @ keyed))
+
 (* Every annotation-dependent fact the processors read, computed once
    in {!create} (the annotation never changes afterwards). Per derived
    node it also compiles the plans the processors run repeatedly: a
@@ -332,7 +383,7 @@ let join_index_plan vdp =
    (the IUP's kernel pass). A per-request VAP restriction is a
    top-level select/project chain, compiled per call over the memoized
    plan below it. *)
-let build_derived vdp ann =
+let build_derived vdp ann ~key_based =
   let d_parents = Hashtbl.create 16 in
   let d_nodes = Hashtbl.create 16 in
   List.iter
@@ -396,8 +447,9 @@ let build_derived vdp ann =
         | true, false -> Materialized_contributor
         | false, _ -> Virtual_contributor))
     (Graph.sources vdp);
+  let d_steps = Derived_from.update_steps vdp ann in
   {
-    d_steps = Derived_from.update_steps vdp ann;
+    d_steps;
     d_leaf_parents =
       List.filter_map
         (fun node ->
@@ -409,6 +461,9 @@ let build_derived vdp ann =
     d_nodes;
     d_source_closure;
     d_kinds;
+    d_index_plan =
+      source_index_plan vdp ann ~key_based ~steps:d_steps ~nodes:d_nodes
+        ~kinds:d_kinds;
   }
 
 let update_steps t = t.derived.d_steps
@@ -433,6 +488,11 @@ let contributor_kind t src =
   match Hashtbl.find_opt t.derived.d_kinds src with
   | Some k -> k
   | None -> Virtual_contributor
+
+let index_plan t src =
+  List.filter
+    (fun (leaf, _) -> String.equal (Graph.source_of_leaf t.vdp leaf) src)
+    t.derived.d_index_plan
 
 (* ---- query answer cache ----
    Keyed by (node, attrs, cond); holds only [Fresh] answers. Hits are
@@ -605,7 +665,9 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
       stats = fresh_stats ();
       log = [];
       initialized = false;
-      derived = build_derived vdp annotation;
+      derived =
+        build_derived vdp annotation
+          ~key_based:config.Config.key_based_enabled;
       answer_cache = Hashtbl.create 32;
       polled_hw = Hashtbl.create 8;
       export_subs = [];

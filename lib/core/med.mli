@@ -327,8 +327,8 @@ type derived
     update steps with their child reads ({!update_steps}), the
     leaf-parents with their leaves, parent tables for affected-closure
     walks, a {!node_plan} per derived node, the per-source
-    invalidation closures of the answer cache, and each source's
-    {!contributor_kind}. *)
+    invalidation closures of the answer cache, each source's
+    {!contributor_kind} and its {!index_plan}. *)
 
 type t = {
   engine : Engine.t;
@@ -537,6 +537,25 @@ val node_parents : t -> string -> string list
 
 val node_plan : t -> string -> node_plan
 (** @raise Mediator_error when the node is a leaf or unknown. *)
+
+val index_plan : t -> string -> (string * string) list
+(** The source's index plan: the sorted [(relation, column)] pairs its
+    keyed polls can name, which {!Mediator.connect} declares to it
+    ({!Source_db.declare_indexes}). For a virtual or hybrid contributor,
+    the {!leaf_origins} of the columns the update steps' reads can be
+    restricted on ({!Vdp.Derived_from.step_restrictable}) and, when
+    [config.key_based_enabled], of the keys of {!node_plan}'s keyed
+    children of a node with virtual attributes (what the key-based
+    construction polls by), counting only children with virtual
+    attributes; empty for a materialized contributor, which is never
+    polled after initialization. *)
+
+val leaf_origins : Graph.t -> string -> string -> (string * string) list
+(** [leaf_origins vdp node a]: the [(leaf, column)] pairs whose value
+    attribute [a] of [node] copies, followed through the definitions
+    ({!Delta.Inc_eval.origins}) down to the leaves. A key a VAP request
+    names on [a] of a leaf-parent reaches its poll as a key on the one
+    such column. *)
 
 (** {1 Query answer cache}
 

@@ -23,8 +23,10 @@ let connect (t : Med.t) () =
   List.iter
     (fun src_name ->
       let d = t.Med.config.Med.Config.delays src_name in
-      Source_db.connect (Med.source t src_name) ~comm_delay:d.Med.comm_delay
-        ~q_proc_delay:d.Med.q_proc_delay handler)
+      let src = Med.source t src_name in
+      Source_db.connect src ~comm_delay:d.Med.comm_delay
+        ~q_proc_delay:d.Med.q_proc_delay handler;
+      Source_db.declare_indexes src (Med.index_plan t src_name))
     (Graph.sources t.Med.vdp);
   Iup.start_flusher t;
   (* anti-entropy heartbeat: an empty-query poll answers with the

@@ -51,8 +51,11 @@ val create :
 val connect : t -> unit -> unit
 (** Wire every source's FIFO channel to this mediator's update queue
     and answer dispatch, with the per-source network/processing delays
-    of [config.delays]. Also starts the periodic update-queue flusher
-    and, when configured, the anti-entropy heartbeat. *)
+    of [config.delays], and declare to each source its
+    {!Med.index_plan}, so every index a keyed poll can probe is built
+    here rather than inside a transaction. Also starts the periodic
+    update-queue flusher and, when configured, the anti-entropy
+    heartbeat. *)
 
 val initialize : t -> unit
 (** [t_view_init]: poll every source once (a single source transaction

@@ -24,10 +24,9 @@ let normalize r =
    condition is looked at, never a selection inside the definition
    (such as a constant filter the whole relation passes in halves). *)
 let poll_key (t : Med.t) r ~leaf =
-  let def = Graph.def t.Med.vdp r.r_node in
   List.find_map
     (fun (a, vs) ->
-      match Inc_eval.origins ~schema:(Graph.schema_env t.Med.vdp) def a with
+      match Med.leaf_origins t.Med.vdp r.r_node a with
       | [ (base, col) ] when String.equal base leaf ->
         Some
           { Source_db.k_relation = leaf; k_column = col; k_values = vs }

@@ -63,28 +63,41 @@ let column_keys d col =
   in
   if List.mem Value.Null vs then None else Some vs
 
+(* the (x, d) pairs of [c ⋈_p r] equal on every joined pair of rows, x
+   a column of [r] and d of [c]: the shared natural-join columns and
+   both orientations of the equi pairs *)
+let join_pairs ~schema c p r =
+  let sc = Expr.schema_of schema c and sr = Expr.schema_of schema r in
+  List.map (fun a -> (a, a)) (List.filter (Schema.mem sc) (Schema.attrs sr))
+  @ List.concat_map (fun (u, v) -> [ (u, v); (v, u) ]) (Predicate.equi_pairs p)
+  |> List.filter (fun (x, d) -> Schema.mem sr x && Schema.mem sc d)
+
+(* the column of base [n] a restriction of [r]'s column [x] names: the
+   one column of [n] that [x] copies, when [n] occurs once in [r] *)
+let restricted_column ~schema r n x =
+  let once =
+    List.length (List.filter (String.equal n) (Expr.base_occurrences r)) = 1
+  in
+  match List.filter (fun (b, _) -> String.equal b n) (origins ~schema r x) with
+  | [ (_, x') ] when once -> Some x'
+  | _ -> None
+
 (* [c ⋈_p r] with [c] changed joins Δc with [r]'s value. When [c] holds
    exactly one changed base occurrence D whose delta is [known], every
    tuple of Δc copies its D columns from one tuple of ΔD, so an equi
    pair (x, d) that follows x to base X of [r] and d to D confines the
    rows of X the rule can join to x ∈ keys(ΔD.d). *)
 let keyed_read ~schema ~changed ~known c p r =
-  let from e base col =
-    List.filter (fun (b, _) -> String.equal b base) (origins ~schema e col)
-  in
   match List.filter changed (Expr.base_occurrences c) with
   | [ dn ] when known dn <> None ->
     let dd = Option.get (known dn) in
-    let sc = Expr.schema_of schema c and sr = Expr.schema_of schema r in
-    (* (x, d): x a column of [r], d of [c] *)
-    let pairs =
-      List.map (fun a -> (a, a)) (List.filter (Schema.mem sc) (Schema.attrs sr))
-      @ List.concat_map (fun (u, v) -> [ (u, v); (v, u) ]) (Predicate.equi_pairs p)
-      |> List.filter (fun (x, d) -> Schema.mem sr x && Schema.mem sc d)
-    in
+    let pairs = join_pairs ~schema c p r in
     let keyed n (x, d) =
-      match (from r n x, from c dn d) with
-      | [ (_, x') ], (_, d') :: _ ->
+      match
+        ( restricted_column ~schema r n x,
+          List.filter (fun (b, _) -> String.equal b dn) (origins ~schema c d) )
+      with
+      | Some x', (_, d') :: _ ->
         Option.map
           (fun vs ->
             Predicate.disj
@@ -92,15 +105,34 @@ let keyed_read ~schema ~changed ~known c p r =
           (column_keys dd d')
       | _ -> None
     in
-    let occurrences = Expr.base_occurrences r in
     List.map
       (fun n ->
-        let once = List.length (List.filter (String.equal n) occurrences) = 1 in
-        match if once then List.find_map (keyed n) pairs else None with
+        match List.find_map (keyed n) pairs with
         | Some cond -> (n, cond)
         | None -> (n, Predicate.True))
       (Expr.base_names r)
   | _ -> unrestricted r
+
+(* every (base, column) some [keyed_read] of [expr] can restrict, for
+   any changed bases and known deltas: the join reads of [reads], in
+   both orientations *)
+let restrictable ~schema expr =
+  let rec go = function
+    | Expr.Base _ | Expr.Diff _ -> []
+    | Expr.Select (_, e) | Expr.Project (_, e) | Expr.Rename (_, e) -> go e
+    | Expr.Join (a, p, b) ->
+      let side c r =
+        List.concat_map
+          (fun (x, _) ->
+            List.filter_map
+              (fun n -> Option.map (fun x' -> (n, x')) (restricted_column ~schema r n x))
+              (Expr.base_names r))
+          (join_pairs ~schema c p r)
+      in
+      side a b @ side b a @ go a @ go b
+    | Expr.Union (a, b) -> go a @ go b
+  in
+  List.sort_uniq compare (go expr)
 
 let value_restrictions ~schema ~changed ~known expr =
   let merge c c' =

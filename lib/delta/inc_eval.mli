@@ -38,3 +38,9 @@ val value_restrictions :
     key) is [True]; a base read several times gets the disjunction.
     [schema] gives each base's schema. The IUP narrows its
     update-time VAP requests with these (Sec. 6.4 phase (a)). *)
+
+val restrictable :
+  schema:(string -> Schema.t) -> Expr.t -> (string * string) list
+(** The [(base, column)] pairs a restriction of {!value_restrictions}
+    on the expression can name, whichever bases change and whatever
+    their deltas: sorted and distinct. *)

@@ -84,6 +84,27 @@ let of_list l =
     let desc = Desc.of_sorted_names (Array.of_list !names) in
     mk desc (Array.of_list !vals)
 
+let maker names =
+  let n = List.length names in
+  let arr = Array.of_list names in
+  let order = Array.init n (fun i -> i) in
+  Array.sort (fun i j -> String.compare arr.(i) arr.(j)) order;
+  let sorted = Array.map (fun i -> arr.(i)) order in
+  for i = 1 to n - 1 do
+    if String.equal sorted.(i - 1) sorted.(i) then
+      invalid_arg ("Tuple.maker: duplicate attribute " ^ sorted.(i))
+  done;
+  let desc = Desc.of_sorted_names sorted in
+  (* slot.(k): where the k-th name sits in the sorted descriptor *)
+  let slot = Array.make n 0 in
+  Array.iteri (fun s i -> slot.(i) <- s) order;
+  fun values ->
+    if List.compare_length_with values n <> 0 then
+      invalid_arg "Tuple.maker: value count differs from the names'";
+    let vals = Array.make n Value.Null in
+    List.iteri (fun k v -> vals.(slot.(k)) <- v) values;
+    mk desc vals
+
 let to_list t =
   List.init (Array.length t.vals) (fun i -> (t.desc.Desc.names.(i), t.vals.(i)))
 

@@ -17,6 +17,14 @@ val empty : t
 val of_list : (string * Value.t) list -> t
 (** Later bindings override earlier ones. *)
 
+val maker : string list -> Value.t list -> t
+(** [maker names] is [fun values -> of_list (List.combine names
+    values)] with the descriptor interned and the slot order resolved
+    once, at partial application: each tuple is then an array fill.
+    Use to build many tuples over one attribute list.
+    @raise Invalid_argument on a duplicate name, or when a value list's
+    length differs from the names'. *)
+
 val to_list : t -> (string * Value.t) list
 (** Bindings in attribute-name order. *)
 

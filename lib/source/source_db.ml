@@ -28,7 +28,8 @@ type t = {
   schemas : (string * Schema.t) list;
   mutable tables : (string * Bag.t) list;
   mutable indexes : ((string * string) * Hash_index.t) list;
-      (* (relation, column) -> index of the current bag, for keyed polls *)
+      (* declared (relation, column) -> index of the current bag, for
+         keyed polls *)
   mutable version : int;
   mutable history : (float * int * (string * Bag.t) list) list; (* newest first *)
   announce : announce_mode;
@@ -40,6 +41,7 @@ type t = {
   mutable link : link option;
   mutable polls : int;
   mutable poll_failures : int;
+  mutable scanned_keys : int; (* keys served without a declared index *)
   mutable outages : (float * float) list; (* [start, stop) windows *)
   mutable outage_mode : outage_mode;
   mutable released : int; (* lowest version any consumer may still need *)
@@ -64,6 +66,7 @@ let create ~engine ~name ~relations ~announce () =
     link = None;
     polls = 0;
     poll_failures = 0;
+    scanned_keys = 0;
     outages = [];
     outage_mode = Refuse;
     released = 0;
@@ -165,7 +168,11 @@ let load t rel bag =
   if t.version <> 0 then err "source %s: load after first commit" t.name;
   ignore (schema t rel);
   t.tables <- (rel, bag) :: List.remove_assoc rel t.tables;
-  t.indexes <- List.filter (fun ((r, _), _) -> r <> rel) t.indexes;
+  t.indexes <-
+    List.map
+      (fun (((r, col) as rc), ix) ->
+        if String.equal r rel then (rc, Hash_index.of_bag col bag) else (rc, ix))
+      t.indexes;
   (* version 0 snapshot reflects the loads *)
   t.history <- [ (Engine.now t.engine, 0, t.tables) ]
 
@@ -239,22 +246,25 @@ let down_until t =
       else acc)
     None t.outages
 
-(* the index on [rel].[col], built from the current bag the first time
-   a poll names it and maintained by [commit] from then on *)
-let index_on t rel col =
-  match List.assoc_opt (rel, col) t.indexes with
-  | Some ix -> ix
-  | None ->
-    let ix = Hash_index.of_bag col (current t rel) in
-    t.indexes <- ((rel, col), ix) :: t.indexes;
-    ix
+let declare_indexes t pairs =
+  List.iter
+    (fun ((rel, col) as rc) ->
+      if not (Schema.mem (schema t rel) col) then
+        err "declare_indexes: %S has no attribute %S" rel col;
+      if not (List.mem_assoc rc t.indexes) then
+        t.indexes <- (rc, Hash_index.of_bag col (current t rel)) :: t.indexes)
+    pairs
 
-(* the rows of the keyed relation whose column equals a key value: the
-   union of the probed buckets. A comparison never matches Null, so it
-   is not probed, and values equal under Value.equal (Int 1, Float 1.)
-   name one bucket, probed once. With at least as many keys as the
-   relation has distinct rows, probing costs more than reading the
-   relation, which the query then filters by the same keys. *)
+(* the rows of the keyed relation whose column equals a key value,
+   charged one tuple op per key. A comparison never matches Null, so it
+   is not a key, and values equal under Value.equal (Int 1, Float 1.)
+   are one key. The rows are the union of the probed buckets of the
+   declared index; without one, a scan of the relation finds the same
+   rows at the same charge, so a declaration changes the host's work
+   and never the answer or the simulated cost. With at least as many
+   keys as the relation has distinct rows (probing would cost more
+   than reading), the query reads the relation and filters it by the
+   same keys. *)
 let probed t k =
   if not (Schema.mem (schema t k.k_relation) k.k_column) then
     err "keyed poll: %S has no attribute %S" k.k_relation k.k_column;
@@ -262,17 +272,21 @@ let probed t k =
   let rel = current t k.k_relation in
   if List.compare_length_with keys (Bag.support_cardinal rel) >= 0 then rel
   else begin
-    let ix = index_on t k.k_relation k.k_column in
-    let bu = Bag.builder (schema t k.k_relation) in
-    List.iter
-      (fun v ->
-        Eval.charge_tuple_ops 1;
-        Hash_index.probe ix v (Bag.badd ~check:false bu))
-      keys;
-    Bag.seal bu
+    Eval.charge_tuple_ops (List.length keys);
+    match List.assoc_opt (k.k_relation, k.k_column) t.indexes with
+    | Some ix ->
+      let bu = Bag.builder (schema t k.k_relation) in
+      List.iter (fun v -> Hash_index.probe ix v (Bag.badd ~check:false bu)) keys;
+      Bag.seal bu
+    | None ->
+      t.scanned_keys <- t.scanned_keys + 1;
+      let wanted = Value.Tbl.create 16 in
+      List.iter (fun v -> Value.Tbl.replace wanted v ()) keys;
+      Bag.filter (fun tuple -> Value.Tbl.mem wanted (Tuple.get tuple k.k_column)) rel
   end
 
 let indexed t = List.sort compare (List.map fst t.indexes)
+let scanned_keys t = t.scanned_keys
 
 let try_poll t ?timeout ?(keys = []) queries =
   match t.link with

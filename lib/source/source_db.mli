@@ -105,8 +105,9 @@ val q_proc_delay : t -> float
     unconnected). *)
 
 val load : t -> string -> Bag.t -> unit
-(** Set a relation's initial (version 0) contents, dropping any
-    keyed-poll index on it. Only before the first commit.
+(** Set a relation's initial (version 0) contents, rebuilding in bulk
+    every declared index on it ({!declare_indexes}). Only before the
+    first commit.
     @raise Source_error otherwise. *)
 
 val set_filter :
@@ -119,12 +120,12 @@ val set_filter :
     VDP). Commits whose announcement filters to nothing still produce
     a version heartbeat so the mediator's reflect bookkeeping stays
     exact. Polling is unaffected: polls read full relations, through an
-    index when the poll names a key.
+    index when the poll names a key on a declared column.
     @raise Source_error on unknown relations/attributes. *)
 
 val commit : t -> Multi_delta.t -> unit
 (** Apply a transaction atomically: bump the version, snapshot, bring
-    the keyed-poll indexes in step, and stage the delta for
+    the declared indexes in step, and stage the delta for
     announcement.
     @raise Source_error on a delta mentioning unknown relations. *)
 
@@ -150,21 +151,37 @@ val try_poll :
 
     [keys] (default none) names, per query label, a key the query
     selects on: every row the query reads from [k_relation] must pass
-    [k_column = v] for some [v] in [k_values]. The source then
-    evaluates the same query over the union of the matching buckets of
-    a hash index on [(k_relation, k_column)] instead of over the whole
-    relation, so the answer is identical and the cost follows the
-    probed rows. [Null] values never match and are not probed. A key
-    set at least as large as the relation's distinct rows reads the
-    relation instead. The index is built from the current relation the
-    first time a poll probes it, maintained by {!commit} and dropped
-    by {!load}; history snapshots are never indexed.
+    [k_column = v] for some [v] in [k_values]. The source evaluates
+    the same query over just the matching rows of the relation instead
+    of over all of it, so the answer is identical and the cost follows
+    the probed rows: one tuple op per key, plus the evaluation over
+    those rows. [Null] values never match and are not keys. When
+    [(k_relation, k_column)] is declared ({!declare_indexes}) the rows
+    are the probed buckets of its index; otherwise a scan finds them
+    ({!scanned_keys}), at the same charge. A key set at least as large
+    as the relation's distinct rows reads the whole relation instead,
+    which the query filters. A poll never builds an index; history
+    snapshots are never indexed.
     @raise Source_error when the key names an unknown relation or
     column. *)
 
+val declare_indexes : t -> (string * string) list -> unit
+(** Declare [(relation, column)] pairs that keyed polls may name (a
+    mediator declares its static plan when it connects). Each new pair
+    is indexed at once, in bulk, from the current relation; {!commit}
+    keeps the index in step and {!load} rebuilds it. Declarations
+    accumulate: several calls (from several mediators) index the union
+    of their pairs.
+    @raise Source_error on an unknown relation or column. *)
+
 val indexed : t -> (string * string) list
-(** The [(relation, column)] pairs keyed polls have indexed so far,
+(** The declared [(relation, column)] pairs, all of them indexed,
     sorted. *)
+
+val scanned_keys : t -> int
+(** Keys of polls served so far by a scan because their column was
+    not declared. Stays 0 while every keyed poll names a declared
+    column. *)
 
 val poll_error_to_string : poll_error -> string
 (** The wording the mediator records in a failed poll's trace

@@ -27,10 +27,11 @@ let tbl_remove tb tuple mult =
     if m > mult then Tuple.Tbl.replace tb tuple (m - mult)
     else Tuple.Tbl.remove tb tuple
 
+(* [tuple] differs from the cell's, so neither needs a bucket walk *)
 let promote o tuple mult =
   let tb = Tuple.Tbl.create 8 in
-  Tuple.Tbl.replace tb o.ot o.om;
-  Tuple.Tbl.replace tb tuple mult;
+  Tuple.Tbl.add tb o.ot o.om;
+  Tuple.Tbl.add tb tuple mult;
   Many tb
 
 let cell_iter f = function
@@ -62,10 +63,20 @@ let remove ix tuple mult =
 let reset ix = Value.Tbl.reset ix.tbl
 
 (* a hash table grows past two entries per bucket, so half the distinct
-   tuples is enough buckets for any number of distinct keys *)
+   tuples is enough buckets for any number of distinct keys. A bag's
+   support holds distinct tuples, so a tuple meeting an existing cell
+   is new to it: no equality test against a [One], no find in a
+   [Many] *)
 let of_bag on bag =
   let ix = make ~size:(max 64 (Bag.support_cardinal bag / 2)) on in
-  Bag.iter (add ix) bag;
+  Bag.iter
+    (fun tuple mult ->
+      let k = ix.key tuple in
+      match Value.Tbl.find ix.tbl k with
+      | exception Not_found -> Value.Tbl.add ix.tbl k (One { ot = tuple; om = mult })
+      | One o -> Value.Tbl.replace ix.tbl k (promote o tuple mult)
+      | Many tb -> Tuple.Tbl.add tb tuple mult)
+    bag;
   ix
 
 let probe ix value f =

@@ -21,8 +21,11 @@ val create : string -> t
 (** An empty index on the given attribute. *)
 
 val of_bag : string -> Bag.t -> t
-(** An index holding every tuple of the bag, its buckets sized for the
-    bag up front. *)
+(** An index holding every tuple of the bag, built in bulk: its buckets
+    are sized for the bag up front, and since the bag's tuples are
+    distinct each one joins its key's cell without an equality test or
+    a lookup among the cell's tuples. Equal to adding the tuples one
+    by one with {!add}. *)
 
 val on : t -> string
 

@@ -147,3 +147,9 @@ let step_reads vdp step ~changed ~known =
         (List.assoc_opt child step.s_reads))
     (Delta.Inc_eval.value_restrictions ~schema:(Graph.schema_env vdp) ~changed
        ~known (Graph.def vdp step.s_node))
+
+let step_restrictable vdp step =
+  List.filter
+    (fun (child, _) -> List.mem_assoc child step.s_reads)
+    (Delta.Inc_eval.restrictable ~schema:(Graph.schema_env vdp)
+       (Graph.def vdp step.s_node))

@@ -77,3 +77,9 @@ val step_reads :
     already known ([known]): [(child, attrs, cond)] per child of
     {!Delta.Inc_eval.value_restrictions} that [s_reads] lists, with its
     attributes and row restriction, sorted by child name. *)
+
+val step_restrictable : Graph.t -> step -> (string * string) list
+(** The [(child, column)] pairs a row restriction of {!step_reads} can
+    name, over every [changed] and [known]: the
+    {!Delta.Inc_eval.restrictable} pairs of the step's definition on
+    the children [s_reads] lists. *)

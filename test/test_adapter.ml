@@ -308,7 +308,8 @@ let in_keys attr ks =
 
 (* per key set, the same query asked unkeyed and keyed: a plain
    selection, and one through a rename and a projection (the key still
-   names the base column) *)
+   names the base column), both keyed on the declared column s2; and a
+   selection keyed on s3, which no declaration names *)
 let keyed_queries rel =
   List.concat
     (List.mapi
@@ -322,18 +323,23 @@ let keyed_queries rel =
          let key =
            { Source_db.k_relation = rel; k_column = "s2"; k_values = ks }
          in
+         let s3_keys = Value.Int (i mod 3) :: ks in
          [
            (Printf.sprintf "plain%d" i, plain, key);
            (Printf.sprintf "renamed%d" i, renamed, key);
+           ( Printf.sprintf "undeclared%d" i,
+             Expr.select (in_keys "s3" s3_keys) (Expr.base rel),
+             { key with k_column = "s3"; k_values = s3_keys } );
          ])
        key_sets)
 
 (* Over a random insert/delete stream, a keyed poll answers exactly what
    the unkeyed poll of the same query answers, at every version from
    the load on: multiplicities above one, partial deletes, Null in the
-   key column, Int/Float keys, keys without rows, multi-key sets. The
-   index is built by the first keyed poll (version 0) and must follow
-   every later commit. *)
+   key column, Int/Float keys, keys without rows, multi-key sets, and
+   keys on a column no declaration names (served by a scan). The
+   declared index is built by the declaration (version 0) and must
+   follow every later commit; no poll builds another. *)
 let test_keyed_poll mk () =
   let engine = Engine.create () in
   let init =
@@ -361,13 +367,16 @@ let test_keyed_poll mk () =
     res
   in
   let rows_keyed_10 res = Bag.cardinal (List.assoc "k_plain0" res) in
+  let declared = [ (i.i_relation, "s2") ] in
   Alcotest.(check (list (pair string string)))
-    "no index before a keyed poll" [] (Source_db.indexed a);
+    "no index before a declaration" [] (Source_db.indexed a);
+  Source_db.declare_indexes a declared;
+  Source_db.declare_indexes a declared;
+  Alcotest.(check (list (pair string string)))
+    "one index, on the declared column" declared (Source_db.indexed a);
   Alcotest.(check int) "v0: three rows keyed 10" 3 (rows_keyed_10 (check_version ()));
   Alcotest.(check (list (pair string string)))
-    "one index, on the named column"
-    [ (i.i_relation, "s2") ]
-    (Source_db.indexed a);
+    "no poll builds an index" declared (Source_db.indexed a);
   (* a partial delete: one of the two copies *)
   i.i_delete (s_row 3 (v_int 10));
   i.i_quiesce ();
@@ -385,7 +394,11 @@ let test_keyed_poll mk () =
        i.i_delete (List.nth present (Random.State.int rng (List.length present))));
     i.i_quiesce ();
     ignore (check_version ())
-  done
+  done;
+  Alcotest.(check (list (pair string string)))
+    "still the declared index only" declared (Source_db.indexed a);
+  Alcotest.(check bool)
+    "the undeclared keys were scanned" true (Source_db.scanned_keys a > 0)
 
 (* the mediator-backed source is read-only upstream *)
 let test_mediator_read_only () =

@@ -301,17 +301,54 @@ let test_ex22_s_update_polls_joining_rows () =
   ignore (check_consistent env med)
 
 (* initialization and an unconditioned query on the hybrid T of
-   Example 2.3 poll unrestricted: they name no key, so the sources
-   build no index *)
+   Example 2.3 poll unrestricted: the sources hold the indexes the
+   mediator declared when it connected, no more *)
 let test_unrestricted_polls_build_no_index () =
   let env, med = setup_fig1 Scenario.ann_ex23 in
   let polls0, _ = poll_counts med in
   let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
   Tutil.check_bag "T = recompute" (recompute env "T") answer;
   Alcotest.(check bool) "the query polled" true (fst (poll_counts med) > polls0);
-  Alcotest.(check (list (pair string string))) "no index at db1" [] (indexed env "db1");
-  Alcotest.(check (list (pair string string))) "no index at db2" [] (indexed env "db2");
+  Alcotest.(check (list (pair string string)))
+    "db1: the declared indexes" [ ("R", "r1"); ("R", "r2") ] (indexed env "db1");
+  Alcotest.(check (list (pair string string)))
+    "db2: the declared index" [ ("S", "s1") ] (indexed env "db2");
   ignore (check_consistent env med)
+
+(* The fig1 index plans: Example 2.1 polls nothing after
+   initialization; Example 2.2's S updates poll R′ by the join column
+   r2; Example 2.3's R updates poll S′ by s1, and its key-based
+   construction polls R′ by r1 unless that construction is off. Each source holds its plan as soon
+   as the mediator connects. *)
+let test_fig1_index_plans () =
+  List.iter
+    (fun (name, ann, db1, db2) ->
+      let env = Scenario.make_fig1 () in
+      let med = Scenario.mediator env ~annotation:(ann env.Scenario.vdp) () in
+      List.iter
+        (fun (src, plan) ->
+          Alcotest.(check (list (pair string string)))
+            (Printf.sprintf "%s: %s plan" name src)
+            plan (Med.index_plan med src);
+          Alcotest.(check (list (pair string string)))
+            (Printf.sprintf "%s: %s indexed at connect" name src)
+            plan (indexed env src))
+        [ ("db1", db1); ("db2", db2) ])
+    [
+      ("ex21", Scenario.ann_ex21, [], []);
+      ("ex22", Scenario.ann_ex22, [ ("R", "r2") ], []);
+      ("ex23", Scenario.ann_ex23, [ ("R", "r1"); ("R", "r2") ], [ ("S", "s1") ]);
+    ];
+  (* without the key-based construction nothing polls by r1 *)
+  let env = Scenario.make_fig1 () in
+  let config = Med.Config.make ~key_based_enabled:false () in
+  let med =
+    Scenario.mediator env ~annotation:(Scenario.ann_ex23 env.Scenario.vdp) ~config ()
+  in
+  Alcotest.(check (list (pair string string)))
+    "ex23, key-based off: db1 plan" [ ("R", "r2") ] (Med.index_plan med "db1");
+  Alcotest.(check (list (pair string string)))
+    "ex23, key-based off: db2 plan" [ ("S", "s1") ] (Med.index_plan med "db2")
 
 (* The restricted poll answers from db1's current state while an R
    update touching the restricted key and another key waits in the
@@ -446,7 +483,10 @@ let test_ex23_maintenance_with_updates () =
 
 (* π_{r3,s2} σ_{r1=k} T: the key-based construction reads T's one row
    for k from the store, then both children under its keys — one
-   keyed poll per source, each shipping at most one tuple *)
+   keyed poll per source, each shipping at most one tuple. Each poll
+   probes its source's declared index: the vap spans cost the probed
+   rows plus one op per key, less than a read of R or of S, and no key
+   is served by a scan. *)
 let test_ex23_point_query_keyed_polls () =
   let env, med = setup_fig1 Scenario.ann_ex23 in
   let k =
@@ -457,6 +497,13 @@ let test_ex23_point_query_keyed_polls () =
   let cond = Predicate.(eq (attr "r1") (Const k)) in
   let polls0, tuples0 = poll_counts med in
   let kb0 = Obs.Metrics.value (Mediator.stats med).Med.key_based_constructions in
+  let vaps = List.length (Obs.Trace.find (Mediator.trace med) ~name:"vap") in
+  let scanned () =
+    List.map
+      (fun src -> Source_db.scanned_keys (Adapter.db (Scenario.source env src)))
+      [ "db1"; "db2" ]
+  in
+  let scanned0 = scanned () in
   let answer =
     in_process env (fun () ->
         (Mediator.query med ~node:"T" ~attrs:[ "r3"; "s2" ] ~cond ()).Qp.tuples)
@@ -470,10 +517,16 @@ let test_ex23_point_query_keyed_polls () =
     (Obs.Metrics.value (Mediator.stats med).Med.key_based_constructions);
   Alcotest.(check int) "one poll per source" 2 (polls1 - polls0);
   Alcotest.(check bool) "at most two tuples shipped" true (tuples1 - tuples0 <= 2);
-  Alcotest.(check (list (pair string string)))
-    "db1 probed on R.r1" [ ("R", "r1") ] (indexed env "db1");
-  Alcotest.(check (list (pair string string)))
-    "db2 probed on S.s1" [ ("S", "s1") ] (indexed env "db2");
+  (* per source one key and at most one row, through at most four
+     steps of the polled chain; a read of R or S charges every row *)
+  let ops = List.fold_left ( + ) 0 (new_vap_ops med ~before:vaps) in
+  let size src rel = Bag.cardinal (Adapter.current (Scenario.source env src) rel) in
+  Alcotest.(check bool)
+    (Printf.sprintf "vap ops %d ≤ 4·2 + 2, < |R| = %d and < |S| = %d" ops
+       (size "db1" "R") (size "db2" "S"))
+    true
+    (ops <= (4 * 2) + 2 && ops < size "db1" "R" && ops < size "db2" "S");
+  Alcotest.(check (list int)) "every key probed an index" scanned0 (scanned ());
   ignore (check_consistent env med)
 
 (* --- answer-sized queries: probed = scanned = recompute, per rung ------- *)
@@ -1379,6 +1432,49 @@ let test_catalogue_entries () =
 
 (* a query stream outlasting the updates must still be posted in full:
    the mediator goes quiet long before the last query is due *)
+(* Every index a source holds was built when the mediator connected:
+   for every catalogue scenario and annotation, the sources' indexes
+   right after connect are the mediator's plan, the standard load's
+   polls and probes add none, and the plan covers every key they name:
+   no key is served by a scan *)
+let test_catalogue_indexes_static () =
+  List.iter
+    (fun sc ->
+      List.iter
+        (fun (ann_name, ann_of) ->
+          let env = sc.Scenario.sc_make ~seed:3 in
+          let med = Scenario.start env ~annotation:(ann_of env.Scenario.vdp) in
+          let indexes () =
+            List.map (fun db -> (Source_db.name db, Source_db.indexed db))
+              env.Scenario.sources
+          in
+          let at_connect = indexes () in
+          List.iter
+            (fun (src, ixs) ->
+              Alcotest.(check (list (pair string string)))
+                (Printf.sprintf "%s/%s: %s holds its plan" sc.Scenario.sc_name
+                   ann_name src)
+                (Med.index_plan med src) ixs)
+            at_connect;
+          let node, attrs = sc.Scenario.sc_query in
+          Scenario.run_load ~rng:(Workload.Datagen.state 93) env med
+            ~updates:sc.Scenario.sc_updates
+            ~queries:(node, [ (attrs, Predicate.True) ])
+            Scenario.default_load;
+          Alcotest.(check (list (pair string (list (pair string string)))))
+            (Printf.sprintf "%s/%s: no index built under load"
+               sc.Scenario.sc_name ann_name)
+            at_connect (indexes ());
+          List.iter
+            (fun db ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s/%s: no key of %s scanned" sc.Scenario.sc_name
+                   ann_name (Source_db.name db))
+                0 (Source_db.scanned_keys db))
+            env.Scenario.sources)
+        sc.Scenario.sc_annotations)
+    Scenario.catalogue
+
 let test_standard_load_poses_every_query () =
   let env = Scenario.make_fig1 () in
   let med = Scenario.start env ~annotation:(Scenario.ann_ex21 env.Scenario.vdp) in
@@ -1419,6 +1515,7 @@ let () =
           Alcotest.test_case "general construction fallback" `Quick test_ex23_key_based_disabled_polls_both;
           Alcotest.test_case "maintenance under updates" `Quick test_ex23_maintenance_with_updates;
           Alcotest.test_case "unrestricted polls build no index" `Quick test_unrestricted_polls_build_no_index;
+          Alcotest.test_case "fig1 index plans" `Quick test_fig1_index_plans;
           Alcotest.test_case "point query polls keyed" `Quick test_ex23_point_query_keyed_polls;
           Alcotest.test_case "probed = scanned = recompute" `Quick test_probed_equals_scanned;
         ] );
@@ -1460,6 +1557,8 @@ let () =
             test_catalogue_entries;
           Alcotest.test_case "standard load poses every query" `Quick
             test_standard_load_poses_every_query;
+          Alcotest.test_case "indexes built at connect only" `Quick
+            test_catalogue_indexes_static;
         ] );
       ( "theorems",
         [

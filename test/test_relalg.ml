@@ -104,6 +104,24 @@ let test_tuple_concat () =
     "disagreement" true
     (Option.is_none (Tuple.concat a b_bad))
 
+(* a maker fills the interned descriptor in the names' order: the same
+   tuple as [of_list] over the paired bindings, whatever that order *)
+let test_tuple_maker () =
+  let names = [ "c"; "a"; "b" ] in
+  let make = Tuple.maker names in
+  let vals = Value.[ Int 3; Null; Str "x" ] in
+  let t = make vals in
+  Alcotest.(check bool)
+    "equals of_list" true
+    (Tuple.equal t (Tuple.of_list (List.combine names vals)));
+  Alcotest.(check (list string)) "sorted attrs" [ "a"; "b"; "c" ] (Tuple.attrs t);
+  Alcotest.(check bool) "c" true (Value.equal (Tuple.get t "c") (Value.Int 3));
+  Alcotest.(check bool) "empty" true (Tuple.equal (Tuple.maker [] []) Tuple.empty);
+  let invalid f = try ignore (f ()); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "duplicate name" true (invalid (fun () -> Tuple.maker [ "a"; "a" ]));
+  Alcotest.(check bool) "too few" true (invalid (fun () -> make [ Value.Int 1 ]));
+  Alcotest.(check bool) "too many" true (invalid (fun () -> make (Value.Int 0 :: vals)))
+
 let test_tuple_schema_match () =
   Alcotest.(check bool)
     "matches" true
@@ -578,6 +596,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_tuple_basic;
           Alcotest.test_case "concat" `Quick test_tuple_concat;
           Alcotest.test_case "schema match" `Quick test_tuple_schema_match;
+          Alcotest.test_case "maker" `Quick test_tuple_maker;
         ] );
       ( "predicate",
         [

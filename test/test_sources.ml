@@ -157,41 +157,85 @@ let test_poll_single_state () =
     Alcotest.(check int) "low" 1 (Bag.cardinal (List.assoc "low" a.Message.results))
   | None -> Alcotest.fail "no answer"
 
-(* a keyed poll's index is built from the relation it first reads, so
-   a reload (still version 0) must drop it; an unkeyed poll builds
-   none, and a key on an unknown column is refused *)
-let test_keyed_poll_after_reload () =
+(* No poll builds an index: a key on an undeclared column is served
+   by a scan, with the answer and the tuple ops (one per key plus the
+   matching rows) of the indexed poll. A declaration builds the index
+   at once, a reload (still version 0) rebuilds it from the new
+   contents, and a key or a declaration on an unknown column is
+   refused. *)
+let test_keyed_poll_declared_index () =
   let engine = Engine.create () in
   let src = mk_source engine in
-  Source_db.load src "S" (Bag.of_tuples schema_s [ s_tuple 1 2 3 ]);
+  Source_db.load src "S" (Bag.of_tuples schema_s [ s_tuple 1 2 3; s_tuple 2 4 3 ]);
   let _ = collect_updates engine src in
   let keyed column v =
     let q = Expr.select Predicate.(eq (attr "s2") (int v)) (Expr.base "S") in
     let key =
       { Source_db.k_relation = "S"; k_column = column; k_values = [ Value.Int v ] }
     in
+    let ops0 = Eval.tuple_ops () in
     match Source_db.try_poll src ~keys:[ ("q", key) ] [ ("q", q) ] with
-    | Ok a -> Bag.cardinal (List.assoc "q" a.Message.results)
+    | Ok a ->
+      (Bag.cardinal (List.assoc "q" a.Message.results), Eval.tuple_ops () - ops0)
     | Error e -> Alcotest.fail (Source_db.poll_error_to_string e)
   in
-  let counts = ref [] and refused = ref false in
+  let indexed () = Source_db.indexed src in
+  let steps = ref [] and refused = ref [] in
+  let step what v = steps := (what, v) :: !steps in
+  let refuses f =
+    try
+      f ();
+      false
+    with Source_db.Source_error _ -> true
+  in
   Engine.spawn engine (fun () ->
       ignore (poll src [ ("all", Expr.base "S") ]);
-      counts := [ List.length (Source_db.indexed src) ];
-      counts := keyed "s2" 2 :: !counts;
-      Source_db.load src "S" (Bag.of_tuples schema_s [ s_tuple 4 2 6; s_tuple 5 2 6 ]);
-      counts := List.length (Source_db.indexed src) :: !counts;
-      counts := keyed "s2" 2 :: !counts;
+      step "unkeyed poll: indexes" (List.length (indexed ()));
+      let rows, ops = keyed "s2" 2 in
+      step "undeclared key: rows" rows;
+      step "undeclared key: ops" ops;
+      step "undeclared key: scanned" (Source_db.scanned_keys src);
+      step "undeclared key: indexes" (List.length (indexed ()));
+      Source_db.declare_indexes src [ ("S", "s2") ];
+      step "declared: indexes" (List.length (indexed ()));
+      let rows, ops = keyed "s2" 2 in
+      step "declared key: rows" rows;
+      step "declared key: ops" ops;
+      step "declared key: scanned" (Source_db.scanned_keys src);
+      Source_db.load src "S"
+        (Bag.of_tuples schema_s
+           [ s_tuple 4 2 6; s_tuple 5 2 6; s_tuple 6 3 6; s_tuple 7 3 6 ]);
+      step "reloaded: indexes" (List.length (indexed ()));
+      let rows, ops = keyed "s2" 2 in
+      step "reloaded key: rows" rows;
+      step "reloaded key: ops" ops;
       refused :=
-        try
-          ignore (keyed "zz" 2);
-          false
-        with Source_db.Source_error _ -> true);
+        [
+          refuses (fun () -> ignore (keyed "zz" 2));
+          refuses (fun () -> Source_db.declare_indexes src [ ("S", "zz") ]);
+          refuses (fun () -> Source_db.declare_indexes src [ ("Q", "s1") ]);
+        ]);
   Engine.run engine;
-  Alcotest.(check (list int))
-    "no index unkeyed; 1 row; index dropped; 2 rows" [ 0; 1; 0; 2 ]
-    (List.rev !counts);
-  Alcotest.(check bool) "unknown key column refused" true !refused
+  Alcotest.(check (list (pair string int)))
+    "indexes and keyed answers"
+    [
+      ("unkeyed poll: indexes", 0);
+      ("undeclared key: rows", 1);
+      ("undeclared key: ops", 2);
+      ("undeclared key: scanned", 1);
+      ("undeclared key: indexes", 0);
+      ("declared: indexes", 1);
+      ("declared key: rows", 1);
+      ("declared key: ops", 2);
+      ("declared key: scanned", 1);
+      ("reloaded: indexes", 1);
+      ("reloaded key: rows", 2);
+      ("reloaded key: ops", 3);
+    ]
+    (List.rev !steps);
+  Alcotest.(check (list bool))
+    "unknown key column, column and relation refused" [ true; true; true ]
+    !refused
 
 let test_poll_flushes_pending_first () =
   (* the ECA precondition: with Periodic announcements, a poll must
@@ -401,7 +445,7 @@ let () =
       ( "polling",
         [
           Alcotest.test_case "single-state batch" `Quick test_poll_single_state;
-          Alcotest.test_case "keyed poll after reload" `Quick test_keyed_poll_after_reload;
+          Alcotest.test_case "keyed poll after reload" `Quick test_keyed_poll_declared_index;
           Alcotest.test_case "flush before answer" `Quick test_poll_flushes_pending_first;
           Alcotest.test_case "ordered after racing updates" `Quick test_poll_answer_ordered_after_updates;
           Alcotest.test_case "atomic version stamp (regression)" `Quick test_poll_atomic_version_stamp;

@@ -116,6 +116,46 @@ let test_store_env_and_bytes () =
     (Option.map (fun (_ : Bag.t) -> ()) (Store.env store "NOPE"));
   Alcotest.(check bool) "bytes counted" true (Store.total_bytes store > 0)
 
+(* [Hash_index.of_bag] builds in bulk what adding the bag's tuples one
+   by one builds: over random bags whose key column holds Null,
+   duplicate multiplicities, several tuples per key and the equal keys
+   Int 1 and Float 1., every probe, the distinct-key count and the
+   longest chain agree *)
+let test_hash_index_of_bag_equals_adds () =
+  let schema =
+    Schema.make [ ("k", Value.TInt); ("x", Value.TInt) ]
+  in
+  let keys = Value.[ Null; Int 1; Float 1.; Int 2; Int 3 ] in
+  let pick rng l = List.nth l (Random.State.int rng (List.length l)) in
+  let rng = Random.State.make [| 24 |] in
+  for case = 1 to 200 do
+    let bu = Bag.builder schema in
+    for _ = 1 to Random.State.int rng 40 do
+      Bag.badd ~check:false bu
+        (Tuple.of_list [ ("k", pick rng keys); ("x", Value.Int (Random.State.int rng 4)) ])
+        (1 + Random.State.int rng 3)
+    done;
+    let bag = Bag.seal bu in
+    let bulk = Hash_index.of_bag "k" bag in
+    let added = Hash_index.create "k" in
+    Bag.iter (Hash_index.add added) bag;
+    let rows ix v =
+      let acc = ref [] in
+      Hash_index.probe ix v (fun t m -> acc := (Tuple.to_string t, m) :: !acc);
+      List.sort compare !acc
+    in
+    List.iter
+      (fun v ->
+        Alcotest.(check (list (pair string int)))
+          (Printf.sprintf "case %d: probe %s" case (Value.to_string v))
+          (rows added v) (rows bulk v))
+      keys;
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "case %d: distinct keys, longest chain" case)
+      (Hash_index.distinct added, Hash_index.max_chain added)
+      (Hash_index.distinct bulk, Hash_index.max_chain bulk)
+  done
+
 let () =
   Alcotest.run "storage"
     [
@@ -129,6 +169,8 @@ let () =
           Alcotest.test_case "apply delta / load" `Quick test_table_apply_delta_and_load;
           Alcotest.test_case "rejects bad tuples" `Quick test_table_rejects_bad_tuple;
         ] );
+      ( "hash index",
+        [ Alcotest.test_case "of_bag = adds" `Quick test_hash_index_of_bag_equals_adds ] );
       ( "store",
         [
           Alcotest.test_case "catalog" `Quick test_store_catalog;
