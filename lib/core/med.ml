@@ -220,6 +220,7 @@ type export_event =
   | Export_snapshot of { es_time : float }
 
 type node_plan = {
+  np_mat : string list;
   np_leaf : string option;
   np_delta : Delta_plan.t;
   np_keyed : (string * Schema.t * string list) list;
@@ -289,7 +290,12 @@ let () =
            (Source_db.poll_error_to_string pe_error))
     | _ -> None)
 
-let mat_attrs t node = Annotation.materialized_attrs t.ann node
+(* read on every query and update, so taken from the static plan; a
+   leaf has none, and raises the annotation's own error *)
+let mat_attrs t node =
+  match Hashtbl.find t.derived.d_nodes node with
+  | np -> np.np_mat
+  | exception Not_found -> Annotation.materialized_attrs t.ann node
 
 (* Join-key index columns per node: wherever a definition joins a
    stored child, IUP's ΔA ⋈ B_old propagation probes the sibling's
@@ -417,6 +423,7 @@ let build_derived vdp ann ~key_based =
         in
         Hashtbl.replace d_nodes name
           {
+            np_mat = mat;
             np_leaf =
               (match children with
               | [ leaf ] when Graph.is_leaf vdp leaf -> Some leaf

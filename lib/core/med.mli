@@ -306,6 +306,9 @@ type export_event =
     the change stream of the exports. *)
 
 type node_plan = {
+  np_mat : string list;
+      (** the node's materialized attributes, in schema order: what
+          {!mat_attrs} returns *)
   np_leaf : string option;
       (** [Some leaf] for a leaf-parent: its single child, a leaf *)
   np_delta : Delta_plan.t;

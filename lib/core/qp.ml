@@ -71,14 +71,24 @@ let pre_repair (t : Med.t) =
 let base_stale (t : Med.t) =
   match Med.dirty_sources t with [] -> [] | dirty -> staleness_of t dirty
 
-(* [σ_cond table], reading only rows the condition can pass: with a
-   key-set conjunct on an indexed column, one probe per distinct
-   non-Null key and the whole condition on the probed rows; otherwise
-   (or when the keys outnumber the stored rows) a scan. One tuple op
-   per probe and per row read. Also says whether it scanned: a
-   scanned answer costs the whole table to recompute, so the answer
-   cache maintains it instead. *)
-let read_store table cond =
+(* [σ_cond table], or [π_attrs σ_cond table] given [attrs], reading
+   only rows the condition can pass: with a key-set conjunct on an
+   indexed column, one probe per distinct non-Null key and the whole
+   condition on the probed rows, each passing row projected as it is
+   added; otherwise (or when the keys outnumber the stored rows) a
+   scan. One tuple op per probe and per row read. Also says whether it
+   scanned: a scanned answer costs the whole table to recompute, so
+   the answer cache maintains it instead.
+
+   A projected whole-table read returns a copy, never the table's live
+   version: a scan-served answer is cached and then updated in place
+   by {!Med.cache_maintain} while {!Table.apply_delta} updates the
+   table, and the two would fork one diff chain into two live
+   branches, so that every later access to either walks a path that
+   grows with every atom of ΔT. Without [attrs] the rows may be the
+   live version, for a caller that drops them within the
+   transaction. *)
+let read_store ?attrs table cond =
   let probe =
     List.find_map
       (fun (a, vs) ->
@@ -91,19 +101,37 @@ let read_store table cond =
   | Some (a, keys)
     when List.compare_length_with keys (Table.support_cardinal table) < 0 ->
     let test = Predicate.compile cond in
-    let bu = Bag.builder (Table.schema table) in
+    let schema = Table.schema table in
+    let bu =
+      Bag.builder ~size:(List.length keys)
+        (match attrs with
+        | None -> schema
+        | Some attrs -> Schema.project schema attrs)
+    in
     let read = ref 0 in
     List.iter
       (fun v ->
         Table.probe table a v (fun tuple m ->
             incr read;
-            if test tuple then Bag.badd ~check:false bu tuple m))
+            if test tuple then
+              Bag.badd ~check:false bu
+                (match attrs with
+                | None -> tuple
+                | Some attrs -> Tuple.project tuple attrs)
+                m))
       keys;
     Eval.charge_tuple_ops !read;
     (Bag.seal bu, false)
-  | Some _ | None ->
+  | Some _ | None -> (
     Eval.charge_tuple_ops (Table.support_cardinal table);
-    (Bag.select cond (Table.contents table), true)
+    let rows = Bag.select cond (Table.contents table) in
+    match attrs with
+    | None -> (rows, true)
+    | Some attrs ->
+      let answer = Bag.project attrs rows in
+      ( (if Bag.shares answer (Table.contents table) then Bag.copy answer
+         else answer),
+        true ))
 
 (* Example 2.3 generalized: every virtual attribute comes from a child
    whose key [node] materializes, which then determines it (the FD
@@ -479,8 +507,9 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
           if avail = [] then raise exn;
           Obs.Trace.set_attr tx_sp "error" (Printexc.to_string exn);
           finish ~stale:(staleness_of t srcs) ~served:"degraded"
-            (Bag.project avail
-               (fst (read_store table (Predicate.restrict_to cond mat))))
+            (fst
+               (read_store ~attrs:avail table
+                  (Predicate.restrict_to cond mat)))
             []
         | None -> raise exn
       in
@@ -494,9 +523,8 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
       if Med.is_covered t ~node ~attrs:needed then begin
         let table = Option.get (Med.node_table t node) in
         Obs.Metrics.incr t.Med.stats.Med.queries_from_store;
-        let rows, scanned = read_store table cond in
-        finish ~stale:(base_stale t) ~scanned ~served:"store"
-          (Bag.project attrs rows) []
+        let answer, scanned = read_store ~attrs table cond in
+        finish ~stale:(base_stale t) ~scanned ~served:"store" answer []
       end
       else
         with_degrade @@ fun () -> begin
@@ -505,10 +533,11 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
             Vap.build t ~kind:`Query
               [ { Vap.r_node = node; r_attrs = needed; r_cond = cond } ]
           in
+          (* the temporary is already π_needed σ_cond node: the closure
+             never widens a lone request's own condition *)
           let temp = List.assoc node res.Vap.temps in
           finish ~stale:(base_stale t) ~polled_times:res.Vap.polled_times
-            ~served:"vap"
-            (Bag.project attrs (Bag.select cond temp))
+            ~served:"vap" (Bag.project attrs temp)
             res.Vap.polled_versions
         in
         match

@@ -74,12 +74,22 @@ let filter pred b =
 let select p b =
   match p with Predicate.True -> b | p -> filter (Predicate.compile p) b
 
+(* tuples are keyed by attribute name, so a projection onto exactly
+   the bag's own attributes, in any order, is the bag itself under the
+   requested order; [Schema.project] still rejects unknown and
+   duplicate names *)
 let project names b =
   let schema = Schema.project b.schema names in
-  let proj = Tuple.projector names in
-  let bu = builder ~size:(max 16 (support_cardinal b)) schema in
-  iter (fun t m -> badd ~check:false bu (proj t) m) b;
-  seal bu
+  if Schema.arity schema = Schema.arity b.schema then { b with schema }
+  else begin
+    let proj = Tuple.projector names in
+    let bu = builder ~size:(max 16 (support_cardinal b)) schema in
+    iter (fun t m -> badd ~check:false bu (proj t) m) b;
+    seal bu
+  end
+
+let copy b = { b with tm = Counts.Builder.seal (Counts.Builder.of_counts b.tm) }
+let shares a b = a.tm == b.tm
 
 let require_compatible op a b =
   if not (Schema.union_compatible a.schema b.schema) then
@@ -142,10 +152,12 @@ let join_keys sa sb on =
   in
   (shared @ List.map fst extra_pairs, shared @ List.map snd extra_pairs)
 
-(* Hash join over the physical tables: build a key index over the
+(* Hash join over the physical tables: build a key table over the
    right side once, probe with the left; keys are extracted through
    memoized slot plans, and the common single-attribute key case skips
-   the key-list allocation entirely. *)
+   the key-list allocation entirely. Each key holds its rows in one
+   cell, most recent first, so a probe is one lookup that allocates
+   nothing; the table is presized past its resize point. *)
 let join ?(on = Predicate.True) ?test a b =
   let left_keys, right_keys = join_keys a.schema b.schema on in
   let out_schema = Schema.join a.schema b.schema in
@@ -166,6 +178,12 @@ let join ?(on = Predicate.True) ?test a b =
       if trivially_true || residual merged then
         badd ~check:false bu merged (ma * mb)
   in
+  let rec combine_all xa ma = function
+    | [] -> ()
+    | (xb, mb) :: rest ->
+      combine xa ma xb mb;
+      combine_all xa ma rest
+  in
   (match left_keys, right_keys with
   | [], _ | _, [] ->
     (* pure theta join: nested loops *)
@@ -174,31 +192,36 @@ let join ?(on = Predicate.True) ?test a b =
       a.tm
   | [ lk ], [ rk ] ->
     let key_of_b = Tuple.keyer1 rk and key_of_a = Tuple.keyer1 lk in
-    (* [add]/[find_all] multi-bindings: inserts never walk the bucket
-       (replace-with-cons would walk it twice); presized past the
-       resize point *)
     let index = Value.Tbl.create (2 * max 16 (Counts.size b.tm)) in
     Counts.iter
-      (fun xb mb -> Value.Tbl.add index (key_of_b xb) (xb, mb))
+      (fun xb mb ->
+        let k = key_of_b xb in
+        match Value.Tbl.find index k with
+        | rows -> rows := (xb, mb) :: !rows
+        | exception Not_found -> Value.Tbl.add index k (ref [ (xb, mb) ]))
       b.tm;
     Counts.iter
       (fun xa ma ->
-        List.iter
-          (fun (xb, mb) -> combine xa ma xb mb)
-          (Value.Tbl.find_all index (key_of_a xa)))
+        match Value.Tbl.find index (key_of_a xa) with
+        | rows -> combine_all xa ma !rows
+        | exception Not_found -> ())
       a.tm
   | _ ->
     let key_of_b = Tuple.keyer right_keys
     and key_of_a = Tuple.keyer left_keys in
     let index = Key_table.create (2 * max 16 (Counts.size b.tm)) in
     Counts.iter
-      (fun xb mb -> Key_table.add index (key_of_b xb) (xb, mb))
+      (fun xb mb ->
+        let k = key_of_b xb in
+        match Key_table.find index k with
+        | rows -> rows := (xb, mb) :: !rows
+        | exception Not_found -> Key_table.add index k (ref [ (xb, mb) ]))
       b.tm;
     Counts.iter
       (fun xa ma ->
-        List.iter
-          (fun (xb, mb) -> combine xa ma xb mb)
-          (Key_table.find_all index (key_of_a xa)))
+        match Key_table.find index (key_of_a xa) with
+        | rows -> combine_all xa ma !rows
+        | exception Not_found -> ())
       a.tm);
   seal bu
 

@@ -54,11 +54,28 @@ val support : t -> Tuple.t list
 (** {1 Algebra operations} *)
 
 val select : Predicate.t -> t -> t
-(** [select True b] is [b] itself; any other condition is compiled
-    once ({!Predicate.compile}) and tested per distinct tuple. *)
+(** [select True b] returns its input [b] itself; any other condition
+    is compiled once ({!Predicate.compile}) and tested per distinct
+    tuple. *)
 
 val project : string list -> t -> t
-(** Bag projection: multiplicities of coinciding images add up. *)
+(** Bag projection: multiplicities of coinciding images add up. A
+    projection onto exactly [b]'s own attributes, in any order, returns
+    its input's storage under the requested attribute order (bags are
+    persistent, so sharing is sound); see {!copy} for a holder that must
+    not share.
+    @raise Schema.Schema_error on an unknown or duplicate attribute. *)
+
+val copy : t -> t
+(** A bag equal to its input over storage of its own. A holder that
+    keeps a bag and updates it while another holder (a stored table)
+    updates the same version takes a copy: two live versions derived
+    from one would make every later access to either walk the other's
+    updates. *)
+
+val shares : t -> t -> bool
+(** [shares a b]: [a] and [b] are one version of one storage, as a
+    [select True] or an own-attribute [project] is of its input. *)
 
 val union : t -> t -> t
 (** Additive (bag) union [⊎]. @raise Bag_error unless union-compatible. *)

@@ -17,7 +17,9 @@
    product or a pure theta join) runs as a nested loop; every other
    group runs as a left-deep streaming hash cascade. The cascade
    streams its smallest input through key tables built over the
-   others, ordered on each execution from the inputs' sizes alone.
+   others, ordered on each execution from the inputs' sizes alone; a
+   two-input group streams its larger input through a table over the
+   smaller.
 
    Schemas are resolved at execution time from the environment's bags,
    NOT at compile time from static declarations: the same node
@@ -269,45 +271,53 @@ let class_attr_in vc attrs = List.find_opt (fun a -> List.mem a attrs) vc.vc_att
 (* cascade order: the smallest input by [v_sig_rows] first (ties to the
    leftmost), then at each step the smallest remaining input sharing a
    join variable with the prefix, or the smallest remaining input when
-   none does *)
+   none does. A two-input group is the exception: it streams the larger
+   input through a key table over the smaller, the cheaper table to
+   build and hold; the charge |A| + |B| + |out| is the same either
+   way. *)
 let cascade_order views classes =
   let n = Array.length views in
-  let used = Array.make n false in
-  let shares i =
-    List.exists
-      (fun vc ->
-        List.mem i vc.vc_inputs && List.exists (fun k -> used.(k)) vc.vc_inputs)
-      classes
-  in
-  let smallest ok =
-    let best = ref (-1) in
-    for i = 0 to n - 1 do
-      if
-        (not used.(i)) && ok i
-        && (!best < 0 || views.(i).v_sig_rows < views.(!best).v_sig_rows)
-      then best := i
-    done;
-    !best
-  in
-  Array.init n (fun _ ->
-      let i =
-        match smallest shares with -1 -> smallest (fun _ -> true) | i -> i
-      in
-      used.(i) <- true;
-      i)
+  if n = 2 then
+    if views.(0).v_sig_rows >= views.(1).v_sig_rows then [| 0; 1 |]
+    else [| 1; 0 |]
+  else begin
+    let used = Array.make n false in
+    let shares i =
+      List.exists
+        (fun vc ->
+          List.mem i vc.vc_inputs
+          && List.exists (fun k -> used.(k)) vc.vc_inputs)
+        classes
+    in
+    let smallest ok =
+      let best = ref (-1) in
+      for i = 0 to n - 1 do
+        if
+          (not used.(i)) && ok i
+          && (!best < 0 || views.(i).v_sig_rows < views.(!best).v_sig_rows)
+        then best := i
+      done;
+      !best
+    in
+    Array.init n (fun _ ->
+        let i =
+          match smallest shares with -1 -> smallest (fun _ -> true) | i -> i
+        in
+        used.(i) <- true;
+        i)
+  end
 
 (* one cascade step: the key table built over a join input plus the
    probe keyer from the accumulated prefix and the conjuncts that
-   become checkable after this merge *)
+   become checkable after this merge. A key holds its rows in one
+   cell, most recent first, so a probe is one lookup that allocates
+   nothing. *)
+type rows = (Tuple.t * int) list ref
+
 type cstep =
-  | C1 of
-      (Tuple.t * int) VKey_table.t
-      * (Tuple.t -> Value.t)
-      * (Tuple.t -> bool) array
+  | C1 of rows VKey_table.t * (Tuple.t -> Value.t) * (Tuple.t -> bool) array
   | CN of
-      (Tuple.t * int) Key_table.t
-      * (Tuple.t -> Value.t list)
-      * (Tuple.t -> bool) array
+      rows Key_table.t * (Tuple.t -> Value.t list) * (Tuple.t -> bool) array
 
 let passes checks t =
   let k = Array.length checks in
@@ -450,20 +460,31 @@ and exec_cascade j views attr_lists classes ~emit =
         let merged' = Schema.join !merged si in
         let checks = take_applicable merged' in
         merged := merged';
+        (* sized from the input's exact row count when known (a source
+           leaf), never from a derived input's leaf total *)
+        let size =
+          if views.(i).v_rows >= 0 then max 16 views.(i).v_rows else 64
+        in
         match shared with
         | [ (la, ra) ] ->
-          let tbl = VKey_table.create 64 in
+          let tbl = VKey_table.create size in
           let kb = Tuple.keyer1 ra in
           views.(i).v_stream (fun t m ->
               incr charged;
-              VKey_table.add tbl (kb t) (t, m));
+              let k = kb t in
+              match VKey_table.find tbl k with
+              | rows -> rows := (t, m) :: !rows
+              | exception Not_found -> VKey_table.add tbl k (ref [ (t, m) ]));
           C1 (tbl, Tuple.keyer1 la, checks)
         | _ ->
-          let tbl = Key_table.create 64 in
+          let tbl = Key_table.create size in
           let kb = Tuple.keyer (List.map snd shared) in
           views.(i).v_stream (fun t m ->
               incr charged;
-              Key_table.add tbl (kb t) (t, m));
+              let k = kb t in
+              match Key_table.find tbl k with
+              | rows -> rows := (t, m) :: !rows
+              | exception Not_found -> Key_table.add tbl k (ref [ (t, m) ]));
           CN (tbl, Tuple.keyer (List.map fst shared), checks))
   in
   let leftovers =
@@ -481,26 +502,27 @@ and exec_cascade j views attr_lists classes ~emit =
         emit t m
       end
     end
-    else begin
-      let continue checks tb mb =
-        match Tuple.concat t tb with
-        | None -> ()
-        | Some merged ->
-          if passes checks merged then begin
-            if idx + 1 < nsteps then incr charged;
-            go (idx + 1) merged (m * mb)
-          end
-      in
+    else
       match Array.unsafe_get steps idx with
-      | C1 (tbl, key, checks) ->
-        List.iter
-          (fun (tb, mb) -> continue checks tb mb)
-          (VKey_table.find_all tbl (key t))
-      | CN (tbl, key, checks) ->
-        List.iter
-          (fun (tb, mb) -> continue checks tb mb)
-          (Key_table.find_all tbl (key t))
-    end
+      | C1 (tbl, key, checks) -> (
+        match VKey_table.find tbl (key t) with
+        | rows -> merge_all idx checks t m !rows
+        | exception Not_found -> ())
+      | CN (tbl, key, checks) -> (
+        match Key_table.find tbl (key t) with
+        | rows -> merge_all idx checks t m !rows
+        | exception Not_found -> ())
+  and merge_all idx checks t m = function
+    | [] -> ()
+    | (tb, mb) :: rest ->
+      (match Tuple.concat t tb with
+      | None -> ()
+      | Some merged ->
+        if passes checks merged then begin
+          if idx + 1 < nsteps then incr charged;
+          go (idx + 1) merged (m * mb)
+        end);
+      merge_all idx checks t m rest
   in
   views.(first).v_stream (fun t m ->
       incr charged;
@@ -531,7 +553,14 @@ let run p ~env =
   | Source n -> resolve env n (* as the interpreter: no copy, no charge *)
   | prog ->
     let schema = out_schema prog ~env in
-    let bu = Bag.builder schema in
+    (* a fused chain over one source yields at most that source's
+       distinct tuples *)
+    let size =
+      match prog with
+      | Fused (_, Source n) -> max 16 (Bag.support_cardinal (resolve env n))
+      | _ -> 16
+    in
+    let bu = Bag.builder ~size schema in
     stream prog ~env ~emit:(fun t m -> Bag.badd ~check:false bu t m);
     Bag.seal bu
 

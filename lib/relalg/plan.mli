@@ -8,7 +8,10 @@
     joins runs as one group: a left-deep hash cascade that streams its
     smallest input through key tables over the others, or a nested
     loop when the inputs share no join variable (a cross product or a
-    pure theta join).
+    pure theta join). A two-input group instead builds its key table
+    over the smaller input and streams the larger. A probe allocates
+    nothing. The output of a fused chain over one source is presized
+    from that source's distinct tuples.
 
     Plans are {e schema-polymorphic}: keyed by the expression alone,
     with every slot plan resolved at execution time per tuple

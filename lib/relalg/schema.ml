@@ -4,15 +4,25 @@ exception Schema_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Schema_error s)) fmt
 
+(* a projection checks its attribute list on every call, so a short
+   list is scanned in place; only a list with a duplicate, or a long
+   one, is sorted, and the error names the least duplicate *)
+let rec short_distinct n = function
+  | [] -> true
+  | a :: rest ->
+    n < 16 && (not (List.mem a rest)) && short_distinct (n + 1) rest
+
 let check_distinct names =
-  let sorted = List.sort String.compare names in
-  let rec dup = function
-    | a :: (b :: _ as rest) -> if String.equal a b then Some a else dup rest
-    | _ -> None
-  in
-  match dup sorted with
-  | Some a -> err "duplicate attribute %S" a
-  | None -> ()
+  if not (short_distinct 0 names) then begin
+    let sorted = List.sort String.compare names in
+    let rec dup = function
+      | a :: (b :: _ as rest) -> if String.equal a b then Some a else dup rest
+      | _ -> None
+    in
+    match dup sorted with
+    | Some a -> err "duplicate attribute %S" a
+    | None -> ()
+  end
 
 let make ?(key = []) attrs =
   check_distinct (List.map fst attrs);
@@ -40,9 +50,9 @@ let project s names =
   let attrs =
     List.map
       (fun n ->
-        match List.assoc_opt n s.attrs with
-        | Some ty -> (n, ty)
-        | None -> err "project: unknown attribute %S" n)
+        match List.assoc n s.attrs with
+        | ty -> (n, ty)
+        | exception Not_found -> err "project: unknown attribute %S" n)
       names
   in
   check_distinct names;

@@ -31,7 +31,12 @@ val load : t -> Bag.t -> unit
 val clear : t -> unit
 
 val contents : t -> Bag.t
-(** The current population (O(1): tables share the persistent bag). *)
+(** The current population: the table's live version of its persistent
+    bag, in O(1), not a copy. It stays valid across later updates, but
+    a holder that outlives the transaction or updates the bag must take
+    a {!Relalg.Bag.copy}: an update derived from the live version forks
+    its diff chain from the table's, and every later access to either
+    walks the other's updates. *)
 
 val apply_delta : t -> Rel_delta.t -> unit
 

@@ -14,6 +14,9 @@ type t = {
   by_name : node Smap.t;
   order : string list; (* topological, children before parents, non-leaves *)
   parent_map : string list Smap.t;
+  source_names : string list;
+      (* distinct, sorted: read on every query and update, so computed
+         once *)
 }
 
 exception Vdp_error of string
@@ -116,11 +119,7 @@ let rec expanded_def t name =
         | Derived _ -> expanded_def t child)
       e
 
-let sources t =
-  List.sort_uniq String.compare
-    (List.filter_map
-       (fun n -> match n.kind with Leaf { source } -> Some source | _ -> None)
-       (nodes t))
+let sources t = t.source_names
 
 let leaves_of_source t source =
   List.filter_map
@@ -238,7 +237,14 @@ let make node_list =
             acc (Expr.base_names e))
       by_name Smap.empty
   in
-  let t = { by_name; order; parent_map } in
+  let source_names =
+    List.sort_uniq String.compare
+      (Smap.fold
+         (fun _ n acc ->
+           match n.kind with Leaf { source } -> source :: acc | _ -> acc)
+         by_name [])
+  in
+  let t = { by_name; order; parent_map; source_names } in
   (* maximal nodes must be exported *)
   Smap.iter
     (fun name n ->

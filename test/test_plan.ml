@@ -67,8 +67,8 @@ let random_tuple rng schema =
   Tuple.of_list
     (List.map (fun (a, ty) -> (a, random_value rng ty)) (Schema.typed_attrs schema))
 
-let random_bag rng schema =
-  let n = Random.State.int rng 10 in
+(* a bag of up to [n] draws over [schema] *)
+let sized_bag rng schema n =
   let rec go acc i =
     if i = 0 then acc
     else
@@ -77,6 +77,8 @@ let random_bag rng schema =
         (i - 1)
   in
   go (Bag.empty schema) n
+
+let random_bag rng schema = sized_bag rng schema (Random.State.int rng 10)
 
 let random_bases rng =
   let pool = random_pool rng in
@@ -310,6 +312,49 @@ let test_njoin_strategies_agree () =
     | _ -> ()
   done
 
+(* a two-input group builds its key table over the smaller input and
+   streams the larger: whichever side is larger, and whichever order
+   the expression names them in, the answer is the interpreter's and
+   the charge is |A| + |B| + |out| plus a derived input's own
+   fused-stage charges *)
+let prop_two_input_swap =
+  Tutil.qtest ~count:300 "two-input group: swapped inputs agree"
+    QCheck2.Gen.(triple int (int_range 0 40) (int_range 0 40))
+    (fun (seed, na, nb) ->
+      let rng = Random.State.make [| 0x2E1; seed |] in
+      let pool = random_pool rng in
+      (* both sides carry the pool's first attribute: a join variable *)
+      let schema () =
+        let s = random_schema rng pool in
+        if Schema.mem s "a" then s
+        else Schema.make (List.hd pool :: Schema.typed_attrs s)
+      in
+      let sa = schema () and sb = schema () in
+      let bases =
+        [ ("A", sa, sized_bag rng sa na); ("B", sb, sized_bag rng sb nb) ]
+      in
+      let env = env_of_bases bases in
+      let input name s =
+        if Random.State.bool rng then Expr.base name
+        else Expr.select (random_pred rng s) (Expr.base name)
+      in
+      let ea = input "A" sa and eb = input "B" sb in
+      let on =
+        if Random.State.int rng 3 = 0 then random_pred rng (Schema.join sa sb)
+        else Predicate.True
+      in
+      let (ba, ca), (bb, cb) =
+        (charged (fun () -> Eval.eval ~env ea), charged (fun () -> Eval.eval ~env eb))
+      in
+      List.for_all
+        (fun e ->
+          let out, ops = charged (fun () -> Eval.eval ~env e) in
+          Bag.equal (Oracle.eval_interp ~env e) out
+          && ops
+             = ca + cb + Bag.support_cardinal ba + Bag.support_cardinal bb
+               + Bag.support_cardinal out)
+        [ Expr.join ~on ea eb; Expr.join ~on eb ea ])
+
 (* a group whose inputs share no join variable runs the nested loop,
    charging |A|·|B|: a pure cross product, and a pure theta join whose
    only condition compares attributes of different inputs *)
@@ -434,6 +479,28 @@ let test_scan_served_answer_maintained () =
   Tutil.check_bag "maintained answer equals recomputation"
     (Bag.project [ "r1"; "s1" ] (recompute env "T"))
     after
+
+(* the cached whole-table answer is updated in place by the IUP while
+   the table is, so it must hold storage of its own, not the table's
+   live version *)
+let test_scan_served_answer_copied () =
+  let env, med = setup () in
+  let attrs = [ "r1"; "s1" ] in
+  let answer =
+    in_process env (fun () ->
+        (Mediator.query med ~node:"T" ~attrs ()).Qp.tuples)
+  in
+  let table = Option.get (Med.node_table med "T") in
+  match Med.cache_lookup med ~node:"T" ~attrs ~cond:Predicate.True with
+  | None -> Alcotest.fail "π(r1,s1) T was not cached"
+  | Some ca ->
+    Alcotest.(check bool) "the query read the whole table" true
+      (Bag.equal answer (Storage.Table.contents table));
+    Alcotest.(check bool) "the entry holds the answer" true
+      (ca.Med.ca_answer == answer);
+    Alcotest.(check bool) "the entry does not share the table's storage"
+      false
+      (Bag.shares ca.Med.ca_answer (Storage.Table.contents table))
 
 (* π(r1,r3) T needs the virtual r3: a polled answer keeps the
    invalidation protocol *)
@@ -751,6 +818,7 @@ let () =
             test_njoin_strategies_agree;
           Alcotest.test_case "cross product and θ-join" `Quick
             test_cross_product;
+          prop_two_input_swap;
         ] );
       ( "answer-cache",
         [
@@ -758,6 +826,8 @@ let () =
             test_repeat_query_hits_cache;
           Alcotest.test_case "scan-served store answer is maintained" `Quick
             test_scan_served_answer_maintained;
+          Alcotest.test_case "scan-served whole-table answer is a copy" `Quick
+            test_scan_served_answer_copied;
           Alcotest.test_case "update invalidates" `Quick
             test_polled_answer_invalidated;
           Alcotest.test_case "maintained entry eviction" `Quick

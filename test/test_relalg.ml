@@ -233,6 +233,35 @@ let test_bag_select_project () =
     "r2=10 has multiplicity 2" 2
     (Bag.mult proj (Tuple.of_list [ ("r2", v_int 10) ]))
 
+(* a projection onto exactly the bag's own attributes shares its input
+   under the requested order; a name the schema lacks, or one named
+   twice, still raises even when the list has the schema's length *)
+let test_bag_project_own_attrs () =
+  let same = Bag.project (Schema.attrs schema_r) sample_r in
+  Alcotest.(check bool) "same order: equal" true (Bag.equal same sample_r);
+  Alcotest.(check bool) "same order: shared" true (Bag.shares same sample_r);
+  let order = [ "r3"; "r1"; "r4"; "r2" ] in
+  let perm = Bag.project order sample_r in
+  Alcotest.(check (list string)) "permuted: requested order" order
+    (Schema.attrs (Bag.schema perm));
+  Alcotest.(check bool) "permuted: shared" true (Bag.shares perm sample_r);
+  Alcotest.(check bool) "permuted: same tuples" true
+    (Bag.to_list perm = Bag.to_list sample_r);
+  Alcotest.(check bool) "permuted: equal once reordered" true
+    (Bag.equal (Bag.project (Schema.attrs schema_r) perm) sample_r);
+  Alcotest.(check bool) "a narrower projection does not share" false
+    (Bag.shares (Bag.project [ "r1"; "r2"; "r3" ] sample_r) sample_r);
+  Alcotest.(check bool) "a copy is equal" true
+    (Bag.equal (Bag.copy sample_r) sample_r);
+  Alcotest.(check bool) "a copy does not share" false
+    (Bag.shares (Bag.copy sample_r) sample_r);
+  Alcotest.check_raises "unknown attribute"
+    (Schema.Schema_error "project: unknown attribute \"zz\"") (fun () ->
+      ignore (Bag.project [ "r1"; "r2"; "r3"; "zz" ] sample_r));
+  Alcotest.check_raises "duplicate attribute"
+    (Schema.Schema_error "duplicate attribute \"r1\"") (fun () ->
+      ignore (Bag.project [ "r1"; "r1"; "r2"; "r3" ] sample_r))
+
 let test_bag_union_monus () =
   let a = of_rows schema_s [ [ v_int 1; v_int 2; v_int 3 ] ] in
   let b = Bag.union a a in
@@ -610,6 +639,8 @@ let () =
         [
           Alcotest.test_case "multiplicity" `Quick test_bag_multiplicity;
           Alcotest.test_case "select/project" `Quick test_bag_select_project;
+          Alcotest.test_case "project onto own attributes" `Quick
+            test_bag_project_own_attrs;
           Alcotest.test_case "union/monus" `Quick test_bag_union_monus;
           Alcotest.test_case "set ops" `Quick test_bag_set_ops;
           Alcotest.test_case "equi join" `Quick test_bag_join_equi;
