@@ -40,24 +40,21 @@ let run (t : Med.t) =
       t.Med.queue <- deferred @ t.Med.queue;
       if entries = [] then false
       else
-        Obs.Trace.with_span t.Med.trace "batch_tx"
-          ~attrs:[ ("entries", string_of_int (List.length entries)) ]
-          (fun tx_sp ->
+        let trace = t.Med.trace in
+        Obs.Trace.with_span trace "batch_tx" (fun tx_sp ->
+        Obs.Trace.set_attri trace tx_sp "entries" (List.length entries);
         let tx_start = Engine.now t.Med.engine in
         (* the constituent transactions, each as a child span: the
            batch is their atomic application *)
         List.iter
           (fun e ->
-            Obs.Trace.with_span t.Med.trace "update_tx"
-              ~attrs:
-                [
-                  ("source", e.Med.q_source);
-                  ("version", string_of_int e.Med.q_version);
-                  ("prev_version", string_of_int e.Med.q_prev_version);
-                  ("atoms",
-                   string_of_int (Multi_delta.atom_count e.Med.q_delta));
-                ]
-              (fun _sp -> ()))
+            Obs.Trace.with_span trace "update_tx" (fun sp ->
+                Obs.Trace.set_attr trace sp "source" e.Med.q_source;
+                Obs.Trace.set_attri trace sp "version" e.Med.q_version;
+                Obs.Trace.set_attri trace sp "prev_version"
+                  e.Med.q_prev_version;
+                Obs.Trace.set_attri trace sp "atoms"
+                  (Multi_delta.atom_count e.Med.q_delta)))
           entries;
         try
         let ops_before = Eval.tuple_ops () in
@@ -77,15 +74,15 @@ let run (t : Med.t) =
         let coalesced_atoms = Multi_delta.atom_count delta in
         let annihilated = (raw_atoms - coalesced_atoms) / 2 in
         t.Med.pending <- delta;
-        Obs.Trace.set_attri tx_sp "atoms" coalesced_atoms;
-        Obs.Trace.set_attri tx_sp "raw_atoms" raw_atoms;
-        Obs.Trace.set_attri tx_sp "annihilated_pairs" annihilated;
+        Obs.Trace.set_attri trace tx_sp "atoms" coalesced_atoms;
+        Obs.Trace.set_attri trace tx_sp "raw_atoms" raw_atoms;
+        Obs.Trace.set_attri trace tx_sp "annihilated_pairs" annihilated;
         (* (2) IUP Preparation: filter through leaf-parents, close the
            affected set upward, and find the children whose values the
            fired rules will read — among those, the ones not covered by
            materialized data become VAP requests *)
         let lp_deltas, affected, process, requests =
-          Obs.Trace.with_span t.Med.trace "temp_determination" (fun det_sp ->
+          Obs.Trace.with_span trace "temp_determination" (fun det_sp ->
         let lp_deltas =
           List.filter_map
             (fun ((name, _) as lp) ->
@@ -138,8 +135,8 @@ let run (t : Med.t) =
                  not (Med.is_covered t ~node:r.Vap.r_node ~attrs:r.Vap.r_attrs))
                reads)
         in
-        Obs.Trace.set_attri det_sp "affected" (Hashtbl.length affected);
-        Obs.Trace.set_attri det_sp "requests" (List.length requests);
+        Obs.Trace.set_attri trace det_sp "affected" (Hashtbl.length affected);
+        Obs.Trace.set_attri trace det_sp "requests" (List.length requests);
         (lp_deltas, affected, process, requests))
         in
         (* (3) populate temporaries at the pre-update state *)
@@ -177,7 +174,7 @@ let run (t : Med.t) =
               :: !to_apply
           | None -> ()
         in
-        Obs.Trace.with_span t.Med.trace "kernel_pass" (fun kp_sp ->
+        Obs.Trace.with_span trace "kernel_pass" (fun kp_sp ->
         List.iter
           (fun (n, d) ->
             Hashtbl.replace deltas_tbl n d;
@@ -194,9 +191,8 @@ let run (t : Med.t) =
                 (Graph.children t.Med.vdp node)
             in
             if child_deltas <> [] then
-              Obs.Trace.with_span t.Med.trace "delta"
-                ~attrs:[ ("node", node) ]
-                (fun d_sp ->
+              Obs.Trace.with_span trace "delta" (fun d_sp ->
+              Obs.Trace.set_attr trace d_sp "node" node;
               (* an unchanged child contributes an empty delta over
                  its DECLARED schema: falling through to the store's
                  bag would narrow the schema to the materialized
@@ -214,7 +210,7 @@ let run (t : Med.t) =
                 Delta_plan.run ~indexed_join ~env ~deltas:child_delta
                   (Med.node_plan t node).Med.np_delta
               in
-              Obs.Trace.set_attri d_sp "atoms" (Rel_delta.atom_count d);
+              Obs.Trace.set_attri trace d_sp "atoms" (Rel_delta.atom_count d);
               if not (Rel_delta.is_empty d) then begin
                 Hashtbl.replace deltas_tbl node d;
                 Obs.Metrics.add t.Med.stats.Med.propagated_atoms
@@ -222,9 +218,9 @@ let run (t : Med.t) =
                 stage node d
               end))
           process;
-        Obs.Trace.set_attri kp_sp "nodes" (Hashtbl.length deltas_tbl));
-        Obs.Trace.with_span t.Med.trace "apply" (fun ap_sp ->
-            Obs.Trace.set_attri ap_sp "tables" (List.length !to_apply);
+        Obs.Trace.set_attri trace kp_sp "nodes" (Hashtbl.length deltas_tbl));
+        Obs.Trace.with_span trace "apply" (fun ap_sp ->
+            Obs.Trace.set_attri trace ap_sp "tables" (List.length !to_apply);
             List.iter
               (fun (_, table, d) -> Table.apply_delta table d)
               !to_apply);
@@ -315,9 +311,9 @@ let run (t : Med.t) =
            fired rules read — the view maintained itself *)
         if process <> [] && requests = [] then begin
           Obs.Metrics.incr t.Med.stats.Med.self_maintained_txs;
-          Obs.Trace.set_attr tx_sp "served" "self_maintained"
+          Obs.Trace.set_attr trace tx_sp "served" "self_maintained"
         end;
-        Obs.Trace.set_attr tx_sp "outcome" "applied";
+        Obs.Trace.set_attr trace tx_sp "outcome" "applied";
         Obs.Metrics.observe t.Med.stats.Med.update_tx_time
           (Engine.now t.Med.engine -. tx_start);
         Med.log_event t
@@ -340,8 +336,8 @@ let run (t : Med.t) =
           t.Med.pending <- Multi_delta.empty;
           t.Med.queue <- entries @ t.Med.queue;
           Obs.Metrics.incr t.Med.stats.Med.update_deferrals;
-          Obs.Trace.set_attr tx_sp "outcome" "deferred";
-          Obs.Trace.set_attr tx_sp "error" (Printexc.to_string exn);
+          Obs.Trace.set_attr trace tx_sp "outcome" "deferred";
+          Obs.Trace.set_attr trace tx_sp "error" (Printexc.to_string exn);
           false)
 
 (* Empty the queue completely: one [run] per batch until a pass

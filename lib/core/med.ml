@@ -739,8 +739,10 @@ let dirty_sources t = t.dirty
 
 let gap_event t ~source ~via attrs =
   Obs.Metrics.incr t.stats.gaps_detected;
-  Obs.Trace.root_event t.trace "gap_detected"
-    ~attrs:((("source", source) :: attrs) @ [ ("via", via) ])
+  let sp = Obs.Trace.root_event t.trace "gap_detected" in
+  Obs.Trace.set_attr t.trace sp "source" source;
+  List.iter (fun (k, v) -> Obs.Trace.set_attri t.trace sp k v) attrs;
+  Obs.Trace.set_attr t.trace sp "via" via
 
 let enqueue t (u : Message.update) =
   Obs.Metrics.incr t.stats.messages_received;
@@ -752,12 +754,9 @@ let enqueue t (u : Message.update) =
        of a delta already queued or reflected — applying it twice would
        double-count *)
     Obs.Metrics.incr t.stats.dup_messages_dropped;
-    Obs.Trace.root_event t.trace "dup_dropped"
-      ~attrs:
-        [
-          ("source", u.Message.source);
-          ("version", string_of_int u.Message.version);
-        ]
+    let sp = Obs.Trace.root_event t.trace "dup_dropped" in
+    Obs.Trace.set_attr t.trace sp "source" u.Message.source;
+    Obs.Trace.set_attri t.trace sp "version" u.Message.version
   end
   else begin
     if u.Message.prev_version > seen then begin
@@ -766,9 +765,9 @@ let enqueue t (u : Message.update) =
          state, so ECA cannot be trusted — mark the source for resync. *)
       gap_event t ~source:u.Message.source ~via:"announcement"
         [
-          ("prev_version", string_of_int u.Message.prev_version);
-          ("version", string_of_int u.Message.version);
-          ("seen", string_of_int seen);
+          ("prev_version", u.Message.prev_version);
+          ("version", u.Message.version);
+          ("seen", seen);
         ];
       mark_dirty t u.Message.source
     end;
@@ -790,14 +789,12 @@ let enqueue t (u : Message.update) =
     in
     t.queue <- t.queue @ [ entry ];
     Obs.Metrics.set t.stats.queue_depth (float_of_int (List.length t.queue));
-    Obs.Trace.root_event t.trace "enqueue"
-      ~attrs:
-        [
-          ("source", u.Message.source);
-          ("version", string_of_int u.Message.version);
-          ("atoms", string_of_int (Multi_delta.atom_count u.Message.delta));
-          ("depth", string_of_int (List.length t.queue));
-        ]
+    let sp = Obs.Trace.root_event t.trace "enqueue" in
+    Obs.Trace.set_attr t.trace sp "source" u.Message.source;
+    Obs.Trace.set_attri t.trace sp "version" u.Message.version;
+    Obs.Trace.set_attri t.trace sp "atoms"
+      (Multi_delta.atom_count u.Message.delta);
+    Obs.Trace.set_attri t.trace sp "depth" (List.length t.queue)
   end
 
 (* Group-commit drain: take up to [config.max_batch] announcements off
@@ -909,34 +906,33 @@ let answer_bound t ?(polled_times = []) ?(stale = []) () =
 let poll_with_retry t src ?keys queries =
   let src_name = Source_db.name src in
   let budget = max 1 t.config.poll_retries in
-  Obs.Trace.with_span t.trace "poll" ~attrs:[ ("source", src_name) ]
-    (fun poll_sp ->
+  Obs.Trace.with_span t.trace "poll" (fun poll_sp ->
+      Obs.Trace.set_attr t.trace poll_sp "source" src_name;
       let t0 = Engine.now t.engine in
       let rec attempt n backoff =
         let outcome =
-          Obs.Trace.with_span t.trace "attempt"
-            ~attrs:[ ("n", string_of_int n) ]
-            (fun sp ->
+          Obs.Trace.with_span t.trace "attempt" (fun sp ->
+              Obs.Trace.set_attri t.trace sp "n" n;
               let r =
                 Source_db.try_poll src ?timeout:t.config.poll_timeout ?keys queries
               in
               (match r with
-              | Ok _ -> Obs.Trace.set_attr sp "result" "ok"
+              | Ok _ -> Obs.Trace.set_attr t.trace sp "result" "ok"
               | Error e ->
-                Obs.Trace.set_attr sp "result"
+                Obs.Trace.set_attr t.trace sp "result"
                   (Source_db.poll_error_to_string e));
               r)
         in
         match outcome with
         | Ok a ->
-          Obs.Trace.set_attri poll_sp "attempts" n;
+          Obs.Trace.set_attri t.trace poll_sp "attempts" n;
           Obs.Metrics.observe t.stats.poll_rtt (Engine.now t.engine -. t0);
           a
         | Error e ->
           if n >= budget then begin
             Obs.Metrics.incr t.stats.poll_failures;
-            Obs.Trace.set_attri poll_sp "attempts" n;
-            Obs.Trace.set_attr poll_sp "outcome" "exhausted";
+            Obs.Trace.set_attri t.trace poll_sp "attempts" n;
+            Obs.Trace.set_attr t.trace poll_sp "outcome" "exhausted";
             Obs.Metrics.observe t.stats.poll_rtt (Engine.now t.engine -. t0);
             raise
               (Poll_failed

@@ -458,10 +458,11 @@ val mark_dirty : t -> string -> unit
 val clear_dirty : t -> unit
 val dirty_sources : t -> string list
 
-val gap_event : t -> source:string -> via:string -> (string * string) list -> unit
+val gap_event : t -> source:string -> via:string -> (string * int) list -> unit
 (** Count a detected announcement gap and record a ["gap_detected"]
-    root event in the trace. [via] names the detector
-    (["announcement"], ["heartbeat"], ["poll"]). *)
+    root event in the trace, with the int attributes [attrs] between
+    its [source] and [via] attributes. [via] names the detector
+    (["announcement"], ["heartbeat"], ["desync"], ["slo_poll"]). *)
 
 val enqueue : t -> Message.update -> unit
 (** Queue an arriving announcement — after fault screening: a version

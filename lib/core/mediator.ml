@@ -65,9 +65,8 @@ let connect (t : Med.t) () =
                 then begin
                   Med.gap_event t ~source:src_name ~via:"heartbeat"
                     [
-                      ( "answer_version",
-                        string_of_int a.Message.answer_version );
-                      ("seen", string_of_int (Med.seen_version t src_name));
+                      ("answer_version", a.Message.answer_version);
+                      ("seen", Med.seen_version t src_name);
                     ];
                   Med.mark_dirty t src_name
                 end

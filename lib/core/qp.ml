@@ -318,9 +318,9 @@ let slo_prepoll (t : Med.t) ~slo =
   if laggards = [] then (false, [])
   else begin
     let polled =
-      Obs.Trace.with_span t.Med.trace "slo_poll"
-        ~attrs:[ ("sources", String.concat "," laggards) ]
-        (fun _sp ->
+      Obs.Trace.with_span t.Med.trace "slo_poll" (fun sp ->
+          Obs.Trace.set_attr t.Med.trace sp "sources"
+            (String.concat "," laggards);
           let polled =
             List.filter_map
               (fun src_name ->
@@ -332,7 +332,7 @@ let slo_prepoll (t : Med.t) ~slo =
                     (* the flush's announcements were lost in transit —
                        the heartbeat idiom: mark for resync *)
                     Med.gap_event t ~source:src_name ~via:"slo_poll"
-                      [ ("version", string_of_int a.Message.answer_version) ];
+                      [ ("version", a.Message.answer_version) ];
                     Med.mark_dirty t src_name
                   end;
                   Med.observe_source_version t src_name
@@ -467,9 +467,9 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
          evicted: the computed answer below will overwrite it *)
       if t.Med.config.Med.Config.answer_cache_enabled then
         Obs.Metrics.incr t.Med.stats.Med.cache_misses;
-      Obs.Trace.with_span t.Med.trace "query_tx" ~attrs:[ ("node", node) ]
-        (fun tx_sp ->
-      let trace_id = Obs.Trace.span_id tx_sp in
+      Obs.Trace.with_span t.Med.trace "query_tx" (fun tx_sp ->
+      Obs.Trace.set_attr t.Med.trace tx_sp "node" node;
+      let trace_id = Obs.Trace.span_id t.Med.trace tx_sp in
       let finish ?(stale = []) ?(polled_times = []) ?scanned ~served answer
           polled =
         let polled_times = with_prepoll polled_times in
@@ -481,12 +481,12 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
         (match max_staleness with
         | Some slo when not (bound_ok bound slo) ->
           Obs.Metrics.incr t.Med.stats.Med.slo_refusals;
-          Obs.Trace.set_attr tx_sp "served" "refused";
+          Obs.Trace.set_attr t.Med.trace tx_sp "served" "refused";
           raise
             (Slo_unsatisfiable
                { sm_node = node; sm_slo = slo; sm_bound = bound })
         | Some _ | None -> ());
-        Obs.Trace.set_attr tx_sp "served"
+        Obs.Trace.set_attr t.Med.trace tx_sp "served"
           (if escalated then "slo_poll" else served);
         let a = record ~stale ~bound ~polled ~trace_id answer in
         (* only answers the checker may hold to full validity are
@@ -505,7 +505,7 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
           let mat = Med.mat_attrs t node in
           let avail = List.filter (fun a -> List.mem a mat) attrs in
           if avail = [] then raise exn;
-          Obs.Trace.set_attr tx_sp "error" (Printexc.to_string exn);
+          Obs.Trace.set_attr t.Med.trace tx_sp "error" (Printexc.to_string exn);
           finish ~stale:(staleness_of t srcs) ~served:"degraded"
             (fst
                (read_store ~attrs:avail table

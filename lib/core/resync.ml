@@ -14,9 +14,8 @@ open Storage
    all polls complete before any state mutates — otherwise a partially
    advanced reflect vector would disagree with tables never rebuilt. *)
 let snapshot ?(trigger = "init") (t : Med.t) =
-  Obs.Trace.with_span t.Med.trace "snapshot"
-    ~attrs:[ ("trigger", trigger) ]
-    (fun _sp ->
+  Obs.Trace.with_span t.Med.trace "snapshot" (fun sp ->
+  Obs.Trace.set_attr t.Med.trace sp "trigger" trigger;
   let answers =
     List.filter_map
       (fun src_name ->
@@ -63,12 +62,22 @@ let snapshot ?(trigger = "init") (t : Med.t) =
     | Some b -> Some b
     | None -> Hashtbl.find_opt leaf_values name
   in
+  (* a table adopts its value's storage unless a leaf answer (possibly
+     the source's own relation) or another node's value shares it: two
+     holders updating one storage would walk each other's updates *)
+  let shared_elsewhere node b =
+    let shares n v = (not (String.equal n node)) && Bag.shares b v in
+    Hashtbl.fold (fun n v acc -> acc || shares n v) values false
+    || Hashtbl.fold (fun n v acc -> acc || shares n v) leaf_values false
+  in
   List.iter
     (fun node ->
       let value = Eval.eval ~env (Graph.def t.Med.vdp node) in
       Hashtbl.replace values node value;
       match Med.node_table t node with
-      | Some table -> Table.load table (Bag.project (Med.mat_attrs t node) value)
+      | Some table ->
+        let b = Bag.project (Med.mat_attrs t node) value in
+        Table.load table (if shared_elsewhere node b then Bag.copy b else b)
       | None -> ())
     (Graph.topo_order t.Med.vdp);
   (* The polls above yield to the scheduler, so announcements keep
@@ -115,6 +124,7 @@ let resync_if_dirty (t : Med.t) =
   | [] -> ()
   | dirty ->
     Obs.Metrics.incr t.Med.stats.Med.resyncs;
-    Obs.Trace.with_span t.Med.trace "resync"
-      ~attrs:[ ("sources", String.concat "," (List.sort String.compare dirty)) ]
-      (fun _sp -> snapshot ~trigger:"gap" t)
+    Obs.Trace.with_span t.Med.trace "resync" (fun sp ->
+        Obs.Trace.set_attr t.Med.trace sp "sources"
+          (String.concat "," (List.sort String.compare dirty));
+        snapshot ~trigger:"gap" t)

@@ -119,8 +119,8 @@ let build_inner (t : Med.t) requests =
   let reqs =
     Obs.Trace.with_span t.Med.trace "closure" (fun sp ->
         let reqs = closure t requests in
-        Obs.Trace.set_attri sp "requests" (List.length requests);
-        Obs.Trace.set_attri sp "closed" (List.length reqs);
+        Obs.Trace.set_attri t.Med.trace sp "requests" (List.length requests);
+        Obs.Trace.set_attri t.Med.trace sp "closed" (List.length reqs);
         reqs)
   in
   let lp_reqs, inner_reqs =
@@ -199,11 +199,7 @@ let build_inner (t : Med.t) requests =
           (* the repair this triggers must be attributable in the
              trace: every resync needs a preceding gap_detected *)
           Med.gap_event t ~source:src_name ~via:"desync"
-            [
-              ("answer_version",
-               string_of_int answer.Message.answer_version);
-              ("seen", string_of_int seen);
-            ];
+            [ ("answer_version", answer.Message.answer_version); ("seen", seen) ];
           Med.mark_dirty t src_name;
           raise
             (Med.Desync
@@ -219,13 +215,13 @@ let build_inner (t : Med.t) requests =
               contributor <> Med.Virtual_contributor
               && t.Med.config.Med.Config.eca_enabled
             then
-              Obs.Trace.with_span t.Med.trace "eca"
-                ~attrs:[ ("source", src_name); ("node", r.r_node) ]
-                (fun sp ->
+              Obs.Trace.with_span t.Med.trace "eca" (fun sp ->
+                  Obs.Trace.set_attr t.Med.trace sp "source" src_name;
+                  Obs.Trace.set_attr t.Med.trace sp "node" r.r_node;
                   (* Eager Compensation: roll the polled answer back to
                      the reflected state *)
                   let unseen = Med.unseen_delta t ~source:src_name ~leaf in
-                  Obs.Trace.set_attri sp "unseen_atoms"
+                  Obs.Trace.set_attri t.Med.trace sp "unseen_atoms"
                     (Rel_delta.atom_count unseen);
                   let comp = Rel_delta.inverse unseen in
                   let through_def =
@@ -252,8 +248,8 @@ let build_inner (t : Med.t) requests =
   List.iter
     (fun node ->
       let r = List.find (fun r -> String.equal r.r_node node) inner_reqs in
-      Obs.Trace.with_span t.Med.trace "temp" ~attrs:[ ("node", node) ]
-        (fun sp ->
+      Obs.Trace.with_span t.Med.trace "temp" (fun sp ->
+          Obs.Trace.set_attr t.Med.trace sp "node" node;
           let env name =
             match Hashtbl.find_opt temps name with
             | Some b -> Some b
@@ -268,7 +264,7 @@ let build_inner (t : Med.t) requests =
             else Expr.select r.r_cond def
           in
           let value = Eval.eval ~env (Expr.project r.r_attrs with_sel) in
-          Obs.Trace.set_attri sp "tuples" (Bag.cardinal value);
+          Obs.Trace.set_attri t.Med.trace sp "tuples" (Bag.cardinal value);
           Hashtbl.replace temps node value))
     inner_in_topo;
   Obs.Metrics.add t.Med.stats.Med.temps_built (Hashtbl.length temps);
@@ -279,10 +275,9 @@ let build_inner (t : Med.t) requests =
   }
 
 let build (t : Med.t) ~kind requests =
-  Obs.Trace.with_span t.Med.trace "vap"
-    ~attrs:
-      [ ("kind", match kind with `Query -> "query" | `Update -> "update") ]
-    (fun sp ->
+  Obs.Trace.with_span t.Med.trace "vap" (fun sp ->
+      Obs.Trace.set_attr t.Med.trace sp "kind"
+        (match kind with `Query -> "query" | `Update -> "update");
       let r = build_inner t requests in
-      Obs.Trace.set_attri sp "temps" (List.length r.temps);
+      Obs.Trace.set_attri t.Med.trace sp "temps" (List.length r.temps);
       r)

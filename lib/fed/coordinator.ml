@@ -35,6 +35,10 @@ type t = {
 
 let err fmt = Format.kasprintf failwith fmt
 
+(* a root event about one shard *)
+let shard_event t name i =
+  Obs.Trace.set_attri t.f_trace (Obs.Trace.root_event t.f_trace name) "shard" i
+
 let create ~engine ~vdp ~key ~shards ~make_sources
     ?(annotation = Annotation.fully_materialized)
     ?(config = Med.Config.default) () =
@@ -85,8 +89,7 @@ let create ~engine ~vdp ~key ~shards ~make_sources
       | Med.Export_delta _ -> ()
       | Med.Export_snapshot _ ->
         Obs.Metrics.incr t.f_shard_resyncs;
-        Obs.Trace.root_event t.f_trace "shard_resync"
-          ~attrs:[ ("shard", string_of_int i) ]);
+        shard_event t "shard_resync" i);
     {
       sh_id = i;
       sh_sources =
@@ -174,12 +177,9 @@ let commit t md =
     parts;
   Obs.Metrics.incr t.f_routed_txs;
   Obs.Metrics.add t.f_routed_atoms (Multi_delta.atom_count md);
-  Obs.Trace.root_event t.f_trace "route_update"
-    ~attrs:
-      [
-        ("shards", string_of_int !touched);
-        ("atoms", string_of_int (Multi_delta.atom_count md));
-      ]
+  let sp = Obs.Trace.root_event t.f_trace "route_update" in
+  Obs.Trace.set_attri t.f_trace sp "shards" !touched;
+  Obs.Trace.set_attri t.f_trace sp "atoms" (Multi_delta.atom_count md)
 
 (* Staleness markers standing in for a dead shard: the coordinator can
    say exactly which versions of the shard's sources the federation
@@ -214,8 +214,8 @@ let query t ~node ?attrs ?(cond = Predicate.True) () =
   let attrs, out_schema = validate t node attrs cond in
   Engine.Mutex.with_lock t.f_engine t.f_mutex (fun () ->
       Obs.Metrics.incr t.f_queries;
-      Obs.Trace.with_span t.f_trace "fed_query_tx" ~attrs:[ ("node", node) ]
-        (fun fed_sp ->
+      Obs.Trace.with_span t.f_trace "fed_query_tx" (fun fed_sp ->
+          Obs.Trace.set_attr t.f_trace fed_sp "node" node;
           let shards = Array.length t.f_shards in
           let target_ids =
             match Partition.targets ~shards ~key:t.f_key cond with
@@ -225,18 +225,18 @@ let query t ~node ?attrs ?(cond = Predicate.True) () =
           let alive, dead =
             List.partition (fun i -> t.f_shards.(i).sh_alive) target_ids
           in
-          Obs.Trace.set_attri fed_sp "targets" (List.length target_ids);
-          Obs.Trace.set_attri fed_sp "dead" (List.length dead);
+          Obs.Trace.set_attri t.f_trace fed_sp "targets" (List.length target_ids);
+          Obs.Trace.set_attri t.f_trace fed_sp "dead" (List.length dead);
           let ask i () =
             let sh = t.f_shards.(i) in
             let sp =
               Obs.Trace.fork_span t.f_trace ~parent:fed_sp "shard_query"
-                ~attrs:[ ("shard", string_of_int i) ]
             in
+            Obs.Trace.set_attri t.f_trace sp "shard" i;
             let a = Mediator.query sh.sh_med ~node ~attrs ~cond () in
-            Obs.Trace.set_attri sp "tuples" (Bag.cardinal a.Qp.tuples);
+            Obs.Trace.set_attri t.f_trace sp "tuples" (Bag.cardinal a.Qp.tuples);
             (match a.Qp.trace_id with
-            | Some id -> Obs.Trace.set_attri sp "shard_trace_id" id
+            | Some id -> Obs.Trace.set_attri t.f_trace sp "shard_trace_id" id
             | None -> ());
             Obs.Trace.join_span t.f_trace sp;
             a
@@ -272,18 +272,18 @@ let query t ~node ?attrs ?(cond = Predicate.True) () =
             Merge.merge_bound ~stale:dead_stale
               (List.map (fun (a : Qp.answer) -> a.Qp.bound) answers)
           in
-          Obs.Trace.set_attri fed_sp "tuples" (Bag.cardinal tuples);
+          Obs.Trace.set_attri t.f_trace fed_sp "tuples" (Bag.cardinal tuples);
           (match quality with
           | Qp.Fresh -> ()
           | Qp.Stale _ ->
             Obs.Metrics.incr t.f_degraded;
-            Obs.Trace.set_attr fed_sp "degraded" "true");
+            Obs.Trace.set_attr t.f_trace fed_sp "degraded" "true");
           {
             Qp.tuples;
             quality;
             reflect;
             bound;
-            trace_id = Obs.Trace.span_id fed_sp;
+            trace_id = Obs.Trace.span_id t.f_trace fed_sp;
           }))
 
 (* --- failure injection ------------------------------------------------ *)
@@ -298,8 +298,7 @@ let kill t i =
   if sh.sh_alive then begin
     sh.sh_alive <- false;
     set_links sh false;
-    Obs.Trace.root_event t.f_trace "shard_down"
-      ~attrs:[ ("shard", string_of_int i) ]
+    shard_event t "shard_down" i
   end
 
 let revive t i =
@@ -307,16 +306,13 @@ let revive t i =
   if not sh.sh_alive then begin
     sh.sh_alive <- true;
     set_links sh true;
-    Obs.Trace.root_event t.f_trace "shard_up"
-      ~attrs:[ ("shard", string_of_int i) ]
+    shard_event t "shard_up" i
   end
 
 let partition_links t i up =
   let sh = t.f_shards.(i) in
   set_links sh up;
-  Obs.Trace.root_event t.f_trace
-    (if up then "shard_link_up" else "shard_link_down")
-    ~attrs:[ ("shard", string_of_int i) ]
+  shard_event t (if up then "shard_link_up" else "shard_link_down") i
 
 (* --- lifecycle -------------------------------------------------------- *)
 

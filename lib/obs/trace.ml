@@ -3,24 +3,79 @@ type span = {
   parent : int option;
   name : string;
   start_time : float;
-  mutable end_time : float;
-  mutable ops : int;
-  mutable attrs : (string * string) list;
-  mutable children : span list;
+  end_time : float;
+  ops : int;
+  attrs : (string * string) list;
+  children : span list;
 }
+
+type slot = int
+
+let no_slot = -1
+
+(* [attr_text] holds this very string (compared physically) in the
+   value field of an int attribute, whose value is in [attr_ints] *)
+let int_value = "<int>"
+
+(* Spans and attributes live in chunks of [chunk] slots (cells) each,
+   added one at a time as the trace fills: growth copies nothing and
+   allocates no more than the retained trees need. A span's int fields
+   are one row of its chunk. Children and attributes are chained
+   newest first and reversed when read. *)
+let chunk_bits = 10
+let chunk = 1 lsl chunk_bits
+let row = 6
+let f_id = 0
+let f_parent = 1  (* the parent's id, 0 for none *)
+let f_ops = 2  (* the ops counter at open until the span closes *)
+let f_child = 3  (* the last child attached *)
+let f_next = 4  (* previous sibling; next free slot if the slot is free *)
+let f_attr = 5  (* the last attribute set *)
 
 type t = {
   enabled : bool;
   now : unit -> float;
   ops_counter : unit -> int;
-  ring : span option array;
-  mutable widx : int;  (* next write slot *)
-  mutable retained : int;
+  (* spans: slot [s] is entry [s land (chunk - 1)] of chunk [s lsr chunk_bits] *)
+  mutable rows : int array array;  (* [row] ints per slot *)
+  mutable times : Float.Array.t array;  (* start, stop per slot *)
+  mutable names : string array array;
+  mutable free : int;
+  (* attributes, by cell, chunked the same way *)
+  mutable attr_text : string array array;  (* key, string value per cell *)
+  mutable attr_ints : int array array;  (* int value, next cell per cell *)
+  mutable attr_free : int;
+  ring : int array;  (* retained root slots in completion order *)
+  mutable widx : int;  (* next ring position to write *)
   mutable dropped : int;
   mutable recorded : int;
   mutable next_id : int;
-  mutable stack : (span * int) list;  (* open span, ops at open *)
+  mutable stack : int array;  (* open spans, innermost at [depth - 1] *)
+  mutable depth : int;
 }
+
+let get t s f =
+  t.rows.(s lsr chunk_bits).(((s land (chunk - 1)) * row) + f)
+
+let set t s f v =
+  t.rows.(s lsr chunk_bits).(((s land (chunk - 1)) * row) + f) <- v
+
+let time t s i =
+  Float.Array.get t.times.(s lsr chunk_bits) ((2 * (s land (chunk - 1))) + i)
+
+let set_time t s i v =
+  Float.Array.set t.times.(s lsr chunk_bits) ((2 * (s land (chunk - 1))) + i) v
+
+let text t a i = t.attr_text.(a lsr chunk_bits).((2 * (a land (chunk - 1))) + i)
+
+let set_text t a i v =
+  t.attr_text.(a lsr chunk_bits).((2 * (a land (chunk - 1))) + i) <- v
+
+let int_field t a i =
+  t.attr_ints.(a lsr chunk_bits).((2 * (a land (chunk - 1))) + i)
+
+let set_int_field t a i v =
+  t.attr_ints.(a lsr chunk_bits).((2 * (a land (chunk - 1))) + i) <- v
 
 let create ?(capacity = 4096) ?(enabled = true) ~now ?(ops_counter = fun () -> 0)
     () =
@@ -29,70 +84,133 @@ let create ?(capacity = 4096) ?(enabled = true) ~now ?(ops_counter = fun () -> 0
     enabled;
     now;
     ops_counter;
-    ring = Array.make capacity None;
+    rows = [||];
+    times = [||];
+    names = [||];
+    free = no_slot;
+    attr_text = [||];
+    attr_ints = [||];
+    attr_free = no_slot;
+    ring = Array.make (if enabled then capacity else 1) no_slot;
     widx = 0;
-    retained = 0;
     dropped = 0;
     recorded = 0;
     next_id = 1;
-    stack = [];
+    stack = Array.make (if enabled then 16 else 1) no_slot;
+    depth = 0;
   }
 
 let enabled t = t.enabled
 
-let push_root t sp =
-  let cap = Array.length t.ring in
-  if t.ring.(t.widx) <> None then t.dropped <- t.dropped + 1
-  else t.retained <- t.retained + 1;
-  t.ring.(t.widx) <- Some sp;
-  t.widx <- (t.widx + 1) mod cap
+(* one more chunk, its entries chained onto a free list through the
+   [link] field of each [width]-wide entry; returns the list's head *)
+let add_chunk cells ~width ~link =
+  let c = Array.length cells in
+  let a = Array.make (chunk * width) no_slot in
+  for i = 0 to chunk - 1 do
+    a.((i * width) + link) <- (c * chunk) + i + 1
+  done;
+  a.(((chunk - 1) * width) + link) <- no_slot;
+  (Array.append cells [| a |], c * chunk)
 
-let fresh t ~parent name attrs =
+let grow_spans t =
+  let rows, head = add_chunk t.rows ~width:row ~link:f_next in
+  t.rows <- rows;
+  t.times <- Array.append t.times [| Float.Array.make (2 * chunk) 0.0 |];
+  t.names <- Array.append t.names [| Array.make chunk "" |];
+  t.free <- head
+
+let grow_attrs t =
+  let ints, head = add_chunk t.attr_ints ~width:2 ~link:1 in
+  t.attr_ints <- ints;
+  t.attr_text <- Array.append t.attr_text [| Array.make (2 * chunk) "" |];
+  t.attr_free <- head
+
+(* Return an evicted root's spans and attributes to the free lists. *)
+let rec release t s =
+  let a = ref (get t s f_attr) in
+  while !a <> no_slot do
+    let next = int_field t !a 1 in
+    set_int_field t !a 1 t.attr_free;
+    t.attr_free <- !a;
+    a := next
+  done;
+  let c = ref (get t s f_child) in
+  while !c <> no_slot do
+    let next = get t !c f_next in
+    release t !c;
+    c := next
+  done;
+  set t s f_next t.free;
+  t.free <- s
+
+let push_root t s =
+  let old = t.ring.(t.widx) in
+  if old <> no_slot then begin
+    t.dropped <- t.dropped + 1;
+    release t old
+  end;
+  t.ring.(t.widx) <- s;
+  t.widx <- (t.widx + 1) mod Array.length t.ring
+
+let fresh t ~parent name =
+  if t.free = no_slot then grow_spans t;
+  let s = t.free in
+  let rows = t.rows.(s lsr chunk_bits) and r = (s land (chunk - 1)) * row in
+  t.free <- rows.(r + f_next);
+  rows.(r + f_id) <- t.next_id;
+  rows.(r + f_parent) <- parent;
+  rows.(r + f_ops) <- 0;
+  rows.(r + f_child) <- no_slot;
+  rows.(r + f_next) <- no_slot;
+  rows.(r + f_attr) <- no_slot;
   let now = t.now () in
-  let sp =
-    {
-      id = t.next_id;
-      parent;
-      name;
-      start_time = now;
-      end_time = now;
-      ops = 0;
-      attrs;
-      children = [];
-    }
-  in
+  set_time t s 0 now;
+  set_time t s 1 now;
+  t.names.(s lsr chunk_bits).(s land (chunk - 1)) <- name;
   t.next_id <- t.next_id + 1;
   t.recorded <- t.recorded + 1;
-  sp
+  s
 
-let close t sp =
-  match t.stack with
-  | (top, ops0) :: rest when top == sp ->
-    t.stack <- rest;
-    sp.end_time <- t.now ();
-    sp.ops <- t.ops_counter () - ops0;
-    sp.children <- List.rev sp.children;
-    (match rest with
-    | (p, _) :: _ -> p.children <- sp :: p.children
-    | [] -> push_root t sp)
-  | _ ->
-    (* unbalanced close: only reachable if instrumentation itself is
-       broken — drop the span rather than corrupt the tree *)
-    ()
+let attach t ~parent:p s =
+  set t s f_next (get t p f_child);
+  set t p f_child s
 
-let with_span t ?(attrs = []) name f =
-  if not t.enabled then f None
+(* stamp the stop time and turn the ops counter at open into the count *)
+let finish t s =
+  set_time t s 1 (t.now ());
+  set t s f_ops (t.ops_counter () - get t s f_ops)
+
+let close t s =
+  if t.depth > 0 && t.stack.(t.depth - 1) = s then begin
+    t.depth <- t.depth - 1;
+    finish t s;
+    if t.depth > 0 then attach t ~parent:t.stack.(t.depth - 1) s
+    else push_root t s
+  end
+(* else an unbalanced close: only reachable if instrumentation itself
+   is broken — drop the span rather than corrupt the tree *)
+
+let with_span t name f =
+  if not t.enabled then f no_slot
   else begin
-    let parent = match t.stack with (p, _) :: _ -> Some p.id | [] -> None in
-    let sp = fresh t ~parent name attrs in
-    t.stack <- (sp, t.ops_counter ()) :: t.stack;
-    match f (Some sp) with
+    let parent = if t.depth > 0 then get t t.stack.(t.depth - 1) f_id else 0 in
+    let s = fresh t ~parent name in
+    set t s f_ops (t.ops_counter ());
+    if t.depth = Array.length t.stack then begin
+      let stack = Array.make (2 * t.depth) no_slot in
+      Array.blit t.stack 0 stack 0 t.depth;
+      t.stack <- stack
+    end;
+    t.stack.(t.depth) <- s;
+    t.depth <- t.depth + 1;
+    match f s with
     | v ->
-      close t sp;
+      close t s;
       v
     | exception exn ->
       let bt = Printexc.get_raw_backtrace () in
-      close t sp;
+      close t s;
       Printexc.raise_with_backtrace exn bt
   end
 
@@ -100,54 +218,83 @@ let with_span t ?(attrs = []) name f =
    two forked children may overlap and close out of order, which the
    stack discipline of [with_span] would mis-nest. A forked span is
    attached under its explicit parent at fork time and closed by
-   [join_span]; between fork and join the span's [ops] field holds the
-   ops counter at open (same trick [close] plays via the stack). *)
-let fork_span t ?(attrs = []) ~parent name =
-  if not t.enabled then None
-  else
-    match parent with
-    | None -> None
-    | Some (p : span) ->
-      let sp = fresh t ~parent:(Some p.id) name attrs in
-      p.children <- sp :: p.children;
-      sp.ops <- t.ops_counter ();
-      Some sp
+   [join_span]. *)
+let fork_span t ~parent name =
+  if (not t.enabled) || parent = no_slot then no_slot
+  else begin
+    let s = fresh t ~parent:(get t parent f_id) name in
+    attach t ~parent s;
+    set t s f_ops (t.ops_counter ());
+    s
+  end
 
-let join_span t sp =
-  match sp with
-  | None -> ()
-  | Some sp ->
-    sp.end_time <- t.now ();
-    sp.ops <- t.ops_counter () - sp.ops;
-    sp.children <- List.rev sp.children
+let join_span t s = if s <> no_slot then finish t s
 
-let root_event t ?(attrs = []) name =
-  if t.enabled then push_root t (fresh t ~parent:None name attrs)
+let root_event t name =
+  if not t.enabled then no_slot
+  else begin
+    let s = fresh t ~parent:0 name in
+    push_root t s;
+    s
+  end
 
-let event t ?(attrs = []) name =
-  if t.enabled then
-    match t.stack with
-    | (p, _) :: _ ->
-      let sp = fresh t ~parent:(Some p.id) name attrs in
-      p.children <- sp :: p.children
-    | [] -> root_event t ~attrs name
+(* a new attribute of [s] under [key]; returns its cell *)
+let add_attr t s key =
+  if t.attr_free = no_slot then grow_attrs t;
+  let a = t.attr_free in
+  t.attr_free <- int_field t a 1;
+  set_text t a 0 key;
+  set_int_field t a 1 (get t s f_attr);
+  set t s f_attr a;
+  a
 
-let set_attr sp k v =
-  match sp with None -> () | Some sp -> sp.attrs <- sp.attrs @ [ (k, v) ]
+let set_attr t s k v = if s <> no_slot then set_text t (add_attr t s k) 1 v
 
-let set_attri sp k v = set_attr sp k (string_of_int v)
+let set_attri t s k v =
+  if s <> no_slot then begin
+    let a = add_attr t s k in
+    set_text t a 1 int_value;
+    set_int_field t a 0 v
+  end
+
+let span_id t s = if s = no_slot then None else Some (get t s f_id)
+
+(* ---- the read side: records built from the rows on demand ----------- *)
+
 let attr sp k = List.assoc_opt k sp.attrs
-let span_id = function None -> None | Some sp -> Some sp.id
+
+(* chains are newest first: [acc] collects them oldest first *)
+let rec attrs_from t a acc =
+  if a = no_slot then acc
+  else
+    let v = text t a 1 in
+    let v = if v == int_value then string_of_int (int_field t a 0) else v in
+    attrs_from t (int_field t a 1) ((text t a 0, v) :: acc)
+
+let rec span_of t s =
+  {
+    id = get t s f_id;
+    parent = (match get t s f_parent with 0 -> None | p -> Some p);
+    name = t.names.(s lsr chunk_bits).(s land (chunk - 1));
+    start_time = time t s 0;
+    end_time = time t s 1;
+    ops = get t s f_ops;
+    attrs = attrs_from t (get t s f_attr) [];
+    children = children_from t (get t s f_child) [];
+  }
+
+and children_from t c acc =
+  if c = no_slot then acc
+  else children_from t (get t c f_next) (span_of t c :: acc)
 
 let roots t =
   let cap = Array.length t.ring in
   let acc = ref [] in
-  for i = 0 to cap - 1 do
-    match t.ring.((t.widx + i) mod cap) with
-    | Some sp -> acc := sp :: !acc
-    | None -> ()
+  for i = cap - 1 downto 0 do
+    let s = t.ring.((t.widx + i) mod cap) in
+    if s <> no_slot then acc := span_of t s :: !acc
   done;
-  List.rev !acc
+  !acc
 
 let rec iter_span f sp =
   f sp;

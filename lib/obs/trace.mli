@@ -4,30 +4,61 @@
     transaction, a VAP closure, a poll attempt, a kernel pass — with
     its simulated start/stop times, its tuple-operation cost
     (inclusive of children, sampled from the evaluator's op counter),
-    and free-form string attributes. Spans nest through a single open
-    stack: the mediator serializes transactions with its mutex, so at
-    most one transaction's spans are open at a time; asynchronous
-    arrivals (announcements, gap detections) record as {e root events}
-    that bypass the stack.
+    and attributes. Spans nest through a single open stack: the
+    mediator serializes transactions with its mutex, so at most one
+    transaction's spans are open at a time; asynchronous arrivals
+    (announcements, gap detections) record as {e root events} that
+    bypass the stack.
 
-    Closed root spans are retained in a bounded ring buffer; the
-    oldest trees are evicted first ({!dropped_roots} counts them).
-    Everything is keyed off the simulated clock, never the wall clock,
-    so identical seeds produce identical traces. *)
+    {b Layout.} Recording a span allocates nothing that outlives the
+    transaction. Each span is written at open time into a {e slot} of
+    preallocated unboxed storage: one row of an int array holds its
+    id, its parent's id, its op count, its last child, its previous
+    sibling and its last attribute; a [Float.Array] holds its start and
+    stop; a name array holds the call site's static string. Attributes
+    take cells of a second store (key and string value; int value and
+    link), chained per span. An attribute value is either an int,
+    stored unboxed and turned into text only when read ({!set_attri}),
+    or a string the caller already holds live — a static literal, a
+    node or source name ({!set_attr}). The write side hands out and
+    takes a {!slot}; it never builds a record, an option or a list.
+
+    {b Retention.} Closed root spans are retained in a ring of
+    [capacity] root slots, in completion order; the oldest tree is
+    evicted first ({!dropped_roots} counts them), and a span is
+    retained until [capacity] later roots have closed. Eviction goes by
+    root, not by slot range — a root event recorded while a
+    transaction is open takes a slot inside that transaction's range —
+    and returns the tree's span slots and attribute cells to free
+    lists. Both stores grow a fixed-size chunk at a time, copying
+    nothing, until they hold [capacity] roots' spans, and are reused in
+    place after that: a steady workload reaches a fixed trace size, and
+    a trace that never fills its ring allocates no more than the trees
+    it keeps.
+
+    {b Reading.} {!roots}, {!find} and {!iter_spans} build {!span}
+    records from the stores on demand; {!render} and {!to_jsonl} print
+    them. Everything is keyed off the simulated clock, never the wall
+    clock, so identical seeds produce identical traces. *)
 
 type span = {
   id : int;  (** unique per trace, assigned in open order from 1 *)
   parent : int option;
   name : string;
   start_time : float;
-  mutable end_time : float;
-  mutable ops : int;
-      (** tuple operations while the span was open (inclusive) *)
-  mutable attrs : (string * string) list;  (** insertion order *)
-  mutable children : span list;  (** chronological once closed *)
+  end_time : float;
+  ops : int;  (** tuple operations while the span was open (inclusive) *)
+  attrs : (string * string) list;  (** insertion order *)
+  children : span list;  (** chronological *)
 }
+(** A retained span as read back from the trace. *)
 
 type t
+
+type slot [@@immediate]
+(** The write-side handle of an open span. A disabled trace hands out
+    a slot that every setter ignores. A slot is valid until its root
+    is evicted. *)
 
 val create :
   ?capacity:int ->
@@ -43,46 +74,38 @@ val create :
 
 val enabled : t -> bool
 
-val with_span :
-  t -> ?attrs:(string * string) list -> string -> (span option -> 'a) -> 'a
+val with_span : t -> string -> (slot -> 'a) -> 'a
 (** Run the function inside a new span (child of the innermost open
-    one). The callback receives [None] when tracing is disabled. The
-    span is closed even if the function raises. *)
+    one). The span is closed even if the function raises. *)
 
-val fork_span :
-  t ->
-  ?attrs:(string * string) list ->
-  parent:span option ->
-  string ->
-  span option
+val fork_span : t -> parent:slot -> string -> slot
 (** Open a span under an explicit parent, bypassing the open stack —
     for concurrent children (the federation coordinator's scatter
     phase) whose lifetimes overlap and would mis-nest under the stack
     discipline. The parent must still be open; close the child with
-    {!join_span} before the parent closes. Returns [None] when tracing
-    is disabled or [parent] is [None]. *)
+    {!join_span} before the parent closes. *)
 
-val join_span : t -> span option -> unit
-(** Close a span opened with {!fork_span}: stamps its end time, its op
-    count since the fork (note: ops of siblings running concurrently
-    in simulated time are attributed to every overlapping span), and
-    fixes child order. No-op on [None]. *)
+val join_span : t -> slot -> unit
+(** Close a span opened with {!fork_span}: stamps its end time and its
+    op count since the fork (note: ops of siblings running
+    concurrently in simulated time are attributed to every overlapping
+    span). *)
 
-val root_event : t -> ?attrs:(string * string) list -> string -> unit
+val root_event : t -> string -> slot
 (** Record an instantaneous root span regardless of any open spans —
     for asynchronous arrivals that do not belong to the transaction
-    currently executing. *)
+    currently executing. The returned slot takes attributes. *)
 
-val event : t -> ?attrs:(string * string) list -> string -> unit
-(** Instantaneous child span of the innermost open span (a root event
-    if none is open). *)
+val set_attr : t -> slot -> string -> string -> unit
+(** Append a string attribute. The value is kept as given, so pass a
+    string that is live anyway. *)
 
-val set_attr : span option -> string -> string -> unit
-(** No-op on [None], so instrumentation sites need no branching. *)
+val set_attri : t -> slot -> string -> int -> unit
+(** Append an int attribute, stored unboxed; it reads back as
+    [string_of_int]. *)
 
-val set_attri : span option -> string -> int -> unit
 val attr : span -> string -> string option
-val span_id : span option -> int option
+val span_id : t -> slot -> int option
 
 val roots : t -> span list
 (** Retained root spans in completion order (oldest first). *)

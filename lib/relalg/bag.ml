@@ -88,6 +88,13 @@ let project names b =
     seal bu
   end
 
+let retype schema b =
+  let typed s = List.sort compare (Schema.typed_attrs s) in
+  if typed schema <> typed b.schema then
+    err "retype: schema %s does not match %s" (Schema.to_string schema)
+      (Schema.to_string b.schema);
+  { b with schema }
+
 let copy b = { b with tm = Counts.Builder.seal (Counts.Builder.of_counts b.tm) }
 let shares a b = a.tm == b.tm
 

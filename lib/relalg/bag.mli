@@ -66,6 +66,12 @@ val project : string list -> t -> t
     not share.
     @raise Schema.Schema_error on an unknown or duplicate attribute. *)
 
+val retype : Schema.t -> t -> t
+(** [retype s b]: [b]'s storage under schema [s], which has the same
+    typed attributes as [b]'s schema in any order and any key. The
+    check is made once, not per tuple.
+    @raise Bag_error otherwise. *)
+
 val copy : t -> t
 (** A bag equal to its input over storage of its own. A holder that
     keeps a bag and updates it while another holder (a stored table)

@@ -47,12 +47,10 @@ let clear t =
   t.bag <- Bag.empty t.schema;
   List.iter Hash_index.reset t.indexes
 
-(* built in bulk: one sealed bag and presized indexes, not a
+(* built in bulk: the bag's own storage and presized indexes, not a
    persistent add and an index update per tuple *)
 let load t bag =
-  let bu = Bag.builder ~size:(max 16 (Bag.support_cardinal bag)) t.schema in
-  Bag.iter (fun tuple mult -> Bag.badd ~check:true bu tuple mult) bag;
-  t.bag <- Bag.seal bu;
+  t.bag <- Bag.retype t.schema bag;
   t.indexes <-
     List.map (fun ix -> Hash_index.of_bag (Hash_index.on ix) t.bag) t.indexes
 

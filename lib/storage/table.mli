@@ -26,7 +26,11 @@ val delete : ?mult:int -> t -> Tuple.t -> unit
 (** Monus deletion (clamped at zero), keeping indexes in sync. *)
 
 val load : t -> Bag.t -> unit
-(** Replace the whole contents. *)
+(** Replace the whole contents by [bag], adopting its storage rather
+    than copying it: pass a bag no other holder goes on updating, or a
+    {!Relalg.Bag.copy} of it.
+    @raise Relalg.Bag.Bag_error if [bag]'s attributes or their types
+    differ from the table's. *)
 
 val clear : t -> unit
 

@@ -253,7 +253,7 @@ let test_ring_retention () =
   let t = Obs.Trace.create ~capacity:4 ~now:(fun () -> !now) () in
   for i = 1 to 10 do
     now := float_of_int i;
-    Obs.Trace.root_event t "tick" ~attrs:[ ("n", string_of_int i) ]
+    Obs.Trace.set_attri t (Obs.Trace.root_event t "tick") "n" i
   done;
   Alcotest.(check int) "all recorded" 10 (Obs.Trace.spans_recorded t);
   Alcotest.(check int) "overflow counted" 6 (Obs.Trace.dropped_roots t);
@@ -263,6 +263,244 @@ let test_ring_retention () =
   Alcotest.(check (list string))
     "ring keeps the most recent roots, oldest first"
     [ "7"; "8"; "9"; "10" ] kept
+
+(* ---- trace storage: steady size and slot reuse ----------------------- *)
+
+(* one update transaction's shape: five spans, each with four int
+   attributes and one static-string attribute *)
+let update_attrs t sp i =
+  Obs.Trace.set_attri t sp "atoms" i;
+  Obs.Trace.set_attri t sp "version" (i + 1);
+  Obs.Trace.set_attri t sp "prev_version" i;
+  Obs.Trace.set_attri t sp "depth" (i land 7);
+  Obs.Trace.set_attr t sp "outcome" "applied"
+
+let record_update_tree t i =
+  Obs.Trace.with_span t "batch_tx" (fun tx ->
+      update_attrs t tx i;
+      Obs.Trace.with_span t "update_tx" (fun sp -> update_attrs t sp i);
+      Obs.Trace.with_span t "kernel_pass" (fun kp ->
+          update_attrs t kp i;
+          Obs.Trace.with_span t "delta" (fun d -> update_attrs t d i));
+      Obs.Trace.with_span t "apply" (fun ap -> update_attrs t ap i))
+
+let test_steady_size () =
+  let ops = ref 0 in
+  let t =
+    Obs.Trace.create ~capacity:1000
+      ~now:(fun () -> 0.0)
+      ~ops_counter:(fun () -> !ops)
+      ()
+  in
+  let record ~from ~upto =
+    for i = from to upto do
+      ops := i;
+      record_update_tree t i
+    done
+  in
+  record ~from:1 ~upto:5_000;
+  let size_half = Obj.reachable_words (Obj.repr t) in
+  let words0 = Gc.minor_words () in
+  record ~from:5_001 ~upto:10_000;
+  let per_span = (Gc.minor_words () -. words0) /. 25_000.0 in
+  let size_full = Obj.reachable_words (Obj.repr t) in
+  Alcotest.(check int) "all but the last 1,000 trees evicted" 9_000
+    (Obs.Trace.dropped_roots t);
+  Alcotest.(check int)
+    "the trace does not grow once the ring is full" size_half size_full;
+  (* The recording itself allocates nothing. What remains is the
+     closure each [with_span] call site above builds: 5 words with its
+     header (code pointer, closure info, the captured [t] and [i]), and
+     5.0 is what this loop measures. The bound of 8 leaves room for a
+     compiler that closes over one more value, and fails as soon as
+     recording boxes a span, an option, an attribute pair, a list cell
+     or a number's text: each costs 3 words or more, per span or per
+     attribute. *)
+  if per_span > 8.0 then
+    Alcotest.failf "%.1f minor words per recorded span (bound 8)" per_span
+
+(* A list-based trace with the semantics of [Obs.Trace], built from
+   records that are updated in place: the reference the slot-based
+   trace must reproduce. *)
+module Ref_trace = struct
+  type node = {
+    id : int;
+    parent : int option;
+    name : string;
+    start : float;
+    mutable stop : float;
+    mutable ops : int;
+    mutable attrs : (string * string) list;  (* newest first *)
+    mutable children : node list;  (* newest first *)
+  }
+
+  type t = {
+    capacity : int;
+    now : unit -> float;
+    counter : unit -> int;
+    mutable ring : node list;  (* oldest first *)
+    mutable dropped : int;
+    mutable next_id : int;
+    mutable stack : node list;
+  }
+
+  let create ~capacity ~now ~counter =
+    { capacity; now; counter; ring = []; dropped = 0; next_id = 1; stack = [] }
+
+  let fresh t ~parent name =
+    let now = t.now () in
+    let n =
+      { id = t.next_id; parent; name; start = now; stop = now; ops = 0;
+        attrs = []; children = [] }
+    in
+    t.next_id <- t.next_id + 1;
+    n
+
+  let push_root t n =
+    t.ring <- t.ring @ [ n ];
+    if List.length t.ring > t.capacity then begin
+      t.ring <- List.tl t.ring;
+      t.dropped <- t.dropped + 1
+    end
+
+  let with_span t name f =
+    let parent = match t.stack with p :: _ -> Some p.id | [] -> None in
+    let n = fresh t ~parent name in
+    n.ops <- t.counter ();
+    t.stack <- n :: t.stack;
+    let v = f n in
+    t.stack <- List.tl t.stack;
+    n.stop <- t.now ();
+    n.ops <- t.counter () - n.ops;
+    (match t.stack with
+    | p :: _ -> p.children <- n :: p.children
+    | [] -> push_root t n);
+    v
+
+  let fork_span t ~parent name =
+    let n = fresh t ~parent:(Some parent.id) name in
+    parent.children <- n :: parent.children;
+    n.ops <- t.counter ();
+    n
+
+  let join_span t n =
+    n.stop <- t.now ();
+    n.ops <- t.counter () - n.ops
+
+  let root_event t name =
+    let n = fresh t ~parent:None name in
+    push_root t n;
+    n
+
+  let set_attr n k v = n.attrs <- (k, v) :: n.attrs
+
+  let rec span n =
+    {
+      Obs.Trace.id = n.id;
+      parent = n.parent;
+      name = n.name;
+      start_time = n.start;
+      end_time = n.stop;
+      ops = n.ops;
+      attrs = List.rev n.attrs;
+      children = List.rev_map span n.children;
+    }
+
+  let roots t = List.map span t.ring
+
+  let render t =
+    let buf = Buffer.create 1024 in
+    let rec pp indent (sp : Obs.Trace.span) =
+      Printf.bprintf buf "%s%s [%d] %g..%g (ops %d)" indent sp.name sp.id
+        sp.start_time sp.end_time sp.ops;
+      List.iter (fun (k, v) -> Printf.bprintf buf " %s=%s" k v) sp.attrs;
+      Buffer.add_char buf '\n';
+      List.iter (pp (indent ^ "  ")) sp.children
+    in
+    List.iter (pp "") (roots t);
+    Buffer.contents buf
+end
+
+let test_slot_reuse_matches_reference () =
+  let clock = ref 0.0 and ops = ref 0 in
+  let now () = !clock and counter () = !ops in
+  let tick () =
+    clock := !clock +. 0.5;
+    ops := !ops + 3
+  in
+  let t = Obs.Trace.create ~capacity:3 ~now ~ops_counter:counter () in
+  let r = Ref_trace.create ~capacity:3 ~now ~counter in
+  (* each step records the same thing into both traces *)
+  let span name f =
+    Obs.Trace.with_span t name (fun sp ->
+        Ref_trace.with_span r name (fun n ->
+            tick ();
+            f sp n;
+            tick ()))
+  in
+  let int_attr sp n k v =
+    Obs.Trace.set_attri t sp k v;
+    Ref_trace.set_attr n k (string_of_int v)
+  in
+  let str_attr sp n k v =
+    Obs.Trace.set_attr t sp k v;
+    Ref_trace.set_attr n k v
+  in
+  let event name v =
+    int_attr (Obs.Trace.root_event t name) (Ref_trace.root_event r name) "n" v
+  in
+  let check msg =
+    Alcotest.(check int)
+      (msg ^ ": dropped roots") r.Ref_trace.dropped
+      (Obs.Trace.dropped_roots t);
+    Alcotest.(check bool)
+      (msg ^ ": retained trees") true
+      (Obs.Trace.roots t = Ref_trace.roots r);
+    Alcotest.(check string) (msg ^ ": render") (Ref_trace.render r)
+      (Obs.Trace.render t)
+  in
+  (* a batch whose range holds a root event: the event is retained,
+     and later evicted, before the batch that encloses it *)
+  span "batch_tx" (fun tx n ->
+      int_attr tx n "entries" 2;
+      span "poll" (fun sp n ->
+          event "enqueue" 1;
+          str_attr sp n "source" "db1");
+      event "enqueue" 2;
+      span "apply" (fun sp n -> int_attr sp n "tables" 1);
+      str_attr tx n "outcome" "applied");
+  check "after the interleaved batch";
+  (* a scatter under a root: overlapping forked children *)
+  span "fed_query_tx" (fun fed n ->
+      let a = Obs.Trace.fork_span t ~parent:fed "shard_query" in
+      let na = Ref_trace.fork_span r ~parent:n "shard_query" in
+      tick ();
+      let b = Obs.Trace.fork_span t ~parent:fed "shard_query" in
+      let nb = Ref_trace.fork_span r ~parent:n "shard_query" in
+      int_attr a na "shard" 0;
+      int_attr b nb "shard" 1;
+      tick ();
+      Obs.Trace.join_span t b;
+      Ref_trace.join_span r nb;
+      tick ();
+      Obs.Trace.join_span t a;
+      Ref_trace.join_span r na);
+  check "after the scatter";
+  (* enough roots of varying shape to wrap the ring several times *)
+  for i = 1 to 12 do
+    if i mod 3 = 0 then event "gap_detected" i
+    else
+      span "batch_tx" (fun tx n ->
+          int_attr tx n "entries" i;
+          for j = 1 to i mod 4 do
+            span "delta" (fun d n ->
+                str_attr d n "node" "T";
+                int_attr d n "atoms" (i * j);
+                if j = 2 then event "enqueue" (100 + i))
+          done);
+    check (Printf.sprintf "after root %d" i)
+  done;
+  Alcotest.(check bool) "the ring wrapped" true (Obs.Trace.dropped_roots t > 9)
 
 let test_jsonl_export () =
   let med = run_workload ~seed:5 () in
@@ -302,5 +540,9 @@ let () =
             test_disabled_trace_records_nothing;
           Alcotest.test_case "ring retention" `Quick test_ring_retention;
           Alcotest.test_case "jsonl export" `Quick test_jsonl_export;
+          Alcotest.test_case "steady size under a full ring" `Quick
+            test_steady_size;
+          Alcotest.test_case "slot reuse matches a list-based trace" `Quick
+            test_slot_reuse_matches_reference;
         ] );
     ]
