@@ -49,7 +49,6 @@ type result = {
   r_fanouts : int;
   r_single_shard : int;
   r_fresh : bool;  (** every answer (incl. finals) came back fresh *)
-  r_wall : float;  (** host seconds, for the record *)
 }
 
 let spec ~keys ~txs ~queries =
@@ -66,7 +65,6 @@ let spec ~keys ~txs ~queries =
   }
 
 let run_config ~keys ~txs ~queries shards =
-  let wall0 = Unix.gettimeofday () in
   let engine = Engine.create () in
   let fed =
     Coordinator.create ~engine
@@ -108,7 +106,6 @@ let run_config ~keys ~txs ~queries shards =
         (fun (_, a) -> fresh a)
         out.Fed_workload.o_answers
       && List.for_all (fun (_, a) -> fresh a) out.Fed_workload.o_finals;
-    r_wall = Unix.gettimeofday () -. wall0;
   }
 
 let speedup base r = base.r_makespan /. r.r_makespan
@@ -137,12 +134,11 @@ let json path tiers =
             "    {\"keys\": %d, \"txs\": %d, \"queries\": %d, \"shards\": %d, \
              \"makespan_sim_s\": %.4f, \"throughput_ops_per_sim_s\": %.1f, \
              \"speedup\": %.2f, \"linear_fraction\": %.2f, \"fanout_queries\": \
-             %d, \"single_shard_queries\": %d, \"all_fresh\": %b, \
-             \"wall_s\": %.2f}%s\n"
+             %d, \"single_shard_queries\": %d, \"all_fresh\": %b}%s\n"
             r.r_keys r.r_txs r.r_queries r.r_shards r.r_makespan r.r_throughput
             (speedup base r)
             (speedup base r /. float_of_int r.r_shards)
-            r.r_fanouts r.r_single_shard r.r_fresh r.r_wall
+            r.r_fanouts r.r_single_shard r.r_fresh
             (if ti = ntiers - 1 && i = n - 1 then "" else ","))
         rs)
     tiers;
@@ -165,7 +161,7 @@ let json path tiers =
 let header =
   [
     "keys"; "txs"; "queries"; "shards"; "makespan(sim s)"; "ops/sim s";
-    "speedup"; "x/N"; "fanout"; "1-shard"; "fresh"; "wall(s)";
+    "speedup"; "x/N"; "fanout"; "1-shard"; "fresh";
   ]
 
 let row base r =
@@ -181,7 +177,6 @@ let row base r =
     I r.r_fanouts;
     I r.r_single_shard;
     B r.r_fresh;
-    F r.r_wall;
   ]
 
 let run () =
@@ -193,8 +188,7 @@ let run () =
         List.map
           (fun shards ->
             let r = run_config ~keys ~txs ~queries shards in
-            Tables.note "  keys=%d shards=%d done (%.1fs wall)\n%!" keys shards
-              r.r_wall;
+            Tables.note "  keys=%d shards=%d done\n%!" keys shards;
             r)
           shard_counts)
       (sizes ())

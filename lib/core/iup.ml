@@ -25,19 +25,7 @@ let run (t : Med.t) =
          If the source is still unreachable, keep deferring: a later
          flusher tick retries after the fault heals. *)
       (try Resync.resync_if_dirty t with Med.Poll_failed _ -> ());
-      (* if the resync could not run (source still unreachable), its
-         sources' entries chain onto a lost delta — applying them
-         would fabricate states the source never went through. Hold
-         them back; clean sources keep flowing. *)
-      let still_dirty = Med.dirty_sources t in
-      let deferred, clean =
-        List.partition
-          (fun e -> List.mem e.Med.q_source still_dirty)
-          t.Med.queue
-      in
-      t.Med.queue <- clean;
       let entries = Med.take_batch t in
-      t.Med.queue <- deferred @ t.Med.queue;
       if entries = [] then false
       else
         let trace = t.Med.trace in
@@ -73,7 +61,6 @@ let run (t : Med.t) =
         in
         let coalesced_atoms = Multi_delta.atom_count delta in
         let annihilated = (raw_atoms - coalesced_atoms) / 2 in
-        t.Med.pending <- delta;
         Obs.Trace.set_attri trace tx_sp "atoms" coalesced_atoms;
         Obs.Trace.set_attri trace tx_sp "raw_atoms" raw_atoms;
         Obs.Trace.set_attri trace tx_sp "annihilated_pairs" annihilated;
@@ -143,7 +130,7 @@ let run (t : Med.t) =
         let vap_result =
           if requests = [] then
             { Vap.temps = []; polled_versions = []; polled_times = [] }
-          else Vap.build t ~kind:`Update requests
+          else Vap.build t ~kind:(`Update delta) requests
         in
         let env name =
           match List.assoc_opt name vap_result.Vap.temps with
@@ -237,7 +224,9 @@ let run (t : Med.t) =
            send times: every batched transaction is at least that old,
            so the reported bound stays an over-approximation of the
            true staleness of anything the batch folded in (Theorem 7.2
-           stays sound under coalescing). *)
+           stays sound under coalescing). Every taken entry is newer
+           than its source's reflected version, so every source in the
+           batch advances. *)
         let per_source =
           List.fold_left
             (fun acc e ->
@@ -249,24 +238,18 @@ let run (t : Med.t) =
             [] entries
         in
         let intervals =
-          List.rev
-            (List.filter_map
-               (fun (src, (first, last)) ->
-                 let current = Med.reflected_version t src in
-                 if last.Med.q_version > current.Med.r_version then begin
-                   Med.set_reflected t src
-                     {
-                       Med.r_version = last.Med.q_version;
-                       r_from_version = current.Med.r_version;
-                       r_commit_time = first.Med.q_commit_time;
-                       r_send_time = first.Med.q_send_time;
-                     };
-                   Some (src, (current.Med.r_version, last.Med.q_version))
-                 end
-                 else None)
-               per_source)
+          List.rev_map
+            (fun (src, (first, last)) ->
+              let from = (Med.reflected_version t src).Med.r_version in
+              Med.set_reflected t src
+                {
+                  Med.r_version = last.Med.q_version;
+                  r_commit_time = first.Med.q_commit_time;
+                  r_send_time = first.Med.q_send_time;
+                };
+              (src, (from, last.Med.q_version)))
+            per_source
         in
-        t.Med.pending <- Multi_delta.empty;
         (* bounded-history support: versions below what we now reflect
            will never be polled or checked again by this mediator *)
         if t.Med.config.Med.Config.release_history then
@@ -333,8 +316,7 @@ let run (t : Med.t) =
           (* abort: put the work back untouched (no table was modified
              — applications happen only after the kernel pass, which
              the poll precedes) and let a later tick retry or resync *)
-          t.Med.pending <- Multi_delta.empty;
-          t.Med.queue <- entries @ t.Med.queue;
+          Med.requeue t entries;
           Obs.Metrics.incr t.Med.stats.Med.update_deferrals;
           Obs.Trace.set_attr trace tx_sp "outcome" "deferred";
           Obs.Trace.set_attr trace tx_sp "error" (Printexc.to_string exn);

@@ -2,7 +2,8 @@
 
     Each kernel pass applies one {e batch} of up to
     [Config.max_batch] queued announcements (a version gap within a
-    source splits the batch — see {!Med.take_batch}):
+    source ends the batch, and a dirty source's entries are held back
+    — see {!Med.take_batch}):
 
     {ol
     {- {b drains a batch}: smashes up to [max_batch] contiguous

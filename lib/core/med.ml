@@ -63,13 +63,11 @@ type queue_entry = {
   q_prev_version : int;
   q_commit_time : float;
   q_send_time : float;
-  q_recv_time : float;
   q_delta : Multi_delta.t;
 }
 
 type reflected = {
   r_version : int;
-  r_from_version : int;
   r_commit_time : float;
   r_send_time : float;
 }
@@ -240,6 +238,13 @@ type derived = {
       (** the (leaf, column) pairs keyed polls can name *)
 }
 
+type ledger = {
+  queue : queue_entry Queue.t;
+  mutable reflected : (string * reflected) list;
+  mutable seen : (string * int) list;
+  mutable dirty : string list;
+}
+
 type t = {
   engine : Engine.t;
   vdp : Graph.t;
@@ -249,11 +254,7 @@ type t = {
   config : config;
   trace : Obs.Trace.t;
   source_tbl : (string, Source_db.t) Hashtbl.t;
-  mutable queue : queue_entry list;
-  mutable reflected : (string * reflected) list;
-  mutable pending : Multi_delta.t;
-  mutable seen : (string * int) list;
-  mutable dirty : string list;
+  ledger : ledger;
   stats : stats;
   mutable log : event list;
   mutable initialized : bool;
@@ -530,7 +531,7 @@ let cache_store t ~node ~attrs ~cond ~polled ?(polled_times = []) ?trace_id
   (* a [Fresh] answer was computed with no source dirty; one that turned
      dirty since (an announcement arriving while the query charged its
      ops) has already dropped its closure, so do not put it back *)
-  if t.config.answer_cache_enabled && t.dirty = [] then
+  if t.config.answer_cache_enabled && t.ledger.dirty = [] then
     Hashtbl.replace t.answer_cache (node, attrs, cond)
       {
         ca_answer = answer;
@@ -639,14 +640,7 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
     (Graph.nodes vdp);
   let reflected =
     List.map
-      (fun s ->
-        ( s,
-          {
-            r_version = 0;
-            r_from_version = 0;
-            r_commit_time = 0.0;
-            r_send_time = 0.0;
-          } ))
+      (fun s -> (s, { r_version = 0; r_commit_time = 0.0; r_send_time = 0.0 }))
       (Graph.sources vdp)
   in
   let t =
@@ -664,11 +658,13 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
           ~now:(fun () -> Engine.now engine)
           ~ops_counter:Eval.tuple_ops ();
       source_tbl;
-      queue = [];
-      reflected;
-      pending = Multi_delta.empty;
-      seen = List.map (fun s -> (s, 0)) (Graph.sources vdp);
-      dirty = [];
+      ledger =
+        {
+          queue = Queue.create ();
+          reflected;
+          seen = List.map (fun s -> (s, 0)) (Graph.sources vdp);
+          dirty = [];
+        };
       stats = fresh_stats ();
       log = [];
       initialized = false;
@@ -709,33 +705,33 @@ let node_table t node = Store.table_opt t.store node
 let store_env t name = Option.map Table.contents (Store.table_opt t.store name)
 
 let reflected_version t src_name =
-  match List.assoc_opt src_name t.reflected with
+  match List.assoc_opt src_name t.ledger.reflected with
   | Some r -> r
   | None -> err "source %S is not tracked" src_name
 
 let set_reflected t src_name r =
-  t.reflected <- (src_name, r) :: List.remove_assoc src_name t.reflected
+  t.ledger.reflected <-
+    (src_name, r) :: List.remove_assoc src_name t.ledger.reflected
 
 let seen_version t src_name =
-  match List.assoc_opt src_name t.seen with
+  match List.assoc_opt src_name t.ledger.seen with
   | Some v -> v
   | None -> err "source %S is not tracked" src_name
 
 let note_seen t src_name v =
   if v > seen_version t src_name then
-    t.seen <- (src_name, v) :: List.remove_assoc src_name t.seen
+    t.ledger.seen <- (src_name, v) :: List.remove_assoc src_name t.ledger.seen
 
 let mark_dirty t src_name =
-  if not (List.mem src_name t.dirty) then begin
-    t.dirty <- src_name :: t.dirty;
+  if not (List.mem src_name t.ledger.dirty) then begin
+    t.ledger.dirty <- src_name :: t.ledger.dirty;
     (* an answer over the source's gap is not [Fresh]: drop every
        cached answer the source can reach, maintained ones included *)
     let closure = source_closure t src_name in
     cache_drop t (fun key _ -> on_nodes closure key)
   end
 
-let clear_dirty t = t.dirty <- []
-let dirty_sources t = t.dirty
+let dirty_sources t = t.ledger.dirty
 
 let gap_event t ~source ~via attrs =
   Obs.Metrics.incr t.stats.gaps_detected;
@@ -743,6 +739,23 @@ let gap_event t ~source ~via attrs =
   Obs.Trace.set_attr t.trace sp "source" source;
   List.iter (fun (k, v) -> Obs.Trace.set_attri t.trace sp k v) attrs;
   Obs.Trace.set_attr t.trace sp "via" via
+
+(* ---- the update queue: two rules, each coded once ----
+   The chain check: a delta whose predecessor is [prev] applies on top
+   of version [from] (a higher [prev] means a lost announcement). The
+   covered test: the entry's effect is already in the store. *)
+let chains ~from prev = prev <= from
+
+let covered t e = e.q_version <= (reflected_version t e.q_source).r_version
+
+(* the version [e] must chain onto, in a walk that has passed
+   [heads] (the last version met per source) *)
+let chain_from t heads e =
+  match List.assoc_opt e.q_source heads with
+  | Some v -> v
+  | None -> (reflected_version t e.q_source).r_version
+
+let queue_length t = Queue.length t.ledger.queue
 
 let enqueue t (u : Message.update) =
   Obs.Metrics.incr t.stats.messages_received;
@@ -759,7 +772,7 @@ let enqueue t (u : Message.update) =
     Obs.Trace.set_attri t.trace sp "version" u.Message.version
   end
   else begin
-    if u.Message.prev_version > seen then begin
+    if not (chains ~from:seen u.Message.prev_version) then begin
       (* the delta's predecessor never arrived: an announcement was
          lost in transit. The queue no longer composes to the source's
          state, so ECA cannot be trusted — mark the source for resync. *)
@@ -783,75 +796,88 @@ let enqueue t (u : Message.update) =
         q_prev_version = u.Message.prev_version;
         q_commit_time = u.Message.commit_time;
         q_send_time = u.Message.send_time;
-        q_recv_time = Engine.now t.engine;
         q_delta = u.Message.delta;
       }
     in
-    t.queue <- t.queue @ [ entry ];
-    Obs.Metrics.set t.stats.queue_depth (float_of_int (List.length t.queue));
+    Queue.add entry t.ledger.queue;
+    let depth = queue_length t in
+    Obs.Metrics.set t.stats.queue_depth (float_of_int depth);
     let sp = Obs.Trace.root_event t.trace "enqueue" in
     Obs.Trace.set_attr t.trace sp "source" u.Message.source;
     Obs.Trace.set_attri t.trace sp "version" u.Message.version;
     Obs.Trace.set_attri t.trace sp "atoms"
       (Multi_delta.atom_count u.Message.delta);
-    Obs.Trace.set_attri t.trace sp "depth" (List.length t.queue)
+    Obs.Trace.set_attri t.trace sp "depth" depth
   end
 
-(* Group-commit drain: take up to [config.max_batch] announcements off
-   the head of the queue, in arrival order, provided each source's
-   entries chain gaplessly — the first entry for a source must apply
-   on top of its reflected version, and every later one on top of the
-   previous entry in the batch. A non-chaining entry ends the batch
-   (it stays queued, together with everything behind it, for the next
-   pass after the gap is repaired); entries the initialization or a
-   resync snapshot already covers are silently dropped. *)
-let take_batch t =
-  let cap = t.config.Config.max_batch in
-  let rec go taken n expected queue =
-    match queue with
-    | [] -> (List.rev taken, [])
-    | e :: rest ->
-      if n >= cap then (List.rev taken, queue)
-      else if e.q_version <= (reflected_version t e.q_source).r_version then
-        (* predates the snapshot: already reflected, drop it *)
-        go taken n expected rest
-      else
-        let chain_from =
-          match List.assoc_opt e.q_source expected with
-          | Some v -> v
-          | None -> (reflected_version t e.q_source).r_version
-        in
-        if e.q_prev_version > chain_from then
-          (* mid-batch gap: the delta does not compose onto what this
-             batch would reflect — close the batch at the boundary *)
-          (List.rev taken, queue)
-        else
-          go (e :: taken) (n + 1)
-            ((e.q_source, e.q_version)
-            :: List.remove_assoc e.q_source expected)
-            rest
-  in
-  let batch, rest = go [] 0 [] t.queue in
-  t.queue <- rest;
-  Obs.Metrics.set t.stats.queue_depth (float_of_int (List.length rest));
-  batch
+(* put [entries] back at the head of the queue, in order *)
+let requeue t = function
+  | [] -> ()
+  | entries ->
+    let front = Queue.of_seq (List.to_seq entries) in
+    Queue.transfer t.ledger.queue front;
+    Queue.transfer front t.ledger.queue
 
-let unseen_delta t ~source ~leaf =
+(* Group-commit drain (see the interface). A dirty source's entries
+   chain onto a lost delta, so the walk steps over them, leaving them
+   in place until a resync repairs the source. *)
+let take_batch t =
+  let q = t.ledger.queue in
+  let rec go taken n held heads =
+    if Queue.is_empty q || n >= t.config.Config.max_batch then (taken, held)
+    else
+      let e = Queue.peek q in
+      if List.mem e.q_source t.ledger.dirty then
+        go taken n (Queue.take q :: held) heads
+      else if covered t e then (
+        ignore (Queue.take q : queue_entry);
+        go taken n held heads)
+      else if not (chains ~from:(chain_from t heads e) e.q_prev_version) then
+        (taken, held)
+      else
+        go (Queue.take q :: taken) (n + 1) held
+          ((e.q_source, e.q_version) :: List.remove_assoc e.q_source heads)
+  in
+  let taken, held = go [] 0 [] [] in
+  requeue t (List.rev held);
+  Obs.Metrics.set t.stats.queue_depth (float_of_int (queue_length t));
+  List.rev taken
+
+(* The snapshot's polls yield, so announcements kept arriving — one
+   may reveal a new gap in a source already polled. Recompute the
+   dirty set from the surviving entries; a blanket clear would lose
+   that repair. *)
+let after_snapshot t =
+  let kept = Queue.create () in
+  let heads = ref [] in
+  t.ledger.dirty <- [];
+  Queue.iter
+    (fun e ->
+      if not (covered t e) then begin
+        Queue.add e kept;
+        if not (chains ~from:(chain_from t !heads e) e.q_prev_version) then
+          mark_dirty t e.q_source;
+        heads := (e.q_source, e.q_version) :: List.remove_assoc e.q_source !heads
+      end)
+    t.ledger.queue;
+  Queue.clear t.ledger.queue;
+  Queue.transfer kept t.ledger.queue
+
+let unseen_delta t ~pending ~source ~leaf =
   let schema = (Graph.node t.vdp leaf).Graph.schema in
   let from_pending =
-    match Multi_delta.find t.pending leaf with
+    match Multi_delta.find pending leaf with
     | Some d -> d
     | None -> Rel_delta.empty schema
   in
-  let reflected = (reflected_version t source).r_version in
-  List.fold_left
+  Queue.fold
     (fun acc e ->
-      if String.equal e.q_source source && e.q_version > reflected then
+      if String.equal e.q_source source && not (covered t e) then
         match Multi_delta.find e.q_delta leaf with
         | Some d -> Rel_delta.smash acc d
         | None -> acc
       else acc)
-    from_pending t.queue
+    from_pending t.ledger.queue
 
 let log_event t e = t.log <- e :: t.log
 let events t = List.rev t.log

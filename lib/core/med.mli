@@ -122,16 +122,13 @@ type queue_entry = {
           an announcement was lost *)
   q_commit_time : float;
   q_send_time : float;
-  q_recv_time : float;
   q_delta : Multi_delta.t;  (** over the source's (leaf) relations *)
 }
 
 type reflected = {
   r_version : int;
-  r_from_version : int;
-      (** the version reflected before the jump that installed this
-          entry: one applied batch advances a source by the whole
-          interval [(r_from_version, r_version]] at once *)
+      (** one applied batch advances a source's version by the whole
+          interval its entries cover at once *)
   r_commit_time : float;
       (** commit time of the {e oldest} constituent of the jump — the
           conservative Theorem 7.2 witness under batching *)
@@ -257,7 +254,8 @@ type stats = {
   poll_rtt : Obs.Metrics.histogram;
       (** simulated seconds per poll, retries and backoff included *)
   queue_depth : Obs.Metrics.gauge;
-      (** update-queue depth after the latest enqueue/flush *)
+      (** update-queue depth, held-back entries included, after the
+          latest enqueue or batch take *)
 }
 
 type cached_answer = {
@@ -333,6 +331,13 @@ type derived
     invalidation closures of the answer cache, each source's
     {!contributor_kind} and its {!index_plan}. *)
 
+type ledger
+(** The Sec. 6.1 announcement bookkeeping, reached only through the
+    functions below: the update queue, and per source the reflected
+    version ([ref']), the highest announcement version seen (the
+    baseline for duplicate and gap detection) and the dirty mark (a
+    detected gap: ECA is off until a resync). *)
+
 type t = {
   engine : Engine.t;
   vdp : Graph.t;
@@ -344,20 +349,7 @@ type t = {
       (** per-transaction span trees on the simulated clock; every
           processor opens spans here (see docs/OBSERVABILITY.md) *)
   source_tbl : (string, Source_db.t) Hashtbl.t;
-  mutable queue : queue_entry list;  (** arrival order *)
-  mutable reflected : (string * reflected) list;
-  mutable pending : Multi_delta.t;
-      (** during an update transaction: the delta taken from the queue
-          but not yet applied — ECA must compensate polled answers by
-          its inverse too (Sec. 6.4 phase (b)) *)
-  mutable seen : (string * int) list;
-      (** highest announcement version received per source — ahead of
-          [reflected] while updates sit in the queue; the baseline for
-          duplicate and gap detection *)
-  mutable dirty : string list;
-      (** sources with a detected announcement gap: the queue no
-          longer composes to their state, so ECA is off until a
-          resync *)
+  ledger : ledger;
   stats : stats;
   mutable log : event list;  (** newest first *)
   mutable initialized : bool;
@@ -455,7 +447,6 @@ val mark_dirty : t -> string -> unit
     every cached answer in the source's closure, maintained entries
     included: an answer over the gap cannot be served [Fresh]. *)
 
-val clear_dirty : t -> unit
 val dirty_sources : t -> string list
 
 val gap_event : t -> source:string -> via:string -> (string * int) list -> unit
@@ -479,14 +470,29 @@ val take_batch : t -> queue_entry list
     member. A non-chaining entry ends the batch at the boundary (it
     stays queued with everything behind it); entries at or below the
     reflected version (already covered by the initialization or a
-    resync snapshot) are dropped. *)
+    resync snapshot) are dropped. Entries of a dirty source are held
+    back in place, and clean sources' entries flow past them. *)
 
-val unseen_delta : t -> source:string -> leaf:string -> Rel_delta.t
+val requeue : t -> queue_entry list -> unit
+(** Put a taken batch back at the head of the queue, in order (an
+    update transaction aborted). *)
+
+val after_snapshot : t -> unit
+(** Once a snapshot has set every reflected version: drop the entries
+    it covers, and mark dirty exactly the sources whose remaining
+    entries do not chain gaplessly from their reflected version. *)
+
+val queue_length : t -> int
+(** Queued announcements, held-back ones included (constant time). *)
+
+val unseen_delta :
+  t -> pending:Multi_delta.t -> source:string -> leaf:string -> Rel_delta.t
 (** The smash of all updates from [source] to [leaf] that the
     mediator has received (or taken) but whose effect is not yet in
-    the materialized data: [pending] followed by the queue entries
-    newer than the reflected version. The ECA compensation is the
-    inverse of this. *)
+    the materialized data: [pending] — during an update transaction,
+    the batch's delta taken from the queue but not yet applied — then
+    the queue entries newer than the reflected version. The ECA
+    compensation is the inverse of this. *)
 
 val log_event : t -> event -> unit
 val events : t -> event list

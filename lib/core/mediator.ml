@@ -242,7 +242,7 @@ let reflected_version (t : Med.t) src =
   (Med.reflected_version t src).Med.r_version
 
 let store_bytes (t : Med.t) = Store.total_bytes t.Med.store
-let queue_length (t : Med.t) = List.length t.Med.queue
+let queue_length = Med.queue_length
 
 let describe (t : Med.t) =
   let kind_str src =

@@ -1,5 +1,4 @@
 open Relalg
-open Delta
 open Vdp
 open Sim
 open Sources
@@ -42,19 +41,13 @@ let snapshot ?(trigger = "init") (t : Med.t) =
       Med.set_reflected t src_name
         {
           Med.r_version = answer.Message.answer_version;
-          r_from_version = (Med.reflected_version t src_name).Med.r_version;
           r_commit_time = answer.Message.state_time;
           r_send_time = answer.Message.state_time;
         };
       Med.note_seen t src_name answer.Message.answer_version)
     answers;
-  (* drop queued announcements already covered by the snapshot *)
-  t.Med.queue <-
-    List.filter
-      (fun e ->
-        e.Med.q_version > (Med.reflected_version t e.Med.q_source).Med.r_version)
-      t.Med.queue;
-  t.Med.pending <- Multi_delta.empty;
+  (* drop the queued entries it covers; recompute the dirty set *)
+  Med.after_snapshot t;
   (* populate bottom-up *)
   let values : (string, Bag.t) Hashtbl.t = Hashtbl.create 16 in
   let env name =
@@ -80,26 +73,6 @@ let snapshot ?(trigger = "init") (t : Med.t) =
         Table.load table (if shared_elsewhere node b then Bag.copy b else b)
       | None -> ())
     (Graph.topo_order t.Med.vdp);
-  (* The polls above yield to the scheduler, so announcements keep
-     arriving while the snapshot is in progress — including ones that
-     reveal NEW gaps in a source already polled (whose answer then
-     does not cover the lost delta). Blanket-clearing the dirty set
-     here would wipe those flags and lose the repair forever. Instead,
-     recompute dirtiness from what actually survived: a source is
-     clean only if its remaining queue entries chain gaplessly from
-     the version the snapshot reflected. *)
-  Med.clear_dirty t;
-  List.iter
-    (fun src ->
-      let chain = ref (Med.reflected_version t src).Med.r_version in
-      List.iter
-        (fun e ->
-          if String.equal e.Med.q_source src then begin
-            if e.Med.q_prev_version > !chain then Med.mark_dirty t src;
-            chain := e.Med.q_version
-          end)
-        t.Med.queue)
-    (Graph.sources t.Med.vdp);
   Med.log_event t
     (Med.Update_tx
        {

@@ -115,7 +115,7 @@ let rec filter_delta expr d =
   | Expr.Join _ | Expr.Union _ | Expr.Diff _ ->
     invalid_arg "Vap.filter_delta: not a select/project/rename chain"
 
-let build_inner (t : Med.t) requests =
+let build_inner (t : Med.t) ~pending requests =
   let reqs =
     Obs.Trace.with_span t.Med.trace "closure" (fun sp ->
         let reqs = closure t requests in
@@ -220,7 +220,9 @@ let build_inner (t : Med.t) requests =
                   Obs.Trace.set_attr t.Med.trace sp "node" r.r_node;
                   (* Eager Compensation: roll the polled answer back to
                      the reflected state *)
-                  let unseen = Med.unseen_delta t ~source:src_name ~leaf in
+                  let unseen =
+                    Med.unseen_delta t ~pending ~source:src_name ~leaf
+                  in
                   Obs.Trace.set_attri t.Med.trace sp "unseen_atoms"
                     (Rel_delta.atom_count unseen);
                   let comp = Rel_delta.inverse unseen in
@@ -277,7 +279,10 @@ let build_inner (t : Med.t) requests =
 let build (t : Med.t) ~kind requests =
   Obs.Trace.with_span t.Med.trace "vap" (fun sp ->
       Obs.Trace.set_attr t.Med.trace sp "kind"
-        (match kind with `Query -> "query" | `Update -> "update");
-      let r = build_inner t requests in
+        (match kind with `Query -> "query" | `Update _ -> "update");
+      let pending =
+        match kind with `Query -> Multi_delta.empty | `Update d -> d
+      in
+      let r = build_inner t ~pending requests in
       Obs.Trace.set_attri t.Med.trace sp "temps" (List.length r.temps);
       r)

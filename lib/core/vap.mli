@@ -46,8 +46,12 @@ type result = {
           the answer's Theorem 7.2 bound ({!Med.answer_bound}) *)
 }
 
-val build : Med.t -> kind:[ `Query | `Update ] -> request list -> result
-(** Must run inside a simulation process (polls block).
+val build :
+  Med.t -> kind:[ `Query | `Update of Delta.Multi_delta.t ] -> request list -> result
+(** [`Update delta] carries the update transaction's batch delta,
+    taken from the queue but not yet applied: ECA compensates polled
+    answers by its inverse too (Sec. 6.4 phase (b)). A query has
+    none. Must run inside a simulation process (polls block).
     @raise Med.Mediator_error on a request for a leaf or unknown node.
     @raise Med.Poll_failed when a source cannot be reached within the
     config's retry budget.

@@ -9,9 +9,10 @@
    Each run's store must also equal one built from scratch under its
    random annotation, table by table.
 
-   The [Med.take_batch] unit tests pin the queue discipline itself:
-   the cap, stale-entry dropping, per-source version chaining, and the
-   gap-splits-batch boundary. *)
+   The [Med.take_batch] unit tests pin the queue discipline itself,
+   on queues built through [Med.enqueue]: the cap, stale-entry
+   dropping, per-source version chaining, a gap's hold-back until the
+   resync, and the constant cost of an enqueue. *)
 
 open Relalg
 open Vdp
@@ -321,96 +322,150 @@ let fresh_mediator ?max_batch () =
   in
   (env, med)
 
-let entry env ~source ~rel ~version ~prev =
+(* an announcement whose delta covers versions (prev, version] *)
+let update env ~source ~rel ~version ~prev =
   let schema = Adapter.schema (Scenario.source env source) rel in
   {
-    Med.q_source = source;
-    q_version = version;
-    q_prev_version = prev;
-    q_commit_time = 0.0;
-    q_send_time = 0.0;
-    q_recv_time = 0.0;
-    q_delta = Multi_delta.singleton rel (Rel_delta.empty schema);
+    Message.source;
+    prev_version = prev;
+    version;
+    commit_time = 0.0;
+    send_time = 0.0;
+    delta = Multi_delta.singleton rel (Rel_delta.empty schema);
   }
+
+let enqueue_all env med =
+  List.iter (fun (source, rel, version, prev) ->
+      Med.enqueue med (update env ~source ~rel ~version ~prev))
+
+let reflect med source v =
+  Med.set_reflected med source
+    { Med.r_version = v; r_commit_time = 0.0; r_send_time = 0.0 }
 
 let versions = List.map (fun e -> (e.Med.q_source, e.Med.q_version))
 
+let chain source rel vs = List.map (fun v -> (source, rel, v, v - 1)) vs
+
 let take_batch_cap () =
   let env, med = fresh_mediator ~max_batch:4 () in
-  med.Med.queue <-
-    List.map
-      (fun v -> entry env ~source:"db1" ~rel:"R" ~version:v ~prev:(v - 1))
-      [ 1; 2; 3; 4; 5; 6 ];
+  enqueue_all env med (chain "db1" "R" [ 1; 2; 3; 4; 5; 6 ]);
   let batch = Med.take_batch med in
   Alcotest.(check (list (pair string int)))
     "cap takes the head"
     [ ("db1", 1); ("db1", 2); ("db1", 3); ("db1", 4) ]
     (versions batch);
+  Alcotest.(check int) "remainder stays queued" 2 (Med.queue_length med);
+  (* once the IUP has applied the batch, the remainder chains on *)
+  reflect med "db1" 4;
   Alcotest.(check (list (pair string int)))
-    "remainder stays queued"
+    "in order"
     [ ("db1", 5); ("db1", 6) ]
-    (versions med.Med.queue)
+    (versions (Med.take_batch med))
 
 let take_batch_stale_drop () =
   let env, med = fresh_mediator ~max_batch:8 () in
-  Med.set_reflected med "db1"
-    { Med.r_version = 2; r_from_version = 0; r_commit_time = 0.0;
-      r_send_time = 0.0 };
-  med.Med.queue <-
-    List.map
-      (fun v -> entry env ~source:"db1" ~rel:"R" ~version:v ~prev:(v - 1))
-      [ 1; 2; 3 ];
+  enqueue_all env med (chain "db1" "R" [ 1; 2; 3 ]);
+  reflect med "db1" 2;
   let batch = Med.take_batch med in
   Alcotest.(check (list (pair string int)))
     "already-reflected versions are dropped, the rest chains"
     [ ("db1", 3) ]
     (versions batch);
-  Alcotest.(check (list (pair string int))) "queue empty" []
-    (versions med.Med.queue)
+  Alcotest.(check int) "queue empty" 0 (Med.queue_length med)
 
-let take_batch_gap_splits () =
+(* Through [enqueue] a lost announcement marks its source dirty: the
+   batch holds the source's entries back, clean sources flow past
+   them, and the post-snapshot call drops what the snapshot covered
+   and finds the source clean again. *)
+let take_batch_gap_holds_back () =
   let env, med = fresh_mediator ~max_batch:8 () in
-  med.Med.queue <-
+  enqueue_all env med
     [
-      entry env ~source:"db1" ~rel:"R" ~version:1 ~prev:0;
-      entry env ~source:"db1" ~rel:"R" ~version:3 ~prev:2;
-      entry env ~source:"db1" ~rel:"R" ~version:4 ~prev:3;
+      ("db1", "R", 1, 0);
+      ("db1", "R", 3, 2);
+      ("db2", "S", 1, 0);
+      ("db1", "R", 4, 3);
     ];
-  let batch = Med.take_batch med in
+  Alcotest.(check (list string)) "the gap marks db1" [ "db1" ]
+    (Med.dirty_sources med);
   Alcotest.(check (list (pair string int)))
-    "batch ends at the missing version"
-    [ ("db1", 1) ]
-    (versions batch);
+    "clean sources flow past the held-back entries"
+    [ ("db2", 1) ]
+    (versions (Med.take_batch med));
+  Alcotest.(check int) "db1's entries stay queued" 3 (Med.queue_length med);
+  Alcotest.(check (float 0.0)) "the depth gauge counts them" 3.0
+    (List.assoc "queue_depth"
+       (Obs.Metrics.snapshot (Mediator.metrics med)).Obs.Metrics.gauges);
+  Alcotest.(check (list (pair string int))) "nothing more to take" []
+    (versions (Med.take_batch med));
+  (* a snapshot reflecting db1 at version 3 covers 1 and 3; 4 chains *)
+  reflect med "db1" 3;
+  Med.after_snapshot med;
+  Alcotest.(check (list string)) "db1 clean after the resync" []
+    (Med.dirty_sources med);
   Alcotest.(check (list (pair string int)))
-    "the non-chaining tail stays queued"
-    [ ("db1", 3); ("db1", 4) ]
-    (versions med.Med.queue)
+    "its surviving entry flows"
+    [ ("db1", 4) ]
+    (versions (Med.take_batch med));
+  Alcotest.(check int) "queue empty" 0 (Med.queue_length med)
 
 let take_batch_multi_source () =
   let env, med = fresh_mediator ~max_batch:8 () in
-  med.Med.queue <-
-    [
-      entry env ~source:"db1" ~rel:"R" ~version:1 ~prev:0;
-      entry env ~source:"db2" ~rel:"S" ~version:1 ~prev:0;
-      entry env ~source:"db1" ~rel:"R" ~version:2 ~prev:1;
-    ];
+  enqueue_all env med
+    [ ("db1", "R", 1, 0); ("db2", "S", 1, 0); ("db1", "R", 2, 1) ];
   let batch = Med.take_batch med in
   Alcotest.(check (list (pair string int)))
     "sources chain independently in arrival order"
     [ ("db1", 1); ("db2", 1); ("db1", 2) ]
     (versions batch);
-  Alcotest.(check (list (pair string int))) "queue empty" []
-    (versions med.Med.queue)
+  Alcotest.(check int) "queue empty" 0 (Med.queue_length med)
+
+(* Enqueueing a chaining announcement costs the same at any depth, and
+   reading the depth allocates nothing. Tracing is off so only the
+   queue's own words are counted. *)
+let enqueue_constant_words () =
+  let env = Scenario.make_fig1 () in
+  let med =
+    Scenario.mediator env
+      ~annotation:(Scenario.ann_ex23 env.Scenario.vdp)
+      ~config:(Med.Config.make ~trace_enabled:false ())
+      ()
+  in
+  let next = ref 0 in
+  let words_per_enqueue n =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      incr next;
+      Med.enqueue med
+        (update env ~source:"db1" ~rel:"R" ~version:!next ~prev:(!next - 1))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  ignore (words_per_enqueue 10 : float);
+  let shallow = words_per_enqueue 100 in
+  ignore (words_per_enqueue (10_000 - !next) : float);
+  let deep = words_per_enqueue 100 in
+  Alcotest.(check int) "depth" 10_100 (Mediator.queue_length med);
+  if deep > shallow +. 8.0 then
+    Alcotest.failf "words per enqueue grow with depth: %.1f at 10, %.1f at 10000"
+      shallow deep;
+  let w0 = Gc.minor_words () in
+  let depth = Mediator.queue_length med in
+  let w1 = Gc.minor_words () in
+  Alcotest.(check int) "depth read" 10_100 depth;
+  Alcotest.(check (float 0.0)) "queue_length allocates nothing" 0.0 (w1 -. w0)
 
 let unit_cases =
   [
     Alcotest.test_case "cap bounds the batch" `Quick take_batch_cap;
     Alcotest.test_case "stale entries are dropped" `Quick
       take_batch_stale_drop;
-    Alcotest.test_case "a version gap splits the batch" `Quick
-      take_batch_gap_splits;
+    Alcotest.test_case "a version gap holds the source back" `Quick
+      take_batch_gap_holds_back;
     Alcotest.test_case "sources chain independently" `Quick
       take_batch_multi_source;
+    Alcotest.test_case "enqueue costs constant words" `Quick
+      enqueue_constant_words;
   ]
 
 let () =

@@ -519,6 +519,37 @@ let test_jsonl_export () =
         (String.length l > 1 && l.[0] = '{' && l.[String.length l - 1] = '}'))
     lines
 
+(* The CLI's trace export of a fixed run, byte for byte against a
+   committed golden file: a refactor of the event paths must leave the
+   span trees, their attributes and their simulated times unchanged.
+   When a change to the trace is intended, regenerate the file with
+     dune exec bin/squirrel_cli.exe -- run fig1 -a ex23 -u 200 -q 20 \
+       --report trace --jsonl - > test/golden/trace_fig1_ex23.jsonl *)
+let test_jsonl_golden () =
+  let out = Filename.temp_file "trace_fig1_ex23" ".jsonl" in
+  let status =
+    Sys.command
+      ("../bin/squirrel_cli.exe run fig1 -a ex23 -u 200 -q 20 --report trace \
+        --jsonl - > " ^ Filename.quote out)
+  in
+  let lines f =
+    String.split_on_char '\n' (In_channel.with_open_bin f In_channel.input_all)
+  in
+  let got = lines out in
+  Sys.remove out;
+  Alcotest.(check int) "exit status" 0 status;
+  let rec first_diff n = function
+    | w :: ws, g :: gs ->
+      if String.equal w g then first_diff (n + 1) (ws, gs)
+      else Alcotest.failf "line %d differs:\n  golden: %s\n  got:    %s" n w g
+    | [], [] -> ()
+    | _ :: _, [] | [], _ :: _ ->
+      Alcotest.failf "line %d: golden has %d lines, the run %d" n
+        (List.length (lines "golden/trace_fig1_ex23.jsonl"))
+        (List.length got)
+  in
+  first_diff 1 (lines "golden/trace_fig1_ex23.jsonl", got)
+
 let () =
   Alcotest.run "obs"
     [
@@ -540,6 +571,8 @@ let () =
             test_disabled_trace_records_nothing;
           Alcotest.test_case "ring retention" `Quick test_ring_retention;
           Alcotest.test_case "jsonl export" `Quick test_jsonl_export;
+          Alcotest.test_case "jsonl matches the golden run" `Quick
+            test_jsonl_golden;
           Alcotest.test_case "steady size under a full ring" `Quick
             test_steady_size;
           Alcotest.test_case "slot reuse matches a list-based trace" `Quick
