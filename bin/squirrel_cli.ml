@@ -7,8 +7,9 @@
      advise     run the Sec. 5.3 annotation advisor with given rates
      run        run a scenario under the standard load, check it
                 (exit 1 if INCONSISTENT), and print the reports
-                --report names, in this order: profile, metrics,
-                trace, stats (the default), freshness
+                --report names, in this order: profile (answer
+                cache, batching, table statistics), metrics, trace,
+                stats (the default), freshness
      query      pose one parsed query, optionally after some updates
      chaos      run one chaos-matrix cell (scenario, fault profile,
                 seed)
@@ -244,13 +245,9 @@ let print_stats med report =
 let print_profile med ~max_batch =
   let s = Mediator.stats med in
   let v = Obs.Metrics.value in
-  Printf.printf
-    "answer cache: %d hits, %d misses, %d invalidations\n\
-     compiled plans: %d value, %d delta\n"
+  Printf.printf "answer cache: %d hits, %d misses, %d invalidations\n"
     (v s.Med.cache_hits) (v s.Med.cache_misses)
-    (v s.Med.cache_invalidations)
-    (Relalg.Plan.compiled_plans ())
-    (Delta.Delta_plan.compiled_plans ());
+    (v s.Med.cache_invalidations);
   Printf.printf
     "\n\
      -- batching (max_batch %d) --\n\

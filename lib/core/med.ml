@@ -236,6 +236,11 @@ type derived = {
   d_kinds : (string, contributor_kind) Hashtbl.t;
   d_index_plan : (string * string) list;
       (** the (leaf, column) pairs keyed polls can name *)
+  d_plans : (Expr.t, Plan.t) Hashtbl.t;
+      (** the value plans {!eval} runs, keyed by the expression below a
+          request's top-level select/project/rename chain: a
+          definition, or a restricted definition narrowed to a set of
+          wanted attributes — finitely many per VDP *)
 }
 
 type ledger = {
@@ -388,11 +393,12 @@ let source_index_plan vdp ann ~key_based ~steps ~nodes ~kinds =
    value plan of the definition (resync/initialization rebuilds), and
    a value and a delta plan of the full-width restricted definition
    (the IUP's kernel pass). A per-request VAP restriction is a
-   top-level select/project chain, compiled per call over the memoized
-   plan below it. *)
+   top-level select/project chain, compiled per call over the plan
+   below it in [d_plans]. *)
 let build_derived vdp ann ~key_based =
   let d_parents = Hashtbl.create 16 in
   let d_nodes = Hashtbl.create 16 in
+  let d_plans = Hashtbl.create 16 in
   List.iter
     (fun node ->
       let name = node.Graph.name in
@@ -400,12 +406,12 @@ let build_derived vdp ann ~key_based =
       match node.Graph.kind with
       | Graph.Leaf _ -> ()
       | Graph.Derived def ->
-        ignore (Plan.of_expr def : Plan.t);
+        ignore (Plan.of_expr ~memo:d_plans def : Plan.t);
         let full =
           Derived_from.restrict_def vdp ~node:name
             ~attrs:(Schema.attrs node.Graph.schema) ~cond:Predicate.True
         in
-        ignore (Plan.of_expr full : Plan.t);
+        ignore (Plan.of_expr ~memo:d_plans full : Plan.t);
         let children = Graph.children vdp name in
         (* Example 2.3's key-based construction: the SPJ node's children
            whose whole key the node materializes *)
@@ -472,7 +478,10 @@ let build_derived vdp ann ~key_based =
     d_index_plan =
       source_index_plan vdp ann ~key_based ~steps:d_steps ~nodes:d_nodes
         ~kinds:d_kinds;
+    d_plans;
   }
+
+let eval t ~env expr = Plan.run (Plan.of_expr ~memo:t.derived.d_plans expr) ~env
 
 let update_steps t = t.derived.d_steps
 let leaf_parents t = t.derived.d_leaf_parents

@@ -548,6 +548,13 @@ val node_parents : t -> string -> string list
 val node_plan : t -> string -> node_plan
 (** @raise Mediator_error when the node is a leaf or unknown. *)
 
+val eval : t -> env:(string -> Bag.t option) -> Expr.t -> Bag.t
+(** {!Relalg.Eval.eval} through the mediator's own plan memo: the plan
+    below the expression's top-level select/project/rename chain is
+    compiled once per mediator (the definitions and full-width
+    restricted definitions at {!create}), the chain on each call. What
+    the VAP's temporaries and a resync evaluate. *)
+
 val index_plan : t -> string -> (string * string) list
 (** The source's index plan: the sorted [(relation, column)] pairs its
     keyed polls can name, which {!Mediator.connect} declares to it

@@ -108,16 +108,15 @@ let read_store ?attrs table cond =
         | None -> schema
         | Some attrs -> Schema.project schema attrs)
     in
+    let proj = Option.map Tuple.projector attrs in
     let read = ref 0 in
     List.iter
       (fun v ->
         Table.probe table a v (fun tuple m ->
             incr read;
             if test tuple then
-              Bag.badd ~check:false bu
-                (match attrs with
-                | None -> tuple
-                | Some attrs -> Tuple.project tuple attrs)
+              Bag.badd bu
+                (match proj with None -> tuple | Some p -> p tuple)
                 m))
       keys;
     Eval.charge_tuple_ops !read;

@@ -65,7 +65,7 @@ let snapshot ?(trigger = "init") (t : Med.t) =
   in
   List.iter
     (fun node ->
-      let value = Eval.eval ~env (Graph.def t.Med.vdp node) in
+      let value = Med.eval t ~env (Graph.def t.Med.vdp node) in
       Hashtbl.replace values node value;
       match Med.node_table t node with
       | Some table ->

@@ -265,7 +265,7 @@ let build_inner (t : Med.t) ~pending requests =
             if Predicate.equal r.r_cond Predicate.True then def
             else Expr.select r.r_cond def
           in
-          let value = Eval.eval ~env (Expr.project r.r_attrs with_sel) in
+          let value = Med.eval t ~env (Expr.project r.r_attrs with_sel) in
           Obs.Trace.set_attri t.Med.trace sp "tuples" (Bag.cardinal value);
           Hashtbl.replace temps node value))
     inner_in_topo;

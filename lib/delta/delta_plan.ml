@@ -1,12 +1,15 @@
 open Relalg
 
 (* Compiled incremental propagation rules: the delta counterpart of
-   {!Relalg.Plan}. Each edge/definition expression is compiled once
-   into a delta pipeline — predicates compiled to slot closures, unary
+   {!Relalg.Plan}. Each edge/definition expression is compiled into a
+   delta pipeline — predicates compiled to slot closures, unary
    select/project/rename chains fused into a single signed pass over
    the child delta ({!Rel_delta.transform}), join rules precompiled
    with their residual tests — and executed on every update
-   transaction. Rule structure (Example 6.1 three-part join,
+   transaction. The value plans of the old values a join or difference
+   reads are compiled with it, so a delta plan owns everything it runs;
+   nothing is remembered across [of_expr] calls (the mediator keeps
+   each node's plan). Rule structure (Example 6.1 three-part join,
    membership-candidate difference) matches the interpretive rule
    engine the tests check the plans against. *)
 
@@ -25,19 +28,17 @@ type prog =
 and njoin = {
   on : Predicate.t; (* conjunction over the collapsed join chain *)
   conjs : Predicate.t list;
-  inputs : (prog * Expr.t) array; (* compiled + old-value-side reads *)
+  inputs : (prog * Plan.t) array; (* compiled + old-value-side reads *)
 }
 
 and diff = {
   d_left : prog;
   d_right : prog;
-  a_expr : Expr.t; (* both old values are read when either side moves *)
-  b_expr : Expr.t;
+  a_old : Plan.t; (* both old values are read when either side moves *)
+  b_old : Plan.t;
 }
 
-type t = { expr : Expr.t; prog : prog }
-
-let expr p = p.expr
+type t = prog
 
 (* collect a maximal unary chain; the accumulator ends up
    innermost-first, which is execution order. Fusing is value-correct
@@ -77,13 +78,19 @@ let rec compile_prog expr =
       {
         on = Predicate.conj conjs;
         conjs;
-        inputs = Array.of_list (List.map (fun e -> (compile_prog e, e)) inputs);
+        inputs =
+          Array.of_list
+            (List.map (fun e -> (compile_prog e, Plan.of_expr e)) inputs);
       }
   | Expr.Union (a, b) -> Union (compile_prog a, compile_prog b)
   | Expr.Diff (a, b) ->
-    Diff { d_left = compile_prog a; d_right = compile_prog b; a_expr = a; b_expr = b }
-
-let eval_old ~env e = Eval.eval ~env e
+    Diff
+      {
+        d_left = compile_prog a;
+        d_right = compile_prog b;
+        a_old = Plan.of_expr a;
+        b_old = Plan.of_expr b;
+      }
 
 let run ?indexed_join ~env ~deltas p =
   let rec exec prog =
@@ -172,7 +179,7 @@ let run ?indexed_join ~env ~deltas p =
         match olds.(k) with
         | Some b -> b
         | None ->
-          let b = eval_old ~env (snd j.inputs.(k)) in
+          let b = Plan.run (snd j.inputs.(k)) ~env in
           olds.(k) <- Some b;
           b
       in
@@ -274,8 +281,8 @@ let run ?indexed_join ~env ~deltas p =
       if Rel_delta.is_empty da && Rel_delta.is_empty db then
         Rel_delta.empty (Rel_delta.schema da)
       else begin
-        let old_a = eval_old ~env d.a_expr
-        and old_b = eval_old ~env d.b_expr in
+        let old_a = Plan.run d.a_old ~env
+        and old_b = Plan.run d.b_old ~env in
         let schema = Bag.schema old_a in
         (* Only tuples whose bag multiplicity changed in a child can
            change set membership in the output; post-state membership
@@ -303,21 +310,6 @@ let run ?indexed_join ~env ~deltas p =
           candidates (Rel_delta.empty schema)
       end
   in
-  exec p.prog
+  exec p
 
-(* compile-once memo keyed by the expression; bounded like the value
-   plan cache so ad-hoc expressions from fuzz runs cannot leak *)
-let cache : (Expr.t, t) Hashtbl.t = Hashtbl.create 64
-let cache_cap = 4096
-let compiled = ref 0
-
-let of_expr expr =
-  match Hashtbl.find_opt cache expr with
-  | Some p -> p
-  | None ->
-    let p = { expr; prog = compile_prog expr } in
-    incr compiled;
-    if Hashtbl.length cache < cache_cap then Hashtbl.replace cache expr p;
-    p
-
-let compiled_plans () = !compiled
+let of_expr = compile_prog

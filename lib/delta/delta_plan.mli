@@ -13,11 +13,13 @@
     generic engine behind the per-edge propagation rules of Sec. 5.2
     (see {!Vdp.Rules} for the edge-rule view).
 
-    Each definition/edge expression compiles once into a delta
-    pipeline: predicates become closures over schema slot indices,
+    Each definition/edge expression compiles into a delta pipeline:
+    predicates become closures over schema slot indices,
     unary select/project/rename chains fuse into a single signed pass
     over the child delta, and join rules carry their precompiled
-    residual tests into {!Rel_delta}'s signed joins. Rule structure —
+    residual tests into {!Rel_delta}'s signed joins, and the value
+    plans of the old values that joins and differences read compile
+    with it. Rule structure —
     the Example 6.1 three-part join, the membership-candidate
     difference, the schema-from-child-deltas rule for no-op joins —
     matches the interpretive rule engine the tests keep as their
@@ -32,10 +34,8 @@ type t
 (** A compiled delta plan. *)
 
 val of_expr : Expr.t -> t
-(** Compile (or fetch from the global compile-once memo). *)
-
-val expr : t -> Expr.t
-(** The source expression of a plan. *)
+(** Compile. Nothing is remembered across calls: the caller keeps the
+    plan (the mediator keeps one per derived node). *)
 
 val run :
   ?indexed_join:
@@ -61,6 +61,3 @@ val run :
     here, so per-transaction [ΔA ⋈ B_old] joins skip rebuilding a key
     table over [B_old] on every update transaction.
     @raise Eval.Unbound_relation if a needed base is missing. *)
-
-val compiled_plans : unit -> int
-(** Number of distinct expressions compiled so far (process-wide). *)

@@ -3,25 +3,44 @@
    multiplicity, so [add]/[remove]/[mult] and join probes are O(1)
    (amortized) and [cardinal]/[support_cardinal] are O(1).
    Algebra operators build their result in a private hash table and
-   seal it, never paying the diff-chain machinery. *)
+   seal it, never paying the diff-chain machinery.
 
-type t = { schema : Schema.t; card : int; tm : Counts.t }
+   A bag type-checks the tuples [add] inserts through its schema's
+   slot plan ({!Tuple.shape}), resolved at the first one; the bags
+   derived from it inherit it (a shape depends only on the typed
+   attribute set, which [project] onto its own attributes and [retype]
+   keep). *)
+
+type t = {
+  schema : Schema.t;
+  mutable shape : Tuple.shape option;
+  card : int;
+  tm : Counts.t;
+}
 
 exception Bag_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Bag_error s)) fmt
 
-let empty schema = { schema; card = 0; tm = Counts.empty () }
+let empty schema = { schema; shape = None; card = 0; tm = Counts.empty () }
 let schema b = b.schema
 
-let check_tuple schema tuple =
-  if not (Tuple.matches_schema tuple schema) then
+let check_tuple schema shape tuple =
+  if not (Tuple.fits shape tuple) then
     err "tuple %s does not match schema %s" (Tuple.to_string tuple)
       (Schema.to_string schema)
 
+let shape_of b =
+  match b.shape with
+  | Some sh -> sh
+  | None ->
+    let sh = Tuple.shape b.schema in
+    b.shape <- Some sh;
+    sh
+
 let add ?(mult = 1) b tuple =
   if mult <= 0 then err "add: multiplicity %d must be positive" mult;
-  check_tuple b.schema tuple;
+  check_tuple b.schema (shape_of b) tuple;
   { b with card = b.card + mult; tm = Counts.add_to b.tm tuple mult }
 
 let remove ?(mult = 1) b tuple =
@@ -42,17 +61,22 @@ type builder = {
 let builder ?(size = 16) schema =
   { bu_schema = schema; bu_b = Counts.Builder.create ~size (); bu_card = 0 }
 
-let badd ~check bu tuple mult =
-  if check then check_tuple bu.bu_schema tuple;
+let badd bu tuple mult =
   Counts.Builder.add bu.bu_b tuple mult;
   bu.bu_card <- bu.bu_card + mult
 
 let seal bu =
-  { schema = bu.bu_schema; card = bu.bu_card; tm = Counts.Builder.seal bu.bu_b }
+  let tm = Counts.Builder.seal bu.bu_b in
+  { schema = bu.bu_schema; shape = None; card = bu.bu_card; tm }
 
 let of_tuples schema tuples =
   let bu = builder ~size:(max 16 (List.length tuples)) schema in
-  List.iter (fun t -> badd ~check:true bu t 1) tuples;
+  let shape = Tuple.shape schema in
+  List.iter
+    (fun t ->
+      check_tuple schema shape t;
+      badd bu t 1)
+    tuples;
   seal bu
 
 let mult b tuple = Counts.get b.tm tuple
@@ -67,7 +91,7 @@ let support b = List.map fst (to_list b)
 
 let filter pred b =
   let bu = builder b.schema in
-  iter (fun t m -> if pred t then badd ~check:false bu t m) b;
+  iter (fun t m -> if pred t then badd bu t m) b;
   seal bu
 
 (* bags are persistent, so an unfiltered selection can share its input *)
@@ -84,7 +108,7 @@ let project names b =
   else begin
     let proj = Tuple.projector names in
     let bu = builder ~size:(max 16 (support_cardinal b)) schema in
-    iter (fun t m -> badd ~check:false bu (proj t) m) b;
+    iter (fun t m -> badd bu (proj t) m) b;
     seal bu
   end
 
@@ -112,7 +136,8 @@ let union a b =
   in
   let bb = Counts.Builder.of_counts big.tm in
   iter (fun t m -> Counts.Builder.add bb t m) small;
-  { schema = a.schema; card = a.card + b.card; tm = Counts.Builder.seal bb }
+  let tm = Counts.Builder.seal bb in
+  { schema = a.schema; shape = a.shape; card = a.card + b.card; tm }
 
 let monus a b =
   require_compatible "monus" a b;
@@ -127,12 +152,13 @@ let monus a b =
         card := !card - removed
       end)
     b;
-  { schema = a.schema; card = !card; tm = Counts.Builder.seal bb }
+  let tm = Counts.Builder.seal bb in
+  { schema = a.schema; shape = a.shape; card = !card; tm }
 
 let set_diff a b =
   require_compatible "set_diff" a b;
   let bu = builder a.schema in
-  iter (fun t _ -> if Counts.get b.tm t = 0 then badd ~check:false bu t 1) a;
+  iter (fun t _ -> if Counts.get b.tm t = 0 then badd bu t 1) a;
   seal bu
 
 (* Hash tables keyed by join-key values, using Value's own
@@ -178,12 +204,13 @@ let join ?(on = Predicate.True) ?test a b =
   let residual =
     match test with Some f -> f | None -> Predicate.eval on
   in
+  let merge = Tuple.merger () in
   let combine ta ma tb mb =
-    match Tuple.concat ta tb with
+    match merge ta tb with
     | None -> ()
     | Some merged ->
       if trivially_true || residual merged then
-        badd ~check:false bu merged (ma * mb)
+        badd bu merged (ma * mb)
   in
   let rec combine_all xa ma = function
     | [] -> ()

@@ -129,11 +129,10 @@ type builder
 
 val builder : ?size:int -> Schema.t -> builder
 
-val badd : check:bool -> builder -> Tuple.t -> int -> unit
+val badd : builder -> Tuple.t -> int -> unit
 (** Accumulate [mult] copies of a tuple (multiplicities of coinciding
-    tuples add up). [check] validates the tuple against the builder's
-    schema; pass [false] only for tuples produced by schema-correct
-    plans. *)
+    tuples add up). The tuple is not checked against the builder's
+    schema: add only tuples produced by schema-correct plans. *)
 
 val seal : builder -> t
 (** Transfer ownership; the builder must not be used afterwards. *)

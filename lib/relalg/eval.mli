@@ -13,9 +13,10 @@ val eval : env:(string -> Bag.t option) -> Expr.t -> Bag.t
     [Project] are bag operators.
 
     Execution goes through the plan compiler ({!Plan}): the expression
-    is compiled once (fused unary stages, slot-compiled predicates,
-    streaming joins) and the compiled pipeline is reused on every
-    subsequent evaluation of the same expression.
+    is compiled on each call (fused unary stages, slot-compiled
+    predicates, streaming joins) and nothing is remembered; a caller
+    that evaluates the same expression repeatedly keeps its plans
+    ({!Plan.of_expr}'s [memo]).
     @raise Unbound_relation when a base name is unresolved. *)
 
 val tuple_ops : unit -> int

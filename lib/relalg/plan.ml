@@ -1,5 +1,7 @@
-(* Plan compiler: algebra expressions compiled once into physical
-   operator pipelines, executed many times.
+(* Plan compiler: algebra expressions compiled into physical operator
+   pipelines. The compiler remembers nothing: a caller that runs an
+   expression repeatedly keeps the plan, or passes a memo it owns to
+   [of_expr] (the mediator keeps one per instance).
 
    An expression is compiled to a [prog] tree whose unary chains
    (select / project / rename) are fused into a single per-tuple pass
@@ -26,9 +28,10 @@
    definition runs over full leaf relations, materialized projections,
    and VAP temporaries carrying only the requested attributes, and
    join variables depend on the attribute sets actually present. A
-   plan is therefore schema-polymorphic — keyed by the expression
+   plan is therefore schema-polymorphic — a function of the expression
    alone — and every stage re-derives its slot plans per descriptor
-   through the one-entry memos of the physical layer.
+   through the one-entry memos its closures own (a join node owns one
+   tuple merger per merge position).
 
    The tests check plans against an interpretive evaluator, value for
    value. Operation charging is the per-operator input cardinalities,
@@ -64,13 +67,14 @@ and njoin = {
   test : (Tuple.t -> bool) option; (* compiled [on]; None = True *)
   conjs : conjunct array; (* compiled conjuncts, conjunction order *)
   inputs : prog array; (* >= 2, original left-to-right order *)
+  merges : (Tuple.t -> Tuple.t -> Tuple.t option) array;
+      (* one {!Tuple.merger} per merge position: cascade step [k] or
+         nested-loop depth [k] *)
 }
 
 and conjunct = { c_attrs : string list; c_test : Tuple.t -> bool }
 
-type t = { expr : Expr.t; prog : prog }
-
-let expr p = p.expr
+type t = prog
 
 (* collect a maximal unary chain; the accumulator ends up
    innermost-first, which is execution order *)
@@ -113,6 +117,7 @@ let rec compile_prog expr =
                (fun p -> { c_attrs = Predicate.attrs p; c_test = Predicate.compile p })
                conj_list);
         inputs = Array.of_list (List.map compile_prog inputs);
+        merges = Array.init (List.length inputs) (fun _ -> Tuple.merger ());
       }
   | Expr.Union (a, b) -> Union (compile_prog a, compile_prog b)
   | Expr.Diff (a, b) -> Diff (compile_prog a, compile_prog b)
@@ -515,7 +520,7 @@ and exec_cascade j views attr_lists classes ~emit =
   and merge_all idx checks t m = function
     | [] -> ()
     | (tb, mb) :: rest ->
-      (match Tuple.concat t tb with
+      (match (Array.unsafe_get j.merges idx) t tb with
       | None -> ()
       | Some merged ->
         if passes checks merged then begin
@@ -541,7 +546,7 @@ and exec_nested j views ~emit =
     end
     else
       v_iter views.(idx) (fun t m ->
-          match Tuple.concat acc t with
+          match j.merges.(idx) acc t with
           | None -> ()
           | Some merged -> loop (idx + 1) merged (accm * m))
   in
@@ -549,7 +554,7 @@ and exec_nested j views ~emit =
   charge_tuple_ops product
 
 let run p ~env =
-  match p.prog with
+  match p with
   | Source n -> resolve env n (* as the interpreter: no copy, no charge *)
   | prog ->
     let schema = out_schema prog ~env in
@@ -561,39 +566,27 @@ let run p ~env =
       | _ -> 16
     in
     let bu = Bag.builder ~size schema in
-    stream prog ~env ~emit:(fun t m -> Bag.badd ~check:false bu t m);
+    stream prog ~env ~emit:(fun t m -> Bag.badd bu t m);
     Bag.seal bu
 
-(* compile-once memo keyed by the expression (pure data, hashable);
-   counts feed the CLI's profile report. Unbounded growth is capped:
-   past the cap plans still compile but are not retained (ad-hoc
-   query expressions from long fuzz runs must not leak). *)
-let cache : (Expr.t, t) Hashtbl.t = Hashtbl.create 64
-let cache_cap = 4096
-let compiled = ref 0
-
-let cached expr =
-  match Hashtbl.find_opt cache expr with
-  | Some p -> p
-  | None ->
-    let p = { expr; prog = compile_prog expr } in
-    incr compiled;
-    if Hashtbl.length cache < cache_cap then Hashtbl.replace cache expr p;
-    p
-
-(* A top-level select/project/rename chain is compiled per call over
-   the memoized plan of its input. It carries the per-request condition
-   and attributes (VAP polls, query conditions), which rarely repeat:
-   memoized, they would fill the cache with one-shot entries that all
-   hash alike ([Hashtbl.hash] stops a few words into a long
-   disjunction). Compiling the chain costs a few closures. *)
-let of_expr expr =
+(* A top-level select/project/rename chain carries the per-request
+   condition and attributes (VAP polls, query conditions), which rarely
+   repeat, so it is compiled per call, and only the plan below it is
+   looked up in [memo]. Compiling the chain costs a few closures. *)
+let of_expr ?memo expr =
+  let below sub =
+    match memo with
+    | None -> compile_prog sub
+    | Some memo -> (
+      match Hashtbl.find_opt memo sub with
+      | Some p -> p
+      | None ->
+        let p = compile_prog sub in
+        Hashtbl.replace memo sub p;
+        p)
+  in
   match expr with
   | Expr.Select _ | Expr.Project _ | Expr.Rename _ ->
     let steps, sub = peel [] expr in
-    { expr; prog = Fused (Array.of_list steps, (cached sub).prog) }
-  | _ -> cached expr
-
-let compiled_plans () = !compiled
-
-let eval ~env expr = run (of_expr expr) ~env
+    Fused (Array.of_list steps, below sub)
+  | _ -> below expr

@@ -1,5 +1,5 @@
-(** Plan compiler: algebra expressions compiled once into physical
-    operator pipelines (the default evaluator behind {!Eval.eval}).
+(** Plan compiler: algebra expressions compiled into physical operator
+    pipelines (the default evaluator behind {!Eval.eval}).
 
     A compiled plan fuses unary select/project/rename chains into a
     single per-tuple pass (no intermediate bag per operator), compiles
@@ -13,11 +13,16 @@
     nothing. The output of a fused chain over one source is presized
     from that source's distinct tuples.
 
-    Plans are {e schema-polymorphic}: keyed by the expression alone,
-    with every slot plan resolved at execution time per tuple
-    descriptor through the physical layer's one-entry memos — the same
+    Plans are {e schema-polymorphic}: a function of the expression
+    alone, with every slot plan resolved at execution time per tuple
+    descriptor through one-entry memos the plan's own closures hold (a
+    join node owns a {!Tuple.merger} per merge position) — the same
     definition runs over full leaf relations, materialized projections,
     and VAP temporaries carrying only the requested attributes.
+
+    The compiler keeps no process-wide memo: a caller that evaluates
+    an expression repeatedly keeps the plan, or passes its own memo to
+    {!of_expr}. The mediator keeps one per instance.
 
     The tests check plans against an interpretive evaluator, value for
     value. Operation charging is the per-operator input
@@ -32,32 +37,23 @@ exception Unbound_relation of string
 type t
 (** A compiled plan. *)
 
-val of_expr : Expr.t -> t
-(** Compile (or fetch from the global compile-once memo). A top-level
-    select/project/rename chain is not memoized: it is compiled afresh
-    on each call over the memoized plan of its input. *)
-
-val expr : t -> Expr.t
-(** The source expression of a plan. *)
+val of_expr : ?memo:(Expr.t, t) Hashtbl.t -> Expr.t -> t
+(** Compile. With [memo], the plan below a top-level
+    select/project/rename chain (the whole expression when it has
+    none) is looked up in [memo] by that expression and compiled into
+    it on a miss; the chain itself, which carries a request's condition
+    and attributes, is compiled on each call. *)
 
 val run : t -> env:(string -> Bag.t option) -> Bag.t
 (** Execute against an environment resolving base-relation names.
     @raise Unbound_relation when a base name is unresolved. *)
 
-val eval : env:(string -> Bag.t option) -> Expr.t -> Bag.t
-(** [run (of_expr e) ~env]. *)
-
-val compiled_plans : unit -> int
-(** Number of expressions compiled through the memo so far
-    (process-wide). The top-level select/project/rename chains that
-    {!of_expr} compiles per call are not counted; the input below such
-    a chain is, once. *)
-
 (** {1 Operation accounting}
 
     The global tuple-operation counter feeding the simulator's cost
     model lives here; {!Eval} re-exports these under the historical
-    names. *)
+    names. With the descriptor intern table of {!Tuple}, it is the
+    only process-wide state of the relational layer. *)
 
 val tuple_ops : unit -> int
 val reset_tuple_ops : unit -> unit

@@ -116,8 +116,6 @@ let get t name =
   let i = Desc.slot t.desc name in
   if i >= 0 then t.vals.(i) else raise Not_found
 
-let mem t name = Desc.slot t.desc name >= 0
-
 let set t name v =
   let s = Desc.slot t.desc name in
   match s with
@@ -180,32 +178,6 @@ let projector names =
         cache := Some (t.desc.Desc.id, plan);
         plan
     in
-    apply_plan plan t
-
-(* direct [project] calls share plans through a global memo, fronted
-   by a physical-equality fast path for call sites passing the same
-   list repeatedly *)
-let project_cache : (int * string list, Desc.t * int array) Hashtbl.t =
-  Hashtbl.create 64
-
-let project_last = ref None
-
-let project t names =
-  match !project_last with
-  | Some (src_id, last_names, plan)
-    when src_id = t.desc.Desc.id && last_names == names ->
-    apply_plan plan t
-  | _ ->
-    let key = (t.desc.Desc.id, names) in
-    let plan =
-      match Hashtbl.find_opt project_cache key with
-      | Some plan -> plan
-      | None ->
-        let plan = project_plan t.desc names in
-        Hashtbl.replace project_cache key plan;
-        plan
-    in
-    project_last := Some (t.desc.Desc.id, names, plan);
     apply_plan plan t
 
 (* Cached key-extraction plan: list of values at the named slots, in
@@ -284,121 +256,107 @@ let renamer mapping =
 
 (* Merge plan for natural-join concatenation of two descriptors:
    target descriptor, per-slot source (left slot or right slot), and
-   the shared slots whose values must agree. One-entry memo — a join
-   concatenates many tuple pairs over the same two descriptors. *)
+   the shared slots whose values must agree. *)
 type merge_plan = {
   mp_out : Desc.t;
   mp_take : int array; (* slot i of output: left j if >= 0, right (-j-1) *)
   mp_shared : (int * int) array; (* (left slot, right slot) to check *)
 }
 
-let concat_cache : (int * int * merge_plan) option ref = ref None
-
 let merge_plan da db =
-  match !concat_cache with
-  | Some (ia, ib, plan) when ia = da.Desc.id && ib = db.Desc.id -> plan
-  | _ ->
-    let la = da.Desc.names and lb = db.Desc.names in
-    let out = ref [] and take = ref [] and shared = ref [] in
-    let i = ref 0 and j = ref 0 in
-    let na = Array.length la and nb = Array.length lb in
-    while !i < na || !j < nb do
-      if !i >= na then begin
-        out := lb.(!j) :: !out;
-        take := (- !j - 1) :: !take;
-        incr j
-      end
-      else if !j >= nb then begin
+  let la = da.Desc.names and lb = db.Desc.names in
+  let out = ref [] and take = ref [] and shared = ref [] in
+  let i = ref 0 and j = ref 0 in
+  let na = Array.length la and nb = Array.length lb in
+  while !i < na || !j < nb do
+    if !i >= na then begin
+      out := lb.(!j) :: !out;
+      take := (- !j - 1) :: !take;
+      incr j
+    end
+    else if !j >= nb then begin
+      out := la.(!i) :: !out;
+      take := !i :: !take;
+      incr i
+    end
+    else
+      let c = String.compare la.(!i) lb.(!j) in
+      if c < 0 then begin
         out := la.(!i) :: !out;
         take := !i :: !take;
         incr i
       end
-      else
-        let c = String.compare la.(!i) lb.(!j) in
-        if c < 0 then begin
-          out := la.(!i) :: !out;
-          take := !i :: !take;
-          incr i
-        end
-        else if c > 0 then begin
-          out := lb.(!j) :: !out;
-          take := (- !j - 1) :: !take;
-          incr j
-        end
-        else begin
-          out := la.(!i) :: !out;
-          take := !i :: !take;
-          shared := (!i, !j) :: !shared;
-          incr i;
-          incr j
-        end
-    done;
+      else if c > 0 then begin
+        out := lb.(!j) :: !out;
+        take := (- !j - 1) :: !take;
+        incr j
+      end
+      else begin
+        out := la.(!i) :: !out;
+        take := !i :: !take;
+        shared := (!i, !j) :: !shared;
+        incr i;
+        incr j
+      end
+  done;
+  {
+    mp_out = Desc.of_sorted_names (Array.of_list (List.rev !out));
+    mp_take = Array.of_list (List.rev !take);
+    mp_shared = Array.of_list (List.rev !shared);
+  }
+
+(* [merger] carries a one-entry memo in its closure, as [projector]
+   does: a join merges many tuple pairs over the same two
+   descriptors *)
+let merger () =
+  let cache = ref None in
+  fun a b ->
     let plan =
-      {
-        mp_out = Desc.of_sorted_names (Array.of_list (List.rev !out));
-        mp_take = Array.of_list (List.rev !take);
-        mp_shared = Array.of_list (List.rev !shared);
-      }
-    in
-    concat_cache := Some (da.Desc.id, db.Desc.id, plan);
-    plan
-
-let concat a b =
-  let plan = merge_plan a.desc b.desc in
-  let shared = plan.mp_shared in
-  let ns = Array.length shared in
-  let rec agree k =
-    k >= ns
-    ||
-    let i, j = Array.unsafe_get shared k in
-    Value.equal (Array.unsafe_get a.vals i) (Array.unsafe_get b.vals j)
-    && agree (k + 1)
-  in
-  if not (agree 0) then None
-  else begin
-    let take = plan.mp_take in
-    let n = Array.length take in
-    let vals = Array.make n Value.Null in
-    for s = 0 to n - 1 do
-      let t = Array.unsafe_get take s in
-      Array.unsafe_set vals s
-        (if t >= 0 then Array.unsafe_get a.vals t
-         else Array.unsafe_get b.vals (-t - 1))
-    done;
-    Some (mk plan.mp_out vals)
-  end
-
-(* schema -> (descriptor, slot-ordered types) memo for fast
-   [matches_schema]; schemas are small immutable records, structural
-   hashing is fine *)
-let schema_cache : (Schema.t, Desc.t * Value.ty array) Hashtbl.t =
-  Hashtbl.create 64
-
-(* physical-equality front cache: bag operations type-check a stream
-   of tuples against one schema record, skipping the structural hash *)
-let schema_last = ref None
-
-let schema_plan schema =
-  match !schema_last with
-  | Some (last, plan) when last == schema -> plan
-  | _ ->
-    let plan =
-      match Hashtbl.find_opt schema_cache schema with
-      | Some plan -> plan
-      | None ->
-        let typed =
-          List.sort
-            (fun (a, _) (b, _) -> String.compare a b)
-            (Schema.typed_attrs schema)
-        in
-        let desc = Desc.of_sorted_names (Array.of_list (List.map fst typed)) in
-        let tys = Array.of_list (List.map snd typed) in
-        let plan = (desc, tys) in
-        Hashtbl.replace schema_cache schema plan;
+      match !cache with
+      | Some (ia, ib, plan) when ia = a.desc.Desc.id && ib = b.desc.Desc.id ->
+        plan
+      | _ ->
+        let plan = merge_plan a.desc b.desc in
+        cache := Some (a.desc.Desc.id, b.desc.Desc.id, plan);
         plan
     in
-    schema_last := Some (schema, plan);
-    plan
+    let shared = plan.mp_shared in
+    let ns = Array.length shared in
+    let rec agree k =
+      k >= ns
+      ||
+      let i, j = Array.unsafe_get shared k in
+      Value.equal (Array.unsafe_get a.vals i) (Array.unsafe_get b.vals j)
+      && agree (k + 1)
+    in
+    if not (agree 0) then None
+    else begin
+      let take = plan.mp_take in
+      let n = Array.length take in
+      let vals = Array.make n Value.Null in
+      for s = 0 to n - 1 do
+        let t = Array.unsafe_get take s in
+        Array.unsafe_set vals s
+          (if t >= 0 then Array.unsafe_get a.vals t
+           else Array.unsafe_get b.vals (-t - 1))
+      done;
+      Some (mk plan.mp_out vals)
+    end
+
+(* a schema's slot plan for type checks: its descriptor and
+   slot-ordered types, kept by the bag that checks *)
+type shape = { sh_desc : Desc.t; sh_tys : Value.ty array }
+
+let shape schema =
+  let typed =
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (Schema.typed_attrs schema)
+  in
+  {
+    sh_desc = Desc.of_sorted_names (Array.of_list (List.map fst typed));
+    sh_tys = Array.of_list (List.map snd typed);
+  }
 
 let ty_matches v ty =
   match v, ty with
@@ -410,13 +368,12 @@ let ty_matches v ty =
     true
   | (Value.Bool _ | Value.Int _ | Value.Float _ | Value.Str _), _ -> false
 
-let matches_schema t schema =
-  let desc, tys = schema_plan schema in
-  t.desc == desc
+let fits { sh_desc; sh_tys } t =
+  t.desc == sh_desc
   && begin
-       let n = Array.length tys in
+       let n = Array.length sh_tys in
        let rec go i =
-         i >= n || (ty_matches t.vals.(i) tys.(i) && go (i + 1))
+         i >= n || (ty_matches t.vals.(i) sh_tys.(i) && go (i + 1))
        in
        go 0
      end
@@ -482,12 +439,6 @@ let pp fmt t =
     (to_list t)
 
 let to_string t = Format.asprintf "%a" pp t
-
-module Map = Map.Make (struct
-  type nonrec t = t
-
-  let compare = compare
-end)
 
 module Set = Set.Make (struct
   type nonrec t = t

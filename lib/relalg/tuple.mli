@@ -8,7 +8,13 @@
     interned schema descriptor fixing a canonical (name-sorted)
     attribute order and an attr -> slot table. Tuples over the same
     attribute set share one descriptor, so equality, comparison and
-    hashing are positional array walks; hashes are cached per tuple. *)
+    hashing are positional array walks; hashes are cached per tuple.
+
+    The descriptor intern table is the module's only process-wide
+    state: it is identity, not a cache. Every slot plan (projection,
+    renaming, key extraction, join merge, schema check) belongs to the
+    closure or value its caller holds — a {!projector}, a {!merger}, a
+    bag's {!shape} — so mediators running side by side share none. *)
 
 type t
 
@@ -32,19 +38,16 @@ val get : t -> string -> Value.t
 (** @raise Not_found if the attribute is absent. *)
 
 val find_opt : t -> string -> Value.t option
-val mem : t -> string -> bool
 val set : t -> string -> Value.t -> t
 val attrs : t -> string list
 val arity : t -> int
 
-val project : t -> string list -> t
-(** Keep only the named attributes. @raise Not_found if one is absent. *)
-
 val projector : string list -> t -> t
-(** [projector names] is [fun t -> project t names] with the slot plan
-    resolved once per source descriptor and memoized: partial
-    application pays the name lookups, each projected tuple is then a
-    plain array gather. Use for bag-wide projections. *)
+(** [projector names] keeps only the named attributes of a tuple, with
+    the slot plan resolved once per source descriptor and memoized in
+    the closure: partial application pays the name lookups, each
+    projected tuple is then a plain array gather.
+    @raise Not_found if an attribute is absent. *)
 
 val renamer : (string * string) list -> t -> t
 (** [renamer mapping] rewrites attribute names through [mapping]
@@ -63,12 +66,22 @@ val keyer1 : string -> t -> Value.t
 (** Single-attribute [keyer] without the list allocation.
     @raise Not_found if the attribute is absent. *)
 
-val concat : t -> t -> t option
-(** Merge of two tuples, as used by natural join: [None] when the tuples
-    disagree on a shared attribute, otherwise the union of bindings. *)
+val merger : unit -> t -> t -> t option
+(** [merger ()] merges two tuples as natural join does: [None] when
+    they disagree on a shared attribute, otherwise the union of their
+    bindings. The merge plan is resolved per pair of source
+    descriptors and memoized in the closure (one entry), so a join
+    owns one merger per pair of inputs it merges. *)
 
-val matches_schema : t -> Schema.t -> bool
-(** True when the tuple binds exactly the schema's attributes, with
+type shape
+(** A schema's slot plan for type checks: its descriptor and the
+    declared type of each slot. A bag that checks tuples resolves its
+    schema's shape once and keeps it. *)
+
+val shape : Schema.t -> shape
+
+val fits : shape -> t -> bool
+(** True when the tuple binds exactly the shape's attributes, with
     values of the declared types ([Null] matches any type). *)
 
 val compare : t -> t -> int
@@ -78,7 +91,6 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
 
 module Tbl : Hashtbl.S with type key = t

@@ -276,7 +276,7 @@ let probed t k =
     match List.assoc_opt (k.k_relation, k.k_column) t.indexes with
     | Some ix ->
       let bu = Bag.builder (schema t k.k_relation) in
-      List.iter (fun v -> Hash_index.probe ix v (Bag.badd ~check:false bu)) keys;
+      List.iter (fun v -> Hash_index.probe ix v (Bag.badd bu)) keys;
       Bag.seal bu
     | None ->
       t.scanned_keys <- t.scanned_keys + 1;

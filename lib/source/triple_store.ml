@@ -49,17 +49,21 @@ let retract_tuple t ~relation tuple =
     else Tuple.Tbl.replace idx tuple rest
   | Some [] | None -> assert false (* [validate] counted the stack *)
 
-let check_tuple t ~relation tuple =
-  if not (Tuple.matches_schema tuple (Source_db.schema t.db relation)) then
-    Source_db.err
-      "triple store %s: properties %s do not render into %S's export schema"
-      (name t) (Tuple.to_string tuple) relation
+(* [checker t ~relation] checks tuples against [relation]'s export
+   schema, its slot plan resolved once *)
+let checker t ~relation =
+  let shape = Tuple.shape (Source_db.schema t.db relation) in
+  fun tuple ->
+    if not (Tuple.fits shape tuple) then
+      Source_db.err
+        "triple store %s: properties %s do not render into %S's export schema"
+        (name t) (Tuple.to_string tuple) relation
 
 (* --- native mutations (each = one export version) --------------------- *)
 
 let put t ~relation props =
   let tuple = Tuple.of_list props in
-  check_tuple t ~relation tuple;
+  checker t ~relation tuple;
   let id = assert_entity t ~relation tuple in
   let schema = Source_db.schema t.db relation in
   let d = Rel_delta.insert (Rel_delta.empty schema) tuple in
@@ -96,9 +100,10 @@ let validate t md =
   List.iter
     (fun (relation, d) ->
       let idx = index_of t relation in
+      let check = checker t ~relation in
       Rel_delta.fold
         (fun tuple mult () ->
-          check_tuple t ~relation tuple;
+          check tuple;
           let live =
             List.length
               (Option.value ~default:[] (Tuple.Tbl.find_opt idx tuple))
@@ -133,7 +138,8 @@ let commit t md =
 
 (* every check precedes the first native change *)
 let load t relation bag =
-  Bag.iter (fun tuple _ -> check_tuple t ~relation tuple) bag;
+  let check = checker t ~relation in
+  Bag.iter (fun tuple _ -> check tuple) bag;
   Source_db.load t.db relation bag;
   Bag.iter
     (fun tuple mult ->

@@ -82,8 +82,8 @@ let probe t attr value f =
 (* [delta_join d t] = the signed join [d ⋈ contents t] computed by
    probing [t]'s persistent index on one join-key column: one probe per
    delta atom instead of rebuilding a key table over the whole stored
-   bag. With several join keys, the merge ([Tuple.concat], which checks
-   shared attributes) and [on] drop the rows that disagree on the
+   bag. With several join keys, the merge (a {!Tuple.merger}, which
+   checks shared attributes) and [on] drop the rows that disagree on the
    others. [None] when no join-key column is indexed — the caller falls
    back to the generic hash join. Sound during IUP propagation because
    table mutations are deferred until after the kernel pass, so probes
@@ -100,9 +100,10 @@ let delta_join ?(on = Predicate.True) ?filter d t =
   | Some (key, ix) ->
     let out = ref (Rel_delta.empty (Schema.join dschema t.schema)) in
     let keep = match filter with Some f -> f | None -> fun _ -> true in
+    let merge = Tuple.merger () in
     let combine ta ma tb mb =
       if keep tb then
-        match Tuple.concat ta tb with
+        match merge ta tb with
         | None -> ()
         | Some merged ->
           if Predicate.eval on merged then begin

@@ -34,7 +34,7 @@ let tuple_of_values rel schema values =
     err "relation %S takes %d values per tuple, got %d" rel
       (List.length attrs) (List.length values);
   let t = Tuple.of_list (List.combine attrs values) in
-  if not (Tuple.matches_schema t schema) then
+  if not (Tuple.fits (Tuple.shape schema) t) then
     err "a %S tuple does not match the declared schema (check value types)"
       rel;
   t

@@ -30,9 +30,7 @@ let rec eval_interp ~env expr =
       Expr.schema_of (fun _ -> Bag.schema bag) (Expr.Rename (mapping, Expr.Base "_"))
     in
     let rename = Tuple.renamer mapping in
-    let out = Bag.builder schema in
-    Bag.iter (fun t m -> Bag.badd ~check:true out (rename t) m) bag;
-    Bag.seal out
+    Bag.fold (fun t m out -> Bag.add ~mult:m out (rename t)) bag (Bag.empty schema)
   | Expr.Join (a, p, b) ->
     let ba = eval_interp ~env a and bb = eval_interp ~env b in
     let result = Bag.join ~on:p ba bb in

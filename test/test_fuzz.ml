@@ -196,20 +196,40 @@ module Ref_bag = struct
   let select p l = List.filter (fun (t, _) -> Predicate.eval p t) l
 
   let project names l =
-    List.fold_left (fun acc (t, m) -> add acc (Tuple.project t names) m) [] l
+    let proj = Tuple.projector names in
+    List.fold_left (fun acc (t, m) -> add acc (proj t) m) [] l
 
-  (* nested-loop join through Tuple.concat — no hashing, so it cannot
-     share a bug with the key-table path it checks *)
-  let join on a b =
+  (* one merger for every join of the run, driven across alternating
+     descriptor pairs: each pair of tuples merges both ways round, so
+     its one-entry memo changes key on every call *)
+  let merge = Tuple.merger ()
+
+  (* nested-loop join through [merge] — no hashing, so it cannot share
+     a bug with the key-table path it checks. Merging the other way
+     round must give the same tuple, and one schema check alternates
+     between three shapes: each input tuple must fit its side's schema
+     and each merged tuple the joined schema *)
+  let join ~schemas:(sa, sb) on a b =
+    let shapes = [| Tuple.shape sa; Tuple.shape sb; Tuple.shape (Schema.join sa sb) |] in
+    let check k t =
+      if not (Tuple.fits shapes.(k) t) then
+        Alcotest.failf "%s does not fit its schema" (Tuple.to_string t)
+    in
     List.fold_left
       (fun acc (ta, ma) ->
         List.fold_left
           (fun acc (tb, mb) ->
-            match Tuple.concat ta tb with
-            | None -> acc
-            | Some merged ->
+            check 0 ta;
+            check 1 tb;
+            match (merge ta tb, merge tb ta) with
+            | None, None -> acc
+            | Some merged, Some swapped when Tuple.equal merged swapped ->
+              check 2 merged;
               if Predicate.eval on merged then add acc merged (ma * mb)
-              else acc)
+              else acc
+            | _ ->
+              Alcotest.failf "merging %s and %s depends on the order"
+                (Tuple.to_string ta) (Tuple.to_string tb))
           acc b)
       [] a
 
@@ -303,7 +323,7 @@ let diff_natural_join () =
     let a = random_bag rng sa and b = random_bag rng sb in
     let ra = Ref_bag.of_bag a and rb = Ref_bag.of_bag b in
     check_agrees ~what:"join" ~seed
-      (Ref_bag.join Predicate.True ra rb)
+      (Ref_bag.join ~schemas:(sa, sb) Predicate.True ra rb)
       (Bag.join a b)
   done
 
@@ -317,7 +337,7 @@ let diff_cross_type_equi_join () =
     let rng = Random.State.make [| seed; 0xBA9 |] in
     let a = random_bag rng sa and b = random_bag rng sb in
     check_agrees ~what:"join (Int/Float keys)" ~seed
-      (Ref_bag.join on (Ref_bag.of_bag a) (Ref_bag.of_bag b))
+      (Ref_bag.join ~schemas:(sa, sb) on (Ref_bag.of_bag a) (Ref_bag.of_bag b))
       (Bag.join ~on a b)
   done
 

@@ -1072,8 +1072,11 @@ let test_retail_fully_materialized () =
 
 (* --- randomized Theorem 7.1 runs --------------------------------------- *)
 
-let random_run ~seed annotation_of =
+let random_run ?vdp ~seed annotation_of =
   let env = Scenario.make_fig1 ~seed () in
+  let env =
+    match vdp with Some vdp -> { env with Scenario.vdp } | None -> env
+  in
   let med =
     Scenario.mediator env ~annotation:(annotation_of env.Scenario.vdp) ()
   in
@@ -1373,6 +1376,40 @@ let test_runs_are_deterministic () =
   Alcotest.(check (list string))
     "identical transaction logs" (summarize (run ())) (summarize (run ()))
 
+(* two mediators built from one VDP in one process own their plans: no
+   derived node's delta plan is shared between them, and one update and
+   query sequence gives both the same answers *)
+let test_mediators_own_plans () =
+  let env_a, med_a, _ = random_run ~seed:4 Scenario.ann_ex23 in
+  let vdp = env_a.Scenario.vdp in
+  let _, med_b, _ = random_run ~vdp ~seed:4 Scenario.ann_ex23 in
+  List.iter
+    (fun node ->
+      match node.Graph.kind with
+      | Graph.Leaf _ -> ()
+      | Graph.Derived _ ->
+        let plan med = (Med.node_plan med node.Graph.name).Med.np_delta in
+        Alcotest.(check bool)
+          (node.Graph.name ^ ": delta plans are the mediators' own")
+          true
+          (plan med_a != plan med_b))
+    (Graph.nodes vdp);
+  let answers med =
+    List.filter_map
+      (function
+        | Med.Query_tx { qt_time; qt_answer; _ } -> Some (qt_time, qt_answer)
+        | Med.Update_tx _ -> None)
+      (Mediator.events med)
+  in
+  let qa = answers med_a and qb = answers med_b in
+  Alcotest.(check int) "same number of queries" (List.length qa) (List.length qb);
+  Alcotest.(check bool) "queries answered" true (qa <> []);
+  List.iter2
+    (fun (ta, a) (tb, b) ->
+      Alcotest.(check (float 0.0)) "same query time" ta tb;
+      Tutil.check_bag "same answer" a b)
+    qa qb
+
 (* every catalogue entry is runnable as listed: its default annotation
    resolves, its update relations are leaves of the named sources, its
    main query names an export carrying those attributes, and a short
@@ -1550,7 +1587,11 @@ let () =
           Alcotest.test_case "fully materialized variant" `Quick test_retail_fully_materialized;
         ] );
       ( "determinism",
-        [ Alcotest.test_case "same seed, same log" `Quick test_runs_are_deterministic ] );
+        [
+          Alcotest.test_case "same seed, same log" `Quick test_runs_are_deterministic;
+          Alcotest.test_case "two mediators own their plans" `Quick
+            test_mediators_own_plans;
+        ] );
       ( "scenario catalogue",
         [
           Alcotest.test_case "entries runnable as listed" `Quick

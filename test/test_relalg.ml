@@ -91,18 +91,19 @@ let test_tuple_basic () =
   Alcotest.(check int) "arity" 4 (Tuple.arity t);
   Alcotest.check tuple "project"
     (Tuple.of_list [ ("r1", v_int 1); ("r3", v_int 7) ])
-    (Tuple.project t [ "r1"; "r3" ])
+    (Tuple.projector [ "r1"; "r3" ] t)
 
 let test_tuple_concat () =
   let a = Tuple.of_list [ ("x", v_int 1); ("y", v_int 2) ] in
   let b = Tuple.of_list [ ("y", v_int 2); ("z", v_int 3) ] in
-  (match Tuple.concat a b with
+  let merge = Tuple.merger () in
+  (match merge a b with
   | Some m -> Alcotest.(check int) "merged arity" 3 (Tuple.arity m)
   | None -> Alcotest.fail "concat should agree");
   let b_bad = Tuple.of_list [ ("y", v_int 9) ] in
   Alcotest.(check bool)
     "disagreement" true
-    (Option.is_none (Tuple.concat a b_bad))
+    (Option.is_none (merge a b_bad))
 
 (* a maker fills the interned descriptor in the names' order: the same
    tuple as [of_list] over the paired bindings, whatever that order *)
@@ -123,17 +124,18 @@ let test_tuple_maker () =
   Alcotest.(check bool) "too many" true (invalid (fun () -> make (Value.Int 0 :: vals)))
 
 let test_tuple_schema_match () =
+  let shape_r = Tuple.shape schema_r in
   Alcotest.(check bool)
     "matches" true
-    (Tuple.matches_schema (r_tuple 1 2 3 4) schema_r);
+    (Tuple.fits shape_r (r_tuple 1 2 3 4));
   Alcotest.(check bool)
     "wrong arity" false
-    (Tuple.matches_schema (s_tuple 1 2 3) schema_r);
+    (Tuple.fits shape_r (s_tuple 1 2 3));
   let wrong_ty =
     Tuple.of_list
       [ ("r1", v_str "x"); ("r2", v_int 0); ("r3", v_int 0); ("r4", v_int 0) ]
   in
-  Alcotest.(check bool) "wrong type" false (Tuple.matches_schema wrong_ty schema_r)
+  Alcotest.(check bool) "wrong type" false (Tuple.fits shape_r wrong_ty)
 
 (* --- Predicate --- *)
 

@@ -131,7 +131,7 @@ let test_hash_index_of_bag_equals_adds () =
   for case = 1 to 200 do
     let bu = Bag.builder schema in
     for _ = 1 to Random.State.int rng 40 do
-      Bag.badd ~check:false bu
+      Bag.badd bu
         (Tuple.of_list [ ("k", pick rng keys); ("x", Value.Int (Random.State.int rng 4)) ])
         (1 + Random.State.int rng 3)
     done;
