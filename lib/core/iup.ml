@@ -139,12 +139,12 @@ let run (t : Med.t) =
         in
         (* delta-sized probes into stored tables' join-key indexes; a
            temp shadows its table (the env reads the temp instead) *)
-        let indexed_join ~name ~on ?filter d =
+        let indexed_join ~name ~on ?test ?filter d =
           match List.assoc_opt name vap_result.Vap.temps with
           | Some _ -> None
           | None -> (
             match Med.node_table t name with
-            | Some table -> Table.delta_join ~on ?filter d table
+            | Some table -> Table.delta_join ~on ?test ?filter d table
             | None -> None)
         in
         (* (4) kernel pass: upward traversal in topological order.

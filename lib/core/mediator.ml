@@ -91,28 +91,7 @@ let rec def_conditions = function
   | Expr.Project (_, e) -> def_conditions e
   | Expr.Rename (mapping, e) ->
     let inverse = List.map (fun (a, b) -> (b, a)) mapping in
-    let rec rename_term t =
-      match t with
-      | Predicate.Attr a ->
-        Predicate.Attr
-          (match List.assoc_opt a inverse with Some o -> o | None -> a)
-      | Predicate.Const _ -> t
-      | Predicate.Neg x -> Predicate.Neg (rename_term x)
-      | Predicate.Add (x, y) -> Predicate.Add (rename_term x, rename_term y)
-      | Predicate.Sub (x, y) -> Predicate.Sub (rename_term x, rename_term y)
-      | Predicate.Mul (x, y) -> Predicate.Mul (rename_term x, rename_term y)
-      | Predicate.Div (x, y) -> Predicate.Div (rename_term x, rename_term y)
-    in
-    let rec rename_pred p =
-      match p with
-      | Predicate.True | Predicate.False -> p
-      | Predicate.Cmp (op, a, b) ->
-        Predicate.Cmp (op, rename_term a, rename_term b)
-      | Predicate.And (a, b) -> Predicate.And (rename_pred a, rename_pred b)
-      | Predicate.Or (a, b) -> Predicate.Or (rename_pred a, rename_pred b)
-      | Predicate.Not a -> Predicate.Not (rename_pred a)
-    in
-    List.map rename_pred (def_conditions e)
+    List.map (Predicate.rename inverse) (def_conditions e)
   | Expr.Join _ | Expr.Union _ | Expr.Diff _ -> []
 
 (* translate an attribute of the leaf-parent's (renamed) namespace
@@ -226,20 +205,14 @@ let freshness_bound (t : Med.t) ~node =
     sources
 
 let subscribe_exports = Med.subscribe_exports
-let export_schemas = Med.export_schemas
 let process_updates = Iup.update_transaction
-let dirty_sources = Med.dirty_sources
 
-let vdp (t : Med.t) = t.Med.vdp
 let annotation (t : Med.t) = t.Med.ann
 let events = Med.events
 let stats (t : Med.t) = t.Med.stats
 let trace (t : Med.t) = t.Med.trace
 let metrics (t : Med.t) = t.Med.stats.Med.registry
 let contributor_kind = Med.contributor_kind
-
-let reflected_version (t : Med.t) src =
-  (Med.reflected_version t src).Med.r_version
 
 let store_bytes (t : Med.t) = Store.total_bytes t.Med.store
 let queue_length = Med.queue_length

@@ -140,12 +140,8 @@ val subscribe_exports : t -> (Med.export_event -> unit) -> unit
     deltas after every update transaction, and snapshot markers after
     resync rebuilds. See {!Med.subscribe_exports}. *)
 
-val export_schemas : t -> (string * Schema.t) list
-(** Export relation names and full schemas, in graph order. *)
-
 (** {1 Introspection} *)
 
-val vdp : t -> Graph.t
 val annotation : t -> Annotation.t
 val events : t -> Med.event list
 val stats : t -> Med.stats
@@ -161,15 +157,11 @@ val metrics : t -> Obs.Metrics.t
     [squirrel run --report metrics] or serialization. *)
 
 val contributor_kind : t -> string -> Med.contributor_kind
-val reflected_version : t -> string -> int
 val store_bytes : t -> int
 (** Space held by materialized tables (the space side of Sec. 5.3's
     trade-off). *)
 
 val queue_length : t -> int
-
-val dirty_sources : t -> string list
-(** Sources with a detected announcement gap awaiting resync. *)
 
 val describe : t -> string
 (** Multi-line description: VDP, annotation, rulebase, contributor

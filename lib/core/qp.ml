@@ -93,7 +93,7 @@ let read_store ?attrs table cond =
     List.find_map
       (fun (a, vs) ->
         if Table.has_index_on table a then
-          Some (a, Hash_index.probe_keys vs)
+          Some (a, vs)
         else None)
       (Predicate.key_sets cond)
   in

@@ -33,8 +33,6 @@ let poll_key (t : Med.t) r ~leaf =
       | _ -> None)
     (Predicate.key_sets r.r_cond)
 
-module Pset = Set.Make (Predicate)
-
 let merge_into table r =
   let r = normalize r in
   match Hashtbl.find_opt table r.r_node with
@@ -43,18 +41,9 @@ let merge_into table r =
     let attrs =
       attrs @ List.filter (fun a -> not (List.mem a attrs)) r.r_attrs
     in
-    (* idempotent disjunction — merging the same condition twice must
-       not grow the predicate, or the closure fixpoint never settles *)
-    let cond =
-      let have = Pset.of_list (Predicate.disjuncts cond) in
-      if
-        List.for_all
-          (fun d -> Pset.mem d have)
-          (Predicate.disjuncts r.r_cond)
-      then cond
-      else Predicate.simplify (Predicate.Or (cond, r.r_cond))
-    in
-    Hashtbl.replace table r.r_node (attrs, cond)
+    (* [or_] is idempotent: merging the same condition twice must not
+       grow the predicate, or the closure fixpoint never settles *)
+    Hashtbl.replace table r.r_node (attrs, Predicate.or_ cond r.r_cond)
 
 let closure (t : Med.t) requests =
   let table : (string, string list * Predicate.t) Hashtbl.t =

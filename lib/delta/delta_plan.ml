@@ -13,14 +13,9 @@ open Relalg
    membership-candidate difference) matches the interpretive rule
    engine the tests check the plans against. *)
 
-type step =
-  | Filter of (Tuple.t -> bool)
-  | Gather of string list * (Tuple.t -> Tuple.t) (* projection *)
-  | Remap of (string * string) list * (Tuple.t -> Tuple.t) (* renaming *)
-
 type prog =
   | Source of string
-  | Fused of step array * prog (* steps innermost-first *)
+  | Fused of Plan.step array * prog (* steps innermost-first *)
   | Join of njoin
   | Union of prog * prog
   | Diff of diff
@@ -40,37 +35,19 @@ and diff = {
 
 type t = prog
 
-(* collect a maximal unary chain; the accumulator ends up
-   innermost-first, which is execution order. Fusing is value-correct
-   for signed deltas: a filter decision depends only on the tuple
-   value, so atoms whose projection images coincide pass or fail
-   together and accumulating signed multiplicities once at the end of
-   the chain equals accumulating after every projection. *)
-let rec peel acc = function
-  | Expr.Select (p, e) -> peel (Filter (Predicate.compile p) :: acc) e
-  | Expr.Project (names, e) ->
-    peel (Gather (names, Tuple.projector names) :: acc) e
-  | Expr.Rename (m, e) -> peel (Remap (m, Tuple.renamer m) :: acc) e
-  | e -> (acc, e)
-
-(* collapse a chain of joins into its inputs (left-to-right) and the
-   conjuncts of every predicate along the chain — valid for inner
-   joins, where predicates commute past join boundaries *)
-let rec flatten_join = function
-  | Expr.Join (a, p, b) ->
-    let ia, pa = flatten_join a in
-    let ib, pb = flatten_join b in
-    (ia @ ib, pa @ Predicate.conjuncts p @ pb)
-  | e -> ([ e ], [])
-
+(* A unary chain fuses into one pass ({!Plan.peel}). Fusing is
+   value-correct for signed deltas: a filter decision depends only on
+   the tuple value, so atoms whose projection images coincide pass or
+   fail together and accumulating signed multiplicities once at the
+   end of the chain equals accumulating after every projection. *)
 let rec compile_prog expr =
   match expr with
   | Expr.Base n -> Source n
   | Expr.Select _ | Expr.Project _ | Expr.Rename _ ->
-    let steps, sub = peel [] expr in
+    let steps, sub = Plan.peel [] expr in
     Fused (Array.of_list steps, compile_prog sub)
   | Expr.Join _ ->
-    let inputs, conj_list = flatten_join expr in
+    let inputs, conj_list = Plan.flatten_join expr in
     let conjs =
       List.filter (fun p -> not (Predicate.equal p Predicate.True)) conj_list
     in
@@ -109,9 +86,9 @@ let run ?indexed_join ~env ~deltas p =
         Array.fold_left
           (fun s step ->
             match step with
-            | Filter _ -> s
-            | Gather (names, _) -> Schema.project s names
-            | Remap (m, _) ->
+            | Plan.Filter _ -> s
+            | Plan.Gather (names, _) -> Schema.project s names
+            | Plan.Remap (m, _) ->
               Expr.schema_of (fun _ -> s) (Expr.Rename (m, Expr.Base "_")))
           (Rel_delta.schema d) steps
       in
@@ -121,9 +98,9 @@ let run ?indexed_join ~env ~deltas p =
         else begin
           incr ops;
           match Array.unsafe_get steps i with
-          | Filter f -> if f t then go (i + 1) t else None
-          | Gather (_, g) -> go (i + 1) (g t)
-          | Remap (_, r) -> go (i + 1) (r t)
+          | Plan.Filter f -> if f t then go (i + 1) t else None
+          | Plan.Gather (_, g) -> go (i + 1) (g t)
+          | Plan.Remap (_, r) -> go (i + 1) (r t)
         end
       in
       let out = Rel_delta.transform schema (go 0) d in
@@ -174,6 +151,10 @@ let run ?indexed_join ~env ~deltas p =
                  (Predicate.attrs c)))
           j.conjs
       in
+      let leftover_test =
+        if leftovers = [] then None
+        else Some (Predicate.compile (Predicate.conj leftovers))
+      in
       let olds = Array.make n None in
       let old_of k =
         match olds.(k) with
@@ -188,8 +169,8 @@ let run ?indexed_join ~env ~deltas p =
       let probe_target k =
         let rec filters_only acc = function
           | [] -> Some acc
-          | Filter f :: rest -> filters_only (f :: acc) rest
-          | (Gather _ | Remap _) :: _ -> None
+          | Plan.Filter f :: rest -> filters_only (f :: acc) rest
+          | (Plan.Gather _ | Plan.Remap _) :: _ -> None
         in
         match fst j.inputs.(k) with
         | Source name -> Some (name, None)
@@ -205,7 +186,7 @@ let run ?indexed_join ~env ~deltas p =
         let generic () = Rel_delta.join_bag ~on:pj ?test acc (old_of k) in
         match (indexed_join, probe_target k) with
         | Some probe, Some (name, filter) -> (
-          match probe ~name ~on:pj ?filter acc with
+          match probe ~name ~on:pj ?test ?filter acc with
           | Some part -> part
           | None -> generic ())
         | _ -> generic ()
@@ -258,13 +239,11 @@ let run ?indexed_join ~env ~deltas p =
           done;
           let term = !acc in
           let term =
-            if leftovers = [] then term
-            else
+            match leftover_test with
+            | None -> term
+            | Some f ->
               Rel_delta.transform (Rel_delta.schema term)
-                (fun t ->
-                  if List.for_all (fun c -> Predicate.eval c t) leftovers then
-                    Some t
-                  else None)
+                (fun t -> if f t then Some t else None)
                 term
           in
           terms := Rel_delta.transform canonical (fun t -> Some t) term :: !terms

@@ -41,6 +41,7 @@ val run :
   ?indexed_join:
     (name:string ->
     on:Predicate.t ->
+    ?test:(Tuple.t -> bool) ->
     ?filter:(Tuple.t -> bool) ->
     Rel_delta.t ->
     Rel_delta.t option) ->
@@ -54,10 +55,11 @@ val run :
     [apply (eval env e) (run (of_expr e)) = eval env' e] where [env']
     is [env] with the deltas applied.
 
-    [indexed_join ~name ~on d] may compute [d ⋈ name] (on the
+    [indexed_join ~name ~on ?test d] may compute [d ⋈ name] (on the
     pre-update value of base [name]) through a persistent join-key
-    index instead of the generic hash join; returning [None] falls
-    back. The IUP passes a probe into the mediator's stored tables
+    index instead of the generic hash join; [test] is [on] compiled
+    once per join step, absent when [on] is [True]; returning [None]
+    falls back. The IUP passes a probe into the mediator's stored tables
     here, so per-transaction [ΔA ⋈ B_old] joins skip rebuilding a key
     table over [B_old] on every update transaction.
     @raise Eval.Unbound_relation if a needed base is missing. *)

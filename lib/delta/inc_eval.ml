@@ -98,11 +98,7 @@ let keyed_read ~schema ~changed ~known c p r =
           List.filter (fun (b, _) -> String.equal b dn) (origins ~schema c d) )
       with
       | Some x', (_, d') :: _ ->
-        Option.map
-          (fun vs ->
-            Predicate.disj
-              (List.map (fun v -> Predicate.eq (Predicate.Attr x') (Predicate.Const v)) vs))
-          (column_keys dd d')
+        Option.map (Predicate.one_of x') (column_keys dd d')
       | _ -> None
     in
     List.map
@@ -135,18 +131,13 @@ let restrictable ~schema expr =
   List.sort_uniq compare (go expr)
 
 let value_restrictions ~schema ~changed ~known expr =
-  let merge c c' =
-    match (c, c') with
-    | Predicate.True, _ | _, Predicate.True -> Predicate.True
-    | c, c' when Predicate.equal c c' -> c
-    | c, c' -> Predicate.Or (c, c')
-  in
   reads ~changed ~join_read:(keyed_read ~schema ~changed ~known) expr
   |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.fold_left
        (fun acc (n, c) ->
          match acc with
-         | (m, c0) :: rest when String.equal m n -> (m, merge c0 c) :: rest
+         | (m, c0) :: rest when String.equal m n ->
+           (m, Predicate.or_ c0 c) :: rest
          | _ -> (n, c) :: acc)
        []
   |> List.rev

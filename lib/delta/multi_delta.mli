@@ -20,10 +20,5 @@ val relations : t -> string list
 val bindings : t -> (string * Rel_delta.t) list
 
 val smash : t -> t -> t
-val inverse : t -> t
 
 val atom_count : t -> int
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

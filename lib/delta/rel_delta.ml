@@ -152,5 +152,3 @@ let pp fmt d =
          Format.fprintf fmt "%s%d*%a" (if m > 0 then "+" else "-") (abs m)
            Tuple.pp t))
     (Counts.bindings d.muls)
-
-let to_string d = Format.asprintf "%a" pp d

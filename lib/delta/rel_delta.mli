@@ -82,8 +82,8 @@ val rename : (string * string) list -> t -> t
 val join_bag : ?on:Predicate.t -> ?test:(Tuple.t -> bool) -> t -> Bag.t -> t
 (** [join_bag d b]: the signed join [d ⋈ b], the building block of the
     SPJ propagation rules of Sec. 5.2. [test], when given, must be the
-    compiled form of [on] and replaces interpretive residual
-    evaluation (see {!Relalg.Bag.join}). *)
+    compiled form of [on], which is then not compiled again (see
+    {!Relalg.Bag.join}). *)
 
 val join : ?on:Predicate.t -> ?test:(Tuple.t -> bool) -> t -> t -> t
 (** Signed join of two deltas (ΔA ⋈ ΔB): multiplicities multiply, so
@@ -94,4 +94,3 @@ val fold : (Tuple.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -122,10 +122,8 @@ let create ~engine ~vdp ~key ~shards ~make_sources
 let shard_count t = Array.length t.f_shards
 let shard t i = t.f_shards.(i)
 let mediator t i = t.f_shards.(i).sh_med
-let trace t = t.f_trace
 let metrics t = t.f_metrics
 let vdp t = t.f_vdp
-let partition_key t = t.f_key
 
 let shard_source sh name =
   match List.assoc_opt name sh.sh_sources with

@@ -69,13 +69,6 @@ val shard_count : t -> int
 val shard : t -> int -> shard
 val mediator : t -> int -> Mediator.t
 val vdp : t -> Graph.t
-val partition_key : t -> string
-
-val trace : t -> Obs.Trace.t
-(** Federation-level spans: [fed_query_tx] (with per-shard
-    [shard_query] children forked concurrently), [route_update],
-    [shard_down]/[shard_up]/[shard_link_*], [shard_resync]. *)
-
 val metrics : t -> Obs.Metrics.t
 (** Coordinator counters ([fed_queries], [fed_fanouts],
     [fed_single_shard], [fed_degraded_answers], [fed_routed_txs],

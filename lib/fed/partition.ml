@@ -55,6 +55,7 @@ let rec key_values ~key (p : Predicate.t) =
   | Predicate.Cmp (Predicate.Eq, Predicate.Const v, Predicate.Attr a)
     when String.equal a key ->
     Some [ v ]
+  | Predicate.In (a, vs) when String.equal a key -> Some vs
   | Predicate.And (p, q) -> (
     match (key_values ~key p, key_values ~key q) with
     | Some vs, Some ws ->
@@ -68,6 +69,7 @@ let rec key_values ~key (p : Predicate.t) =
     | _ -> None)
   | Predicate.True
   | Predicate.Cmp _
+  | Predicate.In _
   | Predicate.Not _ ->
     None
 

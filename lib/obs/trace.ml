@@ -302,14 +302,8 @@ let rec iter_span f sp =
 
 let iter_spans f t = List.iter (iter_span f) (roots t)
 
-let find t ~name =
-  let acc = ref [] in
-  iter_spans (fun sp -> if String.equal sp.name name then acc := sp :: !acc) t;
-  List.rev !acc
-
 let spans_recorded t = t.recorded
 let dropped_roots t = t.dropped
-let duration sp = sp.end_time -. sp.start_time
 
 let pp_attrs buf attrs =
   List.iter (fun (k, v) -> Printf.ksprintf (Buffer.add_string buf) " %s=%s" k v) attrs

@@ -110,16 +110,11 @@ val span_id : t -> slot -> int option
 val roots : t -> span list
 (** Retained root spans in completion order (oldest first). *)
 
-val find : t -> name:string -> span list
-(** All retained spans with the name, preorder, oldest root first. *)
-
 val iter_spans : (span -> unit) -> t -> unit
 val spans_recorded : t -> int
 (** Total spans ever recorded (including evicted ones). *)
 
 val dropped_roots : t -> int
-
-val duration : span -> float
 
 val render : t -> string
 (** Indented tree rendering of every retained root span. *)

@@ -199,10 +199,9 @@ let join ?(on = Predicate.True) ?test a b =
       out_schema
   in
   let trivially_true = on = Predicate.True in
-  (* [test] is a compiled form of [on] supplied by the plan layer;
-     when absent the residual condition is evaluated interpretively *)
+  (* [test] is a compiled form of [on] supplied by the plan layer *)
   let residual =
-    match test with Some f -> f | None -> Predicate.eval on
+    match test with Some f -> f | None -> Predicate.compile on
   in
   let merge = Tuple.merger () in
   let combine ta ma tb mb =
@@ -259,14 +258,6 @@ let join ?(on = Predicate.True) ?test a b =
       a.tm);
   seal bu
 
-let product a b =
-  let overlap =
-    List.filter (fun n -> Schema.mem b.schema n) (Schema.attrs a.schema)
-  in
-  if overlap <> [] then
-    err "product: overlapping attributes %s" (String.concat ", " overlap);
-  join a b
-
 let equal a b =
   Schema.union_compatible a.schema b.schema
   && a.card = b.card
@@ -278,5 +269,3 @@ let pp fmt b =
          if m = 1 then Tuple.pp fmt t
          else Format.fprintf fmt "%a x%d" Tuple.pp t m))
     (to_list b)
-
-let to_string b = Format.asprintf "%a" pp b

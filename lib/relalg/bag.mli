@@ -105,13 +105,11 @@ val join : ?on:Predicate.t -> ?test:(Tuple.t -> bool) -> t -> t -> t
     theta condition [on]. Uses a hash join on shared attributes and on
     equi-pairs of [on] when available, falling back to nested loops.
     Result multiplicity is the product of input multiplicities.
-    [test], when given, replaces the interpretive evaluation of [on]
-    on merged tuples (the plan compiler passes [Predicate.compile on]
-    here); [on] still drives join-key planning, so [test] must be
-    semantically equal to [on]. *)
-
-val product : t -> t -> t
-(** Cartesian product. @raise Bag_error if attribute names overlap. *)
+    [test], when given, is the compiled [on] that screens merged
+    tuples, so a caller that joins repeatedly compiles once (the plan
+    compiler passes [Predicate.compile on] here); without it the join
+    compiles [on] itself. [on] still drives join-key planning, so
+    [test] must be semantically equal to [on]. *)
 
 val equal : t -> t -> bool
 (** Bag equality: same schema attributes and same multiplicity map. *)
@@ -138,4 +136,3 @@ val seal : builder -> t
 (** Transfer ownership; the builder must not be used afterwards. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

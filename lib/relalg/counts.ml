@@ -236,27 +236,6 @@ let reroot t =
 
 let get t tuple = data_get (reroot t) tuple
 
-(* functional update: mutate the owned arena and leave a reversing
-   diff behind, or mutate a private copy when the arena is pinned *)
-let update t tuple count old =
-  let size = t.size + (if old = 0 then 1 else 0) - if count = 0 then 1 else 0 in
-  let d = reroot t in
-  if d.pins = 0 then begin
-    data_set d tuple count;
-    let nt = { size; store = Data d } in
-    t.store <- Diff (tuple, old, nt);
-    nt
-  end
-  else begin
-    let nd = copy_data d in
-    data_set nd tuple count;
-    { size; store = Data nd }
-  end
-
-let set t tuple count =
-  let old = data_get (reroot t) tuple in
-  if old = count then t else update t tuple count old
-
 let add_to t tuple m =
   if m = 0 then t
   else

@@ -20,9 +20,6 @@ val empty : ?size:int -> unit -> t
 val get : t -> Tuple.t -> int
 (** Current count, 0 when absent. *)
 
-val set : t -> Tuple.t -> int -> t
-(** Functional update; a count of 0 removes the binding. *)
-
 val add_to : t -> Tuple.t -> int -> t
 (** [add_to t tup m] is [set t tup (get t tup + m)] with a single
     index probe for the old count — the per-atom hot path of delta

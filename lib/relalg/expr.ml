@@ -137,7 +137,6 @@ let rec size = function
   | Select (_, e) | Project (_, e) | Rename (_, e) -> 1 + size e
   | Join (a, _, b) | Union (a, b) | Diff (a, b) -> 1 + size a + size b
 
-let equal a b = Stdlib.compare a b = 0
 
 let rec pp fmt = function
   | Base n -> Format.pp_print_string fmt n

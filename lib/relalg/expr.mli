@@ -66,6 +66,5 @@ val rewrite_bases : (string -> t) -> t -> t
 val size : t -> int
 (** Node count, used by cost heuristics. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -210,7 +210,7 @@ let cmp_of pos = function
 
 let rec parse_pred st =
   let lhs = parse_conj st in
-  if eat_kw st "or" then Predicate.Or (lhs, parse_pred st) else lhs
+  if eat_kw st "or" then Predicate.or_ lhs (parse_pred st) else lhs
 
 and parse_conj st =
   let lhs = parse_unit st in

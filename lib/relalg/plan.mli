@@ -48,6 +48,26 @@ val run : t -> env:(string -> Bag.t option) -> Bag.t
 (** Execute against an environment resolving base-relation names.
     @raise Unbound_relation when a base name is unresolved. *)
 
+(** {1 Shared compilation steps}
+
+    {!Delta.Delta_plan} compiles the same expression shapes. *)
+
+(** One step of a fused unary chain. *)
+type step =
+  | Filter of (Tuple.t -> bool)  (** compiled selection *)
+  | Gather of string list * (Tuple.t -> Tuple.t)  (** projection *)
+  | Remap of (string * string) list * (Tuple.t -> Tuple.t)  (** renaming *)
+
+val peel : step list -> Expr.t -> step list * Expr.t
+(** [peel [] e] compiles the maximal select/project/rename chain on top
+    of [e] into its steps, innermost first (execution order), and
+    returns the expression below it. *)
+
+val flatten_join : Expr.t -> Expr.t list * Predicate.t list
+(** A chain of joins as its inputs, left to right, and the conjuncts of
+    every condition along it — valid for inner joins, where conditions
+    commute past join boundaries. *)
+
 (** {1 Operation accounting}
 
     The global tuple-operation counter feeding the simulator's cost

@@ -16,35 +16,20 @@ type t =
   | And of t * t
   | Or of t * t
   | Not of t
+  | In of string * Value.t list
 
 let attr name = Attr name
 let int i = Const (Value.Int i)
 
 let eq a b = Cmp (Eq, a, b)
 let lt a b = Cmp (Lt, a, b)
-let le a b = Cmp (Le, a, b)
-let gt a b = Cmp (Gt, a, b)
 let ge a b = Cmp (Ge, a, b)
 
 let conj = function
   | [] -> True
   | p :: ps -> List.fold_left (fun acc q -> And (acc, q)) p ps
 
-let disj = function
-  | [] -> False
-  | p :: ps -> List.fold_left (fun acc q -> Or (acc, q)) p ps
-
 let eq_attrs a b = Cmp (Eq, Attr a, Attr b)
-
-let rec eval_term term tuple =
-  match term with
-  | Const v -> v
-  | Attr a -> Tuple.get tuple a
-  | Neg t -> Value.neg (eval_term t tuple)
-  | Add (a, b) -> Value.add (eval_term a tuple) (eval_term b tuple)
-  | Sub (a, b) -> Value.sub (eval_term a tuple) (eval_term b tuple)
-  | Mul (a, b) -> Value.mul (eval_term a tuple) (eval_term b tuple)
-  | Div (a, b) -> Value.div (eval_term a tuple) (eval_term b tuple)
 
 let eval_cmp op a b =
   match a, b with
@@ -58,15 +43,6 @@ let eval_cmp op a b =
     | Le -> c <= 0
     | Gt -> c > 0
     | Ge -> c >= 0)
-
-let rec eval p tuple =
-  match p with
-  | True -> true
-  | False -> false
-  | Cmp (op, a, b) -> eval_cmp op (eval_term a tuple) (eval_term b tuple)
-  | And (a, b) -> eval a tuple && eval b tuple
-  | Or (a, b) -> eval a tuple || eval b tuple
-  | Not a -> not (eval a tuple)
 
 (* Compiled form: the closure tree mirrors the AST, but every [Attr]
    access goes through {!Tuple.keyer1}, whose one-entry slot memo turns
@@ -104,31 +80,84 @@ let rec conjuncts_acc acc = function
 
 let conjuncts p = conjuncts_acc [] p
 
-let eq_const = function
-  | Cmp (Eq, Attr a, Const v) | Cmp (Eq, Const v, Attr a) -> Some (a, v)
+(* the one normal form of a key set's values; a comparison never
+   matches Null, so it is no key. Of values equal under
+   [Value.compare] (Int 1, Float 1.) the structurally least stays, so
+   the form does not depend on the input's order. *)
+let normalize_keys vs =
+  let order a b =
+    match Value.compare a b with 0 -> Stdlib.compare a b | c -> c
+  in
+  let rec dedup acc = function
+    | [] -> List.rev acc
+    | v :: rest -> (
+      match acc with
+      | w :: _ when Value.equal v w -> dedup acc rest
+      | _ -> dedup (v :: acc) rest)
+  in
+  dedup []
+    (List.sort order (List.filter (function Value.Null -> false | _ -> true) vs))
+
+let one_of a vs =
+  match normalize_keys vs with
+  | [] -> False
+  | [ v ] -> Cmp (Eq, Attr a, Const v)
+  | vs -> In (a, vs)
+
+(* a condition read as a key set: an [In], or one attribute compared
+   with one constant, in either operand order *)
+let key_set = function
+  | In (a, vs) -> Some (a, vs)
+  | Cmp (Eq, Attr a, Const v) | Cmp (Eq, Const v, Attr a) ->
+    Some (a, normalize_keys [ v ])
   | _ -> None
 
-(* disjuncts [a = v1; …; a = vn] over one attribute, as
-   [(a, [v1; …; vn])] *)
-let key_set_of = function
-  | [] -> None
-  | d :: ds -> (
-    match eq_const d with
-    | None -> None
-    | Some (a, v) ->
-      let rec rest acc = function
-        | [] -> Some (a, List.rev acc)
-        | d :: ds -> (
-          match eq_const d with
-          | Some (b, v) when String.equal a b -> rest (v :: acc) ds
-          | _ -> None)
-      in
-      rest [ v ] ds)
+let key_sets p = List.filter_map key_set (conjuncts p)
 
-let key_sets p =
-  List.filter_map (fun c -> key_set_of (disjuncts c)) (conjuncts p)
+(* [q] without the disjuncts in [have], keeping its shape *)
+let rec drop_present have = function
+  | Or (a, b) -> (
+    match (drop_present have a, drop_present have b) with
+    | None, r | r, None -> r
+    | Some a, Some b -> Some (Or (a, b)))
+  | d ->
+    if List.exists (fun h -> Stdlib.compare h d = 0) have then None
+    else Some d
 
-let one_of a vs = disj (List.map (fun v -> Cmp (Eq, Attr a, Const v)) vs)
+let or_ p q =
+  match (p, q) with
+  | True, _ | _, True -> True
+  | False, r | r, False -> r
+  | _ -> (
+    match drop_present (disjuncts p) q with
+    | None -> p
+    | Some q' -> (
+      match (key_set p, key_set q) with
+      | Some (a, xs), Some (b, ys) when String.equal a b -> one_of a (xs @ ys)
+      | _ -> Or (p, q')))
+
+let disj = function [] -> False | p :: ps -> List.fold_left or_ p ps
+
+let rename mapping p =
+  let name a = Option.value ~default:a (List.assoc_opt a mapping) in
+  let rec term = function
+    | Attr a -> Attr (name a)
+    | Const _ as c -> c
+    | Neg x -> Neg (term x)
+    | Add (x, y) -> Add (term x, term y)
+    | Sub (x, y) -> Sub (term x, term y)
+    | Mul (x, y) -> Mul (term x, term y)
+    | Div (x, y) -> Div (term x, term y)
+  in
+  let rec go = function
+    | (True | False) as p -> p
+    | Cmp (op, a, b) -> Cmp (op, term a, term b)
+    | And (a, b) -> And (go a, go b)
+    | Or (a, b) -> Or (go a, go b)
+    | Not a -> Not (go a)
+    | In (a, vs) -> In (name a, vs)
+  in
+  go p
 
 (* A hash lookup agrees with [Eq] exactly when every constant hashes
    like each value equal to it: integral numbers past 2^53 compare
@@ -147,25 +176,23 @@ let rec compile = function
   | And (a, b) ->
     let fa = compile a and fb = compile b in
     fun t -> fa t && fb t
-  | Or _ as p -> (
-    let ds = disjuncts p in
-    match key_set_of ds with
-    | Some (a, vs) when List.for_all hash_exact vs ->
-      (* a key set: one hash lookup per row instead of one comparison
-         per key; Null never matches, as under [eval_cmp], so it stays
-         out of the set *)
-      let set = Value.Tbl.create (List.length vs) in
-      List.iter
-        (function Value.Null -> () | v -> Value.Tbl.replace set v ())
-        vs;
-      let get = Tuple.keyer1 a in
-      fun t -> Value.Tbl.mem set (get t)
-    | _ ->
-      let fs = Array.of_list (List.map compile ds) in
-      fun t -> Array.exists (fun f -> f t) fs)
+  | Or (a, b) ->
+    let fa = compile a and fb = compile b in
+    fun t -> fa t || fb t
   | Not a ->
     let fa = compile a in
     fun t -> not (fa t)
+  | In (a, vs) when List.for_all hash_exact vs ->
+    (* one hash lookup per row instead of one comparison per key *)
+    let set = Value.Tbl.create (List.length vs) in
+    List.iter (fun v -> Value.Tbl.replace set v ()) vs;
+    let get = Tuple.keyer1 a in
+    fun t -> Value.Tbl.mem set (get t)
+  | In (a, vs) ->
+    let get = Tuple.keyer1 a in
+    fun t ->
+      let x = get t in
+      List.exists (eval_cmp Eq x) vs
 
 module Sset = Set.Make (String)
 
@@ -181,6 +208,7 @@ let rec attr_set = function
   | Cmp (_, a, b) -> Sset.union (term_attr_set a) (term_attr_set b)
   | And (a, b) | Or (a, b) -> Sset.union (attr_set a) (attr_set b)
   | Not a -> attr_set a
+  | In (a, _) -> Sset.singleton a
 
 let attrs p = Sset.elements (attr_set p)
 let equi_pairs p =
@@ -239,5 +267,11 @@ let rec pp fmt = function
   | And (a, b) -> Format.fprintf fmt "(%a and %a)" pp a pp b
   | Or (a, b) -> Format.fprintf fmt "(%a or %a)" pp a pp b
   | Not a -> Format.fprintf fmt "not (%a)" pp a
-
-let to_string p = Format.asprintf "%a" pp p
+  | In (a, vs) ->
+    (* the left-deep equality chain it stands for, which parses back
+       to the same set *)
+    let eq v = Cmp (Eq, Attr a, Const v) in
+    pp fmt
+      (match vs with
+      | [] -> False
+      | v :: vs -> List.fold_left (fun acc v -> Or (acc, eq v)) (eq v) vs)

@@ -87,8 +87,6 @@ let union_compatible a b =
 let equal a b =
   union_compatible a b && List.equal String.equal a.key b.key
 
-let compare a b = Stdlib.compare (a.attrs, a.key) (b.attrs, b.key)
-
 let restrict_key s key =
   List.iter
     (fun k -> if not (mem s k) then err "restrict_key: unknown attribute %S" k)

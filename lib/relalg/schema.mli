@@ -49,7 +49,6 @@ val union_compatible : t -> t -> bool
     in the same order. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val restrict_key : t -> string list -> t
 (** Replace the declared key. @raise Schema_error if not a subset. *)

@@ -108,10 +108,6 @@ let maker names =
 let to_list t =
   List.init (Array.length t.vals) (fun i -> (t.desc.Desc.names.(i), t.vals.(i)))
 
-let find_opt t name =
-  let i = Desc.slot t.desc name in
-  if i >= 0 then Some t.vals.(i) else None
-
 let get t name =
   let i = Desc.slot t.desc name in
   if i >= 0 then t.vals.(i) else raise Not_found
@@ -144,7 +140,6 @@ let set t name v =
     done;
     mk (Desc.of_sorted_names names) vals
 
-let attrs t = Array.to_list t.desc.Desc.names
 let arity t = Array.length t.vals
 
 (* Projection plan: target descriptor plus source-slot gather map,

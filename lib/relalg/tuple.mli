@@ -37,10 +37,7 @@ val to_list : t -> (string * Value.t) list
 val get : t -> string -> Value.t
 (** @raise Not_found if the attribute is absent. *)
 
-val find_opt : t -> string -> Value.t option
 val set : t -> string -> Value.t -> t
-val attrs : t -> string list
-val arity : t -> int
 
 val projector : string list -> t -> t
 (** [projector names] keeps only the named attributes of a tuple, with

@@ -77,16 +77,6 @@ let neg = function
   | Float x -> Float (-.x)
   | v -> type_error "neg" v v
 
-let lt a b =
-  match a, b with
-  | Null, _ | _, Null -> false
-  | _ -> compare a b < 0
-
-let le a b =
-  match a, b with
-  | Null, _ | _, Null -> false
-  | _ -> compare a b <= 0
-
 let to_string = function
   | Null -> "NULL"
   | Bool b -> string_of_bool b

@@ -43,11 +43,6 @@ val div : t -> t -> t
 
 val neg : t -> t
 
-val lt : t -> t -> bool
-val le : t -> t -> bool
-(** Comparison following [compare], except any comparison involving
-    [Null] is [false]. *)
-
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

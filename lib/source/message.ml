@@ -19,12 +19,3 @@ type answer = {
 }
 
 type t = Update of update | Answer of answer Engine.Ivar.t * answer
-
-let pp fmt = function
-  | Update u ->
-    Format.fprintf fmt "update[%s v%d @%g: %d atoms]" u.source u.version
-      u.send_time
-      (Multi_delta.atom_count u.delta)
-  | Answer (_, a) ->
-    Format.fprintf fmt "answer[%s v%d: %d relations]" a.answer_source
-      a.answer_version (List.length a.results)

@@ -41,5 +41,3 @@ type t =
   | Answer of answer Engine.Ivar.t * answer
       (** the receiving end fills the ivar on delivery, waking the
           mediator process blocked in [Source_db.try_poll] *)
-
-val pp : Format.formatter -> t -> unit

@@ -268,7 +268,7 @@ let declare_indexes t pairs =
 let probed t k =
   if not (Schema.mem (schema t k.k_relation) k.k_column) then
     err "keyed poll: %S has no attribute %S" k.k_relation k.k_column;
-  let keys = Hash_index.probe_keys k.k_values in
+  let keys = Predicate.normalize_keys k.k_values in
   let rel = current t k.k_relation in
   if List.compare_length_with keys (Bag.support_cardinal rel) >= 0 then rel
   else begin

@@ -60,8 +60,6 @@ let remove ix tuple mult =
     tbl_remove tb tuple mult;
     if Tuple.Tbl.length tb = 0 then Value.Tbl.remove ix.tbl k
 
-let reset ix = Value.Tbl.reset ix.tbl
-
 (* a hash table grows past two entries per bucket, so half the distinct
    tuples is enough buckets for any number of distinct keys. A bag's
    support holds distinct tuples, so a tuple meeting an existing cell
@@ -87,7 +85,3 @@ let probe ix value f =
 let chain = function One _ -> 1 | Many tb -> Tuple.Tbl.length tb
 let distinct ix = Value.Tbl.length ix.tbl
 let max_chain ix = Value.Tbl.fold (fun _ c m -> max m (chain c)) ix.tbl 0
-
-let probe_keys values =
-  List.sort_uniq Value.compare
-    (List.filter (function Value.Null -> false | _ -> true) values)

@@ -36,16 +36,9 @@ val remove : t -> Tuple.t -> int -> unit
 (** [remove ix tuple mult] lowers the tuple's count by [mult],
     dropping it at zero (monus: an absent tuple is a no-op). *)
 
-val reset : t -> unit
-(** Empty the index. *)
-
 val probe : t -> Value.t -> (Tuple.t -> int -> unit) -> unit
 (** [probe ix value f] calls [f tuple mult] for every indexed tuple
     whose indexed attribute equals [value]. *)
-
-val probe_keys : Value.t list -> Value.t list
-(** The values a key set needs probed: distinct under {!Value.equal},
-    without [Null], which no comparison matches. *)
 
 val distinct : t -> int
 (** Distinct key values present. *)

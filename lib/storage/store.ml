@@ -19,18 +19,8 @@ let table t name =
   | Some tbl -> tbl
   | None -> err "no table %S in store" name
 
-let mem t name = Hashtbl.mem t.tables name
-
 let table_names t =
   List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.tables [])
 
-let env t name = Option.map Table.contents (table_opt t name)
-
 let total_bytes t =
   Hashtbl.fold (fun _ tbl acc -> acc + Table.bytes_estimate tbl) t.tables 0
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun fmt name ->
-         Table.pp fmt (table t name)))
-    (table_names t)

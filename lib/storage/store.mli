@@ -19,13 +19,7 @@ val table : t -> string -> Table.t
 (** @raise Store_error if absent. *)
 
 val table_opt : t -> string -> Table.t option
-val mem : t -> string -> bool
 val table_names : t -> string list
-
-val env : t -> string -> Bag.t option
-(** Environment view for {!Relalg.Eval}: current table contents. *)
 
 val total_bytes : t -> int
 (** Space estimate across all tables (Sec. 5.3 space-vs-performance). *)
-
-val pp : Format.formatter -> t -> unit

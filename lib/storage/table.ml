@@ -43,10 +43,6 @@ let delete ?(mult = 1) t tuple =
     List.iter (fun ix -> Hash_index.remove ix tuple removed) t.indexes
   end
 
-let clear t =
-  t.bag <- Bag.empty t.schema;
-  List.iter Hash_index.reset t.indexes
-
 (* built in bulk: the bag's own storage and presized indexes, not a
    persistent add and an index update per tuple *)
 let load t bag =
@@ -62,9 +58,7 @@ let apply_delta t delta =
       if m > 0 then insert ~mult:m t tuple else delete ~mult:(-m) t tuple)
     delta ()
 
-let cardinal t = Bag.cardinal t.bag
 let support_cardinal t = Bag.support_cardinal t.bag
-let mem t tuple = Bag.mem t.bag tuple
 let mult t tuple = Bag.mult t.bag tuple
 
 let find_index t attr =
@@ -83,12 +77,12 @@ let probe t attr value f =
    probing [t]'s persistent index on one join-key column: one probe per
    delta atom instead of rebuilding a key table over the whole stored
    bag. With several join keys, the merge (a {!Tuple.merger}, which
-   checks shared attributes) and [on] drop the rows that disagree on the
-   others. [None] when no join-key column is indexed — the caller falls
-   back to the generic hash join. Sound during IUP propagation because
-   table mutations are deferred until after the kernel pass, so probes
-   see the pre-update state. *)
-let delta_join ?(on = Predicate.True) ?filter d t =
+   checks shared attributes) and [test], the compiled [on], drop the
+   rows that disagree on the others. [None] when no join-key column is
+   indexed — the caller falls back to the generic hash join. Sound
+   during IUP propagation because table mutations are deferred until
+   after the kernel pass, so probes see the pre-update state. *)
+let delta_join ?(on = Predicate.True) ?test ?filter d t =
   let dschema = Rel_delta.schema d in
   let left_keys, right_keys = Bag.join_keys dschema t.schema on in
   match
@@ -100,13 +94,16 @@ let delta_join ?(on = Predicate.True) ?filter d t =
   | Some (key, ix) ->
     let out = ref (Rel_delta.empty (Schema.join dschema t.schema)) in
     let keep = match filter with Some f -> f | None -> fun _ -> true in
+    let residual =
+      match test with Some f -> f | None -> Predicate.compile on
+    in
     let merge = Tuple.merger () in
     let combine ta ma tb mb =
       if keep tb then
         match merge ta tb with
         | None -> ()
         | Some merged ->
-          if Predicate.eval on merged then begin
+          if residual merged then begin
             let m = ma * mb in
             out :=
               (if m > 0 then Rel_delta.insert ~mult:m !out merged
@@ -147,5 +144,3 @@ let pp_stats fmt s =
 
 let bytes_estimate t =
   Bag.cardinal t.bag * Schema.arity t.schema * 8
-
-let pp fmt t = Format.fprintf fmt "table %s = %a" t.name Bag.pp t.bag

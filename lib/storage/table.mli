@@ -32,8 +32,6 @@ val load : t -> Bag.t -> unit
     @raise Relalg.Bag.Bag_error if [bag]'s attributes or their types
     differ from the table's. *)
 
-val clear : t -> unit
-
 val contents : t -> Bag.t
 (** The current population: the table's live version of its persistent
     bag, in O(1), not a copy. It stays valid across later updates, but
@@ -44,10 +42,8 @@ val contents : t -> Bag.t
 
 val apply_delta : t -> Rel_delta.t -> unit
 
-val cardinal : t -> int
 val support_cardinal : t -> int
 
-val mem : t -> Tuple.t -> bool
 val mult : t -> Tuple.t -> int
 
 val has_index_on : t -> string -> bool
@@ -61,6 +57,7 @@ val probe : t -> string -> Value.t -> (Tuple.t -> int -> unit) -> unit
 
 val delta_join :
   ?on:Predicate.t ->
+  ?test:(Tuple.t -> bool) ->
   ?filter:(Tuple.t -> bool) ->
   Rel_delta.t ->
   t ->
@@ -69,9 +66,11 @@ val delta_join :
     probing [t]'s persistent index on one join-key column — one probe
     per delta atom instead of a key table rebuilt over the whole stored
     bag. [None] when no join-key column of [on] is indexed; callers
-    fall back to the generic hash join. [filter] (default: keep all) screens stored
-    tuples before they are combined — the push-down of a selection
-    sitting over the table in the joined expression. *)
+    fall back to the generic hash join. [test], when given, must be the
+    compiled form of [on] (as for {!Relalg.Bag.join}). [filter]
+    (default: keep all) screens stored tuples before they are combined
+    — the push-down of a selection sitting over the table in the joined
+    expression. *)
 
 (** {1 Statistics}
 
@@ -97,5 +96,3 @@ val pp_stats : Format.formatter -> stats -> unit
 val bytes_estimate : t -> int
 (** Rough space estimate (for the space-vs-performance tables of the
     Sec. 5.3 experiments): tuples * arity * word size. *)
-
-val pp : Format.formatter -> t -> unit

@@ -30,7 +30,6 @@ let node t name =
   | Some n -> n
   | None -> err "no node %S in VDP" name
 
-let mem t name = Smap.mem name t.by_name
 let nodes t = List.map snd (Smap.bindings t.by_name)
 let def t name =
   match (node t name).kind with

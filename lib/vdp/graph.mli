@@ -49,7 +49,6 @@ val node : t -> string -> node
 (** @raise Vdp_error if absent. *)
 
 val node_opt : t -> string -> node option
-val mem : t -> string -> bool
 val nodes : t -> node list
 val def : t -> string -> Expr.t
 (** Definition of a non-leaf node. @raise Vdp_error for a leaf. *)

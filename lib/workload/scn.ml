@@ -27,17 +27,14 @@ let backend_of decl =
     err "source %S: unknown backend %S (try: relational, triple)"
       decl.Parser.sd_name b
 
-(* positional tuple literal -> named tuple, checked against the schema *)
+(* positional tuple literal -> named tuple; the bag that receives it
+   checks its value types *)
 let tuple_of_values rel schema values =
   let attrs = Schema.attrs schema in
   if List.length values <> List.length attrs then
     err "relation %S takes %d values per tuple, got %d" rel
       (List.length attrs) (List.length values);
-  let t = Tuple.of_list (List.combine attrs values) in
-  if not (Tuple.fits (Tuple.shape schema) t) then
-    err "a %S tuple does not match the declared schema (check value types)"
-      rel;
-  t
+  Tuple.of_list (List.combine attrs values)
 
 let owner_of decl rel =
   match
@@ -82,9 +79,10 @@ let compile ?(engine = Engine.create ()) (decl : Parser.scenario_decl) =
       let sd = owner_of decl rel in
       let schema = List.assoc rel sd.Parser.sd_relations in
       let bag =
-        List.fold_left
-          (fun acc vs -> Bag.add acc (tuple_of_values rel schema vs))
-          (Bag.empty schema) rows
+        try Bag.of_tuples schema (List.map (tuple_of_values rel schema) rows)
+        with Bag.Bag_error _ ->
+          err "a %S tuple does not match the declared schema (check value types)"
+            rel
       in
       Adapter.load (adapter_of sd.Parser.sd_name) rel bag)
     decl.Parser.sc_loads;

@@ -1,11 +1,51 @@
-(* Interpretive oracles for the compiled evaluators: a value evaluator
-   and a delta rule engine that walk the expression AST on every call.
-   The differential tests check the compiled plans ({!Relalg.Plan},
-   {!Delta.Delta_plan}) against them, value for value; no program links
-   this library. *)
+(* Interpretive oracles for the compiled evaluators: a condition
+   evaluator, a value evaluator and a delta rule engine that walk the
+   AST on every call. The differential tests check the compiled forms
+   ({!Relalg.Predicate.compile}, {!Relalg.Plan}, {!Delta.Delta_plan})
+   against them, value for value; no program links this library. *)
 
 open Relalg
 open Delta
+
+(* The reference semantics of a condition on a tuple. Comparisons
+   involving [Null] are false (so [Not] of one is true); an [In] holds
+   when the attribute equals one of its values. *)
+let eval_pred p tuple =
+  let open Predicate in
+  let rec term = function
+    | Const v -> v
+    | Attr a -> Tuple.get tuple a
+    | Neg t -> Value.neg (term t)
+    | Add (a, b) -> Value.add (term a) (term b)
+    | Sub (a, b) -> Value.sub (term a) (term b)
+    | Mul (a, b) -> Value.mul (term a) (term b)
+    | Div (a, b) -> Value.div (term a) (term b)
+  in
+  let cmp op a b =
+    match (a, b) with
+    | Value.Null, _ | _, Value.Null -> false
+    | _ -> (
+      let c = Value.compare a b in
+      match op with
+      | Eq -> c = 0
+      | Ne -> c <> 0
+      | Lt -> c < 0
+      | Le -> c <= 0
+      | Gt -> c > 0
+      | Ge -> c >= 0)
+  in
+  let rec go = function
+    | True -> true
+    | False -> false
+    | Cmp (op, a, b) -> cmp op (term a) (term b)
+    | And (a, b) -> go a && go b
+    | Or (a, b) -> go a || go b
+    | Not a -> not (go a)
+    | In (a, vs) ->
+      let x = Tuple.get tuple a in
+      List.exists (cmp Eq x) vs
+  in
+  go p
 
 (* The interpretive evaluator: walks the AST on every call, resolving
    operators as it goes. Value-identical to {!Eval.eval}. *)

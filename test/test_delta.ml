@@ -448,15 +448,11 @@ let test_value_restrictions_fig1 () =
       ~known:(fun n -> List.assoc_opt n known)
       expr
   in
+  let pred = Alcotest.testable Predicate.pp Predicate.equal in
   let check what expected got =
-    Alcotest.(check (list (pair string string)))
-      what
-      (List.map (fun (n, c) -> (n, Predicate.to_string c)) expected)
-      (List.map (fun (n, c) -> (n, Predicate.to_string c)) got)
+    Alcotest.(check (list (pair string pred))) what expected got
   in
-  let keys =
-    Predicate.(Or (eq (attr "r2") (int 10), eq (attr "r2") (int 20)))
-  in
+  let keys = Predicate.one_of "r2" Value.[ Int 10; Int 20 ] in
   check "R read on the keys of ΔS" [ ("R", keys) ] (restrictions t_def);
   check "ΔS not yet known" [ ("R", Predicate.True) ]
     (restrictions ~known:[] t_def);
@@ -465,9 +461,7 @@ let test_value_restrictions_fig1 () =
   check "both sides changed"
     [ ("R", keys); ("S", Predicate.(eq (attr "s1") (int 30))) ]
     (restrictions ~changed:[ "R"; "S" ] ~known:[ ("R", dr); ("S", ds) ] t_def);
-  let s_keys =
-    Predicate.(Or (eq (attr "s1") (int 10), eq (attr "s1") (int 20)))
-  in
+  let s_keys = Predicate.one_of "s1" Value.[ Int 10; Int 20 ] in
   check "two changed occurrences on the other side"
     [ ("R", Predicate.True); ("S", s_keys) ]
     (restrictions
@@ -494,10 +488,7 @@ let test_value_restrictions_fig1 () =
   in
   check "two reads of R"
     [
-      ( "R",
-        Predicate.Or
-          (keys, Predicate.(Or (eq (attr "r3") (int 10), eq (attr "r3") (int 20))))
-      );
+      ("R", Predicate.Or (keys, Predicate.one_of "r3" Value.[ Int 10; Int 20 ]));
     ]
     (restrictions twice)
 

@@ -154,7 +154,11 @@ let test_partition_targets () =
   check "disjunction unions the owners"
     (Partition.Some_shards
        (List.sort_uniq compare [ owner 5; owner 9 ]))
-    Predicate.(Or (eq (attr "k") (int 5), eq (attr "k") (int 9)));
+    Predicate.(Or (eq (attr "k") (int 5), And (eq (attr "k") (int 9), ge (attr "amt") (int 3))));
+  check "a key set routes to its owners"
+    (Partition.Some_shards
+       (List.sort_uniq compare [ owner 5; owner 9; owner 12 ]))
+    (Predicate.one_of "k" Value.[ Int 12; Int 5; Int 9 ]);
   check "disjunction with an unbound side scans"
     Partition.All_shards
     Predicate.(Or (eq (attr "k") (int 5), ge (attr "amt") (int 3)));
@@ -205,7 +209,7 @@ let single_sys ~engine ~sources med =
   let commit md =
     List.iter
       (fun (rel, d) ->
-        let src = Graph.source_of_leaf (Mediator.vdp med) rel in
+        let src = Graph.source_of_leaf med.Med.vdp rel in
         let adapter = List.find (fun a -> Adapter.name a = src) sources in
         Adapter.commit adapter (Delta.Multi_delta.singleton rel d))
       (Delta.Multi_delta.bindings md)
@@ -329,7 +333,7 @@ let test_export_stream () =
   Alcotest.(check (list string))
     "exports carry both view schemas"
     [ "Enriched"; "Hot" ]
-    (List.sort compare (List.map fst (Mediator.export_schemas med)));
+    (List.sort compare (List.map fst (Med.export_schemas med)));
   (* replace key 0's item with a hot amount: both exports change *)
   let db_items = List.hd sources in
   let old_item =

@@ -193,7 +193,7 @@ module Ref_bag = struct
         if r > 0 then Some (t, r) else None)
       a
 
-  let select p l = List.filter (fun (t, _) -> Predicate.eval p t) l
+  let select p l = List.filter (fun (t, _) -> Oracle.eval_pred p t) l
 
   let project names l =
     let proj = Tuple.projector names in
@@ -225,7 +225,7 @@ module Ref_bag = struct
             | None, None -> acc
             | Some merged, Some swapped when Tuple.equal merged swapped ->
               check 2 merged;
-              if Predicate.eval on merged then add acc merged (ma * mb)
+              if Oracle.eval_pred on merged then add acc merged (ma * mb)
               else acc
             | _ ->
               Alcotest.failf "merging %s and %s depends on the order"

@@ -74,7 +74,7 @@ let test_vap_closure_merges_requests () =
      paper's (B ∪ A', f ∨ g)) *)
   let _, med = setup Scenario.ann_ex23 in
   let c1 = Predicate.(lt (attr "r3") (int 10)) in
-  let c2 = Predicate.(gt (attr "s2") (int 50)) in
+  let c2 = Predicate.(Cmp (Gt, attr "s2", int 50)) in
   let reqs =
     Vap.closure med
       [
@@ -92,7 +92,21 @@ let test_vap_closure_merges_requests () =
     [ "r1"; "r3"; "s1"; "s2" ];
   Alcotest.(check bool)
     "conditions disjoined" true
-    (Predicate.equal t.Vap.r_cond (Predicate.Or (c1, c2)))
+    (Predicate.equal t.Vap.r_cond (Predicate.Or (c1, c2)));
+  (* key sets on one attribute merge into one, and a request merged
+     twice changes nothing *)
+  let keyed vs = { Vap.r_node = "T"; r_attrs = [ "r1" ]; r_cond = Predicate.one_of "r1" vs } in
+  let merged =
+    Vap.closure med
+      [ keyed Value.[ Int 1; Int 2 ]; keyed Value.[ Int 2; Int 3 ]; keyed Value.[ Int 2; Int 3 ] ]
+  in
+  Alcotest.(check bool)
+    "key sets merged" true
+    (List.exists
+       (fun r ->
+         r.Vap.r_node = "T"
+         && Predicate.equal r.Vap.r_cond (Predicate.one_of "r1" Value.[ Int 1; Int 2; Int 3 ]))
+       merged)
 
 let test_vap_rejects_leaf_requests () =
   let _, med = setup Scenario.ann_ex21 in

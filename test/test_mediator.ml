@@ -252,7 +252,7 @@ let check_one_restricted_poll med ~before ~rows what =
 
 (* the tuple ops of the vap spans recorded since [before] of them *)
 let new_vap_ops med ~before =
-  List.filteri (fun i _ -> i >= before) (Obs.Trace.find (Mediator.trace med) ~name:"vap")
+  List.filteri (fun i _ -> i >= before) (Tutil.find_spans (Mediator.trace med) "vap")
   |> List.map (fun sp -> sp.Obs.Trace.ops)
 
 let indexed env src = Source_db.indexed (Adapter.db (Scenario.source env src))
@@ -283,7 +283,7 @@ let test_ex22_s_update_polls_joining_rows () =
     | l -> Alcotest.failf "%s: %d vap spans" what (List.length l)
   in
   let before = poll_counts med in
-  let vaps = List.length (Obs.Trace.find (Mediator.trace med) ~name:"vap") in
+  let vaps = List.length (Tutil.find_spans (Mediator.trace med) "vap") in
   Adapter.commit db2 (Driver.single_delete db2 "S" victim);
   Scenario.run_to_quiescence env med;
   check_one_restricted_poll med ~before ~rows "S′ delete";
@@ -291,7 +291,7 @@ let test_ex22_s_update_polls_joining_rows () =
   Alcotest.(check (list (pair string string)))
     "db1 indexed R.r2" [ ("R", "r2") ] (indexed env "db1");
   let before = poll_counts med in
-  let vaps = List.length (Obs.Trace.find (Mediator.trace med) ~name:"vap") in
+  let vaps = List.length (Tutil.find_spans (Mediator.trace med) "vap") in
   commit_fresh_s env ~s1:k ~s2:1 ~s3:2;
   Scenario.run_to_quiescence env med;
   check_one_restricted_poll med ~before ~rows "S′ insert";
@@ -399,7 +399,7 @@ let test_ex22_restricted_poll_eca () =
   let unseen =
     List.filter_map
       (fun sp -> Obs.Trace.attr sp "unseen_atoms")
-      (Obs.Trace.find (Mediator.trace med) ~name:"eca")
+      (Tutil.find_spans (Mediator.trace med) "eca")
   in
   Alcotest.(check (list string)) "ECA saw the queued R update" [ "3" ] unseen;
   let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
@@ -497,7 +497,7 @@ let test_ex23_point_query_keyed_polls () =
   let cond = Predicate.(eq (attr "r1") (Const k)) in
   let polls0, tuples0 = poll_counts med in
   let kb0 = Obs.Metrics.value (Mediator.stats med).Med.key_based_constructions in
-  let vaps = List.length (Obs.Trace.find (Mediator.trace med) ~name:"vap") in
+  let vaps = List.length (Tutil.find_spans (Mediator.trace med) "vap") in
   let scanned () =
     List.map
       (fun src -> Source_db.scanned_keys (Adapter.db (Scenario.source env src)))
@@ -647,14 +647,14 @@ let test_probed_equals_scanned () =
                     lt (attr "r3") (int 100);
                     lt (attr "s2") (int 50);
                     lt (attr "s1") (int 20);
-                    gt (attr "r1") (int 30);
+                    Cmp (Gt, attr "r1", int 30);
                   ]
                 (Random.State.int rng 5)
             in
             let cond = Predicate.conj [ ks; extra ] in
             let expected = Bag.project attrs (Bag.select cond t) in
             let what = Printf.sprintf "seed %d round %d π(%s) σ(%s)" seed round
-                (String.concat "," attrs) (Predicate.to_string cond) in
+                (String.concat "," attrs) (Format.asprintf "%a" Predicate.pp cond) in
             let ask env med cond =
               in_process env (fun () ->
                   (Mediator.query med ~node:"T" ~attrs ~cond ()).Qp.tuples)
@@ -680,7 +680,29 @@ let test_probed_equals_scanned () =
           (Bag.project [ "r1"; "r3"; "s1" ] (Bag.select cond t))
           (in_process env_a (fun () ->
                (Mediator.query med_a ~node:"T" ~attrs:[ "r1"; "r3"; "s1" ] ~cond ())
-                 .Qp.tuples))
+                 .Qp.tuples));
+        (* the parser's [or] builds the same key set, so a typed-in
+           disjunction is still served by a probe: it charges the rows
+           under its two keys, not a scan of T *)
+        match
+          List.sort_uniq compare
+            (List.filter_map
+               (fun t -> match Tuple.get t "r1" with Value.Int k -> Some k | _ -> None)
+               (Bag.support t))
+        with
+        | k1 :: k2 :: _ ->
+          let cond = Parser.predicate (Printf.sprintf "r1 = %d or r1 = %d" k1 k2) in
+          let what = Printf.sprintf "seed %d round %d: parsed %s" seed round
+              (Format.asprintf "%a" Predicate.pp cond) in
+          let ops0 = Eval.tuple_ops () in
+          Tutil.check_bag what
+            (Bag.project [ "r1"; "s1" ] (Bag.select cond t))
+            (in_process env_a (fun () ->
+                 (Mediator.query med_a ~node:"T" ~attrs:[ "r1"; "s1" ] ~cond ()).Qp.tuples));
+          Alcotest.(check bool)
+            (what ^ ": probed, not scanned") true
+            (Eval.tuple_ops () - ops0 < Bag.support_cardinal t)
+        | _ -> Alcotest.fail "T holds fewer than two r1 keys"
       done;
       ignore (check_consistent env_a med_a);
       ignore (check_consistent env_b med_b))

@@ -130,7 +130,7 @@ let test_trace_simulated_time_only () =
 
 let test_update_tx_nesting () =
   let med = run_workload ~seed:5 () in
-  let txs = Obs.Trace.find (Mediator.trace med) ~name:"batch_tx" in
+  let txs = Tutil.find_spans (Mediator.trace med) "batch_tx" in
   Alcotest.(check bool) "batch transactions traced" true (txs <> []);
   List.iter
     (fun tx ->
@@ -160,7 +160,7 @@ let test_update_tx_nesting () =
         Alcotest.failf "fault-free batch_tx outcome = %s"
           (Option.value other ~default:"<none>"))
     txs;
-  let queries = Obs.Trace.find (Mediator.trace med) ~name:"query_tx" in
+  let queries = Tutil.find_spans (Mediator.trace med) "query_tx" in
   Alcotest.(check bool) "queries traced" true (queries <> [])
 
 let test_deferral_and_resync_spans () =

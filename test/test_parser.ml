@@ -6,7 +6,7 @@ open Tutil
 let check_expr name src expected =
   Alcotest.(check bool)
     name true
-    (Expr.equal (Parser.expr src) expected)
+    (Parser.expr src = expected)
 
 let check_pred name src expected =
   Alcotest.(check bool)
@@ -31,7 +31,7 @@ let test_example_2_1_roundtrip () =
        < 50 (S))"
   in
   Alcotest.(check bool) "matches the Example 2.1 AST" true
-    (Expr.equal parsed t_def);
+    (parsed = t_def);
   (* and evaluates identically *)
   let env = function
     | "R" -> Some sample_r

@@ -89,8 +89,9 @@ let random_bases rng =
     [ "P"; "Q"; "N" ]
 
 let cmps =
-  [ Predicate.eq; (fun a b -> Predicate.Cmp (Predicate.Ne, a, b)); Predicate.lt;
-    Predicate.le; Predicate.gt; Predicate.ge ]
+  let cmp op a b = Predicate.Cmp (op, a, b) in
+  [ Predicate.eq; cmp Predicate.Ne; Predicate.lt; cmp Predicate.Le; cmp Predicate.Gt;
+    Predicate.ge ]
 
 let random_pred rng schema =
   let attrs = Schema.typed_attrs schema in

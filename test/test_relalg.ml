@@ -10,8 +10,10 @@ let test_value_compare () =
   Alcotest.(check bool)
     "int/float numeric equality" true
     (Value.equal (v_int 3) (Value.Float 3.0));
-  Alcotest.(check bool) "str lt" true (Value.lt (v_str "a") (v_str "b"));
-  Alcotest.(check bool) "null never lt" false (Value.lt Value.Null (v_int 1));
+  Alcotest.(check bool) "str lt" true (Value.compare (v_str "a") (v_str "b") < 0);
+  Alcotest.(check bool)
+    "null never lt" false
+    Predicate.(compile (lt (Const Value.Null) (int 1)) Tuple.empty);
   Alcotest.(check int) "ordering across types" (-1)
     (compare (Value.compare (Value.Bool true) (v_int 0)) 0)
 
@@ -87,8 +89,8 @@ let test_schema_union_compatible () =
 let test_tuple_basic () =
   let t = r_tuple 1 10 7 100 in
   Alcotest.check value "get" (v_int 10) (Tuple.get t "r2");
-  Alcotest.(check (option value)) "find_opt none" None (Tuple.find_opt t "zz");
-  Alcotest.(check int) "arity" 4 (Tuple.arity t);
+  Alcotest.check_raises "get absent" Not_found (fun () -> ignore (Tuple.get t "zz"));
+  Alcotest.(check int) "arity" 4 (List.length (Tuple.to_list t));
   Alcotest.check tuple "project"
     (Tuple.of_list [ ("r1", v_int 1); ("r3", v_int 7) ])
     (Tuple.projector [ "r1"; "r3" ] t)
@@ -98,7 +100,7 @@ let test_tuple_concat () =
   let b = Tuple.of_list [ ("y", v_int 2); ("z", v_int 3) ] in
   let merge = Tuple.merger () in
   (match merge a b with
-  | Some m -> Alcotest.(check int) "merged arity" 3 (Tuple.arity m)
+  | Some m -> Alcotest.(check int) "merged arity" 3 (List.length (Tuple.to_list m))
   | None -> Alcotest.fail "concat should agree");
   let b_bad = Tuple.of_list [ ("y", v_int 9) ] in
   Alcotest.(check bool)
@@ -115,7 +117,9 @@ let test_tuple_maker () =
   Alcotest.(check bool)
     "equals of_list" true
     (Tuple.equal t (Tuple.of_list (List.combine names vals)));
-  Alcotest.(check (list string)) "sorted attrs" [ "a"; "b"; "c" ] (Tuple.attrs t);
+  Alcotest.(check (list string))
+    "sorted attrs" [ "a"; "b"; "c" ]
+    (List.map fst (Tuple.to_list t));
   Alcotest.(check bool) "c" true (Value.equal (Tuple.get t "c") (Value.Int 3));
   Alcotest.(check bool) "empty" true (Tuple.equal (Tuple.maker [] []) Tuple.empty);
   let invalid f = try ignore (f ()); false with Invalid_argument _ -> true in
@@ -141,18 +145,18 @@ let test_tuple_schema_match () =
 
 let test_predicate_eval () =
   let t = r_tuple 1 10 7 100 in
-  Alcotest.(check bool) "eq true" true (Predicate.eval cond_r4 t);
+  Alcotest.(check bool) "eq true" true (Predicate.compile cond_r4 t);
   Alcotest.(check bool)
     "arith condition" true
-    Predicate.(eval (lt (Add (attr "r1", attr "r3")) (int 9)) t);
+    Predicate.(compile (lt (Add (attr "r1", attr "r3")) (int 9)) t);
   Alcotest.(check bool)
     "nonlinear condition (Example 5.1 style)" true
     Predicate.(
-      eval (lt (Add (Mul (attr "r1", attr "r1"), attr "r3")) (int 9)) t);
+      compile (lt (Add (Mul (attr "r1", attr "r1"), attr "r3")) (int 9)) t);
   Alcotest.(check bool)
     "and/or/not" true
     Predicate.(
-      eval (conj [ cond_r4; Not (lt (attr "r2") (int 5)) ]) t)
+      compile (conj [ cond_r4; Not (lt (attr "r2") (int 5)) ]) t)
 
 let test_predicate_attrs () =
   Alcotest.(check (list string))
@@ -182,7 +186,7 @@ let test_predicate_simplify () =
     Predicate.(equal (simplify (Not True)) False)
 
 (* key sets are found in either operand order and nesting, only over
-   one attribute and constants; a 100k-key chain flattens in one pass *)
+   one attribute and constants; a 100k-key set is one [In] *)
 let test_predicate_key_sets () =
   let open Predicate in
   let ks = Alcotest.(list (pair string (list string))) in
@@ -190,15 +194,15 @@ let test_predicate_key_sets () =
   let cond =
     conj
       [
-        Or (eq (attr "r1") (int 1), Or (eq (int 2) (attr "r1"), eq (attr "r1") (int 1)));
+        or_ (eq (attr "r1") (int 1)) (or_ (eq (int 2) (attr "r1")) (eq (attr "r1") (int 1)));
         one_of "s1" Value.[ Int 7 ];
-        Or (eq (attr "r1") (int 1), eq (attr "r2") (int 2));
-        Or (eq (attr "r1") (int 1), lt (attr "r1") (int 0));
+        or_ (eq (attr "r1") (int 1)) (eq (attr "r2") (int 2));
+        or_ (eq (attr "r1") (int 1)) (lt (attr "r1") (int 0));
         eq (attr "r1") (attr "r2");
       ]
   in
   Alcotest.check ks "two key sets"
-    [ ("r1", [ "1"; "2"; "1" ]); ("s1", [ "7" ]) ]
+    [ ("r1", [ "1"; "2" ]); ("s1", [ "7" ]) ]
     (show (key_sets cond));
   Alcotest.(check bool) "one_of [] is False" true (one_of "r1" [] = False);
   let n = 100_000 in
@@ -206,7 +210,9 @@ let test_predicate_key_sets () =
   (match key_sets (And (True, big)) with
   | [ ("r1", vs) ] -> Alcotest.(check int) "all keys" n (List.length vs)
   | _ -> Alcotest.fail "expected one key set");
-  Alcotest.(check int) "disjuncts" n (List.length (disjuncts big));
+  Alcotest.(check int)
+    "one In" n
+    (match big with In (_, vs) -> List.length vs | _ -> 0);
   let f = compile big in
   Alcotest.(check bool)
     "hash lookup" true
@@ -329,10 +335,21 @@ let test_bag_join_multiplicity () =
     "multiplicities multiply" 6
     (Bag.mult j (Tuple.of_list [ ("x", v_int 1) ]))
 
-let test_bag_product_overlap () =
-  Alcotest.check_raises "overlapping product"
-    (Bag.Bag_error "product: overlapping attributes r1, r2, r3, r4")
-    (fun () -> ignore (Bag.product sample_r sample_r))
+(* with no attribute in common, a join pairs every row with every row *)
+let test_bag_join_disjoint () =
+  let xs = of_rows (Schema.make [ ("x", Value.TInt) ]) [ [ v_int 1 ]; [ v_int 2 ] ] in
+  let j = Bag.join xs sample_s in
+  Alcotest.(check int)
+    "cardinal" (2 * Bag.cardinal sample_s) (Bag.cardinal j);
+  List.iter
+    (fun s ->
+      List.iter
+        (fun x ->
+          Alcotest.(check int)
+            "each pair once" (Bag.mult sample_s s)
+            (Bag.mult j (Tuple.of_list (("x", v_int x) :: Tuple.to_list s))))
+        [ 1; 2 ])
+    (Bag.support sample_s)
 
 (* --- Expr / Eval --- *)
 
@@ -492,9 +509,9 @@ let prop_set_diff_set_semantics =
       Bag.cardinal d = Bag.support_cardinal d
       && List.for_all (fun t -> not (Bag.mem b t)) (Bag.support d))
 
-(* Bag.select against the predicate interpreter over a schema mixing
-   Int, Float and string columns, Null in each: compiled selection must
-   keep exactly the tuples [Predicate.eval] keeps *)
+(* Bag.select against the oracle's condition interpreter over a schema
+   mixing Int, Float and string columns, Null in each: compiled
+   selection must keep exactly the tuples [Oracle.eval_pred] keeps *)
 let schema_x =
   Schema.make [ ("a", Value.TInt); ("b", Value.TFloat); ("c", Value.TStr) ]
 
@@ -532,6 +549,10 @@ let pred_gen =
           (oneofl Predicate.[ Eq; Ne; Lt; Le; Gt; Ge ])
           term term;
         oneofl Predicate.[ True; False ];
+        map2 Predicate.one_of
+          (oneofl [ "a"; "b"; "c" ])
+          (list_size (int_range 0 4)
+             (oneofl (x_values "a" @ x_values "b" @ x_values "c")));
       ]
   in
   int_range 0 3
@@ -549,14 +570,16 @@ let pred_gen =
 let prop_select_matches_eval =
   qtest ~count:500 "select = filter by Predicate.eval"
     QCheck2.Gen.(pair pred_gen x_bag_gen)
-    (fun (p, b) -> Bag.equal (Bag.select p b) (Bag.filter (Predicate.eval p) b))
+    (fun (p, b) -> Bag.equal (Bag.select p b) (Bag.filter (Oracle.eval_pred p) b))
 
-(* Key sets [x = v1 ∨ … ∨ x = vn] compile to one hash lookup per row;
-   the lookup must keep exactly the rows the interpreter keeps: Null
-   never matches, Int 1 = Float 1., and past 2^53 an Int equals a
-   Float it does not hash like. Chains nest either way, put the
-   constant on either side, and sometimes mix in a disjunct on another
-   attribute. *)
+(* Key sets compile to one hash lookup per row; the lookup must keep
+   exactly the rows the oracle keeps: Null never matches, Int 1 =
+   Float 1., and past 2^53 an Int equals a Float it does not hash like
+   (the keys that force the comparison fallback). A set is built by
+   [one_of] (an [In], one comparison, or [False] when empty), by [or_]
+   of comparisons with the constant on either side, or as a raw
+   right-deep [Or] chain; sometimes a disjunct on another attribute is
+   mixed in, and sometimes the whole is negated. *)
 let big = (1 lsl 53) + 1
 
 let k_values = function
@@ -574,32 +597,71 @@ let k_bag_gen =
   in
   list_size (int_range 0 12) tuple >|= Bag.of_tuples schema_x
 
+let k_const =
+  QCheck2.Gen.oneofl (k_values "a" @ k_values "b" @ Value.[ Str "x"; Int 3 ])
+
 let key_set_gen =
   let open QCheck2.Gen in
-  let const = oneofl (k_values "a" @ k_values "b" @ Value.[ Str "x"; Int 3 ]) in
   let eq x =
     map2
       (fun v flip ->
         let a = Predicate.attr x and c = Predicate.Const v in
         if flip then Predicate.eq c a else Predicate.eq a c)
-      const bool
+      k_const bool
   in
   let* x = oneofl [ "a"; "b" ] in
-  let* eqs = list_size (int_range 2 6) (eq x) in
+  let chain =
+    let* eqs = list_size (int_range 2 6) (eq x) in
+    let* merged = bool in
+    return
+      (if merged then Predicate.disj eqs
+       else
+         List.fold_right (fun d acc -> Predicate.Or (d, acc)) (List.tl eqs) (List.hd eqs))
+  in
+  let* set =
+    oneof [ map (Predicate.one_of x) (list_size (int_range 0 6) k_const); chain ]
+  in
   let* stray = opt (eq (if x = "a" then "b" else "a")) in
-  let* left_deep = bool in
-  let ds = match stray with Some d -> eqs @ [ d ] | None -> eqs in
-  return
-    (if left_deep then Predicate.disj ds
-     else List.fold_right (fun d acc -> Predicate.Or (d, acc)) (List.tl ds) (List.hd ds))
+  let* negate = bool in
+  let p = match stray with Some d -> Predicate.or_ set d | None -> set in
+  return (if negate then Predicate.Not p else p)
 
 let prop_key_set_matches_eval =
   qtest ~count:500 "compiled key set = Predicate.eval"
     QCheck2.Gen.(pair key_set_gen k_bag_gen)
     (fun (p, b) ->
       let f = Predicate.compile p in
-      List.for_all (fun t -> f t = Predicate.eval p t) (Bag.support b)
-      && Bag.equal (Bag.select p b) (Bag.filter (Predicate.eval p) b))
+      List.for_all (fun t -> f t = Oracle.eval_pred p t) (Bag.support b)
+      && Bag.equal (Bag.select p b) (Bag.filter (Oracle.eval_pred p) b))
+
+(* [or_] is idempotent, and merges two key sets on one attribute into
+   the key set of the union *)
+let prop_or_idempotent =
+  qtest ~count:500 "or_ p p = p"
+    QCheck2.Gen.(oneof [ pred_gen; key_set_gen ])
+    (fun p -> Predicate.equal (Predicate.or_ p p) p)
+
+let prop_or_merges_key_sets =
+  qtest ~count:500 "or_ of key sets = one_of of the union"
+    QCheck2.Gen.(
+      let key = oneofl (x_values "a" @ x_values "b" @ x_values "c") in
+      triple (oneofl [ "a"; "b" ])
+        (list_size (int_range 0 6) key)
+        (list_size (int_range 0 6) key))
+    (fun (a, xs, ys) ->
+      Predicate.(equal (or_ (one_of a xs) (one_of a ys)) (one_of a (xs @ ys))))
+
+(* printed conditions parse back to the same value; an [In] prints as
+   its equality chain (numeric keys: a string constant prints bare) *)
+let prop_key_set_prints_back =
+  qtest ~count:500 "printed key set parses back"
+    QCheck2.Gen.(
+      pair (oneofl [ "a"; "b" ])
+        (list_size (int_range 0 6)
+           (oneofl Value.[ Int 0; Int 1; Int 2; Int 7; Float 1.5 ])))
+    (fun (a, vs) ->
+      let p = Predicate.one_of a vs in
+      Predicate.equal (Parser.predicate (Format.asprintf "%a" Predicate.pp p)) p)
 
 let prop_select_true_shares =
   qtest "select True returns its input" x_bag_gen (fun b ->
@@ -649,7 +711,7 @@ let () =
           Alcotest.test_case "natural join" `Quick test_bag_join_natural;
           Alcotest.test_case "theta join" `Quick test_bag_join_theta;
           Alcotest.test_case "join multiplicity" `Quick test_bag_join_multiplicity;
-          Alcotest.test_case "product overlap" `Quick test_bag_product_overlap;
+          Alcotest.test_case "disjoint join is a product" `Quick test_bag_join_disjoint;
         ] );
       ( "eval",
         [
@@ -675,6 +737,9 @@ let () =
           prop_set_diff_set_semantics;
           prop_select_matches_eval;
           prop_key_set_matches_eval;
+          prop_or_idempotent;
+          prop_or_merges_key_sets;
+          prop_key_set_prints_back;
           prop_select_true_shares;
         ] );
     ]

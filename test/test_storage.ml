@@ -16,7 +16,7 @@ let test_table_basic () =
   let t = Table.create ~name:"S" schema_s in
   Table.insert t (s_tuple 1 2 3);
   Table.insert ~mult:2 t (s_tuple 4 5 6);
-  Alcotest.(check int) "cardinal" 3 (Table.cardinal t);
+  Alcotest.(check int) "cardinal" 3 (Bag.cardinal (Table.contents t));
   Alcotest.(check int) "support" 2 (Table.support_cardinal t);
   Alcotest.(check int) "mult" 2 (Table.mult t (s_tuple 4 5 6));
   Table.delete t (s_tuple 4 5 6);
@@ -94,7 +94,7 @@ let test_table_rejects_bad_tuple () =
 let test_store_catalog () =
   let store = Store.create () in
   let _ = Store.create_table store ~name:"S" schema_s in
-  Alcotest.(check bool) "mem" true (Store.mem store "S");
+  Alcotest.(check bool) "mem" true (Store.table_opt store "S" <> None);
   Alcotest.(check (list string)) "names" [ "S" ] (Store.table_names store);
   (try
      ignore (Store.create_table store ~name:"S" schema_s);
@@ -109,11 +109,11 @@ let test_store_env_and_bytes () =
   let store = Store.create () in
   let tbl = Store.create_table store ~name:"S" schema_s in
   Table.insert tbl (s_tuple 1 2 3);
-  (match Store.env store "S" with
-  | Some b -> Alcotest.(check int) "env view" 1 (Bag.cardinal b)
+  (match Store.table_opt store "S" with
+  | Some t -> Alcotest.(check int) "env view" 1 (Bag.cardinal (Table.contents t))
   | None -> Alcotest.fail "expected table");
   Alcotest.(check (option reject)) "absent" None
-    (Option.map (fun (_ : Bag.t) -> ()) (Store.env store "NOPE"));
+    (Option.map (fun (_ : Table.t) -> ()) (Store.table_opt store "NOPE"));
   Alcotest.(check bool) "bytes counted" true (Store.total_bytes store > 0)
 
 (* [Hash_index.of_bag] builds in bulk what adding the bag's tuples one

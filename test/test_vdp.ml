@@ -557,7 +557,7 @@ let test_restrict_def_equivalence () =
       ("E", [ "a1"; "b1" ], Predicate.(lt (attr "a1") (int 10)));
       ("F", [ "b1" ], Predicate.True);
       ("G", [ "a1" ], Predicate.True);
-      ("G", [ "a1"; "b1" ], Predicate.(gt (attr "b1") (int 3)));
+      ("G", [ "a1"; "b1" ], Predicate.(Cmp (Gt, attr "b1", int 3)));
     ]
 
 (* --- dot rendering ------------------------------------------------------ *)

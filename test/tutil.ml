@@ -158,3 +158,11 @@ let delta_gen_for schema bag =
 
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
+
+(* the retained spans named [name], preorder, oldest root first *)
+let find_spans trace name =
+  let acc = ref [] in
+  Obs.Trace.iter_spans
+    (fun sp -> if String.equal sp.Obs.Trace.name name then acc := sp :: !acc)
+    trace;
+  List.rev !acc
