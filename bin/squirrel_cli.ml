@@ -258,18 +258,18 @@ let print_profile med ~max_batch =
     | 0 -> 1.0
     | n -> float_of_int (v s.Med.coalesced_txs) /. float_of_int n)
     (v s.Med.annihilated_pairs);
-  let store = med.Med.store in
-  let table_names = List.sort compare (Storage.Store.table_names store) in
-  if table_names <> [] then begin
+  let tables =
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (Hashtbl.fold (fun n tb acc -> (n, tb) :: acc) med.Med.tables [])
+  in
+  if tables <> [] then begin
     Printf.printf "\n-- table statistics --\n";
     List.iter
-      (fun n ->
-        match Storage.Store.table_opt store n with
-        | Some tb ->
-          Format.printf "%-14s %a@." n Storage.Table.pp_stats
-            (Storage.Table.stats tb)
-        | None -> ())
-      table_names
+      (fun (n, tb) ->
+        Format.printf "%-14s %a@." n Storage.Table.pp_stats
+          (Storage.Table.stats tb))
+      tables
   end;
   Printf.printf "\n-- metrics registry --\n";
   print_string
@@ -692,9 +692,6 @@ let federation_cmd =
              (List.map
                 (fun (src, e) -> Printf.sprintf "%s=%s" src (entry e))
                 ans.Qp.reflect));
-        (match ans.Qp.trace_id with
-        | Some id -> Printf.printf "  trace    fed_query_tx span #%d\n" id
-        | None -> ());
         Ok ()
     end
   in

@@ -2,7 +2,6 @@ open Relalg
 open Delta
 open Vdp
 open Sim
-open Sources
 open Storage
 
 (* filter the leaf-level delta through a leaf-parent's definition *)
@@ -211,53 +210,11 @@ let run (t : Med.t) =
             List.iter
               (fun (_, table, d) -> Table.apply_delta table d)
               !to_apply);
-        (* the tables behind any cached answer in the affected closure
-           just changed: scan-served store answers take the same deltas;
-           the rest, cached since the announcements arrived (computed
-           from pre-update tables), must not be served again *)
-        Med.cache_maintain t !to_apply;
-        Med.cache_invalidate_nodes t
-          (Hashtbl.fold (fun n () acc -> n :: acc) affected []);
-        (* bookkeeping: advance ref' per source (Sec. 6.1) by one
-           version *interval* — (from, to] in a single jump. The
-           freshness witness keeps the OLDEST constituent's commit and
-           send times: every batched transaction is at least that old,
-           so the reported bound stays an over-approximation of the
-           true staleness of anything the batch folded in (Theorem 7.2
-           stays sound under coalescing). Every taken entry is newer
-           than its source's reflected version, so every source in the
-           batch advances. *)
-        let per_source =
-          List.fold_left
-            (fun acc e ->
-              match List.assoc_opt e.Med.q_source acc with
-              | Some (first, _) ->
-                (e.Med.q_source, (first, e))
-                :: List.remove_assoc e.Med.q_source acc
-              | None -> (e.Med.q_source, (e, e)) :: acc)
-            [] entries
-        in
+        (* the answer cache and ref' follow the applied batch *)
         let intervals =
-          List.rev_map
-            (fun (src, (first, last)) ->
-              let from = (Med.reflected_version t src).Med.r_version in
-              Med.set_reflected t src
-                {
-                  Med.r_version = last.Med.q_version;
-                  r_commit_time = first.Med.q_commit_time;
-                  r_send_time = first.Med.q_send_time;
-                };
-              (src, (from, last.Med.q_version)))
-            per_source
+          Med.after_batch t entries ~staged:!to_apply
+            ~affected:(Hashtbl.fold (fun n () acc -> n :: acc) affected [])
         in
-        (* bounded-history support: versions below what we now reflect
-           will never be polled or checked again by this mediator *)
-        if t.Med.config.Med.Config.release_history then
-          List.iter
-            (fun s ->
-              Source_db.release (Med.source t s)
-                ~upto:(Med.reflected_version t s).Med.r_version)
-            (Graph.sources t.Med.vdp);
         (* mediator-as-source: surface the export relations' deltas to
            downstream subscribers (the federation coordinator) now that
            the tables reflect them *)

@@ -195,18 +195,31 @@ let fresh_stats () =
 
 type cached_answer = {
   mutable ca_answer : Bag.t;
+      (** for a maintained entry, brought up to date after every delta
+          its table absorbs (bags are persistent, so answers already
+          handed out stay valid) *)
   ca_polled : (string * int) list;
   ca_polled_times : (string * float) list;
   ca_trace_id : int option;
       (** polled versions (and their poll state times — the freshness
-          witnesses) of the VAP that produced the answer; replayed into
-          the reflect vector and bound on every cache hit *)
+          witnesses) of the VAP that produced the answer, and the
+          query_tx span that computed it; replayed into the reflect
+          vector, bound and provenance of every cache hit *)
   ca_scan : (Tuple.t -> bool) option;
       (** the compiled condition of an answer the store rung computed
-          by scanning the node's table; the IUP maintains such an
-          answer with the table's delta instead of dropping it *)
+          by scanning the node's table; the IUP's delta maintains such
+          an answer instead of dropping it *)
   mutable ca_absorbed : int;
       (** delta atoms maintained into the answer since its last hit *)
+}
+
+type cache = {
+  entries : (string * string list * Predicate.t, cached_answer) Hashtbl.t;
+      (** [Fresh] answers by (node, attrs, cond) *)
+  polled_hw : (string, int) Hashtbl.t;
+      (** highest source version observed per source (announcements and
+          poll answers alike); an advance invalidates the source's
+          closure in the answer cache *)
 }
 
 type export_event =
@@ -254,7 +267,7 @@ type t = {
   engine : Engine.t;
   vdp : Graph.t;
   ann : Annotation.t;
-  store : Store.t;
+  tables : (string, Table.t) Hashtbl.t;
   mutex : Engine.Mutex.t;
   config : config;
   trace : Obs.Trace.t;
@@ -264,8 +277,7 @@ type t = {
   mutable log : event list;
   mutable initialized : bool;
   derived : derived;
-  answer_cache : (string * string list * Predicate.t, cached_answer) Hashtbl.t;
-  polled_hw : (string, int) Hashtbl.t;
+  cache : cache;
   mutable export_subs : (export_event -> unit) list;
 }
 
@@ -506,6 +518,17 @@ let contributor_kind t src =
   | Some k -> k
   | None -> Virtual_contributor
 
+(* an announcing contributor's heartbeat finds lost announcements; a
+   virtual one's staleness is resolved by polling at query time —
+   unless cached answers can be served without polling, in which case
+   the heartbeat must observe version advances for them *)
+let watched_sources t =
+  List.filter
+    (fun src ->
+      contributor_kind t src <> Virtual_contributor
+      || t.config.Config.answer_cache_enabled)
+    (Graph.sources t.vdp)
+
 let index_plan t src =
   List.filter
     (fun (leaf, _) -> String.equal (Graph.source_of_leaf t.vdp leaf) src)
@@ -519,11 +542,11 @@ let index_plan t src =
 
    - A scan-served store answer π_attrs σ_cond T (the store rung read
      all of T's table) is maintained: after the IUP applies ΔT to the
-     table it applies π_attrs σ_cond ΔT to the answer
-     ({!cache_maintain}). No invalidation trigger drops it; it goes on
-     resync snapshots, when a source its node can see turns dirty ({!mark_dirty}), and once the delta atoms it
-     absorbed since its last hit reach its table's support — by then
-     maintaining it has cost one recompute.
+     table, {!after_batch} applies π_attrs σ_cond ΔT to the answer. No
+     invalidation trigger drops it; it goes on resync snapshots, when a
+     source its node can see turns dirty ({!mark_dirty}), and once the
+     delta atoms it absorbed since its last hit reach its table's
+     support — by then maintaining it has cost one recompute.
    - Every other answer is invalidated: the upward closure of an
      announcing source at {!enqueue}; the IUP's affected closure after
      tables are updated; the closure of any source whose polled
@@ -531,9 +554,27 @@ let index_plan t src =
      covers dropped announcements from virtual contributors); and a
      wholesale flush on resync snapshots. *)
 
-let cache_lookup t ~node ~attrs ~cond =
+let cache_serve t ~node ~attrs ~cond serve =
   if not t.config.answer_cache_enabled then None
-  else Hashtbl.find_opt t.answer_cache (node, attrs, cond)
+  else
+    let served =
+      match Hashtbl.find_opt t.cache.entries (node, attrs, cond) with
+      | None -> None
+      | Some ca -> (
+        match
+          serve ~answer:ca.ca_answer ~polled:ca.ca_polled
+            ~polled_times:ca.ca_polled_times ~trace_id:ca.ca_trace_id
+        with
+        | Some r ->
+          (* a hit restarts the entry's eviction count *)
+          ca.ca_absorbed <- 0;
+          Some r
+        | None -> None)
+    in
+    Obs.Metrics.incr
+      (if Option.is_some served then t.stats.cache_hits
+       else t.stats.cache_misses);
+    served
 
 let cache_store t ~node ~attrs ~cond ~polled ?(polled_times = []) ?trace_id
     ?(scanned = false) answer =
@@ -541,7 +582,7 @@ let cache_store t ~node ~attrs ~cond ~polled ?(polled_times = []) ?trace_id
      dirty since (an announcement arriving while the query charged its
      ops) has already dropped its closure, so do not put it back *)
   if t.config.answer_cache_enabled && t.ledger.dirty = [] then
-    Hashtbl.replace t.answer_cache (node, attrs, cond)
+    Hashtbl.replace t.cache.entries (node, attrs, cond)
       {
         ca_answer = answer;
         ca_polled = polled;
@@ -553,7 +594,7 @@ let cache_store t ~node ~attrs ~cond ~polled ?(polled_times = []) ?trace_id
 
 (* drop the entries [doomed] picks, counted as invalidations *)
 let cache_drop t doomed =
-  if Hashtbl.length t.answer_cache > 0 then begin
+  if Hashtbl.length t.cache.entries > 0 then begin
     let n = ref 0 in
     Hashtbl.filter_map_inplace
       (fun key ca ->
@@ -562,12 +603,14 @@ let cache_drop t doomed =
           None
         end
         else Some ca)
-      t.answer_cache;
+      t.cache.entries;
     Obs.Metrics.add t.stats.cache_invalidations !n
   end
 
 let on_nodes nodes (n, _, _) = List.exists (String.equal n) nodes
 
+(* drop every invalidated-class answer against one of the nodes;
+   maintained entries stay *)
 let cache_invalidate_nodes t nodes =
   if nodes <> [] then
     cache_drop t (fun key ca -> Option.is_none ca.ca_scan && on_nodes nodes key)
@@ -596,16 +639,13 @@ let cache_maintain t staged =
           end
         | _ -> false)
 
-let cache_flush t =
-  Obs.Metrics.add t.stats.cache_invalidations (Hashtbl.length t.answer_cache);
-  Hashtbl.reset t.answer_cache
-
-let observe_source_version t src version =
+(* the high-water mark advance behind {!observe_source_version} *)
+let observe_version t src version =
   let prev =
-    match Hashtbl.find_opt t.polled_hw src with Some v -> v | None -> 0
+    match Hashtbl.find_opt t.cache.polled_hw src with Some v -> v | None -> 0
   in
   if version > prev then begin
-    Hashtbl.replace t.polled_hw src version;
+    Hashtbl.replace t.cache.polled_hw src version;
     if t.config.answer_cache_enabled then
       cache_invalidate_nodes t (source_closure t src)
   end
@@ -633,7 +673,7 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
                 (Schema.to_string actual))
           (Graph.leaves_of_source vdp src_name))
     (Graph.sources vdp);
-  let store = Store.create () in
+  let tables = Hashtbl.create 16 in
   let indexes_of = join_index_plan vdp in
   List.iter
     (fun node ->
@@ -643,8 +683,8 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
       | Graph.Derived _ ->
         let mat = Annotation.materialized_attrs annotation name in
         if mat <> [] then
-          ignore
-            (Store.create_table store ~indexes:(indexes_of name ~mat) ~name
+          Hashtbl.replace tables name
+            (Table.create ~indexes:(indexes_of name ~mat) ~name
                (Schema.project node.Graph.schema mat)))
     (Graph.nodes vdp);
   let reflected =
@@ -657,7 +697,7 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
       engine;
       vdp;
       ann = annotation;
-      store;
+      tables;
       mutex = Engine.Mutex.create ();
       config;
       trace =
@@ -680,8 +720,7 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
       derived =
         build_derived vdp annotation
           ~key_based:config.Config.key_based_enabled;
-      answer_cache = Hashtbl.create 32;
-      polled_hw = Hashtbl.create 8;
+      cache = { entries = Hashtbl.create 32; polled_hw = Hashtbl.create 8 };
       export_subs = [];
     }
   in
@@ -709,9 +748,9 @@ let is_covered t ~node ~attrs =
   let mat = mat_attrs t node in
   List.for_all (fun a -> List.mem a mat) attrs
 
-let node_table t node = Store.table_opt t.store node
+let node_table t node = Hashtbl.find_opt t.tables node
 
-let store_env t name = Option.map Table.contents (Store.table_opt t.store name)
+let store_env t name = Option.map Table.contents (node_table t name)
 
 let reflected_version t src_name =
   match List.assoc_opt src_name t.ledger.reflected with
@@ -731,6 +770,10 @@ let note_seen t src_name v =
   if v > seen_version t src_name then
     t.ledger.seen <- (src_name, v) :: List.remove_assoc src_name t.ledger.seen
 
+let observe_source_version t src_name version =
+  observe_version t src_name version;
+  seen_version t src_name
+
 let mark_dirty t src_name =
   if not (List.mem src_name t.ledger.dirty) then begin
     t.ledger.dirty <- src_name :: t.ledger.dirty;
@@ -747,7 +790,8 @@ let gap_event t ~source ~via attrs =
   let sp = Obs.Trace.root_event t.trace "gap_detected" in
   Obs.Trace.set_attr t.trace sp "source" source;
   List.iter (fun (k, v) -> Obs.Trace.set_attri t.trace sp k v) attrs;
-  Obs.Trace.set_attr t.trace sp "via" via
+  Obs.Trace.set_attr t.trace sp "via" via;
+  mark_dirty t source
 
 (* ---- the update queue: two rules, each coded once ----
    The chain check: a delta whose predecessor is [prev] applies on top
@@ -790,14 +834,13 @@ let enqueue t (u : Message.update) =
           ("prev_version", u.Message.prev_version);
           ("version", u.Message.version);
           ("seen", seen);
-        ];
-      mark_dirty t u.Message.source
+        ]
     end;
     note_seen t u.Message.source u.Message.version;
     (* announced data supersedes any cached answer that can see the
        source; also advances the observed high-water mark so a later
        poll returning this same version does not re-invalidate *)
-    observe_source_version t u.Message.source u.Message.version;
+    observe_version t u.Message.source u.Message.version;
     let entry =
       {
         q_source = u.Message.source;
@@ -852,11 +895,74 @@ let take_batch t =
   Obs.Metrics.set t.stats.queue_depth (float_of_int (queue_length t));
   List.rev taken
 
+(* The batch's bookkeeping once its deltas are in the tables (see the
+   interface): the answer cache first, then ref'. *)
+let after_batch t entries ~staged ~affected =
+  (* the tables behind any cached answer in the affected closure just
+     changed: scan-served store answers take the same deltas; the
+     rest, cached since the announcements arrived (computed from
+     pre-update tables), must not be served again *)
+  cache_maintain t staged;
+  cache_invalidate_nodes t affected;
+  (* advance ref' per source (Sec. 6.1) by one version *interval* —
+     (from, to] in a single jump. The freshness witness keeps the
+     OLDEST constituent's commit and send times: every batched
+     transaction is at least that old, so the reported bound stays an
+     over-approximation of the true staleness of anything the batch
+     folded in (Theorem 7.2 stays sound under coalescing). Every taken
+     entry is newer than its source's reflected version, so every
+     source in the batch advances. *)
+  let per_source =
+    List.fold_left
+      (fun acc e ->
+        match List.assoc_opt e.q_source acc with
+        | Some (first, _) ->
+          (e.q_source, (first, e)) :: List.remove_assoc e.q_source acc
+        | None -> (e.q_source, (e, e)) :: acc)
+      [] entries
+  in
+  let intervals =
+    List.rev_map
+      (fun (src, (first, last)) ->
+        let from = (reflected_version t src).r_version in
+        set_reflected t src
+          {
+            r_version = last.q_version;
+            r_commit_time = first.q_commit_time;
+            r_send_time = first.q_send_time;
+          };
+        (src, (from, last.q_version)))
+      per_source
+  in
+  (* bounded-history support: versions below what we now reflect will
+     never be polled or checked again by this mediator *)
+  if t.config.Config.release_history then
+    List.iter
+      (fun s ->
+        Source_db.release (source t s) ~upto:(reflected_version t s).r_version)
+      (Graph.sources t.vdp);
+  intervals
+
 (* The snapshot's polls yield, so announcements kept arriving — one
    may reveal a new gap in a source already polled. Recompute the
    dirty set from the surviving entries; a blanket clear would lose
    that repair. *)
-let after_snapshot t =
+let after_snapshot t versions =
+  (* every cached answer predates the snapshot *)
+  Obs.Metrics.add t.stats.cache_invalidations
+    (Hashtbl.length t.cache.entries);
+  Hashtbl.reset t.cache.entries;
+  List.iter
+    (fun (src, version, state_time) ->
+      observe_version t src version;
+      set_reflected t src
+        {
+          r_version = version;
+          r_commit_time = state_time;
+          r_send_time = state_time;
+        };
+      note_seen t src version)
+    versions;
   let kept = Queue.create () in
   let heads = ref [] in
   t.ledger.dirty <- [];

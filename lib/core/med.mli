@@ -258,33 +258,6 @@ type stats = {
           latest enqueue or batch take *)
 }
 
-type cached_answer = {
-  mutable ca_answer : Bag.t;
-      (** the answer; for a maintained entry, brought up to date by
-          {!cache_maintain} after every delta its table absorbs (bags
-          are persistent, so answers already handed out stay valid) *)
-  ca_polled : (string * int) list;
-      (** polled versions of the VAP that produced the answer; replayed
-          into the reflect vector on every cache hit *)
-  ca_polled_times : (string * float) list;
-      (** poll state times of those versions — the freshness witnesses
-          from which a hit recomputes its {!answer_bound} at serve
-          time *)
-  ca_trace_id : int option;
-      (** query_tx span that computed the answer — hits are stamped
-          with this provenance id instead of recording a span of their
-          own, keeping the hit path free of trace allocation *)
-  ca_scan : (Tuple.t -> bool) option;
-      (** [Some] (the condition, compiled once) when the store rung
-          computed the answer π_attrs σ_cond T by scanning T's table:
-          such an entry is maintained, not invalidated. [None] for
-          probe-served, key-based and VAP answers. *)
-  mutable ca_absorbed : int;
-      (** delta atoms a maintained entry absorbed since its last hit
-          (the query path resets it); at its table's
-          {!Storage.Table.support_cardinal} the entry is evicted *)
-}
-
 type export_event =
   | Export_delta of {
       ee_time : float;
@@ -338,11 +311,19 @@ type ledger
     baseline for duplicate and gap detection) and the dirty mark (a
     detected gap: ECA is off until a resync). *)
 
+type cache
+(** The query answer cache and the per-source highest observed
+    version that invalidates it, reached only through the functions
+    below (the query answer cache section). *)
+
 type t = {
   engine : Engine.t;
   vdp : Graph.t;
   ann : Annotation.t;  (** fixed for the mediator's lifetime *)
-  store : Store.t;
+  tables : (string, Table.t) Hashtbl.t;
+      (** the local store: one table per node with at least one
+          materialized attribute, by node name; read through
+          {!node_table} *)
   mutex : Engine.Mutex.t;
   config : config;
   trace : Obs.Trace.t;
@@ -354,12 +335,7 @@ type t = {
   mutable log : event list;  (** newest first *)
   mutable initialized : bool;
   derived : derived;
-  answer_cache : (string * string list * Predicate.t, cached_answer) Hashtbl.t;
-      (** [Fresh] answers by (node, attrs, cond); see {!cache_lookup} *)
-  polled_hw : (string, int) Hashtbl.t;
-      (** highest source version observed per source (announcements and
-          poll answers alike); an advance invalidates the source's
-          closure in the answer cache *)
+  cache : cache;
   mutable export_subs : (export_event -> unit) list;
       (** mediator-as-source consumers, notified in subscription order *)
 }
@@ -432,28 +408,26 @@ val contributor_kind : t -> string -> contributor_kind
     in the {!derived} table; a source the VDP lacks feeds nothing and
     counts as virtual. *)
 
+val watched_sources : t -> string list
+(** The sources the anti-entropy heartbeat polls, in
+    {!Vdp.Graph.sources} order: every announcing contributor, and with
+    the answer cache on every virtual one too, so that answers cached
+    against it notice versions whose announcements were dropped. *)
+
 val reflected_version : t -> string -> reflected
-
-val set_reflected : t -> string -> reflected -> unit
-
-val seen_version : t -> string -> int
-(** Highest announcement version received from the source. *)
-
-val note_seen : t -> string -> int -> unit
-(** Advance the seen version (never retreats). *)
-
-val mark_dirty : t -> string -> unit
-(** Record an announcement gap from the source. The first mark drops
-    every cached answer in the source's closure, maintained entries
-    included: an answer over the gap cannot be served [Fresh]. *)
+(** The source's entry of [ref']. Only {!after_batch} and
+    {!after_snapshot} advance it. *)
 
 val dirty_sources : t -> string list
 
 val gap_event : t -> source:string -> via:string -> (string * int) list -> unit
-(** Count a detected announcement gap and record a ["gap_detected"]
-    root event in the trace, with the int attributes [attrs] between
-    its [source] and [via] attributes. [via] names the detector
-    (["announcement"], ["heartbeat"], ["desync"], ["slo_poll"]). *)
+(** Record a detected announcement gap from the source: count it,
+    record a ["gap_detected"] root event in the trace, with the int
+    attributes [attrs] between its [source] and [via] attributes, and
+    mark the source dirty. [via] names the detector (["announcement"],
+    ["heartbeat"], ["desync"], ["slo_poll"]). The first mark drops
+    every cached answer in the source's closure, maintained entries
+    included: an answer over the gap cannot be served [Fresh]. *)
 
 val enqueue : t -> Message.update -> unit
 (** Queue an arriving announcement — after fault screening: a version
@@ -477,9 +451,34 @@ val requeue : t -> queue_entry list -> unit
 (** Put a taken batch back at the head of the queue, in order (an
     update transaction aborted). *)
 
-val after_snapshot : t -> unit
-(** Once a snapshot has set every reflected version: drop the entries
-    it covers, and mark dirty exactly the sources whose remaining
+val after_batch :
+  t ->
+  queue_entry list ->
+  staged:(string * Table.t * Rel_delta.t) list ->
+  affected:string list ->
+  (string * (int * int)) list
+(** [after_batch t entries ~staged ~affected], right after the IUP
+    applied each [(node, table, ΔT)] of [staged] to its table ([ΔT]
+    projected to the table's attributes) for the batch [entries]
+    ({!take_batch}), whose kernel pass reached the [affected] nodes.
+    Every maintained cache entry on a staged node becomes
+    [apply answer (π_attrs σ_cond ΔT)], charged one tuple op per atom
+    of [ΔT], or is evicted when its absorbed atoms reach the table's
+    support cardinality; every other cached answer on an affected node
+    is dropped. Then each source of the batch advances its reflected
+    version to its newest entry in one jump, keeping the oldest
+    constituent's commit and send times (the conservative Theorem 7.2
+    witness), and with [config.release_history] every source releases
+    its history up to its reflected version. Returns the version
+    interval [(from, to]] each advanced source covered. *)
+
+val after_snapshot : t -> (string * int * float) list -> unit
+(** [after_snapshot t versions], once a snapshot polled each
+    [(source, version, state_time)] of [versions]: drop every cached
+    answer, set each source's reflected version to [version] (commit
+    and send times [state_time]) and raise its seen version and
+    observed high-water mark to it, drop the queued entries the
+    snapshot covers, and mark dirty exactly the sources whose remaining
     entries do not chain gaplessly from their reflected version. *)
 
 val queue_length : t -> int
@@ -582,26 +581,38 @@ val leaf_origins : Graph.t -> string -> string -> (string * string) list
     reflected versions. Two classes of entry:
 
     - {e maintained}: a store answer π_attrs σ_cond T computed by a
-      scan of T's table ([ca_scan]). It is what a recompute would read
-      until the IUP changes the table, and the IUP then updates it with
-      the same delta ({!cache_maintain}). It is dropped on resync
-      snapshots ({!cache_flush}), when a source in
-      its node's closure turns dirty ({!mark_dirty}), and once the
-      delta atoms absorbed since its last hit reach the table's
-      support cardinality.
+      scan of T's table. It is what a recompute would read until the
+      IUP changes the table, and {!after_batch} then updates it with
+      the same delta. It is dropped on resync snapshots
+      ({!after_snapshot}), when a source in its node's closure turns
+      dirty ({!gap_event}), and once the delta atoms absorbed since its
+      last hit reach the table's support cardinality.
     - {e invalidated}: every other answer. Dropped by the upward
       closure of an announcing source ({!enqueue}), by the IUP's
-      affected closure after tables are updated, by any observed
-      per-source version advance ({!observe_source_version}), and by
-      the flushes and dirty marks above. *)
+      affected closure after tables are updated ({!after_batch}), by
+      any observed per-source version advance
+      ({!observe_source_version}), and by the snapshots and dirty
+      marks above. *)
 
-val cache_lookup :
+val cache_serve :
   t ->
   node:string ->
   attrs:string list ->
   cond:Predicate.t ->
-  cached_answer option
-(** [None] when disabled by config or not cached. *)
+  (answer:Bag.t ->
+  polled:(string * int) list ->
+  polled_times:(string * float) list ->
+  trace_id:int option ->
+  'a option) ->
+  'a option
+(** [cache_serve t ~node ~attrs ~cond serve] offers the answer cached
+    for the query, if any, to [serve] with the polled versions and
+    poll state times of the VAP that produced it and the query_tx span
+    that computed it. A [Some] result is a hit: it counts in
+    [cache_hits] and restarts the entry's eviction count. [None] (no
+    entry, or [serve] declined it, e.g. it cannot meet a freshness SLO:
+    the entry is bypassed, not evicted) counts in [cache_misses].
+    Always [None], counting nothing, when disabled by config. *)
 
 val cache_store :
   t ->
@@ -620,24 +631,11 @@ val cache_store :
     π_attrs σ_cond [node] read by a scan of the node's table: the entry
     is maintained instead of invalidated. *)
 
-val cache_invalidate_nodes : t -> string list -> unit
-(** Drop every invalidated-class answer against one of the nodes;
-    maintained entries stay (see {!cache_maintain}). *)
-
-val cache_maintain : t -> (string * Table.t * Rel_delta.t) list -> unit
-(** [cache_maintain t staged], right after the IUP applied each
-    [(node, table, ΔT)] to its table ([ΔT] projected to the table's
-    attributes): every maintained entry on a staged node becomes
-    [apply answer (π_attrs σ_cond ΔT)], charged one tuple op per atom
-    of [ΔT], or is evicted when its absorbed atoms reach the table's
-    support cardinality. *)
-
-val cache_flush : t -> unit
-(** Drop everything (resync snapshot). *)
-
-val observe_source_version : t -> string -> int -> unit
-(** Note that [src] was seen at [version] (an announcement arrived or
-    a poll answer reflected it). When this advances the per-source
-    high-water mark, cached answers in the source's closure are
-    invalidated — this is how answers cached against a virtual
-    contributor notice versions whose announcements were dropped. *)
+val observe_source_version : t -> string -> int -> int
+(** [observe_source_version t src version]: a poll answer showed [src]
+    at [version]. When this advances the per-source high-water mark,
+    cached answers in the source's closure are invalidated — this is
+    how answers cached against a virtual contributor notice versions
+    whose announcements were dropped. Returns the highest announcement
+    version received from [src]: the baseline the poller's gap check
+    compares [version] against. *)

@@ -42,36 +42,25 @@ let connect (t : Med.t) () =
       if t.Med.initialized then
         List.iter
           (fun src_name ->
-            (* staleness of a purely virtual source is resolved by
-               polling at query time — unless cached answers can be
-               served without polling, in which case the heartbeat
-               must observe version advances for them *)
-            let announcing =
-              Med.contributor_kind t src_name <> Med.Virtual_contributor
-            in
-            if announcing || t.Med.config.Med.Config.answer_cache_enabled then
-              match
-                Source_db.try_poll (Med.source t src_name)
-                  ?timeout:t.Med.config.Med.Config.poll_timeout []
-              with
-              | Ok a ->
-                Obs.Metrics.incr t.Med.stats.Med.version_checks;
-                Med.observe_source_version t src_name a.Message.answer_version;
-                (* a virtual contributor has no ECA baseline to repair,
-                   only cached answers to invalidate (above) *)
-                if
-                  announcing
-                  && a.Message.answer_version <> Med.seen_version t src_name
-                then begin
-                  Med.gap_event t ~source:src_name ~via:"heartbeat"
-                    [
-                      ("answer_version", a.Message.answer_version);
-                      ("seen", Med.seen_version t src_name);
-                    ];
-                  Med.mark_dirty t src_name
-                end
-              | Error _ -> ())
-          (Graph.sources t.Med.vdp);
+            match
+              Source_db.try_poll (Med.source t src_name)
+                ?timeout:t.Med.config.Med.Config.poll_timeout []
+            with
+            | Ok a ->
+              Obs.Metrics.incr t.Med.stats.Med.version_checks;
+              let seen =
+                Med.observe_source_version t src_name a.Message.answer_version
+              in
+              (* a virtual contributor has no ECA baseline to repair,
+                 only cached answers to invalidate (above) *)
+              if
+                Med.contributor_kind t src_name <> Med.Virtual_contributor
+                && a.Message.answer_version <> seen
+              then
+                Med.gap_event t ~source:src_name ~via:"heartbeat"
+                  [ ("answer_version", a.Message.answer_version); ("seen", seen) ]
+            | Error _ -> ())
+          (Med.watched_sources t);
       checker ()
     in
     Engine.spawn t.Med.engine checker
@@ -214,7 +203,9 @@ let trace (t : Med.t) = t.Med.trace
 let metrics (t : Med.t) = t.Med.stats.Med.registry
 let contributor_kind = Med.contributor_kind
 
-let store_bytes (t : Med.t) = Store.total_bytes t.Med.store
+let store_bytes (t : Med.t) =
+  Hashtbl.fold (fun _ tb acc -> acc + Table.bytes_estimate tb) t.Med.tables 0
+
 let queue_length = Med.queue_length
 
 let describe (t : Med.t) =

@@ -82,7 +82,7 @@ let base_stale (t : Med.t) =
 
    A projected whole-table read returns a copy, never the table's live
    version: a scan-served answer is cached and then updated in place
-   by {!Med.cache_maintain} while {!Table.apply_delta} updates the
+   by {!Med.after_batch} while {!Table.apply_delta} updates the
    table, and the two would fork one diff chain into two live
    branches, so that every later access to either walks a path that
    grows with every atom of ΔT. Without [attrs] the rows may be the
@@ -326,16 +326,15 @@ let slo_prepoll (t : Med.t) ~slo =
                 match Med.poll_with_retry t (Med.source t src_name) [] with
                 | a ->
                   Obs.Metrics.incr t.Med.stats.Med.slo_polls;
-                  if a.Message.answer_version > Med.seen_version t src_name
-                  then begin
+                  let seen =
+                    Med.observe_source_version t src_name
+                      a.Message.answer_version
+                  in
+                  if a.Message.answer_version > seen then
                     (* the flush's announcements were lost in transit —
                        the heartbeat idiom: mark for resync *)
                     Med.gap_event t ~source:src_name ~via:"slo_poll"
                       [ ("version", a.Message.answer_version) ];
-                    Med.mark_dirty t src_name
-                  end;
-                  Med.observe_source_version t src_name
-                    a.Message.answer_version;
                   Some
                     (src_name, a.Message.state_time, a.Message.answer_version)
                 | exception (Med.Poll_failed _ | Med.Desync _) ->
@@ -432,40 +431,32 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
          give — a maintained store answer took every delta its table
          did, and any other entry saw no delta, table change or newer
          source version on a node it can see — serve it as Fresh. The
-         hit resets a maintained entry's absorbed-atom count. The reflect
-         vector is recomputed at serve time from the entry's recorded
-         polled versions: entries for sources the answer does not
-         depend on stay monotone with the mediator's current state, and
-         the bound from the entry's recorded poll times and the current
-         reflected send times, exactly as for a computed answer (a hit
-         charges no ops, so the clock has not moved since).
+         reflect vector is recomputed at serve time from the entry's
+         recorded polled versions: entries for sources the answer does
+         not depend on stay monotone with the mediator's current state,
+         and the bound from the entry's recorded poll times and the
+         current reflected send times, exactly as for a computed answer
+         (a hit charges no ops, so the clock has not moved since).
          A hit records no span of its own — the whole path is two hash
          lookups, and trace allocation must not dominate it (e16); the
          answer instead carries the id of the query_tx span that
          originally computed it, and the hit shows up in the
-         cache_hits counter and the query_tx_time histogram. *)
+         cache_hits counter and the query_tx_time histogram. An entry
+         that cannot meet the SLO is bypassed, not evicted: the
+         computed answer below will overwrite it. *)
       let hit =
-        match Med.cache_lookup t ~node ~attrs ~cond with
-        | Some ca ->
-          let bound =
-            Med.answer_bound t
-              ~polled_times:(with_prepoll ca.Med.ca_polled_times)
-              ()
-          in
-          if slo_met bound then Some (ca, bound) else None
-        | None -> None
+        Med.cache_serve t ~node ~attrs ~cond
+          (fun ~answer ~polled ~polled_times ~trace_id ->
+            let bound =
+              Med.answer_bound t ~polled_times:(with_prepoll polled_times) ()
+            in
+            if slo_met bound then Some (answer, polled, trace_id, bound)
+            else None)
       in
       match hit with
-      | Some (ca, bound) ->
-        ca.Med.ca_absorbed <- 0;
-        Obs.Metrics.incr t.Med.stats.Med.cache_hits;
-        record ~stale:[] ~bound ~polled:ca.Med.ca_polled
-          ~trace_id:ca.Med.ca_trace_id ca.Med.ca_answer
+      | Some (answer, polled, trace_id, bound) ->
+        record ~stale:[] ~bound ~polled ~trace_id answer
       | None ->
-      (* a surviving entry that cannot meet the SLO is bypassed, not
-         evicted: the computed answer below will overwrite it *)
-      if t.Med.config.Med.Config.answer_cache_enabled then
-        Obs.Metrics.incr t.Med.stats.Med.cache_misses;
       Obs.Trace.with_span t.Med.trace "query_tx" (fun tx_sp ->
       Obs.Trace.set_attr t.Med.trace tx_sp "node" node;
       let trace_id = Obs.Trace.span_id t.Med.trace tx_sp in

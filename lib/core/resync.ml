@@ -29,25 +29,20 @@ let snapshot ?(trigger = "init") (t : Med.t) =
         end)
       (Graph.sources t.Med.vdp)
   in
-  (* every cached answer predates the snapshot *)
-  Med.cache_flush t;
   let leaf_values : (string, Bag.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter
-    (fun (src_name, answer) ->
+    (fun (_, answer) ->
       List.iter
         (fun (l, b) -> Hashtbl.replace leaf_values l b)
-        answer.Message.results;
-      Med.observe_source_version t src_name answer.Message.answer_version;
-      Med.set_reflected t src_name
-        {
-          Med.r_version = answer.Message.answer_version;
-          r_commit_time = answer.Message.state_time;
-          r_send_time = answer.Message.state_time;
-        };
-      Med.note_seen t src_name answer.Message.answer_version)
+        answer.Message.results)
     answers;
-  (* drop the queued entries it covers; recompute the dirty set *)
-  Med.after_snapshot t;
+  (* reset the reflect vector, drop every cached answer and the queued
+     entries the snapshot covers; recompute the dirty set *)
+  Med.after_snapshot t
+    (List.map
+       (fun (src_name, answer) ->
+         (src_name, answer.Message.answer_version, answer.Message.state_time))
+       answers);
   (* populate bottom-up *)
   let values : (string, Bag.t) Hashtbl.t = Hashtbl.create 16 in
   let env name =

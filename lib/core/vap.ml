@@ -162,7 +162,9 @@ let build_inner (t : Med.t) ~pending requests =
       (* any polled answer is an observation of the source's current
          version; an advance past the high-water mark invalidates
          cached answers in the source's closure *)
-      Med.observe_source_version t src_name answer.Message.answer_version;
+      let seen =
+        Med.observe_source_version t src_name answer.Message.answer_version
+      in
       let contributor = Med.contributor_kind t src_name in
       (match contributor with
       | Med.Virtual_contributor ->
@@ -183,13 +185,11 @@ let build_inner (t : Med.t) ~pending requests =
            answer overtook one (reordering) — either way the unseen
            delta no longer describes what the answer contains, so
            compensation would corrupt the view. *)
-        let seen = Med.seen_version t src_name in
         if answer.Message.answer_version <> seen then begin
           (* the repair this triggers must be attributable in the
              trace: every resync needs a preceding gap_detected *)
           Med.gap_event t ~source:src_name ~via:"desync"
             [ ("answer_version", answer.Message.answer_version); ("seen", seen) ];
-          Med.mark_dirty t src_name;
           raise
             (Med.Desync
                (Printf.sprintf

@@ -31,9 +31,9 @@ val value_restrictions :
     base occurrence D whose delta [known] already gives, and an equi
     pair (x, d) of the join — explicit or a shared natural-join
     column, followed through select, project, rename and join — leads
-    x to X and d to D: the restriction is [x ∈ keys], the sorted
-    distinct d-values over ΔD's inserts and deletes, as an [Or]-chain
-    of [x = v]. Every other read (difference operands, non-equi joins,
+    x to X and d to D: the restriction is [x ∈ keys], the distinct
+    d-values over ΔD's inserts and deletes, as one
+    {!Relalg.Predicate.one_of} key set. Every other read (difference operands, non-equi joins,
     two changed bases, a D whose delta is only known later, a Null
     key) is [True]; a base read several times gets the disjunction.
     [schema] gives each base's schema. The IUP narrows its

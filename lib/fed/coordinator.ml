@@ -19,10 +19,11 @@ type t = {
   f_config : Med.config;
   f_shards : shard array;
   f_mutex : Engine.Mutex.t;
-      (* serializes fed-level query transactions so the trace's open
-         stack sees one fed_query_tx at a time; the scatter inside a
-         transaction still overlaps across shards *)
-  f_trace : Obs.Trace.t;
+      (* runs fed-level query transactions one at a time, so a shard's
+         update transactions queue behind at most one fed sub-query
+         rather than behind every fed query waiting on that shard's
+         mediator; the scatter inside a transaction still overlaps
+         across shards. e18's makespans depend on this order. *)
   f_metrics : Obs.Metrics.t;
   f_queries : Obs.Metrics.counter;
   f_fanouts : Obs.Metrics.counter;
@@ -34,10 +35,6 @@ type t = {
 }
 
 let err fmt = Format.kasprintf failwith fmt
-
-(* a root event about one shard *)
-let shard_event t name i =
-  Obs.Trace.set_attri t.f_trace (Obs.Trace.root_event t.f_trace name) "shard" i
 
 let create ~engine ~vdp ~key ~shards ~make_sources
     ?(annotation = Annotation.fully_materialized)
@@ -59,12 +56,6 @@ let create ~engine ~vdp ~key ~shards ~make_sources
       f_config = config;
       f_shards = [||];
       f_mutex = Engine.Mutex.create ();
-      f_trace =
-        Obs.Trace.create
-          ~capacity:config.Med.Config.trace_capacity
-          ~enabled:config.Med.Config.trace_enabled
-          ~now:(fun () -> Engine.now engine)
-          ();
       f_metrics = metrics;
       f_queries = c "fed_queries";
       f_fanouts = c "fed_fanouts";
@@ -87,9 +78,7 @@ let create ~engine ~vdp ~key ~shards ~make_sources
        coordinator's resync bookkeeping *)
     Mediator.subscribe_exports med (function
       | Med.Export_delta _ -> ()
-      | Med.Export_snapshot _ ->
-        Obs.Metrics.incr t.f_shard_resyncs;
-        shard_event t "shard_resync" i);
+      | Med.Export_snapshot _ -> Obs.Metrics.incr t.f_shard_resyncs);
     {
       sh_id = i;
       sh_sources =
@@ -98,26 +87,7 @@ let create ~engine ~vdp ~key ~shards ~make_sources
       sh_alive = true;
     }
   in
-  let t = { t with f_shards = Array.init shards mk_shard } in
-  Obs.Metrics.register_family metrics "shard_queue_depth"
-    ~help:"update-queue depth per mediator shard" (fun () ->
-      Array.to_list
-        (Array.map
-           (fun sh ->
-             (Printf.sprintf "shard%d" sh.sh_id, Mediator.queue_length sh.sh_med))
-           t.f_shards));
-  (* each shard batches its own announcement stream independently —
-     surface the per-shard batch counts federation-side so uneven
-     routing shows up as uneven coalescing *)
-  Obs.Metrics.register_family metrics "shard_batches"
-    ~help:"group-commit batches applied per mediator shard" (fun () ->
-      Array.to_list
-        (Array.map
-           (fun sh ->
-             ( Printf.sprintf "shard%d" sh.sh_id,
-               Obs.Metrics.value (Mediator.stats sh.sh_med).Med.update_txs ))
-           t.f_shards));
-  t
+  { t with f_shards = Array.init shards mk_shard }
 
 let shard_count t = Array.length t.f_shards
 let shard t i = t.f_shards.(i)
@@ -146,16 +116,13 @@ let initialize t =
 
 (* Route an update transaction: split the delta by key ownership and
    commit each shard's slice at that shard's own source databases.
-   Non-blocking (commits only stage announcements), so the span needs
-   no stack discipline — it records as a root event. *)
+   Non-blocking: commits only stage announcements. *)
 let commit t md =
   let shards = Array.length t.f_shards in
   let parts = Partition.split_delta ~shards ~key:t.f_key md in
-  let touched = ref 0 in
   Array.iteri
     (fun i part ->
       if not (Multi_delta.is_empty part) then begin
-        incr touched;
         (* group the slice's relations by owning source *)
         let by_source : (string, Multi_delta.t ref) Hashtbl.t =
           Hashtbl.create 4
@@ -174,10 +141,7 @@ let commit t md =
       end)
     parts;
   Obs.Metrics.incr t.f_routed_txs;
-  Obs.Metrics.add t.f_routed_atoms (Multi_delta.atom_count md);
-  let sp = Obs.Trace.root_event t.f_trace "route_update" in
-  Obs.Trace.set_attri t.f_trace sp "shards" !touched;
-  Obs.Trace.set_attri t.f_trace sp "atoms" (Multi_delta.atom_count md)
+  Obs.Metrics.add t.f_routed_atoms (Multi_delta.atom_count md)
 
 (* Staleness markers standing in for a dead shard: the coordinator can
    say exactly which versions of the shard's sources the federation
@@ -212,77 +176,53 @@ let query t ~node ?attrs ?(cond = Predicate.True) () =
   let attrs, out_schema = validate t node attrs cond in
   Engine.Mutex.with_lock t.f_engine t.f_mutex (fun () ->
       Obs.Metrics.incr t.f_queries;
-      Obs.Trace.with_span t.f_trace "fed_query_tx" (fun fed_sp ->
-          Obs.Trace.set_attr t.f_trace fed_sp "node" node;
-          let shards = Array.length t.f_shards in
-          let target_ids =
-            match Partition.targets ~shards ~key:t.f_key cond with
-            | Partition.All_shards -> List.init shards Fun.id
-            | Partition.Some_shards ids -> ids
-          in
-          let alive, dead =
-            List.partition (fun i -> t.f_shards.(i).sh_alive) target_ids
-          in
-          Obs.Trace.set_attri t.f_trace fed_sp "targets" (List.length target_ids);
-          Obs.Trace.set_attri t.f_trace fed_sp "dead" (List.length dead);
-          let ask i () =
-            let sh = t.f_shards.(i) in
-            let sp =
-              Obs.Trace.fork_span t.f_trace ~parent:fed_sp "shard_query"
-            in
-            Obs.Trace.set_attri t.f_trace sp "shard" i;
-            let a = Mediator.query sh.sh_med ~node ~attrs ~cond () in
-            Obs.Trace.set_attri t.f_trace sp "tuples" (Bag.cardinal a.Qp.tuples);
-            (match a.Qp.trace_id with
-            | Some id -> Obs.Trace.set_attri t.f_trace sp "shard_trace_id" id
-            | None -> ());
-            Obs.Trace.join_span t.f_trace sp;
-            a
-          in
-          let answers =
-            match alive with
-            | [] -> []
-            | [ i ] ->
-              Obs.Metrics.incr t.f_single_shard;
-              [ ask i () ]
-            | _ ->
-              Obs.Metrics.incr t.f_fanouts;
-              Engine.parallel t.f_engine (List.map ask alive)
-          in
-          let tuples =
-            List.fold_left
-              (fun acc (a : Qp.answer) -> Bag.union acc a.Qp.tuples)
-              (Bag.empty out_schema) answers
-          in
-          let dead_stale =
-            List.concat_map (fun i -> dead_markers t t.f_shards.(i)) dead
-          in
-          let quality =
-            Merge.merge_quality
-              ((if dead_stale = [] then Qp.Fresh else Qp.Stale dead_stale)
-              :: List.map (fun (a : Qp.answer) -> a.Qp.quality) answers)
-          in
-          let reflect =
-            Merge.merge_reflect
-              (List.map (fun (a : Qp.answer) -> a.Qp.reflect) answers)
-          in
-          let bound =
-            Merge.merge_bound ~stale:dead_stale
-              (List.map (fun (a : Qp.answer) -> a.Qp.bound) answers)
-          in
-          Obs.Trace.set_attri t.f_trace fed_sp "tuples" (Bag.cardinal tuples);
-          (match quality with
-          | Qp.Fresh -> ()
-          | Qp.Stale _ ->
-            Obs.Metrics.incr t.f_degraded;
-            Obs.Trace.set_attr t.f_trace fed_sp "degraded" "true");
-          {
-            Qp.tuples;
-            quality;
-            reflect;
-            bound;
-            trace_id = Obs.Trace.span_id t.f_trace fed_sp;
-          }))
+      let shards = Array.length t.f_shards in
+      let target_ids =
+        match Partition.targets ~shards ~key:t.f_key cond with
+        | Partition.All_shards -> List.init shards Fun.id
+        | Partition.Some_shards ids -> ids
+      in
+      let alive, dead =
+        List.partition (fun i -> t.f_shards.(i).sh_alive) target_ids
+      in
+      let ask i () =
+        Mediator.query t.f_shards.(i).sh_med ~node ~attrs ~cond ()
+      in
+      let answers =
+        match alive with
+        | [] -> []
+        | [ i ] ->
+          Obs.Metrics.incr t.f_single_shard;
+          [ ask i () ]
+        | _ ->
+          Obs.Metrics.incr t.f_fanouts;
+          Engine.parallel t.f_engine (List.map ask alive)
+      in
+      let dead_stale =
+        List.concat_map (fun i -> dead_markers t t.f_shards.(i)) dead
+      in
+      let quality =
+        Merge.merge_quality
+          ((if dead_stale = [] then Qp.Fresh else Qp.Stale dead_stale)
+          :: List.map (fun (a : Qp.answer) -> a.Qp.quality) answers)
+      in
+      (match quality with
+      | Qp.Fresh -> ()
+      | Qp.Stale _ -> Obs.Metrics.incr t.f_degraded);
+      {
+        Qp.tuples =
+          List.fold_left
+            (fun acc (a : Qp.answer) -> Bag.union acc a.Qp.tuples)
+            (Bag.empty out_schema) answers;
+        quality;
+        reflect =
+          Merge.merge_reflect
+            (List.map (fun (a : Qp.answer) -> a.Qp.reflect) answers);
+        bound =
+          Merge.merge_bound ~stale:dead_stale
+            (List.map (fun (a : Qp.answer) -> a.Qp.bound) answers);
+        trace_id = None;
+      })
 
 (* --- failure injection ------------------------------------------------ *)
 
@@ -295,22 +235,17 @@ let kill t i =
   let sh = t.f_shards.(i) in
   if sh.sh_alive then begin
     sh.sh_alive <- false;
-    set_links sh false;
-    shard_event t "shard_down" i
+    set_links sh false
   end
 
 let revive t i =
   let sh = t.f_shards.(i) in
   if not sh.sh_alive then begin
     sh.sh_alive <- true;
-    set_links sh true;
-    shard_event t "shard_up" i
+    set_links sh true
   end
 
-let partition_links t i up =
-  let sh = t.f_shards.(i) in
-  set_links sh up;
-  shard_event t (if up then "shard_link_up" else "shard_link_down") i
+let partition_links t i up = set_links t.f_shards.(i) up
 
 (* --- lifecycle -------------------------------------------------------- *)
 

@@ -22,10 +22,8 @@
 
     Everything runs on one {!Sim.Engine} clock, so an N-shard
     federation under one seed is exactly reproducible. The
-    coordinator keeps its own {!Obs.Trace} ([fed_query_tx] spans with
-    concurrent [shard_query] children, [route_update] and
-    [shard_resync] events) and {!Obs.Metrics} registry (including the
-    [shard_queue_depth] gauge family). *)
+    coordinator keeps its own {!Obs.Metrics} counters ({!metrics});
+    each shard's mediator keeps its own trace. *)
 
 open Relalg
 open Delta
@@ -72,8 +70,7 @@ val vdp : t -> Graph.t
 val metrics : t -> Obs.Metrics.t
 (** Coordinator counters ([fed_queries], [fed_fanouts],
     [fed_single_shard], [fed_degraded_answers], [fed_routed_txs],
-    [fed_routed_atoms], [fed_shard_resyncs])
-    and the [shard_queue_depth] gauge family. *)
+    [fed_routed_atoms], [fed_shard_resyncs]). *)
 
 val load : t -> string -> Bag.t -> unit
 (** Split a relation's initial contents by key ownership and load each
@@ -87,7 +84,7 @@ val commit : t -> Multi_delta.t -> unit
 (** Route an update transaction: split by key, group each shard's
     slice by owning source database, and commit there. A transaction
     whose atoms all share one key touches exactly one shard.
-    Non-blocking; recorded as a [route_update] trace event. *)
+    Non-blocking. *)
 
 val query :
   t ->
@@ -104,8 +101,9 @@ val query :
     vectors; [quality] is [Fresh] only if every contributing shard
     answered fresh {e and} no targeted shard was dead — a dead shard
     contributes [shardN:source] staleness markers instead of tuples
-    (partial-answer policy); [trace_id] names the [fed_query_tx] span
-    covering the whole fan-out. *)
+    (partial-answer policy); [trace_id] is [None]: the shards' query
+    spans are in their own mediators' traces. Queries may overlap: the
+    coordinator's own state is its counters. *)
 
 val run_to_quiescence : t -> unit
 (** {!Workload.Scenario.quiesce} over every shard: advance the
@@ -125,7 +123,8 @@ val kill : t -> int -> unit
 val revive : t -> int -> unit
 (** Bring a killed shard back: links up, routing resumes. The shard's
     own gap-detection/heartbeat machinery drives the resync; the
-    [shard_resync] event surfaces it federation-side. Idempotent. *)
+    [fed_shard_resyncs] counter surfaces it federation-side.
+    Idempotent. *)
 
 val partition_links : t -> int -> bool -> unit
 (** Network partition without the coordinator noticing: cut (or heal)

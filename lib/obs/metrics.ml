@@ -12,7 +12,6 @@ type entry =
   | Counter of counter
   | Gauge of gauge
   | Histogram of histogram
-  | Family of (unit -> (string * int) list)
 
 type t = { entries : (string, entry) Hashtbl.t }
 
@@ -43,9 +42,6 @@ let histogram t ?help:_ ?(base = 2.0) name =
   with
   | Histogram h -> h
   | _ -> invalid_arg (Printf.sprintf "Metrics: %S is not a histogram" name)
-
-let register_family t ?help:_ name sample =
-  ignore (register t name (Family sample))
 
 let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
@@ -107,27 +103,23 @@ type snapshot = {
   counters : (string * int) list;
   gauges : (string * float) list;
   histograms : (string * (int * float * (float * int) list)) list;
-  families : (string * (string * int) list) list;
 }
 
 let snapshot t =
   let by_name cmp = List.sort (fun (a, _) (b, _) -> cmp a b) in
   let counters = ref [] and gauges = ref [] in
-  let histograms = ref [] and families = ref [] in
+  let histograms = ref [] in
   Hashtbl.iter
     (fun name -> function
       | Counter c -> counters := (name, c.c) :: !counters
       | Gauge g -> gauges := (name, g.g) :: !gauges
       | Histogram h ->
-        histograms := (name, (h.count, h.sum, histogram_buckets h)) :: !histograms
-      | Family sample ->
-        families := (name, by_name String.compare (sample ())) :: !families)
+        histograms := (name, (h.count, h.sum, histogram_buckets h)) :: !histograms)
     t.entries;
   {
     counters = by_name String.compare !counters;
     gauges = by_name String.compare !gauges;
     histograms = by_name String.compare !histograms;
-    families = by_name String.compare !families;
   }
 
 let render s =
@@ -140,13 +132,6 @@ let render s =
       pr "%-28s count %d, sum %g\n" name count sum;
       List.iter (fun (le, n) -> pr "  le %-12g %d\n" le n) buckets)
     s.histograms;
-  List.iter
-    (fun (name, labels) ->
-      if labels <> [] then begin
-        pr "%s:\n" name;
-        List.iter (fun (l, v) -> pr "  %-26s %d\n" l v) labels
-      end)
-    s.families;
   Buffer.contents buf
 
 let json_escape s =
@@ -180,10 +165,5 @@ let to_json s =
         sum;
       sep buckets (fun (le, c) -> pr "{\"le\":%g,\"count\":%d}" le c);
       pr "]}");
-  pr "},\"families\":{";
-  sep s.families (fun (n, labels) ->
-      pr "\"%s\":{" (json_escape n);
-      sep labels (fun (l, v) -> pr "\"%s\":%d" (json_escape l) v);
-      pr "}");
   pr "}}";
   Buffer.contents buf

@@ -1,11 +1,10 @@
 (** Typed metrics registry (the observability layer's counter side).
 
-    A registry holds named counters, gauges, and log-scale histograms,
-    plus lazily-sampled {e families} of labeled counters. The mediator
-    registers every cost counter of the Sec. 5.3 framework here
-    ({!Med.stats}); [snapshot] freezes the whole registry into a
-    deterministic, sorted view that the CLI renders and the benches
-    serialize.
+    A registry holds named counters, gauges, and log-scale histograms.
+    The mediator registers every cost counter of the Sec. 5.3
+    framework here ({!Med.stats}); [snapshot] freezes the whole
+    registry into a deterministic, sorted view that the CLI renders and
+    the benches serialize.
 
     All values are process-local and single-threaded — the simulator
     runs on one logical clock, so there is no synchronization. *)
@@ -38,12 +37,6 @@ val gauge : t -> ?help:string -> string -> gauge
 val histogram : t -> ?help:string -> ?base:float -> string -> histogram
 (** [base] defaults to [2.0]; must be [> 1.0]. *)
 
-val register_family :
-  t -> ?help:string -> string -> (unit -> (string * int) list) -> unit
-(** A family of labeled counters sampled at {!snapshot} time by
-    calling the thunk — used to expose per-shard tables of the
-    federation coordinator without copying them on every increment. *)
-
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
@@ -63,8 +56,6 @@ type snapshot = {
   gauges : (string * float) list;
   histograms : (string * (int * float * (float * int) list)) list;
       (** name → (count, sum, buckets) *)
-  families : (string * (string * int) list) list;
-      (** labels sorted within each family *)
 }
 
 val snapshot : t -> snapshot

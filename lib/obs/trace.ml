@@ -176,15 +176,13 @@ let attach t ~parent:p s =
   set t s f_next (get t p f_child);
   set t p f_child s
 
-(* stamp the stop time and turn the ops counter at open into the count *)
-let finish t s =
-  set_time t s 1 (t.now ());
-  set t s f_ops (t.ops_counter () - get t s f_ops)
-
+(* pop the span, stamp its stop time, turn the ops counter at open
+   into the count, and hang it under its parent (or in the ring) *)
 let close t s =
   if t.depth > 0 && t.stack.(t.depth - 1) = s then begin
     t.depth <- t.depth - 1;
-    finish t s;
+    set_time t s 1 (t.now ());
+    set t s f_ops (t.ops_counter () - get t s f_ops);
     if t.depth > 0 then attach t ~parent:t.stack.(t.depth - 1) s
     else push_root t s
   end
@@ -213,22 +211,6 @@ let with_span t name f =
       close t s;
       Printexc.raise_with_backtrace exn bt
   end
-
-(* Concurrently running child spans cannot go through the open stack:
-   two forked children may overlap and close out of order, which the
-   stack discipline of [with_span] would mis-nest. A forked span is
-   attached under its explicit parent at fork time and closed by
-   [join_span]. *)
-let fork_span t ~parent name =
-  if (not t.enabled) || parent = no_slot then no_slot
-  else begin
-    let s = fresh t ~parent:(get t parent f_id) name in
-    attach t ~parent s;
-    set t s f_ops (t.ops_counter ());
-    s
-  end
-
-let join_span t s = if s <> no_slot then finish t s
 
 let root_event t name =
   if not t.enabled then no_slot

@@ -78,19 +78,6 @@ val with_span : t -> string -> (slot -> 'a) -> 'a
 (** Run the function inside a new span (child of the innermost open
     one). The span is closed even if the function raises. *)
 
-val fork_span : t -> parent:slot -> string -> slot
-(** Open a span under an explicit parent, bypassing the open stack —
-    for concurrent children (the federation coordinator's scatter
-    phase) whose lifetimes overlap and would mis-nest under the stack
-    discipline. The parent must still be open; close the child with
-    {!join_span} before the parent closes. *)
-
-val join_span : t -> slot -> unit
-(** Close a span opened with {!fork_span}: stamps its end time and its
-    op count since the fork (note: ops of siblings running
-    concurrently in simulated time are attributed to every overlapping
-    span). *)
-
 val root_event : t -> string -> slot
 (** Record an instantaneous root span regardless of any open spans —
     for asynchronous arrivals that do not belong to the transaction

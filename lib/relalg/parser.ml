@@ -52,24 +52,46 @@ let tokenize src =
       else emit start (Tident word)
     end
     else if is_digit c then begin
-      while !i < n && is_digit src.[!i] do
-        incr i
-      done;
-      if !i < n && src.[!i] = '.' then begin
-        incr i;
+      let digits () =
         while !i < n && is_digit src.[!i] do
           incr i
-        done;
-        emit start (Tfloat (float_of_string (String.sub src start (!i - start))))
-      end
-      else emit start (Tint (int_of_string (String.sub src start (!i - start))))
+        done
+      in
+      digits ();
+      let point = !i < n && src.[!i] = '.' in
+      if point then begin
+        incr i;
+        digits ()
+      end;
+      (* an exponent: e or E, an optional sign, at least one digit *)
+      let at k = !i + k < n in
+      let exponent =
+        at 0
+        && (src.[!i] = 'e' || src.[!i] = 'E')
+        && ((at 1 && is_digit src.[!i + 1])
+           || (at 2
+              && (src.[!i + 1] = '+' || src.[!i + 1] = '-')
+              && is_digit src.[!i + 2]))
+      in
+      if exponent then begin
+        i := !i + 2;
+        digits ()
+      end;
+      let lit = String.sub src start (!i - start) in
+      if point || exponent then emit start (Tfloat (float_of_string lit))
+      else emit start (Tint (int_of_string lit))
     end
     else if c = '\'' then begin
+      (* a doubled quote inside the literal stands for one quote *)
       incr i;
       let buf = Buffer.create 8 in
       let closed = ref false in
       while (not !closed) && !i < n do
-        if src.[!i] = '\'' then closed := true
+        if src.[!i] = '\'' && !i + 1 < n && src.[!i + 1] = '\'' then begin
+          Buffer.add_char buf '\'';
+          incr i
+        end
+        else if src.[!i] = '\'' then closed := true
         else Buffer.add_char buf src.[!i];
         incr i
       done;

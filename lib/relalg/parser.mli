@@ -31,7 +31,10 @@
 
     Keywords are case-insensitive; identifiers are
     [[A-Za-z_][A-Za-z0-9_']*] (primes allowed, so VDP node names like
-    [R'] parse). [#] starts a line comment.
+    [R'] parse). A FLOAT is digits with a fractional part
+    ([.] and digits), an exponent ([e] or [E], an optional sign,
+    digits), or both; inside a STRING a doubled quote ([''])
+    stands for one quote. [#] starts a line comment.
 
     {1 Scenario files}
 

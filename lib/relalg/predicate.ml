@@ -159,14 +159,6 @@ let rename mapping p =
   in
   go p
 
-(* A hash lookup agrees with [Eq] exactly when every constant hashes
-   like each value equal to it: integral numbers past 2^53 compare
-   equal to neighbours that hash apart. *)
-let hash_exact = function
-  | Value.Int i -> abs i < 1 lsl 53
-  | Value.Float f -> Float.abs f < 0x1p53 || not (Float.is_integer f)
-  | Value.Null | Value.Bool _ | Value.Str _ -> true
-
 let rec compile = function
   | True -> fun _ -> true
   | False -> fun _ -> false
@@ -182,17 +174,12 @@ let rec compile = function
   | Not a ->
     let fa = compile a in
     fun t -> not (fa t)
-  | In (a, vs) when List.for_all hash_exact vs ->
+  | In (a, vs) ->
     (* one hash lookup per row instead of one comparison per key *)
     let set = Value.Tbl.create (List.length vs) in
     List.iter (fun v -> Value.Tbl.replace set v ()) vs;
     let get = Tuple.keyer1 a in
     fun t -> Value.Tbl.mem set (get t)
-  | In (a, vs) ->
-    let get = Tuple.keyer1 a in
-    fun t ->
-      let x = get t in
-      List.exists (eval_cmp Eq x) vs
 
 module Sset = Set.Make (String)
 
@@ -250,8 +237,24 @@ let cmp_to_string = function
   | Gt -> ">"
   | Ge -> ">="
 
+(* a constant as {!Parser} reads it back: a string quoted, with each
+   embedded quote doubled; a float with the fewest significant digits
+   that restore it, and a point when it would otherwise read as an int *)
+let pp_const fmt = function
+  | Value.Str s ->
+    Format.fprintf fmt "'%s'"
+      (String.concat "''" (String.split_on_char '\'' s))
+  | Value.Float f ->
+    let restores p = float_of_string (Printf.sprintf "%.*g" p f) = f in
+    let p = if restores 15 then 15 else if restores 16 then 16 else 17 in
+    let s = Printf.sprintf "%.*g" p f in
+    Format.pp_print_string fmt
+      (if String.exists (fun c -> c = '.' || c = 'e' || c = 'n') s then s
+       else s ^ ".0")
+  | v -> Value.pp fmt v
+
 let rec pp_term fmt = function
-  | Const v -> Value.pp fmt v
+  | Const v -> pp_const fmt v
   | Attr a -> Format.pp_print_string fmt a
   | Neg t -> Format.fprintf fmt "-(%a)" pp_term t
   | Add (a, b) -> Format.fprintf fmt "(%a + %a)" pp_term a pp_term b

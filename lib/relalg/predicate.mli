@@ -116,3 +116,7 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
+(** Prints in the syntax {!Parser.predicate} reads. A non-negative
+    [Int], [Float] or [Str] constant reads back as itself; a negative
+    number reads back as the negation of its magnitude, and NaN, the
+    infinities, [Bool] and [Null] have no literal. *)

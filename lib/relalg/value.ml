@@ -16,14 +16,26 @@ let tag = function
   | Float _ -> 2 (* numerics share a tag so Int/Float compare numerically *)
   | Str _ -> 3
 
+(* [Int x] against [Float y], exactly: a float at or past 2^62 in
+   magnitude lies beyond every int, and below that truncating it to an
+   int loses only its fraction, which then breaks a tie. NaN sorts
+   below every number, as in [Float.compare]. *)
+let compare_int_float x y =
+  if Float.is_nan y then 1
+  else if y >= 0x1p62 then -1
+  else if y < -0x1p62 then 1
+  else
+    let t = Float.to_int y in
+    match Int.compare x t with 0 -> Float.compare (Float.of_int t) y | c -> c
+
 let compare a b =
   match a, b with
   | Null, Null -> 0
   | Bool x, Bool y -> Bool.compare x y
   | Int x, Int y -> Int.compare x y
   | Float x, Float y -> Float.compare x y
-  | Int x, Float y -> Float.compare (float_of_int x) y
-  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> - compare_int_float y x
   | Str x, Str y -> String.compare x y
   | (Null | Bool _ | Int _ | Float _ | Str _), _ -> Int.compare (tag a) (tag b)
 
@@ -38,8 +50,10 @@ let hash = function
   | Bool b -> if b then 1 else 2
   | Int i -> int_hash i
   | Float f ->
-    (* keep Int/Float hash-compatible when the float is integral *)
-    if Float.is_integer f && Float.abs f < 1e18 then int_hash (int_of_float f)
+    (* a float equal to an int hashes like it: exactly the integral
+       ones in the int range *)
+    if Float.is_integer f && f >= -0x1p62 && f < 0x1p62 then
+      int_hash (Float.to_int f)
     else Hashtbl.hash (3, f)
   | Str s -> Hashtbl.hash s
 

@@ -19,13 +19,14 @@ type ty = TBool | TInt | TFloat | TStr
 val compare : t -> t -> int
 (** Total order used for deterministic relation storage. Values of
     distinct types are ordered by type tag; [Int] and [Float] compare
-    numerically against each other. *)
+    numerically against each other, exactly: [Int (2{^53} + 1)] is
+    above [Float 2{^53}], which equals [Int 2{^53}]. A float NaN is
+    below every other number. *)
 
 val equal : t -> t -> bool
 
 val hash : t -> int
-(** Compatible with {!equal} on numbers below 2{^53} in magnitude:
-    [Int 1] and [Float 1.] hash alike. *)
+(** Compatible with {!equal}: [Int 1] and [Float 1.] hash alike. *)
 
 module Tbl : Hashtbl.S with type key = t
 (** Hash tables keyed by {!equal}/{!hash}. *)

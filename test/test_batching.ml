@@ -338,9 +338,8 @@ let enqueue_all env med =
   List.iter (fun (source, rel, version, prev) ->
       Med.enqueue med (update env ~source ~rel ~version ~prev))
 
-let reflect med source v =
-  Med.set_reflected med source
-    { Med.r_version = v; r_commit_time = 0.0; r_send_time = 0.0 }
+(* a snapshot that polled [source] at version [v] *)
+let snapshot_at med source v = Med.after_snapshot med [ (source, v, 0.0) ]
 
 let versions = List.map (fun e -> (e.Med.q_source, e.Med.q_version))
 
@@ -356,7 +355,10 @@ let take_batch_cap () =
     (versions batch);
   Alcotest.(check int) "remainder stays queued" 2 (Med.queue_length med);
   (* once the IUP has applied the batch, the remainder chains on *)
-  reflect med "db1" 4;
+  Alcotest.(check (list (pair string (pair int int))))
+    "the batch covers one interval"
+    [ ("db1", (0, 4)) ]
+    (Med.after_batch med batch ~staged:[] ~affected:[]);
   Alcotest.(check (list (pair string int)))
     "in order"
     [ ("db1", 5); ("db1", 6) ]
@@ -365,7 +367,7 @@ let take_batch_cap () =
 let take_batch_stale_drop () =
   let env, med = fresh_mediator ~max_batch:8 () in
   enqueue_all env med (chain "db1" "R" [ 1; 2; 3 ]);
-  reflect med "db1" 2;
+  snapshot_at med "db1" 2;
   let batch = Med.take_batch med in
   Alcotest.(check (list (pair string int)))
     "already-reflected versions are dropped, the rest chains"
@@ -399,8 +401,7 @@ let take_batch_gap_holds_back () =
   Alcotest.(check (list (pair string int))) "nothing more to take" []
     (versions (Med.take_batch med));
   (* a snapshot reflecting db1 at version 3 covers 1 and 3; 4 chains *)
-  reflect med "db1" 3;
-  Med.after_snapshot med;
+  snapshot_at med "db1" 3;
   Alcotest.(check (list string)) "db1 clean after the resync" []
     (Med.dirty_sources med);
   Alcotest.(check (list (pair string int)))

@@ -377,16 +377,6 @@ module Ref_trace = struct
     | [] -> push_root t n);
     v
 
-  let fork_span t ~parent name =
-    let n = fresh t ~parent:(Some parent.id) name in
-    parent.children <- n :: parent.children;
-    n.ops <- t.counter ();
-    n
-
-  let join_span t n =
-    n.stop <- t.now ();
-    n.ops <- t.counter () - n.ops
-
   let root_event t name =
     let n = fresh t ~parent:None name in
     push_root t n;
@@ -470,22 +460,6 @@ let test_slot_reuse_matches_reference () =
       span "apply" (fun sp n -> int_attr sp n "tables" 1);
       str_attr tx n "outcome" "applied");
   check "after the interleaved batch";
-  (* a scatter under a root: overlapping forked children *)
-  span "fed_query_tx" (fun fed n ->
-      let a = Obs.Trace.fork_span t ~parent:fed "shard_query" in
-      let na = Ref_trace.fork_span r ~parent:n "shard_query" in
-      tick ();
-      let b = Obs.Trace.fork_span t ~parent:fed "shard_query" in
-      let nb = Ref_trace.fork_span r ~parent:n "shard_query" in
-      int_attr a na "shard" 0;
-      int_attr b nb "shard" 1;
-      tick ();
-      Obs.Trace.join_span t b;
-      Ref_trace.join_span r nb;
-      tick ();
-      Obs.Trace.join_span t a;
-      Ref_trace.join_span r na);
-  check "after the scatter";
   (* enough roots of varying shape to wrap the ring several times *)
   for i = 1 to 12 do
     if i mod 3 = 0 then event "gap_detected" i
@@ -519,18 +493,12 @@ let test_jsonl_export () =
         (String.length l > 1 && l.[0] = '{' && l.[String.length l - 1] = '}'))
     lines
 
-(* The CLI's trace export of a fixed run, byte for byte against a
-   committed golden file: a refactor of the event paths must leave the
-   span trees, their attributes and their simulated times unchanged.
-   When a change to the trace is intended, regenerate the file with
-     dune exec bin/squirrel_cli.exe -- run fig1 -a ex23 -u 200 -q 20 \
-       --report trace --jsonl - > test/golden/trace_fig1_ex23.jsonl *)
-let test_jsonl_golden () =
-  let out = Filename.temp_file "trace_fig1_ex23" ".jsonl" in
+(* Run the CLI with [args] and compare its standard output, line by
+   line, with the committed file golden/[golden]. *)
+let check_cli_golden args golden =
+  let out = Filename.temp_file "cli_golden" ".out" in
   let status =
-    Sys.command
-      ("../bin/squirrel_cli.exe run fig1 -a ex23 -u 200 -q 20 --report trace \
-        --jsonl - > " ^ Filename.quote out)
+    Sys.command ("../bin/squirrel_cli.exe " ^ args ^ " > " ^ Filename.quote out)
   in
   let lines f =
     String.split_on_char '\n' (In_channel.with_open_bin f In_channel.input_all)
@@ -538,6 +506,7 @@ let test_jsonl_golden () =
   let got = lines out in
   Sys.remove out;
   Alcotest.(check int) "exit status" 0 status;
+  let want = lines (Filename.concat "golden" golden) in
   let rec first_diff n = function
     | w :: ws, g :: gs ->
       if String.equal w g then first_diff (n + 1) (ws, gs)
@@ -545,10 +514,66 @@ let test_jsonl_golden () =
     | [], [] -> ()
     | _ :: _, [] | [], _ :: _ ->
       Alcotest.failf "line %d: golden has %d lines, the run %d" n
-        (List.length (lines "golden/trace_fig1_ex23.jsonl"))
-        (List.length got)
+        (List.length want) (List.length got)
   in
-  first_diff 1 (lines "golden/trace_fig1_ex23.jsonl", got)
+  first_diff 1 (want, got)
+
+(* The CLI's trace export of a fixed run, byte for byte against a
+   committed golden file: a refactor of the event paths must leave the
+   span trees, their attributes and their simulated times unchanged.
+   When a change to the trace is intended, regenerate the file with
+     dune exec bin/squirrel_cli.exe -- run fig1 -a ex23 -u 200 -q 20 \
+       --report trace --jsonl - > test/golden/trace_fig1_ex23.jsonl *)
+let test_jsonl_golden () =
+  check_cli_golden "run fig1 -a ex23 -u 200 -q 20 --report trace --jsonl -"
+    "trace_fig1_ex23.jsonl"
+
+(* Every catalogue (scenario, annotation) pair under a short load, and
+   two chaos cells, against committed outputs: the profile, metrics,
+   stats and freshness reports pin what the answer cache stores,
+   maintains, evicts and drops (fig1/retail/federated serve maintained
+   entries; fig1/ex23 and ex51 invalidate), and the reorder cell's
+   resyncs flush it. Regenerate a file with the command its test runs,
+   e.g.
+     dune exec bin/squirrel_cli.exe -- run fig1 -a ex23 -u 40 -q 20 \
+       --report profile,metrics,stats,freshness > test/golden/run_fig1_ex23.txt *)
+let catalogue =
+  [
+    ("fig1", [ "ex21"; "ex22"; "ex23"; "virtual"; "warehouse" ]);
+    ("retail", [ "hybrid"; "materialized"; "virtual"; "warehouse" ]);
+    ("federated", [ "materialized"; "virtual"; "warehouse" ]);
+    ("ex51", [ "paper"; "materialized"; "virtual"; "warehouse" ]);
+  ]
+
+let run_golden_cases =
+  List.concat_map
+    (fun (sc, anns) ->
+      List.map
+        (fun ann ->
+          Alcotest.test_case
+            (Printf.sprintf "run %s %s matches its golden" sc ann)
+            `Quick
+            (fun () ->
+              check_cli_golden
+                (Printf.sprintf
+                   "run %s -a %s -u 40 -q 20 --report \
+                    profile,metrics,stats,freshness"
+                   sc ann)
+                (Printf.sprintf "run_%s_%s.txt" sc ann)))
+        anns)
+    catalogue
+
+let chaos_golden_cases =
+  List.map
+    (fun (profile, seed) ->
+      Alcotest.test_case
+        (Printf.sprintf "chaos fig1 %s seed %d matches its golden" profile seed)
+        `Quick
+        (fun () ->
+          check_cli_golden
+            (Printf.sprintf "chaos fig1 --profile %s --seed %d" profile seed)
+            (Printf.sprintf "chaos_fig1_%s_%d.txt" profile seed)))
+    [ ("reorder", 3); ("outage", 2) ]
 
 let () =
   Alcotest.run "obs"
@@ -578,4 +603,5 @@ let () =
           Alcotest.test_case "slot reuse matches a list-based trace" `Quick
             test_slot_reuse_matches_reference;
         ] );
+      ("cli goldens", run_golden_cases @ chaos_golden_cases);
     ]

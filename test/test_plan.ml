@@ -487,21 +487,21 @@ let test_scan_served_answer_maintained () =
 let test_scan_served_answer_copied () =
   let env, med = setup () in
   let attrs = [ "r1"; "s1" ] in
-  let answer =
+  let q () =
     in_process env (fun () ->
         (Mediator.query med ~node:"T" ~attrs ()).Qp.tuples)
   in
+  let answer = q () in
   let table = Option.get (Med.node_table med "T") in
-  match Med.cache_lookup med ~node:"T" ~attrs ~cond:Predicate.True with
-  | None -> Alcotest.fail "π(r1,s1) T was not cached"
-  | Some ca ->
-    Alcotest.(check bool) "the query read the whole table" true
-      (Bag.equal answer (Storage.Table.contents table));
-    Alcotest.(check bool) "the entry holds the answer" true
-      (ca.Med.ca_answer == answer);
-    Alcotest.(check bool) "the entry does not share the table's storage"
-      false
-      (Bag.shares ca.Med.ca_answer (Storage.Table.contents table))
+  let hits = Obs.Metrics.value (Mediator.stats med).Med.cache_hits in
+  let cached = q () in
+  if Obs.Metrics.value (Mediator.stats med).Med.cache_hits <> hits + 1 then
+    Alcotest.fail "π(r1,s1) T was not cached";
+  Alcotest.(check bool) "the query read the whole table" true
+    (Bag.equal answer (Storage.Table.contents table));
+  Alcotest.(check bool) "the entry holds the answer" true (cached == answer);
+  Alcotest.(check bool) "the entry does not share the table's storage" false
+    (Bag.shares cached (Storage.Table.contents table))
 
 (* π(r1,r3) T needs the virtual r3: a polled answer keeps the
    invalidation protocol *)
@@ -523,33 +523,42 @@ let test_polled_answer_invalidated () =
 
 (* the eviction rule: a maintained entry goes once the ΔT atoms it
    absorbed since its last hit reach the support of T's table; a hit
-   starts the count again *)
-let test_maintained_entry_eviction () =
+   starts the count again. The count is Med's own, so the test reads
+   it off the step at which the entry goes: the entry is the only one
+   cached, so an invalidation is its eviction, seen without a query
+   that would restart its count. Churning one row in and out of T
+   moves the support by one at each step, which hides a count off by
+   one in one parity of the support; [before_hit] rows added before
+   the hit set that parity. *)
+let maintained_entry_eviction ~before_hit =
   let env, med = setup () in
-  let key = ("T", [ "s1" ], Predicate.True) in
+  let s = Mediator.stats med in
   let q () =
     ignore
       (in_process env (fun () ->
            Mediator.query med ~node:"T" ~attrs:[ "s1" ] ())
         : Qp.answer)
   in
-  let entry () = Hashtbl.find_opt med.Med.answer_cache key in
+  let evicted () = Obs.Metrics.value s.Med.cache_invalidations > 0 in
+  let hits () = Obs.Metrics.value s.Med.cache_hits in
+  let ops () = Obs.Metrics.value s.Med.ops_query in
   let support () =
     Storage.Table.support_cardinal (Option.get (Med.node_table med "T"))
   in
   q ();
-  commit_r_into_t env 1;
-  Scenario.run_to_quiescence env med;
-  (match entry () with
-  | Some ca -> Alcotest.(check int) "one atom absorbed" 1 ca.Med.ca_absorbed
-  | None -> Alcotest.fail "entry dropped after one atom");
+  for i = 1 to before_hit do
+    commit_r_into_t env i;
+    Scenario.run_to_quiescence env med;
+    if evicted () then Alcotest.failf "entry dropped after %d atoms" i
+  done;
+  let h = hits () in
   q ();
-  (match entry () with
-  | Some ca ->
-    Alcotest.(check int) "the hit reset the count" 0 ca.Med.ca_absorbed
-  | None -> Alcotest.fail "entry missing after a hit");
+  if hits () <> h + 1 then Alcotest.fail "entry missing after a hit";
   (* churn one row in and out of T: each commit is one ΔT atom, and
-     the support stays put while the absorbed count climbs *)
+     the support moves by one while the absorbed count climbs; the
+     entry must outlive every count below the support and go at the
+     support itself, counted from the hit (without the reset the atoms
+     before it would evict it early) *)
   let rec churn i absorbed =
     if i > 1000 then Alcotest.fail "the entry was never evicted";
     let row = r_row_into_t env 0 in
@@ -558,23 +567,29 @@ let test_maintained_entry_eviction () =
       ((if i mod 2 = 0 then Driver.single_insert else Driver.single_delete)
          db1 "R" row);
     Scenario.run_to_quiescence env med;
-    match entry () with
-    | Some ca ->
-      Alcotest.(check int) "one more atom absorbed" (absorbed + 1)
-        ca.Med.ca_absorbed;
+    if not (evicted ()) then begin
       Alcotest.(check bool) "kept only below the table's support" true
-        (ca.Med.ca_absorbed < support ());
-      churn (i + 1) ca.Med.ca_absorbed
-    | None ->
+        (absorbed + 1 < support ());
+      churn (i + 1) (absorbed + 1)
+    end
+    else
       Alcotest.(check bool) "evicted when the absorbed atoms reach the support"
         true
         (absorbed + 1 >= support ())
   in
   churn 2 0;
+  let h = hits () and before = ops () in
   q ();
-  match entry () with
-  | Some ca -> Alcotest.(check int) "recomputed afresh" 0 ca.Med.ca_absorbed
-  | None -> Alcotest.fail "the miss did not refill the cache"
+  Alcotest.(check int) "the eviction forced a miss" h (hits ());
+  Alcotest.(check bool) "the miss scanned the table" true (ops () > before);
+  let refilled = ops () in
+  q ();
+  if hits () <> h + 1 then Alcotest.fail "the miss did not refill the cache";
+  Alcotest.(check int) "recomputed afresh" refilled (ops ())
+
+let test_maintained_entry_eviction () =
+  maintained_entry_eviction ~before_hit:2;
+  maintained_entry_eviction ~before_hit:3
 
 let test_resync_flushes_cache () =
   let env, med = setup ~config:fault_config () in

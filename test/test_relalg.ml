@@ -217,7 +217,26 @@ let test_predicate_key_sets () =
   Alcotest.(check bool)
     "hash lookup" true
     (f (Tuple.of_list [ ("r1", Value.Float 99_999.) ])
-    && not (f (Tuple.of_list [ ("r1", Value.Int n) ])))
+    && not (f (Tuple.of_list [ ("r1", Value.Int n) ])));
+  (* past 2^53 an Int and the Float it rounds to are two keys *)
+  let b = 1 lsl 53 in
+  let p = one_of "a" Value.[ Int (b + 1); Float 0x1p53 ] in
+  (match p with
+  | In ("a", vs) -> Alcotest.(check int) "both keys kept" 2 (List.length vs)
+  | _ -> Alcotest.fail "expected an In of two keys");
+  List.iter
+    (fun v ->
+      let row =
+        Tuple.of_list [ ("a", v); ("b", Value.Float 0.); ("c", Value.Str "") ]
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "a = %s agrees with the oracle" (Value.to_string v))
+        (Oracle.eval_pred p row) (compile p row))
+    Value.[ Int b; Int (b + 1); Int (b + 2); Float 0x1p53 ];
+  Alcotest.(check bool) "Int 2^53 matches Float 2^53" true
+    (compile p
+       (Tuple.of_list
+          [ ("a", Value.Int b); ("b", Value.Float 0.); ("c", Value.Str "") ]))
 
 (* --- Bag --- *)
 
@@ -574,8 +593,8 @@ let prop_select_matches_eval =
 
 (* Key sets compile to one hash lookup per row; the lookup must keep
    exactly the rows the oracle keeps: Null never matches, Int 1 =
-   Float 1., and past 2^53 an Int equals a Float it does not hash like
-   (the keys that force the comparison fallback). A set is built by
+   Float 1., and past 2^53 an Int is not equal to the Float it rounds
+   to (Int (2^53 + 1) <> Float 2^53). A set is built by
    [one_of] (an [In], one comparison, or [False] when empty), by [or_]
    of comparisons with the constant on either side, or as a raw
    right-deep [Or] chain; sometimes a disjunct on another attribute is
@@ -652,16 +671,64 @@ let prop_or_merges_key_sets =
       Predicate.(equal (or_ (one_of a xs) (one_of a ys)) (one_of a (xs @ ys))))
 
 (* printed conditions parse back to the same value; an [In] prints as
-   its equality chain (numeric keys: a string constant prints bare) *)
+   its equality chain, string constants quoted (a quote doubled) and
+   floats with the digits that restore them; a non-key condition
+   rides along *)
 let prop_key_set_prints_back =
   qtest ~count:500 "printed key set parses back"
     QCheck2.Gen.(
-      pair (oneofl [ "a"; "b" ])
+      triple (oneofl [ "a"; "b" ])
         (list_size (int_range 0 6)
-           (oneofl Value.[ Int 0; Int 1; Int 2; Int 7; Float 1.5 ])))
-    (fun (a, vs) ->
-      let p = Predicate.one_of a vs in
+           (oneofl
+              Value.
+                [
+                  Int 0;
+                  Int 1;
+                  Int 2;
+                  Int 7;
+                  Float 1.5;
+                  Float 0x1p53;
+                  Float 0.1;
+                  Float 3.;
+                  Str "x";
+                  Str "a b";
+                  Str "it's";
+                  Str "say \"hi\"";
+                  Str "";
+                ]))
+        bool)
+    (fun (a, vs, guarded) ->
+      let p =
+        let set = Predicate.one_of a vs in
+        if guarded then
+          Predicate.(And (set, lt (attr "c") (Const (Value.Str "o'k z"))))
+        else set
+      in
       Predicate.equal (Parser.predicate (Format.asprintf "%a" Predicate.pp p)) p)
+
+(* [Value.compare] is a total order on mixed Int/Float values near
+   2^53, where a float no longer holds every int, and at the int range's
+   ends; equal values hash alike *)
+let near_2_53 =
+  let b = 1 lsl 53 and f = 0x1p53 in
+  Value.
+    [
+      Int (b - 1); Int b; Int (b + 1); Int (b + 2); Int (b + 3);
+      Int (-b - 1); Int (-b);
+      Float (f -. 1.); Float f; Float (f +. 2.); Float (f +. 4.);
+      Float (-.f); Float (-.f -. 2.); Float (0x1p52 +. 0.5);
+      Int max_int; Int min_int; Float 0x1p62; Float (-0x1p62);
+      Float Float.nan; Float Float.infinity;
+    ]
+
+let prop_compare_transitive =
+  qtest ~count:1000 "compare is transitive near 2^53"
+    QCheck2.Gen.(triple (oneofl near_2_53) (oneofl near_2_53) (oneofl near_2_53))
+    (fun (x, y, z) ->
+      let c = Value.compare in
+      ((not (c x y <= 0 && c y z <= 0)) || c x z <= 0)
+      && Int.compare (c x y) 0 = - Int.compare (c y x) 0
+      && ((not (Value.equal x y)) || Value.hash x = Value.hash y))
 
 let prop_select_true_shares =
   qtest "select True returns its input" x_bag_gen (fun b ->
@@ -740,6 +807,7 @@ let () =
           prop_or_idempotent;
           prop_or_merges_key_sets;
           prop_key_set_prints_back;
+          prop_compare_transitive;
           prop_select_true_shares;
         ] );
     ]

@@ -1,5 +1,5 @@
-(* Tests for the mediator-local store: indexed tables and the table
-   catalog. *)
+(* Tests for the mediator-local store: indexed tables and the
+   mediator's table catalog. *)
 
 open Relalg
 open Delta
@@ -91,30 +91,59 @@ let test_table_rejects_bad_tuple () =
     Alcotest.fail "expected Bag_error"
   with Bag.Bag_error _ -> ()
 
+(* The mediator keeps the catalog itself: one table per node with a
+   materialized attribute, holding the projection onto those
+   attributes (Example 2.3's annotation over Figure 1). *)
+let ex23_mediator () =
+  let env = Workload.Scenario.make_fig1 () in
+  let med =
+    Workload.Scenario.mediator env
+      ~annotation:(Workload.Scenario.ann_ex23 env.Workload.Scenario.vdp)
+      ()
+  in
+  (env, med)
+
 let test_store_catalog () =
-  let store = Store.create () in
-  let _ = Store.create_table store ~name:"S" schema_s in
-  Alcotest.(check bool) "mem" true (Store.table_opt store "S" <> None);
-  Alcotest.(check (list string)) "names" [ "S" ] (Store.table_names store);
-  (try
-     ignore (Store.create_table store ~name:"S" schema_s);
-     Alcotest.fail "expected Store_error"
-   with Store.Store_error _ -> ());
-  try
-    ignore (Store.table store "NOPE");
-    Alcotest.fail "expected Store_error"
-  with Store.Store_error _ -> ()
+  let _, med = ex23_mediator () in
+  let vdp = med.Squirrel.Med.vdp in
+  let names =
+    List.filter_map
+      (fun (n : Vdp.Graph.node) ->
+        Option.map (fun _ -> n.Vdp.Graph.name)
+          (Squirrel.Med.node_table med n.Vdp.Graph.name))
+      (Vdp.Graph.nodes vdp)
+  in
+  Alcotest.(check (list string)) "names"
+    (List.filter
+       (fun n -> Squirrel.Med.mat_attrs med n <> [])
+       (List.map (fun (n : Vdp.Graph.node) -> n.Vdp.Graph.name)
+          (Vdp.Graph.non_leaves vdp)))
+    names;
+  List.iter
+    (fun n ->
+      let table = Option.get (Squirrel.Med.node_table med n) in
+      Alcotest.(check (list string))
+        (n ^ " holds its materialized attributes")
+        (Squirrel.Med.mat_attrs med n)
+        (Schema.attrs (Table.schema table)))
+    names;
+  Alcotest.(check bool) "a leaf has no table" true
+    (Squirrel.Med.node_table med "R" = None)
 
 let test_store_env_and_bytes () =
-  let store = Store.create () in
-  let tbl = Store.create_table store ~name:"S" schema_s in
-  Table.insert tbl (s_tuple 1 2 3);
-  (match Store.table_opt store "S" with
-  | Some t -> Alcotest.(check int) "env view" 1 (Bag.cardinal (Table.contents t))
+  let env, med = ex23_mediator () in
+  let engine = env.Workload.Scenario.engine in
+  Sim.Engine.spawn engine (fun () -> Squirrel.Mediator.initialize med);
+  Sim.Engine.run engine ~until:(Sim.Engine.now engine +. 5.0);
+  let table = Option.get (Squirrel.Med.node_table med "T") in
+  (match Squirrel.Med.store_env med "T" with
+  | Some b ->
+    Alcotest.(check int) "env view" (Bag.cardinal (Table.contents table))
+      (Bag.cardinal b)
   | None -> Alcotest.fail "expected table");
-  Alcotest.(check (option reject)) "absent" None
-    (Option.map (fun (_ : Table.t) -> ()) (Store.table_opt store "NOPE"));
-  Alcotest.(check bool) "bytes counted" true (Store.total_bytes store > 0)
+  Alcotest.(check bool) "absent" true (Squirrel.Med.store_env med "NOPE" = None);
+  Alcotest.(check bool) "bytes counted" true
+    (Squirrel.Mediator.store_bytes med > 0)
 
 (* [Hash_index.of_bag] builds in bulk what adding the bag's tuples one
    by one builds: over random bags whose key column holds Null,

@@ -95,7 +95,7 @@ let check_store env med ~what =
       let mat =
         Vdp.Annotation.materialized_attrs (Squirrel.Mediator.annotation med) name
       in
-      match (Storage.Store.table_opt med.Squirrel.Med.store name, mat) with
+      match (Squirrel.Med.node_table med name, mat) with
       | None, [] -> ()
       | None, _ :: _ -> Alcotest.failf "%s: %s has no table" what name
       | Some _, [] -> Alcotest.failf "%s: %s has a stale table" what name
