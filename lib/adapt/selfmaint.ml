@@ -34,7 +34,7 @@ let uncovered_reads vdp ann step =
                  (not (List.mem a mat)) && not (List.mem a missing))
         in
         Some (child, missing @ key))
-    (Derived_from.step_reads vdp step
+    (Derived_from.step_reads step
        ~changed:(fun _ -> true)
        ~known:(fun _ -> None))
 

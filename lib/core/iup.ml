@@ -1,16 +1,25 @@
+(* The IUP kernel (Sec. 6.4). Everything the annotation fixes was
+   compiled into the mediator's derived table at [Med.create]: each
+   leaf-parent's filter, each update step's reads, each node's delta
+   plan with its join terms and prepared index joins, and the
+   projection of each node's deltas onto its table. A pass does only
+   what its batch decides: which leaf-parents and steps the delta
+   reaches, the key sets of the reads, the VAP requests, whether a
+   temporary shadows a table, and which children changed. *)
+
 open Relalg
 open Delta
 open Vdp
 open Sim
 open Storage
 
-(* filter the leaf-level delta through a leaf-parent's definition *)
-let leaf_parent_delta (t : Med.t) (node, leaf) (delta : Multi_delta.t) =
-  match Multi_delta.find delta leaf with
+(* a leaf delta through a leaf-parent's compiled filter *)
+let leaf_parent_delta (lp : Med.leaf_parent) (delta : Multi_delta.t) =
+  match Multi_delta.find delta lp.Med.lp_leaf with
   | None -> None
   | Some d ->
-    let filtered = Vap.filter_delta (Graph.def t.Med.vdp node) d in
-    if Rel_delta.is_empty filtered then None else Some filtered
+    let filtered = lp.Med.lp_filter d in
+    if Rel_delta.is_empty filtered then None else Some (lp.Med.lp_node, filtered)
 
 (* The group-commit transaction body, caller-locked:
    [update_transaction] wraps {!drain} in the mediator mutex; the QP
@@ -71,8 +80,7 @@ let run (t : Med.t) =
           Obs.Trace.with_span trace "temp_determination" (fun det_sp ->
         let lp_deltas =
           List.filter_map
-            (fun ((name, _) as lp) ->
-              Option.map (fun d -> (name, d)) (leaf_parent_delta t lp delta))
+            (fun lp -> leaf_parent_delta lp delta)
             (Med.leaf_parents t)
         in
         (* affected set: upward closure of changed leaf-parents *)
@@ -99,7 +107,7 @@ let run (t : Med.t) =
               List.map
                 (fun (child, b, cond) ->
                   { Vap.r_node = child; r_attrs = b; r_cond = cond })
-                (Derived_from.step_reads t.Med.vdp step ~changed
+                (Derived_from.step_reads step ~changed
                    ~known:(fun n -> List.assoc_opt n lp_deltas)))
             process
         in
@@ -109,10 +117,12 @@ let run (t : Med.t) =
            covers included — and no reader sees rows restricted for
            another *)
         let rec settle requests =
-          let temps = List.map (fun r -> r.Vap.r_node) (Vap.closure t requests) in
-          let grown = List.filter (fun r -> List.mem r.Vap.r_node temps) reads in
-          if List.length grown = List.length requests then requests
-          else settle grown
+          if requests = [] then requests
+          else
+            let temps = List.map (fun r -> r.Vap.r_node) (Vap.closure t requests) in
+            let grown = List.filter (fun r -> List.mem r.Vap.r_node temps) reads in
+            if List.length grown = List.length requests then requests
+            else settle grown
         in
         let requests =
           settle
@@ -136,16 +146,9 @@ let run (t : Med.t) =
           | Some b -> Some b
           | None -> Med.store_env t name
         in
-        (* delta-sized probes into stored tables' join-key indexes; a
-           temp shadows its table (the env reads the temp instead) *)
-        let indexed_join ~name ~on ?test ?filter d =
-          match List.assoc_opt name vap_result.Vap.temps with
-          | Some _ -> None
-          | None -> (
-            match Med.node_table t name with
-            | Some table -> Table.delta_join ~on ?test ?filter d table
-            | None -> None)
-        in
+        (* a temp shadows its table: the kernel pass joins the temp,
+           not the table's prepared index join *)
+        let shadowed name = List.mem_assoc name vap_result.Vap.temps in
         (* (4) kernel pass: upward traversal in topological order.
            Deltas are computed everywhere against PRE-update values
            (the telescoped rules account for simultaneity internally),
@@ -153,11 +156,9 @@ let run (t : Med.t) =
         let deltas_tbl : (string, Rel_delta.t) Hashtbl.t = Hashtbl.create 16 in
         let to_apply = ref [] in
         let stage node d =
-          match Med.node_table t node with
-          | Some table ->
-            to_apply :=
-              (node, table, Rel_delta.project (Med.mat_attrs t node) d)
-              :: !to_apply
+          match (Med.node_plan t node).Med.np_stage with
+          | Some (table, project) ->
+            to_apply := (node, table, project d) :: !to_apply
           | None -> ()
         in
         Obs.Trace.with_span trace "kernel_pass" (fun kp_sp ->
@@ -168,15 +169,9 @@ let run (t : Med.t) =
           lp_deltas;
         List.iter
           (fun { Derived_from.s_node = node; _ } ->
-            let child_deltas =
-              List.filter_map
-                (fun c ->
-                  match Hashtbl.find_opt deltas_tbl c with
-                  | Some d -> Some (c, d)
-                  | None -> None)
-                (Graph.children t.Med.vdp node)
-            in
-            if child_deltas <> [] then
+            let np = Med.node_plan t node in
+            if List.exists (fun (c, _) -> Hashtbl.mem deltas_tbl c) np.Med.np_children
+            then
               Obs.Trace.with_span trace "delta" (fun d_sp ->
               Obs.Trace.set_attr trace d_sp "node" node;
               (* an unchanged child contributes an empty delta over
@@ -185,16 +180,13 @@ let run (t : Med.t) =
                  attributes and break the plan's projections when a
                  batch touches only some of a union's branches *)
               let child_delta c =
-                match List.assoc_opt c child_deltas with
+                match Hashtbl.find_opt deltas_tbl c with
                 | Some d -> Some d
-                | None -> (
-                  match Graph.node_opt t.Med.vdp c with
-                  | Some n -> Some (Rel_delta.empty n.Graph.schema)
-                  | None -> None)
+                | None ->
+                  Option.map Rel_delta.empty (List.assoc_opt c np.Med.np_children)
               in
               let d =
-                Delta_plan.run ~indexed_join ~env ~deltas:child_delta
-                  (Med.node_plan t node).Med.np_delta
+                Delta_plan.run ~shadowed ~env ~deltas:child_delta np.Med.np_delta
               in
               Obs.Trace.set_attri trace d_sp "atoms" (Rel_delta.atom_count d);
               if not (Rel_delta.is_empty d) then begin

@@ -205,10 +205,11 @@ type cached_answer = {
           witnesses) of the VAP that produced the answer, and the
           query_tx span that computed it; replayed into the reflect
           vector, bound and provenance of every cache hit *)
-  ca_scan : (Tuple.t -> bool) option;
-      (** the compiled condition of an answer the store rung computed
-          by scanning the node's table; the IUP's delta maintains such
-          an answer instead of dropping it *)
+  ca_scan : (Rel_delta.t -> Rel_delta.t) option;
+      (** for an answer the store rung computed by scanning the node's
+          table, π_attrs σ_cond over the table's deltas, compiled once:
+          the IUP's delta maintains such an answer instead of dropping
+          it *)
   mutable ca_absorbed : int;
       (** delta atoms maintained into the answer since its last hit *)
 }
@@ -230,16 +231,24 @@ type export_event =
     }
   | Export_snapshot of { es_time : float }
 
+type leaf_parent = {
+  lp_node : string;
+  lp_leaf : string;
+  lp_filter : Rel_delta.t -> Rel_delta.t;
+}
+
 type node_plan = {
   np_mat : string list;
-  np_leaf : string option;
+  np_leaf : leaf_parent option;
+  np_children : (string * Schema.t) list;
   np_delta : Delta_plan.t;
+  np_stage : (Table.t * (Rel_delta.t -> Rel_delta.t)) option;
   np_keyed : (string * Schema.t * string list) list;
 }
 
 type derived = {
   d_steps : Derived_from.step list;
-  d_leaf_parents : (string * string) list;
+  d_leaf_parents : leaf_parent list;
   d_parents : (string, string list) Hashtbl.t;
   d_nodes : (string, node_plan) Hashtbl.t;
   d_source_closure : (string, string list) Hashtbl.t;
@@ -401,16 +410,25 @@ let source_index_plan vdp ann ~key_based ~steps ~nodes ~kinds =
 
 (* Every annotation-dependent fact the processors read, computed once
    in {!create} (the annotation never changes afterwards). Per derived
-   node it also compiles the plans the processors run repeatedly: a
-   value plan of the definition (resync/initialization rebuilds), and
-   a value and a delta plan of the full-width restricted definition
-   (the IUP's kernel pass). A per-request VAP restriction is a
-   top-level select/project chain, compiled per call over the plan
-   below it in [d_plans]. *)
-let build_derived vdp ann ~key_based =
+   node it also compiles what the processors run repeatedly: a value
+   plan of the definition (resync/initialization rebuilds); a value and
+   a delta plan of the full-width restricted definition (the IUP's
+   kernel pass), the delta plan compiled against the children's
+   declared schemas with index joins prepared into the stored tables;
+   a leaf-parent's filter (its definition as one fused pass over the
+   leaf's deltas); and the projection of the node's deltas onto its
+   table. A per-request VAP restriction is a top-level select/project
+   chain, compiled per call over the plan below it in [d_plans]. *)
+let build_derived vdp ann ~key_based ~tables =
   let d_parents = Hashtbl.create 16 in
   let d_nodes = Hashtbl.create 16 in
   let d_plans = Hashtbl.create 16 in
+  let schema = Graph.schema_env vdp in
+  let index ~name ~left ~on ~test ~filter =
+    match Hashtbl.find_opt tables name with
+    | Some table -> Table.delta_join table ~left ~on ?test ?filter ()
+    | None -> None
+  in
   List.iter
     (fun node ->
       let name = node.Graph.name in
@@ -445,9 +463,23 @@ let build_derived vdp ann ~key_based =
             np_mat = mat;
             np_leaf =
               (match children with
-              | [ leaf ] when Graph.is_leaf vdp leaf -> Some leaf
+              | [ leaf ] when Graph.is_leaf vdp leaf ->
+                Some
+                  {
+                    lp_node = name;
+                    lp_leaf = leaf;
+                    lp_filter = Delta_plan.unary (schema leaf) def;
+                  }
               | _ -> None);
-            np_delta = Delta_plan.of_expr full;
+            np_children = List.map (fun c -> (c, schema c)) children;
+            np_delta = Delta_plan.of_expr ~index ~schema full;
+            np_stage =
+              Option.map
+                (fun table ->
+                  ( table,
+                    if mat = Schema.attrs node.Graph.schema then Fun.id
+                    else Delta_plan.unary node.Graph.schema (Expr.project mat (Expr.base name)) ))
+                (Hashtbl.find_opt tables name);
             np_keyed = keyed;
           })
     (Graph.nodes vdp);
@@ -480,7 +512,7 @@ let build_derived vdp ann ~key_based =
       List.filter_map
         (fun node ->
           match Hashtbl.find_opt d_nodes node.Graph.name with
-          | Some { np_leaf = Some leaf; _ } -> Some (node.Graph.name, leaf)
+          | Some { np_leaf = Some lp; _ } -> Some lp
           | Some _ | None -> None)
         (Graph.nodes vdp);
     d_parents;
@@ -588,7 +620,13 @@ let cache_store t ~node ~attrs ~cond ~polled ?(polled_times = []) ?trace_id
         ca_polled = polled;
         ca_polled_times = polled_times;
         ca_trace_id = trace_id;
-        ca_scan = (if scanned then Some (Predicate.compile cond) else None);
+        ca_scan =
+          (match Hashtbl.find_opt t.tables node with
+          | Some table when scanned ->
+            Some
+              (Delta_plan.unary (Table.schema table)
+                 (Expr.project attrs (Expr.select cond (Expr.base node))))
+          | Some _ | None -> None);
         ca_absorbed = 0;
       }
 
@@ -621,20 +659,19 @@ let cache_invalidate_nodes t nodes =
    table's support, which evicts it *)
 let cache_maintain t staged =
   if staged <> [] then
-    cache_drop t (fun (n, attrs, _) ca ->
+    cache_drop t (fun (n, _, _) ca ->
         match
           ( ca.ca_scan,
             List.find_opt (fun (node, _, _) -> String.equal node n) staged )
         with
-        | Some test, Some (_, table, d) ->
+        | Some maintain, Some (_, table, d) ->
           let atoms = Rel_delta.atom_count d in
           ca.ca_absorbed <- ca.ca_absorbed + atoms;
           if ca.ca_absorbed >= Table.support_cardinal table then true
           else begin
             Eval.charge_tuple_ops atoms;
             ca.ca_answer <-
-              Rel_delta.apply ca.ca_answer
-                (Rel_delta.project attrs (Rel_delta.filter test d));
+              Rel_delta.apply ca.ca_answer (maintain d);
             false
           end
         | _ -> false)
@@ -719,7 +756,7 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
       initialized = false;
       derived =
         build_derived vdp annotation
-          ~key_based:config.Config.key_based_enabled;
+          ~key_based:config.Config.key_based_enabled ~tables;
       cache = { entries = Hashtbl.create 32; polled_hw = Hashtbl.create 8 };
       export_subs = [];
     }

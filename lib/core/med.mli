@@ -276,16 +276,34 @@ type export_event =
     another mediator, per the paper's composability claim — observes:
     the change stream of the exports. *)
 
+type leaf_parent = {
+  lp_node : string;
+  lp_leaf : string;  (** its single child, a leaf *)
+  lp_filter : Rel_delta.t -> Rel_delta.t;
+      (** the node's select/project/rename definition compiled over the
+          leaf's schema into one fused pass ({!Delta.Delta_plan.unary}):
+          a leaf delta's image at the node, charging no tuple op. The
+          IUP's leaf-parent deltas and the VAP's Eager Compensation
+          run it. *)
+}
+
 type node_plan = {
   np_mat : string list;
       (** the node's materialized attributes, in schema order: what
           {!mat_attrs} returns *)
-  np_leaf : string option;
-      (** [Some leaf] for a leaf-parent: its single child, a leaf *)
+  np_leaf : leaf_parent option;  (** [Some] for a leaf-parent *)
+  np_children : (string * Schema.t) list;
+      (** the definition's children with their declared schemas, in
+          {!Vdp.Graph.children} order *)
   np_delta : Delta_plan.t;
       (** the compiled delta plan of the full-width restricted
           definition ({!Vdp.Derived_from.restrict_def} at every
-          attribute, no condition) — what the IUP's kernel pass runs *)
+          attribute, no condition) — what the IUP's kernel pass runs —
+          compiled against the children's declared schemas, with its
+          index joins prepared into the stored tables *)
+  np_stage : (Table.t * (Rel_delta.t -> Rel_delta.t)) option;
+      (** the node's table, if it has one, and the projection of the
+          node's deltas onto the table's attributes *)
   np_keyed : (string * Schema.t * string list) list;
       (** [(child, schema, key)] for every child whose whole key the
           node materializes, in child order — the children Example
@@ -538,8 +556,8 @@ val update_steps : t -> Derived_from.step list
     the non-leaf-parent nodes whose delta the IUP computes, in
     topological order, with their child reads. *)
 
-val leaf_parents : t -> (string * string) list
-(** Every leaf-parent with its leaf, in {!Vdp.Graph.nodes} order. *)
+val leaf_parents : t -> leaf_parent list
+(** Every leaf-parent, in {!Vdp.Graph.nodes} order. *)
 
 val node_parents : t -> string -> string list
 (** {!Graph.parents} through the derived table (no graph walk). *)

@@ -92,18 +92,6 @@ let closure (t : Med.t) requests =
       | None -> None)
     order
 
-(* push a leaf-level delta through a leaf-parent's select/project
-   definition (deltas commute with select and project, Sec. 6.2);
-   [Graph.make] admits no other leaf-parent definition *)
-let rec filter_delta expr d =
-  match expr with
-  | Expr.Base _ -> d
-  | Expr.Select (p, e) -> Rel_delta.select p (filter_delta e d)
-  | Expr.Project (a, e) -> Rel_delta.project a (filter_delta e d)
-  | Expr.Rename (m, e) -> Rel_delta.rename m (filter_delta e d)
-  | Expr.Join _ | Expr.Union _ | Expr.Diff _ ->
-    invalid_arg "Vap.filter_delta: not a select/project/rename chain"
-
 let build_inner (t : Med.t) ~pending requests =
   let reqs =
     Obs.Trace.with_span t.Med.trace "closure" (fun sp ->
@@ -116,7 +104,7 @@ let build_inner (t : Med.t) ~pending requests =
     List.partition_map
       (fun r ->
         match (Med.node_plan t r.r_node).Med.np_leaf with
-        | Some leaf -> Either.Left (r, leaf)
+        | Some lp -> Either.Left (r, lp)
         | None -> Either.Right r)
       reqs
   in
@@ -126,12 +114,12 @@ let build_inner (t : Med.t) ~pending requests =
   (* group leaf-parent requests by source; one poll per source *)
   let by_source = Hashtbl.create 4 in
   List.iter
-    (fun (r, leaf) ->
-      let src = Graph.source_of_leaf t.Med.vdp leaf in
+    (fun ((_, lp) as req) ->
+      let src = Graph.source_of_leaf t.Med.vdp lp.Med.lp_leaf in
       let existing =
         Option.value ~default:[] (Hashtbl.find_opt by_source src)
       in
-      Hashtbl.replace by_source src ((r, leaf) :: existing))
+      Hashtbl.replace by_source src (req :: existing))
     lp_reqs;
   Hashtbl.iter
     (fun src_name pairs ->
@@ -149,8 +137,8 @@ let build_inner (t : Med.t) ~pending requests =
       in
       let keys =
         List.filter_map
-          (fun (r, leaf) ->
-            Option.map (fun k -> (r.r_node, k)) (poll_key t r ~leaf))
+          (fun (r, lp) ->
+            Option.map (fun k -> (r.r_node, k)) (poll_key t r ~leaf:lp.Med.lp_leaf))
           pairs
       in
       let answer = Med.poll_with_retry t src ~keys queries in
@@ -197,7 +185,7 @@ let build_inner (t : Med.t) ~pending requests =
                   answer.Message.answer_version seen))
         end);
       List.iter
-        (fun (r, leaf) ->
+        (fun (r, lp) ->
           let polled = List.assoc r.r_node answer.Message.results in
           let value =
             if
@@ -210,14 +198,13 @@ let build_inner (t : Med.t) ~pending requests =
                   (* Eager Compensation: roll the polled answer back to
                      the reflected state *)
                   let unseen =
-                    Med.unseen_delta t ~pending ~source:src_name ~leaf
+                    Med.unseen_delta t ~pending ~source:src_name
+                      ~leaf:lp.Med.lp_leaf
                   in
                   Obs.Trace.set_attri t.Med.trace sp "unseen_atoms"
                     (Rel_delta.atom_count unseen);
                   let comp = Rel_delta.inverse unseen in
-                  let through_def =
-                    filter_delta (Graph.def t.Med.vdp r.r_node) comp
-                  in
+                  let through_def = lp.Med.lp_filter comp in
                   let through_req =
                     Rel_delta.project r.r_attrs
                       (if Predicate.equal r.r_cond Predicate.True then

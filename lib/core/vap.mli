@@ -60,13 +60,6 @@ val build :
     dropped or reordered message invalidated the ECA baseline; the
     source is marked dirty for resync. *)
 
-val filter_delta : Expr.t -> Delta.Rel_delta.t -> Delta.Rel_delta.t
-(** Push a leaf-level delta through a leaf-parent's
-    select/project/rename definition (deltas commute with these,
-    Sec. 6.2). {!Vdp.Graph.make} admits no other leaf-parent
-    definition.
-    @raise Invalid_argument on a join, union or difference. *)
-
 val closure : Med.t -> request list -> request list
 (** Phase 1 alone (exposed for tests): the full set of temporaries
     that would be constructed, in parents-before-children order. *)

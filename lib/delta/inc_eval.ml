@@ -1,37 +1,6 @@
 open Relalg
 
-let rec affected ~changed = function
-  | Expr.Base n -> changed n
-  | Expr.Select (_, e) | Expr.Project (_, e) | Expr.Rename (_, e) ->
-    affected ~changed e
-  | Expr.Join (a, _, b) | Expr.Union (a, b) | Expr.Diff (a, b) ->
-    affected ~changed a || affected ~changed b
-
 let unrestricted e = List.map (fun n -> (n, Predicate.True)) (Expr.base_names e)
-
-(* every base whose value the rules read, once per read: [join_read c p
-   r] pairs the bases of a join operand [r], whose value the rule joins
-   with the delta of the changed operand [c]; every other read is
-   unrestricted. When both operands changed, each old value meets only
-   the other's delta, while computing the operands' own deltas reads
-   their bases again. *)
-let reads ~changed ~join_read expr =
-  let rec go = function
-    | Expr.Base _ -> []
-    | Expr.Select (_, e) | Expr.Project (_, e) | Expr.Rename (_, e) -> go e
-    | Expr.Join (a, p, b) -> (
-      match (affected ~changed a, affected ~changed b) with
-      | false, false -> []
-      | true, false -> go a @ join_read a p b
-      | false, true -> join_read b p a @ go b
-      | true, true -> join_read b p a @ join_read a p b @ go a @ go b)
-    | Expr.Union (a, b) -> go a @ go b
-    | Expr.Diff (a, b) ->
-      if affected ~changed a || affected ~changed b then
-        unrestricted a @ unrestricted b
-      else []
-  in
-  go expr
 
 (* the base columns that output column [a] of [e] copies, followed
    through select/project/rename and into each join side carrying it
@@ -83,31 +52,99 @@ let restricted_column ~schema r n x =
   | _ -> None
 
 (* [c ⋈_p r] with [c] changed joins Δc with [r]'s value. When [c] holds
-   exactly one changed base occurrence D whose delta is [known], every
+   exactly one changed base occurrence D whose delta is known, every
    tuple of Δc copies its D columns from one tuple of ΔD, so an equi
    pair (x, d) that follows x to base X of [r] and d to D confines the
-   rows of X the rule can join to x ∈ keys(ΔD.d). *)
-let keyed_read ~schema ~changed ~known c p r =
-  match List.filter changed (Expr.base_occurrences c) with
-  | [ dn ] when known dn <> None ->
-    let dd = Option.get (known dn) in
-    let pairs = join_pairs ~schema c p r in
-    let keyed n (x, d) =
-      match
-        ( restricted_column ~schema r n x,
-          List.filter (fun (b, _) -> String.equal b dn) (origins ~schema c d) )
-      with
-      | Some x', (_, d') :: _ ->
-        Option.map (Predicate.one_of x') (column_keys dd d')
-      | _ -> None
-    in
-    List.map
-      (fun n ->
-        match List.find_map (keyed n) pairs with
-        | Some cond -> (n, cond)
-        | None -> (n, Predicate.True))
-      (Expr.base_names r)
-  | _ -> unrestricted r
+   rows of X the rule can join to x ∈ keys(ΔD.d). Everything but the
+   changed occurrence and the keys is fixed by the schemas: per base D
+   of [c] and base X of [r], the candidate (x', d') column pairs in
+   pair order (the first whose ΔD column holds no Null wins). *)
+type keyed = {
+  k_occurrences : string list; (* of [c] *)
+  k_candidates : (string * (string * (string * string) list) list) list;
+      (* per base D of [c]: per base X of [r], its (x', d') pairs *)
+  k_unrestricted : (string * Predicate.t) list; (* every read of [r] *)
+}
+
+let keyed_read ~schema c p r =
+  let pairs = join_pairs ~schema c p r in
+  let candidates dn n =
+    List.filter_map
+      (fun (x, d) ->
+        match
+          ( restricted_column ~schema r n x,
+            List.filter (fun (b, _) -> String.equal b dn) (origins ~schema c d) )
+        with
+        | Some x', (_, d') :: _ -> Some (x', d')
+        | _ -> None)
+      pairs
+  in
+  let occurrences = Expr.base_occurrences c in
+  {
+    k_occurrences = occurrences;
+    k_candidates =
+      List.map
+        (fun dn -> (dn, List.map (fun n -> (n, candidates dn n)) (Expr.base_names r)))
+        (List.sort_uniq String.compare occurrences);
+    k_unrestricted = unrestricted r;
+  }
+
+let keyed_reads k ~changed ~known =
+  match List.filter changed k.k_occurrences with
+  | [ dn ] -> (
+    match known dn with
+    | Some dd ->
+      List.map
+        (fun (n, cands) ->
+          ( n,
+            match
+              List.find_map
+                (fun (x', d') -> Option.map (Predicate.one_of x') (column_keys dd d'))
+                cands
+            with
+            | Some cond -> cond
+            | None -> Predicate.True ))
+        (List.assoc dn k.k_candidates)
+    | None -> k.k_unrestricted)
+  | _ -> k.k_unrestricted
+
+(* [reads] with everything the schemas fix compiled: each operand's base
+   occurrences (whether it is affected) and each join orientation's
+   keyed read *)
+type reads =
+  | Nothing
+  | Join_reads of {
+      a : reads;
+      a_bases : string list;
+      b : reads;
+      b_bases : string list;
+      a_reads_b : keyed; (* [a] changed, [b]'s value read *)
+      b_reads_a : keyed;
+    }
+  | Union_reads of reads * reads
+  | Diff_reads of { bases : string list; both : (string * Predicate.t) list }
+
+let rec compile_reads ~schema = function
+  | Expr.Base _ -> Nothing
+  | Expr.Select (_, e) | Expr.Project (_, e) | Expr.Rename (_, e) ->
+    compile_reads ~schema e
+  | Expr.Join (a, p, b) ->
+    Join_reads
+      {
+        a = compile_reads ~schema a;
+        a_bases = Expr.base_occurrences a;
+        b = compile_reads ~schema b;
+        b_bases = Expr.base_occurrences b;
+        a_reads_b = keyed_read ~schema a p b;
+        b_reads_a = keyed_read ~schema b p a;
+      }
+  | Expr.Union (a, b) -> Union_reads (compile_reads ~schema a, compile_reads ~schema b)
+  | Expr.Diff (a, b) ->
+    Diff_reads
+      {
+        bases = Expr.base_occurrences a @ Expr.base_occurrences b;
+        both = unrestricted a @ unrestricted b;
+      }
 
 (* every (base, column) some [keyed_read] of [expr] can restrict, for
    any changed bases and known deltas: the join reads of [reads], in
@@ -130,8 +167,30 @@ let restrictable ~schema expr =
   in
   List.sort_uniq compare (go expr)
 
-let value_restrictions ~schema ~changed ~known expr =
-  reads ~changed ~join_read:(keyed_read ~schema ~changed ~known) expr
+(* every base whose value the rules read, once per read: [keyed k]
+   restricts the bases of a join operand whose value the rule joins with
+   the delta of the changed other operand; every other read is
+   unrestricted. When both operands changed, each old value meets only
+   the other's delta, while computing the operands' own deltas reads
+   their bases again. *)
+let reads ~changed ~keyed rules =
+  let affected = List.exists changed in
+  let rec go = function
+    | Nothing -> []
+    | Join_reads j -> (
+      match (affected j.a_bases, affected j.b_bases) with
+      | false, false -> []
+      | true, false -> go j.a @ keyed j.a_reads_b
+      | false, true -> keyed j.b_reads_a @ go j.b
+      | true, true -> keyed j.b_reads_a @ keyed j.a_reads_b @ go j.a @ go j.b)
+    | Union_reads (a, b) -> go a @ go b
+    | Diff_reads d -> if affected d.bases then d.both else []
+  in
+  go rules
+
+let value_restrictions rules ~changed ~known =
+  let keyed k = keyed_reads k ~changed ~known in
+  reads ~changed ~keyed rules
   |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.fold_left
        (fun acc (n, c) ->

@@ -15,11 +15,18 @@ val origins :
     natural-join column holds one value on both sides); [[]] through a
     union or difference. [schema] gives each base's schema. *)
 
+type reads
+(** The reads of one expression's delta rules, compiled against its
+    bases' schemas: everything {!value_restrictions} decides that does
+    not depend on which bases changed or on their deltas. *)
+
+val compile_reads : schema:(string -> Schema.t) -> Expr.t -> reads
+(** Compile once; [schema] gives each base's schema. *)
+
 val value_restrictions :
-  schema:(string -> Schema.t) ->
+  reads ->
   changed:(string -> bool) ->
   known:(string -> Rel_delta.t option) ->
-  Expr.t ->
   (string * Predicate.t) list
 (** The base relations whose {e values} a delta plan of the
     expression will read, given which bases carry deltas ([changed]) —
@@ -33,11 +40,12 @@ val value_restrictions :
     column, followed through select, project, rename and join — leads
     x to X and d to D: the restriction is [x ∈ keys], the distinct
     d-values over ΔD's inserts and deletes, as one
-    {!Relalg.Predicate.one_of} key set. Every other read (difference operands, non-equi joins,
-    two changed bases, a D whose delta is only known later, a Null
-    key) is [True]; a base read several times gets the disjunction.
-    [schema] gives each base's schema. The IUP narrows its
-    update-time VAP requests with these (Sec. 6.4 phase (a)). *)
+    {!Relalg.Predicate.one_of} key set. Every other read (difference
+    operands, non-equi joins, two changed bases, a D whose delta is
+    only known later, a Null key) is [True]; a base read several times
+    gets the disjunction. Only the key sets are computed per call. The
+    IUP narrows its update-time VAP requests with these (Sec. 6.4
+    phase (a)). *)
 
 val restrictable :
   schema:(string -> Schema.t) -> Expr.t -> (string * string) list

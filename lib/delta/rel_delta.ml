@@ -7,7 +7,9 @@ exception Delta_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Delta_error s)) fmt
 
-let empty schema = { schema; muls = Counts.empty () }
+let relabel schema d = { d with schema }
+
+let empty schema = { schema; muls = Counts.empty ~size:1 () }
 let schema d = d.schema
 let is_empty d = Counts.size d.muls = 0
 
@@ -25,7 +27,13 @@ let delete ?(mult = 1) d tuple =
 let of_bags ~ins ~del =
   if not (Schema.union_compatible (Bag.schema ins) (Bag.schema del)) then
     err "of_bags: incompatible schemas";
-  let d = empty (Bag.schema ins) in
+  let d =
+    {
+      schema = Bag.schema ins;
+      muls =
+        Counts.empty ~size:(Bag.support_cardinal ins + Bag.support_cardinal del) ();
+    }
+  in
   let d = Bag.fold (fun t m acc -> add_signed acc t m) ins d in
   Bag.fold (fun t m acc -> add_signed acc t (-m)) del d
 
@@ -67,12 +75,12 @@ let smash d1 d2 =
   Counts.fold (fun t m acc -> add_signed acc t m) d2.muls d1
 
 let inverse d =
-  let out = Counts.Builder.create ~size:(max 16 (Counts.size d.muls)) () in
+  let out = Counts.Builder.create ~size:(Counts.size d.muls) () in
   Counts.iter (fun t m -> Counts.Builder.add out t (-m)) d.muls;
   { d with muls = Counts.Builder.seal out }
 
 let filter test d =
-  let out = Counts.Builder.create () in
+  let out = Counts.Builder.create ~size:(Counts.size d.muls) () in
   Counts.iter (fun t m -> if test t then Counts.Builder.add out t m) d.muls;
   { d with muls = Counts.Builder.seal out }
 
@@ -83,7 +91,7 @@ let select p d =
   | p -> if is_empty d then d else filter (Predicate.compile p) d
 
 let transform schema f d =
-  let out = Counts.Builder.create ~size:(max 16 (Counts.size d.muls)) () in
+  let out = Counts.Builder.create ~size:(Counts.size d.muls) () in
   Counts.iter
     (fun tuple m ->
       match f tuple with
@@ -95,24 +103,14 @@ let transform schema f d =
 let project names d =
   let schema = Schema.project d.schema names in
   let proj = Tuple.projector names in
-  let out = Counts.Builder.create ~size:(max 16 (Counts.size d.muls)) () in
+  let out = Counts.Builder.create ~size:(Counts.size d.muls) () in
   (* counts of coinciding images accumulate; zero sums drop out *)
   Counts.iter (fun tuple m -> Counts.Builder.add out (proj tuple) m) d.muls;
   { schema; muls = Counts.Builder.seal out }
 
-let rename mapping d =
-  let schema =
-    Expr.schema_of
-      (fun _ -> d.schema)
-      (Expr.Rename (mapping, Expr.Base "_"))
-  in
-  (* array fast path: the renamer precomputes the slot permutation per
-     descriptor, no assoc-list round trip per tuple *)
-  let rename_tuple = Tuple.renamer mapping in
-  let out = Counts.Builder.create ~size:(max 16 (Counts.size d.muls)) () in
-  Counts.iter
-    (fun tuple m -> Counts.Builder.add out (rename_tuple tuple) m)
-    d.muls;
+let collect schema ~size produce =
+  let out = Counts.Builder.create ~size () in
+  produce (Counts.Builder.add out);
   { schema; muls = Counts.Builder.seal out }
 
 let split_join join_fn d =

@@ -25,6 +25,11 @@ val empty : Schema.t -> t
 val schema : t -> Schema.t
 val is_empty : t -> bool
 
+val relabel : Schema.t -> t -> t
+(** The same atoms under another schema, sharing their storage (no
+    copy): a delta plan's join terms, normalized to the join's
+    canonical schema. *)
+
 val insert : ?mult:int -> t -> Tuple.t -> t
 (** Add an insertion atom (cancels pending deletions of the tuple). *)
 
@@ -59,11 +64,6 @@ val select : Predicate.t -> t -> t
 (** Commutes with apply:
     [select p (apply db d) = apply (select p db) (select p d)]. *)
 
-val filter : (Tuple.t -> bool) -> t -> t
-(** [select] with a pre-compiled predicate closure
-    ({!Relalg.Predicate.compile}); the hot path of compiled delta
-    plans. *)
-
 val transform : Schema.t -> (Tuple.t -> Tuple.t option) -> t -> t
 (** One-pass fused filter+map: each atom's tuple is rewritten (or
     dropped on [None]) keeping its signed multiplicity; signed
@@ -71,13 +71,16 @@ val transform : Schema.t -> (Tuple.t -> Tuple.t option) -> t -> t
     out. [schema] is the schema of the rewritten atoms. Backs fused
     unary chains in compiled delta plans. *)
 
+val collect : Schema.t -> size:int -> ((Tuple.t -> int -> unit) -> unit) -> t
+(** [collect schema ~size produce] is the delta of the signed atoms
+    [produce] emits through its argument, built in one arena presized
+    for [size] atoms: multiplicities of coinciding tuples accumulate
+    and zero sums drop out. The output of a prepared index join
+    ({!Storage.Table.delta_join}). *)
+
 val project : string list -> t -> t
 (** Bag projection of a delta (signed multiplicities of coinciding
     images add up). Commutes with apply on bags. *)
-
-val rename : (string * string) list -> t -> t
-(** Rename attributes in every atom ([(old, new)] pairs). Commutes
-    with apply like projection does. *)
 
 val join_bag : ?on:Predicate.t -> ?test:(Tuple.t -> bool) -> t -> Bag.t -> t
 (** [join_bag d b]: the signed join [d ⋈ b], the building block of the

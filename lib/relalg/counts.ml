@@ -41,9 +41,12 @@ let dummy_entry = { etuple = Tuple.empty; ecount = 0 }
 
 let rec pow2_above n x = if x >= n then x else pow2_above n (2 * x)
 
+(* sized to [cap] entries, with no floor beyond one: a one-atom delta
+   gets a one-entry arena, and a map that outgrows its arena doubles it
+   (order-preserving) *)
 let make_data cap =
-  let cap = max 8 cap in
-  let icap = pow2_above (cap + (cap / 2)) 16 in
+  let cap = max 1 cap in
+  let icap = pow2_above (cap + (cap / 2)) 2 in
   {
     entries = Array.make cap dummy_entry;
     used = 0;
@@ -260,26 +263,53 @@ let add_to t tuple m =
       { size; store = Data nd }
     end
 
-let with_pinned t f =
+(* pin [t]'s arena for the duration of a scan; the unpin runs however
+   the scan ends. Written out rather than through [Fun.protect], whose
+   closures would cost every scan of a one-atom delta more words than
+   the atom *)
+let pin t =
   let d = reroot t in
   d.pins <- d.pins + 1;
-  Fun.protect ~finally:(fun () -> d.pins <- d.pins - 1) (fun () -> f d)
+  d
+
+let with_pinned t f =
+  let d = pin t in
+  match f d with
+  | r ->
+    d.pins <- d.pins - 1;
+    r
+  | exception e ->
+    d.pins <- d.pins - 1;
+    raise e
 
 let iter f t =
-  with_pinned t (fun d ->
-      for i = 0 to d.used - 1 do
-        let e = Array.unsafe_get d.entries i in
-        f e.etuple e.ecount
-      done)
+  let d = pin t in
+  match
+    for i = 0 to d.used - 1 do
+      let e = Array.unsafe_get d.entries i in
+      f e.etuple e.ecount
+    done
+  with
+  | () -> d.pins <- d.pins - 1
+  | exception e ->
+    d.pins <- d.pins - 1;
+    raise e
 
 let fold f t init =
-  with_pinned t (fun d ->
-      let acc = ref init in
-      for i = 0 to d.used - 1 do
-        let e = Array.unsafe_get d.entries i in
-        acc := f e.etuple e.ecount !acc
-      done;
-      !acc)
+  let d = pin t in
+  let acc = ref init in
+  match
+    for i = 0 to d.used - 1 do
+      let e = Array.unsafe_get d.entries i in
+      acc := f e.etuple e.ecount !acc
+    done
+  with
+  | () ->
+    d.pins <- d.pins - 1;
+    !acc
+  | exception e ->
+    d.pins <- d.pins - 1;
+    raise e
 
 let bindings t =
   let l = fold (fun tup m acc -> (tup, m) :: acc) t [] in

@@ -18,11 +18,12 @@ type token =
   | Trbrace
   | Tcomma
   | Top of string (* = <> < <= > >= + - * / *)
-  | Tkw of string (* select project join on union minus and or not true false *)
+  | Tkw of string
+      (* select project join on union minus and or not true false null *)
 
 let keywords =
   [ "select"; "project"; "rename"; "to"; "join"; "on"; "union"; "minus";
-    "and"; "or"; "not"; "true"; "false" ]
+    "and"; "or"; "not"; "true"; "false"; "null" ]
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '\''
@@ -79,7 +80,10 @@ let tokenize src =
       end;
       let lit = String.sub src start (!i - start) in
       if point || exponent then emit start (Tfloat (float_of_string lit))
-      else emit start (Tint (int_of_string lit))
+      else
+        match int_of_string_opt lit with
+        | Some i -> emit start (Tint i)
+        | None -> err start "integer literal %s out of range" lit
     end
     else if c = '\'' then begin
       (* a doubled quote inside the literal stands for one quote *)
@@ -209,9 +213,26 @@ and parse_atom st =
   | Some (Tident name) ->
     advance st;
     Predicate.Attr name
-  | Some (Top "-") ->
+  | Some (Tkw "true") ->
     advance st;
-    Predicate.Neg (parse_atom st)
+    Predicate.Const (Value.Bool true)
+  | Some (Tkw "false") ->
+    advance st;
+    Predicate.Const (Value.Bool false)
+  | Some (Tkw "null") ->
+    advance st;
+    Predicate.Const Value.Null
+  | Some (Top "-") -> (
+    advance st;
+    (* a negative number is one constant, as {!Predicate.pp} prints it *)
+    match peek st with
+    | Some (Tint i) ->
+      advance st;
+      Predicate.Const (Value.Int (-i))
+    | Some (Tfloat f) ->
+      advance st;
+      Predicate.Const (Value.Float (-.f))
+    | _ -> Predicate.Neg (parse_atom st))
   | Some Tlparen ->
     advance st;
     let t = parse_term st in
@@ -240,6 +261,7 @@ and parse_conj st =
 
 and parse_unit st =
   if eat_kw st "not" then Predicate.Not (parse_unit st)
+  else if starts_comparison st then parse_comparison st
   else if eat_kw st "true" then Predicate.True
   else if eat_kw st "false" then Predicate.False
   else
@@ -264,6 +286,14 @@ and parse_unit st =
          st.toks <- saved;
          parse_comparison st)
     | _ -> parse_comparison st
+
+(* [true] or [false] compared with something is a boolean constant, not
+   the predicate *)
+and starts_comparison st =
+  match st.toks with
+  | (_, Tkw ("true" | "false")) :: (_, Top ("=" | "<>" | "<" | "<=" | ">" | ">=")) :: _ ->
+    true
+  | _ -> false
 
 and parse_comparison st =
   let lhs = parse_term st in
@@ -488,6 +518,7 @@ let parse_value st =
   | Some (Tstring s) -> advance st; Value.Str s
   | Some (Tkw "true") -> advance st; Value.Bool true
   | Some (Tkw "false") -> advance st; Value.Bool false
+  | Some (Tkw "null") -> advance st; Value.Null
   | Some (Top "-") -> (
     advance st;
     match peek st with

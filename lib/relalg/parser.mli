@@ -26,10 +26,19 @@
                | "(" pred ")"
     term     ::= factor (("+" | "-") factor)*
     factor   ::= atom (("*" | "/") atom)*
-    atom     ::= INT | FLOAT | 'STRING' | IDENT | "-" atom | "(" term ")"
+    atom     ::= INT | FLOAT | 'STRING' | "true" | "false" | "null"
+               | IDENT | "-" atom | "(" term ")"
     v}
 
-    Keywords are case-insensitive; identifiers are
+    A [-] directly before an INT or FLOAT literal makes one negative
+    constant ([-3] is [Const (Int (-3))]); before anything else it is
+    [Neg]. [true] or [false] followed by a comparison operator is a
+    boolean constant, otherwise the predicate. So every comparison of
+    constants {!Predicate.pp} prints parses back to itself (integers
+    other than [min_int], finite floats).
+
+    Keywords (including [null], so [NULL] too) are case-insensitive;
+    identifiers are
     [[A-Za-z_][A-Za-z0-9_']*] (primes allowed, so VDP node names like
     [R'] parse). A FLOAT is digits with a fractional part
     ([.] and digits), an exponent ([e] or [E], an optional sign,

@@ -73,49 +73,54 @@ let probe t attr value f =
     Eval.charge_tuple_ops 1;
     Hash_index.probe ix value f
 
-(* [delta_join d t] = the signed join [d ⋈ contents t] computed by
-   probing [t]'s persistent index on one join-key column: one probe per
-   delta atom instead of rebuilding a key table over the whole stored
-   bag. With several join keys, the merge (a {!Tuple.merger}, which
-   checks shared attributes) and [test], the compiled [on], drop the
-   rows that disagree on the others. [None] when no join-key column is
-   indexed — the caller falls back to the generic hash join. Sound
-   during IUP propagation because table mutations are deferred until
-   after the kernel pass, so probes see the pre-update state. *)
-let delta_join ?(on = Predicate.True) ?test ?filter d t =
-  let dschema = Rel_delta.schema d in
-  let left_keys, right_keys = Bag.join_keys dschema t.schema on in
+(* the index on [col], looked up per call: [load] replaces a table's
+   indexes, so a prepared join holds the column, not the index *)
+let rec index_on col = function
+  | [] -> raise Not_found
+  | ix :: rest -> if String.equal (Hash_index.on ix) col then ix else index_on col rest
+
+(* [delta_join t ~left] prepares the signed join [d ⋈ contents t] for
+   deltas [d] over [left], computed by probing [t]'s persistent index on
+   one join-key column: one probe per delta atom instead of rebuilding a
+   key table over the whole stored bag. Everything but the delta is
+   fixed here: the key column and its extractor, the compiled residual
+   and the tuple merger. With several join keys, the merge (which checks
+   shared attributes) and the residual drop the rows that disagree on
+   the others. [None] when no join-key column is indexed — the caller
+   joins generically. Sound during IUP propagation because table
+   mutations are deferred until after the kernel pass, so probes see
+   the pre-update state. *)
+let delta_join t ~left ?(on = Predicate.True) ?test ?filter () =
+  let left_keys, right_keys = Bag.join_keys left t.schema on in
   match
-    List.find_map
-      (fun (a, b) -> Option.map (fun ix -> (Tuple.keyer1 a, ix)) (find_index t b))
+    List.find_opt
+      (fun (_, b) -> Option.is_some (find_index t b))
       (List.combine left_keys right_keys)
   with
   | None -> None
-  | Some (key, ix) ->
-    let out = ref (Rel_delta.empty (Schema.join dschema t.schema)) in
+  | Some (a, col) ->
+    let key = Tuple.keyer1 a in
+    let out_schema = Schema.join left t.schema in
     let keep = match filter with Some f -> f | None -> fun _ -> true in
     let residual =
       match test with Some f -> f | None -> Predicate.compile on
     in
     let merge = Tuple.merger () in
-    let combine ta ma tb mb =
-      if keep tb then
-        match merge ta tb with
-        | None -> ()
-        | Some merged ->
-          if residual merged then begin
-            let m = ma * mb in
-            out :=
-              (if m > 0 then Rel_delta.insert ~mult:m !out merged
-               else Rel_delta.delete ~mult:(-m) !out merged)
-          end
-    in
-    Rel_delta.fold
-      (fun ta ma () ->
-        Eval.charge_tuple_ops 1;
-        Hash_index.probe ix (key ta) (fun tb mb -> combine ta ma tb mb))
-      d ();
-    Some !out
+    Some
+      (fun d ->
+        let ix = index_on col t.indexes in
+        Rel_delta.collect out_schema ~size:(Rel_delta.support_cardinal d)
+          (fun add ->
+            Rel_delta.fold
+              (fun ta ma () ->
+                Eval.charge_tuple_ops 1;
+                Hash_index.probe ix (key ta) (fun tb mb ->
+                    if keep tb then
+                      match merge ta tb with
+                      | None -> ()
+                      | Some merged ->
+                        if residual merged then add merged (ma * mb)))
+              d ()))
 
 type index_stats = { ix_on : string; ix_distinct : int; ix_max_chain : int }
 type stats = { st_rows : int; st_support : int; st_indexes : index_stats list }

@@ -56,21 +56,25 @@ val probe : t -> string -> Value.t -> (Tuple.t -> int -> unit) -> unit
     @raise Table_error when [attr] is not indexed. *)
 
 val delta_join :
+  t ->
+  left:Schema.t ->
   ?on:Predicate.t ->
   ?test:(Tuple.t -> bool) ->
   ?filter:(Tuple.t -> bool) ->
-  Rel_delta.t ->
-  t ->
-  Rel_delta.t option
-(** [delta_join d t]: the signed join [d ⋈ contents t], computed by
-    probing [t]'s persistent index on one join-key column — one probe
-    per delta atom instead of a key table rebuilt over the whole stored
-    bag. [None] when no join-key column of [on] is indexed; callers
+  unit ->
+  (Rel_delta.t -> Rel_delta.t) option
+(** [delta_join t ~left ()] prepares the signed join [d ⋈ contents t]
+    for deltas [d] over [left], computed by probing [t]'s persistent
+    index on one join-key column — one probe (and one tuple op) per
+    delta atom instead of a key table rebuilt over the whole stored
+    bag. The key column, the compiled residual and the tuple merger are
+    fixed when it is prepared; a call builds only its delta-sized
+    output. [None] when no join-key column of [on] is indexed; callers
     fall back to the generic hash join. [test], when given, must be the
     compiled form of [on] (as for {!Relalg.Bag.join}). [filter]
     (default: keep all) screens stored tuples before they are combined
     — the push-down of a selection sitting over the table in the joined
-    expression. *)
+    expression. The prepared join stays valid across {!load}. *)
 
 (** {1 Statistics}
 

@@ -119,7 +119,11 @@ let needed_attrs_of_children vdp node =
     (fun (child, b, _) -> (child, b))
     (derived_from vdp ~node ~attrs:(Schema.attrs schema) ~cond:Predicate.True)
 
-type step = { s_node : string; s_reads : (string * string list) list }
+type step = {
+  s_node : string;
+  s_reads : (string * string list) list;
+  s_rules : Delta.Inc_eval.reads;
+}
 
 let update_steps vdp ann =
   let relevant = Hashtbl.create 16 in
@@ -135,18 +139,25 @@ let update_steps vdp ann =
       if
         Hashtbl.mem relevant node
         && not (List.exists (Graph.is_leaf vdp) (Graph.children vdp node))
-      then Some { s_node = node; s_reads = needed_attrs_of_children vdp node }
+      then
+        Some
+          {
+            s_node = node;
+            s_reads = needed_attrs_of_children vdp node;
+            s_rules =
+              Delta.Inc_eval.compile_reads ~schema:(Graph.schema_env vdp)
+                (Graph.def vdp node);
+          }
       else None)
     (Graph.topo_order vdp)
 
-let step_reads vdp step ~changed ~known =
+let step_reads step ~changed ~known =
   List.filter_map
     (fun (child, cond) ->
       Option.map
         (fun b -> (child, b, cond))
         (List.assoc_opt child step.s_reads))
-    (Delta.Inc_eval.value_restrictions ~schema:(Graph.schema_env vdp) ~changed
-       ~known (Graph.def vdp step.s_node))
+    (Delta.Inc_eval.value_restrictions step.s_rules ~changed ~known)
 
 let step_restrictable vdp step =
   List.filter

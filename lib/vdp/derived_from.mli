@@ -58,6 +58,9 @@ type step = {
       (** per child the node's definition reads, the attributes it
           reads ({!needed_attrs_of_children}); every child is a
           non-leaf, since the node is not a leaf-parent *)
+  s_rules : Delta.Inc_eval.reads;
+      (** the definition's reads, compiled against the children's
+          declared schemas ({!Delta.Inc_eval.compile_reads}) *)
 }
 
 val update_steps : Graph.t -> Annotation.t -> step list
@@ -67,7 +70,6 @@ val update_steps : Graph.t -> Annotation.t -> step list
     definition. In topological order (children before parents). *)
 
 val step_reads :
-  Graph.t ->
   step ->
   changed:(string -> bool) ->
   known:(string -> Delta.Rel_delta.t option) ->
@@ -76,7 +78,8 @@ val step_reads :
     given which children carry deltas ([changed]) and the deltas
     already known ([known]): [(child, attrs, cond)] per child of
     {!Delta.Inc_eval.value_restrictions} that [s_reads] lists, with its
-    attributes and row restriction, sorted by child name. *)
+    attributes and row restriction, sorted by child name. Only the key
+    sets of the restrictions are computed per call. *)
 
 val step_restrictable : Graph.t -> step -> (string * string) list
 (** The [(child, column)] pairs a row restriction of {!step_reads} can

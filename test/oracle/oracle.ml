@@ -98,6 +98,29 @@ let rec eval_interp ~env expr =
     Eval.charge_tuple_ops (Bag.support_cardinal ba + Bag.support_cardinal bb);
     Bag.set_diff ba bb
 
+(* a delta's atoms renamed ([(old, new)] pairs) *)
+let rename_delta mapping d =
+  let schema =
+    Expr.schema_of
+      (fun _ -> Rel_delta.schema d)
+      (Expr.Rename (mapping, Expr.Base "_"))
+  in
+  let rename_tuple = Tuple.renamer mapping in
+  Rel_delta.transform schema (fun t -> Some (rename_tuple t)) d
+
+(* A leaf delta through a leaf-parent's select/project/rename
+   definition, one operator at a time (deltas commute with select,
+   project and rename, Sec. 6.2): the interpretive form of the
+   mediator's compiled leaf-parent filters. *)
+let rec filter_delta expr d =
+  match expr with
+  | Expr.Base _ -> d
+  | Expr.Select (p, e) -> Rel_delta.select p (filter_delta e d)
+  | Expr.Project (a, e) -> Rel_delta.project a (filter_delta e d)
+  | Expr.Rename (m, e) -> rename_delta m (filter_delta e d)
+  | Expr.Join _ | Expr.Union _ | Expr.Diff _ ->
+    invalid_arg "Oracle.filter_delta: not a select/project/rename chain"
+
 (* pre-update value of a subexpression *)
 let eval_old ~env e = Eval.eval ~env e
 
@@ -135,7 +158,7 @@ let rec delta_of_expr_interp ?indexed_join ~env ~deltas expr =
   | Expr.Rename (mapping, e) ->
     let d = delta_of_expr ~env ~deltas e in
     Eval.charge_tuple_ops (Rel_delta.support_cardinal d);
-    Rel_delta.rename mapping d
+    rename_delta mapping d
   | Expr.Join (a, p, b) ->
     let da = delta_of_expr ~env ~deltas a in
     let db = delta_of_expr ~env ~deltas b in

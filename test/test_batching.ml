@@ -57,74 +57,6 @@ type diff_scenario = {
   f_exports : string list;
 }
 
-(* A diamond: leaf-parent A′ feeds AB = A′ ⋈_{a2=b2} B′, whose read of
-   A′ is restricted to the b2 keys of ΔB′, and AC = A′ ⋈_{a2 ? c2} C′.
-   A′ keeps a1, a2 materialized and a3 virtual, so AC reads A′ from the
-   store while AB needs a temp: a batch changing B and C together must
-   not let AC see the rows kept for AB. With [?] = [<] AC's read is not
-   restrictable; with [?] = [=] it is restricted to the c2 keys of ΔC′,
-   and the temp must hold a2 ∈ keys(ΔB′) ∪ keys(ΔC′). *)
-let diamond_specs = function
-  | "A" ->
-    [
-      { Datagen.c_attr = "a1"; c_min = 0; c_max = 0 };
-      { Datagen.c_attr = "a2"; c_min = 0; c_max = 7 };
-      { Datagen.c_attr = "a3"; c_min = 0; c_max = 99 };
-    ]
-  | "B" ->
-    [
-      { Datagen.c_attr = "b1"; c_min = 0; c_max = 0 };
-      { Datagen.c_attr = "b2"; c_min = 0; c_max = 7 };
-    ]
-  | "C" ->
-    [
-      { Datagen.c_attr = "c1"; c_min = 0; c_max = 0 };
-      { Datagen.c_attr = "c2"; c_min = 0; c_max = 7 };
-    ]
-  | rel -> invalid_arg ("diamond_specs: " ^ rel)
-
-let diamond_schema = function
-  | "A" ->
-    Schema.make ~key:[ "a1" ]
-      [ ("a1", Value.TInt); ("a2", Value.TInt); ("a3", Value.TInt) ]
-  | "B" -> Schema.make ~key:[ "b1" ] [ ("b1", Value.TInt); ("b2", Value.TInt) ]
-  | "C" -> Schema.make ~key:[ "c1" ] [ ("c1", Value.TInt); ("c2", Value.TInt) ]
-  | rel -> invalid_arg ("diamond_schema: " ^ rel)
-
-let make_diamond ~ac_on seed =
-  let engine = Engine.create () in
-  let rng = Datagen.state seed in
-  let db rel =
-    let a =
-      Scenario.mk_source ~backend:`Relational ~engine ~name:("db" ^ rel)
-        ~relations:[ (rel, diamond_schema rel) ]
-        ~announce:(Source_db.Periodic 0.9) ()
-    in
-    Adapter.load a rel
-      (Datagen.bag rng (diamond_schema rel) (diamond_specs rel) ~size:12);
-    a
-  in
-  let b =
-    Builder.create
-      ~source_of:(function
-        | ("A" | "B" | "C") as rel -> Some ("db" ^ rel) | _ -> None)
-      ~schema_of:(function
-        | ("A" | "B" | "C") as rel -> Some (diamond_schema rel) | _ -> None)
-      ()
-  in
-  Builder.add_export b ~name:"AB"
-    Expr.(
-      project [ "a1"; "a3"; "b1" ]
-        (join ~on:(Predicate.eq_attrs "a2" "b2") (base "A") (base "B")));
-  Builder.add_export b ~name:"AC"
-    Expr.(
-      project [ "a1"; "c1" ]
-        (join ~on:ac_on (base "A") (base "C")));
-  Scenario.make_env ~engine ~vdp:(Builder.build b) [ db "A"; db "B"; db "C" ]
-
-let diamond_annotation _rng vdp =
-  Annotation.of_list vdp [ ("A'", [ ("a3", Annotation.V) ]) ]
-
 (* periodic announcements make sources hold several commits back and
    release them together, so the batched run sees real queue depth *)
 let scenarios =
@@ -162,18 +94,18 @@ let scenarios =
     };
     {
       f_name = "diamond";
-      f_make = make_diamond ~ac_on:Predicate.(lt (attr "a2") (attr "c2"));
-      f_annotate = diamond_annotation;
+      f_make = Tutil.make_diamond ~ac_on:Predicate.(lt (attr "a2") (attr "c2"));
+      f_annotate = (fun _ vdp -> Tutil.diamond_annotation vdp);
       f_rels = [ ("dbA", "A"); ("dbB", "B"); ("dbC", "C") ];
-      f_specs = diamond_specs;
+      f_specs = Tutil.diamond_specs;
       f_exports = [ "AB"; "AC" ];
     };
     {
       f_name = "diamond (both keyed)";
-      f_make = make_diamond ~ac_on:(Predicate.eq_attrs "a2" "c2");
-      f_annotate = diamond_annotation;
+      f_make = Tutil.make_diamond ~ac_on:(Predicate.eq_attrs "a2" "c2");
+      f_annotate = (fun _ vdp -> Tutil.diamond_annotation vdp);
       f_rels = [ ("dbA", "A"); ("dbB", "B"); ("dbC", "C") ];
-      f_specs = diamond_specs;
+      f_specs = Tutil.diamond_specs;
       f_exports = [ "AB"; "AC" ];
     };
   ]

@@ -107,7 +107,7 @@ let prop_rename_commutes =
       in
       Bag.equal
         (rename_bag (Rel_delta.apply b d))
-        (Rel_delta.apply (rename_bag b) (Rel_delta.rename mapping d)))
+        (Rel_delta.apply (rename_bag b) (Oracle.rename_delta mapping d)))
 
 (* --- multi-relation deltas --- *)
 
@@ -443,10 +443,10 @@ let test_value_restrictions_fig1 () =
       (s_tuple 10 55 20)
   in
   let restrictions ?(changed = [ "S" ]) ?(known = [ ("S", ds) ]) expr =
-    Inc_eval.value_restrictions ~schema
+    Inc_eval.value_restrictions
+      (Inc_eval.compile_reads ~schema expr)
       ~changed:(fun n -> List.mem n changed)
       ~known:(fun n -> List.assoc_opt n known)
-      expr
   in
   let pred = Alcotest.testable Predicate.pp Predicate.equal in
   let check what expected got =
@@ -521,9 +521,9 @@ let prop_restricted_reads =
       let delta n = List.assoc_opt n deltas in
       let restrictions =
         Inc_eval.value_restrictions
-          ~schema:(fun _ -> xyz_schema)
+          (Inc_eval.compile_reads ~schema:(fun _ -> xyz_schema) expr)
           ~changed:(fun n -> List.mem_assoc n deltas)
-          ~known:delta expr
+          ~known:delta
       in
       let narrowed n =
         match (env n, List.assoc_opt n restrictions) with

@@ -365,9 +365,12 @@ let diff_table_delta_join () =
       go (Delta.Rel_delta.empty sd) n
     in
     let generic = Delta.Rel_delta.join_bag d (Storage.Table.contents table) in
-    match Storage.Table.delta_join d table with
+    match
+      Storage.Table.delta_join table ~left:(Delta.Rel_delta.schema d) ()
+    with
     | None -> Alcotest.failf "seed %d: delta_join found no index" seed
-    | Some indexed ->
+    | Some join ->
+      let indexed = join d in
       if not (Delta.Rel_delta.equal indexed generic) then
         Alcotest.failf "seed %d: delta_join diverges from join_bag" seed
   done
@@ -428,9 +431,10 @@ let diff_table_delta_join_two_keys () =
           Delta.Rel_delta.join_bag ~on d (Storage.Table.contents table)
         in
         if not (Delta.Rel_delta.is_empty generic) then incr joined;
-        match Storage.Table.delta_join ~on d table with
+        match Storage.Table.delta_join table ~left:sd ~on () with
         | None -> Alcotest.failf "case %d seed %d: no indexed key column" ci seed
-        | Some indexed ->
+        | Some join ->
+          let indexed = join d in
           if not (Delta.Rel_delta.equal indexed generic) then
             Alcotest.failf "case %d seed %d: delta_join diverges from join_bag"
               ci seed

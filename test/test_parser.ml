@@ -76,9 +76,47 @@ let test_literals () =
   check_pred "float" "x >= 2.5" Predicate.(ge (attr "x") (Const (Value.Float 2.5)));
   check_pred "string" "name = 'alice'" Predicate.(eq (attr "name") (Const (Value.Str "alice")));
   check_pred "negative" "x = -3"
-    Predicate.(eq (attr "x") (Neg (Const (Value.Int 3))));
+    Predicate.(eq (attr "x") (Const (Value.Int (-3))));
+  check_pred "negated attribute" "x = -y" Predicate.(eq (attr "x") (Neg (attr "y")));
+  check_pred "negative float" "x < -1.5" Predicate.(lt (attr "x") (Const (Value.Float (-1.5))));
+  check_pred "boolean constants" "b = true and c <> false"
+    Predicate.(
+      And
+        ( eq (attr "b") (Const (Value.Bool true)),
+          Cmp (Ne, attr "c", Const (Value.Bool false)) ));
+  check_pred "boolean constant on the left" "true = b"
+    Predicate.(eq (Const (Value.Bool true)) (attr "b"));
+  check_pred "null" "x = null or y <> NULL"
+    Predicate.(
+      Or (eq (attr "x") (Const Value.Null), Cmp (Ne, attr "y", Const Value.Null)));
   check_pred "not-equal spellings" "x <> 3" Predicate.(Cmp (Ne, attr "x", int 3));
   check_pred "!= alias" "x != 3" Predicate.(Cmp (Ne, attr "x", int 3))
+
+(* a comparison of two constants prints and parses back to itself:
+   negative numbers are one constant, booleans and null are literals *)
+let prop_constant_comparison_prints_back =
+  let const =
+    QCheck2.Gen.(
+      oneof
+        [
+          return Value.Null;
+          map (fun b -> Value.Bool b) bool;
+          map (fun i -> Value.Int i) (int_range (-1_000_000) 1_000_000);
+          map (fun i -> Value.Int i) (oneofl [ max_int; -max_int; 0 ]);
+          map
+            (fun (m, e) -> Value.Float (Float.ldexp (float_of_int m) e))
+            (pair (int_range (-1_000_000) 1_000_000) (int_range (-30) 30));
+          map (fun s -> Value.Str s) (string_size ~gen:printable (int_range 0 6));
+        ])
+  in
+  Tutil.qtest ~count:500 "constant comparison prints back"
+    QCheck2.Gen.(
+      triple
+        (oneofl Predicate.[ Eq; Ne; Lt; Le; Gt; Ge ])
+        const const)
+    (fun (op, a, b) ->
+      let p = Predicate.Cmp (op, Const a, Const b) in
+      Parser.predicate (Format.asprintf "%a" Predicate.pp p) = p)
 
 let test_parenthesized_arith_comparison () =
   (* '(' opening an arithmetic term inside a comparison *)
@@ -133,6 +171,7 @@ let () =
         [
           Alcotest.test_case "connectives" `Quick test_predicate_connectives;
           Alcotest.test_case "literals" `Quick test_literals;
+          prop_constant_comparison_prints_back;
           Alcotest.test_case "parenthesized arithmetic" `Quick test_parenthesized_arith_comparison;
           Alcotest.test_case "attribute lists" `Quick test_attr_list;
         ] );

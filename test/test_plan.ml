@@ -819,6 +819,463 @@ let test_chaos_with_cache () =
         true (Chaos_run.passed r))
     [ 1; 2 ]
 
+(* ---- the IUP's compiled plans vs the operator-at-a-time rules --------- *)
+
+(* every catalogue scenario under each of its annotations, the diamond
+   (non-equi and keyed) and the scenario files, as (name, env,
+   annotation); each call builds fresh environments *)
+let compiled_cases () =
+  List.concat_map
+    (fun sc ->
+      List.map
+        (fun (ann_name, ann) ->
+          let env = sc.Scenario.sc_make ~seed:1 in
+          (sc.Scenario.sc_name ^ "/" ^ ann_name, env, ann env.Scenario.vdp))
+        sc.Scenario.sc_annotations)
+    Scenario.catalogue
+  @ List.map
+      (fun (name, ac_on) ->
+        let env = Tutil.make_diamond ~ac_on 1 in
+        (name, env, Tutil.diamond_annotation env.Scenario.vdp))
+      [
+        ("diamond", Predicate.(lt (attr "a2") (attr "c2")));
+        ("diamond (both keyed)", Predicate.eq_attrs "a2" "c2");
+      ]
+  @ List.map
+      (fun file ->
+        let c = Scn.of_file ("../scenarios/" ^ file) in
+        (file, c.Scn.c_env, c.Scn.c_annotation))
+      [ "fig1.scn"; "fig1_triple.scn" ]
+
+(* the constants a definition's conditions compare with: drawing values
+   around them makes atoms pass and fail its selections *)
+let rec pred_consts = function
+  | Predicate.True | Predicate.False -> []
+  | Predicate.Cmp (_, a, b) ->
+    let rec term = function
+      | Predicate.Const v -> [ v ]
+      | Predicate.Attr _ -> []
+      | Predicate.Neg t -> term t
+      | Predicate.Add (a, b)
+      | Predicate.Sub (a, b)
+      | Predicate.Mul (a, b)
+      | Predicate.Div (a, b) -> term a @ term b
+    in
+    term a @ term b
+  | Predicate.And (a, b) | Predicate.Or (a, b) -> pred_consts a @ pred_consts b
+  | Predicate.Not p -> pred_consts p
+  | Predicate.In (_, vs) -> vs
+
+let rec expr_consts = function
+  | Expr.Base _ -> []
+  | Expr.Select (p, e) -> pred_consts p @ expr_consts e
+  | Expr.Project (_, e) | Expr.Rename (_, e) -> expr_consts e
+  | Expr.Join (a, p, b) -> pred_consts p @ expr_consts a @ expr_consts b
+  | Expr.Union (a, b) | Expr.Diff (a, b) -> expr_consts a @ expr_consts b
+
+(* a value of [ty] from a small domain around [consts] *)
+let near_value rng consts ty =
+  let around =
+    List.concat_map
+      (function
+        | Value.Int i when ty = Value.TInt -> Value.[ Int (i - 1); Int i; Int (i + 1) ]
+        | Value.Float f when ty = Value.TFloat -> Value.[ Float (f -. 1.); Float f ]
+        | Value.Str _ as v when ty = Value.TStr -> [ v ]
+        | Value.Bool _ as v when ty = Value.TBool -> [ v ]
+        | _ -> [])
+      consts
+  in
+  if around <> [] && Random.State.bool rng then
+    List.nth around (Random.State.int rng (List.length around))
+  else random_value rng ty
+
+let near_tuple rng consts schema =
+  Tuple.of_list
+    (List.map
+       (fun (a, ty) -> (a, near_value rng consts ty))
+       (Schema.typed_attrs schema))
+
+(* A random signed delta over [schema] for testing a leaf-parent
+   definition [def]: empty one time in five; otherwise atoms with
+   signed multiplicities, and for some of them a twin differing in one
+   attribute whose image under [def] coincides with theirs, with the
+   same sign (images accumulate) or the opposite one (a zero-sum
+   pair). *)
+let leaf_delta rng def schema =
+  let consts = expr_consts def in
+  let image t = Oracle.filter_delta def (Rel_delta.insert (Rel_delta.empty schema) t) in
+  let twin t =
+    let attrs = Schema.typed_attrs schema in
+    let a, ty = List.nth attrs (Random.State.int rng (List.length attrs)) in
+    let t' = Tuple.set t a (near_value rng consts ty) in
+    let it = image t in
+    if Tuple.equal t t' || Rel_delta.is_empty it || not (Rel_delta.equal it (image t'))
+    then None
+    else Some t'
+  in
+  if Random.State.int rng 5 = 0 then Rel_delta.empty schema
+  else
+    let add d t m =
+      if m > 0 then Rel_delta.insert ~mult:m d t else Rel_delta.delete ~mult:(-m) d t
+    in
+    let rec go d n =
+      if n = 0 then d
+      else
+        let t = near_tuple rng consts schema in
+        let m = (1 + Random.State.int rng 2) * if Random.State.bool rng then 1 else -1 in
+        let d = add d t m in
+        let d =
+          match List.find_map (fun _ -> twin t) [ 1; 2; 3; 4; 5; 6 ] with
+          | Some t' -> add d t' (if Random.State.bool rng then m else -m)
+          | None -> d
+        in
+        go d (n - 1)
+    in
+    go (Rel_delta.empty schema) (1 + Random.State.int rng 6)
+
+(* each leaf-parent's compiled filter gives what pushing the delta
+   through its definition one operator at a time gives, schema
+   included *)
+let test_leaf_parent_filters () =
+  let empty = ref 0 and coinciding = ref 0 in
+  List.iter
+    (fun (name, env, annotation) ->
+      let vdp = env.Scenario.vdp in
+      let med = Scenario.mediator env ~annotation () in
+      List.iter
+        (fun (lp : Med.leaf_parent) ->
+          let def = Graph.def vdp lp.Med.lp_node in
+          let schema = (Graph.node vdp lp.Med.lp_leaf).Graph.schema in
+          for seed = 0 to 59 do
+            let rng = Random.State.make [| 0x1EAF; seed |] in
+            let d = leaf_delta rng def schema in
+            let what = Printf.sprintf "%s: %s, seed %d" name lp.Med.lp_node seed in
+            let expected = Oracle.filter_delta def d in
+            (* atoms with an image, against the images left: fewer left
+               means images coincided (accumulated or cancelled) *)
+            let imaged =
+              Rel_delta.fold
+                (fun t _ n ->
+                  let one = Rel_delta.insert (Rel_delta.empty schema) t in
+                  if Rel_delta.is_empty (Oracle.filter_delta def one) then n else n + 1)
+                d 0
+            in
+            if Rel_delta.is_empty d then incr empty;
+            if Rel_delta.support_cardinal expected < imaged then incr coinciding;
+            let got = lp.Med.lp_filter d in
+            Alcotest.check Tutil.rel_delta what expected got;
+            Alcotest.(check bool)
+              (what ^ ": schema") true
+              (Schema.equal (Rel_delta.schema expected) (Rel_delta.schema got))
+          done)
+        (Med.leaf_parents med))
+    (compiled_cases ());
+  Alcotest.(check bool) "empty deltas drawn" true (!empty > 0);
+  Alcotest.(check bool) "deltas with coinciding images drawn" true (!coinciding > 0)
+
+(* Eager Compensation through the compiled filter: with announced
+   commits waiting in the queue and one batch taken from it, a VAP
+   request on a leaf-parent of an announcing source returns the
+   leaf-parent at the reflected state (the state at initialization),
+   restricted or not *)
+let test_eca_compensation_compiled () =
+  let checked = ref 0 in
+  List.iter
+    (fun (name, env, annotation) ->
+      let vdp = env.Scenario.vdp in
+      let config = Med.Config.make ~flush_interval:1e9 ~max_batch:1 () in
+      let med = Scenario.mediator env ~annotation ~config () in
+      in_process env (fun () -> Mediator.initialize med);
+      Alcotest.(check int) (name ^ ": queue empty after init") 0
+        (Mediator.queue_length med);
+      let rng = Random.State.make [| 0xECA; String.length name |] in
+      let reflected =
+        List.map
+          (fun (lp : Med.leaf_parent) ->
+            let leaf = lp.Med.lp_leaf in
+            (leaf, Adapter.current (Scenario.source env (Graph.source_of_leaf vdp leaf)) leaf))
+          (Med.leaf_parents med)
+      in
+      (* a scenario file's own timed commits join the unseen ones *)
+      Engine.run env.Scenario.engine ~until:(Engine.now env.Scenario.engine +. 5.0);
+      List.iter
+        (fun (lp : Med.leaf_parent) ->
+          let leaf = lp.Med.lp_leaf in
+          let src_name = Graph.source_of_leaf vdp leaf in
+          if Med.contributor_kind med src_name <> Med.Virtual_contributor then begin
+            let src = Scenario.source env src_name in
+            let reflected = List.assoc leaf reflected in
+            let schema = Adapter.schema src leaf in
+            let consts = expr_consts (Graph.def vdp lp.Med.lp_node) in
+            let fresh = ref 0 in
+            (* one commit: a fresh row, a deleted row, or a row replaced
+               by one differing in one attribute *)
+            let commit () =
+              let current = Adapter.current src leaf in
+              let rows = Bag.support current in
+              let pick () = List.nth rows (Random.State.int rng (List.length rows)) in
+              let keyed t =
+                List.fold_left
+                  (fun t k ->
+                    incr fresh;
+                    Tuple.set t k
+                      (match Schema.ty_of_attr schema k with
+                      | Value.TStr -> Value.Str (Printf.sprintf "fresh%d" !fresh)
+                      | _ -> Value.Int (100_000 + !fresh)))
+                  t (Schema.key schema)
+              in
+              let delta =
+                match Random.State.int rng 3 with
+                | 0 when rows <> [] -> Driver.single_delete src leaf (pick ())
+                | 1 when rows <> [] ->
+                  let t = pick () in
+                  let attrs =
+                    List.filter
+                      (fun (a, _) -> not (List.mem a (Schema.key schema)))
+                      (Schema.typed_attrs schema)
+                  in
+                  if attrs = [] then Driver.single_delete src leaf t
+                  else
+                    let a, ty = List.nth attrs (Random.State.int rng (List.length attrs)) in
+                    Driver.single_insert src leaf (Tuple.set t a (near_value rng consts ty))
+                | _ -> Driver.single_insert src leaf (keyed (near_tuple rng consts schema))
+              in
+              Adapter.commit src delta
+            in
+            for _ = 1 to Random.State.int rng 5 do
+              commit ()
+            done;
+            Engine.run env.Scenario.engine
+              ~until:(Engine.now env.Scenario.engine +. 2.0);
+            let attrs = Schema.attrs (Graph.node vdp lp.Med.lp_node).Graph.schema in
+            let conds =
+              Predicate.True
+              ::
+              (match
+                 Bag.support
+                   (Eval.eval
+                      ~env:(fun n -> if n = leaf then Some reflected else None)
+                      (Graph.def vdp lp.Med.lp_node))
+               with
+              | t :: _ ->
+                let a = List.hd attrs in
+                [ Predicate.one_of a [ Tuple.get t a; near_value rng consts Value.TInt ] ]
+              | [] -> [])
+            in
+            List.iter
+              (fun cond ->
+                let temp =
+                  in_process env (fun () ->
+                      let entries = Med.take_batch med in
+                      let pending =
+                        List.fold_left
+                          (fun acc e -> Delta.Multi_delta.smash acc e.Med.q_delta)
+                          Delta.Multi_delta.empty entries
+                      in
+                      let r =
+                        Vap.build med ~kind:(`Update pending)
+                          [ { Vap.r_node = lp.Med.lp_node; r_attrs = attrs; r_cond = cond } ]
+                      in
+                      Med.requeue med entries;
+                      List.assoc lp.Med.lp_node r.Vap.temps)
+                in
+                let expected =
+                  Eval.eval
+                    ~env:(fun n -> if n = leaf then Some reflected else None)
+                    (Expr.project attrs (Expr.select cond (Graph.def vdp lp.Med.lp_node)))
+                in
+                incr checked;
+                Tutil.check_bag
+                  (Printf.sprintf "%s: %s compensated to the reflected state (%s)" name
+                     lp.Med.lp_node (Format.asprintf "%a" Predicate.pp cond))
+                  expected temp)
+              conds
+          end)
+        (Med.leaf_parents med))
+    (compiled_cases ());
+  Alcotest.(check bool) "some leaf-parent compensated" true (!checked > 0)
+
+(* every join operand swapped, recursively *)
+let rec swap_joins = function
+  | Expr.Base _ as e -> e
+  | Expr.Select (p, e) -> Expr.Select (p, swap_joins e)
+  | Expr.Project (l, e) -> Expr.Project (l, swap_joins e)
+  | Expr.Rename (m, e) -> Expr.Rename (m, swap_joins e)
+  | Expr.Join (a, p, b) -> Expr.Join (swap_joins b, p, swap_joins a)
+  | Expr.Union (a, b) -> Expr.Union (swap_joins a, swap_joins b)
+  | Expr.Diff (a, b) -> Expr.Diff (swap_joins a, swap_joins b)
+
+(* The probe order the n-ary join rule fixes for each of its terms,
+   restated here: from the changed input, repeatedly the remaining input
+   sharing a join key with what is bound so far, then one a prepared
+   index join can probe (a base, or selections over one), then the
+   leftmost. Returned per term as the (base, bound schema) of each
+   probe-able step, in order — what the plan's index hook is asked to
+   prepare. *)
+let rec expected_probes ~schema expr =
+  match expr with
+  | Expr.Base _ -> []
+  | Expr.Select (_, e) | Expr.Project (_, e) | Expr.Rename (_, e) ->
+    expected_probes ~schema e
+  | Expr.Union (a, b) | Expr.Diff (a, b) ->
+    expected_probes ~schema a @ expected_probes ~schema b
+  | Expr.Join _ ->
+    let inputs, conjs = Plan.flatten_join expr in
+    let conjs = List.filter (fun p -> not (Predicate.equal p Predicate.True)) conjs in
+    let on = Predicate.conj conjs in
+    let inputs = Array.of_list inputs in
+    let n = Array.length inputs in
+    let schemas = Array.map (Expr.schema_of schema) inputs in
+    let rec base_of = function
+      | Expr.Base b -> Some b
+      | Expr.Select (_, e) -> base_of e
+      | _ -> None
+    in
+    let term i =
+      let rec go acc remaining =
+        match remaining with
+        | [] -> []
+        | _ ->
+          let score k =
+            ( (if fst (Bag.join_keys acc schemas.(k) on) <> [] then 0 else 1),
+              (if base_of inputs.(k) <> None then 0 else 1),
+              k )
+          in
+          let best =
+            List.fold_left
+              (fun b k -> if score k < score b then k else b)
+              (List.hd remaining) remaining
+          in
+          let step =
+            match base_of inputs.(best) with
+            | Some b -> [ (b, Schema.attrs acc) ]
+            | None -> []
+          in
+          step @ go (Schema.join acc schemas.(best)) (List.filter (( <> ) best) remaining)
+      in
+      go schemas.(i) (List.filter (( <> ) i) (List.init n Fun.id))
+    in
+    Array.fold_left (fun acc e -> acc @ expected_probes ~schema e) [] inputs
+    @ List.concat (List.init n term)
+
+(* random old values and deltas for the bases of [expr]: each base
+   changes with probability one half (at least one does), deleting
+   rows it holds and inserting new ones *)
+let random_join_state rng ~schema expr =
+  let consts = expr_consts expr in
+  let bases = Expr.base_names expr in
+  let bags =
+    List.map
+      (fun b ->
+        let s = schema b in
+        let rec go acc i =
+          if i = 0 then acc
+          else go (Bag.add ~mult:(1 + Random.State.int rng 2) acc (near_tuple rng consts s)) (i - 1)
+        in
+        (b, go (Bag.empty s) (Random.State.int rng 9)))
+      bases
+  in
+  let changed = List.filter (fun _ -> Random.State.bool rng) bases in
+  let changed = if changed = [] then [ List.hd bases ] else changed in
+  let deltas =
+    List.map
+      (fun b ->
+        let old = List.assoc b bags in
+        let d =
+          List.fold_left
+            (fun d t -> if Random.State.bool rng then Rel_delta.delete d t else d)
+            (Rel_delta.empty (schema b)) (Bag.support old)
+        in
+        let rec ins d i =
+          if i = 0 then d else ins (Rel_delta.insert d (near_tuple rng consts (schema b))) (i - 1)
+        in
+        (b, ins d (Random.State.int rng 4)))
+      changed
+  in
+  (bags, deltas)
+
+(* The compiled n-ary join terms give the interpretive rule engine's
+   delta for every derived node of the catalogue and for multi-way
+   joins over the diamond's relations, with the join operands as
+   written and swapped, and three ways: without prepared index joins,
+   with them (over tables indexed on every column), and with every
+   table shadowed by a temporary (the generic join over the old
+   value). The prepared probes follow the greedy order restated in
+   [expected_probes]. *)
+let test_join_terms_match_rules () =
+  let diamond_joins =
+    Expr.
+      [
+        join ~on:(Predicate.eq_attrs "a2" "c2")
+          (join ~on:(Predicate.eq_attrs "a2" "b2") (base "A") (base "B"))
+          (base "C");
+        join ~on:(Predicate.eq_attrs "a2" "b2")
+          (join ~on:Predicate.(lt (attr "a2") (attr "c2")) (base "A") (base "C"))
+          (base "B");
+        join ~on:(Predicate.eq_attrs "b2" "c2")
+          (join (base "B") (base "C"))
+          (select Predicate.(lt (attr "a3") (int 50)) (base "A"));
+        join (base "C")
+          (join ~on:(Predicate.eq_attrs "a2" "b2") (base "B")
+             (project [ "a1"; "a2" ] (base "A")));
+      ]
+  in
+  let cases =
+    List.concat_map
+      (fun (name, env, _) ->
+        let vdp = env.Scenario.vdp in
+        List.filter_map
+          (fun node ->
+            match node.Graph.kind with
+            | Graph.Leaf _ -> None
+            | Graph.Derived def -> Some (name ^ ": " ^ node.Graph.name, Graph.schema_env vdp, def))
+          (Graph.nodes vdp))
+      (compiled_cases ())
+    @ List.mapi
+        (fun i e -> (Printf.sprintf "diamond join %d" i, Tutil.diamond_schema, e))
+        diamond_joins
+  in
+  let probed = ref 0 in
+  List.iter
+    (fun (name, schema, def) ->
+      List.iter
+        (fun (order, expr) ->
+          for seed = 0 to 19 do
+            let rng = Random.State.make [| 0x701; seed; Hashtbl.hash name |] in
+            let bags, deltas = random_join_state rng ~schema expr in
+            let env n = List.assoc_opt n bags in
+            let deltas n = List.assoc_opt n deltas in
+            let expected = Oracle.delta_of_expr_interp ~env ~deltas expr in
+            let what mode = Printf.sprintf "%s (%s, %s), seed %d" name order mode seed in
+            Alcotest.check Tutil.rel_delta (what "no index joins") expected
+              (Delta_plan.run ~env ~deltas (Delta_plan.of_expr ~schema expr));
+            let tables =
+              List.map
+                (fun (b, bag) ->
+                  let t = Storage.Table.create ~indexes:(Schema.attrs (schema b)) ~name:b (schema b) in
+                  Storage.Table.load t (Bag.copy bag);
+                  (b, t))
+                bags
+            in
+            let prepared = ref [] in
+            let index ~name ~left ~on ~test ~filter =
+              prepared := (name, Schema.attrs left) :: !prepared;
+              Storage.Table.delta_join (List.assoc name tables) ~left ~on ?test ?filter ()
+            in
+            let plan = Delta_plan.of_expr ~index ~schema expr in
+            let prepared = List.rev !prepared in
+            probed := !probed + List.length prepared;
+            Alcotest.(check (list (pair string (list string))))
+              (what "probe order") (expected_probes ~schema expr) prepared;
+            Alcotest.check Tutil.rel_delta (what "index joins") expected
+              (Delta_plan.run ~env ~deltas plan);
+            Alcotest.check Tutil.rel_delta (what "shadowed tables") expected
+              (Delta_plan.run ~shadowed:(fun _ -> true) ~env ~deltas plan)
+          done)
+        [ ("as written", def); ("swapped", swap_joins def) ])
+    cases;
+  Alcotest.(check bool) "index joins prepared" true (!probed > 0)
+
 let () =
   Alcotest.run "plan"
     [
@@ -827,6 +1284,15 @@ let () =
           Alcotest.test_case "value plans agree" `Quick test_value_plans_agree;
           Alcotest.test_case "delta plans agree" `Quick test_delta_plans_agree;
           Alcotest.test_case "tuple renamer" `Quick test_renamer;
+        ] );
+      ( "compiled-iup",
+        [
+          Alcotest.test_case "leaf-parent filters = operator chain" `Quick
+            test_leaf_parent_filters;
+          Alcotest.test_case "ECA compensation through the compiled filter"
+            `Quick test_eca_compensation_compiled;
+          Alcotest.test_case "join terms = reference rules" `Quick
+            test_join_terms_match_rules;
         ] );
       ( "physical-join",
         [

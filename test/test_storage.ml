@@ -58,7 +58,7 @@ let test_table_scan_fallback () =
   let d = Rel_delta.insert (Rel_delta.empty schema_r) (r_tuple 1 0 0 0) in
   let on = Predicate.(eq (attr "r2") (attr "s3")) in
   Alcotest.(check bool) "delta_join declines" true
-    (Option.is_none (Table.delta_join ~on d t))
+    (Option.is_none (Table.delta_join t ~left:(Rel_delta.schema d) ~on ()))
 
 let test_table_index_maintained_through_deletes () =
   let t = Table.create ~name:"S" schema_s in

@@ -7,7 +7,13 @@ open Delta
 
 (* the net delta of an expression, through its compiled delta plan *)
 let delta_of_expr ~env ~deltas e =
-  Delta_plan.run ~env ~deltas (Delta_plan.of_expr e)
+  let schema n =
+    match (deltas n, env n) with
+    | Some d, _ -> Rel_delta.schema d
+    | None, Some b -> Bag.schema b
+    | None, None -> raise (Eval.Unbound_relation n)
+  in
+  Delta_plan.run ~env ~deltas (Delta_plan.of_expr ~schema e)
 
 let v_int i = Value.Int i
 let v_str s = Value.Str s
@@ -60,6 +66,74 @@ let t_def =
   Expr.(
     project [ "r1"; "r3"; "s1"; "s2" ]
       (join ~on:join_cond (select cond_r4 (base "R")) (select cond_s3 (base "S"))))
+
+(* A diamond: leaf-parent A′ feeds AB = A′ ⋈_{a2=b2} B′, whose read of
+   A′ is restricted to the b2 keys of ΔB′, and AC = A′ ⋈_{a2 ? c2} C′.
+   A′ keeps a1, a2 materialized and a3 virtual, so AC reads A′ from the
+   store while AB needs a temp: a batch changing B and C together must
+   not let AC see the rows kept for AB. With [?] = [<] AC's read is not
+   restrictable; with [?] = [=] it is restricted to the c2 keys of ΔC′,
+   and the temp must hold a2 ∈ keys(ΔB′) ∪ keys(ΔC′). *)
+let diamond_specs = function
+  | "A" ->
+    [
+      { Workload.Datagen.c_attr = "a1"; c_min = 0; c_max = 0 };
+      { Workload.Datagen.c_attr = "a2"; c_min = 0; c_max = 7 };
+      { Workload.Datagen.c_attr = "a3"; c_min = 0; c_max = 99 };
+    ]
+  | "B" ->
+    [
+      { Workload.Datagen.c_attr = "b1"; c_min = 0; c_max = 0 };
+      { Workload.Datagen.c_attr = "b2"; c_min = 0; c_max = 7 };
+    ]
+  | "C" ->
+    [
+      { Workload.Datagen.c_attr = "c1"; c_min = 0; c_max = 0 };
+      { Workload.Datagen.c_attr = "c2"; c_min = 0; c_max = 7 };
+    ]
+  | rel -> invalid_arg ("diamond_specs: " ^ rel)
+
+let diamond_schema = function
+  | "A" ->
+    Schema.make ~key:[ "a1" ]
+      [ ("a1", Value.TInt); ("a2", Value.TInt); ("a3", Value.TInt) ]
+  | "B" -> Schema.make ~key:[ "b1" ] [ ("b1", Value.TInt); ("b2", Value.TInt) ]
+  | "C" -> Schema.make ~key:[ "c1" ] [ ("c1", Value.TInt); ("c2", Value.TInt) ]
+  | rel -> invalid_arg ("diamond_schema: " ^ rel)
+
+let make_diamond ~ac_on seed =
+  let engine = Sim.Engine.create () in
+  let rng = Workload.Datagen.state seed in
+  let db rel =
+    let a =
+      Workload.Scenario.mk_source ~backend:`Relational ~engine ~name:("db" ^ rel)
+        ~relations:[ (rel, diamond_schema rel) ]
+        ~announce:(Sources.Source_db.Periodic 0.9) ()
+    in
+    Sources.Adapter.load a rel
+      (Workload.Datagen.bag rng (diamond_schema rel) (diamond_specs rel) ~size:12);
+    a
+  in
+  let b =
+    Vdp.Builder.create
+      ~source_of:(function
+        | ("A" | "B" | "C") as rel -> Some ("db" ^ rel) | _ -> None)
+      ~schema_of:(function
+        | ("A" | "B" | "C") as rel -> Some (diamond_schema rel) | _ -> None)
+      ()
+  in
+  Vdp.Builder.add_export b ~name:"AB"
+    Expr.(
+      project [ "a1"; "a3"; "b1" ]
+        (join ~on:(Predicate.eq_attrs "a2" "b2") (base "A") (base "B")));
+  Vdp.Builder.add_export b ~name:"AC"
+    Expr.(
+      project [ "a1"; "c1" ]
+        (join ~on:ac_on (base "A") (base "C")));
+  Workload.Scenario.make_env ~engine ~vdp:(Vdp.Builder.build b) [ db "A"; db "B"; db "C" ]
+
+let diamond_annotation vdp =
+  Vdp.Annotation.of_list vdp [ ("A'", [ ("a3", Vdp.Annotation.V) ]) ]
 
 (* --- alcotest testables --- *)
 
