@@ -117,11 +117,18 @@ let run (t : Med.t) =
            covers included — and no reader sees rows restricted for
            another *)
         let rec settle requests =
-          if requests = [] then requests
+          let closed = Vap.closure t requests in
+          if requests = [] then closed
           else
-            let temps = List.map (fun r -> r.Vap.r_node) (Vap.closure t requests) in
-            let grown = List.filter (fun r -> List.mem r.Vap.r_node temps) reads in
-            if List.length grown = List.length requests then requests
+            let grown =
+              List.filter
+                (fun r ->
+                  List.exists
+                    (fun c -> String.equal c.Vap.r_node r.Vap.r_node)
+                    closed.Vap.c_requests)
+                reads
+            in
+            if List.length grown = List.length requests then closed
             else settle grown
         in
         let requests =
@@ -132,12 +139,13 @@ let run (t : Med.t) =
                reads)
         in
         Obs.Trace.set_attri trace det_sp "affected" (Hashtbl.length affected);
-        Obs.Trace.set_attri trace det_sp "requests" (List.length requests);
+        Obs.Trace.set_attri trace det_sp "requests" requests.Vap.c_asked;
         (lp_deltas, affected, process, requests))
         in
-        (* (3) populate temporaries at the pre-update state *)
+        (* (3) populate temporaries at the pre-update state, from the
+           closure [settle] already computed *)
         let vap_result =
-          if requests = [] then
+          if requests.Vap.c_asked = 0 then
             { Vap.temps = []; polled_versions = []; polled_times = [] }
           else Vap.build t ~kind:(`Update delta) requests
         in
@@ -241,7 +249,7 @@ let run (t : Med.t) =
            nodes without a single VAP request touched no source: the
            store (auxiliary views included) covered every value the
            fired rules read — the view maintained itself *)
-        if process <> [] && requests = [] then begin
+        if process <> [] && requests.Vap.c_asked = 0 then begin
           Obs.Metrics.incr t.Med.stats.Med.self_maintained_txs;
           Obs.Trace.set_attr trace tx_sp "served" "self_maintained"
         end;

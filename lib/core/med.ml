@@ -234,6 +234,9 @@ type export_event =
 type leaf_parent = {
   lp_node : string;
   lp_leaf : string;
+  lp_source : string;
+  lp_def : Expr.t;
+  lp_columns : (string * string) list;
   lp_filter : Rel_delta.t -> Rel_delta.t;
 }
 
@@ -244,11 +247,13 @@ type node_plan = {
   np_delta : Delta_plan.t;
   np_stage : (Table.t * (Rel_delta.t -> Rel_delta.t)) option;
   np_keyed : (string * Schema.t * string list) list;
+  np_rule : Derived_from.rule;
 }
 
 type derived = {
   d_steps : Derived_from.step list;
   d_leaf_parents : leaf_parent list;
+  d_down : (string * node_plan) list;
   d_parents : (string, string list) Hashtbl.t;
   d_nodes : (string, node_plan) Hashtbl.t;
   d_source_closure : (string, string list) Hashtbl.t;
@@ -416,9 +421,13 @@ let source_index_plan vdp ann ~key_based ~steps ~nodes ~kinds =
    kernel pass), the delta plan compiled against the children's
    declared schemas with index joins prepared into the stored tables;
    a leaf-parent's filter (its definition as one fused pass over the
-   leaf's deltas); and the projection of the node's deltas onto its
-   table. A per-request VAP restriction is a top-level select/project
-   chain, compiled per call over the plan below it in [d_plans]. *)
+   leaf's deltas) and poll data (source, definition, and the leaf
+   column behind each attribute); the node's VAP closure rule
+   ([Derived_from.rule]: the static half of [derived_from] and of the
+   restricted definition); and the projection of the node's deltas
+   onto its table. A per-request VAP restriction is a top-level
+   select/project chain, compiled per call over the plan below it in
+   [d_plans]. *)
 let build_derived vdp ann ~key_based ~tables =
   let d_parents = Hashtbl.create 16 in
   let d_nodes = Hashtbl.create 16 in
@@ -437,9 +446,10 @@ let build_derived vdp ann ~key_based ~tables =
       | Graph.Leaf _ -> ()
       | Graph.Derived def ->
         ignore (Plan.of_expr ~memo:d_plans def : Plan.t);
+        let rule = Derived_from.rule vdp name in
         let full =
-          Derived_from.restrict_def vdp ~node:name
-            ~attrs:(Schema.attrs node.Graph.schema) ~cond:Predicate.True
+          Derived_from.restrict rule ~attrs:(Schema.attrs node.Graph.schema)
+            ~cond:Predicate.True
         in
         ignore (Plan.of_expr ~memo:d_plans full : Plan.t);
         let children = Graph.children vdp name in
@@ -468,6 +478,16 @@ let build_derived vdp ann ~key_based ~tables =
                   {
                     lp_node = name;
                     lp_leaf = leaf;
+                    lp_source = Graph.source_of_leaf vdp leaf;
+                    lp_def = def;
+                    lp_columns =
+                      List.filter_map
+                        (fun a ->
+                          match leaf_origins vdp name a with
+                          | [ (base, col) ] when String.equal base leaf ->
+                            Some (a, col)
+                          | _ -> None)
+                        (Schema.attrs node.Graph.schema);
                     lp_filter = Delta_plan.unary (schema leaf) def;
                   }
               | _ -> None);
@@ -481,6 +501,7 @@ let build_derived vdp ann ~key_based ~tables =
                     else Delta_plan.unary node.Graph.schema (Expr.project mat (Expr.base name)) ))
                 (Hashtbl.find_opt tables name);
             np_keyed = keyed;
+            np_rule = rule;
           })
     (Graph.nodes vdp);
   let d_source_closure = Hashtbl.create 8 in
@@ -515,6 +536,12 @@ let build_derived vdp ann ~key_based ~tables =
           | Some { np_leaf = Some lp; _ } -> Some lp
           | Some _ | None -> None)
         (Graph.nodes vdp);
+    d_down =
+      List.rev
+        (List.filter_map
+           (fun name ->
+             Option.map (fun np -> (name, np)) (Hashtbl.find_opt d_nodes name))
+           (Graph.topo_order vdp));
     d_parents;
     d_nodes;
     d_source_closure;
@@ -529,6 +556,7 @@ let eval t ~env expr = Plan.run (Plan.of_expr ~memo:t.derived.d_plans expr) ~env
 
 let update_steps t = t.derived.d_steps
 let leaf_parents t = t.derived.d_leaf_parents
+let nodes_down t = t.derived.d_down
 
 let node_parents t node =
   match Hashtbl.find_opt t.derived.d_parents node with

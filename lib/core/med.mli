@@ -279,6 +279,14 @@ type export_event =
 type leaf_parent = {
   lp_node : string;
   lp_leaf : string;  (** its single child, a leaf *)
+  lp_source : string;  (** the leaf's source, which the VAP polls *)
+  lp_def : Expr.t;  (** the definition a poll evaluates at the source *)
+  lp_columns : (string * string) list;
+      (** per attribute of the node, in schema order, the one column of
+          the leaf its value copies, followed through the definition
+          ({!Delta.Inc_eval.origins}), when there is exactly one: a key
+          set of a request on the attribute reaches the poll as a key
+          on that column *)
   lp_filter : Rel_delta.t -> Rel_delta.t;
       (** the node's select/project/rename definition compiled over the
           leaf's schema into one fused pass ({!Delta.Delta_plan.unary}):
@@ -297,8 +305,8 @@ type node_plan = {
           {!Vdp.Graph.children} order *)
   np_delta : Delta_plan.t;
       (** the compiled delta plan of the full-width restricted
-          definition ({!Vdp.Derived_from.restrict_def} at every
-          attribute, no condition) — what the IUP's kernel pass runs —
+          definition ({!Vdp.Derived_from.restrict} at every attribute,
+          no condition) — what the IUP's kernel pass runs —
           compiled against the children's declared schemas, with its
           index joins prepared into the stored tables *)
   np_stage : (Table.t * (Rel_delta.t -> Rel_delta.t)) option;
@@ -309,6 +317,10 @@ type node_plan = {
           node materializes, in child order — the children Example
           2.3's key-based plan may use; empty unless the definition is
           SPJ *)
+  np_rule : Derived_from.rule;
+      (** the node's VAP closure rule ({!Vdp.Derived_from.rule}): the
+          request-independent half of [derived_from] and of the
+          restricted definition *)
 }
 (** The static plan of one derived node under the mediator's
     annotation. *)
@@ -317,8 +329,9 @@ type derived
 (** Every annotation-dependent fact the processors read, computed once
     by {!create} (the annotation never changes afterwards): the IUP's
     update steps with their child reads ({!update_steps}), the
-    leaf-parents with their leaves, parent tables for affected-closure
-    walks, a {!node_plan} per derived node, the per-source
+    leaf-parents with their leaves and poll data, parent tables for
+    affected-closure walks, a {!node_plan} per derived node (with its
+    VAP closure rule) in the closure's order, the per-source
     invalidation closures of the answer cache, each source's
     {!contributor_kind} and its {!index_plan}. *)
 
@@ -559,6 +572,11 @@ val update_steps : t -> Derived_from.step list
 val leaf_parents : t -> leaf_parent list
 (** Every leaf-parent, in {!Vdp.Graph.nodes} order. *)
 
+val nodes_down : t -> (string * node_plan) list
+(** Every derived node with its plan, parents before children (the
+    reverse of {!Vdp.Graph.topo_order}): the order the VAP closure
+    walks. *)
+
 val node_parents : t -> string -> string list
 (** {!Graph.parents} through the derived table (no graph walk). *)
 
@@ -576,20 +594,14 @@ val index_plan : t -> string -> (string * string) list
 (** The source's index plan: the sorted [(relation, column)] pairs its
     keyed polls can name, which {!Mediator.connect} declares to it
     ({!Source_db.declare_indexes}). For a virtual or hybrid contributor,
-    the {!leaf_origins} of the columns the update steps' reads can be
+    the leaf columns ({!Delta.Inc_eval.origins} followed down to the
+    leaves) behind the columns the update steps' reads can be
     restricted on ({!Vdp.Derived_from.step_restrictable}) and, when
     [config.key_based_enabled], of the keys of {!node_plan}'s keyed
     children of a node with virtual attributes (what the key-based
     construction polls by), counting only children with virtual
     attributes; empty for a materialized contributor, which is never
     polled after initialization. *)
-
-val leaf_origins : Graph.t -> string -> string -> (string * string) list
-(** [leaf_origins vdp node a]: the [(leaf, column)] pairs whose value
-    attribute [a] of [node] copies, followed through the definitions
-    ({!Delta.Inc_eval.origins}) down to the leaves. A key a VAP request
-    names on [a] of a leaf-parent reaches its poll as a key on the one
-    such column. *)
 
 (** {1 Query answer cache}
 

@@ -185,10 +185,9 @@ let semijoin_keys own key =
 let general_polls (t : Med.t) ~node ~needed ~cond =
   List.length
     (List.filter
-       (fun (child, b, _) ->
-         (not (Graph.is_leaf t.Med.vdp child))
-         && not (Med.is_covered t ~node:child ~attrs:b))
-       (Derived_from.derived_from t.Med.vdp ~node ~attrs:needed ~cond))
+       (fun (child, b, _) -> not (Med.is_covered t ~node:child ~attrs:b))
+       (Derived_from.reads (Med.node_plan t node).Med.np_rule ~attrs:needed
+          ~cond))
 
 (* Example 2.3 as a semijoin: the materialized part first, then from
    each keyed child only the rows under the keys that part holds — a
@@ -279,7 +278,7 @@ let key_based (t : Med.t) ~node ~needed ~cond children =
     let res =
       if requests = [] then
         { Vap.temps = []; polled_versions = []; polled_times = [] }
-      else Vap.build t ~kind:`Query requests
+      else Vap.build t ~kind:`Query (Vap.closure t requests)
     in
     let rows = function
       | `Rows b -> b
@@ -521,7 +520,8 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
         let general () =
           let res =
             Vap.build t ~kind:`Query
-              [ { Vap.r_node = node; r_attrs = needed; r_cond = cond } ]
+              (Vap.closure t
+                 [ { Vap.r_node = node; r_attrs = needed; r_cond = cond } ])
           in
           (* the temporary is already π_needed σ_cond node: the closure
              never widens a lone request's own condition *)

@@ -1,3 +1,13 @@
+(* The VAP (Sec. 6.3). Everything the annotation fixes was compiled
+   into the mediator's derived table at [Med.create]: each derived
+   node's closure rule (the static half of [derived_from] and of the
+   restricted definition) and each leaf-parent's poll data (source,
+   definition, key columns) and filter. A run derives per request only
+   what the request decides: the closure's attribute and condition
+   merges, the poll's expression and key, the compensation by the
+   unseen delta (nothing when that is empty), and the narrowed
+   definitions of inner temporaries. *)
+
 open Relalg
 open Delta
 open Vdp
@@ -11,95 +21,115 @@ type result = {
   polled_times : (string * float) list;
 }
 
+type closed = { c_asked : int; c_requests : request list }
+
 (* a request's attrs always cover its condition's attributes *)
-let normalize r =
-  let extra =
-    List.filter (fun a -> not (List.mem a r.r_attrs)) (Predicate.attrs r.r_cond)
-  in
-  { r with r_attrs = r.r_attrs @ extra }
+let with_cond_attrs attrs cond =
+  if cond == Predicate.True then attrs
+  else
+    match
+      List.filter (fun a -> not (List.mem a attrs)) (Predicate.attrs cond)
+    with
+    | [] -> attrs
+    | extra -> attrs @ extra
 
-(* The key a leaf-parent poll names: a key-set conjunct of the
-   request's condition, its attribute mapped through the definition's
-   renames to a column of the leaf relation. Only the request's own
-   condition is looked at, never a selection inside the definition
-   (such as a constant filter the whole relation passes in halves). *)
-let poll_key (t : Med.t) r ~leaf =
-  List.find_map
-    (fun (a, vs) ->
-      match Med.leaf_origins t.Med.vdp r.r_node a with
-      | [ (base, col) ] when String.equal base leaf ->
-        Some
-          { Source_db.k_relation = leaf; k_column = col; k_values = vs }
-      | _ -> None)
-    (Predicate.key_sets r.r_cond)
+(* one temporary per node: the merged request [(B ∪ A', f ∨ g)] *)
+type entry = {
+  e_node : string;
+  mutable e_attrs : string list;
+  mutable e_cond : Predicate.t;
+}
 
-let merge_into table r =
-  let r = normalize r in
-  match Hashtbl.find_opt table r.r_node with
-  | None -> Hashtbl.replace table r.r_node (r.r_attrs, r.r_cond)
-  | Some (attrs, cond) ->
-    let attrs =
-      attrs @ List.filter (fun a -> not (List.mem a attrs)) r.r_attrs
-    in
-    (* [or_] is idempotent: merging the same condition twice must not
-       grow the predicate, or the closure fixpoint never settles *)
-    Hashtbl.replace table r.r_node (attrs, Predicate.or_ cond r.r_cond)
+let find node entries = List.find_opt (fun e -> String.equal e.e_node node) entries
 
-let closure (t : Med.t) requests =
-  let table : (string, string list * Predicate.t) Hashtbl.t =
-    Hashtbl.create 8
-  in
+(* Merge a request into [entries]; true when that changed them. [or_]
+   is idempotent but may rebuild an equal key set, so a widened
+   condition is one that differs under [Predicate.equal] — a total
+   order, in which a NaN constant equals itself. *)
+let merge entries node attrs cond =
+  let attrs = with_cond_attrs attrs cond in
+  match find node !entries with
+  | None ->
+    entries := { e_node = node; e_attrs = attrs; e_cond = cond } :: !entries;
+    true
+  | Some e ->
+    let grown = List.filter (fun a -> not (List.mem a e.e_attrs)) attrs in
+    let cond' = Predicate.or_ e.e_cond cond in
+    let widened = not (cond' == e.e_cond || Predicate.equal cond' e.e_cond) in
+    if grown <> [] then e.e_attrs <- e.e_attrs @ grown;
+    if widened then e.e_cond <- cond';
+    grown <> [] || widened
+
+let request e = { r_node = e.e_node; r_attrs = e.e_attrs; r_cond = e.e_cond }
+
+let close (t : Med.t) requests =
+  let entries = ref [] in
+  let closing = ref false in
   List.iter
     (fun r ->
-      if Graph.is_leaf t.Med.vdp r.r_node then
-        Med.err "VAP request for leaf %S" r.r_node;
-      merge_into table r)
+      (* a leaf or unknown node has no plan: [node_plan] rejects it *)
+      let np = Med.node_plan t r.r_node in
+      if np.Med.np_rule.Derived_from.ru_reads <> [] then closing := true;
+      ignore (merge entries r.r_node r.r_attrs r.r_cond : bool))
     requests;
   (* parents before children, iterated to fixpoint: a request on any
      node makes its temporary shadow the store table during inner
      evaluation, so the temp must also carry every attribute some
      OTHER parent of that node needs — even a parent the store alone
      would have covered, and even one discovered on a later pass
-     (multi-node requests over diamond-shaped VDPs hit both) *)
-  let order = List.rev (Graph.topo_order t.Med.vdp) in
-  let changed = ref true in
+     (multi-node requests over diamond-shaped VDPs hit both). A node
+     whose children are all leaves reads nothing: a set of such
+     requests is closed as merged. *)
+  let changed = ref !closing in
   while !changed do
     changed := false;
     List.iter
-      (fun node ->
-        match Hashtbl.find_opt table node with
-        | None -> ()
-        | Some (attrs, cond) ->
-          List.iter
-            (fun (child, b, g) ->
-              if not (Graph.is_leaf t.Med.vdp child) then
+      (fun (node, np) ->
+        let rule = np.Med.np_rule in
+        if rule.Derived_from.ru_reads <> [] then
+          match find node !entries with
+          | None -> ()
+          | Some e ->
+            List.iter
+              (fun (child, b, g) ->
                 if
                   (not (Med.is_covered t ~node:child ~attrs:b))
-                  || Hashtbl.mem table child
-                then begin
-                  let before = Hashtbl.find_opt table child in
-                  merge_into table { r_node = child; r_attrs = b; r_cond = g };
-                  if Hashtbl.find_opt table child <> before then changed := true
-                end)
-            (Derived_from.derived_from t.Med.vdp ~node ~attrs ~cond))
-      order
+                  || Option.is_some (find child !entries)
+                then if merge entries child b g then changed := true)
+              (Derived_from.reads rule ~attrs:e.e_attrs ~cond:e.e_cond))
+      (Med.nodes_down t)
   done;
-  List.filter_map
-    (fun node ->
-      match Hashtbl.find_opt table node with
-      | Some (attrs, cond) ->
-        Some { r_node = node; r_attrs = attrs; r_cond = cond }
-      | None -> None)
-    order
+  {
+    c_asked = List.length requests;
+    c_requests =
+      List.filter_map
+        (fun (node, _) -> Option.map request (find node !entries))
+        (Med.nodes_down t);
+  }
 
-let build_inner (t : Med.t) ~pending requests =
-  let reqs =
-    Obs.Trace.with_span t.Med.trace "closure" (fun sp ->
-        let reqs = closure t requests in
-        Obs.Trace.set_attri t.Med.trace sp "requests" (List.length requests);
-        Obs.Trace.set_attri t.Med.trace sp "closed" (List.length reqs);
-        reqs)
-  in
+let closure t = function
+  | [] -> { c_asked = 0; c_requests = [] }
+  | requests -> close t requests
+
+(* The key a leaf-parent poll names: a key-set conjunct of the
+   request's condition on an attribute that copies one column of the
+   leaf. Only the request's own condition is looked at, never a
+   selection inside the definition (such as a constant filter the
+   whole relation passes in halves). *)
+let poll_key (lp : Med.leaf_parent) r =
+  List.find_map
+    (fun (a, vs) ->
+      Option.map
+        (fun col ->
+          { Source_db.k_relation = lp.Med.lp_leaf; k_column = col; k_values = vs })
+        (List.assoc_opt a lp.Med.lp_columns))
+    (Predicate.key_sets r.r_cond)
+
+let build_inner (t : Med.t) ~pending closed =
+  let reqs = closed.c_requests in
+  Obs.Trace.with_span t.Med.trace "closure" (fun sp ->
+      Obs.Trace.set_attri t.Med.trace sp "requests" closed.c_asked;
+      Obs.Trace.set_attri t.Med.trace sp "closed" (List.length reqs));
   let lp_reqs, inner_reqs =
     List.partition_map
       (fun r ->
@@ -108,14 +138,15 @@ let build_inner (t : Med.t) ~pending requests =
         | None -> Either.Right r)
       reqs
   in
-  let temps : (string, Bag.t) Hashtbl.t = Hashtbl.create 8 in
+  (* one temporary per closed request, so one entry per node *)
+  let temps = ref [] in
   let polled_versions = ref [] in
   let polled_times = ref [] in
   (* group leaf-parent requests by source; one poll per source *)
   let by_source = Hashtbl.create 4 in
   List.iter
     (fun ((_, lp) as req) ->
-      let src = Graph.source_of_leaf t.Med.vdp lp.Med.lp_leaf in
+      let src = lp.Med.lp_source in
       let existing =
         Option.value ~default:[] (Hashtbl.find_opt by_source src)
       in
@@ -126,8 +157,8 @@ let build_inner (t : Med.t) ~pending requests =
       let src = Med.source t src_name in
       let queries =
         List.map
-          (fun (r, _leaf) ->
-            let def = Graph.def t.Med.vdp r.r_node in
+          (fun (r, (lp : Med.leaf_parent)) ->
+            let def = lp.Med.lp_def in
             let with_sel =
               if Predicate.equal r.r_cond Predicate.True then def
               else Expr.select r.r_cond def
@@ -138,7 +169,7 @@ let build_inner (t : Med.t) ~pending requests =
       let keys =
         List.filter_map
           (fun (r, lp) ->
-            Option.map (fun k -> (r.r_node, k)) (poll_key t r ~leaf:lp.Med.lp_leaf))
+            Option.map (fun k -> (r.r_node, k)) (poll_key lp r))
           pairs
       in
       let answer = Med.poll_with_retry t src ~keys queries in
@@ -203,39 +234,38 @@ let build_inner (t : Med.t) ~pending requests =
                   in
                   Obs.Trace.set_attri t.Med.trace sp "unseen_atoms"
                     (Rel_delta.atom_count unseen);
-                  let comp = Rel_delta.inverse unseen in
-                  let through_def = lp.Med.lp_filter comp in
-                  let through_req =
-                    Rel_delta.project r.r_attrs
-                      (if Predicate.equal r.r_cond Predicate.True then
-                         through_def
-                       else Rel_delta.select r.r_cond through_def)
-                  in
-                  Rel_delta.apply polled through_req)
+                  (* nothing unseen: the answer is the reflected state *)
+                  if Rel_delta.is_empty unseen then polled
+                  else
+                    let comp = Rel_delta.inverse unseen in
+                    let through_def = lp.Med.lp_filter comp in
+                    let through_req =
+                      Rel_delta.project r.r_attrs
+                        (if Predicate.equal r.r_cond Predicate.True then
+                           through_def
+                         else Rel_delta.select r.r_cond through_def)
+                    in
+                    Rel_delta.apply polled through_req)
             else polled
           in
-          Hashtbl.replace temps r.r_node value)
+          temps := (r.r_node, value) :: !temps)
         pairs)
     by_source;
-  (* inner temporaries bottom-up *)
-  let inner_in_topo =
-    List.filter
-      (fun node -> List.exists (fun r -> String.equal r.r_node node) inner_reqs)
-      (Graph.topo_order t.Med.vdp)
-  in
+  (* inner temporaries bottom-up: the closed requests come parents
+     before children *)
   List.iter
-    (fun node ->
-      let r = List.find (fun r -> String.equal r.r_node node) inner_reqs in
+    (fun r ->
+      let node = r.r_node in
       Obs.Trace.with_span t.Med.trace "temp" (fun sp ->
           Obs.Trace.set_attr t.Med.trace sp "node" node;
           let env name =
-            match Hashtbl.find_opt temps name with
+            match List.assoc_opt name !temps with
             | Some b -> Some b
             | None -> Med.store_env t name
           in
           let def =
-            Derived_from.restrict_def t.Med.vdp ~node ~attrs:r.r_attrs
-              ~cond:r.r_cond
+            Derived_from.restrict (Med.node_plan t node).Med.np_rule
+              ~attrs:r.r_attrs ~cond:r.r_cond
           in
           let with_sel =
             if Predicate.equal r.r_cond Predicate.True then def
@@ -243,22 +273,22 @@ let build_inner (t : Med.t) ~pending requests =
           in
           let value = Med.eval t ~env (Expr.project r.r_attrs with_sel) in
           Obs.Trace.set_attri t.Med.trace sp "tuples" (Bag.cardinal value);
-          Hashtbl.replace temps node value))
-    inner_in_topo;
-  Obs.Metrics.add t.Med.stats.Med.temps_built (Hashtbl.length temps);
+          temps := (node, value) :: !temps))
+    (List.rev inner_reqs);
+  Obs.Metrics.add t.Med.stats.Med.temps_built (List.length !temps);
   {
-    temps = Hashtbl.fold (fun k v acc -> (k, v) :: acc) temps [];
+    temps = !temps;
     polled_versions = !polled_versions;
     polled_times = !polled_times;
   }
 
-let build (t : Med.t) ~kind requests =
+let build (t : Med.t) ~kind closed =
   Obs.Trace.with_span t.Med.trace "vap" (fun sp ->
       Obs.Trace.set_attr t.Med.trace sp "kind"
         (match kind with `Query -> "query" | `Update _ -> "update");
       let pending =
         match kind with `Query -> Multi_delta.empty | `Update d -> d
       in
-      let r = build_inner t ~pending requests in
+      let r = build_inner t ~pending closed in
       Obs.Trace.set_attri t.Med.trace sp "temps" (List.length r.temps);
       r)

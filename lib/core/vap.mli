@@ -6,9 +6,14 @@
     data reflects}:
 
     {ol
-    {- {b Phase 1} closes the request set under [derived_from],
-       merging requests that hit the same node (paper: [(B ∪ A',
-       f ∨ g)]), walking the VDP parents-before-children;}
+    {- {b Phase 1} ({!closure}) closes the request set under
+       [derived_from], merging requests that hit the same node (paper:
+       [(B ∪ A', f ∨ g)]), walking the VDP parents-before-children. It
+       reads each node's closure rule, compiled at {!Med.create}
+       ({!Vdp.Derived_from.rule}), and derives per request only its
+       attributes and condition; a node whose children are all leaves
+       reads nothing. A caller closes once and hands the closed set to
+       {!build}.}
     {- {b Phase 2} constructs the temporaries bottom-up. Leaf-parents
        are populated by polling their source — all queries against one
        source packaged into a single source transaction — and, for
@@ -16,7 +21,9 @@
        Compensation step: the inverse smash of every update from that
        source that the mediator has received but not yet applied
        (update-queue entries plus, during an update transaction, the
-       delta being processed).}}
+       delta being processed). A leaf-parent's source, definition and
+       key columns come from its precomputed {!Med.leaf_parent}; an
+       empty unseen delta leaves the polled answer as it is.}}
 
     A request restricts rows as well as attributes: the temporary is
     [π_attrs σ_cond node]. The condition is pushed through
@@ -35,6 +42,14 @@ open Relalg
 
 type request = { r_node : string; r_attrs : string list; r_cond : Predicate.t }
 
+type closed = private {
+  c_asked : int;  (** how many requests were closed *)
+  c_requests : request list;
+      (** the closed set: one merged request per node, parents before
+          children *)
+}
+(** A request set closed under [derived_from] (phase 1). *)
+
 type result = {
   temps : (string * Bag.t) list;
       (** per node: the temporary relation [π_B σ_g node] *)
@@ -47,12 +62,11 @@ type result = {
 }
 
 val build :
-  Med.t -> kind:[ `Query | `Update of Delta.Multi_delta.t ] -> request list -> result
+  Med.t -> kind:[ `Query | `Update of Delta.Multi_delta.t ] -> closed -> result
 (** [`Update delta] carries the update transaction's batch delta,
     taken from the queue but not yet applied: ECA compensates polled
     answers by its inverse too (Sec. 6.4 phase (b)). A query has
     none. Must run inside a simulation process (polls block).
-    @raise Med.Mediator_error on a request for a leaf or unknown node.
     @raise Med.Poll_failed when a source cannot be reached within the
     config's retry budget.
     @raise Med.Desync when a polled answer's version disagrees with
@@ -60,6 +74,6 @@ val build :
     dropped or reordered message invalidated the ECA baseline; the
     source is marked dirty for resync. *)
 
-val closure : Med.t -> request list -> request list
-(** Phase 1 alone (exposed for tests): the full set of temporaries
-    that would be constructed, in parents-before-children order. *)
+val closure : Med.t -> request list -> closed
+(** Phase 1: the full set of temporaries {!build} constructs.
+    @raise Med.Mediator_error on a request for a leaf or unknown node. *)

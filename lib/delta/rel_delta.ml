@@ -113,13 +113,11 @@ let collect schema ~size produce =
   produce (Counts.Builder.add out);
   { schema; muls = Counts.Builder.seal out }
 
-let split_join join_fn d =
-  let ins = join_fn (insertions d) in
-  let del = join_fn (deletions d) in
-  of_bags ~ins ~del
-
 let join_bag ?on ?test d bag =
-  split_join (fun side -> Bag.join ?on ?test side bag) d
+  {
+    schema = Schema.join d.schema (Bag.schema bag);
+    muls = Bag.join_signed ?on ?test d.schema d.muls bag;
+  }
 
 (* Signed join of two deltas: multiplicities multiply, so the four
    insertion/deletion quadrants carry sign (+ - - +). Both operands

@@ -84,7 +84,8 @@ val project : string list -> t -> t
 
 val join_bag : ?on:Predicate.t -> ?test:(Tuple.t -> bool) -> t -> Bag.t -> t
 (** [join_bag d b]: the signed join [d ⋈ b], the building block of the
-    SPJ propagation rules of Sec. 5.2. [test], when given, must be the
+    SPJ propagation rules of Sec. 5.2, computed as one hash join over
+    [b] for both signs ({!Relalg.Bag.join_signed}). [test], when given, must be the
     compiled form of [on], which is then not compiled again (see
     {!Relalg.Bag.join}). *)
 

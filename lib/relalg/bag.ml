@@ -186,18 +186,15 @@ let join_keys sa sb on =
   (shared @ List.map fst extra_pairs, shared @ List.map snd extra_pairs)
 
 (* Hash join over the physical tables: build a key table over the
-   right side once, probe with the left; keys are extracted through
-   memoized slot plans, and the common single-attribute key case skips
-   the key-list allocation entirely. Each key holds its rows in one
-   cell, most recent first, so a probe is one lookup that allocates
-   nothing; the table is presized past its resize point. *)
-let join ?(on = Predicate.True) ?test a b =
-  let left_keys, right_keys = join_keys a.schema b.schema on in
-  let out_schema = Schema.join a.schema b.schema in
-  let bu =
-    builder ~size:(max 16 (max (support_cardinal a) (support_cardinal b)))
-      out_schema
-  in
+   right side once, probe with each left row [scan] enumerates (in as
+   many passes as it likes), and hand every merged row with its
+   multiplicity to [emit]. Keys are extracted through memoized slot
+   plans, and the common single-attribute key case skips the key-list
+   allocation entirely. Each key holds its rows in one cell, most
+   recent first, so a probe is one lookup that allocates nothing; the
+   table is presized past its resize point. *)
+let join_into ?(on = Predicate.True) ?test sa scan b emit =
+  let left_keys, right_keys = join_keys sa b.schema on in
   let trivially_true = on = Predicate.True in
   (* [test] is a compiled form of [on] supplied by the plan layer *)
   let residual =
@@ -208,8 +205,7 @@ let join ?(on = Predicate.True) ?test a b =
     match merge ta tb with
     | None -> ()
     | Some merged ->
-      if trivially_true || residual merged then
-        badd bu merged (ma * mb)
+      if trivially_true || residual merged then emit merged (ma * mb)
   in
   let rec combine_all xa ma = function
     | [] -> ()
@@ -217,12 +213,10 @@ let join ?(on = Predicate.True) ?test a b =
       combine xa ma xb mb;
       combine_all xa ma rest
   in
-  (match left_keys, right_keys with
+  match left_keys, right_keys with
   | [], _ | _, [] ->
     (* pure theta join: nested loops *)
-    Counts.iter
-      (fun xa ma -> Counts.iter (fun xb mb -> combine xa ma xb mb) b.tm)
-      a.tm
+    scan (fun xa ma -> Counts.iter (fun xb mb -> combine xa ma xb mb) b.tm)
   | [ lk ], [ rk ] ->
     let key_of_b = Tuple.keyer1 rk and key_of_a = Tuple.keyer1 lk in
     let index = Value.Tbl.create (2 * max 16 (Counts.size b.tm)) in
@@ -233,12 +227,10 @@ let join ?(on = Predicate.True) ?test a b =
         | rows -> rows := (xb, mb) :: !rows
         | exception Not_found -> Value.Tbl.add index k (ref [ (xb, mb) ]))
       b.tm;
-    Counts.iter
-      (fun xa ma ->
+    scan (fun xa ma ->
         match Value.Tbl.find index (key_of_a xa) with
         | rows -> combine_all xa ma !rows
         | exception Not_found -> ())
-      a.tm
   | _ ->
     let key_of_b = Tuple.keyer right_keys
     and key_of_a = Tuple.keyer left_keys in
@@ -250,13 +242,34 @@ let join ?(on = Predicate.True) ?test a b =
         | rows -> rows := (xb, mb) :: !rows
         | exception Not_found -> Key_table.add index k (ref [ (xb, mb) ]))
       b.tm;
-    Counts.iter
-      (fun xa ma ->
+    scan (fun xa ma ->
         match Key_table.find index (key_of_a xa) with
         | rows -> combine_all xa ma !rows
         | exception Not_found -> ())
-      a.tm);
+
+let join ?on ?test a b =
+  let bu =
+    builder ~size:(max 16 (max (support_cardinal a) (support_cardinal b)))
+      (Schema.join a.schema b.schema)
+  in
+  join_into ?on ?test a.schema (fun f -> Counts.iter f a.tm) b (badd bu);
   seal bu
+
+(* Signed rows against a bag in one hash join: the positive rows
+   probe first, then the negative ones, so the result lists its rows
+   in the order joining the two signs separately would *)
+let join_signed ?on ?test sa counts b =
+  let out =
+    Counts.Builder.create
+      ~size:(max 16 (max (Counts.size counts) (support_cardinal b)))
+      ()
+  in
+  join_into ?on ?test sa
+    (fun f ->
+      Counts.iter (fun t m -> if m > 0 then f t m) counts;
+      Counts.iter (fun t m -> if m < 0 then f t m) counts)
+    b (Counts.Builder.add out);
+  Counts.Builder.seal out
 
 let equal a b =
   Schema.union_compatible a.schema b.schema

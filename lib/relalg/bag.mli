@@ -111,6 +111,18 @@ val join : ?on:Predicate.t -> ?test:(Tuple.t -> bool) -> t -> t -> t
     compiles [on] itself. [on] still drives join-key planning, so
     [test] must be semantically equal to [on]. *)
 
+val join_signed :
+  ?on:Predicate.t ->
+  ?test:(Tuple.t -> bool) ->
+  Schema.t ->
+  Counts.t ->
+  t ->
+  Counts.t
+(** [join_signed sa counts b]: {!join} of signed rows over [sa] with
+    [b], multiplicities multiplied (so a negative row's matches come
+    out negative) — one key table over [b] for both signs. The result
+    is over [Schema.join sa (schema b)]. *)
+
 val equal : t -> t -> bool
 (** Bag equality: same schema attributes and same multiplicity map. *)
 

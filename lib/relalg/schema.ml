@@ -39,11 +39,6 @@ let key s = s.key
 let has_key s = s.key <> []
 let mem s name = List.mem_assoc name s.attrs
 
-let ty_of_attr s name =
-  match List.assoc_opt name s.attrs with
-  | Some ty -> ty
-  | None -> err "unknown attribute %S" name
-
 let arity s = List.length s.attrs
 
 let project s names =

@@ -28,9 +28,6 @@ val has_key : t -> bool
 
 val mem : t -> string -> bool
 
-val ty_of_attr : t -> string -> Value.ty
-(** @raise Schema_error if the attribute is absent. *)
-
 val arity : t -> int
 
 val project : t -> string list -> t

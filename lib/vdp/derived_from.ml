@@ -31,93 +31,124 @@ let rec implicit_join_attrs env = function
   | Expr.Union (a, b) | Expr.Diff (a, b) ->
     Sset.union (implicit_join_attrs env a) (implicit_join_attrs env b)
 
-let derived_from vdp ~node ~attrs ~cond =
-  let n = Graph.node vdp node in
-  let def =
-    match n.Graph.kind with
-    | Graph.Derived e -> e
-    | Graph.Leaf _ -> raise (Graph.Vdp_error (node ^ " is a leaf"))
-  in
-  List.iter
-    (fun a -> ignore (Schema.ty_of_attr n.Graph.schema a))
-    attrs;
+(* The attributes a definition needs whatever the request: those of
+   its select and join conditions, the shared names of its natural
+   joins, and (case (4)) under a difference its whole output. *)
+let static_wanted vdp (n : Graph.node) def =
   let env = Graph.schema_env vdp in
-  let cond_attrs =
-    Sset.union (condition_attrs def) (implicit_join_attrs env def)
-  in
   let extra =
-    (* case (4): difference nodes additionally need the output
-       attributes of both children to decide membership *)
     if Expr.contains_diff def then Sset.of_list (Schema.attrs n.Graph.schema)
     else Sset.empty
   in
-  let wanted = Sset.union (Sset.of_list attrs) (Sset.union cond_attrs extra) in
-  List.filter_map
-    (fun child ->
-      let child_schema = Graph.schema_env vdp child in
-      let child_attrs = Schema.attrs child_schema in
-      let b = List.filter (fun a -> Sset.mem a wanted) child_attrs in
-      if b = [] then None
-      else
-        let g = Predicate.restrict_to cond child_attrs in
-        Some (child, b, g))
-    (Graph.children vdp node)
+  Sset.union (condition_attrs def)
+    (Sset.union (implicit_join_attrs env def) extra)
 
-let restrict_def vdp ~node ~attrs ~cond =
-  let n = Graph.node vdp node in
-  let def =
-    match n.Graph.kind with
-    | Graph.Derived e -> e
-    | Graph.Leaf _ -> raise (Graph.Vdp_error (node ^ " is a leaf"))
-  in
-  let env = Graph.schema_env vdp in
-  let extra =
-    if Expr.contains_diff def then Sset.of_list (Schema.attrs n.Graph.schema)
-    else Sset.empty
-  in
-  let wanted =
-    List.fold_left
-      (fun acc s -> Sset.union acc s)
-      (Sset.of_list attrs)
-      [
-        Sset.of_list (Predicate.attrs cond);
-        condition_attrs def;
-        implicit_join_attrs env def;
-        extra;
-      ]
-  in
-  (* union/difference operands must stay union-compatible whatever
-     width their children are served at, so they get explicit
-     projections onto their (narrowed) output schema *)
+let derived vdp name =
+  let n = Graph.node vdp name in
+  match n.Graph.kind with
+  | Graph.Derived e -> (n, e)
+  | Graph.Leaf _ -> raise (Graph.Vdp_error (name ^ " is a leaf"))
+
+(* [def] as a function of the wanted attributes: every projection list
+   narrowed to them, and union/difference operands, which must stay
+   union-compatible whatever width their children are served at,
+   given explicit projections onto their narrowed output schema. The
+   operands' output schemas are computed here, once. *)
+let narrower env def =
   let setop_operand e =
     let out = Schema.attrs (Expr.schema_of env e) in
-    List.filter (fun a -> Sset.mem a wanted) out
+    fun wanted -> List.filter wanted out
   in
-  let rec narrow = function
-    | Expr.Base _ as e -> e
-    | Expr.Select (p, e) -> Expr.Select (p, narrow e)
+  let rec go = function
+    | Expr.Base _ as e -> fun _ -> e
+    | Expr.Select (p, e) ->
+      let e = go e in
+      fun wanted -> Expr.Select (p, e wanted)
     (* renaming only occurs in leaf-parent definitions, which are
        never narrowed (they are polled whole); keep it untouched *)
-    | Expr.Rename (m, e) -> Expr.Rename (m, narrow e)
+    | Expr.Rename (m, e) ->
+      let e = go e in
+      fun wanted -> Expr.Rename (m, e wanted)
     | Expr.Project (l, e) ->
-      Expr.Project (List.filter (fun a -> Sset.mem a wanted) l, narrow e)
-    | Expr.Join (a, p, b) -> Expr.Join (narrow a, p, narrow b)
+      let e = go e in
+      fun wanted -> Expr.Project (List.filter wanted l, e wanted)
+    | Expr.Join (a, p, b) ->
+      let a = go a and b = go b in
+      fun wanted -> Expr.Join (a wanted, p, b wanted)
     | Expr.Union (a, b) ->
-      Expr.Union
-        (Expr.Project (setop_operand a, narrow a),
-         Expr.Project (setop_operand b, narrow b))
+      let oa = setop_operand a and ob = setop_operand b in
+      let a = go a and b = go b in
+      fun wanted ->
+        Expr.Union
+          (Expr.Project (oa wanted, a wanted), Expr.Project (ob wanted, b wanted))
     | Expr.Diff (a, b) ->
-      Expr.Diff
-        (Expr.Project (setop_operand a, narrow a),
-         Expr.Project (setop_operand b, narrow b))
+      let oa = setop_operand a and ob = setop_operand b in
+      let a = go a and b = go b in
+      fun wanted ->
+        Expr.Diff
+          (Expr.Project (oa wanted, a wanted), Expr.Project (ob wanted, b wanted))
   in
-  narrow def
+  go def
+
+type rule = {
+  ru_wanted : string list;
+  ru_reads : (string * string list) list;
+  ru_narrow : (string -> bool) -> Expr.t;
+}
+
+let rule vdp name =
+  let n, def = derived vdp name in
+  let env = Graph.schema_env vdp in
+  {
+    ru_wanted = Sset.elements (static_wanted vdp n def);
+    ru_reads =
+      List.filter_map
+        (fun child ->
+          if Graph.is_leaf vdp child then None
+          else Some (child, Schema.attrs (env child)))
+        (Graph.children vdp name);
+    ru_narrow = narrower env def;
+  }
+
+(* per child, B = (attrs ∩ attr(S)) ∪ D_S and g = cond restricted to
+   attr(S); only B's request half and g are computed per call *)
+let reads rule ~attrs ~cond =
+  List.filter_map
+    (fun (child, child_attrs) ->
+      match
+        List.filter
+          (fun a -> List.mem a attrs || List.mem a rule.ru_wanted)
+          child_attrs
+      with
+      | [] -> None
+      | b ->
+        Some
+          ( child,
+            b,
+            if cond == Predicate.True then cond
+            else Predicate.restrict_to cond child_attrs ))
+    rule.ru_reads
+
+let restrict rule ~attrs ~cond =
+  let cond_attrs = Predicate.attrs cond in
+  rule.ru_narrow (fun a ->
+      List.mem a attrs || List.mem a cond_attrs || List.mem a rule.ru_wanted)
 
 let needed_attrs_of_children vdp node =
-  let schema = (Graph.node vdp node).Graph.schema in
-  List.map
-    (fun (child, b, _) -> (child, b))
-    (derived_from vdp ~node ~attrs:(Schema.attrs schema) ~cond:Predicate.True)
+  let n, def = derived vdp node in
+  let wanted =
+    Sset.union (static_wanted vdp n def) (Sset.of_list (Schema.attrs n.Graph.schema))
+  in
+  List.filter_map
+    (fun child ->
+      match
+        List.filter
+          (fun a -> Sset.mem a wanted)
+          (Schema.attrs (Graph.schema_env vdp child))
+      with
+      | [] -> None
+      | b -> Some (child, b))
+    (Graph.children vdp node)
 
 type step = {
   s_node : string;

@@ -1,11 +1,9 @@
-(** The [derived_from] function of Sec. 6.3.
+(** The [derived_from] function of Sec. 6.3, compiled per node.
 
-    [derived_from vdp ~node ~attrs ~cond] determines, for a request
-    [π_attrs σ_cond node], which projections/selections of the node's
-    children suffice to construct it: a list of triples
-    [(child, B, g)] meaning [π_B σ_g child] is needed.
-
-    For each child [S] of [def(node)]:
+    [derived_from] determines, for a request [π_attrs σ_cond node],
+    which projections/selections of the node's children suffice to
+    construct it: triples [(child, B, g)] meaning [π_B σ_g child] is
+    needed. For each child [S] of [def(node)]:
     {ul
     {- [B = (attrs ∩ attr(S)) ∪ D_S], where [D_S] are the attributes of
        [S] used in select and join conditions inside the definition
@@ -16,35 +14,50 @@
     {- [g] is [cond] restricted to the conjuncts mentioning only
        attributes of [S] — a sound (possibly wider) push-down.}}
 
-    Children contributing no attributes are omitted. *)
+    Children contributing no attributes are omitted. Everything but
+    the request's own attributes and condition is fixed by the
+    definition, so a {!rule} holds it, computed once per node. *)
 
 open Relalg
 
-val derived_from :
-  Graph.t ->
-  node:string ->
+type rule = {
+  ru_wanted : string list;
+      (** the attributes the definition needs whatever the request:
+          condition, natural-join and (under a difference) output
+          attributes, sorted *)
+  ru_reads : (string * string list) list;
+      (** the node's non-leaf children with their declared attributes,
+          in the definition's order; empty for a leaf-parent *)
+  ru_narrow : (string -> bool) -> Expr.t;
+      (** the definition with its internal projection lists narrowed to
+          the attributes the predicate accepts (see {!restrict}) *)
+}
+
+val rule : Graph.t -> string -> rule
+(** @raise Graph.Vdp_error if the node is a leaf or unknown. *)
+
+val reads :
+  rule ->
   attrs:string list ->
   cond:Predicate.t ->
   (string * string list * Predicate.t) list
-(** @raise Graph.Vdp_error if [node] is a leaf or unknown.
-    @raise Schema.Schema_error if [attrs] is not within the node's
-    schema. *)
+(** [derived_from] of the request [π_attrs σ_cond node] on the node's
+    non-leaf children ([attrs] within the node's schema): a leaf child
+    is never requested, since the VAP polls its leaf-parent whole. *)
 
 val needed_attrs_of_children : Graph.t -> string -> (string * string list) list
-(** For update propagation: the attributes of each child that the
-    node's definition reads (condition attributes plus attributes
-    surviving to the node's schema). Equals
-    [derived_from ~attrs:(all of schema) ~cond:True] without the
-    selection components. *)
+(** For update propagation: the attributes of each child, leaves
+    included, that the node's definition reads (condition attributes
+    plus attributes surviving to the node's schema) — [derived_from]
+    with [attrs] the whole schema, without the selection components. *)
 
-val restrict_def :
-  Graph.t -> node:string -> attrs:string list -> cond:Predicate.t -> Expr.t
+val restrict : rule -> attrs:string list -> cond:Predicate.t -> Expr.t
 (** [def node] with its internal projection lists narrowed to the
     attributes needed to compute [π_attrs σ_cond node]: the request's
     attributes, every condition attribute inside the definition, and —
     for difference definitions — the full output width (set membership
     is decided on whole tuples). The result evaluates correctly over
-    children restricted to their [derived_from] projections, and is
+    children restricted to their {!reads} projections, and is
     semantically equivalent to [def node] over full children. *)
 
 (** {1 Update steps}

@@ -1,7 +1,9 @@
 (* Interpretive oracles for the compiled evaluators: a condition
    evaluator, a value evaluator and a delta rule engine that walk the
-   AST on every call. The differential tests check the compiled forms
-   ({!Relalg.Predicate.compile}, {!Relalg.Plan}, {!Delta.Delta_plan})
+   AST on every call, and the VAP closure that derives [derived_from]
+   from the VDP on every call. The differential tests check the
+   compiled forms ({!Relalg.Predicate.compile}, {!Relalg.Plan},
+   {!Delta.Delta_plan}, the closure rules of {!Vdp.Derived_from})
    against them, value for value; no program links this library. *)
 
 open Relalg
@@ -124,6 +126,14 @@ let rec filter_delta expr d =
 (* pre-update value of a subexpression *)
 let eval_old ~env e = Eval.eval ~env e
 
+(* [d ⋈ b] as two bag joins: the insertions' and the deletions' *)
+let join_bag ~on d bag =
+  let ins = Bag.join ~on (Rel_delta.insertions d) bag
+  and del = Bag.join ~on (Rel_delta.deletions d) bag in
+  Rel_delta.empty (Bag.schema ins)
+  |> Bag.fold (fun t m acc -> Rel_delta.insert ~mult:m acc t) ins
+  |> Bag.fold (fun t m acc -> Rel_delta.delete ~mult:m acc t) del
+
 (* The interpretive rule engine: walks the expression on every
    transaction. Value-identical to {!Delta_plan.run}. *)
 let rec delta_of_expr_interp ?indexed_join ~env ~deltas expr =
@@ -131,7 +141,7 @@ let rec delta_of_expr_interp ?indexed_join ~env ~deltas expr =
   (* [d ⋈ base]: probe the base's persistent index when the caller
      provides one, otherwise hash-join against its pre-update value *)
   let join_side ~on d side =
-    let generic () = Rel_delta.join_bag ~on d (eval_old ~env side) in
+    let generic () = join_bag ~on d (eval_old ~env side) in
     match indexed_join, side with
     | Some probe, Expr.Base name -> (
       match probe ~name ~on ?filter:None d with
@@ -241,3 +251,107 @@ let rec delta_of_expr_interp ?indexed_join ~env ~deltas expr =
           | true, true | false, false -> acc)
         candidates (Rel_delta.empty schema)
     end
+
+(* --- the VAP closure (Sec. 6.3), re-derived per call ------------------- *)
+
+module Sset = Set.Make (String)
+
+let rec condition_attrs = function
+  | Expr.Base _ -> Sset.empty
+  | Expr.Select (p, e) ->
+    Sset.union (Sset.of_list (Predicate.attrs p)) (condition_attrs e)
+  | Expr.Project (_, e) | Expr.Rename (_, e) -> condition_attrs e
+  | Expr.Join (a, p, b) ->
+    Sset.union
+      (Sset.of_list (Predicate.attrs p))
+      (Sset.union (condition_attrs a) (condition_attrs b))
+  | Expr.Union (a, b) | Expr.Diff (a, b) ->
+    Sset.union (condition_attrs a) (condition_attrs b)
+
+let rec implicit_join_attrs env = function
+  | Expr.Base _ -> Sset.empty
+  | Expr.Select (_, e) | Expr.Project (_, e) | Expr.Rename (_, e) ->
+    implicit_join_attrs env e
+  | Expr.Join (a, _, b) ->
+    let sa = Expr.schema_of env a and sb = Expr.schema_of env b in
+    let shared = List.filter (fun n -> Schema.mem sb n) (Schema.attrs sa) in
+    Sset.union (Sset.of_list shared)
+      (Sset.union (implicit_join_attrs env a) (implicit_join_attrs env b))
+  | Expr.Union (a, b) | Expr.Diff (a, b) ->
+    Sset.union (implicit_join_attrs env a) (implicit_join_attrs env b)
+
+(* [derived_from vdp ~node ~attrs ~cond]: per child S of the node's
+   definition, [(S, B, g)] with B = (attrs ∩ attr(S)) ∪ D_S — D_S the
+   condition and natural-join attributes of the definition, plus the
+   whole output under a difference — and g = cond restricted to
+   attr(S); children contributing no attributes omitted *)
+let derived_from vdp ~node ~attrs ~cond =
+  let n = Vdp.Graph.node vdp node in
+  let def = Vdp.Graph.def vdp node in
+  let env = Vdp.Graph.schema_env vdp in
+  let extra =
+    if Expr.contains_diff def then Sset.of_list (Schema.attrs n.Vdp.Graph.schema)
+    else Sset.empty
+  in
+  let wanted =
+    Sset.union (Sset.of_list attrs)
+      (Sset.union
+         (Sset.union (condition_attrs def) (implicit_join_attrs env def))
+         extra)
+  in
+  List.filter_map
+    (fun child ->
+      let child_attrs = Schema.attrs (env child) in
+      match List.filter (fun a -> Sset.mem a wanted) child_attrs with
+      | [] -> None
+      | b -> Some (child, b, Predicate.restrict_to cond child_attrs))
+    (Vdp.Graph.children vdp node)
+
+(* The closure of [(node, attrs, cond)] requests under [derived_from],
+   given which [(node, attrs)] reads the store covers: requests on one
+   node merged into [(B ∪ A', f ∨ g)]; a non-leaf child joins when the
+   store does not cover its read or it already has a request; iterated
+   parents-before-children to fixpoint. Returned parents before
+   children. *)
+let closure vdp ~covered requests =
+  let table = Hashtbl.create 8 in
+  let merge (node, attrs, cond) =
+    let attrs =
+      attrs
+      @ List.filter (fun a -> not (List.mem a attrs)) (Predicate.attrs cond)
+    in
+    match Hashtbl.find_opt table node with
+    | None -> Hashtbl.replace table node (attrs, cond)
+    | Some (have, c) ->
+      Hashtbl.replace table node
+        ( have @ List.filter (fun a -> not (List.mem a have)) attrs,
+          Predicate.or_ c cond )
+  in
+  List.iter merge requests;
+  let order = List.rev (Vdp.Graph.topo_order vdp) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun node ->
+        match Hashtbl.find_opt table node with
+        | None -> ()
+        | Some (attrs, cond) ->
+          List.iter
+            (fun (child, b, g) ->
+              if
+                (not (Vdp.Graph.is_leaf vdp child))
+                && ((not (covered child b)) || Hashtbl.mem table child)
+              then begin
+                let before = Hashtbl.find_opt table child in
+                merge (child, b, g);
+                if Stdlib.compare (Hashtbl.find_opt table child) before <> 0
+                then changed := true
+              end)
+            (derived_from vdp ~node ~attrs ~cond))
+      order
+  done;
+  List.filter_map
+    (fun node ->
+      Option.map (fun (attrs, cond) -> (node, attrs, cond)) (Hashtbl.find_opt table node))
+    order

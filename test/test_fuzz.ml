@@ -442,6 +442,42 @@ let diff_table_delta_join_two_keys () =
       if !joined < 20 then Alcotest.failf "case %d: only %d joins matched" ci !joined)
     cases
 
+(* The signed join of a delta with a bag, one hash join over both
+   signs, against the two bag joins of its insertions and deletions:
+   equal deltas, listed in the same order. Random schemas over a shared
+   pool (natural joins, cross products), under no condition, an
+   equi-pair or a comparison. *)
+let diff_signed_join () =
+  for seed = 1 to 200 do
+    let rng = Random.State.make [| seed; 0xBAB |] in
+    let pool = random_pool rng in
+    let sd = random_schema rng pool and sb = random_schema rng pool in
+    let b = random_bag rng sb in
+    let d =
+      List.fold_left
+        (fun acc _ ->
+          let t = random_tuple rng sd and mult = 1 + Random.State.int rng 2 in
+          if Random.State.bool rng then Delta.Rel_delta.insert ~mult acc t
+          else Delta.Rel_delta.delete ~mult acc t)
+        (Delta.Rel_delta.empty sd)
+        (List.init (Random.State.int rng 8) Fun.id)
+    in
+    let on =
+      match
+        (Random.State.int rng 3, Schema.attrs sd, Schema.attrs sb)
+      with
+      | 1, a :: _, b :: _ -> Predicate.eq_attrs a b
+      | 2, a :: _, b :: _ when a <> b -> Predicate.(lt (attr a) (attr b))
+      | _ -> Predicate.True
+    in
+    let got = Delta.Rel_delta.join_bag ~on d b
+    and want = Oracle.join_bag ~on d b in
+    let atoms d = Delta.Rel_delta.fold (fun t m acc -> (t, m) :: acc) d [] in
+    if not (Delta.Rel_delta.equal got want && atoms got = atoms want) then
+      Alcotest.failf "seed %d: signed join %a, expected %a" seed
+        Delta.Rel_delta.pp got Delta.Rel_delta.pp want
+  done
+
 let physical_cases =
   [
     Alcotest.test_case "union/monus vs reference" `Quick diff_union_monus;
@@ -453,6 +489,7 @@ let physical_cases =
       diff_table_delta_join;
     Alcotest.test_case "two-key delta_join vs generic join" `Quick
       diff_table_delta_join_two_keys;
+    Alcotest.test_case "signed join vs two bag joins" `Quick diff_signed_join;
   ]
 
 let () =

@@ -40,14 +40,15 @@ let test_vap_closure_descends_to_virtual_children () =
   let _, med = setup Scenario.ann_ex23 in
   (* requesting all of T must pull in both (virtual) children *)
   let reqs =
-    Vap.closure med
-      [
-        {
-          Vap.r_node = "T";
-          r_attrs = [ "r1"; "r3"; "s1"; "s2" ];
-          r_cond = Predicate.True;
-        };
-      ]
+    (Vap.closure med
+       [
+         {
+           Vap.r_node = "T";
+           r_attrs = [ "r1"; "r3"; "s1"; "s2" ];
+           r_cond = Predicate.True;
+         };
+       ])
+      .Vap.c_requests
   in
   let names = List.map (fun r -> r.Vap.r_node) reqs in
   Alcotest.(check bool) "T requested" true (List.mem "T" names);
@@ -61,8 +62,9 @@ let test_vap_closure_stops_at_materialized () =
   let _, med = setup Scenario.ann_ex21 in
   (* everything materialized: a request for T needs no children *)
   let reqs =
-    Vap.closure med
-      [ { Vap.r_node = "T"; r_attrs = [ "r1" ]; r_cond = Predicate.True } ]
+    (Vap.closure med
+       [ { Vap.r_node = "T"; r_attrs = [ "r1" ]; r_cond = Predicate.True } ])
+      .Vap.c_requests
   in
   Alcotest.(check (list string))
     "only the requested node" [ "T" ]
@@ -76,11 +78,12 @@ let test_vap_closure_merges_requests () =
   let c1 = Predicate.(lt (attr "r3") (int 10)) in
   let c2 = Predicate.(Cmp (Gt, attr "s2", int 50)) in
   let reqs =
-    Vap.closure med
-      [
-        { Vap.r_node = "T"; r_attrs = [ "r1"; "r3" ]; r_cond = c1 };
-        { Vap.r_node = "T"; r_attrs = [ "s1"; "s2" ]; r_cond = c2 };
-      ]
+    (Vap.closure med
+       [
+         { Vap.r_node = "T"; r_attrs = [ "r1"; "r3" ]; r_cond = c1 };
+         { Vap.r_node = "T"; r_attrs = [ "s1"; "s2" ]; r_cond = c2 };
+       ])
+      .Vap.c_requests
   in
   let t_reqs = List.filter (fun r -> r.Vap.r_node = "T") reqs in
   Alcotest.(check int) "one merged request for T" 1 (List.length t_reqs);
@@ -97,8 +100,9 @@ let test_vap_closure_merges_requests () =
      twice changes nothing *)
   let keyed vs = { Vap.r_node = "T"; r_attrs = [ "r1" ]; r_cond = Predicate.one_of "r1" vs } in
   let merged =
-    Vap.closure med
-      [ keyed Value.[ Int 1; Int 2 ]; keyed Value.[ Int 2; Int 3 ]; keyed Value.[ Int 2; Int 3 ] ]
+    (Vap.closure med
+       [ keyed Value.[ Int 1; Int 2 ]; keyed Value.[ Int 2; Int 3 ]; keyed Value.[ Int 2; Int 3 ] ])
+      .Vap.c_requests
   in
   Alcotest.(check bool)
     "key sets merged" true

@@ -1019,7 +1019,7 @@ let test_eca_compensation_compiled () =
                   (fun t k ->
                     incr fresh;
                     Tuple.set t k
-                      (match Schema.ty_of_attr schema k with
+                      (match List.assoc k (Schema.typed_attrs schema) with
                       | Value.TStr -> Value.Str (Printf.sprintf "fresh%d" !fresh)
                       | _ -> Value.Int (100_000 + !fresh)))
                   t (Schema.key schema)
@@ -1074,7 +1074,8 @@ let test_eca_compensation_compiled () =
                       in
                       let r =
                         Vap.build med ~kind:(`Update pending)
-                          [ { Vap.r_node = lp.Med.lp_node; r_attrs = attrs; r_cond = cond } ]
+                          (Vap.closure med
+                             [ { Vap.r_node = lp.Med.lp_node; r_attrs = attrs; r_cond = cond } ])
                       in
                       Med.requeue med entries;
                       List.assoc lp.Med.lp_node r.Vap.temps)
@@ -1094,6 +1095,81 @@ let test_eca_compensation_compiled () =
         (Med.leaf_parents med))
     (compiled_cases ());
   Alcotest.(check bool) "some leaf-parent compensated" true (!checked > 0)
+
+(* The VAP closure over the compiled rules against the closure that
+   re-derives [derived_from] from the VDP per call: random multi-node
+   requests — attribute subsets under no condition, a key set, a
+   comparison, or a conjunction or disjunction of two — close to the
+   same requests, node for node, in the same order, with the same
+   attributes and conditions. *)
+let test_closure_matches_derived_from () =
+  let closed = ref 0 in
+  List.iter
+    (fun (name, env, annotation) ->
+      let vdp = env.Scenario.vdp in
+      let med = Scenario.mediator env ~annotation () in
+      let rng = Random.State.make [| 0xC105; String.length name |] in
+      let nodes = Array.of_list (Graph.non_leaves vdp) in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
+      let random_cond schema =
+        let typed = Schema.typed_attrs schema in
+        let atom () =
+          let a, ty = pick typed in
+          if Random.State.bool rng then
+            Predicate.one_of a
+              (List.init (1 + Random.State.int rng 3) (fun _ -> random_value rng ty))
+          else Predicate.Cmp (Predicate.Lt, Predicate.Attr a, Predicate.Const (random_value rng ty))
+        in
+        match Random.State.int rng 5 with
+        | 0 -> Predicate.True
+        | 1 | 2 -> atom ()
+        | 3 -> Predicate.conj [ atom (); atom () ]
+        | _ -> Predicate.or_ (atom ()) (atom ())
+      in
+      let random_request () =
+        let n = nodes.(Random.State.int rng (Array.length nodes)) in
+        let attrs = Schema.attrs n.Graph.schema in
+        let chosen = List.filter (fun _ -> Random.State.bool rng) attrs in
+        ( n.Graph.name,
+          (if chosen = [] then [ pick attrs ] else chosen),
+          random_cond n.Graph.schema )
+      in
+      for _ = 1 to 60 do
+        let requests = List.init (1 + Random.State.int rng 3) (fun _ -> random_request ()) in
+        let got =
+          Vap.closure med
+            (List.map
+               (fun (node, attrs, cond) -> { Vap.r_node = node; r_attrs = attrs; r_cond = cond })
+               requests)
+        in
+        let want =
+          Oracle.closure vdp
+            ~covered:(fun node attrs -> Med.is_covered med ~node ~attrs)
+            requests
+        in
+        let show (node, attrs, cond) =
+          Format.asprintf "%s{%s}[%a]" node (String.concat "," attrs) Predicate.pp cond
+        in
+        let got_l =
+          List.map (fun r -> (r.Vap.r_node, r.Vap.r_attrs, r.Vap.r_cond)) got.Vap.c_requests
+        in
+        Alcotest.(check int) (name ^ ": requests counted") (List.length requests) got.Vap.c_asked;
+        if
+          not
+            (List.equal
+               (fun (n, a, c) (n', a', c') ->
+                 String.equal n n' && a = a' && Predicate.equal c c')
+               got_l want)
+        then
+          Alcotest.failf "%s: closure of %s is %s, expected %s" name
+            (String.concat "; " (List.map show requests))
+            (String.concat "; " (List.map show got_l))
+            (String.concat "; " (List.map show want));
+        if List.length want > List.length (List.sort_uniq compare (List.map (fun (n, _, _) -> n) requests))
+        then incr closed
+      done)
+    (compiled_cases ());
+  Alcotest.(check bool) "some closures reached past the requests" true (!closed > 0)
 
 (* every join operand swapped, recursively *)
 let rec swap_joins = function
@@ -1293,6 +1369,8 @@ let () =
             `Quick test_eca_compensation_compiled;
           Alcotest.test_case "join terms = reference rules" `Quick
             test_join_terms_match_rules;
+          Alcotest.test_case "VAP closure = derived_from closure" `Quick
+            test_closure_matches_derived_from;
         ] );
       ( "physical-join",
         [

@@ -305,7 +305,7 @@ let test_derived_from_spj () =
   (* query pi_{r3,s1} sigma_{r3<100} T (Example 2.3) *)
   let cond = Predicate.(lt (attr "r3") (int 100)) in
   let result =
-    Derived_from.derived_from fig1 ~node:"T" ~attrs:[ "r3"; "s1" ] ~cond
+    Derived_from.reads (Derived_from.rule fig1 "T") ~attrs:[ "r3"; "s1" ] ~cond
   in
   (match List.assoc_opt "R'" (List.map (fun (n, b, g) -> (n, (b, g))) result) with
   | Some (b, g) ->
@@ -323,7 +323,8 @@ let test_derived_from_diff_includes_output () =
   (* case (4): under a difference both children need the output attrs *)
   let vdp = build_ex51 () in
   let result =
-    Derived_from.derived_from vdp ~node:"G" ~attrs:[ "a1" ] ~cond:Predicate.True
+    Derived_from.reads (Derived_from.rule vdp "G") ~attrs:[ "a1" ]
+      ~cond:Predicate.True
   in
   List.iter
     (fun (_, b, _) ->
@@ -545,7 +546,7 @@ let test_restrict_def_equivalence () =
       let restricted =
         Bag.project attrs
           (Bag.select cond
-             (Eval.eval ~env (Derived_from.restrict_def vdp ~node ~attrs ~cond)))
+             (Eval.eval ~env (Derived_from.restrict (Derived_from.rule vdp node) ~attrs ~cond)))
       in
       Alcotest.(check bool)
         (Printf.sprintf "restrict_def(%s, {%s}) equivalent" node
