@@ -2,13 +2,30 @@
    {!Bag} (positive multiplicities) and of delta repositories (signed
    nonzero counts).
 
-   Layout: a dense arena of (tuple, count) entries plus a tuple ->
-   slot hash index (the compact-dictionary layout). Removal swaps the
-   last entry into the freed slot, so the arena stays dense with no
-   tombstones and point operations are O(1). Bulk-built maps keep
-   insertion order, making iteration a sequential scan over tuples in
-   allocation order — where iterating a plain hash table visits tuples
-   in hash order and pays a cache miss per tuple at scale.
+   Layout: a dense arena of (tuple, count) slots plus a tuple -> slot
+   hash index (the compact-dictionary layout). The arena is two
+   parallel arrays, tuples and unboxed counts, so a slot is no record
+   of its own: a scan reads each tuple straight from a flat array, and
+   adding a tuple allocates nothing once the arena has room. Removal
+   swaps the last slot into the freed one, so the arena stays dense
+   with no tombstones and point operations are O(1). Bulk-built maps
+   keep insertion order, making iteration a sequential scan over
+   tuples in allocation order — where iterating a plain hash table
+   visits tuples in hash order and pays a cache miss per tuple at
+   scale.
+
+   The index is a flat open-addressing int array (linear probing,
+   backward-shift deletion). A position holds 0 when empty, else a
+   tagged slot: the low 31 bits of the tuple's hash above [slot + 1].
+   The tag's low bits are the home position, so deletion and index
+   growth move slots without reading a tuple or rehashing one, and a
+   probe reads the arena only on a tag match: an occupied position
+   whose tag differs costs one flat array read. [Tuple.equal] still
+   decides every match. The packing assumes 63-bit ints.
+
+   The per-tuple loops are top-level functions taking their free
+   variables as arguments: without flambda, a local [let rec] that
+   captures them allocates a closure on every call.
 
    Persistence uses Baker-style diff chains: the newest version owns
    the physical arena; a superseded version holds the reversing diff.
@@ -18,16 +35,10 @@
    that would disturb a pinned arena builds a private copy instead, so
    callbacks may freely read or derive any version of any map. *)
 
-type entry = { etuple : Tuple.t; mutable ecount : int }
-
-(* The tuple -> slot index is a flat open-addressing int array (linear
-   probing, backward-shift deletion): [idx.(p)] holds [slot + 1], 0
-   marks an empty position. A probe costs one flat array read plus the
-   entry record it resolves to — no bucket chains to chase and no
-   allocation on insert. *)
 type data = {
-  mutable entries : entry array;
-  mutable used : int; (* entries.(0 .. used-1) are populated *)
+  mutable tuples : Tuple.t array;
+  mutable counts : int array; (* parallel to [tuples] *)
+  mutable used : int; (* slots 0 .. used-1 are populated *)
   mutable idx : int array; (* capacity a power of two, <= 3/4 full *)
   mutable mask : int; (* Array.length idx - 1 *)
   mutable pins : int;
@@ -37,18 +48,17 @@ type store = Data of data | Diff of Tuple.t * int * t
 
 and t = { size : int; mutable store : store }
 
-let dummy_entry = { etuple = Tuple.empty; ecount = 0 }
-
 let rec pow2_above n x = if x >= n then x else pow2_above n (2 * x)
 
-(* sized to [cap] entries, with no floor beyond one: a one-atom delta
-   gets a one-entry arena, and a map that outgrows its arena doubles it
+(* sized to [cap] slots, with no floor beyond one: a one-atom delta
+   gets a one-slot arena, and a map that outgrows its arena doubles it
    (order-preserving) *)
 let make_data cap =
   let cap = max 1 cap in
   let icap = pow2_above (cap + (cap / 2)) 2 in
   {
-    entries = Array.make cap dummy_entry;
+    tuples = Array.make cap Tuple.empty;
+    counts = Array.make cap 0;
     used = 0;
     idx = Array.make icap 0;
     mask = icap - 1;
@@ -59,106 +69,117 @@ let empty ?(size = 8) () = { size = 0; store = Data (make_data size) }
 
 let size t = t.size
 
+(* an index position: [tag lsl slot_bits lor (slot + 1)], 0 = empty *)
+let slot_bits = 32
+let slot_mask = (1 lsl slot_bits) - 1
+let tag_of tuple = Tuple.hash tuple land 0x7FFF_FFFF
+let tagged tag slot = (tag lsl slot_bits) lor (slot + 1)
+let home_of v mask = (v lsr slot_bits) land mask
+
+let rec find_from idx mask tuples tuple tag i =
+  let v = Array.unsafe_get idx i in
+  if v = 0 then -1
+  else if v lsr slot_bits = tag then
+    let slot = (v land slot_mask) - 1 in
+    let u = Array.unsafe_get tuples slot in
+    if u == tuple || Tuple.equal u tuple then slot
+    else find_from idx mask tuples tuple tag ((i + 1) land mask)
+  else find_from idx mask tuples tuple tag ((i + 1) land mask)
+
 (* arena slot of [tuple], or -1 *)
 let idx_find d tuple =
-  let idx = d.idx and mask = d.mask and entries = d.entries in
-  let rec go i =
-    let v = Array.unsafe_get idx i in
-    if v = 0 then -1
-    else
-      let slot = v - 1 in
-      let e = Array.unsafe_get entries slot in
-      if e.etuple == tuple || Tuple.equal e.etuple tuple then slot
-      else go ((i + 1) land mask)
-  in
-  go (Tuple.hash tuple land mask)
+  let tag = tag_of tuple in
+  find_from d.idx d.mask d.tuples tuple tag (tag land d.mask)
 
-(* caller guarantees [tuple] is absent *)
-let idx_insert d tuple slot =
-  let idx = d.idx and mask = d.mask in
-  let rec go i =
-    if Array.unsafe_get idx i = 0 then Array.unsafe_set idx i (slot + 1)
-    else go ((i + 1) land mask)
-  in
-  go (Tuple.hash tuple land mask)
+let rec insert_from idx mask v i =
+  if Array.unsafe_get idx i = 0 then Array.unsafe_set idx i v
+  else insert_from idx mask v ((i + 1) land mask)
+
+(* place tagged slot [v]; the caller guarantees its tuple is absent *)
+let idx_insert d v = insert_from d.idx d.mask v (home_of v d.mask)
+
+let rec pos_from idx mask slot1 i =
+  if Array.unsafe_get idx i land slot_mask = slot1 then i
+  else pos_from idx mask slot1 ((i + 1) land mask)
 
 (* index position currently holding [slot]; the caller guarantees it
    exists and [tuple] is its tuple *)
 let idx_pos d tuple slot =
-  let idx = d.idx and mask = d.mask in
-  let rec go i =
-    if Array.unsafe_get idx i = slot + 1 then i else go ((i + 1) land mask)
-  in
-  go (Tuple.hash tuple land mask)
+  pos_from d.idx d.mask (slot + 1) (tag_of tuple land d.mask)
 
 (* Empty position [p], shifting the tail of its probe cluster back so
-   linear probing stays tombstone-free: an entry at [j] may fill the
+   linear probing stays tombstone-free: a slot at [j] may fill the
    hole iff its home position lies cyclically at or before the hole. *)
-let idx_delete d p =
-  let idx = d.idx and mask = d.mask and entries = d.entries in
-  let rec go hole j =
-    let j = (j + 1) land mask in
-    let v = Array.unsafe_get idx j in
-    if v = 0 then Array.unsafe_set idx hole 0
-    else
-      let home = Tuple.hash entries.(v - 1).etuple land mask in
-      if (j - home) land mask >= (j - hole) land mask then begin
-        Array.unsafe_set idx hole v;
-        go j j
-      end
-      else go hole j
-  in
-  go p p
+let rec delete_from idx mask hole j =
+  let j = (j + 1) land mask in
+  let v = Array.unsafe_get idx j in
+  if v = 0 then Array.unsafe_set idx hole 0
+  else if (j - home_of v mask) land mask >= (j - hole) land mask then begin
+    Array.unsafe_set idx hole v;
+    delete_from idx mask j j
+  end
+  else delete_from idx mask hole j
+
+let idx_delete d p = delete_from d.idx d.mask p p
 
 let data_get d tuple =
   let s = idx_find d tuple in
-  if s >= 0 then d.entries.(s).ecount else 0
+  if s >= 0 then d.counts.(s) else 0
 
 let grow d =
-  let cap = Array.length d.entries in
+  let cap = Array.length d.tuples in
   if d.used = cap then begin
-    let bigger = Array.make (2 * cap) dummy_entry in
-    Array.blit d.entries 0 bigger 0 d.used;
-    d.entries <- bigger
+    let tuples = Array.make (2 * cap) Tuple.empty in
+    Array.blit d.tuples 0 tuples 0 d.used;
+    d.tuples <- tuples;
+    let counts = Array.make (2 * cap) 0 in
+    Array.blit d.counts 0 counts 0 d.used;
+    d.counts <- counts
   end
 
+(* rehash from the old index's tags alone: no tuple is read *)
 let grow_index d =
+  let old = d.idx in
   let icap = 2 * (d.mask + 1) in
   d.idx <- Array.make icap 0;
   d.mask <- icap - 1;
-  for s = 0 to d.used - 1 do
-    idx_insert d d.entries.(s).etuple s
+  for p = 0 to Array.length old - 1 do
+    let v = Array.unsafe_get old p in
+    if v <> 0 then idx_insert d v
   done
 
 (* physical update helpers; the caller guarantees [d.pins = 0] *)
 
-(* swap the last entry into the freed slot: dense, O(1) *)
+(* swap the last slot into the freed one: dense, O(1) *)
 let swap_remove d tuple i =
   let p = idx_pos d tuple i in
   let last = d.used - 1 in
   if i < last then begin
-    let e = d.entries.(last) in
-    d.entries.(i) <- e;
-    d.idx.(idx_pos d e.etuple last) <- i + 1
+    let moved = d.tuples.(last) in
+    d.tuples.(i) <- moved;
+    d.counts.(i) <- d.counts.(last);
+    (* the moved slot keeps its tag *)
+    let q = idx_pos d moved last in
+    d.idx.(q) <- (d.idx.(q) land lnot slot_mask) lor (i + 1)
   end;
-  d.entries.(last) <- dummy_entry;
+  d.tuples.(last) <- Tuple.empty;
   d.used <- last;
   idx_delete d p
 
 let data_append d tuple count =
   grow d;
   if (d.used + 1) * 4 > (d.mask + 1) * 3 then grow_index d;
-  d.entries.(d.used) <- { etuple = tuple; ecount = count };
-  idx_insert d tuple d.used;
+  d.tuples.(d.used) <- tuple;
+  d.counts.(d.used) <- count;
+  idx_insert d (tagged (tag_of tuple) d.used);
   d.used <- d.used + 1
 
 (* set returning the previous count, one index lookup *)
 let data_exchange d tuple count =
   let s = idx_find d tuple in
   if s >= 0 then begin
-    let e = d.entries.(s) in
-    let old = e.ecount in
-    if count <> 0 then e.ecount <- count else swap_remove d tuple s;
+    let old = d.counts.(s) in
+    if count <> 0 then d.counts.(s) <- count else swap_remove d tuple s;
     old
   end
   else begin
@@ -170,10 +191,9 @@ let data_exchange d tuple count =
 let data_add d tuple m =
   let s = idx_find d tuple in
   if s >= 0 then begin
-    let e = d.entries.(s) in
-    let old = e.ecount in
+    let old = d.counts.(s) in
     let c = old + m in
-    if c <> 0 then e.ecount <- c else swap_remove d tuple s;
+    if c <> 0 then d.counts.(s) <- c else swap_remove d tuple s;
     old
   end
   else begin
@@ -183,16 +203,12 @@ let data_add d tuple m =
 
 let data_set d tuple count = ignore (data_exchange d tuple count)
 
-(* order-preserving copy with private entry records; the index array
-   is position-identical, so it is copied wholesale *)
+(* order-preserving copy with private counts; every array is
+   position-identical, so each is copied wholesale *)
 let copy_data d =
-  let nentries = Array.make (Array.length d.entries) dummy_entry in
-  for i = 0 to d.used - 1 do
-    let e = Array.unsafe_get d.entries i in
-    nentries.(i) <- { etuple = e.etuple; ecount = e.ecount }
-  done;
   {
-    entries = nentries;
+    tuples = Array.copy d.tuples;
+    counts = Array.copy d.counts;
     used = d.used;
     idx = Array.copy d.idx;
     mask = d.mask;
@@ -286,8 +302,7 @@ let iter f t =
   let d = pin t in
   match
     for i = 0 to d.used - 1 do
-      let e = Array.unsafe_get d.entries i in
-      f e.etuple e.ecount
+      f (Array.unsafe_get d.tuples i) (Array.unsafe_get d.counts i)
     done
   with
   | () -> d.pins <- d.pins - 1
@@ -300,8 +315,7 @@ let fold f t init =
   let acc = ref init in
   match
     for i = 0 to d.used - 1 do
-      let e = Array.unsafe_get d.entries i in
-      acc := f e.etuple e.ecount !acc
+      acc := f (Array.unsafe_get d.tuples i) (Array.unsafe_get d.counts i) !acc
     done
   with
   | () ->
@@ -321,8 +335,7 @@ let equal a b =
          let ok = ref true in
          (try
             for i = 0 to da.used - 1 do
-              let e = Array.unsafe_get da.entries i in
-              if get b e.etuple <> e.ecount then begin
+              if get b (Array.unsafe_get da.tuples i) <> Array.unsafe_get da.counts i then begin
                 ok := false;
                 raise Exit
               end

@@ -2,10 +2,12 @@
     of {!Bag} multiplicities and of delta repositories.
 
     Counts stored are nonzero; [set _ _ 0] removes the binding. The
-    physical layout is a dense insertion-ordered entry arena plus a
-    tuple -> slot hash index, so point operations are O(1) (amortized)
-    and iteration is a sequential scan in insertion order rather than
-    a cache-hostile hash-order walk.
+    physical layout is a dense insertion-ordered arena (parallel tuple
+    and count arrays) plus a tuple -> slot hash index whose positions
+    carry hash tags, so point operations are O(1) (amortized), a probe
+    reads a tuple only on a tag match, and iteration is a sequential
+    scan in insertion order rather than a cache-hostile hash-order
+    walk.
 
     The persistent interface is backed by one physical arena per
     version family plus reversing diffs (rerooted on access), so

@@ -324,28 +324,32 @@ type cstep =
   | CN of
       rows Key_table.t * (Tuple.t -> Value.t list) * (Tuple.t -> bool) array
 
-let passes checks t =
-  let k = Array.length checks in
-  let rec go i = i >= k || ((Array.unsafe_get checks i) t && go (i + 1)) in
-  go 0
+(* The per-tuple loops below are top-level functions taking their
+   free variables as arguments: without flambda, a local [let rec]
+   that captures them allocates a closure on every call. *)
+
+let rec passes_from checks t i =
+  i >= Array.length checks
+  || ((Array.unsafe_get checks i) t && passes_from checks t (i + 1))
+
+let passes checks t = passes_from checks t 0
+
+(* run one row through a fused chain's steps from [i] on *)
+let rec run_steps steps emit t m i =
+  if i >= Array.length steps then emit t m
+  else begin
+    incr ops_counter;
+    match Array.unsafe_get steps i with
+    | Filter f -> if f t then run_steps steps emit t m (i + 1)
+    | Gather (_, g) -> run_steps steps emit (g t) m (i + 1)
+    | Remap (_, r) -> run_steps steps emit (r t) m (i + 1)
+  end
 
 let rec stream prog ~env ~(emit : Tuple.t -> int -> unit) =
   match prog with
   | Source n -> Bag.iter emit (resolve env n)
   | Fused (steps, sub) ->
-    let n = Array.length steps in
-    stream sub ~env ~emit:(fun t m ->
-        let rec go i t =
-          if i >= n then emit t m
-          else begin
-            incr ops_counter;
-            match Array.unsafe_get steps i with
-            | Filter f -> if f t then go (i + 1) t
-            | Gather (_, g) -> go (i + 1) (g t)
-            | Remap (_, r) -> go (i + 1) (r t)
-          end
-        in
-        go 0 t)
+    stream sub ~env ~emit:(fun t m -> run_steps steps emit t m 0)
   | Join j -> exec_nary j ~env ~emit
   | Union (a, b) ->
     ignore (out_schema prog ~env : Schema.t);

@@ -3,7 +3,13 @@
    (sorted by name) and carries an attr -> slot table; two tuples over
    the same attribute set always share the same descriptor (physical
    equality), so equality/compare/hash never touch attribute names on
-   the hot path. *)
+   the hot path.
+
+   The per-tuple functions allocate only what they return. Their loops
+   are top-level functions taking their free variables as arguments:
+   without flambda, a local [let rec], or an [Array.map]/[Array.iter]
+   callback, that captures a variable allocates a closure on every
+   call. *)
 
 module Desc = struct
   type t = {
@@ -157,7 +163,16 @@ let project_plan desc names =
   (out_desc, slots)
 
 let apply_plan (out_desc, slots) t =
-  mk out_desc (Array.map (fun i -> Array.unsafe_get t.vals i) slots)
+  let n = Array.length slots in
+  if n = 0 then mk out_desc [||]
+  else begin
+    let src = t.vals in
+    let vals = Array.make n (Array.unsafe_get src (Array.unsafe_get slots 0)) in
+    for k = 1 to n - 1 do
+      Array.unsafe_set vals k (Array.unsafe_get src (Array.unsafe_get slots k))
+    done;
+    mk out_desc vals
+  end
 
 (* [projector] carries a one-entry memo in its closure: bag-level
    operations map tuples sharing a single descriptor, so after the
@@ -184,6 +199,12 @@ let key_slots desc names =
       if i < 0 then raise Not_found else i)
     names
 
+let rec gather_list vals slots k acc =
+  if k < 0 then acc
+  else
+    gather_list vals slots (k - 1)
+      (Array.unsafe_get vals (Array.unsafe_get slots k) :: acc)
+
 let keyer names =
   let names = Array.of_list names in
   let cache = ref None in
@@ -196,7 +217,7 @@ let keyer names =
         cache := Some (t.desc.Desc.id, slots);
         slots
     in
-    Array.fold_right (fun i acc -> t.vals.(i) :: acc) slots []
+    gather_list t.vals slots (Array.length slots - 1) []
 
 (* single-attribute key extraction (the common join case): no list
    allocation at all *)
@@ -300,6 +321,14 @@ let merge_plan da db =
     mp_shared = Array.of_list (List.rev !shared);
   }
 
+(* do [va] and [vb] agree on every shared slot pair from [k] on? *)
+let rec agree shared va vb k =
+  k >= Array.length shared
+  ||
+  let i, j = Array.unsafe_get shared k in
+  Value.equal (Array.unsafe_get va i) (Array.unsafe_get vb j)
+  && agree shared va vb (k + 1)
+
 (* [merger] carries a one-entry memo in its closure, as [projector]
    does: a join merges many tuple pairs over the same two
    descriptors *)
@@ -315,16 +344,7 @@ let merger () =
         cache := Some (a.desc.Desc.id, b.desc.Desc.id, plan);
         plan
     in
-    let shared = plan.mp_shared in
-    let ns = Array.length shared in
-    let rec agree k =
-      k >= ns
-      ||
-      let i, j = Array.unsafe_get shared k in
-      Value.equal (Array.unsafe_get a.vals i) (Array.unsafe_get b.vals j)
-      && agree (k + 1)
-    in
-    if not (agree 0) then None
+    if not (agree plan.mp_shared a.vals b.vals 0) then None
     else begin
       let take = plan.mp_take in
       let n = Array.length take in
@@ -363,30 +383,26 @@ let ty_matches v ty =
     true
   | (Value.Bool _ | Value.Int _ | Value.Float _ | Value.Str _), _ -> false
 
-let fits { sh_desc; sh_tys } t =
-  t.desc == sh_desc
-  && begin
-       let n = Array.length sh_tys in
-       let rec go i =
-         i >= n || (ty_matches t.vals.(i) sh_tys.(i) && go (i + 1))
-       in
-       go 0
-     end
+let rec tys_match vals tys i =
+  i >= Array.length tys
+  || (ty_matches (Array.unsafe_get vals i) (Array.unsafe_get tys i)
+     && tys_match vals tys (i + 1))
+
+let fits { sh_desc; sh_tys } t = t.desc == sh_desc && tys_match t.vals sh_tys 0
+
+(* [va] and [vb] have one length: that of their shared descriptor *)
+let rec compare_vals va vb i =
+  if i >= Array.length va then 0
+  else
+    let c = Value.compare (Array.unsafe_get va i) (Array.unsafe_get vb i) in
+    if c <> 0 then c else compare_vals va vb (i + 1)
 
 let compare a b =
   if a == b then 0
-  else if a.desc == b.desc then begin
+  else if a.desc == b.desc then
     (* same attribute set: compare values in slot (= name) order,
        exactly the old string-map ordering *)
-    let n = Array.length a.vals in
-    let rec go i =
-      if i >= n then 0
-      else
-        let c = Value.compare a.vals.(i) b.vals.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
-  end
+    compare_vals a.vals b.vals 0
   else begin
     (* differing attribute sets: merge-walk as sorted (name, value)
        association sequences, mirroring [Map.compare] *)
@@ -405,23 +421,21 @@ let compare a b =
     go 0 0
   end
 
-let equal a b =
-  a == b
-  || (a.desc == b.desc
-     && begin
-          let n = Array.length a.vals in
-          let rec go i =
-            i >= n || (Value.equal a.vals.(i) b.vals.(i) && go (i + 1))
-          in
-          go 0
-        end)
+let rec equal_vals va vb i =
+  i >= Array.length va
+  || (Value.equal (Array.unsafe_get va i) (Array.unsafe_get vb i)
+     && equal_vals va vb (i + 1))
+
+let equal a b = a == b || (a.desc == b.desc && equal_vals a.vals b.vals 0)
+
+let rec hash_vals vals acc i =
+  if i >= Array.length vals then acc
+  else hash_vals vals ((acc * 31) + Value.hash (Array.unsafe_get vals i)) (i + 1)
 
 let hash t =
   if t.h >= 0 then t.h
   else begin
-    let acc = ref t.desc.Desc.names_hash in
-    Array.iter (fun v -> acc := (!acc * 31) + Value.hash v) t.vals;
-    let h = !acc land max_int in
+    let h = hash_vals t.vals t.desc.Desc.names_hash 0 land max_int in
     t.h <- h;
     h
   end

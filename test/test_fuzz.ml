@@ -478,6 +478,186 @@ let diff_signed_join () =
         Delta.Rel_delta.pp got Delta.Rel_delta.pp want
   done
 
+(* ---- Counts' index under collisions. Each index position holds the
+   low 31 bits of its tuple's hash (the tag) above its arena slot; a
+   probe reads the entry only on a tag match, and [Tuple.equal] decides
+   it. The pool holds pairs of distinct tuples with equal tags, found
+   by a birthday search, and a cluster of tuples sharing the last home
+   position of every index up to 1,024 positions (so their probes wrap
+   around). Random operations over persistent versions, started from a
+   one-entry arena, interleave [add_to], removals to zero, arena and
+   index growth, reads and updates of old versions (reroots), updates
+   under a pin (private copies) and builders; every version is checked
+   against its own [Hashtbl] on [get], [size], [bindings] and
+   [equal]. *)
+
+let tag_of t = Tuple.hash t land 0x7FFF_FFFF
+
+let ab_tuple a b = Tuple.of_list [ ("a", Value.Int a); ("b", Value.Int b) ]
+
+(* [want] pairs of distinct tuples with equal tags *)
+let tag_twins ~want =
+  let rng = Random.State.make [| 0x7A65 |] in
+  let seen = Hashtbl.create 262_144 in
+  let pairs = ref [] and found = ref 0 and tries = ref 0 in
+  while !found < want && !tries < 2_000_000 do
+    incr tries;
+    let t = ab_tuple (Random.State.bits rng) (Random.State.bits rng) in
+    match Hashtbl.find_opt seen (tag_of t) with
+    | Some u when not (Tuple.equal u t) ->
+      pairs := (u, t) :: !pairs;
+      incr found
+    | Some _ -> ()
+    | None -> Hashtbl.add seen (tag_of t) t
+  done;
+  if !found < want then
+    Alcotest.failf "birthday search found %d tag twins in %d tuples" !found !tries;
+  !pairs
+
+(* [n] tuples whose tags end in ten 1 bits: they share the last home
+   position of every index of at most 1,024 positions *)
+let home_cluster ~n =
+  let rng = Random.State.make [| 0x4053 |] in
+  let rec go acc k =
+    if k = 0 then acc
+    else
+      let t = ab_tuple (Random.State.bits rng) (Random.State.int rng 100) in
+      if tag_of t land 1023 = 1023 then go (t :: acc) (k - 1) else go acc k
+  in
+  go [] n
+
+module Ref_counts = struct
+  (* tuple value list -> (tuple, nonzero count) *)
+  type t = ((string * Value.t) list, Tuple.t * int) Hashtbl.t
+
+  let get (h : t) tup =
+    match Hashtbl.find_opt h (Tuple.to_list tup) with Some (_, m) -> m | None -> 0
+
+  let add (h : t) tup m =
+    let c = get h tup + m in
+    if c = 0 then Hashtbl.remove h (Tuple.to_list tup)
+    else Hashtbl.replace h (Tuple.to_list tup) (tup, c)
+
+  let bindings (h : t) =
+    Hashtbl.fold (fun _ b acc -> b :: acc) h []
+    |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
+
+  let equal (a : t) (b : t) =
+    Hashtbl.length a = Hashtbl.length b
+    && Hashtbl.fold (fun _ (t, m) ok -> ok && get b t = m) a true
+end
+
+let diff_counts_collisions () =
+  let twins = tag_twins ~want:3 in
+  let pool =
+    List.concat_map (fun (u, t) -> [ u; t ]) twins
+    @ home_cluster ~n:24
+    @ List.init 16 (fun i -> ab_tuple i (-i))
+  in
+  let pool = Array.of_list pool in
+  let npool = Array.length pool in
+  let same_rows a b =
+    List.equal
+      (fun (t1, m1) (t2, m2) -> Tuple.to_list t1 = Tuple.to_list t2 && m1 = m2)
+      a b
+  in
+  for seed = 1 to 24 do
+    let rng = Random.State.make [| seed; 0xC0 |] in
+    let fail step fmt = Alcotest.failf ("seed %d, step %d: " ^^ fmt) seed step in
+    let check step what (c, (h : Ref_counts.t)) =
+      Array.iter
+        (fun tup ->
+          (* half the reads through an equal, physically distinct tuple *)
+          let q = if Random.State.bool rng then tup else Tuple.of_list (Tuple.to_list tup) in
+          let got = Counts.get c q and want = Ref_counts.get h tup in
+          if got <> want then
+            fail step "%s: get %s = %d, expected %d" what (Tuple.to_string tup) got want)
+        pool;
+      if Counts.size c <> Hashtbl.length h then
+        fail step "%s: size %d, expected %d" what (Counts.size c) (Hashtbl.length h);
+      if not (same_rows (Counts.bindings c) (Ref_counts.bindings h)) then
+        fail step "%s: bindings differ" what
+    in
+    let pick_tuple () = pool.(Random.State.int rng npool) in
+    let pick_mult () = [| -2; -1; 1; 1; 2; 3 |].(Random.State.int rng 6) in
+    let versions = ref [| (Counts.empty ~size:1 (), Hashtbl.create 16) |] in
+    let pick_version () =
+      let vs = !versions in
+      vs.(Random.State.int rng (Array.length vs))
+    in
+    let newest () =
+      let vs = !versions in
+      vs.(Array.length vs - 1)
+    in
+    (* keep the last 12 versions; older ones stay reachable only
+       through the diff chains *)
+    let record step what v =
+      check step what v;
+      let vs = Array.append !versions [| v |] in
+      let n = Array.length vs in
+      versions := if n > 12 then Array.sub vs (n - 12) 12 else vs
+    in
+    let derive (c, h) tup m =
+      let h' = Hashtbl.copy h in
+      Ref_counts.add h' tup m;
+      (Counts.add_to c tup m, h')
+    in
+    for step = 1 to 400 do
+      match Random.State.int rng 10 with
+      | 0 | 1 | 2 | 3 ->
+        (* linear use: the newest version owns the arena *)
+        record step "add_to" (derive (newest ()) (pick_tuple ()) (pick_mult ()))
+      | 4 -> (
+        (* a removal to zero: swap-remove moves the last entry *)
+        let ((_, h) as v) = pick_version () in
+        match Ref_counts.bindings h with
+        | [] -> ()
+        | rows ->
+          let tup, m = List.nth rows (Random.State.int rng (List.length rows)) in
+          record step "removal" (derive v tup (-m)))
+      | 5 ->
+        (* an update of an old version: reroot, then branch *)
+        record step "branch" (derive (pick_version ()) (pick_tuple ()) (pick_mult ()))
+      | 6 -> check step "old read" (pick_version ())
+      | 7 ->
+        (* an update while a scan pins the arena: a private copy *)
+        let ((ca, _) as a) = pick_version () in
+        let b = if Random.State.bool rng then a else pick_version () in
+        let out = ref None in
+        Counts.iter
+          (fun _ _ ->
+            if Option.is_none !out then begin
+              let v = derive b (pick_tuple ()) (pick_mult ()) in
+              check step "pinned update" v;
+              out := Some v
+            end)
+          ca;
+        Option.iter (record step "after pin") !out;
+        check step "pinned source" a
+      | 8 ->
+        (* a builder: from a version's copy or from one entry, grown *)
+        let bd, h =
+          if Random.State.bool rng then
+            let c, h = pick_version () in
+            (Counts.Builder.of_counts c, Hashtbl.copy h)
+          else (Counts.Builder.create ~size:1 (), Hashtbl.create 16)
+        in
+        for _ = 1 to Random.State.int rng 40 do
+          let tup = pick_tuple () and m = pick_mult () in
+          Counts.Builder.add bd tup m;
+          Ref_counts.add h tup m;
+          if Counts.Builder.get bd tup <> Ref_counts.get h tup then
+            fail step "builder get %s" (Tuple.to_string tup)
+        done;
+        record step "builder" (Counts.Builder.seal bd, h)
+      | _ ->
+        let ca, ha = pick_version () and cb, hb = pick_version () in
+        if Counts.equal ca cb <> Ref_counts.equal ha hb then
+          fail step "equal %b, expected %b" (Counts.equal ca cb) (Ref_counts.equal ha hb)
+    done;
+    Array.iter (check 401 "final") !versions
+  done
+
 let physical_cases =
   [
     Alcotest.test_case "union/monus vs reference" `Quick diff_union_monus;
@@ -490,6 +670,8 @@ let physical_cases =
     Alcotest.test_case "two-key delta_join vs generic join" `Quick
       diff_table_delta_join_two_keys;
     Alcotest.test_case "signed join vs two bag joins" `Quick diff_signed_join;
+    Alcotest.test_case "counts under tag and home collisions" `Quick
+      diff_counts_collisions;
   ]
 
 let () =

@@ -734,6 +734,59 @@ let prop_select_true_shares =
   qtest "select True returns its input" x_bag_gen (fun b ->
       Bag.select Predicate.True b == b)
 
+(* --- Allocation ---
+
+   The per-tuple paths allocate only what they return: a probe of
+   Counts' index, tuple equality, a schema fit and a fused stage's
+   step loop build no closure (OCaml without flambda allocates one for
+   every local [let rec] that captures a variable, on every call), and
+   an arena slot is no record of its own. The counts are minor-heap
+   words, the same on every host; [f] is built before the count
+   starts, so its own closure is not counted. *)
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_alloc_builder_add () =
+  let bd = Counts.Builder.create ~size:1024 () in
+  let tuples = Array.init 64 (fun i -> r_tuple i (2 * i) 7 100) in
+  Array.iter (fun t -> ignore (Tuple.hash t : int)) tuples;
+  Counts.Builder.add bd (r_tuple (-1) 0 0 0) 1;
+  let least =
+    Array.fold_left
+      (fun acc t -> Float.min acc (minor_words_of (fun () -> Counts.Builder.add bd t 1)))
+      Float.infinity tuples
+  in
+  Alcotest.(check int) "all added" 65 (Counts.size (Counts.Builder.seal bd));
+  if least > 0. then Alcotest.failf "adding an absent tuple allocates %.0f words" least
+
+let test_alloc_tuple_equal_fits () =
+  let a = r_tuple 1 10 7 100 and b = r_tuple 1 10 7 100 in
+  let shape = Tuple.shape schema_r in
+  let eq = ref false and fit = ref false in
+  let w_eq = minor_words_of (fun () -> eq := Tuple.equal a b) in
+  let w_fits = minor_words_of (fun () -> fit := Tuple.fits shape a) in
+  Alcotest.(check bool) "equal" true !eq;
+  Alcotest.(check bool) "fits" true !fit;
+  if w_eq > 0. || w_fits > 0. then
+    Alcotest.failf "Tuple.equal allocates %.0f words, Tuple.fits %.0f" w_eq w_fits
+
+let test_alloc_fused_filter () =
+  let rows = 10_000 in
+  let bag = Bag.of_tuples schema_r (List.init rows (fun i -> r_tuple i i 7 100)) in
+  let plan =
+    Plan.of_expr (Expr.select Predicate.(lt (attr "r3") (int 0)) (Expr.base "R"))
+  in
+  let env = function "R" -> Some bag | _ -> None in
+  ignore (Plan.run plan ~env : Bag.t);
+  let out = ref bag in
+  let words = minor_words_of (fun () -> out := Plan.run plan ~env) in
+  Alcotest.(check int) "every row rejected" 0 (Bag.cardinal !out);
+  if words >= float_of_int rows then
+    Alcotest.failf "a fused filter allocates %.0f words over %d rejected rows" words rows
+
 let () =
   Alcotest.run "relalg"
     [
@@ -793,6 +846,15 @@ let () =
           Alcotest.test_case "eval" `Quick test_rename_eval;
           Alcotest.test_case "composes with select" `Quick test_rename_composes;
           Alcotest.test_case "errors" `Quick test_rename_errors;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "builder add allocates nothing" `Quick
+            test_alloc_builder_add;
+          Alcotest.test_case "tuple equal and fits allocate nothing" `Quick
+            test_alloc_tuple_equal_fits;
+          Alcotest.test_case "fused filter allocates no word per row" `Quick
+            test_alloc_fused_filter;
         ] );
       ( "properties",
         [
