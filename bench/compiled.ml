@@ -4,8 +4,9 @@
    the cache off (every query polls and rebuilds a VAP temporary) and
    on (every repeat is a hash lookup).
 
-   Emits BENCH_4.json with the simulated time and tuple operations per
-   query of each run, and the cache's hit counters. Simulated time is
+   Emits BENCH_4.json (path overridable via BENCH4_JSON) with the
+   simulated time and tuple operations per query of each run, and the
+   cache's hit counters. Simulated time is
    the engine's delay model (channel delays plus the cost model's
    charge per tuple operation), not host time. *)
 
@@ -114,6 +115,11 @@ let run () =
       row "uncached (poll + VAP)" cw.cw_uncached;
       row "cached (hit)" cw.cw_cached;
     ];
-  json "BENCH_4.json" cw;
-  Tables.note "wrote BENCH_4.json (cache run: %d hits / %d misses)\n"
-    cw.cw_hits cw.cw_misses
+  let path =
+    match Sys.getenv_opt "BENCH4_JSON" with
+    | Some p -> p
+    | None -> "BENCH_4.json"
+  in
+  json path cw;
+  Tables.note "wrote %s (cache run: %d hits / %d misses)\n" path cw.cw_hits
+    cw.cw_misses

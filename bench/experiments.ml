@@ -478,7 +478,7 @@ let e7 () =
         in
         let bound =
           Mediator.theorem_7_2_bound ~sources:(Graph.sources vdp)
-            ~contributor:(fun _ -> Med.Materialized_contributor)
+            ~contributor:(fun _ -> Ledger.Materialized_contributor)
             profile
         in
         List.map

@@ -122,13 +122,13 @@ let () =
   Engine.run engine ~until:1.0;
   Printf.printf "initialized; contributor kinds: ops_db=%s fleet_db=%s\n"
     (match Mediator.contributor_kind med "ops_db" with
-    | Med.Materialized_contributor -> "materialized"
-    | Med.Hybrid_contributor -> "hybrid"
-    | Med.Virtual_contributor -> "virtual")
+    | Ledger.Materialized_contributor -> "materialized"
+    | Ledger.Hybrid_contributor -> "hybrid"
+    | Ledger.Virtual_contributor -> "virtual")
     (match Mediator.contributor_kind med "fleet_db" with
-    | Med.Materialized_contributor -> "materialized"
-    | Med.Hybrid_contributor -> "hybrid"
-    | Med.Virtual_contributor -> "virtual");
+    | Ledger.Materialized_contributor -> "materialized"
+    | Ledger.Hybrid_contributor -> "hybrid"
+    | Ledger.Virtual_contributor -> "virtual");
 
   section "Query with a parsed condition";
   let where = Parser.predicate "age >= 8 and depot = 2" in

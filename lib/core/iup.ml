@@ -11,6 +11,7 @@ open Relalg
 open Delta
 open Vdp
 open Sim
+open Sources
 open Storage
 
 (* a leaf delta through a leaf-parent's compiled filter *)
@@ -45,12 +46,12 @@ let run (t : Med.t) =
         List.iter
           (fun e ->
             Obs.Trace.with_span trace "update_tx" (fun sp ->
-                Obs.Trace.set_attr trace sp "source" e.Med.q_source;
-                Obs.Trace.set_attri trace sp "version" e.Med.q_version;
+                Obs.Trace.set_attr trace sp "source" e.Message.source;
+                Obs.Trace.set_attri trace sp "version" e.Message.version;
                 Obs.Trace.set_attri trace sp "prev_version"
-                  e.Med.q_prev_version;
+                  e.Message.prev_version;
                 Obs.Trace.set_attri trace sp "atoms"
-                  (Multi_delta.atom_count e.Med.q_delta)))
+                  (Multi_delta.atom_count e.Message.delta)))
           entries;
         try
         let ops_before = Eval.tuple_ops () in
@@ -59,12 +60,12 @@ let run (t : Med.t) =
            any evaluation sees them *)
         let raw_atoms =
           List.fold_left
-            (fun acc e -> acc + Multi_delta.atom_count e.Med.q_delta)
+            (fun acc e -> acc + Multi_delta.atom_count e.Message.delta)
             0 entries
         in
         let delta =
           List.fold_left
-            (fun acc e -> Multi_delta.smash acc e.Med.q_delta)
+            (fun acc e -> Multi_delta.smash acc e.Message.delta)
             Multi_delta.empty entries
         in
         let coalesced_atoms = Multi_delta.atom_count delta in
@@ -232,10 +233,7 @@ let run (t : Med.t) =
             (Med.Export_delta
                {
                  ee_time = Engine.now t.Med.engine;
-                 ee_reflect =
-                   List.map
-                     (fun s -> (s, (Med.reflected_version t s).Med.r_version))
-                     (Graph.sources t.Med.vdp);
+                 ee_reflect = Ledger.reflect_vector t.Med.ledger;
                  ee_deltas;
                })
         end;
@@ -260,10 +258,7 @@ let run (t : Med.t) =
           (Med.Update_tx
              {
                ut_time = Engine.now t.Med.engine;
-               ut_reflect =
-                 List.map
-                   (fun s -> (s, (Med.reflected_version t s).Med.r_version))
-                   (Graph.sources t.Med.vdp);
+               ut_reflect = Ledger.reflect_vector t.Med.ledger;
                ut_atoms = Multi_delta.atom_count delta;
                ut_txs = List.length entries;
                ut_intervals = intervals;
@@ -273,7 +268,7 @@ let run (t : Med.t) =
           (* abort: put the work back untouched (no table was modified
              — applications happen only after the kernel pass, which
              the poll precedes) and let a later tick retry or resync *)
-          Med.requeue t entries;
+          Ledger.requeue t.Med.ledger entries;
           Obs.Metrics.incr t.Med.stats.Med.update_deferrals;
           Obs.Trace.set_attr trace tx_sp "outcome" "deferred";
           Obs.Trace.set_attr trace tx_sp "error" (Printexc.to_string exn);

@@ -57,26 +57,6 @@ end
 
 type config = Config.t
 
-type queue_entry = {
-  q_source : string;
-  q_version : int;
-  q_prev_version : int;
-  q_commit_time : float;
-  q_send_time : float;
-  q_delta : Multi_delta.t;
-}
-
-type reflected = {
-  r_version : int;
-  r_commit_time : float;
-  r_send_time : float;
-}
-
-type contributor_kind =
-  | Materialized_contributor
-  | Hybrid_contributor
-  | Virtual_contributor
-
 type reflect_entry = Version of int | Current
 
 type staleness = { st_source : string; st_version : int; st_age : float }
@@ -193,36 +173,6 @@ let fresh_stats () =
     queue_depth = Obs.Metrics.gauge m "queue_depth";
   }
 
-type cached_answer = {
-  mutable ca_answer : Bag.t;
-      (** for a maintained entry, brought up to date after every delta
-          its table absorbs (bags are persistent, so answers already
-          handed out stay valid) *)
-  ca_polled : (string * int) list;
-  ca_polled_times : (string * float) list;
-  ca_trace_id : int option;
-      (** polled versions (and their poll state times — the freshness
-          witnesses) of the VAP that produced the answer, and the
-          query_tx span that computed it; replayed into the reflect
-          vector, bound and provenance of every cache hit *)
-  ca_scan : (Rel_delta.t -> Rel_delta.t) option;
-      (** for an answer the store rung computed by scanning the node's
-          table, π_attrs σ_cond over the table's deltas, compiled once:
-          the IUP's delta maintains such an answer instead of dropping
-          it *)
-  mutable ca_absorbed : int;
-      (** delta atoms maintained into the answer since its last hit *)
-}
-
-type cache = {
-  entries : (string * string list * Predicate.t, cached_answer) Hashtbl.t;
-      (** [Fresh] answers by (node, attrs, cond) *)
-  polled_hw : (string, int) Hashtbl.t;
-      (** highest source version observed per source (announcements and
-          poll answers alike); an advance invalidates the source's
-          closure in the answer cache *)
-}
-
 type export_event =
   | Export_delta of {
       ee_time : float;
@@ -256,11 +206,6 @@ type derived = {
   d_down : (string * node_plan) list;
   d_parents : (string, string list) Hashtbl.t;
   d_nodes : (string, node_plan) Hashtbl.t;
-  d_source_closure : (string, string list) Hashtbl.t;
-      (** source → upward closure of its leaves: every node whose value
-          can depend on the source, the invalidation unit of the answer
-          cache *)
-  d_kinds : (string, contributor_kind) Hashtbl.t;
   d_index_plan : (string * string) list;
       (** the (leaf, column) pairs keyed polls can name *)
   d_plans : (Expr.t, Plan.t) Hashtbl.t;
@@ -268,13 +213,6 @@ type derived = {
           request's top-level select/project/rename chain: a
           definition, or a restricted definition narrowed to a set of
           wanted attributes — finitely many per VDP *)
-}
-
-type ledger = {
-  queue : queue_entry Queue.t;
-  mutable reflected : (string * reflected) list;
-  mutable seen : (string * int) list;
-  mutable dirty : string list;
 }
 
 type t = {
@@ -286,12 +224,11 @@ type t = {
   config : config;
   trace : Obs.Trace.t;
   source_tbl : (string, Source_db.t) Hashtbl.t;
-  ledger : ledger;
+  ledger : Ledger.t;
   stats : stats;
   mutable log : event list;
   mutable initialized : bool;
   derived : derived;
-  cache : cache;
   mutable export_subs : (export_event -> unit) list;
 }
 
@@ -306,10 +243,6 @@ type poll_exhausted = {
 exception Poll_failed of poll_exhausted
 
 exception Desync of string
-(** Raised mid-transaction when a polled answer reflects source
-    versions the mediator never received announcements for (a dropped
-    message); the transaction must abort and resync before ECA can be
-    trusted again. *)
 
 let err fmt = Format.kasprintf (fun s -> raise (Mediator_error s)) fmt
 
@@ -409,8 +342,7 @@ let source_index_plan vdp ann ~key_based ~steps ~nodes ~kinds =
   List.sort_uniq compare
     (List.filter
        (fun (leaf, _) ->
-         Hashtbl.find kinds (Graph.source_of_leaf vdp leaf)
-         <> Materialized_contributor)
+         kinds (Graph.source_of_leaf vdp leaf) <> Ledger.Materialized_contributor)
        (restricted @ keyed))
 
 (* Every annotation-dependent fact the processors read, computed once
@@ -428,7 +360,7 @@ let source_index_plan vdp ann ~key_based ~steps ~nodes ~kinds =
    onto its table. A per-request VAP restriction is a top-level
    select/project chain, compiled per call over the plan below it in
    [d_plans]. *)
-let build_derived vdp ann ~key_based ~tables =
+let build_derived vdp ann ~key_based ~kinds ~tables =
   let d_parents = Hashtbl.create 16 in
   let d_nodes = Hashtbl.create 16 in
   let d_plans = Hashtbl.create 16 in
@@ -504,28 +436,6 @@ let build_derived vdp ann ~key_based ~tables =
             np_rule = rule;
           })
     (Graph.nodes vdp);
-  let d_source_closure = Hashtbl.create 8 in
-  let d_kinds = Hashtbl.create 8 in
-  List.iter
-    (fun src ->
-      let closure =
-        List.sort_uniq String.compare
-          (List.concat_map
-             (fun leaf -> Graph.ancestors vdp leaf)
-             (Graph.leaves_of_source vdp src))
-      in
-      Hashtbl.replace d_source_closure src closure;
-      (* the classification of Sec. 4: which portions the source feeds *)
-      let feeds marked = List.exists (fun n -> marked ann n <> []) closure in
-      Hashtbl.replace d_kinds src
-        (match
-           ( feeds Annotation.materialized_attrs,
-             feeds Annotation.virtual_attrs )
-         with
-        | true, true -> Hybrid_contributor
-        | true, false -> Materialized_contributor
-        | false, _ -> Virtual_contributor))
-    (Graph.sources vdp);
   let d_steps = Derived_from.update_steps vdp ann in
   {
     d_steps;
@@ -544,11 +454,8 @@ let build_derived vdp ann ~key_based ~tables =
            (Graph.topo_order vdp));
     d_parents;
     d_nodes;
-    d_source_closure;
-    d_kinds;
     d_index_plan =
-      source_index_plan vdp ann ~key_based ~steps:d_steps ~nodes:d_nodes
-        ~kinds:d_kinds;
+      source_index_plan vdp ann ~key_based ~steps:d_steps ~nodes:d_nodes ~kinds;
     d_plans;
   }
 
@@ -568,152 +475,10 @@ let node_plan t node =
   | Some p -> p
   | None -> err "%S is not a derived node" node
 
-let source_closure t src =
-  match Hashtbl.find_opt t.derived.d_source_closure src with
-  | Some ns -> ns
-  | None -> []
-
-let contributor_kind t src =
-  match Hashtbl.find_opt t.derived.d_kinds src with
-  | Some k -> k
-  | None -> Virtual_contributor
-
-(* an announcing contributor's heartbeat finds lost announcements; a
-   virtual one's staleness is resolved by polling at query time —
-   unless cached answers can be served without polling, in which case
-   the heartbeat must observe version advances for them *)
-let watched_sources t =
-  List.filter
-    (fun src ->
-      contributor_kind t src <> Virtual_contributor
-      || t.config.Config.answer_cache_enabled)
-    (Graph.sources t.vdp)
-
 let index_plan t src =
   List.filter
     (fun (leaf, _) -> String.equal (Graph.source_of_leaf t.vdp leaf) src)
     t.derived.d_index_plan
-
-(* ---- query answer cache ----
-   Keyed by (node, attrs, cond); holds only [Fresh] answers. Hits are
-   served with a reflect vector recomputed at serve time from the
-   entry's recorded polled versions, so reflect entries of sources the
-   answer does not depend on stay monotone. Two classes of entry:
-
-   - A scan-served store answer π_attrs σ_cond T (the store rung read
-     all of T's table) is maintained: after the IUP applies ΔT to the
-     table, {!after_batch} applies π_attrs σ_cond ΔT to the answer. No
-     invalidation trigger drops it; it goes on resync snapshots, when a
-     source its node can see turns dirty ({!mark_dirty}), and once the
-     delta atoms it absorbed since its last hit reach its table's
-     support — by then maintaining it has cost one recompute.
-   - Every other answer is invalidated: the upward closure of an
-     announcing source at {!enqueue}; the IUP's affected closure after
-     tables are updated; the closure of any source whose polled
-     version is observed to advance ({!observe_source_version} —
-     covers dropped announcements from virtual contributors); and a
-     wholesale flush on resync snapshots. *)
-
-let cache_serve t ~node ~attrs ~cond serve =
-  if not t.config.answer_cache_enabled then None
-  else
-    let served =
-      match Hashtbl.find_opt t.cache.entries (node, attrs, cond) with
-      | None -> None
-      | Some ca -> (
-        match
-          serve ~answer:ca.ca_answer ~polled:ca.ca_polled
-            ~polled_times:ca.ca_polled_times ~trace_id:ca.ca_trace_id
-        with
-        | Some r ->
-          (* a hit restarts the entry's eviction count *)
-          ca.ca_absorbed <- 0;
-          Some r
-        | None -> None)
-    in
-    Obs.Metrics.incr
-      (if Option.is_some served then t.stats.cache_hits
-       else t.stats.cache_misses);
-    served
-
-let cache_store t ~node ~attrs ~cond ~polled ?(polled_times = []) ?trace_id
-    ?(scanned = false) answer =
-  (* a [Fresh] answer was computed with no source dirty; one that turned
-     dirty since (an announcement arriving while the query charged its
-     ops) has already dropped its closure, so do not put it back *)
-  if t.config.answer_cache_enabled && t.ledger.dirty = [] then
-    Hashtbl.replace t.cache.entries (node, attrs, cond)
-      {
-        ca_answer = answer;
-        ca_polled = polled;
-        ca_polled_times = polled_times;
-        ca_trace_id = trace_id;
-        ca_scan =
-          (match Hashtbl.find_opt t.tables node with
-          | Some table when scanned ->
-            Some
-              (Delta_plan.unary (Table.schema table)
-                 (Expr.project attrs (Expr.select cond (Expr.base node))))
-          | Some _ | None -> None);
-        ca_absorbed = 0;
-      }
-
-(* drop the entries [doomed] picks, counted as invalidations *)
-let cache_drop t doomed =
-  if Hashtbl.length t.cache.entries > 0 then begin
-    let n = ref 0 in
-    Hashtbl.filter_map_inplace
-      (fun key ca ->
-        if doomed key ca then begin
-          incr n;
-          None
-        end
-        else Some ca)
-      t.cache.entries;
-    Obs.Metrics.add t.stats.cache_invalidations !n
-  end
-
-let on_nodes nodes (n, _, _) = List.exists (String.equal n) nodes
-
-(* drop every invalidated-class answer against one of the nodes;
-   maintained entries stay *)
-let cache_invalidate_nodes t nodes =
-  if nodes <> [] then
-    cache_drop t (fun key ca -> Option.is_none ca.ca_scan && on_nodes nodes key)
-
-(* π_attrs σ_cond commutes with applying a delta, so a scan-served
-   answer on a staged node absorbs π_attrs σ_cond ΔT — one tuple op
-   per atom of ΔT — unless that brings its absorbed atoms up to the
-   table's support, which evicts it *)
-let cache_maintain t staged =
-  if staged <> [] then
-    cache_drop t (fun (n, _, _) ca ->
-        match
-          ( ca.ca_scan,
-            List.find_opt (fun (node, _, _) -> String.equal node n) staged )
-        with
-        | Some maintain, Some (_, table, d) ->
-          let atoms = Rel_delta.atom_count d in
-          ca.ca_absorbed <- ca.ca_absorbed + atoms;
-          if ca.ca_absorbed >= Table.support_cardinal table then true
-          else begin
-            Eval.charge_tuple_ops atoms;
-            ca.ca_answer <-
-              Rel_delta.apply ca.ca_answer (maintain d);
-            false
-          end
-        | _ -> false)
-
-(* the high-water mark advance behind {!observe_source_version} *)
-let observe_version t src version =
-  let prev =
-    match Hashtbl.find_opt t.cache.polled_hw src with Some v -> v | None -> 0
-  in
-  if version > prev then begin
-    Hashtbl.replace t.cache.polled_hw src version;
-    if t.config.answer_cache_enabled then
-      cache_invalidate_nodes t (source_closure t src)
-  end
 
 let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
   let source_tbl = Hashtbl.create 8 in
@@ -752,11 +517,25 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
             (Table.create ~indexes:(indexes_of name ~mat) ~name
                (Schema.project node.Graph.schema mat)))
     (Graph.nodes vdp);
-  let reflected =
+  (* per source, the upward closure of its leaves (every node whose
+     value can depend on it: the answer cache's invalidation unit) and
+     its classification of Sec. 4 (which portions it feeds) *)
+  let sources =
     List.map
-      (fun s -> (s, { r_version = 0; r_commit_time = 0.0; r_send_time = 0.0 }))
+      (fun src ->
+        let closure =
+          List.sort_uniq String.compare
+            (List.concat_map (Graph.ancestors vdp) (Graph.leaves_of_source vdp src))
+        in
+        let feeds marked = List.exists (fun n -> marked annotation n <> []) closure in
+        ( src,
+          (if not (feeds Annotation.materialized_attrs) then Ledger.Virtual_contributor
+           else if feeds Annotation.virtual_attrs then Ledger.Hybrid_contributor
+           else Ledger.Materialized_contributor),
+          closure ))
       (Graph.sources vdp)
   in
+  let ledger = Ledger.create sources in
   let t =
     {
       engine;
@@ -772,20 +551,14 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
           ~now:(fun () -> Engine.now engine)
           ~ops_counter:Eval.tuple_ops ();
       source_tbl;
-      ledger =
-        {
-          queue = Queue.create ();
-          reflected;
-          seen = List.map (fun s -> (s, 0)) (Graph.sources vdp);
-          dirty = [];
-        };
+      ledger;
       stats = fresh_stats ();
       log = [];
       initialized = false;
       derived =
         build_derived vdp annotation
-          ~key_based:config.Config.key_based_enabled ~tables;
-      cache = { entries = Hashtbl.create 32; polled_hw = Hashtbl.create 8 };
+          ~key_based:config.Config.key_based_enabled
+          ~kinds:(Ledger.contributor_kind ledger) ~tables;
       export_subs = [];
     }
   in
@@ -817,107 +590,44 @@ let node_table t node = Hashtbl.find_opt t.tables node
 
 let store_env t name = Option.map Table.contents (node_table t name)
 
-let reflected_version t src_name =
-  match List.assoc_opt src_name t.ledger.reflected with
-  | Some r -> r
-  | None -> err "source %S is not tracked" src_name
+(* ---- the Sec. 6.1 ledger's transitions, instrumented ----
+   {!Ledger} decides; each function below turns what it decided into
+   the counters, trace events, charges and releases it costs. *)
 
-let set_reflected t src_name r =
-  t.ledger.reflected <-
-    (src_name, r) :: List.remove_assoc src_name t.ledger.reflected
+let dropped t n = Obs.Metrics.add t.stats.cache_invalidations n
 
-let seen_version t src_name =
-  match List.assoc_opt src_name t.ledger.seen with
-  | Some v -> v
-  | None -> err "source %S is not tracked" src_name
-
-let note_seen t src_name v =
-  if v > seen_version t src_name then
-    t.ledger.seen <- (src_name, v) :: List.remove_assoc src_name t.ledger.seen
-
-let observe_source_version t src_name version =
-  observe_version t src_name version;
-  seen_version t src_name
-
-let mark_dirty t src_name =
-  if not (List.mem src_name t.ledger.dirty) then begin
-    t.ledger.dirty <- src_name :: t.ledger.dirty;
-    (* an answer over the source's gap is not [Fresh]: drop every
-       cached answer the source can reach, maintained ones included *)
-    let closure = source_closure t src_name in
-    cache_drop t (fun key _ -> on_nodes closure key)
-  end
-
-let dirty_sources t = t.ledger.dirty
-
-let gap_event t ~source ~via attrs =
-  Obs.Metrics.incr t.stats.gaps_detected;
-  let sp = Obs.Trace.root_event t.trace "gap_detected" in
-  Obs.Trace.set_attr t.trace sp "source" source;
-  List.iter (fun (k, v) -> Obs.Trace.set_attri t.trace sp k v) attrs;
-  Obs.Trace.set_attr t.trace sp "via" via;
-  mark_dirty t source
-
-(* ---- the update queue: two rules, each coded once ----
-   The chain check: a delta whose predecessor is [prev] applies on top
-   of version [from] (a higher [prev] means a lost announcement). The
-   covered test: the entry's effect is already in the store. *)
-let chains ~from prev = prev <= from
-
-let covered t e = e.q_version <= (reflected_version t e.q_source).r_version
-
-(* the version [e] must chain onto, in a walk that has passed
-   [heads] (the last version met per source) *)
-let chain_from t heads e =
-  match List.assoc_opt e.q_source heads with
-  | Some v -> v
-  | None -> (reflected_version t e.q_source).r_version
-
-let queue_length t = Queue.length t.ledger.queue
+(* A gap counts and records a gap_detected root event: the source, the
+   version that revealed it (an announcement's [prev_version] and
+   [version], a poll's [answer_version]), [seen] and the detector. *)
+let report t ~source ~via ?prev_version version = function
+  | Ledger.Gap { seen; dropped = n } ->
+    Obs.Metrics.incr t.stats.gaps_detected;
+    let sp = Obs.Trace.root_event t.trace "gap_detected" in
+    Obs.Trace.set_attr t.trace sp "source" source;
+    (match prev_version with
+    | Some p ->
+      Obs.Trace.set_attri t.trace sp "prev_version" p;
+      Obs.Trace.set_attri t.trace sp "version" version
+    | None -> Obs.Trace.set_attri t.trace sp "answer_version" version);
+    Obs.Trace.set_attri t.trace sp "seen" seen;
+    Obs.Trace.set_attr t.trace sp "via" via;
+    dropped t n
+  | Ledger.Dropped n -> dropped t n
+  | Ledger.Clean | Ledger.Duplicate -> ()
 
 let enqueue t (u : Message.update) =
   Obs.Metrics.incr t.stats.messages_received;
   Obs.Metrics.add t.stats.atoms_received (Multi_delta.atom_count u.Message.delta);
-  let seen = seen_version t u.Message.source in
-  if u.Message.version <= seen then begin
-    (* a duplicated announcement (faulty channel): versions only move
-       forward, so anything at or below what we have seen is a replay
-       of a delta already queued or reflected — applying it twice would
-       double-count *)
+  match Ledger.enqueue t.ledger u with
+  | Ledger.Duplicate ->
     Obs.Metrics.incr t.stats.dup_messages_dropped;
     let sp = Obs.Trace.root_event t.trace "dup_dropped" in
     Obs.Trace.set_attr t.trace sp "source" u.Message.source;
     Obs.Trace.set_attri t.trace sp "version" u.Message.version
-  end
-  else begin
-    if not (chains ~from:seen u.Message.prev_version) then begin
-      (* the delta's predecessor never arrived: an announcement was
-         lost in transit. The queue no longer composes to the source's
-         state, so ECA cannot be trusted — mark the source for resync. *)
-      gap_event t ~source:u.Message.source ~via:"announcement"
-        [
-          ("prev_version", u.Message.prev_version);
-          ("version", u.Message.version);
-          ("seen", seen);
-        ]
-    end;
-    note_seen t u.Message.source u.Message.version;
-    (* announced data supersedes any cached answer that can see the
-       source; also advances the observed high-water mark so a later
-       poll returning this same version does not re-invalidate *)
-    observe_version t u.Message.source u.Message.version;
-    let entry =
-      {
-        q_source = u.Message.source;
-        q_version = u.Message.version;
-        q_prev_version = u.Message.prev_version;
-        q_commit_time = u.Message.commit_time;
-        q_send_time = u.Message.send_time;
-        q_delta = u.Message.delta;
-      }
-    in
-    Queue.add entry t.ledger.queue;
-    let depth = queue_length t in
+  | outcome ->
+    report t ~source:u.Message.source ~via:"announcement"
+      ~prev_version:u.Message.prev_version u.Message.version outcome;
+    let depth = Ledger.queue_length t.ledger in
     Obs.Metrics.set t.stats.queue_depth (float_of_int depth);
     let sp = Obs.Trace.root_event t.trace "enqueue" in
     Obs.Trace.set_attr t.trace sp "source" u.Message.source;
@@ -925,139 +635,41 @@ let enqueue t (u : Message.update) =
     Obs.Trace.set_attri t.trace sp "atoms"
       (Multi_delta.atom_count u.Message.delta);
     Obs.Trace.set_attri t.trace sp "depth" depth
-  end
 
-(* put [entries] back at the head of the queue, in order *)
-let requeue t = function
-  | [] -> ()
-  | entries ->
-    let front = Queue.of_seq (List.to_seq entries) in
-    Queue.transfer t.ledger.queue front;
-    Queue.transfer front t.ledger.queue
+let observe_poll t ~via source version =
+  let outcome = Ledger.observe_poll t.ledger source version in
+  report t ~source ~via version outcome;
+  outcome
 
-(* Group-commit drain (see the interface). A dirty source's entries
-   chain onto a lost delta, so the walk steps over them, leaving them
-   in place until a resync repairs the source. *)
 let take_batch t =
-  let q = t.ledger.queue in
-  let rec go taken n held heads =
-    if Queue.is_empty q || n >= t.config.Config.max_batch then (taken, held)
-    else
-      let e = Queue.peek q in
-      if List.mem e.q_source t.ledger.dirty then
-        go taken n (Queue.take q :: held) heads
-      else if covered t e then (
-        ignore (Queue.take q : queue_entry);
-        go taken n held heads)
-      else if not (chains ~from:(chain_from t heads e) e.q_prev_version) then
-        (taken, held)
-      else
-        go (Queue.take q :: taken) (n + 1) held
-          ((e.q_source, e.q_version) :: List.remove_assoc e.q_source heads)
-  in
-  let taken, held = go [] 0 [] [] in
-  requeue t (List.rev held);
-  Obs.Metrics.set t.stats.queue_depth (float_of_int (queue_length t));
-  List.rev taken
+  let batch = Ledger.take_batch t.ledger ~max:t.config.Config.max_batch in
+  Obs.Metrics.set t.stats.queue_depth
+    (float_of_int (Ledger.queue_length t.ledger));
+  batch
 
-(* The batch's bookkeeping once its deltas are in the tables (see the
-   interface): the answer cache first, then ref'. *)
 let after_batch t entries ~staged ~affected =
-  (* the tables behind any cached answer in the affected closure just
-     changed: scan-served store answers take the same deltas; the
-     rest, cached since the announcements arrived (computed from
-     pre-update tables), must not be served again *)
-  cache_maintain t staged;
-  cache_invalidate_nodes t affected;
-  (* advance ref' per source (Sec. 6.1) by one version *interval* —
-     (from, to] in a single jump. The freshness witness keeps the
-     OLDEST constituent's commit and send times: every batched
-     transaction is at least that old, so the reported bound stays an
-     over-approximation of the true staleness of anything the batch
-     folded in (Theorem 7.2 stays sound under coalescing). Every taken
-     entry is newer than its source's reflected version, so every
-     source in the batch advances. *)
-  let per_source =
-    List.fold_left
-      (fun acc e ->
-        match List.assoc_opt e.q_source acc with
-        | Some (first, _) ->
-          (e.q_source, (first, e)) :: List.remove_assoc e.q_source acc
-        | None -> (e.q_source, (e, e)) :: acc)
-      [] entries
-  in
-  let intervals =
-    List.rev_map
-      (fun (src, (first, last)) ->
-        let from = (reflected_version t src).r_version in
-        set_reflected t src
-          {
-            r_version = last.q_version;
-            r_commit_time = first.q_commit_time;
-            r_send_time = first.q_send_time;
-          };
-        (src, (from, last.q_version)))
-      per_source
-  in
+  let r = Ledger.after_batch t.ledger entries ~staged ~affected in
+  Eval.charge_tuple_ops r.Ledger.maintained_atoms;
+  dropped t r.Ledger.dropped;
   (* bounded-history support: versions below what we now reflect will
      never be polled or checked again by this mediator *)
   if t.config.Config.release_history then
     List.iter
-      (fun s ->
-        Source_db.release (source t s) ~upto:(reflected_version t s).r_version)
-      (Graph.sources t.vdp);
-  intervals
+      (fun (s, v) -> Source_db.release (source t s) ~upto:v)
+      (Ledger.reflect_vector t.ledger);
+  r.Ledger.intervals
 
-(* The snapshot's polls yield, so announcements kept arriving — one
-   may reveal a new gap in a source already polled. Recompute the
-   dirty set from the surviving entries; a blanket clear would lose
-   that repair. *)
 let after_snapshot t versions =
-  (* every cached answer predates the snapshot *)
-  Obs.Metrics.add t.stats.cache_invalidations
-    (Hashtbl.length t.cache.entries);
-  Hashtbl.reset t.cache.entries;
-  List.iter
-    (fun (src, version, state_time) ->
-      observe_version t src version;
-      set_reflected t src
-        {
-          r_version = version;
-          r_commit_time = state_time;
-          r_send_time = state_time;
-        };
-      note_seen t src version)
-    versions;
-  let kept = Queue.create () in
-  let heads = ref [] in
-  t.ledger.dirty <- [];
-  Queue.iter
-    (fun e ->
-      if not (covered t e) then begin
-        Queue.add e kept;
-        if not (chains ~from:(chain_from t !heads e) e.q_prev_version) then
-          mark_dirty t e.q_source;
-        heads := (e.q_source, e.q_version) :: List.remove_assoc e.q_source !heads
-      end)
-    t.ledger.queue;
-  Queue.clear t.ledger.queue;
-  Queue.transfer kept t.ledger.queue
+  dropped t (Ledger.after_snapshot t.ledger versions)
 
-let unseen_delta t ~pending ~source ~leaf =
-  let schema = (Graph.node t.vdp leaf).Graph.schema in
-  let from_pending =
-    match Multi_delta.find pending leaf with
-    | Some d -> d
-    | None -> Rel_delta.empty schema
-  in
-  Queue.fold
-    (fun acc e ->
-      if String.equal e.q_source source && not (covered t e) then
-        match Multi_delta.find e.q_delta leaf with
-        | Some d -> Rel_delta.smash acc d
-        | None -> acc
-      else acc)
-    from_pending t.ledger.queue
+let cache_serve t ~node ~attrs ~cond serve =
+  if not t.config.answer_cache_enabled then None
+  else
+    let served = Ledger.cache_serve t.ledger ~node ~attrs ~cond serve in
+    Obs.Metrics.incr
+      (if Option.is_some served then t.stats.cache_hits
+       else t.stats.cache_misses);
+    served
 
 let log_event t e = t.log <- e :: t.log
 let events t = List.rev t.log
@@ -1093,16 +705,17 @@ let answer_bound t ?(polled_times = []) ?(stale = []) () =
   let now = Engine.now t.engine in
   List.map
     (fun src ->
-      match List.assoc_opt src polled_times with
-      | Some w -> (src, Float.max 0.0 (now -. w))
-      | None ->
-        if List.exists (fun m -> String.equal m.st_source src) stale then
-          (src, Float.max 0.0 (now -. (reflected_version t src).r_commit_time))
-        else (
-          match contributor_kind t src with
-          | Virtual_contributor -> (src, 0.0)
-          | Materialized_contributor | Hybrid_contributor ->
-            (src, Float.max 0.0 (now -. (reflected_version t src).r_send_time))))
+      let witness =
+        match List.assoc_opt src polled_times with
+        | Some w -> w
+        | None ->
+          if List.exists (fun m -> String.equal m.st_source src) stale then
+            (Ledger.reflected t.ledger src).r_commit_time
+          else if Ledger.contributor_kind t.ledger src = Ledger.Virtual_contributor
+          then now
+          else (Ledger.reflected t.ledger src).r_send_time
+      in
+      (src, Float.max 0.0 (now -. witness)))
     (Graph.sources t.vdp)
 
 (* Poll with bounded retry and exponential backoff. [config.poll_retries]

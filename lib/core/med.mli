@@ -1,11 +1,12 @@
 (** Shared state of a Squirrel integration mediator (Sec. 4).
 
     A mediator owns: the annotated VDP, the local store (materialized
-    portions of VDP nodes + ΔR repositories), the incremental update
-    queue, per-source reflection bookkeeping (the [ref'] function of
-    Sec. 6.1 in executable form), a transaction log for the
-    correctness checker, and counters. The processors ({!Vap}, {!Iup},
-    {!Qp}) operate over this state; user code goes through
+    portions of VDP nodes + ΔR repositories), the Sec. 6.1 {!Ledger}
+    (the incremental update queue, [ref'] in executable form, the seen
+    versions, dirty marks and the answer cache), a transaction log for
+    the correctness checker, and counters. The ledger decides; the
+    transitions here record what it decided. The processors ({!Vap},
+    {!Iup}, {!Qp}) operate over this state; user code goes through
     {!Mediator}. *)
 
 open Relalg
@@ -111,35 +112,6 @@ module Config : sig
 end
 
 type config = Config.t
-
-type queue_entry = {
-  q_source : string;
-  q_version : int;
-  q_prev_version : int;
-      (** the version this delta applies on top of — consecutive
-          entries of a source must chain ([q_prev_version] = previous
-          entry's [q_version]) for the queue to compose; a break means
-          an announcement was lost *)
-  q_commit_time : float;
-  q_send_time : float;
-  q_delta : Multi_delta.t;  (** over the source's (leaf) relations *)
-}
-
-type reflected = {
-  r_version : int;
-      (** one applied batch advances a source's version by the whole
-          interval its entries cover at once *)
-  r_commit_time : float;
-      (** commit time of the {e oldest} constituent of the jump — the
-          conservative Theorem 7.2 witness under batching *)
-  r_send_time : float;
-      (** send time of the oldest constituent (same convention) *)
-}
-
-type contributor_kind =
-  | Materialized_contributor
-  | Hybrid_contributor
-  | Virtual_contributor
 
 type reflect_entry =
   | Version of int  (** the view reflects this source version *)
@@ -331,21 +303,8 @@ type derived
     update steps with their child reads ({!update_steps}), the
     leaf-parents with their leaves and poll data, parent tables for
     affected-closure walks, a {!node_plan} per derived node (with its
-    VAP closure rule) in the closure's order, the per-source
-    invalidation closures of the answer cache, each source's
-    {!contributor_kind} and its {!index_plan}. *)
-
-type ledger
-(** The Sec. 6.1 announcement bookkeeping, reached only through the
-    functions below: the update queue, and per source the reflected
-    version ([ref']), the highest announcement version seen (the
-    baseline for duplicate and gap detection) and the dirty mark (a
-    detected gap: ECA is off until a resync). *)
-
-type cache
-(** The query answer cache and the per-source highest observed
-    version that invalidates it, reached only through the functions
-    below (the query answer cache section). *)
+    VAP closure rule) in the closure's order, and each source's
+    {!index_plan}. *)
 
 type t = {
   engine : Engine.t;
@@ -361,12 +320,15 @@ type t = {
       (** per-transaction span trees on the simulated clock; every
           processor opens spans here (see docs/OBSERVABILITY.md) *)
   source_tbl : (string, Source_db.t) Hashtbl.t;
-  ledger : ledger;
+  ledger : Ledger.t;
+      (** the Sec. 6.1 bookkeeping and the answer cache, built with each
+          source's {!Ledger.contributor_kind} and invalidation closure;
+          read it directly, and change it through the instrumented
+          transitions below *)
   stats : stats;
   mutable log : event list;  (** newest first *)
   mutable initialized : bool;
   derived : derived;
-  cache : cache;
   mutable export_subs : (export_event -> unit) list;
       (** mediator-as-source consumers, notified in subscription order *)
 }
@@ -433,96 +395,57 @@ val node_table : t -> string -> Storage.Table.t option
 val store_env : t -> string -> Bag.t option
 (** Materialized portions, as an evaluation environment. *)
 
-val contributor_kind : t -> string -> contributor_kind
-(** Classification of Sec. 4, derived from the annotation: which
-    portions (materialized/virtual) the source's leaves feed. A lookup
-    in the {!derived} table; a source the VDP lacks feeds nothing and
-    counts as virtual. *)
+(** {1 The ledger's transitions}
 
-val watched_sources : t -> string list
-(** The sources the anti-entropy heartbeat polls, in
-    {!Vdp.Graph.sources} order: every announcing contributor, and with
-    the answer cache on every virtual one too, so that answers cached
-    against it notice versions whose announcements were dropped. *)
-
-val reflected_version : t -> string -> reflected
-(** The source's entry of [ref']. Only {!after_batch} and
-    {!after_snapshot} advance it. *)
-
-val dirty_sources : t -> string list
-
-val gap_event : t -> source:string -> via:string -> (string * int) list -> unit
-(** Record a detected announcement gap from the source: count it,
-    record a ["gap_detected"] root event in the trace, with the int
-    attributes [attrs] between its [source] and [via] attributes, and
-    mark the source dirty. [via] names the detector (["announcement"],
-    ["heartbeat"], ["desync"], ["slo_poll"]). The first mark drops
-    every cached answer in the source's closure, maintained entries
-    included: an answer over the gap cannot be served [Fresh]. *)
+    Each runs one {!Ledger} transition and records its outcome: dropped
+    cached answers count in [cache_invalidations]; a {!Ledger.Gap}
+    counts in [gaps_detected] and records a ["gap_detected"] root event
+    with the attributes [source], the version that revealed it, [seen]
+    and [via] (the detector). *)
 
 val enqueue : t -> Message.update -> unit
-(** Queue an arriving announcement — after fault screening: a version
-    at or below the seen version is a duplicate and is dropped
-    ([dup_messages_dropped]); a [prev_version] above the seen version
-    reveals a lost predecessor and marks the source dirty
-    ([gaps_detected]) while still queueing the delta. *)
+(** Counts an arriving announcement; a duplicate counts in
+    [dup_messages_dropped] with a ["dup_dropped"] root event; a queued
+    one sets [queue_depth] and records an ["enqueue"] root event. Its
+    gap says [prev_version] and [version], [via "announcement"]. *)
 
-val take_batch : t -> queue_entry list
-(** Take up to [config.max_batch] announcements off the head of the
-    queue in arrival order, keeping each source's entries chaining
-    gaplessly: the first entry per source must apply on top of its
-    reflected version, each later one on top of the previous batch
-    member. A non-chaining entry ends the batch at the boundary (it
-    stays queued with everything behind it); entries at or below the
-    reflected version (already covered by the initialization or a
-    resync snapshot) are dropped. Entries of a dirty source are held
-    back in place, and clean sources' entries flow past them. *)
+val observe_poll : t -> via:string -> string -> int -> Ledger.outcome
+(** [observe_poll t ~via source version] for a poll answer. Its gap says
+    [answer_version]; [via] is ["heartbeat"], ["desync"] or
+    ["slo_poll"]. *)
 
-val requeue : t -> queue_entry list -> unit
-(** Put a taken batch back at the head of the queue, in order (an
-    update transaction aborted). *)
+val take_batch : t -> Message.update list
+(** Up to [config.max_batch] entries; sets [queue_depth]. *)
 
 val after_batch :
   t ->
-  queue_entry list ->
+  Message.update list ->
   staged:(string * Table.t * Rel_delta.t) list ->
   affected:string list ->
   (string * (int * int)) list
-(** [after_batch t entries ~staged ~affected], right after the IUP
-    applied each [(node, table, ΔT)] of [staged] to its table ([ΔT]
-    projected to the table's attributes) for the batch [entries]
-    ({!take_batch}), whose kernel pass reached the [affected] nodes.
-    Every maintained cache entry on a staged node becomes
-    [apply answer (π_attrs σ_cond ΔT)], charged one tuple op per atom
-    of [ΔT], or is evicted when its absorbed atoms reach the table's
-    support cardinality; every other cached answer on an affected node
-    is dropped. Then each source of the batch advances its reflected
-    version to its newest entry in one jump, keeping the oldest
-    constituent's commit and send times (the conservative Theorem 7.2
-    witness), and with [config.release_history] every source releases
-    its history up to its reflected version. Returns the version
-    interval [(from, to]] each advanced source covered. *)
+(** {!Ledger.after_batch}, charging one tuple op per maintained atom and
+    counting the dropped answers; then, with [config.release_history],
+    every source releases its history up to its reflected version.
+    Returns the version interval [(from, to]] each advanced source
+    covered. *)
 
 val after_snapshot : t -> (string * int * float) list -> unit
-(** [after_snapshot t versions], once a snapshot polled each
-    [(source, version, state_time)] of [versions]: drop every cached
-    answer, set each source's reflected version to [version] (commit
-    and send times [state_time]) and raise its seen version and
-    observed high-water mark to it, drop the queued entries the
-    snapshot covers, and mark dirty exactly the sources whose remaining
-    entries do not chain gaplessly from their reflected version. *)
+(** {!Ledger.after_snapshot}, counting the dropped answers. *)
 
-val queue_length : t -> int
-(** Queued announcements, held-back ones included (constant time). *)
-
-val unseen_delta :
-  t -> pending:Multi_delta.t -> source:string -> leaf:string -> Rel_delta.t
-(** The smash of all updates from [source] to [leaf] that the
-    mediator has received (or taken) but whose effect is not yet in
-    the materialized data: [pending] — during an update transaction,
-    the batch's delta taken from the queue but not yet applied — then
-    the queue entries newer than the reflected version. The ECA
-    compensation is the inverse of this. *)
+val cache_serve :
+  t ->
+  node:string ->
+  attrs:string list ->
+  cond:Predicate.t ->
+  (answer:Bag.t ->
+  polled:(string * int) list ->
+  polled_times:(string * float) list ->
+  trace_id:int option ->
+  'a option) ->
+  'a option
+(** {!Ledger.cache_serve}, counted in [cache_hits] or [cache_misses];
+    always [None], counting nothing, when the config disables the
+    cache. *)
 
 val log_event : t -> event -> unit
 val events : t -> event list
@@ -602,70 +525,3 @@ val index_plan : t -> string -> (string * string) list
     construction polls by), counting only children with virtual
     attributes; empty for a materialized contributor, which is never
     polled after initialization. *)
-
-(** {1 Query answer cache}
-
-    Holds only [Fresh] answers, keyed by (node, attrs, cond). A hit is
-    served with a reflect vector and bound recomputed at serve time
-    from the entry's recorded polled versions and the current
-    reflected versions. Two classes of entry:
-
-    - {e maintained}: a store answer π_attrs σ_cond T computed by a
-      scan of T's table. It is what a recompute would read until the
-      IUP changes the table, and {!after_batch} then updates it with
-      the same delta. It is dropped on resync snapshots
-      ({!after_snapshot}), when a source in its node's closure turns
-      dirty ({!gap_event}), and once the delta atoms absorbed since its
-      last hit reach the table's support cardinality.
-    - {e invalidated}: every other answer. Dropped by the upward
-      closure of an announcing source ({!enqueue}), by the IUP's
-      affected closure after tables are updated ({!after_batch}), by
-      any observed per-source version advance
-      ({!observe_source_version}), and by the snapshots and dirty
-      marks above. *)
-
-val cache_serve :
-  t ->
-  node:string ->
-  attrs:string list ->
-  cond:Predicate.t ->
-  (answer:Bag.t ->
-  polled:(string * int) list ->
-  polled_times:(string * float) list ->
-  trace_id:int option ->
-  'a option) ->
-  'a option
-(** [cache_serve t ~node ~attrs ~cond serve] offers the answer cached
-    for the query, if any, to [serve] with the polled versions and
-    poll state times of the VAP that produced it and the query_tx span
-    that computed it. A [Some] result is a hit: it counts in
-    [cache_hits] and restarts the entry's eviction count. [None] (no
-    entry, or [serve] declined it, e.g. it cannot meet a freshness SLO:
-    the entry is bypassed, not evicted) counts in [cache_misses].
-    Always [None], counting nothing, when disabled by config. *)
-
-val cache_store :
-  t ->
-  node:string ->
-  attrs:string list ->
-  cond:Predicate.t ->
-  polled:(string * int) list ->
-  ?polled_times:(string * float) list ->
-  ?trace_id:int ->
-  ?scanned:bool ->
-  Bag.t ->
-  unit
-(** No-op when disabled by config or while a source is dirty (a gap
-    found after the answer was computed). Only [Fresh] answers may be
-    stored. [~scanned:true] (default [false]) marks a store answer
-    π_attrs σ_cond [node] read by a scan of the node's table: the entry
-    is maintained instead of invalidated. *)
-
-val observe_source_version : t -> string -> int -> int
-(** [observe_source_version t src version]: a poll answer showed [src]
-    at [version]. When this advances the per-source high-water mark,
-    cached answers in the source's closure are invalidated — this is
-    how answers cached against a virtual contributor notice versions
-    whose announcements were dropped. Returns the highest announcement
-    version received from [src]: the baseline the poller's gap check
-    compares [version] against. *)

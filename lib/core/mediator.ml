@@ -37,6 +37,16 @@ let connect (t : Med.t) () =
   match t.Med.config.Med.Config.version_check_interval with
   | None -> ()
   | Some period ->
+    (* a virtual contributor's staleness is resolved by polling at query
+       time, unless cached answers are served without polling: then the
+       heartbeat must observe its version advances for them *)
+    let watched =
+      List.filter
+        (fun src ->
+          Ledger.contributor_kind t.Med.ledger src <> Ledger.Virtual_contributor
+          || t.Med.config.Med.Config.answer_cache_enabled)
+        (Graph.sources t.Med.vdp)
+    in
     let rec checker () =
       Engine.sleep t.Med.engine period;
       if t.Med.initialized then
@@ -48,19 +58,15 @@ let connect (t : Med.t) () =
             with
             | Ok a ->
               Obs.Metrics.incr t.Med.stats.Med.version_checks;
-              let seen =
-                Med.observe_source_version t src_name a.Message.answer_version
-              in
-              (* a virtual contributor has no ECA baseline to repair,
-                 only cached answers to invalidate (above) *)
-              if
-                Med.contributor_kind t src_name <> Med.Virtual_contributor
-                && a.Message.answer_version <> seen
-              then
-                Med.gap_event t ~source:src_name ~via:"heartbeat"
-                  [ ("answer_version", a.Message.answer_version); ("seen", seen) ]
+              (* a gap marks the source for resync; a virtual
+                 contributor has no ECA baseline to repair, only cached
+                 answers to invalidate *)
+              ignore
+                (Med.observe_poll t ~via:"heartbeat" src_name
+                   a.Message.answer_version
+                  : Ledger.outcome)
             | Error _ -> ())
-          (Med.watched_sources t);
+          watched;
       checker ()
     in
     Engine.spawn t.Med.engine checker
@@ -148,15 +154,15 @@ let theorem_7_2_bound ~sources ~contributor profile src =
   let polling_term =
     List.fold_left
       (fun acc k ->
-        if contributor k = Med.Materialized_contributor then acc
+        if contributor k = Ledger.Materialized_contributor then acc
         else acc +. profile.q_proc_delay k +. profile.comm_delay k)
       0.0 sources
   in
   match contributor src with
-  | Med.Materialized_contributor | Med.Hybrid_contributor ->
+  | Ledger.Materialized_contributor | Ledger.Hybrid_contributor ->
     profile.ann_delay src +. profile.comm_delay src +. profile.u_hold_delay
     +. profile.u_proc_delay +. polling_term
-  | Med.Virtual_contributor -> polling_term +. profile.q_proc_delay_med
+  | Ledger.Virtual_contributor -> polling_term +. profile.q_proc_delay_med
 
 (* f̄ for a node, over the node's sources and the delays the simulation
    actually models: announcement holding (the period for [Periodic]
@@ -189,7 +195,7 @@ let freshness_bound (t : Med.t) ~node =
   List.map
     (fun s ->
       ( s,
-        theorem_7_2_bound ~sources ~contributor:(Med.contributor_kind t)
+        theorem_7_2_bound ~sources ~contributor:(Ledger.contributor_kind t.Med.ledger)
           profile s ))
     sources
 
@@ -201,19 +207,19 @@ let events = Med.events
 let stats (t : Med.t) = t.Med.stats
 let trace (t : Med.t) = t.Med.trace
 let metrics (t : Med.t) = t.Med.stats.Med.registry
-let contributor_kind = Med.contributor_kind
+let contributor_kind (t : Med.t) = Ledger.contributor_kind t.Med.ledger
 
 let store_bytes (t : Med.t) =
   Hashtbl.fold (fun _ tb acc -> acc + Table.bytes_estimate tb) t.Med.tables 0
 
-let queue_length = Med.queue_length
+let queue_length (t : Med.t) = Ledger.queue_length t.Med.ledger
 
 let describe (t : Med.t) =
   let kind_str src =
-    match Med.contributor_kind t src with
-    | Med.Materialized_contributor -> "materialized-contributor"
-    | Med.Hybrid_contributor -> "hybrid-contributor"
-    | Med.Virtual_contributor -> "virtual-contributor"
+    match Ledger.contributor_kind t.Med.ledger src with
+    | Ledger.Materialized_contributor -> "materialized-contributor"
+    | Ledger.Hybrid_contributor -> "hybrid-contributor"
+    | Ledger.Virtual_contributor -> "virtual-contributor"
   in
   Format.asprintf
     "@[<v>== VDP ==@,%a@,== Annotation ==@,%a@,== Rulebase ==@,%s@,== Sources \

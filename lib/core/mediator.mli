@@ -94,7 +94,7 @@ type delay_profile = {
 
 val theorem_7_2_bound :
   sources:string list ->
-  contributor:(string -> Med.contributor_kind) ->
+  contributor:(string -> Ledger.contributor_kind) ->
   delay_profile ->
   string ->
   float
@@ -156,7 +156,7 @@ val metrics : t -> Obs.Metrics.t
 (** The registry behind {!stats} — snapshot it for
     [squirrel run --report metrics] or serialization. *)
 
-val contributor_kind : t -> string -> Med.contributor_kind
+val contributor_kind : t -> string -> Ledger.contributor_kind
 val store_bytes : t -> int
 (** Space held by materialized tables (the space side of Sec. 5.3's
     trade-off). *)

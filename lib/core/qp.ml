@@ -4,17 +4,19 @@ open Sim
 open Sources
 open Storage
 
+(* the ledger's reflect vector, with a virtual contributor's entry
+   taken from the answer's polls ([Current] when unpolled) *)
 let reflect_vector (t : Med.t) ~polled =
   List.map
-    (fun src ->
-      match Med.contributor_kind t src with
-      | Med.Virtual_contributor -> (
+    (fun (src, v) ->
+      match Ledger.contributor_kind t.Med.ledger src with
+      | Ledger.Virtual_contributor -> (
         match List.assoc_opt src polled with
         | Some v -> (src, Med.Version v)
         | None -> (src, Med.Current))
-      | Med.Materialized_contributor | Med.Hybrid_contributor ->
-        (src, Med.Version (Med.reflected_version t src).Med.r_version))
-    (Graph.sources t.Med.vdp)
+      | Ledger.Materialized_contributor | Ledger.Hybrid_contributor ->
+        (src, Med.Version v))
+    (Ledger.reflect_vector t.Med.ledger)
 
 let dedup attrs = List.sort_uniq String.compare attrs
 
@@ -54,11 +56,11 @@ let staleness_of (t : Med.t) srcs =
   let now = Engine.now t.Med.engine in
   List.map
     (fun s ->
-      let r = Med.reflected_version t s in
+      let r = Ledger.reflected t.Med.ledger s in
       {
         Med.st_source = s;
-        st_version = r.Med.r_version;
-        st_age = now -. r.Med.r_commit_time;
+        st_version = r.Ledger.r_version;
+        st_age = now -. r.Ledger.r_commit_time;
       })
     (List.sort_uniq String.compare srcs)
 
@@ -69,7 +71,9 @@ let pre_repair (t : Med.t) =
   try Resync.resync_if_dirty t with Med.Poll_failed _ -> ()
 
 let base_stale (t : Med.t) =
-  match Med.dirty_sources t with [] -> [] | dirty -> staleness_of t dirty
+  match Ledger.dirty_sources t.Med.ledger with
+  | [] -> []
+  | dirty -> staleness_of t dirty
 
 (* [σ_cond table], or [π_attrs σ_cond table] given [attrs], reading
    only rows the condition can pass: with a key-set conjunct on an
@@ -307,10 +311,10 @@ let slo_prepoll (t : Med.t) ~slo =
   let laggards =
     List.filter
       (fun s ->
-        match Med.contributor_kind t s with
-        | Med.Virtual_contributor -> false
-        | Med.Materialized_contributor | Med.Hybrid_contributor ->
-          now -. (Med.reflected_version t s).Med.r_send_time > slo)
+        match Ledger.contributor_kind t.Med.ledger s with
+        | Ledger.Virtual_contributor -> false
+        | Ledger.Materialized_contributor | Ledger.Hybrid_contributor ->
+          now -. (Ledger.reflected t.Med.ledger s).Ledger.r_send_time > slo)
       (Graph.sources t.Med.vdp)
   in
   if laggards = [] then (false, [])
@@ -325,15 +329,12 @@ let slo_prepoll (t : Med.t) ~slo =
                 match Med.poll_with_retry t (Med.source t src_name) [] with
                 | a ->
                   Obs.Metrics.incr t.Med.stats.Med.slo_polls;
-                  let seen =
-                    Med.observe_source_version t src_name
-                      a.Message.answer_version
-                  in
-                  if a.Message.answer_version > seen then
-                    (* the flush's announcements were lost in transit —
-                       the heartbeat idiom: mark for resync *)
-                    Med.gap_event t ~source:src_name ~via:"slo_poll"
-                      [ ("version", a.Message.answer_version) ];
+                  (* the flush's announcements were lost in transit —
+                     the heartbeat idiom: a gap marks for resync *)
+                  ignore
+                    (Med.observe_poll t ~via:"slo_poll" src_name
+                       a.Message.answer_version
+                      : Ledger.outcome);
                   Some
                     (src_name, a.Message.state_time, a.Message.answer_version)
                 | exception (Med.Poll_failed _ | Med.Desync _) ->
@@ -348,12 +349,31 @@ let slo_prepoll (t : Med.t) ~slo =
     let witnesses =
       List.filter_map
         (fun (src, w, v) ->
-          if (Med.reflected_version t src).Med.r_version >= v then Some (src, w)
+          if (Ledger.reflected t.Med.ledger src).Ledger.r_version >= v then
+            Some (src, w)
           else None)
         polled
     in
     (true, witnesses)
   end
+
+(* Cache a [Fresh] answer when the config enables the cache. A store
+   answer read by a scan of the node's table ([scanned]) is maintained
+   with π_attrs σ_cond over the table's deltas, compiled here once,
+   instead of invalidated. *)
+let cache_store (t : Med.t) ~node ~attrs ~cond ~polled ~polled_times ~trace_id
+    ~scanned answer =
+  if t.Med.config.Med.Config.answer_cache_enabled then
+    Ledger.cache_store t.Med.ledger ~node ~attrs ~cond ~polled ~polled_times
+      ~trace_id
+      ~scan:
+        (match Med.node_table t node with
+        | Some table when scanned ->
+          Some
+            (Delta.Delta_plan.unary (Table.schema table)
+               (Expr.project attrs (Expr.select cond (Expr.base node))))
+        | Some _ | None -> None)
+      answer
 
 let validate_request (t : Med.t) node attrs cond =
   let n = Graph.node t.Med.vdp node in
@@ -459,7 +479,7 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
       Obs.Trace.with_span t.Med.trace "query_tx" (fun tx_sp ->
       Obs.Trace.set_attr t.Med.trace tx_sp "node" node;
       let trace_id = Obs.Trace.span_id t.Med.trace tx_sp in
-      let finish ?(stale = []) ?(polled_times = []) ?scanned ~served answer
+      let finish ?(stale = []) ?(polled_times = []) ?(scanned = false) ~served answer
           polled =
         let polled_times = with_prepoll polled_times in
         let bound = Med.answer_bound t ~polled_times ~stale () in
@@ -481,8 +501,8 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
         (* only answers the checker may hold to full validity are
            worth replaying; degraded answers must be recomputed *)
         if stale = [] then
-          Med.cache_store t ~node ~attrs ~cond ~polled ~polled_times
-            ?trace_id ?scanned answer;
+          cache_store t ~node ~attrs ~cond ~polled ~polled_times ~trace_id
+            ~scanned answer;
         a
       in
       (* fresh data unreachable: serve what the store has — the
@@ -506,8 +526,8 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
         try f ()
         with
         | Med.Poll_failed pe as exn ->
-          degrade ~exn (pe.pe_source :: Med.dirty_sources t)
-        | Med.Desync _ as exn -> degrade ~exn (Med.dirty_sources t)
+          degrade ~exn (pe.pe_source :: Ledger.dirty_sources t.Med.ledger)
+        | Med.Desync _ as exn -> degrade ~exn (Ledger.dirty_sources t.Med.ledger)
       in
       if Med.is_covered t ~node ~attrs:needed then begin
         let table = Option.get (Med.node_table t node) in

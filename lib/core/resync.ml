@@ -72,10 +72,7 @@ let snapshot ?(trigger = "init") (t : Med.t) =
     (Med.Update_tx
        {
          ut_time = Engine.now t.Med.engine;
-         ut_reflect =
-           List.map
-             (fun s -> (s, (Med.reflected_version t s).Med.r_version))
-             (Graph.sources t.Med.vdp);
+         ut_reflect = Ledger.reflect_vector t.Med.ledger;
          ut_atoms = 0;
          ut_txs = 0;
          ut_intervals = [];
@@ -88,7 +85,7 @@ let snapshot ?(trigger = "init") (t : Med.t) =
     Med.notify_exports t (Med.Export_snapshot { es_time = Engine.now t.Med.engine }))
 
 let resync_if_dirty (t : Med.t) =
-  match Med.dirty_sources t with
+  match Ledger.dirty_sources t.Med.ledger with
   | [] -> ()
   | dirty ->
     Obs.Metrics.incr t.Med.stats.Med.resyncs;

@@ -178,15 +178,23 @@ let build_inner (t : Med.t) ~pending closed =
         (List.fold_left
            (fun acc (_, b) -> acc + Bag.cardinal b)
            0 answer.Message.results);
-      (* any polled answer is an observation of the source's current
-         version; an advance past the high-water mark invalidates
-         cached answers in the source's closure *)
-      let seen =
-        Med.observe_source_version t src_name answer.Message.answer_version
-      in
-      let contributor = Med.contributor_kind t src_name in
+      (* any polled answer observes the source's current version. A gap
+         (a dropped or overtaken announcement) breaks ECA's
+         precondition: the unseen delta no longer describes what the
+         answer contains, so compensation would corrupt the view *)
+      (match
+         Med.observe_poll t ~via:"desync" src_name
+           answer.Message.answer_version
+       with
+      | Ledger.Gap { seen; _ } ->
+        raise
+          (Med.Desync
+             (Printf.sprintf "answer from %s reflects v%d but v%d announced"
+                src_name answer.Message.answer_version seen))
+      | Ledger.Clean | Ledger.Dropped _ | Ledger.Duplicate -> ());
+      let contributor = Ledger.contributor_kind t.Med.ledger src_name in
       (match contributor with
-      | Med.Virtual_contributor ->
+      | Ledger.Virtual_contributor ->
         (* [state_time] is the instant the answered version was current
            at the source — the freshness witness {!Med.answer_bound}
            reports against. Announcing contributors are deliberately
@@ -196,31 +204,13 @@ let build_inner (t : Med.t) ~pending closed =
           (src_name, answer.Message.answer_version) :: !polled_versions;
         polled_times :=
           (src_name, answer.Message.state_time) :: !polled_times
-      | Med.Materialized_contributor | Med.Hybrid_contributor ->
-        (* ECA precondition check: the poll flushed all pending
-           announcements ahead of the answer, so on a reliable FIFO
-           channel the seen version equals the answer's. Any mismatch
-           means an announcement was dropped (answer ahead) or the
-           answer overtook one (reordering) — either way the unseen
-           delta no longer describes what the answer contains, so
-           compensation would corrupt the view. *)
-        if answer.Message.answer_version <> seen then begin
-          (* the repair this triggers must be attributable in the
-             trace: every resync needs a preceding gap_detected *)
-          Med.gap_event t ~source:src_name ~via:"desync"
-            [ ("answer_version", answer.Message.answer_version); ("seen", seen) ];
-          raise
-            (Med.Desync
-               (Printf.sprintf
-                  "answer from %s reflects v%d but v%d announced" src_name
-                  answer.Message.answer_version seen))
-        end);
+      | Ledger.Materialized_contributor | Ledger.Hybrid_contributor -> ());
       List.iter
         (fun (r, lp) ->
           let polled = List.assoc r.r_node answer.Message.results in
           let value =
             if
-              contributor <> Med.Virtual_contributor
+              contributor <> Ledger.Virtual_contributor
               && t.Med.config.Med.Config.eca_enabled
             then
               Obs.Trace.with_span t.Med.trace "eca" (fun sp ->
@@ -229,8 +219,9 @@ let build_inner (t : Med.t) ~pending closed =
                   (* Eager Compensation: roll the polled answer back to
                      the reflected state *)
                   let unseen =
-                    Med.unseen_delta t ~pending ~source:src_name
+                    Ledger.unseen_delta t.Med.ledger ~pending ~source:src_name
                       ~leaf:lp.Med.lp_leaf
+                      ~schema:(Graph.node t.Med.vdp lp.Med.lp_leaf).Graph.schema
                   in
                   Obs.Trace.set_attri t.Med.trace sp "unseen_atoms"
                     (Rel_delta.atom_count unseen);

@@ -152,11 +152,11 @@ let dead_markers t sh =
   let now = Engine.now t.f_engine in
   List.map
     (fun src ->
-      let r = Med.reflected_version sh.sh_med src in
+      let r = Ledger.reflected sh.sh_med.Med.ledger src in
       {
         Med.st_source = Printf.sprintf "shard%d:%s" sh.sh_id src;
-        st_version = r.Med.r_version;
-        st_age = now -. r.Med.r_commit_time;
+        st_version = r.Ledger.r_version;
+        st_age = now -. r.Ledger.r_commit_time;
       })
     (Graph.sources t.f_vdp)
 

@@ -5,12 +5,14 @@ A module-level `let name = ref ...` (or `Hashtbl.create`, `Array.make`,
 `Queue.create`, `Atomic.make`) is state that every mediator, shard and
 twin in one process shares. Several mediators run side by side (mediator
 composition, federation shards, chaos twins), so each cache or counter
-must belong to the value that uses it. A binding counts as module-level
-when it is not closed by `in`: the let of a function body always is,
-a structure item never is. Prints one `path:line: name` per binding not
-on the allowlist and exits 1 when there are any.
+must belong to the value that uses it. A `let` and the `and`s that
+follow it form one binding group, module-level when `in` does not close
+it: the let of a function body always is closed, a structure item never
+is. Prints one `path:line: name` per binding not on the allowlist and
+exits 1 when there are any.
 
 Run from anywhere:  python3 scripts/global_state.py
+Check the scanner itself:  python3 scripts/global_state.py --self-test
 """
 
 import pathlib
@@ -30,7 +32,11 @@ ALLOWLIST = {
 }
 
 CONSTRUCTORS = ("ref", "Hashtbl.create", "Array.make", "Queue.create", "Atomic.make")
-LET_RE = re.compile(r"^(\s*)let\s+([a-z_][A-Za-z0-9_']*)\s*(?::[^=]*)?=(?!=)\s*(.*)$")
+GROUP_RE = re.compile(r"^(\s*)let\b")
+BINDING_RE = re.compile(
+    r"^(\s*)(?:let|and)\s+([a-z_][A-Za-z0-9_']*)\s*(?::[^=]*)?=(?!=)\s*(.*)$"
+)
+AND_RE = re.compile(r"^\s*and\b")
 RHS_RE = re.compile(r"^(?:" + "|".join(re.escape(c) for c in CONSTRUCTORS) + r")\b")
 
 
@@ -81,27 +87,59 @@ def indent(line):
     return len(line) - len(line.lstrip())
 
 
+def flat(parts):
+    return " ".join(" ".join(parts).split())
+
+
 def global_bindings(text):
     lines = strip_comments(text).split("\n")
     for n, line in enumerate(lines):
-        m = LET_RE.match(line)
-        if not m:
+        g = GROUP_RE.match(line)
+        if not g:
             continue
-        col = len(m.group(1))
-        # the binding's text: the rest of this line and every following
-        # line indented deeper than the let
-        body = [m.group(3)]
+        col = len(g.group(1))
+        # the group's members: this let and every `and` at its own
+        # indentation, each with the following lines indented deeper
+        members = [(n, [line])]
         end = n + 1
-        while end < len(lines) and (
-            not lines[end].strip() or indent(lines[end]) > col
-        ):
-            body.append(lines[end])
+        while end < len(lines):
+            nxt = lines[end]
+            if not nxt.strip() or indent(nxt) > col:
+                members[-1][1].append(nxt)
+            elif indent(nxt) == col and AND_RE.match(nxt):
+                members.append((end, [nxt]))
+            else:
+                break
             end += 1
-        rhs = " ".join(" ".join(body).split())
         closer = lines[end].strip() if end < len(lines) else ""
-        local = rhs.endswith(" in") or rhs == "in" or re.match(r"^in\b", closer)
-        if RHS_RE.match(rhs) and not local:
-            yield n + 1, m.group(2)
+        if flat(members[-1][1]).endswith(" in") or re.match(r"^in\b", closer):
+            continue
+        for first, member in members:
+            m = BINDING_RE.match(member[0])
+            if m and RHS_RE.match(flat([m.group(3)] + member[1:])):
+                yield first + 1, m.group(2)
+
+
+SELF_TESTS = [
+    # (source, expected [(line, name)])
+    ("let cache = Hashtbl.create 8\n", [(1, "cache")]),
+    ("let f () =\n  let r = ref 0 in\n  !r\n", []),
+    ("let f n =\n  let a = Array.make n 0\n  and b = Array.make n 1 in\n  (a, b)\n", []),
+    ("let x = 1\nand hidden = ref 0\n", [(2, "hidden")]),
+    ("let rec f x = g x\nand g x = x\nand hidden = ref 0\n\nlet y = 2\n", [(3, "hidden")]),
+    ("let counter =\n  ref 0\n", [(1, "counter")]),
+    ("let f () =\n  let t =\n    Hashtbl.create 8\n  in\n  t\n", []),
+]
+
+
+def self_test():
+    failed = 0
+    for source, want in SELF_TESTS:
+        got = list(global_bindings(source))
+        if got != want:
+            failed += 1
+            print(f"self-test: {source!r}: expected {want}, got {got}")
+    return 1 if failed else 0
 
 
 def main():
@@ -118,4 +156,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(self_test() if sys.argv[1:] == ["--self-test"] else main())

@@ -198,7 +198,7 @@ let test_theorem_bound_formula () =
      materialized the polling term vanishes *)
   let f_mat =
     Mediator.theorem_7_2_bound ~sources:(Graph.sources vdp)
-      ~contributor:(fun _ -> Med.Materialized_contributor)
+      ~contributor:(fun _ -> Ledger.Materialized_contributor)
       profile "db"
   in
   Alcotest.(check (float 1e-9))
@@ -208,7 +208,7 @@ let test_theorem_bound_formula () =
   (* one virtual source: polling term = 0.25 + 0.5 = 0.75 *)
   let f_virt =
     Mediator.theorem_7_2_bound ~sources:(Graph.sources vdp)
-      ~contributor:(fun _ -> Med.Virtual_contributor)
+      ~contributor:(fun _ -> Ledger.Virtual_contributor)
       profile "db"
   in
   Alcotest.(check (float 1e-9)) "virtual-contributor bound" (0.75 +. 0.0625) f_virt
@@ -239,8 +239,8 @@ let test_theorem_bound_mixed () =
     }
   in
   let contributor = function
-    | "db" -> Med.Materialized_contributor
-    | _ -> Med.Virtual_contributor
+    | "db" -> Ledger.Materialized_contributor
+    | _ -> Ledger.Virtual_contributor
   in
   let f_db =
     Mediator.theorem_7_2_bound ~sources:(Graph.sources vdp) ~contributor

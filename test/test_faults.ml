@@ -74,7 +74,7 @@ let test_gap_triggers_resync_and_converges () =
   let s = Mediator.stats med in
   Alcotest.(check bool) "gap detected" true ((Obs.Metrics.value s.Med.gaps_detected) >= 1);
   Alcotest.(check bool) "resync ran" true ((Obs.Metrics.value s.Med.resyncs) >= 1);
-  Alcotest.(check (list string)) "dirty repaired" [] (Med.dirty_sources med);
+  Alcotest.(check (list string)) "dirty repaired" [] (Ledger.dirty_sources med.Med.ledger);
   let answer =
     in_process env (fun () ->
         (Mediator.query med ~node:"T" ~attrs:[ "r1"; "s1" ] ()).Qp.tuples)

@@ -777,10 +777,10 @@ let test_ex51_contributor_kinds () =
      virtual B' *)
   Alcotest.(check bool)
     "dbB is a hybrid contributor" true
-    (Mediator.contributor_kind med "dbB" = Med.Hybrid_contributor);
+    (Mediator.contributor_kind med "dbB" = Ledger.Hybrid_contributor);
   Alcotest.(check bool)
     "dbA feeds materialized and virtual portions" true
-    (Mediator.contributor_kind med "dbA" <> Med.Virtual_contributor)
+    (Mediator.contributor_kind med "dbA" <> Ledger.Virtual_contributor)
 
 (* --- schema alignment via renaming (federated retail) ------------------ *)
 

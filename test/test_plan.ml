@@ -647,7 +647,7 @@ let test_dirty_mark_during_store_read () =
   Alcotest.(check bool) "the first query read before the gap" true
     (!first = Some Qp.Fresh);
   Alcotest.(check bool) "the gap marked db1 dirty" true
-    (List.mem "db1" (Med.dirty_sources med));
+    (List.mem "db1" (Ledger.dirty_sources med.Med.ledger));
   let again =
     in_process env (fun () ->
         Mediator.query med ~node:"T" ~attrs:[ "r1"; "s1" ] ())
@@ -1002,7 +1002,7 @@ let test_eca_compensation_compiled () =
         (fun (lp : Med.leaf_parent) ->
           let leaf = lp.Med.lp_leaf in
           let src_name = Graph.source_of_leaf vdp leaf in
-          if Med.contributor_kind med src_name <> Med.Virtual_contributor then begin
+          if Ledger.contributor_kind med.Med.ledger src_name <> Ledger.Virtual_contributor then begin
             let src = Scenario.source env src_name in
             let reflected = List.assoc leaf reflected in
             let schema = Adapter.schema src leaf in
@@ -1069,7 +1069,7 @@ let test_eca_compensation_compiled () =
                       let entries = Med.take_batch med in
                       let pending =
                         List.fold_left
-                          (fun acc e -> Delta.Multi_delta.smash acc e.Med.q_delta)
+                          (fun acc e -> Delta.Multi_delta.smash acc e.Message.delta)
                           Delta.Multi_delta.empty entries
                       in
                       let r =
@@ -1077,7 +1077,7 @@ let test_eca_compensation_compiled () =
                           (Vap.closure med
                              [ { Vap.r_node = lp.Med.lp_node; r_attrs = attrs; r_cond = cond } ])
                       in
-                      Med.requeue med entries;
+                      Ledger.requeue med.Med.ledger entries;
                       List.assoc lp.Med.lp_node r.Vap.temps)
                 in
                 let expected =
