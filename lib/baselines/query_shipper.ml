@@ -94,8 +94,22 @@ let query t ~node ?attrs ?(cond = Predicate.True) () =
   Hashtbl.iter
     (fun src_name queries ->
       let src = Hashtbl.find t.source_tbl src_name in
+      (* each fetch is a chain over one leaf, prepared per query: the
+         baseline keeps no plan *)
+      let requests =
+        List.map
+          (fun (label, sub) ->
+            ( label,
+              {
+                Source_db.rq_prepared = Source_db.prepare src sub;
+                rq_attrs = None;
+                rq_cond = Predicate.True;
+                rq_key = None;
+              } ))
+          queries
+      in
       let answer =
-        match Source_db.try_poll src queries with
+        match Source_db.try_poll src requests with
         | Ok answer -> answer
         | Error e -> Source_db.err "%s" (Source_db.poll_error_to_string e)
       in

@@ -188,6 +188,7 @@ type leaf_parent = {
   lp_def : Expr.t;
   lp_columns : (string * string) list;
   lp_filter : Rel_delta.t -> Rel_delta.t;
+  mutable lp_poll : Source_db.prepared option;
 }
 
 type node_plan = {
@@ -224,6 +225,7 @@ type t = {
   config : config;
   trace : Obs.Trace.t;
   source_tbl : (string, Source_db.t) Hashtbl.t;
+  leaf_reads : (string, Source_db.prepared) Hashtbl.t;
   ledger : Ledger.t;
   stats : stats;
   mutable log : event list;
@@ -421,6 +423,7 @@ let build_derived vdp ann ~key_based ~kinds ~tables =
                           | _ -> None)
                         (Schema.attrs node.Graph.schema);
                     lp_filter = Delta_plan.unary (schema leaf) def;
+                    lp_poll = None;
                   }
               | _ -> None);
             np_children = List.map (fun c -> (c, schema c)) children;
@@ -551,6 +554,7 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
           ~now:(fun () -> Engine.now engine)
           ~ops_counter:Eval.tuple_ops ();
       source_tbl;
+      leaf_reads = Hashtbl.create 8;
       ledger;
       stats = fresh_stats ();
       log = [];
@@ -722,7 +726,7 @@ let answer_bound t ?(polled_times = []) ?(stale = []) () =
    is the total attempt budget; each failed attempt doubles the wait,
    starting from [config.poll_backoff]. Exhaustion raises {!Poll_failed}
    so the caller can degrade or defer instead of crashing the process. *)
-let poll_with_retry t src ?keys queries =
+let poll_with_retry t src requests =
   let src_name = Source_db.name src in
   let budget = max 1 t.config.poll_retries in
   Obs.Trace.with_span t.trace "poll" (fun poll_sp ->
@@ -733,7 +737,7 @@ let poll_with_retry t src ?keys queries =
           Obs.Trace.with_span t.trace "attempt" (fun sp ->
               Obs.Trace.set_attri t.trace sp "n" n;
               let r =
-                Source_db.try_poll src ?timeout:t.config.poll_timeout ?keys queries
+                Source_db.try_poll src ?timeout:t.config.poll_timeout requests
               in
               (match r with
               | Ok _ -> Obs.Trace.set_attr t.trace sp "result" "ok"

@@ -252,7 +252,7 @@ type leaf_parent = {
   lp_node : string;
   lp_leaf : string;  (** its single child, a leaf *)
   lp_source : string;  (** the leaf's source, which the VAP polls *)
-  lp_def : Expr.t;  (** the definition a poll evaluates at the source *)
+  lp_def : Expr.t;  (** the definition a poll asks of the source *)
   lp_columns : (string * string) list;
       (** per attribute of the node, in schema order, the one column of
           the leaf its value copies, followed through the definition
@@ -265,6 +265,11 @@ type leaf_parent = {
           a leaf delta's image at the node, charging no tuple op. The
           IUP's leaf-parent deltas and the VAP's Eager Compensation
           run it. *)
+  mutable lp_poll : Source_db.prepared option;
+      (** [lp_def] prepared at the leaf's source with the leaf's
+          {!index_plan} columns as its keys ({!Source_db.prepare}):
+          [None] until {!Mediator.connect} sets it; every VAP poll of
+          the node then names this handle *)
 }
 
 type node_plan = {
@@ -320,6 +325,9 @@ type t = {
       (** per-transaction span trees on the simulated clock; every
           processor opens spans here (see docs/OBSERVABILITY.md) *)
   source_tbl : (string, Source_db.t) Hashtbl.t;
+  leaf_reads : (string, Source_db.prepared) Hashtbl.t;
+      (** per leaf, its whole-relation read prepared at its source by
+          {!Mediator.connect}: what a snapshot polls *)
   ledger : Ledger.t;
       (** the Sec. 6.1 bookkeeping and the answer cache, built with each
           source's {!Ledger.contributor_kind} and invalidation closure;
@@ -475,14 +483,10 @@ val answer_bound :
     measured staleness never exceeds this bound. *)
 
 val poll_with_retry :
-  t ->
-  Source_db.t ->
-  ?keys:(string * Source_db.key) list ->
-  (string * Expr.t) list ->
-  Message.answer
-(** {!Source_db.try_poll} under the config's timeout, retried up to
-    [poll_retries] attempts with exponential backoff from
-    [poll_backoff]; [keys] is passed through. Must run in a process.
+  t -> Source_db.t -> (string * Source_db.request) list -> Message.answer
+(** {!Source_db.try_poll} of the prepared requests under the config's
+    timeout, retried up to [poll_retries] attempts with exponential
+    backoff from [poll_backoff]. Must run in a process.
     @raise Poll_failed when the budget is exhausted. *)
 
 (** {1 The derived table} *)
@@ -516,7 +520,8 @@ val eval : t -> env:(string -> Bag.t option) -> Expr.t -> Bag.t
 val index_plan : t -> string -> (string * string) list
 (** The source's index plan: the sorted [(relation, column)] pairs its
     keyed polls can name, which {!Mediator.connect} declares to it
-    ({!Source_db.declare_indexes}). For a virtual or hybrid contributor,
+    (the key columns of the {!Source_db.prepare} of each leaf-parent).
+    For a virtual or hybrid contributor,
     the leaf columns ({!Delta.Inc_eval.origins} followed down to the
     leaves) behind the columns the update steps' reads can be
     restricted on ({!Vdp.Derived_from.step_restrictable}) and, when

@@ -26,8 +26,24 @@ let connect (t : Med.t) () =
       let src = Med.source t src_name in
       Source_db.connect src ~comm_delay:d.Med.comm_delay
         ~q_proc_delay:d.Med.q_proc_delay handler;
-      Source_db.declare_indexes src (Med.index_plan t src_name))
+      List.iter
+        (fun leaf ->
+          Hashtbl.replace t.Med.leaf_reads leaf
+            (Source_db.prepare src (Expr.base leaf)))
+        (Graph.leaves_of_source t.Med.vdp src_name))
     (Graph.sources t.Med.vdp);
+  (* each leaf-parent's poll is prepared once, keyed on the leaf
+     columns of its source's index plan *)
+  List.iter
+    (fun (lp : Med.leaf_parent) ->
+      let keys =
+        List.filter_map
+          (fun (leaf, col) -> if String.equal leaf lp.Med.lp_leaf then Some col else None)
+          (Med.index_plan t lp.Med.lp_source)
+      in
+      lp.Med.lp_poll <-
+        Some (Source_db.prepare (Med.source t lp.Med.lp_source) ~keys lp.Med.lp_def))
+    (Med.leaf_parents t);
   Iup.start_flusher t;
   (* anti-entropy heartbeat: an empty-query poll answers with the
      source's current version; a mismatch against the versions seen in

@@ -184,6 +184,20 @@ let semijoin_keys own key =
       if !has_null then None else Some (k, List.rev !vs))
     key
 
+(* A key set the restricted condition already holds (a point query on
+   the key holds its own) is not conjoined twice. *)
+let semijoin_cond cond ~attrs keys =
+  let held = Predicate.restrict_to cond attrs in
+  let held_sets =
+    List.map (fun (a, vs) -> Predicate.one_of a vs) (Predicate.key_sets held)
+  in
+  let semijoin =
+    List.filter
+      (fun p -> not (List.exists (Predicate.equal p) held_sets))
+      (List.map (fun (k, vs) -> Predicate.one_of k vs) keys)
+  in
+  Predicate.conj (List.filter (fun p -> p <> Predicate.True) (held :: semijoin))
+
 (* Children the general construction polls: those it reads at
    attributes the store does not cover. *)
 let general_polls (t : Med.t) ~node ~needed ~cond =
@@ -259,13 +273,7 @@ let key_based (t : Med.t) ~node ~needed ~cond children =
       List.map
         (fun (child, key, cs, c_needed, covered) ->
           let keys = if restricted then semijoin_keys own key else [] in
-          let c_cond =
-            Predicate.conj
-              (List.filter
-                 (fun p -> p <> Predicate.True)
-                 (Predicate.restrict_to cond (Schema.attrs cs)
-                 :: List.map (fun (k, vs) -> Predicate.one_of k vs) keys))
-          in
+          let c_cond = semijoin_cond cond ~attrs:(Schema.attrs cs) keys in
           if List.exists (fun (_, vs) -> vs = []) keys then
             `Rows (Bag.empty (Schema.project cs c_needed))
           else if covered then

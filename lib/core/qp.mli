@@ -115,3 +115,12 @@ val key_based_plan :
     attributes: the [(child, key)] pairs it reads, each child's key
     materialized on the node — exposed for tests and the E3
     experiment. *)
+
+val semijoin_cond :
+  Predicate.t -> attrs:string list -> (string * Value.t list) list -> Predicate.t
+(** [semijoin_cond cond ~attrs keys]: the condition the key-based
+    construction polls a keyed child under — [cond] restricted to the
+    child's [attrs] ({!Relalg.Predicate.restrict_to}), conjoined with
+    each semijoin key set [(column, values)] it does not already hold
+    (a point query on the key holds its own), so each conjunct appears
+    once. *)

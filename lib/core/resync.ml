@@ -22,8 +22,20 @@ let snapshot ?(trigger = "init") (t : Med.t) =
         let leaves = Graph.leaves_of_source t.Med.vdp src_name in
         if leaves = [] then None
         else begin
-          let queries = List.map (fun l -> (l, Expr.base l)) leaves in
-          let answer = Med.poll_with_retry t src queries in
+          let whole l =
+            {
+              Source_db.rq_prepared =
+                (match Hashtbl.find_opt t.Med.leaf_reads l with
+                | Some read -> read
+                | None -> Med.err "leaf %S read before its source connected" l);
+              rq_attrs = None;
+              rq_cond = Predicate.True;
+              rq_key = None;
+            }
+          in
+          let answer =
+            Med.poll_with_retry t src (List.map (fun l -> (l, whole l)) leaves)
+          in
           Obs.Metrics.incr t.Med.stats.Med.polls;
           Some (src_name, answer)
         end)

@@ -2,9 +2,11 @@
    into the mediator's derived table at [Med.create]: each derived
    node's closure rule (the static half of [derived_from] and of the
    restricted definition) and each leaf-parent's poll data (source,
-   definition, key columns) and filter. A run derives per request only
-   what the request decides: the closure's attribute and condition
-   merges, the poll's expression and key, the compensation by the
+   definition, key columns) and filter; [Mediator.connect] prepared
+   each leaf-parent's definition at its source. A run derives per
+   request only what the request decides: the closure's attribute and
+   condition merges, the poll's attributes, condition and key, the
+   compensation by the
    unseen delta (nothing when that is empty), and the narrowed
    definitions of inner temporaries. *)
 
@@ -120,16 +122,25 @@ let poll_key (lp : Med.leaf_parent) r =
   List.find_map
     (fun (a, vs) ->
       Option.map
-        (fun col ->
-          { Source_db.k_relation = lp.Med.lp_leaf; k_column = col; k_values = vs })
+        (fun col -> { Source_db.k_column = col; k_values = vs })
         (List.assoc_opt a lp.Med.lp_columns))
     (Predicate.key_sets r.r_cond)
 
+(* a leaf-parent request as the source answers it: [π_attrs σ_cond]
+   of the definition prepared at connect *)
+let poll_request (lp : Med.leaf_parent) r =
+  match lp.Med.lp_poll with
+  | None -> Med.err "leaf-parent %S polled before its source connected" lp.Med.lp_node
+  | Some prepared ->
+    {
+      Source_db.rq_prepared = prepared;
+      rq_attrs = Some r.r_attrs;
+      rq_cond = r.r_cond;
+      rq_key = poll_key lp r;
+    }
+
 let build_inner (t : Med.t) ~pending closed =
   let reqs = closed.c_requests in
-  Obs.Trace.with_span t.Med.trace "closure" (fun sp ->
-      Obs.Trace.set_attri t.Med.trace sp "requests" closed.c_asked;
-      Obs.Trace.set_attri t.Med.trace sp "closed" (List.length reqs));
   let lp_reqs, inner_reqs =
     List.partition_map
       (fun r ->
@@ -155,24 +166,10 @@ let build_inner (t : Med.t) ~pending closed =
   Hashtbl.iter
     (fun src_name pairs ->
       let src = Med.source t src_name in
-      let queries =
-        List.map
-          (fun (r, (lp : Med.leaf_parent)) ->
-            let def = lp.Med.lp_def in
-            let with_sel =
-              if Predicate.equal r.r_cond Predicate.True then def
-              else Expr.select r.r_cond def
-            in
-            (r.r_node, Expr.project r.r_attrs with_sel))
-          pairs
+      let answer =
+        Med.poll_with_retry t src
+          (List.map (fun (r, lp) -> (r.r_node, poll_request lp r)) pairs)
       in
-      let keys =
-        List.filter_map
-          (fun (r, lp) ->
-            Option.map (fun k -> (r.r_node, k)) (poll_key lp r))
-          pairs
-      in
-      let answer = Med.poll_with_retry t src ~keys queries in
       Obs.Metrics.incr t.Med.stats.Med.polls;
       Obs.Metrics.add t.Med.stats.Med.polled_tuples
         (List.fold_left

@@ -345,6 +345,12 @@ let rec run_steps steps emit t m i =
     | Remap (_, r) -> run_steps steps emit (r t) m (i + 1)
   end
 
+(* builds a two-argument closure: a partial application of a
+   four-argument function would pay the generic apply on every row *)
+let feed steps emit =
+  let row t m = run_steps steps emit t m 0 in
+  row
+
 let rec stream prog ~env ~(emit : Tuple.t -> int -> unit) =
   match prog with
   | Source n -> Bag.iter emit (resolve env n)

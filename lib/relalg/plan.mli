@@ -63,6 +63,13 @@ val peel : step list -> Expr.t -> step list * Expr.t
     of [e] into its steps, innermost first (execution order), and
     returns the expression below it. *)
 
+val feed : step array -> (Tuple.t -> int -> unit) -> Tuple.t -> int -> unit
+(** [feed steps emit tuple mult] runs one row through a fused chain's
+    steps, innermost first, and emits its image if every filter passes,
+    charging one tuple op per step executed, as a compiled plan's fused
+    stage does. A caller that keeps a chain's steps (a source's
+    prepared poll) streams rows through them with it. *)
+
 val flatten_join : Expr.t -> Expr.t list * Predicate.t list
 (** A chain of joins as its inputs, left to right, and the conjuncts of
     every condition along it — valid for inner joins, where conditions

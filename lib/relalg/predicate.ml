@@ -84,19 +84,22 @@ let conjuncts p = conjuncts_acc [] p
    matches Null, so it is no key. Of values equal under
    [Value.compare] (Int 1, Float 1.) the structurally least stays, so
    the form does not depend on the input's order. *)
-let normalize_keys vs =
-  let order a b =
-    match Value.compare a b with 0 -> Stdlib.compare a b | c -> c
-  in
-  let rec dedup acc = function
-    | [] -> List.rev acc
-    | v :: rest -> (
-      match acc with
-      | w :: _ when Value.equal v w -> dedup acc rest
-      | _ -> dedup (v :: acc) rest)
-  in
-  dedup []
-    (List.sort order (List.filter (function Value.Null -> false | _ -> true) vs))
+let normalize_keys = function
+  | [ Value.Null ] -> []
+  | [ _ ] as point -> point (* already in normal form: nothing to copy *)
+  | vs ->
+    let order a b =
+      match Value.compare a b with 0 -> Stdlib.compare a b | c -> c
+    in
+    let rec dedup acc = function
+      | [] -> List.rev acc
+      | v :: rest -> (
+        match acc with
+        | w :: _ when Value.equal v w -> dedup acc rest
+        | _ -> dedup (v :: acc) rest)
+    in
+    dedup []
+      (List.sort order (List.filter (function Value.Null -> false | _ -> true) vs))
 
 let one_of a vs =
   match normalize_keys vs with

@@ -14,7 +14,27 @@ type poll_error =
   | Unavailable of { u_source : string; u_until : float option }
   | Timed_out of { t_source : string; t_timeout : float }
 
-type key = { k_relation : string; k_column : string; k_values : Value.t list }
+type key = { k_column : string; k_values : Value.t list }
+
+(* A definition over one relation compiled once: its select/project/
+   rename chain as fused steps, its output schema, and the projection
+   step and schema of each attribute list a request has asked for, so
+   a poll compiles only its request's condition. The steps' slot memos
+   stay warm across polls. *)
+type prepared = {
+  p_source : string;
+  p_relation : string;
+  p_steps : Plan.step array;
+  p_schema : Schema.t;
+  mutable p_projections : (string list * (Schema.t * Plan.step)) list;
+}
+
+type request = {
+  rq_prepared : prepared;
+  rq_attrs : string list option;
+  rq_cond : Predicate.t;
+  rq_key : key option;
+}
 
 type link = {
   channel : Message.t Channel.t;
@@ -246,49 +266,143 @@ let down_until t =
       else acc)
     None t.outages
 
-let declare_indexes t pairs =
+let prepare t ?(keys = []) expr =
+  let steps, below = Plan.peel [] expr in
+  let rel =
+    match below with
+    | Expr.Base rel -> rel
+    | _ ->
+      err "prepare: %s is not a select/project/rename chain over one relation"
+        (Expr.to_string expr)
+  in
+  let rel_schema = schema t rel in
+  let out =
+    try Expr.schema_of (fun _ -> rel_schema) expr
+    with Expr.Expr_error msg | Schema.Schema_error msg -> err "prepare: %s" msg
+  in
   List.iter
-    (fun ((rel, col) as rc) ->
-      if not (Schema.mem (schema t rel) col) then
-        err "declare_indexes: %S has no attribute %S" rel col;
-      if not (List.mem_assoc rc t.indexes) then
-        t.indexes <- (rc, Hash_index.of_bag col (current t rel)) :: t.indexes)
-    pairs
-
-(* the rows of the keyed relation whose column equals a key value,
-   charged one tuple op per key. A comparison never matches Null, so it
-   is not a key, and values equal under Value.equal (Int 1, Float 1.)
-   are one key. The rows are the union of the probed buckets of the
-   declared index; without one, a scan of the relation finds the same
-   rows at the same charge, so a declaration changes the host's work
-   and never the answer or the simulated cost. With at least as many
-   keys as the relation has distinct rows (probing would cost more
-   than reading), the query reads the relation and filters it by the
-   same keys. *)
-let probed t k =
-  if not (Schema.mem (schema t k.k_relation) k.k_column) then
-    err "keyed poll: %S has no attribute %S" k.k_relation k.k_column;
-  let keys = Predicate.normalize_keys k.k_values in
-  let rel = current t k.k_relation in
-  if List.compare_length_with keys (Bag.support_cardinal rel) >= 0 then rel
-  else begin
-    Eval.charge_tuple_ops (List.length keys);
-    match List.assoc_opt (k.k_relation, k.k_column) t.indexes with
-    | Some ix ->
-      let bu = Bag.builder (schema t k.k_relation) in
-      List.iter (fun v -> Hash_index.probe ix v (Bag.badd bu)) keys;
-      Bag.seal bu
-    | None ->
-      t.scanned_keys <- t.scanned_keys + 1;
-      let wanted = Value.Tbl.create 16 in
-      List.iter (fun v -> Value.Tbl.replace wanted v ()) keys;
-      Bag.filter (fun tuple -> Value.Tbl.mem wanted (Tuple.get tuple k.k_column)) rel
-  end
+    (fun col ->
+      if not (Schema.mem rel_schema col) then
+        err "prepare: %S has no attribute %S" rel col)
+    keys;
+  (* a key column's index is built once, in bulk, from the current
+     relation; {!commit} keeps it in step and {!load} rebuilds it *)
+  List.iter
+    (fun col ->
+      if not (List.mem_assoc (rel, col) t.indexes) then
+        t.indexes <- ((rel, col), Hash_index.of_bag col (current t rel)) :: t.indexes)
+    keys;
+  {
+    p_source = t.name;
+    p_relation = rel;
+    p_steps = Array.of_list steps;
+    p_schema = out;
+    p_projections = [];
+  }
 
 let indexed t = List.sort compare (List.map fst t.indexes)
 let scanned_keys t = t.scanned_keys
 
-let try_poll t ?timeout ?(keys = []) queries =
+(* the request's projection onto [attrs], resolved once per attribute
+   list. Onto the definition's own attributes (in any order) it maps
+   each tuple to itself, as tuples are keyed by attribute name: still a
+   step, but one that copies nothing. *)
+let rec find_projection attrs = function
+  | [] -> None
+  | (a, proj) :: rest ->
+    if List.equal String.equal a attrs then Some proj else find_projection attrs rest
+
+let projection p attrs =
+  match find_projection attrs p.p_projections with
+  | Some proj -> proj
+  | None ->
+    let schema = Schema.project p.p_schema attrs in
+    let gather =
+      if Schema.arity schema = Schema.arity p.p_schema then Fun.id
+      else Tuple.projector attrs
+    in
+    let proj = (schema, Plan.Gather (attrs, gather)) in
+    p.p_projections <- (attrs, proj) :: p.p_projections;
+    proj
+
+(* The answer to [π_attrs σ_cond def] over the current relation: the
+   prepared chain, then the request's filter and projection, run as one
+   fused pass into one builder, charging one tuple op per row for each
+   step executed. A key restricts the rows read to those whose column
+   equals a key value, charged one tuple op per key. A comparison never
+   matches Null, so it is not a key, and values equal under Value.equal
+   (Int 1, Float 1.) are one key. The rows are the probed buckets of
+   the column's index when a {!prepare} declared it; without one, a
+   scan of the relation finds the same rows at the same charge, so a
+   declaration changes the host's work and never the answer or the
+   simulated cost. With at least as many keys as the relation has
+   distinct rows (probing would cost more than reading), the poll reads
+   the whole relation, which the request's condition filters by the
+   same keys. *)
+let rec index_on rel col = function
+  | [] -> None
+  | ((r, c), ix) :: rest ->
+    if String.equal r rel && String.equal c col then Some ix
+    else index_on rel col rest
+
+let answer t rq =
+  let p = rq.rq_prepared in
+  if not (String.equal p.p_source t.name) then
+    err "source %s: request prepared by source %s" t.name p.p_source;
+  let rel = current t p.p_relation in
+  let key =
+    match rq.rq_key with
+    | None -> None
+    | Some k ->
+      if not (Schema.mem (schema t p.p_relation) k.k_column) then
+        err "keyed poll: %S has no attribute %S" p.p_relation k.k_column;
+      let keys = Predicate.normalize_keys k.k_values in
+      if List.compare_length_with keys (Bag.support_cardinal rel) >= 0 then None
+      else begin
+        Eval.charge_tuple_ops (List.length keys);
+        Some { k with k_values = keys }
+      end
+  in
+  let unfiltered = Predicate.equal rq.rq_cond Predicate.True in
+  let schema, tail =
+    match rq.rq_attrs with
+    | None ->
+      ( p.p_schema,
+        if unfiltered then [||] else [| Plan.Filter (Predicate.compile rq.rq_cond) |] )
+    | Some attrs ->
+      let schema, gather = projection p attrs in
+      ( schema,
+        if unfiltered then [| gather |]
+        else [| Plan.Filter (Predicate.compile rq.rq_cond); gather |] )
+  in
+  let steps =
+    if Array.length tail = 0 then p.p_steps else Array.append p.p_steps tail
+  in
+  (* the rows read, streamed through the steps into one answer *)
+  let stream ~size rows =
+    let bu = Bag.builder ~size schema in
+    rows (Plan.feed steps (fun tuple m -> Bag.badd bu tuple m));
+    Bag.seal bu
+  in
+  match key with
+  | None when Array.length steps = 0 -> rel (* the relation itself, uncharged *)
+  | None -> stream ~size:(max 16 (Bag.support_cardinal rel)) (fun emit -> Bag.iter emit rel)
+  | Some { k_column = col; k_values = keys } -> (
+    match index_on p.p_relation col t.indexes with
+    | Some ix ->
+      stream ~size:(List.length keys) (fun emit ->
+          List.iter (fun v -> Hash_index.probe ix v emit) keys)
+    | None ->
+      t.scanned_keys <- t.scanned_keys + 1;
+      let wanted = Value.Tbl.create 16 in
+      List.iter (fun v -> Value.Tbl.replace wanted v ()) keys;
+      stream ~size:16 (fun emit ->
+          Bag.iter
+            (fun tuple m ->
+              if Value.Tbl.mem wanted (Tuple.get tuple col) then emit tuple m)
+            rel))
+
+let try_poll t ?timeout requests =
   match t.link with
   | None -> err "source %s: poll before connect" t.name
   | Some link ->
@@ -325,20 +439,7 @@ let try_poll t ?timeout ?(keys = []) queries =
          flushed announcement ahead of the answer *)
       flush_announcements t;
       t.polls <- t.polls + 1;
-      let env rel = List.assoc_opt rel t.tables in
-      let eval (label, expr) =
-        let env =
-          match List.assoc_opt label keys with
-          | None -> env
-          | Some k ->
-            (* the key set is a conjunct of [expr], so the rows outside
-               the probed buckets contribute nothing to the answer *)
-            let rows = probed t k in
-            fun rel -> if String.equal rel k.k_relation then Some rows else env rel
-        in
-        (label, Eval.eval ~env expr)
-      in
-      let results = List.map eval queries in
+      let results = List.map (fun (label, rq) -> (label, answer t rq)) requests in
       let answer =
         {
           Message.answer_source = t.name;

@@ -10,11 +10,19 @@
        a pending net delta which is flushed onto the FIFO channel —
        immediately, or periodically (the paper's [ann_delay]);}
     {- {b query answering} (for hybrid- and virtual-contributors):
-       {!try_poll} evaluates a batch of algebra queries against one state
-       of the source (a single source transaction, Sec. 6.3) and
+       {!try_poll} answers a batch of prepared requests against one
+       state of the source (a single source transaction, Sec. 6.3) and
        returns the answer through the same FIFO channel, after
        flushing pending announcements so the answer never reflects
        updates the mediator cannot yet see.}}
+
+    A poll is prepared once and asked many times, as a prepared
+    statement is: {!prepare} compiles a definition over one relation
+    (a leaf-parent's select/project/rename chain, or the bare leaf)
+    and indexes its candidate key columns, and each {!request} names
+    the handle with the attributes, condition and key of one ask. A
+    poll streams the probed rows (or the whole relation) through the
+    compiled chain into one answer; it plans nothing.
 
     Every commit produces a new {e version}; the full version history
     (with state snapshots — persistent bags make this cheap) is kept
@@ -52,9 +60,26 @@ type poll_error =
   | Unavailable of { u_source : string; u_until : float option }
   | Timed_out of { t_source : string; t_timeout : float }
 
-(** A poll's key: the query needs only the rows of [k_relation] whose
-    [k_column] equals one of [k_values] (see {!try_poll}). *)
-type key = { k_relation : string; k_column : string; k_values : Value.t list }
+(** A request's key: it needs only the rows of the prepared relation
+    whose [k_column] equals one of [k_values] (see {!try_poll}). *)
+type key = { k_column : string; k_values : Value.t list }
+
+type prepared
+(** A definition over one relation, compiled once by {!prepare}. *)
+
+(** One ask of a prepared definition [def]: the answer is
+    [π_attrs σ_cond def] over the source's current state, computed as
+    one fused pass. [rq_attrs = None] projects nothing (the
+    definition's own attributes), and [rq_cond = True] filters
+    nothing: neither adds a step or a charge. *)
+type request = {
+  rq_prepared : prepared;
+  rq_attrs : string list option;
+  rq_cond : Predicate.t;
+  rq_key : key option;
+      (** every row [def] reads must pass [k_column = v] for some [v]
+          in [k_values]: a conjunct of [rq_cond] or of [def] *)
+}
 
 exception Source_error of string
 (** Raised by operations a source cannot honour: an unknown relation
@@ -106,8 +131,8 @@ val q_proc_delay : t -> float
 
 val load : t -> string -> Bag.t -> unit
 (** Set a relation's initial (version 0) contents, rebuilding in bulk
-    every declared index on it ({!declare_indexes}). Only before the
-    first commit.
+    every index {!prepare} declared on it. Only before the first
+    commit.
     @raise Source_error otherwise. *)
 
 val set_filter :
@@ -120,7 +145,7 @@ val set_filter :
     VDP). Commits whose announcement filters to nothing still produce
     a version heartbeat so the mediator's reflect bookkeeping stays
     exact. Polling is unaffected: polls read full relations, through an
-    index when the poll names a key on a declared column.
+    index when the request names a key on a declared column.
     @raise Source_error on unknown relations/attributes. *)
 
 val commit : t -> Multi_delta.t -> unit
@@ -132,13 +157,26 @@ val commit : t -> Multi_delta.t -> unit
 val current : t -> string -> Bag.t
 val version : t -> int
 
+val prepare : t -> ?keys:string list -> Expr.t -> prepared
+(** [prepare t ~keys def] compiles [def], a select/project/rename
+    chain over one relation of the source (or the bare relation), once:
+    its steps, with their slot memos kept warm across polls, and its
+    output schema. Each column of [keys] (default none) is a candidate
+    key column of the relation that requests may name: its index is
+    built at once, in bulk, from the current relation; {!commit} keeps
+    it in step and {!load} rebuilds it. Declarations accumulate:
+    several handles (from several mediators) index the union of their
+    columns. A mediator prepares its leaf-parents and its leaves'
+    whole-relation reads when it connects.
+    @raise Source_error when [def] is not such a chain over a relation
+    of the source, is ill-formed over it, or a key column is unknown. *)
+
 val try_poll :
   t ->
   ?timeout:float ->
-  ?keys:(string * key) list ->
-  (string * Expr.t) list ->
+  (string * request) list ->
   (Message.answer, poll_error) result
-(** Evaluate labelled queries against a single state of the source and
+(** Answer labelled requests against a single state of the source and
     wait for the answer to travel back. Must be called from a
     simulation process. Pending announcements are flushed first so the
     FIFO guarantees the ECA precondition (see {!Message}).
@@ -149,34 +187,28 @@ val try_poll :
     message was lost on a faulty channel. With no [timeout] the wait
     is unbounded (and a [Black_hole] outage is an error).
 
-    [keys] (default none) names, per query label, a key the query
-    selects on: every row the query reads from [k_relation] must pass
-    [k_column = v] for some [v] in [k_values]. The source evaluates
-    the same query over just the matching rows of the relation instead
-    of over all of it, so the answer is identical and the cost follows
-    the probed rows: one tuple op per key, plus the evaluation over
-    those rows. [Null] values never match and are not keys. When
-    [(k_relation, k_column)] is declared ({!declare_indexes}) the rows
-    are the probed buckets of its index; otherwise a scan finds them
+    Each request streams its rows through the prepared chain, then its
+    own filter and projection (the projection resolved once per
+    attribute list, so only [rq_cond] is compiled per poll), straight
+    into one answer bag, charging one tuple op per row for each step
+    executed, in the order of [π_attrs σ_cond def]. A request that
+    adds no step to a bare relation answers with the relation itself,
+    uncharged. A key reads only the matching rows, so the answer is
+    the unkeyed one and the cost follows the probed rows: one tuple op
+    per key, plus the steps over those rows. [Null] values never match
+    and are not keys; values equal under {!Value.equal} are one key.
+    When the key's column was declared ({!prepare}) the rows are the
+    probed buckets of its index; otherwise a scan finds them
     ({!scanned_keys}), at the same charge. A key set at least as large
     as the relation's distinct rows reads the whole relation instead,
-    which the query filters. A poll never builds an index; history
+    charging no key op. A poll never builds an index; history
     snapshots are never indexed.
-    @raise Source_error when the key names an unknown relation or
-    column. *)
-
-val declare_indexes : t -> (string * string) list -> unit
-(** Declare [(relation, column)] pairs that keyed polls may name (a
-    mediator declares its static plan when it connects). Each new pair
-    is indexed at once, in bulk, from the current relation; {!commit}
-    keeps the index in step and {!load} rebuilds it. Declarations
-    accumulate: several calls (from several mediators) index the union
-    of their pairs.
-    @raise Source_error on an unknown relation or column. *)
+    @raise Source_error when a request was prepared by another source
+    or its key names an unknown column. *)
 
 val indexed : t -> (string * string) list
-(** The declared [(relation, column)] pairs, all of them indexed,
-    sorted. *)
+(** The [(relation, column)] pairs {!prepare} declared, all of them
+    indexed, sorted. *)
 
 val scanned_keys : t -> int
 (** Keys of polls served so far by a scan because their column was

@@ -209,7 +209,7 @@ let test_poll mk () =
   i.i_quiesce ();
   let result = ref None in
   Engine.spawn engine (fun () ->
-      result := Some (Source_db.try_poll a [ ("q", Expr.base i.i_relation) ]));
+      result := Some (Source_db.try_poll a [ ("q", ask a (Expr.base i.i_relation)) ]));
   Engine.run engine ~until:(Engine.now engine +. 30.0);
   match !result with
   | Some (Ok ans) ->
@@ -234,7 +234,7 @@ let test_outage_refusal mk () =
   Engine.schedule engine ~delay:2.0 (fun () ->
       Engine.spawn engine (fun () ->
           result :=
-            Some (Source_db.try_poll a [ ("q", Expr.base i.i_relation) ])));
+            Some (Source_db.try_poll a [ ("q", ask a (Expr.base i.i_relation)) ])));
   Engine.run engine ~until:(now +. 30.0);
   match !result with
   | Some (Error (Source_db.Unavailable { u_until = Some t; u_source })) ->
@@ -259,7 +259,7 @@ let test_outage_black_hole mk () =
       result :=
         Some
           (Source_db.try_poll a ~timeout:2.0
-             [ ("q", Expr.base i.i_relation) ]));
+             [ ("q", ask a (Expr.base i.i_relation)) ]));
   Engine.run engine ~until:(now +. 30.0);
   match !result with
   | Some (Error (Source_db.Timed_out { t_timeout; _ })) ->
@@ -272,11 +272,11 @@ let test_outage_black_hole mk () =
 
 (* --- keyed polls ---------------------------------------------------------- *)
 
-(* the answers of [queries], polled in one source transaction *)
-let poll_results engine a ?keys queries =
+(* the answers of [requests], polled in one source transaction *)
+let poll_results engine a requests =
   let result = ref None in
   Engine.spawn engine (fun () ->
-      result := Some (Source_db.try_poll a ?keys queries));
+      result := Some (Source_db.try_poll a requests));
   Engine.run engine ~until:(Engine.now engine +. 30.0);
   match !result with
   | Some (Ok ans) -> ans.Message.results
@@ -320,16 +320,14 @@ let keyed_queries rel =
              (Expr.select (in_keys "t2" ks)
                 (Expr.rename [ ("s2", "t2") ] (Expr.base rel)))
          in
-         let key =
-           { Source_db.k_relation = rel; k_column = "s2"; k_values = ks }
-         in
+         let key = { Source_db.k_column = "s2"; k_values = ks } in
          let s3_keys = Value.Int (i mod 3) :: ks in
          [
            (Printf.sprintf "plain%d" i, plain, key);
            (Printf.sprintf "renamed%d" i, renamed, key);
            ( Printf.sprintf "undeclared%d" i,
              Expr.select (in_keys "s3" s3_keys) (Expr.base rel),
-             { key with k_column = "s3"; k_values = s3_keys } );
+             { Source_db.k_column = "s3"; k_values = s3_keys } );
          ])
        key_sets)
 
@@ -350,13 +348,14 @@ let test_keyed_poll mk () =
   let i = mk (Some init) engine in
   let a = Adapter.db i.i_adapter in
   let qs = keyed_queries i.i_relation in
-  let unkeyed = List.map (fun (l, e, _) -> ("u_" ^ l, e)) qs in
-  let keyed = List.map (fun (l, e, _) -> ("k_" ^ l, e)) qs in
-  let keys = List.map (fun (l, _, k) -> ("k_" ^ l, k)) qs in
+  (* each query prepared once, asked unkeyed and keyed at every
+     version *)
+  let unkeyed = List.map (fun (l, e, _) -> ("u_" ^ l, ask a e)) qs in
+  let keyed = List.map (fun (l, e, key) -> ("k_" ^ l, ask a ~key e)) qs in
   (* the keyed answers at the current version, each checked against
      its unkeyed twin *)
   let check_version () =
-    let res = poll_results engine a ~keys (unkeyed @ keyed) in
+    let res = poll_results engine a (unkeyed @ keyed) in
     List.iter
       (fun (l, _, _) ->
         check_bag
@@ -370,8 +369,11 @@ let test_keyed_poll mk () =
   let declared = [ (i.i_relation, "s2") ] in
   Alcotest.(check (list (pair string string)))
     "no index before a declaration" [] (Source_db.indexed a);
-  Source_db.declare_indexes a declared;
-  Source_db.declare_indexes a declared;
+  let declare () =
+    ignore (Source_db.prepare a ~keys:[ "s2" ] (Expr.base i.i_relation))
+  in
+  declare ();
+  declare ();
   Alcotest.(check (list (pair string string)))
     "one index, on the declared column" declared (Source_db.indexed a);
   Alcotest.(check int) "v0: three rows keyed 10" 3 (rows_keyed_10 (check_version ()));
@@ -399,6 +401,136 @@ let test_keyed_poll mk () =
     "still the declared index only" declared (Source_db.indexed a);
   Alcotest.(check bool)
     "the undeclared keys were scanned" true (Source_db.scanned_keys a > 0)
+
+(* Prepared polls against the evaluator. Per request, a one-request
+   poll's answer and tuple-op charge are checked against [Eval.eval] of
+   [π_attrs σ_cond def]: over the current relation for the answer, and
+   for the charge over the rows the key selects, plus one op per key
+   (Nulls dropped, equal values merged; a key set at least as large as
+   the relation's distinct rows reads all of it and charges no key
+   op). The definitions are the bare relation, a selection, and a
+   rename with a projection, whose key still names the base column;
+   the keys are on a declared column (s2) and on undeclared ones (s1,
+   s3), and include an empty set, Null, Int 10 and Float 10., and a set
+   larger than the relation. Each handle is prepared once and asked
+   again after commits. *)
+let test_prepared_poll mk () =
+  let engine = Engine.create () in
+  let init =
+    Bag.add ~mult:2
+      (Bag.of_tuples schema_s
+         [ s_row 1 (v_int 10); s_row 2 Value.Null; s_row 4 (v_int 20); s_row 5 (v_int 30) ])
+      (s_row 3 (v_int 10))
+  in
+  let i = mk (Some init) engine in
+  let a = Adapter.db i.i_adapter in
+  let rel = i.i_relation in
+  let defs =
+    [
+      ("bare", Expr.base rel, fun c -> c);
+      ("select", Expr.select Predicate.(lt (attr "s3") (int 2)) (Expr.base rel), fun c -> c);
+      ( "rename",
+        Expr.project [ "t1"; "t2"; "s3" ]
+          (Expr.rename [ ("s1", "t1"); ("s2", "t2") ] (Expr.base rel)),
+        function "s1" -> "t1" | "s2" -> "t2" | c -> c );
+    ]
+  in
+  let prepared =
+    List.map (fun (name, def, at) -> (name, def, at, Source_db.prepare a ~keys:[ "s2" ] def)) defs
+  in
+  let many = List.init 12 (fun v -> Value.Int v) in
+  (* (what, narrowed attributes, key column and values); the key set is
+     conjoined to the request's condition, as the VAP asks *)
+  let cases at =
+    let narrow = Some [ at "s2"; at "s1" ] in
+    let keyed col vs = Some { Source_db.k_column = col; k_values = vs } in
+    [
+      ("whole", None, None);
+      ("narrower", narrow, None);
+      ("declared", None, keyed "s2" Value.[ Int 10 ]);
+      ("declared, narrower", narrow, keyed "s2" Value.[ Int 10; Int 30 ]);
+      ("Float key", None, keyed "s2" Value.[ Float 10. ]);
+      ("Int = Float, Null", narrow, keyed "s2" Value.[ Int 10; Float 10.; Null; Int 30 ]);
+      ("Null only", None, keyed "s2" Value.[ Null ]);
+      ("empty", None, keyed "s2" []);
+      ("undeclared", None, keyed "s3" Value.[ Int 1; Int 2 ]);
+      ("undeclared, narrower", narrow, keyed "s1" Value.[ Int 3 ]);
+      ("at least the support", narrow, keyed "s2" many);
+    ]
+  in
+  let request (_, def, at, p) (what, attrs, key) =
+    let cond =
+      match key with
+      | None -> if what = "whole" then Predicate.True else Predicate.(lt (attr (at "s3")) (int 2))
+      | Some k -> Predicate.one_of (at k.Source_db.k_column) k.Source_db.k_values
+    in
+    (def, { Source_db.rq_prepared = p; rq_attrs = attrs; rq_cond = cond; rq_key = key })
+  in
+  let oracle def (rq : Source_db.request) =
+    let current = Source_db.current a rel in
+    let expr =
+      let sel =
+        if Predicate.equal rq.rq_cond Predicate.True then def else Expr.select rq.rq_cond def
+      in
+      match rq.rq_attrs with None -> sel | Some attrs -> Expr.project attrs sel
+    in
+    let rows, key_ops =
+      match rq.rq_key with
+      | None -> (current, 0)
+      | Some k ->
+        let ks = Predicate.normalize_keys k.k_values in
+        if List.length ks >= Bag.support_cardinal current then (current, 0)
+        else
+          ( Bag.filter
+              (fun t -> List.exists (Value.equal (Tuple.get t k.k_column)) ks)
+              current,
+            List.length ks )
+    in
+    let env rows n = if String.equal n rel then Some rows else None in
+    let answer = Eval.eval ~env:(env current) expr in
+    let ops0 = Eval.tuple_ops () in
+    ignore (Eval.eval ~env:(env rows) expr : Bag.t);
+    (answer, key_ops + Eval.tuple_ops () - ops0)
+  in
+  let poll rq =
+    let result = ref None in
+    Engine.spawn engine (fun () ->
+        let ops0 = Eval.tuple_ops () in
+        let r = Source_db.try_poll a [ ("q", rq) ] in
+        result := Some (r, Eval.tuple_ops () - ops0));
+    Engine.run engine ~until:(Engine.now engine +. 30.0);
+    match !result with
+    | Some (Ok ans, ops) -> (List.assoc "q" ans.Message.results, ops)
+    | Some (Error e, _) -> Alcotest.fail (Source_db.poll_error_to_string e)
+    | None -> Alcotest.fail "poll did not complete"
+  in
+  let check_all () =
+    List.iter
+      (fun ((name, _, at, _) as pd) ->
+        List.iter
+          (fun ((what, _, _) as case) ->
+            let def, rq = request pd case in
+            let label = Printf.sprintf "%s/%s at v%d" name what (Source_db.version a) in
+            let want, want_ops = oracle def rq in
+            let got, got_ops = poll rq in
+            check_bag (label ^ ": answer") want got;
+            Alcotest.(check int) (label ^ ": tuple ops") want_ops got_ops)
+          (cases at))
+      prepared
+  in
+  let declared = [ (rel, "s2") ] in
+  Alcotest.(check (list (pair string string)))
+    "the prepared key column is indexed" declared (Source_db.indexed a);
+  let scanned = Source_db.scanned_keys a in
+  check_all ();
+  i.i_insert (s_row 6 (v_int 10));
+  i.i_delete (s_row 3 (v_int 10));
+  i.i_quiesce ();
+  check_all ();
+  Alcotest.(check (list (pair string string)))
+    "no poll builds an index" declared (Source_db.indexed a);
+  Alcotest.(check bool)
+    "the undeclared keys were scanned" true (Source_db.scanned_keys a > scanned)
 
 (* the mediator-backed source is read-only upstream *)
 let test_mediator_read_only () =
@@ -571,6 +703,7 @@ let () =
       ("history", conformance "history" test_history);
       ("poll", conformance "poll" test_poll);
       ("keyed poll", conformance "keyed = unkeyed" test_keyed_poll);
+      ("prepared poll", conformance "prepared = evaluated" test_prepared_poll);
       ("outage refusal", conformance "refusal" test_outage_refusal);
       ("outage black hole", conformance "black hole" test_outage_black_hole);
       ( "read-only upstream",

@@ -147,6 +147,60 @@ let test_key_based_plan_selection () =
     "no plan when covered" true
     (Qp.key_based_plan med ~node:"T" ~needed:[ "r1"; "s1" ] = None)
 
+(* The key-based construction polls a keyed child under the query's
+   condition restricted to the child, conjoined with the semijoin key
+   sets: a point query on the key already holds its key set, which must
+   not be conjoined a second time (it once polled db1 with
+   [r1 = 11584 and r1 = 11584]). Each conjunct of the polled condition
+   appears once. *)
+let test_semijoin_cond_conjuncts_once () =
+  let open Predicate in
+  let r1 = attr "r1" in
+  let point v = eq r1 (int v) in
+  let cases =
+    [
+      ("point query", point 11584, [ ("r1", Value.[ Int 11584 ]) ], [ point 11584 ]);
+      ( "point query, constant first",
+        eq (int 7) r1,
+        [ ("r1", Value.[ Int 7 ]) ],
+        [ eq (int 7) r1 ] );
+      ( "point query and a residual",
+        conj [ point 5; lt (attr "r3") (int 10) ],
+        [ ("r1", Value.[ Int 5 ]) ],
+        [ point 5; lt (attr "r3") (int 10) ] );
+      ( "a narrower key set is a conjunct of its own",
+        one_of "r1" Value.[ Int 5; Int 6 ],
+        [ ("r1", Value.[ Int 5 ]) ],
+        [ one_of "r1" Value.[ Int 5; Int 6 ]; point 5 ] );
+      ( "no condition",
+        True,
+        [ ("r1", Value.[ Int 2; Int 1 ]) ],
+        [ one_of "r1" Value.[ Int 1; Int 2 ] ] );
+      ( "conjuncts outside the child are dropped",
+        conj [ eq (attr "s2") (int 3); point 4 ],
+        [ ("r1", Value.[ Int 4 ]) ],
+        [ point 4 ] );
+    ]
+  in
+  List.iter
+    (fun (what, cond, keys, expected) ->
+      let got =
+        Predicate.conjuncts (Qp.semijoin_cond cond ~attrs:[ "r1"; "r2"; "r3" ] keys)
+      in
+      Alcotest.(check (list string))
+        what
+        (List.map (Format.asprintf "%a" Predicate.pp) expected)
+        (List.map (Format.asprintf "%a" Predicate.pp) got);
+      List.iteri
+        (fun i p ->
+          List.iteri
+            (fun j q ->
+              if i < j && Predicate.equal p q then
+                Alcotest.failf "%s: %a appears twice" what Predicate.pp p)
+            got)
+        got)
+    cases
+
 let test_key_based_plan_respects_config () =
   let env = Scenario.make_fig1 ~seed:51 () in
   let med =
@@ -288,6 +342,8 @@ let () =
         [
           Alcotest.test_case "selection" `Quick test_key_based_plan_selection;
           Alcotest.test_case "config switch" `Quick test_key_based_plan_respects_config;
+          Alcotest.test_case "polled condition: each conjunct once" `Quick
+            test_semijoin_cond_conjuncts_once;
         ] );
       ( "advisor config",
         [

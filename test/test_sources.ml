@@ -13,7 +13,9 @@ let mk_source ?(announce = Source_db.Immediate) engine =
 
 (* a poll expected to succeed; must run in a simulation process *)
 let poll src queries =
-  match Source_db.try_poll src queries with
+  match
+    Source_db.try_poll src (List.map (fun (l, e) -> (l, ask src e)) queries)
+  with
   | Ok answer -> answer
   | Error e -> Alcotest.fail (Source_db.poll_error_to_string e)
 
@@ -159,10 +161,11 @@ let test_poll_single_state () =
 
 (* No poll builds an index: a key on an undeclared column is served
    by a scan, with the answer and the tuple ops (one per key plus the
-   matching rows) of the indexed poll. A declaration builds the index
-   at once, a reload (still version 0) rebuilds it from the new
-   contents, and a key or a declaration on an unknown column is
-   refused. *)
+   matching rows) of the indexed poll. A declaration (a {!prepare} with
+   the column as a key) builds the index at once, and a handle prepared
+   earlier probes it too; a reload (still version 0) rebuilds it from
+   the new contents, and a key or a declaration on an unknown column,
+   or a definition over an unknown relation, is refused. *)
 let test_keyed_poll_declared_index () =
   let engine = Engine.create () in
   let src = mk_source engine in
@@ -170,11 +173,10 @@ let test_keyed_poll_declared_index () =
   let _ = collect_updates engine src in
   let keyed column v =
     let q = Expr.select Predicate.(eq (attr "s2") (int v)) (Expr.base "S") in
-    let key =
-      { Source_db.k_relation = "S"; k_column = column; k_values = [ Value.Int v ] }
-    in
+    let key = { Source_db.k_column = column; k_values = [ Value.Int v ] } in
+    let rq = ask src ~key q in
     let ops0 = Eval.tuple_ops () in
-    match Source_db.try_poll src ~keys:[ ("q", key) ] [ ("q", q) ] with
+    match Source_db.try_poll src [ ("q", rq) ] with
     | Ok a ->
       (Bag.cardinal (List.assoc "q" a.Message.results), Eval.tuple_ops () - ops0)
     | Error e -> Alcotest.fail (Source_db.poll_error_to_string e)
@@ -196,7 +198,7 @@ let test_keyed_poll_declared_index () =
       step "undeclared key: ops" ops;
       step "undeclared key: scanned" (Source_db.scanned_keys src);
       step "undeclared key: indexes" (List.length (indexed ()));
-      Source_db.declare_indexes src [ ("S", "s2") ];
+      ignore (Source_db.prepare src ~keys:[ "s2" ] (Expr.base "S"));
       step "declared: indexes" (List.length (indexed ()));
       let rows, ops = keyed "s2" 2 in
       step "declared key: rows" rows;
@@ -212,8 +214,8 @@ let test_keyed_poll_declared_index () =
       refused :=
         [
           refuses (fun () -> ignore (keyed "zz" 2));
-          refuses (fun () -> Source_db.declare_indexes src [ ("S", "zz") ]);
-          refuses (fun () -> Source_db.declare_indexes src [ ("Q", "s1") ]);
+          refuses (fun () -> ignore (Source_db.prepare src ~keys:[ "zz" ] (Expr.base "S")));
+          refuses (fun () -> ignore (Source_db.prepare src ~keys:[ "s1" ] (Expr.base "Q")));
         ]);
   Engine.run engine;
   Alcotest.(check (list (pair string int)))
@@ -318,7 +320,8 @@ let test_outage_refuses_polls () =
     Engine.schedule engine ~delay:t (fun () ->
         Engine.spawn engine (fun () ->
             results :=
-              (t, Source_db.try_poll src [ ("S", Expr.base "S") ]) :: !results))
+              (t, Source_db.try_poll src [ ("S", ask src (Expr.base "S")) ])
+              :: !results))
   in
   poll_at 0.5;
   poll_at 1.5;
@@ -345,7 +348,8 @@ let test_blackhole_times_out () =
   let result = ref None in
   let t_done = ref 0.0 in
   Engine.spawn engine (fun () ->
-      result := Some (Source_db.try_poll src ~timeout:2.0 [ ("S", Expr.base "S") ]);
+      result :=
+        Some (Source_db.try_poll src ~timeout:2.0 [ ("S", ask src (Expr.base "S")) ]);
       t_done := Engine.now engine);
   Engine.run engine;
   (match !result with

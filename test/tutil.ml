@@ -240,3 +240,13 @@ let find_spans trace name =
     (fun sp -> if String.equal sp.Obs.Trace.name name then acc := sp :: !acc)
     trace;
   List.rev !acc
+
+(* [expr] prepared at [src] and asked whole: no projection or
+   condition of the request's own, and a key only when given *)
+let ask ?key src expr =
+  {
+    Sources.Source_db.rq_prepared = Sources.Source_db.prepare src expr;
+    rq_attrs = None;
+    rq_cond = Predicate.True;
+    rq_key = key;
+  }
