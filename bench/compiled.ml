@@ -14,20 +14,6 @@ open Sim
 open Squirrel
 open Workload
 
-let in_process env f =
-  let cell = ref None in
-  Engine.spawn env.Scenario.engine (fun () -> cell := Some (f ()));
-  let rec go n =
-    match !cell with
-    | Some v -> v
-    | None ->
-      if n > 100_000 then failwith "simulation did not produce a result";
-      Engine.run env.Scenario.engine
-        ~until:(Engine.now env.Scenario.engine +. 1.0);
-      go (n + 1)
-  in
-  go 0
-
 type per_query = { pq_sim_ms : float; pq_ops : float }
 
 type cache_row = {
@@ -55,16 +41,16 @@ let cache_workload () =
         ~annotation:(Scenario.ann_ex23 env.Scenario.vdp)
         ~config ()
     in
-    in_process env (fun () -> Mediator.initialize med);
+    Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
     (* r3 is virtual under Example 2.3: an uncached query polls db1
        and rebuilds the temporary every time. Warm outside the
        measurement (first query fills the cache when enabled). *)
     let q () = ignore (Mediator.query med ~node:"T" ~attrs:[ "r1"; "r3" ] ()) in
-    in_process env q;
+    Engine.run_process env.Scenario.engine q;
     let stats = Mediator.stats med in
     let ops0 = Obs.Metrics.value stats.Med.ops_query in
     let sim_s =
-      in_process env (fun () ->
+      Engine.run_process env.Scenario.engine (fun () ->
           let t0 = Engine.now env.Scenario.engine in
           for _ = 1 to repeats do
             q ()

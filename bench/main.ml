@@ -20,7 +20,6 @@ let experiments =
     ("e7", Experiments.e7);
     ("e8", Experiments.e8);
     ("e9", Experiments.e9);
-    ("e10", Micro.run);
     ("e11", Experiments.e11);
     ("e14", Chaos.run);
     ("e15", Compiled.run);

@@ -28,20 +28,6 @@ open Workload
 let threshold_pct = 5.0
 let reps = 15
 
-let in_process env f =
-  let cell = ref None in
-  Engine.spawn env.Scenario.engine (fun () -> cell := Some (f ()));
-  let rec go n =
-    match !cell with
-    | Some v -> v
-    | None ->
-      if n > 100_000 then failwith "simulation did not produce a result";
-      Engine.run env.Scenario.engine
-        ~until:(Engine.now env.Scenario.engine +. 1.0);
-      go (n + 1)
-  in
-  go 0
-
 let scale cap n = min n (max 10 cap)
 
 let cap () =
@@ -63,7 +49,7 @@ let update_workload ~trace () =
       ~annotation:(Scenario.ann_ex21 env.Scenario.vdp)
       ~config ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   let rng = Datagen.state 11 in
   List.iter
     (fun (src, rel) ->
@@ -91,11 +77,11 @@ let query_workload ~trace () =
       ~annotation:(Scenario.ann_ex23 env.Scenario.vdp)
       ~config ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   let q () = ignore (Mediator.query med ~node:"T" ~attrs:[ "r1"; "r3" ] ()) in
-  in_process env q;
+  Engine.run_process env.Scenario.engine q;
   let t0 = Unix.gettimeofday () in
-  in_process env (fun () ->
+  Engine.run_process env.Scenario.engine (fun () ->
       for _ = 1 to repeats do
         q ()
       done);

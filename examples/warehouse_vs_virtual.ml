@@ -42,15 +42,13 @@ let run_squirrel name annotation_of ~updates ~queries =
         u_delete_fraction = 0.25;
         u_specs = Scenario.fig1_update_specs "R";
       };
-  let _records =
-    Driver.query_process ~rng ~med
-      {
-        Driver.q_node = "T";
-        q_interval = 0.4;
-        q_count = queries;
-        q_attr_sets = [ ([ "r1"; "s1" ], Relalg.Predicate.True) ];
-      }
-  in
+  Driver.query_process ~rng ~med
+    {
+      Driver.q_node = "T";
+      q_interval = 0.4;
+      q_count = queries;
+      q_attr_sets = [ ([ "r1"; "s1" ], Relalg.Predicate.True) ];
+    };
   Scenario.run_to_quiescence env med;
   let s = Mediator.stats med in
   {

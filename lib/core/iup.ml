@@ -216,11 +216,11 @@ let run (t : Med.t) =
           Med.after_batch t entries ~staged:!to_apply
             ~affected:(Hashtbl.fold (fun n () acc -> n :: acc) affected [])
         in
-        (* mediator-as-source: surface the export relations' deltas to
-           downstream subscribers (the federation coordinator) now that
-           the tables reflect them *)
-        if t.Med.export_subs <> [] then begin
-          let ee_deltas =
+        (* the batch's record, emitted before the compute charge: a
+           subscribed mirror commits at the instant the store changed *)
+        let ut_exports =
+          if t.Med.subscribers = [] then []
+          else
             List.filter_map
               (fun (n : Graph.node) ->
                 match Hashtbl.find_opt deltas_tbl n.Graph.name with
@@ -228,15 +228,17 @@ let run (t : Med.t) =
                   Some (n.Graph.name, d)
                 | _ -> None)
               (Graph.exports t.Med.vdp)
-          in
-          Med.notify_exports t
-            (Med.Export_delta
-               {
-                 ee_time = Engine.now t.Med.engine;
-                 ee_reflect = Ledger.reflect_vector t.Med.ledger;
-                 ee_deltas;
-               })
-        end;
+        in
+        Med.emit t
+          (Med.Update_tx
+             {
+               ut_time = Engine.now t.Med.engine;
+               ut_reflect = Ledger.reflect_vector t.Med.ledger;
+               ut_atoms = Multi_delta.atom_count delta;
+               ut_txs = List.length entries;
+               ut_intervals = intervals;
+               ut_exports;
+             });
         Obs.Metrics.incr t.Med.stats.Med.update_txs;
         Obs.Metrics.add t.Med.stats.Med.coalesced_txs (List.length entries);
         Obs.Metrics.add t.Med.stats.Med.annihilated_pairs annihilated;
@@ -254,15 +256,6 @@ let run (t : Med.t) =
         Obs.Trace.set_attr trace tx_sp "outcome" "applied";
         Obs.Metrics.observe t.Med.stats.Med.update_tx_time
           (Engine.now t.Med.engine -. tx_start);
-        Med.log_event t
-          (Med.Update_tx
-             {
-               ut_time = Engine.now t.Med.engine;
-               ut_reflect = Ledger.reflect_vector t.Med.ledger;
-               ut_atoms = Multi_delta.atom_count delta;
-               ut_txs = List.length entries;
-               ut_intervals = intervals;
-             });
         true
         with (Med.Poll_failed _ | Med.Desync _) as exn ->
           (* abort: put the work back untouched (no table was modified

@@ -68,6 +68,7 @@ type event =
       ut_atoms : int;
       ut_txs : int;
       ut_intervals : (string * (int * int)) list;
+      ut_exports : (string * Rel_delta.t) list;
     }
   | Query_tx of {
       qt_time : float;
@@ -173,14 +174,6 @@ let fresh_stats () =
     queue_depth = Obs.Metrics.gauge m "queue_depth";
   }
 
-type export_event =
-  | Export_delta of {
-      ee_time : float;
-      ee_reflect : (string * int) list;
-      ee_deltas : (string * Rel_delta.t) list;
-    }
-  | Export_snapshot of { es_time : float }
-
 type leaf_parent = {
   lp_node : string;
   lp_leaf : string;
@@ -231,7 +224,7 @@ type t = {
   mutable log : event list;
   mutable initialized : bool;
   derived : derived;
-  mutable export_subs : (export_event -> unit) list;
+  mutable subscribers : (event -> unit) list;
 }
 
 exception Mediator_error of string
@@ -563,7 +556,7 @@ let create ~engine ~vdp ~annotation ?(config = Config.default) ~sources () =
         build_derived vdp annotation
           ~key_based:config.Config.key_based_enabled
           ~kinds:(Ledger.contributor_kind ledger) ~tables;
-      export_subs = [];
+      subscribers = [];
     }
   in
   t
@@ -572,16 +565,6 @@ let source t name =
   match Hashtbl.find_opt t.source_tbl name with
   | Some s -> s
   | None -> err "no source %S" name
-
-(* Mediator-as-source (the paper's composability claim): downstream
-   tiers — the federation coordinator in particular — subscribe to
-   learn when export relations changed (post-apply deltas) or were
-   rebuilt wholesale (resync snapshot), without reaching into the
-   transaction internals. Subscribers run synchronously inside the
-   transaction and must not block. *)
-let subscribe_exports t f = t.export_subs <- t.export_subs @ [ f ]
-
-let notify_exports t ev = List.iter (fun f -> f ev) t.export_subs
 
 let export_schemas t =
   List.map (fun n -> (n.Graph.name, n.Graph.schema)) (Graph.exports t.vdp)
@@ -675,7 +658,15 @@ let cache_serve t ~node ~attrs ~cond serve =
        else t.stats.cache_misses);
     served
 
-let log_event t e = t.log <- e :: t.log
+(* One record per transaction: the checker's log and every subscriber
+   read the same event. The initialization snapshot is logged but
+   reaches no subscriber, which starts from a full read anyway. *)
+let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
+
+let emit t e =
+  t.log <- e :: t.log;
+  if t.initialized then List.iter (fun f -> f e) t.subscribers
+
 let events t = List.rev t.log
 
 let charge_ops t kind ops =

@@ -3,8 +3,9 @@
     A mediator owns: the annotated VDP, the local store (materialized
     portions of VDP nodes + ΔR repositories), the Sec. 6.1 {!Ledger}
     (the incremental update queue, [ref'] in executable form, the seen
-    versions, dirty marks and the answer cache), a transaction log for
-    the correctness checker, and counters. The ledger decides; the
+    versions, dirty marks and the answer cache), the stream of its
+    transactions ({!event}) for the checker and subscribers, and
+    counters. The ledger decides; the
     transitions here record what it decided. The processors ({!Vap},
     {!Iup}, {!Qp}) operate over this state; user code goes through
     {!Mediator}. *)
@@ -138,6 +139,11 @@ type event =
           (** per advanced source, the version interval [(from, to]]
               the batch covered in one jump; the checker verifies the
               intervals of successive events never overlap *)
+      ut_exports : (string * Rel_delta.t) list;
+          (** the batch's non-empty full-width export deltas, in
+              {!Vdp.Graph.exports} order, for a downstream consumer's
+              copy of the exports (the paper's composability claim);
+              [[]] for a snapshot and while nobody has {!subscribe}d *)
     }
   | Query_tx of {
       qt_time : float;
@@ -156,6 +162,9 @@ type event =
               can be ({!answer_bound}); the checker verifies measured
               staleness never exceeds it *)
     }
+(** One record per mediator transaction (Sec. 3): an applied batch or,
+    with [ut_txs = 0], a snapshot rebuild; or a served answer. The
+    checker replays them ({!events}); consumers {!subscribe}. *)
 
 type stats = {
   registry : Obs.Metrics.t;
@@ -229,24 +238,6 @@ type stats = {
       (** update-queue depth, held-back entries included, after the
           latest enqueue or batch take *)
 }
-
-type export_event =
-  | Export_delta of {
-      ee_time : float;
-      ee_reflect : (string * int) list;
-          (** source versions the export relations reflect after the
-              transaction — the announcement version a downstream
-              consumer would chain on *)
-      ee_deltas : (string * Rel_delta.t) list;
-          (** non-empty full-width deltas of export nodes, in
-              {!Vdp.Graph.exports} order *)
-    }
-  | Export_snapshot of { es_time : float }
-      (** the store was rebuilt wholesale (resync): any derived state a
-          consumer holds over the exports is void and must re-read *)
-(** What a downstream consumer of this mediator's export relations —
-    another mediator, per the paper's composability claim — observes:
-    the change stream of the exports. *)
 
 type leaf_parent = {
   lp_node : string;
@@ -337,8 +328,8 @@ type t = {
   mutable log : event list;  (** newest first *)
   mutable initialized : bool;
   derived : derived;
-  mutable export_subs : (export_event -> unit) list;
-      (** mediator-as-source consumers, notified in subscription order *)
+  mutable subscribers : (event -> unit) list;
+      (** what {!subscribe} registered, called in subscription order *)
 }
 
 exception Mediator_error of string
@@ -381,15 +372,6 @@ val create :
     or a leaf's schema disagrees with the source's. *)
 
 val source : t -> string -> Source_db.t
-
-val subscribe_exports : t -> (export_event -> unit) -> unit
-(** Register a consumer of the export change stream ({!export_event}).
-    Subscribers run synchronously inside the producing transaction (in
-    subscription order) and must not block. *)
-
-val notify_exports : t -> export_event -> unit
-(** Deliver an event to every subscriber — called by the IUP after its
-    apply phase and by {!Resync.snapshot}. *)
 
 val export_schemas : t -> (string * Schema.t) list
 (** The export relations this mediator offers downstream, with their
@@ -455,7 +437,18 @@ val cache_serve :
     always [None], counting nothing, when the config disables the
     cache. *)
 
-val log_event : t -> event -> unit
+(** {1 The transaction stream} *)
+
+val subscribe : t -> (event -> unit) -> unit
+(** Register a consumer of every event {!emit} records after
+    initialization. It runs synchronously inside the transaction, in
+    subscription order, and must not block. *)
+
+val emit : t -> event -> unit
+(** Append to {!events} and, once [initialized], call the subscribers.
+    The IUP emits a batch right after its apply phase, before
+    {!charge_ops}, so [ut_time] is the instant the tables changed. *)
+
 val events : t -> event list
 (** Chronological. *)
 

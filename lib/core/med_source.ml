@@ -33,7 +33,7 @@ let create ?name (child : Med.t) =
   if not child.Med.initialized then
     Med.err
       "mediator-as-source: initialize the child before wrapping it (its \
-       initialization snapshot publishes no export event)";
+       initialization snapshot reaches no subscriber)";
   (match exports with
   | [] -> Med.err "mediator-as-source: the child exports no relations"
   | _ -> ());
@@ -61,16 +61,17 @@ let create ?name (child : Med.t) =
       | Some bag -> Source_db.load ms_db node bag
       | None -> ())
     exports;
-  Med.subscribe_exports child (function
-    | Med.Export_delta { ee_deltas; _ } ->
+  Med.subscribe child (function
+    | Med.Update_tx { ut_txs = 0; _ } ->
+      (* the child rebuilt its store: one computed delta brings the
+         mirror to the rebuilt state *)
+      commit_nonempty t (drift t)
+    | Med.Update_tx { ut_exports; _ } ->
       (* one child update transaction = one mirror version; commit is
-         non-blocking, as export subscribers must be *)
+         non-blocking, as subscribers must be *)
       commit_nonempty t
         (List.fold_left
            (fun acc (node, d) -> Multi_delta.add acc node d)
-           Multi_delta.empty ee_deltas)
-    | Med.Export_snapshot _ ->
-      (* the child rebuilt its store: one computed delta brings the
-         mirror to the rebuilt state *)
-      commit_nonempty t (drift t));
+           Multi_delta.empty ut_exports)
+    | Med.Query_tx _ -> ());
   t

@@ -4,17 +4,19 @@
     over shard exports, tiers of mediators, etc.).
 
     The mirror's relations are the child's export schemas. Its version
-    0 is the child's export state at {!create}, and the child's export
-    change stream keeps it exact from then on:
+    0 is the child's export state at {!create}, and the child's
+    transaction stream ({!Med.subscribe}) keeps it exact from then on:
 
     {ul
-    {- every {!Med.Export_delta} the child publishes after an update
-       transaction is committed to the mirror — one child update
-       transaction, one source version, announced immediately over the
-       mirror's FIFO channel like any other source commit;}
-    {- an {!Med.Export_snapshot} (the child resynced and rebuilt its
-       store wholesale) commits the single computed delta that brings
-       the mirror to the child's rebuilt export state.}}
+    {- the export deltas ([ut_exports]) of every batch the child
+       applies are committed to the mirror at the instant the child's
+       tables changed — one child update transaction, one source
+       version, announced immediately over the mirror's FIFO channel
+       like any other source commit;}
+    {- a snapshot ([Update_tx] with [ut_txs = 0]: the child resynced
+       and rebuilt its store wholesale) commits the single computed
+       delta that brings the mirror to the child's rebuilt export
+       state.}}
 
     The child's exports must be fully materialized — a virtual export
     has no store contents to mirror, and {!create} rejects it.

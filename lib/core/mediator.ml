@@ -215,7 +215,7 @@ let freshness_bound (t : Med.t) ~node =
           profile s ))
     sources
 
-let subscribe_exports = Med.subscribe_exports
+let subscribe = Med.subscribe
 let process_updates = Iup.update_transaction
 
 let annotation (t : Med.t) = t.Med.ann

@@ -135,10 +135,10 @@ val process_updates : t -> bool
     themselves serve as sources to another tier (the federation
     coordinator in [lib/fed]). *)
 
-val subscribe_exports : t -> (Med.export_event -> unit) -> unit
-(** Observe the change stream of the export relations: post-apply
-    deltas after every update transaction, and snapshot markers after
-    resync rebuilds. See {!Med.subscribe_exports}. *)
+val subscribe : t -> (Med.event -> unit) -> unit
+(** Observe the events {!events} gains after {!initialize}, as they
+    happen: a batch's [Update_tx] carries its export deltas
+    ([ut_exports]), a resync's has [ut_txs = 0]. See {!Med.subscribe}. *)
 
 (** {1 Introspection} *)
 

@@ -425,7 +425,7 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
       let needed = dedup (attrs @ Predicate.attrs cond) in
       (* the one record of a served query, cache hit or computed:
          count it, charge its ops (which advances the simulated clock
-         before the histogram reads it), time it, and log it with its
+         before the histogram reads it), time it, and emit it with its
          reflect vector and bound *)
       let record ~stale ~bound ~polled ~trace_id answer =
         Obs.Metrics.incr t.Med.stats.Med.query_txs;
@@ -434,7 +434,7 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
         Obs.Metrics.observe t.Med.stats.Med.query_tx_time
           (Engine.now t.Med.engine -. tx_start);
         let reflect = reflect_vector t ~polled in
-        Med.log_event t
+        Med.emit t
           (Med.Query_tx
              {
                qt_time = Engine.now t.Med.engine;

@@ -80,7 +80,7 @@ let snapshot ?(trigger = "init") (t : Med.t) =
         Table.load table (if shared_elsewhere node b then Bag.copy b else b)
       | None -> ())
     (Graph.topo_order t.Med.vdp);
-  Med.log_event t
+  Med.emit t
     (Med.Update_tx
        {
          ut_time = Engine.now t.Med.engine;
@@ -88,13 +88,8 @@ let snapshot ?(trigger = "init") (t : Med.t) =
          ut_atoms = 0;
          ut_txs = 0;
          ut_intervals = [];
-       });
-  (* mediator-as-source: the exports were rebuilt wholesale, so any
-     downstream state derived from their change stream is void. The
-     initialization snapshot is exempt — subscribers start from a full
-     read anyway, so only post-init rebuilds are change events. *)
-  if t.Med.initialized then
-    Med.notify_exports t (Med.Export_snapshot { es_time = Engine.now t.Med.engine }))
+         ut_exports = [];
+       }))
 
 let resync_if_dirty (t : Med.t) =
   match Ledger.dirty_sources t.Med.ledger with

@@ -16,9 +16,9 @@ val snapshot : ?trigger:string -> Med.t -> unit
     complete {e before} any mediator state mutates, so a failure
     ([Med.Poll_failed]) leaves the previous consistent state intact.
     Caller must hold the mediator mutex (or be initializing). Clears
-    the dirty set and logs an [Update_tx] marking the new reflect
-    vector. Records a ["snapshot"] span whose [trigger] attribute
-    (default ["init"]) names what forced it. *)
+    the dirty set and emits ({!Med.emit}) an [Update_tx] with [ut_txs =
+    0] marking the new reflect vector. Records a ["snapshot"] span whose
+    [trigger] attribute (default ["init"]) names what forced it. *)
 
 val resync_if_dirty : Med.t -> unit
 (** {!snapshot} when any source is marked dirty (counted in

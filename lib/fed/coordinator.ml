@@ -74,11 +74,11 @@ let create ~engine ~vdp ~key ~shards ~make_sources
         ~sources:(List.map Adapter.db sources) ()
     in
     Mediator.connect med ();
-    (* mediator-as-source: each shard's export change stream drives the
-       coordinator's resync bookkeeping *)
-    Mediator.subscribe_exports med (function
-      | Med.Export_delta _ -> ()
-      | Med.Export_snapshot _ -> Obs.Metrics.incr t.f_shard_resyncs);
+    (* each shard's transaction stream drives the coordinator's resync
+       bookkeeping: a snapshot after initialization is a resync *)
+    Mediator.subscribe med (function
+      | Med.Update_tx { ut_txs = 0; _ } -> Obs.Metrics.incr t.f_shard_resyncs
+      | Med.Update_tx _ | Med.Query_tx _ -> ());
     {
       sh_id = i;
       sh_sources =

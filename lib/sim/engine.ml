@@ -80,6 +80,23 @@ let suspend register =
 
 let sleep t duration = suspend (fun resume -> schedule t ~delay:duration resume)
 
+(* Drive one process to completion from outside the simulation: run
+   the engine a time unit at a time until [f] returns, leaving whatever
+   else is queued (a flusher, a heartbeat) in place. *)
+let run_process t f =
+  let result = ref None in
+  spawn t (fun () -> result := Some (f ()));
+  let rec go slices =
+    match !result with
+    | Some v -> v
+    | None ->
+      if slices > 100_000 then
+        failwith "Engine.run_process: the process did not return";
+      run t ~until:(t.clock +. 1.0);
+      go (slices + 1)
+  in
+  go 0
+
 module Ivar = struct
   type 'a state = Empty of (unit -> unit) list | Full of 'a
 

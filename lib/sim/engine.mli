@@ -39,6 +39,13 @@ val run : ?until:float -> t -> unit
     clock would pass [until]; remaining events stay queued and the
     clock is left at [until]). *)
 
+val run_process : t -> (unit -> 'a) -> 'a
+(** [run_process t f] spawns [f] and runs the engine in slices of one
+    time unit until [f] returns, then returns its result; events still
+    queued (other processes' timers) stay queued. For driving a
+    simulation from outside any process: a test, a benchmark.
+    @raise Failure when [f] has not returned after 100,000 slices. *)
+
 val pending : t -> int
 (** Number of queued events. *)
 

@@ -42,18 +42,8 @@ type query_load = {
       (** each query picks one (projection, condition) uniformly *)
 }
 
-type query_record = {
-  qr_time : float;
-  qr_attrs : string list;
-  qr_answer : Bag.t;
-}
-
 val query_process :
-  ?start:float ->
-  rng:Random.State.t ->
-  med:Mediator.t ->
-  query_load ->
-  query_record list ref
+  ?start:float -> rng:Random.State.t -> med:Mediator.t -> query_load -> unit
 (** Spawn the querying process (first query one interval after
-    [start], default 0); the returned cell accumulates answers (newest
-    first). *)
+    [start], default 0). Each answer is recorded once, as the
+    mediator's [Query_tx] ({!Mediator.events}). *)

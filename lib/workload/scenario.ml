@@ -505,14 +505,13 @@ let run_load ?extra ~rng env med ~updates ~queries:(node, attr_sets) load =
   spawn_updates env ~rng updates load;
   Option.iter (fun f -> f env) extra;
   if load.l_queries > 0 then
-    ignore
-      (Driver.query_process ~rng ~med
-         {
-           Driver.q_node = node;
-           q_interval = load.l_query_interval;
-           q_count = load.l_queries;
-           q_attr_sets = attr_sets;
-         });
+    Driver.query_process ~rng ~med
+      {
+        Driver.q_node = node;
+        q_interval = load.l_query_interval;
+        q_count = load.l_queries;
+        q_attr_sets = attr_sets;
+      };
   run_to_quiescence env med;
   (* a query stream that outlasts the updates can leave the mediator
      quiet before its last query is posted *)

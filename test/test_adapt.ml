@@ -9,20 +9,6 @@ open Squirrel
 open Correctness
 open Workload
 
-let in_process env f =
-  let cell = ref None in
-  Engine.spawn env.Scenario.engine (fun () -> cell := Some (f ()));
-  let rec go n =
-    match !cell with
-    | Some v -> v
-    | None ->
-      if n > 100_000 then Alcotest.fail "no result";
-      Engine.run env.Scenario.engine
-        ~until:(Engine.now env.Scenario.engine +. 1.0);
-      go (n + 1)
-  in
-  go 0
-
 let check_consistent env med ~what =
   let report =
     Checker.check ~vdp:env.Scenario.vdp ~sources:env.Scenario.sources
@@ -118,7 +104,7 @@ let selfmaint_zero_polls () =
   let run ann_of =
     let env = Scenario.make_fig1 ~seed:13 () in
     let med = Scenario.mediator env ~annotation:(ann_of env.Scenario.vdp) () in
-    in_process env (fun () -> Mediator.initialize med);
+    Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
     let s = Mediator.stats med in
     let polls0 = Obs.Metrics.value s.Med.polls in
     burst env med (Datagen.state 131) 15;

@@ -10,29 +10,6 @@ open Squirrel
 open Baselines
 open Workload
 
-let in_process env f =
-  let cell = ref None in
-  Engine.spawn env.Scenario.engine (fun () -> cell := Some (f ()));
-  let rec go n =
-    match !cell with
-    | Some v -> v
-    | None ->
-      if n > 100_000 then Alcotest.fail "no result";
-      Engine.run env.Scenario.engine
-        ~until:(Engine.now env.Scenario.engine +. 1.0);
-      go (n + 1)
-  in
-  go 0
-
-let recompute env node =
-  let env_fn leaf =
-    match Graph.node_opt env.Scenario.vdp leaf with
-    | Some { Graph.kind = Graph.Leaf { source }; _ } ->
-      Some (Adapter.current (Scenario.source env source) leaf)
-    | Some _ | None -> None
-  in
-  Eval.eval ~env:env_fn (Graph.expanded_def env.Scenario.vdp node)
-
 let test_shipper_matches_recompute () =
   let env = Scenario.make_fig1 () in
   let shipper =
@@ -40,8 +17,8 @@ let test_shipper_matches_recompute () =
       ~sources:env.Scenario.sources ()
   in
   Query_shipper.connect shipper ();
-  let answer = in_process env (fun () -> Query_shipper.query shipper ~node:"T" ()) in
-  Tutil.check_bag "shipper = recompute" (recompute env "T") answer;
+  let answer = Engine.run_process env.Scenario.engine (fun () -> Query_shipper.query shipper ~node:"T" ()) in
+  Tutil.check_bag "shipper = recompute" (Tutil.recompute env "T") answer;
   let stats = Query_shipper.stats shipper in
   Alcotest.(check int) "one poll per source" 2 stats.Query_shipper.sq_polls;
   Alcotest.(check bool)
@@ -70,8 +47,8 @@ let test_shipper_always_current () =
       ]
   in
   Adapter.commit db1 (Driver.single_insert db1 "R" fresh);
-  let answer = in_process env (fun () -> Query_shipper.query shipper ~node:"T" ()) in
-  Tutil.check_bag "reflects the commit" (recompute env "T") answer;
+  let answer = Engine.run_process env.Scenario.engine (fun () -> Query_shipper.query shipper ~node:"T" ()) in
+  Tutil.check_bag "reflects the commit" (Tutil.recompute env "T") answer;
   Alcotest.(check bool)
     "new row visible" true
     (List.exists
@@ -85,7 +62,7 @@ let test_shipper_differential_vs_squirrel () =
   let med =
     Scenario.mediator env ~annotation:(Scenario.ann_ex51 env.Scenario.vdp) ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   let shipper =
     Query_shipper.create ~engine:env.Scenario.engine ~vdp:env.Scenario.vdp
       ~sources:env.Scenario.sources ()
@@ -110,11 +87,11 @@ let test_shipper_differential_vs_squirrel () =
   List.iter
     (fun node ->
       let squirrel_answer =
-        in_process env (fun () -> (Mediator.query med ~node ()).Qp.tuples)
+        Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node ()).Qp.tuples)
       in
       Tutil.check_bag
         (node ^ ": Squirrel agrees with ground truth at quiescence")
-        (recompute env node) squirrel_answer)
+        (Tutil.recompute env node) squirrel_answer)
     [ "E"; "G" ]
 
 let test_warehouse_annotation_shape () =
@@ -134,7 +111,7 @@ let test_warehouse_runs_correctly () =
       ~annotation:(Annotations.warehouse env.Scenario.vdp)
       ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   let db1 = Scenario.source env "db1" in
   let fresh =
     Tuple.of_list
@@ -147,8 +124,8 @@ let test_warehouse_runs_correctly () =
   in
   Adapter.commit db1 (Driver.single_insert db1 "R" fresh);
   Scenario.run_to_quiescence env med;
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-  Tutil.check_bag "warehouse maintains T" (recompute env "T") answer;
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "warehouse maintains T" (Tutil.recompute env "T") answer;
   Alcotest.(check bool)
     "maintenance required polling (aux virtual)" true
     (Source_db.polls_served (Adapter.db (Scenario.source env "db2")) > 1)
@@ -160,9 +137,9 @@ let test_virtual_annotation_runs_correctly () =
       ~annotation:(Annotation.fully_virtual env.Scenario.vdp)
       ()
   in
-  in_process env (fun () -> Mediator.initialize med);
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-  Tutil.check_bag "fully virtual Squirrel = recompute" (recompute env "T") answer;
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "fully virtual Squirrel = recompute" (Tutil.recompute env "T") answer;
   Alcotest.(check int)
     "nothing stored" 0
     (Mediator.store_bytes med)

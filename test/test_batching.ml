@@ -23,20 +23,6 @@ open Delta
 open Correctness
 open Workload
 
-let in_process env f =
-  let cell = ref None in
-  Engine.spawn env.Scenario.engine (fun () -> cell := Some (f ()));
-  let rec go n =
-    match !cell with
-    | Some v -> v
-    | None ->
-      if n > 100_000 then Alcotest.fail "no result";
-      Engine.run env.Scenario.engine
-        ~until:(Engine.now env.Scenario.engine +. 1.0);
-      go (n + 1)
-  in
-  go 0
-
 let random_annotation rng vdp =
   Annotation.of_list vdp
     (List.map
@@ -127,7 +113,7 @@ let run_once sc ~seed ~max_batch =
       ~config:(Med.Config.make ~max_batch ())
       ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   let drv_rng = Datagen.state ((seed * 7) + 1) in
   List.iter
     (fun (src_name, rel) ->
@@ -147,20 +133,19 @@ let run_once sc ~seed ~max_batch =
   List.iter
     (fun node ->
       let schema = (Graph.node env.Scenario.vdp node).Graph.schema in
-      ignore
-        (Driver.query_process ~rng:qry_rng ~med
-           {
-             Driver.q_node = node;
-             q_interval = 0.61;
-             q_count = 4;
-             q_attr_sets = [ (Schema.attrs schema, Predicate.True) ];
-           }))
+      Driver.query_process ~rng:qry_rng ~med
+        {
+          Driver.q_node = node;
+          q_interval = 0.61;
+          q_count = 4;
+          q_attr_sets = [ (Schema.attrs schema, Predicate.True) ];
+        })
     sc.f_exports;
   Scenario.run_to_quiescence env med;
   Tutil.check_store env med
     ~what:(Printf.sprintf "%s seed %d (max_batch %d)" sc.f_name seed max_batch);
   let answers =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         List.map
           (fun n -> (n, (Mediator.query med ~node:n ()).Qp.tuples))
           sc.f_exports)

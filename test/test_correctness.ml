@@ -273,6 +273,7 @@ let test_monotone_drop_readd () =
         ut_atoms = 0;
         ut_txs = 1;
         ut_intervals = [];
+        ut_exports = [];
       }
   in
   let events =

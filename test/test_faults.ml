@@ -3,34 +3,10 @@
    answers, and transient outages are survived by poll retry. *)
 
 open Relalg
-open Vdp
 open Sim
 open Sources
 open Squirrel
 open Workload
-
-let in_process env f =
-  let cell = ref None in
-  Engine.spawn env.Scenario.engine (fun () -> cell := Some (f ()));
-  let rec go n =
-    match !cell with
-    | Some v -> v
-    | None ->
-      if n > 100_000 then Alcotest.fail "simulation did not produce a result";
-      Engine.run env.Scenario.engine
-        ~until:(Engine.now env.Scenario.engine +. 1.0);
-      go (n + 1)
-  in
-  go 0
-
-let recompute env node =
-  let env_fn leaf =
-    match Graph.node_opt env.Scenario.vdp leaf with
-    | Some { Graph.kind = Graph.Leaf { source }; _ } ->
-      Some (Adapter.current (Scenario.source env source) leaf)
-    | Some _ | None -> None
-  in
-  Eval.eval ~env:env_fn (Graph.expanded_def env.Scenario.vdp node)
 
 let fault_config =
   Med.Config.make ~poll_timeout:0.5 ~poll_retries:4 ~poll_backoff:0.5 ()
@@ -42,7 +18,7 @@ let setup ?(config = fault_config) () =
       ~annotation:(Scenario.ann_ex23 env.Scenario.vdp)
       ~config ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   (env, med)
 
 let commit_r env i =
@@ -76,11 +52,11 @@ let test_gap_triggers_resync_and_converges () =
   Alcotest.(check bool) "resync ran" true ((Obs.Metrics.value s.Med.resyncs) >= 1);
   Alcotest.(check (list string)) "dirty repaired" [] (Ledger.dirty_sources med.Med.ledger);
   let answer =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         (Mediator.query med ~node:"T" ~attrs:[ "r1"; "s1" ] ()).Qp.tuples)
   in
   Tutil.check_bag "view converged to the lost update"
-    (Bag.project [ "r1"; "s1" ] (recompute env "T"))
+    (Bag.project [ "r1"; "s1" ] (Tutil.recompute env "T"))
     answer
 
 let test_outage_degrades_to_stale_answer () =
@@ -91,7 +67,7 @@ let test_outage_degrades_to_stale_answer () =
   let now = Engine.now env.Scenario.engine in
   Source_db.set_outages (Adapter.db db1) [ (now, now +. 1000.0) ];
   let rich =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         Mediator.query med ~node:"T" ~attrs:[ "r1"; "r3" ] ())
   in
   (match rich.Qp.quality with
@@ -105,7 +81,7 @@ let test_outage_degrades_to_stale_answer () =
     "materialized attributes only" [ "r1" ]
     (Schema.attrs (Bag.schema rich.Qp.tuples));
   Tutil.check_bag "served from the store"
-    (Bag.project [ "r1" ] (recompute env "T"))
+    (Bag.project [ "r1" ] (Tutil.recompute env "T"))
     rich.Qp.tuples;
   let s = Mediator.stats med in
   Alcotest.(check bool) "poll budget exhausted" true ((Obs.Metrics.value s.Med.poll_failures) >= 1);
@@ -120,14 +96,14 @@ let test_retry_survives_transient_blackhole () =
   Source_db.set_outages (Adapter.db db1) ~mode:Source_db.Black_hole
     [ (now, now +. 0.3) ];
   let rich =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         Mediator.query med ~node:"T" ~attrs:[ "r1"; "r3" ] ())
   in
   (match rich.Qp.quality with
   | Qp.Fresh -> ()
   | Qp.Stale _ -> Alcotest.fail "retry should have produced a fresh answer");
   Tutil.check_bag "fresh answer after retry"
-    (Bag.project [ "r1"; "r3" ] (recompute env "T"))
+    (Bag.project [ "r1"; "r3" ] (Tutil.recompute env "T"))
     rich.Qp.tuples;
   let s = Mediator.stats med in
   Alcotest.(check bool) "a retry happened" true ((Obs.Metrics.value s.Med.poll_retries) >= 1);

@@ -13,19 +13,6 @@ open Fed
 
 let diff_config = Med.Config.make ~op_time:0.0 ()
 
-let in_process engine f =
-  let cell = ref None in
-  Engine.spawn engine (fun () -> cell := Some (f ()));
-  let rec go n =
-    match !cell with
-    | Some v -> v
-    | None ->
-      if n > 100_000 then Alcotest.fail "simulation did not produce a result";
-      Engine.run engine ~until:(Engine.now engine +. 1.0);
-      go (n + 1)
-  in
-  go 0
-
 (* --- merge: meet-semilattice laws ------------------------------------- *)
 
 let entry_gen =
@@ -324,10 +311,11 @@ let test_export_stream () =
   let items, tags = Fed_scenario.base_bags ~seed:1 ~keys:50 ~groups:4 in
   load_sources sources items tags;
   let deltas = ref [] and snapshots = ref 0 in
-  Mediator.subscribe_exports med (function
-    | Med.Export_delta { ee_deltas; ee_reflect; _ } ->
-      deltas := (List.map fst ee_deltas, List.map fst ee_reflect) :: !deltas
-    | Med.Export_snapshot _ -> incr snapshots);
+  Mediator.subscribe med (function
+    | Med.Update_tx { ut_txs = 0; _ } -> incr snapshots
+    | Med.Update_tx { ut_exports; ut_reflect; _ } ->
+      deltas := (List.map fst ut_exports, List.map fst ut_reflect) :: !deltas
+    | Med.Query_tx _ -> ());
   Engine.spawn engine (fun () -> Mediator.initialize med);
   Engine.run engine ~until:1.0;
   Alcotest.(check (list string))
@@ -386,10 +374,10 @@ let test_fed_order_preservation () =
   in
   let engine, fed = make_fed ~shards:1 spec in
   let fed_query node =
-    in_process engine (fun () -> Coordinator.query fed ~node ())
+    Engine.run_process engine (fun () -> Coordinator.query fed ~node ())
   in
   let route d =
-    in_process engine (fun () ->
+    Engine.run_process engine (fun () ->
         Coordinator.commit fed (Delta.Multi_delta.singleton "Items" d));
     Coordinator.run_to_quiescence fed
   in
@@ -403,7 +391,7 @@ let test_fed_order_preservation () =
   route (Delta.Rel_delta.insert items (item 64 (Fed_scenario.hot_threshold - 1)));
   let enriched = fed_query "Enriched" in
   let own =
-    in_process engine (fun () ->
+    Engine.run_process engine (fun () ->
         Mediator.query (Coordinator.mediator fed 0) ~node:"Hot" ())
   in
   let hot = fed_query "Hot" in

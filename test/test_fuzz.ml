@@ -14,29 +14,6 @@ open Squirrel
 open Correctness
 open Workload
 
-let in_process env f =
-  let cell = ref None in
-  Engine.spawn env.Scenario.engine (fun () -> cell := Some (f ()));
-  let rec go n =
-    match !cell with
-    | Some v -> v
-    | None ->
-      if n > 100_000 then Alcotest.fail "no result";
-      Engine.run env.Scenario.engine
-        ~until:(Engine.now env.Scenario.engine +. 1.0);
-      go (n + 1)
-  in
-  go 0
-
-let recompute env node =
-  let env_fn leaf =
-    match Graph.node_opt env.Scenario.vdp leaf with
-    | Some { Graph.kind = Graph.Leaf { source }; _ } ->
-      Some (Adapter.current (Scenario.source env source) leaf)
-    | Some _ | None -> None
-  in
-  Eval.eval ~env:env_fn (Graph.expanded_def env.Scenario.vdp node)
-
 (* a uniformly random annotation over the VDP's non-leaf attributes *)
 let random_annotation rng vdp =
   Annotation.of_list vdp
@@ -95,7 +72,7 @@ let fuzz_once ?(announce = Source_db.Immediate) sc ~seed ~filtering =
   let annotation = random_annotation rng env.Scenario.vdp in
   let med = Scenario.mediator env ~annotation () in
   if filtering then Mediator.enable_source_filtering med;
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   let drv_rng = Datagen.state (seed * 7 + 1) in
   List.iter
     (fun (src_name, rel) ->
@@ -112,26 +89,25 @@ let fuzz_once ?(announce = Source_db.Immediate) sc ~seed ~filtering =
   List.iter
     (fun node ->
       let schema = (Graph.node env.Scenario.vdp node).Graph.schema in
-      ignore
-        (Driver.query_process ~rng:drv_rng ~med
-           {
-             Driver.q_node = node;
-             q_interval = 0.61;
-             q_count = 4;
-             q_attr_sets = [ (Schema.attrs schema, Predicate.True) ];
-           }))
+      Driver.query_process ~rng:drv_rng ~med
+        {
+          Driver.q_node = node;
+          q_interval = 0.61;
+          q_count = 4;
+          q_attr_sets = [ (Schema.attrs schema, Predicate.True) ];
+        })
     sc.f_exports;
   Scenario.run_to_quiescence env med;
   (* final answers vs ground truth, one query per export *)
   let answers =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         List.map
           (fun n -> (n, (Mediator.query med ~node:n ()).Qp.tuples))
           sc.f_exports)
   in
   List.iter
     (fun (node, answer) ->
-      if not (Bag.equal answer (recompute env node)) then
+      if not (Bag.equal answer (Tutil.recompute env node)) then
         Alcotest.failf "%s seed %d (%s): final %s diverges from recompute"
           sc.f_name seed
           (Annotation.to_string annotation)

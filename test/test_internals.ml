@@ -9,29 +9,12 @@ open Sim
 open Squirrel
 open Workload
 
-let drive env cell =
-  let rec go n =
-    match !cell with
-    | Some v -> v
-    | None ->
-      if n > 100_000 then Alcotest.fail "no result";
-      Engine.run env.Scenario.engine
-        ~until:(Engine.now env.Scenario.engine +. 1.0);
-      go (n + 1)
-  in
-  go 0
-
-let in_process env f =
-  let cell = ref None in
-  Engine.spawn env.Scenario.engine (fun () -> cell := Some (f ()));
-  drive env cell
-
 let setup annotation_of =
   let env = Scenario.make_fig1 ~seed:51 () in
   let med =
     Scenario.mediator env ~annotation:(annotation_of env.Scenario.vdp) ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   (env, med)
 
 (* --- VAP closure --------------------------------------------------------- *)
@@ -306,12 +289,12 @@ let test_channel_zero_delay_order () =
 let test_query_validation_errors () =
   let env, med = setup Scenario.ann_ex21 in
   (try
-     ignore (in_process env (fun () -> Mediator.query med ~node:"R'" ()));
+     ignore (Engine.run_process env.Scenario.engine (fun () -> Mediator.query med ~node:"R'" ()));
      Alcotest.fail "expected Mediator_error (non-export)"
    with Med.Mediator_error _ -> ());
   try
     ignore
-      (in_process env (fun () ->
+      (Engine.run_process env.Scenario.engine (fun () ->
            Mediator.query med ~node:"T" ~attrs:[ "nope" ] ()));
     Alcotest.fail "expected Mediator_error (bad attr)"
   with Med.Mediator_error _ -> ()

@@ -11,34 +11,6 @@ open Squirrel
 open Correctness
 open Workload
 
-(* drive the engine until a cell is filled *)
-let drive env cell =
-  let rec go n =
-    match !cell with
-    | Some v -> v
-    | None ->
-      if n > 100_000 then Alcotest.fail "simulation did not produce a result";
-      Engine.run env.Scenario.engine
-        ~until:(Engine.now env.Scenario.engine +. 1.0);
-      go (n + 1)
-  in
-  go 0
-
-let in_process env f =
-  let cell = ref None in
-  Engine.spawn env.Scenario.engine (fun () -> cell := Some (f ()));
-  drive env cell
-
-(* ground truth: the view recomputed from the sources' current states *)
-let recompute env node =
-  let env_fn leaf =
-    match Graph.node_opt env.Scenario.vdp leaf with
-    | Some { Graph.kind = Graph.Leaf { source }; _ } ->
-      Some (Adapter.current (Scenario.source env source) leaf)
-    | Some _ | None -> None
-  in
-  Eval.eval ~env:env_fn (Graph.expanded_def env.Scenario.vdp node)
-
 let check_consistent ?(expect = true) env med =
   let report =
     Checker.check ~vdp:env.Scenario.vdp ~sources:env.Scenario.sources
@@ -55,15 +27,15 @@ let setup_fig1 ?config annotation_of =
     Scenario.mediator env ~annotation:(annotation_of env.Scenario.vdp) ?config
       ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   (env, med)
 
 (* --- initialization --------------------------------------------------- *)
 
 let test_init_matches_direct () =
   let env, med = setup_fig1 Scenario.ann_ex21 in
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-  Tutil.check_bag "initial view = direct evaluation" (recompute env "T") answer;
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "initial view = direct evaluation" (Tutil.recompute env "T") answer;
   Alcotest.(check bool) "answer non-empty" false (Bag.is_empty answer)
 
 let test_init_reflect_logged () =
@@ -108,8 +80,8 @@ let test_ex21_incremental () =
   commit_fresh_r env ~r1:5001 ~r2:2 ~r3:8 ~r4:200;
   commit_fresh_s env ~s1:6000 ~s2:9 ~s3:10;
   Scenario.run_to_quiescence env med;
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-  Tutil.check_bag "incrementally maintained = recompute" (recompute env "T")
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "incrementally maintained = recompute" (Tutil.recompute env "T")
     answer;
   ignore (check_consistent env med)
 
@@ -122,8 +94,8 @@ let test_ex21_no_polling () =
     commit_fresh_r env ~r1:(7000 + i) ~r2:(i mod 40) ~r3:i ~r4:100
   done;
   Scenario.run_to_quiescence env med;
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-  Tutil.check_bag "maintained correctly" (recompute env "T") answer;
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "maintained correctly" (Tutil.recompute env "T") answer;
   Alcotest.(check int)
     "no polls beyond initialization" polls_after_init
     (Obs.Metrics.value (Mediator.stats med).Med.polls);
@@ -143,8 +115,8 @@ let test_ex21_deletions () =
   | victim :: _ -> Adapter.commit db1 (Driver.single_delete db1 "R" victim)
   | [] -> Alcotest.fail "expected a contributing row");
   Scenario.run_to_quiescence env med;
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-  Tutil.check_bag "deletion propagated" (recompute env "T") answer;
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "deletion propagated" (Tutil.recompute env "T") answer;
   ignore (check_consistent env med)
 
 (* --- Example 2.2: virtual auxiliary data ------------------------------- *)
@@ -162,8 +134,8 @@ let test_ex22_r_updates_no_polls () =
   Alcotest.(check int)
     "R updates processed without polling db1" polls0
     (Source_db.polls_served (Adapter.db db1));
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-  Tutil.check_bag "T maintained" (recompute env "T") answer;
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "T maintained" (Tutil.recompute env "T") answer;
   ignore (check_consistent env med)
 
 let test_ex22_s_update_polls_r () =
@@ -178,8 +150,8 @@ let test_ex22_s_update_polls_r () =
   Alcotest.(check bool)
     "db1 polled to process the S update" true
     (Source_db.polls_served (Adapter.db db1) > polls0);
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-  Tutil.check_bag "T maintained" (recompute env "T") answer;
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "T maintained" (Tutil.recompute env "T") answer;
   ignore (check_consistent env med)
 
 let test_eca_compensation_same_batch () =
@@ -191,8 +163,8 @@ let test_eca_compensation_same_batch () =
   commit_fresh_r env ~r1:9000 ~r2:777 ~r3:1 ~r4:100;
   commit_fresh_s env ~s1:777 ~s2:2 ~s3:3;
   Scenario.run_to_quiescence env med;
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-  Tutil.check_bag "cross term counted exactly once" (recompute env "T") answer;
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "cross term counted exactly once" (Tutil.recompute env "T") answer;
   ignore (check_consistent env med)
 
 let test_eca_ablation_breaks_consistency () =
@@ -201,10 +173,10 @@ let test_eca_ablation_breaks_consistency () =
   commit_fresh_r env ~r1:9100 ~r2:778 ~r3:1 ~r4:100;
   commit_fresh_s env ~s1:778 ~s2:2 ~s3:3;
   Scenario.run_to_quiescence env med;
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
   Alcotest.(check bool)
     "without ECA the answer is wrong" false
-    (Bag.equal (recompute env "T") answer);
+    (Bag.equal (Tutil.recompute env "T") answer);
   ignore (check_consistent ~expect:false env med)
 
 (* An S′ update reads only the R′ rows its join rule can match: the
@@ -216,7 +188,7 @@ let setup_fig1_sized ?config () =
     Scenario.mediator env ~annotation:(Scenario.ann_ex22 env.Scenario.vdp)
       ?config ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   (env, med)
 
 (* |σ_{r2=k} R′| at db1's current state *)
@@ -296,8 +268,8 @@ let test_ex22_s_update_polls_joining_rows () =
   Scenario.run_to_quiescence env med;
   check_one_restricted_poll med ~before ~rows "S′ insert";
   check_probed "S′ insert" ~before:vaps;
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-  Tutil.check_bag "T maintained" (recompute env "T") answer;
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "T maintained" (Tutil.recompute env "T") answer;
   ignore (check_consistent env med)
 
 (* initialization and an unconditioned query on the hybrid T of
@@ -306,8 +278,8 @@ let test_ex22_s_update_polls_joining_rows () =
 let test_unrestricted_polls_build_no_index () =
   let env, med = setup_fig1 Scenario.ann_ex23 in
   let polls0, _ = poll_counts med in
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-  Tutil.check_bag "T = recompute" (recompute env "T") answer;
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "T = recompute" (Tutil.recompute env "T") answer;
   Alcotest.(check bool) "the query polled" true (fst (poll_counts med) > polls0);
   Alcotest.(check (list (pair string string)))
     "db1: the declared indexes" [ ("R", "r1"); ("R", "r2") ] (indexed env "db1");
@@ -402,8 +374,8 @@ let test_ex22_restricted_poll_eca () =
       (Tutil.find_spans (Mediator.trace med) "eca")
   in
   Alcotest.(check (list string)) "ECA saw the queued R update" [ "3" ] unseen;
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-  Tutil.check_bag "T = recompute" (recompute env "T") answer;
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "T = recompute" (Tutil.recompute env "T") answer;
   ignore (check_consistent env med)
 
 (* A NaN constant equals itself in the closure's fixpoint: merging the
@@ -412,11 +384,11 @@ let test_nan_condition_closes () =
   let env, med = setup_fig1 Scenario.ann_ex23 in
   let cond = Predicate.(lt (attr "r3") (Const (Value.Float Float.nan))) in
   let answer =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         (Mediator.query med ~node:"T" ~attrs:[ "r3"; "s2" ] ~cond ()).Qp.tuples)
   in
   Tutil.check_bag "σ_{r3<nan} T"
-    (Bag.project [ "r3"; "s2" ] (Bag.select cond (recompute env "T")))
+    (Bag.project [ "r3"; "s2" ] (Bag.select cond (Tutil.recompute env "T")))
     answer
 
 (* --- Example 2.3: hybrid export, key-based construction ---------------- *)
@@ -425,11 +397,11 @@ let test_ex23_materialized_query_from_store () =
   let env, med = setup_fig1 Scenario.ann_ex23 in
   let polls0 = (Obs.Metrics.value (Mediator.stats med).Med.polls) in
   let answer =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         (Mediator.query med ~node:"T" ~attrs:[ "r1"; "s1" ] ()).Qp.tuples)
   in
   Tutil.check_bag "π(r1,s1) answered from the store"
-    (Bag.project [ "r1"; "s1" ] (recompute env "T"))
+    (Bag.project [ "r1"; "s1" ] (Tutil.recompute env "T"))
     answer;
   Alcotest.(check int) "no polls" polls0 (Obs.Metrics.value (Mediator.stats med).Med.polls);
   Alcotest.(check bool)
@@ -446,11 +418,11 @@ let test_ex23_virtual_attr_key_based () =
   and p2 = Source_db.polls_served (Adapter.db db2) in
   let cond = Predicate.(lt (attr "r3") (int 100)) in
   let answer =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         (Mediator.query med ~node:"T" ~attrs:[ "r3"; "s1" ] ~cond ()).Qp.tuples)
   in
   Tutil.check_bag "key-based answer correct"
-    (Bag.project [ "r3"; "s1" ] (Bag.select cond (recompute env "T")))
+    (Bag.project [ "r3"; "s1" ] (Bag.select cond (Tutil.recompute env "T")))
     answer;
   Alcotest.(check bool)
     "used key-based construction" true
@@ -469,11 +441,11 @@ let test_ex23_key_based_disabled_polls_both () =
   let db2 = Scenario.source env "db2" in
   let p2 = Source_db.polls_served (Adapter.db db2) in
   let answer =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         (Mediator.query med ~node:"T" ~attrs:[ "r3"; "s1" ] ()).Qp.tuples)
   in
   Tutil.check_bag "general construction also correct"
-    (Bag.project [ "r3"; "s1" ] (recompute env "T"))
+    (Bag.project [ "r3"; "s1" ] (Tutil.recompute env "T"))
     answer;
   Alcotest.(check bool)
     "general construction polls db2 too" true
@@ -487,10 +459,10 @@ let test_ex23_maintenance_with_updates () =
   done;
   Scenario.run_to_quiescence env med;
   let answer =
-    in_process env (fun () -> (Mediator.query med ~node:"T" ~attrs:[ "r1"; "s1" ] ()).Qp.tuples)
+    Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ~attrs:[ "r1"; "s1" ] ()).Qp.tuples)
   in
   Tutil.check_bag "hybrid T maintained under updates"
-    (Bag.project [ "r1"; "s1" ] (recompute env "T"))
+    (Bag.project [ "r1"; "s1" ] (Tutil.recompute env "T"))
     answer;
   ignore (check_consistent env med)
 
@@ -503,7 +475,7 @@ let test_ex23_maintenance_with_updates () =
 let test_ex23_point_query_keyed_polls () =
   let env, med = setup_fig1 Scenario.ann_ex23 in
   let k =
-    match Bag.support (recompute env "T") with
+    match Bag.support (Tutil.recompute env "T") with
     | t :: _ -> Tuple.get t "r1"
     | [] -> Alcotest.fail "T is empty"
   in
@@ -518,11 +490,11 @@ let test_ex23_point_query_keyed_polls () =
   in
   let scanned0 = scanned () in
   let answer =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         (Mediator.query med ~node:"T" ~attrs:[ "r3"; "s2" ] ~cond ()).Qp.tuples)
   in
   Tutil.check_bag "answer = recompute"
-    (Bag.project [ "r3"; "s2" ] (Bag.select cond (recompute env "T")))
+    (Bag.project [ "r3"; "s2" ] (Bag.select cond (Tutil.recompute env "T")))
     answer;
   let polls1, tuples1 = poll_counts med in
   Alcotest.(check int)
@@ -611,7 +583,7 @@ let test_probed_equals_scanned () =
           Scenario.mediator env
             ~annotation:(Scenario.ann_ex23 env.Scenario.vdp) ?config ()
         in
-        in_process env (fun () -> Mediator.initialize med);
+        Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
         (env, med)
       in
       let env_a, med_a = twin None in
@@ -624,7 +596,7 @@ let test_probed_equals_scanned () =
       (* an R row with a Null key joins T: its T row must survive the
          semijoin, which cannot name a Null key *)
       let s_key =
-        match Bag.support (recompute env_a "T") with
+        match Bag.support (Tutil.recompute env_a "T") with
         | t :: _ -> Tuple.get t "s1"
         | [] -> Alcotest.fail "T is empty"
       in
@@ -645,7 +617,7 @@ let test_probed_equals_scanned () =
         ignore (churn env_b rng_b ~round);
         Scenario.run_to_quiescence env_a med_a;
         Scenario.run_to_quiescence env_b med_b;
-        let t = recompute env_a "T" in
+        let t = Tutil.recompute env_a "T" in
         List.iteri
           (fun i attrs ->
             let ks =
@@ -669,7 +641,7 @@ let test_probed_equals_scanned () =
             let what = Printf.sprintf "seed %d round %d π(%s) σ(%s)" seed round
                 (String.concat "," attrs) (Format.asprintf "%a" Predicate.pp cond) in
             let ask env med cond =
-              in_process env (fun () ->
+              Engine.run_process env.Scenario.engine (fun () ->
                   (Mediator.query med ~node:"T" ~attrs ~cond ()).Qp.tuples)
             in
             let count med f = Obs.Metrics.value (f (Mediator.stats med)) in
@@ -691,7 +663,7 @@ let test_probed_equals_scanned () =
         Tutil.check_bag
           (Printf.sprintf "seed %d round %d: the Null-keyed row" seed round)
           (Bag.project [ "r1"; "r3"; "s1" ] (Bag.select cond t))
-          (in_process env_a (fun () ->
+          (Engine.run_process env_a.Scenario.engine (fun () ->
                (Mediator.query med_a ~node:"T" ~attrs:[ "r1"; "r3"; "s1" ] ~cond ())
                  .Qp.tuples));
         (* the parser's [or] builds the same key set, so a typed-in
@@ -710,7 +682,7 @@ let test_probed_equals_scanned () =
           let ops0 = Eval.tuple_ops () in
           Tutil.check_bag what
             (Bag.project [ "r1"; "s1" ] (Bag.select cond t))
-            (in_process env_a (fun () ->
+            (Engine.run_process env_a.Scenario.engine (fun () ->
                  (Mediator.query med_a ~node:"T" ~attrs:[ "r1"; "s1" ] ~cond ()).Qp.tuples));
           Alcotest.(check bool)
             (what ^ ": probed, not scanned") true
@@ -734,18 +706,18 @@ let setup_ex51 () =
       ~annotation:(Scenario.ann_ex51 env.Scenario.vdp)
       ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   (env, med)
 
 let test_ex51_init_and_queries () =
   let env, med = setup_ex51 () in
-  let g = in_process env (fun () -> (Mediator.query med ~node:"G" ()).Qp.tuples) in
-  Tutil.check_bag "G = πE − F" (recompute env "G") g;
+  let g = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"G" ()).Qp.tuples) in
+  Tutil.check_bag "G = πE − F" (Tutil.recompute env "G") g;
   let e_mat =
-    in_process env (fun () -> (Mediator.query med ~node:"E" ~attrs:[ "a1"; "b1" ] ()).Qp.tuples)
+    Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"E" ~attrs:[ "a1"; "b1" ] ()).Qp.tuples)
   in
   Tutil.check_bag "E's materialized attributes"
-    (Bag.project [ "a1"; "b1" ] (recompute env "E"))
+    (Bag.project [ "a1"; "b1" ] (Tutil.recompute env "E"))
     e_mat
 
 let test_ex51_maintenance () =
@@ -764,10 +736,10 @@ let test_ex51_maintenance () =
         })
     [ ("dbA", "A"); ("dbB", "B"); ("dbC", "C"); ("dbD", "D") ];
   Scenario.run_to_quiescence env med;
-  let g = in_process env (fun () -> (Mediator.query med ~node:"G" ()).Qp.tuples) in
-  Tutil.check_bag "G maintained through difference node" (recompute env "G") g;
-  let e = in_process env (fun () -> (Mediator.query med ~node:"E" ()).Qp.tuples) in
-  Tutil.check_bag "E (with virtual a2) queried correctly" (recompute env "E") e;
+  let g = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"G" ()).Qp.tuples) in
+  Tutil.check_bag "G maintained through difference node" (Tutil.recompute env "G") g;
+  let e = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"E" ()).Qp.tuples) in
+  Tutil.check_bag "E (with virtual a2) queried correctly" (Tutil.recompute env "E") e;
   ignore (check_consistent env med)
 
 let test_ex51_contributor_kinds () =
@@ -806,8 +778,8 @@ let test_federated_rename_end_to_end () =
       ()
   in
   Mediator.enable_source_filtering med;
-  in_process env (fun () -> Mediator.initialize med);
-  let all0 = in_process env (fun () -> (Mediator.query med ~node:"AllOrders" ()).Qp.tuples) in
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
+  let all0 = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"AllOrders" ()).Qp.tuples) in
   Alcotest.(check int) "both regions aligned" 50 (Bag.cardinal all0);
   (* updates on both sides, in their native schemas *)
   let west = Scenario.source env "dbWest" in
@@ -821,8 +793,8 @@ let test_federated_rename_end_to_end () =
        (Tuple.of_list
           [ ("oid", Value.Int 999); ("cust", Value.Int 9); ("amt", Value.Int 55) ]));
   Scenario.run_to_quiescence env med;
-  let all = in_process env (fun () -> (Mediator.query med ~node:"AllOrders" ()).Qp.tuples) in
-  Tutil.check_bag "renamed updates propagate" (recompute env "AllOrders") all;
+  let all = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"AllOrders" ()).Qp.tuples) in
+  Tutil.check_bag "renamed updates propagate" (Tutil.recompute env "AllOrders") all;
   Alcotest.(check bool)
     "west row visible under aligned names" true
     (Bag.mem all
@@ -839,14 +811,14 @@ let test_federated_rename_virtual () =
       ~annotation:(Vdp.Annotation.fully_virtual env.Scenario.vdp)
       ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   let west = Scenario.source env "dbWest" in
   Adapter.commit west
     (Driver.single_insert west "OrdersW"
        (Tuple.of_list
           [ ("wid", Value.Int 123457); ("client", Value.Int 3); ("amount", Value.Int 42) ]));
-  let all = in_process env (fun () -> (Mediator.query med ~node:"AllOrders" ()).Qp.tuples) in
-  Tutil.check_bag "virtual union through rename" (recompute env "AllOrders") all;
+  let all = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"AllOrders" ()).Qp.tuples) in
+  Tutil.check_bag "virtual union through rename" (Tutil.recompute env "AllOrders") all;
   ignore (check_consistent env med)
 
 (* --- multi-relation sources and multi-relation deltas ------------------ *)
@@ -886,7 +858,7 @@ let test_multi_relation_atomic_commit () =
   let med =
     Scenario.mediator env ~annotation:(Scenario.ann_ex21 env.Scenario.vdp) ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   let db = Scenario.source env "db" in
   let msgs0 = (Obs.Metrics.value (Mediator.stats med).Med.messages_received) in
   (* one transaction touching both R and S: a matching pair *)
@@ -911,9 +883,9 @@ let test_multi_relation_atomic_commit () =
   Alcotest.(check int)
     "one undividable message" 1
     ((Obs.Metrics.value (Mediator.stats med).Med.messages_received) - msgs0);
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
   Tutil.check_bag "cross-relation pair joined exactly once"
-    (recompute env "T") answer;
+    (Tutil.recompute env "T") answer;
   Alcotest.(check int)
     "the new pair reached T" 1
     (Bag.mult answer
@@ -933,7 +905,7 @@ let test_multi_relation_hybrid_eca () =
   let med =
     Scenario.mediator env ~annotation:(Scenario.ann_ex22 env.Scenario.vdp) ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   let db = Scenario.source env "db" in
   (* S update forces a poll of the same source for R' *)
   Adapter.commit db
@@ -951,8 +923,8 @@ let test_multi_relation_hybrid_eca () =
             ("r4", Value.Int 100);
           ]));
   Scenario.run_to_quiescence env med;
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-  Tutil.check_bag "single-source ECA exact" (recompute env "T") answer;
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "single-source ECA exact" (Tutil.recompute env "T") answer;
   ignore (check_consistent env med)
 
 (* --- source-side update filtering (Sec 6.2 optimization) --------------- *)
@@ -964,15 +936,15 @@ let test_source_filtering_end_to_end () =
       Scenario.mediator env ~annotation:(Scenario.ann_ex21 env.Scenario.vdp) ()
     in
     if filtering then Mediator.enable_source_filtering med;
-    in_process env (fun () -> Mediator.initialize med);
+    Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
     (* half the R inserts fail r4 = 100 and are irrelevant to the view *)
     for i = 0 to 19 do
       commit_fresh_r env ~r1:(6000 + i) ~r2:(i mod 40) ~r3:i
         ~r4:(if i mod 2 = 0 then 100 else 200)
     done;
     Scenario.run_to_quiescence env med;
-    let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-    Tutil.check_bag "maintained correctly" (recompute env "T") answer;
+    let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+    Tutil.check_bag "maintained correctly" (Tutil.recompute env "T") answer;
     ignore (check_consistent env med);
     (Obs.Metrics.value (Mediator.stats med).Med.atoms_received)
   in
@@ -990,15 +962,15 @@ let test_source_filtering_with_eca () =
     Scenario.mediator env ~annotation:(Scenario.ann_ex22 env.Scenario.vdp) ()
   in
   Mediator.enable_source_filtering med;
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   commit_fresh_r env ~r1:9300 ~r2:881 ~r3:1 ~r4:100;
   commit_fresh_s env ~s1:881 ~s2:2 ~s3:3;
   (* plus an irrelevant R commit in the same window *)
   commit_fresh_r env ~r1:9301 ~r2:882 ~r3:1 ~r4:200;
   Scenario.run_to_quiescence env med;
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
   Tutil.check_bag "cross term exact under filtering + ECA"
-    (recompute env "T") answer;
+    (Tutil.recompute env "T") answer;
   ignore (check_consistent env med)
 
 (* --- retail scenario: union views -------------------------------------- *)
@@ -1008,7 +980,7 @@ let setup_retail annotation_of =
   let med =
     Scenario.mediator env ~annotation:(annotation_of env.Scenario.vdp) ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   (env, med)
 
 let commit_order env ~src_name ~rel ~oid ~cust ~amt =
@@ -1035,11 +1007,11 @@ let test_retail_union_structure () =
 
 let test_retail_init_and_union_query () =
   let env, med = setup_retail Scenario.ann_retail_hybrid in
-  let all = in_process env (fun () -> (Mediator.query med ~node:"AllOrders" ()).Qp.tuples) in
-  Tutil.check_bag "union export = recompute" (recompute env "AllOrders") all;
+  let all = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"AllOrders" ()).Qp.tuples) in
+  Tutil.check_bag "union export = recompute" (Tutil.recompute env "AllOrders") all;
   Alcotest.(check int) "both regions present" 80 (Bag.cardinal all);
-  let premium = in_process env (fun () -> (Mediator.query med ~node:"Premium" ()).Qp.tuples) in
-  Tutil.check_bag "joined export = recompute" (recompute env "Premium") premium
+  let premium = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"Premium" ()).Qp.tuples) in
+  Tutil.check_bag "joined export = recompute" (Tutil.recompute env "Premium") premium
 
 let test_retail_union_maintenance () =
   let env, med = setup_retail Scenario.ann_retail_hybrid in
@@ -1054,9 +1026,9 @@ let test_retail_union_maintenance () =
   in
   Adapter.commit cust_db (Driver.single_insert cust_db "Cust" flipped);
   Scenario.run_to_quiescence env med;
-  let premium = in_process env (fun () -> (Mediator.query med ~node:"Premium" ()).Qp.tuples) in
+  let premium = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"Premium" ()).Qp.tuples) in
   Tutil.check_bag "Premium maintained through the union"
-    (recompute env "Premium") premium;
+    (Tutil.recompute env "Premium") premium;
   (* the virtual AllOrders is derivable from materialized regional
      copies: even the Cust-side rule needs no polling *)
   Alcotest.(check int)
@@ -1073,14 +1045,14 @@ let test_retail_union_deletion_multiplicity () =
   let dup = Tuple.of_list
       [ ("oid", Value.Int 600); ("cust", Value.Int 3); ("amt", Value.Int 77) ]
   in
-  let all = in_process env (fun () -> (Mediator.query med ~node:"AllOrders" ()).Qp.tuples) in
+  let all = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"AllOrders" ()).Qp.tuples) in
   Alcotest.(check int) "multiplicity 2 in the union" 2 (Bag.mult all dup);
   let east = Scenario.source env "dbEast" in
   Adapter.commit east (Driver.single_delete east "OrdersE" dup);
   Scenario.run_to_quiescence env med;
-  let all = in_process env (fun () -> (Mediator.query med ~node:"AllOrders" ()).Qp.tuples) in
+  let all = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"AllOrders" ()).Qp.tuples) in
   Alcotest.(check int) "one copy survives" 1 (Bag.mult all dup);
-  Tutil.check_bag "still equals recompute" (recompute env "AllOrders") all;
+  Tutil.check_bag "still equals recompute" (Tutil.recompute env "AllOrders") all;
   ignore (check_consistent env med)
 
 let test_retail_fully_materialized () =
@@ -1100,8 +1072,8 @@ let test_retail_fully_materialized () =
   Scenario.run_to_quiescence env med;
   List.iter
     (fun node ->
-      let answer = in_process env (fun () -> (Mediator.query med ~node ()).Qp.tuples) in
-      Tutil.check_bag (node ^ " maintained") (recompute env node) answer)
+      let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node ()).Qp.tuples) in
+      Tutil.check_bag (node ^ " maintained") (Tutil.recompute env node) answer)
     [ "AllOrders"; "Premium" ];
   ignore (check_consistent env med)
 
@@ -1115,7 +1087,7 @@ let random_run ?vdp ~seed annotation_of =
   let med =
     Scenario.mediator env ~annotation:(annotation_of env.Scenario.vdp) ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   let rng = Datagen.state (seed * 13 + 1) in
   List.iter
     (fun (src_name, rel, interval) ->
@@ -1129,20 +1101,18 @@ let random_run ?vdp ~seed annotation_of =
           u_specs = Scenario.fig1_update_specs rel;
         })
     [ ("db1", "R", 0.31); ("db2", "S", 0.73) ];
-  let _records =
-    Driver.query_process ~rng ~med
-      {
-        Driver.q_node = "T";
-        q_interval = 0.57;
-        q_count = 8;
-        q_attr_sets =
-          [
-            ([ "r1"; "s1" ], Predicate.True);
-            ([ "r1"; "r3"; "s1"; "s2" ], Predicate.True);
-            ([ "r3"; "s1" ], Predicate.(lt (attr "r3") (int 100)));
-          ];
-      }
-  in
+  Driver.query_process ~rng ~med
+    {
+      Driver.q_node = "T";
+      q_interval = 0.57;
+      q_count = 8;
+      q_attr_sets =
+        [
+          ([ "r1"; "s1" ], Predicate.True);
+          ([ "r1"; "r3"; "s1"; "s2" ], Predicate.True);
+          ([ "r3"; "s1" ], Predicate.(lt (attr "r3") (int 100)));
+        ];
+    };
   Scenario.run_to_quiescence env med;
   let report =
     Checker.check ~vdp:env.Scenario.vdp ~sources:env.Scenario.sources
@@ -1186,7 +1156,7 @@ let test_theorem_7_2_staleness_bounded () =
            ())
       ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   let rng = Datagen.state 77 in
   List.iter
     (fun (src_name, rel) ->
@@ -1199,15 +1169,13 @@ let test_theorem_7_2_staleness_bounded () =
           u_specs = Scenario.fig1_update_specs rel;
         })
     [ ("db1", "R"); ("db2", "S") ];
-  let _ =
-    Driver.query_process ~rng ~med
-      {
-        Driver.q_node = "T";
-        q_interval = 0.45;
-        q_count = 12;
-        q_attr_sets = [ ([ "r1"; "s1" ], Predicate.True) ];
-      }
-  in
+  Driver.query_process ~rng ~med
+    {
+      Driver.q_node = "T";
+      q_interval = 0.45;
+      q_count = 12;
+      q_attr_sets = [ ([ "r1"; "s1" ], Predicate.True) ];
+    };
   Scenario.run_to_quiescence env med;
   let report =
     Checker.check ~vdp:env.Scenario.vdp ~sources:env.Scenario.sources
@@ -1249,7 +1217,7 @@ let slo_env ?(announce = Source_db.Immediate) annotation_of =
            ())
       ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   (env, med)
 
 let slo_churn env =
@@ -1270,7 +1238,7 @@ let test_slo_answer_carries_bound () =
   let env, med = slo_env Scenario.ann_ex21 in
   slo_churn env;
   Scenario.run_to_quiescence env med;
-  let a = in_process env (fun () -> Mediator.query med ~node:"T" ()) in
+  let a = Engine.run_process env.Scenario.engine (fun () -> Mediator.query med ~node:"T" ()) in
   List.iter
     (fun src ->
       match List.assoc_opt src a.Qp.bound with
@@ -1295,7 +1263,7 @@ let test_slo_prepoll_flushes_laggards () =
   Engine.run env.Scenario.engine ~until:10.0;
   let before = Obs.Metrics.value (Mediator.stats med).Med.slo_polls in
   let a =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         Mediator.query med ~node:"T" ~max_staleness:0.5 ())
   in
   Alcotest.(check bool)
@@ -1305,7 +1273,7 @@ let test_slo_prepoll_flushes_laggards () =
     (fun (src, b) ->
       if b > 0.5 +. 1e-9 then Alcotest.failf "%s bound %.3f exceeds SLO" src b)
     a.Qp.bound;
-  Tutil.check_bag "escalated answer is current" (recompute env "T")
+  Tutil.check_bag "escalated answer is current" (Tutil.recompute env "T")
     a.Qp.tuples;
   ignore (check_consistent env med)
 
@@ -1319,7 +1287,7 @@ let test_slo_quiescent_not_refused () =
   Engine.run env.Scenario.engine
     ~until:(Engine.now env.Scenario.engine +. 60.0);
   let r =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         match Mediator.query med ~node:"T" ~max_staleness:1.0 () with
         | a -> Ok a
         | exception Qp.Slo_unsatisfiable m -> Error m)
@@ -1340,7 +1308,7 @@ let test_slo_quiescent_not_refused () =
         if b > 1.0 +. 1e-9 then
           Alcotest.failf "%s bound %.3f exceeds SLO" src b)
       a.Qp.bound;
-    Tutil.check_bag "answer current" (recompute env "T") a.Qp.tuples;
+    Tutil.check_bag "answer current" (Tutil.recompute env "T") a.Qp.tuples;
     ignore (check_consistent env med)
 
 let test_slo_refusal_source_down () =
@@ -1353,7 +1321,7 @@ let test_slo_refusal_source_down () =
     [ (t_q, t_q +. 1000.0) ];
   Engine.run env.Scenario.engine ~until:(t_q +. 30.0);
   let r =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         match Mediator.query med ~node:"T" ~max_staleness:1.0 () with
         | _ -> None
         | exception Qp.Slo_unsatisfiable m -> Some m)
@@ -1385,6 +1353,132 @@ let test_freshness_bound_reported () =
           (Float.is_finite f && f > 0.0)
       | None -> Alcotest.failf "no f-bar entry for %s" src)
     [ "db1"; "db2" ]
+
+(* --- the transaction stream ------------------------------------------ *)
+
+(* the key of an S row passing s3 < 50: an R row with r4 = 100 and
+   this r2 reaches T *)
+let joining_r2 env =
+  let passes t =
+    match Tuple.get t "s3" with Value.Int v -> v < 50 | _ -> false
+  in
+  match
+    List.find_opt passes
+      (Bag.support (Adapter.current (Scenario.source env "db2") "S"))
+  with
+  | Some t -> (
+    match Tuple.get t "s1" with
+    | Value.Int k -> k
+    | _ -> Alcotest.fail "s1 is an int")
+  | None -> Alcotest.fail "no S row passes s3 < 50"
+
+(* a subscriber registered after initialization receives exactly the
+   events the log gains, in the same order: the checker's log and the
+   stream are one record. Export deltas ride on a batch's event only
+   once somebody subscribes. *)
+let test_stream_is_the_log () =
+  let env, med = setup_fig1 Scenario.ann_ex23 in
+  let r2 = joining_r2 env in
+  commit_fresh_r env ~r1:5000 ~r2 ~r3:7 ~r4:100;
+  Scenario.run_to_quiescence env med;
+  (match List.rev (Mediator.events med) with
+  | Med.Update_tx { ut_txs = 1; ut_exports; _ } :: _ ->
+    Alcotest.(check int) "no export deltas without a subscriber" 0
+      (List.length ut_exports)
+  | _ -> Alcotest.fail "expected the batch's event last");
+  let logged = List.length (Mediator.events med) in
+  let heard = ref [] in
+  Mediator.subscribe med (fun e -> heard := e :: !heard);
+  commit_fresh_r env ~r1:5001 ~r2 ~r3:8 ~r4:100;
+  commit_fresh_s env ~s1:7000 ~s2:3 ~s3:10;
+  Scenario.run_to_quiescence env med;
+  ignore
+    (Engine.run_process env.Scenario.engine (fun () ->
+         Mediator.query med ~node:"T" ~attrs:[ "r1"; "r3"; "s1" ] ()));
+  let gained = List.filteri (fun i _ -> i >= logged) (Mediator.events med) in
+  let heard = List.rev !heard in
+  Alcotest.(check int) "as many events as the log gained" (List.length gained)
+    (List.length heard);
+  Alcotest.(check bool) "the same records, in order" true
+    (List.for_all2 ( == ) gained heard);
+  Alcotest.(check bool) "a batch carries T's export delta" true
+    (List.exists
+       (function
+         | Med.Update_tx { ut_exports; _ } -> List.mem_assoc "T" ut_exports
+         | Med.Query_tx _ -> false)
+       heard);
+  Alcotest.(check bool) "the query is on the stream" true
+    (List.exists (function Med.Query_tx _ -> true | _ -> false) heard)
+
+(* the initialization snapshot reaches no subscriber; a resync forced
+   by a lost announcement reaches each as one [Update_tx] with
+   [ut_txs = 0], and a mirror of the mediator (mediator-as-source) then
+   holds its rebuilt export *)
+let test_stream_snapshots () =
+  let env = Scenario.make_fig1 () in
+  let med =
+    Scenario.mediator env ~annotation:(Scenario.ann_ex21 env.Scenario.vdp) ()
+  in
+  let heard = ref 0 and snapshots = ref 0 in
+  Mediator.subscribe med (fun e ->
+      incr heard;
+      match e with
+      | Med.Update_tx { ut_txs = 0; _ } -> incr snapshots
+      | Med.Update_tx _ | Med.Query_tx _ -> ());
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
+  Alcotest.(check int) "the initialization snapshot is logged" 1
+    (List.length (Mediator.events med));
+  Alcotest.(check int) "and reaches no subscriber" 0 !heard;
+  let mirror = Med_source.source_db (Med_source.create med) in
+  let r2 = joining_r2 env in
+  let db1 = Adapter.db (Scenario.source env "db1") in
+  let at d f = Engine.schedule env.Scenario.engine ~delay:d f in
+  at 1.0 (fun () -> commit_fresh_r env ~r1:5000 ~r2 ~r3:7 ~r4:100);
+  (* this commit's announcement dies on the wire; the next one's
+     [prev_version] reveals the gap *)
+  at 2.0 (fun () -> Source_db.set_link_up db1 false);
+  at 2.1 (fun () -> commit_fresh_r env ~r1:5001 ~r2 ~r3:8 ~r4:100);
+  at 3.0 (fun () -> Source_db.set_link_up db1 true);
+  at 3.1 (fun () -> commit_fresh_r env ~r1:5002 ~r2 ~r3:9 ~r4:100);
+  Engine.run env.Scenario.engine ~until:(Engine.now env.Scenario.engine +. 5.0);
+  Scenario.run_to_quiescence env med;
+  let resyncs = Obs.Metrics.value (Mediator.stats med).Med.resyncs in
+  Alcotest.(check bool) "the lost announcement forced a resync" true
+    (resyncs >= 1);
+  Alcotest.(check int) "one snapshot event per resync" resyncs !snapshots;
+  let mirrored = Source_db.current mirror "T" in
+  Tutil.check_bag "the mirror holds the rebuilt export"
+    (Option.get (Med.store_env med "T"))
+    mirrored;
+  Tutil.check_bag "lost update included" (Tutil.recompute env "T") mirrored
+
+(* the stream's notification instant: a mirror commits a child batch at
+   the instant the child applied it, before the pass's compute charge
+   ([op_time] per tuple op) advances the child's clock *)
+let test_stream_notifies_at_apply () =
+  let env, med =
+    setup_fig1 ~config:(Med.Config.make ~op_time:0.01 ()) Scenario.ann_ex21
+  in
+  let mirror = Med_source.source_db (Med_source.create med) in
+  let r2 = joining_r2 env in
+  commit_fresh_r env ~r1:5000 ~r2 ~r3:7 ~r4:100;
+  Scenario.run_to_quiescence env med;
+  let end_of name =
+    match Tutil.find_spans (Mediator.trace med) name with
+    | [ sp ] -> sp.Obs.Trace.end_time
+    | sps -> Alcotest.failf "expected one %s span, saw %d" name (List.length sps)
+  in
+  Alcotest.(check int) "one mirror version" 1 (Source_db.version mirror);
+  let committed = Source_db.commit_time_of_version mirror 1 in
+  Alcotest.(check (float 0.0)) "committed when the apply phase ended"
+    (end_of "apply") committed;
+  Alcotest.(check bool) "before the compute charge ended the batch" true
+    (committed < end_of "batch_tx");
+  match List.rev (Mediator.events med) with
+  | Med.Update_tx { ut_time; ut_txs = 1; _ } :: _ ->
+    Alcotest.(check (float 0.0)) "the event's time is that instant" committed
+      ut_time
+  | _ -> Alcotest.fail "expected the batch's event last"
 
 (* --- determinism --------------------------------------------------------- *)
 
@@ -1597,7 +1691,7 @@ let iup_pass_words ~passes () =
     Adapter.commit db1 (Driver.single_insert db1 "R" tuple);
     Engine.run env.Scenario.engine ~until:(Engine.now env.Scenario.engine +. 0.5);
     Alcotest.(check int) "one announcement queued" 1 (Mediator.queue_length med);
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         let w0 = Gc.minor_words () in
         let applied = Iup.update_transaction med in
         let words = Gc.minor_words () -. w0 in
@@ -1609,8 +1703,8 @@ let iup_pass_words ~passes () =
   let joined = List.init passes (fun _ -> pass ~r4:100) in
   let dropped = List.init passes (fun _ -> pass ~r4:1) in
   let least = List.fold_left Float.min Float.infinity in
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-  Tutil.check_bag "store = recompute" (recompute env "T") answer;
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "store = recompute" (Tutil.recompute env "T") answer;
   (least joined, least dropped)
 
 let test_iup_pass_allocation () =
@@ -1645,7 +1739,7 @@ let polling_pass_words ~passes () =
     Alcotest.(check int) "one announcement queued" 1 (Mediator.queue_length med);
     let polls0, _ = poll_counts med in
     let words =
-      in_process env (fun () ->
+      Engine.run_process env.Scenario.engine (fun () ->
           let w0 = Gc.minor_words () in
           let applied = Iup.update_transaction med in
           let words = Gc.minor_words () -. w0 in
@@ -1657,8 +1751,8 @@ let polling_pass_words ~passes () =
   in
   ignore (pass () : float);
   let words = List.fold_left Float.min Float.infinity (List.init passes (fun _ -> pass ())) in
-  let answer = in_process env (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
-  Tutil.check_bag "store = recompute" (recompute env "T") answer;
+  let answer = Engine.run_process env.Scenario.engine (fun () -> (Mediator.query med ~node:"T" ()).Qp.tuples) in
+  Tutil.check_bag "store = recompute" (Tutil.recompute env "T") answer;
   ignore (check_consistent env med);
   words
 
@@ -1732,6 +1826,15 @@ let () =
           Alcotest.test_case "maintenance without polls" `Quick test_retail_union_maintenance;
           Alcotest.test_case "bag multiplicity across regions" `Quick test_retail_union_deletion_multiplicity;
           Alcotest.test_case "fully materialized variant" `Quick test_retail_fully_materialized;
+        ] );
+      ( "transaction stream",
+        [
+          Alcotest.test_case "a subscriber hears what the log gains" `Quick
+            test_stream_is_the_log;
+          Alcotest.test_case "snapshots: init exempt, resync mirrored" `Quick
+            test_stream_snapshots;
+          Alcotest.test_case "notified at apply, before the charge" `Quick
+            test_stream_notifies_at_apply;
         ] );
       ( "determinism",
         [

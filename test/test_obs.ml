@@ -92,15 +92,13 @@ let run_workload ~seed () =
           u_specs = Scenario.fig1_update_specs rel;
         })
     [ ("db1", "R"); ("db2", "S") ];
-  let _ =
-    Driver.query_process ~rng ~med
-      {
-        Driver.q_node = "T";
-        q_interval = 0.7;
-        q_count = 5;
-        q_attr_sets = [ ([ "r1"; "r3"; "s1" ], Predicate.True) ];
-      }
-  in
+  Driver.query_process ~rng ~med
+    {
+      Driver.q_node = "T";
+      q_interval = 0.7;
+      q_count = 5;
+      q_attr_sets = [ ([ "r1"; "r3"; "s1" ], Predicate.True) ];
+    };
   Scenario.run_to_quiescence env med;
   med
 
@@ -574,6 +572,15 @@ let test_experiments_golden () =
     ~skip:(String.starts_with ~prefix:"all experiments done in ")
     "e1 e2 e3 e4 e5 e6 e7 e8 e9" "experiments_e1_e9.txt"
 
+(* E11, Sec. 6.2's source-side filtering: shipped atoms per irrelevant
+   fraction, filtered and not, on the simulated clock. Regenerate with
+     dune exec bench/main.exe -- e11 | head -n -1 \
+       > test/golden/experiments_e11.txt *)
+let test_e11_golden () =
+  check_cli_golden ~exe:"../bench/main.exe"
+    ~skip:(String.starts_with ~prefix:"all experiments done in ")
+    "e11" "experiments_e11.txt"
+
 let chaos_golden_cases =
   List.map
     (fun (profile, seed) ->
@@ -619,5 +626,7 @@ let () =
         @ [
             Alcotest.test_case "experiments e1-e9 match their golden" `Quick
               test_experiments_golden;
+            Alcotest.test_case "experiment e11 matches its golden" `Quick
+              test_e11_golden;
           ] );
     ]

@@ -13,29 +13,6 @@ open Sources
 open Squirrel
 open Workload
 
-let in_process env f =
-  let cell = ref None in
-  Engine.spawn env.Scenario.engine (fun () -> cell := Some (f ()));
-  let rec go n =
-    match !cell with
-    | Some v -> v
-    | None ->
-      if n > 100_000 then Alcotest.fail "simulation did not produce a result";
-      Engine.run env.Scenario.engine
-        ~until:(Engine.now env.Scenario.engine +. 1.0);
-      go (n + 1)
-  in
-  go 0
-
-let recompute env node =
-  let env_fn leaf =
-    match Graph.node_opt env.Scenario.vdp leaf with
-    | Some { Graph.kind = Graph.Leaf { source }; _ } ->
-      Some (Adapter.current (Scenario.source env source) leaf)
-    | Some _ | None -> None
-  in
-  Eval.eval ~env:env_fn (Graph.expanded_def env.Scenario.vdp node)
-
 (* ---- random well-formed expressions ------------------------------------ *)
 
 (* small value domains so collisions, duplicates and cross-type key
@@ -394,7 +371,7 @@ let setup ?(config = Med.Config.default) () =
       ~annotation:(Scenario.ann_ex23 env.Scenario.vdp)
       ~config ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   (env, med)
 
 let commit_r env i =
@@ -414,7 +391,7 @@ let test_repeat_query_hits_cache () =
   let env, med = setup () in
   (* r3 is virtual under Example 2.3: the uncached path must poll *)
   let q () =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         (Mediator.query med ~node:"T" ~attrs:[ "r1"; "r3" ] ()).Qp.tuples)
   in
   let a1 = q () in
@@ -426,7 +403,7 @@ let test_repeat_query_hits_cache () =
   Alcotest.(check int) "no polls on the hit" polls_after_first (Obs.Metrics.value s.Med.polls);
   Tutil.check_bag "replayed answer equals the original" a1 a2;
   Tutil.check_bag "and equals recomputation"
-    (Bag.project [ "r1"; "r3" ] (recompute env "T"))
+    (Bag.project [ "r1"; "r3" ] (Tutil.recompute env "T"))
     a2
 
 (* an R row that lands in T: r4 = 100 and r2 naming an S row that
@@ -462,7 +439,7 @@ let commit_r_into_t env i =
 let test_scan_served_answer_maintained () =
   let env, med = setup () in
   let q () =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         (Mediator.query med ~node:"T" ~attrs:[ "r1"; "s1" ] ()).Qp.tuples)
   in
   let before = q () in
@@ -478,7 +455,7 @@ let test_scan_served_answer_maintained () =
   Alcotest.(check bool) "the answer took the delta" false
     (Bag.equal before after);
   Tutil.check_bag "maintained answer equals recomputation"
-    (Bag.project [ "r1"; "s1" ] (recompute env "T"))
+    (Bag.project [ "r1"; "s1" ] (Tutil.recompute env "T"))
     after
 
 (* the cached whole-table answer is updated in place by the IUP while
@@ -488,7 +465,7 @@ let test_scan_served_answer_copied () =
   let env, med = setup () in
   let attrs = [ "r1"; "s1" ] in
   let q () =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         (Mediator.query med ~node:"T" ~attrs ()).Qp.tuples)
   in
   let answer = q () in
@@ -508,7 +485,7 @@ let test_scan_served_answer_copied () =
 let test_polled_answer_invalidated () =
   let env, med = setup () in
   let q () =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         (Mediator.query med ~node:"T" ~attrs:[ "r1"; "r3" ] ()).Qp.tuples)
   in
   ignore (q () : Bag.t);
@@ -518,7 +495,7 @@ let test_polled_answer_invalidated () =
   Alcotest.(check bool) "the update invalidated" true
     ((Obs.Metrics.value s.Med.cache_invalidations) >= 1);
   Tutil.check_bag "post-update answer equals recomputation"
-    (Bag.project [ "r1"; "r3" ] (recompute env "T"))
+    (Bag.project [ "r1"; "r3" ] (Tutil.recompute env "T"))
     (q ())
 
 (* the eviction rule: a maintained entry goes once the ΔT atoms it
@@ -535,7 +512,7 @@ let maintained_entry_eviction ~before_hit =
   let s = Mediator.stats med in
   let q () =
     ignore
-      (in_process env (fun () ->
+      (Engine.run_process env.Scenario.engine (fun () ->
            Mediator.query med ~node:"T" ~attrs:[ "s1" ] ())
         : Qp.answer)
   in
@@ -595,7 +572,7 @@ let test_resync_flushes_cache () =
   let env, med = setup ~config:fault_config () in
   let db1 = Scenario.source env "db1" in
   let q () =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         (Mediator.query med ~node:"T" ~attrs:[ "r1"; "s1" ] ()).Qp.tuples)
   in
   ignore (q () : Bag.t);
@@ -614,7 +591,7 @@ let test_resync_flushes_cache () =
   Alcotest.(check bool) "cached answers were dropped" true
     ((Obs.Metrics.value s.Med.cache_invalidations) >= 1);
   Tutil.check_bag "post-resync answer equals recomputation"
-    (Bag.project [ "r1"; "s1" ] (recompute env "T"))
+    (Bag.project [ "r1"; "s1" ] (Tutil.recompute env "T"))
     (q ())
 
 (* A query's store read charges its tuple ops as simulated time after
@@ -649,7 +626,7 @@ let test_dirty_mark_during_store_read () =
   Alcotest.(check bool) "the gap marked db1 dirty" true
     (List.mem "db1" (Ledger.dirty_sources med.Med.ledger));
   let again =
-    in_process env (fun () ->
+    Engine.run_process env.Scenario.engine (fun () ->
         Mediator.query med ~node:"T" ~attrs:[ "r1"; "s1" ] ())
   in
   Alcotest.(check bool) "no Fresh hit while db1 is dirty" true
@@ -692,7 +669,7 @@ let twin_run ~ann ~cache seed =
   let med =
     Scenario.mediator env ~annotation:(ann env.Scenario.vdp) ~config ()
   in
-  in_process env (fun () -> Mediator.initialize med);
+  Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
   let rng = Random.State.make [| seed |] in
   let db1 = Scenario.source env "db1" and db2 = Scenario.source env "db2" in
   let s = Mediator.stats med in
@@ -756,7 +733,7 @@ let twin_run ~ann ~cache seed =
       (fun i (every, attrs, cond) ->
         if step mod every = 5 mod every then
           let a =
-            in_process env (fun () ->
+            Engine.run_process env.Scenario.engine (fun () ->
                 Mediator.query med ~node:"T" ~attrs ~cond ())
           in
           answers := ((step, i), a) :: !answers)
@@ -985,7 +962,7 @@ let test_eca_compensation_compiled () =
       let vdp = env.Scenario.vdp in
       let config = Med.Config.make ~flush_interval:1e9 ~max_batch:1 () in
       let med = Scenario.mediator env ~annotation ~config () in
-      in_process env (fun () -> Mediator.initialize med);
+      Engine.run_process env.Scenario.engine (fun () -> Mediator.initialize med);
       Alcotest.(check int) (name ^ ": queue empty after init") 0
         (Mediator.queue_length med);
       let rng = Random.State.make [| 0xECA; String.length name |] in
@@ -1065,7 +1042,7 @@ let test_eca_compensation_compiled () =
             List.iter
               (fun cond ->
                 let temp =
-                  in_process env (fun () ->
+                  Engine.run_process env.Scenario.engine (fun () ->
                       let entries = Med.take_batch med in
                       let pending =
                         List.fold_left
