@@ -61,7 +61,7 @@ let create ?name (child : Med.t) =
       | Some bag -> Source_db.load ms_db node bag
       | None -> ())
     exports;
-  Med.subscribe child (function
+  Mediator.subscribe child (function
     | Med.Update_tx { ut_txs = 0; _ } ->
       (* the child rebuilt its store: one computed delta brings the
          mirror to the rebuilt state *)

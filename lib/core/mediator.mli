@@ -132,8 +132,7 @@ val process_updates : t -> bool
 (** {1 Mediator as source}
 
     The paper's composability claim: a mediator's export relations can
-    themselves serve as sources to another tier (the federation
-    coordinator in [lib/fed]). *)
+    themselves serve as sources to another tier ({!Med_source}). *)
 
 val subscribe : t -> (Med.event -> unit) -> unit
 (** Observe the events {!events} gains after {!initialize}, as they

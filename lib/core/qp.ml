@@ -210,11 +210,12 @@ let general_polls (t : Med.t) ~node ~needed ~cond =
 (* Example 2.3 as a semijoin: the materialized part first, then from
    each keyed child only the rows under the keys that part holds — a
    probe of a stored child, a keyed poll of a virtual one, all in one
-   VAP run. Returns the joined rows and the VAP result, or [None] when
-   the general construction is cheaper: the materialized part is the
-   whole stored node, so its keys restrict nothing the join would not,
-   and the plan polls no fewer children. *)
-let key_based (t : Med.t) ~node ~needed ~cond children =
+   VAP run. Returns the answer, [π_attrs σ_cond] of the joined rows,
+   and the VAP result, or [None] when the general construction is
+   cheaper: the materialized part is the whole stored node, so its
+   keys restrict nothing the join would not, and the plan polls no
+   fewer children. *)
+let key_based (t : Med.t) ~node ~needed ~attrs ~cond children =
   let mat = Med.mat_attrs t node in
   let table =
     match Med.node_table t node with
@@ -296,7 +297,24 @@ let key_based (t : Med.t) ~node ~needed ~cond children =
       | `Rows b -> b
       | `Poll r -> List.assoc r.Vap.r_node res.Vap.temps
     in
-    Some (List.fold_left (fun acc part -> Bag.join acc (rows part)) own parts, res)
+    (* π_attrs σ_cond (own ⋈ part_1 ⋈ … ⋈ part_n) in one streamed pass:
+       each join probes a key table over its part with the rows the
+       join before it emits, and the last one's rows are filtered and
+       projected into the answer's builder, so no joined or filtered
+       bag is built *)
+    let rec pipe schema scan = function
+      | [] ->
+        let bu = Bag.builder (Schema.project schema attrs) in
+        let test = Predicate.compile cond and proj = Tuple.projector attrs in
+        scan (fun tuple m -> if test tuple then Bag.badd bu (proj tuple) m);
+        Bag.seal bu
+      | part :: rest ->
+        let b = rows part in
+        pipe (Schema.join schema (Bag.schema b))
+          (fun emit -> Bag.join_into schema scan b emit)
+          rest
+    in
+    Some (pipe (Bag.schema own) (fun emit -> Bag.iter emit own) parts, res)
 
 (* SLO escalation: any announcing contributor whose reflected send
    time already lags beyond the requested bound gets an {e empty}
@@ -560,13 +578,11 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
         in
         match
           Option.bind (key_based_plan t ~node ~needed)
-            (key_based t ~node ~needed ~cond)
+            (key_based t ~node ~needed ~attrs ~cond)
         with
-        | Some (joined, res) ->
+        | Some (answer, res) ->
           Obs.Metrics.incr t.Med.stats.Med.key_based_constructions;
           finish ~stale:(base_stale t) ~polled_times:res.Vap.polled_times
-            ~served:"key_based"
-            (Bag.project attrs (Bag.select cond joined))
-            res.Vap.polled_versions
+            ~served:"key_based" answer res.Vap.polled_versions
         | None -> general ()
       end))

@@ -4,7 +4,7 @@ open Relalg
    {!Relalg.Plan}. Each edge/definition expression is compiled, against
    the schemas of its bases, into a delta pipeline: predicates compiled
    to slot closures, unary select/project/rename chains fused into a
-   single signed pass over the child delta ({!Rel_delta.transform})
+   single signed pass over the child delta ({!Rel_delta.feed})
    with their output schema fixed, and every term of an n-ary join rule
    fixed per changed input — its probe order, the conjuncts each step
    tests (compiled), the prepared index joins of its probe-able inputs,
@@ -34,14 +34,14 @@ type prog =
 and fused = {
   f_sub : prog;
   f_schema : Schema.t; (* output schema *)
-  f_pass : Tuple.t -> Tuple.t option; (* the steps, innermost-first *)
+  f_chain : Plan.chain;
 }
 
 and njoin = {
   inputs : prog array; (* original left-to-right order *)
   olds : Plan.t array; (* old-value-side reads *)
   canonical : Schema.t; (* the inputs' schemas joined in order *)
-  leftover : (Tuple.t -> bool) option;
+  leftover : Plan.chain option;
       (* conjuncts outside even the canonical schema *)
   terms : probe array array; (* per changed input, its probe steps *)
 }
@@ -64,45 +64,20 @@ and diff = {
 
 type t = prog
 
-let chain_schema s steps =
-  List.fold_left
-    (fun s step ->
-      match step with
-      | Plan.Filter _ -> s
-      | Plan.Gather (names, _) -> Schema.project s names
-      | Plan.Remap (m, _) ->
-        Expr.schema_of (fun _ -> s) (Expr.Rename (m, Expr.Base "_")))
-    s steps
-
-(* A unary chain fuses into one per-atom pass; [charge] counts one
-   tuple op per step executed. Fusing is value-correct for signed
-   deltas: a filter decision depends only on the tuple value, so atoms
-   whose projection images coincide pass or fail together, and
-   accumulating signed multiplicities once at the end of the chain
-   equals accumulating after every projection. *)
-let fuse ~charge steps =
-  let steps = Array.of_list steps in
-  let n = Array.length steps in
-  let rec go i t =
-    if i >= n then Some t
-    else begin
-      if charge then Eval.charge_tuple_ops 1;
-      match Array.unsafe_get steps i with
-      | Plan.Filter f -> if f t then go (i + 1) t else None
-      | Plan.Gather (_, g) -> go (i + 1) (g t)
-      | Plan.Remap (_, r) -> go (i + 1) (r t)
-    end
-  in
-  fun t -> go 0 t
-
+(* A unary chain runs as one per-atom pass ({!Rel_delta.feed}).
+   Fusing is value-correct for signed deltas: a filter decision
+   depends only on the tuple value, so atoms whose projection images
+   coincide pass or fail together, and accumulating signed
+   multiplicities once at the end of the chain equals accumulating
+   after every projection. *)
 let unary schema expr =
   let steps, sub = Plan.peel [] expr in
   (match sub with
   | Expr.Base _ -> ()
   | _ -> invalid_arg "Delta_plan.unary: not a select/project/rename chain");
-  let out = chain_schema schema steps in
-  let pass = fuse ~charge:false steps in
-  fun d -> Rel_delta.transform out pass d
+  let out = Plan.chain_schema schema steps in
+  let c = Plan.chain ~charge:false steps in
+  fun d -> Rel_delta.feed out c d
 
 (* a union's delta is its left operand's smashed with the right's; a
    difference's is over its left operand's schema *)
@@ -140,7 +115,7 @@ let compile_terms ?index ~on ~conjs inputs schemas =
         let fs =
           Array.of_list
             (List.rev_map
-               (function Plan.Filter f -> f | _ -> assert false)
+               (function Plan.Filter p -> Predicate.compile p | _ -> assert false)
                steps)
         in
         Some (name, Some (fun t -> Array.for_all (fun f -> f t) fs))
@@ -195,8 +170,8 @@ let of_expr ?index ~schema expr =
       Fused
         {
           f_sub = sub;
-          f_schema = chain_schema (schema_of sub) steps;
-          f_pass = fuse ~charge:true steps;
+          f_schema = Plan.chain_schema (schema_of sub) steps;
+          f_chain = Plan.chain steps;
         }
     | Expr.Join _ ->
       let inputs, conj_list = Plan.flatten_join expr in
@@ -223,7 +198,10 @@ let of_expr ?index ~schema expr =
           canonical;
           leftover =
             (if leftovers = [] then None
-             else Some (Predicate.compile (Predicate.conj leftovers)));
+             else
+               Some
+                 (Plan.chain ~charge:false
+                    [ Plan.Filter (Predicate.conj leftovers) ]));
           terms = compile_terms ?index ~on ~conjs inputs schemas;
         }
     | Expr.Union (a, b) -> Union (compile a, compile b)
@@ -254,7 +232,7 @@ let run ?(shadowed = fun _ -> false) ~env ~deltas p =
         match env name with
         | Some _ -> Rel_delta.empty s
         | None -> raise (Eval.Unbound_relation name)))
-    | Fused f -> Rel_delta.transform f.f_schema f.f_pass (exec f.f_sub)
+    | Fused f -> Rel_delta.feed f.f_schema f.f_chain (exec f.f_sub)
     | Join j -> exec_njoin j
     | Union (a, b) ->
       let da = exec a in
@@ -307,10 +285,7 @@ let run ?(shadowed = fun _ -> false) ~env ~deltas p =
           let term =
             match j.leftover with
             | None -> !acc
-            | Some f ->
-              Rel_delta.transform (Rel_delta.schema !acc)
-                (fun t -> if f t then Some t else None)
-                !acc
+            | Some c -> Rel_delta.feed (Rel_delta.schema !acc) c !acc
           in
           terms := Rel_delta.relabel j.canonical term :: !terms
         end

@@ -90,14 +90,9 @@ let select p d =
   | Predicate.True -> d
   | p -> if is_empty d then d else filter (Predicate.compile p) d
 
-let transform schema f d =
+let feed schema c d =
   let out = Counts.Builder.create ~size:(Counts.size d.muls) () in
-  Counts.iter
-    (fun tuple m ->
-      match f tuple with
-      | Some tuple' -> Counts.Builder.add out tuple' m
-      | None -> ())
-    d.muls;
+  Counts.iter (Plan.feed c (Counts.Builder.add out)) d.muls;
   { schema; muls = Counts.Builder.seal out }
 
 let project names d =

@@ -64,12 +64,11 @@ val select : Predicate.t -> t -> t
 (** Commutes with apply:
     [select p (apply db d) = apply (select p db) (select p d)]. *)
 
-val transform : Schema.t -> (Tuple.t -> Tuple.t option) -> t -> t
-(** One-pass fused filter+map: each atom's tuple is rewritten (or
-    dropped on [None]) keeping its signed multiplicity; signed
-    multiplicities of coinciding images accumulate and zero sums drop
-    out. [schema] is the schema of the rewritten atoms. Backs fused
-    unary chains in compiled delta plans. *)
+val feed : Schema.t -> Plan.chain -> t -> t
+(** [feed schema c d]: every atom through the unary chain [c] in one
+    pass, keeping its signed multiplicity; signed multiplicities of
+    coinciding images accumulate and zero sums drop out. The result is
+    over [schema], the chain's output schema. *)
 
 val collect : Schema.t -> size:int -> ((Tuple.t -> int -> unit) -> unit) -> t
 (** [collect schema ~size produce] is the delta of the signed atoms

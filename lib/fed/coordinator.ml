@@ -74,11 +74,6 @@ let create ~engine ~vdp ~key ~shards ~make_sources
         ~sources:(List.map Adapter.db sources) ()
     in
     Mediator.connect med ();
-    (* each shard's transaction stream drives the coordinator's resync
-       bookkeeping: a snapshot after initialization is a resync *)
-    Mediator.subscribe med (function
-      | Med.Update_tx { ut_txs = 0; _ } -> Obs.Metrics.incr t.f_shard_resyncs
-      | Med.Update_tx _ | Med.Query_tx _ -> ());
     {
       sh_id = i;
       sh_sources =
@@ -92,7 +87,18 @@ let create ~engine ~vdp ~key ~shards ~make_sources
 let shard_count t = Array.length t.f_shards
 let shard t i = t.f_shards.(i)
 let mediator t i = t.f_shards.(i).sh_med
-let metrics t = t.f_metrics
+(* a shard's resyncs are its own mediator's count, read when the
+   federation reports: subscribing to each shard's transaction stream
+   only to count them would make every shard batch collect export
+   deltas that nothing reads *)
+let metrics t =
+  let resyncs =
+    Array.fold_left
+      (fun acc sh -> acc + Obs.Metrics.value (Mediator.stats sh.sh_med).Med.resyncs)
+      0 t.f_shards
+  in
+  Obs.Metrics.add t.f_shard_resyncs (resyncs - Obs.Metrics.value t.f_shard_resyncs);
+  t.f_metrics
 let vdp t = t.f_vdp
 
 let shard_source sh name =

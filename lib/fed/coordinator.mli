@@ -70,7 +70,8 @@ val vdp : t -> Graph.t
 val metrics : t -> Obs.Metrics.t
 (** Coordinator counters ([fed_queries], [fed_fanouts],
     [fed_single_shard], [fed_degraded_answers], [fed_routed_txs],
-    [fed_routed_atoms], [fed_shard_resyncs]). *)
+    [fed_routed_atoms], [fed_shard_resyncs]). [fed_shard_resyncs] is
+    the sum of the shard mediators' [resyncs], read at each call. *)
 
 val load : t -> string -> Bag.t -> unit
 (** Split a relation's initial contents by key ownership and load each

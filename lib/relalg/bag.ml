@@ -9,7 +9,14 @@
    slot plan ({!Tuple.shape}), resolved at the first one; the bags
    derived from it inherit it (a shape depends only on the typed
    attribute set, which [project] onto its own attributes and [retype]
-   keep). *)
+   keep).
+
+   Hash joins build one kind of key table ({!Key_table}), which the
+   plan compiler's join groups share: the build rows in flat arrays
+   chained per key under an open-addressing index, so building a
+   table allocates no per-row cell and a probe allocates nothing.
+   {!join_into} streams a join into any consumer, so a caller chains
+   joins without building the bags between them. *)
 
 type t = {
   schema : Schema.t;
@@ -119,6 +126,7 @@ let retype schema b =
       (Schema.to_string b.schema);
   { b with schema }
 
+let reserve b n = Counts.reserve b.tm n
 let copy b = { b with tm = Counts.Builder.seal (Counts.Builder.of_counts b.tm) }
 let shares a b = a.tm == b.tm
 
@@ -161,19 +169,174 @@ let set_diff a b =
   iter (fun t _ -> if Counts.get b.tm t = 0 then badd bu t 1) a;
   seal bu
 
-(* Hash tables keyed by join-key values, using Value's own
-   equality/hash so that e.g. Int 1 and Float 1. collide as they
-   compare equal. *)
-module Key_table = Hashtbl.Make (struct
-  type t = Value.t list
+(* Key tables for hash joins, shared with the plan compiler ({!Plan}):
+   the build side's rows in flat arrays, chained per key most recent
+   first, under a flat open-addressing index of each key's head row.
+   Keys compare with Value's own equality and hash, so Int 1 and
+   Float 1. are one key, as they compare equal. A strict key component
+   never matches Null, as a comparison never does: a row with Null
+   there neither enters the table nor probes it. Elsewhere Null matches
+   Null, as natural join's agreement does. Adding a row allocates
+   nothing once the arrays have room, and a probe allocates nothing.
+   A table emptied by [clear] serves another build ([reset]), so an
+   owner that builds one per execution allocates once. *)
+module Key_table = struct
+  type t = {
+    mutable build : Tuple.key;
+    mutable probe : Tuple.key;
+    mutable strict : bool array; (* per key component *)
+    mutable rows : Tuple.t array;
+    mutable mults : int array;
+    mutable next : int array; (* the previous row under the same key, or -1 *)
+    mutable hashes : int array;
+    mutable used : int;
+    mutable keys : int; (* distinct keys *)
+    mutable idx : int array; (* 0 = empty, else a key's head row + 1 *)
+    mutable mask : int;
+  }
 
-  let equal = List.equal Value.equal
-  let hash key = List.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 key
-end)
+  let rec pow2_above n x = if x >= n then x else pow2_above n (2 * x)
+
+  let create ~size ~build ~probe ~strict =
+    let size = max 1 size in
+    let icap = pow2_above (size + (size / 2)) 2 in
+    {
+      build;
+      probe;
+      strict;
+      rows = Array.make size Tuple.empty;
+      mults = Array.make size 0;
+      next = Array.make size (-1);
+      hashes = Array.make size 0;
+      used = 0;
+      keys = 0;
+      idx = Array.make icap 0;
+      mask = icap - 1;
+    }
+
+  (* the loops are top-level functions taking their free variables as
+     arguments, so that no call allocates a closure *)
+  let rec null_at strict k t i =
+    i < Array.length strict
+    && ((Array.unsafe_get strict i
+        && match Tuple.key_value k t i with Value.Null -> true | _ -> false)
+       || null_at strict k t (i + 1))
+
+  let rec hash_from k t i acc =
+    if i >= Tuple.key_arity k then acc land max_int
+    else hash_from k t (i + 1) ((acc * 31) + Value.hash (Tuple.key_value k t i))
+
+  let rec equal_from ka ta kb tb i =
+    i >= Tuple.key_arity ka
+    || Value.equal (Tuple.key_value ka ta i) (Tuple.key_value kb tb i)
+       && equal_from ka ta kb tb (i + 1)
+
+  (* the index position holding the key of [t] (read through [k]), or
+     the empty position where it would go *)
+  let rec pos_from tbl k t h i =
+    let v = Array.unsafe_get tbl.idx i in
+    if v = 0 then i
+    else
+      let r = v - 1 in
+      if
+        Array.unsafe_get tbl.hashes r = h
+        && equal_from k t tbl.build (Array.unsafe_get tbl.rows r) 0
+      then i
+      else pos_from tbl k t h ((i + 1) land tbl.mask)
+
+  let rec empty_from idx mask i =
+    if Array.unsafe_get idx i = 0 then i else empty_from idx mask ((i + 1) land mask)
+
+  let grow_index tbl =
+    let old = tbl.idx in
+    let icap = 2 * Array.length old in
+    let idx = Array.make icap 0 in
+    let mask = icap - 1 in
+    for p = 0 to Array.length old - 1 do
+      let v = Array.unsafe_get old p in
+      if v <> 0 then
+        Array.unsafe_set idx
+          (empty_from idx mask (Array.unsafe_get tbl.hashes (v - 1) land mask))
+          v
+    done;
+    tbl.idx <- idx;
+    tbl.mask <- mask
+
+  let grow_rows tbl =
+    let cap = Array.length tbl.rows in
+    let widen a fill =
+      let b = Array.make (2 * cap) fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    tbl.rows <- widen tbl.rows Tuple.empty;
+    tbl.mults <- widen tbl.mults 0;
+    tbl.next <- widen tbl.next (-1);
+    tbl.hashes <- widen tbl.hashes 0
+
+  let add tbl t m =
+    if not (null_at tbl.strict tbl.build t 0) then begin
+      let h = hash_from tbl.build t 0 7 in
+      if tbl.used = Array.length tbl.rows then grow_rows tbl;
+      if (tbl.keys + 1) * 4 > (tbl.mask + 1) * 3 then grow_index tbl;
+      let p = pos_from tbl tbl.build t h (h land tbl.mask) in
+      let r = tbl.used in
+      let v = Array.unsafe_get tbl.idx p in
+      if v = 0 then tbl.keys <- tbl.keys + 1;
+      tbl.rows.(r) <- t;
+      tbl.mults.(r) <- m;
+      tbl.hashes.(r) <- h;
+      tbl.next.(r) <- v - 1;
+      Array.unsafe_set tbl.idx p (r + 1);
+      tbl.used <- r + 1
+    end
+
+  let find tbl t =
+    if null_at tbl.strict tbl.probe t 0 then -1
+    else
+      let h = hash_from tbl.probe t 0 7 in
+      Array.unsafe_get tbl.idx (pos_from tbl tbl.probe t h (h land tbl.mask)) - 1
+
+  (* Under linear probing without deletions, a key's slot ends an
+     occupied run that starts at its home slot, and a cluster's first
+     slot is its key's home. So zeroing from every row's home up to the
+     next empty slot clears the index, in time proportional to the rows
+     held rather than to the index. *)
+  let clear tbl =
+    for r = 0 to tbl.used - 1 do
+      let p = ref (Array.unsafe_get tbl.hashes r land tbl.mask) in
+      while Array.unsafe_get tbl.idx !p <> 0 do
+        Array.unsafe_set tbl.idx !p 0;
+        p := (!p + 1) land tbl.mask
+      done;
+      Array.unsafe_set tbl.rows r Tuple.empty
+    done;
+    tbl.used <- 0;
+    tbl.keys <- 0
+
+  let reset tbl ~size ~build ~probe ~strict =
+    clear tbl;
+    if Array.length tbl.rows < size then begin
+      let fresh = create ~size ~build ~probe ~strict in
+      tbl.rows <- fresh.rows;
+      tbl.mults <- fresh.mults;
+      tbl.next <- fresh.next;
+      tbl.hashes <- fresh.hashes;
+      tbl.idx <- fresh.idx;
+      tbl.mask <- fresh.mask
+    end;
+    tbl.build <- build;
+    tbl.probe <- probe;
+    tbl.strict <- strict
+
+  let row tbl r = Array.unsafe_get tbl.rows r
+  let mult tbl r = Array.unsafe_get tbl.mults r
+  let next tbl r = Array.unsafe_get tbl.next r
+end
 
 (* Join-key planning: shared attribute names joined naturally, plus
    the equi-pairs of the theta condition that span the two sides. *)
-let join_keys sa sb on =
+let key_plan sa sb on =
   let shared = List.filter (fun n -> Schema.mem sb n) (Schema.attrs sa) in
   let extra_pairs =
     List.filter_map
@@ -183,69 +346,58 @@ let join_keys sa sb on =
         else None)
       (Predicate.equi_pairs on)
   in
+  (shared, extra_pairs)
+
+let join_keys sa sb on =
+  let shared, extra_pairs = key_plan sa sb on in
   (shared @ List.map fst extra_pairs, shared @ List.map snd extra_pairs)
+
+(* every row under [xa]'s key, from row [r] down the chain *)
+let rec join_chain tbl merge residual emit xa ma r =
+  if r >= 0 then begin
+    let xb = Key_table.row tbl r in
+    if Tuple.agree merge xa xb then begin
+      let merged = Tuple.merge merge xa xb in
+      if residual merged then emit merged (ma * Key_table.mult tbl r)
+    end;
+    join_chain tbl merge residual emit xa ma (Key_table.next tbl r)
+  end
 
 (* Hash join over the physical tables: build a key table over the
    right side once, probe with each left row [scan] enumerates (in as
    many passes as it likes), and hand every merged row with its
-   multiplicity to [emit]. Keys are extracted through memoized slot
-   plans, and the common single-attribute key case skips the key-list
-   allocation entirely. Each key holds its rows in one cell, most
-   recent first, so a probe is one lookup that allocates nothing; the
-   table is presized past its resize point. *)
+   multiplicity to [emit]. The equi-pair components of the key are
+   strict: [on] rejects a Null there anyway. *)
 let join_into ?(on = Predicate.True) ?test sa scan b emit =
-  let left_keys, right_keys = join_keys sa b.schema on in
-  let trivially_true = on = Predicate.True in
+  let shared, extra_pairs = key_plan sa b.schema on in
   (* [test] is a compiled form of [on] supplied by the plan layer *)
   let residual =
     match test with Some f -> f | None -> Predicate.compile on
   in
   let merge = Tuple.merger () in
-  let combine ta ma tb mb =
-    match merge ta tb with
-    | None -> ()
-    | Some merged ->
-      if trivially_true || residual merged then emit merged (ma * mb)
-  in
-  let rec combine_all xa ma = function
-    | [] -> ()
-    | (xb, mb) :: rest ->
-      combine xa ma xb mb;
-      combine_all xa ma rest
-  in
-  match left_keys, right_keys with
-  | [], _ | _, [] ->
+  if shared = [] && extra_pairs = [] then
     (* pure theta join: nested loops *)
-    scan (fun xa ma -> Counts.iter (fun xb mb -> combine xa ma xb mb) b.tm)
-  | [ lk ], [ rk ] ->
-    let key_of_b = Tuple.keyer1 rk and key_of_a = Tuple.keyer1 lk in
-    let index = Value.Tbl.create (2 * max 16 (Counts.size b.tm)) in
-    Counts.iter
-      (fun xb mb ->
-        let k = key_of_b xb in
-        match Value.Tbl.find index k with
-        | rows -> rows := (xb, mb) :: !rows
-        | exception Not_found -> Value.Tbl.add index k (ref [ (xb, mb) ]))
-      b.tm;
     scan (fun xa ma ->
-        match Value.Tbl.find index (key_of_a xa) with
-        | rows -> combine_all xa ma !rows
-        | exception Not_found -> ())
-  | _ ->
-    let key_of_b = Tuple.keyer right_keys
-    and key_of_a = Tuple.keyer left_keys in
-    let index = Key_table.create (2 * max 16 (Counts.size b.tm)) in
-    Counts.iter
-      (fun xb mb ->
-        let k = key_of_b xb in
-        match Key_table.find index k with
-        | rows -> rows := (xb, mb) :: !rows
-        | exception Not_found -> Key_table.add index k (ref [ (xb, mb) ]))
-      b.tm;
+        Counts.iter
+          (fun xb mb ->
+            if Tuple.agree merge xa xb then begin
+              let merged = Tuple.merge merge xa xb in
+              if residual merged then emit merged (ma * mb)
+            end)
+          b.tm)
+  else begin
+    let tbl =
+      Key_table.create ~size:(Counts.size b.tm)
+        ~build:(Tuple.key (shared @ List.map snd extra_pairs))
+        ~probe:(Tuple.key (shared @ List.map fst extra_pairs))
+        ~strict:
+          (Array.of_list
+             (List.map (fun _ -> false) shared @ List.map (fun _ -> true) extra_pairs))
+    in
+    Counts.iter (Key_table.add tbl) b.tm;
     scan (fun xa ma ->
-        match Key_table.find index (key_of_a xa) with
-        | rows -> combine_all xa ma !rows
-        | exception Not_found -> ())
+        join_chain tbl merge residual emit xa ma (Key_table.find tbl xa))
+  end
 
 let join ?on ?test a b =
   let bu =

@@ -72,6 +72,11 @@ val retype : Schema.t -> t -> t
     check is made once, not per tuple.
     @raise Bag_error otherwise. *)
 
+val reserve : t -> int -> unit
+(** [reserve b n] makes room in [b]'s storage for [n] distinct tuples,
+    so that adding up to [n] grows nothing; iteration order is
+    unchanged. *)
+
 val copy : t -> t
 (** A bag equal to its input over storage of its own. A holder that
     keeps a bag and updates it while another holder (a stored table)
@@ -92,6 +97,47 @@ val monus : t -> t -> t
 val set_diff : t -> t -> t
 (** Set difference of the set-images, result a set (multiplicities 1). *)
 
+(** Key tables for hash joins, shared by {!join}, {!join_signed} and
+    the plan compiler's join groups: the build side's rows in flat
+    arrays, chained per key (most recent first) under a flat
+    open-addressing index, so adding a row allocates nothing once the
+    arrays have room and a probe allocates nothing. Keys compare with
+    {!Value.equal} and hash with {!Value.hash} (Int 1 and Float 1. are
+    one key). A strict key component never matches Null: a row with
+    Null there neither enters the table nor finds a match, as a
+    comparison never matches Null. A non-strict component matches Null
+    with Null, as natural join's agreement does. *)
+module Key_table : sig
+  type t
+
+  val create :
+    size:int -> build:Tuple.key -> probe:Tuple.key -> strict:bool array -> t
+  (** A table for about [size] build rows keyed by [build]; a probe row
+      is keyed by [probe], component for component. *)
+
+  val add : t -> Tuple.t -> int -> unit
+  (** Add a build row with its multiplicity. *)
+
+  val find : t -> Tuple.t -> int
+  (** The most recent build row under the probe row's key, or [-1]. *)
+
+  val clear : t -> unit
+  (** Empty the table, keeping its arrays, in time proportional to the
+      rows it held, and drop its references to them. *)
+
+  val reset :
+    t -> size:int -> build:Tuple.key -> probe:Tuple.key -> strict:bool array -> unit
+  (** Empty the table for a build of about [size] rows under new keys,
+      as {!create} would make it, keeping its arrays when they hold
+      [size] rows. *)
+
+  val row : t -> int -> Tuple.t
+  val mult : t -> int -> int
+
+  val next : t -> int -> int
+  (** The previous build row under the same key, or [-1]. *)
+end
+
 val join_keys :
   Schema.t -> Schema.t -> Predicate.t -> string list * string list
 (** [join_keys sa sb on] is the pair of equi-join key attribute lists
@@ -99,6 +145,21 @@ val join_keys :
     attribute names plus the cross-side equi-pairs of [on]. Exposed so
     delta propagation can match persistent table indexes against the
     join's key. *)
+
+val join_into :
+  ?on:Predicate.t ->
+  ?test:(Tuple.t -> bool) ->
+  Schema.t ->
+  ((Tuple.t -> int -> unit) -> unit) ->
+  t ->
+  (Tuple.t -> int -> unit) ->
+  unit
+(** [join_into sa scan b emit] streams {!join} without building its
+    result: [scan f] enumerates the left rows (over [sa]) into [f],
+    each probes a key table built once over [b], and every merged row
+    goes to [emit] with its multiplicity, in the order {!join} would
+    add them. A caller chains joins by handing one's [join_into] to the
+    next as its [scan]. *)
 
 val join : ?on:Predicate.t -> ?test:(Tuple.t -> bool) -> t -> t -> t
 (** Natural join on shared attribute names combined with the optional

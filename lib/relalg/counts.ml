@@ -255,6 +255,24 @@ let reroot t =
 
 let get t tuple = data_get (reroot t) tuple
 
+(* room in [t]'s arena for [n] slots without growing it: the arrays
+   widen with every slot in place and the index is rehashed from its
+   tags. Skipped while an iteration pins the arena: the room is only
+   ever an optimization. *)
+let reserve t n =
+  let d = reroot t in
+  if d.pins = 0 && Array.length d.tuples < n then begin
+    let tuples = Array.make n Tuple.empty in
+    Array.blit d.tuples 0 tuples 0 d.used;
+    d.tuples <- tuples;
+    let counts = Array.make n 0 in
+    Array.blit d.counts 0 counts 0 d.used;
+    d.counts <- counts;
+    while n * 4 > (d.mask + 1) * 3 do
+      grow_index d
+    done
+  end
+
 let add_to t tuple m =
   if m = 0 then t
   else

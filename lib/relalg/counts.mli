@@ -22,6 +22,11 @@ val empty : ?size:int -> unit -> t
 val get : t -> Tuple.t -> int
 (** Current count, 0 when absent. *)
 
+val reserve : t -> int -> unit
+(** [reserve t n] makes room in [t]'s arena for [n] bindings, so that
+    adding up to [n] grows nothing; positions, and so iteration order,
+    are unchanged. *)
+
 val add_to : t -> Tuple.t -> int -> t
 (** [add_to t tup m] is [set t tup (get t tup + m)] with a single
     index probe for the old count — the per-atom hot path of delta

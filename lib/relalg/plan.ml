@@ -4,13 +4,13 @@
    [of_expr] (the mediator keeps one per instance).
 
    An expression is compiled to a [prog] tree whose unary chains
-   (select / project / rename) are fused into a single per-tuple pass
-   over the child's output — no intermediate bag per operator — and
-   whose predicates are closures over schema slot indices
-   ({!Predicate.compile}, {!Tuple.projector}, {!Tuple.renamer}): after
-   the first tuple of each descriptor no attribute-name lookup happens
-   on the hot path. Execution streams tuples from sources through the
-   fused stages into one output builder.
+   (select / project / rename) run through the one chain runner
+   ({!chain}): filters that read the incoming row, compiled against
+   its names ({!Predicate.compile}), and one gather composing every
+   projection and renaming ({!Tuple.gather}), both resolved once per
+   input descriptor. A row passing a chain allocates only its output
+   row. Execution streams tuples from sources through the chains into
+   one output builder, which grows with the answer.
 
    Chains of joins collapse into a single n-ary join group carrying
    the conjunction of every join predicate (selections commute with
@@ -18,10 +18,16 @@
    choice). A group whose inputs share no join variable (a cross
    product or a pure theta join) runs as a nested loop; every other
    group runs as a left-deep streaming hash cascade. The cascade
-   streams its smallest input through key tables built over the
-   others, ordered on each execution from the inputs' sizes alone; a
-   two-input group streams its larger input through a table over the
-   smaller.
+   streams its smallest input through key tables ({!Bag.Key_table},
+   which {!Bag.join} shares) built over the others, ordered on each
+   execution from the inputs' sizes alone; a two-input group streams
+   its larger input through a table over the smaller. Each step keeps
+   its table for the plan's next execution, emptied. An equi-pair a
+   step's key enforces is not re-tested, and that key component never
+   matches Null, as the comparison would not. The leading projections
+   of a chain directly above a group fuse into it: when no check
+   remains after the last merge, that merge gathers only the kept
+   attributes and the wide row is never built.
 
    Schemas are resolved at execution time from the environment's bags,
    NOT at compile time from static declarations: the same node
@@ -30,15 +36,16 @@
    join variables depend on the attribute sets actually present. A
    plan is therefore schema-polymorphic — a function of the expression
    alone — and every stage re-derives its slot plans per descriptor
-   through the one-entry memos its closures own (a join node owns one
-   tuple merger per merge position).
+   through the one-entry memos it owns (a join node owns one tuple
+   merger per merge position, a chain its resolution).
 
    The tests check plans against an interpretive evaluator, value for
    value. Operation charging is the per-operator input cardinalities,
-   with two deviations: a fused stage charges per tuple streamed into
-   it, and a collapsed join group charges its streamed input, build
-   sides, intermediate results and output rather than the sum over the
-   original binary nodes. *)
+   with two deviations: a chain charges per tuple streamed into each
+   step it reaches, and a collapsed join group charges its streamed
+   input, build sides, intermediate results and output rather than the
+   sum over the original binary nodes. A fused projection charges one
+   op per output row, as its step did. *)
 
 exception Unbound_relation of string
 
@@ -51,13 +58,159 @@ let reset_tuple_ops () = ops_counter := 0
 let charge_tuple_ops n = ops_counter := !ops_counter + n
 
 type step =
-  | Filter of (Tuple.t -> bool)
-  | Gather of string list * (Tuple.t -> Tuple.t) (* projection *)
-  | Remap of (string * string) list * (Tuple.t -> Tuple.t) (* renaming *)
+  | Filter of Predicate.t
+  | Project of string list
+  | Rename of (string * string) list
+
+(* A unary chain compiled into one pass over its input row: filters
+   that read the incoming row and one gather that builds the output
+   row, both resolved once per input descriptor and kept in a
+   one-entry memo. A filter placed after a projection or renaming
+   reads the input row through the names the chain gave it; the
+   gather is every projection and renaming of the chain composed, so
+   a passing row allocates its output row only, and none when the
+   chain maps it to itself. A row charges, as stepping through the
+   chain one operator at a time would, one tuple op per step it
+   reaches: a rejected row the steps up to the filter that rejects
+   it. *)
+type chain = {
+  c_prefix : chain option; (* steps run before [c_steps] *)
+  c_steps : step list; (* innermost first: execution order *)
+  c_len : int; (* with the prefix's *)
+  c_charge : bool;
+  mutable c_rep : Tuple.t option; (* a row over the resolved descriptor *)
+  mutable c_filters : (Tuple.t -> bool) array; (* over the input row *)
+  mutable c_reached : int array; (* steps a row reaches when filter k rejects it *)
+  mutable c_gather : Tuple.gather;
+  mutable c_passes : bool; (* the gather is the identity *)
+  mutable c_projected : (string list * Tuple.gather) option;
+      (* the last projection of this chain's output that an extension
+         resolved, composed with the gather *)
+}
+
+let chain ?(charge = true) ?prefix steps =
+  {
+    c_prefix = prefix;
+    c_steps = steps;
+    c_len =
+      (List.length steps + match prefix with Some p -> p.c_len | None -> 0);
+    c_charge = charge;
+    c_rep = None;
+    c_filters = [||];
+    c_reached = [||];
+    c_gather = Tuple.gather_of Tuple.empty;
+    c_passes = true;
+    c_projected = None;
+  }
+
+(* A filter's attribute that its step no longer binds (an earlier
+   projection dropped it, a renaming moved it) reads a name the input
+   row [t] lacks, so the filter raises [Not_found] on the rows that
+   reach it, exactly as it did on the step's own row. *)
+let rec absent t a =
+  if Tuple.gather_source (Tuple.gather_of t) a = None then a else absent t (a ^ "'")
+
+(* a filter over the output of gather [g], compiled against the input
+   row's names *)
+let compile_over g t p =
+  let moved =
+    List.filter_map
+      (fun a ->
+        match Tuple.gather_source g a with
+        | Some s -> if String.equal s a then None else Some (a, s)
+        | None -> Some (a, absent t a))
+      (Predicate.attrs p)
+  in
+  Predicate.compile (if moved = [] then p else Predicate.rename moved p)
+
+(* the steps from position [i] on, over gather [g]; a projection of the
+   prefix's own output (as a source's request makes of its prepared
+   definition, poll after poll) is memoized on the prefix *)
+let rec resolve_steps prefix t g filters reached i = function
+  | [] -> (g, filters, reached)
+  | Filter p :: rest ->
+    resolve_steps prefix t g (compile_over g t p :: filters) ((i + 1) :: reached)
+      (i + 1) rest
+  | Project names :: rest ->
+    let g' =
+      match prefix with
+      | Some p when g == p.c_gather -> (
+        match p.c_projected with
+        | Some (n, pg) when List.equal String.equal n names -> pg
+        | _ ->
+          let pg = Tuple.gather_project g names in
+          p.c_projected <- Some (names, pg);
+          pg)
+      | _ -> Tuple.gather_project g names
+    in
+    resolve_steps prefix t g' filters reached (i + 1) rest
+  | Rename m :: rest ->
+    resolve_steps prefix t (Tuple.gather_rename g m) filters reached (i + 1) rest
+
+(* A chain with a prefix resolves from the prefix's resolution, which
+   the prefix keeps across the chains that extend it. *)
+let rec resolve_chain c t =
+  let g, pre_filters, pre_reached =
+    match c.c_prefix with
+    | None -> (Tuple.gather_of t, [||], [||])
+    | Some p ->
+      if not (resolved p t) then resolve_chain p t;
+      (p.c_gather, p.c_filters, p.c_reached)
+  in
+  let g, filters, reached =
+    resolve_steps c.c_prefix t g [] []
+      (c.c_len - List.length c.c_steps)
+      c.c_steps
+  in
+  c.c_filters <- Array.append pre_filters (Array.of_list (List.rev filters));
+  c.c_reached <- Array.append pre_reached (Array.of_list (List.rev reached));
+  c.c_gather <- g;
+  c.c_passes <- Tuple.gather_passes g;
+  c.c_projected <- None;
+  c.c_rep <- Some t
+
+and resolved c t =
+  match c.c_rep with Some r -> Tuple.same_desc r t | None -> false
+
+(* The per-tuple loops below are top-level functions taking their
+   free variables as arguments: without flambda, a local [let rec]
+   that captures them allocates a closure on every call. *)
+
+(* the first filter from [k] on that rejects [t], or -1 *)
+let rec rejecting filters t k =
+  if k >= Array.length filters then -1
+  else if (Array.unsafe_get filters k) t then rejecting filters t (k + 1)
+  else k
+
+(* builds one two-argument closure per call. Without the
+   [opaque_identity], the compiler merges [row] into [feed], and each
+   call would build two partial applications of a four-argument
+   function instead *)
+let feed c emit =
+  let row t m =
+    if not (resolved c t) then resolve_chain c t;
+    let k = rejecting c.c_filters t 0 in
+    if k < 0 then begin
+      if c.c_charge then charge_tuple_ops c.c_len;
+      emit (if c.c_passes then t else Tuple.gather c.c_gather t) m
+    end
+    else if c.c_charge then charge_tuple_ops (Array.unsafe_get c.c_reached k)
+  in
+  Sys.opaque_identity row
+
+(* the schema a chain's steps give rows over [s] *)
+let chain_schema s steps =
+  List.fold_left
+    (fun s step ->
+      match step with
+      | Filter _ -> s
+      | Project names -> Schema.project s names
+      | Rename m -> Expr.schema_of (fun _ -> s) (Expr.Rename (m, Expr.Base "_")))
+    s steps
 
 type prog =
   | Source of string
-  | Fused of step array * prog (* steps innermost-first *)
+  | Fused of chain * prog
   | Join of njoin
   | Union of prog * prog
   | Diff of prog * prog
@@ -67,22 +220,38 @@ and njoin = {
   test : (Tuple.t -> bool) option; (* compiled [on]; None = True *)
   conjs : conjunct array; (* compiled conjuncts, conjunction order *)
   inputs : prog array; (* >= 2, original left-to-right order *)
-  merges : (Tuple.t -> Tuple.t -> Tuple.t option) array;
-      (* one {!Tuple.merger} per merge position: cascade step [k] or
-         nested-loop depth [k] *)
+  merges : Tuple.merger array;
+      (* one per merge position: cascade step [k] or nested-loop
+         depth [k] *)
+  tables : Bag.Key_table.t option array;
+      (* cascade step [k]'s key table, emptied after each execution and
+         rebuilt in place by the next; [None] while a step holds it *)
+  out : projection option; (* projections fused above the group *)
 }
 
-and conjunct = { c_attrs : string list; c_test : Tuple.t -> bool }
+and conjunct = {
+  c_attrs : string list;
+  c_equi : (string * string) option; (* an [a = b] between two attributes *)
+  c_test : Tuple.t -> bool;
+}
+
+(* the projections directly above a join group, innermost first: the
+   last merge gathers only the kept attributes when no check remains
+   after it, and otherwise the full output row is projected *)
+and projection = {
+  p_names : string list list;
+  p_merge : Tuple.merger; (* the last merge, keeping the last names *)
+  p_gather : Tuple.t -> Tuple.t;
+}
 
 type t = prog
 
 (* collect a maximal unary chain; the accumulator ends up
    innermost-first, which is execution order *)
 let rec peel acc = function
-  | Expr.Select (p, e) -> peel (Filter (Predicate.compile p) :: acc) e
-  | Expr.Project (names, e) ->
-    peel (Gather (names, Tuple.projector names) :: acc) e
-  | Expr.Rename (m, e) -> peel (Remap (m, Tuple.renamer m) :: acc) e
+  | Expr.Select (p, e) -> peel (Filter p :: acc) e
+  | Expr.Project (names, e) -> peel (Project names :: acc) e
+  | Expr.Rename (m, e) -> peel (Rename m :: acc) e
   | e -> (acc, e)
 
 (* collapse a chain of joins into its inputs (left-to-right) and the
@@ -95,12 +264,42 @@ let rec flatten_join = function
     (ia @ ib, pa @ Predicate.conjuncts p @ pb)
   | e -> ([ e ], [])
 
+(* a chain over [below]; its leading projections over a join group
+   fuse into the group *)
+let fuse steps below =
+  let rec leading acc = function
+    | Project names :: rest -> leading (names :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  let below, steps =
+    match below with
+    | Join j -> (
+      match leading [] steps with
+      | [], _ -> (below, steps)
+      | projs, rest ->
+        let keep = List.nth projs (List.length projs - 1) in
+        ( Join
+            {
+              j with
+              out =
+                Some
+                  {
+                    p_names = projs;
+                    p_merge = Tuple.merger ~keep ();
+                    p_gather = Tuple.projector keep;
+                  };
+            },
+          rest ))
+    | _ -> (below, steps)
+  in
+  if steps = [] then below else Fused (chain steps, below)
+
 let rec compile_prog expr =
   match expr with
   | Expr.Base n -> Source n
   | Expr.Select _ | Expr.Project _ | Expr.Rename _ ->
     let steps, sub = peel [] expr in
-    Fused (Array.of_list steps, compile_prog sub)
+    fuse steps (compile_prog sub)
   | Expr.Join _ ->
     let inputs, conj_list = flatten_join expr in
     let conj_list =
@@ -114,10 +313,22 @@ let rec compile_prog expr =
         conjs =
           Array.of_list
             (List.map
-               (fun p -> { c_attrs = Predicate.attrs p; c_test = Predicate.compile p })
+               (fun p ->
+                 {
+                   c_attrs = Predicate.attrs p;
+                   c_equi =
+                     (match p with
+                     | Predicate.Cmp (Predicate.Eq, Predicate.Attr a, Predicate.Attr b)
+                       when not (String.equal a b) ->
+                       Some (a, b)
+                     | _ -> None);
+                   c_test = Predicate.compile p;
+                 })
                conj_list);
         inputs = Array.of_list (List.map compile_prog inputs);
         merges = Array.init (List.length inputs) (fun _ -> Tuple.merger ());
+        tables = Array.make (List.length inputs) None;
+        out = None;
       }
   | Expr.Union (a, b) -> Union (compile_prog a, compile_prog b)
   | Expr.Diff (a, b) -> Diff (compile_prog a, compile_prog b)
@@ -135,22 +346,15 @@ let bag_err fmt = Format.kasprintf (fun s -> raise (Bag.Bag_error s)) fmt
 let rec out_schema prog ~env =
   match prog with
   | Source n -> Bag.schema (resolve env n)
-  | Fused (steps, sub) ->
-    let s = out_schema sub ~env in
-    Array.fold_left
-      (fun s step ->
-        match step with
-        | Filter _ -> s
-        | Gather (names, _) -> Schema.project s names
-        | Remap (m, _) ->
-          Expr.schema_of (fun _ -> s) (Expr.Rename (m, Expr.Base "_")))
-      s steps
+  | Fused (c, sub) -> chain_schema (out_schema sub ~env) c.c_steps
   | Join j ->
     let s = ref (out_schema j.inputs.(0) ~env) in
     for i = 1 to Array.length j.inputs - 1 do
       s := Schema.join !s (out_schema j.inputs.(i) ~env)
     done;
-    !s
+    (match j.out with
+    | None -> !s
+    | Some o -> List.fold_left Schema.project !s o.p_names)
   | Union (a, b) ->
     let sa = out_schema a ~env and sb = out_schema b ~env in
     if not (Schema.union_compatible sa sb) then
@@ -163,22 +367,6 @@ let rec out_schema prog ~env =
       bag_err "set_diff: schemas %s and %s are not union-compatible"
         (Schema.to_string sa) (Schema.to_string sb);
     sa
-
-(* key tables for the streaming hash joins, over Value's own
-   equality/hash (Int 1 and Float 1. compare equal and must collide) *)
-module VKey_table = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
-module Key_table = Hashtbl.Make (struct
-  type t = Value.t list
-
-  let equal = List.equal Value.equal
-  let hash key = List.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 key
-end)
 
 (* a join-group input at execution time. Materialization is lazy: the
    cascade streams each input exactly once and never buffers it; only
@@ -312,21 +500,9 @@ let cascade_order views classes =
         i)
   end
 
-(* one cascade step: the key table built over a join input plus the
-   probe keyer from the accumulated prefix and the conjuncts that
-   become checkable after this merge. A key holds its rows in one
-   cell, most recent first, so a probe is one lookup that allocates
-   nothing. *)
-type rows = (Tuple.t * int) list ref
-
-type cstep =
-  | C1 of rows VKey_table.t * (Tuple.t -> Value.t) * (Tuple.t -> bool) array
-  | CN of
-      rows Key_table.t * (Tuple.t -> Value.t list) * (Tuple.t -> bool) array
-
-(* The per-tuple loops below are top-level functions taking their
-   free variables as arguments: without flambda, a local [let rec]
-   that captures them allocates a closure on every call. *)
+(* one cascade step: the key table built over a join input and the
+   conjuncts that become checkable after this merge *)
+type cstep = { s_tbl : Bag.Key_table.t; s_checks : (Tuple.t -> bool) array }
 
 let rec passes_from checks t i =
   i >= Array.length checks
@@ -334,28 +510,10 @@ let rec passes_from checks t i =
 
 let passes checks t = passes_from checks t 0
 
-(* run one row through a fused chain's steps from [i] on *)
-let rec run_steps steps emit t m i =
-  if i >= Array.length steps then emit t m
-  else begin
-    incr ops_counter;
-    match Array.unsafe_get steps i with
-    | Filter f -> if f t then run_steps steps emit t m (i + 1)
-    | Gather (_, g) -> run_steps steps emit (g t) m (i + 1)
-    | Remap (_, r) -> run_steps steps emit (r t) m (i + 1)
-  end
-
-(* builds a two-argument closure: a partial application of a
-   four-argument function would pay the generic apply on every row *)
-let feed steps emit =
-  let row t m = run_steps steps emit t m 0 in
-  row
-
 let rec stream prog ~env ~(emit : Tuple.t -> int -> unit) =
   match prog with
   | Source n -> Bag.iter emit (resolve env n)
-  | Fused (steps, sub) ->
-    stream sub ~env ~emit:(fun t m -> run_steps steps emit t m 0)
+  | Fused (c, sub) -> stream sub ~env ~emit:(feed c emit)
   | Join j -> exec_nary j ~env ~emit
   | Union (a, b) ->
     ignore (out_schema prog ~env : Schema.t);
@@ -426,36 +584,62 @@ and exec_nary j ~env ~emit =
     List.filter (fun (a, b) -> present a && present b) (Predicate.equi_pairs j.on)
   in
   let classes = classes ~attrs:attr_lists ~equi in
+  (* each output row charges one op per projection fused above the
+     group, as the projection steps did *)
+  let nproj = match j.out with Some o -> List.length o.p_names | None -> 0 in
+  let outs = ref 0 in
+  let emit_out t m =
+    incr outs;
+    emit t m
+  in
+  let emit =
+    match j.out with
+    | None -> emit_out
+    | Some o -> fun t m -> emit_out (o.p_gather t) m
+  in
   if classes = [] then exec_nested j views ~emit
-  else exec_cascade j views attr_lists classes ~emit
+  else exec_cascade j views attr_lists classes ~emit ~emit_out;
+  charge_tuple_ops (nproj * !outs)
 
 (* left-deep streaming hash cascade in {!cascade_order}: key tables
    over every input but the first, the first streamed through the
    probe chain. Each conjunct is applied at the first step whose
-   merged schema covers its attributes; conjuncts never covered are
-   still evaluated on the output (raising exactly as the interpreter
-   would on a dangling attribute). *)
-and exec_cascade j views attr_lists classes ~emit =
+   merged schema covers its attributes, except an equi-pair the step's
+   key already enforces: that key component is strict (a Null neither
+   enters the table nor probes it, as the comparison never matches
+   Null). Conjuncts never covered are still evaluated on the output
+   (raising exactly as the interpreter would on a dangling attribute).
+   When no check remains after the last merge and projections are
+   fused above the group, the last merge gathers only the kept
+   attributes, so the wide row is never built. *)
+and exec_cascade j views attr_lists classes ~emit ~emit_out =
   let order = cascade_order views classes in
   let n = Array.length order in
   let nconjs = Array.length j.conjs in
   let applied = Array.make nconjs false in
-  let take_applicable schema =
-    let out = ref [] in
+  (* the conjuncts that become checkable over [schema], but for an
+     equi-pair between a pair of [shared] (the step's key attributes),
+     which the key enforces: the checks, and the key pairs enforced *)
+  let take_applicable schema shared =
+    let checks = ref [] and enforced = ref [] in
     for c = nconjs - 1 downto 0 do
-      if
-        (not applied.(c))
-        && List.for_all (fun a -> Schema.mem schema a) j.conjs.(c).c_attrs
-      then begin
+      let cj = j.conjs.(c) in
+      if (not applied.(c)) && List.for_all (Schema.mem schema) cj.c_attrs then begin
         applied.(c) <- true;
-        out := j.conjs.(c).c_test :: !out
+        match
+          List.find_opt
+            (fun (la, ra) -> cj.c_equi = Some (la, ra) || cj.c_equi = Some (ra, la))
+            shared
+        with
+        | Some pair -> enforced := pair :: !enforced
+        | None -> checks := cj.c_test :: !checks
       end
     done;
-    Array.of_list !out
+    (Array.of_list !checks, !enforced)
   in
   let first = order.(0) in
   let merged = ref views.(first).v_schema in
-  let first_checks = take_applicable !merged in
+  let first_checks, _ = take_applicable !merged [] in
   let charged = ref 0 in
   let steps =
     Array.init (n - 1) (fun k ->
@@ -473,34 +657,26 @@ and exec_cascade j views attr_lists classes ~emit =
             classes
         in
         let merged' = Schema.join !merged si in
-        let checks = take_applicable merged' in
+        let checks, enforced = take_applicable merged' shared in
         merged := merged';
         (* sized from the input's exact row count when known (a source
            leaf), never from a derived input's leaf total *)
-        let size =
-          if views.(i).v_rows >= 0 then max 16 views.(i).v_rows else 64
+        let size = if views.(i).v_rows >= 0 then max 16 views.(i).v_rows else 64
+        and build = Tuple.key (List.map snd shared)
+        and probe = Tuple.key (List.map fst shared)
+        and strict = Array.of_list (List.map (fun p -> List.mem p enforced) shared) in
+        let tbl =
+          match j.tables.(k) with
+          | Some tbl ->
+            j.tables.(k) <- None;
+            Bag.Key_table.reset tbl ~size ~build ~probe ~strict;
+            tbl
+          | None -> Bag.Key_table.create ~size ~build ~probe ~strict
         in
-        match shared with
-        | [ (la, ra) ] ->
-          let tbl = VKey_table.create size in
-          let kb = Tuple.keyer1 ra in
-          views.(i).v_stream (fun t m ->
-              incr charged;
-              let k = kb t in
-              match VKey_table.find tbl k with
-              | rows -> rows := (t, m) :: !rows
-              | exception Not_found -> VKey_table.add tbl k (ref [ (t, m) ]));
-          C1 (tbl, Tuple.keyer1 la, checks)
-        | _ ->
-          let tbl = Key_table.create size in
-          let kb = Tuple.keyer (List.map snd shared) in
-          views.(i).v_stream (fun t m ->
-              incr charged;
-              let k = kb t in
-              match Key_table.find tbl k with
-              | rows -> rows := (t, m) :: !rows
-              | exception Not_found -> Key_table.add tbl k (ref [ (t, m) ]));
-          CN (tbl, Tuple.keyer (List.map fst shared), checks))
+        views.(i).v_stream (fun t m ->
+            incr charged;
+            Bag.Key_table.add tbl t m);
+        { s_tbl = tbl; s_checks = checks })
   in
   let leftovers =
     let out = ref [] in
@@ -510,6 +686,16 @@ and exec_cascade j views attr_lists classes ~emit =
     Array.of_list !out
   in
   let nsteps = n - 1 in
+  (* the last merge gathers the projected row itself when nothing
+     checks the full row after it *)
+  let gather_last =
+    match j.out with
+    | Some o
+      when Array.length leftovers = 0
+           && Array.length steps.(nsteps - 1).s_checks = 0 ->
+      Some o.p_merge
+    | _ -> None
+  in
   let rec go idx t m =
     if idx >= nsteps then begin
       if passes leftovers t then begin
@@ -518,31 +704,38 @@ and exec_cascade j views attr_lists classes ~emit =
       end
     end
     else
-      match Array.unsafe_get steps idx with
-      | C1 (tbl, key, checks) -> (
-        match VKey_table.find tbl (key t) with
-        | rows -> merge_all idx checks t m !rows
-        | exception Not_found -> ())
-      | CN (tbl, key, checks) -> (
-        match Key_table.find tbl (key t) with
-        | rows -> merge_all idx checks t m !rows
-        | exception Not_found -> ())
-  and merge_all idx checks t m = function
-    | [] -> ()
-    | (tb, mb) :: rest ->
-      (match (Array.unsafe_get j.merges idx) t tb with
-      | None -> ()
-      | Some merged ->
-        if passes checks merged then begin
-          if idx + 1 < nsteps then incr charged;
-          go (idx + 1) merged (m * mb)
+      let s = Array.unsafe_get steps idx in
+      merge_from idx s t m (Bag.Key_table.find s.s_tbl t)
+  and merge_from idx s t m r =
+    if r >= 0 then begin
+      let tb = Bag.Key_table.row s.s_tbl r and mb = Bag.Key_table.mult s.s_tbl r in
+      (match gather_last with
+      | Some pm when idx + 1 = nsteps ->
+        if Tuple.agree pm t tb then begin
+          incr charged;
+          emit_out (Tuple.merge pm t tb) (m * mb)
+        end
+      | _ ->
+        let mg = Array.unsafe_get j.merges idx in
+        if Tuple.agree mg t tb then begin
+          let merged = Tuple.merge mg t tb in
+          if passes s.s_checks merged then begin
+            if idx + 1 < nsteps then incr charged;
+            go (idx + 1) merged (m * mb)
+          end
         end);
-      merge_all idx checks t m rest
+      merge_from idx s t m (Bag.Key_table.next s.s_tbl r)
+    end
   in
   views.(first).v_stream (fun t m ->
       incr charged;
       if passes first_checks t then go 0 t m);
-  charge_tuple_ops !charged
+  charge_tuple_ops !charged;
+  Array.iteri
+    (fun k s ->
+      Bag.Key_table.clear s.s_tbl;
+      j.tables.(k) <- Some s.s_tbl)
+    steps
 
 (* cross product or pure theta join: product of the inputs with the
    full residual; charges the product bound like the interpreter *)
@@ -556,9 +749,8 @@ and exec_nested j views ~emit =
     end
     else
       v_iter views.(idx) (fun t m ->
-          match j.merges.(idx) acc t with
-          | None -> ()
-          | Some merged -> loop (idx + 1) merged (accm * m))
+          let mg = j.merges.(idx) in
+          if Tuple.agree mg acc t then loop (idx + 1) (Tuple.merge mg acc t) (accm * m))
   in
   loop 0 Tuple.empty 1;
   charge_tuple_ops product
@@ -567,15 +759,9 @@ let run p ~env =
   match p with
   | Source n -> resolve env n (* as the interpreter: no copy, no charge *)
   | prog ->
-    let schema = out_schema prog ~env in
-    (* a fused chain over one source yields at most that source's
-       distinct tuples *)
-    let size =
-      match prog with
-      | Fused (_, Source n) -> max 16 (Bag.support_cardinal (resolve env n))
-      | _ -> 16
-    in
-    let bu = Bag.builder ~size schema in
+    (* the builder grows with the answer: sizing it from the scanned
+       relation would allocate for rows a selective chain drops *)
+    let bu = Bag.builder (out_schema prog ~env) in
     stream prog ~env ~emit:(fun t m -> Bag.badd bu t m);
     Bag.seal bu
 
@@ -598,5 +784,5 @@ let of_expr ?memo expr =
   match expr with
   | Expr.Select _ | Expr.Project _ | Expr.Rename _ ->
     let steps, sub = peel [] expr in
-    Fused (Array.of_list steps, below sub)
+    fuse steps (below sub)
   | _ -> below expr

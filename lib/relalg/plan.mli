@@ -1,17 +1,18 @@
 (** Plan compiler: algebra expressions compiled into physical operator
     pipelines (the default evaluator behind {!Eval.eval}).
 
-    A compiled plan fuses unary select/project/rename chains into a
-    single per-tuple pass (no intermediate bag per operator), compiles
-    predicates to closures over schema slot indices, and streams join
-    and union outputs straight into the downstream stage. A chain of
-    joins runs as one group: a left-deep hash cascade that streams its
-    smallest input through key tables over the others, or a nested
-    loop when the inputs share no join variable (a cross product or a
-    pure theta join). A two-input group instead builds its key table
-    over the smaller input and streams the larger. A probe allocates
-    nothing. The output of a fused chain over one source is presized
-    from that source's distinct tuples.
+    A compiled plan runs each unary select/project/rename chain as one
+    per-tuple pass ({!chain}) that allocates only the rows it outputs,
+    and streams join and union outputs straight into the downstream
+    stage. A chain of joins runs as one group: a left-deep hash cascade
+    that streams its smallest input through key tables
+    ({!Bag.Key_table}) over the others, or a nested loop when the
+    inputs share no join variable (a cross product or a pure theta
+    join). A two-input group instead builds its key table over the
+    smaller input and streams the larger. A probe allocates nothing.
+    Projections directly above a group gather at its last merge when
+    no check remains after it. The output builder grows with the
+    answer.
 
     Plans are {e schema-polymorphic}: a function of the expression
     alone, with every slot plan resolved at execution time per tuple
@@ -26,9 +27,9 @@
 
     The tests check plans against an interpretive evaluator, value for
     value. Operation charging is the per-operator input
-    cardinalities, except that a fused stage charges per tuple
-    streamed into it (a duplicate-merging projection below another
-    stage charges the pre-merge count). *)
+    cardinalities, except that a chain charges per tuple streamed into
+    each step it reaches (a duplicate-merging projection below another
+    step charges the pre-merge count). *)
 
 exception Unbound_relation of string
 (** Raised when the environment cannot resolve a base relation.
@@ -52,23 +53,44 @@ val run : t -> env:(string -> Bag.t option) -> Bag.t
 
     {!Delta.Delta_plan} compiles the same expression shapes. *)
 
-(** One step of a fused unary chain. *)
+(** One step of a unary chain. *)
 type step =
-  | Filter of (Tuple.t -> bool)  (** compiled selection *)
-  | Gather of string list * (Tuple.t -> Tuple.t)  (** projection *)
-  | Remap of (string * string) list * (Tuple.t -> Tuple.t)  (** renaming *)
+  | Filter of Predicate.t  (** selection *)
+  | Project of string list  (** projection *)
+  | Rename of (string * string) list  (** renaming *)
 
 val peel : step list -> Expr.t -> step list * Expr.t
-(** [peel [] e] compiles the maximal select/project/rename chain on top
-    of [e] into its steps, innermost first (execution order), and
-    returns the expression below it. *)
+(** [peel [] e] is the maximal select/project/rename chain on top of
+    [e] as its steps, innermost first (execution order), and the
+    expression below it. *)
 
-val feed : step array -> (Tuple.t -> int -> unit) -> Tuple.t -> int -> unit
-(** [feed steps emit tuple mult] runs one row through a fused chain's
-    steps, innermost first, and emits its image if every filter passes,
-    charging one tuple op per step executed, as a compiled plan's fused
-    stage does. A caller that keeps a chain's steps (a source's
-    prepared poll) streams rows through them with it. *)
+val chain_schema : Schema.t -> step list -> Schema.t
+(** The schema the steps give rows over a schema.
+    @raise Schema.Schema_error or Expr.Expr_error when a step does not
+    apply. *)
+
+type chain
+(** A unary chain compiled into one pass over its input row: filters
+    that read the input row (a filter after a projection or renaming
+    reads it through the names the chain gave it) and one gather, every
+    projection and renaming composed, both resolved once per input
+    descriptor. A passing row allocates only its output row, and none
+    when the chain maps it to itself. *)
+
+val chain : ?charge:bool -> ?prefix:chain -> step list -> chain
+(** Compile steps, innermost first, run after those of [prefix] (whose
+    resolution the new chain starts from, and which keeps it for the
+    next chain that extends it). With [charge] (the default), a row
+    charges one tuple op per step it reaches, as a compiled plan's
+    chain does: a rejected row the steps up to the filter rejecting it.
+    A filter naming an attribute its step does not bind (an earlier
+    projection dropped it) raises [Not_found] on a row reaching it. *)
+
+val feed : chain -> (Tuple.t -> int -> unit) -> Tuple.t -> int -> unit
+(** [feed c emit tuple mult] runs one row through the chain and emits
+    its image if every filter passes. A caller that keeps a chain (a
+    source's prepared poll, a delta plan) streams rows through it with
+    this. *)
 
 val flatten_join : Expr.t -> Expr.t list * Predicate.t list
 (** A chain of joins as its inputs, left to right, and the conjuncts of

@@ -162,7 +162,7 @@ let project_plan desc names =
   in
   (out_desc, slots)
 
-let apply_plan (out_desc, slots) t =
+let gather_into out_desc slots t =
   let n = Array.length slots in
   if n = 0 then mk out_desc [||]
   else begin
@@ -180,7 +180,7 @@ let apply_plan (out_desc, slots) t =
 let projector names =
   let cache = ref None in
   fun t ->
-    let plan =
+    let out_desc, slots =
       match !cache with
       | Some (src_id, plan) when src_id = t.desc.Desc.id -> plan
       | _ ->
@@ -188,36 +188,36 @@ let projector names =
         cache := Some (t.desc.Desc.id, plan);
         plan
     in
-    apply_plan plan t
+    gather_into out_desc slots t
 
-(* Cached key-extraction plan: list of values at the named slots, in
-   the given attribute order (not sorted — join key order matters). *)
-let key_slots desc names =
-  Array.map
-    (fun n ->
-      let i = Desc.slot desc n in
-      if i < 0 then raise Not_found else i)
-    names
+(* A join key: the values of named attributes, in the given order (not
+   sorted: join key order matters), read through a slot plan resolved
+   once per descriptor and memoized in the key itself. *)
+type key = {
+  k_names : string array;
+  mutable k_id : int; (* descriptor the slots are resolved for; -1 *)
+  mutable k_slots : int array;
+}
 
-let rec gather_list vals slots k acc =
-  if k < 0 then acc
-  else
-    gather_list vals slots (k - 1)
-      (Array.unsafe_get vals (Array.unsafe_get slots k) :: acc)
+let key names = { k_names = Array.of_list names; k_id = -1; k_slots = [||] }
+let key_arity k = Array.length k.k_names
 
-let keyer names =
-  let names = Array.of_list names in
-  let cache = ref None in
-  fun t ->
+let key_slots k t =
+  if k.k_id = t.desc.Desc.id then k.k_slots
+  else begin
     let slots =
-      match !cache with
-      | Some (src_id, slots) when src_id = t.desc.Desc.id -> slots
-      | _ ->
-        let slots = key_slots t.desc names in
-        cache := Some (t.desc.Desc.id, slots);
-        slots
+      Array.map
+        (fun n ->
+          let i = Desc.slot t.desc n in
+          if i < 0 then raise Not_found else i)
+        k.k_names
     in
-    gather_list t.vals slots (Array.length slots - 1) []
+    k.k_id <- t.desc.Desc.id;
+    k.k_slots <- slots;
+    slots
+  end
+
+let key_value k t i = Array.unsafe_get t.vals (Array.unsafe_get (key_slots k t) i)
 
 (* single-attribute key extraction (the common join case): no list
    allocation at all *)
@@ -236,9 +236,7 @@ let keyer1 name =
     t.vals.(slot)
 
 (* Rename plan: renaming re-sorts the attribute order, so the plan is
-   a target descriptor plus a source-slot gather map, resolved once
-   per (source descriptor, mapping). One-entry memo as for projector:
-   bag-wide renames stream tuples over a single descriptor. *)
+   a target descriptor plus a source-slot gather map. *)
 let rename_plan desc mapping =
   let n = Array.length desc.Desc.names in
   let renamed =
@@ -252,69 +250,98 @@ let rename_plan desc mapping =
   Array.sort (fun (a, _) (b, _) -> String.compare a b) renamed;
   for i = 1 to n - 1 do
     if String.equal (fst renamed.(i - 1)) (fst renamed.(i)) then
-      invalid_arg "Tuple.renamer: mapping collapses two attributes"
+      invalid_arg "Tuple.gather_rename: mapping collapses two attributes"
   done;
   let out_desc = Desc.of_sorted_names (Array.map fst renamed) in
   (out_desc, Array.map snd renamed)
 
-let renamer mapping =
-  let cache = ref None in
-  fun t ->
-    let plan =
-      match !cache with
-      | Some (src_id, plan) when src_id = t.desc.Desc.id -> plan
-      | _ ->
-        let plan = rename_plan t.desc mapping in
-        cache := Some (t.desc.Desc.id, plan);
-        plan
-    in
-    apply_plan plan t
+(* A composed gather: the projections and renamings of a unary chain
+   folded into one target descriptor and one source-slot map, resolved
+   against a source descriptor, so the chain builds its output row in
+   one array gather. *)
+type gather = {
+  g_src : Desc.t;
+  g_out : Desc.t;
+  g_slots : int array; (* output slot -> source slot *)
+}
+
+let gather_of t =
+  { g_src = t.desc; g_out = t.desc; g_slots = Array.init (arity t) Fun.id }
+
+let compose g (out_desc, slots) =
+  { g with g_out = out_desc; g_slots = Array.map (fun s -> g.g_slots.(s)) slots }
+
+let gather_project g names = compose g (project_plan g.g_out names)
+let gather_rename g mapping = compose g (rename_plan g.g_out mapping)
+
+let gather_source g name =
+  let i = Desc.slot g.g_out name in
+  if i < 0 then None else Some g.g_src.Desc.names.(g.g_slots.(i))
+
+let rec is_identity slots i =
+  i >= Array.length slots
+  || (Array.unsafe_get slots i = i && is_identity slots (i + 1))
+
+let gather_passes g = g.g_out == g.g_src && is_identity g.g_slots 0
+
+let gather g t = gather_into g.g_out g.g_slots t
+let same_desc a b = a.desc == b.desc
 
 (* Merge plan for natural-join concatenation of two descriptors:
    target descriptor, per-slot source (left slot or right slot), and
-   the shared slots whose values must agree. *)
+   the shared slots whose values must agree. With [keep], the target
+   holds only the kept attributes: a join whose output is projected
+   gathers them straight from its two inputs. *)
 type merge_plan = {
   mp_out : Desc.t;
   mp_take : int array; (* slot i of output: left j if >= 0, right (-j-1) *)
   mp_shared : (int * int) array; (* (left slot, right slot) to check *)
 }
 
-let merge_plan da db =
+let merge_plan ?keep da db =
   let la = da.Desc.names and lb = db.Desc.names in
+  let kept name =
+    match keep with None -> true | Some names -> List.mem name names
+  in
   let out = ref [] and take = ref [] and shared = ref [] in
+  let emit name src =
+    if kept name then begin
+      out := name :: !out;
+      take := src :: !take
+    end
+  in
   let i = ref 0 and j = ref 0 in
   let na = Array.length la and nb = Array.length lb in
   while !i < na || !j < nb do
     if !i >= na then begin
-      out := lb.(!j) :: !out;
-      take := (- !j - 1) :: !take;
+      emit lb.(!j) (- !j - 1);
       incr j
     end
     else if !j >= nb then begin
-      out := la.(!i) :: !out;
-      take := !i :: !take;
+      emit la.(!i) !i;
       incr i
     end
     else
       let c = String.compare la.(!i) lb.(!j) in
       if c < 0 then begin
-        out := la.(!i) :: !out;
-        take := !i :: !take;
+        emit la.(!i) !i;
         incr i
       end
       else if c > 0 then begin
-        out := lb.(!j) :: !out;
-        take := (- !j - 1) :: !take;
+        emit lb.(!j) (- !j - 1);
         incr j
       end
       else begin
-        out := la.(!i) :: !out;
-        take := !i :: !take;
+        emit la.(!i) !i;
         shared := (!i, !j) :: !shared;
         incr i;
         incr j
       end
   done;
+  (match keep with
+  | Some names when List.exists (fun n -> not (List.mem n !out)) names ->
+    raise Not_found
+  | _ -> ());
   {
     mp_out = Desc.of_sorted_names (Array.of_list (List.rev !out));
     mp_take = Array.of_list (List.rev !take);
@@ -322,41 +349,49 @@ let merge_plan da db =
   }
 
 (* do [va] and [vb] agree on every shared slot pair from [k] on? *)
-let rec agree shared va vb k =
+let rec agree_from shared va vb k =
   k >= Array.length shared
   ||
   let i, j = Array.unsafe_get shared k in
   Value.equal (Array.unsafe_get va i) (Array.unsafe_get vb j)
-  && agree shared va vb (k + 1)
+  && agree_from shared va vb (k + 1)
 
-(* [merger] carries a one-entry memo in its closure, as [projector]
-   does: a join merges many tuple pairs over the same two
-   descriptors *)
-let merger () =
-  let cache = ref None in
-  fun a b ->
-    let plan =
-      match !cache with
-      | Some (ia, ib, plan) when ia = a.desc.Desc.id && ib = b.desc.Desc.id ->
-        plan
-      | _ ->
-        let plan = merge_plan a.desc b.desc in
-        cache := Some (a.desc.Desc.id, b.desc.Desc.id, plan);
-        plan
-    in
-    if not (agree plan.mp_shared a.vals b.vals 0) then None
-    else begin
-      let take = plan.mp_take in
-      let n = Array.length take in
-      let vals = Array.make n Value.Null in
-      for s = 0 to n - 1 do
-        let t = Array.unsafe_get take s in
-        Array.unsafe_set vals s
-          (if t >= 0 then Array.unsafe_get a.vals t
-           else Array.unsafe_get b.vals (-t - 1))
-      done;
-      Some (mk plan.mp_out vals)
-    end
+(* A merger carries a one-entry memo, as [projector] does: a join
+   merges many tuple pairs over the same two descriptors. *)
+type merger = {
+  m_keep : string list option;
+  mutable m_a : int; (* descriptor pair the plan is resolved for *)
+  mutable m_b : int;
+  mutable m_plan : merge_plan;
+}
+
+let unresolved = { mp_out = empty_desc; mp_take = [||]; mp_shared = [||] }
+let merger ?keep () = { m_keep = keep; m_a = -1; m_b = -1; m_plan = unresolved }
+
+let plan_for mg a b =
+  if mg.m_a = a.desc.Desc.id && mg.m_b = b.desc.Desc.id then mg.m_plan
+  else begin
+    let plan = merge_plan ?keep:mg.m_keep a.desc b.desc in
+    mg.m_a <- a.desc.Desc.id;
+    mg.m_b <- b.desc.Desc.id;
+    mg.m_plan <- plan;
+    plan
+  end
+
+let agree mg a b = agree_from (plan_for mg a b).mp_shared a.vals b.vals 0
+
+let merge mg a b =
+  let plan = plan_for mg a b in
+  let take = plan.mp_take in
+  let n = Array.length take in
+  let vals = Array.make n Value.Null in
+  for s = 0 to n - 1 do
+    let t = Array.unsafe_get take s in
+    Array.unsafe_set vals s
+      (if t >= 0 then Array.unsafe_get a.vals t
+       else Array.unsafe_get b.vals (-t - 1))
+  done;
+  mk plan.mp_out vals
 
 (* a schema's slot plan for type checks: its descriptor and
    slot-ordered types, kept by the bag that checks *)

@@ -12,9 +12,10 @@
 
     The descriptor intern table is the module's only process-wide
     state: it is identity, not a cache. Every slot plan (projection,
-    renaming, key extraction, join merge, schema check) belongs to the
-    closure or value its caller holds — a {!projector}, a {!merger}, a
-    bag's {!shape} — so mediators running side by side share none. *)
+    composed gather, key extraction, join merge, schema check) belongs
+    to the closure or value its caller holds — a {!projector}, a
+    {!gather}, a {!key}, a {!merger}, a bag's {!shape} — so mediators
+    running side by side share none. *)
 
 type t
 
@@ -46,29 +47,72 @@ val projector : string list -> t -> t
     projected tuple is then a plain array gather.
     @raise Not_found if an attribute is absent. *)
 
-val renamer : (string * string) list -> t -> t
-(** [renamer mapping] rewrites attribute names through [mapping]
-    ((old, new) pairs; unmapped names kept) with the gather plan
-    resolved once per source descriptor — the array-tuple fast path
-    behind algebra renaming, replacing the [of_list]/[to_list]
-    assoc-list round-trip. @raise Invalid_argument if the mapping
-    collapses two attributes of the tuple into one name. *)
-
-val keyer : string list -> t -> Value.t list
-(** [keyer names] extracts the values of [names] (in the given order)
-    with the slot plan memoized per source descriptor, as used for
-    join-key extraction. @raise Not_found if an attribute is absent. *)
-
 val keyer1 : string -> t -> Value.t
 (** Single-attribute [keyer] without the list allocation.
     @raise Not_found if the attribute is absent. *)
 
-val merger : unit -> t -> t -> t option
-(** [merger ()] merges two tuples as natural join does: [None] when
-    they disagree on a shared attribute, otherwise the union of their
-    bindings. The merge plan is resolved per pair of source
-    descriptors and memoized in the closure (one entry), so a join
-    owns one merger per pair of inputs it merges. *)
+type gather
+(** The projections and renamings of a unary chain composed into one
+    gather from a source row: a target descriptor and the source slot
+    of each target slot, resolved against the descriptor of the row it
+    starts from. *)
+
+val gather_of : t -> gather
+(** The identity gather over the tuple's descriptor. *)
+
+val gather_project : gather -> string list -> gather
+(** Followed by a projection. @raise Not_found if an attribute is
+    absent. *)
+
+val gather_rename : gather -> (string * string) list -> gather
+(** Followed by a renaming: [(old, new)] pairs, unmapped names kept.
+    @raise Invalid_argument if the mapping collapses two attributes. *)
+
+val gather_source : gather -> string -> string option
+(** The source attribute that an attribute of the gather's output
+    reads, or [None] when the output lacks it. *)
+
+val gather_passes : gather -> bool
+(** The gather maps every source row to itself. *)
+
+val gather : gather -> t -> t
+(** Build the output row from a row over the gather's source
+    descriptor (one array gather). *)
+
+val same_desc : t -> t -> bool
+(** The two tuples bind the same attribute set (they share one
+    interned descriptor). *)
+
+type key
+(** A join key: the values of named attributes, in the given order,
+    read through a slot plan memoized per source descriptor. *)
+
+val key : string list -> key
+val key_arity : key -> int
+
+val key_value : key -> t -> int -> Value.t
+(** [key_value k t i] is the value of [k]'s [i]-th attribute in [t].
+    @raise Not_found if an attribute of [k] is absent from [t]. *)
+
+type merger
+(** A natural-join merge: the merge plan of a pair of descriptors,
+    memoized (one entry), so a join owns one merger per pair of inputs
+    it merges. *)
+
+val merger : ?keep:string list -> unit -> merger
+(** With [keep], a merged row binds only the kept attributes: the
+    projection of the natural-join row, gathered straight from both
+    inputs. *)
+
+val agree : merger -> t -> t -> bool
+(** The two tuples agree on every attribute they share (a natural-join
+    match); allocates nothing.
+    @raise Not_found if a kept attribute is absent from both. *)
+
+val merge : merger -> t -> t -> t
+(** The union of the two tuples' bindings (restricted to the kept
+    attributes), for a pair that {!agree}s; only the merged row is
+    allocated. *)
 
 type shape
 (** A schema's slot plan for type checks: its descriptor and the

@@ -17,16 +17,16 @@ type poll_error =
 type key = { k_column : string; k_values : Value.t list }
 
 (* A definition over one relation compiled once: its select/project/
-   rename chain as fused steps, its output schema, and the projection
-   step and schema of each attribute list a request has asked for, so
-   a poll compiles only its request's condition. The steps' slot memos
-   stay warm across polls. *)
+   rename chain, resolved at the first poll and extended by each
+   request's filter and projection, its output schema, and the schema
+   of each attribute list a request has asked for. *)
 type prepared = {
   p_source : string;
   p_relation : string;
-  p_steps : Plan.step array;
+  p_chain : Plan.chain;
+  p_bare : bool; (* the definition is the relation itself *)
   p_schema : Schema.t;
-  mutable p_projections : (string list * (Schema.t * Plan.step)) list;
+  mutable p_projections : (string list * Schema.t) list;
 }
 
 type request = {
@@ -295,7 +295,8 @@ let prepare t ?(keys = []) expr =
   {
     p_source = t.name;
     p_relation = rel;
-    p_steps = Array.of_list steps;
+    p_chain = Plan.chain steps;
+    p_bare = steps = [];
     p_schema = out;
     p_projections = [];
   }
@@ -303,32 +304,26 @@ let prepare t ?(keys = []) expr =
 let indexed t = List.sort compare (List.map fst t.indexes)
 let scanned_keys t = t.scanned_keys
 
-(* the request's projection onto [attrs], resolved once per attribute
-   list. Onto the definition's own attributes (in any order) it maps
-   each tuple to itself, as tuples are keyed by attribute name: still a
-   step, but one that copies nothing. *)
+(* the schema of the request's projection onto [attrs], derived once
+   per attribute list *)
 let rec find_projection attrs = function
   | [] -> None
-  | (a, proj) :: rest ->
-    if List.equal String.equal a attrs then Some proj else find_projection attrs rest
+  | (a, schema) :: rest ->
+    if List.equal String.equal a attrs then Some schema
+    else find_projection attrs rest
 
 let projection p attrs =
   match find_projection attrs p.p_projections with
-  | Some proj -> proj
+  | Some schema -> schema
   | None ->
     let schema = Schema.project p.p_schema attrs in
-    let gather =
-      if Schema.arity schema = Schema.arity p.p_schema then Fun.id
-      else Tuple.projector attrs
-    in
-    let proj = (schema, Plan.Gather (attrs, gather)) in
-    p.p_projections <- (attrs, proj) :: p.p_projections;
-    proj
+    p.p_projections <- (attrs, schema) :: p.p_projections;
+    schema
 
 (* The answer to [π_attrs σ_cond def] over the current relation: the
-   prepared chain, then the request's filter and projection, run as one
-   fused pass into one builder, charging one tuple op per row for each
-   step executed. A key restricts the rows read to those whose column
+   prepared chain, extended by the request's filter and projection,
+   run as one pass into one builder that receives only the output
+   rows, charging one tuple op per row for each step it reaches. A key restricts the rows read to those whose column
    equals a key value, charged one tuple op per key. A comparison never
    matches Null, so it is not a key, and values equal under Value.equal
    (Int 1, Float 1.) are one key. The rows are the probed buckets of
@@ -363,30 +358,29 @@ let answer t rq =
         Some { k with k_values = keys }
       end
   in
-  let unfiltered = Predicate.equal rq.rq_cond Predicate.True in
+  let filter =
+    if Predicate.equal rq.rq_cond Predicate.True then []
+    else [ Plan.Filter rq.rq_cond ]
+  in
   let schema, tail =
     match rq.rq_attrs with
-    | None ->
-      ( p.p_schema,
-        if unfiltered then [||] else [| Plan.Filter (Predicate.compile rq.rq_cond) |] )
-    | Some attrs ->
-      let schema, gather = projection p attrs in
-      ( schema,
-        if unfiltered then [| gather |]
-        else [| Plan.Filter (Predicate.compile rq.rq_cond); gather |] )
+    | None -> (p.p_schema, filter)
+    | Some attrs -> (projection p attrs, filter @ [ Plan.Project attrs ])
   in
-  let steps =
-    if Array.length tail = 0 then p.p_steps else Array.append p.p_steps tail
-  in
-  (* the rows read, streamed through the steps into one answer *)
-  let stream ~size rows =
-    let bu = Bag.builder ~size schema in
-    rows (Plan.feed steps (fun tuple m -> Bag.badd bu tuple m));
+  (* the rows read, streamed through the chain into one answer, whose
+     builder grows with the answer: sizing a scan's from the relation
+     would allocate for every row the chain drops *)
+  let stream ?size rows =
+    let bu = Bag.builder ?size schema in
+    rows
+      (Plan.feed (Plan.chain ~prefix:p.p_chain tail) (fun tuple m ->
+           Bag.badd bu tuple m));
     Bag.seal bu
   in
   match key with
-  | None when Array.length steps = 0 -> rel (* the relation itself, uncharged *)
-  | None -> stream ~size:(max 16 (Bag.support_cardinal rel)) (fun emit -> Bag.iter emit rel)
+  | None when tail = [] && p.p_bare ->
+    rel (* the relation itself, uncharged *)
+  | None -> stream (fun emit -> Bag.iter emit rel)
   | Some { k_column = col; k_values = keys } -> (
     match index_on p.p_relation col t.indexes with
     | Some ix ->
@@ -396,7 +390,7 @@ let answer t rq =
       t.scanned_keys <- t.scanned_keys + 1;
       let wanted = Value.Tbl.create 16 in
       List.iter (fun v -> Value.Tbl.replace wanted v ()) keys;
-      stream ~size:16 (fun emit ->
+      stream (fun emit ->
           Bag.iter
             (fun tuple m ->
               if Value.Tbl.mem wanted (Tuple.get tuple col) then emit tuple m)

@@ -44,9 +44,12 @@ let delete ?(mult = 1) t tuple =
   end
 
 (* built in bulk: the bag's own storage and presized indexes, not a
-   persistent add and an index update per tuple *)
+   persistent add and an index update per tuple. The storage keeps room
+   for a quarter more rows: storage sized to its rows (a projection's
+   is) would otherwise double at the first insert, inside an update *)
 let load t bag =
   t.bag <- Bag.retype t.schema bag;
+  Bag.reserve t.bag (let n = Bag.support_cardinal t.bag in n + (n / 4) + 16);
   t.indexes <-
     List.map (fun ix -> Hash_index.of_bag (Hash_index.on ix) t.bag) t.indexes
 
@@ -115,11 +118,10 @@ let delta_join t ~left ?(on = Predicate.True) ?test ?filter () =
               (fun ta ma () ->
                 Eval.charge_tuple_ops 1;
                 Hash_index.probe ix (key ta) (fun tb mb ->
-                    if keep tb then
-                      match merge ta tb with
-                      | None -> ()
-                      | Some merged ->
-                        if residual merged then add merged (ma * mb)))
+                    if keep tb && Tuple.agree merge ta tb then begin
+                      let merged = Tuple.merge merge ta tb in
+                      if residual merged then add merged (ma * mb)
+                    end))
               d ()))
 
 type index_stats = { ix_on : string; ix_distinct : int; ix_max_chain : int }

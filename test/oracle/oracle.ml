@@ -1,8 +1,9 @@
 (* Interpretive oracles for the compiled evaluators: a condition
    evaluator, a value evaluator and a delta rule engine that walk the
    AST on every call, and the VAP closure that derives [derived_from]
-   from the VDP on every call. The differential tests check the
-   compiled forms ({!Relalg.Predicate.compile}, {!Relalg.Plan},
+   from the VDP on every call, and the step-by-step chain runner
+   whose charges compiled chains keep. The differential tests check
+   the compiled forms ({!Relalg.Predicate.compile}, {!Relalg.Plan},
    {!Delta.Delta_plan}, the closure rules of {!Vdp.Derived_from})
    against them, value for value; no program links this library. *)
 
@@ -49,6 +50,20 @@ let eval_pred p tuple =
   in
   go p
 
+(* A tuple's attributes renamed ([(old, new)] pairs, unmapped names
+   kept) through its bindings; a mapping that collapses two attributes
+   is rejected, as a compiled renaming rejects it. *)
+let rename_tuple mapping t =
+  let bindings =
+    List.map
+      (fun (a, v) -> (Option.value ~default:a (List.assoc_opt a mapping), v))
+      (Tuple.to_list t)
+  in
+  if List.length (List.sort_uniq String.compare (List.map fst bindings))
+     < List.length bindings
+  then invalid_arg "Oracle.rename_tuple: mapping collapses two attributes";
+  Tuple.of_list bindings
+
 (* The interpretive evaluator: walks the AST on every call, resolving
    operators as it goes. Value-identical to {!Eval.eval}. *)
 let rec eval_interp ~env expr =
@@ -71,8 +86,9 @@ let rec eval_interp ~env expr =
     let schema =
       Expr.schema_of (fun _ -> Bag.schema bag) (Expr.Rename (mapping, Expr.Base "_"))
     in
-    let rename = Tuple.renamer mapping in
-    Bag.fold (fun t m out -> Bag.add ~mult:m out (rename t)) bag (Bag.empty schema)
+    Bag.fold
+      (fun t m out -> Bag.add ~mult:m out (rename_tuple mapping t))
+      bag (Bag.empty schema)
   | Expr.Join (a, p, b) ->
     let ba = eval_interp ~env a and bb = eval_interp ~env b in
     let result = Bag.join ~on:p ba bb in
@@ -100,6 +116,23 @@ let rec eval_interp ~env expr =
     Eval.charge_tuple_ops (Bag.support_cardinal ba + Bag.support_cardinal bb);
     Bag.set_diff ba bb
 
+(* The step-by-step chain runner that {!Plan.chain} replaced: each
+   step runs on the row the step before it produced, charging one
+   tuple op per step the row reaches, and the row's image goes to
+   [emit] when every filter passes. The charge reference for compiled
+   chains. *)
+let run_steps steps emit t m =
+  let rec go t = function
+    | [] -> emit t m
+    | step :: rest -> (
+      Eval.charge_tuple_ops 1;
+      match step with
+      | Plan.Filter p -> if eval_pred p t then go t rest
+      | Plan.Project names -> go (Tuple.projector names t) rest
+      | Plan.Rename m -> go (rename_tuple m t) rest)
+  in
+  go t steps
+
 (* a delta's atoms renamed ([(old, new)] pairs) *)
 let rename_delta mapping d =
   let schema =
@@ -107,8 +140,8 @@ let rename_delta mapping d =
       (fun _ -> Rel_delta.schema d)
       (Expr.Rename (mapping, Expr.Base "_"))
   in
-  let rename_tuple = Tuple.renamer mapping in
-  Rel_delta.transform schema (fun t -> Some (rename_tuple t)) d
+  Rel_delta.collect schema ~size:(Rel_delta.support_cardinal d) (fun add ->
+      Rel_delta.fold (fun t m () -> add (rename_tuple mapping t) m) d ())
 
 (* A leaf delta through a leaf-parent's select/project/rename
    definition, one operator at a time (deltas commute with select,
@@ -184,7 +217,7 @@ let rec delta_of_expr_interp ?indexed_join ~env ~deltas expr =
     let canonical =
       Schema.join (Rel_delta.schema da) (Rel_delta.schema db)
     in
-    let canon d = Rel_delta.transform canonical (fun t -> Some t) d in
+    let canon d = Rel_delta.relabel canonical d in
     if Rel_delta.is_empty da && Rel_delta.is_empty db then
       Rel_delta.empty canonical
     else if Rel_delta.is_empty db then begin

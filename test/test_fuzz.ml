@@ -197,7 +197,10 @@ module Ref_bag = struct
           (fun acc (tb, mb) ->
             check 0 ta;
             check 1 tb;
-            match (merge ta tb, merge tb ta) with
+            let merged a b =
+              if Tuple.agree merge a b then Some (Tuple.merge merge a b) else None
+            in
+            match (merged ta tb, merged tb ta) with
             | None, None -> acc
             | Some merged, Some swapped when Tuple.equal merged swapped ->
               check 2 merged;

@@ -200,22 +200,30 @@ let test_delta_plans_agree () =
       (Rel_delta.apply (Eval.eval ~env e) compiled)
   done
 
+(* renaming through a compiled chain (its composed gather) *)
 let test_renamer () =
   let t =
     Tuple.of_list
       [ ("a", Value.Int 1); ("b", Value.Int 2); ("c", Value.Str "x") ]
   in
-  let r = Tuple.renamer [ ("a", "z") ] in
+  let renamer m =
+    let c = Plan.chain ~charge:false [ Plan.Rename m ] in
+    fun t ->
+      let out = ref Tuple.empty in
+      Plan.feed c (fun u _ -> out := u) t 1;
+      !out
+  in
+  let r = renamer [ ("a", "z") ] in
   Alcotest.check Tutil.tuple "simple rename"
     (Tuple.of_list
        [ ("z", Value.Int 1); ("b", Value.Int 2); ("c", Value.Str "x") ])
     (r t);
-  let swap = Tuple.renamer [ ("a", "b"); ("b", "a") ] in
+  let swap = renamer [ ("a", "b"); ("b", "a") ] in
   Alcotest.check Tutil.tuple "swap is a permutation, not a clash"
     (Tuple.of_list
        [ ("b", Value.Int 1); ("a", Value.Int 2); ("c", Value.Str "x") ])
     (swap t);
-  (match Tuple.renamer [ ("a", "b") ] t with
+  (match renamer [ ("a", "b") ] t with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "collapsing rename should raise");
   (* the one-entry memo re-plans when the descriptor changes *)
@@ -290,6 +298,45 @@ let test_njoin_strategies_agree () =
     | _ -> ()
   done
 
+(* a compiled join group keeps each cascade step's key table across
+   executions, emptied after each one: one plan run over a sequence of
+   environments of growing, shrinking and empty inputs answers each as
+   the interpreter does, and charges what a fresh plan charges *)
+let test_key_tables_across_runs () =
+  for seed = 0 to 59 do
+    let rng = Random.State.make [| 0x7AB; seed |] in
+    let pool = random_pool rng in
+    let schema () =
+      let s = random_schema rng pool in
+      if Schema.mem s "a" then s else Schema.make (List.hd pool :: Schema.typed_attrs s)
+    in
+    let schemas = List.map (fun n -> (n, schema ())) [ "A"; "B"; "C" ] in
+    let e =
+      let ab = Expr.join (Expr.base "A") (Expr.base "B") in
+      if Random.State.bool rng then ab
+      else
+        let s = Schema.join (List.assoc "A" schemas) (List.assoc "B" schemas) in
+        Expr.join ~on:(random_pred rng (Schema.join s (List.assoc "C" schemas))) ab
+          (Expr.base "C")
+    in
+    let plan = Plan.of_expr e in
+    for round = 0 to 5 do
+      let bases =
+        List.map
+          (fun (n, s) ->
+            let size = if round = 3 then 0 else Random.State.int rng (10 + (20 * round)) in
+            (n, s, sized_bag rng s size))
+          schemas
+      in
+      let env = env_of_bases bases in
+      let label = Printf.sprintf "seed %d round %d: %s" seed round (Expr.to_string e) in
+      let out, ops = charged (fun () -> Plan.run plan ~env) in
+      Tutil.check_bag label (Oracle.eval_interp ~env e) out;
+      let _, fresh = charged (fun () -> Plan.run (Plan.of_expr e) ~env) in
+      Alcotest.(check int) (label ^ ": charge") fresh ops
+    done
+  done
+
 (* a two-input group builds its key table over the smaller input and
    streams the larger: whichever side is larger, and whichever order
    the expression names them in, the answer is the interpreter's and
@@ -358,6 +405,228 @@ let test_cross_product () =
           ~on:(Predicate.lt (Predicate.attr "a") (Predicate.attr "b"))
           (Expr.base "A") (Expr.base "B") );
     ]
+
+(* ---- compiled chains and fused joins ------------------------------------ *)
+
+(* [n] random chain steps over [s], innermost first, with filters after
+   projections and renamings and a projection first about half the
+   time (directly above a join group, when the chain sits on one) *)
+let random_chain rng s n =
+  let project s =
+    let attrs = List.filter (fun _ -> Random.State.bool rng) (Schema.attrs s) in
+    let attrs = if attrs = [] then [ List.hd (Schema.attrs s) ] else attrs in
+    (Plan.Project attrs, Schema.project s attrs)
+  in
+  let rec go s acc i =
+    if i = 0 then List.rev acc
+    else
+      let step, s' =
+        match Random.State.int rng (if acc = [] then 4 else 3) with
+        | 0 -> (Plan.Filter (random_pred rng s), s)
+        | 1 | 3 -> project s
+        | _ ->
+          let mapping =
+            List.filter_map
+              (fun a -> if Random.State.bool rng then Some (a, "r" ^ a) else None)
+              (Schema.attrs s)
+          in
+          if mapping = [] then (Plan.Filter (random_pred rng s), s)
+          else (Plan.Rename mapping, rename_schema s mapping)
+      in
+      go s' (step :: acc) (i - 1)
+  in
+  go s [] n
+
+let expr_of_chain sub steps =
+  List.fold_left
+    (fun e -> function
+      | Plan.Filter p -> Expr.select p e
+      | Plan.Project a -> Expr.project a e
+      | Plan.Rename m -> Expr.rename m e)
+    sub steps
+
+(* Differential fuzz of the one chain runner and of projections fused
+   into the last merge of a join group: chains of filters,
+   projections and renamings over a base or a 2- or 3-input join group
+   of bags with multiplicities up to 3 must agree with the interpreter,
+   and charge what the group charges plus what the step-by-step runner
+   charges over the group's rows (which are distinct, so its stream is
+   its support). A chain extending a prefix chain runs the same. *)
+let test_chains_agree () =
+  for seed = 0 to 299 do
+    let rng = Random.State.make [| 0xC4A1; seed |] in
+    let bases = random_bases rng in
+    let env = env_of_bases bases in
+    let pick () = List.nth bases (Random.State.int rng (List.length bases)) in
+    let rec group i (e, s) =
+      if i = 0 then (e, s)
+      else begin
+        let name, s2, _ = pick () in
+        let s' = Schema.join s s2 in
+        let e' =
+          if Random.State.int rng 3 = 0 then
+            Expr.join ~on:(random_pred rng s') e (Expr.base name)
+          else Expr.join e (Expr.base name)
+        in
+        group (i - 1) (e', s')
+      end
+    in
+    let name0, s0, _ = pick () in
+    let sub, s = group (Random.State.int rng 3) (Expr.base name0, s0) in
+    let steps = random_chain rng s (1 + Random.State.int rng 4) in
+    let e = expr_of_chain sub steps in
+    let label = Printf.sprintf "seed %d: %s" seed (Expr.to_string e) in
+    let out, ops = charged (fun () -> Eval.eval ~env e) in
+    Tutil.check_bag label (Oracle.eval_interp ~env e) out;
+    let rows, sub_ops = charged (fun () -> Eval.eval ~env sub) in
+    let reference bu = Oracle.run_steps steps (fun t m -> Bag.badd bu t m) in
+    let ref_out, chain_ops =
+      charged (fun () ->
+          let bu = Bag.builder (Bag.schema out) in
+          Bag.iter (reference bu) rows;
+          Bag.seal bu)
+    in
+    Tutil.check_bag (label ^ ": step-by-step runner") ref_out out;
+    Alcotest.(check int) (label ^ ": charge") (sub_ops + chain_ops) ops;
+    let cut = Random.State.int rng (List.length steps + 1) in
+    let head = List.filteri (fun i _ -> i < cut) steps in
+    let prefix = Plan.chain head in
+    let through c steps =
+      let schema = Plan.chain_schema (Bag.schema rows) steps in
+      let run emit_of =
+        charged (fun () ->
+            let bu = Bag.builder schema in
+            Bag.iter (emit_of (fun t m -> Bag.badd bu t m)) rows;
+            Bag.seal bu)
+      in
+      let want, want_ops = run (Oracle.run_steps steps) in
+      let got, got_ops = run (Plan.feed c) in
+      Tutil.check_bag (label ^ ": extended chain") want got;
+      Alcotest.(check int) (label ^ ": extended chain charge") want_ops got_ops
+    in
+    let extended = Plan.chain ~prefix (List.filteri (fun i _ -> i >= cut) steps) in
+    through extended steps;
+    (* a second extension of the same prefix, projecting elsewhere, and
+       the first again: the prefix's memoized projection follows *)
+    let one = [ List.hd (Schema.attrs (Plan.chain_schema (Bag.schema rows) head)) ] in
+    through (Plan.chain ~prefix [ Plan.Project one ]) (head @ [ Plan.Project one ]);
+    through (Plan.chain ~prefix (List.filteri (fun i _ -> i >= cut) steps)) steps
+  done
+
+(* A filter reads the source row, but one naming an attribute its step
+   no longer binds still raises, as on the step's own row: one an
+   earlier projection dropped, or one an earlier renaming moved *)
+let test_chain_unbound_attribute () =
+  let s = Schema.make [ ("a", Value.TInt); ("b", Value.TInt) ] in
+  let bag =
+    Bag.of_tuples s [ Tuple.of_list [ ("a", Value.Int 1); ("b", Value.Int 2) ] ]
+  in
+  let env = function "P" -> Some bag | _ -> None in
+  List.iter
+    (fun (label, e) ->
+      Alcotest.check_raises (label ^ ": interpreter") Not_found (fun () ->
+          ignore (Oracle.eval_interp ~env e));
+      Alcotest.check_raises label Not_found (fun () -> ignore (Eval.eval ~env e)))
+    [
+      ( "filter on a projected-away attribute",
+        Expr.select
+          Predicate.(eq (attr "b") (int 2))
+          (Expr.project [ "a" ] (Expr.base "P")) );
+      ( "filter on a renamed-away attribute",
+        Expr.select
+          Predicate.(eq (attr "a") (int 1))
+          (Expr.rename [ ("a", "z") ] (Expr.base "P")) );
+    ];
+  (* the renamed attribute itself reads the source's *)
+  Alcotest.(check int) "filter on the renamed attribute" 1
+    (Bag.cardinal
+       (Eval.eval ~env
+          (Expr.select
+             Predicate.(eq (attr "z") (int 1))
+             (Expr.rename [ ("a", "z") ] (Expr.base "P")))))
+
+(* A chain's resolution, and the projection an extension memoizes on
+   its prefix, follow the input descriptor: rows over another attribute
+   set re-resolve both *)
+let test_chain_follows_descriptor () =
+  let prefix = Plan.chain [ Plan.Project [ "a"; "b" ] ] in
+  let ext = Plan.chain ~prefix [ Plan.Project [ "a" ] ] in
+  let out = ref Tuple.empty in
+  let feed t = Plan.feed ext (fun u _ -> out := u) t 1 in
+  let only_a v = Tuple.of_list [ ("a", Value.Int v) ] in
+  feed (Tuple.of_list [ ("a", Value.Int 1); ("b", Value.Int 2) ]);
+  Alcotest.check Tutil.tuple "first descriptor" (only_a 1) !out;
+  (* [a] moves to the second slot *)
+  let ext2 = Plan.chain ~prefix [ Plan.Project [ "a" ] ] in
+  Plan.feed ext2 (fun u _ -> out := u)
+    (Tuple.of_list [ ("_x", Value.Int 9); ("a", Value.Int 3); ("b", Value.Int 4) ])
+    1;
+  Alcotest.check Tutil.tuple "second descriptor" (only_a 3) !out;
+  feed (Tuple.of_list [ ("a", Value.Int 5); ("b", Value.Int 6) ]);
+  Alcotest.check Tutil.tuple "first descriptor again" (only_a 5) !out
+
+(* Join keys and Null. An equi-pair's comparison never matches Null, so
+   a Null on either side joins nothing, even where the hash key
+   enforces the pair and its check is dropped (a projected group's last
+   merge, a three-input cascade); Int 1 and Float 1. compare equal and
+   join. A natural join's shared attribute is matched by agreement, not
+   by a comparison, and there Null agrees with Null: this pins that
+   behaviour as it stands. *)
+let test_null_join_keys () =
+  let row names vals = Tuple.of_list (List.combine names vals) in
+  let sr = Schema.make [ ("r1", Value.TInt); ("r2", Value.TInt) ]
+  and ss = Schema.make [ ("s1", Value.TFloat); ("s2", Value.TInt) ]
+  and su = Schema.make [ ("u1", Value.TInt); ("u2", Value.TInt) ] in
+  let r =
+    Bag.of_tuples sr
+      (List.map (row [ "r1"; "r2" ])
+         Value.[ [ Int 1; Null ]; [ Int 2; Int 1 ]; [ Int 3; Int 7 ] ])
+  and s =
+    Bag.of_tuples ss
+      (List.map (row [ "s1"; "s2" ])
+         Value.[ [ Null; Int 10 ]; [ Float 1.; Int 20 ]; [ Float 2.; Null ] ])
+  and u =
+    Bag.of_tuples su
+      (List.map (row [ "u1"; "u2" ]) Value.[ [ Null; Int 5 ]; [ Int 20; Int 6 ] ])
+  in
+  let env = function
+    | "R" -> Some r
+    | "S" -> Some s
+    | "U" -> Some u
+    | _ -> None
+  in
+  let on = Predicate.eq_attrs "r2" "s1" in
+  let equi = Expr.join ~on (Expr.base "R") (Expr.base "S") in
+  let matched = row [ "r1"; "r2"; "s1"; "s2" ] Value.[ Int 2; Int 1; Float 1.; Int 20 ] in
+  let expect label want got =
+    Alcotest.(check (list (pair Tutil.tuple int))) label want (Bag.to_list got)
+  in
+  expect "Bag.join ~on" [ (matched, 1) ] (Bag.join ~on r s);
+  expect "plan" [ (matched, 1) ] (Eval.eval ~env equi);
+  expect "plan, projected at the last merge"
+    [ (row [ "r1"; "s2" ] Value.[ Int 2; Int 20 ], 1) ]
+    (Eval.eval ~env (Expr.project [ "r1"; "s2" ] equi));
+  let three =
+    Expr.join ~on:(Predicate.eq_attrs "s2" "u1") equi (Expr.base "U")
+  in
+  expect "plan, three inputs"
+    [ (row [ "r1"; "r2"; "s1"; "s2"; "u1"; "u2" ]
+         Value.[ Int 2; Int 1; Float 1.; Int 20; Int 20; Int 6 ], 1) ]
+    (Eval.eval ~env three);
+  Tutil.check_bag "three inputs: interpreter" (Oracle.eval_interp ~env three)
+    (Eval.eval ~env three);
+  let sk = Schema.make [ ("k", Value.TInt); ("a", Value.TInt) ]
+  and sl = Schema.make [ ("k", Value.TInt); ("b", Value.TInt) ] in
+  let k = Bag.of_tuples sk [ row [ "k"; "a" ] Value.[ Null; Int 1 ] ]
+  and l = Bag.of_tuples sl [ row [ "k"; "b" ] Value.[ Null; Int 2 ] ] in
+  let env = function "K" -> Some k | "L" -> Some l | _ -> None in
+  let natural = Expr.join (Expr.base "K") (Expr.base "L") in
+  let both = row [ "k"; "a"; "b" ] Value.[ Null; Int 1; Int 2 ] in
+  expect "natural Bag.join: Null agrees with Null" [ (both, 1) ] (Bag.join k l);
+  expect "natural plan: Null agrees with Null" [ (both, 1) ] (Eval.eval ~env natural);
+  expect "natural plan, projected"
+    [ (row [ "a"; "b" ] Value.[ Int 1; Int 2 ], 1) ]
+    (Eval.eval ~env (Expr.project [ "a"; "b" ] natural))
 
 (* ---- the answer cache --------------------------------------------------- *)
 
@@ -1356,6 +1625,15 @@ let () =
           Alcotest.test_case "cross product and θ-join" `Quick
             test_cross_product;
           prop_two_input_swap;
+          Alcotest.test_case "chains and fused joins agree" `Quick
+            test_chains_agree;
+          Alcotest.test_case "chain filter on an unbound attribute" `Quick
+            test_chain_unbound_attribute;
+          Alcotest.test_case "chain memos follow the descriptor" `Quick
+            test_chain_follows_descriptor;
+          Alcotest.test_case "Null join keys" `Quick test_null_join_keys;
+          Alcotest.test_case "key tables serve repeated runs" `Quick
+            test_key_tables_across_runs;
         ] );
       ( "answer-cache",
         [

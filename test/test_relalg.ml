@@ -99,13 +99,11 @@ let test_tuple_concat () =
   let a = Tuple.of_list [ ("x", v_int 1); ("y", v_int 2) ] in
   let b = Tuple.of_list [ ("y", v_int 2); ("z", v_int 3) ] in
   let merge = Tuple.merger () in
-  (match merge a b with
-  | Some m -> Alcotest.(check int) "merged arity" 3 (List.length (Tuple.to_list m))
-  | None -> Alcotest.fail "concat should agree");
+  if not (Tuple.agree merge a b) then Alcotest.fail "concat should agree";
+  Alcotest.(check int) "merged arity" 3
+    (List.length (Tuple.to_list (Tuple.merge merge a b)));
   let b_bad = Tuple.of_list [ ("y", v_int 9) ] in
-  Alcotest.(check bool)
-    "disagreement" true
-    (Option.is_none (merge a b_bad))
+  Alcotest.(check bool) "disagreement" true (not (Tuple.agree merge a b_bad))
 
 (* a maker fills the interned descriptor in the names' order: the same
    tuple as [of_list] over the paired bindings, whatever that order *)
@@ -369,6 +367,69 @@ let test_bag_join_disjoint () =
             (Bag.mult j (Tuple.of_list (("x", v_int x) :: Tuple.to_list s))))
         [ 1; 2 ])
     (Bag.support sample_s)
+
+(* a key table against a model over rounds of builds, each after a
+   [clear] or a [reset] (some under another key): few keys and many
+   rows per key crowd the index into long clusters, so a slot that a
+   clear left behind would show as a stale match *)
+let test_key_table_reuse () =
+  let rng = Random.State.make [| 0x5EED |] in
+  let row k i =
+    Tuple.of_list [ ("i", v_int i); ("k", v_int k); ("k2", v_int (k + 1000)) ]
+  in
+  let by_k = Tuple.key [ "k" ] and by_k2 = Tuple.key [ "k2" ] in
+  let tbl = Bag.Key_table.create ~size:4 ~build:by_k ~probe:by_k ~strict:[| false |] in
+  for round = 0 to 29 do
+    if round mod 3 = 0 then Bag.Key_table.clear tbl
+    else begin
+      let key = if round mod 3 = 1 then by_k else by_k2 in
+      Bag.Key_table.reset tbl ~size:(Random.State.int rng 300) ~build:key ~probe:key
+        ~strict:[| false |]
+    end;
+    let keys = 1 + Random.State.int rng 200 and n = Random.State.int rng 400 in
+    let model = Hashtbl.create 16 in
+    for i = 0 to n - 1 do
+      let k = Random.State.int rng keys in
+      Bag.Key_table.add tbl (row k i) (i + 1);
+      Hashtbl.replace model k ((i, i + 1) :: Option.value ~default:[] (Hashtbl.find_opt model k))
+    done;
+    let rec rows r acc =
+      if r < 0 then List.rev acc
+      else
+        let i =
+          match Tuple.get (Bag.Key_table.row tbl r) "i" with
+          | Value.Int i -> i
+          | _ -> assert false
+        in
+        rows (Bag.Key_table.next tbl r) ((i, Bag.Key_table.mult tbl r) :: acc)
+    in
+    for k = -1 to 200 do
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "round %d key %d" round k)
+        (Option.value ~default:[] (Hashtbl.find_opt model k))
+        (rows (Bag.Key_table.find tbl (row k 0)) [])
+    done
+  done
+
+(* reserving room moves no tuple: a bag reserved midway lists the same
+   rows in the same order as its unreserved twin, before and after
+   more adds *)
+let test_bag_reserve () =
+  let schema = Schema.make [ ("x", Value.TInt); ("y", Value.TInt) ] in
+  let row i = Tuple.of_list [ ("x", v_int i); ("y", v_int (i * i mod 17)) ] in
+  let add_range b lo hi =
+    let rec go b i = if i >= hi then b else go (Bag.add ~mult:(1 + (i mod 3)) b (row i)) (i + 1) in
+    go b lo
+  in
+  let rows b = Bag.fold (fun t m acc -> (t, m) :: acc) b [] in
+  let check label a b =
+    Alcotest.(check (list (pair Tutil.tuple int))) label (rows a) (rows b)
+  in
+  let twin = add_range (Bag.empty schema) 0 50 in
+  let reserved = add_range (Bag.empty schema) 0 50 in
+  Bag.reserve reserved 1000;
+  check "after reserve" twin reserved;
+  check "after more adds" (add_range twin 50 150) (add_range reserved 50 150)
 
 (* --- Expr / Eval --- *)
 
@@ -832,6 +893,8 @@ let () =
           Alcotest.test_case "theta join" `Quick test_bag_join_theta;
           Alcotest.test_case "join multiplicity" `Quick test_bag_join_multiplicity;
           Alcotest.test_case "disjoint join is a product" `Quick test_bag_join_disjoint;
+          Alcotest.test_case "key table reuse" `Quick test_key_table_reuse;
+          Alcotest.test_case "reserve keeps order" `Quick test_bag_reserve;
         ] );
       ( "eval",
         [
