@@ -99,45 +99,52 @@ let run (t : Med.t) =
             (fun step -> changed step.Derived_from.s_node)
             (Med.update_steps t)
         in
-        (* the processed nodes' value reads of non-leaf children, as
-           requests, each narrowed to the rows the fired rule can join
-           with the leaf-parent deltas *)
-        let reads =
+        (* the processed nodes' value reads of the non-leaf children
+           [only] lists, as requests, each narrowed to the rows the
+           fired rule can join with the leaf-parent deltas: a read's
+           key set is computed only once it is a request *)
+        let reads only =
           List.concat_map
             (fun step ->
-              List.map
-                (fun (child, b, cond) ->
-                  { Vap.r_node = child; r_attrs = b; r_cond = cond })
-                (Derived_from.step_reads step ~changed
-                   ~known:(fun n -> List.assoc_opt n lp_deltas)))
+              match only step with
+              | [] -> []
+              | only ->
+                List.map
+                  (fun (child, b, cond) ->
+                    { Vap.r_node = child; r_attrs = b; r_cond = cond })
+                  (Derived_from.step_reads ~only step ~changed
+                     ~known:(fun n -> List.assoc_opt n lp_deltas)))
             process
         in
         (* a temp shadows its table for the whole kernel pass, so once
            a node gets one (requested, or added by the VAP closure),
            every read of it joins its request — a reader the store
            covers included — and no reader sees rows restricted for
-           another *)
-        let rec settle requests =
+           another. The first requests are the uncovered reads, so
+           only a covered read of a temp's node can grow them. *)
+        let rec settle requests ~first =
           let closed = Vap.closure t requests in
-          if requests = [] then closed
+          let temps = List.map (fun c -> c.Vap.r_node) closed.Vap.c_requests in
+          if
+            requests = []
+            || first
+               && not
+                    (List.exists
+                       (fun step ->
+                         List.exists
+                           (fun (child, _) ->
+                             List.mem child temps
+                             && not (List.mem child step.Derived_from.s_uncovered))
+                           step.Derived_from.s_reads)
+                       process)
+          then closed
           else
-            let grown =
-              List.filter
-                (fun r ->
-                  List.exists
-                    (fun c -> String.equal c.Vap.r_node r.Vap.r_node)
-                    closed.Vap.c_requests)
-                reads
-            in
+            let grown = reads (fun _ -> temps) in
             if List.length grown = List.length requests then closed
-            else settle grown
+            else settle grown ~first:false
         in
         let requests =
-          settle
-            (List.filter
-               (fun r ->
-                 not (Med.is_covered t ~node:r.Vap.r_node ~attrs:r.Vap.r_attrs))
-               reads)
+          settle ~first:true (reads (fun step -> step.Derived_from.s_uncovered))
         in
         Obs.Trace.set_attri trace det_sp "affected" (Hashtbl.length affected);
         Obs.Trace.set_attri trace det_sp "requests" requests.Vap.c_asked;

@@ -139,6 +139,27 @@ let poll_request (lp : Med.leaf_parent) r =
       rq_key = poll_key lp r;
     }
 
+(* Leaf-parent requests grouped by source, one poll per source, each
+   source's requests in reverse order. The polls go out by
+   [Hashtbl.hash source land 15], the later-requested source first
+   among equal values: the order the run goldens record. One source,
+   the usual case, costs one pass and no sort. *)
+let rec group = function
+  | [] -> []
+  | (_, lp) :: _ as reqs ->
+    let src = lp.Med.lp_source in
+    let mine, rest =
+      List.partition (fun (_, lp) -> String.equal lp.Med.lp_source src) reqs
+    in
+    (src, List.rev mine) :: group rest
+
+let by_source reqs =
+  match group reqs with
+  | ([] | [ _ ]) as groups -> groups
+  | groups ->
+    let bucket (src, _) = Hashtbl.hash src land 15 in
+    List.stable_sort (fun a b -> Int.compare (bucket a) (bucket b)) (List.rev groups)
+
 let build_inner (t : Med.t) ~pending closed =
   let reqs = closed.c_requests in
   let lp_reqs, inner_reqs =
@@ -153,18 +174,8 @@ let build_inner (t : Med.t) ~pending closed =
   let temps = ref [] in
   let polled_versions = ref [] in
   let polled_times = ref [] in
-  (* group leaf-parent requests by source; one poll per source *)
-  let by_source = Hashtbl.create 4 in
   List.iter
-    (fun ((_, lp) as req) ->
-      let src = lp.Med.lp_source in
-      let existing =
-        Option.value ~default:[] (Hashtbl.find_opt by_source src)
-      in
-      Hashtbl.replace by_source src (req :: existing))
-    lp_reqs;
-  Hashtbl.iter
-    (fun src_name pairs ->
+    (fun (src_name, pairs) ->
       let src = Med.source t src_name in
       let answer =
         Med.poll_with_retry t src
@@ -238,7 +249,7 @@ let build_inner (t : Med.t) ~pending closed =
           in
           temps := (r.r_node, value) :: !temps)
         pairs)
-    by_source;
+    (by_source lp_reqs);
   (* inner temporaries bottom-up: the closed requests come parents
      before children *)
   List.iter

@@ -89,7 +89,8 @@ let keyed_read ~schema c p r =
     k_unrestricted = unrestricted r;
   }
 
-let keyed_reads k ~changed ~known =
+(* a base [wanted] rejects gets no key set: the caller drops its read *)
+let keyed_reads k ~changed ~known ~wanted =
   match List.filter changed k.k_occurrences with
   | [ dn ] -> (
     match known dn with
@@ -97,13 +98,15 @@ let keyed_reads k ~changed ~known =
       List.map
         (fun (n, cands) ->
           ( n,
-            match
-              List.find_map
-                (fun (x', d') -> Option.map (Predicate.one_of x') (column_keys dd d'))
-                cands
-            with
-            | Some cond -> cond
-            | None -> Predicate.True ))
+            if not (wanted n) then Predicate.True
+            else
+              match
+                List.find_map
+                  (fun (x', d') -> Option.map (Predicate.one_of x') (column_keys dd d'))
+                  cands
+              with
+              | Some cond -> cond
+              | None -> Predicate.True ))
         (List.assoc dn k.k_candidates)
     | None -> k.k_unrestricted)
   | _ -> k.k_unrestricted
@@ -188,9 +191,10 @@ let reads ~changed ~keyed rules =
   in
   go rules
 
-let value_restrictions rules ~changed ~known =
-  let keyed k = keyed_reads k ~changed ~known in
-  reads ~changed ~keyed rules
+let value_restrictions ?only rules ~changed ~known =
+  let wanted n = match only with None -> true | Some l -> List.mem n l in
+  reads ~changed ~keyed:(fun k -> keyed_reads k ~changed ~known ~wanted) rules
+  |> List.filter (fun (n, _) -> wanted n)
   |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.fold_left
        (fun acc (n, c) ->

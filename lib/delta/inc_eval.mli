@@ -24,6 +24,7 @@ val compile_reads : schema:(string -> Schema.t) -> Expr.t -> reads
 (** Compile once; [schema] gives each base's schema. *)
 
 val value_restrictions :
+  ?only:string list ->
   reads ->
   changed:(string -> bool) ->
   known:(string -> Rel_delta.t option) ->
@@ -43,9 +44,10 @@ val value_restrictions :
     {!Relalg.Predicate.one_of} key set. Every other read (difference
     operands, non-equi joins, two changed bases, a D whose delta is
     only known later, a Null key) is [True]; a base read several times
-    gets the disjunction. Only the key sets are computed per call. The
-    IUP narrows its update-time VAP requests with these (Sec. 6.4
-    phase (a)). *)
+    gets the disjunction. Only the key sets are computed per call, and
+    with [only], only for the bases it lists: the others are left out
+    of the result. The IUP narrows its update-time VAP requests with
+    these (Sec. 6.4 phase (a)). *)
 
 val restrictable :
   schema:(string -> Schema.t) -> Expr.t -> (string * string) list

@@ -12,7 +12,8 @@
    keep).
 
    Hash joins build one kind of key table ({!Key_table}), which the
-   plan compiler's join groups share: the build rows in flat arrays
+   plan compiler's join groups and the stored tables' and sources'
+   hash indexes share: the build rows in flat arrays
    chained per key under an open-addressing index, so building a
    table allocates no per-row cell and a probe allocates nothing.
    {!join_into} streams a join into any consumer, so a caller chains
@@ -168,171 +169,6 @@ let set_diff a b =
   let bu = builder a.schema in
   iter (fun t _ -> if Counts.get b.tm t = 0 then badd bu t 1) a;
   seal bu
-
-(* Key tables for hash joins, shared with the plan compiler ({!Plan}):
-   the build side's rows in flat arrays, chained per key most recent
-   first, under a flat open-addressing index of each key's head row.
-   Keys compare with Value's own equality and hash, so Int 1 and
-   Float 1. are one key, as they compare equal. A strict key component
-   never matches Null, as a comparison never does: a row with Null
-   there neither enters the table nor probes it. Elsewhere Null matches
-   Null, as natural join's agreement does. Adding a row allocates
-   nothing once the arrays have room, and a probe allocates nothing.
-   A table emptied by [clear] serves another build ([reset]), so an
-   owner that builds one per execution allocates once. *)
-module Key_table = struct
-  type t = {
-    mutable build : Tuple.key;
-    mutable probe : Tuple.key;
-    mutable strict : bool array; (* per key component *)
-    mutable rows : Tuple.t array;
-    mutable mults : int array;
-    mutable next : int array; (* the previous row under the same key, or -1 *)
-    mutable hashes : int array;
-    mutable used : int;
-    mutable keys : int; (* distinct keys *)
-    mutable idx : int array; (* 0 = empty, else a key's head row + 1 *)
-    mutable mask : int;
-  }
-
-  let rec pow2_above n x = if x >= n then x else pow2_above n (2 * x)
-
-  let create ~size ~build ~probe ~strict =
-    let size = max 1 size in
-    let icap = pow2_above (size + (size / 2)) 2 in
-    {
-      build;
-      probe;
-      strict;
-      rows = Array.make size Tuple.empty;
-      mults = Array.make size 0;
-      next = Array.make size (-1);
-      hashes = Array.make size 0;
-      used = 0;
-      keys = 0;
-      idx = Array.make icap 0;
-      mask = icap - 1;
-    }
-
-  (* the loops are top-level functions taking their free variables as
-     arguments, so that no call allocates a closure *)
-  let rec null_at strict k t i =
-    i < Array.length strict
-    && ((Array.unsafe_get strict i
-        && match Tuple.key_value k t i with Value.Null -> true | _ -> false)
-       || null_at strict k t (i + 1))
-
-  let rec hash_from k t i acc =
-    if i >= Tuple.key_arity k then acc land max_int
-    else hash_from k t (i + 1) ((acc * 31) + Value.hash (Tuple.key_value k t i))
-
-  let rec equal_from ka ta kb tb i =
-    i >= Tuple.key_arity ka
-    || Value.equal (Tuple.key_value ka ta i) (Tuple.key_value kb tb i)
-       && equal_from ka ta kb tb (i + 1)
-
-  (* the index position holding the key of [t] (read through [k]), or
-     the empty position where it would go *)
-  let rec pos_from tbl k t h i =
-    let v = Array.unsafe_get tbl.idx i in
-    if v = 0 then i
-    else
-      let r = v - 1 in
-      if
-        Array.unsafe_get tbl.hashes r = h
-        && equal_from k t tbl.build (Array.unsafe_get tbl.rows r) 0
-      then i
-      else pos_from tbl k t h ((i + 1) land tbl.mask)
-
-  let rec empty_from idx mask i =
-    if Array.unsafe_get idx i = 0 then i else empty_from idx mask ((i + 1) land mask)
-
-  let grow_index tbl =
-    let old = tbl.idx in
-    let icap = 2 * Array.length old in
-    let idx = Array.make icap 0 in
-    let mask = icap - 1 in
-    for p = 0 to Array.length old - 1 do
-      let v = Array.unsafe_get old p in
-      if v <> 0 then
-        Array.unsafe_set idx
-          (empty_from idx mask (Array.unsafe_get tbl.hashes (v - 1) land mask))
-          v
-    done;
-    tbl.idx <- idx;
-    tbl.mask <- mask
-
-  let grow_rows tbl =
-    let cap = Array.length tbl.rows in
-    let widen a fill =
-      let b = Array.make (2 * cap) fill in
-      Array.blit a 0 b 0 cap;
-      b
-    in
-    tbl.rows <- widen tbl.rows Tuple.empty;
-    tbl.mults <- widen tbl.mults 0;
-    tbl.next <- widen tbl.next (-1);
-    tbl.hashes <- widen tbl.hashes 0
-
-  let add tbl t m =
-    if not (null_at tbl.strict tbl.build t 0) then begin
-      let h = hash_from tbl.build t 0 7 in
-      if tbl.used = Array.length tbl.rows then grow_rows tbl;
-      if (tbl.keys + 1) * 4 > (tbl.mask + 1) * 3 then grow_index tbl;
-      let p = pos_from tbl tbl.build t h (h land tbl.mask) in
-      let r = tbl.used in
-      let v = Array.unsafe_get tbl.idx p in
-      if v = 0 then tbl.keys <- tbl.keys + 1;
-      tbl.rows.(r) <- t;
-      tbl.mults.(r) <- m;
-      tbl.hashes.(r) <- h;
-      tbl.next.(r) <- v - 1;
-      Array.unsafe_set tbl.idx p (r + 1);
-      tbl.used <- r + 1
-    end
-
-  let find tbl t =
-    if null_at tbl.strict tbl.probe t 0 then -1
-    else
-      let h = hash_from tbl.probe t 0 7 in
-      Array.unsafe_get tbl.idx (pos_from tbl tbl.probe t h (h land tbl.mask)) - 1
-
-  (* Under linear probing without deletions, a key's slot ends an
-     occupied run that starts at its home slot, and a cluster's first
-     slot is its key's home. So zeroing from every row's home up to the
-     next empty slot clears the index, in time proportional to the rows
-     held rather than to the index. *)
-  let clear tbl =
-    for r = 0 to tbl.used - 1 do
-      let p = ref (Array.unsafe_get tbl.hashes r land tbl.mask) in
-      while Array.unsafe_get tbl.idx !p <> 0 do
-        Array.unsafe_set tbl.idx !p 0;
-        p := (!p + 1) land tbl.mask
-      done;
-      Array.unsafe_set tbl.rows r Tuple.empty
-    done;
-    tbl.used <- 0;
-    tbl.keys <- 0
-
-  let reset tbl ~size ~build ~probe ~strict =
-    clear tbl;
-    if Array.length tbl.rows < size then begin
-      let fresh = create ~size ~build ~probe ~strict in
-      tbl.rows <- fresh.rows;
-      tbl.mults <- fresh.mults;
-      tbl.next <- fresh.next;
-      tbl.hashes <- fresh.hashes;
-      tbl.idx <- fresh.idx;
-      tbl.mask <- fresh.mask
-    end;
-    tbl.build <- build;
-    tbl.probe <- probe;
-    tbl.strict <- strict
-
-  let row tbl r = Array.unsafe_get tbl.rows r
-  let mult tbl r = Array.unsafe_get tbl.mults r
-  let next tbl r = Array.unsafe_get tbl.next r
-end
 
 (* Join-key planning: shared attribute names joined naturally, plus
    the equi-pairs of the theta condition that span the two sides. *)

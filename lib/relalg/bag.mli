@@ -97,47 +97,6 @@ val monus : t -> t -> t
 val set_diff : t -> t -> t
 (** Set difference of the set-images, result a set (multiplicities 1). *)
 
-(** Key tables for hash joins, shared by {!join}, {!join_signed} and
-    the plan compiler's join groups: the build side's rows in flat
-    arrays, chained per key (most recent first) under a flat
-    open-addressing index, so adding a row allocates nothing once the
-    arrays have room and a probe allocates nothing. Keys compare with
-    {!Value.equal} and hash with {!Value.hash} (Int 1 and Float 1. are
-    one key). A strict key component never matches Null: a row with
-    Null there neither enters the table nor finds a match, as a
-    comparison never matches Null. A non-strict component matches Null
-    with Null, as natural join's agreement does. *)
-module Key_table : sig
-  type t
-
-  val create :
-    size:int -> build:Tuple.key -> probe:Tuple.key -> strict:bool array -> t
-  (** A table for about [size] build rows keyed by [build]; a probe row
-      is keyed by [probe], component for component. *)
-
-  val add : t -> Tuple.t -> int -> unit
-  (** Add a build row with its multiplicity. *)
-
-  val find : t -> Tuple.t -> int
-  (** The most recent build row under the probe row's key, or [-1]. *)
-
-  val clear : t -> unit
-  (** Empty the table, keeping its arrays, in time proportional to the
-      rows it held, and drop its references to them. *)
-
-  val reset :
-    t -> size:int -> build:Tuple.key -> probe:Tuple.key -> strict:bool array -> unit
-  (** Empty the table for a build of about [size] rows under new keys,
-      as {!create} would make it, keeping its arrays when they hold
-      [size] rows. *)
-
-  val row : t -> int -> Tuple.t
-  val mult : t -> int -> int
-
-  val next : t -> int -> int
-  (** The previous build row under the same key, or [-1]. *)
-end
-
 val join_keys :
   Schema.t -> Schema.t -> Predicate.t -> string list * string list
 (** [join_keys sa sb on] is the pair of equi-join key attribute lists

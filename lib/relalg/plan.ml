@@ -18,7 +18,7 @@
    choice). A group whose inputs share no join variable (a cross
    product or a pure theta join) runs as a nested loop; every other
    group runs as a left-deep streaming hash cascade. The cascade
-   streams its smallest input through key tables ({!Bag.Key_table},
+   streams its smallest input through key tables ({!Key_table},
    which {!Bag.join} shares) built over the others, ordered on each
    execution from the inputs' sizes alone; a two-input group streams
    its larger input through a table over the smaller. Each step keeps
@@ -223,7 +223,7 @@ and njoin = {
   merges : Tuple.merger array;
       (* one per merge position: cascade step [k] or nested-loop
          depth [k] *)
-  tables : Bag.Key_table.t option array;
+  tables : Key_table.t option array;
       (* cascade step [k]'s key table, emptied after each execution and
          rebuilt in place by the next; [None] while a step holds it *)
   out : projection option; (* projections fused above the group *)
@@ -502,7 +502,7 @@ let cascade_order views classes =
 
 (* one cascade step: the key table built over a join input and the
    conjuncts that become checkable after this merge *)
-type cstep = { s_tbl : Bag.Key_table.t; s_checks : (Tuple.t -> bool) array }
+type cstep = { s_tbl : Key_table.t; s_checks : (Tuple.t -> bool) array }
 
 let rec passes_from checks t i =
   i >= Array.length checks
@@ -669,13 +669,13 @@ and exec_cascade j views attr_lists classes ~emit ~emit_out =
           match j.tables.(k) with
           | Some tbl ->
             j.tables.(k) <- None;
-            Bag.Key_table.reset tbl ~size ~build ~probe ~strict;
+            Key_table.reset tbl ~size ~build ~probe ~strict;
             tbl
-          | None -> Bag.Key_table.create ~size ~build ~probe ~strict
+          | None -> Key_table.create ~size ~build ~probe ~strict
         in
         views.(i).v_stream (fun t m ->
             incr charged;
-            Bag.Key_table.add tbl t m);
+            Key_table.add tbl t m);
         { s_tbl = tbl; s_checks = checks })
   in
   let leftovers =
@@ -705,10 +705,10 @@ and exec_cascade j views attr_lists classes ~emit ~emit_out =
     end
     else
       let s = Array.unsafe_get steps idx in
-      merge_from idx s t m (Bag.Key_table.find s.s_tbl t)
+      merge_from idx s t m (Key_table.find s.s_tbl t)
   and merge_from idx s t m r =
     if r >= 0 then begin
-      let tb = Bag.Key_table.row s.s_tbl r and mb = Bag.Key_table.mult s.s_tbl r in
+      let tb = Key_table.row s.s_tbl r and mb = Key_table.mult s.s_tbl r in
       (match gather_last with
       | Some pm when idx + 1 = nsteps ->
         if Tuple.agree pm t tb then begin
@@ -724,7 +724,7 @@ and exec_cascade j views attr_lists classes ~emit ~emit_out =
             go (idx + 1) merged (m * mb)
           end
         end);
-      merge_from idx s t m (Bag.Key_table.next s.s_tbl r)
+      merge_from idx s t m (Key_table.next s.s_tbl r)
     end
   in
   views.(first).v_stream (fun t m ->
@@ -733,7 +733,7 @@ and exec_cascade j views attr_lists classes ~emit ~emit_out =
   charge_tuple_ops !charged;
   Array.iteri
     (fun k s ->
-      Bag.Key_table.clear s.s_tbl;
+      Key_table.clear s.s_tbl;
       j.tables.(k) <- Some s.s_tbl)
     steps
 

@@ -6,7 +6,7 @@
     and streams join and union outputs straight into the downstream
     stage. A chain of joins runs as one group: a left-deep hash cascade
     that streams its smallest input through key tables
-    ({!Bag.Key_table}) over the others, or a nested loop when the
+    ({!Key_table}) over the others, or a nested loop when the
     inputs share no join variable (a cross product or a pure theta
     join). A two-input group instead builds its key table over the
     smaller input and streams the larger. A probe allocates nothing.

@@ -326,7 +326,7 @@ let projection p attrs =
    rows, charging one tuple op per row for each step it reaches. A key restricts the rows read to those whose column
    equals a key value, charged one tuple op per key. A comparison never
    matches Null, so it is not a key, and values equal under Value.equal
-   (Int 1, Float 1.) are one key. The rows are the probed buckets of
+   (Int 1, Float 1.) are one key. The rows are the probed chains of
    the column's index when a {!prepare} declared it; without one, a
    scan of the relation finds the same rows at the same charge, so a
    declaration changes the host's work and never the answer or the

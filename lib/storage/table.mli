@@ -93,7 +93,8 @@ type stats = {
 }
 
 val stats : t -> stats
-(** O(distinct keys) per index: cells are counted, not tuples. *)
+(** O(distinct tuples) per index: the longest chain is found by
+    walking every key's chain. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

@@ -153,6 +153,7 @@ let needed_attrs_of_children vdp node =
 type step = {
   s_node : string;
   s_reads : (string * string list) list;
+  s_uncovered : string list;
   s_rules : Delta.Inc_eval.reads;
 }
 
@@ -171,10 +172,18 @@ let update_steps vdp ann =
         Hashtbl.mem relevant node
         && not (List.exists (Graph.is_leaf vdp) (Graph.children vdp node))
       then
+        let reads = needed_attrs_of_children vdp node in
         Some
           {
             s_node = node;
-            s_reads = needed_attrs_of_children vdp node;
+            s_reads = reads;
+            s_uncovered =
+              List.filter_map
+                (fun (child, b) ->
+                  let mat = Annotation.materialized_attrs ann child in
+                  if List.for_all (fun a -> List.mem a mat) b then None
+                  else Some child)
+                reads;
             s_rules =
               Delta.Inc_eval.compile_reads ~schema:(Graph.schema_env vdp)
                 (Graph.def vdp node);
@@ -182,13 +191,13 @@ let update_steps vdp ann =
       else None)
     (Graph.topo_order vdp)
 
-let step_reads step ~changed ~known =
+let step_reads ?only step ~changed ~known =
   List.filter_map
     (fun (child, cond) ->
       Option.map
         (fun b -> (child, b, cond))
         (List.assoc_opt child step.s_reads))
-    (Delta.Inc_eval.value_restrictions step.s_rules ~changed ~known)
+    (Delta.Inc_eval.value_restrictions ?only step.s_rules ~changed ~known)
 
 let step_restrictable vdp step =
   List.filter

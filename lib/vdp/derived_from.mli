@@ -71,6 +71,10 @@ type step = {
       (** per child the node's definition reads, the attributes it
           reads ({!needed_attrs_of_children}); every child is a
           non-leaf, since the node is not a leaf-parent *)
+  s_uncovered : string list;
+      (** the children of [s_reads] whose read attributes the
+          annotation does not all materialize: the reads that become
+          VAP requests *)
   s_rules : Delta.Inc_eval.reads;
       (** the definition's reads, compiled against the children's
           declared schemas ({!Delta.Inc_eval.compile_reads}) *)
@@ -83,6 +87,7 @@ val update_steps : Graph.t -> Annotation.t -> step list
     definition. In topological order (children before parents). *)
 
 val step_reads :
+  ?only:string list ->
   step ->
   changed:(string -> bool) ->
   known:(string -> Delta.Rel_delta.t option) ->
@@ -92,7 +97,8 @@ val step_reads :
     already known ([known]): [(child, attrs, cond)] per child of
     {!Delta.Inc_eval.value_restrictions} that [s_reads] lists, with its
     attributes and row restriction, sorted by child name. Only the key
-    sets of the restrictions are computed per call. *)
+    sets of the restrictions are computed per call, and with [only],
+    only for the children it lists: the others are left out. *)
 
 val step_restrictable : Graph.t -> step -> (string * string) list
 (** The [(child, column)] pairs a row restriction of {!step_reads} can

@@ -368,6 +368,20 @@ let test_bag_join_disjoint () =
         [ 1; 2 ])
     (Bag.support sample_s)
 
+(* an empty key (a cascade step that shares no attribute with the
+   rows before it) puts every row under one key, so every probe finds
+   them all, most recent first *)
+let test_key_table_empty_key () =
+  let none = Tuple.key [] in
+  let tbl = Key_table.create ~size:2 ~build:none ~probe:none ~strict:[||] in
+  List.iter (fun i -> Key_table.add tbl (Tuple.of_list [ ("i", v_int i) ]) i) [ 1; 2; 3 ];
+  let rec mults r acc =
+    if r < 0 then List.rev acc else mults (Key_table.next tbl r) (Key_table.mult tbl r :: acc)
+  in
+  Alcotest.(check (list int)) "one chain" [ 3; 2; 1 ]
+    (mults (Key_table.find tbl (Tuple.of_list [ ("j", v_int 0) ])) []);
+  Alcotest.(check int) "one key" 1 (Key_table.keys tbl)
+
 (* a key table against a model over rounds of builds, each after a
    [clear] or a [reset] (some under another key): few keys and many
    rows per key crowd the index into long clusters, so a slot that a
@@ -378,36 +392,36 @@ let test_key_table_reuse () =
     Tuple.of_list [ ("i", v_int i); ("k", v_int k); ("k2", v_int (k + 1000)) ]
   in
   let by_k = Tuple.key [ "k" ] and by_k2 = Tuple.key [ "k2" ] in
-  let tbl = Bag.Key_table.create ~size:4 ~build:by_k ~probe:by_k ~strict:[| false |] in
+  let tbl = Key_table.create ~size:4 ~build:by_k ~probe:by_k ~strict:[| false |] in
   for round = 0 to 29 do
-    if round mod 3 = 0 then Bag.Key_table.clear tbl
+    if round mod 3 = 0 then Key_table.clear tbl
     else begin
       let key = if round mod 3 = 1 then by_k else by_k2 in
-      Bag.Key_table.reset tbl ~size:(Random.State.int rng 300) ~build:key ~probe:key
+      Key_table.reset tbl ~size:(Random.State.int rng 300) ~build:key ~probe:key
         ~strict:[| false |]
     end;
     let keys = 1 + Random.State.int rng 200 and n = Random.State.int rng 400 in
     let model = Hashtbl.create 16 in
     for i = 0 to n - 1 do
       let k = Random.State.int rng keys in
-      Bag.Key_table.add tbl (row k i) (i + 1);
+      Key_table.add tbl (row k i) (i + 1);
       Hashtbl.replace model k ((i, i + 1) :: Option.value ~default:[] (Hashtbl.find_opt model k))
     done;
     let rec rows r acc =
       if r < 0 then List.rev acc
       else
         let i =
-          match Tuple.get (Bag.Key_table.row tbl r) "i" with
+          match Tuple.get (Key_table.row tbl r) "i" with
           | Value.Int i -> i
           | _ -> assert false
         in
-        rows (Bag.Key_table.next tbl r) ((i, Bag.Key_table.mult tbl r) :: acc)
+        rows (Key_table.next tbl r) ((i, Key_table.mult tbl r) :: acc)
     in
     for k = -1 to 200 do
       Alcotest.(check (list (pair int int)))
         (Printf.sprintf "round %d key %d" round k)
         (Option.value ~default:[] (Hashtbl.find_opt model k))
-        (rows (Bag.Key_table.find tbl (row k 0)) [])
+        (rows (Key_table.find tbl (row k 0)) [])
     done
   done
 
@@ -894,6 +908,7 @@ let () =
           Alcotest.test_case "join multiplicity" `Quick test_bag_join_multiplicity;
           Alcotest.test_case "disjoint join is a product" `Quick test_bag_join_disjoint;
           Alcotest.test_case "key table reuse" `Quick test_key_table_reuse;
+          Alcotest.test_case "key table empty key" `Quick test_key_table_empty_key;
           Alcotest.test_case "reserve keeps order" `Quick test_bag_reserve;
         ] );
       ( "eval",

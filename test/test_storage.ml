@@ -185,6 +185,172 @@ let test_hash_index_of_bag_equals_adds () =
       (Hash_index.distinct bulk, Hash_index.max_chain bulk)
   done
 
+(* [Hash_index] against a list model: random of_bag/add/remove/probe
+   runs over keys that include Null and the equal keys Int 1 and
+   Float 1., multiplicities above 1, removals of absent tuples and of
+   more copies than held (monus), and, in some runs, one key holding
+   10^4 rows. After every probe and at the end of a run, every probe,
+   the distinct-key count and the longest chain agree with the model. *)
+type ix_op = Ix_add of int * int * int | Ix_remove of int * int * int | Ix_probe of int
+
+let ix_keys = Value.[| Null; Int 1; Float 1.; Int 2; Int 3; Int 9 |]
+let crowded_key = 5 (* [Int 9]: 10^4 rows in a crowded run *)
+let crowd = 10_000
+let ix_schema = Schema.make [ ("k", Value.TInt); ("x", Value.TInt) ]
+let ix_tuple = Tuple.maker [ "k"; "x" ]
+
+(* a crowded key's rows are spread over its whole chain *)
+let ix_row k x =
+  ix_tuple [ ix_keys.(k); Value.Int (if k = crowded_key then x * 1999 else x) ]
+
+let ix_gen =
+  let open QCheck2.Gen in
+  let atom = triple (int_bound 5) (int_bound 5) (int_range 1 3) in
+  let op =
+    oneof
+      [
+        map (fun (k, x, m) -> Ix_add (k, x, m)) atom;
+        map (fun (k, x, m) -> Ix_remove (k, x, m)) atom;
+        map (fun k -> Ix_probe k) (int_bound 5);
+      ]
+  in
+  quad (list_size (int_bound 30) atom) (frequency [ (3, pure false); (1, pure true) ])
+    bool (list_size (int_bound 60) op)
+
+let ix_print (rows, crowded, bulk, ops) =
+  let atom (k, x, m) = Printf.sprintf "(%d,%d,%d)" k x m in
+  Printf.sprintf "rows=[%s] crowded=%b bulk=%b ops=[%s]"
+    (String.concat ";" (List.map atom rows))
+    crowded bulk
+    (String.concat ";"
+       (List.map
+          (function
+            | Ix_add (k, x, m) -> "+" ^ atom (k, x, m)
+            | Ix_remove (k, x, m) -> "-" ^ atom (k, x, m)
+            | Ix_probe k -> Printf.sprintf "?%d" k)
+          ops))
+
+(* the model: (tuple, multiplicity) pairs, multiplicities positive *)
+let model_add model t m =
+  if List.exists (fun (u, _) -> Tuple.equal u t) model then
+    List.map (fun (u, n) -> if Tuple.equal u t then (u, n + m) else (u, n)) model
+  else (t, m) :: model
+
+let model_remove model t m =
+  List.filter_map
+    (fun (u, n) ->
+      if not (Tuple.equal u t) then Some (u, n)
+      else if n > m then Some (u, n - m)
+      else None)
+    model
+
+let key_of t = Tuple.get t "k"
+let sorted l = List.sort (fun (a, _) (b, _) -> Tuple.compare a b) l
+
+let model_probe model v =
+  sorted (List.filter (fun (u, _) -> Value.equal (key_of u) v) model)
+
+let index_probe ix v =
+  let acc = ref [] in
+  Hash_index.probe ix v (fun t m -> acc := (t, m) :: !acc);
+  sorted !acc
+
+let same_rows a b =
+  List.length a = List.length b
+  && List.for_all2 (fun (t, m) (u, n) -> Tuple.equal t u && m = n) a b
+
+let model_keys model =
+  List.fold_left
+    (fun acc (u, _) ->
+      if List.exists (Value.equal (key_of u)) acc then acc else key_of u :: acc)
+    [] model
+
+let model_max_chain model =
+  List.fold_left
+    (fun acc v ->
+      max acc (List.length (List.filter (fun (u, _) -> Value.equal (key_of u) v) model)))
+    0 (model_keys model)
+
+let ix_agrees (rows, crowded, bulk, ops) =
+  let bu = Bag.builder ix_schema in
+  List.iter (fun (k, x, m) -> Bag.badd bu (ix_row k x) m) rows;
+  if crowded then
+    for x = 0 to crowd - 1 do
+      Bag.badd bu (ix_tuple [ ix_keys.(crowded_key); Value.Int x ]) (1 + (x mod 3))
+    done;
+  let bag = Bag.seal bu in
+  let ix =
+    if bulk then Hash_index.of_bag "k" bag
+    else begin
+      let ix = Hash_index.create "k" in
+      Bag.iter (Hash_index.add ix) bag;
+      ix
+    end
+  in
+  let model = ref (Bag.fold (fun t m acc -> (t, m) :: acc) bag []) in
+  let probe_agrees v = same_rows (model_probe !model v) (index_probe ix v) in
+  List.for_all
+    (function
+      | Ix_add (k, x, m) ->
+        Hash_index.add ix (ix_row k x) m;
+        model := model_add !model (ix_row k x) m;
+        true
+      | Ix_remove (k, x, m) ->
+        Hash_index.remove ix (ix_row k x) m;
+        model := model_remove !model (ix_row k x) m;
+        true
+      | Ix_probe k -> probe_agrees ix_keys.(k))
+    ops
+  && Array.for_all probe_agrees ix_keys
+  && Hash_index.distinct ix = List.length (model_keys !model)
+  && Hash_index.max_chain ix = model_max_chain !model
+
+let test_hash_index_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"hash index = list model" ~count:150 ~print:ix_print
+       ix_gen ix_agrees)
+
+(* Once an index has room, a write allocates nothing: removals, adds
+   back, adds of new tuples (into the rows the removals freed), count
+   changes, and all of them on a key holding 10^4 rows as well *)
+let test_hash_index_writes_allocate_nothing () =
+  let n = 2_000 in
+  let bu = Bag.builder ix_schema in
+  for x = 0 to crowd - 1 do
+    Bag.badd bu (ix_tuple Value.[ Int 9; Int x ]) 1
+  done;
+  for x = 0 to n - 1 do
+    Bag.badd bu (ix_tuple Value.[ Int (100 + x); Int x ]) 1
+  done;
+  let ix = Hash_index.of_bag "k" (Bag.seal bu) in
+  let crowded = Array.init crowd (fun x -> ix_tuple Value.[ Int 9; Int x ]) in
+  let unique = Array.init n (fun x -> ix_tuple Value.[ Int (100 + x); Int x ]) in
+  let fresh = Array.init n (fun x -> ix_tuple Value.[ Int (100 + x); Int (-x) ]) in
+  (* tuples cache their hash at first use *)
+  Array.iter (fun a -> Array.iter (fun t -> ignore (Tuple.hash t : int)) a)
+    [| crowded; unique; fresh |];
+  let w0 = Gc.minor_words () in
+  for x = 0 to n - 1 do
+    Hash_index.remove ix crowded.(x * 5) 1;
+    Hash_index.remove ix unique.(x) 1;
+    Hash_index.add ix fresh.(x) 2;
+    Hash_index.add ix fresh.(x) 1;
+    Hash_index.remove ix fresh.(x) 4;
+    Hash_index.add ix crowded.(x * 5) 3;
+    Hash_index.add ix unique.(x) 1;
+    Hash_index.remove ix crowded.(x * 5) 2
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "words allocated by index writes" 0.0 (w1 -. w0);
+  let count v =
+    let c = ref 0 in
+    Hash_index.probe ix v (fun _ m -> c := !c + m);
+    !c
+  in
+  Alcotest.(check int) "the crowded key's count" crowd (count (Value.Int 9));
+  Alcotest.(check (pair int int)) "distinct keys, longest chain" (n + 1, crowd)
+    (Hash_index.distinct ix, Hash_index.max_chain ix)
+
 let () =
   Alcotest.run "storage"
     [
@@ -199,7 +365,12 @@ let () =
           Alcotest.test_case "rejects bad tuples" `Quick test_table_rejects_bad_tuple;
         ] );
       ( "hash index",
-        [ Alcotest.test_case "of_bag = adds" `Quick test_hash_index_of_bag_equals_adds ] );
+        [
+          Alcotest.test_case "of_bag = adds" `Quick test_hash_index_of_bag_equals_adds;
+          test_hash_index_model;
+          Alcotest.test_case "writes allocate nothing" `Quick
+            test_hash_index_writes_allocate_nothing;
+        ] );
       ( "store",
         [
           Alcotest.test_case "catalog" `Quick test_store_catalog;
