@@ -472,7 +472,18 @@ let query_cmd =
           (Relalg.Bag.cardinal bag) (v s.Med.polls)
           (v s.Med.key_based_constructions)
           (v s.Med.queries_from_store);
-        if verbose then print_trace med ~jsonl:"";
+        if verbose then begin
+          print_trace med ~jsonl:"";
+          (* the span of the transaction that computed this answer *)
+          match
+            Option.bind ans.Qp.trace_id (Obs.Trace.find (Mediator.trace med))
+          with
+          | Some sp ->
+            Printf.printf "answer: %s [%d] served=%s\n" sp.Obs.Trace.name
+              sp.Obs.Trace.id
+              (Option.value (Obs.Trace.attr sp "served") ~default:"?")
+          | None -> ()
+        end;
         Ok ()
       | None -> Error (`Msg "query did not complete")
     with
@@ -503,7 +514,7 @@ let query_cmd =
       & info [ "verbose"; "v" ]
           ~doc:
             "Also print the transaction span tree (updates, polls, the \
-             query's rungs).")
+             query's rungs) and the span that computed the answer.")
   in
   Cmd.v
     (Cmd.info "query"

@@ -38,20 +38,15 @@ let run (t : Med.t) =
       if entries = [] then false
       else
         let trace = t.Med.trace in
-        Obs.Trace.with_span trace "batch_tx" (fun tx_sp ->
-        Obs.Trace.set_attri trace tx_sp "entries" (List.length entries);
+        Obs.Trace.batch trace ~entries:(List.length entries) (fun () ->
         let tx_start = Engine.now t.Med.engine in
         (* the constituent transactions, each as a child span: the
            batch is their atomic application *)
         List.iter
           (fun e ->
-            Obs.Trace.with_span trace "update_tx" (fun sp ->
-                Obs.Trace.set_attr trace sp "source" e.Message.source;
-                Obs.Trace.set_attri trace sp "version" e.Message.version;
-                Obs.Trace.set_attri trace sp "prev_version"
-                  e.Message.prev_version;
-                Obs.Trace.set_attri trace sp "atoms"
-                  (Multi_delta.atom_count e.Message.delta)))
+            Obs.Trace.update_tx trace ~source:e.Message.source
+              ~version:e.Message.version ~prev_version:e.Message.prev_version
+              ~atoms:(Multi_delta.atom_count e.Message.delta))
           entries;
         try
         let ops_before = Eval.tuple_ops () in
@@ -70,15 +65,13 @@ let run (t : Med.t) =
         in
         let coalesced_atoms = Multi_delta.atom_count delta in
         let annihilated = (raw_atoms - coalesced_atoms) / 2 in
-        Obs.Trace.set_attri trace tx_sp "atoms" coalesced_atoms;
-        Obs.Trace.set_attri trace tx_sp "raw_atoms" raw_atoms;
-        Obs.Trace.set_attri trace tx_sp "annihilated_pairs" annihilated;
+        Obs.Trace.coalesced trace ~atoms:coalesced_atoms ~raw_atoms;
         (* (2) IUP Preparation: filter through leaf-parents, close the
            affected set upward, and find the children whose values the
            fired rules will read — among those, the ones not covered by
            materialized data become VAP requests *)
         let lp_deltas, affected, process, requests =
-          Obs.Trace.with_span trace "temp_determination" (fun det_sp ->
+          Obs.Trace.temp_determination trace (fun () ->
         let lp_deltas =
           List.filter_map
             (fun lp -> leaf_parent_delta lp delta)
@@ -146,8 +139,8 @@ let run (t : Med.t) =
         let requests =
           settle ~first:true (reads (fun step -> step.Derived_from.s_uncovered))
         in
-        Obs.Trace.set_attri trace det_sp "affected" (Hashtbl.length affected);
-        Obs.Trace.set_attri trace det_sp "requests" requests.Vap.c_asked;
+        Obs.Trace.determined trace ~affected:(Hashtbl.length affected)
+          ~requests:requests.Vap.c_asked;
         (lp_deltas, affected, process, requests))
         in
         (* (3) populate temporaries at the pre-update state, from the
@@ -177,7 +170,7 @@ let run (t : Med.t) =
             to_apply := (node, table, project d) :: !to_apply
           | None -> ()
         in
-        Obs.Trace.with_span trace "kernel_pass" (fun kp_sp ->
+        Obs.Trace.kernel_pass trace (fun () ->
         List.iter
           (fun (n, d) ->
             Hashtbl.replace deltas_tbl n d;
@@ -188,8 +181,7 @@ let run (t : Med.t) =
             let np = Med.node_plan t node in
             if List.exists (fun (c, _) -> Hashtbl.mem deltas_tbl c) np.Med.np_children
             then
-              Obs.Trace.with_span trace "delta" (fun d_sp ->
-              Obs.Trace.set_attr trace d_sp "node" node;
+              Obs.Trace.delta trace ~node (fun () ->
               (* an unchanged child contributes an empty delta over
                  its DECLARED schema: falling through to the store's
                  bag would narrow the schema to the materialized
@@ -204,7 +196,7 @@ let run (t : Med.t) =
               let d =
                 Delta_plan.run ~shadowed ~env ~deltas:child_delta np.Med.np_delta
               in
-              Obs.Trace.set_attri trace d_sp "atoms" (Rel_delta.atom_count d);
+              Obs.Trace.delta_atoms trace (Rel_delta.atom_count d);
               if not (Rel_delta.is_empty d) then begin
                 Hashtbl.replace deltas_tbl node d;
                 Obs.Metrics.add t.Med.stats.Med.propagated_atoms
@@ -212,9 +204,8 @@ let run (t : Med.t) =
                 stage node d
               end))
           process;
-        Obs.Trace.set_attri trace kp_sp "nodes" (Hashtbl.length deltas_tbl));
-        Obs.Trace.with_span trace "apply" (fun ap_sp ->
-            Obs.Trace.set_attri trace ap_sp "tables" (List.length !to_apply);
+        Obs.Trace.kernel_nodes trace (Hashtbl.length deltas_tbl));
+        Obs.Trace.apply trace ~tables:(List.length !to_apply) (fun () ->
             List.iter
               (fun (_, table, d) -> Table.apply_delta table d)
               !to_apply);
@@ -256,11 +247,11 @@ let run (t : Med.t) =
            nodes without a single VAP request touched no source: the
            store (auxiliary views included) covered every value the
            fired rules read — the view maintained itself *)
-        if process <> [] && requests.Vap.c_asked = 0 then begin
+        let self_maintained = process <> [] && requests.Vap.c_asked = 0 in
+        if self_maintained then
           Obs.Metrics.incr t.Med.stats.Med.self_maintained_txs;
-          Obs.Trace.set_attr trace tx_sp "served" "self_maintained"
-        end;
-        Obs.Trace.set_attr trace tx_sp "outcome" "applied";
+        Obs.Trace.batch_outcome trace
+          (if self_maintained then Obs.Trace.Self_maintained else Obs.Trace.Applied);
         Obs.Metrics.observe t.Med.stats.Med.update_tx_time
           (Engine.now t.Med.engine -. tx_start);
         true
@@ -270,8 +261,8 @@ let run (t : Med.t) =
              the poll precedes) and let a later tick retry or resync *)
           Ledger.requeue t.Med.ledger entries;
           Obs.Metrics.incr t.Med.stats.Med.update_deferrals;
-          Obs.Trace.set_attr trace tx_sp "outcome" "deferred";
-          Obs.Trace.set_attr trace tx_sp "error" (Printexc.to_string exn);
+          Obs.Trace.batch_outcome trace
+            (Obs.Trace.Deferred (Printexc.to_string exn));
           false)
 
 (* Empty the queue completely: one [run] per batch until a pass

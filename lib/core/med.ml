@@ -589,15 +589,7 @@ let dropped t n = Obs.Metrics.add t.stats.cache_invalidations n
 let report t ~source ~via ?prev_version version = function
   | Ledger.Gap { seen; dropped = n } ->
     Obs.Metrics.incr t.stats.gaps_detected;
-    let sp = Obs.Trace.root_event t.trace "gap_detected" in
-    Obs.Trace.set_attr t.trace sp "source" source;
-    (match prev_version with
-    | Some p ->
-      Obs.Trace.set_attri t.trace sp "prev_version" p;
-      Obs.Trace.set_attri t.trace sp "version" version
-    | None -> Obs.Trace.set_attri t.trace sp "answer_version" version);
-    Obs.Trace.set_attri t.trace sp "seen" seen;
-    Obs.Trace.set_attr t.trace sp "via" via;
+    Obs.Trace.gap_detected t.trace ~source ~via ~prev_version ~version ~seen;
     dropped t n
   | Ledger.Dropped n -> dropped t n
   | Ledger.Clean | Ledger.Duplicate -> ()
@@ -608,20 +600,17 @@ let enqueue t (u : Message.update) =
   match Ledger.enqueue t.ledger u with
   | Ledger.Duplicate ->
     Obs.Metrics.incr t.stats.dup_messages_dropped;
-    let sp = Obs.Trace.root_event t.trace "dup_dropped" in
-    Obs.Trace.set_attr t.trace sp "source" u.Message.source;
-    Obs.Trace.set_attri t.trace sp "version" u.Message.version
+    Obs.Trace.dup_dropped t.trace ~source:u.Message.source
+      ~version:u.Message.version
   | outcome ->
     report t ~source:u.Message.source ~via:"announcement"
       ~prev_version:u.Message.prev_version u.Message.version outcome;
     let depth = Ledger.queue_length t.ledger in
     Obs.Metrics.set t.stats.queue_depth (float_of_int depth);
-    let sp = Obs.Trace.root_event t.trace "enqueue" in
-    Obs.Trace.set_attr t.trace sp "source" u.Message.source;
-    Obs.Trace.set_attri t.trace sp "version" u.Message.version;
-    Obs.Trace.set_attri t.trace sp "atoms"
-      (Multi_delta.atom_count u.Message.delta);
-    Obs.Trace.set_attri t.trace sp "depth" depth
+    Obs.Trace.enqueue t.trace ~source:u.Message.source
+      ~version:u.Message.version
+      ~atoms:(Multi_delta.atom_count u.Message.delta)
+      ~depth
 
 let observe_poll t ~via source version =
   let outcome = Ledger.observe_poll t.ledger source version in
@@ -720,33 +709,29 @@ let answer_bound t ?(polled_times = []) ?(stale = []) () =
 let poll_with_retry t src requests =
   let src_name = Source_db.name src in
   let budget = max 1 t.config.poll_retries in
-  Obs.Trace.with_span t.trace "poll" (fun poll_sp ->
-      Obs.Trace.set_attr t.trace poll_sp "source" src_name;
+  Obs.Trace.poll t.trace ~source:src_name (fun () ->
       let t0 = Engine.now t.engine in
       let rec attempt n backoff =
         let outcome =
-          Obs.Trace.with_span t.trace "attempt" (fun sp ->
-              Obs.Trace.set_attri t.trace sp "n" n;
+          Obs.Trace.attempt t.trace ~n (fun () ->
               let r =
                 Source_db.try_poll src ?timeout:t.config.poll_timeout requests
               in
-              (match r with
-              | Ok _ -> Obs.Trace.set_attr t.trace sp "result" "ok"
-              | Error e ->
-                Obs.Trace.set_attr t.trace sp "result"
-                  (Source_db.poll_error_to_string e));
+              Obs.Trace.attempt_result t.trace
+                (match r with
+                | Ok _ -> "ok"
+                | Error e -> Source_db.poll_error_to_string e);
               r)
         in
         match outcome with
         | Ok a ->
-          Obs.Trace.set_attri t.trace poll_sp "attempts" n;
+          Obs.Trace.poll_attempts t.trace n ~exhausted:false;
           Obs.Metrics.observe t.stats.poll_rtt (Engine.now t.engine -. t0);
           a
         | Error e ->
           if n >= budget then begin
             Obs.Metrics.incr t.stats.poll_failures;
-            Obs.Trace.set_attri t.trace poll_sp "attempts" n;
-            Obs.Trace.set_attr t.trace poll_sp "outcome" "exhausted";
+            Obs.Trace.poll_attempts t.trace n ~exhausted:true;
             Obs.Metrics.observe t.stats.poll_rtt (Engine.now t.engine -. t0);
             raise
               (Poll_failed

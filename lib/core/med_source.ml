@@ -54,11 +54,13 @@ let create ?name (child : Med.t) =
   in
   let t = { ms_name; ms_child = child; ms_db } in
   (* the mirror's version 0 is the child's current export state; from
-     here on every export event keeps it exact *)
+     here on every export event keeps it exact. It holds a copy: the
+     child's table updates its bag in place, and two holders updating
+     one storage would walk each other's updates *)
   List.iter
     (fun (node, _) ->
       match Med.store_env child node with
-      | Some bag -> Source_db.load ms_db node bag
+      | Some bag -> Source_db.load ms_db node (Bag.copy bag)
       | None -> ())
     exports;
   Mediator.subscribe child (function

@@ -346,9 +346,8 @@ let slo_prepoll (t : Med.t) ~slo =
   if laggards = [] then (false, [])
   else begin
     let polled =
-      Obs.Trace.with_span t.Med.trace "slo_poll" (fun sp ->
-          Obs.Trace.set_attr t.Med.trace sp "sources"
-            (String.concat "," laggards);
+      Obs.Trace.slo_poll t.Med.trace ~sources:(String.concat "," laggards)
+        (fun () ->
           let polled =
             List.filter_map
               (fun src_name ->
@@ -502,9 +501,7 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
       | Some (answer, polled, trace_id, bound) ->
         record ~stale:[] ~bound ~polled ~trace_id answer
       | None ->
-      Obs.Trace.with_span t.Med.trace "query_tx" (fun tx_sp ->
-      Obs.Trace.set_attr t.Med.trace tx_sp "node" node;
-      let trace_id = Obs.Trace.span_id t.Med.trace tx_sp in
+      Obs.Trace.query_tx t.Med.trace ~node (fun trace_id ->
       let finish ?(stale = []) ?(polled_times = []) ?(scanned = false) ~served answer
           polled =
         let polled_times = with_prepoll polled_times in
@@ -516,13 +513,12 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
         (match max_staleness with
         | Some slo when not (bound_ok bound slo) ->
           Obs.Metrics.incr t.Med.stats.Med.slo_refusals;
-          Obs.Trace.set_attr t.Med.trace tx_sp "served" "refused";
+          Obs.Trace.served t.Med.trace "refused";
           raise
             (Slo_unsatisfiable
                { sm_node = node; sm_slo = slo; sm_bound = bound })
         | Some _ | None -> ());
-        Obs.Trace.set_attr t.Med.trace tx_sp "served"
-          (if escalated then "slo_poll" else served);
+        Obs.Trace.served t.Med.trace (if escalated then "slo_poll" else served);
         let a = record ~stale ~bound ~polled ~trace_id answer in
         (* only answers the checker may hold to full validity are
            worth replaying; degraded answers must be recomputed *)
@@ -540,7 +536,7 @@ let query (t : Med.t) ~node ?attrs ?(cond = Predicate.True) ?max_staleness ()
           let mat = Med.mat_attrs t node in
           let avail = List.filter (fun a -> List.mem a mat) attrs in
           if avail = [] then raise exn;
-          Obs.Trace.set_attr t.Med.trace tx_sp "error" (Printexc.to_string exn);
+          Obs.Trace.query_error t.Med.trace (Printexc.to_string exn);
           finish ~stale:(staleness_of t srcs) ~served:"degraded"
             (fst
                (read_store ~attrs:avail table

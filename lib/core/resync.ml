@@ -13,8 +13,7 @@ open Storage
    all polls complete before any state mutates — otherwise a partially
    advanced reflect vector would disagree with tables never rebuilt. *)
 let snapshot ?(trigger = "init") (t : Med.t) =
-  Obs.Trace.with_span t.Med.trace "snapshot" (fun sp ->
-  Obs.Trace.set_attr t.Med.trace sp "trigger" trigger;
+  Obs.Trace.snapshot t.Med.trace ~trigger (fun () ->
   let answers =
     List.filter_map
       (fun src_name ->
@@ -96,7 +95,7 @@ let resync_if_dirty (t : Med.t) =
   | [] -> ()
   | dirty ->
     Obs.Metrics.incr t.Med.stats.Med.resyncs;
-    Obs.Trace.with_span t.Med.trace "resync" (fun sp ->
-        Obs.Trace.set_attr t.Med.trace sp "sources"
-          (String.concat "," (List.sort String.compare dirty));
+    Obs.Trace.resync t.Med.trace
+      ~sources:(String.concat "," (List.sort String.compare dirty))
+      (fun () ->
         snapshot ~trigger:"gap" t)

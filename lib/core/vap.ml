@@ -221,9 +221,8 @@ let build_inner (t : Med.t) ~pending closed =
               contributor <> Ledger.Virtual_contributor
               && t.Med.config.Med.Config.eca_enabled
             then
-              Obs.Trace.with_span t.Med.trace "eca" (fun sp ->
-                  Obs.Trace.set_attr t.Med.trace sp "source" src_name;
-                  Obs.Trace.set_attr t.Med.trace sp "node" r.r_node;
+              Obs.Trace.eca t.Med.trace ~source:src_name ~node:r.r_node
+                (fun () ->
                   (* Eager Compensation: roll the polled answer back to
                      the reflected state *)
                   let unseen =
@@ -231,8 +230,7 @@ let build_inner (t : Med.t) ~pending closed =
                       ~leaf:lp.Med.lp_leaf
                       ~schema:(Graph.node t.Med.vdp lp.Med.lp_leaf).Graph.schema
                   in
-                  Obs.Trace.set_attri t.Med.trace sp "unseen_atoms"
-                    (Rel_delta.atom_count unseen);
+                  Obs.Trace.eca_unseen t.Med.trace (Rel_delta.atom_count unseen);
                   (* nothing unseen: the answer is the reflected state *)
                   if Rel_delta.is_empty unseen then polled
                   else
@@ -255,8 +253,7 @@ let build_inner (t : Med.t) ~pending closed =
   List.iter
     (fun r ->
       let node = r.r_node in
-      Obs.Trace.with_span t.Med.trace "temp" (fun sp ->
-          Obs.Trace.set_attr t.Med.trace sp "node" node;
+      Obs.Trace.temp t.Med.trace ~node (fun () ->
           let env name =
             match List.assoc_opt name !temps with
             | Some b -> Some b
@@ -271,7 +268,7 @@ let build_inner (t : Med.t) ~pending closed =
             else Expr.select r.r_cond def
           in
           let value = Med.eval t ~env (Expr.project r.r_attrs with_sel) in
-          Obs.Trace.set_attri t.Med.trace sp "tuples" (Bag.cardinal value);
+          Obs.Trace.temp_tuples t.Med.trace (Bag.cardinal value);
           temps := (node, value) :: !temps))
     (List.rev inner_reqs);
   Obs.Metrics.add t.Med.stats.Med.temps_built (List.length !temps);
@@ -282,12 +279,12 @@ let build_inner (t : Med.t) ~pending closed =
   }
 
 let build (t : Med.t) ~kind closed =
-  Obs.Trace.with_span t.Med.trace "vap" (fun sp ->
-      Obs.Trace.set_attr t.Med.trace sp "kind"
-        (match kind with `Query -> "query" | `Update _ -> "update");
+  Obs.Trace.vap t.Med.trace
+    ~kind:(match kind with `Query -> "query" | `Update _ -> "update")
+    (fun () ->
       let pending =
         match kind with `Query -> Multi_delta.empty | `Update d -> d
       in
       let r = build_inner t ~pending closed in
-      Obs.Trace.set_attri t.Med.trace sp "temps" (List.length r.temps);
+      Obs.Trace.vap_temps t.Med.trace (List.length r.temps);
       r)

@@ -10,34 +10,33 @@
     (announcements, gap detections) record as {e root events} that
     bypass the stack.
 
-    {b Layout.} Recording a span allocates nothing that outlives the
-    transaction. Each span is written at open time into a {e slot} of
-    preallocated unboxed storage: one row of an int array holds its
-    id, its parent's id, its op count, its last child, its previous
-    sibling and its last attribute; a [Float.Array] holds its start and
-    stop; a name array holds the call site's static string. Attributes
-    take cells of a second store (key and string value; int value and
-    link), chained per span. An attribute value is either an int,
-    stored unboxed and turned into text only when read ({!set_attri}),
-    or a string the caller already holds live — a static literal, a
-    node or source name ({!set_attr}). The write side hands out and
-    takes a {!slot}; it never builds a record, an option or a list.
+    {b Records.} Each trace site of the mediator writes one typed
+    {e record} of the facts it knows — the values a span tree shows as
+    attributes — through the function named after it below. A span's
+    id comes from the trace's counter when it opens, so ids follow
+    open order even where a root event arrives while a transaction
+    waits on a poll; its times and op count are sampled where it opens
+    and closes, and kept unboxed. The two records every update
+    transaction writes are built for it: an {!enqueue} event is one
+    block, and a {!batch} keeps its [update_tx], [temp_determination],
+    [kernel_pass], [delta] and [apply] spans in three columns (ints,
+    floats, strings) that it copies out of the trace's scratch when it
+    closes, so an update costs five blocks whatever its shape. The
+    other sites ([query_tx], [slo_poll], [vap], [temp], [poll],
+    [attempt], [eca], [snapshot], [resync]) are one small record each.
+    A setter (such as {!determined} or {!served}) writes a fact into
+    the innermost open record when that record is of its kind, and
+    does nothing otherwise. A disabled trace records nothing, opens
+    nothing, and costs one branch per site.
 
-    {b Retention.} Closed root spans are retained in a ring of
-    [capacity] root slots, in completion order; the oldest tree is
-    evicted first ({!dropped_roots} counts them), and a span is
-    retained until [capacity] later roots have closed. Eviction goes by
-    root, not by slot range — a root event recorded while a
-    transaction is open takes a slot inside that transaction's range —
-    and returns the tree's span slots and attribute cells to free
-    lists. Both stores grow a fixed-size chunk at a time, copying
-    nothing, until they hold [capacity] roots' spans, and are reused in
-    place after that: a steady workload reaches a fixed trace size, and
-    a trace that never fills its ring allocates no more than the trees
-    it keeps.
+    {b Retention.} Closed root records are retained in a ring of
+    [capacity] roots, in completion order; the oldest is overwritten
+    first ({!dropped_roots} counts them), so a span is retained until
+    [capacity] later roots have closed. The ring is allocated with the
+    trace and never grows.
 
     {b Reading.} {!roots}, {!find} and {!iter_spans} build {!span}
-    records from the stores on demand; {!render} and {!to_jsonl} print
+    trees from the records on demand; {!render} and {!to_jsonl} print
     them. Everything is keyed off the simulated clock, never the wall
     clock, so identical seeds produce identical traces. *)
 
@@ -55,11 +54,6 @@ type span = {
 
 type t
 
-type slot [@@immediate]
-(** The write-side handle of an open span. A disabled trace hands out
-    a slot that every setter ignores. A slot is valid until its root
-    is evicted. *)
-
 val create :
   ?capacity:int ->
   ?enabled:bool ->
@@ -67,35 +61,89 @@ val create :
   ?ops_counter:(unit -> int) ->
   unit ->
   t
-(** [capacity] (default 4096) bounds retained {e root} spans.
+(** [capacity] (default 4096) bounds retained {e root} records.
     [ops_counter] samples a monotone operation counter at span
-    open/close to attribute op costs. Disabled traces record nothing
-    and cost one branch per [with_span]. *)
+    open/close to attribute op costs. *)
 
 val enabled : t -> bool
 
-val with_span : t -> string -> (slot -> 'a) -> 'a
-(** Run the function inside a new span (child of the innermost open
-    one). The span is closed even if the function raises. *)
+(** {2 Root events} *)
 
-val root_event : t -> string -> slot
-(** Record an instantaneous root span regardless of any open spans —
-    for asynchronous arrivals that do not belong to the transaction
-    currently executing. The returned slot takes attributes. *)
+val enqueue : t -> source:string -> version:int -> atoms:int -> depth:int -> unit
+(** An announcement queued at [depth]. *)
 
-val set_attr : t -> slot -> string -> string -> unit
-(** Append a string attribute. The value is kept as given, so pass a
-    string that is live anyway. *)
+val dup_dropped : t -> source:string -> version:int -> unit
 
-val set_attri : t -> slot -> string -> int -> unit
-(** Append an int attribute, stored unboxed; it reads back as
-    [string_of_int]. *)
+val gap_detected :
+  t -> source:string -> via:string -> prev_version:int option -> version:int ->
+  seen:int -> unit
+(** A gap seen by [via]: by an announcement ([prev_version] given) or
+    by a poll's answer version. *)
+
+(** {2 The update transaction}
+
+    [batch_tx] and its phases. The phase and fact functions act on the
+    innermost open record when it is a batch. *)
+
+type outcome = Applied | Self_maintained | Deferred of string
+(** [Self_maintained] is applied without a VAP request; [Deferred]
+    carries the error that put the batch back. *)
+
+val batch : t -> entries:int -> (unit -> 'a) -> 'a
+(** Run the function inside a [batch_tx] record; it is closed even if
+    the function raises. Batches do not nest. *)
+
+val update_tx :
+  t -> source:string -> version:int -> prev_version:int -> atoms:int -> unit
+(** One constituent announcement, an instant child of the batch;
+    every one precedes the batch's first {!delta}. *)
+
+val coalesced : t -> atoms:int -> raw_atoms:int -> unit
+val temp_determination : t -> (unit -> 'a) -> 'a
+val determined : t -> affected:int -> requests:int -> unit
+val kernel_pass : t -> (unit -> 'a) -> 'a
+val delta : t -> node:string -> (unit -> 'a) -> 'a
+val delta_atoms : t -> int -> unit
+(** The atom count of the batch's last {!delta}. *)
+
+val kernel_nodes : t -> int -> unit
+val apply : t -> tables:int -> (unit -> 'a) -> 'a
+val batch_outcome : t -> outcome -> unit
+
+(** {2 Other transactions and their phases}
+
+    Each runs the function inside its record and closes it even if the
+    function raises. *)
+
+val query_tx : t -> node:string -> (int option -> 'a) -> 'a
+(** The function receives the [query_tx] span's id ([None] when the
+    trace is disabled). *)
+
+val served : t -> string -> unit
+val query_error : t -> string -> unit
+val slo_poll : t -> sources:string -> (unit -> 'a) -> 'a
+val vap : t -> kind:string -> (unit -> 'a) -> 'a
+val vap_temps : t -> int -> unit
+val temp : t -> node:string -> (unit -> 'a) -> 'a
+val temp_tuples : t -> int -> unit
+val poll : t -> source:string -> (unit -> 'a) -> 'a
+val poll_attempts : t -> int -> exhausted:bool -> unit
+val attempt : t -> n:int -> (unit -> 'a) -> 'a
+val attempt_result : t -> string -> unit
+val eca : t -> source:string -> node:string -> (unit -> 'a) -> 'a
+val eca_unseen : t -> int -> unit
+val snapshot : t -> trigger:string -> (unit -> 'a) -> 'a
+val resync : t -> sources:string -> (unit -> 'a) -> 'a
+
+(** {2 Reading} *)
 
 val attr : span -> string -> string option
-val span_id : t -> slot -> int option
 
 val roots : t -> span list
 (** Retained root spans in completion order (oldest first). *)
+
+val find : t -> int -> span option
+(** The retained span with this id, at any depth. *)
 
 val iter_spans : (span -> unit) -> t -> unit
 val spans_recorded : t -> int

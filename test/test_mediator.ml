@@ -1452,6 +1452,26 @@ let test_stream_snapshots () =
     mirrored;
   Tutil.check_bag "lost update included" (Tutil.recompute env "T") mirrored
 
+(* a mirror loads a copy of the child's export: it shares no storage
+   with the child's table, and it still equals the export after the
+   child applies updates *)
+let test_mirror_owns_its_storage () =
+  let env, med = setup_fig1 Scenario.ann_ex21 in
+  let mirror = Med_source.source_db (Med_source.create med) in
+  let table () = Option.get (Med.store_env med "T") in
+  Alcotest.(check bool) "no storage shared with the child's table" false
+    (Bag.shares (Source_db.current mirror "T") (table ()));
+  let r2 = joining_r2 env in
+  commit_fresh_r env ~r1:5000 ~r2 ~r3:7 ~r4:100;
+  commit_fresh_r env ~r1:5001 ~r2 ~r3:8 ~r4:100;
+  Scenario.run_to_quiescence env med;
+  Alcotest.(check bool) "the child's T changed" true
+    (Bag.cardinal (table ()) > 0);
+  Tutil.check_bag "the mirror equals the child's export" (table ())
+    (Source_db.current mirror "T");
+  Tutil.check_bag "which is the recomputed T" (Tutil.recompute env "T")
+    (Source_db.current mirror "T")
+
 (* the stream's notification instant: a mirror commits a child batch at
    the instant the child applied it, before the pass's compute charge
    ([op_time] per tuple op) advances the child's clock *)
@@ -1831,6 +1851,8 @@ let () =
         [
           Alcotest.test_case "a subscriber hears what the log gains" `Quick
             test_stream_is_the_log;
+          Alcotest.test_case "a mirror owns its storage" `Quick
+            test_mirror_owns_its_storage;
           Alcotest.test_case "snapshots: init exempt, resync mirrored" `Quick
             test_stream_snapshots;
           Alcotest.test_case "notified at apply, before the charge" `Quick

@@ -251,75 +251,81 @@ let test_ring_retention () =
   let t = Obs.Trace.create ~capacity:4 ~now:(fun () -> !now) () in
   for i = 1 to 10 do
     now := float_of_int i;
-    Obs.Trace.set_attri t (Obs.Trace.root_event t "tick") "n" i
+    Obs.Trace.enqueue t ~source:"db1" ~version:i ~atoms:1 ~depth:1
   done;
   Alcotest.(check int) "all recorded" 10 (Obs.Trace.spans_recorded t);
   Alcotest.(check int) "overflow counted" 6 (Obs.Trace.dropped_roots t);
   let kept =
-    List.filter_map (fun sp -> Obs.Trace.attr sp "n") (Obs.Trace.roots t)
+    List.filter_map (fun sp -> Obs.Trace.attr sp "version") (Obs.Trace.roots t)
   in
   Alcotest.(check (list string))
     "ring keeps the most recent roots, oldest first"
     [ "7"; "8"; "9"; "10" ] kept
 
-(* ---- trace storage: steady size and slot reuse ----------------------- *)
+(* ---- trace storage: steady size and the records' trees -------------- *)
 
-(* one update transaction's shape: five spans, each with four int
-   attributes and one static-string attribute *)
-let update_attrs t sp i =
-  Obs.Trace.set_attri t sp "atoms" i;
-  Obs.Trace.set_attri t sp "version" (i + 1);
-  Obs.Trace.set_attri t sp "prev_version" i;
-  Obs.Trace.set_attri t sp "depth" (i land 7);
-  Obs.Trace.set_attr t sp "outcome" "applied"
+(* one update transaction's shape, as the mediator records it: the
+   enqueue event, and a batch of one announcement whose kernel pass
+   computes one delta — seven spans *)
+let update_spans = 7
 
-let record_update_tree t i =
-  Obs.Trace.with_span t "batch_tx" (fun tx ->
-      update_attrs t tx i;
-      Obs.Trace.with_span t "update_tx" (fun sp -> update_attrs t sp i);
-      Obs.Trace.with_span t "kernel_pass" (fun kp ->
-          update_attrs t kp i;
-          Obs.Trace.with_span t "delta" (fun d -> update_attrs t d i));
-      Obs.Trace.with_span t "apply" (fun ap -> update_attrs t ap i))
+let record_update t i =
+  Obs.Trace.enqueue t ~source:"db1" ~version:(i + 1) ~atoms:i ~depth:(i land 7);
+  Obs.Trace.batch t ~entries:1 (fun () ->
+      Obs.Trace.update_tx t ~source:"db1" ~version:(i + 1) ~prev_version:i
+        ~atoms:i;
+      Obs.Trace.coalesced t ~atoms:i ~raw_atoms:i;
+      Obs.Trace.temp_determination t (fun () ->
+          Obs.Trace.determined t ~affected:i ~requests:0);
+      Obs.Trace.kernel_pass t (fun () ->
+          Obs.Trace.delta t ~node:"T" (fun () -> Obs.Trace.delta_atoms t i);
+          Obs.Trace.kernel_nodes t 2);
+      Obs.Trace.apply t ~tables:1 (fun () -> ());
+      Obs.Trace.batch_outcome t Obs.Trace.Applied)
 
 let test_steady_size () =
   let ops = ref 0 in
-  let t =
-    Obs.Trace.create ~capacity:1000
+  let trace enabled =
+    Obs.Trace.create ~capacity:1000 ~enabled
       ~now:(fun () -> 0.0)
       ~ops_counter:(fun () -> !ops)
       ()
   in
-  let record ~from ~upto =
+  let t = trace true in
+  let record t ~from ~upto =
     for i = from to upto do
       ops := i;
-      record_update_tree t i
+      record_update t i
     done
   in
-  record ~from:1 ~upto:5_000;
+  record t ~from:1 ~upto:5_000;
   let size_half = Obj.reachable_words (Obj.repr t) in
   let words0 = Gc.minor_words () in
-  record ~from:5_001 ~upto:10_000;
-  let per_span = (Gc.minor_words () -. words0) /. 25_000.0 in
+  record t ~from:5_001 ~upto:10_000;
+  let traced = Gc.minor_words () -. words0 in
   let size_full = Obj.reachable_words (Obj.repr t) in
-  Alcotest.(check int) "all but the last 1,000 trees evicted" 9_000
+  (* the same loop into a disabled trace: what the closures at the
+     call sites above allocate, with nothing recorded *)
+  let off = trace false in
+  let words0 = Gc.minor_words () in
+  record off ~from:5_001 ~upto:10_000;
+  let untraced = Gc.minor_words () -. words0 in
+  let per_span = (traced -. untraced) /. float_of_int (5_000 * update_spans) in
+  Alcotest.(check int) "all but the last 1,000 roots evicted" 19_000
     (Obs.Trace.dropped_roots t);
   Alcotest.(check int)
     "the trace does not grow once the ring is full" size_half size_full;
-  (* The recording itself allocates nothing. What remains is the
-     closure each [with_span] call site above builds: 5 words with its
-     header (code pointer, closure info, the captured [t] and [i]), and
-     5.0 is what this loop measures. The bound of 8 leaves room for a
-     compiler that closes over one more value, and fails as soon as
-     recording boxes a span, an option, an attribute pair, a list cell
-     or a number's text: each costs 3 words or more, per span or per
-     attribute. *)
+  (* The enqueue record is one 6-word block, and the batch is one
+     8-word record plus its three columns, 25 + 12 + 3 words with
+     their headers: 54 words for seven spans, 7.7 each. The bound of
+     8 fails as soon as a span costs a block of its own, an option,
+     an attribute pair, a list cell or a number's text. *)
   if per_span > 8.0 then
     Alcotest.failf "%.1f minor words per recorded span (bound 8)" per_span
 
 (* A list-based trace with the semantics of [Obs.Trace], built from
-   records that are updated in place: the reference the slot-based
-   trace must reproduce. *)
+   generic spans that are updated in place: the reference the typed
+   records must reproduce. *)
 module Ref_trace = struct
   type node = {
     id : int;
@@ -409,7 +415,7 @@ module Ref_trace = struct
     Buffer.contents buf
 end
 
-let test_slot_reuse_matches_reference () =
+let test_records_match_reference () =
   let clock = ref 0.0 and ops = ref 0 in
   let now () = !clock and counter () = !ops in
   let tick () =
@@ -418,24 +424,112 @@ let test_slot_reuse_matches_reference () =
   in
   let t = Obs.Trace.create ~capacity:3 ~now ~ops_counter:counter () in
   let r = Ref_trace.create ~capacity:3 ~now ~counter in
-  (* each step records the same thing into both traces *)
-  let span name f =
-    Obs.Trace.with_span t name (fun sp ->
+  (* each step records the same thing into both traces: [typed] opens
+     the record, the reference span opens inside it at the same
+     instant, and time and ops advance inside both *)
+  let span typed name f =
+    typed (fun () ->
         Ref_trace.with_span r name (fun n ->
             tick ();
-            f sp n;
-            tick ()))
+            let v = f n in
+            tick ();
+            v))
   in
-  let int_attr sp n k v =
-    Obs.Trace.set_attri t sp k v;
-    Ref_trace.set_attr n k (string_of_int v)
+  let attrs n kvs = List.iter (fun (k, v) -> Ref_trace.set_attr n k v) kvs in
+  let i = string_of_int in
+  let enqueue v =
+    Obs.Trace.enqueue t ~source:"db2" ~version:v ~atoms:1 ~depth:v;
+    attrs (Ref_trace.root_event r "enqueue")
+      [ ("source", "db2"); ("version", i v); ("atoms", "1"); ("depth", i v) ]
   in
-  let str_attr sp n k v =
-    Obs.Trace.set_attr t sp k v;
-    Ref_trace.set_attr n k v
+  let gap v =
+    let prev_version = if v mod 2 = 0 then Some (v - 2) else None in
+    Obs.Trace.gap_detected t ~source:"db1" ~via:"desync" ~prev_version
+      ~version:v ~seen:(v - 1);
+    attrs (Ref_trace.root_event r "gap_detected")
+      ((("source", "db1")
+        ::
+        (match prev_version with
+        | Some p -> [ ("prev_version", i p); ("version", i v) ]
+        | None -> [ ("answer_version", i v) ]))
+      @ [ ("seen", i (v - 1)); ("via", "desync") ])
   in
-  let event name v =
-    int_attr (Obs.Trace.root_event t name) (Ref_trace.root_event r name) "n" v
+  let update_tx v =
+    Obs.Trace.update_tx t ~source:"db1" ~version:v ~prev_version:(v - 1)
+      ~atoms:2;
+    Ref_trace.with_span r "update_tx" (fun n ->
+        attrs n
+          [ ("source", "db1"); ("version", i v); ("prev_version", i (v - 1));
+            ("atoms", "2") ])
+  in
+  (* a poll of one attempt that succeeds and one that fails, whose
+     range holds a root event *)
+  let poll ~event =
+    span (Obs.Trace.poll t ~source:"db1") "poll" (fun n ->
+        attrs n [ ("source", "db1") ];
+        span (Obs.Trace.attempt t ~n:1) "attempt" (fun a ->
+            if event > 0 then enqueue event;
+            Obs.Trace.attempt_result t "ok";
+            attrs a [ ("n", "1"); ("result", "ok") ]);
+        Obs.Trace.poll_attempts t 1 ~exhausted:false;
+        attrs n [ ("attempts", "1") ])
+  in
+  let vap kind =
+    span (Obs.Trace.vap t ~kind) "vap" (fun n ->
+        attrs n [ ("kind", kind) ];
+        poll ~event:0;
+        span (Obs.Trace.eca t ~source:"db1" ~node:"R'") "eca" (fun e ->
+            Obs.Trace.eca_unseen t 4;
+            attrs e [ ("source", "db1"); ("node", "R'"); ("unseen_atoms", "4") ]);
+        span (Obs.Trace.temp t ~node:"T") "temp" (fun e ->
+            Obs.Trace.temp_tuples t 17;
+            attrs e [ ("node", "T"); ("tuples", "17") ]);
+        Obs.Trace.vap_temps t 2;
+        attrs n [ ("temps", "2") ])
+  in
+  let batch ~entries ~deltas ~outcome =
+    span (Obs.Trace.batch t ~entries) "batch_tx" (fun n ->
+        attrs n [ ("entries", i entries) ];
+        for v = 1 to entries do
+          update_tx v
+        done;
+        Obs.Trace.coalesced t ~atoms:(2 * entries) ~raw_atoms:(4 * entries);
+        attrs n
+          [ ("atoms", i (2 * entries)); ("raw_atoms", i (4 * entries));
+            ("annihilated_pairs", i entries) ];
+        span (Obs.Trace.temp_determination t) "temp_determination" (fun d ->
+            Obs.Trace.determined t ~affected:3 ~requests:deltas;
+            attrs d [ ("affected", "3"); ("requests", i deltas) ]);
+        if deltas > 0 then vap "update";
+        enqueue (100 + entries);
+        span (Obs.Trace.kernel_pass t) "kernel_pass" (fun k ->
+            for j = 1 to deltas do
+              span (Obs.Trace.delta t ~node:"T") "delta" (fun d ->
+                  if j = 2 then enqueue (200 + entries);
+                  Obs.Trace.delta_atoms t (entries * j);
+                  attrs d [ ("node", "T"); ("atoms", i (entries * j)) ])
+            done;
+            Obs.Trace.kernel_nodes t deltas;
+            attrs k [ ("nodes", i deltas) ]);
+        span (Obs.Trace.apply t ~tables:1) "apply" (fun a ->
+            attrs a [ ("tables", "1") ]);
+        Obs.Trace.batch_outcome t outcome;
+        attrs n
+          (match outcome with
+          | Obs.Trace.Applied -> [ ("outcome", "applied") ]
+          | Obs.Trace.Self_maintained ->
+            [ ("served", "self_maintained"); ("outcome", "applied") ]
+          | Obs.Trace.Deferred e -> [ ("outcome", "deferred"); ("error", e) ]))
+  in
+  let query ~id_seen =
+    span
+      (fun f -> Obs.Trace.query_tx t ~node:"T" (fun id -> id_seen := id; f ()))
+      "query_tx"
+      (fun n ->
+        attrs n [ ("node", "T") ];
+        vap "query";
+        Obs.Trace.served t "vap";
+        attrs n [ ("served", "vap") ])
   in
   let check msg =
     Alcotest.(check int)
@@ -447,32 +541,110 @@ let test_slot_reuse_matches_reference () =
     Alcotest.(check string) (msg ^ ": render") (Ref_trace.render r)
       (Obs.Trace.render t)
   in
-  (* a batch whose range holds a root event: the event is retained,
-     and later evicted, before the batch that encloses it *)
-  span "batch_tx" (fun tx n ->
-      int_attr tx n "entries" 2;
-      span "poll" (fun sp n ->
-          event "enqueue" 1;
-          str_attr sp n "source" "db1");
-      event "enqueue" 2;
-      span "apply" (fun sp n -> int_attr sp n "tables" 1);
-      str_attr tx n "outcome" "applied");
+  (* a batch whose range holds root events: they are retained, and
+     later evicted, before the batch that encloses them *)
+  batch ~entries:2 ~deltas:1 ~outcome:Obs.Trace.Applied;
   check "after the interleaved batch";
+  (* an SLO pre-poll drains the queue: batches nest under its scope *)
+  span (Obs.Trace.slo_poll t ~sources:"db1") "slo_poll" (fun n ->
+      attrs n [ ("sources", "db1") ];
+      poll ~event:7;
+      batch ~entries:1 ~deltas:2 ~outcome:Obs.Trace.Applied;
+      batch ~entries:3 ~deltas:0 ~outcome:(Obs.Trace.Deferred "Desync"));
+  check "after batches under a scope";
   (* enough roots of varying shape to wrap the ring several times *)
-  for i = 1 to 12 do
-    if i mod 3 = 0 then event "gap_detected" i
-    else
-      span "batch_tx" (fun tx n ->
-          int_attr tx n "entries" i;
-          for j = 1 to i mod 4 do
-            span "delta" (fun d n ->
-                str_attr d n "node" "T";
-                int_attr d n "atoms" (i * j);
-                if j = 2 then event "enqueue" (100 + i))
-          done);
-    check (Printf.sprintf "after root %d" i)
+  for v = 1 to 12 do
+    (match v mod 4 with
+    | 0 -> gap v
+    | 1 ->
+      let id_seen = ref None in
+      query ~id_seen;
+      Alcotest.(check bool) "the query's id names its span" true
+        (match !id_seen with
+        | Some id -> (
+          match Obs.Trace.find t id with
+          | Some sp -> String.equal sp.Obs.Trace.name "query_tx"
+          | None -> false)
+        | None -> false)
+    | 2 ->
+      batch ~entries:((v mod 3) + 1) ~deltas:(v mod 3)
+        ~outcome:Obs.Trace.Self_maintained
+    | _ -> batch ~entries:1 ~deltas:2 ~outcome:(Obs.Trace.Deferred "Poll_failed"));
+    check (Printf.sprintf "after root %d" v)
   done;
   Alcotest.(check bool) "the ring wrapped" true (Obs.Trace.dropped_roots t > 9)
+
+(* A query answer names the span that computed it: on a seeded
+   fig1/ex23 run, every fresh computed answer's [trace_id] resolves to
+   a retained query_tx span whose [served] attribute names the rung
+   the counters saw answer it. *)
+let test_answer_trace_id () =
+  let env = Scenario.make_fig1 ~seed:7 () in
+  let med =
+    Scenario.mediator env ~annotation:(Scenario.ann_ex23 env.Scenario.vdp) ()
+  in
+  Engine.spawn env.Scenario.engine (fun () -> Mediator.initialize med);
+  Engine.run env.Scenario.engine ~until:1.0;
+  let rng = Datagen.state 77 in
+  List.iter
+    (fun (src, rel) ->
+      Driver.update_process ~rng ~src:(Scenario.source env src)
+        {
+          Driver.u_relation = rel;
+          u_interval = 0.3;
+          u_count = 8;
+          u_delete_fraction = 0.25;
+          u_specs = Scenario.fig1_update_specs rel;
+        })
+    [ ("db1", "R"); ("db2", "S") ];
+  let s = Mediator.stats med in
+  let count c = Obs.Metrics.value c in
+  let shapes =
+    [
+      ([ "r1"; "s1" ], Predicate.True);
+      ([ "r1"; "r3"; "s1" ], Predicate.True);
+      ([ "r1"; "r3"; "s1"; "s2" ], Predicate.True);
+    ]
+  in
+  let rungs = ref [] in
+  Engine.spawn env.Scenario.engine (fun () ->
+      for k = 1 to 12 do
+        Engine.sleep env.Scenario.engine 0.4;
+        let attrs, cond = List.nth shapes (k mod List.length shapes) in
+        let hits = count s.Med.cache_hits
+        and store = count s.Med.queries_from_store
+        and key_based = count s.Med.key_based_constructions in
+        let a = Mediator.query med ~node:"T" ~attrs ~cond () in
+        let rung =
+          if count s.Med.cache_hits > hits then None
+          else if count s.Med.queries_from_store > store then Some "store"
+          else if count s.Med.key_based_constructions > key_based then
+            Some "key_based"
+          else Some "vap"
+        in
+        match (rung, a.Qp.quality) with
+        | Some rung, Qp.Fresh -> rungs := (rung, a.Qp.trace_id) :: !rungs
+        | _ -> ()
+      done);
+  Scenario.run_to_quiescence env med;
+  let trace = Mediator.trace med in
+  Alcotest.(check bool) "computed answers seen" true (List.length !rungs >= 6);
+  List.iter
+    (fun (rung, id) ->
+      match id with
+      | None -> Alcotest.fail "a computed answer carries no trace_id"
+      | Some id -> (
+        match Obs.Trace.find trace id with
+        | None -> Alcotest.failf "trace_id %d names no retained span" id
+        | Some sp ->
+          Alcotest.(check string) "the span is the query_tx" "query_tx"
+            sp.Obs.Trace.name;
+          Alcotest.(check (option string))
+            "its served attribute names the rung" (Some rung)
+            (Obs.Trace.attr sp "served")))
+    !rungs;
+  Alcotest.(check bool) "more than one rung answered" true
+    (List.length (List.sort_uniq compare (List.map fst !rungs)) > 1)
 
 let test_jsonl_export () =
   let med = run_workload ~seed:5 () in
@@ -618,8 +790,10 @@ let () =
             test_jsonl_golden;
           Alcotest.test_case "steady size under a full ring" `Quick
             test_steady_size;
-          Alcotest.test_case "slot reuse matches a list-based trace" `Quick
-            test_slot_reuse_matches_reference;
+          Alcotest.test_case "records match a list-based trace" `Quick
+            test_records_match_reference;
+          Alcotest.test_case "an answer's trace_id names its span" `Quick
+            test_answer_trace_id;
         ] );
       ( "cli goldens",
         run_golden_cases @ chaos_golden_cases
